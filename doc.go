@@ -146,11 +146,16 @@
 // subscribers always observe the dense rev stream in order. The lock
 // order is fixed — pod stripes (ascending), then node stripes
 // (ascending), then the pending-queue mutex, then the event log, then
-// the broker — and cross-shard operations (consistent snapshots,
-// node register/drain, preemption) walk it the same way, which makes
-// every SnapshotNow a consistent prefix of the event log at its
-// revision (a property test races snapshots against a bind storm to
-// pin exactly that). Watch events ride per-resource-type rings — pod
+// the broker — and every mutator runs in one commit transaction
+// (internal/apiserver/txn.go) that takes its stripes along that ladder,
+// publishes while they are held and releases them at a single site:
+// mutators never touch a stripe mutex directly, txn.end is the only
+// unlock site, and a release of capacity is published under the node
+// stripe just like a charge. That makes every SnapshotNow a consistent
+// prefix of the event log at its revision and every prefix of the
+// stream a state that never over-commits a node (property tests race
+// snapshots against a bind storm, and bind/evict/gang interleavings
+// against each other, to pin exactly that). Watch events ride per-resource-type rings — pod
 // events and node events each get their own lazily-grown bounded ring
 // over the shared rev space — so a pod churn storm cannot evict a
 // kubelet's node-topic cursor, single-topic subscribers

@@ -277,12 +277,16 @@ func TestConcurrentBindLastEPCDevice(t *testing.T) {
 }
 
 // TestConflictInterleavingCapacityProperty replays random concurrent
-// interleavings of bind / preempt / finish (with binds racing and
-// conflicting) against a strict-admission server, records the watch event
-// stream, and then re-derives every node's committed requests from the
-// events alone: at no prefix of the stream may any node's committed
-// memory or EPC exceed its allocatable. This is the safety property the
-// multi-scheduler experiment asserts post-hoc from events.
+// interleavings of every capacity-moving operation — bind / preempt /
+// finish / fail / evict on plain pods, and for two-member gangs reserve
+// followed by evict-while-held, ReleaseGroup, CommitGroup or
+// PreemptGroup — with binds racing and conflicting, against a
+// strict-admission server. It records the watch event stream and then
+// re-derives every node's committed requests from the events alone: at
+// no prefix of the stream may any node's committed memory or EPC exceed
+// its allocatable. This is the safety property the multi-scheduler
+// experiment asserts post-hoc from events; it holds only if every
+// release is published while the node stripe is still held.
 func TestConflictInterleavingCapacityProperty(t *testing.T) {
 	clk := clock.NewSim()
 	s := New(clk, WithAdmission(AdmitStrict))
@@ -316,40 +320,97 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(7000 + w)))
-			for i := 0; i < perWorker; i++ {
-				name := fmt.Sprintf("pod-%d-%d", w, i)
+			create := func(name, group string) bool {
 				req := resource.List{resource.Memory: int64(1+rng.Intn(24)) * resource.GiB}
 				if rng.Intn(2) == 0 {
 					req[resource.EPCPages] = int64(1 + rng.Intn(9000))
 				}
-				if err := s.CreatePod(reqPod(name, req)); err != nil {
+				p := reqPod(name, req)
+				if group != "" {
+					p.Spec.PodGroup, p.Spec.MinMember = group, 2
+				}
+				if err := s.CreatePod(p); err != nil {
 					t.Errorf("create %s: %v", name, err)
+					return false
+				}
+				return true
+			}
+			randNode := func() string { return fmt.Sprintf("sgx-%d", rng.Intn(3)) }
+			for i := 0; i < perWorker; i++ {
+				name := fmt.Sprintf("pod-%d-%d", w, i)
+				if rng.Intn(3) == 0 {
+					// A two-member gang: reserve what fits (losing a race
+					// is the point), then resolve the permits one way.
+					group := fmt.Sprintf("gang-%d-%d", w, i)
+					members := []string{name + "-a", name + "-b"}
+					for _, m := range members {
+						if !create(m, group) {
+							return
+						}
+						_ = s.Reserve(m, randNode())
+					}
+					switch rng.Intn(4) {
+					case 0:
+						_ = s.Evict(members[0], "chaos") // terminal while held
+						_, _ = s.ReleaseGroup(group, "chaos")
+					case 1:
+						_, _ = s.ReleaseGroup(group, "chaos")
+					case 2:
+						_, _ = s.PreemptGroup(group, "chaos") // rolls held permits back
+					case 3:
+						if _, err := s.CommitGroup(group); err != nil {
+							continue
+						}
+						switch rng.Intn(3) {
+						case 0:
+							_, _ = s.PreemptGroup(group, "chaos")
+						case 1:
+							_ = s.MarkFailed(members[rng.Intn(2)], "chaos")
+						}
+					}
+					continue
+				}
+				if !create(name, "") {
 					return
 				}
-				node := fmt.Sprintf("sgx-%d", rng.Intn(3))
-				if err := s.Bind(name, node); err != nil {
+				if err := s.Bind(name, randNode()); err != nil {
 					continue // lost a race: conflicts are the point
 				}
-				switch rng.Intn(3) {
+				switch rng.Intn(5) {
 				case 0:
 					_ = s.Preempt(name, "chaos")
 				case 1:
 					_ = s.MarkSucceeded(name)
+				case 2:
+					_ = s.Evict(name, "chaos")
+				case 3:
+					_ = s.MarkFailed(name, "chaos")
 				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	// Replay: derive committed state purely from the event stream.
+	// Replay: derive committed state purely from the event stream. A
+	// charge is taken by a permit or a bind and returned by a permit
+	// release, an unbind or a terminal transition.
 	type charge struct {
 		node string
 		req  resource.List
+		held bool
 	}
-	bound := map[string]charge{}
+	charged := map[string]charge{}
 	committed := map[string]resource.List{}
 	for name := range nodes {
 		committed[name] = make(resource.List, 3)
+	}
+	release := func(pod string) {
+		if c, ok := charged[pod]; ok {
+			for k, v := range c.req {
+				committed[c.node][k] -= v
+			}
+			delete(charged, pod)
+		}
 	}
 	conflictsSeen := s.BindStats().RejectedCapacity
 	for i, ev := range events {
@@ -357,17 +418,25 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 			continue
 		}
 		switch ev.Type {
-		case PodBound:
-			req := ev.Pod.TotalRequests()
-			committed[ev.Pod.Spec.NodeName].AddInPlace(req)
-			bound[ev.Pod.Name] = charge{node: ev.Pod.Spec.NodeName, req: req}
-		case PodUpdated:
-			c, ok := bound[ev.Pod.Name]
-			if ok && (ev.Pod.IsTerminal() || ev.Pod.Spec.NodeName == "") {
-				for k, v := range c.req {
-					committed[c.node][k] -= v
+		case PodPermitHeld, PodBound:
+			node := ev.Pod.Spec.NodeName
+			if c, ok := charged[ev.Pod.Name]; ok {
+				// CommitGroup binds onto the capacity the permit charged.
+				if !c.held || ev.Type != PodBound || c.node != node {
+					t.Fatalf("event %d: pod %s charged twice (%s, then %s)", i, ev.Pod.Name, c.node, node)
 				}
-				delete(bound, ev.Pod.Name)
+				c.held = false
+				charged[ev.Pod.Name] = c
+				break
+			}
+			req := ev.Pod.TotalRequests()
+			committed[node].AddInPlace(req)
+			charged[ev.Pod.Name] = charge{node: node, req: req, held: ev.Type == PodPermitHeld}
+		case PodPermitReleased:
+			release(ev.Pod.Name)
+		case PodUpdated:
+			if ev.Pod.IsTerminal() || ev.Pod.Spec.NodeName == "" {
+				release(ev.Pod.Name)
 			}
 		}
 		for name, com := range committed {
@@ -391,5 +460,14 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 		if got, want := s.Committed(name), committed[name]; !got.Equal(want) {
 			t.Fatalf("node %s: server committed %v, events derive %v", name, got, want)
 		}
+	}
+	held := 0
+	for _, c := range charged {
+		if c.held {
+			held++
+		}
+	}
+	if got := s.ReservationCount(); got != held {
+		t.Fatalf("server holds %d permits, events derive %d", got, held)
 	}
 }

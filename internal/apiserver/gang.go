@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-	"time"
-
-	"github.com/sgxorch/sgxorch/internal/api"
 )
 
 // Gang (pod-group) primitives: the server-side half of all-or-nothing
@@ -23,11 +20,13 @@ import (
 // queue. PreemptGroup extends the eviction path with the same
 // atomicity: a gang is evicted whole or not at all.
 //
-// Locking: Reserve runs under one pod stripe + one node stripe, exactly
-// like Bind. CommitGroup/ReleaseGroup/PreemptGroup take the world
-// ladder — they touch many stripes and their atomicity guarantee *is*
-// "no other commit interleaves". The reservation tables themselves sit
-// under resMu, a leaf lock (see Server) so any path can consult them.
+// Locking: Reserve runs in a stripe-form transaction (one pod stripe +
+// one node stripe), exactly like Bind. CommitGroup/ReleaseGroup/
+// PreemptGroup run in the world form — they touch many stripes and
+// their atomicity guarantee *is* "no other commit interleaves" — and
+// apply the same per-pod bodies (txn.go) the single-pod operations use.
+// The reservation tables themselves sit under resMu, a leaf lock (see
+// Server) so any path can consult them.
 
 // GangStats counts gang operation outcomes. All counters are atomics;
 // reads never contend with the commit path.
@@ -168,10 +167,25 @@ func (s *Server) BoundGroupCount(group string) int {
 // BoundGroupMembers returns the names of the group's live bound
 // members, sorted.
 func (s *Server) BoundGroupMembers(group string) []string {
+	return s.gangMembers(group, false, true)
+}
+
+// gangMembers returns, sorted by name, the group's permit holders
+// and/or its live bound members — the two tables are disjoint: a pod
+// leaves groupHolds in the same step (CommitGroup) that adds it to
+// groupBound.
+func (s *Server) gangMembers(group string, held, bound bool) []string {
 	s.resMu.Lock()
-	out := make([]string, 0, len(s.groupBound[group]))
-	for name := range s.groupBound[group] {
-		out = append(out, name)
+	out := make([]string, 0, len(s.groupHolds[group])+len(s.groupBound[group]))
+	if held {
+		for name := range s.groupHolds[group] {
+			out = append(out, name)
+		}
+	}
+	if bound {
+		for name := range s.groupBound[group] {
+			out = append(out, name)
+		}
 	}
 	s.resMu.Unlock()
 	sort.Strings(out)
@@ -205,66 +219,60 @@ func (s *Server) VisitReservations(fn func(pod, node, group string)) {
 // copy's Spec.NodeName so watch-driven caches charge the capacity,
 // even though authoritative state keeps the pod unbound.
 func (s *Server) Reserve(podName, nodeName string) error {
-	psh := s.podShardFor(podName)
-	psh.mu.Lock()
-	p, ok := psh.pods[podName]
-	if !ok {
+	t := s.begin()
+	defer t.end()
+	if err := t.reserve(podName, nodeName); err != nil {
 		s.gangs.permitRejected.Add(1)
-		psh.mu.Unlock()
+		return err
+	}
+	s.gangs.permits.Add(1)
+	return nil
+}
+
+// reserve is Reserve's body; the wrapper counts its outcome.
+func (t *txn) reserve(podName, nodeName string) error {
+	p := t.pod(podName)
+	if p == nil {
 		return fmt.Errorf("%w: pod %s", ErrNotFound, podName)
 	}
 	if !p.Spec.InGang() {
-		s.gangs.permitRejected.Add(1)
-		psh.mu.Unlock()
 		return fmt.Errorf("%w: pod %s is not in a pod group", ErrConflict, podName)
 	}
-	if p.Spec.NodeName != "" {
-		s.gangs.permitRejected.Add(1)
-		psh.mu.Unlock()
-		return fmt.Errorf("%w: pod %s already bound to %s", ErrConflict, podName, p.Spec.NodeName)
-	}
-	if p.Status.Phase != api.PodPending {
-		s.gangs.permitRejected.Add(1)
-		psh.mu.Unlock()
-		return fmt.Errorf("%w: pod %s in phase %s", ErrConflict, podName, p.Status.Phase)
-	}
-	if node, held := s.reservedNode(podName); held {
-		s.gangs.permitRejected.Add(1)
-		psh.mu.Unlock()
-		return fmt.Errorf("%w: pod %s already holds a permit on %s", ErrConflict, podName, node)
-	}
-	nsh := s.nodeShardFor(nodeName)
-	nsh.mu.Lock()
-	n, ok := nsh.nodes[nodeName]
-	if !ok {
-		s.gangs.permitRejected.Add(1)
-		s.rejectBind(podName, "node "+nodeName+" unknown")
-		nsh.mu.Unlock()
-		psh.mu.Unlock()
-		return fmt.Errorf("%w: node %s", ErrNotFound, nodeName)
-	}
-	req := p.TotalRequests()
-	if err := s.admitBind(p, n, nsh.committed[nodeName], req); err != nil {
-		s.gangs.permitRejected.Add(1)
-		s.rejectBind(podName, err.Error())
-		nsh.mu.Unlock()
-		psh.mu.Unlock()
+	if err := t.s.placeable(p); err != nil {
 		return err
 	}
-	commit(nsh, nodeName, req, +1)
-	s.gangs.permits.Add(1)
-	s.removePending(p)
-	s.putReservation(podName, nodeName, p.Spec.PodGroup)
-	s.recordEvent("pod/"+podName, "PermitHeld",
-		"gang "+p.Spec.PodGroup+" reserved node "+nodeName)
+	n, err := t.target(p, nodeName)
+	if err != nil {
+		return err
+	}
+	if err := t.charge(p, n); err != nil {
+		return err
+	}
+	t.s.putReservation(podName, nodeName, p.Spec.PodGroup)
 	ev := p.Clone()
 	ev.Spec.NodeName = nodeName
-	s.emit(WatchEvent{Type: PodPermitHeld, Pod: ev})
-	nsh.mu.Unlock()
-	psh.mu.Unlock()
-	s.broker.Flush()
+	t.publish(WatchEvent{Type: PodPermitHeld, Pod: ev}, "PermitHeld",
+		"gang "+p.Spec.PodGroup+" reserved node "+nodeName)
 	return nil
 }
+
+// The group operations below walk gangMembers under the world ladder and
+// rely on two invariants instead of re-checking each member defensively:
+//
+// A permit holder is always a live, Pending, unbound pod. Three guards
+// keep it so: a terminal transition drops the permit it finds
+// (transition → dropPermit), Bind and Reserve refuse a pod that holds
+// one (placeable) while MarkRunning and Preempt refuse an unbound pod,
+// and there is no pod-delete API. So "the permit outlived its pod" cannot
+// happen, and no code path releases a permit's capacity without
+// publishing the event that says so.
+//
+// groupBound holds exactly the live bound gang members: bindPod adds,
+// the terminal transition and requeueBound drop.
+//
+// With the world held the tables cannot change between gangMembers and
+// the per-member step, so every listed member is still what the table
+// said it was.
 
 // CommitGroup atomically binds every member of the group currently
 // holding a permit, in sorted name order, under the world ladder: the
@@ -275,48 +283,19 @@ func (s *Server) Reserve(podName, nodeName string) error {
 // members were bound. Capacity is NOT re-admitted — it was committed at
 // Reserve time and nothing could have stolen it since.
 func (s *Server) CommitGroup(group string) (int, error) {
-	s.lockWorld()
-	s.resMu.Lock()
-	members := make([]string, 0, len(s.groupHolds[group]))
-	for name := range s.groupHolds[group] {
-		members = append(members, name)
-	}
-	s.resMu.Unlock()
-	sort.Strings(members)
-	now := s.clk.Now()
-	bound := 0
-	for _, name := range members {
-		p, ok := s.podShards[stripeFor(name)].pods[name]
-		r, held := s.dropReservation(name)
-		if !held {
-			continue
-		}
-		if !ok || p.IsTerminal() || p.Spec.NodeName != "" {
-			// The permit outlived the pod's schedulability (it should
-			// have been dropped at the terminal transition); release
-			// the capacity defensively rather than leak it.
-			if ok {
-				commit(&s.nodeShards[stripeFor(r.node)], r.node, p.TotalRequests(), -1)
-			}
-			continue
-		}
-		p.Spec.NodeName = r.node
-		p.Status.ScheduledAt = now
-		s.addGroupBound(group, name)
-		s.gangs.membersBound.Add(1)
-		s.recordEvent("pod/"+name, "Bound", "gang "+group+" committed to node "+r.node)
-		s.emit(WatchEvent{Type: PodBound, Pod: p.Clone()})
-		bound++
-	}
-	if bound > 0 {
-		s.gangs.groupsCommitted.Add(1)
-	}
-	s.unlockWorld()
-	s.broker.Flush()
-	if bound == 0 {
+	t := s.beginWorld()
+	defer t.end()
+	members := s.gangMembers(group, true, false)
+	if len(members) == 0 {
 		return 0, fmt.Errorf("%w: group %s holds no permits", ErrConflict, group)
 	}
-	return bound, nil
+	for _, name := range members {
+		r, _ := s.dropReservation(name)
+		t.bindPod(t.pod(name), r.node, "gang "+group+" committed to node "+r.node)
+	}
+	s.gangs.membersBound.Add(int64(len(members)))
+	s.gangs.groupsCommitted.Add(1)
+	return len(members), nil
 }
 
 // ReleaseGroup rolls back every permit the group holds, wholesale,
@@ -329,41 +308,17 @@ func (s *Server) ReleaseGroup(group, reason string) (int, error) {
 	if reason == "" {
 		reason = "permit released"
 	}
-	s.lockWorld()
-	s.resMu.Lock()
-	members := make([]string, 0, len(s.groupHolds[group]))
-	for name := range s.groupHolds[group] {
-		members = append(members, name)
-	}
-	s.resMu.Unlock()
-	sort.Strings(members)
-	released := 0
+	t := s.beginWorld()
+	defer t.end()
+	members := s.gangMembers(group, true, false)
 	for _, name := range members {
-		r, held := s.dropReservation(name)
-		if !held {
-			continue
-		}
-		p, ok := s.podShards[stripeFor(name)].pods[name]
-		if !ok {
-			continue
-		}
-		commit(&s.nodeShards[stripeFor(r.node)], r.node, p.TotalRequests(), -1)
-		if !p.IsTerminal() {
-			// pendingMu is held by the world ladder: push directly.
-			s.pending.Push(name, p.Spec.SchedulerName, p.Spec.Priority, p.Spec.PodGroup, p.Spec.WorkloadClass())
-			p.Status.Reason = reason
-		}
-		s.gangs.membersReleased.Add(1)
-		s.recordEvent("pod/"+name, "PermitReleased", "gang "+group+": "+reason)
-		s.emit(WatchEvent{Type: PodPermitReleased, Pod: p.Clone()})
-		released++
+		t.rollbackPermit(t.pod(name), reason)
 	}
-	if released > 0 {
+	if len(members) > 0 {
+		s.gangs.membersReleased.Add(int64(len(members)))
 		s.gangs.groupsReleased.Add(1)
 	}
-	s.unlockWorld()
-	s.broker.Flush()
-	return released, nil
+	return len(members), nil
 }
 
 // PreemptGroup evicts every live bound member of the gang — and rolls
@@ -373,65 +328,18 @@ func (s *Server) ReleaseGroup(group, reason string) (int, error) {
 // pending queue with scheduling timestamps reset, exactly like Preempt.
 // Returns how many members were evicted (bound) plus released (held).
 func (s *Server) PreemptGroup(group, reason string) (int, error) {
-	if reason == "" {
-		reason = "Preempted"
-	} else {
-		reason = "Preempted: " + reason
-	}
-	s.lockWorld()
-	s.resMu.Lock()
-	members := make([]string, 0, len(s.groupBound[group])+len(s.groupHolds[group]))
-	for name := range s.groupBound[group] {
-		members = append(members, name)
-	}
-	for name := range s.groupHolds[group] {
-		members = append(members, name)
-	}
-	s.resMu.Unlock()
-	sort.Strings(members)
-	evicted := 0
-	for _, name := range members {
-		p, ok := s.podShards[stripeFor(name)].pods[name]
-		if !ok {
-			s.dropReservation(name)
-			s.dropGroupBound(group, name)
-			continue
-		}
-		if r, held := s.dropReservation(name); held {
-			// Held, unbound member: roll the permit back.
-			commit(&s.nodeShards[stripeFor(r.node)], r.node, p.TotalRequests(), -1)
-			if !p.IsTerminal() {
-				s.pending.Push(name, p.Spec.SchedulerName, p.Spec.Priority, p.Spec.PodGroup, p.Spec.WorkloadClass())
-				p.Status.Reason = reason
-			}
-			s.recordEvent("pod/"+name, "PermitReleased", "gang "+group+": "+reason)
-			s.emit(WatchEvent{Type: PodPermitReleased, Pod: p.Clone()})
-			evicted++
-			continue
-		}
-		if p.IsTerminal() || p.Spec.NodeName == "" {
-			s.dropGroupBound(group, name)
-			continue
-		}
-		commit(&s.nodeShards[stripeFor(p.Spec.NodeName)], p.Spec.NodeName, p.TotalRequests(), -1)
-		p.Spec.NodeName = ""
-		p.Status.Phase = api.PodPending
-		p.Status.Reason = reason
-		p.Status.ScheduledAt = time.Time{}
-		p.Status.StartedAt = time.Time{}
-		s.dropGroupBound(group, name)
-		s.pending.Push(name, p.Spec.SchedulerName, p.Spec.Priority, p.Spec.PodGroup, p.Spec.WorkloadClass())
-		s.recordEvent("pod/"+name, "Preempted", reason)
-		s.emit(WatchEvent{Type: PodUpdated, Pod: p.Clone()})
-		evicted++
-	}
-	if evicted > 0 {
-		s.gangs.groupsPreempted.Add(1)
-	}
-	s.unlockWorld()
-	s.broker.Flush()
-	if evicted == 0 {
+	reason = withReason("Preempted", reason)
+	t := s.beginWorld()
+	defer t.end()
+	members := s.gangMembers(group, true, true)
+	if len(members) == 0 {
 		return 0, fmt.Errorf("%w: group %s has no live members", ErrConflict, group)
 	}
-	return evicted, nil
+	for _, name := range members {
+		if p := t.pod(name); !t.rollbackPermit(p, reason) {
+			t.requeueBound(p, reason)
+		}
+	}
+	s.gangs.groupsPreempted.Add(1)
+	return len(members), nil
 }

@@ -358,7 +358,9 @@ func TestVisitPendingNWindowsDeepQueue(t *testing.T) {
 		})
 	}
 	visit() // warm the pool
-	if allocs := testing.AllocsPerRun(50, visit); allocs > 1 {
+	// (Under the race detector sync.Pool drops buffers at random and the
+	// instrumentation allocates, so the count is only meaningful without.)
+	if allocs := testing.AllocsPerRun(50, visit); allocs > 1 && !raceEnabled {
 		t.Fatalf("windowed visit allocates %.0f objects/run over a %d-deep queue, want <= 1", allocs, depth)
 	}
 	if n == 0 {

@@ -13,18 +13,29 @@
 // of overcommitting a node.
 //
 // State is sharded, not globally locked: pods and nodes live in 64 lock
-// stripes each (see stripe.go), and a bind's whole commit — admission
-// check, committed-request accounting, pod-binding mutation, event
-// publish — runs under exactly one pod stripe and one node stripe, so
-// binds against different nodes proceed in parallel on different cores.
-// A thin global layer keeps what must stay totally ordered: resource
-// versions come from one atomic counter, and the watch broker re-orders
-// racing publishes back into rev order (watch.Options.Sequenced), so
-// the event log remains a single coherent history even though commits
-// run concurrently. Cross-shard operations — snapshots, the informer
-// handshake, resync — take every stripe in a fixed ascending order
-// (lockWorld); with the world held no commit is in flight, which is
-// exactly what makes a snapshot a consistent prefix of the event log.
+// stripes each (see stripe.go). Every mutator — CreatePod, Bind,
+// Reserve, the lifecycle transitions, Preempt, node registration, the
+// gang operations — runs in one commit transaction (txn, see txn.go):
+// it takes one pod stripe and then one node stripe as the mutation
+// needs them (or every stripe, for the gang operations), publishes each
+// event while they are still held, and releases them at a single site,
+// txn.end, before flushing the broker. Mutators never touch a stripe
+// mutex, the rev counter or the broker directly, so the ordering that
+// makes the event log trustworthy — nothing a commit changed is visible
+// to another commit before its event is published, a release of
+// capacity no less than a charge — cannot be got wrong per call site.
+// A bind's whole commit (admission check, committed-request accounting,
+// pod-binding mutation, event publish) thus runs under exactly one pod
+// stripe and one node stripe, and binds against different nodes proceed
+// in parallel on different cores. A thin global layer keeps what must
+// stay totally ordered: resource versions come from one atomic counter,
+// and the watch broker re-orders racing publishes back into rev order
+// (watch.Options.Sequenced), so the event log remains a single coherent
+// history even though commits run concurrently. Cross-shard readers —
+// snapshots, the informer handshake, resync — take every stripe in a
+// fixed ascending order (lockWorld); with the world held no commit is
+// in flight, which is exactly what makes a snapshot a consistent prefix
+// of the event log.
 //
 // Watchers attach either with Subscribe (events only) or with the
 // informer-style ListAndWatch, which atomically couples a consistent
@@ -272,12 +283,13 @@ type Server struct {
 
 	// broker is the versioned event fan-out (see internal/watch): every
 	// mutation appends its watch event to the owning topic ring while
-	// still holding its state stripes — an O(1) operation that fixes the
-	// event's place in the global order without ever running subscriber
-	// code inside the commit critical section — and delivery happens
-	// afterwards: inline via Flush in synchronous mode, on
-	// per-subscriber pumps in async mode. The broker mutex is the
-	// innermost lock; subscriber callbacks run with no server lock held.
+	// still holding its state stripes (txn.publish) — an O(1) operation
+	// that fixes the event's place in the global order without ever
+	// running subscriber code inside the commit critical section — and
+	// delivery happens afterwards (txn.end): inline via Flush in
+	// synchronous mode, on per-subscriber pumps in async mode. The broker
+	// mutex is the innermost lock; subscriber callbacks run with no
+	// server lock held.
 	broker *watch.Broker[WatchEvent]
 
 	// seq allocates resource versions — the only piece of commit state
@@ -437,17 +449,23 @@ func (s *Server) SubscribeNodeEvents(fn func([]WatchEvent), resync func(Snapshot
 // in flight, so every rev <= the registered cursor has already been
 // published — the subscriber provably misses nothing after its cursor.
 func (s *Server) subscribeTopics(topics watch.TopicSet, fn func([]WatchEvent), resync func(Snapshot)) (unsubscribe func()) {
-	var rs func() int64
-	if resync != nil {
-		rs = func() int64 {
-			snap := s.SnapshotNow()
-			resync(snap)
-			return snap.Rev
-		}
-	}
 	s.lockWorld()
 	defer s.unlockWorld()
-	return s.broker.SubscribeTopics(s.seq.Load(), topics, fn, rs)
+	return s.broker.SubscribeTopics(s.seq.Load(), topics, fn, s.resyncFrom(resync))
+}
+
+// resyncFrom adapts a consumer's snapshot handler to the broker's
+// ring-overflow callback: rebuild from a fresh consistent snapshot,
+// resume after its Rev.
+func (s *Server) resyncFrom(resync func(Snapshot)) func() int64 {
+	if resync == nil {
+		return nil
+	}
+	return func() int64 {
+		snap := s.SnapshotNow()
+		resync(snap)
+		return snap.Rev
+	}
 }
 
 // ListAndWatch atomically snapshots the cluster state and registers fn
@@ -471,18 +489,10 @@ func (s *Server) ListAndWatch(fn func(WatchEvent)) (Snapshot, func()) {
 // the first delivered event is exactly the first mutation after the
 // snapshot.
 func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), resync func(Snapshot)) (Snapshot, func()) {
-	var rs func() int64
-	if resync != nil {
-		rs = func() int64 {
-			snap := s.SnapshotNow()
-			resync(snap)
-			return snap.Rev
-		}
-	}
 	s.lockWorld()
 	defer s.unlockWorld()
 	snap := s.snapshotWorldLocked()
-	return snap, s.broker.SubscribeTopics(snap.Rev, watch.AllTopics, fn, rs)
+	return snap, s.broker.SubscribeTopics(snap.Rev, watch.AllTopics, fn, s.resyncFrom(resync))
 }
 
 // SnapshotNow returns a consistent point-in-time snapshot of the
@@ -516,7 +526,13 @@ func (s *Server) snapshotWorldLocked() Snapshot {
 	}
 	sort.Slice(pods, func(i, j int) bool { return pods[i].Name < pods[j].Name })
 	snap.Pods = pods
+	// Every queue mutation happens under a pod stripe, so the queue is
+	// stable here; pendingMu is taken against the readers that hold no
+	// stripe (VisitPending, the depth gauges) — the queue's ordered walk
+	// keeps scratch state, so even two readers must not overlap.
+	s.pendingMu.Lock()
 	snap.Pending = s.pending.Snapshot()
+	s.pendingMu.Unlock()
 	return snap
 }
 
@@ -535,19 +551,6 @@ func (s *Server) QuiesceWatch() {
 	s.broker.Quiesce()
 }
 
-// emit allocates the next resource version and appends the event to its
-// topic ring. Caller must hold the state stripes the mutation touched —
-// publishing before the stripes are released is what keeps snapshots
-// consistent prefixes (lockWorld cannot observe an applied mutation
-// whose event is still unpublished). Racing emits from other stripes
-// may reach the broker out of rev order; its Sequenced mode restores
-// the order. Callers follow up with s.broker.Flush() after releasing
-// the stripes (a no-op in async mode, inline delivery in sync mode).
-func (s *Server) emit(ev WatchEvent) {
-	ev.Rev = s.seq.Add(1)
-	s.broker.PublishTopic(topicOf(ev.Type), ev.Rev, ev)
-}
-
 // recordEvent appends to the bounded human-readable event log.
 func (s *Server) recordEvent(object, reason, message string) {
 	s.log.append(s.clk.Now(), object, reason, message)
@@ -560,36 +563,31 @@ func (s *Server) Events() []api.Event {
 
 // RegisterNode adds a node to the cluster.
 func (s *Server) RegisterNode(n *api.Node) error {
-	sh := s.nodeShardFor(n.Name)
-	sh.mu.Lock()
-	if _, ok := sh.nodes[n.Name]; ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: node %s", ErrAlreadyExists, n.Name)
-	}
-	stored := n.Clone()
-	sh.nodes[n.Name] = stored
-	s.recordEvent("node/"+n.Name, "Registered", stored.Allocatable.String())
-	s.emit(WatchEvent{Type: NodeRegistered, Node: stored.Clone()})
-	sh.mu.Unlock()
-	s.broker.Flush()
-	return nil
+	return s.putNode(n, NodeRegistered, "Registered")
 }
 
 // UpdateNode replaces a node's stored state (e.g. when the device plugin
 // extends its allocatable resources, §V-A).
 func (s *Server) UpdateNode(n *api.Node) error {
-	sh := s.nodeShardFor(n.Name)
-	sh.mu.Lock()
-	if _, ok := sh.nodes[n.Name]; !ok {
-		sh.mu.Unlock()
+	return s.putNode(n, NodeUpdated, "Updated")
+}
+
+// putNode stores a copy of n under its stripe: a registration needs the
+// name free, an update needs it taken.
+func (s *Server) putNode(n *api.Node, typ WatchEventType, reason string) error {
+	t := s.begin()
+	defer t.end()
+	nsh := t.node(n.Name)
+	_, exists := nsh.nodes[n.Name]
+	switch {
+	case typ == NodeRegistered && exists:
+		return fmt.Errorf("%w: node %s", ErrAlreadyExists, n.Name)
+	case typ == NodeUpdated && !exists:
 		return fmt.Errorf("%w: node %s", ErrNotFound, n.Name)
 	}
 	stored := n.Clone()
-	sh.nodes[n.Name] = stored
-	s.recordEvent("node/"+n.Name, "Updated", stored.Allocatable.String())
-	s.emit(WatchEvent{Type: NodeUpdated, Node: stored.Clone()})
-	sh.mu.Unlock()
-	s.broker.Flush()
+	nsh.nodes[n.Name] = stored
+	t.publish(WatchEvent{Type: typ, Node: stored.Clone()}, reason, stored.Allocatable.String())
 	return nil
 }
 
@@ -625,10 +623,9 @@ func (s *Server) ListNodes() []*api.Node {
 // CreatePod submits a pod: it is stamped, assigned a UID if absent, marked
 // Pending and appended to the FCFS queue (§IV step Ë).
 func (s *Server) CreatePod(p *api.Pod) error {
-	sh := s.podShardFor(p.Name)
-	sh.mu.Lock()
-	if _, ok := sh.pods[p.Name]; ok {
-		sh.mu.Unlock()
+	t := s.begin()
+	defer t.end()
+	if t.pod(p.Name) != nil {
 		return fmt.Errorf("%w: pod %s", ErrAlreadyExists, p.Name)
 	}
 	stored := p.Clone()
@@ -637,14 +634,9 @@ func (s *Server) CreatePod(p *api.Pod) error {
 	}
 	stored.Status.Phase = api.PodPending
 	stored.Status.SubmittedAt = s.clk.Now()
-	sh.pods[stored.Name] = stored
-	s.pendingMu.Lock()
-	s.pending.Push(stored.Name, stored.Spec.SchedulerName, stored.Spec.Priority, stored.Spec.PodGroup, stored.Spec.WorkloadClass())
-	s.pendingMu.Unlock()
-	s.recordEvent("pod/"+stored.Name, "Created", "queued as pending")
-	s.emit(WatchEvent{Type: PodCreated, Pod: stored.Clone()})
-	sh.mu.Unlock()
-	s.broker.Flush()
+	t.psh.pods[stored.Name] = stored
+	s.pushPending(stored)
+	t.publish(WatchEvent{Type: PodCreated, Pod: stored.Clone()}, "Created", "queued as pending")
 	return nil
 }
 
@@ -733,13 +725,16 @@ func (s *Server) VisitPods(fn func(*api.Pod) bool) {
 	for i := range s.podShards {
 		sh := &s.podShards[i]
 		sh.mu.Lock()
+		more := true
 		for _, p := range sh.pods {
-			if !fn(p) {
-				sh.mu.Unlock()
-				return
+			if more = fn(p); !more {
+				break
 			}
 		}
 		sh.mu.Unlock()
+		if !more {
+			return
+		}
 	}
 }
 
@@ -834,75 +829,39 @@ func (s *Server) Bind(podName, nodeName string) error {
 // commit-latency observation when telemetry is attached.
 func (s *Server) bindCommit(podName, nodeName string) error {
 	s.binds.attempts.Add(1)
-	psh := s.podShardFor(podName)
-	psh.mu.Lock()
-	p, ok := psh.pods[podName]
-	if !ok {
+	t := s.begin()
+	defer t.end()
+	p := t.pod(podName)
+	if p == nil {
 		s.binds.rejectedPodState.Add(1)
 		s.metrics.rejectedUnknownPod()
-		psh.mu.Unlock()
 		return fmt.Errorf("%w: pod %s", ErrNotFound, podName)
 	}
-	nsh := s.nodeShardFor(nodeName)
-	nsh.mu.Lock()
-	n, ok := nsh.nodes[nodeName]
-	if !ok {
-		s.binds.rejectedNodeState.Add(1)
-		s.metrics.rejected(p.Spec.WorkloadClass())
-		s.rejectBind(podName, "node "+nodeName+" unknown")
-		nsh.mu.Unlock()
-		psh.mu.Unlock()
-		return fmt.Errorf("%w: node %s", ErrNotFound, nodeName)
+	n, err := t.target(p, nodeName)
+	if err != nil {
+		return s.refuseBind(p, &s.binds.rejectedNodeState, err)
 	}
-	if p.Spec.NodeName != "" {
-		s.binds.rejectedPodState.Add(1)
-		s.metrics.rejected(p.Spec.WorkloadClass())
-		nsh.mu.Unlock()
-		psh.mu.Unlock()
-		return fmt.Errorf("%w: pod %s already bound to %s", ErrConflict, podName, p.Spec.NodeName)
+	if err := s.placeable(p); err != nil {
+		return s.refuseBind(p, &s.binds.rejectedPodState, err)
 	}
-	if p.Status.Phase != api.PodPending {
-		s.binds.rejectedPodState.Add(1)
-		s.metrics.rejected(p.Spec.WorkloadClass())
-		nsh.mu.Unlock()
-		psh.mu.Unlock()
-		return fmt.Errorf("%w: pod %s in phase %s", ErrConflict, podName, p.Status.Phase)
-	}
-	if node, held := s.reservedNode(podName); held {
-		s.binds.rejectedPodState.Add(1)
-		s.metrics.rejected(p.Spec.WorkloadClass())
-		nsh.mu.Unlock()
-		psh.mu.Unlock()
-		return fmt.Errorf("%w: pod %s holds a gang permit on %s (use CommitGroup)",
-			ErrConflict, podName, node)
-	}
-	req := p.TotalRequests()
-	if err := s.admitBind(p, n, nsh.committed[nodeName], req); err != nil {
+	if err := t.charge(p, n); err != nil {
+		class := &s.binds.rejectedNodeState
 		if errors.Is(err, ErrOutdated) {
-			s.binds.rejectedCapacity.Add(1)
-		} else {
-			s.binds.rejectedNodeState.Add(1)
+			class = &s.binds.rejectedCapacity
 		}
-		s.metrics.rejected(p.Spec.WorkloadClass())
-		s.rejectBind(podName, err.Error())
-		nsh.mu.Unlock()
-		psh.mu.Unlock()
-		return err
+		return s.refuseBind(p, class, err)
 	}
-	p.Spec.NodeName = nodeName
-	p.Status.ScheduledAt = s.clk.Now()
-	commit(nsh, nodeName, req, +1)
 	s.binds.bound.Add(1)
-	s.removePending(p)
-	if p.Spec.InGang() {
-		s.addGroupBound(p.Spec.PodGroup, p.Name)
-	}
-	s.recordEvent("pod/"+podName, "Bound", "assigned to node "+nodeName)
-	s.emit(WatchEvent{Type: PodBound, Pod: p.Clone()})
-	nsh.mu.Unlock()
-	psh.mu.Unlock()
-	s.broker.Flush()
+	t.bindPod(p, nodeName, "assigned to node "+nodeName)
 	return nil
+}
+
+// refuseBind counts a refused bind in its rejection class and hands the
+// error back.
+func (s *Server) refuseBind(p *api.Pod, class *atomic.Int64, err error) error {
+	class.Add(1)
+	s.metrics.rejected(p.Spec.WorkloadClass())
+	return err
 }
 
 // admitBind is the conditional-bind capacity check. Caller must hold the
@@ -977,6 +936,14 @@ func (s *Server) removePending(p *api.Pod) {
 	s.pendingMu.Unlock()
 }
 
+// pushPending queues a pod at the tail of its priority tier; same lock
+// discipline as removePending.
+func (s *Server) pushPending(p *api.Pod) {
+	s.pendingMu.Lock()
+	s.pending.Push(p.Name, p.Spec.SchedulerName, p.Spec.Priority, p.Spec.PodGroup, p.Spec.WorkloadClass())
+	s.pendingMu.Unlock()
+}
+
 // MarkRunning transitions a bound pod to Running, stamping StartedAt.
 func (s *Server) MarkRunning(podName string) error {
 	return s.transition(podName, api.PodRunning, "Started", "")
@@ -995,42 +962,31 @@ func (s *Server) MarkFailed(podName, reason string) error {
 }
 
 func (s *Server) transition(podName string, phase api.PodPhase, event, reason string) error {
-	psh := s.podShardFor(podName)
-	psh.mu.Lock()
-	p, ok := psh.pods[podName]
-	if !ok {
-		psh.mu.Unlock()
+	t := s.begin()
+	defer t.end()
+	p := t.pod(podName)
+	if p == nil {
 		return fmt.Errorf("%w: pod %s", ErrNotFound, podName)
 	}
 	if p.IsTerminal() {
-		psh.mu.Unlock()
 		return fmt.Errorf("%w: pod %s already terminal (%s)", ErrConflict, podName, p.Status.Phase)
 	}
 	now := s.clk.Now()
 	switch phase {
 	case api.PodRunning:
 		if p.Spec.NodeName == "" {
-			psh.mu.Unlock()
 			return fmt.Errorf("%w: pod %s running without binding", ErrConflict, podName)
 		}
 		p.Status.StartedAt = now
 	case api.PodSucceeded, api.PodFailed:
 		p.Status.FinishedAt = now
 		if p.Spec.NodeName != "" {
-			// Release the node's committed accounting under its stripe —
-			// pod stripe then node stripe, the same order Bind takes.
-			nsh := s.nodeShardFor(p.Spec.NodeName)
-			nsh.mu.Lock()
-			commit(nsh, p.Spec.NodeName, p.TotalRequests(), -1)
-			nsh.mu.Unlock()
-		} else if r, held := s.dropReservation(podName); held {
+			t.release(p, p.Spec.NodeName)
+		} else {
 			// A gang member evicted while holding a permit is unbound but
 			// has capacity committed on its reserved node — release it or
 			// the node leaks headroom forever.
-			nsh := s.nodeShardFor(r.node)
-			nsh.mu.Lock()
-			commit(nsh, r.node, p.TotalRequests(), -1)
-			nsh.mu.Unlock()
+			t.dropPermit(p)
 		}
 		if p.Spec.InGang() {
 			s.dropGroupBound(p.Spec.PodGroup, podName)
@@ -1041,11 +997,17 @@ func (s *Server) transition(podName string, phase api.PodPhase, event, reason st
 	}
 	p.Status.Phase = phase
 	p.Status.Reason = reason
-	s.recordEvent("pod/"+podName, event, reason)
-	s.emit(WatchEvent{Type: PodUpdated, Pod: p.Clone()})
-	psh.mu.Unlock()
-	s.broker.Flush()
+	t.publish(WatchEvent{Type: PodUpdated, Pod: p.Clone()}, event, reason)
 	return nil
+}
+
+// withReason prefixes an optional caller-supplied reason with the verb
+// of the operation recording it.
+func withReason(verb, reason string) string {
+	if reason == "" {
+		return verb
+	}
+	return verb + ": " + reason
 }
 
 // Preempt returns a bound, non-terminal pod to the pending queue: its
@@ -1056,47 +1018,19 @@ func (s *Server) transition(podName string, phase api.PodPhase, event, reason st
 // pods. Scheduling timestamps are reset so waiting/turnaround metrics
 // describe the eventual successful run.
 func (s *Server) Preempt(podName, reason string) error {
-	if reason == "" {
-		reason = "Preempted"
-	} else {
-		reason = "Preempted: " + reason
-	}
-	psh := s.podShardFor(podName)
-	psh.mu.Lock()
-	p, ok := psh.pods[podName]
-	if !ok {
-		psh.mu.Unlock()
+	t := s.begin()
+	defer t.end()
+	p := t.pod(podName)
+	if p == nil {
 		return fmt.Errorf("%w: pod %s", ErrNotFound, podName)
 	}
 	if p.IsTerminal() {
-		psh.mu.Unlock()
 		return fmt.Errorf("%w: pod %s already terminal (%s)", ErrConflict, podName, p.Status.Phase)
 	}
 	if p.Spec.NodeName == "" {
-		psh.mu.Unlock()
 		return fmt.Errorf("%w: pod %s is not bound", ErrConflict, podName)
 	}
-	// Evict→requeue crosses the pod's stripe and the node's stripe, in
-	// the same pod→node order Bind uses.
-	nsh := s.nodeShardFor(p.Spec.NodeName)
-	nsh.mu.Lock()
-	commit(nsh, p.Spec.NodeName, p.TotalRequests(), -1)
-	nsh.mu.Unlock()
-	p.Spec.NodeName = ""
-	p.Status.Phase = api.PodPending
-	p.Status.Reason = reason
-	p.Status.ScheduledAt = time.Time{}
-	p.Status.StartedAt = time.Time{}
-	if p.Spec.InGang() {
-		s.dropGroupBound(p.Spec.PodGroup, podName)
-	}
-	s.pendingMu.Lock()
-	s.pending.Push(podName, p.Spec.SchedulerName, p.Spec.Priority, p.Spec.PodGroup, p.Spec.WorkloadClass())
-	s.pendingMu.Unlock()
-	s.recordEvent("pod/"+podName, "Preempted", reason)
-	s.emit(WatchEvent{Type: PodUpdated, Pod: p.Clone()})
-	psh.mu.Unlock()
-	s.broker.Flush()
+	t.requeueBound(p, withReason("Preempted", reason))
 	return nil
 }
 
@@ -1104,27 +1038,16 @@ func (s *Server) Preempt(podName, reason string) error {
 // whether it is still queued or already running. Kubelets react to the
 // update by killing the workload and releasing its resources.
 func (s *Server) Evict(podName, reason string) error {
-	if reason == "" {
-		reason = "Evicted"
-	} else {
-		reason = "Evicted: " + reason
-	}
-	return s.transition(podName, api.PodFailed, "Evicted", reason)
+	return s.transition(podName, api.PodFailed, "Evicted", withReason("Evicted", reason))
 }
 
 // AllTerminal reports whether every pod has reached a terminal phase —
 // the completion condition for trace replays.
 func (s *Server) AllTerminal() bool {
-	for i := range s.podShards {
-		sh := &s.podShards[i]
-		sh.mu.Lock()
-		for _, p := range sh.pods {
-			if !p.IsTerminal() {
-				sh.mu.Unlock()
-				return false
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return true
+	all := true
+	s.VisitPods(func(p *api.Pod) bool {
+		all = p.IsTerminal()
+		return all
+	})
+	return all
 }

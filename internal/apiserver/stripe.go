@@ -22,12 +22,18 @@ import (
 //	      → eventLog.mu
 //	        → broker mutex (via PublishTopic)
 //
-// A bind holds exactly one pod stripe and one node stripe; cross-shard
-// operations (SnapshotNow, ListAndWatchBatch, resync) take every stripe
-// in ascending order via lockWorld. VisitPending and PendingPods copy
-// the queued names under pendingMu alone and release it before touching
-// pod stripes — pendingMu is only ever acquired while holding stripes,
-// never the reverse.
+// Mutators never touch a stripe mutex directly: they run in a txn (see
+// txn.go), which takes one pod stripe and then one node stripe on demand
+// — or the whole ladder via lockWorld for the gang operations — and
+// whose end is the write path's only unlock site. Every stripe a txn
+// takes stays held through its publishes, so a release of capacity is
+// published under the node stripe exactly like a charge. Cross-shard
+// readers (SnapshotNow, ListAndWatchBatch, subscription registration)
+// take lockWorld themselves; the per-object read accessors lock a single
+// stripe around a copy. VisitPending and PendingPods copy the queued
+// names under pendingMu alone and release it before touching pod
+// stripes — pendingMu is only ever acquired while holding stripes, never
+// the reverse.
 //
 // The gang reservation tables' resMu (see Server) sits outside the
 // ladder entirely: it is a strict leaf, locked and unlocked without
@@ -88,11 +94,14 @@ func (s *Server) nodeShardFor(name string) *nodeShard {
 }
 
 // lockWorld acquires every stripe in the fixed global order (pod
-// stripes ascending, then node stripes ascending, then pendingMu) —
-// the stop-the-world ladder cross-shard readers use. While the world is
-// held no mutation is in flight, so every resource version allocated so
-// far has been published and applied: the state read under lockWorld is
-// exactly the prefix of the event log up to s.seq.
+// stripes ascending, then node stripes ascending) — the stop-the-world
+// ladder cross-shard readers and world-form transactions use. While the
+// world is held no mutation is in flight, so every resource version
+// allocated so far has been published and applied: the state read under
+// lockWorld is exactly the prefix of the event log up to s.seq. That
+// includes the pending queue, which only ever changes under a pod
+// stripe; pendingMu stays a per-access lock below the stripes, the same
+// for a world holder as for a single-stripe one.
 func (s *Server) lockWorld() {
 	for i := range s.podShards {
 		s.podShards[i].mu.Lock()
@@ -100,12 +109,10 @@ func (s *Server) lockWorld() {
 	for i := range s.nodeShards {
 		s.nodeShards[i].mu.Lock()
 	}
-	s.pendingMu.Lock()
 }
 
 // unlockWorld releases the world ladder in reverse order.
 func (s *Server) unlockWorld() {
-	s.pendingMu.Unlock()
 	for i := len(s.nodeShards) - 1; i >= 0; i-- {
 		s.nodeShards[i].mu.Unlock()
 	}

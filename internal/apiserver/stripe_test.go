@@ -317,3 +317,39 @@ func TestSubscribePodEventsFiltersNodeEvents(t *testing.T) {
 		t.Fatalf("node-topic subscriber saw %v, want %v", nodeEvs, wantNodes)
 	}
 }
+
+// bindAllocsPinned is what one successful Bind allocates with telemetry
+// off, synchronous watch and one subscriber: the pod copy for the event,
+// its request sum and the event-log strings. The commit transaction must
+// add nothing to it — a heap-escaping txn or closure per commit would
+// show up on every bind of the bind_storm benchmark.
+const bindAllocsPinned = 10
+
+func TestBindAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
+	}
+	s := New(clock.NewSim())
+	if err := s.RegisterNode(stormNode("n1", 1<<20)); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Subscribe(func(WatchEvent) {})()
+	const runs = 200
+	names := make([]string, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range names {
+		names[i] = fmt.Sprintf("p-%03d", i)
+		if err := s.CreatePod(stormPod(names[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if err := s.Bind(names[next], "n1"); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if got > bindAllocsPinned {
+		t.Fatalf("Bind allocates %.0f objects per commit, pinned at %d", got, bindAllocsPinned)
+	}
+}
