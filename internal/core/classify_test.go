@@ -8,6 +8,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/golden"
 	"github.com/sgxorch/sgxorch/internal/kubelet"
 	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/resource"
@@ -266,6 +267,11 @@ func TestUnclassifiedPodsBitIdenticalWithRegistry(t *testing.T) {
 	if len(classed.events) != len(base.events) {
 		t.Fatalf("registry run has %d extra events, first: %s",
 			len(classed.events)-len(base.events), classed.events[len(base.events)])
+	}
+	// Both runs equal each other; the literal digest pins them to every
+	// earlier commit's default pipeline as well.
+	if got, want := golden.StreamDigest(base.events), "382b7c8563e29b4f"; got != want {
+		t.Fatalf("event stream digest = %s, want %s (%d events): the default pipeline's schedule changed", got, want, len(base.events))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/golden"
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
@@ -393,5 +394,9 @@ func TestPreemptionDeterministic(t *testing.T) {
 	}
 	if preempted == 0 {
 		t.Fatal("scenario produced no preemptions; determinism check is vacuous")
+	}
+	// Pinned across commits, not just run-to-run.
+	if got, want := golden.StreamDigest(a), "37b6d66ec03e1797"; got != want {
+		t.Fatalf("event stream digest = %s, want %s (%d events): a preemption decision changed", got, want, len(a))
 	}
 }

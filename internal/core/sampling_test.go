@@ -10,6 +10,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/golden"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
@@ -333,6 +334,10 @@ func TestSampledSchedulingDeterministic(t *testing.T) {
 		if seqA[i] != seqB[i] {
 			t.Fatalf("bind %d differs:\nrun1: %s\nrun2: %s", i, seqA[i], seqB[i])
 		}
+	}
+	// Pinned across commits, not just run-to-run.
+	if got, want := golden.StreamDigest(seqA), "efe934a74fd5a1ea"; got != want {
+		t.Fatalf("bind history digest = %s, want %s (%d binds): a sampled placement changed", got, want, len(seqA))
 	}
 }
 

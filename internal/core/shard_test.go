@@ -9,6 +9,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/golden"
 	"github.com/sgxorch/sgxorch/internal/isgx"
 	"github.com/sgxorch/sgxorch/internal/kubelet"
 	"github.com/sgxorch/sgxorch/internal/machine"
@@ -347,6 +348,11 @@ func TestShardedDeterminismN2(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("no events recorded")
+	}
+	// Run-to-run equality cannot see a change that moves both runs the
+	// same way; the literal digest pins the stream across commits.
+	if got, want := golden.StreamDigest(a), "00e80123e7b7e6f5"; got != want {
+		t.Fatalf("event stream digest = %s, want %s (%d events): the sharded schedule changed", got, want, len(a))
 	}
 }
 

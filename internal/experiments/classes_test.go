@@ -91,4 +91,24 @@ func TestClassesMixedFleetDeterministic(t *testing.T) {
 	if a.DrainTime <= 0 || a.DrainTime > 2*time.Hour {
 		t.Fatalf("implausible drain time %v", a.DrainTime)
 	}
+	// Golden values: the two runs above agree with each other whatever a
+	// refactor does to both; these literals pin the schedule to every
+	// earlier commit's.
+	if want := 20*time.Minute + 10500*time.Millisecond; a.DrainTime != want {
+		t.Fatalf("drain time = %v, want %v: the mixed-fleet schedule changed", a.DrainTime, want)
+	}
+	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+	golden := map[string]ClassOutcome{
+		string(api.ClassLatencySensitive): {Jobs: 15, P50Wait: sec(5.5), P99Wait: sec(5.5), PreemptionsInflicted: 8, Victims: 9},
+		string(api.ClassBatch):            {Jobs: 15, P50Wait: sec(65.5), P99Wait: sec(580.5)},
+		string(api.ClassBestEffort):       {Jobs: 45, P50Wait: sec(5.5), P99Wait: sec(610.5), PreemptionsSuffered: 9},
+	}
+	for class, want := range golden {
+		if got := a.PerClass[class]; got != want {
+			t.Fatalf("class %s = %+v, want %+v: the mixed-fleet schedule changed", class, got, want)
+		}
+	}
+	if len(a.PerClass) != len(golden) {
+		t.Fatalf("run reports %d classes, golden has %d", len(a.PerClass), len(golden))
+	}
 }

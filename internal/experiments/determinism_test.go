@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"github.com/sgxorch/sgxorch/internal/golden"
 )
 
 // TestReplayDeterministicPerSeed backs EXPERIMENTS.md's reproducibility
@@ -40,6 +43,16 @@ func TestReplayDeterministicPerSeed(t *testing.T) {
 		if a.PendingSeries[i] != b.PendingSeries[i] {
 			t.Fatalf("pending sample %d differs", i)
 		}
+	}
+	// Same seed, same outcomes — across commits too, not only across the
+	// two runs above.
+	lines := make([]string, len(a.Outcomes))
+	for i, o := range a.Outcomes {
+		lines[i] = fmt.Sprintf("%+v", o)
+	}
+	if got, want := golden.StreamDigest(lines), "94cf7fea08e05c61"; got != want {
+		t.Fatalf("per-job outcomes digest = %s, want %s (%d jobs, makespan %v): the replay's schedule changed",
+			got, want, len(lines), a.Makespan)
 	}
 }
 
