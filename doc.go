@@ -64,7 +64,15 @@
 // least-requested, usage-headroom, EPC-pressure). The paper's fixed
 // strategies are profiles over these plugins — bit-identical to their
 // original implementations, which the tests pin — and new behaviours
-// compose without touching the scheduling pass.
+// compose without touching the scheduling pass. A policy is simply a
+// name that yields a profile; profiles and plugins are immutable (the
+// per-pod narrowing and score scratch belongs to each scheduler's cycle
+// state), so one profile or class registry can serve a whole concurrent
+// fleet. A pass is a loop of per-pod scheduling cycles over that one
+// pipeline, each reporting a typed outcome (bound, held, gated,
+// unschedulable, conflict, skipped) that the pass folds into a single
+// tally — the value behind SchedulerStats, the scheduler_*_total series
+// and the pass trace alike.
 //
 // Jobs carry a priority: the pending queue drains priority-then-FCFS,
 // and when a high-priority job finds no feasible node the scheduler
@@ -270,7 +278,10 @@
 // stream to histogram submit→bind, bind→run and run durations per
 // class. Each instrumented scheduling pass also records a PassTrace —
 // stage spans plus, on sampled passes, per-plugin breakdowns — into a
-// fixed ring readable via Cluster.PassTraces; detail sampling
+// fixed ring readable via Cluster.PassTraces. There is one pipeline, not
+// a timed copy beside a plain one: timing is sampled inside it, behind a
+// recorder that is nil unless the pass is instrumented (and, for per-pod
+// and per-plugin timing, detail-sampled), and detail sampling
 // (Config.TraceDetailEvery) keeps the instrumented pass within a few
 // percent of the uninstrumented one, which CI gates.
 //

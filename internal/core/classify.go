@@ -11,10 +11,12 @@ import (
 // declared via api.PodSpec.Class, or inferred from duration, priority,
 // gang and EPC signals), and a ClassRegistry resolves each class to its
 // own scheduling profile — plugins, score weights, candidate-sampling
-// bounds and preemption eligibility. The scheduling pass consults the
-// registry per pod (Config.Classes); unclassified pods fall through to
-// the scheduler's single configured pipeline, bit-identical to a
-// scheduler with no registry at all.
+// bounds and preemption eligibility. A scheduler resolves the registry
+// (Config.Classes) once, at construction, into a table of pipelines
+// indexed by class slot; per pod the pass classifies and looks its slot
+// up. Unclassified pods land on the default slot — the scheduler's single
+// configured pipeline, bit-identical to a scheduler with no registry at
+// all.
 
 // Class slots index the per-class tables (Stats.ByClass, the registry's
 // profile array). Slot 0 is the unclassified default.
@@ -158,8 +160,7 @@ type ClassProfile struct {
 	// Class is the workload class this profile serves (must be a known
 	// class — the unspecified class always means the default pipeline).
 	Class api.WorkloadClass
-	// Policy supplies the plugin pipeline (resolved via the same
-	// Profiler mechanics as Config.Policy).
+	// Policy supplies the plugin pipeline, exactly as Config.Policy does.
 	Policy Policy
 	// PercentageNodesToScore / MinFeasibleNodesToFind override the
 	// scheduler's sampling bounds for this class (0 inherits the
@@ -173,26 +174,16 @@ type ClassProfile struct {
 	MayPreempt bool
 }
 
-// classProfile is a resolved, scheduler-owned class pipeline. Profiles
-// carry narrowing scratch and are not safe for concurrent Select calls,
-// so every scheduler clones the registry's profiles for itself
-// (cloneFor) — mirroring how the default pipeline is owned per
-// scheduler.
-type classProfile struct {
-	class       api.WorkloadClass
-	profile     *Profile
-	pct         int
-	minFeasible int
-	mayPreempt  bool
-}
-
 // ClassRegistry routes pods to per-class scheduling profiles. Build one
 // with NewClassRegistry, optionally override classes with Set, and hand
 // it to Config.Classes; a sharded fleet passes the same registry to
-// every member (each member clones the pipelines it needs).
+// every member (the registry is only read after construction, and the
+// profiles it yields are immutable).
 type ClassRegistry struct {
 	classifier *WorkloadClassifier
-	profiles   [numClassSlots]*classProfile
+	// profiles is indexed by class slot; a nil Policy marks a slot with no
+	// profile of its own (always the case for the default slot).
+	profiles [numClassSlots]ClassProfile
 }
 
 // NewClassRegistry builds a registry with the default class profiles
@@ -232,13 +223,7 @@ func (r *ClassRegistry) Set(cp ClassProfile) {
 	if slot == classSlotDefault || cp.Policy == nil {
 		return
 	}
-	r.profiles[slot] = &classProfile{
-		class:       cp.Class,
-		profile:     profileFor(cp.Policy),
-		pct:         cp.PercentageNodesToScore,
-		minFeasible: cp.MinFeasibleNodesToFind,
-		mayPreempt:  cp.MayPreempt,
-	}
+	r.profiles[slot] = cp
 }
 
 // Classify exposes the registry's classifier.
@@ -246,34 +231,59 @@ func (r *ClassRegistry) Classify(pod *api.Pod) api.WorkloadClass {
 	return r.classifier.Classify(pod)
 }
 
-// cloneFor resolves a scheduler-owned copy of the registry: every class
-// pipeline is cloned (profiles reuse narrowing scratch and must not be
-// shared across schedulers), and when the scheduler runs a gang
-// director its PreFilter/Permit plugins are appended to every class
+// pipeline is one class slot's resolved scheduling behaviour: the plugin
+// pipeline (gang plugins included), the candidate-sampling bounds and
+// the preemption gates. A scheduler holds one per slot, resolved at
+// construction, so the pass never re-derives an override.
+type pipeline struct {
+	profile     *Profile
+	pct         int
+	minFeasible int
+	// mayPreempt gates whether the slot's pods ever evict others; takeBE
+	// additionally admits declared best-effort pods as victims across
+	// priority tiers.
+	mayPreempt bool
+	takeBE     bool
+}
+
+// resolvePipelines builds a scheduler's pipeline table from its Config.
+// The default slot is the Config.Policy pipeline with the Config's own
+// sampling bounds, free to preempt strictly lower tiers — the exact
+// pre-class pass. A class with a registered profile gets that profile's
+// pipeline, its bounds where set (0 inherits the Config's) and its
+// preemption gate; a class without one schedules like the default slot
+// (its outcomes are still counted under its own slot). When the
+// scheduler runs a gang director its PreFilter/Permit plugins ride every
 // pipeline — the director passes solo pods through, and a gang member
 // explicitly classed outside batch must still honour the permit
 // protocol.
-func (r *ClassRegistry) cloneFor(gang *GangDirector) *ClassRegistry {
-	c := &ClassRegistry{classifier: r.classifier}
-	for i, cp := range r.profiles {
-		if cp == nil {
+func resolvePipelines(cfg *Config) [numClassSlots]pipeline {
+	def := pipeline{
+		profile:     cfg.Policy.Profile().withGang(cfg.Gang),
+		pct:         cfg.PercentageNodesToScore,
+		minFeasible: cfg.MinFeasibleNodesToFind,
+		mayPreempt:  true,
+	}
+	var table [numClassSlots]pipeline
+	for slot := range table {
+		pl := &table[slot]
+		*pl = def
+		if cfg.Classes == nil || cfg.Classes.profiles[slot].Policy == nil {
 			continue
 		}
-		owned := *cp
-		owned.profile = cp.profile.clone()
-		if gang != nil {
-			owned.profile.preFilters = append(owned.profile.preFilters, gang)
-			owned.profile.permits = append(owned.profile.permits, gang)
+		cp := &cfg.Classes.profiles[slot]
+		pl.profile = cp.Policy.Profile().withGang(cfg.Gang)
+		if cp.PercentageNodesToScore != 0 {
+			pl.pct = cp.PercentageNodesToScore
 		}
-		c.profiles[i] = &owned
+		if cp.MinFeasibleNodesToFind != 0 {
+			pl.minFeasible = cp.MinFeasibleNodesToFind
+		}
+		pl.mayPreempt = cp.MayPreempt
+		// Preempting classes may displace declared best-effort pods across
+		// tiers — unless they are best-effort themselves (no cannibalising
+		// the filler tier).
+		pl.takeBE = cp.MayPreempt && slot != classSlotBestEffort
 	}
-	return c
-}
-
-// resolve classifies the pod and returns its slot plus the class
-// pipeline, or nil when the pod takes the scheduler's default pipeline
-// (unclassified, or a class with no registered profile).
-func (r *ClassRegistry) resolve(pod *api.Pod) (int, *classProfile) {
-	slot := classSlot(r.classifier.Classify(pod))
-	return slot, r.profiles[slot]
+	return table
 }

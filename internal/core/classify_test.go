@@ -77,60 +77,87 @@ func TestClassifierExplicitAndInference(t *testing.T) {
 	}
 }
 
-// TestClassRegistryResolve: the default registry routes the three known
-// classes to their own pipelines with the documented gates, and routes
-// unclassified pods to the nil (default-pipeline) slot. Overrides via
-// Set replace a class; the default slot cannot be occupied.
+// TestClassRegistryResolve: a scheduler Config resolves the default
+// registry into one pipeline per class slot with the documented gates —
+// inheriting the Config's sampling bounds where a class sets none — and
+// leaves unclassified pods on the Config.Policy pipeline. Overrides via
+// Set replace a class; the default slot cannot be occupied; a gang
+// director's plugins ride every pipeline without touching the profiles
+// the policies yielded.
 func TestClassRegistryResolve(t *testing.T) {
 	r := NewClassRegistry(nil) // explicit-only classifier
-
-	slot, cp := r.resolve(classedPod("ls", api.ClassLatencySensitive, 0, resource.GiB, time.Minute))
-	if slot != classSlotLatency || cp == nil || !cp.mayPreempt {
-		t.Fatalf("latency-sensitive resolve = slot %d, %+v", slot, cp)
+	for class, want := range map[api.WorkloadClass]int{
+		api.ClassLatencySensitive: classSlotLatency,
+		api.ClassBatch:            classSlotBatch,
+		api.ClassBestEffort:       classSlotBestEffort,
+	} {
+		if got := classSlot(r.Classify(classedPod("p", class, 0, resource.GiB, time.Minute))); got != want {
+			t.Fatalf("%s pod classified onto slot %d, want %d", class, got, want)
+		}
 	}
-	if cp.minFeasible != DefaultLatencyMinFeasible {
-		t.Fatalf("latency-sensitive minFeasible = %d, want %d", cp.minFeasible, DefaultLatencyMinFeasible)
-	}
-	if slot, cp := r.resolve(classedPod("b", api.ClassBatch, 0, resource.GiB, time.Minute)); slot != classSlotBatch || cp == nil || cp.mayPreempt {
-		t.Fatalf("batch resolve = slot %d, %+v (must not preempt)", slot, cp)
-	}
-	if slot, cp := r.resolve(classedPod("be", api.ClassBestEffort, 0, resource.GiB, time.Minute)); slot != classSlotBestEffort || cp == nil || cp.mayPreempt {
-		t.Fatalf("best-effort resolve = slot %d, %+v (must not preempt)", slot, cp)
-	}
-	if slot, cp := r.resolve(memJob("plain", resource.GiB, resource.GiB, time.Minute)); slot != classSlotDefault || cp != nil {
-		t.Fatalf("unclassified resolve = slot %d, %+v, want default slot and nil profile", slot, cp)
+	if got := classSlot(r.Classify(memJob("plain", resource.GiB, resource.GiB, time.Minute))); got != classSlotDefault {
+		t.Fatalf("unclassified pod classified onto slot %d, want the default slot", got)
 	}
 
-	// Override one class; the others are untouched.
-	r.Set(ClassProfile{Class: api.ClassBatch, Policy: Spread{}, MayPreempt: true})
-	if _, cp := r.resolve(classedPod("b", api.ClassBatch, 0, resource.GiB, time.Minute)); cp == nil || !cp.mayPreempt {
-		t.Fatalf("batch after Set = %+v, want preempt-capable override", cp)
+	base := NewProfile("base", WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}))
+	cfg := Config{Policy: base, Classes: r, PercentageNodesToScore: 30, MinFeasibleNodesToFind: 7}
+	table := resolvePipelines(&cfg)
+	if got, want := table[classSlotDefault], (pipeline{profile: base, pct: 30, minFeasible: 7, mayPreempt: true}); got != want {
+		t.Fatalf("default slot = %+v, want the Config's own pipeline and bounds %+v", got, want)
+	}
+	ls := table[classSlotLatency]
+	if ls.profile.Name() != "usage-aware" || !ls.mayPreempt || !ls.takeBE {
+		t.Fatalf("latency-sensitive pipeline = %+v", ls)
+	}
+	if ls.minFeasible != DefaultLatencyMinFeasible || ls.pct != 30 {
+		t.Fatalf("latency-sensitive bounds = pct %d / min %d, want the Config's 30 and its own %d",
+			ls.pct, ls.minFeasible, DefaultLatencyMinFeasible)
+	}
+	if pl := table[classSlotBatch]; pl.profile.Name() != "binpack" || pl.mayPreempt || pl.takeBE || pl.minFeasible != 7 {
+		t.Fatalf("batch pipeline = %+v (must not preempt, inherits the Config's floor)", pl)
+	}
+	if pl := table[classSlotBestEffort]; pl.profile.Name() != "spread" || pl.mayPreempt || pl.takeBE {
+		t.Fatalf("best-effort pipeline = %+v (must not preempt)", pl)
+	}
+
+	// Override one class; the others are untouched. A preempting
+	// best-effort class still may not take best-effort victims.
+	r.Set(ClassProfile{Class: api.ClassBatch, Policy: Spread{}, MayPreempt: true, PercentageNodesToScore: 80})
+	r.Set(ClassProfile{Class: api.ClassBestEffort, Policy: Spread{}, MayPreempt: true})
+	table = resolvePipelines(&cfg)
+	if pl := table[classSlotBatch]; pl.profile.Name() != "spread" || !pl.mayPreempt || !pl.takeBE || pl.pct != 80 {
+		t.Fatalf("batch after Set = %+v, want the preempt-capable override", pl)
+	}
+	if pl := table[classSlotBestEffort]; !pl.mayPreempt || pl.takeBE {
+		t.Fatalf("preempting best-effort = %+v, must not take best-effort victims", pl)
+	}
+	if table[classSlotLatency].profile.Name() != "usage-aware" {
+		t.Fatal("overriding batch disturbed latency-sensitive")
 	}
 	// The unspecified slot rejects installation.
-	r.Set(ClassProfile{Class: api.ClassUnspecified, Policy: Binpack{}})
-	if _, cp := r.resolve(memJob("plain", resource.GiB, resource.GiB, time.Minute)); cp != nil {
-		t.Fatal("default slot accepted a profile")
+	r.Set(ClassProfile{Class: api.ClassUnspecified, Policy: Spread{}})
+	if got := resolvePipelines(&cfg)[classSlotDefault].profile; got != base {
+		t.Fatalf("default slot accepted a profile: %q", got.Name())
 	}
 
-	// cloneFor threads gang plugins through every class pipeline and
-	// yields pipelines distinct from the registry's own.
+	// A gang director's plugins are appended to a copy of every
+	// pipeline; the caller's profile is left as built.
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
 	defer srv.Close()
 	gd := NewGangDirector(clk, srv, GangConfig{})
 	defer gd.Close()
-	owned := r.cloneFor(gd)
-	for slot := classSlotLatency; slot < numClassSlots; slot++ {
-		ocp := owned.profiles[slot]
-		if ocp == nil {
-			t.Fatalf("slot %d missing after cloneFor", slot)
+	cfg.Gang = gd
+	for slot, pl := range resolvePipelines(&cfg) {
+		if n := len(pl.profile.permits); n != 1 || pl.profile.permits[0] != PermitPlugin(gd) {
+			t.Fatalf("slot %d: gang permit plugin not appended (%d permits)", slot, n)
 		}
-		if ocp.profile == r.profiles[slot].profile {
-			t.Fatalf("slot %d pipeline not cloned", slot)
+		if n := len(pl.profile.preFilters); n != 1 || pl.profile.preFilters[0] != PreFilterPlugin(gd) {
+			t.Fatalf("slot %d: gang pre-filter plugin not appended (%d pre-filters)", slot, n)
 		}
-		if len(ocp.profile.permits) != len(r.profiles[slot].profile.permits)+1 {
-			t.Fatalf("slot %d gang permit plugin not appended", slot)
-		}
+	}
+	if len(base.permits) != 0 || len(base.preFilters) != 0 {
+		t.Fatal("attaching the gang director mutated the caller's profile")
 	}
 }
 

@@ -1,0 +1,275 @@
+package core
+
+import (
+	"errors"
+
+	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/apiserver"
+	"github.com/sgxorch/sgxorch/internal/resource"
+)
+
+// This file is the per-pod scheduling cycle — §IV's filter job-node
+// combinations, place by policy, bind — that schedulePass runs once per
+// pending pod. A cycle reads and writes one scheduler-owned cycleState
+// and reports one outcome value; nothing in it is allocated per pod.
+
+// cycleState is everything a scheduling cycle works with. One lives in
+// each Scheduler, guarded by passMu: the pass fills in the pass-scoped
+// part once, every cycle overwrites the pod-scoped part, and the scratch
+// buffers are recycled across pods and passes.
+type cycleState struct {
+	// Pass scope. view is the view the pass plans against (re-synced after
+	// a preemption); rec is the pass recorder, nil with telemetry off; det
+	// is rec on detail-sampled passes and nil otherwise, so per-pod and
+	// per-plugin timing costs undetailed passes a nil check.
+	view *ClusterView
+	rec  *passRecorder
+	det  *passRecorder
+	// The once-per-pass preemption gate: no pod can preempt unless some
+	// live pod sits in a strictly lower tier (anyBound, minPrio) — or, for
+	// pipelines allowed to take best-effort victims, some declared
+	// best-effort pod is bound anywhere (beBound). Refreshed after
+	// evictions.
+	minPrio  int32
+	anyBound bool
+	beBound  bool
+
+	// Pod scope: the pod's request data — extracted once, because the
+	// filter plugins run per (pod, node) and walking a slice there beats
+	// re-iterating the request map for every node — and the pipeline its
+	// class resolved to. info is refilled in place for every pod, keeping
+	// its pairs buffer and its cycleScratch (narrowing and scores), which
+	// is how the plugins reach scheduler-owned scratch.
+	info PodInfo
+	pl   *pipeline
+
+	// Scratch: candidates holds the feasible nodes, victims and sim serve
+	// the preemption planner.
+	candidates []*NodeView
+	victims    []victimInfo
+	sim        []*NodeView
+}
+
+// mayPreempt reports whether the pod in the cycle passes its pipeline's
+// preemption gate against the pass's view of what is bound.
+func (c *cycleState) mayPreempt() bool {
+	return c.pl.mayPreempt &&
+		((c.anyBound && c.minPrio < c.info.Priority) || (c.pl.takeBE && c.beBound))
+}
+
+// outcomeKind is how one pod's scheduling cycle ended.
+type outcomeKind uint8
+
+const (
+	// outcomeSkipped: the commit failed for a reason that says nothing
+	// about the cluster (e.g. the pod vanished). Nothing is counted; the
+	// next pass re-evaluates.
+	outcomeSkipped outcomeKind = iota
+	// outcomeBound: the pod was bound to a node.
+	outcomeBound
+	// outcomeHeld: a permit plugin asked to wait and the pod took a
+	// conditional reservation in place of the bind (a gang member below
+	// quorum).
+	outcomeHeld
+	// outcomeGated: a PreFilter plugin rejected the pod before any
+	// per-node work.
+	outcomeGated
+	// outcomeUnschedulable: no node passed the pipeline (and preemption,
+	// where allowed, found no victim set), or a permit plugin denied the
+	// placement. The pod stays queued and is retried next pass, keeping its
+	// queue position without head-of-line blocking the rest of the queue.
+	outcomeUnschedulable
+	// outcomeConflict: the API server refused the commit because this
+	// scheduler's view was outdated or the node's state changed mid-pass.
+	outcomeConflict
+)
+
+// outcome is what a scheduling cycle reports to its pass — a small value
+// carrying what the pass folds into its tally and what tells it to stop.
+type outcome struct {
+	kind outcomeKind
+	// stale qualifies outcomeConflict: the refusal was a capacity one
+	// (ErrOutdated), so the view is provably outdated and the pass ends.
+	stale bool
+	// sampled: the candidate search took the indexed sampling path.
+	sampled bool
+	// slot is the pod's class slot, under which the outcome is counted.
+	slot int
+	// victims counts the pods this cycle evicted to make room (0 = it did
+	// not preempt). A cycle that preempted may still end in any kind.
+	victims int
+}
+
+// count folds one cycle's outcome into the pass tally.
+func (s *Stats) count(o outcome) {
+	c := &s.ByClass[o.slot]
+	if o.sampled {
+		s.Sampled++
+	}
+	if o.victims > 0 {
+		s.Preemptions++
+		c.Preemptions++
+		s.Victims += o.victims
+		c.Victims += o.victims
+	}
+	switch o.kind {
+	case outcomeBound:
+		s.Bound++
+		c.Bound++
+	case outcomeHeld:
+		s.Held++
+		c.Held++
+	case outcomeGated:
+		s.Gated++
+	case outcomeUnschedulable:
+		s.Unschedulable++
+		c.Unschedulable++
+	case outcomeConflict:
+		s.Conflicts++
+	}
+}
+
+// cycle schedules one pending pod: classify it onto its pipeline, run the
+// pre-filter, filter, pre-score/score and permit stages, fall back to
+// preemption when nothing is feasible, and commit the decision. The
+// per-pod stage spans are timed through c.det, i.e. on detail-sampled
+// passes only: preemption planning included, since it runs for every pod
+// that failed to place and two clock reads per unschedulable pod on every
+// pass would dominate the instrumentation budget on a congested queue.
+func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
+	// req stays a local: TotalRequests inlines here and its map lives on
+	// the stack as long as nothing retains it.
+	req := pod.TotalRequests()
+	info := &c.info
+	fillPodInfo(info, pod, req, info.Pairs)
+	// Workload-class resolution is a table lookup: the pod's class slot
+	// selects the pipeline with its sampling bounds and preemption gates;
+	// unclassified pods take slot 0 — the exact pre-class pass.
+	o := outcome{slot: classSlotDefault}
+	if s.classifier != nil {
+		o.slot = classSlot(s.classifier.Classify(pod))
+	}
+	c.pl = &s.pipelines[o.slot]
+	prof, det := c.pl.profile, c.det
+
+	// Pre-filter stage: per-pod early rejects (and pass-scoped mutations
+	// like the gang age boost) before any per-node work.
+	t := det.now()
+	ok := prof.runPreFilter(info, c.view, det)
+	det.stageSince(stagePreFilter, t)
+	if !ok {
+		o.kind = outcomeGated
+		return o
+	}
+
+	t = det.now()
+	nodes := c.view.Nodes
+	candidates := c.candidates[:0]
+	if target := numFeasibleNodesToFind(c.pl.pct, c.pl.minFeasible, len(nodes)); c.view.indexed() && target < len(nodes) {
+		// Sampled path: walk only the index buckets that can fit the pod,
+		// stop after enough feasible candidates. Candidate order differs
+		// from the name-sorted full scan (best-fit buckets first), which
+		// only matters to order-sensitive tie-breaks — acceptable by
+		// construction: sampling itself already trades exhaustive choice
+		// for pass cost.
+		var visited int
+		candidates, visited = c.view.sampleFeasible(info, prof, target, s.sampleOffset, candidates)
+		s.sampleOffset += visited
+		o.sampled = true
+	} else {
+		for _, n := range nodes {
+			if prof.Feasible(info, n) {
+				candidates = append(candidates, n)
+			}
+		}
+	}
+	c.candidates = candidates
+	det.stageSince(stageFilter, t)
+
+	t = det.now()
+	node, ok := prof.selectInfo(info, candidates, c.view, det)
+	det.stageSince(stageScore, t)
+	if !ok && c.mayPreempt() {
+		// No feasible node: try to make room by evicting strictly
+		// lower-priority pods — plus declared best-effort pods when the
+		// pipeline may take them (preemption.go).
+		t = det.now()
+		target, evicted, preempted := s.preempt(c)
+		det.stageSince(stagePreempt, t)
+		if preempted {
+			o.victims = evicted
+			// Continue from a view that reflects the evictions.
+			c.view = s.syncedViewLocked()
+			c.minPrio, c.anyBound, c.beBound = s.cache.preemptGate()
+			// The planner already replayed the pipeline against the
+			// predicted post-eviction state, but re-run it against the
+			// actual view so a racing mutation can never over-commit the
+			// node or bypass a policy veto.
+			if n := c.view.Node(target); n != nil && prof.Feasible(info, n) {
+				c.candidates = append(c.candidates[:0], n)
+				if name, sok := prof.selectInfo(info, c.candidates, c.view, nil); sok && name == target {
+					node, ok = target, true
+				}
+			}
+		}
+	}
+	if !ok {
+		o.kind = outcomeUnschedulable
+		return o
+	}
+
+	// Permit stage: a plugin may convert the bind into a conditional
+	// reservation (gang members wait for quorum) or deny it.
+	t = det.now()
+	dec := prof.runPermit(info, node, det)
+	det.stageSince(stagePermit, t)
+	if dec == PermitDeny {
+		o.kind = outcomeUnschedulable
+		return o
+	}
+	o.kind, o.stale = s.commit(c, node, req, dec == PermitWait)
+	return o
+}
+
+// commit is the binding half of the cycle: it hands the decision to the
+// API server — as a conditional reservation when a permit plugin said
+// wait, as a bind otherwise — and on success charges the view, so later
+// decisions in this pass see the node's reduced headroom. Both commits
+// share one error taxonomy; stale reports the refusal that ends the pass.
+func (s *Scheduler) commit(c *cycleState, node string, req resource.List, wait bool) (kind outcomeKind, stale bool) {
+	t := c.rec.now()
+	var err error
+	if wait {
+		err = s.srv.Reserve(c.info.Pod.Name, node)
+	} else {
+		err = s.srv.Bind(c.info.Pod.Name, node)
+	}
+	c.rec.stageSince(stageBind, t)
+	switch {
+	case err == nil:
+	case errors.Is(err, apiserver.ErrOutdated):
+		// A concurrent scheduler won this capacity: the view is provably
+		// stale, and every remaining decision rests on the same
+		// assumptions. The pod stays pending; the next pass syncs from a
+		// cache that has already absorbed the winner's events.
+		return outcomeConflict, true
+	case errors.Is(err, apiserver.ErrConflict):
+		// Other admission refusals (node cordoned mid-pass, or a pod/node
+		// incompatibility a custom pipeline failed to filter) may be
+		// permanent for *this* pod — skip it rather than head-of-line
+		// block the rest of the queue.
+		return outcomeConflict, false
+	default:
+		return outcomeSkipped, false
+	}
+	c.view.Commit(node, req)
+	if !wait {
+		return outcomeBound, false
+	}
+	// Notify observers (the gang director counts the permit toward quorum
+	// and may commit the whole gang). Outside the server critical
+	// sections; the pass view is unaffected — a commit emits PodBound
+	// events the cache absorbs for the *next* pass.
+	c.pl.profile.notifyReserved(&c.info, node)
+	return outcomeHeld, false
+}

@@ -29,6 +29,51 @@ type PodInfo struct {
 	SGX bool
 	// Priority is the pod's scheduling priority (Spec.Priority).
 	Priority int32
+	// scratch is the narrowing and score scratch of the cycle this pod is
+	// being scheduled in (see cycleScratch).
+	scratch *cycleScratch
+}
+
+// cycleScratch is the pipeline scratch of one scheduling cycle: a
+// narrowing buffer per pre-score plugin slot (plugin i's result may be
+// plugin i+1's input, so slots never alias) and one score accumulator per
+// candidate. It belongs to whoever runs the cycle — a Scheduler's cycle
+// state keeps one PodInfo, and with it one scratch, for all its passes —
+// and the plugins reach it through the PodInfo they already receive.
+// Keeping it out of the plugins is what makes plugins and profiles
+// immutable values a whole fleet can share.
+type cycleScratch struct {
+	narrow [][]*NodeView
+	slot   int // the running pre-score plugin's index into narrow
+	scores []float64
+}
+
+// cycleScratch returns the pod's cycle scratch, created on first use and
+// then kept across refills (fillPodInfo) — so a PodInfo built outside a
+// scheduler (NewPodInfo, a literal) works on a private one.
+func (p *PodInfo) cycleScratch() *cycleScratch {
+	if p.scratch == nil {
+		p.scratch = &cycleScratch{}
+	}
+	return p.scratch
+}
+
+// narrow returns the candidates keep accepts, in order, in the running
+// pre-score plugin's slot of the cycle scratch — valid until that slot
+// runs again, i.e. for the rest of this pod's cycle.
+func (p *PodInfo) narrow(candidates []*NodeView, keep func(*NodeView) bool) []*NodeView {
+	sc := p.cycleScratch()
+	for len(sc.narrow) <= sc.slot {
+		sc.narrow = append(sc.narrow, nil)
+	}
+	kept := sc.narrow[sc.slot][:0]
+	for _, c := range candidates {
+		if keep(c) {
+			kept = append(kept, c)
+		}
+	}
+	sc.narrow[sc.slot] = kept
+	return kept
 }
 
 // ReqPair is one requested (resource, quantity), extracted from the
@@ -48,9 +93,9 @@ func NewPodInfo(pod *api.Pod, buf []ReqPair) *PodInfo {
 }
 
 // fillPodInfo populates info in place from a pre-summed request list,
-// reusing buf for the pairs.
+// reusing buf for the pairs and keeping info's cycle scratch.
 func fillPodInfo(info *PodInfo, pod *api.Pod, req resource.List, buf []ReqPair) {
-	*info = PodInfo{Pod: pod, Pairs: buf[:0], Priority: pod.Spec.Priority}
+	*info = PodInfo{Pod: pod, Pairs: buf[:0], Priority: pod.Spec.Priority, scratch: info.scratch}
 	for k, q := range req {
 		if q <= 0 {
 			continue
@@ -187,9 +232,12 @@ type WeightedScore struct {
 	Weight float64
 }
 
-// Profile is one assembled scheduling pipeline. A Profile is itself a
-// Policy, so profiles plug into Config.Policy directly; the built-in
-// Binpack/Spread/LeastRequested values are thin wrappers over canned
+// Profile is one assembled scheduling pipeline, immutable once built: its
+// plugins hold no state of their own (per-cycle scratch travels with the
+// PodInfo), so one Profile may serve any number of schedulers
+// concurrently. A *Profile is a Policy that yields itself, so custom
+// profiles plug into Config.Policy directly; the built-in
+// Binpack/Spread/LeastRequested/UsageAware values are names for canned
 // profiles.
 type Profile struct {
 	name       string
@@ -201,12 +249,6 @@ type Profile struct {
 	// minScore rejects candidates scoring at or below it (LeastRequested's
 	// historical "-1.0 or worse declines" contract); defaults to -Inf.
 	minScore float64
-	// legacy, when set, replaces the pre-score/score stages with a plain
-	// Policy's Select — the adapter for policies predating the framework.
-	// Profiles are not safe for concurrent Select calls — each Scheduler
-	// owns its own pipeline, matching the one-pass-at-a-time passMu
-	// contract (pre-score plugins reuse narrowing buffers).
-	legacy Policy
 }
 
 // ProfileOpt configures a Profile.
@@ -263,24 +305,38 @@ func NewProfile(name string, opts ...ProfileOpt) *Profile {
 // Name implements Policy.
 func (p *Profile) Name() string { return p.name }
 
-// clone returns a shallow copy with its own plugin slices, so appending
-// plugins to the copy never leaks into the original (profileFor passes
-// caller-owned *Profile values through unchanged, and the built-in
-// policies share pooled instances).
-func (p *Profile) clone() *Profile {
+// Profile implements Policy: a profile is its own pipeline.
+func (p *Profile) Profile() *Profile { return p }
+
+// withGang returns a copy of p with the director's PreFilter and Permit
+// plugins appended (p itself when there is no director); p — possibly
+// caller-owned and shared with other schedulers — is left as built. The
+// capped slices force append to copy rather than write into p's backing
+// arrays.
+func (p *Profile) withGang(d *GangDirector) *Profile {
+	if d == nil {
+		return p
+	}
 	c := *p
-	c.preFilters = append([]PreFilterPlugin(nil), p.preFilters...)
-	c.filters = append([]FilterPlugin(nil), p.filters...)
-	c.preScore = append([]PreScorePlugin(nil), p.preScore...)
-	c.scores = append([]WeightedScore(nil), p.scores...)
-	c.permits = append([]PermitPlugin(nil), p.permits...)
+	c.preFilters = append(p.preFilters[:len(p.preFilters):len(p.preFilters)], d)
+	c.permits = append(p.permits[:len(p.permits):len(p.permits)], d)
 	return &c
 }
 
+// The stage runners below are the one pipeline every pass takes. det is
+// the pass recorder on detail-sampled passes and nil on all others (and
+// with telemetry off): per-plugin timing happens inside the stages,
+// behind that nil check, instead of in a second copy of them.
+
 // runPreFilter runs the pre-filter stage; false rejects the pod's pass.
-func (p *Profile) runPreFilter(pod *PodInfo, view *ClusterView) bool {
+func (p *Profile) runPreFilter(pod *PodInfo, view *ClusterView, det *passRecorder) bool {
 	for _, pf := range p.preFilters {
-		if !pf.PreFilter(pod, view) {
+		t0 := det.now()
+		ok := pf.PreFilter(pod, view)
+		if det != nil {
+			det.addPlugin(stagePreFilter, pf.Name(), t0)
+		}
+		if !ok {
 			return false
 		}
 	}
@@ -289,9 +345,14 @@ func (p *Profile) runPreFilter(pod *PodInfo, view *ClusterView) bool {
 
 // runPermit runs the permit stage for a selected placement; the first
 // non-Allow decision wins.
-func (p *Profile) runPermit(pod *PodInfo, nodeName string) PermitDecision {
+func (p *Profile) runPermit(pod *PodInfo, nodeName string, det *passRecorder) PermitDecision {
 	for _, pp := range p.permits {
-		if d := pp.Permit(pod, nodeName); d != PermitAllow {
+		t0 := det.now()
+		d := pp.Permit(pod, nodeName)
+		if det != nil {
+			det.addPlugin(stagePermit, pp.Name(), t0)
+		}
+		if d != PermitAllow {
 			return d
 		}
 	}
@@ -319,38 +380,57 @@ func (p *Profile) Feasible(pod *PodInfo, node *NodeView) bool {
 	return true
 }
 
-// Select implements Policy over the framework pipeline: narrow by
+// Select runs the placement half of the pipeline for one pod: narrow by
 // preference, score, and pick the first candidate with the strictly
 // greatest weighted score above the profile's minimum. Candidates arrive
-// pre-filtered and sorted by node name.
+// pre-filtered and sorted by node name. Safe for concurrent use: each
+// call works on scratch of its own.
 func (p *Profile) Select(pod *api.Pod, candidates []*NodeView, view *ClusterView) (string, bool) {
-	return p.selectInfo(NewPodInfo(pod, nil), candidates, view)
+	return p.selectInfo(NewPodInfo(pod, nil), candidates, view, nil)
 }
 
-// selectInfo is Select for callers that already extracted the PodInfo.
-func (p *Profile) selectInfo(pod *PodInfo, candidates []*NodeView, view *ClusterView) (string, bool) {
-	if p.legacy != nil {
-		return p.legacy.Select(pod.Pod, candidates, view)
-	}
-	for _, ps := range p.preScore {
+// selectInfo is Select for callers that already extracted the PodInfo,
+// over the pod's cycle scratch. Scoring runs plugin-outer over one
+// accumulator per candidate, so a detailed pass times each score plugin
+// across the whole candidate set in one clock-read pair; every
+// candidate's sum still accumulates in plugin order, which keeps the
+// selection — floating-point rounding and first-best tie-breaks included
+// — what a candidate-outer loop computes.
+func (p *Profile) selectInfo(pod *PodInfo, candidates []*NodeView, view *ClusterView, det *passRecorder) (string, bool) {
+	sc := pod.cycleScratch()
+	for i, ps := range p.preScore {
+		sc.slot = i
+		t0 := det.now()
+		narrowed := ps.PreScore(pod, candidates)
+		if det != nil {
+			det.addPlugin(stageScore, ps.Name(), t0)
+		}
 		// nil = no preference; non-nil (even empty) replaces the list.
-		if narrowed := ps.PreScore(pod, candidates); narrowed != nil {
+		if narrowed != nil {
 			candidates = narrowed
 		}
 	}
 	if len(candidates) == 0 {
 		return "", false
 	}
+	// The compiler turns append(make) into grow-and-clear: no temporary.
+	scores := append(sc.scores[:0], make([]float64, len(candidates))...)
+	sc.scores = scores
+	for _, ws := range p.scores {
+		t0 := det.now()
+		for i, cand := range candidates {
+			scores[i] += ws.Weight * ws.Plugin.Score(pod, cand, view)
+		}
+		if det != nil {
+			det.addPlugin(stageScore, ws.Plugin.Name(), t0)
+		}
+	}
 	best := ""
 	bestScore := p.minScore
-	for _, cand := range candidates {
-		score := 0.0
-		for _, ws := range p.scores {
-			score += ws.Weight * ws.Plugin.Score(pod, cand, view)
-		}
-		if score > bestScore {
+	for i, cand := range candidates {
+		if scores[i] > bestScore {
 			best = cand.Name
-			bestScore = score
+			bestScore = scores[i]
 		}
 	}
 	if best == "" {
@@ -434,31 +514,19 @@ func (ResourceFitFilter) Filter(pod *PodInfo, node *NodeView) bool {
 // SGXLastPreScore restricts standard pods to non-SGX candidates when any
 // exist: both paper policies "only resort to SGX-enabled nodes for non-SGX
 // jobs when no other choice is possible" (§IV).
-type SGXLastPreScore struct {
-	// buf is narrowing scratch reused across calls — the reason a
-	// Profile holding this plugin is not safe for concurrent Select
-	// calls (each Scheduler owns its own pipeline; direct Policy.Select
-	// callers go through the pools in policy.go).
-	buf []*NodeView
-}
+type SGXLastPreScore struct{}
 
 // Name implements PreScorePlugin.
-func (*SGXLastPreScore) Name() string { return "sgx-last" }
+func (SGXLastPreScore) Name() string { return "sgx-last" }
 
 // PreScore implements PreScorePlugin. This is a preference, not a hard
 // rule: with no non-SGX candidate it reports no preference (nil) and the
 // pod may use SGX hardware as the last resort.
-func (s *SGXLastPreScore) PreScore(pod *PodInfo, candidates []*NodeView) []*NodeView {
+func (SGXLastPreScore) PreScore(pod *PodInfo, candidates []*NodeView) []*NodeView {
 	if pod.SGX {
 		return nil
 	}
-	nonSGX := s.buf[:0]
-	for _, c := range candidates {
-		if !c.SGX {
-			nonSGX = append(nonSGX, c)
-		}
-	}
-	s.buf = nonSGX
+	nonSGX := pod.narrow(candidates, func(n *NodeView) bool { return !n.SGX })
 	if len(nonSGX) == 0 {
 		return nil
 	}
@@ -468,30 +536,19 @@ func (s *SGXLastPreScore) PreScore(pod *PodInfo, candidates []*NodeView) []*Node
 // MemoryCapacityPreScore drops candidates without memory capacity — the
 // request-only baseline cannot rank a node it cannot compute a memory
 // fraction for.
-type MemoryCapacityPreScore struct {
-	buf []*NodeView
-}
+type MemoryCapacityPreScore struct{}
 
 // Name implements PreScorePlugin.
-func (*MemoryCapacityPreScore) Name() string { return "memory-capacity" }
+func (MemoryCapacityPreScore) Name() string { return "memory-capacity" }
 
 // PreScore implements PreScorePlugin. Unlike SGXLastPreScore this narrows
 // unconditionally: with no memory-capable candidate the empty result makes
 // the profile decline, preserving LeastRequested's historical contract.
-func (m *MemoryCapacityPreScore) PreScore(pod *PodInfo, candidates []*NodeView) []*NodeView {
-	capable := m.buf[:0]
-	for _, c := range candidates {
-		if c.Allocatable.Get(resource.Memory) > 0 {
-			capable = append(capable, c)
-		}
-	}
-	m.buf = capable
-	if len(capable) == len(candidates) {
-		return candidates
-	}
+func (MemoryCapacityPreScore) PreScore(pod *PodInfo, candidates []*NodeView) []*NodeView {
+	capable := pod.narrow(candidates, func(n *NodeView) bool { return n.Allocatable.Get(resource.Memory) > 0 })
 	if len(capable) == 0 {
-		// An explicit decline: a non-nil empty slice (the reused buffer
-		// may still be nil on the first call) so the profile does not
+		// An explicit decline: a non-nil empty slice (the scratch slot is
+		// still nil before its first append) so the profile does not
 		// mistake it for "no preference".
 		return []*NodeView{}
 	}

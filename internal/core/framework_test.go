@@ -167,7 +167,7 @@ func TestProfilePoliciesMatchReferenceImplementations(t *testing.T) {
 			}
 		}
 		for _, tc := range cases {
-			gotName, gotOK := tc.policy.Select(pod, candidates, view)
+			gotName, gotOK := tc.policy.Profile().Select(pod, candidates, view)
 			wantName, wantOK := tc.ref(pod, candidates, view)
 			if gotName != wantName || gotOK != wantOK {
 				t.Fatalf("trial %d: %s diverged from reference: got (%q, %v), want (%q, %v)",
@@ -217,45 +217,13 @@ func TestDefaultFeasibilityMatchesChainedFilters(t *testing.T) {
 	}
 }
 
-// TestLegacyPolicyAdapter: a policy that implements only Select still
-// works behind the default feasibility filters.
-type legacyLastNode struct{}
-
-func (legacyLastNode) Name() string { return "legacy-last" }
-func (legacyLastNode) Select(_ *api.Pod, candidates []*NodeView, _ *ClusterView) (string, bool) {
-	if len(candidates) == 0 {
-		return "", false
-	}
-	return candidates[len(candidates)-1].Name, true
-}
-
-func TestLegacyPolicyAdapter(t *testing.T) {
-	prof := profileFor(legacyLastNode{})
-	if prof.Name() != "legacy-last" {
-		t.Fatalf("profile name = %q", prof.Name())
-	}
-	view := &ClusterView{Nodes: []*NodeView{
-		nv("a", false, 100, 0, 0, 0),
-		nv("b", false, 100, 0, 0, 0),
-	}}
-	got, ok := prof.Select(stdPod(10), view.Nodes, view)
-	if !ok || got != "b" {
-		t.Fatalf("legacy adapter Select = (%q, %v), want (b, true)", got, ok)
-	}
-	// The adapter still applies the default feasibility filters.
-	info := NewPodInfo(stdPod(101), nil)
-	if prof.Feasible(info, view.Nodes[0]) {
-		t.Fatal("legacy adapter skipped the default feasibility filters")
-	}
-}
-
 // TestUsageAwareProfileScoring: the usage-aware profile places on the
 // node with the most measured headroom and penalises EPC pressure.
 func TestUsageAwareProfileScoring(t *testing.T) {
 	loaded := nv("a", false, 1000, 900, 0, 0)
 	idle := nv("b", false, 1000, 100, 0, 0)
 	view := &ClusterView{Nodes: []*NodeView{loaded, idle}}
-	got, ok := (UsageAware{}).Select(stdPod(50), view.Nodes, view)
+	got, ok := UsageAware{}.Profile().Select(stdPod(50), view.Nodes, view)
 	if !ok || got != "b" {
 		t.Fatalf("usage-aware chose %q, want b (most headroom)", got)
 	}
@@ -266,7 +234,7 @@ func TestUsageAwareProfileScoring(t *testing.T) {
 	cool := nv("b-sgx", true, 1000, 0, 10000, 1000)
 	hot.FreeDevices, cool.FreeDevices = 5000, 5000
 	view = &ClusterView{Nodes: []*NodeView{hot, cool}}
-	got, ok = (UsageAware{}).Select(sgxPodReq(1, 100), view.Nodes, view)
+	got, ok = UsageAware{}.Profile().Select(sgxPodReq(1, 100), view.Nodes, view)
 	if !ok || got != "b-sgx" {
 		t.Fatalf("usage-aware chose %q, want b-sgx (less EPC pressure)", got)
 	}
@@ -276,7 +244,7 @@ func TestUsageAwareProfileScoring(t *testing.T) {
 // and weighted scores.
 func TestProfileComposition(t *testing.T) {
 	prof := NewProfile("custom",
-		WithPreScore(&SGXLastPreScore{}),
+		WithPreScore(SGXLastPreScore{}),
 		WithScores(
 			WeightedScore{Plugin: LeastRequestedScore{}, Weight: 2},
 			WeightedScore{Plugin: EPCPressureScore{}, Weight: 1},
@@ -292,8 +260,12 @@ func TestProfileComposition(t *testing.T) {
 	if !ok || got != "b" {
 		t.Fatalf("custom profile chose %q, want b", got)
 	}
-	// Profiles are Policies: they plug into a scheduler config directly.
-	var _ Policy = prof
+	// Profiles are Policies that yield themselves: they plug into a
+	// scheduler config directly.
+	var pol Policy = prof
+	if pol.Profile() != prof {
+		t.Fatal("a profile used as a Policy must yield itself")
+	}
 }
 
 // TestPreScoreDeclineContract: a pre-score plugin returning a non-nil
@@ -303,7 +275,7 @@ func TestPreScoreDeclineContract(t *testing.T) {
 	// All candidates lack memory capacity: MemoryCapacityPreScore must
 	// decline them even when a later score plugin would happily rank them.
 	prof := NewProfile("decline",
-		WithPreScore(&MemoryCapacityPreScore{}),
+		WithPreScore(MemoryCapacityPreScore{}),
 		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}),
 	)
 	noCap := &NodeView{Name: "a", Allocatable: resource.List{}, Used: resource.List{}}
@@ -315,7 +287,7 @@ func TestPreScoreDeclineContract(t *testing.T) {
 	// SGXLast with only SGX candidates reports no preference (nil), so
 	// the standard pod still places as a last resort.
 	prof = NewProfile("fallback",
-		WithPreScore(&SGXLastPreScore{}),
+		WithPreScore(SGXLastPreScore{}),
 		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}),
 	)
 	sgxOnly := nv("s", true, 100, 0, 1000, 0)

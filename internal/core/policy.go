@@ -1,71 +1,22 @@
 package core
 
 import (
-	"sync"
-
-	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stats"
 )
 
-// Profiles carry reusable narrowing scratch and are not safe for
-// concurrent Select calls, so the built-in policies' Select methods —
-// which must stay cheap and concurrency-safe for direct callers — borrow
-// a pooled instance per call instead of rebuilding the pipeline. The
-// scheduler itself never touches these pools: it resolves one owned
-// profile up front via profileFor.
-var (
-	binpackPool        = profilePool(Binpack{}.Profile)
-	spreadPool         = profilePool(Spread{}.Profile)
-	leastRequestedPool = profilePool(LeastRequested{}.Profile)
-	usageAwarePool     = profilePool(UsageAware{}.Profile)
-)
-
-func profilePool(build func() *Profile) *sync.Pool {
-	return &sync.Pool{New: func() any { return build() }}
-}
-
-func pooledSelect(pool *sync.Pool, pod *api.Pod, candidates []*NodeView, view *ClusterView) (string, bool) {
-	p := pool.Get().(*Profile)
-	defer pool.Put(p)
-	return p.Select(pod, candidates, view)
-}
-
-// Policy selects a node for a pod among the feasible candidates of one
-// scheduling pass. Candidates are pre-filtered by the §IV hardware and
-// saturation checks and arrive sorted by node name.
-//
-// The built-in policies are profiles over the plugin framework (see
-// framework.go); a Policy that additionally implements Profiler hands the
-// scheduler its full pipeline, so profile filters run during the
-// feasibility stage. Plain Policies keep working unchanged behind the
-// default feasibility filters.
+// Policy names a placement strategy and yields its pipeline: the §IV
+// feasibility filters plus the strategy's preference and scoring plugins,
+// assembled over the plugin framework (see framework.go). The scheduler
+// asks once, at construction, and runs every pod through the profile it
+// got — so a profile's extra filters take part in the feasibility stage.
+// The built-in policies build their canned profile on demand; a *Profile
+// is a Policy that yields itself, which is how custom pipelines plug into
+// Config.Policy. Profiles are immutable, so one value may be handed to
+// any number of schedulers.
 type Policy interface {
 	Name() string
-	// Select returns the chosen node name, or false when the policy
-	// declines every candidate.
-	Select(pod *api.Pod, candidates []*NodeView, view *ClusterView) (string, bool)
-}
-
-// Profiler is implemented by policies built over the plugin framework.
-type Profiler interface {
 	Profile() *Profile
-}
-
-// profileFor resolves a policy's pipeline: profiles pass through, other
-// Profilers are asked, and plain legacy policies are wrapped behind the
-// default feasibility filters with their Select as the scoring stage.
-func profileFor(p Policy) *Profile {
-	switch v := p.(type) {
-	case *Profile:
-		return v
-	case Profiler:
-		return v.Profile()
-	default:
-		prof := NewProfile(p.Name())
-		prof.legacy = p
-		return prof
-	}
 }
 
 // Binpack implements the §IV binpack strategy: "the scheduler always tries
@@ -78,19 +29,13 @@ type Binpack struct{}
 // Name implements Policy.
 func (Binpack) Name() string { return "binpack" }
 
-// Profile implements Profiler: the SGX-last preference plus the all-tie
+// Profile implements Policy: the SGX-last preference plus the all-tie
 // binpack score, so the first feasible node in the fixed order wins.
 func (Binpack) Profile() *Profile {
 	return NewProfile("binpack",
-		WithPreScore(&SGXLastPreScore{}),
+		WithPreScore(SGXLastPreScore{}),
 		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}),
 	)
-}
-
-// Select implements Policy via the framework profile: first feasible node
-// in the fixed order, SGX nodes last for standard jobs (§IV).
-func (Binpack) Select(pod *api.Pod, candidates []*NodeView, view *ClusterView) (string, bool) {
-	return pooledSelect(binpackPool, pod, candidates, view)
 }
 
 // Spread implements the §IV spread strategy: "the main goal of the spread
@@ -102,23 +47,16 @@ type Spread struct{}
 // Name implements Policy.
 func (Spread) Name() string { return "spread" }
 
-// Profile implements Profiler: SGX-last preference, then the negated
+// Profile implements Policy: SGX-last preference, then the negated
 // hypothetical load stddev as the score. Load is measured on the pod's
 // contended resource — EPC fraction across SGX nodes for SGX jobs, memory
 // fraction otherwise. Ties break on node-name order, keeping runs
 // deterministic.
 func (Spread) Profile() *Profile {
 	return NewProfile("spread",
-		WithPreScore(&SGXLastPreScore{}),
+		WithPreScore(SGXLastPreScore{}),
 		WithScores(WeightedScore{Plugin: SpreadScore{}, Weight: 1}),
 	)
-}
-
-// Select implements Policy via the framework profile: hypothetically place
-// the pod on each candidate and keep the placement minimising the
-// population standard deviation of load.
-func (Spread) Select(pod *api.Pod, candidates []*NodeView, view *ClusterView) (string, bool) {
-	return pooledSelect(spreadPool, pod, candidates, view)
 }
 
 // hypotheticalStdDev computes the load stddev across the nodes holding
@@ -147,23 +85,16 @@ type LeastRequested struct{}
 // Name implements Policy.
 func (LeastRequested) Name() string { return "least-requested" }
 
-// Profile implements Profiler: candidates without memory capacity are
+// Profile implements Policy: candidates without memory capacity are
 // dropped, the rest score their free memory fraction after placement. The
 // -1 floor preserves the historical contract that a node more than fully
 // committed past its capacity is declined rather than ranked.
 func (LeastRequested) Profile() *Profile {
 	return NewProfile("least-requested",
-		WithPreScore(&MemoryCapacityPreScore{}),
+		WithPreScore(MemoryCapacityPreScore{}),
 		WithScores(WeightedScore{Plugin: LeastRequestedScore{}, Weight: 1}),
 		WithMinScore(-1),
 	)
-}
-
-// Select implements Policy via the framework profile: pick the feasible
-// node with the most free memory fraction after placement (ties by name
-// order).
-func (LeastRequested) Select(pod *api.Pod, candidates []*NodeView, view *ClusterView) (string, bool) {
-	return pooledSelect(leastRequestedPool, pod, candidates, view)
 }
 
 // UsageAware is a framework-native policy with no counterpart in the
@@ -176,18 +107,13 @@ type UsageAware struct{}
 // Name implements Policy.
 func (UsageAware) Name() string { return "usage-aware" }
 
-// Profile implements Profiler.
+// Profile implements Policy.
 func (UsageAware) Profile() *Profile {
 	return NewProfile("usage-aware",
-		WithPreScore(&SGXLastPreScore{}),
+		WithPreScore(SGXLastPreScore{}),
 		WithScores(
 			WeightedScore{Plugin: UsageHeadroomScore{}, Weight: 1},
 			WeightedScore{Plugin: EPCPressureScore{}, Weight: 0.5},
 		),
 	)
-}
-
-// Select implements Policy via the framework profile.
-func (UsageAware) Select(pod *api.Pod, candidates []*NodeView, view *ClusterView) (string, bool) {
-	return pooledSelect(usageAwarePool, pod, candidates, view)
 }

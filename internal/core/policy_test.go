@@ -44,7 +44,7 @@ func TestBinpackFirstFitInNameOrder(t *testing.T) {
 	a := nv("a-node", false, 100, 0, 0, 0)
 	b := nv("b-node", false, 100, 0, 0, 0)
 	view := &ClusterView{Nodes: []*NodeView{a, b}}
-	got, ok := (Binpack{}).Select(stdPod(10), []*NodeView{a, b}, view)
+	got, ok := Binpack{}.Profile().Select(stdPod(10), []*NodeView{a, b}, view)
 	if !ok || got != "a-node" {
 		t.Fatalf("Select = %q, %v; want a-node", got, ok)
 	}
@@ -56,12 +56,12 @@ func TestBinpackSGXNodesLastForStandardJobs(t *testing.T) {
 	sgxNode := nv("a-sgx", true, 100, 0, 1000, 0)
 	stdNode := nv("b-std", false, 100, 0, 0, 0)
 	view := &ClusterView{Nodes: []*NodeView{sgxNode, stdNode}}
-	got, ok := (Binpack{}).Select(stdPod(10), []*NodeView{sgxNode, stdNode}, view)
+	got, ok := Binpack{}.Profile().Select(stdPod(10), []*NodeView{sgxNode, stdNode}, view)
 	if !ok || got != "b-std" {
 		t.Fatalf("standard job placed on %q, want b-std", got)
 	}
 	// With only the SGX node feasible, the job may use it.
-	got, ok = (Binpack{}).Select(stdPod(10), []*NodeView{sgxNode}, view)
+	got, ok = Binpack{}.Profile().Select(stdPod(10), []*NodeView{sgxNode}, view)
 	if !ok || got != "a-sgx" {
 		t.Fatalf("fallback = %q, %v", got, ok)
 	}
@@ -71,14 +71,14 @@ func TestBinpackSGXJobUsesSGXNodeOrder(t *testing.T) {
 	s1 := nv("sgx-1", true, 100, 0, 1000, 500)
 	s2 := nv("sgx-2", true, 100, 0, 1000, 0)
 	view := &ClusterView{Nodes: []*NodeView{s1, s2}}
-	got, ok := (Binpack{}).Select(sgxPodReq(1, 100), []*NodeView{s1, s2}, view)
+	got, ok := Binpack{}.Profile().Select(sgxPodReq(1, 100), []*NodeView{s1, s2}, view)
 	if !ok || got != "sgx-1" {
 		t.Fatalf("Select = %q, want first node sgx-1 (binpack fills in order)", got)
 	}
 }
 
 func TestBinpackNoCandidates(t *testing.T) {
-	if _, ok := (Binpack{}).Select(stdPod(1), nil, &ClusterView{}); ok {
+	if _, ok := (Binpack{}).Profile().Select(stdPod(1), nil, &ClusterView{}); ok {
 		t.Fatal("Select succeeded with no candidates")
 	}
 }
@@ -89,7 +89,7 @@ func TestSpreadMinimisesStdDev(t *testing.T) {
 	a := nv("a", false, 1000, 800, 0, 0)
 	b := nv("b", false, 1000, 200, 0, 0)
 	view := &ClusterView{Nodes: []*NodeView{a, b}}
-	got, ok := (Spread{}).Select(stdPod(100), []*NodeView{a, b}, view)
+	got, ok := Spread{}.Profile().Select(stdPod(100), []*NodeView{a, b}, view)
 	if !ok || got != "b" {
 		t.Fatalf("Spread chose %q, want b", got)
 	}
@@ -100,7 +100,7 @@ func TestSpreadSGXJobBalancesEPC(t *testing.T) {
 	s1 := nv("b-sgx", true, 1000, 0, 1000, 600)
 	s2 := nv("c-sgx", true, 1000, 0, 1000, 100)
 	view := &ClusterView{Nodes: []*NodeView{std, s1, s2}}
-	got, ok := (Spread{}).Select(sgxPodReq(1, 100), []*NodeView{s1, s2}, view)
+	got, ok := Spread{}.Profile().Select(sgxPodReq(1, 100), []*NodeView{s1, s2}, view)
 	if !ok || got != "c-sgx" {
 		t.Fatalf("Spread chose %q, want c-sgx (lower EPC load)", got)
 	}
@@ -112,12 +112,12 @@ func TestSpreadAvoidsSGXNodesForStandardJobs(t *testing.T) {
 	stdNode := nv("b-std", false, 1000, 500, 0, 0)
 	sgxNode := nv("a-sgx", true, 1000, 0, 1000, 0)
 	view := &ClusterView{Nodes: []*NodeView{stdNode, sgxNode}}
-	got, ok := (Spread{}).Select(stdPod(100), []*NodeView{sgxNode, stdNode}, view)
+	got, ok := Spread{}.Profile().Select(stdPod(100), []*NodeView{sgxNode, stdNode}, view)
 	if !ok || got != "b-std" {
 		t.Fatalf("Spread chose %q, want b-std", got)
 	}
 	// SGX-only candidates: allowed as last resort.
-	got, ok = (Spread{}).Select(stdPod(100), []*NodeView{sgxNode}, view)
+	got, ok = Spread{}.Profile().Select(stdPod(100), []*NodeView{sgxNode}, view)
 	if !ok || got != "a-sgx" {
 		t.Fatalf("fallback = %q, %v", got, ok)
 	}
@@ -128,7 +128,7 @@ func TestSpreadDeterministicTieBreak(t *testing.T) {
 	b := nv("b", false, 1000, 0, 0, 0)
 	view := &ClusterView{Nodes: []*NodeView{a, b}}
 	for i := 0; i < 5; i++ {
-		got, ok := (Spread{}).Select(stdPod(100), []*NodeView{a, b}, view)
+		got, ok := Spread{}.Profile().Select(stdPod(100), []*NodeView{a, b}, view)
 		if !ok || got != "a" {
 			t.Fatalf("tie-break not deterministic: %q", got)
 		}
@@ -136,7 +136,7 @@ func TestSpreadDeterministicTieBreak(t *testing.T) {
 }
 
 func TestSpreadNoCandidates(t *testing.T) {
-	if _, ok := (Spread{}).Select(stdPod(1), nil, &ClusterView{}); ok {
+	if _, ok := (Spread{}).Profile().Select(stdPod(1), nil, &ClusterView{}); ok {
 		t.Fatal("Select succeeded with no candidates")
 	}
 }
@@ -145,7 +145,7 @@ func TestLeastRequestedPicksEmptiestNode(t *testing.T) {
 	a := nv("a", false, 1000, 900, 0, 0)
 	b := nv("b", false, 1000, 100, 0, 0)
 	view := &ClusterView{Nodes: []*NodeView{a, b}}
-	got, ok := (LeastRequested{}).Select(stdPod(50), []*NodeView{a, b}, view)
+	got, ok := LeastRequested{}.Profile().Select(stdPod(50), []*NodeView{a, b}, view)
 	if !ok || got != "b" {
 		t.Fatalf("LeastRequested chose %q, want b", got)
 	}
@@ -157,7 +157,7 @@ func TestLeastRequestedIgnoresSGXPreference(t *testing.T) {
 	sgxNode := nv("a-sgx", true, 1000, 0, 1000, 0)
 	stdNode := nv("b-std", false, 1000, 500, 0, 0)
 	view := &ClusterView{Nodes: []*NodeView{sgxNode, stdNode}}
-	got, ok := (LeastRequested{}).Select(stdPod(10), []*NodeView{sgxNode, stdNode}, view)
+	got, ok := LeastRequested{}.Profile().Select(stdPod(10), []*NodeView{sgxNode, stdNode}, view)
 	if !ok || got != "a-sgx" {
 		t.Fatalf("baseline chose %q, want a-sgx (emptier)", got)
 	}

@@ -31,17 +31,18 @@ import (
 //     permits roll back, bound members re-queue) — partial placements
 //     cannot be created by preemption any more than by placement.
 
-// preempt tries to make room for pod, planning with the pipeline the pod
-// actually schedules through (prof — its class profile, or the default).
-// takeBE additionally admits declared best-effort pods as victims
-// regardless of priority tier (workload classes' one sanctioned
-// relaxation of the strictly-lower invariant; see victimsBelow). On
-// success it returns the chosen node, having already evicted the victims
-// through the API server (the kubelet kills their workloads
-// synchronously on the eviction event), and the caller re-snapshots the
-// cache and binds. Returns preempted=false when no feasible victim set
+// preempt tries to make room for the pod in the cycle, planning with the
+// pipeline the pod actually schedules through (its class's, or the
+// default). A pipeline with takeBE additionally admits declared
+// best-effort pods as victims regardless of priority tier (workload
+// classes' one sanctioned relaxation of the strictly-lower invariant; see
+// victimsBelow). On success it returns the chosen node, having already
+// evicted the victims through the API server (the kubelet kills their
+// workloads synchronously on the eviction event), and the cycle re-syncs
+// its view and binds. Returns preempted=false when no feasible victim set
 // exists; nothing is evicted then.
-func (s *Scheduler) preempt(pod *PodInfo, prof *Profile, takeBE bool) (node string, victims int, preempted bool) {
+func (s *Scheduler) preempt(c *cycleState) (node string, victims int, preempted bool) {
+	pod, takeBE := &c.info, c.pl.takeBE
 	// Re-check the gate against live state: the caller's per-pass gate
 	// may be stale after earlier evictions in this pass.
 	minPrio, anyBound, beBound := s.cache.preemptGate()
@@ -63,19 +64,19 @@ func (s *Scheduler) preempt(pod *PodInfo, prof *Profile, takeBE bool) (node stri
 			if n.SGX != sgxNodes || !staticallyFeasible(pod, n) {
 				continue
 			}
-			s.victimBuf = s.cache.victimsBelow(n.Name, pod.Priority, takeBE, s.victimBuf[:0])
-			set, ok := minimalVictimSet(pod, n, s.victimBuf)
+			c.victims = s.cache.victimsBelow(n.Name, pod.Priority, takeBE, c.victims[:0])
+			set, ok := minimalVictimSet(pod, n, c.victims)
 			if !ok {
 				continue
 			}
 			// Replay the full pipeline against the node as it would look
-			// after the evictions: a profile's custom filter plugins or a
-			// legacy policy's Select may veto this node for reasons the
-			// victim math cannot see, and an eviction such a pipeline
+			// after the evictions: a profile's custom filter, pre-score or
+			// score plugins may veto this node for reasons the victim
+			// math cannot see, and an eviction such a pipeline
 			// would reject every pass must never start (it would kill the
 			// victims without ever binding the pod — and again next
 			// pass).
-			if !s.pipelineAcceptsAfterEvictions(pod, prof, n, set, view) {
+			if !c.pipelineAcceptsAfterEvictions(n, set, view) {
 				continue
 			}
 			if bestNode == "" || betterVictimSet(set, bestSet) {
@@ -130,9 +131,9 @@ func victimCount(set []victimInfo) int {
 }
 
 // pipelineAcceptsAfterEvictions simulates the node with the victim set's
-// charges released and asks the profile — filters, preferences, scores,
-// or a legacy policy's Select — whether it would place the pod there.
-func (s *Scheduler) pipelineAcceptsAfterEvictions(pod *PodInfo, prof *Profile, n *NodeView, set []victimInfo, view *ClusterView) bool {
+// charges released and asks the pod's profile — filters, preferences,
+// scores — whether it would place the pod there.
+func (c *cycleState) pipelineAcceptsAfterEvictions(n *NodeView, set []victimInfo, view *ClusterView) bool {
 	var freedMem, freedEPC, freedDev int64
 	for _, v := range set {
 		freedMem += v.memBytes
@@ -149,11 +150,12 @@ func (s *Scheduler) pipelineAcceptsAfterEvictions(pod *PodInfo, prof *Profile, n
 		},
 		FreeDevices: n.FreeDevices + freedDev,
 	}
-	if !prof.Feasible(pod, sim) {
+	prof := c.pl.profile
+	if !prof.Feasible(&c.info, sim) {
 		return false
 	}
-	s.simBuf = append(s.simBuf[:0], sim)
-	name, ok := prof.selectInfo(pod, s.simBuf, view)
+	c.sim = append(c.sim[:0], sim)
+	name, ok := prof.selectInfo(&c.info, c.sim, view, nil)
 	return ok && name == n.Name
 }
 

@@ -250,13 +250,14 @@ func (f rejectNodeFilter) Filter(_ *PodInfo, n *NodeView) bool {
 	return n.Name != f.node
 }
 
-// declineAllPolicy is a legacy Policy (no Profile) that refuses every
-// candidate — a stand-in for legacy Select-side placement constraints.
-type declineAllPolicy struct{}
+// declineAllPreScore refuses every candidate — a stand-in for
+// placement constraints that live past the filter stage, in a profile's
+// preference or scoring plugins.
+type declineAllPreScore struct{}
 
-func (declineAllPolicy) Name() string { return "decline-all" }
-func (declineAllPolicy) Select(*api.Pod, []*NodeView, *ClusterView) (string, bool) {
-	return "", false
+func (declineAllPreScore) Name() string { return "decline-all" }
+func (declineAllPreScore) PreScore(*PodInfo, []*NodeView) []*NodeView {
+	return []*NodeView{}
 }
 
 // preemptionVetoCluster builds one 10 GiB node with a bound low-priority
@@ -327,11 +328,13 @@ func TestPreemptionHonoursCustomFilterPlugins(t *testing.T) {
 	}
 }
 
-// TestPreemptionHonoursLegacyPolicySelect: a legacy policy that declines
-// every candidate in Select must also veto preemption — no evictions, no
-// bind.
-func TestPreemptionHonoursLegacyPolicySelect(t *testing.T) {
-	s, srv := preemptionVetoCluster(t, declineAllPolicy{})
+// TestPreemptionHonoursPreScoreDecline: a profile whose placement stage
+// declines every candidate — past the filters, where the victim math
+// cannot see it — must also veto preemption: no evictions, no bind.
+func TestPreemptionHonoursPreScoreDecline(t *testing.T) {
+	s, srv := preemptionVetoCluster(t, NewProfile("decline-all",
+		WithPreScore(declineAllPreScore{}),
+		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1})))
 	for pass := 0; pass < 3; pass++ {
 		if got := s.ScheduleOnce(); got != 0 {
 			t.Fatalf("pass %d bound %d pods against the policy's veto", pass, got)
@@ -339,7 +342,7 @@ func TestPreemptionHonoursLegacyPolicySelect(t *testing.T) {
 	}
 	victim, _ := srv.GetPod("victim")
 	if victim.Spec.NodeName != "n1" {
-		t.Fatalf("victim evicted (now on %q) although the legacy policy declines every node", victim.Spec.NodeName)
+		t.Fatalf("victim evicted (now on %q) although the profile declines every node", victim.Spec.NodeName)
 	}
 	if st := s.Stats(); st.Preemptions != 0 || st.Victims != 0 {
 		t.Fatalf("stats = %+v, want no futile evictions", st)

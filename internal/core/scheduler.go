@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -89,20 +88,23 @@ type Config struct {
 	// MinFeasibleNodesToFind floors the sample size
 	// (DefaultMinFeasibleNodesToFind when zero).
 	MinFeasibleNodesToFind int
-	// Gang attaches a gang-scheduling director: the policy's profile is
-	// cloned and the director's PreFilter/Permit plugins appended, so
-	// pod-group members reserve conditionally and commit at quorum
-	// instead of binding individually. A sharded fleet must pass the
-	// same director to every member — quorum is cluster-wide.
+	// Gang attaches a gang-scheduling director: the scheduler runs a
+	// copy of every pipeline with the director's PreFilter/Permit plugins
+	// appended, so pod-group members reserve conditionally and commit at
+	// quorum instead of binding individually. A sharded fleet must pass
+	// the same director to every member — quorum is cluster-wide.
 	Gang *GangDirector
 	// Classes attaches a workload-class registry (classify.go): each
 	// pending pod is classified and routed through its class's own
 	// pipeline, sampling bounds and preemption gate; unclassified pods
 	// take the Policy pipeline above with this Config's bounds,
-	// bit-identical to a scheduler with Classes nil. The scheduler
-	// clones the registry's pipelines for itself (and threads Gang's
-	// plugins through all of them), so one registry value can safely
-	// serve a whole sharded fleet.
+	// bit-identical to a scheduler with Classes nil. Each scheduler
+	// resolves the registry into its own pipeline table at construction
+	// (threading Gang's plugins through every pipeline) and only reads it
+	// afterwards; the profiles it yields are immutable — narrowing and
+	// score scratch live in each scheduler's cycle state, not in the
+	// plugins — so one registry value can safely serve a whole sharded
+	// fleet.
 	Classes *ClassRegistry
 	// Telemetry attaches a metrics registry (internal/telemetry): the
 	// scheduler records pass/stage duration histograms, per-class
@@ -119,11 +121,11 @@ type Config struct {
 	Trace *telemetry.TraceRing
 	// TraceDetailEvery samples detailed tracing: every Nth pass
 	// additionally times the per-pod prefilter/filter/score/permit
-	// stages and breaks prefilter/score/permit down per plugin
-	// (DefaultTraceDetailEvery when 0; negative disables detail).
-	// Undetailed passes still record pass-level spans (snapshot-sync,
-	// preemption-plan, bind) and every counter — detail sampling is
-	// what keeps the instrumented pass within a few percent of the
+	// stages and preemption planning, and breaks prefilter/score/permit
+	// down per plugin (DefaultTraceDetailEvery when 0; negative disables
+	// detail). Undetailed passes still record pass-level spans
+	// (snapshot-sync, bind) and every counter — detail sampling is what
+	// keeps the instrumented pass within a few percent of the
 	// uninstrumented one.
 	TraceDetailEvery int
 }
@@ -177,7 +179,8 @@ func (s *Stats) Class(c api.WorkloadClass) ClassStats {
 	return s.ByClass[classSlot(c)]
 }
 
-// add folds other into s (for aggregating sharded scheduler stats).
+// add folds other into s: a pass tally into its scheduler's totals, a
+// member's totals into its fleet's.
 func (s *Stats) add(other Stats) {
 	s.Passes += other.Passes
 	s.Bound += other.Bound
@@ -221,24 +224,20 @@ type Scheduler struct {
 	// owner detaches it on Close.
 	ownsCache bool
 
-	// profile is the policy's resolved plugin pipeline (see framework.go):
-	// the §IV feasibility filters plus the policy's preference and scoring
-	// plugins.
-	profile *Profile
-	// classes is the scheduler-owned clone of Config.Classes (nil when
-	// workload classes are off): per-class pipelines with the gang
-	// director's plugins threaded through, consulted per pending pod.
-	classes *ClassRegistry
+	// pipelines is the per-class-slot scheduling behaviour resolved from
+	// the Config at construction (classify.go): slot 0 is the Policy's
+	// pipeline — the §IV feasibility filters plus the policy's preference
+	// and scoring plugins (framework.go) — and the only slot in use when
+	// classifier is nil (workload classes off).
+	pipelines  [numClassSlots]pipeline
+	classifier *WorkloadClassifier
 
-	// passMu serializes scheduling passes; the buffers below are reused
-	// across passes so a steady-state pass allocates next to nothing.
+	// passMu serializes scheduling passes; the pending buffer and the
+	// cycle state are reused across passes so a steady-state pass
+	// allocates next to nothing.
 	passMu     sync.Mutex
 	pendingBuf []api.Pod
-	pairBuf    []ReqPair
-	infoBuf    PodInfo
-	victimBuf  []victimInfo
-	simBuf     []*NodeView
-	candBuf    []*NodeView
+	cyc        cycleState
 	// view is the scheduler's persistent incremental cluster view: pooled
 	// NodeViews plus the candidate index, brought current via
 	// cache.SyncView at O(changed nodes) per pass instead of Snapshot's
@@ -301,26 +300,16 @@ func newScheduler(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Confi
 	if cfg.TraceDetailEvery == 0 {
 		cfg.TraceDetailEvery = DefaultTraceDetailEvery
 	}
-	s := &Scheduler{clk: clk, srv: srv, db: db, cfg: cfg, profile: profileFor(cfg.Policy)}
+	s := &Scheduler{clk: clk, srv: srv, db: db, cfg: cfg, pipelines: resolvePipelines(&cfg)}
+	if cfg.Classes != nil {
+		s.classifier = cfg.Classes.classifier
+	}
 	if cfg.Telemetry != nil {
 		s.metrics = newSchedMetrics(cfg.Telemetry)
 		s.trace = cfg.Trace
 		if s.trace == nil {
 			s.trace = telemetry.NewTraceRing(0)
 		}
-	}
-	if cfg.Gang != nil {
-		// Clone before appending: profileFor may have passed through a
-		// caller-owned or pooled *Profile shared with other schedulers.
-		s.profile = s.profile.clone()
-		s.profile.preFilters = append(s.profile.preFilters, cfg.Gang)
-		s.profile.permits = append(s.profile.permits, cfg.Gang)
-	}
-	if cfg.Classes != nil {
-		// Own the class pipelines too: profiles carry narrowing scratch
-		// and must not be shared across schedulers, and gang plugins must
-		// ride every pipeline a gang member could resolve to.
-		s.classes = cfg.Classes.cloneFor(cfg.Gang)
 	}
 	s.epcQuery = perPodPeakQuery(monitor.MeasurementEPC, "epc", cfg.Window)
 	s.memQuery = perPodPeakQuery(monitor.MeasurementMemory, "mem", cfg.Window)
@@ -405,14 +394,16 @@ func (s *Scheduler) Close() {
 func (s *Scheduler) Cache() *ClusterCache { return s.cache }
 
 // ScheduleOnce runs a single §IV pass: snapshot the priority-then-FCFS
-// pending queue, take the cluster cache's O(nodes) snapshot of node state
-// and fused usage, run the profile's filter pipeline over job-node
-// combinations, place with the preference/scoring plugins, and bind. A
-// pod with no feasible node may preempt strictly lower-priority pods
-// (see preemption.go); otherwise it stays queued for the next pass. It
-// returns the number of pods bound. Pass cost scales with pending pods
-// and nodes, not with the total number of bound pods — the cache absorbed
-// that per-pod work when the pods' events arrived.
+// pending queue, bring the scheduler's incremental view of node state
+// and fused usage current from the cluster cache — O(nodes changed since
+// the last pass), not O(nodes) — and run one scheduling cycle per pending
+// pod: the profile's filter pipeline over job-node combinations, placement
+// by the preference/scoring plugins, and the bind. A pod with no feasible
+// node may preempt strictly lower-priority pods (see preemption.go);
+// otherwise it stays queued for the next pass. It returns the number of
+// pods bound. Pass cost scales with pending pods and nodes, not with the
+// total number of bound pods — the cache absorbed that per-pod work when
+// the pods' events arrived.
 //
 // The pending walk takes shallow pod snapshots under the API server lock
 // (one struct copy each — specs are immutable after creation, so the
@@ -446,25 +437,28 @@ func (s *Scheduler) syncedViewLocked() *ClusterView {
 // view snapshotted at round start — deliberately stale with respect to
 // the other members' binds in the same round — to model optimistic
 // shared-state concurrency deterministically under the simulation clock;
-// nil plans against a fresh cache snapshot. Bind rejections are a
-// first-class outcome: the pass records a conflict, abandons its provably
-// stale view (the rest of its plan rests on the same assumptions), and
-// leaves the conflicted pod pending. By the time the next pass snapshots
-// the cache, it has already absorbed the concurrent winner's PodBound
-// event, so the retry plans against reality.
+// nil plans against a freshly synced view.
+//
+// The pass is a loop of per-pod scheduling cycles folded into one tally:
+// every counter the pass reports — to Stats, to the registry, to the
+// trace ring — is that one Stats value. Two things end a pass early: a
+// spent MaxBindsPerPass budget, and a stale conflict — the view is then
+// provably outdated and the rest of the plan rests on the same
+// assumptions. The conflicted pod stays pending; by the time the next
+// pass syncs its view the cache has already absorbed the concurrent
+// winner's PodBound event, so the retry plans against reality.
 func (s *Scheduler) schedulePass(view *ClusterView) int {
 	s.passMu.Lock()
 	defer s.passMu.Unlock()
-	var rec *passRecorder
+	c := &s.cyc
+	c.rec = nil
 	if s.metrics != nil {
 		s.passSeq++
-		rec = &s.rec
-		rec.begin(s.passSeq, s.cfg.TraceDetailEvery)
+		c.rec = &s.rec
+		c.rec.begin(s.passSeq, s.cfg.TraceDetailEvery)
 	}
-	detail := rec != nil && rec.detail
-	s.mu.Lock()
-	s.stats.Passes++
-	s.mu.Unlock()
+	c.det = c.rec.detailOnly()
+	tally := Stats{Passes: 1}
 
 	// VisitPending snapshots the queue order and walks the striped pod
 	// state one stripe at a time — pods a concurrent fleet member binds
@@ -482,262 +476,30 @@ func (s *Scheduler) schedulePass(view *ClusterView) int {
 		// by a refresh, and idle is the steady state between job waves —
 		// an idle scheduler must not let them grow while metrics flow.
 		s.cache.Refresh()
-		if rec != nil {
-			var empty [numClassSlots]ClassStats
-			s.recordPass(rec, 0, &empty, 0, 0, 0, 0)
+	} else {
+		if view == nil {
+			tSync := c.rec.now()
+			view = s.syncedViewLocked()
+			c.rec.stageSince(stageSync, tSync)
 		}
-		return 0
-	}
-
-	if view == nil {
-		tSync := rec.now()
-		view = s.syncedViewLocked()
-		rec.stageAdd(stageSync, rec.since(tSync), 1)
-	}
-	bound, unschedulable, preemptions, victims, conflicts, sampledPods := 0, 0, 0, 0, 0, 0
-	gated, held := 0, 0
-	var byClass [numClassSlots]ClassStats
-	// One-lock-per-pass preemption gate: no pod can preempt unless some
-	// live pod sits in a strictly lower tier — or, for classes allowed to
-	// take best-effort victims, some declared best-effort pod is bound
-	// anywhere. Refreshed after evictions.
-	minPrio, anyBound, beBound := s.cache.preemptGate()
-	candidates := s.candBuf[:0]
-	for i := range pending {
-		pod := &pending[i]
-		req := pod.TotalRequests()
-		// Extract the requested quantities once per pod: the filter
-		// plugins run per (pod, node), and walking a slice there beats
-		// re-iterating the request map for every node.
-		info := &s.infoBuf
-		fillPodInfo(info, pod, req, s.pairBuf)
-		s.pairBuf = info.Pairs
-		// Workload-class resolution: the pod's class selects the pipeline
-		// and overrides the sampling bounds and preemption gates; pods
-		// without a resolved class profile take the scheduler's own
-		// pipeline and Config bounds — the exact pre-class pass.
-		prof := s.profile
-		pct, minFeasible := s.cfg.PercentageNodesToScore, s.cfg.MinFeasibleNodesToFind
-		mayPreempt, takeBE := true, false
-		slot := classSlotDefault
-		if s.classes != nil {
-			var cp *classProfile
-			slot, cp = s.classes.resolve(pod)
-			if cp != nil {
-				prof = cp.profile
-				if cp.pct != 0 {
-					pct = cp.pct
-				}
-				if cp.minFeasible != 0 {
-					minFeasible = cp.minFeasible
-				}
-				mayPreempt = cp.mayPreempt
-				// Preempting classes may displace declared best-effort
-				// pods across tiers — unless they are best-effort
-				// themselves (no cannibalising the filler tier).
-				takeBE = cp.mayPreempt && slot != classSlotBestEffort
+		c.view = view
+		// One-lock-per-pass preemption gate, refreshed after evictions.
+		c.minPrio, c.anyBound, c.beBound = s.cache.preemptGate()
+		for i := range pending {
+			o := s.cycle(c, &pending[i])
+			tally.count(o)
+			if o.stale || (s.cfg.MaxBindsPerPass > 0 && tally.Bound+tally.Held >= s.cfg.MaxBindsPerPass) {
+				break // the rest stays queued
 			}
-		}
-		// Pre-filter stage: per-pod early rejects (and pass-scoped
-		// mutations like the gang age boost) before any per-node work.
-		// Detailed passes route through the timed pipeline variants;
-		// every other pass takes the exact uninstrumented path.
-		var tStage time.Time
-		if detail {
-			tStage = rec.now()
-			ok := prof.runPreFilterTimed(info, view, rec)
-			rec.stageAdd(stagePreFilter, rec.since(tStage), 1)
-			if !ok {
-				gated++
-				continue
-			}
-		} else if !prof.runPreFilter(info, view) {
-			gated++
-			continue
-		}
-		candidates = candidates[:0]
-		if detail {
-			tStage = rec.now()
-		}
-		sampled := false
-		if view.indexed() {
-			if target := numFeasibleNodesToFind(pct, minFeasible, len(view.Nodes)); target < len(view.Nodes) {
-				// Sampled path: walk only the index buckets that can fit
-				// the pod, stop after enough feasible candidates. Candidate
-				// order differs from the name-sorted full scan (best-fit
-				// buckets first), which only matters to order-sensitive
-				// tie-breaks — acceptable by construction: sampling itself
-				// already trades exhaustive choice for pass cost.
-				var visited int
-				candidates, visited = view.sampleFeasible(info, prof, target, s.sampleOffset, candidates)
-				s.sampleOffset += visited
-				sampled = true
-				sampledPods++
-			}
-		}
-		if !sampled {
-			for _, n := range view.Nodes {
-				if prof.Feasible(info, n) {
-					candidates = append(candidates, n)
-				}
-			}
-		}
-		var nodeName string
-		var ok bool
-		if detail {
-			rec.stageAdd(stageFilter, rec.since(tStage), 1)
-			tStage = rec.now()
-			nodeName, ok = prof.selectInfoTimed(info, candidates, view, rec)
-			rec.stageAdd(stageScore, rec.since(tStage), 1)
-		} else {
-			nodeName, ok = prof.selectInfo(info, candidates, view)
-		}
-		if !ok && mayPreempt && ((anyBound && minPrio < info.Priority) || (takeBE && beBound)) {
-			// No feasible node: try to make room by evicting strictly
-			// lower-priority pods — plus declared best-effort pods when
-			// the class may take them (preemption.go). On success the
-			// pass continues from a fresh snapshot that reflects the
-			// evictions. Preemption planning runs for every pod that
-			// failed to place, so — like the per-pod stage timings — its
-			// span is only measured on detail-sampled passes: two clock
-			// reads per unschedulable pod on every pass would dominate
-			// the instrumentation budget on a congested queue.
-			var tPreempt time.Time
-			if detail {
-				tPreempt = rec.now()
-			}
-			target, evicted, preempted := s.preempt(info, prof, takeBE)
-			if detail {
-				rec.stageAdd(stagePreempt, rec.since(tPreempt), 1)
-			}
-			if preempted {
-				preemptions++
-				victims += evicted
-				byClass[slot].Preemptions++
-				byClass[slot].Victims += evicted
-				view = s.syncedViewLocked()
-				minPrio, anyBound, beBound = s.cache.preemptGate()
-				// The planner already replayed the pipeline against the
-				// predicted post-eviction state, but re-run it against
-				// the actual snapshot so a racing mutation can never
-				// over-commit the node or bypass a policy veto.
-				if n := view.Node(target); n != nil && prof.Feasible(info, n) {
-					candidates = append(candidates[:0], n)
-					if name, sok := prof.selectInfo(info, candidates, view); sok && name == target {
-						nodeName, ok = target, true
-					}
-				}
-			}
-		}
-		if !ok {
-			// Not placeable now: the pod stays queued and is retried
-			// next pass, preserving its queue position without
-			// head-of-line blocking the rest of the queue.
-			unschedulable++
-			byClass[slot].Unschedulable++
-			continue
-		}
-		// Permit stage: a plugin may convert the bind into a conditional
-		// reservation (gang members wait for quorum) or deny it.
-		dec := PermitAllow
-		if detail {
-			tStage = rec.now()
-			dec = prof.runPermitTimed(info, nodeName, rec)
-			rec.stageAdd(stagePermit, rec.since(tStage), 1)
-		} else {
-			dec = prof.runPermit(info, nodeName)
-		}
-		if dec != PermitAllow {
-			if dec == PermitDeny {
-				unschedulable++
-				byClass[slot].Unschedulable++
-				continue
-			}
-			// PermitWait: take a conditional reservation instead of a
-			// bind. The same conflict taxonomy as Bind applies.
-			tBind := rec.now()
-			err := s.srv.Reserve(pod.Name, nodeName)
-			rec.stageAdd(stageBind, rec.since(tBind), 1)
-			if err != nil {
-				if errors.Is(err, apiserver.ErrConflict) {
-					conflicts++
-					if errors.Is(err, apiserver.ErrOutdated) {
-						break // view is provably stale; end the pass
-					}
-				}
-				continue
-			}
-			// Charge the view so later decisions this pass see the
-			// reserved headroom, exactly as a bind would.
-			view.Commit(nodeName, req)
-			held++
-			byClass[slot].Held++
-			// Notify observers (the gang director counts the permit
-			// toward quorum and may commit the whole gang). Outside the
-			// server critical sections; the pass view is unaffected —
-			// a commit emits PodBound events the cache absorbs for the
-			// *next* pass.
-			prof.notifyReserved(info, nodeName)
-			if s.cfg.MaxBindsPerPass > 0 && bound+held >= s.cfg.MaxBindsPerPass {
-				break // per-pass throughput budget spent
-			}
-			continue
-		}
-		tBind := rec.now()
-		err := s.srv.Bind(pod.Name, nodeName)
-		rec.stageAdd(stageBind, rec.since(tBind), 1)
-		if err != nil {
-			if errors.Is(err, apiserver.ErrConflict) {
-				conflicts++
-				if errors.Is(err, apiserver.ErrOutdated) {
-					// A concurrent scheduler won this capacity: the view
-					// is provably stale, and every remaining decision
-					// rests on the same assumptions — end the pass. The
-					// pod stays pending; the next pass snapshots a cache
-					// that has already absorbed the winner's events.
-					break
-				}
-				// Other admission refusals (node cordoned mid-pass, or a
-				// pod/node incompatibility a custom pipeline failed to
-				// filter) may be permanent for *this* pod — skip it
-				// rather than head-of-line block the rest of the queue.
-				continue
-			}
-			// Non-conflict errors (e.g. the pod vanished) skip just this
-			// pod; the next pass re-evaluates.
-			continue
-		}
-		// Commit so later decisions in this pass see the node's reduced
-		// headroom.
-		view.Commit(nodeName, req)
-		bound++
-		byClass[slot].Bound++
-		if s.cfg.MaxBindsPerPass > 0 && bound+held >= s.cfg.MaxBindsPerPass {
-			break // per-pass throughput budget spent; the rest stays queued
 		}
 	}
-	s.candBuf = candidates
 	s.mu.Lock()
-	s.stats.Bound += bound
-	s.stats.Unschedulable += unschedulable
-	s.stats.Preemptions += preemptions
-	s.stats.Victims += victims
-	s.stats.Conflicts += conflicts
-	s.stats.Sampled += sampledPods
-	s.stats.Gated += gated
-	s.stats.Held += held
-	for i := range byClass {
-		s.stats.ByClass[i].Bound += byClass[i].Bound
-		s.stats.ByClass[i].Unschedulable += byClass[i].Unschedulable
-		s.stats.ByClass[i].Preemptions += byClass[i].Preemptions
-		s.stats.ByClass[i].Victims += byClass[i].Victims
-		s.stats.ByClass[i].Held += byClass[i].Held
-	}
+	s.stats.add(tally)
 	s.mu.Unlock()
-	if rec != nil {
-		s.recordPass(rec, len(pending), &byClass, gated, conflicts, sampledPods, preemptions)
+	if c.rec != nil {
+		s.recordPass(c.rec, len(pending), &tally)
 	}
-	return bound
+	return tally.Bound
 }
 
 // BuildView snapshots schedulable nodes from scratch, charging each with

@@ -358,76 +358,123 @@ func TestShardedDeterminismN2(t *testing.T) {
 
 // TestShardedConcurrentRoundsSafe hammers the concurrent mode (real
 // goroutines racing Bind) and asserts safety: every pod binds exactly
-// once, no node's committed EPC requests ever exceed its device count,
-// and the fleet drains the backlog. Conflict counts are nondeterministic
-// here — that is the mode's nature; safety is not. Run under -race in CI.
+// once, no node's committed requests ever exceed its capacity, and the
+// fleet drains the backlog. Conflict counts are nondeterministic here —
+// that is the mode's nature; safety is not. Run under -race in CI, where
+// the rows also prove the members share no mutable pipeline state: SGX
+// pods return early from the SGX-last preference, so only the standard
+// pods of the last two rows drive every member through the narrowing
+// stage of a pipeline the whole fleet resolved from one value.
 func TestShardedConcurrentRoundsSafe(t *testing.T) {
-	clk := clock.NewSim()
-	srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
-	const nodes = 4
-	for i := 0; i < nodes; i++ {
-		alloc := resource.List{
-			resource.Memory:   64 * resource.GiB,
-			resource.CPU:      8000,
-			resource.EPCPages: 23936,
-		}
-		if err := srv.RegisterNode(&api.Node{
-			Name: fmt.Sprintf("sgx-%d", i), Capacity: alloc.Clone(), Allocatable: alloc, Ready: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
+	// A backlog long enough that the members' passes genuinely overlap: on
+	// a short one the server's lock handoffs order most of their accesses
+	// and the race detector has nothing to report.
+	const nodes, podCount = 4, 240
+	alloc := resource.List{
+		resource.Memory:   64 * resource.GiB,
+		resource.CPU:      8000,
+		resource.EPCPages: 23936,
 	}
-	ss, err := NewSharded(clk, srv, nil, Config{
-		Name: "ms", Policy: Binpack{}, MaxBindsPerPass: 8,
-	}, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		// res is the resource the capacity assertions follow, qty each
+		// pod's request of it.
+		res resource.Name
+		qty int64
+		pod func(name string, qty int64) *api.Pod
+	}{
+		{
+			name: "sgx pods, built-in policy",
+			cfg:  Config{Policy: Binpack{}},
+			res:  resource.EPCPages,
+			qty:  300,
+			pod: func(name string, pages int64) *api.Pod {
+				return epcJob(name, pages, resource.MiB, time.Hour)
+			},
+		},
+		{
+			name: "standard classed pods, one class registry",
+			cfg:  Config{Policy: Binpack{}, Classes: NewClassRegistry(nil)},
+			res:  resource.Memory,
+			qty:  resource.GiB / 2,
+			pod: func(name string, mem int64) *api.Pod {
+				class := api.ClassBatch
+				if name[len(name)-1]%2 == 0 {
+					class = api.ClassBestEffort
+				}
+				return classedPod(name, class, 0, mem, time.Hour)
+			},
+		},
+		{
+			name: "standard pods, one caller-built profile",
+			cfg: Config{Policy: NewProfile("shared",
+				WithPreScore(SGXLastPreScore{}),
+				WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}))},
+			res: resource.Memory,
+			qty: resource.GiB / 2,
+			pod: func(name string, mem int64) *api.Pod {
+				return memJob(name, mem, mem, time.Hour)
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewSim()
+			srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
+			for i := 0; i < nodes; i++ {
+				if err := srv.RegisterNode(&api.Node{
+					Name: fmt.Sprintf("sgx-%d", i), Capacity: alloc.Clone(), Allocatable: alloc.Clone(), Ready: true,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg := tc.cfg
+			cfg.Name, cfg.MaxBindsPerPass = "ms", 8
+			ss, err := NewSharded(clk, srv, nil, cfg, 4, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ss.Close()
 
-	const podCount = 80
-	for i := 0; i < podCount; i++ {
-		pod := epcJob(fmt.Sprintf("job-%03d", i), 1000, resource.MiB, time.Hour)
-		ss.Assign(pod)
-		if err := srv.CreatePod(pod); err != nil {
-			t.Fatal(err)
-		}
-	}
+			for i := 0; i < podCount; i++ {
+				pod := tc.pod(fmt.Sprintf("job-%03d", i), tc.qty)
+				ss.Assign(pod)
+				if err := srv.CreatePod(pod); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	for round := 0; srv.PendingCount() > 0; round++ {
-		if round > 200 {
-			t.Fatalf("backlog not drained after %d rounds: %d pending", round, srv.PendingCount())
-		}
-		ss.RunRound()
-	}
+			for round := 0; srv.PendingCount() > 0; round++ {
+				if round > 200 {
+					t.Fatalf("backlog not drained after %d rounds: %d pending", round, srv.PendingCount())
+				}
+				ss.RunRound()
+			}
 
-	bound := 0
-	for i := 0; i < podCount; i++ {
-		p, err := srv.GetPod(fmt.Sprintf("job-%03d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Spec.NodeName == "" {
-			t.Fatalf("pod %s drained without binding", p.Name)
-		}
-		bound++
-	}
-	if bound != podCount {
-		t.Fatalf("bound %d/%d pods", bound, podCount)
-	}
-	var totalEPC int64
-	for i := 0; i < nodes; i++ {
-		name := fmt.Sprintf("sgx-%d", i)
-		com := srv.Committed(name).Get(resource.EPCPages)
-		if com > 23936 {
-			t.Fatalf("node %s overcommitted: %d EPC pages", name, com)
-		}
-		totalEPC += com
-	}
-	if totalEPC != podCount*1000 {
-		t.Fatalf("total committed EPC = %d, want %d", totalEPC, podCount*1000)
-	}
-	if st := ss.Stats(); st.Bound != podCount {
-		t.Fatalf("fleet stats = %+v, want %d bound", st, podCount)
+			for i := 0; i < podCount; i++ {
+				p, err := srv.GetPod(fmt.Sprintf("job-%03d", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p.Spec.NodeName == "" {
+					t.Fatalf("pod %s drained without binding", p.Name)
+				}
+			}
+			var total int64
+			for i := 0; i < nodes; i++ {
+				name := fmt.Sprintf("sgx-%d", i)
+				com := srv.Committed(name).Get(tc.res)
+				if com > alloc.Get(tc.res) {
+					t.Fatalf("node %s overcommitted: %d %s", name, com, tc.res)
+				}
+				total += com
+			}
+			if total != podCount*tc.qty {
+				t.Fatalf("total committed %s = %d, want %d", tc.res, total, podCount*tc.qty)
+			}
+			if st := ss.Stats(); st.Bound != podCount {
+				t.Fatalf("fleet stats = %+v, want %d bound", st, podCount)
+			}
+		})
 	}
 }

@@ -8,20 +8,23 @@ import (
 )
 
 // This file is the scheduler's instrumentation layer: pre-resolved
-// registry handles (schedMetrics), the reusable per-pass recorder
-// feeding the trace ring, and the timed variants of the framework
-// pipeline stages. Everything here is designed around two hard
-// budgets, pinned by BenchmarkInstrumentedPass and the alloc guards in
-// telemetry_core_test.go:
+// registry handles (schedMetrics) and the reusable per-pass recorder
+// feeding the trace ring. There is one pipeline and one pass; timing is
+// sampled inside them through the recorder's nil-safe methods, never in a
+// second copy of the code being timed. Everything here is designed
+// around two hard budgets, pinned by BenchmarkInstrumentedPass and the
+// alloc guards in telemetry_core_test.go:
 //
 //   - telemetry disabled (Config.Telemetry nil): zero allocations and
-//     zero clock reads added to a pass — every site is behind a single
-//     nil check;
-//   - telemetry enabled: pass-level spans (snapshot-sync, preemption
-//     plan, bind commits, wall time) are timed on every pass — a
-//     handful of clock reads per pass — while per-pod stage timing and
-//     per-plugin breakdowns run only on every TraceDetailEvery-th pass,
-//     amortising their per-pod clock reads to a few percent.
+//     zero clock reads added to a pass — the pass holds a nil recorder
+//     and every site is behind that nil check;
+//   - telemetry enabled: pass-level spans (snapshot-sync, bind commits,
+//     wall time) are timed on every pass — a handful of clock reads per
+//     pass — while per-pod stage timing (prefilter, filter, score,
+//     permit, preemption plan) and per-plugin breakdowns run only on
+//     every TraceDetailEvery-th pass, amortising their per-pod clock
+//     reads to a few percent: the cycle and the stage runners hold the
+//     recorder on those passes and nil on all others (detailOnly).
 
 // DefaultTraceDetailEvery is how often a pass records detailed per-pod
 // stage timing and per-plugin breakdowns (1 in N passes; see
@@ -149,7 +152,6 @@ type passRecorder struct {
 
 	plugins   []pluginAgg
 	pluginIdx map[pluginKey]int
-	scoreBuf  []float64
 	spans     []telemetry.Span
 }
 
@@ -174,25 +176,30 @@ func (r *passRecorder) now() time.Time {
 	return time.Now()
 }
 
-// since is time.Since guarded the same way.
-func (r *passRecorder) since(t0 time.Time) time.Duration {
-	if r == nil {
-		return 0
+// detailOnly returns r on a detail-sampled pass and nil otherwise — the
+// recorder handed to everything that times per pod or per plugin.
+func (r *passRecorder) detailOnly() *passRecorder {
+	if r == nil || !r.detail {
+		return nil
 	}
-	return time.Since(t0)
+	return r
 }
 
-// stageAdd folds one timed slice into a stage accumulator.
-func (r *passRecorder) stageAdd(stage int, d time.Duration, n int) {
+// stageSince folds the time since t0 (a value from now) into a stage
+// accumulator as one timed slice.
+func (r *passRecorder) stageSince(stage int, t0 time.Time) {
 	if r == nil {
 		return
 	}
-	r.stageNS[stage] += int64(d)
-	r.stageN[stage] += n
+	r.stageNS[stage] += int64(time.Since(t0))
+	r.stageN[stage]++
 }
 
-// addPlugin folds one plugin call into its per-pass aggregate.
-func (r *passRecorder) addPlugin(stage int, name string, d time.Duration) {
+// addPlugin folds one plugin call, started at t0, into its per-pass
+// aggregate. Unlike the methods above it needs a non-nil recorder: the
+// stage runners check before evaluating the plugin's name.
+func (r *passRecorder) addPlugin(stage int, name string, t0 time.Time) {
+	d := time.Since(t0)
 	if r.pluginIdx == nil {
 		r.pluginIdx = make(map[pluginKey]int)
 	}
@@ -208,9 +215,9 @@ func (r *passRecorder) addPlugin(stage int, name string, d time.Duration) {
 }
 
 // trace assembles the pass's spans (stage spans first, plugin
-// breakdowns after) into a PassTrace over the recorder's reused span
-// buffer; the ring copies on record.
-func (r *passRecorder) trace(scheduler string, wall time.Duration, pending int, byClass *[numClassSlots]ClassStats, gated, conflicts, preemptions int) telemetry.PassTrace {
+// breakdowns after) and its tally into a PassTrace over the recorder's
+// reused span buffer; the ring copies on record.
+func (r *passRecorder) trace(scheduler string, wall time.Duration, pending int, tally *Stats) telemetry.PassTrace {
 	r.spans = r.spans[:0]
 	for i := 0; i < numStages; i++ {
 		if r.stageN[i] == 0 && r.stageNS[i] == 0 {
@@ -230,12 +237,6 @@ func (r *passRecorder) trace(scheduler string, wall time.Duration, pending int, 
 			Count:  p.n,
 		})
 	}
-	var bound, unsched, held int
-	for i := range byClass {
-		bound += byClass[i].Bound
-		unsched += byClass[i].Unschedulable
-		held += byClass[i].Held
-	}
 	return telemetry.PassTrace{
 		Scheduler:     scheduler,
 		Seq:           r.seq,
@@ -243,23 +244,24 @@ func (r *passRecorder) trace(scheduler string, wall time.Duration, pending int, 
 		Wall:          wall,
 		Detailed:      r.detail,
 		Pending:       pending,
-		Bound:         bound,
-		Unschedulable: unsched,
-		Gated:         gated,
-		Conflicts:     conflicts,
-		Held:          held,
-		Preemptions:   preemptions,
+		Bound:         tally.Bound,
+		Unschedulable: tally.Unschedulable,
+		Gated:         tally.Gated,
+		Conflicts:     tally.Conflicts,
+		Held:          tally.Held,
+		Preemptions:   tally.Preemptions,
 		Spans:         r.spans,
 	}
 }
 
 // recordPass closes out one instrumented pass: observes the duration
-// histograms, bumps the registry counters, and pushes the trace onto
-// the ring. Called once per pass with passMu held.
-func (s *Scheduler) recordPass(rec *passRecorder, pending int, byClass *[numClassSlots]ClassStats, gated, conflicts, sampledPods, preemptions int) {
+// histograms, adds the pass tally — the same value Scheduler.Stats
+// accumulates — to the registry counters, and pushes the trace onto the
+// ring. Called once per pass with passMu held.
+func (s *Scheduler) recordPass(rec *passRecorder, pending int, tally *Stats) {
 	wall := time.Since(rec.start)
 	m := s.metrics
-	m.passes.Inc()
+	m.passes.Add(int64(tally.Passes))
 	m.passDur.ObserveDuration(wall)
 	for i := 0; i < numStages; i++ {
 		if rec.stageN[i] == 0 && rec.stageNS[i] == 0 {
@@ -267,101 +269,18 @@ func (s *Scheduler) recordPass(rec *passRecorder, pending int, byClass *[numClas
 		}
 		m.stageDur[i].Observe(time.Duration(rec.stageNS[i]).Seconds())
 	}
-	m.conflicts.Add(int64(conflicts))
-	m.sampled.Add(int64(sampledPods))
-	m.gated.Add(int64(gated))
-	for i := range byClass {
-		m.bound[i].Add(int64(byClass[i].Bound))
-		m.unschedulable[i].Add(int64(byClass[i].Unschedulable))
-		m.preemptions[i].Add(int64(byClass[i].Preemptions))
-		m.victims[i].Add(int64(byClass[i].Victims))
-		m.held[i].Add(int64(byClass[i].Held))
+	m.conflicts.Add(int64(tally.Conflicts))
+	m.sampled.Add(int64(tally.Sampled))
+	m.gated.Add(int64(tally.Gated))
+	for i := range tally.ByClass {
+		c := &tally.ByClass[i]
+		m.bound[i].Add(int64(c.Bound))
+		m.unschedulable[i].Add(int64(c.Unschedulable))
+		m.preemptions[i].Add(int64(c.Preemptions))
+		m.victims[i].Add(int64(c.Victims))
+		m.held[i].Add(int64(c.Held))
 	}
 	if pending > 0 {
-		s.trace.Record(rec.trace(s.cfg.Name, wall, pending, byClass, gated, conflicts, preemptions))
+		s.trace.Record(rec.trace(s.cfg.Name, wall, pending, tally))
 	}
-}
-
-// --- Timed pipeline variants (detailed passes only) ---
-//
-// These mirror their untimed counterparts exactly — same plugin order,
-// same early exits, same floating-point accumulation order — adding
-// only per-plugin clock reads. schedulePass routes through them when
-// the pass recorder is in detail mode.
-
-// runPreFilterTimed is runPreFilter with per-plugin timing.
-func (p *Profile) runPreFilterTimed(pod *PodInfo, view *ClusterView, rec *passRecorder) bool {
-	for _, pf := range p.preFilters {
-		t0 := time.Now()
-		ok := pf.PreFilter(pod, view)
-		rec.addPlugin(stagePreFilter, pf.Name(), time.Since(t0))
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// runPermitTimed is runPermit with per-plugin timing.
-func (p *Profile) runPermitTimed(pod *PodInfo, nodeName string, rec *passRecorder) PermitDecision {
-	for _, pp := range p.permits {
-		t0 := time.Now()
-		d := pp.Permit(pod, nodeName)
-		rec.addPlugin(stagePermit, pp.Name(), time.Since(t0))
-		if d != PermitAllow {
-			return d
-		}
-	}
-	return PermitAllow
-}
-
-// selectInfoTimed is selectInfo with per-plugin timing. Scoring runs
-// plugin-outer over a reused per-candidate accumulator instead of
-// candidate-outer, which times each score plugin across the whole
-// candidate set in one clock-read pair; per-candidate sums accumulate
-// in the same plugin order as the inline loop, so the selection —
-// including floating-point rounding and first-best tie-breaks — is
-// bit-identical.
-func (p *Profile) selectInfoTimed(pod *PodInfo, candidates []*NodeView, view *ClusterView, rec *passRecorder) (string, bool) {
-	if p.legacy != nil {
-		t0 := time.Now()
-		name, ok := p.legacy.Select(pod.Pod, candidates, view)
-		rec.addPlugin(stageScore, "legacy:"+p.legacy.Name(), time.Since(t0))
-		return name, ok
-	}
-	for _, ps := range p.preScore {
-		t0 := time.Now()
-		narrowed := ps.PreScore(pod, candidates)
-		rec.addPlugin(stageScore, ps.Name(), time.Since(t0))
-		if narrowed != nil {
-			candidates = narrowed
-		}
-	}
-	if len(candidates) == 0 {
-		return "", false
-	}
-	scores := rec.scoreBuf[:0]
-	for range candidates {
-		scores = append(scores, 0)
-	}
-	rec.scoreBuf = scores
-	for _, ws := range p.scores {
-		t0 := time.Now()
-		for i, cand := range candidates {
-			scores[i] += ws.Weight * ws.Plugin.Score(pod, cand, view)
-		}
-		rec.addPlugin(stageScore, ws.Plugin.Name(), time.Since(t0))
-	}
-	best := ""
-	bestScore := p.minScore
-	for i, cand := range candidates {
-		if scores[i] > bestScore {
-			best = cand.Name
-			bestScore = scores[i]
-		}
-	}
-	if best == "" {
-		return "", false
-	}
-	return best, true
 }

@@ -59,60 +59,116 @@ func telemetryPod(name, sched string, memBytes int64) *api.Pod {
 	}
 }
 
-// TestDisabledTelemetryPassAllocFree holds the hard budget of the
-// instrumentation: with Config.Telemetry nil, a steady-state scheduling
-// pass — including pending pods that exercise prefilter, the filter
-// walk, scoring and the unschedulable path — allocates nothing. Every
-// instrumentation site must stay behind a nil check for this to hold.
-func TestDisabledTelemetryPassAllocFree(t *testing.T) {
+// denyPermit refuses every selected placement, so a pod that fits still
+// runs prefilter, the filter walk, narrowing, scoring and permit — and
+// then stays queued, leaving the pass nothing to mutate.
+type denyPermit struct{}
+
+func (denyPermit) Name() string                           { return "deny" }
+func (denyPermit) Permit(*PodInfo, string) PermitDecision { return PermitDeny }
+
+// deniedProfile is the SGX-last pipeline over the given scores with
+// denyPermit at its end.
+func deniedProfile(name string, scores ...ScorePlugin) *Profile {
+	ws := make([]WeightedScore, len(scores))
+	for i, sp := range scores {
+		ws[i] = WeightedScore{Plugin: sp, Weight: 1}
+	}
+	return NewProfile(name, WithPreScore(SGXLastPreScore{}), WithScores(ws...), WithPermits(denyPermit{}))
+}
+
+// steadyPassAllocs measures a steady-state pass that does everything a
+// pass can do without mutating the cluster. Per class in play it queues
+// one pod too large for any node (unschedulable with no candidates) and
+// one that fits every node but is denied at permit (the whole pipeline
+// over a full candidate list); with classes on, all four class slots have
+// pods pending and the three class pipelines differ in their score
+// plugins.
+func steadyPassAllocs(t *testing.T, cfg Config, classes bool) float64 {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
 	}
-	_, srv, sched := newBareScheduler(t, 8, Config{})
-	// Pods too large for any node: each pass runs the full pipeline and
-	// leaves them queued, mutating nothing.
-	for i := 0; i < 4; i++ {
-		pod := telemetryPod(fmt.Sprintf("huge-%d", i), "telemetry-test", 1<<50)
-		if err := srv.CreatePod(pod); err != nil {
-			t.Fatal(err)
+	cfg.Policy = deniedProfile("deny-binpack", BinpackScore{})
+	pending := []api.WorkloadClass{api.ClassUnspecified}
+	if classes {
+		reg := NewClassRegistry(nil)
+		reg.Set(ClassProfile{Class: api.ClassLatencySensitive, MayPreempt: true,
+			Policy: deniedProfile("deny-usage", UsageHeadroomScore{}, EPCPressureScore{})})
+		reg.Set(ClassProfile{Class: api.ClassBatch, Policy: deniedProfile("deny-batch", BinpackScore{})})
+		reg.Set(ClassProfile{Class: api.ClassBestEffort, Policy: deniedProfile("deny-least", LeastRequestedScore{})})
+		cfg.Classes = reg
+		pending = append(pending, api.ClassLatencySensitive, api.ClassBatch, api.ClassBestEffort)
+	}
+	_, srv, sched := newBareScheduler(t, 8, cfg)
+	for _, class := range pending {
+		for _, shape := range []struct {
+			name string
+			mem  int64
+		}{{"huge", 1 << 50}, {"denied", resource.GiB}} {
+			pod := telemetryPod(fmt.Sprintf("%s-%s", shape.name, class), "telemetry-test", shape.mem)
+			pod.Spec.Class = class
+			if err := srv.CreatePod(pod); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	sched.ScheduleOnce() // warm the pass buffers
 	allocs := testing.AllocsPerRun(50, func() { sched.ScheduleOnce() })
-	if allocs != 0 {
-		t.Fatalf("disabled-telemetry pass allocated %v/op, want 0", allocs)
+	if st := sched.Stats(); st.Bound != 0 || st.Unschedulable != st.Passes*2*len(pending) {
+		t.Fatalf("stats = %+v, want every pod unschedulable on every pass and nothing bound", st)
+	}
+	return allocs
+}
+
+// TestDisabledTelemetryPassAllocFree holds the hard budget of the
+// instrumentation: with Config.Telemetry nil, a steady-state scheduling
+// pass — prefilter, the filter walk, narrowing, scoring, permit and the
+// unschedulable path, with and without workload classes — allocates
+// nothing. Every instrumentation site must stay behind a nil check, and
+// the cycle's outcome and scratch must stay off the heap, for this to
+// hold.
+func TestDisabledTelemetryPassAllocFree(t *testing.T) {
+	for _, classes := range []bool{false, true} {
+		t.Run(fmt.Sprintf("classes=%v", classes), func(t *testing.T) {
+			if allocs := steadyPassAllocs(t, Config{}, classes); allocs != 0 {
+				t.Fatalf("disabled-telemetry pass allocated %v/op, want 0", allocs)
+			}
+		})
 	}
 }
 
 // TestEnabledTelemetryUndetailedPassAllocs bounds the enabled overhead:
-// a non-detailed instrumented pass performs only atomic counter/
-// histogram updates plus the ring's single span-copy, so it must stay
-// within one small allocation per pass.
+// an instrumented pass performs only atomic counter/histogram updates
+// plus the ring's single span-copy, so it must stay within one small
+// allocation per pass — undetailed and, because per-plugin timing runs
+// inside the one pipeline over cycle-owned scratch, detailed too.
 func TestEnabledTelemetryUndetailedPassAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
-	}
-	reg := telemetry.New()
-	// detailEvery beyond the run length: every measured pass takes the
-	// undetailed path.
-	_, srv, sched := newBareScheduler(t, 8, Config{Telemetry: reg, TraceDetailEvery: 1 << 30})
-	for i := 0; i < 4; i++ {
-		pod := telemetryPod(fmt.Sprintf("huge-%d", i), "telemetry-test", 1<<50)
-		if err := srv.CreatePod(pod); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name        string
+		detailEvery int
+	}{
+		// Beyond the run length: every measured pass is undetailed.
+		{"undetailed", 1 << 30},
+		// Every measured pass times each stage and plugin.
+		{"detailed", 1},
+	} {
+		for _, classes := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/classes=%v", tc.name, classes), func(t *testing.T) {
+				cfg := Config{Telemetry: telemetry.New(), TraceDetailEvery: tc.detailEvery}
+				if allocs := steadyPassAllocs(t, cfg, classes); allocs > 1 {
+					t.Fatalf("%s instrumented pass allocated %v/op, want <= 1 (the trace-ring span copy)", tc.name, allocs)
+				}
+			})
 		}
-	}
-	sched.ScheduleOnce()
-	allocs := testing.AllocsPerRun(50, func() { sched.ScheduleOnce() })
-	if allocs > 1 {
-		t.Fatalf("undetailed instrumented pass allocated %v/op, want <= 1 (the trace-ring span copy)", allocs)
 	}
 }
 
 // TestDetailedPassMatchesPlain is the bit-identical equivalence check:
-// a scheduler tracing every pass in full detail (timed pipeline
-// variants, plugin-outer scoring) must make exactly the placements of
-// an uninstrumented scheduler over the same cluster and workload.
+// a scheduler tracing every pass in full detail (clock reads around
+// every stage and plugin of the one pipeline) must make exactly the
+// placements of an uninstrumented scheduler over the same cluster and
+// workload.
 func TestDetailedPassMatchesPlain(t *testing.T) {
 	place := func(cfg Config) map[string]string {
 		_, srv, sched := newBareScheduler(t, 6, cfg)
@@ -140,7 +196,7 @@ func TestDetailedPassMatchesPlain(t *testing.T) {
 		Name:             "detailed",
 		Telemetry:        telemetry.New(),
 		Trace:            telemetry.NewTraceRing(8),
-		TraceDetailEvery: 1, // every pass takes the timed variants
+		TraceDetailEvery: 1, // every pass times every stage and plugin
 	})
 	if len(plain) != len(detailed) {
 		t.Fatalf("pod counts differ: %d vs %d", len(plain), len(detailed))
@@ -153,10 +209,18 @@ func TestDetailedPassMatchesPlain(t *testing.T) {
 }
 
 // TestPassMetricsAndTraceRing checks the metric/trace bookkeeping of
-// instrumented passes: pass counters match ScheduleOnce calls, the
+// instrumented passes, on a plain bind-everything run (ring and span
+// shape) and on a pass mix that produces every outcome a cycle can
+// report (the counters).
+func TestPassMetricsAndTraceRing(t *testing.T) {
+	t.Run("ring and spans", passRingAndSpans)
+	t.Run("every outcome, one tally", passTallyEveryOutcome)
+}
+
+// passRingAndSpans: pass counters match ScheduleOnce calls, the
 // histogram totals match the counters, traces carry strictly increasing
 // Seq with stage spans, and detailed traces add per-plugin spans.
-func TestPassMetricsAndTraceRing(t *testing.T) {
+func passRingAndSpans(t *testing.T) {
 	reg := telemetry.New()
 	ring := telemetry.NewTraceRing(16)
 	_, srv, sched := newBareScheduler(t, 4, Config{
@@ -220,13 +284,212 @@ func TestPassMetricsAndTraceRing(t *testing.T) {
 		t.Fatal("no detailed trace with plugin spans (TraceDetailEvery=2 over 4 passes must sample at least one)")
 	}
 
-	// The bound totals recorded in the ring agree with the scheduler's
-	// own stats.
-	bound := 0
-	for _, tr := range traces {
-		bound += tr.Bound
+	assertOneTally(t, sched, reg, passes)
+}
+
+// assertOneTally cross-checks the three places a pass's outcome counts
+// surface — Scheduler.Stats, the registry series (per class where
+// labelled) and the sum over the retained PassTraces — which all derive
+// from the one per-pass tally and so must agree counter for counter.
+// calls is how many passes the caller ran, idle ones included; the trace
+// ring must have retained every non-idle one.
+func assertOneTally(t *testing.T, sched *Scheduler, reg *telemetry.Registry, calls int) Stats {
+	t.Helper()
+	st := sched.Stats()
+	eq := func(what string, got, want int) {
+		t.Helper()
+		if got != want {
+			t.Fatalf("%s = %d, Stats says %d (stats %+v)", what, got, want, st)
+		}
 	}
-	if stats := sched.Stats(); bound != stats.Bound {
-		t.Fatalf("ring bound sum = %d, stats.Bound = %d", bound, stats.Bound)
+	eq("ScheduleOnce calls", calls, st.Passes)
+	eq("scheduler_passes_total", int(reg.Counter("scheduler_passes_total").Value()), st.Passes)
+	eq("scheduler_conflicts_total", int(reg.Counter("scheduler_conflicts_total").Value()), st.Conflicts)
+	eq("scheduler_sampled_pods_total", int(reg.Counter("scheduler_sampled_pods_total").Value()), st.Sampled)
+	eq("scheduler_gated_total", int(reg.Counter("scheduler_gated_total").Value()), st.Gated)
+	var sum ClassStats
+	for slot, cs := range st.ByClass {
+		label := classLabel(slot)
+		series := func(name string) int {
+			return int(reg.CounterVec(name, "class").With(label).Value())
+		}
+		eq("scheduler_bound_total{"+label+"}", series("scheduler_bound_total"), cs.Bound)
+		eq("scheduler_unschedulable_total{"+label+"}", series("scheduler_unschedulable_total"), cs.Unschedulable)
+		eq("scheduler_preemptions_total{"+label+"}", series("scheduler_preemptions_total"), cs.Preemptions)
+		eq("scheduler_victims_total{"+label+"}", series("scheduler_victims_total"), cs.Victims)
+		eq("scheduler_held_total{"+label+"}", series("scheduler_held_total"), cs.Held)
+		sum.Bound += cs.Bound
+		sum.Unschedulable += cs.Unschedulable
+		sum.Preemptions += cs.Preemptions
+		sum.Victims += cs.Victims
+		sum.Held += cs.Held
+	}
+	eq("per-class bound sum", sum.Bound, st.Bound)
+	eq("per-class unschedulable sum", sum.Unschedulable, st.Unschedulable)
+	eq("per-class preemptions sum", sum.Preemptions, st.Preemptions)
+	eq("per-class victims sum", sum.Victims, st.Victims)
+	eq("per-class held sum", sum.Held, st.Held)
+
+	var ring telemetry.PassTrace
+	for _, tr := range sched.Traces() {
+		ring.Bound += tr.Bound
+		ring.Unschedulable += tr.Unschedulable
+		ring.Gated += tr.Gated
+		ring.Conflicts += tr.Conflicts
+		ring.Held += tr.Held
+		ring.Preemptions += tr.Preemptions
+	}
+	eq("ring bound sum", ring.Bound, st.Bound)
+	eq("ring unschedulable sum", ring.Unschedulable, st.Unschedulable)
+	eq("ring gated sum", ring.Gated, st.Gated)
+	eq("ring conflicts sum", ring.Conflicts, st.Conflicts)
+	eq("ring held sum", ring.Held, st.Held)
+	eq("ring preemptions sum", ring.Preemptions, st.Preemptions)
+	return st
+}
+
+// midCycle is a permit plugin that lets a test act between a pod's
+// placement decision and its commit — the window in which a concurrent
+// scheduler or an operator would invalidate the plan. It allows every
+// placement.
+type midCycle map[string]func(node string)
+
+func (midCycle) Name() string { return "mid-cycle" }
+func (m midCycle) Permit(pod *PodInfo, node string) PermitDecision {
+	if act := m[pod.Pod.Name]; act != nil {
+		act(node)
+	}
+	return PermitAllow
+}
+
+// passTallyEveryOutcome drives one scheduler through every outcome a
+// cycle can report — an idle pass, held, bound, a budget stop on
+// bound+held, unschedulable, gated, a non-stale and a stale conflict (the
+// latter ending its pass), a preemption with two victims — across all
+// four class slots, and requires Stats, the registry and the trace ring
+// to agree on every counter after every pass.
+func passTallyEveryOutcome(t *testing.T) {
+	clk := clock.NewSim()
+	srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
+	for _, name := range []string{"n1", "n2"} {
+		alloc := resource.List{resource.Memory: 10 * resource.GiB}
+		if err := srv.RegisterNode(&api.Node{Name: name, Capacity: alloc.Clone(), Allocatable: alloc, Ready: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gd := NewGangDirector(clk, srv, GangConfig{})
+	defer gd.Close()
+	hooks := midCycle{}
+	reg := telemetry.New()
+	sched, err := New(clk, srv, nil, Config{
+		Name: "tally",
+		Policy: NewProfile("hooked",
+			WithPreScore(SGXLastPreScore{}),
+			WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}),
+			WithPermits(hooks)),
+		Gang:             gd,
+		Classes:          NewClassRegistry(nil),
+		MaxBindsPerPass:  2,
+		Telemetry:        reg,
+		Trace:            telemetry.NewTraceRing(64),
+		TraceDetailEvery: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sched.Close()
+
+	submit := func(p *api.Pod, class api.WorkloadClass, scheduler string) {
+		t.Helper()
+		p.Spec.Class, p.Spec.SchedulerName = class, scheduler
+		if err := srv.CreatePod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	calls := 0
+	pass := func(wantBound int) Stats {
+		t.Helper()
+		calls++
+		if got := sched.ScheduleOnce(); got != wantBound {
+			t.Fatalf("pass %d bound %d pods, want %d", calls, got, wantBound)
+		}
+		return assertOneTally(t, sched, reg, calls)
+	}
+	pendingUnbound := func(name string) {
+		t.Helper()
+		if p, _ := srv.GetPod(name); p.Status.Phase != api.PodPending || p.Spec.NodeName != "" {
+			t.Fatalf("pod %s = %s on %q, want Pending unbound", name, p.Status.Phase, p.Spec.NodeName)
+		}
+	}
+
+	// Pass 1, idle: counted as a pass, traced nowhere.
+	pass(0)
+	if n := len(sched.Traces()); n != 0 {
+		t.Fatalf("idle pass left %d traces", n)
+	}
+
+	// Pass 2: a gang member below quorum is held, a solo pod binds, and
+	// the budget of 2 on bound+held stops the pass before the third pod.
+	submit(memGangPod("ring-0", "ring", 2, resource.GiB, 0), api.ClassBatch, "tally")
+	submit(memPod("a", resource.GiB, 0), api.ClassUnspecified, "tally")
+	submit(memPod("b", resource.GiB, 0), api.ClassBestEffort, "tally")
+	if st := pass(1); st.Held != 1 || st.Class(api.ClassBatch).Held != 1 || st.Unschedulable != 0 {
+		t.Fatalf("after the budget-stopped pass: %+v", st)
+	}
+	pendingUnbound("b")
+
+	// Pass 3: b binds; a pod no node can hold is unschedulable; a gang of
+	// three 9 GiB members can never fit two 10 GiB nodes and is gated.
+	submit(memPod("huge", 1<<50, 0), api.ClassBestEffort, "tally")
+	submit(memGangPod("big-0", "big", 3, 9*resource.GiB, 0), api.ClassBatch, "tally")
+	if st := pass(1); st.Gated != 1 || st.Class(api.ClassBestEffort).Unschedulable != 1 {
+		t.Fatalf("after the gated/unschedulable pass: %+v", st)
+	}
+
+	// Pass 4: "raced" is bound by hand between its permit and its commit
+	// (a non-stale conflict: skip the pod, keep going); "loser" has its
+	// node filled by another scheduler's pod in the same window (a stale
+	// conflict: the view is provably outdated, the pass ends) — so
+	// "after" is never looked at.
+	hooks["raced"] = func(node string) {
+		if err := srv.Bind("raced", node); err != nil {
+			t.Errorf("hand bind: %v", err)
+		}
+	}
+	hooks["loser"] = func(node string) {
+		fill := 10*resource.GiB - srv.Committed(node).Get(resource.Memory)
+		submit(memPod("rival", fill, 0), api.ClassUnspecified, "other")
+		if err := srv.Bind("rival", node); err != nil {
+			t.Errorf("rival bind: %v", err)
+		}
+	}
+	submit(memPod("raced", resource.GiB, 0), api.ClassUnspecified, "tally")
+	submit(memPod("loser", resource.GiB, 0), api.ClassUnspecified, "tally")
+	submit(memPod("after", resource.GiB, 0), api.ClassUnspecified, "tally")
+	before := sched.Stats()
+	if st := pass(0); st.Conflicts != 2 || st.Unschedulable != before.Unschedulable+1 || st.Gated != before.Gated+1 {
+		t.Fatalf("after the conflict pass: %+v (before %+v)", st, before)
+	}
+	pendingUnbound("loser")
+	pendingUnbound("after")
+	delete(hooks, "loser")
+
+	// Pass 5: from a refreshed view both land on the other node — and
+	// spend the budget again.
+	pass(2)
+
+	// Pass 6: a latency-sensitive pod that fits nowhere evicts two of the
+	// three pods on n2 (the cheaper victim set) and binds in the same
+	// pass.
+	submit(memPod("vip", 9*resource.GiB, 100), api.ClassLatencySensitive, "tally")
+	st := pass(1)
+	if ls := st.Class(api.ClassLatencySensitive); ls.Preemptions != 1 || ls.Victims != 2 || ls.Bound != 1 {
+		t.Fatalf("after the preemption pass: %+v", st)
+	}
+	if vip, _ := srv.GetPod("vip"); vip.Spec.NodeName != "n2" {
+		t.Fatalf("vip on %q, want n2", vip.Spec.NodeName)
+	}
+	if n := len(sched.Traces()); n != calls-1 {
+		t.Fatalf("ring holds %d traces, want one per non-idle pass (%d)", n, calls-1)
 	}
 }
