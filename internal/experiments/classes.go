@@ -55,6 +55,11 @@ type ClassesExpConfig struct {
 	Interval time.Duration
 	// Horizon caps the simulation (2 h default).
 	Horizon time.Duration
+
+	// tap, when set, receives the run's whole watch stream from before
+	// the first node registers: the in-package determinism test records
+	// it and pins its digest across commits.
+	tap func(apiserver.WatchEvent)
 }
 
 func (c ClassesExpConfig) withDefaults() ClassesExpConfig {
@@ -249,6 +254,9 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 	classWatch := newClassWatcher(clk)
 	unsubClass := srv.Subscribe(classWatch.onEvent)
 	defer unsubClass()
+	if cfg.tap != nil {
+		defer srv.Subscribe(cfg.tap)()
+	}
 
 	var kubelets []*kubelet.Kubelet
 	for i := 0; i < cfg.StdNodes; i++ {

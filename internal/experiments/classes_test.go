@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/apiserver"
+	"github.com/sgxorch/sgxorch/internal/golden"
 )
 
 // TestClassesMixedFleetOrdering is the acceptance run for the workload
@@ -68,47 +71,93 @@ func TestClassesMixedFleetSGXUtilization(t *testing.T) {
 	}
 }
 
-// TestClassesMixedFleetDeterministic: same seed, same run — quantiles,
-// preemption counters and drain time all reproduce exactly.
+// TestClassesMixedFleetDeterministic: same seed, same run — the watch
+// stream, quantiles, preemption counters and drain time all reproduce
+// exactly, run to run and (through the literals) commit to commit. The
+// sharded-with-preemption fleets are the deterministic runs in which a
+// member's view freshness after a preemption attempt could move a
+// placement, so both fleet sizes pin the whole stream.
 func TestClassesMixedFleetDeterministic(t *testing.T) {
-	a, err := ClassesMixedFleet(ClassesExpConfig{Seed: 31, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ClassesMixedFleet(ClassesExpConfig{Seed: 31, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.DrainTime != b.DrainTime || a.Violations != b.Violations {
-		t.Fatalf("runs diverged: drain %v vs %v, violations %d vs %d",
-			a.DrainTime, b.DrainTime, a.Violations, b.Violations)
-	}
-	for class, out := range a.PerClass {
-		if out != b.PerClass[class] {
-			t.Fatalf("class %s diverged: %+v vs %+v", class, out, b.PerClass[class])
-		}
-	}
-	if a.DrainTime <= 0 || a.DrainTime > 2*time.Hour {
-		t.Fatalf("implausible drain time %v", a.DrainTime)
-	}
-	// Golden values: the two runs above agree with each other whatever a
-	// refactor does to both; these literals pin the schedule to every
-	// earlier commit's.
-	if want := 20*time.Minute + 10500*time.Millisecond; a.DrainTime != want {
-		t.Fatalf("drain time = %v, want %v: the mixed-fleet schedule changed", a.DrainTime, want)
-	}
 	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-	golden := map[string]ClassOutcome{
-		string(api.ClassLatencySensitive): {Jobs: 15, P50Wait: sec(5.5), P99Wait: sec(5.5), PreemptionsInflicted: 8, Victims: 9},
-		string(api.ClassBatch):            {Jobs: 15, P50Wait: sec(65.5), P99Wait: sec(580.5)},
-		string(api.ClassBestEffort):       {Jobs: 45, P50Wait: sec(5.5), P99Wait: sec(610.5), PreemptionsSuffered: 9},
-	}
-	for class, want := range golden {
-		if got := a.PerClass[class]; got != want {
-			t.Fatalf("class %s = %+v, want %+v: the mixed-fleet schedule changed", class, got, want)
-		}
-	}
-	if len(a.PerClass) != len(golden) {
-		t.Fatalf("run reports %d classes, golden has %d", len(a.PerClass), len(golden))
+	for _, tc := range []struct {
+		shards   int
+		drain    time.Duration
+		perClass map[string]ClassOutcome
+		digest   string
+	}{
+		{
+			shards: 2, drain: sec(20*60 + 10.5), digest: "fb20c3694925555b",
+			perClass: map[string]ClassOutcome{
+				string(api.ClassLatencySensitive): {Jobs: 15, P50Wait: sec(5.5), P99Wait: sec(5.5), PreemptionsInflicted: 8, Victims: 9},
+				string(api.ClassBatch):            {Jobs: 15, P50Wait: sec(65.5), P99Wait: sec(580.5)},
+				string(api.ClassBestEffort):       {Jobs: 45, P50Wait: sec(5.5), P99Wait: sec(610.5), PreemptionsSuffered: 9},
+			},
+		},
+		{
+			shards: 4, drain: sec(20*60 + 15.5), digest: "14036b86cdced5fd",
+			perClass: map[string]ClassOutcome{
+				string(api.ClassLatencySensitive): {Jobs: 15, P50Wait: sec(5.5), P99Wait: sec(5.5), PreemptionsInflicted: 8, Victims: 8},
+				string(api.ClassBatch):            {Jobs: 15, P50Wait: sec(70.5), P99Wait: sec(585.5)},
+				string(api.ClassBestEffort):       {Jobs: 45, P50Wait: sec(10.5), P99Wait: sec(610.5), PreemptionsSuffered: 8},
+			},
+		},
+	} {
+		t.Run(fmt.Sprintf("shards=%d", tc.shards), func(t *testing.T) {
+			run := func() (ClassesExpResult, []string) {
+				var stream []string
+				res, err := ClassesMixedFleet(ClassesExpConfig{Seed: 31, Shards: tc.shards, tap: func(ev apiserver.WatchEvent) {
+					line := fmt.Sprintf("rev=%d type=%d", ev.Rev, ev.Type)
+					if ev.Pod != nil {
+						line += fmt.Sprintf(" pod=%s node=%s phase=%s reason=%q",
+							ev.Pod.Name, ev.Pod.Spec.NodeName, ev.Pod.Status.Phase, ev.Pod.Status.Reason)
+					}
+					if ev.Node != nil {
+						line += " node=" + ev.Node.Name
+					}
+					stream = append(stream, line)
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, stream
+			}
+			a, streamA := run()
+			b, streamB := run()
+			if a.DrainTime != b.DrainTime || a.Violations != b.Violations {
+				t.Fatalf("runs diverged: drain %v vs %v, violations %d vs %d",
+					a.DrainTime, b.DrainTime, a.Violations, b.Violations)
+			}
+			for class, out := range a.PerClass {
+				if out != b.PerClass[class] {
+					t.Fatalf("class %s diverged: %+v vs %+v", class, out, b.PerClass[class])
+				}
+			}
+			if len(streamA) != len(streamB) {
+				t.Fatalf("event counts differ: %d vs %d", len(streamA), len(streamB))
+			}
+			for i := range streamA {
+				if streamA[i] != streamB[i] {
+					t.Fatalf("event %d differs:\nrun1: %s\nrun2: %s", i, streamA[i], streamB[i])
+				}
+			}
+			// Golden values: the two runs above agree with each other
+			// whatever a refactor does to both; these literals pin the
+			// schedule to every earlier commit's.
+			if a.DrainTime != tc.drain {
+				t.Fatalf("drain time = %v, want %v: the mixed-fleet schedule changed", a.DrainTime, tc.drain)
+			}
+			for class, want := range tc.perClass {
+				if got := a.PerClass[class]; got != want {
+					t.Fatalf("class %s = %+v, want %+v: the mixed-fleet schedule changed", class, got, want)
+				}
+			}
+			if len(a.PerClass) != len(tc.perClass) {
+				t.Fatalf("run reports %d classes, golden has %d", len(a.PerClass), len(tc.perClass))
+			}
+			if got := golden.StreamDigest(streamA); got != tc.digest {
+				t.Fatalf("event stream digest = %s, want %s (%d events): the mixed-fleet schedule changed",
+					got, tc.digest, len(streamA))
+			}
+		})
 	}
 }
