@@ -53,9 +53,12 @@
 // (measurement, pod, node) series keeps Listing 1's 25 s peak current at
 // O(1) amortized per sample, and an expiry heap re-announces peaks that
 // age out of the window without a write. A scheduling pass therefore
-// costs O(pending pods + nodes), independent of total cluster size; the
-// InfluxQL-driven from-scratch BuildView remains as the reference
-// implementation the cache is property-tested against.
+// costs O(pending pods + nodes), independent of total cluster size, and
+// the aggregator is the scheduler's only read of usage: internal/core
+// does not import the query engine. The InfluxQL-driven from-scratch
+// view the paper's scheduler built every pass survives as that package's
+// test oracle (oracle_test.go), the reference implementation the cache
+// is property-tested against.
 //
 // Scheduling itself is a plugin framework (internal/core): a pipeline of
 // filter plugins (the §IV feasibility checks: SGX capability, EPC device
@@ -238,17 +241,20 @@
 //
 // At the million-pod scale the pass itself is sublinear in the cluster
 // (internal/core: index.go, view.go, framework.go). Each scheduler owns
-// one long-lived incremental ClusterView instead of cloning the cache
-// per pass: the cache journals which nodes each event touched, and
-// SyncView replays just that delta into the view's pooled NodeViews —
-// O(changed nodes), with a full rebuild only after epoch bumps (relist)
-// or when the backlog of journal entries exceeds the cluster size. The
-// view partitions nodes by SGX capability and buckets each partition by
-// free memory (and effective free EPC) in log2 bands, maintained
-// incrementally on every commit; a pod's candidate search walks only
-// the bands that can possibly fit its request, so infeasible nodes are
-// skipped in bulk without evaluating them. On top of that sits
-// kube-scheduler-style sampled scoring (Config.PercentageNodesToScore):
+// one long-lived incremental ClusterView — the only kind of view the
+// scheduler builds; the pass plans on it and so does the preemption
+// planner, which simulates evictions on a scratch node rather than
+// cloning the cluster per attempt. The cache journals which nodes each
+// event touched, and SyncView replays just that delta into the view's
+// pooled NodeViews — O(changed nodes), with a full rebuild only after
+// epoch bumps (relist) or when the backlog of journal entries exceeds
+// the cluster size. The view partitions nodes by SGX capability and
+// buckets each partition by free memory (and effective free EPC) in log2
+// bands, maintained incrementally on every commit; a pod's candidate
+// search walks only the bands that can possibly fit its request, so
+// infeasible nodes are skipped in bulk without evaluating them. On top
+// of that sits kube-scheduler-style sampled scoring
+// (Config.PercentageNodesToScore):
 // above 100 nodes a pass stops after an adaptive number of feasible
 // candidates (50% shrinking to a 5% floor, never below 100), and a
 // deterministic rotating start offset spreads successive searches

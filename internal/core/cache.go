@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -13,30 +16,32 @@ import (
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
-// ClusterCache is the scheduler's event-driven view of the cluster. It
+// ClusterCache is the scheduler's event-driven model of the cluster. It
 // builds itself once from an apiserver.ListAndWatch snapshot and then
 // applies watch events — adding a pod's fused usage to its node on bind,
 // removing it on terminal transitions, re-fusing on metric and maturity
 // changes — instead of re-deriving every node from every pod and every
-// series each pass the way BuildView does. Snapshot therefore costs
-// O(schedulable nodes), independent of how many pods are bound, and a
-// pass over a mostly-idle 10k-pod cluster no longer pays for the 10k.
+// series each pass (the from-scratch way, which survives as the test
+// oracle, oracle_test.go). Schedulers read it through incremental views
+// (NewView, SyncView): a sync costs O(nodes changed since the view's last
+// sync), independent of how many pods are bound, so a pass over a
+// mostly-idle 10k-pod cluster no longer pays for the 10k.
 //
 // Three inputs can move a node's fused usage between passes without any
 // API-server event:
 //
 //   - a metric write changes a pod's window peak — the WindowMax
 //     aggregator's change callback re-fuses the pod immediately;
-//   - a pod's peak ages out of the sliding window — Snapshot runs the
+//   - a pod's peak ages out of the sliding window — SyncView runs the
 //     aggregator's expiry-heap Refresh first, which fires the same
 //     callback for exactly the series that decayed;
 //   - a young pod matures past the metrics lag and stops being charged
 //     max(measured, requested) — pods register their maturity instant in
-//     a min-heap that Snapshot drains up to now.
+//     a min-heap that SyncView drains up to now.
 //
 // With a synchronous-watch server all callbacks run on the mutating
 // goroutine, so under the simulation clock the cache is deterministic;
-// BuildView remains the from-scratch reference implementation it is
+// the oracle is the from-scratch reference implementation it is
 // property-tested against. With an async-watch server the broker's pump
 // feeds ApplyAll batches on a separate goroutine (the cache lags the
 // server by a bounded amount), and a cache that falls off the broker
@@ -229,11 +234,12 @@ func (c *ClusterCache) Close() {
 }
 
 // Refresh drains the time-driven state: expired window peaks re-announce
-// through the aggregator's expiry heap and matured pods re-fuse. It must
-// run periodically even when there is nothing to schedule — the expiry
-// and maturity heaps are only emptied here, so skipping it on idle passes
-// would let them (and decayed series) grow for as long as metrics flow.
-// Cost is O(entries that actually expired since the last call).
+// through the aggregator's expiry heap and matured pods re-fuse. Every
+// SyncView starts with it; it must also run periodically when there is
+// nothing to schedule — the expiry and maturity heaps are only emptied
+// here, so skipping it on idle passes would let them (and decayed series)
+// grow for as long as metrics flow. Cost is O(entries that actually
+// expired since the last call).
 func (c *ClusterCache) Refresh() {
 	if c.agg != nil {
 		c.agg.Refresh()
@@ -242,31 +248,6 @@ func (c *ClusterCache) Refresh() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.refreshMaturityLocked(now)
-}
-
-// Snapshot brings the time-dependent state current (window decay,
-// maturity transitions) and copies the schedulable nodes into a
-// ClusterView the pass may mutate freely. Cost is O(nodes copied) plus
-// the series that actually decayed since the last call.
-func (c *ClusterCache) Snapshot() *ClusterView {
-	c.Refresh()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	view := &ClusterView{Nodes: make([]*NodeView, 0, len(c.names))}
-	for _, name := range c.names {
-		cn := c.nodes[name]
-		if !cn.schedulable {
-			continue
-		}
-		view.Nodes = append(view.Nodes, &NodeView{
-			Name:        cn.name,
-			SGX:         cn.sgx,
-			Allocatable: cn.allocatable.Clone(),
-			Used:        resource.List{resource.Memory: cn.memUsed, resource.EPCPages: cn.epcUsed},
-			FreeDevices: cn.allocatable.Get(resource.EPCPages) - cn.reqEPC,
-		})
-	}
-	return view
 }
 
 // maxViewJournal bounds the change journal. When it fills, the oldest
@@ -291,20 +272,21 @@ func (c *ClusterCache) touchLocked(node string) {
 
 // NewView returns an empty incremental view bound to this cache; the
 // first SyncView populates it. The view recycles its NodeViews (and
-// their maps) across syncs, so a long-lived scheduler's per-pass
-// snapshot cost is O(nodes that changed since its last pass) — the
-// pooled copy-on-write path. The view must only be mutated through
-// Commit, and only by one pass at a time; Snapshot remains the fully
-// allocating flavour for callers that need a frozen copy.
+// their maps) across syncs, so a long-lived scheduler's per-pass sync
+// cost is O(nodes that changed since its last pass) — the pooled
+// copy-on-write path. Every NodeView is the view's own copy (Allocatable
+// included), so nothing done to a view reaches the cache or another
+// view; the view must only be mutated through Commit, and only by one
+// pass at a time.
 func (c *ClusterCache) NewView() *ClusterView {
 	return newIndexedView()
 }
 
 // SyncView brings an incremental view current: time-dependent state is
-// refreshed exactly as in Snapshot, then the nodes journalled since the
-// view's last sync are re-copied (insert, update+re-bucket, or drop).
-// Views from another epoch, or too stale to replay cheaply, rebuild in
-// O(cluster) — the same cost Snapshot pays every call.
+// refreshed first (window decay, maturity transitions — see Refresh),
+// then the nodes journalled since the view's last sync are re-copied
+// (insert, update+re-bucket, or drop). Views from another epoch, or too
+// stale to replay cheaply, rebuild in O(cluster).
 func (c *ClusterCache) SyncView(v *ClusterView) {
 	c.Refresh()
 	c.mu.Lock()
@@ -382,7 +364,7 @@ func (c *ClusterCache) ApplyAll(evs []apiserver.WatchEvent) {
 		c.applyLocked(&evs[i], now)
 	}
 	// One settle per batch: matured pods re-fuse here rather than per
-	// event. Snapshot() refreshes again anyway, so this only keeps the
+	// event. SyncView refreshes again anyway, so this only keeps the
 	// heap from accumulating across large async batches.
 	c.refreshMaturityLocked(now)
 }
@@ -473,7 +455,7 @@ func (c *ClusterCache) addPodLocked(p *api.Pod, now time.Time, reserved bool) {
 	if _, ok := c.nodes[p.Spec.NodeName]; !ok {
 		// Bind validates the node, and node events precede pod events
 		// referencing them; untracked nodes would also be invisible to
-		// BuildView.
+		// the oracle's from-scratch walk.
 		return
 	}
 	req := p.TotalRequests()
@@ -572,13 +554,13 @@ func (c *ClusterCache) removePodLocked(cp *cachedPod) {
 }
 
 // fusePodLocked recomputes a pod's fused usage at the current instant —
-// the same measured-vs-requested fusion BuildView applies per pass — and
-// moves the delta into its node's sums.
+// the same measured-vs-requested fusion the oracle applies per pod per
+// view — and moves the delta into its node's sums.
 func (c *ClusterCache) fusePodLocked(cp *cachedPod, now time.Time) {
 	var measuredMem, measuredEPC float64
 	// Reserved pods are not running: any series under their name is stale
 	// history from an earlier placement. Fuse from requests alone, the
-	// same charge BuildView applies to reservations.
+	// same charge the oracle applies to reservations.
 	if c.useMetrics && c.agg != nil && !cp.reserved {
 		if v, ok := c.agg.Max(monitor.MeasurementMemory, cp.name, cp.node); ok {
 			measuredMem = v
@@ -600,8 +582,8 @@ func (c *ClusterCache) fusePodLocked(cp *cachedPod, now time.Time) {
 }
 
 // pushMaturityLocked registers the instant a started pod stops being
-// young (request-floored); Snapshot re-fuses it then even if no metric
-// event fires in between.
+// young (request-floored); the next Refresh at or past it re-fuses the
+// pod even if no metric event fires in between.
 func (c *ClusterCache) pushMaturityLocked(cp *cachedPod, now time.Time) {
 	if !c.useMetrics || cp.startedAt.IsZero() {
 		return
@@ -644,20 +626,14 @@ type victimInfo struct {
 	reqEPC   int64 // device items the unit's departure returns on this node
 }
 
-// minPriority returns the lowest priority tier occupied by a live bound
-// pod (ok=false when none are bound) — the O(1) gate that lets scheduling
-// passes skip victim searches entirely in priority-free workloads. The
+// preemptGate is the O(1) gate that lets scheduling passes skip victim
+// searches entirely: the lowest priority tier occupied by a live tracked
+// pod (anyBound=false when none is) — nothing can be preempted by a pod
+// that does not outrank it, the common priority-free case — plus, under
+// the same single lock, whether any live tracked pod declared the
+// best-effort class (always preemption-eligible regardless of tier). The
 // scheduler reads it once per pass rather than per pod, so the pass pays
 // one lock, not one per unschedulable pod.
-func (c *ClusterCache) minPriority() (prio int32, ok bool) {
-	prio, ok, _ = c.preemptGate()
-	return prio, ok
-}
-
-// preemptGate is minPriority plus the best-effort dimension under the
-// same single lock: whether any live tracked pod declared the
-// best-effort class (always preemption-eligible regardless of tier).
-// One call per pass covers both gates.
 func (c *ClusterCache) preemptGate() (prio int32, anyBound, beBound bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -732,11 +708,14 @@ func (c *ClusterCache) victimsBelow(node string, prio int32, includeBE bool, buf
 		}
 	}
 	c.mu.Unlock()
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].priority != buf[j].priority {
-			return buf[i].priority < buf[j].priority
+	// Keys are unique (names are), so the order is total. slices.SortFunc,
+	// not sort.Slice: the planner calls this once per candidate node per
+	// attempt, and sort.Slice allocates on every call.
+	slices.SortFunc(buf, func(a, b victimInfo) int {
+		if byTier := cmp.Compare(a.priority, b.priority); byTier != 0 {
+			return byTier
 		}
-		return buf[i].name < buf[j].name
+		return strings.Compare(a.name, b.name)
 	})
 	return buf
 }

@@ -48,12 +48,13 @@ func viewString(v *ClusterView) string {
 	return s
 }
 
-// TestClusterCacheMatchesBuildView is the refactor's guard: it drives
+// TestClusterCacheMatchesBuildView is the cache's guard: it drives
 // randomized submit/bind/run/finish/evict/preempt/drain/metric/advance
-// sequences through the API server and database and requires the
-// incrementally maintained cache snapshot to match a from-scratch
-// BuildView (InfluxQL reference path) exactly, at every checkpoint. Metric values are whole
-// bytes so both paths' float64→int64 conversions are exact.
+// sequences through the API server and database and requires a fresh
+// incremental view of the event-driven cache to match the oracle's
+// from-scratch BuildView (InfluxQL reference path, oracle_test.go)
+// exactly, at every checkpoint. Metric values are whole bytes so both
+// paths' float64→int64 conversions are exact.
 func TestClusterCacheMatchesBuildView(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -188,19 +189,19 @@ func TestClusterCacheMatchesBuildView(t *testing.T) {
 				clk.Advance(time.Duration(rng.Intn(15000)) * time.Millisecond)
 			}
 			if op%7 == 0 {
-				viewsEqual(t, s.Cache().Snapshot(), s.BuildView(),
+				viewsEqual(t, freshView(s.Cache()), oracleView(s, db),
 					fmt.Sprintf("trial %d op %d", trial, op))
 			}
 		}
 		// Let every window decay and maturity pass, then compare once more.
 		clk.Advance(2 * time.Minute)
-		viewsEqual(t, s.Cache().Snapshot(), s.BuildView(), fmt.Sprintf("trial %d final", trial))
+		viewsEqual(t, freshView(s.Cache()), oracleView(s, db), fmt.Sprintf("trial %d final", trial))
 		s.Close()
 	}
 }
 
 // TestCacheDropsDrainedNode drains a node mid-run and proves the cache
-// drops its view and usage: the snapshot loses the node immediately, and
+// drops its view and usage: a synced view loses the node immediately, and
 // when the node later reports Ready again its fused usage is zero because
 // the drain failed its pods.
 func TestCacheDropsDrainedNode(t *testing.T) {
@@ -210,7 +211,7 @@ func TestCacheDropsDrainedNode(t *testing.T) {
 	c.clk.Advance(15 * time.Second)
 
 	cache := c.sched.Cache()
-	before := cache.Snapshot()
+	before := freshView(cache)
 	if n := before.Node("sgx-1"); n == nil || n.Used.Get(resource.EPCPages) == 0 {
 		t.Fatalf("sgx-1 missing or idle before drain: %v", viewString(before))
 	}
@@ -220,14 +221,14 @@ func TestCacheDropsDrainedNode(t *testing.T) {
 			kl.Stop()
 		}
 	}
-	after := cache.Snapshot()
+	after := freshView(cache)
 	if after.Node("sgx-1") != nil {
-		t.Fatalf("drained node still in cache snapshot: %v", viewString(after))
+		t.Fatalf("drained node still in the cache's view: %v", viewString(after))
 	}
 	if after.Node("sgx-2") == nil {
-		t.Fatal("surviving node vanished from snapshot")
+		t.Fatal("surviving node vanished from the view")
 	}
-	viewsEqual(t, after, c.sched.BuildView(), "post-drain")
+	viewsEqual(t, after, oracleView(c.sched, c.db), "post-drain")
 
 	// Un-cordon the node: the cache must expose it again with zero usage —
 	// its pods failed on the drain, so everything it was charged is gone.
@@ -240,10 +241,10 @@ func TestCacheDropsDrainedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.clk.Advance(30 * time.Second) // drained pod's stale series decays out of the window
-	back := cache.Snapshot()
+	back := freshView(cache)
 	nv := back.Node("sgx-1")
 	if nv == nil {
-		t.Fatal("re-readied node missing from snapshot")
+		t.Fatal("re-readied node missing from the view")
 	}
 	if nv.Used.Get(resource.Memory) != 0 || nv.Used.Get(resource.EPCPages) != 0 {
 		t.Fatalf("re-readied node still charged: %v", nv.Used)
@@ -251,7 +252,7 @@ func TestCacheDropsDrainedNode(t *testing.T) {
 	if nv.FreeDevices != nv.Allocatable.Get(resource.EPCPages) {
 		t.Fatalf("re-readied node FreeDevices = %d, want %d", nv.FreeDevices, nv.Allocatable.Get(resource.EPCPages))
 	}
-	viewsEqual(t, back, c.sched.BuildView(), "post-undrain")
+	viewsEqual(t, back, oracleView(c.sched, c.db), "post-undrain")
 }
 
 // TestWatchEventOrderingDeterministic runs the same simulated scenario
@@ -304,9 +305,10 @@ func TestWatchEventOrderingDeterministic(t *testing.T) {
 	}
 }
 
-// TestCacheSnapshotIsolated verifies a pass may mutate its snapshot
-// (Commit) without corrupting the cache's internal state.
-func TestCacheSnapshotIsolated(t *testing.T) {
+// TestViewCommitIsolated verifies a pass may mutate its view (Commit)
+// without corrupting the cache's internal state or any other view: every
+// NodeView, Allocatable included, is the view's own copy.
+func TestViewCommitIsolated(t *testing.T) {
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
 	db := tsdb.New(clk)
@@ -320,17 +322,17 @@ func TestCacheSnapshotIsolated(t *testing.T) {
 	}
 	defer s.Close()
 
-	view := s.Cache().Snapshot()
+	view := freshView(s.Cache())
 	view.Commit("n1", resource.List{resource.Memory: resource.GiB, resource.EPCPages: 100})
 	view.Nodes[0].Allocatable[resource.Memory] = 1
 
-	fresh := s.Cache().Snapshot()
+	fresh := freshView(s.Cache())
 	n := fresh.Node("n1")
 	if n.Used.Get(resource.Memory) != 0 || n.FreeDevices != 1000 {
-		t.Fatalf("snapshot mutation leaked into cache: used=%v free=%d", n.Used, n.FreeDevices)
+		t.Fatalf("view mutation leaked into the cache: used=%v free=%d", n.Used, n.FreeDevices)
 	}
 	if n.Allocatable.Get(resource.Memory) != 16*resource.GiB {
-		t.Fatal("allocatable aliased between snapshot and cache")
+		t.Fatal("allocatable aliased between a view and the cache")
 	}
 }
 

@@ -18,13 +18,12 @@ import (
 // part once, every cycle overwrites the pod-scoped part, and the scratch
 // buffers are recycled across pods and passes.
 type cycleState struct {
-	// Pass scope. view is the view the pass plans against (re-synced after
-	// a preemption); rec is the pass recorder, nil with telemetry off; det
-	// is rec on detail-sampled passes and nil otherwise, so per-pod and
-	// per-plugin timing costs undetailed passes a nil check.
-	view *ClusterView
-	rec  *passRecorder
-	det  *passRecorder
+	// Pass scope. rec is the pass recorder, nil with telemetry off; det is
+	// rec on detail-sampled passes and nil otherwise, so per-pod and
+	// per-plugin timing costs undetailed passes a nil check. (What the
+	// pass plans on is the scheduler's one view, Scheduler.view.)
+	rec *passRecorder
+	det *passRecorder
 	// The once-per-pass preemption gate: no pod can preempt unless some
 	// live pod sits in a strictly lower tier (anyBound, minPrio) — or, for
 	// pipelines allowed to take best-effort victims, some declared
@@ -43,11 +42,11 @@ type cycleState struct {
 	info PodInfo
 	pl   *pipeline
 
-	// Scratch: candidates holds the feasible nodes, victims and sim serve
-	// the preemption planner.
+	// Scratch: candidates holds the feasible nodes, victims serves the
+	// preemption planner, only is the one-candidate list of placesOn.
 	candidates []*NodeView
 	victims    []victimInfo
-	sim        []*NodeView
+	only       []*NodeView
 }
 
 // mayPreempt reports whether the pod in the cycle passes its pipeline's
@@ -155,7 +154,7 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 	// Pre-filter stage: per-pod early rejects (and pass-scoped mutations
 	// like the gang age boost) before any per-node work.
 	t := det.now()
-	ok := prof.runPreFilter(info, c.view, det)
+	ok := prof.runPreFilter(info, s.view, det)
 	det.stageSince(stagePreFilter, t)
 	if !ok {
 		o.kind = outcomeGated
@@ -163,9 +162,9 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 	}
 
 	t = det.now()
-	nodes := c.view.Nodes
+	nodes := s.view.Nodes
 	candidates := c.candidates[:0]
-	if target := numFeasibleNodesToFind(c.pl.pct, c.pl.minFeasible, len(nodes)); c.view.indexed() && target < len(nodes) {
+	if target := numFeasibleNodesToFind(c.pl.pct, c.pl.minFeasible, len(nodes)); target < len(nodes) {
 		// Sampled path: walk only the index buckets that can fit the pod,
 		// stop after enough feasible candidates. Candidate order differs
 		// from the name-sorted full scan (best-fit buckets first), which
@@ -173,7 +172,7 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 		// construction: sampling itself already trades exhaustive choice
 		// for pass cost.
 		var visited int
-		candidates, visited = c.view.sampleFeasible(info, prof, target, s.sampleOffset, candidates)
+		candidates, visited = s.view.sampleFeasible(info, prof, target, s.sampleOffset, candidates)
 		s.sampleOffset += visited
 		o.sampled = true
 	} else {
@@ -187,29 +186,28 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 	det.stageSince(stageFilter, t)
 
 	t = det.now()
-	node, ok := prof.selectInfo(info, candidates, c.view, det)
+	node, ok := prof.selectInfo(info, candidates, s.view, det)
 	det.stageSince(stageScore, t)
 	if !ok && c.mayPreempt() {
 		// No feasible node: try to make room by evicting strictly
 		// lower-priority pods — plus declared best-effort pods when the
 		// pipeline may take them (preemption.go).
 		t = det.now()
-		target, evicted, preempted := s.preempt(c)
+		target, evicted := s.preempt(c)
 		det.stageSince(stagePreempt, t)
-		if preempted {
+		if target != "" {
 			o.victims = evicted
 			// Continue from a view that reflects the evictions.
-			c.view = s.syncedViewLocked()
+			s.syncedViewLocked()
 			c.minPrio, c.anyBound, c.beBound = s.cache.preemptGate()
 			// The planner already replayed the pipeline against the
 			// predicted post-eviction state, but re-run it against the
 			// actual view so a racing mutation can never over-commit the
-			// node or bypass a policy veto.
-			if n := c.view.Node(target); n != nil && prof.Feasible(info, n) {
-				c.candidates = append(c.candidates[:0], n)
-				if name, sok := prof.selectInfo(info, c.candidates, c.view, nil); sok && name == target {
-					node, ok = target, true
-				}
+			// node or bypass a policy veto — and so a victim that left on
+			// its own between plan and eviction (nothing evicted, nothing
+			// counted) still yields its room to this pod in this pass.
+			if n := s.view.Node(target); n != nil && s.placesOn(c, n) {
+				node, ok = target, true
 			}
 		}
 	}
@@ -229,6 +227,21 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 	}
 	o.kind, o.stale = s.commit(c, node, req, dec == PermitWait)
 	return o
+}
+
+// placesOn replays the pod's whole pipeline — filters, preferences,
+// scores — with n as the only candidate and reports whether it would place
+// the pod exactly there. Preemption asks it twice: the planner of a
+// simulated post-eviction node before evicting anyone, the cycle of the
+// real node after.
+func (s *Scheduler) placesOn(c *cycleState, n *NodeView) bool {
+	prof := c.pl.profile
+	if !prof.Feasible(&c.info, n) {
+		return false
+	}
+	c.only = append(c.only[:0], n)
+	name, ok := prof.selectInfo(&c.info, c.only, s.view, nil)
+	return ok && name == n.Name
 }
 
 // commit is the binding half of the cycle: it hands the decision to the
@@ -262,7 +275,7 @@ func (s *Scheduler) commit(c *cycleState, node string, req resource.List, wait b
 	default:
 		return outcomeSkipped, false
 	}
-	c.view.Commit(node, req)
+	s.view.Commit(node, req)
 	if !wait {
 		return outcomeBound, false
 	}

@@ -7,13 +7,14 @@ import (
 // Preemption: when a pod finds no feasible node, the scheduler may evict
 // strictly lower-priority pods to make room — the paper's FCFS queue
 // (§IV) refined into priority tiers, so a high-priority SGX job does not
-// starve behind EPC hogs. The planner works entirely on the event-driven
-// cache: per node it simulates removing the cheapest victims (lowest
-// priority first, names breaking ties) until the pod fits, then reprieves
-// every victim the fit can do without, preferring to spare the
-// highest-priority ones. Across nodes it picks the fewest victims, then
-// the lowest victim priorities, then the lowest node name — all
-// deterministic, so identical cluster histories preempt identically.
+// starve behind EPC hogs. The planner works entirely on event-driven
+// state — node headroom from the scheduler's own view, per-node victims
+// from the cache behind it: per node it simulates removing the cheapest
+// victims (lowest priority first, names breaking ties) until the pod
+// fits, then reprieves every victim the fit can do without, preferring to
+// spare the highest-priority ones. Across nodes it picks the fewest
+// victims, then the lowest victim priorities, then the lowest node name —
+// all deterministic, so identical cluster histories preempt identically.
 //
 // Invariants:
 //   - only strictly lower-priority pods are ever evicted (equal tiers
@@ -36,23 +37,28 @@ import (
 // default). A pipeline with takeBE additionally admits declared
 // best-effort pods as victims regardless of priority tier (workload
 // classes' one sanctioned relaxation of the strictly-lower invariant; see
-// victimsBelow). On success it returns the chosen node, having already
-// evicted the victims through the API server (the kubelet kills their
-// workloads synchronously on the eviction event), and the cycle re-syncs
-// its view and binds. Returns preempted=false when no feasible victim set
-// exists; nothing is evicted then.
-func (s *Scheduler) preempt(c *cycleState) (node string, victims int, preempted bool) {
+// victimsBelow). When a feasible victim set exists it returns the chosen
+// node, having already asked the API server to evict the victims (the
+// kubelet kills their workloads synchronously on the eviction event), and
+// the cycle re-syncs its view and binds. victims is how many pods the
+// server confirms it displaced — what the watch stream shows re-queued —
+// which can fall short of the plan when a concurrent scheduler took the
+// same victim or a victim finished first. node == "" means no feasible
+// victim set exists; nothing is evicted then.
+func (s *Scheduler) preempt(c *cycleState) (node string, victims int) {
 	pod, takeBE := &c.info, c.pl.takeBE
 	// Re-check the gate against live state: the caller's per-pass gate
 	// may be stale after earlier evictions in this pass.
 	minPrio, anyBound, beBound := s.cache.preemptGate()
 	if !(anyBound && minPrio < pod.Priority) && !(takeBE && beBound) {
-		return "", 0, false
+		return "", 0
 	}
-	// Plan against a fresh snapshot: the pass view may predate metric or
-	// eviction churn, and the victim charges must match the cache's
-	// accounting exactly.
-	view := s.cache.Snapshot()
+	// Plan on the scheduler's own view, brought current first: by now it
+	// may predate metric or eviction churn, and the victim charges — read
+	// from the cache per node below — must match the node state they are
+	// subtracted from. The planner only reads the view; evictions are
+	// simulated on a scratch NodeView.
+	view := s.syncedViewLocked()
 
 	// The §IV SGX-last rule binds preemption too: a standard pod may only
 	// preempt its way onto SGX hardware when no non-SGX node has a
@@ -76,7 +82,7 @@ func (s *Scheduler) preempt(c *cycleState) (node string, victims int, preempted 
 			// would reject every pass must never start (it would kill the
 			// victims without ever binding the pod — and again next
 			// pass).
-			if !c.pipelineAcceptsAfterEvictions(n, set, view) {
+			if !s.placesOn(c, afterEvictions(n, set)) {
 				continue
 			}
 			if bestNode == "" || betterVictimSet(set, bestSet) {
@@ -96,24 +102,30 @@ func (s *Scheduler) preempt(c *cycleState) (node string, victims int, preempted 
 		}
 	}
 	if bestNode == "" {
-		return "", 0, false
+		return "", 0
 	}
+	reason := "higher-priority pod " + pod.Pod.Name
 	for _, v := range bestSet {
 		// The eviction event synchronously re-queues the victim, makes the
 		// kubelet kill its workload and release its devices, and removes
 		// its charge from the cache. Failures (a victim racing to
-		// completion) are benign: the fit re-check after re-snapshot
-		// decides whether the bind still happens.
+		// completion, a concurrent scheduler evicting it first) are
+		// benign — the cycle's fit re-check after its re-sync decides
+		// whether the bind still happens — but they displaced nobody, so
+		// only what the server confirms is counted.
 		if v.group != "" {
 			// All-or-nothing in both directions: the whole gang goes,
 			// including members on other nodes and members still holding
-			// permits.
-			_, _ = s.srv.PreemptGroup(v.group, "higher-priority pod "+pod.Pod.Name)
+			// permits. A refused group eviction reports zero members.
+			n, _ := s.srv.PreemptGroup(v.group, reason)
+			victims += n
 			continue
 		}
-		_ = s.srv.Preempt(v.name, "higher-priority pod "+pod.Pod.Name)
+		if s.srv.Preempt(v.name, reason) == nil {
+			victims++
+		}
 	}
-	return bestNode, victimCount(bestSet), true
+	return bestNode, victims
 }
 
 // victimCount sums the pods displaced by a victim set — a gang unit
@@ -130,17 +142,17 @@ func victimCount(set []victimInfo) int {
 	return n
 }
 
-// pipelineAcceptsAfterEvictions simulates the node with the victim set's
-// charges released and asks the pod's profile — filters, preferences,
-// scores — whether it would place the pod there.
-func (c *cycleState) pipelineAcceptsAfterEvictions(n *NodeView, set []victimInfo, view *ClusterView) bool {
+// afterEvictions returns a scratch copy of the node as it would look with
+// the victim set's charges released — what the planner hands placesOn. The
+// view's own NodeView is never touched.
+func afterEvictions(n *NodeView, set []victimInfo) *NodeView {
 	var freedMem, freedEPC, freedDev int64
 	for _, v := range set {
 		freedMem += v.memBytes
 		freedEPC += v.epcPages
 		freedDev += v.reqEPC
 	}
-	sim := &NodeView{
+	return &NodeView{
 		Name:        n.Name,
 		SGX:         n.SGX,
 		Allocatable: n.Allocatable,
@@ -150,13 +162,6 @@ func (c *cycleState) pipelineAcceptsAfterEvictions(n *NodeView, set []victimInfo
 		},
 		FreeDevices: n.FreeDevices + freedDev,
 	}
-	prof := c.pl.profile
-	if !prof.Feasible(&c.info, sim) {
-		return false
-	}
-	c.sim = append(c.sim[:0], sim)
-	name, ok := prof.selectInfo(&c.info, c.sim, view, nil)
-	return ok && name == n.Name
 }
 
 // staticallyFeasible reports whether the node could ever host the pod if

@@ -403,3 +403,58 @@ func TestPreemptionDeterministic(t *testing.T) {
 		t.Fatalf("event stream digest = %s, want %s (%d events): a preemption decision changed", got, want, len(a))
 	}
 }
+
+// TestPreemptionAttemptAllocsIndependentOfClusterSize pins the cost shape
+// of a failed preemption attempt: the planner works on the scheduler's own
+// incremental view, so what an attempt allocates must not grow with the
+// number of nodes. Every node is full of pods in the pending pods' own
+// tier, plus one lower-tier pod too small to make room anywhere — so every
+// pending pod passes the once-per-pass gate, plans over every node, and
+// finds no victim set. (A planner that clones the cluster per attempt pays
+// a NodeView, an Allocatable copy and a Used map per node per attempt.)
+func TestPreemptionAttemptAllocsIndependentOfClusterSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
+	}
+	const pendingPods = 3
+	attemptAllocs := func(nodes int) float64 {
+		_, srv, sched := newBareScheduler(t, nodes, Config{})
+		bind := func(pod *api.Pod, node string) {
+			t.Helper()
+			pod.Spec.SchedulerName = sched.Name()
+			if err := srv.CreatePod(pod); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Bind(pod.Name, node); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < nodes; i++ {
+			node := fmt.Sprintf("node-%02d", i)
+			fill := int64(64 * resource.GiB)
+			if i == 0 {
+				fill -= resource.GiB
+				bind(memPod("small-fry", resource.GiB, 0), node)
+			}
+			bind(memPod("peer-"+node, fill, 5), node)
+		}
+		for i := 0; i < pendingPods; i++ {
+			pod := memPod(fmt.Sprintf("waiting-%d", i), 8*resource.GiB, 5)
+			pod.Spec.SchedulerName = sched.Name()
+			if err := srv.CreatePod(pod); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sched.ScheduleOnce() // warm the pass buffers
+		allocs := testing.AllocsPerRun(20, func() { sched.ScheduleOnce() })
+		if st := sched.Stats(); st.Bound != 0 || st.Preemptions != 0 || st.Unschedulable != st.Passes*pendingPods {
+			t.Fatalf("%d nodes: stats = %+v, want every attempt to plan and find no victim set", nodes, st)
+		}
+		return allocs
+	}
+	small, large := attemptAllocs(4), attemptAllocs(64)
+	if small != large {
+		t.Fatalf("a pass of %d failed preemption attempts allocated %v at 4 nodes and %v at 64: the planner's cost grows with the cluster",
+			pendingPods, small, large)
+	}
+}

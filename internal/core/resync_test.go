@@ -16,7 +16,7 @@ import (
 // property test: an async-watch server with a tiny ring, a cache pinned
 // mid-delivery while bursts of mutations wrap the ring repeatedly —
 // forcing the ErrTooOld path — must, after every burst, resync to a
-// state identical to a from-scratch BuildView. A second subscriber
+// state identical to the oracle's from-scratch BuildView. A second subscriber
 // records every delivered resource version and proves no event is ever
 // delivered twice or out of order, across resyncs included.
 func TestCacheResyncAfterOverflowMatchesBuildView(t *testing.T) {
@@ -135,7 +135,7 @@ func TestCacheResyncAfterOverflowMatchesBuildView(t *testing.T) {
 			}
 			cache.mu.Unlock()
 			srv.QuiesceWatch()
-			viewsEqual(t, cache.Snapshot(), s.BuildView(),
+			viewsEqual(t, freshView(cache), oracleView(s, nil),
 				fmt.Sprintf("trial %d round %d (post-resync)", trial, round))
 		}
 
@@ -198,7 +198,7 @@ func TestAsyncCacheConvergesWithoutOverflow(t *testing.T) {
 		}
 	}
 	srv.QuiesceWatch()
-	viewsEqual(t, s.Cache().Snapshot(), s.BuildView(), "async converged")
+	viewsEqual(t, freshView(s.Cache()), oracleView(s, nil), "async converged")
 	st := srv.WatchStats()
 	if st.PerSubscriber[0].Resyncs != 0 {
 		t.Fatalf("default-capacity ring overflowed: %+v", st.PerSubscriber[0])

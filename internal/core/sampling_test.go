@@ -46,8 +46,8 @@ func TestNumFeasibleNodesToFind(t *testing.T) {
 // drives randomized cluster churn through the API server, keeps one
 // incremental view synced, and at every checkpoint requires:
 //
-//  1. the pooled incremental view ≡ a fresh allocating Snapshot (the
-//     copy-on-write sync loses nothing);
+//  1. the pooled incremental view ≡ the oracle's from-scratch BuildView
+//     (the copy-on-write sync loses nothing);
 //  2. an exhaustive index walk (limit ≥ cluster) finds exactly the nodes
 //     the full-scan filter pipeline accepts — the index's bucket-skip
 //     provably never hides a feasible node;
@@ -212,13 +212,13 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 			}
 			if op%5 == 0 {
 				s.Cache().SyncView(view)
-				viewsEqual(t, view, s.Cache().Snapshot(), fmt.Sprintf("trial %d op %d", trial, op))
+				viewsEqual(t, view, oracleView(s, db), fmt.Sprintf("trial %d op %d", trial, op))
 				probe(fmt.Sprintf("trial %d op %d", trial, op))
 			}
 		}
 		clk.Advance(2 * time.Minute)
 		s.Cache().SyncView(view)
-		viewsEqual(t, view, s.Cache().Snapshot(), fmt.Sprintf("trial %d final", trial))
+		viewsEqual(t, view, oracleView(s, db), fmt.Sprintf("trial %d final", trial))
 		probe(fmt.Sprintf("trial %d final", trial))
 		s.Close()
 	}
@@ -254,7 +254,7 @@ func TestSyncViewCommitConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Cache().SyncView(view)
-	viewsEqual(t, view, s.Cache().Snapshot(), "post-bind sync")
+	viewsEqual(t, view, oracleView(s, nil), "post-bind sync")
 	n := view.Node("n1")
 	if n.Used.Get(resource.Memory) != resource.GiB || n.FreeDevices != 900 {
 		t.Fatalf("converged view wrong: used=%v free=%d", n.Used, n.FreeDevices)

@@ -8,9 +8,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
-	"github.com/sgxorch/sgxorch/internal/influxql"
 	"github.com/sgxorch/sgxorch/internal/monitor"
-	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
@@ -24,26 +22,6 @@ const (
 	// DefaultWindow is the sliding metric window of Listing 1 (25 s).
 	DefaultWindow = 25 * time.Second
 )
-
-// perPodPeakQuery builds the inner query of Listing 1 (and its Heapster
-// twin) through the influxql AST: per-(pod, node) peak non-zero usage
-// over the sliding window. Building the AST directly — instead of
-// substituting the window into a query string — means the window term is
-// set structurally, so rewording the query can never silently keep a
-// default window. The per-node totals of Listing 1 are the GROUP BY
-// nodename sum of these rows, which the scheduler folds together with
-// request data per §IV.
-func perPodPeakQuery(measurement, alias string, window time.Duration) *influxql.Query {
-	return &influxql.Query{
-		Field:  influxql.Field{Func: influxql.AggMax, Arg: "value", Alias: alias},
-		Source: influxql.Source{Measurement: measurement},
-		Where: []influxql.Condition{
-			{Subject: "value", Op: influxql.OpNeq, Number: 0},
-			{Subject: "time", Op: influxql.OpGte, Offset: window, IsTime: true},
-		},
-		GroupBy: []string{monitor.TagPod, monitor.TagNode},
-	}
-}
 
 // Config parameterises a Scheduler.
 type Config struct {
@@ -81,9 +59,7 @@ type Config struct {
 	// candidates via the incremental view's node index instead of
 	// scanning every node. 0 selects the adaptive kube-scheduler-style
 	// default (full scan at <=100 nodes, 50% shrinking to a 5% floor
-	// above); >=100 forces a full scan. Sampling only applies to passes
-	// planning on an incremental view (the default for ScheduleOnce);
-	// explicitly supplied plain views always scan fully.
+	// above); >=100 forces a full scan.
 	PercentageNodesToScore int
 	// MinFeasibleNodesToFind floors the sample size
 	// (DefaultMinFeasibleNodesToFind when zero).
@@ -136,7 +112,9 @@ type Stats struct {
 	Bound         int
 	Unschedulable int
 	// Preemptions counts scheduling decisions that evicted lower-priority
-	// victims to make room; Victims counts the pods evicted by them.
+	// victims to make room; Victims counts the pods evicted by them — the
+	// evictions the API server confirmed, each a requeue on the watch
+	// stream, not the ones planned.
 	Preemptions int
 	Victims     int
 	// Conflicts counts binds the API server refused because this
@@ -206,15 +184,10 @@ func (s *Stats) add(other Stats) {
 type Scheduler struct {
 	clk clock.Clock
 	srv *apiserver.Server
-	db  *tsdb.DB
 	cfg Config
 
-	// epcQuery/memQuery drive the InfluxQL reference read path
-	// (BuildView); the scheduling pass itself reads the event-driven
-	// cache fed by the streaming aggregator.
-	epcQuery *influxql.Query
-	memQuery *influxql.Query
-
+	// agg is the streaming Listing 1 aggregator feeding the cache — the
+	// scheduler's only read of measured usage.
 	agg   *monitor.WindowMax // nil when UseMetrics is off
 	cache *ClusterCache
 	// ownsCache marks the member that constructed the cache/aggregator
@@ -238,10 +211,11 @@ type Scheduler struct {
 	passMu     sync.Mutex
 	pendingBuf []api.Pod
 	cyc        cycleState
-	// view is the scheduler's persistent incremental cluster view: pooled
-	// NodeViews plus the candidate index, brought current via
-	// cache.SyncView at O(changed nodes) per pass instead of Snapshot's
-	// O(cluster) clone.
+	// view is the scheduler's one cluster view, persistent across passes:
+	// pooled NodeViews plus the candidate index, brought current via
+	// cache.SyncView at O(changed nodes) — by the pass before it plans,
+	// and by the preemption planner before it picks victims. Everything
+	// the scheduler decides, it decides on this view.
 	view *ClusterView
 	// sampleOffset is the rotating start position for sampled candidate
 	// searches, advanced by the nodes each search visits so coverage
@@ -292,15 +266,16 @@ func newScheduler(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Confi
 		return nil, fmt.Errorf("core: UseMetrics requires a metrics database")
 	}
 	if cfg.UseMetrics && cfg.Window > db.Retention() {
-		// Beyond retention the InfluxQL reference path clamps to the
-		// retention cutoff while the streaming aggregator would not; the
-		// two read paths must never be able to diverge.
+		// Beyond retention an InfluxQL Listing 1 over the database (the
+		// test oracle's read path) clamps to the retention cutoff while the
+		// streaming aggregator would not; the scheduler must never see
+		// usage the paper's query could not.
 		return nil, fmt.Errorf("core: window %v exceeds metrics retention %v", cfg.Window, db.Retention())
 	}
 	if cfg.TraceDetailEvery == 0 {
 		cfg.TraceDetailEvery = DefaultTraceDetailEvery
 	}
-	s := &Scheduler{clk: clk, srv: srv, db: db, cfg: cfg, pipelines: resolvePipelines(&cfg)}
+	s := &Scheduler{clk: clk, srv: srv, cfg: cfg, pipelines: resolvePipelines(&cfg)}
 	if cfg.Classes != nil {
 		s.classifier = cfg.Classes.classifier
 	}
@@ -311,8 +286,6 @@ func newScheduler(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Confi
 			s.trace = telemetry.NewTraceRing(0)
 		}
 	}
-	s.epcQuery = perPodPeakQuery(monitor.MeasurementEPC, "epc", cfg.Window)
-	s.memQuery = perPodPeakQuery(monitor.MeasurementMemory, "mem", cfg.Window)
 
 	// Wire the event-driven read path: the streaming window-max
 	// aggregator backfills from the database and rides its write path;
@@ -410,20 +383,24 @@ func (s *Scheduler) Cache() *ClusterCache { return s.cache }
 // copies are consistent) and releases it before any policy work, so a
 // slow placement pass never stalls concurrent schedulers or kubelets.
 func (s *Scheduler) ScheduleOnce() int {
-	return s.schedulePass(nil)
+	return s.schedulePass(true)
 }
 
-// syncedView returns the scheduler's persistent incremental view brought
-// current — the O(changed) replacement for cache.Snapshot on the pass
-// path. The sharded round-robin driver calls it to capture every
-// member's round-start view before any member plans.
-func (s *Scheduler) syncedView() *ClusterView {
+// syncPass is the sync half of a pass on its own. The sharded round-robin
+// driver (shard.go) runs it on every member before any member plans, so
+// each member's view is captured at round start — deliberately stale with
+// respect to the other members' binds in the same round — which models
+// optimistic shared-state concurrency deterministically under the
+// simulation clock.
+func (s *Scheduler) syncPass() {
 	s.passMu.Lock()
 	defer s.passMu.Unlock()
-	return s.syncedViewLocked()
+	s.syncedViewLocked()
 }
 
-// syncedViewLocked is syncedView for callers already holding passMu.
+// syncedViewLocked brings the scheduler's view current with the cluster
+// cache and returns it — the only place a view is synced. Caller holds
+// passMu.
 func (s *Scheduler) syncedViewLocked() *ClusterView {
 	if s.view == nil {
 		s.view = s.cache.NewView()
@@ -432,14 +409,11 @@ func (s *Scheduler) syncedViewLocked() *ClusterView {
 	return s.view
 }
 
-// schedulePass is ScheduleOnce with an optional pre-captured cluster
-// view. The sharded round-robin driver (shard.go) passes each member the
-// view snapshotted at round start — deliberately stale with respect to
-// the other members' binds in the same round — to model optimistic
-// shared-state concurrency deterministically under the simulation clock;
-// nil plans against a freshly synced view.
+// schedulePass is one pass: sync the view, then plan on it. syncFirst is
+// false only for the round-robin driver, whose members were all synced at
+// round start (syncPass) and must not see each other's binds since.
 //
-// The pass is a loop of per-pod scheduling cycles folded into one tally:
+// The plan is a loop of per-pod scheduling cycles folded into one tally:
 // every counter the pass reports — to Stats, to the registry, to the
 // trace ring — is that one Stats value. Two things end a pass early: a
 // spent MaxBindsPerPass budget, and a stale conflict — the view is then
@@ -447,7 +421,7 @@ func (s *Scheduler) syncedViewLocked() *ClusterView {
 // assumptions. The conflicted pod stays pending; by the time the next
 // pass syncs its view the cache has already absorbed the concurrent
 // winner's PodBound event, so the retry plans against reality.
-func (s *Scheduler) schedulePass(view *ClusterView) int {
+func (s *Scheduler) schedulePass(syncFirst bool) int {
 	s.passMu.Lock()
 	defer s.passMu.Unlock()
 	c := &s.cyc
@@ -477,12 +451,11 @@ func (s *Scheduler) schedulePass(view *ClusterView) int {
 		// an idle scheduler must not let them grow while metrics flow.
 		s.cache.Refresh()
 	} else {
-		if view == nil {
+		if syncFirst {
 			tSync := c.rec.now()
-			view = s.syncedViewLocked()
+			s.syncedViewLocked()
 			c.rec.stageSince(stageSync, tSync)
 		}
-		c.view = view
 		// One-lock-per-pass preemption gate, refreshed after evictions.
 		c.minPrio, c.anyBound, c.beBound = s.cache.preemptGate()
 		for i := range pending {
@@ -500,105 +473,4 @@ func (s *Scheduler) schedulePass(view *ClusterView) int {
 		s.recordPass(c.rec, len(pending), &tally)
 	}
 	return tally.Bound
-}
-
-// BuildView snapshots schedulable nodes from scratch, charging each with
-// the fused usage of its live pods (measured usage × declared requests
-// per §IV: "it takes their memory allocation requests into account ... At
-// the same time, it fetches accurate, up-to-date metrics about memory
-// usage across all nodes"). It walks every pod and runs the Listing 1
-// queries through the InfluxQL engine — O(cluster) per call — and is kept
-// as the reference implementation the event-driven ClusterCache is
-// property-tested against; the scheduling pass itself uses the cache.
-func (s *Scheduler) BuildView() *ClusterView {
-	measuredEPC, measuredMem := s.queryUsage()
-	now := s.clk.Now()
-
-	view := &ClusterView{}
-	nodeByName := make(map[string]*NodeView)
-	for _, n := range s.srv.ListNodes() {
-		if n.Unschedulable || !n.Ready {
-			continue
-		}
-		nv := &NodeView{
-			Name:        n.Name,
-			SGX:         n.HasSGX(),
-			Allocatable: n.Allocatable.Clone(),
-			Used:        resource.List{},
-			FreeDevices: n.Allocatable.Get(resource.EPCPages),
-		}
-		view.Nodes = append(view.Nodes, nv)
-		nodeByName[n.Name] = nv
-	}
-
-	s.srv.VisitPods(func(p *api.Pod) bool {
-		if p.Spec.NodeName == "" || p.IsTerminal() {
-			return true
-		}
-		nv, ok := nodeByName[p.Spec.NodeName]
-		if !ok {
-			return true
-		}
-		req := p.TotalRequests()
-		k := usageKey{pod: p.Name, node: p.Spec.NodeName}
-		memBytes, epcPages := podUsage(p, req, measuredMem[k], measuredEPC[k],
-			now, s.cfg.MetricsLag, s.cfg.UseMetrics)
-		nv.Used[resource.Memory] += memBytes
-		nv.Used[resource.EPCPages] += epcPages
-		// Device items are reserved by request for the pod's lifetime.
-		nv.FreeDevices -= req.Get(resource.EPCPages)
-		return true
-	})
-	// Conditional gang reservations: the pod is still unbound in
-	// authoritative state (VisitPods saw no NodeName), but Reserve already
-	// committed its capacity on the node. Charge requests directly — a
-	// reserved pod has not started, so the fusion above would floor at
-	// requests anyway — keeping this reference view equivalent to the
-	// event-driven cache's PodPermitHeld accounting.
-	s.srv.VisitReservations(func(pod, node, _ string) {
-		nv, ok := nodeByName[node]
-		if !ok {
-			return
-		}
-		p, err := s.srv.GetPod(pod)
-		if err != nil {
-			return
-		}
-		req := p.TotalRequests()
-		nv.Used[resource.Memory] += req.Get(resource.Memory)
-		nv.Used[resource.EPCPages] += req.Get(resource.EPCPages)
-		nv.FreeDevices -= req.Get(resource.EPCPages)
-	})
-	view.sortNodes()
-	return view
-}
-
-// usageKey identifies one measured series the way Listing 1's GROUP BY
-// pod_name, nodename intends. Keying by pod name alone lets a stale
-// series from a node the pod no longer runs on (e.g. after a drain)
-// silently override the live measurement.
-type usageKey struct {
-	pod  string
-	node string
-}
-
-// queryUsage runs the sliding-window queries and returns per-(pod, node)
-// peak usage in bytes.
-func (s *Scheduler) queryUsage() (epc, mem map[usageKey]float64) {
-	epc = make(map[usageKey]float64)
-	mem = make(map[usageKey]float64)
-	if !s.cfg.UseMetrics {
-		return epc, mem
-	}
-	if res, err := influxql.Run(s.db, s.epcQuery); err == nil {
-		for _, row := range res.Rows {
-			epc[usageKey{pod: row.Tags[monitor.TagPod], node: row.Tags[monitor.TagNode]}] = row.Value
-		}
-	}
-	if res, err := influxql.Run(s.db, s.memQuery); err == nil {
-		for _, row := range res.Rows {
-			mem[usageKey{pod: row.Tags[monitor.TagPod], node: row.Tags[monitor.TagNode]}] = row.Value
-		}
-	}
-	return epc, mem
 }

@@ -337,17 +337,18 @@ func TestCustomWindowBuildsExactOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.epcQuery.Source.Sub != nil {
+	epcQuery := newOracle(s, db).epcQuery
+	if epcQuery.Source.Sub != nil {
 		t.Fatal("per-pod query should not be nested")
 	}
 	found := false
-	for _, c := range s.epcQuery.Where {
+	for _, c := range epcQuery.Where {
 		if c.IsTime && c.Offset == 40*time.Second {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("window not applied: %+v", s.epcQuery.Where)
+		t.Fatalf("window not applied: %+v", epcQuery.Where)
 	}
 }
 
@@ -378,8 +379,8 @@ func TestBuiltQueriesMatchListing1(t *testing.T) {
 // TestUsageKeyedByPodAndNode reproduces the drained-node override: the
 // database holds series for the same pod name on two nodes (the stale one
 // sorting after the live one, which is the order that used to win under
-// pod-name-only keying), and the view must charge each node only its own
-// measurement.
+// pod-name-only keying), and the view — the oracle's and the cache's —
+// must charge each node only its own measurement.
 func TestUsageKeyedByPodAndNode(t *testing.T) {
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
@@ -422,13 +423,15 @@ func TestUsageKeyedByPodAndNode(t *testing.T) {
 	db.WriteNow(monitor.MeasurementMemory, tsdb.Tags{monitor.TagPod: "dup", monitor.TagNode: "a-live"}, live)
 	db.WriteNow(monitor.MeasurementMemory, tsdb.Tags{monitor.TagPod: "dup", monitor.TagNode: "z-stale"}, stale)
 
-	view := s.BuildView()
+	view := oracleView(s, db)
 	if got := view.Node("a-live").Used.Get(resource.Memory); got != int64(live) {
 		t.Fatalf("a-live used = %d, want %d (its own series)", got, int64(live))
 	}
 	if got := view.Node("z-stale").Used.Get(resource.Memory); got != 0 {
 		t.Fatalf("z-stale used = %d, want 0 (no pod runs there)", got)
 	}
+	// The production read path (WindowMax → cache) keys the same way.
+	viewsEqual(t, freshView(s.Cache()), view, "cache vs oracle")
 }
 
 // TestSubSecondWindowsBuildExactOffsets: windows that used to be
@@ -446,7 +449,7 @@ func TestSubSecondWindowsBuildExactOffsets(t *testing.T) {
 			t.Fatalf("window %v: %v", w, err)
 		}
 		found := false
-		for _, c := range s.epcQuery.Where {
+		for _, c := range newOracle(s, db).epcQuery.Where {
 			if c.IsTime {
 				if c.Offset != w {
 					t.Fatalf("window offset = %v, want %v", c.Offset, w)

@@ -15,20 +15,19 @@ import (
 // ShardedSchedulers runs N scheduler instances over one API server — the
 // paper's "multiple schedulers can be deployed concurrently" (§V-B),
 // realised as an Omega-style shared-state design: every member plans
-// optimistically against a snapshot of the shared event-driven cache,
+// optimistically against its own view of the shared event-driven cache,
 // and the API server's admission-checked conditional Bind is the
 // transaction commit that decides races. A member that loses gets
 // ErrOutdated/ErrConflict, keeps the pod pending, and retries next round
-// from a snapshot that has already absorbed the winner's events.
+// from a view that has already absorbed the winner's events.
 //
 // The fleet shares one ClusterCache (member 0 owns it): the event
 // stream is identical for every member, so per-member caches would hold
 // identical state while multiplying the watch fan-out and per-event
 // apply work by N. Shared state lives in the cache; per-member
-// optimism lives in the *snapshots* each pass plans against — in
-// round-robin mode captured for all members before any pass runs
-// (mutually stale by construction), in concurrent mode captured at each
-// pass's start.
+// optimism lives in the *views* each member plans on — in round-robin
+// mode synced for all members before any member plans (mutually stale by
+// construction), in concurrent mode synced at each pass's start.
 //
 // Work partitioning: pods are sharded onto members by an FNV-1a hash of
 // the pod name, stamped into Spec.SchedulerName at submission (Assign).
@@ -43,14 +42,15 @@ import (
 //
 // Two execution modes:
 //
-//   - Deterministic round-robin (Concurrent off): RunRound snapshots
-//     every member's cache first, then runs the members' passes
-//     sequentially, each against its round-start view. Within a round the
-//     views are mutually stale — member k does not see members 0..k-1's
-//     binds — which models optimistic concurrency exactly, yet everything
-//     happens on the simulation clock's goroutine, so runs are
-//     reproducible bit for bit and the cache≡rebuild and determinism
-//     property tests extend to N > 1.
+//   - Deterministic round-robin (Concurrent off): RunRound syncs every
+//     member's view first, then runs the members' plans sequentially,
+//     each on its round-start view. Within a round the views are
+//     mutually stale — member k does not see members 0..k-1's binds,
+//     unless a preemption attempt of its own re-syncs it mid-plan, as a
+//     concurrent member's would — which models optimistic concurrency
+//     exactly, yet everything happens on the simulation clock's
+//     goroutine, so runs are reproducible bit for bit and the
+//     cache≡rebuild and determinism property tests extend to N > 1.
 //   - Concurrent (real goroutines, for benchmarks and -race hammering):
 //     RunRound launches every member's pass on its own goroutine and
 //     waits. Races are real; safety is still guaranteed by admission, but
@@ -145,18 +145,16 @@ func (ss *ShardedSchedulers) RunRound() int {
 		wg.Wait()
 		return int(total)
 	}
-	views := make([]*ClusterView, len(ss.members))
-	for i, m := range ss.members {
-		// Sync every member's persistent view before any pass runs: member
-		// k's view must not include members 0..k-1's binds from this
-		// round. Each member owns its incremental view, so the round-start
-		// capture costs O(nodes changed since the member's last round)
-		// instead of N full cache snapshots.
-		views[i] = m.syncedView()
+	for _, m := range ss.members {
+		// Sync every member's view before any member plans: member k's
+		// view must not include members 0..k-1's binds from this round.
+		// Each member owns its incremental view, so the round-start
+		// capture costs O(nodes changed since the member's last round).
+		m.syncPass()
 	}
 	bound := 0
-	for i, m := range ss.members {
-		bound += m.schedulePass(views[i])
+	for _, m := range ss.members {
+		bound += m.schedulePass(false)
 	}
 	return bound
 }

@@ -130,8 +130,9 @@ func TestShardedConflictRetry(t *testing.T) {
 
 // TestShardedCacheMatchesBuildViewN2 extends the cache≡rebuild guard to
 // two round-robin schedulers over one API server: random churn
-// interleaved with sharded rounds, and at every checkpoint each member's
-// event-driven cache snapshot must equal its own from-scratch BuildView.
+// interleaved with sharded rounds, and at every checkpoint a fresh view
+// of each member's event-driven cache must equal that member's oracle,
+// the from-scratch BuildView.
 func TestShardedCacheMatchesBuildViewN2(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewSource(int64(5000 + trial)))
@@ -235,14 +236,14 @@ func TestShardedCacheMatchesBuildViewN2(t *testing.T) {
 			}
 			if op%9 == 0 {
 				for i, m := range ss.Members() {
-					viewsEqual(t, m.Cache().Snapshot(), m.BuildView(),
+					viewsEqual(t, freshView(m.Cache()), oracleView(m, db),
 						fmt.Sprintf("trial %d op %d member %d", trial, op, i))
 				}
 			}
 		}
 		clk.Advance(2 * time.Minute)
 		for i, m := range ss.Members() {
-			viewsEqual(t, m.Cache().Snapshot(), m.BuildView(),
+			viewsEqual(t, freshView(m.Cache()), oracleView(m, db),
 				fmt.Sprintf("trial %d final member %d", trial, i))
 		}
 		ss.Close()

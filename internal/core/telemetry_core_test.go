@@ -362,12 +362,30 @@ func (m midCycle) Permit(pod *PodInfo, node string) PermitDecision {
 	return PermitAllow
 }
 
+// midScore is midCycle one stage earlier: a score plugin (rating every
+// candidate 0) that lets a test act, once, while a pod's candidates are
+// being scored. A pod with no feasible node has no candidates to score
+// until the preemption planner replays its pipeline against a simulated
+// post-eviction node, so for such a pod the act lands between the choice
+// of a victim set and its eviction.
+type midScore map[string]func()
+
+func (midScore) Name() string { return "mid-score" }
+func (m midScore) Score(pod *PodInfo, _ *NodeView, _ *ClusterView) float64 {
+	if act := m[pod.Pod.Name]; act != nil {
+		delete(m, pod.Pod.Name)
+		act()
+	}
+	return 0
+}
+
 // passTallyEveryOutcome drives one scheduler through every outcome a
 // cycle can report — an idle pass, held, bound, a budget stop on
 // bound+held, unschedulable, gated, a non-stale and a stale conflict (the
-// latter ending its pass), a preemption with two victims — across all
-// four class slots, and requires Stats, the registry and the trace ring
-// to agree on every counter after every pass.
+// latter ending its pass), a preemption with two victims, a planned
+// eviction the server refuses — across all four class slots, and requires
+// Stats, the registry and the trace ring to agree on every counter after
+// every pass, and the victims counted to be the requeues on the stream.
 func passTallyEveryOutcome(t *testing.T) {
 	clk := clock.NewSim()
 	srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
@@ -379,13 +397,19 @@ func passTallyEveryOutcome(t *testing.T) {
 	}
 	gd := NewGangDirector(clk, srv, GangConfig{})
 	defer gd.Close()
-	hooks := midCycle{}
+	hooks, scoring := midCycle{}, midScore{}
 	reg := telemetry.New()
+	requeued := 0
+	defer srv.Subscribe(func(ev apiserver.WatchEvent) {
+		if ev.Type == apiserver.PodUpdated && !ev.Pod.IsTerminal() && ev.Pod.Spec.NodeName == "" {
+			requeued++
+		}
+	})()
 	sched, err := New(clk, srv, nil, Config{
 		Name: "tally",
 		Policy: NewProfile("hooked",
 			WithPreScore(SGXLastPreScore{}),
-			WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}),
+			WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}, WeightedScore{Plugin: scoring, Weight: 1}),
 			WithPermits(hooks)),
 		Gang:             gd,
 		Classes:          NewClassRegistry(nil),
@@ -488,6 +512,37 @@ func passTallyEveryOutcome(t *testing.T) {
 	}
 	if vip, _ := srv.GetPod("vip"); vip.Spec.NodeName != "n2" {
 		t.Fatalf("vip on %q, want n2", vip.Spec.NodeName)
+	}
+
+	// Pass 7: "late" fits nowhere either and plans to evict "a" — which
+	// finishes on its own while the planner is still replaying the
+	// pipeline (in a concurrent fleet: another member evicts the same
+	// victim first). The server refuses the eviction, so no preemption
+	// and no victim may be counted — the stream shows no requeue — yet the
+	// cycle's re-check finds the room "a" left behind and binds in the
+	// same pass.
+	scoring["late"] = func() {
+		if err := srv.MarkSucceeded("a"); err != nil {
+			t.Errorf("finishing the planned victim: %v", err)
+		}
+	}
+	submit(memPod("late", resource.GiB, 50), api.ClassUnspecified, "tally")
+	before = st
+	st = pass(1)
+	if len(scoring) != 0 {
+		t.Fatal("the planner never replayed late's pipeline: the refused-eviction case did not run")
+	}
+	if st.Preemptions != before.Preemptions || st.Victims != before.Victims {
+		t.Fatalf("a refused eviction was counted: %+v (before %+v)", st, before)
+	}
+	if a, _ := srv.GetPod("a"); a.Status.Phase != api.PodSucceeded {
+		t.Fatalf("a = %s, want Succeeded (never evicted)", a.Status.Phase)
+	}
+	if late, _ := srv.GetPod("late"); late.Spec.NodeName != "n1" {
+		t.Fatalf("late on %q, want n1 (the room a left)", late.Spec.NodeName)
+	}
+	if requeued != st.Victims {
+		t.Fatalf("Stats.Victims = %d, but the watch stream shows %d requeues", st.Victims, requeued)
 	}
 	if n := len(sched.Traces()); n != calls-1 {
 		t.Fatalf("ring holds %d traces, want one per non-idle pass (%d)", n, calls-1)

@@ -1,24 +1,30 @@
 // Package core implements the paper's primary contribution: the SGX-aware
 // scheduler (§IV, §V-B). It periodically drains the API server's
 // priority-then-FCFS pending queue, fuses static resource requests with
-// live usage metrics pulled from the time-series database (the
-// sliding-window queries of Listing 1), and runs each pod through a
-// plugin pipeline (framework.go): filter plugins for hardware
-// compatibility and saturation, pre-score plugins for the SGX-last
-// preference, and weighted score plugins for placement quality. The
-// supported policies — binpack, spread, and the request-only baseline
+// live usage metrics (the sliding-window peaks of Listing 1), and runs
+// each pod through a plugin pipeline (framework.go): filter plugins for
+// hardware compatibility and saturation, pre-score plugins for the
+// SGX-last preference, and weighted score plugins for placement quality.
+// The supported policies — binpack, spread, and the request-only baseline
 // mirroring Kubernetes' default scheduler — are profiles over those
 // plugins, bit-identical to their original fixed implementations. When a
 // pod finds no feasible node, the scheduler may preempt strictly
 // lower-priority pods (preemption.go): minimal victim sets, deterministic
 // tie-breaks, victims re-queued rather than failed.
+//
+// Listing 1 is read two ways. In production the scheduler never queries
+// the time-series database: monitor.WindowMax, a streaming aggregator on
+// the database's write path, maintains the same per-(pod, node) window
+// peaks and feeds the event-driven ClusterCache (cache.go) — the
+// scheduler's only read of usage. The literal InfluxQL query runs only in
+// the package's test oracle (oracle_test.go), the from-scratch reference
+// every cache property test compares an incremental view against.
 package core
 
 import (
 	"sort"
 	"time"
 
-	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
@@ -39,8 +45,9 @@ type NodeView struct {
 	FreeDevices int64
 
 	// Index locator fields, maintained by nodeIndex (index.go) for nodes
-	// held in an incremental view; zero and meaningless in the plain
-	// allocating snapshots produced by BuildView and Snapshot.
+	// held in a scheduler's incremental view; zero and meaningless in a
+	// literal NodeView built outside one (the preemption planner's scratch
+	// node, plugin unit tests, the test oracle).
 	idxPart   int8
 	memBucket int8
 	epcBucket int8
@@ -93,17 +100,19 @@ func (v *NodeView) LoadFraction(name resource.Name) float64 {
 // pass. Nodes are kept sorted by name: "the order of the nodes stays
 // consistent by always sorting them in the same way" (§IV).
 //
-// Two flavours exist. Plain views (BuildView, ClusterCache.Snapshot) are
-// freshly allocated each time and carry only Nodes. Incremental views
-// (newIndexedView, kept current via ClusterCache.SyncView) additionally
-// maintain a name map, the candidate index of index.go, and a pool of
-// retired NodeViews so that bringing the view up to date after a pass is
-// O(changed nodes) instead of O(cluster). Incremental views are owned by
-// one scheduler and must only be mutated through Commit and SyncView.
+// The scheduler builds exactly one kind: the incremental view
+// (ClusterCache.NewView, kept current via ClusterCache.SyncView), which
+// besides Nodes maintains a name map, the candidate index of index.go,
+// and a pool of retired NodeViews so that bringing the view up to date
+// after a pass is O(changed nodes) instead of O(cluster). It is owned by
+// one scheduler and must only be mutated through Commit and SyncView. A
+// literal &ClusterView{Nodes: ...} is still a valid read-only input to
+// plugins, Node and Commit — which is what plugin unit tests and the test
+// oracle hand around — but nothing in the scheduler plans a pass on one.
 type ClusterView struct {
 	Nodes []*NodeView
 
-	// Incremental-view state; all nil/zero in plain views.
+	// Incremental-view state; all nil/zero in a literal view.
 	byName     map[string]*NodeView
 	idx        *nodeIndex
 	epoch      uint64
@@ -117,9 +126,6 @@ type ClusterView struct {
 func newIndexedView() *ClusterView {
 	return &ClusterView{byName: make(map[string]*NodeView), idx: &nodeIndex{}}
 }
-
-// indexed reports whether this view maintains the candidate index.
-func (c *ClusterView) indexed() bool { return c.idx != nil }
 
 // Node returns the view of the named node, or nil.
 func (c *ClusterView) Node(name string) *NodeView {
@@ -136,9 +142,9 @@ func (c *ClusterView) Node(name string) *NodeView {
 
 // Commit records a placement decided in this pass so later decisions in
 // the same pass see the node's reduced headroom. Used is mutated in
-// place; views built by BuildView always carry a writable map. On an
-// incremental view the node is also re-bucketed so candidate generation
-// sees the reduced headroom immediately.
+// place, so the node must carry a writable map. On an incremental view
+// the node is also re-bucketed so candidate generation sees the reduced
+// headroom immediately.
 func (c *ClusterView) Commit(nodeName string, req resource.List) {
 	n := c.Node(nodeName)
 	if n == nil {
@@ -149,11 +155,6 @@ func (c *ClusterView) Commit(nodeName string, req resource.List) {
 	if c.idx != nil {
 		c.idx.rebucket(n)
 	}
-}
-
-// sortNodes normalises node order.
-func (c *ClusterView) sortNodes() {
-	sort.Slice(c.Nodes, func(i, j int) bool { return c.Nodes[i].Name < c.Nodes[j].Name })
 }
 
 // takeNodeView returns a NodeView for the named node, recycling a retired
@@ -238,7 +239,7 @@ func (c *ClusterView) recycleAll() {
 	c.idx.reset()
 }
 
-// podUsage is the per-pod fusion of measured usage and declared requests.
+// fuseUsage is the per-pod fusion of measured usage and declared requests.
 //
 // The paper's scheduler decides "based on actual measured memory usage
 // (for the EPC as well as regular memory)" (§V-B). Freshly bound or
@@ -247,17 +248,12 @@ func (c *ClusterView) recycleAll() {
 // the measurement and the request; mature pods are charged their measured
 // usage only — which is how a usage-aware scheduler reclaims headroom from
 // over-declaring jobs and detects under-declaring (malicious) ones.
-// podUsage returns scalars rather than a resource.List: it runs once per
-// active pod per pass, and the caller folds the result straight into the
-// node's usage accumulators.
-func podUsage(p *api.Pod, req resource.List, measuredMem, measuredEPCBytes float64, now time.Time, lag time.Duration, useMetrics bool) (memBytes, epcPages int64) {
-	return fuseUsage(req.Get(resource.Memory), req.Get(resource.EPCPages),
-		measuredMem, measuredEPCBytes, p.Status.StartedAt, now, lag, useMetrics)
-}
-
-// fuseUsage is the scalar core of podUsage, shared with the event-driven
-// ClusterCache so both paths apply bit-identical fusion — the equivalence
-// property the cache is tested against depends on it.
+// fuseUsage takes and returns scalars rather than resource.Lists: the
+// cache re-fuses a pod on every metric, maturity and status change and
+// folds the result straight into its node's usage sums. The test oracle
+// fuses through the same function, so both sides apply bit-identical
+// arithmetic — the equivalence property the cache is tested against
+// depends on it.
 func fuseUsage(reqMem, reqEPC int64, measuredMem, measuredEPCBytes float64, startedAt, now time.Time, lag time.Duration, useMetrics bool) (memBytes, epcPages int64) {
 	if !useMetrics {
 		return reqMem, reqEPC
