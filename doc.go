@@ -98,7 +98,14 @@
 // goroutine delivers inline afterwards, one batch per subscriber in
 // subscription order — under the simulation clock this is bit-for-bit
 // the historical callback-list behavior, which the determinism and
-// cache≡rebuild property tests pin. In asynchronous mode
+// cache≡rebuild property tests pin. The flush is a combining one: the
+// goroutine that finds none in progress drains for everybody, and a
+// Flush that finds one active — re-entrant from a callback or concurrent
+// from another committer, the broker does not ask which — returns at
+// once, so no commit pays a goroutine-id lookup (a stack traceback).
+// Watch events carry a private copy of the pod struct — binding and
+// status are the commit's — sharing the labels and containers nothing
+// changes after CreatePod, instead of a deep copy. In asynchronous mode
 // (apiserver.WithAsyncWatch) every subscriber gets a pump goroutine that
 // drains the ring in batches ([]WatchEvent per callback): publishers
 // never wait for consumers, slow consumers batch up naturally, and a
@@ -113,10 +120,13 @@
 // snapshot the same way. The fan-out experiment
 // (internal/experiments.FanoutScenario, walked through in
 // examples/fanout) drains the same backlog at 1-8 concurrent schedulers
-// × 1-32 watchers under both modes: with synchronous delivery binds/sec
-// collapses as subscribers are added (every commit pays the whole
-// fan-out); with the async broker commit throughput holds, which is
-// what lets the sharded-scheduler benchmark scale with scheduler count.
+// × 1-32 watchers under both modes: with synchronous delivery the
+// fan-out runs inside a mutating call — one committer at a time delivers
+// everybody's events to every subscriber, serially, and its bind returns
+// only when the drain does; with the async broker no commit runs
+// subscriber code, the pumps deliver in parallel and in batches, and a
+// slow subscriber resyncs instead of holding anyone up — which is what
+// lets the sharded-scheduler benchmark scale with scheduler count.
 //
 // Multiple schedulers can serve one cluster concurrently (§V-B), in the
 // Omega shared-state style. The API server's Bind is an admission-checked

@@ -1,18 +1,19 @@
 // Event fan-out: commit vs dissemination. With synchronous watch
-// delivery every mutation hands its event to all subscribers inside the
-// mutating call, so bind commits serialize behind the fan-out and
-// adding schedulers (or watchers — monitors, dashboards, autoscalers)
-// makes binds *slower*. The internal/watch broker decouples the two: a
-// commit appends its event to a versioned ring in O(1) and returns;
-// per-subscriber pumps deliver in batches, and a subscriber that falls
-// off the ring resyncs from a snapshot instead of slowing the writer.
+// delivery the fan-out runs inside a mutating call: the committer that
+// holds the broker's flush hands everybody's events to all subscribers,
+// one after the other, before its own bind returns, so subscriber code
+// (monitors, dashboards, autoscalers) runs on the commit path. The
+// internal/watch async mode decouples the two: a commit appends its
+// event to a versioned ring in O(1) and returns; per-subscriber pumps
+// deliver in batches, and a subscriber that falls off the ring resyncs
+// from a snapshot instead of slowing the writer.
 //
 // This walkthrough drains the same 1024-pod backlog with 1..8 real
 // concurrent schedulers and 1..32 extra watchers, under both modes, and
-// prints wall-clock binds/sec plus broker accounting. Expect the sync
-// rows to flatten or degrade as schedulers and watchers grow, and the
-// async rows to hold or improve — with batches building up and, on a
-// loaded box, resyncs absorbing the overflow instead of back-pressure.
+// prints wall-clock binds/sec plus broker accounting. Expect sync
+// batches of about one event (delivery keeps pace with the commits that
+// pay for it) and async batches building up — and, on a loaded box,
+// resyncs absorbing the overflow instead of back-pressure.
 package main
 
 import (
@@ -52,9 +53,9 @@ func main() {
 			r.Elapsed.Round(1000*1000), r.MeanBatch, r.Resyncs, r.MaxLag)
 	}
 	fmt.Println()
-	fmt.Println("The async broker moves event dissemination off the commit critical section:")
-	fmt.Println("binds/sec now scales with scheduler count instead of degrading, and extra")
-	fmt.Println("watchers cost pump time, not commit latency. Resyncs (if any) are slow")
-	fmt.Println("subscribers recovering from ring overflow via a fresh snapshot — the")
-	fmt.Println("writer never waited for them.")
+	fmt.Println("The async broker moves event dissemination off the committing goroutines:")
+	fmt.Println("extra watchers cost pump time, not commit latency, and deliveries batch up.")
+	fmt.Println("In sync mode one committer at a time delivers for everybody, inline.")
+	fmt.Println("Resyncs (if any) are slow subscribers recovering from ring overflow via a")
+	fmt.Println("fresh snapshot — the writer never waited for them.")
 }

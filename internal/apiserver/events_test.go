@@ -1,0 +1,167 @@
+package apiserver
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/resource"
+)
+
+// TestEventLogGrowthAndWrap walks the audit ring through every shape it
+// takes: empty, growing geometrically from 64 entries, capped at its
+// bound, and wrapped. After every append the snapshot must be the newest
+// min(appended, capacity) events, oldest first, and the buffer must never
+// have been sized past the bound or past twice what it holds.
+func TestEventLogGrowthAndWrap(t *testing.T) {
+	for _, capacity := range []int{1, 63, 64, 65, 129, maxEvents} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			l := newEventLog(capacity)
+			if got := l.snapshot(); len(got) != 0 {
+				t.Fatalf("empty log snapshots %d events", len(got))
+			}
+			epoch := time.Unix(0, 0)
+			check := func(appended int) {
+				t.Helper()
+				got := l.snapshot()
+				retained := min(appended, capacity)
+				if len(got) != retained {
+					t.Fatalf("after %d appends: %d events retained, want %d", appended, len(got), retained)
+				}
+				for i, ev := range got {
+					n := appended - retained + i
+					want := api.Event{
+						Time:    epoch.Add(time.Duration(n)),
+						Object:  fmt.Sprintf("pod/p%d", n),
+						Reason:  "R",
+						Message: fmt.Sprint(n),
+					}
+					if n%2 == 1 {
+						want.Object = fmt.Sprintf("node/p%d", n)
+					}
+					if ev != want {
+						t.Fatalf("after %d appends: event %d = %+v, want %+v", appended, i, ev, want)
+					}
+				}
+				if c := cap(l.buf); c > capacity || c > max(64, 2*retained) {
+					t.Fatalf("after %d appends: buffer sized %d for %d events, bound %d", appended, c, retained, capacity)
+				}
+			}
+			// Every step on the small rings; on the full-size one around a
+			// doubling, the bound and the wrap.
+			total := 2*capacity + 3
+			edges := map[int]bool{64: true, 65: true, 8192: true, 8193: true,
+				capacity - 1: true, capacity: true, capacity + 1: true, total: true}
+			for n := 0; n < total; n++ {
+				kind := kindPod
+				if n%2 == 1 {
+					kind = kindNode
+				}
+				l.append(logEntry{time: epoch.Add(time.Duration(n)), kind: kind,
+					name: fmt.Sprintf("p%d", n), reason: "R", message: fmt.Sprint(n)})
+				if appended := n + 1; capacity <= 129 || edges[appended] {
+					check(appended)
+				}
+			}
+		})
+	}
+}
+
+// TestEventPodSharesSpecKeepsStatus is the contract of the pod a watch
+// event carries: the struct is the event's own — its binding and status
+// are the commit's, whatever the pod goes through afterwards — while the
+// labels and containers are the stored pod's, shared, never copied per
+// commit. The read API stays isolated from all of it: what GetPod returns
+// can be edited freely.
+func TestEventPodSharesSpecKeepsStatus(t *testing.T) {
+	s := New(clock.NewSim())
+	if err := s.RegisterNode(testNode("n1", false)); err != nil {
+		t.Fatal(err)
+	}
+	var evs []WatchEvent
+	defer s.SubscribePodEvents(func(batch []WatchEvent) { evs = append(evs, batch...) }, nil)()
+
+	submitted := testPod("p1")
+	submitted.Labels = map[string]string{"tier": "batch"}
+	if err := s.CreatePod(submitted); err != nil {
+		t.Fatal(err)
+	}
+	// The create severed the caller's pod from the stored one.
+	submitted.Labels["tier"] = "edited"
+	submitted.Spec.Containers[0].Resources.Requests[resource.Memory] = 1
+	if err := s.Bind("p1", "n1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MarkRunning("p1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.MarkSucceeded("p1"); err != nil {
+		t.Fatal(err)
+	}
+
+	want := []struct {
+		typ   WatchEventType
+		node  string
+		phase api.PodPhase
+	}{
+		{PodCreated, "", api.PodPending},
+		{PodBound, "n1", api.PodPending},
+		{PodUpdated, "n1", api.PodRunning},
+		{PodUpdated, "n1", api.PodSucceeded},
+	}
+	if len(evs) != len(want) {
+		t.Fatalf("%d pod events, want %d", len(evs), len(want))
+	}
+	var stored *api.Container
+	s.VisitPod("p1", func(p *api.Pod) { stored = &p.Spec.Containers[0] })
+	if stored == nil {
+		t.Fatal("VisitPod does not find p1")
+	}
+	s.VisitPod("ghost", func(*api.Pod) { t.Error("VisitPod visited a pod that does not exist") })
+	check := func(when string) {
+		t.Helper()
+		for i, w := range want {
+			p := evs[i].Pod
+			if evs[i].Type != w.typ || p.Spec.NodeName != w.node || p.Status.Phase != w.phase {
+				t.Fatalf("%s: event %d is type %v on %q in phase %s, want %v on %q in %s — a later transition shows through",
+					when, i, evs[i].Type, p.Spec.NodeName, p.Status.Phase, w.typ, w.node, w.phase)
+			}
+			if started := !p.Status.StartedAt.IsZero(); started != (i >= 2) {
+				t.Fatalf("%s: event %d StartedAt set = %v", when, i, started)
+			}
+			if &p.Spec.Containers[0] != stored {
+				t.Fatalf("%s: event %d carries its own copy of the containers, want the stored pod's backing array", when, i)
+			}
+			if got := p.Spec.Containers[0].Resources.Requests.Get(resource.Memory); got != resource.GiB {
+				t.Fatalf("%s: event %d memory request = %d, want %d", when, i, got, resource.GiB)
+			}
+			if p.Labels["tier"] != "batch" {
+				t.Fatalf("%s: event %d labels = %v", when, i, p.Labels)
+			}
+		}
+	}
+	check("after the pod's whole life")
+
+	got, err := s.GetPod("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got.Spec.Containers[0] == stored {
+		t.Fatal("GetPod hands out the stored pod's containers")
+	}
+	got.Spec.Containers[0].Resources.Requests[resource.Memory] = 7
+	got.Spec.Containers[0].Resources.Requests[resource.EPCPages] = 7
+	got.Labels["tier"] = "edited"
+	got.Status.Phase = api.PodFailed
+	check("after editing a GetPod result")
+	again, err := s.GetPod("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Status.Phase != api.PodSucceeded || again.Labels["tier"] != "batch" || again.IsSGX() ||
+		again.Spec.Containers[0].Resources.Requests.Get(resource.Memory) != resource.GiB {
+		t.Fatalf("editing a GetPod result changed the stored pod: %+v", again)
+	}
+}

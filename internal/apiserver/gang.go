@@ -249,7 +249,7 @@ func (t *txn) reserve(podName, nodeName string) error {
 		return err
 	}
 	t.s.putReservation(podName, nodeName, p.Spec.PodGroup)
-	ev := p.Clone()
+	ev := eventPod(p)
 	ev.Spec.NodeName = nodeName
 	t.publish(WatchEvent{Type: PodPermitHeld, Pod: ev}, "PermitHeld",
 		"gang "+p.Spec.PodGroup+" reserved node "+nodeName)

@@ -55,9 +55,10 @@
 // drop, and a pod-event burst cannot evict node events. In the default
 // synchronous mode the publishing goroutine delivers inline
 // (deterministic under the simulation clock, exactly like the
-// historical callback list); WithAsyncWatch moves delivery onto
-// per-subscriber pump goroutines with batching and snapshot resync for
-// consumers that fall off a ring.
+// historical callback list; among concurrent committers, whichever
+// holds the broker's flush delivers for all); WithAsyncWatch moves
+// delivery onto per-subscriber pump goroutines with batching and
+// snapshot resync for consumers that fall off a ring.
 //
 // The paper's components "interact with [Kubernetes] using its public API"
 // (§V); this package provides that API for the simulated cluster.
@@ -241,11 +242,20 @@ const (
 	PodPermitReleased
 )
 
-// WatchEvent is delivered to subscribers on state changes. Pod/Node are
-// deep copies and safe to retain. Rev is the server's resource version at
-// the mutation: revisions increase by one per event, so a cache built from
-// a ListAndWatch snapshot can discard events already reflected in it
-// (Rev <= Snapshot.Rev) without racing concurrent mutations.
+// WatchEvent is delivered to subscribers on state changes. Pod and Node
+// are safe to retain and read-only. Node is a deep copy. Pod is a copy of
+// the pod struct private to the event — Name, UID, the scalar Spec fields
+// (Spec.NodeName above all) and the whole Status are this commit's and
+// never show a later transition — whose Labels map and Spec.Containers
+// slice (each container's resource lists with it) are shared with the
+// stored pod and with every other event about it: the server never
+// changes them after CreatePod, and a subscriber that wrote through them
+// would corrupt the source of truth. A consumer that needs a pod it may
+// edit clones it (api.Pod.Clone) or asks GetPod. Rev is the
+// server's resource version at the mutation: revisions increase by one
+// per event, so a cache built from a ListAndWatch snapshot can discard
+// events already reflected in it (Rev <= Snapshot.Rev) without racing
+// concurrent mutations.
 type WatchEvent struct {
 	Type WatchEventType
 	Rev  int64
@@ -403,15 +413,19 @@ func (s *Server) Committed(nodeName string) resource.List {
 }
 
 // Subscribe registers a per-event watch callback and returns an
-// unsubscribe function. In synchronous mode callbacks run on the
-// goroutine performing the mutation, after the state stripes are
-// released, and must not synchronously mutate the server (use
-// clock.AfterFunc for follow-ups); in async mode they run on a pump
+// unsubscribe function. In synchronous mode callbacks run on a goroutine
+// performing a mutation — the one holding the broker's flush, which
+// delivers concurrent committers' events with its own — after the state
+// stripes are released, and must not synchronously mutate the server
+// (use clock.AfterFunc for follow-ups); in async mode they run on a pump
 // goroutine. Events arrive in resource-version order with no
-// duplicates. A subscriber that falls off the broker ring in async mode
-// has the missed interval counted in its watch stats and continues from
-// the oldest retained event — consumers that must never miss events
-// should use SubscribeBatch or ListAndWatchBatch with a resync handler.
+// duplicates. No callback starts after unsubscribe returns; async mode
+// also waits for one in flight (unless called from it), synchronous mode
+// does not — see internal/watch. A subscriber that falls off the broker
+// ring in async mode has the missed interval counted in its watch stats
+// and continues from the oldest retained event — consumers that must
+// never miss events should use SubscribeBatch or ListAndWatchBatch with
+// a resync handler.
 func (s *Server) Subscribe(fn func(WatchEvent)) (unsubscribe func()) {
 	return s.SubscribeBatch(func(evs []WatchEvent) {
 		for _, ev := range evs {
@@ -552,8 +566,8 @@ func (s *Server) QuiesceWatch() {
 }
 
 // recordEvent appends to the bounded human-readable event log.
-func (s *Server) recordEvent(object, reason, message string) {
-	s.log.append(s.clk.Now(), object, reason, message)
+func (s *Server) recordEvent(kind, name, reason, message string) {
+	s.log.append(logEntry{time: s.clk.Now(), kind: kind, name: name, reason: reason, message: message})
 }
 
 // Events returns a copy of the retained event log, oldest first.
@@ -636,7 +650,7 @@ func (s *Server) CreatePod(p *api.Pod) error {
 	stored.Status.SubmittedAt = s.clk.Now()
 	t.psh.pods[stored.Name] = stored
 	s.pushPending(stored)
-	t.publish(WatchEvent{Type: PodCreated, Pod: stored.Clone()}, "Created", "queued as pending")
+	t.publish(WatchEvent{Type: PodCreated, Pod: eventPod(stored)}, "Created", "queued as pending")
 	return nil
 }
 
@@ -735,6 +749,19 @@ func (s *Server) VisitPods(fn func(*api.Pod) bool) {
 		if !more {
 			return
 		}
+	}
+}
+
+// VisitPod is VisitPods for one pod by name: fn sees the stored pod under
+// its stripe lock, under the same read-only, no-retain, no-reentrancy
+// contract, and is not called when the pod does not exist. It is what a
+// reader that wants a field or two uses instead of GetPod's deep copy.
+func (s *Server) VisitPod(name string, fn func(*api.Pod)) {
+	sh := s.podShardFor(name)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if p, ok := sh.pods[name]; ok {
+		fn(p)
 	}
 }
 
@@ -910,7 +937,7 @@ func (s *Server) admitBind(p *api.Pod, n *api.Node, com resource.List, req resou
 // rejectBind records a refused bind in the event log so rejected
 // optimistic transactions stay observable.
 func (s *Server) rejectBind(podName, reason string) {
-	s.recordEvent("pod/"+podName, "BindRejected", reason)
+	s.recordEvent(kindPod, podName, "BindRejected", reason)
 }
 
 // commit moves a pod's summed requests into (sign=+1) or out of
@@ -997,7 +1024,7 @@ func (s *Server) transition(podName string, phase api.PodPhase, event, reason st
 	}
 	p.Status.Phase = phase
 	p.Status.Reason = reason
-	t.publish(WatchEvent{Type: PodUpdated, Pod: p.Clone()}, event, reason)
+	t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)}, event, reason)
 	return nil
 }
 

@@ -252,6 +252,20 @@ func TestEventsLog(t *testing.T) {
 	if len(evs) != 1 || evs[0].Reason != "Registered" {
 		t.Fatalf("events = %v", evs)
 	}
+	if err := s.CreatePod(testPod("p1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Bind("p1", "nowhere"); err == nil {
+		t.Fatal("bind to an unknown node succeeded")
+	}
+	var got []string
+	for _, ev := range s.Events() {
+		got = append(got, ev.Object+" "+ev.Reason)
+	}
+	want := []string{"node/n1 Registered", "pod/p1 Created", "pod/p1 BindRejected"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("events = %q, want %q", got, want)
+	}
 }
 
 func TestListPodsFilter(t *testing.T) {

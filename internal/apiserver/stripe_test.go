@@ -319,11 +319,13 @@ func TestSubscribePodEventsFiltersNodeEvents(t *testing.T) {
 }
 
 // bindAllocsPinned is what one successful Bind allocates with telemetry
-// off, synchronous watch and one subscriber: the pod copy for the event,
-// its request sum and the event-log strings. The commit transaction must
-// add nothing to it — a heap-escaping txn or closure per commit would
-// show up on every bind of the bind_storm benchmark.
-const bindAllocsPinned = 10
+// off, synchronous watch and one subscriber: the pod struct the event
+// carries and the event-log message naming the node. The commit
+// transaction must add nothing to it — a heap-escaping txn or closure per
+// commit, a deep copy of the spec for the event, a goroutine-id lookup in
+// the flush — any of them would show up on every bind of the bind_storm
+// benchmark.
+const bindAllocsPinned = 2
 
 func TestBindAllocsPinned(t *testing.T) {
 	if raceEnabled {

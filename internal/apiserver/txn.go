@@ -87,13 +87,11 @@ func (t *txn) node(name string) *nodeShard {
 // unpublished. Racing publishes from other stripes may reach the broker
 // out of rev order; its Sequenced mode restores the order.
 func (t *txn) publish(ev WatchEvent, reason, message string) {
-	var object string
 	if ev.Pod != nil {
-		object = "pod/" + ev.Pod.Name
+		t.s.recordEvent(kindPod, ev.Pod.Name, reason, message)
 	} else {
-		object = "node/" + ev.Node.Name
+		t.s.recordEvent(kindNode, ev.Node.Name, reason, message)
 	}
-	t.s.recordEvent(object, reason, message)
 	ev.Rev = t.s.seq.Add(1)
 	t.s.broker.PublishTopic(topicOf(ev.Type), ev.Rev, ev)
 	t.published = true
@@ -117,6 +115,16 @@ func (t *txn) end() {
 	if t.published {
 		t.s.broker.Flush()
 	}
+}
+
+// eventPod returns the pod a watch event carries (see WatchEvent): a
+// private copy of the struct, so binding and status stay this commit's,
+// sharing Labels and Spec.Containers with the stored pod — nothing writes
+// either in place after CreatePod's severing deep clone, so a commit need
+// not copy a spec nobody changed.
+func eventPod(p *api.Pod) *api.Pod {
+	ev := *p
+	return &ev
 }
 
 // --- per-pod mutation bodies, shared by the single-pod operations
@@ -182,7 +190,7 @@ func (t *txn) bindPod(p *api.Pod, nodeName, message string) {
 	if p.Spec.InGang() {
 		t.s.addGroupBound(p.Spec.PodGroup, p.Name)
 	}
-	t.publish(WatchEvent{Type: PodBound, Pod: p.Clone()}, "Bound", message)
+	t.publish(WatchEvent{Type: PodBound, Pod: eventPod(p)}, "Bound", message)
 }
 
 // requeueBound evicts a bound pod back to the pending queue (Preempt,
@@ -199,7 +207,7 @@ func (t *txn) requeueBound(p *api.Pod, reason string) {
 		t.s.dropGroupBound(p.Spec.PodGroup, p.Name)
 	}
 	t.s.pushPending(p)
-	t.publish(WatchEvent{Type: PodUpdated, Pod: p.Clone()}, "Preempted", reason)
+	t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)}, "Preempted", reason)
 }
 
 // dropPermit cancels the permit p holds, if any, and releases the
@@ -220,7 +228,7 @@ func (t *txn) rollbackPermit(p *api.Pod, reason string) bool {
 	}
 	p.Status.Reason = reason
 	t.s.pushPending(p)
-	t.publish(WatchEvent{Type: PodPermitReleased, Pod: p.Clone()},
+	t.publish(WatchEvent{Type: PodPermitReleased, Pod: eventPod(p)},
 		"PermitReleased", "gang "+p.Spec.PodGroup+": "+reason)
 	return true
 }

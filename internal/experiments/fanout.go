@@ -22,7 +22,8 @@ import (
 // autoscalers — anything consuming the event stream) ride the broker,
 // under both delivery modes. The async broker should hold (and scale)
 // binds/sec as schedulers and watchers grow; the sync broker pays the
-// full fan-out inside every commit.
+// fan-out inside a mutating call — since the combining Flush, inside
+// whichever commit holds the flush, for everybody's events.
 
 // FanoutConfig parameterises one backlog drain under event fan-out.
 type FanoutConfig struct {

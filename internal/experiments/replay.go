@@ -322,20 +322,23 @@ func (tb *Testbed) deployMalicious(cfg ReplayConfig) error {
 // samplePending computes the pending-queue request totals (Fig. 7).
 func (tb *Testbed) samplePending(start time.Time) PendingPoint {
 	pt := PendingPoint{Offset: tb.Clk.Since(start)}
-	for _, pod := range tb.Srv.PendingPods(SchedulerName) {
+	tb.Srv.VisitPending(SchedulerName, func(pod *api.Pod) bool {
 		req := pod.TotalRequests()
 		pt.RequestedEPCBytes += resource.BytesForPages(req.Get(resource.EPCPages))
 		pt.RequestedMemBytes += req.Get(resource.Memory)
 		pt.Pending++
-	}
+		return true
+	})
 	return pt
 }
 
 // allTraceJobsTerminal reports whether every replayed job ended; the
 // malicious pods (which run for the whole horizon) are excluded.
 func (tb *Testbed) allTraceJobsTerminal() bool {
-	live := tb.Srv.ListPods(func(p *api.Pod) bool {
-		return p.Spec.SchedulerName == SchedulerName && !p.IsTerminal()
+	done := true
+	tb.Srv.VisitPods(func(p *api.Pod) bool {
+		done = p.Spec.SchedulerName != SchedulerName || p.IsTerminal()
+		return done
 	})
-	return len(live) == 0
+	return done
 }

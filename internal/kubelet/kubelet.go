@@ -296,9 +296,12 @@ func (k *Kubelet) admit(pod *api.Pod) {
 	// since. Launch only the binding this admission was scheduled for:
 	// same node, same binding instant (a re-bind re-runs admit with the
 	// fresh timestamps).
-	if cur, err := k.srv.GetPod(pod.Name); err != nil ||
-		cur.IsTerminal() || cur.Spec.NodeName != k.nodeName ||
-		!cur.Status.ScheduledAt.Equal(pod.Status.ScheduledAt) {
+	current := false
+	k.srv.VisitPod(pod.Name, func(cur *api.Pod) {
+		current = !cur.IsTerminal() && cur.Spec.NodeName == k.nodeName &&
+			cur.Status.ScheduledAt.Equal(pod.Status.ScheduledAt)
+	})
+	if !current {
 		return
 	}
 	// A bind→preempt→re-bind to this node within one simulated instant

@@ -19,12 +19,21 @@
 // Two delivery modes:
 //
 //   - Sync: events are delivered inline by Flush, on the publishing
-//     goroutine, one batch per subscriber in subscription order. A
-//     single flusher runs at a time and drains the rings completely, so
-//     under a single-goroutine simulation every event is handed to every
-//     subscriber before the mutating call returns — bit-for-bit
-//     reproducible, exactly like a callback list, which is what the
-//     determinism and cache≡rebuild property tests pin.
+//     goroutine, one batch per subscriber in subscription order. Flush
+//     is a combining single flusher: the first caller claims the flush
+//     and drains the rings completely; a call that finds a flusher
+//     active — re-entrant from one of its callbacks or concurrent from
+//     another goroutine, which the broker neither can nor needs to tell
+//     apart — returns at once and leaves its events to that drain, which
+//     re-reads the head after every callback and gives the claim up in
+//     the same critical section as its last, empty sweep. Under a
+//     single-goroutine simulation every event is therefore handed to
+//     every subscriber before the outermost mutating call returns —
+//     bit-for-bit reproducible, exactly like a callback list, which is
+//     what the determinism and cache≡rebuild property tests pin. Under
+//     concurrent publishers nothing is left undelivered once they have
+//     all returned; a caller that needs delivery to have happened at
+//     some earlier point uses Quiesce (from outside a callback).
 //   - Async: every subscriber gets a pump goroutine that waits for new
 //     events, copies whatever is pending (up to the batch cap) out of
 //     the rings under the lock, and invokes the subscriber's callback
@@ -50,11 +59,15 @@
 // resync handler have the missed interval counted in their
 // back-pressure stats and continue from the oldest retained event.
 //
-// Unsubscribe is safe in both modes, from anywhere: called concurrently
-// with delivery it blocks until the in-flight callback returns (so the
-// caller knows no further callbacks will run), and called from inside
-// the subscriber's own callback it returns immediately instead of
-// self-deadlocking.
+// Unsubscribe is safe in both modes, from anywhere, and in both no
+// callback for the subscription starts after it returns. In Async mode
+// it additionally blocks until a callback in flight on the subscriber's
+// pump has returned — unless it is called from inside that callback,
+// where it returns immediately instead of self-deadlocking. In Sync mode
+// it never waits: the callback in flight may be the caller's own frame,
+// several levels up a re-entrant mutation, so a consumer that shares
+// state between its callback and the goroutine that unsubscribes it
+// guards that state itself.
 package watch
 
 import (
@@ -295,9 +308,9 @@ type subscription[T any] struct {
 	buf   []T   // reused batch buffer; callbacks must not retain it
 	heads []int // per-ring merge offsets, reused across batch cuts
 
-	closed      bool
-	delivering  bool
-	deliverGoid int64 // goroutine running the callback, for re-entrancy
+	closed     bool
+	delivering bool
+	pumpGoid   int64 // Async: the pump goroutine, set once at pump start
 
 	stats subStats
 }
@@ -325,12 +338,9 @@ type Broker[T any] struct {
 	order  []int64 // subscription ids, ascending (= subscription order)
 	nextID int64
 
-	// Sync-mode flush state: one flusher drains the rings for everyone;
-	// concurrent flushers wait (or return, when called re-entrantly from
-	// a delivery callback — the outer flusher picks the new events up).
-	flushing    bool
-	flusherGoid int64
-	lastFlushed int64 // every event <= this was offered to all subscribers
+	// flushing is the Sync-mode flush claim: the one flusher holding it
+	// drains the rings for everyone, and every other Flush returns.
+	flushing bool
 
 	closed bool
 }
@@ -438,8 +448,10 @@ func (b *Broker[T]) Subscribe(afterRev int64, fn func([]T), resync func() int64)
 // it. resync (optional) is invoked when the subscriber falls off a
 // subscribed ring: it must re-prime the consumer from a fresh snapshot
 // of the source of truth and return that snapshot's resource version,
-// which becomes the new cursor. The returned function unsubscribes; see
-// the package comment for its safety guarantees.
+// which becomes the new cursor. The returned function unsubscribes, from
+// anywhere including the callback itself: no callback starts after it
+// returns, and in Async mode one in flight on another goroutine has
+// returned too (Sync mode does not wait — see the package comment).
 func (b *Broker[T]) SubscribeTopics(afterRev int64, topics TopicSet, fn func([]T), resync func() int64) (unsubscribe func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -463,9 +475,12 @@ func (b *Broker[T]) SubscribeTopics(afterRev int64, topics TopicSet, fn func([]T
 	return func() { b.unsubscribe(sub) }
 }
 
-// unsubscribe removes sub and, unless called from inside sub's own
-// callback, waits for any in-flight delivery to finish — after it
-// returns, no callback for this subscription is running or will run.
+// unsubscribe removes sub: callLocked checks closed under the mutex, so
+// no callback for it starts once this returns. In Async mode it also
+// waits out a delivery in flight on the pump, unless the caller is that
+// delivery; in Sync mode the delivery in flight may be the caller's own
+// frame, which shared state cannot tell from another goroutine's, so it
+// does not wait.
 func (b *Broker[T]) unsubscribe(sub *subscription[T]) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -481,7 +496,7 @@ func (b *Broker[T]) unsubscribe(sub *subscription[T]) {
 		}
 	}
 	b.cond.Broadcast() // wake the pump so it exits
-	if sub.delivering && sub.deliverGoid != goid() {
+	if b.mode == Async && sub.delivering && sub.pumpGoid != goid() {
 		for sub.delivering {
 			b.cond.Wait()
 		}
@@ -559,7 +574,10 @@ func (b *Broker[T]) Stats() Stats {
 // Quiesce blocks until every subscriber's cursor has reached every
 // event published before the call, no sequenced publish is stashed
 // awaiting its gap, and no delivery or flush is in flight — the barrier
-// tests and benchmarks use to observe a settled fan-out.
+// tests and benchmarks use to observe a settled fan-out, and in Sync mode
+// the way a goroutine whose Flush found another flusher active waits for
+// its own events to land. Not from inside a callback: the flush it would
+// wait out is the one running it.
 func (b *Broker[T]) Quiesce() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -580,59 +598,60 @@ func (b *Broker[T]) Quiesce() {
 }
 
 // Flush delivers every pending event inline, in resource-version order,
-// one batch per subscriber in subscription order. It returns once every
-// event published before the call has been offered to all subscribers —
-// possibly by a concurrent flusher; only one flusher runs at a time.
-// Called re-entrantly from inside a delivery callback (a subscriber
-// mutating the source synchronously), it returns immediately: the outer
-// flusher's drain loop picks the new events up, so re-entrant mutation
-// defers delivery instead of deadlocking. No-op in async mode.
+// one batch per subscriber in subscription order. It is a combining
+// single flusher. The caller that finds no flush in progress claims it
+// and drains until a whole sweep finds every subscriber current — with
+// its own events, with those its callbacks published re-entrantly, with
+// those other goroutines published meanwhile. A caller that finds a
+// flusher active returns at once, be it one of that flusher's callbacks
+// (a subscriber mutating the source synchronously) or another goroutine:
+// the drain re-reads the head after every callback and gives the claim up
+// in the same critical section as its final, empty sweep, so an event
+// published before that sweep is delivered by it and one published after
+// finds the claim free — no lost wake-up. One goroutine thus sees exactly
+// a callback list; concurrent callers that need "delivered" rather than
+// "being delivered by whoever flushes" call Quiesce. No-op in async mode.
 func (b *Broker[T]) Flush() {
 	if b.mode != Sync {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	target := b.lastRev
-	for b.lastFlushed < target && !b.closed {
-		if b.flushing {
-			if b.flusherGoid == goid() {
-				return
-			}
-			b.cond.Wait()
-			continue
-		}
-		b.flushing = true
-		b.flusherGoid = goid()
-		b.drainLocked(b.flusherGoid)
-		b.flushing = false
-		b.flusherGoid = 0
-		b.cond.Broadcast()
+	if b.flushing || b.closed {
+		return
 	}
+	b.flushing = true
+	b.drainLocked()
+	b.flushing = false
+	b.cond.Broadcast()
 }
 
 // drainLocked repeatedly offers pending events to every subscriber until
-// all are current (including events published re-entrantly by the
-// callbacks themselves). Caller holds b.mu, has claimed the flushing
-// flag and passes its own goroutine id (so callbacks are fenced without
-// re-deriving it per event); the mutex is released around callbacks.
-func (b *Broker[T]) drainLocked(callerGoid int64) {
+// a whole sweep delivers nothing (events published by the callbacks
+// themselves, or by other goroutines meanwhile, included). Caller holds
+// b.mu and has claimed the flushing flag; the mutex is released around
+// callbacks.
+func (b *Broker[T]) drainLocked() {
 	for {
 		progressed := false
-		// Iterate a copy: callbacks may subscribe/unsubscribe, mutating
-		// b.order while the mutex is released.
-		ids := append([]int64(nil), b.order...)
-		for _, id := range ids {
-			sub, ok := b.subs[id]
-			if !ok || sub.closed || sub.cursor >= b.lastRev {
-				continue
-			}
-			if b.serveLocked(sub, callerGoid) {
+		// Callbacks may subscribe and unsubscribe while the mutex is
+		// released. Ids ascend along b.order, so a sweep covers the
+		// subscribers present when it began by stopping at the newest id
+		// of that moment, and survives removals by re-seating its index
+		// on the first id after the one it just served.
+		newest := b.nextID
+		for i := 0; i < len(b.order) && b.order[i] <= newest; {
+			sub := b.subs[b.order[i]]
+			if sub.cursor < b.lastRev && b.serveLocked(sub) {
 				progressed = true
 			}
+			if i < len(b.order) && b.order[i] == sub.id {
+				i++
+				continue
+			}
+			i = sort.Search(len(b.order), func(j int) bool { return b.order[j] > sub.id })
 		}
 		if !progressed {
-			b.lastFlushed = b.lastRev
 			return
 		}
 	}
@@ -640,9 +659,10 @@ func (b *Broker[T]) drainLocked(callerGoid int64) {
 
 // pump is the async delivery loop for one subscriber.
 func (b *Broker[T]) pump(sub *subscription[T]) {
-	id := goid() // computed once; fences every callback this pump runs
+	id := goid() // once per pump, never per event
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	sub.pumpGoid = id
 	for {
 		for !sub.closed && !b.closed && sub.cursor >= b.lastRev {
 			b.cond.Wait()
@@ -650,7 +670,7 @@ func (b *Broker[T]) pump(sub *subscription[T]) {
 		if sub.closed || b.closed {
 			return
 		}
-		b.serveLocked(sub, id)
+		b.serveLocked(sub)
 	}
 }
 
@@ -658,7 +678,7 @@ func (b *Broker[T]) pump(sub *subscription[T]) {
 // batch (merged across its subscribed rings in rev order) or runs its
 // too-old recovery. Caller holds b.mu; it is released around the
 // callback. Reports whether the cursor advanced.
-func (b *Broker[T]) serveLocked(sub *subscription[T], callerGoid int64) bool {
+func (b *Broker[T]) serveLocked(sub *subscription[T]) bool {
 	// The eviction horizon is the newest rev pushed off any subscribed
 	// ring: a cursor below it may have missed events.
 	var horizon int64
@@ -677,7 +697,7 @@ func (b *Broker[T]) serveLocked(sub *subscription[T], callerGoid int64) bool {
 		}
 		sub.stats.resyncs.Add(1)
 		before := sub.cursor
-		newCursor, ok := b.callLocked(sub, callerGoid, func() int64 { return sub.resync() })
+		newCursor, ok := b.callLocked(sub, func() int64 { return sub.resync() })
 		if !ok {
 			return false
 		}
@@ -748,7 +768,7 @@ func (b *Broker[T]) serveLocked(sub *subscription[T], callerGoid int64) bool {
 	} else {
 		sub.cursor = lastDelivered
 	}
-	if _, ok := b.callLocked(sub, callerGoid, func() int64 { sub.fn(batch); return 0 }); !ok {
+	if _, ok := b.callLocked(sub, func() int64 { sub.fn(batch); return 0 }); !ok {
 		return false
 	}
 	sub.stats.delivered.Add(int64(n))
@@ -761,28 +781,28 @@ func (b *Broker[T]) serveLocked(sub *subscription[T], callerGoid int64) bool {
 }
 
 // callLocked runs a subscriber callback (delivery or resync) with the
-// mutex released, fenced so unsubscribe can tell an in-flight callback
-// from a settled one; callerGoid is the delivering goroutine's id,
-// computed once by the pump/flusher rather than per event. Returns
+// mutex released, fenced by the delivering flag so Quiesce and an Async
+// unsubscribe can tell an in-flight callback from a settled one. Returns
 // ok=false when the subscription was closed before the callback could
 // start.
-func (b *Broker[T]) callLocked(sub *subscription[T], callerGoid int64, f func() int64) (int64, bool) {
+func (b *Broker[T]) callLocked(sub *subscription[T], f func() int64) (int64, bool) {
 	if sub.closed {
 		return 0, false
 	}
 	sub.delivering = true
-	sub.deliverGoid = callerGoid
 	b.mu.Unlock()
 	v := f()
 	b.mu.Lock()
 	sub.delivering = false
-	sub.deliverGoid = 0
 	b.cond.Broadcast()
 	return v, true
 }
 
 // goid returns the current goroutine id (parsed from the runtime stack
-// header). Computed once per pump/flush/unsubscribe — never per event.
+// header) — a full traceback's worth of work, so it is the Async cold
+// path's alone: once per pump start, and once per unsubscribe that finds
+// a delivery in flight. Nothing per event and nothing in Sync mode calls
+// it (CI holds runtime.Stack to this one site).
 func goid() int64 {
 	var buf [32]byte
 	n := runtime.Stack(buf[:], false)
