@@ -31,13 +31,22 @@
 //
 // The module path is github.com/sgxorch/sgxorch (Go 1.24).
 //
-// The monitoring read path is built for long replays: internal/tsdb
-// indexes series per measurement, keeps points time-ordered, exposes a
-// windowed in-place Scan(measurement, from, to, fn) API, and
-// garbage-collects series whose newest point has aged out of retention,
-// while internal/influxql executes Listing 1-style queries by pushing
-// time and value predicates into that scan and folding points into
-// per-group running aggregates — allocation is O(groups), not O(points).
+// The monitoring plane is built for long replays, and a series' identity
+// is rendered once — when its first point arrives — and never re-derived.
+// internal/tsdb indexes series per measurement, keeps points
+// time-ordered, exposes a windowed in-place Scan(measurement, from, to,
+// fn) API, and garbage-collects series whose newest point has aged out of
+// retention. A write to an existing series allocates nothing: the
+// canonical tag key is rendered into a buffer the database owns and
+// looked up in place, and write observers and scans are handed the
+// series' own immutable tag set, so a collector's two-entry tag literal
+// never leaves its stack and a writer may refill one map across writes.
+// internal/influxql executes Listing 1-style queries by pushing time and
+// value predicates into that scan and folding points into per-group
+// running aggregates found through a hash of the GROUP BY tag values; a
+// subquery's groups fold straight into the outer aggregator, and tag maps
+// are built only for the rows returned — a query allocates O(log groups)
+// times, not per series or per point.
 //
 // The scheduling read path is event-driven rather than rebuilt per pass.
 // The API server exposes an informer handshake (ListAndWatch): a
@@ -51,8 +60,9 @@
 // a streaming sliding-window-max aggregator (monitor.WindowMax) riding
 // the time-series database's write path: one monotonic deque per
 // (measurement, pod, node) series keeps Listing 1's 25 s peak current at
-// O(1) amortized per sample, and an expiry heap re-announces peaks that
-// age out of the window without a write. A scheduling pass therefore
+// O(1) amortized per sample, and a typed, lazily cleaned expiry heap
+// re-announces peaks that age out of the window without a write — a
+// steady-state sample allocates nothing there either. A scheduling pass therefore
 // costs O(pending pods + nodes), independent of total cluster size, and
 // the aggregator is the scheduler's only read of usage: internal/core
 // does not import the query engine. The InfluxQL-driven from-scratch

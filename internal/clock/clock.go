@@ -55,6 +55,7 @@ func Periodic(c Clock, interval time.Duration, f func()) (stop func()) {
 		panic("clock: Periodic interval must be positive")
 	}
 	p := &periodic{c: c, interval: interval, f: f}
+	p.fire = p.tick
 	p.schedule()
 	return p.stop
 }
@@ -63,6 +64,7 @@ type periodic struct {
 	c        Clock
 	interval time.Duration
 	f        func()
+	fire     func() // p.tick, bound once: a method value per re-arm would allocate per tick
 
 	mu      sync.Mutex
 	timer   Timer
@@ -75,7 +77,7 @@ func (p *periodic) schedule() {
 	if p.stopped {
 		return
 	}
-	p.timer = p.c.AfterFunc(p.interval, p.tick)
+	p.timer = p.c.AfterFunc(p.interval, p.fire)
 }
 
 func (p *periodic) tick() {

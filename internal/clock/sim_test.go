@@ -224,3 +224,23 @@ func TestRealClockBasics(t *testing.T) {
 		t.Fatal("Stop on fired timer returned true")
 	}
 }
+
+// TestPeriodicTickAllocatesOnlyItsTimer: re-arming costs the simulated
+// timer's one event and nothing else — a method value made per re-arm
+// would be a second allocation on every tick of every scrape, pass and
+// sweep.
+func TestPeriodicTickAllocatesOnlyItsTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	clk := NewSim()
+	ticks := 0
+	stop := Periodic(clk, time.Second, func() { ticks++ })
+	defer stop()
+	if got := testing.AllocsPerRun(100, func() { clk.Advance(time.Second) }); got != 1 {
+		t.Fatalf("a periodic tick allocates %v times, want 1 (the timer event)", got)
+	}
+	if ticks != 101 {
+		t.Fatalf("ticks = %d, want 101", ticks)
+	}
+}

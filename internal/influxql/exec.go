@@ -3,8 +3,7 @@ package influxql
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/tsdb"
@@ -52,48 +51,84 @@ func Execute(db *tsdb.DB, query string) (Result, error) {
 // tsdb windowed scan with the time predicates pushed down as the scan
 // bounds, tag predicates evaluated once per series, and the remaining
 // point predicates applied as points flow into per-group running
-// aggregates. A query therefore allocates O(groups), never O(points).
+// aggregates. A subquery's groups are folded straight into the outer
+// aggregator; no intermediate rows exist.
+//
+// A query allocates O(log groups) times, never per series or per point:
+// groups live in one slice and their GROUP BY values in one slab, found
+// through a hash of the values, and all that allocates while a query
+// runs is those two slices and the hash index growing by doubling, one
+// index slice for the row order, and a tag map for each row returned.
+// Nothing is kept from one Run to the next.
 func Run(db *tsdb.DB, q *Query) (Result, error) {
-	agg := newAggregator(q)
-	if q.Source.Sub != nil {
-		if err := runSub(db, q, agg); err != nil {
-			return Result{}, err
-		}
-		return agg.result()
-	}
-	if err := runScan(db, q, agg); err != nil {
+	agg, err := run(db, q)
+	if err != nil {
 		return Result{}, err
 	}
 	return agg.result()
 }
 
-// runSub evaluates a subquery source: every inner row becomes one sample
-// stamped at now(), filtered by the outer WHERE and folded into agg.
+// run folds the query's source into a fresh aggregator.
+func run(db *tsdb.DB, q *Query) (*aggregator, error) {
+	agg := newAggregator(q)
+	if q.Source.Sub != nil {
+		return agg, runSub(db, q, agg)
+	}
+	return agg, runScan(db, q, agg)
+}
+
+// runSub evaluates a subquery source: every inner group, in the order
+// its row would have been returned, becomes one sample stamped at now(),
+// filtered by the outer WHERE and folded into agg. A tag the subquery did
+// not group by reads as "".
 func runSub(db *tsdb.DB, q *Query, agg *aggregator) error {
-	inner, err := Run(db, q.Source.Sub)
+	sub := q.Source.Sub
+	inner, err := run(db, sub)
 	if err != nil {
 		return err
 	}
 	now := db.Now()
-	for _, row := range inner.Rows {
+	field := sub.Field.OutName()
+	tag := func(g int32, key string) string {
+		if i := slices.Index(sub.GroupBy, key); i >= 0 {
+			return inner.values(g)[i]
+		}
+		return ""
+	}
+	for _, g := range inner.order() {
+		v, err := inner.groups[g].fold(sub.Field.Func)
+		if err != nil {
+			return err
+		}
 		keep := true
 		for _, c := range q.Where {
-			ok, err := evalRowCondition(c, row, now)
+			switch {
+			case c.IsTime:
+				keep, err = compareTime(now, c.Op, now.Add(-c.Offset))
+			case c.IsTag:
+				keep = (c.Op == OpEq) == (tag(g, c.Subject) == c.Str)
+			case c.Subject != field:
+				err = fmt.Errorf("%w: %q (source provides %q)", ErrUnknownField, c.Subject, field)
+			default:
+				keep, err = compareFloat(v, c.Op, c.Number)
+			}
 			if err != nil {
 				return err
 			}
-			if !ok {
-				keep = false
+			if !keep {
 				break
 			}
 		}
 		if !keep {
 			continue
 		}
-		if row.Field != q.Field.Arg {
-			return fmt.Errorf("%w: %q (source provides %q)", ErrUnknownField, q.Field.Arg, row.Field)
+		if field != q.Field.Arg {
+			return fmt.Errorf("%w: %q (source provides %q)", ErrUnknownField, q.Field.Arg, field)
 		}
-		agg.observe(tsdb.Tags(row.Tags), now, row.Value)
+		for i, k := range q.GroupBy {
+			agg.probe[i] = tag(g, k)
+		}
+		agg.group().observe(now, v)
 	}
 	return nil
 }
@@ -158,7 +193,11 @@ func runScan(db *tsdb.DB, q *Query, agg *aggregator) error {
 				return false
 			}
 			if g == nil {
-				g = agg.group(tags) // one key build + lookup per series
+				// One lookup per series; g stays valid until the next one.
+				for i, k := range q.GroupBy {
+					agg.probe[i] = tags[k]
+				}
+				g = agg.group()
 			}
 			g.observe(p.Time, p.Value)
 		}
@@ -212,26 +251,6 @@ func pushdownWindow(conds []Condition, now time.Time) (from, to time.Time, resid
 	return from, to, residual, false, nil
 }
 
-// evalRowCondition applies one WHERE conjunct to a subquery output row
-// (whose implicit timestamp is now()).
-func evalRowCondition(c Condition, row Row, now time.Time) (bool, error) {
-	switch {
-	case c.IsTime:
-		return compareTime(now, c.Op, now.Add(-c.Offset))
-	case c.IsTag:
-		v := row.Tags[c.Subject]
-		if c.Op == OpEq {
-			return v == c.Str, nil
-		}
-		return v != c.Str, nil
-	default:
-		if c.Subject != row.Field {
-			return false, fmt.Errorf("%w: %q (source provides %q)", ErrUnknownField, c.Subject, row.Field)
-		}
-		return compareFloat(row.Value, c.Op, c.Number)
-	}
-}
-
 func compareTime(t time.Time, op CompareOp, threshold time.Time) (bool, error) {
 	switch op {
 	case OpGte:
@@ -271,16 +290,23 @@ func compareFloat(v float64, op CompareOp, x float64) (bool, error) {
 }
 
 // aggregator folds samples into per-group running state so memory stays
-// proportional to the number of output rows.
+// proportional to the number of output rows. Groups sit in one slice in
+// creation order and their GROUP BY values in one slab, len(q.GroupBy)
+// strings per group; a group is found through a hash of its values, with
+// colliding groups chained and told apart value by value.
 type aggregator struct {
 	q      *Query
-	groups map[string]*groupState
+	groups []groupState
+	vals   []string // group g's values: vals[g*n : (g+1)*n], n = len(q.GroupBy)
+	heads  []int32  // hash bucket → 1 + the newest group of its chain; a power of two long
+	probe  []string // the value tuple group() looks up, filled by the caller
 }
 
 // groupState carries every running statistic any supported aggregation
 // needs; fold picks the right one at result time.
 type groupState struct {
-	tags     tsdb.Tags
+	hash     uint64
+	next     int32 // 1 + the next group of the collision chain, 0 at its end
 	count    int64
 	sum      float64
 	max      float64
@@ -289,24 +315,62 @@ type groupState struct {
 	lastTime time.Time
 }
 
+// groupHashMask narrows the value hash; the tests clear most of its bits
+// so that every lookup walks a collision chain.
+var groupHashMask = ^uint64(0)
+
 func newAggregator(q *Query) *aggregator {
-	return &aggregator{q: q, groups: make(map[string]*groupState)}
+	return &aggregator{q: q, heads: make([]int32, 8), probe: make([]string, len(q.GroupBy))}
 }
 
-// group resolves (or creates) the group for a tag set.
-func (a *aggregator) group(tags tsdb.Tags) *groupState {
-	key := groupKey(a.q.GroupBy, tags)
-	g, ok := a.groups[key]
-	if !ok {
-		g = &groupState{tags: projectTags(a.q.GroupBy, tags)}
-		a.groups[key] = g
+// values returns group g's GROUP BY values, in GROUP BY order.
+func (a *aggregator) values(g int32) []string {
+	n := len(a.q.GroupBy)
+	return a.vals[int(g)*n : (int(g)+1)*n]
+}
+
+// group resolves (or creates) the group whose values are a.probe. The
+// pointer is valid until the next call.
+func (a *aggregator) group() *groupState {
+	h := uint64(14695981039346656037) // FNV-1a, a boundary byte after each value
+	for _, v := range a.probe {
+		for i := 0; i < len(v); i++ {
+			h = (h ^ uint64(v[i])) * 1099511628211
+		}
+		h = (h ^ 0xff) * 1099511628211
 	}
-	return g
+	h &= groupHashMask
+	for g := a.heads[h&uint64(len(a.heads)-1)]; g != 0; g = a.groups[g-1].next {
+		if gs := &a.groups[g-1]; gs.hash == h && slices.Equal(a.values(g-1), a.probe) {
+			return gs
+		}
+	}
+	if len(a.groups) == len(a.heads) { // keep chains short: double the buckets and relink
+		a.heads = make([]int32, 2*len(a.heads))
+		for g := range a.groups {
+			a.link(int32(g))
+		}
+	}
+	a.groups = append(a.groups, groupState{hash: h})
+	a.vals = append(a.vals, a.probe...)
+	a.link(int32(len(a.groups) - 1))
+	return &a.groups[len(a.groups)-1]
 }
 
-// observe folds one sample into the group for its tags.
-func (a *aggregator) observe(tags tsdb.Tags, t time.Time, v float64) {
-	a.group(tags).observe(t, v)
+// link puts group g at the head of its bucket's chain.
+func (a *aggregator) link(g int32) {
+	b := &a.heads[a.groups[g].hash&uint64(len(a.heads)-1)]
+	a.groups[g].next, *b = *b, g+1
+}
+
+// order returns the groups sorted by value tuple — the row order.
+func (a *aggregator) order() []int32 {
+	order := make([]int32, len(a.groups))
+	for g := range order {
+		order[g] = int32(g)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return slices.Compare(a.values(x), a.values(y)) })
+	return order
 }
 
 // observe folds one sample into the running state. The first sample
@@ -330,26 +394,22 @@ func (g *groupState) observe(t time.Time, v float64) {
 	}
 }
 
-// result renders the groups as rows ordered by group key.
+// result renders the groups as rows, building the tag map of each row
+// only now that it is known to be returned.
 func (a *aggregator) result() (Result, error) {
-	keys := make([]string, 0, len(a.groups))
-	for k := range a.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
-	res := Result{Rows: make([]Row, 0, len(keys))}
-	for _, k := range keys {
-		g := a.groups[k]
-		v, err := g.fold(a.q.Field.Func)
+	order := a.order()
+	res := Result{Rows: make([]Row, 0, len(order))}
+	for _, g := range order {
+		v, err := a.groups[g].fold(a.q.Field.Func)
 		if err != nil {
 			return Result{}, err
 		}
-		res.Rows = append(res.Rows, Row{
-			Tags:  g.tags,
-			Field: a.q.Field.OutName(),
-			Value: v,
-		})
+		vals := a.values(g)
+		tags := make(map[string]string, len(vals))
+		for i, k := range a.q.GroupBy {
+			tags[k] = vals[i]
+		}
+		res.Rows = append(res.Rows, Row{Tags: tags, Field: a.q.Field.OutName(), Value: v})
 	}
 	return res, nil
 }
@@ -371,23 +431,4 @@ func (g *groupState) fold(fn AggFunc) (float64, error) {
 	default:
 		return 0, fmt.Errorf("influxql: unsupported aggregation %q", fn)
 	}
-}
-
-func groupKey(groupBy []string, tags tsdb.Tags) string {
-	if len(groupBy) == 0 {
-		return ""
-	}
-	parts := make([]string, 0, len(groupBy))
-	for _, k := range groupBy {
-		parts = append(parts, k+"="+tags[k])
-	}
-	return strings.Join(parts, "\x00")
-}
-
-func projectTags(groupBy []string, tags tsdb.Tags) tsdb.Tags {
-	out := make(tsdb.Tags, len(groupBy))
-	for _, k := range groupBy {
-		out[k] = tags[k]
-	}
-	return out
 }

@@ -9,7 +9,9 @@ package kubelet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -489,25 +491,22 @@ func (k *Kubelet) releaseLocked(entry *podEntry) {
 // so the metric write order, and with it the streaming aggregator's event
 // order, is identical across identical runs.
 func (k *Kubelet) PodStats() []PodStat {
+	type ref struct{ name, cgroup string }
 	k.mu.Lock()
-	type ref struct {
-		name   string
-		cgroup string
-	}
 	refs := make([]ref, 0, len(k.pods))
 	for name, e := range k.pods {
 		refs = append(refs, ref{name: name, cgroup: e.cgroup})
 	}
 	k.mu.Unlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].name < refs[j].name })
+	slices.SortFunc(refs, func(a, b ref) int { return strings.Compare(a.name, b.name) })
 
-	out := make([]PodStat, 0, len(refs))
-	for _, r := range refs {
-		out = append(out, PodStat{
+	out := make([]PodStat, len(refs))
+	for i, r := range refs {
+		out[i] = PodStat{
 			PodName:     r.name,
 			MemoryBytes: k.mach.VMBytesByCgroup(r.cgroup),
 			EPCBytes:    resource.BytesForPages(k.mach.EPCPagesByCgroup(r.cgroup)),
-		})
+		}
 	}
 	return out
 }

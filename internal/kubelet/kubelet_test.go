@@ -432,3 +432,35 @@ func TestSameInstantRebindAdmitsOnce(t *testing.T) {
 		t.Fatalf("devices after completion = %d, want %d", got, total)
 	}
 }
+
+// TestPodStatsSortedAndCheap: the stats endpoint every collector scrapes
+// on every node answers sorted by pod name in two allocations — the
+// collected (name, cgroup) pairs and the result — however many pods run.
+func TestPodStatsSortedAndCheap(t *testing.T) {
+	f := newFixture(t, false)
+	names := []string{"m", "c", "x", "a", "k", "b", "z", "d", "q", "e", "y", "f"}
+	for _, name := range names {
+		if err := f.srv.CreatePod(vmPod(name, resource.MiB, resource.MiB, time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.srv.Bind(name, "std-1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.clk.Advance(2 * time.Second)
+	stats := f.kl.PodStats()
+	if len(stats) != len(names) {
+		t.Fatalf("%d stats, want %d", len(stats), len(names))
+	}
+	for i, s := range stats {
+		if i > 0 && stats[i-1].PodName >= s.PodName {
+			t.Fatalf("stats not sorted by pod name: %+v", stats)
+		}
+		if s.MemoryBytes != resource.MiB {
+			t.Fatalf("pod %s reports %d bytes, want %d", s.PodName, s.MemoryBytes, resource.MiB)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { f.kl.PodStats() }); got > 2 && !raceEnabled {
+		t.Fatalf("PodStats allocates %v times, want ≤ 2", got)
+	}
+}

@@ -1,0 +1,91 @@
+package monitor
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/kubelet"
+	"github.com/sgxorch/sgxorch/internal/tsdb"
+)
+
+// TestSteadyStateWriteAllocatesNothing pins the write path: a sample for
+// an existing series — key rendered and looked up, point appended and
+// pruned, WindowMax's deque and expiry heap updated, a second observer
+// called — allocates nothing once the slices have grown. A key string, a
+// tag clone, an observer-list copy or a boxed heap entry per write would
+// each show as ≥ 1.
+func TestSteadyStateWriteAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	clk := clock.NewSim()
+	db := tsdb.New(clk, tsdb.WithGCInterval(0), tsdb.WithRetention(time.Minute))
+	w := NewWindowMax(clk, db, 25*time.Second, MeasurementEPC)
+	defer w.Close()
+	changes, writes := 0, 0
+	w.SetOnChange(func(string, string, string, float64, bool) { changes++ })
+	db.OnWrite(func(string, tsdb.Tags, float64, time.Time) { writes++ })
+
+	tags := wmTags("p", "n")
+	v := 0.0
+	write := func() {
+		clk.Advance(10 * time.Second)
+		v++ // a new peak every time: the front changes and an expiry entry is pushed
+		db.WriteNow(MeasurementEPC, tags, v)
+	}
+	// Grow the point slice to its retention size and the heap past what
+	// the measured writes will push, then drain the stale entries.
+	for i := 0; i < 512; i++ {
+		write()
+	}
+	w.Refresh()
+	if got := testing.AllocsPerRun(200, write); got != 0 {
+		t.Fatalf("a steady-state write allocates %v times, want 0", got)
+	}
+	if changes != writes || writes < 700 {
+		t.Fatalf("%d writes, %d changes: the measured writes did not all reach both observers", writes, changes)
+	}
+}
+
+// TestScrapeAllocationsDoNotGrowWithPods: one Heapster + probe scrape
+// round over a stable pod set costs the same handful of allocations at 8
+// pods as at 64 — the collectors' tag literal stays on the stack, the
+// database resolves every series in place — so any per-sample allocation
+// that comes back multiplies the larger count and trips this.
+func TestScrapeAllocationsDoNotGrowWithPods(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	perRound := func(pods int) float64 {
+		clk := clock.NewSim()
+		db := tsdb.New(clk, tsdb.WithGCInterval(0), tsdb.WithRetention(time.Minute))
+		w := NewWindowMax(clk, db, 25*time.Second, MeasurementEPC, MeasurementMemory)
+		defer w.Close()
+		w.SetOnChange(func(string, string, string, float64, bool) {})
+		src := &fakeSource{node: "n1"}
+		for i := 0; i < pods; i++ {
+			src.stats = append(src.stats, kubelet.PodStat{
+				PodName: fmt.Sprintf("pod-%03d", i), MemoryBytes: int64(1000 + i), EPCBytes: int64(10 + i),
+			})
+		}
+		h := NewHeapster(clk, db, 0)
+		h.AddSource(src)
+		p := NewProbe(clk, db, src, 0)
+		round := func() {
+			clk.Advance(DefaultScrapeInterval)
+			h.Scrape()
+			p.Scrape()
+			w.Refresh() // the scheduler's cadence; drains the stale expiry entries
+		}
+		for i := 0; i < 32; i++ { // point slices reach their retention size
+			round()
+		}
+		return testing.AllocsPerRun(50, round)
+	}
+	few, many := perRound(8), perRound(64)
+	if few != many || few > 4 {
+		t.Fatalf("a scrape round allocates %v times at 8 pods and %v at 64, want the same small constant", few, many)
+	}
+}

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 
@@ -28,10 +27,14 @@ import (
 // no write in between, series register their front's expiry instant in a
 // min-heap; Refresh pops only the series whose front actually expired, so
 // keeping the whole keyspace current costs O(expired · log series), not
-// O(series). The change callback (SetOnChange) fires on every observable
-// max transition — from writes and from expiry — which is what lets a
-// consumer (the scheduler's ClusterCache) maintain derived sums
-// incrementally.
+// O(series). The heap is a typed binary heap of (instant, *series) pairs
+// — nothing is boxed, so a steady-state sample allocates nothing — and it
+// is lazy: a front change pushes a fresh entry and leaves the old one to
+// be recognised as stale (its instant no longer matches the series'
+// front) when it surfaces. The change callback (SetOnChange) fires on
+// every observable max transition — from writes and from expiry — which
+// is what lets a consumer (the scheduler's ClusterCache) maintain derived
+// sums incrementally.
 //
 // The window must not exceed the database retention period: retention
 // clamping happens on the InfluxQL read path but not here.
@@ -61,10 +64,27 @@ type wmPoint struct {
 	v float64
 }
 
-// wmSeries holds one monotonic deque. Popped-front slack is reclaimed
-// when the slice reallocates on append.
+// wmSeries holds one monotonic deque, and the key it is filed under so
+// an expiry entry needs only the pointer. A series leaves w.series only
+// once its deque is empty, and nothing can fill it again afterwards: an
+// empty deque is what marks a dropped series to the heap entries that
+// still point at it.
 type wmSeries struct {
-	dq []wmPoint
+	key wmKey
+	dq  []wmPoint
+}
+
+// dropExpired evicts the front entries older than cutoff by moving the
+// rest down: the deque keeps the head of its array, so a series whose
+// deque is not growing never reallocates it.
+func (s *wmSeries) dropExpired(cutoff time.Time) {
+	k := 0
+	for k < len(s.dq) && s.dq[k].t.Before(cutoff) {
+		k++
+	}
+	if k > 0 {
+		s.dq = s.dq[:copy(s.dq, s.dq[k:])]
+	}
 }
 
 // wmChange is one observable max transition, collected under the lock
@@ -166,24 +186,22 @@ func (w *WindowMax) Refresh() {
 	var changes []wmChange
 	w.mu.Lock()
 	for len(w.expiry) > 0 && w.expiry[0].at.Before(now) {
-		ent := heap.Pop(&w.expiry).(expiryEntry)
-		s, ok := w.series[ent.key]
-		if !ok || len(s.dq) == 0 || !s.dq[0].t.Add(w.window).Equal(ent.at) {
-			// Stale entry: the front changed after this was pushed, and
-			// that transition already announced itself and registered a
-			// fresh expiry.
+		ent := w.expiry.pop()
+		s := ent.s
+		if len(s.dq) == 0 || !s.dq[0].t.Add(w.window).Equal(ent.at) {
+			// Stale entry: the series was dropped, or its front changed
+			// after this was pushed, and that transition already
+			// announced itself and registered a fresh expiry.
 			continue
 		}
-		for len(s.dq) > 0 && s.dq[0].t.Before(cutoff) {
-			s.dq = s.dq[1:]
-		}
+		s.dropExpired(cutoff)
 		if len(s.dq) == 0 {
-			delete(w.series, ent.key)
-			changes = append(changes, wmChange{key: ent.key})
+			delete(w.series, s.key)
+			changes = append(changes, wmChange{key: s.key})
 			continue
 		}
-		heap.Push(&w.expiry, expiryEntry{at: s.dq[0].t.Add(w.window), key: ent.key})
-		changes = append(changes, wmChange{key: ent.key, max: s.dq[0].v, ok: true})
+		w.expiry.push(expiryEntry{at: s.dq[0].t.Add(w.window), s: s})
+		changes = append(changes, wmChange{key: s.key, max: s.dq[0].v, ok: true})
 	}
 	fn := w.onChange
 	w.mu.Unlock()
@@ -230,7 +248,7 @@ func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, n
 	key := wmKey{measurement: measurement, pod: pod, node: node}
 	s, ok := w.series[key]
 	if !ok {
-		s = &wmSeries{}
+		s = &wmSeries{key: key}
 		w.series[key] = s
 	}
 	var oldFront wmPoint
@@ -239,15 +257,13 @@ func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, n
 		oldFront = s.dq[0]
 	}
 	// Expired fronts are invisible to Max already; drop them quietly.
-	for len(s.dq) > 0 && s.dq[0].t.Before(cutoff) {
-		s.dq = s.dq[1:]
-	}
+	s.dropExpired(cutoff)
 	s.insert(wmPoint{t: t, v: v})
 	front := s.dq[0] // insert on an emptied deque appends, so dq is never empty here
 	if hadFront && front == oldFront {
 		return wmChange{}, false
 	}
-	heap.Push(&w.expiry, expiryEntry{at: front.t.Add(w.window), key: key})
+	w.expiry.push(expiryEntry{at: front.t.Add(w.window), s: s})
 	return wmChange{key: key, max: front.v, ok: true}, true
 }
 
@@ -291,20 +307,49 @@ func (s *wmSeries) insert(p wmPoint) {
 // expiryEntry schedules one series' front for eviction. Entries are lazy:
 // a front change leaves the old entry in the heap to be skipped later.
 type expiryEntry struct {
-	at  time.Time
-	key wmKey
+	at time.Time
+	s  *wmSeries
 }
 
+// expiryHeap is a binary min-heap on at. push and pop sift exactly as
+// container/heap does, so entries due at the same instant surface in the
+// order they always have — the order Refresh announces changes in, which
+// the scheduler's cache and every recorded run depend on.
 type expiryHeap []expiryEntry
 
-func (h expiryHeap) Len() int           { return len(h) }
-func (h expiryHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiryEntry)) }
-func (h *expiryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+func (h *expiryHeap) push(e expiryEntry) {
+	q := append(*h, e)
+	*h = q
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !q[j].at.Before(q[i].at) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *expiryHeap) pop() expiryEntry {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].at.Before(q[j].at) {
+			j = r
+		}
+		if !q[j].at.Before(q[i].at) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	e := q[n]
+	q[n] = expiryEntry{} // do not pin the series through the slack
+	*h = q[:n]
 	return e
 }

@@ -205,3 +205,100 @@ func TestWindowMaxCloseDetaches(t *testing.T) {
 		t.Fatal("closed aggregator observed a write")
 	}
 }
+
+// TestWindowMaxSimultaneousExpiryOrder pins the order Refresh announces
+// fronts that expire at one instant. The expiry heap is not stable, so
+// the order is whatever its sift rules make it — and it is part of every
+// recorded run, because the callbacks feed the scheduler's cache: a heap
+// that sifts differently from container/heap fails here before it moves
+// a sim_digest.
+func TestWindowMaxSimultaneousExpiryOrder(t *testing.T) {
+	clk, db := wmDB()
+	const window = 25 * time.Second
+	w := NewWindowMax(clk, db, window, MeasurementEPC)
+	defer w.Close()
+	var announced []string
+	w.SetOnChange(func(_, pod, _ string, max float64, ok bool) {
+		announced = append(announced, fmt.Sprintf("%s=%v,%v", pod, max, ok))
+	})
+	refresh := func() string {
+		announced = announced[:0]
+		w.Refresh()
+		return fmt.Sprint(announced)
+	}
+
+	// Nine series sampled at one instant; a second later three of them
+	// peak higher (their first entries go stale in place) and all get a
+	// smaller sample that will outlive the first.
+	for i := 0; i < 9; i++ {
+		db.WriteNow(MeasurementEPC, wmTags(fmt.Sprintf("p%d", i), "n"), float64(10+i))
+	}
+	clk.Advance(time.Second)
+	for _, i := range []int{4, 0, 7} {
+		db.WriteNow(MeasurementEPC, wmTags(fmt.Sprintf("p%d", i), "n"), float64(30+i))
+	}
+	clk.Advance(time.Second)
+	for i := 8; i >= 0; i-- {
+		db.WriteNow(MeasurementEPC, wmTags(fmt.Sprintf("p%d", i), "n"), float64(1+i))
+	}
+
+	clk.Advance(window - 2*time.Second + time.Millisecond) // the six untouched first samples expire together
+	if got, want := refresh(), "[p1=2,true p3=4,true p8=9,true p2=3,true p5=6,true p6=7,true]"; got != want {
+		t.Fatalf("first expiry announced %s, want %s", got, want)
+	}
+	clk.Advance(time.Second) // the three later peaks
+	if got, want := refresh(), "[p7=8,true p0=1,true p4=5,true]"; got != want {
+		t.Fatalf("second expiry announced %s, want %s", got, want)
+	}
+	clk.Advance(time.Second) // every series' last sample, all nine at once
+	if got, want := refresh(), "[p0=0,false p4=0,false p1=0,false p3=0,false p8=0,false p6=0,false p5=0,false p2=0,false p7=0,false]"; got != want {
+		t.Fatalf("final expiry announced %s, want %s", got, want)
+	}
+	if n := w.SeriesCount(); n != 0 {
+		t.Fatalf("%d series left after every sample expired", n)
+	}
+}
+
+// TestWindowMaxSeriesRecreatedAfterDrop: Refresh drops a series while
+// expiry entries of it are still queued behind the one that emptied it;
+// a series created afterwards under the same key is a new incarnation
+// those entries must not touch.
+func TestWindowMaxSeriesRecreatedAfterDrop(t *testing.T) {
+	clk, db := wmDB()
+	const window = 25 * time.Second
+	w := NewWindowMax(clk, db, window, MeasurementEPC)
+	defer w.Close()
+	var announced []string
+	w.SetOnChange(func(_, pod, _ string, max float64, ok bool) {
+		announced = append(announced, fmt.Sprintf("%s=%v,%v", pod, max, ok))
+	})
+	t0 := clk.Now()
+	clk.Advance(10 * time.Second)
+	db.Write(MeasurementEPC, wmTags("p", "n"), 3, t0.Add(5*time.Second))
+	// Out of order and larger: it becomes the front, so the entry that
+	// empties the series (due t0+2s+window) sorts before the first one
+	// (due t0+5s+window), which is popped after the series is gone.
+	db.Write(MeasurementEPC, wmTags("p", "n"), 9, t0.Add(2*time.Second))
+	db.WriteNow(MeasurementEPC, wmTags("q", "n"), 1) // a bystander due later than both
+
+	clk.Advance(window) // now = t0+35s: both of p's samples are out, q's is not
+	w.Refresh()
+	if _, ok := w.Max(MeasurementEPC, "p", "n"); ok || w.SeriesCount() != 1 {
+		t.Fatalf("p survived its expiry: %v", announced)
+	}
+	db.WriteNow(MeasurementEPC, wmTags("p", "n"), 4) // the same key, a new series
+	clk.Advance(time.Second)
+	w.Refresh() // q expires; nothing of the old p may fire
+	if v, ok := w.Max(MeasurementEPC, "p", "n"); !ok || v != 4 {
+		t.Fatalf("re-created p reads %v, %v; want 4", v, ok)
+	}
+	clk.Advance(window)
+	w.Refresh()
+	want := "[p=3,true p=9,true q=1,true p=0,false p=4,true q=0,false p=0,false]"
+	if got := fmt.Sprint(announced); got != want {
+		t.Fatalf("announced %s, want %s", got, want)
+	}
+	if n := w.SeriesCount(); n != 0 {
+		t.Fatalf("%d series left", n)
+	}
+}

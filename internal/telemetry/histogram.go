@@ -24,6 +24,8 @@ type Histogram struct {
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+
+	selfName string // self-scrape measurement, set at registration
 }
 
 func newHistogram(bounds []float64) *Histogram {

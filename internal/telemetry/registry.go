@@ -31,7 +31,8 @@ import (
 // Counter is a monotonically increasing metric. The zero value (or a nil
 // pointer, the disabled form) is ready to use.
 type Counter struct {
-	v atomic.Int64
+	v        atomic.Int64
+	selfName string // self-scrape measurement, set at registration
 }
 
 // Add increments the counter by n (no-op on a nil handle; negative
@@ -57,7 +58,8 @@ func (c *Counter) Value() int64 {
 // Gauge is a float64-valued metric that may go up and down. Stored as
 // atomic bits, so Set/Value are single lock-free operations.
 type Gauge struct {
-	bits atomic.Uint64
+	bits     atomic.Uint64
+	selfName string // self-scrape measurement, set at registration
 }
 
 // Set replaces the gauge value (no-op on a nil handle).
@@ -132,7 +134,7 @@ func (r *Registry) counterKey(k metricKey) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[k]
 	if !ok {
-		c = &Counter{}
+		c = &Counter{selfName: SelfScrapeMeasurementPrefix + k.name}
 		r.counters[k] = c
 	}
 	return c
@@ -151,7 +153,7 @@ func (r *Registry) gaugeKey(k metricKey) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[k]
 	if !ok {
-		g = &Gauge{}
+		g = &Gauge{selfName: SelfScrapeMeasurementPrefix + k.name}
 		r.gauges[k] = g
 	}
 	return g
@@ -173,6 +175,7 @@ func (r *Registry) histogramKey(k metricKey, bounds []float64) *Histogram {
 	h, ok := r.histograms[k]
 	if !ok {
 		h = newHistogram(bounds)
+		h.selfName = SelfScrapeMeasurementPrefix + k.name
 		r.histograms[k] = h
 	}
 	return h

@@ -44,21 +44,26 @@ func (r *Registry) ScrapeInto(db *tsdb.DB) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
+	// One tag map serves every write: the database clones it for a new
+	// series and otherwise only reads it during the call.
+	scratch := tsdb.Tags{}
 	tags := func(k metricKey, extraKey, extraVal string) tsdb.Tags {
-		t := tsdb.Tags{}
+		clear(scratch)
 		if k.labelKey != "" {
-			t[k.labelKey] = k.labelValue
+			scratch[k.labelKey] = k.labelValue
 		}
 		if extraKey != "" {
-			t[extraKey] = extraVal
+			scratch[extraKey] = extraVal
 		}
-		return t
+		return scratch
 	}
 	for _, k := range sortedKeys(r.counters) {
-		db.WriteNow(SelfScrapeMeasurementPrefix+k.name, tags(k, "", ""), float64(r.counters[k].Value()))
+		c := r.counters[k]
+		db.WriteNow(c.selfName, tags(k, "", ""), float64(c.Value()))
 	}
 	for _, k := range sortedKeys(r.gauges) {
-		db.WriteNow(SelfScrapeMeasurementPrefix+k.name, tags(k, "", ""), r.gauges[k].Value())
+		g := r.gauges[k]
+		db.WriteNow(g.selfName, tags(k, "", ""), g.Value())
 	}
 	for _, k := range sortedKeys(r.histograms) {
 		h := r.histograms[k]
@@ -66,10 +71,10 @@ func (r *Registry) ScrapeInto(db *tsdb.DB) {
 			continue // no estimate to publish yet
 		}
 		for _, sq := range scrapeQuantiles {
-			db.WriteNow(SelfScrapeMeasurementPrefix+k.name, tags(k, TagQuantile, sq.tag), h.Quantile(sq.q))
+			db.WriteNow(h.selfName, tags(k, TagQuantile, sq.tag), h.Quantile(sq.q))
 		}
-		db.WriteNow(SelfScrapeMeasurementPrefix+k.name, tags(k, TagStat, "count"), float64(h.Count()))
-		db.WriteNow(SelfScrapeMeasurementPrefix+k.name, tags(k, TagStat, "sum"), h.Sum())
+		db.WriteNow(h.selfName, tags(k, TagStat, "count"), float64(h.Count()))
+		db.WriteNow(h.selfName, tags(k, TagStat, "sum"), h.Sum())
 	}
 }
 

@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -313,5 +315,69 @@ func TestEnabledHandlesAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled handles allocated %v/op", allocs)
+	}
+}
+
+// TestScrapeIntoExactTagSetsFromOneScratchMap: the self-scrape refills
+// one tag map for every write, so each series must carry exactly its own
+// tags — nothing left over from the series written before it — and a
+// scrape's allocations must not grow with the number of series.
+func TestScrapeIntoExactTagSetsFromOneScratchMap(t *testing.T) {
+	build := func(classes int) (*Registry, *tsdb.DB, func()) {
+		clk := clock.NewSim()
+		db := tsdb.New(clk, tsdb.WithGCInterval(0), tsdb.WithRetention(time.Minute))
+		r := New()
+		r.Counter("binds_total").Add(4)
+		for i := 0; i < classes; i++ {
+			class := fmt.Sprintf("c%02d", i)
+			r.GaugeVec("depth", "class").With(class).Set(float64(i))
+			r.HistogramVec("wait_seconds", "class", []float64{1, 10}).With(class).Observe(0.5)
+		}
+		r.Histogram("pass_seconds", []float64{1, 10}).Observe(2)
+		return r, db, func() {
+			clk.Advance(10 * time.Second)
+			r.ScrapeInto(db)
+		}
+	}
+
+	_, db, scrape := build(2)
+	scrape()
+	var got []string
+	for _, m := range db.Measurements() {
+		for _, s := range db.Series(m) {
+			keys := make([]string, 0, len(s.Tags))
+			for k, v := range s.Tags {
+				keys = append(keys, k+"="+v)
+			}
+			sort.Strings(keys)
+			got = append(got, m+"{"+strings.Join(keys, ",")+"}")
+		}
+	}
+	want := []string{
+		"self/binds_total{}",
+		"self/depth{class=c00}", "self/depth{class=c01}",
+		"self/pass_seconds{quantile=0.5}", "self/pass_seconds{quantile=0.99}",
+		"self/pass_seconds{stat=count}", "self/pass_seconds{stat=sum}",
+		"self/wait_seconds{class=c00,quantile=0.5}", "self/wait_seconds{class=c00,quantile=0.99}",
+		"self/wait_seconds{class=c00,stat=count}", "self/wait_seconds{class=c00,stat=sum}",
+		"self/wait_seconds{class=c01,quantile=0.5}", "self/wait_seconds{class=c01,quantile=0.99}",
+		"self/wait_seconds{class=c01,stat=count}", "self/wait_seconds{class=c01,stat=sum}",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("series written:\n%v\nwant:\n%v", got, want)
+	}
+
+	if raceEnabled {
+		return // its instrumentation allocates
+	}
+	perScrape := func(classes int) float64 {
+		_, _, scrape := build(classes)
+		for i := 0; i < 16; i++ { // point slices reach their retention size
+			scrape()
+		}
+		return testing.AllocsPerRun(20, scrape)
+	}
+	if few, many := perScrape(2), perScrape(32); few != many {
+		t.Fatalf("a self-scrape allocates %v times over 2 classes and %v over 32, want the same", few, many)
 	}
 }

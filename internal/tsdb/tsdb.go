@@ -17,11 +17,21 @@
 // never observed, and a clock-driven garbage-collection sweep deletes
 // whole series whose newest point has aged out — so series of terminated
 // pods do not accumulate over a long replay.
+//
+// Identity: a series' canonical key and its tag set are rendered once,
+// when its first point arrives, and never again. Write resolves an
+// existing series without allocating — the key is rendered into a buffer
+// the database owns and looked up in place — and neither retains the
+// writer's map nor shows it to anyone: write observers and Scan callbacks
+// receive the series' own stored tag set, which is immutable from
+// creation until the sweep drops the series. A writer may therefore refill
+// and reuse one map across writes, and a reader may keep the tag set it
+// was handed, but must never modify it.
 package tsdb
 
 import (
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -46,21 +56,37 @@ func (t Tags) Clone() Tags {
 	return out
 }
 
-// canonical renders tags deterministically for use as a map key.
-func (t Tags) canonical() string {
-	keys := make([]string, 0, len(t))
+// appendCanonical renders tags deterministically — "k=v," per tag, keys
+// sorted — onto buf, for use as a map key. The bytes that delimit the
+// rendering (',' and '=', and the escape byte '\\' itself) are escaped
+// inside keys and values, so distinct tag sets never share a key; a tag
+// set without them renders as it always has. Up to eight keys sort on the
+// stack.
+func appendCanonical(buf []byte, t Tags) []byte {
+	var stack [8]string
+	keys := stack[:0]
 	for k := range t {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
+	slices.Sort(keys)
 	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(t[k])
-		b.WriteByte(',')
+		buf = appendEscaped(buf, k)
+		buf = append(buf, '=')
+		buf = appendEscaped(buf, t[k])
+		buf = append(buf, ',')
 	}
-	return b.String()
+	return buf
+}
+
+func appendEscaped(buf []byte, s string) []byte {
+	from := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == ',' || c == '=' || c == '\\' {
+			buf = append(append(buf, s[from:i]...), '\\')
+			from = i
+		}
+	}
+	return append(buf, s[from:]...)
 }
 
 // SeriesData is a copy of one series returned by queries.
@@ -81,8 +107,8 @@ const DefaultGCInterval = time.Minute
 
 // WriteObserver is a write-path subscription callback (see OnWrite). It
 // runs synchronously on the writing goroutine after the database lock is
-// released; tags are the writer's map and must not be retained or
-// mutated.
+// released; tags are the series' own stored tag set, not the writer's
+// map: they never change, may be retained, and must not be mutated.
 type WriteObserver func(measurement string, tags Tags, value float64, t time.Time)
 
 // writeObserver is one registered observer; the slice is ordered by id
@@ -102,8 +128,9 @@ type DB struct {
 	measurements map[string]*measurementIndex
 	nSeries      int
 	stopGC       func()
-	observers    []writeObserver
+	observers    []writeObserver // copy-on-write: a write walks the slice it read under mu after unlocking
 	nextObsID    int
+	keyBuf       []byte // Write's canonical-key scratch
 }
 
 // measurement groups the series of one measurement name. entries is kept
@@ -115,8 +142,8 @@ type measurementIndex struct {
 }
 
 type seriesEntry struct {
-	key    string // canonical tags
-	tags   Tags
+	key    string  // canonical tags
+	tags   Tags    // cloned from the first writer's map, immutable afterwards
 	points []Point // time-ordered
 }
 
@@ -177,39 +204,45 @@ func (db *DB) Retention() time.Duration { return db.retention }
 // OnWrite registers a write-path observer: every Write (and WriteNow)
 // invokes fn after the point is stored, on the writing goroutine, with
 // the database lock released — the hook streaming aggregators build on to
-// stay continuously current without polling. It returns an unsubscribe
-// function. fn must not call back into the database.
+// stay continuously current without polling. Observers run in
+// registration order and receive the series' stored tag set (see
+// WriteObserver). It returns an unsubscribe function; a write that read
+// the observer list before an unsubscribe may still deliver to fn once.
+// fn must not write to the database; it may unsubscribe, itself included.
 func (db *DB) OnWrite(fn WriteObserver) (unsubscribe func()) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	id := db.nextObsID
 	db.nextObsID++
-	db.observers = append(db.observers, writeObserver{id: id, fn: fn})
+	// Clip so the append copies: writes in flight keep walking the old slice.
+	db.observers = append(slices.Clip(db.observers), writeObserver{id: id, fn: fn})
 	return func() {
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		for i, o := range db.observers {
-			if o.id == id {
-				db.observers = append(db.observers[:i], db.observers[i+1:]...)
-				return
-			}
+		i := slices.IndexFunc(db.observers, func(o writeObserver) bool { return o.id == id })
+		if i >= 0 {
+			db.observers = slices.Delete(slices.Clone(db.observers), i, i+1)
 		}
 	}
 }
 
 // Write appends a sample to the series identified by measurement and
 // tags, stamped at time t. Out-of-order writes are tolerated: the point
-// is inserted at its time-ordered position.
+// is inserted at its time-ordered position. tags is only read, and only
+// until Write returns: the key, the tag clone and the entry are allocated
+// on a series' first write, and a write to an existing series allocates
+// nothing beyond the growth of its point slice.
 func (db *DB) Write(measurement string, tags Tags, value float64, t time.Time) {
-	key := tags.canonical()
 	db.mu.Lock()
+	db.keyBuf = appendCanonical(db.keyBuf[:0], tags)
 	m, ok := db.measurements[measurement]
 	if !ok {
 		m = &measurementIndex{byKey: make(map[string]*seriesEntry)}
 		db.measurements[measurement] = m
 	}
-	e, ok := m.byKey[key]
+	e, ok := m.byKey[string(db.keyBuf)] // no string is built for a lookup
 	if !ok {
+		key := string(db.keyBuf)
 		e = &seriesEntry{key: key, tags: tags.Clone()}
 		m.byKey[key] = e
 		i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].key >= key })
@@ -227,16 +260,10 @@ func (db *DB) Write(measurement string, tags Tags, value float64, t time.Time) {
 		e.points[i] = Point{Time: t, Value: value}
 	}
 	db.pruneLocked(e)
-	var fns []WriteObserver
-	if len(db.observers) > 0 {
-		fns = make([]WriteObserver, len(db.observers))
-		for i, o := range db.observers {
-			fns[i] = o.fn
-		}
-	}
+	observers, stored := db.observers, e.tags
 	db.mu.Unlock()
-	for _, fn := range fns {
-		fn(measurement, tags, value, t)
+	for _, o := range observers {
+		o.fn(measurement, stored, value, t)
 	}
 }
 
@@ -278,10 +305,10 @@ func (e *seriesEntry) window(cutoff, from, to time.Time) []Point {
 // Scan visits, in place and in canonical series order, every series of
 // the measurement holding at least one point in [from, to]. A zero from
 // or to leaves that bound open; expired points are never visited. fn
-// receives the series tags and the time-ordered window slice; returning
-// false stops the scan. The callback runs under the database lock: it
-// must not retain either argument past its return nor call back into the
-// DB.
+// receives the series' stored tag set — immutable, so it may be kept but
+// never modified — and the time-ordered window slice, which it must not
+// retain past its return; returning false stops the scan. The callback
+// runs under the database lock and must not call back into the DB.
 func (db *DB) Scan(measurement string, from, to time.Time, fn func(tags Tags, points []Point) bool) {
 	cutoff := db.clk.Now().Add(-db.retention)
 	db.mu.Lock()

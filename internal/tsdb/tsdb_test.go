@@ -2,6 +2,8 @@ package tsdb
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,7 +80,7 @@ func TestMeasurementsAndCount(t *testing.T) {
 func TestTagsCanonicalOrderIndependent(t *testing.T) {
 	a := Tags{"pod_name": "p", "nodename": "n"}
 	b := Tags{"nodename": "n", "pod_name": "p"}
-	if a.canonical() != b.canonical() {
+	if string(appendCanonical(nil, a)) != string(appendCanonical(nil, b)) {
 		t.Fatal("canonical depends on map iteration order")
 	}
 }
@@ -272,5 +274,194 @@ func TestOnWriteObservers(t *testing.T) {
 	db.WriteNow("m", Tags{"pod": "p1"}, 5)
 	if len(order) != 3 {
 		t.Fatalf("detached observers still notified: %v", order)
+	}
+}
+
+// TestCanonicalKeyInjective: tag sets that differ must land in different
+// series even when a value carries the bytes the key rendering delimits
+// with, and a tag set without those bytes must render as it always has
+// (series order, Scan order and every recorded stream depend on it).
+func TestCanonicalKeyInjective(t *testing.T) {
+	if got := string(appendCanonical(nil, Tags{"pod_name": "p", "nodename": "n"})); got != "nodename=n,pod_name=p," {
+		t.Fatalf("plain key = %q, want the unescaped rendering", got)
+	}
+	sets := []Tags{
+		{"a": "1,b=2"}, // rendered unescaped, these two were one series
+		{"a": "1", "b": "2"},
+		{"a": `x\`, "b": "y"}, // a value ending in the escape byte
+		{"a": `x\,b=y`},
+		{"a": ""}, // an empty value, an empty key, no tags at all
+		{"": "a"},
+		{},
+		{"a": "", "b": ""},
+		{"a=": ""},
+	}
+	clk := clock.NewSim()
+	db := New(clk, WithGCInterval(0))
+	for i, tags := range sets {
+		db.WriteNow("m", tags, float64(i))
+	}
+	if got := db.SeriesCount(); got != len(sets) {
+		t.Fatalf("SeriesCount = %d, want %d distinct series", got, len(sets))
+	}
+	for _, s := range db.Series("m") {
+		if len(s.Points) != 1 {
+			t.Fatalf("series %v holds %d points, want 1", s.Tags, len(s.Points))
+		}
+		want := sets[int(s.Points[0].Value)]
+		if len(s.Tags) != len(want) {
+			t.Fatalf("series %v stored for tags %v", s.Tags, want)
+		}
+		for k, v := range want {
+			if got, ok := s.Tags[k]; !ok || got != v {
+				t.Fatalf("series %v stored for tags %v", s.Tags, want)
+			}
+		}
+	}
+}
+
+// TestWriteMoreThanEightTags: past the keys that sort on the stack the
+// rendering is the same, whatever order the writer's map yields them in.
+func TestWriteMoreThanEightTags(t *testing.T) {
+	clk := clock.NewSim()
+	db := New(clk, WithGCInterval(0))
+	want := ""
+	for round := 0; round < 4; round++ {
+		tags := Tags{}
+		for i := 0; i < 12; i++ {
+			tags[fmt.Sprintf("k%02d", (i*5+round)%12)] = "v"
+		}
+		db.WriteNow("m", tags, float64(round))
+	}
+	for i := 0; i < 12; i++ {
+		want += fmt.Sprintf("k%02d=v,", i)
+	}
+	s := db.Series("m")
+	if len(s) != 1 || len(s[0].Points) != 4 || len(s[0].Tags) != 12 {
+		t.Fatalf("series = %+v, want one 12-tag series with 4 points", s)
+	}
+	if got := string(appendCanonical(nil, s[0].Tags)); got != want {
+		t.Fatalf("key = %q, want %q", got, want)
+	}
+}
+
+// TestWriterMayReuseItsMap: Write keeps nothing of the writer's map.
+// Refilling or mutating it afterwards changes neither the stored series,
+// nor Series(), nor the tag set a later observer call or Scan receives —
+// that is always the series' own.
+func TestWriterMayReuseItsMap(t *testing.T) {
+	clk := clock.NewSim()
+	db := New(clk, WithGCInterval(0))
+	var seen []Tags
+	db.OnWrite(func(_ string, tags Tags, _ float64, _ time.Time) { seen = append(seen, tags) })
+
+	scratch := Tags{"pod": "p1"}
+	db.WriteNow("m", scratch, 1)
+	scratch["pod"] = "p2" // refill for the next series
+	db.WriteNow("m", scratch, 2)
+	scratch["pod"], scratch["extra"] = "p1", "x"
+	delete(scratch, "extra")
+	db.WriteNow("m", scratch, 3) // p1 again, through the reused map
+	clear(scratch)
+	scratch["junk"] = "j"
+
+	if got := db.SeriesCount(); got != 2 {
+		t.Fatalf("SeriesCount = %d, want 2", got)
+	}
+	series := db.Series("m")
+	if len(series) != 2 || series[0].Tags["pod"] != "p1" || len(series[0].Tags) != 1 || len(series[0].Points) != 2 ||
+		series[1].Tags["pod"] != "p2" || len(series[1].Tags) != 1 || len(series[1].Points) != 1 {
+		t.Fatalf("Series = %+v", series)
+	}
+	if len(seen) != 3 {
+		t.Fatalf("observer saw %d writes, want 3", len(seen))
+	}
+	for i, want := range []string{"p1", "p2", "p1"} {
+		if len(seen[i]) != 1 || seen[i]["pod"] != want {
+			t.Fatalf("observer call %d kept tags %v, want pod=%s", i, seen[i], want)
+		}
+	}
+	db.Scan("m", time.Time{}, time.Time{}, func(tags Tags, _ []Point) bool {
+		if _, leaked := tags["junk"]; leaked || len(tags) != 1 {
+			t.Fatalf("Scan yields tags %v after the writer reused its map", tags)
+		}
+		return true
+	})
+}
+
+// TestObserverUnsubscribesItselfMidDelivery: the write in flight still
+// reaches everyone it read under the lock, in id order; the next one
+// skips the observer that left.
+func TestObserverUnsubscribesItselfMidDelivery(t *testing.T) {
+	clk := clock.NewSim()
+	db := New(clk, WithGCInterval(0))
+	var order []string
+	db.OnWrite(func(string, Tags, float64, time.Time) { order = append(order, "a") })
+	var unsubB func()
+	unsubB = db.OnWrite(func(string, Tags, float64, time.Time) {
+		order = append(order, "b")
+		unsubB()
+	})
+	db.OnWrite(func(string, Tags, float64, time.Time) { order = append(order, "c") })
+
+	db.WriteNow("m", Tags{"k": "v"}, 1)
+	db.WriteNow("m", Tags{"k": "v"}, 2)
+	if got := fmt.Sprint(order); got != "[a b c a c]" {
+		t.Fatalf("delivery order = %v, want [a b c a c]", got)
+	}
+}
+
+// TestObserverChurnDuringConcurrentWrites subscribes and unsubscribes
+// observers from one goroutine while others write (run it under -race):
+// every write delivers in ascending id order to the list it read, and a
+// write that starts after an unsubscribe returned never reaches the
+// observer that left.
+func TestObserverChurnDuringConcurrentWrites(t *testing.T) {
+	clk := clock.NewSim()
+	db := New(clk, WithGCInterval(0))
+
+	var mu sync.Mutex
+	lastID := make(map[float64]int) // per write (values are unique): the last observer id delivered to
+	observer := func(id int, live *atomic.Bool) WriteObserver {
+		return func(_ string, _ Tags, v float64, _ time.Time) {
+			if v < 0 && !live.Load() {
+				t.Errorf("observer %d received write %v begun after its unsubscribe returned", id, v)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if last, ok := lastID[v]; ok && last >= id {
+				t.Errorf("write %v reached observer %d after observer %d", v, id, last)
+			}
+			lastID[v] = id
+		}
+	}
+	var always atomic.Bool
+	always.Store(true)
+	db.OnWrite(observer(0, &always))
+
+	const writers, perWriter = 4, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tags := Tags{"writer": fmt.Sprint(w)}
+			for i := 0; i < perWriter; i++ {
+				db.WriteNow("m", tags, float64(w*perWriter+i+1))
+			}
+		}()
+	}
+	for id := 1; id <= 200; id++ {
+		var live atomic.Bool
+		live.Store(true)
+		unsub := db.OnWrite(observer(id, &live))
+		db.WriteNow("m", Tags{"writer": "churn"}, -float64(2*id)) // negative: the churner's own writes
+		unsub()
+		live.Store(false)
+		db.WriteNow("m", Tags{"writer": "churn"}, -float64(2*id+1))
+	}
+	wg.Wait()
+	if got, want := len(lastID), writers*perWriter+400; got != want {
+		t.Fatalf("%d distinct writes delivered, want %d", got, want)
 	}
 }
