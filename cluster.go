@@ -464,12 +464,11 @@ func (c *Cluster) SubmitJob(spec JobSpec) error {
 	if spec.Class != "" && !class.Known() {
 		return fmt.Errorf("sgxorch: unknown workload class %q", spec.Class)
 	}
-	requests := resource.List{}
+	var requests, limits resource.List
 	if spec.MemoryRequestBytes > 0 {
 		requests[resource.Memory] = spec.MemoryRequestBytes
 	}
 	var workload api.WorkloadSpec
-	limits := resource.List{}
 	if spec.EPCRequestBytes > 0 {
 		usage := spec.EPCUsageBytes
 		if usage == 0 {

@@ -29,6 +29,16 @@
 // trace substrate (internal/borg). This package is the stable public
 // surface over them.
 //
+// Resource quantities (internal/resource) are values. The paper makes EPC
+// one more countable item beside CPU and memory (§V-A), so the vocabulary
+// is closed: resource.Name is a dense index and resource.List a fixed
+// array of one integer per name — the zero value is the empty list,
+// assignment copies it, == compares it. A pod's request total is summed
+// on the stack, and every fit check (the scheduler's NodeView.Fits, the
+// API server's bind admission, the kubelet's device admit) compares
+// integers. The API server refuses a pod with a negative request or
+// limit, so every stored quantity is non-negative.
+//
 // The module path is github.com/sgxorch/sgxorch (Go 1.24).
 //
 // The monitoring plane is built for long replays, and a series' identity

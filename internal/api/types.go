@@ -6,6 +6,7 @@ package api
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/resource"
@@ -127,11 +128,6 @@ type Requirements struct {
 	Limits   resource.List
 }
 
-// Clone deep-copies the requirements.
-func (r Requirements) Clone() Requirements {
-	return Requirements{Requests: r.Requests.Clone(), Limits: r.Limits.Clone()}
-}
-
 // Container is one container of a pod.
 type Container struct {
 	Name      string
@@ -248,34 +244,25 @@ func (p *Pod) CgroupPath() string {
 
 // TotalRequests sums resource requests across containers.
 func (p *Pod) TotalRequests() resource.List {
-	total := make(resource.List, 2)
-	for _, c := range p.Spec.Containers {
-		total.AddInPlace(c.Resources.Requests)
+	var total resource.List
+	for i := range p.Spec.Containers {
+		total = total.Add(p.Spec.Containers[i].Resources.Requests)
 	}
 	return total
 }
 
 // TotalLimits sums resource limits across containers.
 func (p *Pod) TotalLimits() resource.List {
-	total := make(resource.List, 2)
-	for _, c := range p.Spec.Containers {
-		total.AddInPlace(c.Resources.Limits)
+	var total resource.List
+	for i := range p.Spec.Containers {
+		total = total.Add(p.Spec.Containers[i].Resources.Limits)
 	}
 	return total
 }
 
 // IsSGX reports whether the pod requests any share of the EPC resource,
-// which is how the stack distinguishes SGX-enabled jobs (§V-A). It is
-// called per pod per scheduling pass, so it avoids materialising the
-// request sum.
-func (p *Pod) IsSGX() bool {
-	for _, c := range p.Spec.Containers {
-		if c.Resources.Requests.Get(resource.EPCPages) > 0 {
-			return true
-		}
-	}
-	return false
-}
+// which is how the stack distinguishes SGX-enabled jobs (§V-A).
+func (p *Pod) IsSGX() bool { return p.TotalRequests()[resource.EPCPages] > 0 }
 
 // IsTerminal reports whether the pod reached a final phase.
 func (p *Pod) IsTerminal() bool {
@@ -304,12 +291,7 @@ func (p *Pod) TurnaroundTime() (time.Duration, bool) {
 func (p *Pod) Clone() *Pod {
 	out := *p
 	out.Labels = cloneStringMap(p.Labels)
-	out.Spec.Containers = make([]Container, len(p.Spec.Containers))
-	for i, c := range p.Spec.Containers {
-		cc := c
-		cc.Resources = c.Resources.Clone()
-		out.Spec.Containers[i] = cc
-	}
+	out.Spec.Containers = slices.Clone(p.Spec.Containers)
 	return &out
 }
 
@@ -337,8 +319,6 @@ func (n *Node) HasSGX() bool {
 func (n *Node) Clone() *Node {
 	out := *n
 	out.Labels = cloneStringMap(n.Labels)
-	out.Capacity = n.Capacity.Clone()
-	out.Allocatable = n.Allocatable.Clone()
 	return &out
 }
 

@@ -152,3 +152,34 @@ func TestWorkloadKindString(t *testing.T) {
 		t.Fatal("unknown kind string wrong")
 	}
 }
+
+// TestRequestSumsAndClonesAllocsPinned: a request total is three integers
+// summed on the stack, a pod copy is the struct plus its containers, and
+// a node copy is the struct alone — a per-container or per-list
+// allocation coming back shows on every event and every scheduling cycle.
+func TestRequestSumsAndClonesAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
+	}
+	p := samplePod()
+	p.Spec.Containers = p.Spec.Containers[:1]
+	n := &Node{Name: "sgx-1", Allocatable: resource.List{resource.Memory: 8 * resource.GiB, resource.EPCPages: 23936}}
+	var sink resource.List
+	var podSink *Pod
+	var nodeSink *Node
+	for _, tc := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"Pod.TotalRequests", 0, func() { sink = p.TotalRequests() }},
+		{"Pod.TotalLimits", 0, func() { sink = p.TotalLimits() }},
+		{"Pod.Clone (one container, no labels)", 2, func() { podSink = p.Clone() }},
+		{"Node.Clone (no labels)", 1, func() { nodeSink = n.Clone() }},
+	} {
+		if got := testing.AllocsPerRun(100, tc.fn); got > tc.max {
+			t.Errorf("%s allocates %.0f objects, pinned at %.0f", tc.name, got, tc.max)
+		}
+	}
+	_, _, _ = sink, podSink, nodeSink
+}

@@ -20,7 +20,7 @@ func reqPod(name string, req resource.List) *api.Pod {
 			SchedulerName: "s",
 			Containers: []api.Container{{
 				Name:      "main",
-				Resources: api.Requirements{Requests: req.Clone()},
+				Resources: api.Requirements{Requests: req},
 			}},
 		},
 	}
@@ -207,6 +207,72 @@ func TestBindStrictMemoryAdmission(t *testing.T) {
 	}
 }
 
+// TestCreatePodRefusesNegativeQuantities: a negative request would pass
+// admission (nothing to fit) and then lower the node's committed sum, so
+// later binds over-commit EPC — 30 pages bound on a 10-page node before
+// the check. It is refused at create, and the node then takes exactly
+// what it has.
+func TestCreatePodRefusesNegativeQuantities(t *testing.T) {
+	s := New(clock.NewSim())
+	n := testNode("sgx", true)
+	n.Allocatable[resource.EPCPages] = 10
+	if err := s.RegisterNode(n); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CreatePod(reqPod("neg", resource.List{resource.EPCPages: -100})); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("negative request err = %v, want ErrInvalid", err)
+	}
+	lim := reqPod("neglim", resource.List{resource.EPCPages: 1})
+	lim.Spec.Containers[0].Resources.Limits[resource.Memory] = -1
+	if err := s.CreatePod(lim); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("negative limit err = %v, want ErrInvalid", err)
+	}
+	if _, err := s.GetPod("neg"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("refused pod was stored: err = %v", err)
+	}
+	if got := s.PendingCount(); got != 0 {
+		t.Fatalf("refused pods queued: pending = %d", got)
+	}
+	var bound int
+	for _, name := range []string{"a", "b", "c"} {
+		if err := s.CreatePod(reqPod(name, resource.List{resource.EPCPages: 10})); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Bind(name, "sgx"); err == nil {
+			bound++
+		} else if !errors.Is(err, ErrOutdated) {
+			t.Fatalf("bind %s: %v", name, err)
+		}
+	}
+	if got := s.Committed("sgx"); bound != 1 || got != (resource.List{resource.EPCPages: 10}) {
+		t.Fatalf("%d pods bound, committed %v; want 1 pod and 10 pages on a 10-page node", bound, got)
+	}
+}
+
+// TestBindRefusalReasonIsDeterministic: a pod over-asking both cpu and
+// memory is refused for the same resource — the first in name order —
+// on every server, in the error and in the BindRejected audit record.
+func TestBindRefusalReasonIsDeterministic(t *testing.T) {
+	const want = "apiserver: conflicting state transition: pod big requests cpu=9000 beyond node n1 allocatable 8000"
+	for trial := 0; trial < 50; trial++ {
+		s := New(clock.NewSim())
+		if err := s.RegisterNode(testNode("n1", false)); err != nil { // 64 GiB, 8000 millicores
+			t.Fatal(err)
+		}
+		if err := s.CreatePod(reqPod("big", resource.List{resource.Memory: 65 * resource.GiB, resource.CPU: 9000})); err != nil {
+			t.Fatal(err)
+		}
+		err := s.Bind("big", "n1")
+		if !errors.Is(err, ErrConflict) || err.Error() != want {
+			t.Fatalf("trial %d: bind err = %v, want %q", trial, err, want)
+		}
+		evs := s.Events()
+		if last := evs[len(evs)-1]; last.Reason != "BindRejected" || last.Message != want {
+			t.Fatalf("trial %d: audit record = %+v, want BindRejected %q", trial, last, want)
+		}
+	}
+}
+
 // TestAdmitNoneRestoresUncheckedBind: the escape hatch for byzantine-
 // scheduler tests binds anything onto anything known.
 func TestAdmitNoneRestoresUncheckedBind(t *testing.T) {
@@ -294,7 +360,7 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 	nodes := map[string]resource.List{}
 	for i := 0; i < 3; i++ {
 		n := testNode(fmt.Sprintf("sgx-%d", i), true) // 64 GiB, 23936 pages
-		nodes[n.Name] = n.Allocatable.Clone()
+		nodes[n.Name] = n.Allocatable
 		if err := s.RegisterNode(n); err != nil {
 			t.Fatal(err)
 		}
@@ -324,6 +390,16 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 				req := resource.List{resource.Memory: int64(1+rng.Intn(24)) * resource.GiB}
 				if rng.Intn(2) == 0 {
 					req[resource.EPCPages] = int64(1 + rng.Intn(9000))
+				}
+				if rng.Intn(8) == 0 {
+					// A negative quantity is refused at create and leaves
+					// nothing behind: the name is still free below.
+					bad := req
+					bad[resource.Name(rng.Intn(3))] = -int64(1 + rng.Intn(9000))
+					if err := s.CreatePod(reqPod(name, bad)); !errors.Is(err, ErrInvalid) {
+						t.Errorf("create %s with %v: err = %v, want ErrInvalid", name, bad, err)
+						return false
+					}
 				}
 				p := reqPod(name, req)
 				if group != "" {
@@ -401,14 +477,9 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 	}
 	charged := map[string]charge{}
 	committed := map[string]resource.List{}
-	for name := range nodes {
-		committed[name] = make(resource.List, 3)
-	}
 	release := func(pod string) {
 		if c, ok := charged[pod]; ok {
-			for k, v := range c.req {
-				committed[c.node][k] -= v
-			}
+			committed[c.node] = committed[c.node].Sub(c.req)
 			delete(charged, pod)
 		}
 	}
@@ -430,7 +501,7 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 				break
 			}
 			req := ev.Pod.TotalRequests()
-			committed[node].AddInPlace(req)
+			committed[node] = committed[node].Add(req)
 			charged[ev.Pod.Name] = charge{node: node, req: req, held: ev.Type == PodPermitHeld}
 		case PodPermitReleased:
 			release(ev.Pod.Name)
@@ -442,12 +513,12 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 		for name, com := range committed {
 			alloc := nodes[name]
 			for k, v := range com {
-				if v > alloc.Get(k) {
+				if v > alloc[k] {
 					t.Fatalf("event %d: node %s overcommitted: %s=%d > %d (conflicts so far: %d)",
-						i, name, k, v, alloc.Get(k), conflictsSeen)
+						i, name, resource.Name(k), v, alloc[k], conflictsSeen)
 				}
 				if v < 0 {
-					t.Fatalf("event %d: node %s negative commitment: %s=%d", i, name, k, v)
+					t.Fatalf("event %d: node %s negative commitment: %s=%d", i, name, resource.Name(k), v)
 				}
 			}
 		}
@@ -457,7 +528,7 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 	}
 	// Cross-check the derived state against the server's accounting.
 	for name := range nodes {
-		if got, want := s.Committed(name), committed[name]; !got.Equal(want) {
+		if got, want := s.Committed(name), committed[name]; got != want {
 			t.Fatalf("node %s: server committed %v, events derive %v", name, got, want)
 		}
 	}

@@ -32,7 +32,7 @@ func TestAsyncWatchDeliversAllInOrder(t *testing.T) {
 	defer unsub()
 
 	alloc := resource.List{resource.Memory: 64 * resource.GiB, resource.CPU: 8000}
-	if err := srv.RegisterNode(&api.Node{Name: "n1", Capacity: alloc.Clone(), Allocatable: alloc, Ready: true}); err != nil {
+	if err := srv.RegisterNode(&api.Node{Name: "n1", Capacity: alloc, Allocatable: alloc, Ready: true}); err != nil {
 		t.Fatal(err)
 	}
 	const n = 200
@@ -84,7 +84,7 @@ func TestSyncWatchDeliveryIsInline(t *testing.T) {
 	defer unsub()
 
 	alloc := resource.List{resource.Memory: resource.GiB, resource.CPU: 1000}
-	if err := srv.RegisterNode(&api.Node{Name: "n1", Capacity: alloc.Clone(), Allocatable: alloc, Ready: true}); err != nil {
+	if err := srv.RegisterNode(&api.Node{Name: "n1", Capacity: alloc, Allocatable: alloc, Ready: true}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 1 || seen[0] != NodeRegistered {

@@ -85,6 +85,9 @@ var (
 	ErrAlreadyExists = errors.New("apiserver: object already exists")
 	// ErrNotFound is returned for lookups of unknown objects.
 	ErrNotFound = errors.New("apiserver: object not found")
+	// ErrInvalid is returned when creating an object the API cannot
+	// represent: a pod with a negative resource request or limit.
+	ErrInvalid = errors.New("apiserver: invalid object")
 	// ErrConflict is returned for state transitions that are not legal,
 	// e.g. binding an already bound pod, or binding onto a node that is
 	// cordoned or NotReady.
@@ -409,7 +412,7 @@ func (s *Server) Committed(nodeName string) resource.List {
 	sh := s.nodeShardFor(nodeName)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.committed[nodeName].Clone()
+	return sh.committed[nodeName]
 }
 
 // Subscribe registers a per-event watch callback and returns an
@@ -635,8 +638,19 @@ func (s *Server) ListNodes() []*api.Node {
 }
 
 // CreatePod submits a pod: it is stamped, assigned a UID if absent, marked
-// Pending and appended to the FCFS queue (§IV step Ë).
+// Pending and appended to the FCFS queue (§IV step Ë). A negative request
+// or limit is refused: it would pass bind admission and lower the node's
+// committed sum, and later binds would then over-commit the node (§V-A:
+// no EPC over-commitment).
 func (s *Server) CreatePod(p *api.Pod) error {
+	for i := range p.Spec.Containers {
+		c := &p.Spec.Containers[i]
+		for r, q := range c.Resources.Requests {
+			if q < 0 || c.Resources.Limits[r] < 0 {
+				return fmt.Errorf("%w: pod %s container %q: negative %s", ErrInvalid, p.Name, c.Name, resource.Name(r))
+			}
+		}
+	}
 	t := s.begin()
 	defer t.end()
 	if t.pod(p.Name) != nil {
@@ -904,31 +918,33 @@ func (s *Server) admitBind(p *api.Pod, n *api.Node, com resource.List, req resou
 		return fmt.Errorf("%w: node %s is not schedulable (ready=%v unschedulable=%v)",
 			ErrConflict, n.Name, n.Ready, n.Unschedulable)
 	}
-	if pages := req.Get(resource.EPCPages); pages > 0 {
-		alloc := n.Allocatable.Get(resource.EPCPages)
+	if pages := req[resource.EPCPages]; pages > 0 {
+		alloc := n.Allocatable[resource.EPCPages]
 		if alloc <= 0 {
 			return fmt.Errorf("%w: SGX pod %s on non-SGX node %s", ErrConflict, p.Name, n.Name)
 		}
 		// Strict in every mode: EPC page items are device resources the
 		// plugin admits by request accounting — over-committing them is
 		// never legal (§V-A).
-		if com.Get(resource.EPCPages)+pages > alloc {
+		if com[resource.EPCPages]+pages > alloc {
 			return fmt.Errorf("%w: node %s EPC devices exhausted (%d committed + %d requested > %d)",
-				ErrOutdated, n.Name, com.Get(resource.EPCPages), pages, alloc)
+				ErrOutdated, n.Name, com[resource.EPCPages], pages, alloc)
 		}
 	}
-	for name, q := range req {
-		if q <= 0 || name == resource.EPCPages {
+	// Name order, so a pod over-asking several resources is refused for
+	// the same one every time.
+	for _, name := range [...]resource.Name{resource.CPU, resource.Memory} {
+		q, alloc := req[name], n.Allocatable[name]
+		if q <= 0 {
 			continue
 		}
-		alloc := n.Allocatable.Get(name)
 		if q > alloc {
 			return fmt.Errorf("%w: pod %s requests %s=%d beyond node %s allocatable %d",
 				ErrConflict, p.Name, name, q, n.Name, alloc)
 		}
-		if s.admission == AdmitStrict && com.Get(name)+q > alloc {
+		if s.admission == AdmitStrict && com[name]+q > alloc {
 			return fmt.Errorf("%w: node %s %s exhausted (%d committed + %d requested > %d)",
-				ErrOutdated, n.Name, name, com.Get(name), q, alloc)
+				ErrOutdated, n.Name, name, com[name], q, alloc)
 		}
 	}
 	return nil
@@ -938,20 +954,6 @@ func (s *Server) admitBind(p *api.Pod, n *api.Node, com resource.List, req resou
 // optimistic transactions stay observable.
 func (s *Server) rejectBind(podName, reason string) {
 	s.recordEvent(kindPod, podName, "BindRejected", reason)
-}
-
-// commit moves a pod's summed requests into (sign=+1) or out of
-// (sign=-1) its node's committed accounting. Caller must hold the node
-// stripe's lock and pass the pod's TotalRequests sum.
-func commit(sh *nodeShard, nodeName string, req resource.List, sign int64) {
-	com, ok := sh.committed[nodeName]
-	if !ok {
-		com = make(resource.List, 3)
-		sh.committed[nodeName] = com
-	}
-	for name, q := range req {
-		com[name] += sign * q
-	}
 }
 
 // removePending drops a pod from the pending queue (see pendingQueue for

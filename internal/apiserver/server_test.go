@@ -17,7 +17,7 @@ func testNode(name string, sgx bool) *api.Node {
 	if sgx {
 		alloc[resource.EPCPages] = 23936
 	}
-	return &api.Node{Name: name, Capacity: alloc.Clone(), Allocatable: alloc, Ready: true}
+	return &api.Node{Name: name, Capacity: alloc, Allocatable: alloc, Ready: true}
 }
 
 func testPod(name string) *api.Pod {

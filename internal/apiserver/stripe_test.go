@@ -13,7 +13,7 @@ import (
 // stormNode returns a node with room for `fit` stormPods.
 func stormNode(name string, fit int64) *api.Node {
 	alloc := resource.List{resource.Memory: fit * 256 * resource.MiB, resource.CPU: 64000}
-	return &api.Node{Name: name, Capacity: alloc.Clone(), Allocatable: alloc, Ready: true}
+	return &api.Node{Name: name, Capacity: alloc, Allocatable: alloc, Ready: true}
 }
 
 func stormPod(name string) *api.Pod {

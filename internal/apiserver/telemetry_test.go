@@ -12,7 +12,7 @@ import (
 
 func telemetryNode(name string) *api.Node {
 	alloc := resource.List{resource.Memory: 16 * resource.GiB, resource.CPU: 8000}
-	return &api.Node{Name: name, Capacity: alloc.Clone(), Allocatable: alloc.Clone(), Ready: true}
+	return &api.Node{Name: name, Capacity: alloc, Allocatable: alloc, Ready: true}
 }
 
 func telemetryTestPod(name string, class api.WorkloadClass, prio int32, memBytes int64) *api.Pod {

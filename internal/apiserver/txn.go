@@ -166,11 +166,12 @@ func (t *txn) target(p *api.Pod, nodeName string) (*api.Node, error) {
 func (t *txn) charge(p *api.Pod, n *api.Node) error {
 	nsh := t.s.nodeShardFor(n.Name)
 	req := p.TotalRequests()
-	if err := t.s.admitBind(p, n, nsh.committed[n.Name], req); err != nil {
+	com := nsh.committed[n.Name]
+	if err := t.s.admitBind(p, n, com, req); err != nil {
 		t.s.rejectBind(p.Name, err.Error())
 		return err
 	}
-	commit(nsh, n.Name, req, +1)
+	nsh.committed[n.Name] = com.Add(req)
 	t.s.removePending(p)
 	return nil
 }
@@ -179,7 +180,8 @@ func (t *txn) charge(p *api.Pod, n *api.Node) error {
 // accounting. The node stripe stays held until end, i.e. through the
 // publish of whatever event announces the release.
 func (t *txn) release(p *api.Pod, nodeName string) {
-	commit(t.node(nodeName), nodeName, p.TotalRequests(), -1)
+	nsh := t.node(nodeName)
+	nsh.committed[nodeName] = nsh.committed[nodeName].Sub(p.TotalRequests())
 }
 
 // bindPod makes a charged pod bound: Bind right after charge, CommitGroup

@@ -426,7 +426,7 @@ func (c *ClusterCache) upsertNodeLocked(n *api.Node) {
 		copy(c.names[i+1:], c.names[i:])
 		c.names[i] = n.Name
 	}
-	cn.allocatable = n.Allocatable.Clone()
+	cn.allocatable = n.Allocatable
 	cn.sgx = n.HasSGX()
 	cn.schedulable = n.Ready && !n.Unschedulable
 	c.touchLocked(cn.name)

@@ -30,9 +30,9 @@ func viewsEqual(t *testing.T, got, want *ClusterView, context string) {
 			t.Fatalf("%s: node[%d] = %q, want %q", context, i, g.Name, w.Name)
 		case g.SGX != w.SGX:
 			t.Fatalf("%s: node %s SGX = %v, want %v", context, g.Name, g.SGX, w.SGX)
-		case !g.Allocatable.Equal(w.Allocatable):
+		case g.Allocatable != w.Allocatable:
 			t.Fatalf("%s: node %s allocatable = %v, want %v", context, g.Name, g.Allocatable, w.Allocatable)
-		case !g.Used.Equal(w.Used):
+		case g.Used != w.Used:
 			t.Fatalf("%s: node %s used = %v, want %v", context, g.Name, g.Used, w.Used)
 		case g.FreeDevices != w.FreeDevices:
 			t.Fatalf("%s: node %s free devices = %d, want %d", context, g.Name, g.FreeDevices, w.FreeDevices)
@@ -75,7 +75,7 @@ func TestClusterCacheMatchesBuildView(t *testing.T) {
 				alloc[resource.EPCPages] = int64(1000 + rng.Intn(30000))
 			}
 			if err := srv.RegisterNode(&api.Node{
-				Name: name, Capacity: alloc.Clone(), Allocatable: alloc, Ready: true,
+				Name: name, Capacity: alloc, Allocatable: alloc, Ready: true,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -313,7 +313,7 @@ func TestViewCommitIsolated(t *testing.T) {
 	srv := apiserver.New(clk)
 	db := tsdb.New(clk)
 	alloc := resource.List{resource.Memory: 16 * resource.GiB, resource.EPCPages: 1000}
-	if err := srv.RegisterNode(&api.Node{Name: "n1", Capacity: alloc.Clone(), Allocatable: alloc, Ready: true}); err != nil {
+	if err := srv.RegisterNode(&api.Node{Name: "n1", Capacity: alloc, Allocatable: alloc, Ready: true}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(clk, srv, db, Config{Name: "s", Policy: Binpack{}, UseMetrics: true})

@@ -5,7 +5,6 @@ import (
 
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
-	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
 // This file is the per-pod scheduling cycle — §IV's filter job-node
@@ -33,12 +32,11 @@ type cycleState struct {
 	anyBound bool
 	beBound  bool
 
-	// Pod scope: the pod's request data — extracted once, because the
-	// filter plugins run per (pod, node) and walking a slice there beats
-	// re-iterating the request map for every node — and the pipeline its
-	// class resolved to. info is refilled in place for every pod, keeping
-	// its pairs buffer and its cycleScratch (narrowing and scores), which
-	// is how the plugins reach scheduler-owned scratch.
+	// Pod scope: the pod's request data — summed once, because the filter
+	// plugins run per (pod, node) — and the pipeline its class resolved
+	// to. info is refilled in place for every pod, keeping its
+	// cycleScratch (narrowing and scores), which is how the plugins reach
+	// scheduler-owned scratch.
 	info PodInfo
 	pl   *pipeline
 
@@ -136,11 +134,8 @@ func (s *Stats) count(o outcome) {
 // that failed to place and two clock reads per unschedulable pod on every
 // pass would dominate the instrumentation budget on a congested queue.
 func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
-	// req stays a local: TotalRequests inlines here and its map lives on
-	// the stack as long as nothing retains it.
-	req := pod.TotalRequests()
 	info := &c.info
-	fillPodInfo(info, pod, req, info.Pairs)
+	fillPodInfo(info, pod)
 	// Workload-class resolution is a table lookup: the pod's class slot
 	// selects the pipeline with its sampling bounds and preemption gates;
 	// unclassified pods take slot 0 — the exact pre-class pass.
@@ -225,7 +220,7 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 		o.kind = outcomeUnschedulable
 		return o
 	}
-	o.kind, o.stale = s.commit(c, node, req, dec == PermitWait)
+	o.kind, o.stale = s.commit(c, node, dec == PermitWait)
 	return o
 }
 
@@ -249,7 +244,7 @@ func (s *Scheduler) placesOn(c *cycleState, n *NodeView) bool {
 // wait, as a bind otherwise — and on success charges the view, so later
 // decisions in this pass see the node's reduced headroom. Both commits
 // share one error taxonomy; stale reports the refusal that ends the pass.
-func (s *Scheduler) commit(c *cycleState, node string, req resource.List, wait bool) (kind outcomeKind, stale bool) {
+func (s *Scheduler) commit(c *cycleState, node string, wait bool) (kind outcomeKind, stale bool) {
 	t := c.rec.now()
 	var err error
 	if wait {
@@ -275,7 +270,7 @@ func (s *Scheduler) commit(c *cycleState, node string, req resource.List, wait b
 	default:
 		return outcomeSkipped, false
 	}
-	s.view.Commit(node, req)
+	s.view.Commit(node, c.info.Req)
 	if !wait {
 		return outcomeBound, false
 	}

@@ -16,14 +16,14 @@ import (
 // plugins, so new placement behaviours (usage-headroom, EPC-pressure,
 // priority tiers) compose without touching the scheduling pass.
 
-// PodInfo carries one pending pod together with its request data,
-// extracted once per pod per pass so the per-(pod, node) plugin calls walk
-// slices and scalars instead of re-iterating the request map.
+// PodInfo carries one pending pod together with its request data, summed
+// over the pod's containers once per pod per pass so the per-(pod, node)
+// plugin calls read scalars.
 type PodInfo struct {
 	Pod *api.Pod
-	// Pairs are the pod's positive resource requests.
-	Pairs []ReqPair
-	// EPCPages is the requested EPC page count among Pairs (0 if none).
+	// Req is the pod's total resource requests.
+	Req resource.List
+	// EPCPages is the requested EPC page count (0 if none).
 	EPCPages int64
 	// SGX reports whether the pod requests EPC (EPCPages > 0).
 	SGX bool
@@ -76,35 +76,17 @@ func (p *PodInfo) narrow(candidates []*NodeView, keep func(*NodeView) bool) []*N
 	return kept
 }
 
-// ReqPair is one requested (resource, quantity), extracted from the
-// request map once per pod.
-type ReqPair struct {
-	Name resource.Name
-	Qty  int64
-}
-
-// NewPodInfo extracts a pod's request data. The scheduler reuses a pairs
-// buffer across pods via fillPodInfo; pass nil when convenience beats
-// allocation.
-func NewPodInfo(pod *api.Pod, buf []ReqPair) *PodInfo {
+// NewPodInfo extracts a pod's request data.
+func NewPodInfo(pod *api.Pod) *PodInfo {
 	info := &PodInfo{}
-	fillPodInfo(info, pod, pod.TotalRequests(), buf)
+	fillPodInfo(info, pod)
 	return info
 }
 
-// fillPodInfo populates info in place from a pre-summed request list,
-// reusing buf for the pairs and keeping info's cycle scratch.
-func fillPodInfo(info *PodInfo, pod *api.Pod, req resource.List, buf []ReqPair) {
-	*info = PodInfo{Pod: pod, Pairs: buf[:0], Priority: pod.Spec.Priority, scratch: info.scratch}
-	for k, q := range req {
-		if q <= 0 {
-			continue
-		}
-		info.Pairs = append(info.Pairs, ReqPair{Name: k, Qty: q})
-		if k == resource.EPCPages {
-			info.EPCPages = q
-		}
-	}
+// fillPodInfo populates info in place, keeping its cycle scratch.
+func fillPodInfo(info *PodInfo, pod *api.Pod) {
+	*info = PodInfo{Pod: pod, Req: pod.TotalRequests(), Priority: pod.Spec.Priority, scratch: info.scratch}
+	info.EPCPages = info.Req[resource.EPCPages]
 	info.SGX = info.EPCPages > 0
 }
 
@@ -386,7 +368,7 @@ func (p *Profile) Feasible(pod *PodInfo, node *NodeView) bool {
 // pre-filtered and sorted by node name. Safe for concurrent use: each
 // call works on scratch of its own.
 func (p *Profile) Select(pod *api.Pod, candidates []*NodeView, view *ClusterView) (string, bool) {
-	return p.selectInfo(NewPodInfo(pod, nil), candidates, view, nil)
+	return p.selectInfo(NewPodInfo(pod), candidates, view, nil)
 }
 
 // selectInfo is Select for callers that already extracted the PodInfo,
@@ -441,73 +423,16 @@ func (p *Profile) selectInfo(pod *PodInfo, candidates []*NodeView, view *Cluster
 
 // --- Filter plugins (the §IV feasibility checks) ---
 
-// DefaultFeasibility bundles the three §IV feasibility checks — SGX
-// capability, EPC device fit, resource saturation — in one plugin. It is
-// behaviourally identical to chaining SGXCapabilityFilter, EPCFitFilter
-// and ResourceFitFilter, but costs one dynamic dispatch per (pod, node)
-// instead of three: the feasibility stage runs for every combination
-// every pass, and the fused form keeps the pass within its perf budget.
+// DefaultFeasibility is the §IV feasibility rule — SGX capability, EPC
+// device fit, resource saturation — as a filter plugin: NodeView.Fits on
+// the pod's request totals. It is the only filter any profile registers.
 type DefaultFeasibility struct{}
 
 // Name implements FilterPlugin.
 func (DefaultFeasibility) Name() string { return "default-feasibility" }
 
 // Filter implements FilterPlugin.
-func (DefaultFeasibility) Filter(pod *PodInfo, node *NodeView) bool {
-	if pod.EPCPages > 0 {
-		if !node.SGX || pod.EPCPages > node.FreeDevices {
-			return false
-		}
-	}
-	for _, pr := range pod.Pairs {
-		if node.Allocatable.Get(pr.Name)-node.Used.Get(pr.Name) < pr.Qty {
-			return false
-		}
-	}
-	return true
-}
-
-// SGXCapabilityFilter rejects SGX pods on nodes without EPC resources —
-// the hardware-compatibility dimension of the §IV filter.
-type SGXCapabilityFilter struct{}
-
-// Name implements FilterPlugin.
-func (SGXCapabilityFilter) Name() string { return "sgx-capability" }
-
-// Filter implements FilterPlugin.
-func (SGXCapabilityFilter) Filter(pod *PodInfo, node *NodeView) bool {
-	return !pod.SGX || node.SGX
-}
-
-// EPCFitFilter enforces the strict EPC page-item bound: the device plugin
-// admits by request accounting, so the scheduler must never over-commit
-// EPC items (§V-A).
-type EPCFitFilter struct{}
-
-// Name implements FilterPlugin.
-func (EPCFitFilter) Name() string { return "epc-fit" }
-
-// Filter implements FilterPlugin.
-func (EPCFitFilter) Filter(pod *PodInfo, node *NodeView) bool {
-	return pod.EPCPages <= 0 || pod.EPCPages <= node.FreeDevices
-}
-
-// ResourceFitFilter is the §IV saturation check: every requested quantity
-// must fit the node's usage-based headroom.
-type ResourceFitFilter struct{}
-
-// Name implements FilterPlugin.
-func (ResourceFitFilter) Name() string { return "resource-fit" }
-
-// Filter implements FilterPlugin.
-func (ResourceFitFilter) Filter(pod *PodInfo, node *NodeView) bool {
-	for _, pr := range pod.Pairs {
-		if node.Allocatable.Get(pr.Name)-node.Used.Get(pr.Name) < pr.Qty {
-			return false
-		}
-	}
-	return true
-}
+func (DefaultFeasibility) Filter(pod *PodInfo, node *NodeView) bool { return node.Fits(pod.Req) }
 
 // --- Pre-score plugins ---
 
@@ -584,13 +509,7 @@ func (SpreadScore) Score(pod *PodInfo, node *NodeView, view *ClusterView) float6
 	if pod.SGX {
 		res = resource.EPCPages
 	}
-	var req int64
-	for _, pr := range pod.Pairs {
-		if pr.Name == res {
-			req = pr.Qty
-		}
-	}
-	return -hypotheticalStdDev(view, node.Name, res, req)
+	return -hypotheticalStdDev(view, node.Name, res, pod.Req[res])
 }
 
 // LeastRequestedScore mirrors the request-only scoring of Kubernetes'
@@ -602,17 +521,11 @@ func (LeastRequestedScore) Name() string { return "least-requested" }
 
 // Score implements ScorePlugin.
 func (LeastRequestedScore) Score(pod *PodInfo, node *NodeView, _ *ClusterView) float64 {
-	capMem := node.Allocatable.Get(resource.Memory)
+	capMem := node.Allocatable[resource.Memory]
 	if capMem <= 0 {
 		return math.Inf(-1)
 	}
-	var req int64
-	for _, pr := range pod.Pairs {
-		if pr.Name == resource.Memory {
-			req = pr.Qty
-		}
-	}
-	free := capMem - node.Used.Get(resource.Memory) - req
+	free := capMem - node.Used[resource.Memory] - pod.Req[resource.Memory]
 	return float64(free) / float64(capMem)
 }
 
@@ -632,17 +545,11 @@ func (UsageHeadroomScore) Score(pod *PodInfo, node *NodeView, _ *ClusterView) fl
 	if pod.SGX {
 		res = resource.EPCPages
 	}
-	alloc := node.Allocatable.Get(res)
+	alloc := node.Allocatable[res]
 	if alloc <= 0 {
 		return 0
 	}
-	var req int64
-	for _, pr := range pod.Pairs {
-		if pr.Name == res {
-			req = pr.Qty
-		}
-	}
-	free := alloc - node.Used.Get(res) - req
+	free := alloc - node.Used[res] - pod.Req[res]
 	if free < 0 {
 		free = 0
 	}

@@ -177,43 +177,56 @@ func TestProfilePoliciesMatchReferenceImplementations(t *testing.T) {
 	}
 }
 
-// TestDefaultFeasibilityMatchesFits pins the fused default filter to
-// NodeView.Fits on randomized inputs.
+// sectionIV restates the §IV filter for the property below: an SGX pod
+// needs an SGX node with enough free device items, and every quantity the
+// pod asks for must fit what the node has left — which may be negative.
+func sectionIV(req resource.List, n *NodeView) bool {
+	ok := req[resource.EPCPages] <= 0 || (n.SGX && req[resource.EPCPages] <= n.FreeDevices)
+	for _, r := range []resource.Name{resource.CPU, resource.Memory, resource.EPCPages} {
+		ok = ok && (req[r] <= 0 || req[r] <= n.Allocatable[r]-n.Used[r])
+	}
+	return ok
+}
+
+// TestDefaultFeasibilityMatchesFits is the differential property of the
+// feasibility rule: on randomized nodes (over-used ones included) and
+// pods, the filter every profile registers agrees with the restatement
+// above, and so do the two other readers of the rule — the gang
+// pre-filter's slot count and the preemption planner's static check.
 func TestDefaultFeasibilityMatchesFits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var overUsed, accepted int
 	for trial := 0; trial < 2000; trial++ {
 		view := randomView(rng)
 		pod := randomPolicyPod(rng)
-		info := NewPodInfo(pod, nil)
-		req := pod.TotalRequests()
+		if rng.Intn(4) == 0 {
+			pod.Spec.Containers[0].Resources.Requests[resource.CPU] = int64(rng.Intn(12000))
+		}
+		info := NewPodInfo(pod)
 		for _, n := range view.Nodes {
-			if got, want := (DefaultFeasibility{}).Filter(info, n), n.Fits(req); got != want {
-				t.Fatalf("trial %d node %s: DefaultFeasibility = %v, Fits = %v", trial, n.Name, got, want)
+			got, want := (DefaultFeasibility{}).Filter(info, n), sectionIV(info.Req, n)
+			if got != want {
+				t.Fatalf("trial %d node %+v pod %v: Filter = %v, §IV = %v", trial, n, info.Req, got, want)
+			}
+			if slots := memberSlots(info, n); (slots > 0) != got {
+				t.Fatalf("trial %d node %+v pod %v: memberSlots = %d, Filter = %v", trial, n, info.Req, slots, got)
+			}
+			empty := &NodeView{Name: n.Name, SGX: n.SGX, Allocatable: n.Allocatable, FreeDevices: n.Allocatable[resource.EPCPages]}
+			if static, want := staticallyFeasible(info, n), (DefaultFeasibility{}).Filter(info, empty); static != want {
+				t.Fatalf("trial %d node %+v pod %v: staticallyFeasible = %v, Filter on the empty node = %v", trial, n, info.Req, static, want)
+			}
+			if n.Used[resource.EPCPages] > n.Allocatable[resource.EPCPages] && !info.SGX {
+				overUsed++
+				if got {
+					accepted++
+				}
 			}
 		}
 	}
-}
-
-// TestDefaultFeasibilityMatchesChainedFilters: the fused filter must equal
-// the three individual plugins chained.
-func TestDefaultFeasibilityMatchesChainedFilters(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	chain := []FilterPlugin{SGXCapabilityFilter{}, EPCFitFilter{}, ResourceFitFilter{}}
-	for trial := 0; trial < 2000; trial++ {
-		view := randomView(rng)
-		info := NewPodInfo(randomPolicyPod(rng), nil)
-		for _, n := range view.Nodes {
-			want := true
-			for _, f := range chain {
-				if !f.Filter(info, n) {
-					want = false
-					break
-				}
-			}
-			if got := (DefaultFeasibility{}).Filter(info, n); got != want {
-				t.Fatalf("trial %d node %s: fused = %v, chained = %v", trial, n.Name, got, want)
-			}
-		}
+	// The generator must reach the case the q > 0 guard exists for: a node
+	// whose measured EPC exceeds its allocatable still takes standard pods.
+	if overUsed == 0 || accepted == 0 {
+		t.Fatalf("EPC-over-used nodes × standard pods: %d drawn, %d accepted; the generator lost the case", overUsed, accepted)
 	}
 }
 
@@ -304,7 +317,7 @@ func TestSpreadScoreMonotonicInStdDev(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		view := randomView(rng)
 		pod := randomPolicyPod(rng)
-		info := NewPodInfo(pod, nil)
+		info := NewPodInfo(pod)
 		res := resource.Memory
 		if info.SGX {
 			res = resource.EPCPages

@@ -239,12 +239,15 @@ func memberSlots(pod *PodInfo, node *NodeView) int {
 			slots = k
 		}
 	}
-	for _, pr := range pod.Pairs {
-		free := node.Allocatable.Get(pr.Name) - node.Used.Get(pr.Name)
-		if free < pr.Qty {
+	for r, q := range pod.Req {
+		if q <= 0 {
+			continue
+		}
+		free := node.Allocatable[r] - node.Used[r]
+		if free < q {
 			return 0
 		}
-		if k := int(free / pr.Qty); k < slots {
+		if k := int(free / q); k < slots {
 			slots = k
 		}
 	}

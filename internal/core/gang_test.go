@@ -189,7 +189,7 @@ func TestGangStarvationBoost(t *testing.T) {
 		Used:        resource.List{},
 	}}}
 
-	info := NewPodInfo(pod, nil)
+	info := NewPodInfo(pod)
 	if !dir.PreFilter(info, view) {
 		t.Fatal("feasible gang member gated")
 	}
@@ -198,14 +198,14 @@ func TestGangStarvationBoost(t *testing.T) {
 	}
 
 	clk.Advance(2 * time.Minute)
-	info = NewPodInfo(pod, nil)
+	info = NewPodInfo(pod)
 	dir.PreFilter(info, view)
 	if info.Priority != 7 {
 		t.Fatalf("priority after 2min = %d, want 7", info.Priority)
 	}
 
 	clk.Advance(time.Hour)
-	info = NewPodInfo(pod, nil)
+	info = NewPodInfo(pod)
 	dir.PreFilter(info, view)
 	if info.Priority != 8 {
 		t.Fatalf("priority after an hour = %d, want 8 (capped at +3)", info.Priority)

@@ -203,13 +203,7 @@ func (v *ClusterView) sampleFeasible(pod *PodInfo, prof *Profile, limit, offset 
 			}
 		}
 	} else {
-		var reqMem int64
-		for _, pr := range pod.Pairs {
-			if pr.Name == resource.Memory {
-				reqMem = pr.Qty
-			}
-		}
-		minB := minBucketFor(reqMem)
+		minB := minBucketFor(pod.Req[resource.Memory])
 		for _, p := range [2]int{partStandard, partSGX} {
 			part := &ix.parts[p]
 			for b := minB; b < numBuckets; b++ {

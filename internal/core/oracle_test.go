@@ -95,7 +95,7 @@ func (o *oracle) BuildView() *ClusterView {
 		nv := &NodeView{
 			Name:        n.Name,
 			SGX:         n.HasSGX(),
-			Allocatable: n.Allocatable.Clone(),
+			Allocatable: n.Allocatable,
 			Used:        resource.List{},
 			FreeDevices: n.Allocatable.Get(resource.EPCPages),
 		}

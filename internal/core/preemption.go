@@ -157,8 +157,8 @@ func afterEvictions(n *NodeView, set []victimInfo) *NodeView {
 		SGX:         n.SGX,
 		Allocatable: n.Allocatable,
 		Used: resource.List{
-			resource.Memory:   n.Used.Get(resource.Memory) - freedMem,
-			resource.EPCPages: n.Used.Get(resource.EPCPages) - freedEPC,
+			resource.Memory:   n.Used[resource.Memory] - freedMem,
+			resource.EPCPages: n.Used[resource.EPCPages] - freedEPC,
 		},
 		FreeDevices: n.FreeDevices + freedDev,
 	}
@@ -168,15 +168,7 @@ func afterEvictions(n *NodeView, set []victimInfo) *NodeView {
 // it were empty: hardware capability and raw allocatable capacity. Usage
 // and device headroom are the preemptable part; these bounds are not.
 func staticallyFeasible(pod *PodInfo, node *NodeView) bool {
-	if pod.SGX && !node.SGX {
-		return false
-	}
-	for _, pr := range pod.Pairs {
-		if node.Allocatable.Get(pr.Name) < pr.Qty {
-			return false
-		}
-	}
-	return true
+	return (!pod.SGX || node.SGX) && node.Allocatable.Fits(pod.Req)
 }
 
 // minimalVictimSet plans the evictions that make pod fit node. Victims
@@ -191,14 +183,8 @@ func minimalVictimSet(pod *PodInfo, node *NodeView, victims []victimInfo) ([]vic
 	// device accounting. Resources other than memory and EPC (e.g. CPU)
 	// are never charged by the cache, so the static check already settled
 	// them.
-	var reqMem int64
-	for _, pr := range pod.Pairs {
-		if pr.Name == resource.Memory {
-			reqMem = pr.Qty
-		}
-	}
-	needMem := node.Used.Get(resource.Memory) + reqMem - node.Allocatable.Get(resource.Memory)
-	needEPC := node.Used.Get(resource.EPCPages) + pod.EPCPages - node.Allocatable.Get(resource.EPCPages)
+	needMem := node.Used[resource.Memory] + pod.Req[resource.Memory] - node.Allocatable[resource.Memory]
+	needEPC := node.Used[resource.EPCPages] + pod.EPCPages - node.Allocatable[resource.EPCPages]
 	needDev := pod.EPCPages - node.FreeDevices
 	fits := func(freedMem, freedEPC, freedDev int64) bool {
 		return freedMem >= needMem && freedEPC >= needEPC && freedDev >= needDev

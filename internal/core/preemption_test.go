@@ -269,7 +269,7 @@ func preemptionVetoCluster(t *testing.T, policy Policy) (*Scheduler, *apiserver.
 	srv := apiserver.New(clk)
 	alloc := resource.List{resource.Memory: 10 * resource.GiB}
 	if err := srv.RegisterNode(&api.Node{
-		Name: "n1", Capacity: alloc.Clone(), Allocatable: alloc, Ready: true,
+		Name: "n1", Capacity: alloc, Allocatable: alloc, Ready: true,
 	}); err != nil {
 		t.Fatal(err)
 	}

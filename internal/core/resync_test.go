@@ -37,7 +37,7 @@ func TestCacheResyncAfterOverflowMatchesBuildView(t *testing.T) {
 				resource.EPCPages: int64(1000 + rng.Intn(20000)),
 			}
 			if err := srv.RegisterNode(&api.Node{
-				Name: nodeNames[i], Capacity: alloc.Clone(), Allocatable: alloc, Ready: true,
+				Name: nodeNames[i], Capacity: alloc, Allocatable: alloc, Ready: true,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestAsyncCacheConvergesWithoutOverflow(t *testing.T) {
 	alloc := resource.List{resource.Memory: 64 * resource.GiB, resource.CPU: 8000, resource.EPCPages: 30000}
 	for i := 0; i < 4; i++ {
 		if err := srv.RegisterNode(&api.Node{
-			Name: fmt.Sprintf("n%d", i), Capacity: alloc.Clone(), Allocatable: alloc.Clone(), Ready: true,
+			Name: fmt.Sprintf("n%d", i), Capacity: alloc, Allocatable: alloc, Ready: true,
 		}); err != nil {
 			t.Fatal(err)
 		}

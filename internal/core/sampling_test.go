@@ -72,7 +72,7 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 				alloc[resource.EPCPages] = int64(500 + rng.Intn(40000))
 			}
 			if err := srv.RegisterNode(&api.Node{
-				Name: nodeNames[i], Capacity: alloc.Clone(), Allocatable: alloc, Ready: true,
+				Name: nodeNames[i], Capacity: alloc, Allocatable: alloc, Ready: true,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 				pod := &api.Pod{Name: "probe", Spec: api.PodSpec{Containers: []api.Container{{
 					Name: "main", Resources: api.Requirements{Requests: req},
 				}}}}
-				info := NewPodInfo(pod, nil)
+				info := NewPodInfo(pod)
 				full := map[string]bool{}
 				for _, n := range view.Nodes {
 					if s.pipelines[classSlotDefault].profile.Feasible(info, n) {
@@ -232,7 +232,7 @@ func TestSyncViewCommitConverges(t *testing.T) {
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
 	alloc := resource.List{resource.Memory: 16 * resource.GiB, resource.EPCPages: 1000}
-	if err := srv.RegisterNode(&api.Node{Name: "n1", Capacity: alloc.Clone(), Allocatable: alloc, Ready: true}); err != nil {
+	if err := srv.RegisterNode(&api.Node{Name: "n1", Capacity: alloc, Allocatable: alloc, Ready: true}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(clk, srv, nil, Config{Name: "s", Policy: Binpack{}})
@@ -278,7 +278,7 @@ func TestSampledSchedulingDeterministic(t *testing.T) {
 				alloc[resource.EPCPages] = int64(2000 + 500*(i%5))
 			}
 			if err := srv.RegisterNode(&api.Node{
-				Name: fmt.Sprintf("node-%03d", i), Capacity: alloc.Clone(), Allocatable: alloc, Ready: true,
+				Name: fmt.Sprintf("node-%03d", i), Capacity: alloc, Allocatable: alloc, Ready: true,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +352,7 @@ func TestSampledRotationCovers(t *testing.T) {
 	for i := 0; i < nNodes; i++ {
 		alloc := resource.List{resource.Memory: 8 * resource.GiB, resource.CPU: 8000}
 		if err := srv.RegisterNode(&api.Node{
-			Name: fmt.Sprintf("node-%02d", i), Capacity: alloc.Clone(), Allocatable: alloc, Ready: true,
+			Name: fmt.Sprintf("node-%02d", i), Capacity: alloc, Allocatable: alloc, Ready: true,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +367,7 @@ func TestSampledRotationCovers(t *testing.T) {
 
 	info := NewPodInfo(&api.Pod{Spec: api.PodSpec{Containers: []api.Container{{
 		Name: "main", Resources: api.Requirements{Requests: resource.List{resource.Memory: resource.GiB}},
-	}}}}, nil)
+	}}}})
 	seen := map[string]bool{}
 	offset := 0
 	for i := 0; i < nNodes; i++ {

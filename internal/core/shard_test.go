@@ -72,7 +72,7 @@ func TestShardedConflictRetry(t *testing.T) {
 	srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
 	alloc := resource.List{resource.Memory: 8 * resource.GiB, resource.CPU: 8000}
 	if err := srv.RegisterNode(&api.Node{
-		Name: "n1", Capacity: alloc.Clone(), Allocatable: alloc, Ready: true,
+		Name: "n1", Capacity: alloc, Allocatable: alloc, Ready: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestShardedCacheMatchesBuildViewN2(t *testing.T) {
 				alloc[resource.EPCPages] = int64(1000 + rng.Intn(30000))
 			}
 			if err := srv.RegisterNode(&api.Node{
-				Name: nodeNames[i], Capacity: alloc.Clone(), Allocatable: alloc, Ready: true,
+				Name: nodeNames[i], Capacity: alloc, Allocatable: alloc, Ready: true,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func TestShardedConcurrentRoundsSafe(t *testing.T) {
 			srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
 			for i := 0; i < nodes; i++ {
 				if err := srv.RegisterNode(&api.Node{
-					Name: fmt.Sprintf("sgx-%d", i), Capacity: alloc.Clone(), Allocatable: alloc.Clone(), Ready: true,
+					Name: fmt.Sprintf("sgx-%d", i), Capacity: alloc, Allocatable: alloc, Ready: true,
 				}); err != nil {
 					t.Fatal(err)
 				}

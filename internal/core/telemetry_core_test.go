@@ -25,8 +25,8 @@ func newBareScheduler(t *testing.T, nodes int, cfg Config) (*clock.Sim, *apiserv
 	for i := 0; i < nodes; i++ {
 		if err := srv.RegisterNode(&api.Node{
 			Name:        fmt.Sprintf("node-%02d", i),
-			Capacity:    alloc.Clone(),
-			Allocatable: alloc.Clone(),
+			Capacity:    alloc,
+			Allocatable: alloc,
 			Ready:       true,
 		}); err != nil {
 			t.Fatal(err)
@@ -391,7 +391,7 @@ func passTallyEveryOutcome(t *testing.T) {
 	srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
 	for _, name := range []string{"n1", "n2"} {
 		alloc := resource.List{resource.Memory: 10 * resource.GiB}
-		if err := srv.RegisterNode(&api.Node{Name: name, Capacity: alloc.Clone(), Allocatable: alloc, Ready: true}); err != nil {
+		if err := srv.RegisterNode(&api.Node{Name: name, Capacity: alloc, Allocatable: alloc, Ready: true}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -55,45 +55,19 @@ type NodeView struct {
 	epcPos    int32
 }
 
-// Free returns the usage-based headroom (floored at zero per resource).
-func (v *NodeView) Free() resource.List {
-	free := v.Allocatable.Sub(v.Used)
-	for k, q := range free {
-		if q < 0 {
-			free[k] = 0
-		}
-	}
-	return free
-}
-
-// Fits reports whether a pod with the given requests passes the §IV
-// filter on this node: hardware compatibility (EPC on non-SGX nodes can
-// never fit), device-item availability, and the saturation check against
-// the usage-based headroom. It runs once per (pod, node) pair per pass,
-// so it checks headroom directly instead of materialising Free().
+// Fits is the one statement of the §IV filter: whether a pod with the
+// given requests can be placed on this node. Hardware compatibility (EPC
+// on non-SGX nodes can never fit), device-item availability, and the
+// saturation check of every requested quantity against the usage-based
+// headroom. The headroom may be negative — measured usage above
+// allocatable, the malicious tenant of Fig. 11 — and List.Fits skips the
+// resources the pod does not ask for, so such a node still takes a pod
+// that needs none of the over-used resource.
 func (v *NodeView) Fits(req resource.List) bool {
-	if pages := req.Get(resource.EPCPages); pages > 0 {
-		if !v.SGX || pages > v.FreeDevices {
-			return false
-		}
+	if pages := req[resource.EPCPages]; pages > 0 && (!v.SGX || pages > v.FreeDevices) {
+		return false
 	}
-	for k, q := range req {
-		if q <= 0 {
-			continue
-		}
-		if v.Allocatable.Get(k)-v.Used.Get(k) < q {
-			return false
-		}
-	}
-	return true
-}
-
-// LoadFraction returns this node's utilisation of the given resource in
-// [0, 1+]; nodes without the resource report 1 when asked about usage of
-// something they cannot hold (they are excluded from spread's stddev by
-// the caller instead).
-func (v *NodeView) LoadFraction(name resource.Name) float64 {
-	return v.Used.FractionOf(name, v.Allocatable)
+	return v.Allocatable.Sub(v.Used).Fits(req)
 }
 
 // ClusterView is the scheduler's snapshot of all schedulable nodes for one
@@ -141,8 +115,7 @@ func (c *ClusterView) Node(name string) *NodeView {
 }
 
 // Commit records a placement decided in this pass so later decisions in
-// the same pass see the node's reduced headroom. Used is mutated in
-// place, so the node must carry a writable map. On an incremental view
+// the same pass see the node's reduced headroom. On an incremental view
 // the node is also re-bucketed so candidate generation sees the reduced
 // headroom immediately.
 func (c *ClusterView) Commit(nodeName string, req resource.List) {
@@ -150,15 +123,15 @@ func (c *ClusterView) Commit(nodeName string, req resource.List) {
 	if n == nil {
 		return
 	}
-	n.Used.AddInPlace(req)
-	n.FreeDevices -= req.Get(resource.EPCPages)
+	n.Used = n.Used.Add(req)
+	n.FreeDevices -= req[resource.EPCPages]
 	if c.idx != nil {
 		c.idx.rebucket(n)
 	}
 }
 
 // takeNodeView returns a NodeView for the named node, recycling a retired
-// one (and its maps) when available.
+// one when available.
 func (c *ClusterView) takeNodeView(name string) *NodeView {
 	if k := len(c.freeNodes); k > 0 {
 		n := c.freeNodes[k-1]
@@ -167,24 +140,15 @@ func (c *ClusterView) takeNodeView(name string) *NodeView {
 		n.Name = name
 		return n
 	}
-	return &NodeView{
-		Name:        name,
-		Allocatable: make(resource.List, 4),
-		Used:        make(resource.List, 2),
-	}
+	return &NodeView{Name: name}
 }
 
-// fillNode overwrites a NodeView's scheduling state in place, reusing its
-// maps. It does not touch the index; callers re-bucket or insert.
+// fillNode overwrites a NodeView's scheduling state in place. It does not
+// touch the index; callers re-bucket or insert.
 func (c *ClusterView) fillNode(n *NodeView, sgx bool, alloc resource.List, memUsed, epcUsed, freeDev int64) {
 	n.SGX = sgx
-	clear(n.Allocatable)
-	for k, q := range alloc {
-		n.Allocatable[k] = q
-	}
-	clear(n.Used)
-	n.Used[resource.Memory] = memUsed
-	n.Used[resource.EPCPages] = epcUsed
+	n.Allocatable = alloc
+	n.Used = resource.List{resource.Memory: memUsed, resource.EPCPages: epcUsed}
 	n.FreeDevices = freeDev
 }
 

@@ -36,10 +36,20 @@ func TestNodeViewFitsDeviceAccounting(t *testing.T) {
 	}
 }
 
-func TestNodeViewFreeFloorsAtZero(t *testing.T) {
-	n := nv("n", false, 1000, 1500, 0, 0) // over-used (malicious overrun)
-	if got := n.Free().Get(resource.Memory); got != 0 {
-		t.Fatalf("Free = %d, want 0", got)
+// An over-used node (the malicious tenant of Fig. 11: measured EPC above
+// allocatable) has negative headroom on that resource. It takes nothing
+// more of it, and still takes a pod that asks for none.
+func TestNodeViewFitsOverusedNode(t *testing.T) {
+	n := nv("n", true, 1000, 0, 100, 140)
+	n.FreeDevices = 100
+	if n.Fits(resource.List{resource.Memory: 10, resource.EPCPages: 1}) {
+		t.Fatal("EPC request accepted on a node with negative EPC headroom")
+	}
+	if !n.Fits(resource.List{resource.Memory: 10}) {
+		t.Fatal("standard pod rejected because of EPC it does not ask for")
+	}
+	if !n.Fits(resource.List{}) {
+		t.Fatal("empty request rejected")
 	}
 }
 
@@ -120,16 +130,6 @@ func TestViewNodeLookupAndSort(t *testing.T) {
 	}
 	if view.Node("z") == nil || view.Node("missing") != nil {
 		t.Fatal("Node lookup wrong")
-	}
-}
-
-func TestLoadFraction(t *testing.T) {
-	n := nv("n", true, 1000, 250, 800, 200)
-	if got := n.LoadFraction(resource.Memory); got != 0.25 {
-		t.Fatalf("memory load = %v", got)
-	}
-	if got := n.LoadFraction(resource.EPCPages); got != 0.25 {
-		t.Fatalf("EPC load = %v", got)
 	}
 }
 

@@ -103,8 +103,8 @@ func FanoutDrain(cfg FanoutConfig) (FanoutResult, error) {
 	for n := 0; n < cfg.Nodes; n++ {
 		if err := srv.RegisterNode(&api.Node{
 			Name:        fmt.Sprintf("node-%03d", n),
-			Capacity:    alloc.Clone(),
-			Allocatable: alloc.Clone(),
+			Capacity:    alloc,
+			Allocatable: alloc,
 			Ready:       true,
 		}); err != nil {
 			return FanoutResult{}, fmt.Errorf("fanout: registering node: %w", err)

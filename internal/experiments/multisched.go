@@ -141,7 +141,7 @@ func newCapacityWatcher() *capacityWatcher {
 func (w *capacityWatcher) onEvent(ev apiserver.WatchEvent) {
 	switch ev.Type {
 	case apiserver.NodeRegistered, apiserver.NodeUpdated:
-		w.alloc[ev.Node.Name] = ev.Node.Allocatable.Clone()
+		w.alloc[ev.Node.Name] = ev.Node.Allocatable
 	case apiserver.PodBound, apiserver.PodPermitHeld:
 		// A gang permit commits its capacity on the node exactly like a
 		// bind; the later PodBound from the group commit must not
@@ -151,21 +151,13 @@ func (w *capacityWatcher) onEvent(ev apiserver.WatchEvent) {
 			return
 		}
 		req := ev.Pod.TotalRequests()
-		com, ok := w.committed[ev.Pod.Spec.NodeName]
-		if !ok {
-			com = make(resource.List, 3)
-			w.committed[ev.Pod.Spec.NodeName] = com
-		}
-		com.AddInPlace(req)
+		w.committed[ev.Pod.Spec.NodeName] = w.committed[ev.Pod.Spec.NodeName].Add(req)
 		w.bound[ev.Pod.Name] = boundCharge{node: ev.Pod.Spec.NodeName, req: req}
 		w.check(ev.Pod.Spec.NodeName)
 	case apiserver.PodUpdated, apiserver.PodPermitReleased:
 		c, ok := w.bound[ev.Pod.Name]
 		if ok && (ev.Type == apiserver.PodPermitReleased || ev.Pod.IsTerminal() || ev.Pod.Spec.NodeName == "") {
-			com := w.committed[c.node]
-			for k, v := range c.req {
-				com[k] -= v
-			}
+			w.committed[c.node] = w.committed[c.node].Sub(c.req)
 			delete(w.bound, ev.Pod.Name)
 		}
 	}
@@ -173,8 +165,8 @@ func (w *capacityWatcher) onEvent(ev apiserver.WatchEvent) {
 
 func (w *capacityWatcher) check(node string) {
 	alloc := w.alloc[node]
-	for k, v := range w.committed[node] {
-		if v > alloc.Get(k) {
+	for r, v := range w.committed[node] {
+		if v > alloc[r] {
 			w.violations++
 		}
 	}

@@ -3,6 +3,10 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/apiserver"
+	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
 // TestMultiSchedScenarioScalesThroughput is the experiment's acceptance
@@ -92,5 +96,36 @@ func TestMultiSchedConcurrentDrainSafe(t *testing.T) {
 	}
 	if res.Failed != 0 {
 		t.Fatalf("concurrent drain failed %d jobs", res.Failed)
+	}
+}
+
+// TestCapacityWatcherReturnsCommittedToZero feeds the watcher the events
+// of one pod's life on a node that fits it exactly: the bind charges the
+// node, the terminal update gives the charge back, and a second pod of
+// the same size then binds without a violation. A watcher that subtracts
+// from a copy of the node's committed list keeps the first charge and
+// counts the second bind as over-commitment.
+func TestCapacityWatcherReturnsCommittedToZero(t *testing.T) {
+	req := resource.List{resource.Memory: resource.GiB, resource.EPCPages: 100}
+	pod := func(name string, phase api.PodPhase) *api.Pod {
+		return &api.Pod{
+			Name:   name,
+			Spec:   api.PodSpec{NodeName: "n", Containers: []api.Container{{Resources: api.Requirements{Requests: req}}}},
+			Status: api.PodStatus{Phase: phase},
+		}
+	}
+	w := newCapacityWatcher()
+	w.onEvent(apiserver.WatchEvent{Type: apiserver.NodeRegistered, Node: &api.Node{Name: "n", Allocatable: req}})
+	w.onEvent(apiserver.WatchEvent{Type: apiserver.PodBound, Pod: pod("a", api.PodPending)})
+	if got := w.committed["n"]; got != req {
+		t.Fatalf("committed after bind = %v, want %v", got, req)
+	}
+	w.onEvent(apiserver.WatchEvent{Type: apiserver.PodUpdated, Pod: pod("a", api.PodSucceeded)})
+	if got := w.committed["n"]; got != (resource.List{}) {
+		t.Fatalf("committed after the terminal update = %v, want zero", got)
+	}
+	w.onEvent(apiserver.WatchEvent{Type: apiserver.PodBound, Pod: pod("b", api.PodPending)})
+	if w.violations != 0 || len(w.bound) != 1 {
+		t.Fatalf("violations = %d, tracked pods = %d; want 0 and 1", w.violations, len(w.bound))
 	}
 }

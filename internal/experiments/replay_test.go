@@ -8,6 +8,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
 func evalTrace(seed int64) *borg.Trace {
@@ -199,14 +200,14 @@ func TestTracePodScaling(t *testing.T) {
 		t.Fatal("SGX pod not SGX")
 	}
 	wantPages := (borg.SGXMemBytes(0.1) + 4095) / 4096
-	if got := sgxPod.TotalRequests().Get("sgx.intel.com/epc-page"); got != wantPages {
+	if got := sgxPod.TotalRequests().Get(resource.EPCPages); got != wantPages {
 		t.Fatalf("EPC request = %d, want %d", got, wantPages)
 	}
 	stdPod := tracePod(job, false, false)
 	if stdPod.IsSGX() {
 		t.Fatal("standard pod is SGX")
 	}
-	if got := stdPod.TotalRequests().Get("memory"); got != borg.StandardMemBytes(0.1) {
+	if got := stdPod.TotalRequests().Get(resource.Memory); got != borg.StandardMemBytes(0.1) {
 		t.Fatalf("memory request = %d", got)
 	}
 	if stdPod.Spec.Containers[0].Workload.AllocBytes != borg.StandardMemBytes(0.08) {

@@ -135,7 +135,7 @@ func (k *Kubelet) Start() error {
 	}
 	node := &api.Node{
 		Name:          k.nodeName,
-		Capacity:      alloc.Clone(),
+		Capacity:      alloc,
 		Allocatable:   alloc,
 		Ready:         true,
 		Unschedulable: k.unschedulable,

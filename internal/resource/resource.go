@@ -4,25 +4,40 @@
 // The paper's key insight (§V-A) is to expose every EPC page as an
 // individually countable resource item so several SGX pods can share a
 // node. We therefore model quantities as plain integers: bytes for memory,
-// pages for EPC, millicores for CPU.
+// pages for EPC, millicores for CPU. The vocabulary is closed — EPC is one
+// more countable item beside the two Kubernetes already counts — so a
+// quantity of everything (List) is a fixed array indexed by Name: a
+// comparable value that is copied by assignment and compared with ==.
 package resource
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// Name identifies a resource kind.
-type Name string
+// Name identifies a resource kind. It is a dense index into List; String
+// gives the Kubernetes name.
+type Name uint8
 
-// Resource names used across the cluster. EPCPages follows the Kubernetes
-// extended-resource naming convention used by device plugins.
+// Resource names used across the cluster, in the order of their Kubernetes
+// names. EPCPages follows the extended-resource naming convention used by
+// device plugins.
 const (
-	CPU      Name = "cpu"                    // millicores
-	Memory   Name = "memory"                 // bytes
-	EPCPages Name = "sgx.intel.com/epc-page" // 4 KiB EPC pages (§V-A)
+	CPU      Name = iota // millicores, "cpu"
+	Memory               // bytes, "memory"
+	EPCPages             // 4 KiB EPC pages (§V-A), "sgx.intel.com/epc-page"
+	numNames
 )
+
+var nameStrings = [numNames]string{"cpu", "memory", "sgx.intel.com/epc-page"}
+
+// String returns the Kubernetes resource name.
+func (n Name) String() string {
+	if n >= numNames {
+		return fmt.Sprintf("resource.Name(%d)", uint8(n))
+	}
+	return nameStrings[n]
+}
 
 // Byte size helpers.
 const (
@@ -47,133 +62,65 @@ func PagesForBytes(b int64) int64 {
 // BytesForPages returns the byte capacity of p EPC pages.
 func BytesForPages(p int64) int64 { return p * EPCPageSize }
 
-// List maps resource names to integer quantities. The zero value is usable
-// as an empty list, but callers mutating a List must create it with make
-// or Clone first.
-type List map[Name]int64
+// List holds one integer quantity per resource name. It is a value: the
+// zero value is the empty list, assignment copies it, == compares it, and
+// a resource that was never set reads as zero. A keyed literal
+// (List{Memory: 1 << 30}) and indexing (l[EPCPages] = n on a variable)
+// are the ways to build one.
+type List [numNames]int64
 
-// Get returns the quantity for name, or zero when absent.
+// Get returns the quantity for name.
 func (l List) Get(name Name) int64 { return l[name] }
 
-// Clone returns a deep copy of l.
-func (l List) Clone() List {
-	out := make(List, len(l))
-	for k, v := range l {
-		out[k] = v
-	}
-	return out
-}
+// Clone returns a copy of l, as assignment does.
+func (l List) Clone() List { return l }
 
-// Add returns a new List holding l + other, element-wise.
+// Add returns l + other, element-wise.
 func (l List) Add(other List) List {
-	out := l.Clone()
-	for k, v := range other {
-		out[k] += v
+	for i, v := range other {
+		l[i] += v
 	}
-	return out
+	return l
 }
 
-// AddInPlace accumulates other into l element-wise without allocating.
-// Hot paths (per-pod accounting in every scheduler pass) use it instead
-// of Add; l must be a writable map.
-func (l List) AddInPlace(other List) {
-	for k, v := range other {
-		l[k] += v
-	}
-}
-
-// Sub returns a new List holding l - other, element-wise. Quantities may
-// go negative; use Fits to test satisfiability instead.
+// Sub returns l - other, element-wise. Quantities may go negative; use
+// Fits to test satisfiability instead.
 func (l List) Sub(other List) List {
-	out := l.Clone()
-	for k, v := range other {
-		out[k] -= v
+	for i, v := range other {
+		l[i] -= v
 	}
-	return out
+	return l
 }
 
-// Max returns a new List holding the element-wise maximum of l and other.
-// The scheduler uses it to combine measured usage with request-based
-// reservations (§IV: "combines the two kinds of data").
-func (l List) Max(other List) List {
-	out := l.Clone()
-	for k, v := range other {
-		if v > out[k] {
-			out[k] = v
-		}
-	}
-	return out
-}
-
-// Fits reports whether request fits in l, i.e. request <= l element-wise.
-// Resources absent from l count as zero, so a request for a resource the
-// node does not expose (e.g. EPC pages on a non-SGX node) does not fit —
-// this is the hardware-compatibility filter of §IV.
+// Fits reports whether request fits in l, i.e. request <= l element-wise
+// over the resources request asks for. A resource the node does not
+// expose holds zero, so a request for it (e.g. EPC pages on a non-SGX
+// node) does not fit — this is the hardware-compatibility filter of §IV.
+// Non-positive requests are skipped rather than compared: l may be a
+// headroom that went negative (measured usage above allocatable, the
+// malicious tenant of Fig. 11), and a pod that asks for none of that
+// resource still fits.
 func (l List) Fits(request List) bool {
-	for k, v := range request {
-		if v <= 0 {
-			continue
-		}
-		if l[k] < v {
+	for i, v := range request {
+		if v > 0 && l[i] < v {
 			return false
 		}
 	}
 	return true
 }
 
-// IsZero reports whether every quantity in l is zero.
-func (l List) IsZero() bool {
-	for _, v := range l {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether l and other hold the same quantities (absent keys
-// equal zero).
-func (l List) Equal(other List) bool {
-	for k, v := range l {
-		if other[k] != v {
-			return false
-		}
-	}
-	for k, v := range other {
-		if l[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the list deterministically, e.g.
+// String renders the non-zero quantities in name order, e.g.
 // "cpu=4000,memory=68719476736,sgx.intel.com/epc-page=23936".
 func (l List) String() string {
-	keys := make([]string, 0, len(l))
-	for k := range l {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, l[Name(k)]))
-	}
-	return strings.Join(parts, ",")
-}
-
-// FractionOf returns l[name] / capacity[name] as a float in [0, +inf);
-// zero capacity yields 0 when usage is zero and +1 when over an absent
-// capacity (treated as saturated). The spread policy uses these per-node
-// load fractions.
-func (l List) FractionOf(name Name, capacity List) float64 {
-	c := capacity[name]
-	u := l[name]
-	if c <= 0 {
-		if u <= 0 {
-			return 0
+	var b strings.Builder
+	for i, v := range l {
+		if v == 0 {
+			continue
 		}
-		return 1
+		if b.Len() > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%d", Name(i), v)
 	}
-	return float64(u) / float64(c)
+	return b.String()
 }
