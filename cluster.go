@@ -185,6 +185,24 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.ScrapeInterval <= 0 {
 		cfg.ScrapeInterval = 10 * time.Second
 	}
+	// The whole node list is checked before anything is built, so a bad
+	// entry never leaves an earlier node's kubelet started and subscribed.
+	seen := make(map[string]bool, len(nodes))
+	for _, spec := range nodes {
+		switch {
+		case spec.Name == "":
+			return nil, errors.New("sgxorch: node name required")
+		case seen[spec.Name]:
+			return nil, fmt.Errorf("sgxorch: duplicate node %q", spec.Name)
+		case spec.RAMBytes <= 0:
+			return nil, fmt.Errorf("sgxorch: node %s: RAMBytes %d must be positive", spec.Name, spec.RAMBytes)
+		case spec.CPUMillis < 0:
+			return nil, fmt.Errorf("sgxorch: node %s: negative CPUMillis %d", spec.Name, spec.CPUMillis)
+		case spec.EPCSize < 0:
+			return nil, fmt.Errorf("sgxorch: node %s: negative EPCSize %d", spec.Name, spec.EPCSize)
+		}
+		seen[spec.Name] = true
+	}
 
 	clk := clock.NewSim()
 	c := &Cluster{clk: clk}
@@ -197,19 +215,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.srv = apiserver.New(clk, srvOpts...)
 	c.db = tsdb.New(clk)
 
-	seen := make(map[string]bool, len(nodes))
 	for _, spec := range nodes {
-		if spec.Name == "" {
-			return nil, errors.New("sgxorch: node name required")
-		}
-		if seen[spec.Name] {
-			return nil, fmt.Errorf("sgxorch: duplicate node %q", spec.Name)
-		}
-		seen[spec.Name] = true
 		var opts []machine.Option
 		if spec.SGX || spec.SGX2 {
 			size := spec.EPCSize
-			if size <= 0 {
+			if size == 0 {
 				size = DefaultEPCSize
 			}
 			var driverOpts []isgx.Option
@@ -459,6 +469,11 @@ func (c *Cluster) SubmitJob(spec JobSpec) error {
 	}
 	if spec.Duration < 0 {
 		return fmt.Errorf("sgxorch: negative duration %v", spec.Duration)
+	}
+	for _, b := range []int64{spec.MemoryRequestBytes, spec.EPCRequestBytes, spec.MemoryUsageBytes, spec.EPCUsageBytes, spec.EPCLimitBytes} {
+		if b < 0 {
+			return fmt.Errorf("sgxorch: job %s: negative byte quantity %d", spec.Name, b)
+		}
 	}
 	class := api.WorkloadClass(spec.Class)
 	if spec.Class != "" && !class.Known() {

@@ -46,6 +46,16 @@ func TestClusterValidation(t *testing.T) {
 	}}); err == nil {
 		t.Fatal("duplicate node accepted")
 	}
+	for _, bad := range []NodeSpec{
+		{Name: "b", RAMBytes: -64 * GiB, CPUMillis: 1000},
+		{Name: "b", CPUMillis: 1000},
+		{Name: "b", RAMBytes: GiB, CPUMillis: -1},
+		{Name: "b", RAMBytes: GiB, CPUMillis: 1000, SGX: true, EPCSize: -MiB},
+	} {
+		if _, err := NewCluster(ClusterConfig{Nodes: []NodeSpec{{Name: "a", RAMBytes: GiB, CPUMillis: 1000}, bad}}); err == nil {
+			t.Fatalf("node %+v accepted", bad)
+		}
+	}
 }
 
 func TestSubmitAndRunSGXJob(t *testing.T) {
@@ -215,6 +225,17 @@ func TestSubmitJobValidation(t *testing.T) {
 	}
 	if err := c.SubmitJob(JobSpec{Name: "dup", Duration: time.Second}); err == nil {
 		t.Fatal("duplicate job accepted")
+	}
+	for _, bad := range []JobSpec{
+		{Name: "neg", MemoryRequestBytes: -1},
+		{Name: "neg", MemoryUsageBytes: -7},
+		{Name: "neg", EPCRequestBytes: -1},
+		{Name: "neg", EPCRequestBytes: MiB, EPCUsageBytes: -1},
+		{Name: "neg", EPCRequestBytes: MiB, EPCLimitBytes: -1},
+	} {
+		if err := c.SubmitJob(bad); err == nil {
+			t.Fatalf("job %+v accepted", bad)
+		}
 	}
 }
 

@@ -59,7 +59,7 @@
 // times, not per series or per point.
 //
 // The scheduling read path is event-driven rather than rebuilt per pass.
-// The API server exposes an informer handshake (ListAndWatch): a
+// The API server exposes an informer handshake (ListAndWatchBatch): a
 // consistent snapshot stamped with a resource version, followed by
 // ordered watch events — delivered inline in the default synchronous
 // mode, or decoupled from the commit path by the internal/watch broker
@@ -110,9 +110,9 @@
 //
 // Event fan-out is a subsystem of its own (internal/watch): an
 // asynchronous versioned event broker — the in-process analogue of the
-// Kubernetes apiserver watch cache — holding bounded per-topic ring
-// buffers of watch events indexed by resource version, with
-// per-subscriber cursors. A mutation's commit critical section performs
+// Kubernetes apiserver watch cache — holding one bounded ring buffer of
+// watch events indexed by resource version, with per-subscriber
+// cursors. A mutation's commit critical section performs
 // an O(1) ring append and never runs subscriber code; dissemination is a
 // separate concern. In the default synchronous mode the publishing
 // goroutine delivers inline afterwards, one batch per subscriber in
@@ -196,13 +196,13 @@
 // prefix of the event log at its revision and every prefix of the
 // stream a state that never over-commits a node (property tests race
 // snapshots against a bind storm, and bind/evict/gang interleavings
-// against each other, to pin exactly that). Watch events ride per-resource-type rings — pod
-// events and node events each get their own lazily-grown bounded ring
-// over the shared rev space — so a pod churn storm cannot evict a
-// kubelet's node-topic cursor, single-topic subscribers
-// (Server.SubscribePodEvents, Server.SubscribeNodeEvents) skip foreign
-// traffic entirely, and all-topics subscribers get the rings re-merged
-// in rev order. Bind outcomes and per-subscriber delivery accounting
+// against each other, to pin exactly that). Watch events ride one
+// lazily-grown bounded ring: every subscriber — through
+// Server.Subscribe, Server.SubscribeBatch or Server.ListAndWatchBatch,
+// which differ in what the caller supplies, not in what it is sent —
+// reads the same dense rev-ordered stream of pod and node events, and a
+// batch is a contiguous run of the ring after the subscriber's cursor.
+// Bind outcomes and per-subscriber delivery accounting
 // are plain atomics (Server.BindStats, Server.WatchStats) readable
 // mid-storm without touching any stripe, and the human-readable audit
 // trail (Server.Events) is a bounded ring that retains the newest 16k

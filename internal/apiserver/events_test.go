@@ -81,7 +81,7 @@ func TestEventPodSharesSpecKeepsStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	var evs []WatchEvent
-	defer s.SubscribePodEvents(func(batch []WatchEvent) { evs = append(evs, batch...) }, nil)()
+	defer s.SubscribeBatch(func(batch []WatchEvent) { evs = append(evs, batch...) }, nil)()
 
 	submitted := testPod("p1")
 	submitted.Labels = map[string]string{"tier": "batch"}

@@ -346,16 +346,5 @@ func (ps *pendingSet) PriorityCounts(sched string) map[int32]int {
 	return map[int32]int{}
 }
 
-// SchedLen returns the named scheduler's queued pod count.
-func (ps *pendingSet) SchedLen(sched string) int {
-	if sched == "" {
-		return ps.all.Len()
-	}
-	if q, ok := ps.bySched[sched]; ok {
-		return q.Len()
-	}
-	return 0
-}
-
 // Snapshot returns all queued names in global priority-then-FCFS order.
 func (ps *pendingSet) Snapshot() []string { return ps.all.Snapshot() }

@@ -63,7 +63,7 @@ func TestPendingQueuePriorityThenFCFS(t *testing.T) {
 		t.Fatalf("PendingPods order = %v, want %v", got, want)
 	}
 
-	snap, unsub := srv.ListAndWatch(func(WatchEvent) {})
+	snap, unsub := srv.ListAndWatchBatch(func([]WatchEvent) {}, nil)
 	defer unsub()
 	if fmt.Sprint(snap.Pending) != fmt.Sprint(want) {
 		t.Fatalf("snapshot Pending order = %v, want %v", snap.Pending, want)

@@ -37,28 +37,25 @@
 // in flight, which is exactly what makes a snapshot a consistent prefix
 // of the event log.
 //
-// Watchers attach either with Subscribe (events only) or with the
-// informer-style ListAndWatch, which atomically couples a consistent
-// snapshot to the event stream: every event carries a monotonically
+// Watchers attach in one of three ways, which differ in what the caller
+// supplies: Subscribe (a per-event callback), SubscribeBatch (a batch
+// callback and an optional resync handler) or the informer-style
+// ListAndWatchBatch, which additionally couples a consistent snapshot
+// to the event stream atomically: every event carries a monotonically
 // increasing resource version, so a consumer building a cache from the
 // snapshot discards anything already reflected in it and stays exactly
-// consistent without quiescing the server.
+// consistent without quiescing the server. All three see the same
+// stream — every pod and node event, in rev order.
 //
-// Event fan-out rides the internal/watch broker — versioned ring
-// buffers with per-subscriber cursors — so a mutation's critical
-// section performs an O(1) event append and never runs subscriber code.
-// Events are split across two topic rings sharing the one rev space:
-// pod events and node events. All-topic subscribers (caches, capacity
-// watchers) see the merged stream in rev order, exactly as with a
-// single ring; single-topic subscribers (kubelets, which discard node
-// events) stop paying ring space and batch volume for event kinds they
-// drop, and a pod-event burst cannot evict node events. In the default
-// synchronous mode the publishing goroutine delivers inline
+// Event fan-out rides the internal/watch broker — one versioned ring
+// buffer with per-subscriber cursors — so a mutation's critical section
+// performs an O(1) event append and never runs subscriber code. In the
+// default synchronous mode the publishing goroutine delivers inline
 // (deterministic under the simulation clock, exactly like the
 // historical callback list; among concurrent committers, whichever
 // holds the broker's flush delivers for all); WithAsyncWatch moves
 // delivery onto per-subscriber pump goroutines with batching and
-// snapshot resync for consumers that fall off a ring.
+// snapshot resync for consumers that fall off the ring.
 //
 // The paper's components "interact with [Kubernetes] using its public API"
 // (§V); this package provides that API for the simulated cluster.
@@ -134,14 +131,6 @@ const (
 	AdmitNone
 )
 
-// Watch topics: pod and node events land on separate broker rings that
-// share one resource-version space (see internal/watch).
-const (
-	topicPods  = 0
-	topicNodes = 1
-	numTopics  = 2
-)
-
 // Option configures a Server.
 type Option func(*Server)
 
@@ -164,9 +153,9 @@ func WithAsyncWatch() Option {
 	return func(s *Server) { s.watchOpts.Mode = watch.Async }
 }
 
-// WithWatchCapacity overrides the broker's per-topic ring capacity (the
-// retained event window per resource type; watch.DefaultCapacity when
-// unset). Tests use tiny rings to force the overflow/resync path.
+// WithWatchCapacity overrides the broker's ring capacity (the retained
+// event window; watch.DefaultCapacity when unset). Tests use tiny rings
+// to force the overflow/resync path.
 func WithWatchCapacity(n int) Option {
 	return func(s *Server) { s.watchOpts.Capacity = n }
 }
@@ -256,7 +245,7 @@ const (
 // would corrupt the source of truth. A consumer that needs a pod it may
 // edit clones it (api.Pod.Clone) or asks GetPod. Rev is the
 // server's resource version at the mutation: revisions increase by one
-// per event, so a cache built from a ListAndWatch snapshot can discard
+// per event, so a cache built from a ListAndWatchBatch snapshot can discard
 // events already reflected in it (Rev <= Snapshot.Rev) without racing
 // concurrent mutations.
 type WatchEvent struct {
@@ -266,16 +255,8 @@ type WatchEvent struct {
 	Node *api.Node
 }
 
-// topicOf returns the broker topic an event type lands on.
-func topicOf(t WatchEventType) int {
-	if t == NodeRegistered || t == NodeUpdated {
-		return topicNodes
-	}
-	return topicPods
-}
-
 // Snapshot is a consistent point-in-time copy of the cluster state, as
-// returned by ListAndWatch. Rev is the resource version of the last
+// returned by ListAndWatchBatch. Rev is the resource version of the last
 // mutation included in it.
 type Snapshot struct {
 	Rev   int64
@@ -295,14 +276,13 @@ type Server struct {
 	watchOpts watch.Options
 
 	// broker is the versioned event fan-out (see internal/watch): every
-	// mutation appends its watch event to the owning topic ring while
-	// still holding its state stripes (txn.publish) — an O(1) operation
-	// that fixes the event's place in the global order without ever
-	// running subscriber code inside the commit critical section — and
-	// delivery happens afterwards (txn.end): inline via Flush in
-	// synchronous mode, on per-subscriber pumps in async mode. The broker
-	// mutex is the innermost lock; subscriber callbacks run with no
-	// server lock held.
+	// mutation appends its watch event to the ring while still holding
+	// its state stripes (txn.publish) — an O(1) operation that fixes the
+	// event's place in the global order without ever running subscriber
+	// code inside the commit critical section — and delivery happens
+	// afterwards (txn.end): inline via Flush in synchronous mode, on
+	// per-subscriber pumps in async mode. The broker mutex is the
+	// innermost lock; subscriber callbacks run with no server lock held.
 	broker *watch.Broker[WatchEvent]
 
 	// seq allocates resource versions — the only piece of commit state
@@ -384,10 +364,8 @@ func New(clk clock.Clock, opts ...Option) *Server {
 		s.nodeShards[i].nodes = make(map[string]*api.Node)
 		s.nodeShards[i].committed = make(map[string]resource.List)
 	}
-	// Two topic rings (pods, nodes) over one rev space; Sequenced lets
-	// stripe-parallel commits race to the broker and still produce a
-	// rev-ordered log.
-	s.watchOpts.Topics = numTopics
+	// Sequenced lets stripe-parallel commits race to the broker and still
+	// produce a rev-ordered log.
 	s.watchOpts.Sequenced = true
 	s.broker = watch.New[WatchEvent](s.watchOpts)
 	return s
@@ -437,38 +415,19 @@ func (s *Server) Subscribe(fn func(WatchEvent)) (unsubscribe func()) {
 	}, nil)
 }
 
-// SubscribeBatch registers a batched watch callback for the merged
-// pod+node stream: the broker hands it consecutive events as one slice
-// (reused between calls — do not retain it). resync, when non-nil, is
-// invoked if the subscriber falls off the broker ring: it receives a
-// fresh consistent snapshot to rebuild from, and delivery resumes with
-// the first event after that snapshot's Rev.
+// SubscribeBatch registers a batched watch callback: the broker hands it
+// consecutive events as one slice (reused between calls — do not retain
+// it). resync, when non-nil, is invoked if the subscriber falls off the
+// broker ring: it receives a fresh consistent snapshot to rebuild from,
+// and delivery resumes with the first event after that snapshot's Rev.
+// Registration happens at the current resource version under the world
+// ladder: with every stripe held no commit is in flight, so every rev <=
+// the registered cursor has already been published — the subscriber
+// provably misses nothing after its cursor.
 func (s *Server) SubscribeBatch(fn func([]WatchEvent), resync func(Snapshot)) (unsubscribe func()) {
-	return s.subscribeTopics(watch.AllTopics, fn, resync)
-}
-
-// SubscribePodEvents is SubscribeBatch restricted to the pod-event ring
-// (PodCreated/PodBound/PodUpdated): the subscription kubelets use, so
-// they stop paying batch volume for node events they discard.
-func (s *Server) SubscribePodEvents(fn func([]WatchEvent), resync func(Snapshot)) (unsubscribe func()) {
-	return s.subscribeTopics(watch.TopicsOf(topicPods), fn, resync)
-}
-
-// SubscribeNodeEvents is SubscribeBatch restricted to the node-event
-// ring (NodeRegistered/NodeUpdated) — for consumers tracking cluster
-// shape only.
-func (s *Server) SubscribeNodeEvents(fn func([]WatchEvent), resync func(Snapshot)) (unsubscribe func()) {
-	return s.subscribeTopics(watch.TopicsOf(topicNodes), fn, resync)
-}
-
-// subscribeTopics registers with the broker at the current resource
-// version, under the world ladder: with every stripe held no commit is
-// in flight, so every rev <= the registered cursor has already been
-// published — the subscriber provably misses nothing after its cursor.
-func (s *Server) subscribeTopics(topics watch.TopicSet, fn func([]WatchEvent), resync func(Snapshot)) (unsubscribe func()) {
 	s.lockWorld()
 	defer s.unlockWorld()
-	return s.broker.SubscribeTopics(s.seq.Load(), topics, fn, s.resyncFrom(resync))
+	return s.broker.Subscribe(s.seq.Load(), fn, s.resyncFrom(resync))
 }
 
 // resyncFrom adapts a consumer's snapshot handler to the broker's
@@ -485,31 +444,19 @@ func (s *Server) resyncFrom(resync func(Snapshot)) func() int64 {
 	}
 }
 
-// ListAndWatch atomically snapshots the cluster state and registers fn
-// for every subsequent event — the informer handshake: a cache can build
-// itself from the snapshot and stay current by applying events, without
-// racing mutations that happen in between. Events whose Rev is at or
-// below Snapshot.Rev are already reflected in the snapshot and must be
-// discarded by the consumer. The callback contract is the same as
-// Subscribe's.
-func (s *Server) ListAndWatch(fn func(WatchEvent)) (Snapshot, func()) {
-	return s.ListAndWatchBatch(func(evs []WatchEvent) {
-		for _, ev := range evs {
-			fn(ev)
-		}
-	}, nil)
-}
-
-// ListAndWatchBatch is ListAndWatch with batched delivery and an
-// optional ring-overflow resync handler (see SubscribeBatch). The
-// snapshot and the subscription are coupled under the world ladder, so
-// the first delivered event is exactly the first mutation after the
-// snapshot.
+// ListAndWatchBatch atomically snapshots the cluster state and registers
+// fn for every subsequent event — the informer handshake: a cache can
+// build itself from the snapshot and stay current by applying events,
+// without racing mutations that happen in between. The snapshot and the
+// subscription are coupled under the world ladder, so the first
+// delivered event is exactly the first mutation after the snapshot.
+// Delivery is batched, with an optional ring-overflow resync handler
+// (see SubscribeBatch); the callback contract is otherwise Subscribe's.
 func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), resync func(Snapshot)) (Snapshot, func()) {
 	s.lockWorld()
 	defer s.unlockWorld()
 	snap := s.snapshotWorldLocked()
-	return snap, s.broker.SubscribeTopics(snap.Rev, watch.AllTopics, fn, s.resyncFrom(resync))
+	return snap, s.broker.Subscribe(snap.Rev, fn, s.resyncFrom(resync))
 }
 
 // SnapshotNow returns a consistent point-in-time snapshot of the
@@ -554,8 +501,8 @@ func (s *Server) snapshotWorldLocked() Snapshot {
 }
 
 // WatchStats returns the broker's fan-out accounting: events published
-// and evicted (total and per topic ring), plus per-subscriber delivery,
-// batching, lag and resync counters.
+// and evicted, plus per-subscriber delivery, batching, lag and resync
+// counters.
 func (s *Server) WatchStats() watch.Stats {
 	return s.broker.Stats()
 }
@@ -829,16 +776,6 @@ func (s *Server) PendingCountByClass(schedulerName string) map[api.WorkloadClass
 	s.pendingMu.Lock()
 	defer s.pendingMu.Unlock()
 	return s.pending.ClassCounts(schedulerName)
-}
-
-// PendingCountByPriority returns the named scheduler's queue depth per
-// priority tier (the empty name reports the global queue). O(tiers)
-// under the pending lock; the telemetry collector publishes it as the
-// apiserver_pending_depth_priority gauge family.
-func (s *Server) PendingCountByPriority(schedulerName string) map[int32]int {
-	s.pendingMu.Lock()
-	defer s.pendingMu.Unlock()
-	return s.pending.PriorityCounts(schedulerName)
 }
 
 // Bind assigns a pending pod to a node (§IV step Í: "the scheduler

@@ -438,7 +438,7 @@ func TestListAndWatchHandshake(t *testing.T) {
 	}
 
 	var events []WatchEvent
-	snap, unsub := s.ListAndWatch(func(ev WatchEvent) { events = append(events, ev) })
+	snap, unsub := s.ListAndWatchBatch(func(evs []WatchEvent) { events = append(events, evs...) }, nil)
 	defer unsub()
 
 	if snap.Rev != 5 { // 1 node + 3 creates + 1 bind

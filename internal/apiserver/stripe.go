@@ -20,7 +20,7 @@ import (
 //	  → node stripes (ascending index)
 //	    → pendingMu
 //	      → eventLog.mu
-//	        → broker mutex (via PublishTopic)
+//	        → broker mutex (via Publish)
 //
 // Mutators never touch a stripe mutex directly: they run in a txn (see
 // txn.go), which takes one pod stripe and then one node stripe on demand

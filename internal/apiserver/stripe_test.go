@@ -260,64 +260,6 @@ func TestSnapshotConsistentPrefixDuringConcurrentBinds(t *testing.T) {
 	}
 }
 
-// TestSubscribePodEventsFiltersNodeEvents: the kubelet-style pod-topic
-// subscription must deliver exactly the pod events, in rev order, while
-// node events ride their own ring (and vice versa).
-func TestSubscribePodEventsFiltersNodeEvents(t *testing.T) {
-	s := New(clock.NewSim())
-	defer s.Close()
-	var podEvs, nodeEvs []WatchEventType
-	unsubP := s.SubscribePodEvents(func(evs []WatchEvent) {
-		for _, ev := range evs {
-			if ev.Pod == nil {
-				t.Errorf("pod-topic subscriber got event %v without a pod", ev.Type)
-			}
-			podEvs = append(podEvs, ev.Type)
-		}
-	}, nil)
-	defer unsubP()
-	unsubN := s.SubscribeNodeEvents(func(evs []WatchEvent) {
-		for _, ev := range evs {
-			if ev.Node == nil {
-				t.Errorf("node-topic subscriber got event %v without a node", ev.Type)
-			}
-			nodeEvs = append(nodeEvs, ev.Type)
-		}
-	}, nil)
-	defer unsubN()
-
-	n := testNode("n1", false)
-	if err := s.RegisterNode(n); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreatePod(testPod("p1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.UpdateNode(n); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Bind("p1", "n1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.MarkRunning("p1"); err != nil {
-		t.Fatal(err)
-	}
-
-	wantPods := []WatchEventType{PodCreated, PodBound, PodUpdated}
-	wantNodes := []WatchEventType{NodeRegistered, NodeUpdated}
-	if len(podEvs) != len(wantPods) {
-		t.Fatalf("pod-topic subscriber saw %v, want %v", podEvs, wantPods)
-	}
-	for i := range wantPods {
-		if podEvs[i] != wantPods[i] {
-			t.Fatalf("pod-topic subscriber saw %v, want %v", podEvs, wantPods)
-		}
-	}
-	if len(nodeEvs) != len(wantNodes) || nodeEvs[0] != wantNodes[0] || nodeEvs[1] != wantNodes[1] {
-		t.Fatalf("node-topic subscriber saw %v, want %v", nodeEvs, wantNodes)
-	}
-}
-
 // bindAllocsPinned is what one successful Bind allocates with telemetry
 // off, synchronous watch and one subscriber: the pod struct the event
 // carries and the event-log message naming the node. The commit

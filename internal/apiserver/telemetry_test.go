@@ -82,7 +82,7 @@ func TestServerTelemetryDepthAndWatchCollectors(t *testing.T) {
 	if err := s.RegisterNode(telemetryNode("n1")); err != nil {
 		t.Fatal(err)
 	}
-	unsub := s.SubscribePodEvents(func([]WatchEvent) {}, nil)
+	unsub := s.SubscribeBatch(func([]WatchEvent) {}, nil)
 	defer unsub()
 
 	// Queue: two latency-sensitive at prio 100, one batch at prio 10,

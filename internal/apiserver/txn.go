@@ -79,7 +79,7 @@ func (t *txn) node(name string) *nodeShard {
 }
 
 // publish records the mutation in the human-readable event log, draws
-// the next resource version and appends the event to its topic ring — an
+// the next resource version and appends the event to the broker ring — an
 // O(1) append that fixes the event's place in the global order without
 // running subscriber code. Because only end releases stripes, the event
 // is published while every stripe the mutation touched is still held:
@@ -93,7 +93,7 @@ func (t *txn) publish(ev WatchEvent, reason, message string) {
 		t.s.recordEvent(kindNode, ev.Node.Name, reason, message)
 	}
 	ev.Rev = t.s.seq.Add(1)
-	t.s.broker.PublishTopic(topicOf(ev.Type), ev.Rev, ev)
+	t.s.broker.Publish(ev.Rev, ev)
 	t.published = true
 }
 

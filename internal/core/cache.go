@@ -17,7 +17,7 @@ import (
 )
 
 // ClusterCache is the scheduler's event-driven model of the cluster. It
-// builds itself once from an apiserver.ListAndWatch snapshot and then
+// builds itself once from an apiserver.ListAndWatchBatch snapshot and then
 // applies watch events — adding a pod's fused usage to its node on bind,
 // removing it on terminal transitions, re-fusing on metric and maturity
 // changes — instead of re-deriving every node from every pod and every
@@ -136,11 +136,10 @@ type cachedPod struct {
 // and primes the cache from the snapshot. The aggregator (when metrics
 // are on) must already be backfilled; the caller wires its change
 // callback to onMetric afterwards. Events arrive through the watch
-// broker in batches (ApplyAll); the cache tracks both pods and nodes,
-// so it subscribes to the merged stream — the broker's per-topic rings
-// are recombined in rev order, exactly the single-ring stream. If the
-// cache ever falls off a ring — possible only with an async-watch
-// server — it resyncs from a fresh snapshot instead of missing deltas.
+// broker in batches (ApplyAll), pod and node events alike in rev order.
+// If the cache ever falls off the ring — possible only with an
+// async-watch server — it resyncs from a fresh snapshot instead of
+// missing deltas.
 func newClusterCache(clk clock.Clock, srv *apiserver.Server, agg *monitor.WindowMax, lag time.Duration, useMetrics bool) *ClusterCache {
 	c := &ClusterCache{
 		clk:        clk,

@@ -242,12 +242,6 @@ func WithFilters(filters ...FilterPlugin) ProfileOpt {
 	return func(p *Profile) { p.filters = append(p.filters, filters...) }
 }
 
-// WithPreFilters appends per-pod early-reject plugins (run once per pod
-// per pass, before any per-node work).
-func WithPreFilters(plugins ...PreFilterPlugin) ProfileOpt {
-	return func(p *Profile) { p.preFilters = append(p.preFilters, plugins...) }
-}
-
 // WithPermits appends permit plugins (run after node selection, deciding
 // whether the placement binds immediately, waits, or is denied).
 func WithPermits(plugins ...PermitPlugin) ProfileOpt {

@@ -125,7 +125,7 @@ func NewGangDirector(clk clock.Clock, srv *apiserver.Server, cfg GangConfig) *Ga
 		cfg:    cfg,
 		groups: make(map[string]*gangState),
 	}
-	d.unsub = srv.SubscribePodEvents(d.onPodEvents, nil)
+	d.unsub = srv.SubscribeBatch(d.onPodEvents, nil)
 	return d
 }
 

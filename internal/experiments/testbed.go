@@ -64,9 +64,6 @@ type TestbedConfig struct {
 	// SchedulerWindow overrides the sliding metric window (Listing 1's
 	// 25 s when zero) — the WindowAblation experiment sweeps it.
 	SchedulerWindow time.Duration
-	// CostModel overrides the SGX startup cost model (paper defaults
-	// when zero).
-	CostModel sgx.CostModel
 	// Classes attaches a workload-class registry: classified pods
 	// resolve per-class scheduling profiles instead of the testbed's
 	// default pipeline. Nil keeps the classic single-profile scheduler.
@@ -138,7 +135,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 
 	for i := 0; i < cfg.StdNodeCount; i++ {
 		m := machine.New(fmt.Sprintf("std-%d", i+1), StdNodeRAM, StdNodeCPU)
-		tb.Kubelets = append(tb.Kubelets, kubelet.New(clk, srv, m, kubelet.WithCostModel(cfg.CostModel)))
+		tb.Kubelets = append(tb.Kubelets, kubelet.New(clk, srv, m))
 	}
 	var driverOpts []isgx.Option
 	if !cfg.Enforcement {
@@ -151,7 +148,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	for i := 0; i < cfg.SGXNodeCount; i++ {
 		m := machine.New(fmt.Sprintf("sgx-%d", i+1), SGXNodeRAM, SGXNodeCPU,
 			sgxOpt(sgx.GeometryForSize(cfg.EPCSize), driverOpts...))
-		tb.Kubelets = append(tb.Kubelets, kubelet.New(clk, srv, m, kubelet.WithCostModel(cfg.CostModel)))
+		tb.Kubelets = append(tb.Kubelets, kubelet.New(clk, srv, m))
 	}
 	for _, kl := range tb.Kubelets {
 		if err := kl.Start(); err != nil {

@@ -49,9 +49,8 @@ type Kubelet struct {
 	runner *stress.Runner
 	plugin *deviceplugin.SGXPlugin
 
-	nodeName         string
-	unschedulable    bool
-	admissionLatency time.Duration
+	nodeName      string
+	unschedulable bool
 
 	mu          sync.Mutex
 	pods        map[string]*podEntry
@@ -76,27 +75,16 @@ func WithUnschedulable() Option {
 	return func(k *Kubelet) { k.unschedulable = true }
 }
 
-// WithAdmissionLatency overrides the binding-to-launch latency.
-func WithAdmissionLatency(d time.Duration) Option {
-	return func(k *Kubelet) { k.admissionLatency = d }
-}
-
-// WithCostModel overrides the SGX startup cost model used for workloads.
-func WithCostModel(m sgx.CostModel) Option {
-	return func(k *Kubelet) { k.runner = stress.NewRunner(k.clk, m) }
-}
-
 // New creates a kubelet for a machine. Call Start to join the cluster.
 func New(clk clock.Clock, srv *apiserver.Server, mach *machine.Machine, opts ...Option) *Kubelet {
 	k := &Kubelet{
-		clk:              clk,
-		srv:              srv,
-		mach:             mach,
-		nodeName:         mach.Name(),
-		admissionLatency: DefaultAdmissionLatency,
-		pods:             make(map[string]*podEntry),
+		clk:      clk,
+		srv:      srv,
+		mach:     mach,
+		nodeName: mach.Name(),
+		runner:   stress.NewRunner(clk, sgx.CostModel{}),
+		pods:     make(map[string]*podEntry),
 	}
-	k.runner = stress.NewRunner(clk, sgx.CostModel{})
 	for _, o := range opts {
 		o(k)
 	}
@@ -143,10 +131,10 @@ func (k *Kubelet) Start() error {
 	if err := k.srv.RegisterNode(node); err != nil {
 		return fmt.Errorf("kubelet %s: %w", k.nodeName, err)
 	}
-	// Pod events only: the kubelet reacts to bindings and terminations
-	// and discards node events, so it rides the pod topic ring and never
-	// pays batch volume (or eviction pressure) for node churn.
-	k.unsubscribe = k.srv.SubscribePodEvents(k.onEvents, k.resync)
+	// The kubelet reacts to bindings and terminations of its own pods;
+	// onEvent discards everything else on the stream (node events, other
+	// nodes' pods).
+	k.unsubscribe = k.srv.SubscribeBatch(k.onEvents, k.resync)
 	return nil
 }
 
@@ -240,7 +228,7 @@ func (k *Kubelet) resync(snap apiserver.Snapshot) {
 	sort.Strings(names)
 	for _, name := range names {
 		pod := desired[name]
-		k.clk.AfterFunc(k.admissionLatency, func() { k.admit(pod) })
+		k.clk.AfterFunc(DefaultAdmissionLatency, func() { k.admit(pod) })
 	}
 }
 
@@ -255,7 +243,7 @@ func (k *Kubelet) onEvent(ev apiserver.WatchEvent) {
 		}
 		pod := ev.Pod
 		// Container-runtime latency before the workload launches.
-		k.clk.AfterFunc(k.admissionLatency, func() { k.admit(pod) })
+		k.clk.AfterFunc(DefaultAdmissionLatency, func() { k.admit(pod) })
 	case apiserver.PodUpdated:
 		// External terminal transitions (eviction) and preemptions (the
 		// pod re-queued with its binding cleared) kill the local workload

@@ -100,16 +100,17 @@ func New(reg *telemetry.Registry) *Tracker {
 	return t
 }
 
-// Track subscribes the tracker to the server's pod event ring. In the
-// default synchronous watch mode consumption is inline and lossless; in
-// async mode a tracker that falls off the ring counts a resync and
-// continues — the skipped interval's samples are lost, which the
-// lifecycle_resyncs_total counter makes visible rather than silent.
+// Track subscribes the tracker to the server's event stream (Consume
+// skips node events). In the default synchronous watch mode consumption
+// is inline and lossless; in async mode a tracker that falls off the
+// ring counts a resync and continues — the skipped interval's samples
+// are lost, which the lifecycle_resyncs_total counter makes visible
+// rather than silent.
 func (t *Tracker) Track(srv *apiserver.Server) {
 	if t == nil {
 		return
 	}
-	t.unsubscribe = srv.SubscribePodEvents(t.Consume, func(apiserver.Snapshot) {
+	t.unsubscribe = srv.SubscribeBatch(t.Consume, func(apiserver.Snapshot) {
 		t.resyncs.Inc()
 	})
 }

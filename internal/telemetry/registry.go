@@ -116,9 +116,6 @@ func New() *Registry {
 	}
 }
 
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil }
-
 // Counter returns the named counter, registering it on first use.
 // Returns the same handle for the same name, so instrumentation sites
 // and stats folds share one series. Nil registry → nil handle.

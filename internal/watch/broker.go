@@ -2,26 +2,21 @@
 // in-process equivalent of the Kubernetes apiserver watch cache. It
 // decouples state commits from event fan-out: a mutation appends its
 // event to a fixed-capacity ring buffer indexed by resource version in
-// O(1) and returns; subscribers consume the rings through per-subscriber
+// O(1) and returns; subscribers consume the ring through per-subscriber
 // cursors, in batches, without ever making the writer wait.
 //
-// Events are partitioned into per-topic rings (for the API server: pod
-// events and node events) that share ONE resource-version space: a rev
-// is allocated globally, and the event lands in exactly one topic's
-// ring. Subscribers choose a TopicSet; delivery merges the subscribed
-// rings back into strict rev order, so an all-topics subscriber sees
-// exactly the stream a single-ring broker would have produced, while a
-// single-topic subscriber (a kubelet that only cares about pods) never
-// pays — in ring space or batch volume — for event kinds it discards.
-// Ring eviction is per topic: a burst of pod events cannot push node
-// events off their ring.
+// There is one ring and one stream: every subscriber sees every event,
+// in strict resource-version order, and a batch is a contiguous run of
+// the ring starting just after the subscriber's cursor. "Every prefix of
+// the stream is a consistent state of the source" is therefore a
+// property of one array.
 //
 // Two delivery modes:
 //
 //   - Sync: events are delivered inline by Flush, on the publishing
 //     goroutine, one batch per subscriber in subscription order. Flush
 //     is a combining single flusher: the first caller claims the flush
-//     and drains the rings completely; a call that finds a flusher
+//     and drains the ring completely; a call that finds a flusher
 //     active — re-entrant from one of its callbacks or concurrent from
 //     another goroutine, which the broker neither can nor needs to tell
 //     apart — returns at once and leaves its events to that drain, which
@@ -36,28 +31,28 @@
 //     some earlier point uses Quiesce (from outside a callback).
 //   - Async: every subscriber gets a pump goroutine that waits for new
 //     events, copies whatever is pending (up to the batch cap) out of
-//     the rings under the lock, and invokes the subscriber's callback
+//     the ring under the lock, and invokes the subscriber's callback
 //     without it. Slow subscribers batch up naturally; fast publishers
 //     never block on slow consumers.
 //
 // A Sequenced broker additionally accepts publishes out of rev order:
 // writers that allocate revs from an atomic counter (the sharded API
 // server) can race each other to Publish, and the broker buffers the
-// out-of-order arrivals and appends them to their rings strictly in rev
+// out-of-order arrivals and appends them to the ring strictly in rev
 // order once the gap fills. This requires dense revs — every rev
 // allocated must eventually be published — which holds for the API
 // server because allocation and publish are straight-line code under
 // the owning shard's lock.
 //
-// A subscriber that falls so far behind that its cursor drops off a
-// subscribed ring is "too old" (ErrTooOld): instead of stalling the
-// writer or silently corrupting the consumer, the broker invokes the
-// subscriber's resync handler, which re-primes the consumer from a
-// fresh snapshot of the source of truth and returns the snapshot's
-// resource version as the new cursor — the ListAndWatch-style relist
-// Kubernetes clients perform on a 410 Gone. Subscribers without a
-// resync handler have the missed interval counted in their
-// back-pressure stats and continue from the oldest retained event.
+// A subscriber that falls so far behind that its cursor drops off the
+// ring is "too old" (ErrTooOld): instead of stalling the writer or
+// silently corrupting the consumer, the broker invokes the subscriber's
+// resync handler, which re-primes the consumer from a fresh snapshot of
+// the source of truth and returns the snapshot's resource version as the
+// new cursor — the ListAndWatch-style relist Kubernetes clients perform
+// on a 410 Gone. Subscribers without a resync handler have the missed
+// interval counted in their back-pressure stats and continue from the
+// oldest retained event.
 //
 // Unsubscribe is safe in both modes, from anywhere, and in both no
 // callback for the subscription starts after it returns. In Async mode
@@ -79,10 +74,10 @@ import (
 	"sync/atomic"
 )
 
-// ErrTooOld reports that a cursor has fallen off a subscribed ring:
-// events between the cursor and the oldest retained event were evicted,
-// so the consumer can no longer be brought current by replay alone and
-// must resync from a snapshot.
+// ErrTooOld reports that a cursor has fallen off the ring: events
+// between the cursor and the oldest retained event were evicted, so the
+// consumer can no longer be brought current by replay alone and must
+// resync from a snapshot.
 var ErrTooOld = errors.New("watch: resource version too old")
 
 // Mode selects how the broker delivers events.
@@ -105,30 +100,10 @@ func (m Mode) String() string {
 	return "sync"
 }
 
-// TopicSet selects which topic rings a subscriber consumes, one bit per
-// topic index.
-type TopicSet uint64
-
-// AllTopics subscribes to every ring — the merged stream.
-const AllTopics TopicSet = ^TopicSet(0)
-
-// TopicsOf builds a TopicSet from topic indices.
-func TopicsOf(topics ...int) TopicSet {
-	var s TopicSet
-	for _, t := range topics {
-		s |= 1 << uint(t)
-	}
-	return s
-}
-
-// Has reports whether topic t is in the set.
-func (s TopicSet) Has(t int) bool { return s&(1<<uint(t)) != 0 }
-
 // Defaults for Options.
 const (
-	// DefaultCapacity bounds each topic ring's retained event window. A
-	// subscriber more than this many events behind a subscribed ring's
-	// head resyncs.
+	// DefaultCapacity bounds the ring's retained event window. A
+	// subscriber more than this many events behind the head resyncs.
 	DefaultCapacity = 16384
 	// DefaultMaxBatch caps the events handed to one callback invocation.
 	DefaultMaxBatch = 256
@@ -137,16 +112,10 @@ const (
 // Options parameterises a Broker.
 type Options struct {
 	Mode Mode
-	// Capacity is the per-ring size (DefaultCapacity when <= 0).
+	// Capacity is the ring size (DefaultCapacity when <= 0).
 	Capacity int
 	// MaxBatch caps one delivery batch (DefaultMaxBatch when <= 0).
 	MaxBatch int
-	// Topics is the number of per-topic rings; <= 0 means one ring (the
-	// single-stream broker).
-	Topics int
-	// TopicCapacity optionally overrides Capacity per topic ring
-	// (entries <= 0 fall back to Capacity).
-	TopicCapacity []int
 	// Sequenced accepts out-of-rev-order publishes from racing writers,
 	// buffering gaps and appending in rev order. Requires dense revs:
 	// every allocated rev must eventually be published.
@@ -172,24 +141,16 @@ type SubscriberStats struct {
 	// Resyncs counts ErrTooOld recoveries through the resync handler.
 	Resyncs int64
 	// Dropped counts the resource-version span skipped because the
-	// subscriber fell off a ring and had no resync handler.
+	// subscriber fell off the ring and had no resync handler.
 	Dropped int64
-}
-
-// TopicStats is the per-ring accounting.
-type TopicStats struct {
-	Published int64
-	Evicted   int64
 }
 
 // Stats is the broker-level accounting.
 type Stats struct {
-	// Published counts events appended across all rings; Evicted those
+	// Published counts events appended to the ring; Evicted those
 	// overwritten by ring wrap-around.
 	Published int64
 	Evicted   int64
-	// PerTopic breaks Published/Evicted down by topic ring.
-	PerTopic []TopicStats
 	// Subscribers is the live subscriber count; PerSubscriber their
 	// stats in subscription order.
 	Subscribers   int
@@ -202,27 +163,25 @@ type entry[T any] struct {
 	ev  T
 }
 
-// ring is one topic's bounded event window. Guarded by the broker
-// mutex.
+// ring is the bounded event window. Guarded by the broker mutex.
 type ring[T any] struct {
 	buf      []entry[T]
 	capacity int // retention bound; buf grows geometrically up to it
 	start    int // index of the oldest retained event
 	count    int
 
-	evictedRev int64 // highest rev pushed off this ring
+	evictedRev int64 // highest rev pushed off the ring
 	published  int64
 	evicted    int64
 }
 
 // append adds one event, growing the buffer geometrically up to the
 // ring's capacity and evicting the oldest once that bound is reached.
-// Lazy growth keeps a quiet topic's footprint proportional to its
+// Lazy growth keeps a quiet broker's footprint proportional to its
 // traffic instead of paying the full window up front: a broker is
-// created per server, and preallocating every ring at capacity both
-// slows construction and leaves large pointer-bearing arrays live for
-// the GC to scan even when a topic never sees more than a handful of
-// events.
+// created per server, and preallocating the ring at capacity both slows
+// construction and leaves a large pointer-bearing array live for the GC
+// to scan even when the server never sees more than a handful of events.
 func (r *ring[T]) append(rev int64, ev T) {
 	if r.count == len(r.buf) && r.count < r.capacity {
 		n := 2 * len(r.buf)
@@ -300,13 +259,11 @@ func (s *subStats) snapshot() SubscriberStats {
 // released, fenced by the delivering flag.
 type subscription[T any] struct {
 	id     int64
-	cursor int64    // rev of the last event consumed (or start rev)
-	topics TopicSet // rings this subscriber merges
+	cursor int64 // rev of the last event consumed (or start rev)
 	fn     func([]T)
 	resync func() int64 // nil: fall forward and count Dropped
 
-	buf   []T   // reused batch buffer; callbacks must not retain it
-	heads []int // per-ring merge offsets, reused across batch cuts
+	buf []T // reused batch buffer; callbacks must not retain it
 
 	closed     bool
 	delivering bool
@@ -315,9 +272,8 @@ type subscription[T any] struct {
 	stats subStats
 }
 
-// Broker is a versioned event broker over per-topic fixed-capacity ring
-// buffers sharing one resource-version space. The zero value is not
-// usable; call New.
+// Broker is a versioned event broker over one fixed-capacity ring
+// buffer. The zero value is not usable; call New.
 type Broker[T any] struct {
 	mode      Mode
 	maxBatch  int
@@ -326,29 +282,23 @@ type Broker[T any] struct {
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast: publish, cursor advance, delivery end, close
 
-	rings []ring[T]
+	ring ring[T]
 
 	lastRev int64 // rev of the newest appended event
 
 	// stash holds sequenced publishes that arrived before their
-	// predecessors; drained into the rings as gaps fill.
-	stash map[int64]stashed[T]
+	// predecessors; drained into the ring as gaps fill.
+	stash map[int64]T
 
 	subs   map[int64]*subscription[T]
 	order  []int64 // subscription ids, ascending (= subscription order)
 	nextID int64
 
 	// flushing is the Sync-mode flush claim: the one flusher holding it
-	// drains the rings for everyone, and every other Flush returns.
+	// drains the ring for everyone, and every other Flush returns.
 	flushing bool
 
 	closed bool
-}
-
-// stashed is one out-of-order sequenced publish awaiting its gap.
-type stashed[T any] struct {
-	topic int
-	ev    T
 }
 
 // New creates a broker.
@@ -359,54 +309,33 @@ func New[T any](opts Options) *Broker[T] {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultMaxBatch
 	}
-	if opts.Topics <= 0 {
-		opts.Topics = 1
-	}
 	b := &Broker[T]{
 		mode:      opts.Mode,
 		maxBatch:  opts.MaxBatch,
 		sequenced: opts.Sequenced,
-		rings:     make([]ring[T], opts.Topics),
+		ring:      ring[T]{capacity: opts.Capacity},
 		subs:      make(map[int64]*subscription[T]),
 	}
-	for t := range b.rings {
-		c := opts.Capacity
-		if t < len(opts.TopicCapacity) && opts.TopicCapacity[t] > 0 {
-			c = opts.TopicCapacity[t]
-		}
-		b.rings[t].capacity = c
-	}
 	if opts.Sequenced {
-		b.stash = make(map[int64]stashed[T])
+		b.stash = make(map[int64]T)
 	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// Mode returns the delivery mode.
-func (b *Broker[T]) Mode() Mode { return b.mode }
-
-// Publish appends one event to topic 0 at the given resource version —
-// the single-stream broker's entry point. See PublishTopic.
-func (b *Broker[T]) Publish(rev int64, ev T) { b.PublishTopic(0, rev, ev) }
-
-// PublishTopic appends one event to the given topic ring at the given
-// resource version. On a non-sequenced broker revisions must be
-// strictly increasing across calls — the caller serializes publishes
-// (typically by holding its own state lock, which is safe: the append
-// is O(1) and never runs subscriber code). On a sequenced broker,
-// racing writers may arrive out of order; the event is buffered until
-// every lower rev has been published, then appended in rev order. When
-// a ring is full its oldest event is evicted; subscribers still needing
-// it resync.
-func (b *Broker[T]) PublishTopic(topic int, rev int64, ev T) {
+// Publish appends one event to the ring at the given resource version.
+// On a non-sequenced broker revisions must be strictly increasing across
+// calls — the caller serializes publishes (typically by holding its own
+// state lock, which is safe: the append is O(1) and never runs
+// subscriber code). On a sequenced broker, racing writers may arrive out
+// of order; the event is buffered until every lower rev has been
+// published, then appended in rev order. When the ring is full its
+// oldest event is evicted; subscribers still needing it resync.
+func (b *Broker[T]) Publish(rev int64, ev T) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return
-	}
-	if topic < 0 || topic >= len(b.rings) {
-		panic(fmt.Sprintf("watch: PublishTopic topic %d out of range [0,%d)", topic, len(b.rings)))
 	}
 	if rev <= b.lastRev {
 		panic(fmt.Sprintf("watch: Publish rev %d not after %d", rev, b.lastRev))
@@ -415,10 +344,10 @@ func (b *Broker[T]) PublishTopic(topic int, rev int64, ev T) {
 		if _, dup := b.stash[rev]; dup {
 			panic(fmt.Sprintf("watch: duplicate sequenced Publish rev %d", rev))
 		}
-		b.stash[rev] = stashed[T]{topic: topic, ev: ev}
+		b.stash[rev] = ev
 		return
 	}
-	b.rings[topic].append(rev, ev)
+	b.ring.append(rev, ev)
 	b.lastRev = rev
 	if b.sequenced {
 		// Drain any stashed successors whose gap just filled.
@@ -429,30 +358,23 @@ func (b *Broker[T]) PublishTopic(topic int, rev int64, ev T) {
 			}
 			delete(b.stash, b.lastRev+1)
 			b.lastRev++
-			b.rings[next.topic].append(b.lastRev, next.ev)
+			b.ring.append(b.lastRev, next)
 		}
 	}
 	b.cond.Broadcast()
 }
 
-// Subscribe registers fn for every event on every topic with
-// rev > afterRev. See SubscribeTopics.
-func (b *Broker[T]) Subscribe(afterRev int64, fn func([]T), resync func() int64) (unsubscribe func()) {
-	return b.SubscribeTopics(afterRev, AllTopics, fn, resync)
-}
-
-// SubscribeTopics registers fn for every event in the given topic set
-// with rev > afterRev, delivered in batches in strict resource-version
-// order (merged across the subscribed rings) with no duplicates. The
+// Subscribe registers fn for every event with rev > afterRev, delivered
+// in batches in strict resource-version order with no duplicates. The
 // batch slice is reused between invocations — callbacks must not retain
-// it. resync (optional) is invoked when the subscriber falls off a
-// subscribed ring: it must re-prime the consumer from a fresh snapshot
-// of the source of truth and return that snapshot's resource version,
-// which becomes the new cursor. The returned function unsubscribes, from
+// it. resync (optional) is invoked when the subscriber falls off the
+// ring: it must re-prime the consumer from a fresh snapshot of the
+// source of truth and return that snapshot's resource version, which
+// becomes the new cursor. The returned function unsubscribes, from
 // anywhere including the callback itself: no callback starts after it
 // returns, and in Async mode one in flight on another goroutine has
 // returned too (Sync mode does not wait — see the package comment).
-func (b *Broker[T]) SubscribeTopics(afterRev int64, topics TopicSet, fn func([]T), resync func() int64) (unsubscribe func()) {
+func (b *Broker[T]) Subscribe(afterRev int64, fn func([]T), resync func() int64) (unsubscribe func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -462,10 +384,8 @@ func (b *Broker[T]) SubscribeTopics(afterRev int64, topics TopicSet, fn func([]T
 	sub := &subscription[T]{
 		id:     b.nextID,
 		cursor: afterRev,
-		topics: topics,
 		fn:     fn,
 		resync: resync,
-		heads:  make([]int, len(b.rings)),
 	}
 	b.subs[sub.id] = sub
 	b.order = append(b.order, sub.id)
@@ -522,31 +442,19 @@ func (b *Broker[T]) LastRev() int64 {
 }
 
 // EventsSince returns copies of the retained events with rev > afterRev
-// across all topics, merged in rev order, or ErrTooOld when that
-// interval has been partially evicted from any ring.
+// in rev order, or ErrTooOld when that interval has been partially
+// evicted from the ring.
 func (b *Broker[T]) EventsSince(afterRev int64) ([]T, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var horizon int64
-	for t := range b.rings {
-		if b.rings[t].evictedRev > horizon {
-			horizon = b.rings[t].evictedRev
-		}
+	r := &b.ring
+	if afterRev < r.evictedRev {
+		return nil, fmt.Errorf("%w: have >= %d, requested > %d", ErrTooOld, r.evictedRev, afterRev)
 	}
-	if afterRev < horizon {
-		return nil, fmt.Errorf("%w: have >= %d, requested > %d", ErrTooOld, horizon, afterRev)
-	}
-	var merged []entry[T]
-	for t := range b.rings {
-		r := &b.rings[t]
-		for i := r.search(afterRev); i < r.count; i++ {
-			merged = append(merged, *r.at(i))
-		}
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].rev < merged[j].rev })
-	out := make([]T, len(merged))
-	for i := range merged {
-		out[i] = merged[i].ev
+	first := r.search(afterRev)
+	out := make([]T, 0, r.count-first)
+	for i := first; i < r.count; i++ {
+		out = append(out, r.at(i).ev)
 	}
 	return out, nil
 }
@@ -556,13 +464,7 @@ func (b *Broker[T]) EventsSince(afterRev int64) ([]T, error) {
 func (b *Broker[T]) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := Stats{Subscribers: len(b.subs)}
-	for t := range b.rings {
-		r := &b.rings[t]
-		st.Published += r.published
-		st.Evicted += r.evicted
-		st.PerTopic = append(st.PerTopic, TopicStats{Published: r.published, Evicted: r.evicted})
-	}
+	st := Stats{Published: b.ring.published, Evicted: b.ring.evicted, Subscribers: len(b.subs)}
 	for _, id := range b.order {
 		ss := b.subs[id].stats.snapshot()
 		ss.ID = id
@@ -675,20 +577,13 @@ func (b *Broker[T]) pump(sub *subscription[T]) {
 }
 
 // serveLocked moves one subscriber forward: either delivers the next
-// batch (merged across its subscribed rings in rev order) or runs its
-// too-old recovery. Caller holds b.mu; it is released around the
+// batch — the contiguous run of the ring just after its cursor — or runs
+// its too-old recovery. Caller holds b.mu; it is released around the
 // callback. Reports whether the cursor advanced.
 func (b *Broker[T]) serveLocked(sub *subscription[T]) bool {
-	// The eviction horizon is the newest rev pushed off any subscribed
-	// ring: a cursor below it may have missed events.
-	var horizon int64
-	for t := range b.rings {
-		if sub.topics.Has(t) && b.rings[t].evictedRev > horizon {
-			horizon = b.rings[t].evictedRev
-		}
-	}
-	if sub.cursor < horizon {
-		// Fell off a subscribed ring.
+	r := &b.ring
+	if horizon := r.evictedRev; sub.cursor < horizon {
+		// Fell off the ring: events after the cursor were evicted.
 		if sub.resync == nil {
 			sub.stats.dropped.Add(horizon - sub.cursor)
 			sub.cursor = horizon
@@ -702,7 +597,7 @@ func (b *Broker[T]) serveLocked(sub *subscription[T]) bool {
 			return false
 		}
 		// A correct handler returns its snapshot's rev, which is >= the
-		// eviction horizon at snapshot time; if a ring wrapped again
+		// eviction horizon at snapshot time; if the ring wrapped again
 		// during the resync, the next serve detects it and resyncs again.
 		if newCursor > sub.cursor {
 			sub.cursor = newCursor
@@ -710,64 +605,24 @@ func (b *Broker[T]) serveLocked(sub *subscription[T]) bool {
 		b.cond.Broadcast()
 		return sub.cursor > before
 	}
-	// Cut a batch: k-way merge of the subscribed rings by rev. heads[t]
-	// is the next unconsumed offset in ring t (-1: not subscribed).
-	for t := range b.rings {
-		if sub.topics.Has(t) {
-			sub.heads[t] = b.rings[t].search(sub.cursor)
-		} else {
-			sub.heads[t] = -1
-		}
+	// Cut a batch: up to maxBatch consecutive entries after the cursor.
+	first := r.search(sub.cursor)
+	n := min(r.count-first, b.maxBatch)
+	if n == 0 {
+		return false
 	}
 	batch := sub.buf[:0]
 	if cap(batch) < b.maxBatch {
 		batch = make([]T, 0, b.maxBatch)
 	}
-	lastDelivered := sub.cursor
-	exhausted := false
-	for len(batch) < b.maxBatch {
-		best := -1
-		var bestRev int64
-		for t := range b.rings {
-			i := sub.heads[t]
-			if i < 0 || i >= b.rings[t].count {
-				continue
-			}
-			if e := b.rings[t].at(i); best == -1 || e.rev < bestRev {
-				best, bestRev = t, e.rev
-			}
-		}
-		if best == -1 {
-			exhausted = true
-			break
-		}
-		batch = append(batch, b.rings[best].at(sub.heads[best]).ev)
-		lastDelivered = bestRev
-		sub.heads[best]++
+	for i := first; i < first+n; i++ {
+		batch = append(batch, r.at(i).ev)
 	}
 	sub.buf = batch
-	n := len(batch)
-	if n == 0 {
-		if sub.cursor < b.lastRev {
-			// Nothing in (cursor, lastRev] lands on a subscribed ring;
-			// fast-forward so flush/pump/Quiesce see this subscriber as
-			// current instead of spinning on foreign-topic events.
-			sub.cursor = b.lastRev
-			b.cond.Broadcast()
-			return true
-		}
-		return false
-	}
 	if lag := b.lastRev - sub.cursor; lag > sub.stats.maxLag.Load() {
 		sub.stats.maxLag.Store(lag)
 	}
-	if exhausted {
-		// Every subscribed event was consumed; any newer revs are on
-		// foreign rings, so the cursor jumps to the head.
-		sub.cursor = b.lastRev
-	} else {
-		sub.cursor = lastDelivered
-	}
+	sub.cursor = r.at(first + n - 1).rev
 	if _, ok := b.callLocked(sub, func() int64 { sub.fn(batch); return 0 }); !ok {
 		return false
 	}
