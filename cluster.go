@@ -8,18 +8,11 @@ import (
 
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
-	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/influxql"
-	"github.com/sgxorch/sgxorch/internal/isgx"
-	"github.com/sgxorch/sgxorch/internal/kubelet"
-	"github.com/sgxorch/sgxorch/internal/lifecycle"
-	"github.com/sgxorch/sgxorch/internal/machine"
-	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/sgx"
+	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
-	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
 // Byte-size helpers re-exported for cluster and job specifications.
@@ -30,7 +23,7 @@ const (
 )
 
 // DefaultEPCSize is the PRM size of current SGX hardware (128 MiB, §II).
-const DefaultEPCSize = 128 * MiB
+const DefaultEPCSize = stack.DefaultEPC
 
 // Policy selects the scheduler's placement strategy (§IV).
 type Policy string
@@ -136,33 +129,26 @@ type ClusterConfig struct {
 
 // PaperTestbedNodes returns the §VI-A cluster shape.
 func PaperTestbedNodes() []NodeSpec {
-	return []NodeSpec{
-		{Name: "master", RAMBytes: 64 * GiB, CPUMillis: 8000, Master: true},
-		{Name: "std-1", RAMBytes: 64 * GiB, CPUMillis: 8000},
-		{Name: "std-2", RAMBytes: 64 * GiB, CPUMillis: 8000},
-		{Name: "sgx-1", RAMBytes: 8 * GiB, CPUMillis: 8000, SGX: true},
-		{Name: "sgx-2", RAMBytes: 8 * GiB, CPUMillis: 8000, SGX: true},
+	var nodes []NodeSpec
+	for _, n := range stack.PaperTestbed() {
+		nodes = append(nodes, NodeSpec{
+			Name: n.Name, RAMBytes: n.RAMBytes, CPUMillis: n.CPUMillis,
+			SGX: n.EPCSize > 0, EPCSize: n.EPCSize, SGX2: n.SGX2, Master: n.Master,
+		})
 	}
+	return nodes
 }
 
 // Cluster is a running simulated cluster: API server, kubelets, device
-// plugins, monitoring and one SGX-aware scheduler.
+// plugins and monitoring (the internal/stack assembly the paper testbed
+// and the experiments also stand on) plus one SGX-aware scheduler.
 type Cluster struct {
-	clk   *clock.Sim
-	srv   *apiserver.Server
-	db    *tsdb.DB
+	st    *stack.Stack
 	sched *core.Scheduler
 	gang  *core.GangDirector
 
-	reg        *telemetry.Registry
-	trace      *telemetry.TraceRing
-	tracker    *lifecycle.Tracker
-	stopScrape func()
-
-	kubelets []*kubelet.Kubelet
-	heapster *monitor.Heapster
-	probes   *monitor.DaemonSet
-	closed   bool
+	reg   *telemetry.Registry
+	trace *telemetry.TraceRing
 }
 
 // schedulerName is the identity jobs submitted through Cluster use.
@@ -204,54 +190,36 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		seen[spec.Name] = true
 	}
 
-	clk := clock.NewSim()
-	c := &Cluster{clk: clk}
-	var srvOpts []apiserver.Option
+	stackNodes := make([]stack.Node, len(nodes))
+	for i, spec := range nodes {
+		stackNodes[i] = stack.Node{
+			Name: spec.Name, RAMBytes: spec.RAMBytes, CPUMillis: spec.CPUMillis,
+			SGX2: spec.SGX2, Master: spec.Master,
+		}
+		if spec.SGX || spec.SGX2 {
+			stackNodes[i].EPCSize = spec.EPCSize
+			if spec.EPCSize == 0 {
+				stackNodes[i].EPCSize = DefaultEPCSize
+			}
+		}
+	}
+
+	c := &Cluster{}
 	if !cfg.DisableTelemetry {
 		c.reg = telemetry.New()
 		c.trace = telemetry.NewTraceRing(cfg.TraceRingSize)
-		srvOpts = append(srvOpts, apiserver.WithTelemetry(c.reg))
 	}
-	c.srv = apiserver.New(clk, srvOpts...)
-	c.db = tsdb.New(clk)
-
-	for _, spec := range nodes {
-		var opts []machine.Option
-		if spec.SGX || spec.SGX2 {
-			size := spec.EPCSize
-			if size == 0 {
-				size = DefaultEPCSize
-			}
-			var driverOpts []isgx.Option
-			if cfg.DisableEnforcement {
-				driverOpts = append(driverOpts, isgx.WithoutEnforcement())
-			}
-			sgxOpt := machine.WithSGX
-			if spec.SGX2 {
-				sgxOpt = machine.WithSGX2
-			}
-			opts = append(opts, sgxOpt(sgx.GeometryForSize(size), driverOpts...))
-		}
-		m := machine.New(spec.Name, spec.RAMBytes, spec.CPUMillis, opts...)
-		var klOpts []kubelet.Option
-		if spec.Master {
-			klOpts = append(klOpts, kubelet.WithUnschedulable())
-		}
-		kl := kubelet.New(clk, c.srv, m, klOpts...)
-		if err := kl.Start(); err != nil {
-			return nil, fmt.Errorf("sgxorch: starting node %s: %w", spec.Name, err)
-		}
-		c.kubelets = append(c.kubelets, kl)
+	c.st = stack.New(apiserver.WithTelemetry(c.reg))
+	if err := c.st.Start(stack.Config{
+		Nodes:          stackNodes,
+		NoEnforcement:  cfg.DisableEnforcement,
+		ScrapeInterval: cfg.ScrapeInterval,
+	}); err != nil {
+		return nil, fmt.Errorf("sgxorch: %w", err)
 	}
 
-	c.heapster = monitor.NewHeapster(clk, c.db, cfg.ScrapeInterval)
-	for _, kl := range c.kubelets {
-		c.heapster.AddSource(kl)
-	}
-	c.heapster.Start()
-	c.probes = monitor.DeployProbes(clk, c.db, c.kubelets, cfg.ScrapeInterval)
-
-	c.gang = core.NewGangDirector(clk, c.srv, core.GangConfig{})
+	c.gang = core.NewGangDirector(c.st.Clk, c.st.Srv, core.GangConfig{})
+	c.st.OnClose(c.gang.Close)
 	// Always class-aware: with inference off the registry only routes
 	// explicitly declared classes, and undeclared jobs schedule exactly
 	// as a class-free scheduler would — so attaching it unconditionally
@@ -259,7 +227,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	classes := core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{
 		Infer: cfg.InferClasses,
 	}))
-	sched, err := core.New(clk, c.srv, c.db, core.Config{
+	sched, err := core.New(c.st.Clk, c.st.Srv, c.st.DB, core.Config{
 		Name:       schedulerName,
 		Policy:     policy,
 		Interval:   cfg.SchedulerInterval,
@@ -270,21 +238,18 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		Trace:      c.trace,
 	})
 	if err != nil {
+		c.st.Close()
 		return nil, err
 	}
 	c.sched = sched
+	c.st.OnClose(sched.Close)
 	if c.reg != nil {
-		// The lifecycle tracker consumes the same pod event stream as the
-		// kubelets and turns the server-stamped timestamps into per-class
-		// submit→bind/bind→run/submit→run histograms.
-		c.tracker = lifecycle.New(c.reg)
-		c.tracker.Track(c.srv)
 		c.registerFacadeCollectors()
-		// The registry scrapes itself into the TSDB on the monitoring
-		// cadence, so the orchestrator's own health is queryable through
-		// the identical InfluxQL path as container metrics.
-		c.stopScrape = telemetry.StartSelfScrape(clk, c.reg, c.db, cfg.ScrapeInterval)
 	}
+	// Observe sits between building the scheduler and starting it: the
+	// tracker and the self-scrape register after the scheduler's cache
+	// and before its pass timer, the order every sim_digest was taken in.
+	c.st.Observe(c.reg, cfg.ScrapeInterval)
 	sched.Start()
 	return c, nil
 }
@@ -323,7 +288,9 @@ func (c *Cluster) registerFacadeCollectors() {
 	gangCommits := reg.Gauge("cluster_gang_commits")
 	gangTimeouts := reg.Gauge("cluster_gang_timeouts")
 	pendingDepth := reg.GaugeVec("cluster_pending_depth", "class")
-	pendingGauges := make(map[string]*telemetry.Gauge)
+	// A class's gauge appears with its first queued job and is written
+	// every collection from then on, so a drained class reads zero.
+	var pendingGauges [api.NumClasses]*telemetry.Gauge
 	reg.RegisterCollector(func() {
 		ss := c.SchedulerStats()
 		schedGauges.passes.Set(float64(ss.Passes))
@@ -332,14 +299,14 @@ func (c *Cluster) registerFacadeCollectors() {
 		schedGauges.preemptions.Set(float64(ss.Preemptions))
 		schedGauges.victims.Set(float64(ss.Victims))
 
-		bs := c.srv.BindStats()
+		bs := c.st.Srv.BindStats()
 		bindGauges.attempts.Set(float64(bs.Attempts))
 		bindGauges.bound.Set(float64(bs.Bound))
 		bindGauges.rejPod.Set(float64(bs.RejectedPodState))
 		bindGauges.rejNode.Set(float64(bs.RejectedNodeState))
 		bindGauges.rejCapacity.Set(float64(bs.RejectedCapacity))
 
-		ws := c.srv.WatchStats()
+		ws := c.st.Srv.WatchStats()
 		watchGauges.published.Set(float64(ws.Published))
 		watchGauges.evicted.Set(float64(ws.Evicted))
 		watchGauges.subscribers.Set(float64(ws.Subscribers))
@@ -348,73 +315,35 @@ func (c *Cluster) registerFacadeCollectors() {
 		gangCommits.Set(float64(gs.Commits))
 		gangTimeouts.Set(float64(gs.Timeouts))
 
-		depth := c.PendingByClass()
-		for label, g := range pendingGauges {
-			if _, live := depth[labelToClass(label)]; !live {
-				g.Set(0)
+		depth := c.st.Srv.PendingCountByClass(schedulerName)
+		for slot, class := range api.Classes {
+			n, live := depth[class]
+			if pendingGauges[slot] == nil {
+				if !live {
+					continue
+				}
+				pendingGauges[slot] = pendingDepth.With(class.Label())
 			}
-		}
-		for class, n := range depth {
-			label := classToLabel(class)
-			g, ok := pendingGauges[label]
-			if !ok {
-				g = pendingDepth.With(label)
-				pendingGauges[label] = g
-			}
-			g.Set(float64(n))
+			pendingGauges[slot].Set(float64(n))
 		}
 	})
 }
 
-// classToLabel/labelToClass bridge the empty-string unclassified key of
-// the legacy map accessors and the explicit "unclassified" label value
-// telemetry uses (an empty label value would be unaddressable in
-// label-keyed queries).
-func classToLabel(class string) string {
-	if class == "" {
-		return "unclassified"
-	}
-	return class
-}
-
-func labelToClass(label string) string {
-	if label == "unclassified" {
-		return ""
-	}
-	return label
-}
-
-// Close stops every component. The cluster is unusable afterwards.
-func (c *Cluster) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	if c.stopScrape != nil {
-		c.stopScrape()
-	}
-	c.tracker.Close()
-	c.sched.Close()
-	c.gang.Close()
-	c.heapster.Stop()
-	c.probes.Stop()
-	for _, kl := range c.kubelets {
-		kl.Stop()
-	}
-	c.db.Close()
-}
+// Close stops every component. The cluster is unusable afterwards;
+// closing it again is a no-op.
+func (c *Cluster) Close() { c.st.Close() }
 
 // Now returns the cluster's current simulated time.
-func (c *Cluster) Now() time.Time { return c.clk.Now() }
+func (c *Cluster) Now() time.Time { return c.st.Clk.Now() }
 
 // AdvanceTime advances the simulation by d, running every scheduled event
 // (scheduler passes, monitoring scrapes, workload completions) in order.
-func (c *Cluster) AdvanceTime(d time.Duration) { c.clk.Advance(d) }
+func (c *Cluster) AdvanceTime(d time.Duration) { c.st.Clk.Advance(d) }
 
 // WaitAll advances simulated time until every submitted job is terminal,
 // or until max elapses. It reports whether all jobs finished.
 func (c *Cluster) WaitAll(max time.Duration) bool {
-	return c.clk.Run(c.srv.AllTerminal, c.clk.Now().Add(max))
+	return c.st.Clk.Run(c.st.Srv.AllTerminal, c.st.Clk.Now().Add(max))
 }
 
 // JobSpec describes one job submission.
@@ -536,7 +465,7 @@ func (c *Cluster) SubmitJob(spec JobSpec) error {
 			}},
 		},
 	}
-	return c.srv.CreatePod(pod)
+	return c.st.Srv.CreatePod(pod)
 }
 
 // JobStatus reports one job's observable state.
@@ -558,7 +487,7 @@ type JobStatus struct {
 
 // JobStatus returns the state of a submitted job.
 func (c *Cluster) JobStatus(name string) (JobStatus, error) {
-	pod, err := c.srv.GetPod(name)
+	pod, err := c.st.Srv.GetPod(name)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -594,14 +523,14 @@ type NodeStatus struct {
 // Nodes lists the cluster's nodes with live usage.
 func (c *Cluster) Nodes() []NodeStatus {
 	var out []NodeStatus
-	for _, kl := range c.kubelets {
+	for _, kl := range c.st.Kubelets {
 		m := kl.Machine()
 		st := NodeStatus{
 			Name:        m.Name(),
 			MemoryBytes: m.RAMBytes(),
 			MemoryUsed:  m.RAMUsed(),
 		}
-		if node, err := c.srv.GetNode(m.Name()); err == nil {
+		if node, err := c.st.Srv.GetNode(m.Name()); err == nil {
 			st.Unschedulable = node.Unschedulable
 		}
 		if p := kl.Plugin(); p != nil {
@@ -617,14 +546,14 @@ func (c *Cluster) Nodes() []NodeStatus {
 // EvictJob forcibly terminates a job (queued or running); its resources
 // are released and its phase becomes Failed with an eviction reason.
 func (c *Cluster) EvictJob(name, reason string) error {
-	return c.srv.Evict(name, reason)
+	return c.st.Srv.Evict(name, reason)
 }
 
 // DrainNode takes a node out of service: it goes NotReady (the scheduler
 // stops placing pods there) and its running jobs fail, as on a Kubernetes
 // node drain.
 func (c *Cluster) DrainNode(name string) error {
-	for _, kl := range c.kubelets {
+	for _, kl := range c.st.Kubelets {
 		if kl.NodeName() == name {
 			kl.Stop()
 			return nil
@@ -674,10 +603,8 @@ func (c *Cluster) SchedulerStats() SchedulerStats {
 		Preemptions:   s.Preemptions,
 		Victims:       s.Victims,
 	}
-	for _, class := range []api.WorkloadClass{
-		api.ClassUnspecified, api.ClassLatencySensitive, api.ClassBatch, api.ClassBestEffort,
-	} {
-		cs := s.Class(class)
+	for slot, class := range api.Classes {
+		cs := s.ByClass[slot]
 		if cs == (core.ClassStats{}) {
 			continue
 		}
@@ -704,7 +631,7 @@ func (c *Cluster) SchedulerStats() SchedulerStats {
 // accessor remains supported for programmatic checks.
 func (c *Cluster) PendingByClass() map[string]int {
 	out := make(map[string]int)
-	for class, n := range c.srv.PendingCountByClass(schedulerName) {
+	for class, n := range c.st.Srv.PendingCountByClass(schedulerName) {
 		out[string(class)] = n
 	}
 	return out
@@ -762,7 +689,7 @@ func (c *Cluster) PassTraces() []telemetry.PassTrace {
 // submit-to-run histograms. Zero-valued on a telemetry-disabled
 // cluster.
 func (c *Cluster) LifecycleStats() (binds, runs int64) {
-	return c.tracker.BindsObserved(), c.tracker.RunsObserved()
+	return c.st.Tracker.BindsObserved(), c.st.Tracker.RunsObserved()
 }
 
 // Query runs an InfluxQL query against the cluster's TSDB — container
@@ -775,5 +702,5 @@ func (c *Cluster) LifecycleStats() (binds, runs int64) {
 // Telemetry series lag the live registry by at most one ScrapeInterval;
 // Cluster.Telemetry reads are exact.
 func (c *Cluster) Query(query string) (influxql.Result, error) {
-	return influxql.Execute(c.db, query)
+	return influxql.Execute(c.st.DB, query)
 }

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/sgxorch/sgxorch/internal/borg"
 )
 
 func TestNewClusterDefaultsToPaperTestbed(t *testing.T) {
@@ -267,6 +269,64 @@ func TestReplayBorgTraceFacade(t *testing.T) {
 	}
 	if _, err := ReplayBorgTrace(ReplayOptions{Policy: "nope"}); err == nil {
 		t.Fatal("bad policy accepted")
+	}
+}
+
+// The two public entry points are the same machine. Both stand on one
+// internal/stack assembly; NewCluster adds a gang director and a class
+// registry, and claims jobs that declare neither schedule exactly as they
+// would without them. So the §VI-B slice replayed on the testbed and the
+// same jobs submitted to a Cluster at their trace offsets must agree, job
+// for job, on phase, waiting time and turnaround.
+func TestReplayAndClusterAgreeJobForJob(t *testing.T) {
+	trace := GenerateBorgEvalSlice(1)
+	res, err := ReplayBorgTrace(ReplayOptions{Trace: trace, Seed: 1, SGXRatio: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(ClusterConfig{DisableTelemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	start := c.Now()
+	for i, job := range trace.Jobs {
+		c.AdvanceTime(job.Submit - c.Now().Sub(start))
+		spec := JobSpec{
+			Name:               res.Outcomes[i].Name,
+			Duration:           job.Duration,
+			MemoryRequestBytes: borg.StandardMemBytes(job.AssignedMemFrac),
+			MemoryUsageBytes:   borg.StandardMemBytes(job.MaxMemFrac),
+		}
+		if res.Outcomes[i].SGX {
+			// What the replay's SGX pods carry: 16 MiB of ordinary memory
+			// beside the enclave.
+			spec.MemoryRequestBytes, spec.MemoryUsageBytes = 16*MiB, 0
+			spec.EPCRequestBytes = borg.SGXMemBytes(job.AssignedMemFrac)
+			spec.EPCUsageBytes = borg.SGXMemBytes(job.MaxMemFrac)
+		}
+		if err := c.SubmitJob(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if drained := c.WaitAll(24 * time.Hour); !res.Completed || !drained {
+		t.Fatalf("replay completed = %v, cluster drained = %v", res.Completed, drained)
+	}
+	differ := 0
+	for _, o := range res.Outcomes {
+		st, err := c.JobStatus(o.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Phase != string(o.Phase) || st.Started != o.Started || st.Waiting != o.Waiting || st.Turnaround != o.Turnaround {
+			if differ++; differ <= 5 {
+				t.Errorf("%s: cluster %s wait %v turnaround %v, replay %s wait %v turnaround %v",
+					o.Name, st.Phase, st.Waiting, st.Turnaround, o.Phase, o.Waiting, o.Turnaround)
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d jobs differ between ReplayBorgTrace and NewCluster", differ, len(res.Outcomes))
 	}
 }
 

@@ -29,6 +29,32 @@
 // trace substrate (internal/borg). This package is the stable public
 // surface over them.
 //
+// Everything below the scheduler is assembled in exactly one place,
+// internal/stack: the simulated clock, the API server, one machine and
+// kubelet per node (SGX / SGX 2 geometry, limit enforcement, the
+// unschedulable master) and, when a scrape interval is given, the TSDB
+// with Heapster and the probe DaemonSet. NewCluster configures it from
+// ClusterConfig and puts a gang director, a class registry and the
+// scheduler on top; ReplayBorgTrace and the figure harnesses run on
+// internal/experiments' Testbed, which is the §VI-A preset of the same
+// assembly (stack.PaperTestbed: one master, two 64 GiB standard nodes,
+// two 8 GiB SGX nodes with 128 MiB of EPC) under the paper's scheduler —
+// a configuration, not a second construction; the multi-scheduler, gang
+// and class experiments and internal/core's test rigs stand on it too.
+// Assembly is two steps, stack.New then Start, so an audit that must see
+// the watch stream from its first event subscribes in between, and
+// Observe attaches the lifecycle tracker and the registry self-scrape.
+// The order matters and is written down once: under the simulated clock
+// components registered for the same instant fire in registration order,
+// so the order of Start, Observe and the scheduler's own Start decides
+// how same-instant scrapes, passes and completions interleave — and with
+// it every golden digest. Close stops everything in reverse start order,
+// except that kubelets stop in node order (each publishes its node's
+// NotReady update, and the determinism tests digest that tail). A test
+// pins that the two public entry points are the same machine: the §VI-B
+// slice agrees job for job — phase, waiting time, turnaround — between
+// ReplayBorgTrace and the same jobs submitted to a Cluster.
+//
 // Resource quantities (internal/resource) are values. The paper makes EPC
 // one more countable item beside CPU and memory (§V-A), so the vocabulary
 // is closed: resource.Name is a dense index and resource.List a fixed

@@ -120,6 +120,42 @@ func (c WorkloadClass) Known() bool {
 	return false
 }
 
+// NumClasses is the number of class slots: the unspecified default and
+// the three defined classes.
+const NumClasses = 4
+
+// Classes lists the classes in slot order — the inverse of Slot, and the
+// order every per-class table (scheduler stats, pipelines, telemetry
+// series) is laid out in. Read-only.
+var Classes = [NumClasses]WorkloadClass{
+	ClassUnspecified, ClassLatencySensitive, ClassBatch, ClassBestEffort,
+}
+
+// Slot is the class's dense index into per-class tables. Unknown strings
+// fold into slot 0, the unspecified default.
+func (c WorkloadClass) Slot() int {
+	switch c {
+	case ClassLatencySensitive:
+		return 1
+	case ClassBatch:
+		return 2
+	case ClassBestEffort:
+		return 3
+	}
+	return 0
+}
+
+// Label is the class's telemetry label value. The unspecified default
+// gets an explicit "unclassified": an empty label value would be
+// unaddressable in label-keyed queries, and series names depend on the
+// string.
+func (c WorkloadClass) Label() string {
+	if c.Known() {
+		return string(c)
+	}
+	return "unclassified"
+}
+
 // Requirements carries the user-declared resource requests and limits
 // (§V-A: "end-users must declare that their SGX-enabled pods use some
 // amount of the SGX resource" via requests and limits).

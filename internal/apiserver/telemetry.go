@@ -27,7 +27,7 @@ func (m *srvMetrics) rejected(class api.WorkloadClass) {
 	if m == nil {
 		return
 	}
-	m.rejections.With(classTelemetryLabel(class)).Inc()
+	m.rejections.With(class.Label()).Inc()
 }
 
 // rejectedUnknownPod counts a refused bind whose pod is unknown — there
@@ -37,16 +37,6 @@ func (m *srvMetrics) rejectedUnknownPod() {
 		return
 	}
 	m.rejections.With("unknown").Inc()
-}
-
-// classTelemetryLabel is the label value for a workload class; the
-// unclassified default gets an explicit value so its series stays
-// addressable in label-keyed queries (mirrors the scheduler's label).
-func classTelemetryLabel(class api.WorkloadClass) string {
-	if class == api.ClassUnspecified {
-		return "unclassified"
-	}
-	return string(class)
 }
 
 // WithTelemetry instruments the server against the registry:
@@ -77,13 +67,6 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	}
 }
 
-// telemetryClasses are the fixed class labels the depth collector
-// publishes — writing every class each collection (zero included) keeps
-// a drained class's gauge from sticking at its last backlog.
-var telemetryClasses = []api.WorkloadClass{
-	api.ClassUnspecified, api.ClassLatencySensitive, api.ClassBatch, api.ClassBestEffort,
-}
-
 // registerCollectors publishes the pull-model gauges. The collector
 // closure keeps per-priority and per-subscriber gauge handles across
 // runs so tiers that drain and subscribers that unsubscribe report zero
@@ -96,9 +79,11 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 	subResyncs := reg.GaugeVec("watch_subscriber_resyncs", "subscriber")
 	subDropped := reg.GaugeVec("watch_subscriber_dropped", "subscriber")
 
-	classGauges := make([]*telemetry.Gauge, len(telemetryClasses))
-	for i, c := range telemetryClasses {
-		classGauges[i] = depthByClass.With(classTelemetryLabel(c))
+	// Every class is written each collection (zero included), so a
+	// drained class's gauge cannot stick at its last backlog.
+	var classGauges [api.NumClasses]*telemetry.Gauge
+	for i, c := range api.Classes {
+		classGauges[i] = depthByClass.With(c.Label())
 	}
 	prioGauges := make(map[int32]*telemetry.Gauge)
 	type subGauges struct{ lag, resyncs, dropped *telemetry.Gauge }
@@ -109,7 +94,7 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 		classes := s.pending.ClassCounts("")
 		prios := s.pending.PriorityCounts("")
 		s.pendingMu.Unlock()
-		for i, c := range telemetryClasses {
+		for i, c := range api.Classes {
 			classGauges[i].Set(float64(classes[c]))
 		}
 		for prio, g := range prioGauges {

@@ -18,43 +18,6 @@ import (
 // configured pipeline, bit-identical to a scheduler with no registry at
 // all.
 
-// Class slots index the per-class tables (Stats.ByClass, the registry's
-// profile array). Slot 0 is the unclassified default.
-const (
-	classSlotDefault = iota
-	classSlotLatency
-	classSlotBatch
-	classSlotBestEffort
-	numClassSlots
-)
-
-// classSlot maps a class to its table slot; unknown strings fold into
-// the default slot.
-func classSlot(c api.WorkloadClass) int {
-	switch c {
-	case api.ClassLatencySensitive:
-		return classSlotLatency
-	case api.ClassBatch:
-		return classSlotBatch
-	case api.ClassBestEffort:
-		return classSlotBestEffort
-	}
-	return classSlotDefault
-}
-
-// classForSlot is the inverse of classSlot (slot 0 → ClassUnspecified).
-func classForSlot(slot int) api.WorkloadClass {
-	switch slot {
-	case classSlotLatency:
-		return api.ClassLatencySensitive
-	case classSlotBatch:
-		return api.ClassBatch
-	case classSlotBestEffort:
-		return api.ClassBestEffort
-	}
-	return api.ClassUnspecified
-}
-
 // Classifier inference defaults.
 const (
 	// DefaultLatencyPriority: pods at or above this priority tier are
@@ -183,7 +146,7 @@ type ClassRegistry struct {
 	classifier *WorkloadClassifier
 	// profiles is indexed by class slot; a nil Policy marks a slot with no
 	// profile of its own (always the case for the default slot).
-	profiles [numClassSlots]ClassProfile
+	profiles [api.NumClasses]ClassProfile
 }
 
 // NewClassRegistry builds a registry with the default class profiles
@@ -219,11 +182,10 @@ func NewClassRegistry(classifier *WorkloadClassifier) *ClassRegistry {
 // nil policy are ignored — the unspecified class cannot be overridden;
 // it is defined as the scheduler's own pipeline.
 func (r *ClassRegistry) Set(cp ClassProfile) {
-	slot := classSlot(cp.Class)
-	if slot == classSlotDefault || cp.Policy == nil {
+	if !cp.Class.Known() || cp.Policy == nil {
 		return
 	}
-	r.profiles[slot] = cp
+	r.profiles[cp.Class.Slot()] = cp
 }
 
 // Classify exposes the registry's classifier.
@@ -257,14 +219,14 @@ type pipeline struct {
 // pipeline — the director passes solo pods through, and a gang member
 // explicitly classed outside batch must still honour the permit
 // protocol.
-func resolvePipelines(cfg *Config) [numClassSlots]pipeline {
+func resolvePipelines(cfg *Config) [api.NumClasses]pipeline {
 	def := pipeline{
 		profile:     cfg.Policy.Profile().withGang(cfg.Gang),
 		pct:         cfg.PercentageNodesToScore,
 		minFeasible: cfg.MinFeasibleNodesToFind,
 		mayPreempt:  true,
 	}
-	var table [numClassSlots]pipeline
+	var table [api.NumClasses]pipeline
 	for slot := range table {
 		pl := &table[slot]
 		*pl = def
@@ -283,7 +245,7 @@ func resolvePipelines(cfg *Config) [numClassSlots]pipeline {
 		// Preempting classes may displace declared best-effort pods across
 		// tiers — unless they are best-effort themselves (no cannibalising
 		// the filler tier).
-		pl.takeBE = cp.MayPreempt && slot != classSlotBestEffort
+		pl.takeBE = cp.MayPreempt && cp.Class != api.ClassBestEffort
 	}
 	return table
 }

@@ -86,26 +86,22 @@ func TestClassifierExplicitAndInference(t *testing.T) {
 // the policies yielded.
 func TestClassRegistryResolve(t *testing.T) {
 	r := NewClassRegistry(nil) // explicit-only classifier
-	for class, want := range map[api.WorkloadClass]int{
-		api.ClassLatencySensitive: classSlotLatency,
-		api.ClassBatch:            classSlotBatch,
-		api.ClassBestEffort:       classSlotBestEffort,
-	} {
-		if got := classSlot(r.Classify(classedPod("p", class, 0, resource.GiB, time.Minute))); got != want {
-			t.Fatalf("%s pod classified onto slot %d, want %d", class, got, want)
+	for _, class := range api.Classes[1:] {
+		if got := r.Classify(classedPod("p", class, 0, resource.GiB, time.Minute)); got != class {
+			t.Fatalf("%s pod classified as %q", class, got)
 		}
 	}
-	if got := classSlot(r.Classify(memJob("plain", resource.GiB, resource.GiB, time.Minute))); got != classSlotDefault {
-		t.Fatalf("unclassified pod classified onto slot %d, want the default slot", got)
+	if got := r.Classify(memJob("plain", resource.GiB, resource.GiB, time.Minute)); got != api.ClassUnspecified {
+		t.Fatalf("unclassified pod classified as %q, want the default", got)
 	}
 
 	base := NewProfile("base", WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}))
 	cfg := Config{Policy: base, Classes: r, PercentageNodesToScore: 30, MinFeasibleNodesToFind: 7}
 	table := resolvePipelines(&cfg)
-	if got, want := table[classSlotDefault], (pipeline{profile: base, pct: 30, minFeasible: 7, mayPreempt: true}); got != want {
+	if got, want := table[api.ClassUnspecified.Slot()], (pipeline{profile: base, pct: 30, minFeasible: 7, mayPreempt: true}); got != want {
 		t.Fatalf("default slot = %+v, want the Config's own pipeline and bounds %+v", got, want)
 	}
-	ls := table[classSlotLatency]
+	ls := table[api.ClassLatencySensitive.Slot()]
 	if ls.profile.Name() != "usage-aware" || !ls.mayPreempt || !ls.takeBE {
 		t.Fatalf("latency-sensitive pipeline = %+v", ls)
 	}
@@ -113,10 +109,10 @@ func TestClassRegistryResolve(t *testing.T) {
 		t.Fatalf("latency-sensitive bounds = pct %d / min %d, want the Config's 30 and its own %d",
 			ls.pct, ls.minFeasible, DefaultLatencyMinFeasible)
 	}
-	if pl := table[classSlotBatch]; pl.profile.Name() != "binpack" || pl.mayPreempt || pl.takeBE || pl.minFeasible != 7 {
+	if pl := table[api.ClassBatch.Slot()]; pl.profile.Name() != "binpack" || pl.mayPreempt || pl.takeBE || pl.minFeasible != 7 {
 		t.Fatalf("batch pipeline = %+v (must not preempt, inherits the Config's floor)", pl)
 	}
-	if pl := table[classSlotBestEffort]; pl.profile.Name() != "spread" || pl.mayPreempt || pl.takeBE {
+	if pl := table[api.ClassBestEffort.Slot()]; pl.profile.Name() != "spread" || pl.mayPreempt || pl.takeBE {
 		t.Fatalf("best-effort pipeline = %+v (must not preempt)", pl)
 	}
 
@@ -125,18 +121,18 @@ func TestClassRegistryResolve(t *testing.T) {
 	r.Set(ClassProfile{Class: api.ClassBatch, Policy: Spread{}, MayPreempt: true, PercentageNodesToScore: 80})
 	r.Set(ClassProfile{Class: api.ClassBestEffort, Policy: Spread{}, MayPreempt: true})
 	table = resolvePipelines(&cfg)
-	if pl := table[classSlotBatch]; pl.profile.Name() != "spread" || !pl.mayPreempt || !pl.takeBE || pl.pct != 80 {
+	if pl := table[api.ClassBatch.Slot()]; pl.profile.Name() != "spread" || !pl.mayPreempt || !pl.takeBE || pl.pct != 80 {
 		t.Fatalf("batch after Set = %+v, want the preempt-capable override", pl)
 	}
-	if pl := table[classSlotBestEffort]; !pl.mayPreempt || pl.takeBE {
+	if pl := table[api.ClassBestEffort.Slot()]; !pl.mayPreempt || pl.takeBE {
 		t.Fatalf("preempting best-effort = %+v, must not take best-effort victims", pl)
 	}
-	if table[classSlotLatency].profile.Name() != "usage-aware" {
+	if table[api.ClassLatencySensitive.Slot()].profile.Name() != "usage-aware" {
 		t.Fatal("overriding batch disturbed latency-sensitive")
 	}
 	// The unspecified slot rejects installation.
 	r.Set(ClassProfile{Class: api.ClassUnspecified, Policy: Spread{}})
-	if got := resolvePipelines(&cfg)[classSlotDefault].profile; got != base {
+	if got := resolvePipelines(&cfg)[api.ClassUnspecified.Slot()].profile; got != base {
 		t.Fatalf("default slot accepted a profile: %q", got.Name())
 	}
 

@@ -139,9 +139,9 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 	// Workload-class resolution is a table lookup: the pod's class slot
 	// selects the pipeline with its sampling bounds and preemption gates;
 	// unclassified pods take slot 0 — the exact pre-class pass.
-	o := outcome{slot: classSlotDefault}
+	var o outcome
 	if s.classifier != nil {
-		o.slot = classSlot(s.classifier.Classify(pod))
+		o.slot = s.classifier.Classify(pod).Slot()
 	}
 	c.pl = &s.pipelines[o.slot]
 	prof, det := c.pl.profile, c.det

@@ -127,13 +127,13 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 				info := NewPodInfo(pod)
 				full := map[string]bool{}
 				for _, n := range view.Nodes {
-					if s.pipelines[classSlotDefault].profile.Feasible(info, n) {
+					if s.pipelines[api.ClassUnspecified.Slot()].profile.Feasible(info, n) {
 						full[n.Name] = true
 					}
 				}
 				offset := rng.Intn(1000)
 				// Exhaustive walk: exact set equality with the full scan.
-				got, _ := view.sampleFeasible(info, s.pipelines[classSlotDefault].profile, len(view.Nodes)+1, offset, nil)
+				got, _ := view.sampleFeasible(info, s.pipelines[api.ClassUnspecified.Slot()].profile, len(view.Nodes)+1, offset, nil)
 				if len(got) != len(full) {
 					t.Fatalf("%s: req=%v exhaustive walk found %d nodes, full scan %d", ctx, req, len(got), len(full))
 				}
@@ -144,7 +144,7 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 				}
 				// Limited walk: subset, exact count, no duplicates.
 				limit := 1 + rng.Intn(3)
-				sampled, _ := view.sampleFeasible(info, s.pipelines[classSlotDefault].profile, limit, offset, nil)
+				sampled, _ := view.sampleFeasible(info, s.pipelines[api.ClassUnspecified.Slot()].profile, limit, offset, nil)
 				want := limit
 				if len(full) < want {
 					want = len(full)
@@ -371,7 +371,7 @@ func TestSampledRotationCovers(t *testing.T) {
 	seen := map[string]bool{}
 	offset := 0
 	for i := 0; i < nNodes; i++ {
-		got, visited := view.sampleFeasible(info, s.pipelines[classSlotDefault].profile, 1, offset, nil)
+		got, visited := view.sampleFeasible(info, s.pipelines[api.ClassUnspecified.Slot()].profile, 1, offset, nil)
 		if len(got) != 1 {
 			t.Fatalf("search %d found %d candidates, want 1", i, len(got))
 		}

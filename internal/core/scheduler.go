@@ -133,9 +133,9 @@ type Stats struct {
 	// taken in place of immediate binds.
 	Held int
 	// ByClass breaks the pass outcomes down per workload class (indexed
-	// by class slot; slot 0 is the unclassified default). A fixed array,
-	// not a map, so Stats stays a plain value copy.
-	ByClass [numClassSlots]ClassStats
+	// by api.WorkloadClass.Slot; slot 0 is the unclassified default). A
+	// fixed array, not a map, so Stats stays a plain value copy.
+	ByClass [api.NumClasses]ClassStats
 }
 
 // ClassStats is the per-workload-class slice of Stats.
@@ -154,7 +154,7 @@ type ClassStats struct {
 // Class returns the per-class counters for c (ClassUnspecified — and any
 // unknown string — reports the default-pipeline slice).
 func (s *Stats) Class(c api.WorkloadClass) ClassStats {
-	return s.ByClass[classSlot(c)]
+	return s.ByClass[c.Slot()]
 }
 
 // add folds other into s: a pass tally into its scheduler's totals, a
@@ -202,7 +202,7 @@ type Scheduler struct {
 	// pipeline — the §IV feasibility filters plus the policy's preference
 	// and scoring plugins (framework.go) — and the only slot in use when
 	// classifier is nil (workload classes off).
-	pipelines  [numClassSlots]pipeline
+	pipelines  [api.NumClasses]pipeline
 	classifier *WorkloadClassifier
 
 	// passMu serializes scheduling passes; the pending buffer and the

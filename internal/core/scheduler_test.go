@@ -10,12 +10,11 @@ import (
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/influxql"
-	"github.com/sgxorch/sgxorch/internal/isgx"
 	"github.com/sgxorch/sgxorch/internal/kubelet"
 	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/sgx"
+	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
@@ -39,42 +38,21 @@ type clusterSpec struct {
 
 func newTestCluster(t *testing.T, spec clusterSpec) *testCluster {
 	t.Helper()
-	clk := clock.NewSim()
-	srv := apiserver.New(clk)
-	db := tsdb.New(clk)
-
-	var kls []*kubelet.Kubelet
-	for i := 0; i < spec.stdNodes; i++ {
-		m := machine.New(fmt.Sprintf("std-%d", i+1), 64*resource.GiB, 8000)
-		kls = append(kls, kubelet.New(clk, srv, m))
+	st := stack.New()
+	if err := st.Start(stack.Config{
+		Nodes:          stack.Fleet(spec.stdNodes, spec.sgxNodes, stack.DefaultEPC, false),
+		NoEnforcement:  !spec.enforcement,
+		ScrapeInterval: 10 * time.Second,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < spec.sgxNodes; i++ {
-		var driverOpts []isgx.Option
-		if !spec.enforcement {
-			driverOpts = append(driverOpts, isgx.WithoutEnforcement())
-		}
-		m := machine.New(fmt.Sprintf("sgx-%d", i+1), 8*resource.GiB, 8000,
-			machine.WithSGX(sgx.DefaultGeometry(), driverOpts...))
-		kls = append(kls, kubelet.New(clk, srv, m))
-	}
-	for _, kl := range kls {
-		if err := kl.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	h := monitor.NewHeapster(clk, db, 10*time.Second)
-	for _, kl := range kls {
-		h.AddSource(kl)
-	}
-	h.Start()
-	ds := monitor.DeployProbes(clk, db, kls, 10*time.Second)
+	t.Cleanup(st.Close)
 
 	policy := spec.policy
 	if policy == nil {
 		policy = Binpack{}
 	}
-	sched, err := New(clk, srv, db, Config{
+	sched, err := New(st.Clk, st.Srv, st.DB, Config{
 		Name:       "sgx-sched",
 		Policy:     policy,
 		Interval:   5 * time.Second,
@@ -83,17 +61,9 @@ func newTestCluster(t *testing.T, spec clusterSpec) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.OnClose(sched.Close)
 	sched.Start()
-
-	t.Cleanup(func() {
-		sched.Close()
-		h.Stop()
-		ds.Stop()
-		for _, kl := range kls {
-			kl.Stop()
-		}
-	})
-	return &testCluster{clk: clk, srv: srv, db: db, sched: sched, kubelets: kls}
+	return &testCluster{clk: st.Clk, srv: st.Srv, db: st.DB, sched: sched, kubelets: st.Kubelets}
 }
 
 func (c *testCluster) submit(t *testing.T, pod *api.Pod) {

@@ -10,12 +10,9 @@ import (
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/golden"
-	"github.com/sgxorch/sgxorch/internal/isgx"
-	"github.com/sgxorch/sgxorch/internal/kubelet"
-	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/sgx"
+	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
@@ -255,48 +252,23 @@ func TestShardedCacheMatchesBuildViewN2(t *testing.T) {
 // a sharded scheduler fleet.
 func shardedTestbed(t *testing.T, shards int, concurrent bool, admission apiserver.Admission) (*clock.Sim, *apiserver.Server, *ShardedSchedulers) {
 	t.Helper()
-	clk := clock.NewSim()
-	srv := apiserver.New(clk, apiserver.WithAdmission(admission))
-	db := tsdb.New(clk)
+	st := stack.New(apiserver.WithAdmission(admission))
+	if err := st.Start(stack.Config{
+		Nodes:          stack.Fleet(2, 2, stack.DefaultEPC, false),
+		ScrapeInterval: 10 * time.Second,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
 
-	var kls []*kubelet.Kubelet
-	for i := 0; i < 2; i++ {
-		m := machine.New(fmt.Sprintf("std-%d", i+1), 64*resource.GiB, 8000)
-		kls = append(kls, kubelet.New(clk, srv, m))
-	}
-	for i := 0; i < 2; i++ {
-		m := machine.New(fmt.Sprintf("sgx-%d", i+1), 8*resource.GiB, 8000,
-			machine.WithSGX(sgx.DefaultGeometry(), []isgx.Option{}...))
-		kls = append(kls, kubelet.New(clk, srv, m))
-	}
-	for _, kl := range kls {
-		if err := kl.Start(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h := monitor.NewHeapster(clk, db, 10*time.Second)
-	for _, kl := range kls {
-		h.AddSource(kl)
-	}
-	h.Start()
-	ds := monitor.DeployProbes(clk, db, kls, 10*time.Second)
-
-	ss, err := NewSharded(clk, srv, db, Config{
+	ss, err := NewSharded(st.Clk, st.Srv, st.DB, Config{
 		Name: "ms", Policy: Binpack{}, Interval: 5 * time.Second, UseMetrics: true,
 	}, shards, concurrent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		ss.Close()
-		h.Stop()
-		ds.Stop()
-		for _, kl := range kls {
-			kl.Stop()
-		}
-		db.Close()
-	})
-	return clk, srv, ss
+	st.OnClose(ss.Close)
+	return st.Clk, st.Srv, ss
 }
 
 // TestShardedDeterminismN2 runs the same seeded workload twice through a

@@ -62,16 +62,6 @@ var passBuckets = []float64{
 	0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
 
-// classLabel is the telemetry label value for a class slot
-// (slot 0, the unclassified default pipeline, gets an explicit value
-// so its series stays addressable in label-keyed queries).
-func classLabel(slot int) string {
-	if c := classForSlot(slot); c != api.ClassUnspecified {
-		return string(c)
-	}
-	return "unclassified"
-}
-
 // schedMetrics holds the scheduler's registry handles, resolved once at
 // construction so pass-time updates are single atomic operations.
 // Handles are shared across a sharded fleet: the registry returns the
@@ -85,11 +75,11 @@ type schedMetrics struct {
 	sampled   *telemetry.Counter
 	gated     *telemetry.Counter
 
-	bound         [numClassSlots]*telemetry.Counter
-	unschedulable [numClassSlots]*telemetry.Counter
-	preemptions   [numClassSlots]*telemetry.Counter
-	victims       [numClassSlots]*telemetry.Counter
-	held          [numClassSlots]*telemetry.Counter
+	bound         [api.NumClasses]*telemetry.Counter
+	unschedulable [api.NumClasses]*telemetry.Counter
+	preemptions   [api.NumClasses]*telemetry.Counter
+	victims       [api.NumClasses]*telemetry.Counter
+	held          [api.NumClasses]*telemetry.Counter
 }
 
 func newSchedMetrics(reg *telemetry.Registry) *schedMetrics {
@@ -112,8 +102,8 @@ func newSchedMetrics(reg *telemetry.Registry) *schedMetrics {
 	preempt := reg.CounterVec("scheduler_preemptions_total", "class")
 	victims := reg.CounterVec("scheduler_victims_total", "class")
 	held := reg.CounterVec("scheduler_held_total", "class")
-	for i := 0; i < numClassSlots; i++ {
-		l := classLabel(i)
+	for i, class := range api.Classes {
+		l := class.Label()
 		m.bound[i] = bound.With(l)
 		m.unschedulable[i] = unsched.With(l)
 		m.preemptions[i] = preempt.With(l)

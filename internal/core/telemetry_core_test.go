@@ -308,8 +308,10 @@ func assertOneTally(t *testing.T, sched *Scheduler, reg *telemetry.Registry, cal
 	eq("scheduler_sampled_pods_total", int(reg.Counter("scheduler_sampled_pods_total").Value()), st.Sampled)
 	eq("scheduler_gated_total", int(reg.Counter("scheduler_gated_total").Value()), st.Gated)
 	var sum ClassStats
+	// The label strings are spelled out: series names depend on them.
+	labels := [...]string{"unclassified", "latency-sensitive", "batch", "best-effort"}
 	for slot, cs := range st.ByClass {
-		label := classLabel(slot)
+		label := labels[slot]
 		series := func(name string) int {
 			return int(reg.CounterVec(name, "class").With(label).Value())
 		}

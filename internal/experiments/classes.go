@@ -10,10 +10,8 @@ import (
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
-	"github.com/sgxorch/sgxorch/internal/kubelet"
-	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/sgx"
+	"github.com/sgxorch/sgxorch/internal/stack"
 )
 
 // This file is the workload-class experiment: a mixed fleet of all three
@@ -81,10 +79,10 @@ func (c ClassesExpConfig) withDefaults() ClassesExpConfig {
 		c.SGXEvery = 4
 	}
 	if c.StdNodes <= 0 {
-		c.StdNodes = StdNodes
+		c.StdNodes = stack.StdNodes
 	}
 	if c.SGXNodes <= 0 {
-		c.SGXNodes = SGXNodes
+		c.SGXNodes = stack.SGXNodes
 	}
 	if c.FillLead <= 0 {
 		c.FillLead = 30 * time.Second
@@ -243,41 +241,24 @@ func waitQuantiles(waits []time.Duration) (p50, p99 time.Duration) {
 // terminal or the horizon hits.
 func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 	cfg = cfg.withDefaults()
-	clk := clock.NewSim()
-	srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
+	st := stack.New(apiserver.WithAdmission(apiserver.AdmitStrict))
+	clk, srv := st.Clk, st.Srv
 
-	// Watchers subscribe before any node exists so the replayed stream
-	// is complete.
+	// Watchers subscribe before Start — before any node exists — so the
+	// replayed stream is complete, and stay subscribed through Close: the
+	// tap's digest covers the kubelets' NotReady tail.
 	capWatch := newCapacityWatcher()
-	unsubCap := srv.Subscribe(capWatch.onEvent)
-	defer unsubCap()
+	defer srv.Subscribe(capWatch.onEvent)()
 	classWatch := newClassWatcher(clk)
-	unsubClass := srv.Subscribe(classWatch.onEvent)
-	defer unsubClass()
+	defer srv.Subscribe(classWatch.onEvent)()
 	if cfg.tap != nil {
 		defer srv.Subscribe(cfg.tap)()
 	}
 
-	var kubelets []*kubelet.Kubelet
-	for i := 0; i < cfg.StdNodes; i++ {
-		m := machine.New(fmt.Sprintf("std-%d", i+1), StdNodeRAM, StdNodeCPU)
-		kubelets = append(kubelets, kubelet.New(clk, srv, m))
+	if err := st.Start(stack.Config{Nodes: stack.Fleet(cfg.StdNodes, cfg.SGXNodes, stack.DefaultEPC, false)}); err != nil {
+		return ClassesExpResult{}, fmt.Errorf("classes: %w", err)
 	}
-	for i := 0; i < cfg.SGXNodes; i++ {
-		m := machine.New(fmt.Sprintf("sgx-%d", i+1), SGXNodeRAM, SGXNodeCPU,
-			machine.WithSGX(sgx.GeometryForSize(DefaultEPC)))
-		kubelets = append(kubelets, kubelet.New(clk, srv, m))
-	}
-	for _, kl := range kubelets {
-		if err := kl.Start(); err != nil {
-			return ClassesExpResult{}, fmt.Errorf("classes: starting kubelet: %w", err)
-		}
-	}
-	defer func() {
-		for _, kl := range kubelets {
-			kl.Stop()
-		}
-	}()
+	defer st.Close()
 
 	classes := core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{}))
 	ss, err := core.NewSharded(clk, srv, nil, core.Config{
@@ -355,9 +336,7 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 		return true
 	})
 	stats := ss.Stats()
-	for _, class := range []api.WorkloadClass{
-		api.ClassLatencySensitive, api.ClassBatch, api.ClassBestEffort,
-	} {
+	for _, class := range api.Classes[1:] { // the three waves
 		out := ClassOutcome{
 			Jobs:                 counts[class],
 			PreemptionsSuffered:  classWatch.suffered[class],

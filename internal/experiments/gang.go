@@ -9,9 +9,8 @@ import (
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
-	"github.com/sgxorch/sgxorch/internal/kubelet"
-	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/resource"
+	"github.com/sgxorch/sgxorch/internal/stack"
 )
 
 // This file is the gang-scheduling experiment: the Borg backlog replayed
@@ -219,33 +218,20 @@ func gangPodFromJob(job borg.Job, name, group string, minMember int) *api.Pod {
 // and drains it with cfg.Shards schedulers sharing one gang director.
 func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 	cfg = cfg.withDefaults()
-	clk := clock.NewSim()
-	srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
+	st := stack.New(apiserver.WithAdmission(apiserver.AdmitStrict))
+	clk, srv := st.Clk, st.Srv
 
-	// Both watchers subscribe before any node or pod exists so the
-	// replayed stream is complete.
+	// Both watchers subscribe before Start — before any node or pod
+	// exists — so the replayed stream is complete.
 	capWatch := newCapacityWatcher()
-	unsubCap := srv.Subscribe(capWatch.onEvent)
-	defer unsubCap()
+	defer srv.Subscribe(capWatch.onEvent)()
 	gangWatch := newGangWatcher(clk)
-	unsubGang := srv.Subscribe(gangWatch.onEvent)
-	defer unsubGang()
+	defer srv.Subscribe(gangWatch.onEvent)()
 
-	var kubelets []*kubelet.Kubelet
-	for i := 0; i < cfg.StdNodes; i++ {
-		m := machine.New(fmt.Sprintf("std-%d", i+1), StdNodeRAM, StdNodeCPU)
-		kubelets = append(kubelets, kubelet.New(clk, srv, m))
+	if err := st.Start(stack.Config{Nodes: stack.Fleet(cfg.StdNodes, 0, 0, false)}); err != nil {
+		return GangExpResult{}, fmt.Errorf("gang: %w", err)
 	}
-	for _, kl := range kubelets {
-		if err := kl.Start(); err != nil {
-			return GangExpResult{}, fmt.Errorf("gang: starting kubelet: %w", err)
-		}
-	}
-	defer func() {
-		for _, kl := range kubelets {
-			kl.Stop()
-		}
-	}()
+	defer st.Close()
 
 	dir := core.NewGangDirector(clk, srv, core.GangConfig{PermitTimeout: cfg.PermitTimeout})
 	defer dir.Close()

@@ -8,12 +8,9 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
-	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
-	"github.com/sgxorch/sgxorch/internal/kubelet"
-	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/sgx"
+	"github.com/sgxorch/sgxorch/internal/stack"
 )
 
 // This file is the multi-scheduler scaling experiment: the paper deploys
@@ -210,34 +207,18 @@ func multiSchedPod(job borg.Job, sgxJob bool) *api.Pod {
 // ever overcommitted.
 func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 	cfg = cfg.withDefaults()
-	clk := clock.NewSim()
-	srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
+	st := stack.New(apiserver.WithAdmission(apiserver.AdmitStrict))
+	clk, srv := st.Clk, st.Srv
 
-	// The watcher subscribes first so it observes node registrations.
+	// The watcher subscribes before Start so it observes node
+	// registrations, and unsubscribes after Close.
 	watcher := newCapacityWatcher()
-	unsub := srv.Subscribe(watcher.onEvent)
-	defer unsub()
+	defer srv.Subscribe(watcher.onEvent)()
 
-	var kubelets []*kubelet.Kubelet
-	for i := 0; i < cfg.StdNodes; i++ {
-		m := machine.New(fmt.Sprintf("std-%d", i+1), StdNodeRAM, StdNodeCPU)
-		kubelets = append(kubelets, kubelet.New(clk, srv, m))
+	if err := st.Start(stack.Config{Nodes: stack.Fleet(cfg.StdNodes, cfg.SGXNodes, stack.DefaultEPC, false)}); err != nil {
+		return MultiSchedResult{}, fmt.Errorf("multisched: %w", err)
 	}
-	for i := 0; i < cfg.SGXNodes; i++ {
-		m := machine.New(fmt.Sprintf("sgx-%d", i+1), SGXNodeRAM, SGXNodeCPU,
-			machine.WithSGX(sgx.GeometryForSize(DefaultEPC)))
-		kubelets = append(kubelets, kubelet.New(clk, srv, m))
-	}
-	for _, kl := range kubelets {
-		if err := kl.Start(); err != nil {
-			return MultiSchedResult{}, fmt.Errorf("multisched: starting kubelet: %w", err)
-		}
-	}
-	defer func() {
-		for _, kl := range kubelets {
-			kl.Stop()
-		}
-	}()
+	defer st.Close()
 
 	ss, err := core.NewSharded(clk, srv, nil, core.Config{
 		Name:            "multisched",
@@ -273,9 +254,8 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 	if secs := res.DrainTime.Seconds(); secs > 0 {
 		res.BindsPerSecond = float64(res.Jobs-srv.PendingCount()) / secs
 	}
-	st := ss.Stats()
 	bs := srv.BindStats()
-	res.Conflicts = st.Conflicts
+	res.Conflicts = ss.Stats().Conflicts
 	res.Attempts = bs.Attempts
 	if bs.Attempts > 0 {
 		res.ConflictRate = float64(bs.RejectedCapacity+bs.RejectedNodeState) / float64(bs.Attempts)

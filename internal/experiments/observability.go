@@ -9,7 +9,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/influxql"
-	"github.com/sgxorch/sgxorch/internal/lifecycle"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
 )
 
@@ -153,17 +152,6 @@ func (c *obsEventCounter) totalBinds() int {
 	return total
 }
 
-// obsClasses are the class waves and their TSDB/exposition labels.
-var obsClasses = []struct {
-	class api.WorkloadClass
-	label string
-	prio  int32
-}{
-	{api.ClassLatencySensitive, "latency-sensitive", classLatencyPrio},
-	{api.ClassBatch, "batch", classBatchPrio},
-	{api.ClassBestEffort, "best-effort", classBEPrio},
-}
-
 // Observability runs the instrumented mixed-class drain and audits the
 // telemetry it produced.
 func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
@@ -186,14 +174,8 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 
 	// Ground truth and the lifecycle tracker consume the same stream.
 	counter := newObsEventCounter()
-	unsub := tb.Srv.Subscribe(counter.onEvent)
-	defer unsub()
-	tracker := lifecycle.New(reg)
-	tracker.Track(tb.Srv)
-	defer tracker.Close()
-
-	stopScrape := telemetry.StartSelfScrape(tb.Clk, reg, tb.DB, cfg.ScrapeInterval)
-	defer stopScrape()
+	defer tb.Srv.Subscribe(counter.onEvent)()
+	tb.Observe(reg, cfg.ScrapeInterval)
 
 	trace := borg.NewGenerator(borg.DefaultConfig(cfg.Seed)).EvalSlice()
 	fillers := 4 * cfg.JobsPerClass
@@ -294,7 +276,8 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	// Histogram ≡ event stream: the lifecycle histograms must total the
 	// independently counted binds and run transitions.
 	queueTotal, startupTotal, totalTotal := int64(0), int64(0), int64(0)
-	for _, label := range []string{"latency-sensitive", "batch", "best-effort", "unclassified"} {
+	for _, class := range api.Classes {
+		label := class.Label()
 		queueTotal += reg.HistogramVec("lifecycle_queue_seconds", "class", nil).With(label).Count()
 		startupTotal += reg.HistogramVec("lifecycle_startup_seconds", "class", nil).With(label).Count()
 		totalTotal += reg.HistogramVec("lifecycle_submit_to_run_seconds", "class", nil).With(label).Count()
@@ -308,7 +291,7 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	if totalTotal != int64(counter.runs) {
 		violate("submit-to-run histogram total %d != event-derived runs %d", totalTotal, counter.runs)
 	}
-	if binds := tracker.BindsObserved(); binds != int64(counter.totalBinds()) {
+	if binds := tb.Tracker.BindsObserved(); binds != int64(counter.totalBinds()) {
 		violate("tracker binds %d != event-derived binds %d", binds, counter.totalBinds())
 	}
 	if res.Passes == 0 {
@@ -333,19 +316,20 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 			return ObservabilityResult{}, fmt.Errorf("observability: quantile query: %w", err)
 		}
 		byClass := qr.ValueByTag("class")
-		for _, wave := range obsClasses {
-			out := res.PerClass[wave.label]
+		for _, class := range api.Classes[1:] { // the three waves
+			label := class.Label()
+			out := res.PerClass[label]
 			out.Jobs = cfg.JobsPerClass
-			if wave.class == api.ClassBestEffort {
+			if class == api.ClassBestEffort {
 				out.Jobs = fillers
 			}
-			out.Binds = counter.binds[wave.class]
-			if v, ok := byClass[wave.label]; ok {
+			out.Binds = counter.binds[class]
+			if v, ok := byClass[label]; ok {
 				*field(&out) = v
 			} else if out.Binds > 0 {
-				violate("self-scrape missing %s p%s series despite %d binds", wave.label, q, out.Binds)
+				violate("self-scrape missing %s p%s series despite %d binds", label, q, out.Binds)
 			}
-			res.PerClass[wave.label] = out
+			res.PerClass[label] = out
 		}
 	}
 	return res, nil

@@ -109,11 +109,19 @@ func (r *ReplayResult) TotalTurnaround() time.Duration {
 // testbed must be freshly built; Replay drives its simulation clock to
 // completion (or the horizon) and leaves the cluster stopped.
 func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
+	// A refused replay leaves the cluster stopped too.
+	defer tb.Close()
 	if cfg.Trace == nil || cfg.Trace.Len() == 0 {
 		return nil, fmt.Errorf("experiments: empty trace")
 	}
-	if cfg.SGXRatio < 0 || cfg.SGXRatio > 1 {
+	if !(cfg.SGXRatio >= 0 && cfg.SGXRatio <= 1) { // NaN included
 		return nil, fmt.Errorf("experiments: SGX ratio %v outside [0,1]", cfg.SGXRatio)
+	}
+	if cfg.MaliciousPerSGXNode < 0 {
+		return nil, fmt.Errorf("experiments: negative MaliciousPerSGXNode %d", cfg.MaliciousPerSGXNode)
+	}
+	if !(cfg.MaliciousEPCFraction >= 0 && cfg.MaliciousEPCFraction <= 1) {
+		return nil, fmt.Errorf("experiments: malicious EPC fraction %v outside [0,1]", cfg.MaliciousEPCFraction)
 	}
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 12 * time.Hour
@@ -121,7 +129,6 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = 30 * time.Second
 	}
-	defer tb.Close()
 
 	jobs := cfg.Trace.Jobs
 	isSGX := designateSGX(len(jobs), cfg.SGXRatio, cfg.Seed)

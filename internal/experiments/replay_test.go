@@ -161,19 +161,27 @@ func TestReplayPendingSeriesSampled(t *testing.T) {
 }
 
 func TestReplayValidation(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb.Replay(ReplayConfig{Trace: &borg.Trace{}}); err == nil {
-		t.Fatal("empty trace accepted")
-	}
-	tb2, err := NewTestbed(TestbedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tb2.Replay(ReplayConfig{Trace: evalTrace(1), SGXRatio: 1.5}); err == nil {
-		t.Fatal("bad ratio accepted")
+	for name, cfg := range map[string]ReplayConfig{
+		"empty trace":             {Trace: &borg.Trace{}},
+		"SGX ratio above 1":       {Trace: evalTrace(1), SGXRatio: 1.5},
+		"negative malicious pods": {Trace: evalTrace(1), MaliciousPerSGXNode: -3},
+		"negative EPC fraction":   {Trace: evalTrace(1), MaliciousPerSGXNode: 1, MaliciousEPCFraction: -0.5},
+		"EPC fraction above 1":    {Trace: evalTrace(1), MaliciousPerSGXNode: 1, MaliciousEPCFraction: 1.5},
+	} {
+		tb, err := NewTestbed(TestbedConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.Replay(cfg); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		// A refused replay ran nothing and left nothing running.
+		if n := len(tb.Srv.ListPods(nil)); n != 0 {
+			t.Fatalf("%s: %d pods created before the refusal", name, n)
+		}
+		if tb.Clk.Step() {
+			t.Fatalf("%s: the testbed is still running after the refusal", name)
+		}
 	}
 }
 

@@ -1,8 +1,10 @@
-// Package experiments reproduces the paper's evaluation (§VI): it builds
-// the 5-machine testbed of §VI-A in simulation, replays Borg trace slices
-// through the full stack (API server → SGX-aware scheduler → kubelets →
-// device plugin → driver → monitoring → time-series queries), and renders
-// one harness per figure (Figs. 3-11).
+// Package experiments reproduces the paper's evaluation (§VI): it replays
+// Borg trace slices through the full stack (API server → SGX-aware
+// scheduler → kubelets → device plugin → driver → monitoring →
+// time-series queries) and renders one harness per figure (Figs. 3-11).
+// The 5-machine testbed of §VI-A is a preset of internal/stack — the
+// same assembly sgxorch.NewCluster runs on — with the paper's scheduler
+// on top, not a second construction.
 package experiments
 
 import (
@@ -10,30 +12,10 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/apiserver"
-	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
-	"github.com/sgxorch/sgxorch/internal/isgx"
-	"github.com/sgxorch/sgxorch/internal/kubelet"
-	"github.com/sgxorch/sgxorch/internal/machine"
-	"github.com/sgxorch/sgxorch/internal/monitor"
-	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/sgx"
+	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
-	"github.com/sgxorch/sgxorch/internal/tsdb"
-)
-
-// Testbed hardware constants (§VI-A): three Dell R330 (Xeon E3-1270 v6,
-// 64 GiB) — one of them the Kubernetes master — plus two SGX machines
-// (i7-6700, 8 GiB, 128 MiB PRM).
-const (
-	StdNodeRAM  = 64 * resource.GiB
-	SGXNodeRAM  = 8 * resource.GiB
-	StdNodeCPU  = 8000 // 4 cores × 2 hyperthreads, millicores
-	SGXNodeCPU  = 8000
-	DefaultEPC  = 128 * resource.MiB
-	StdNodes    = 2
-	SGXNodes    = 2
-	MasterNodes = 1
 )
 
 // SchedulerName is the identity replayed pods request.
@@ -41,7 +23,7 @@ const SchedulerName = "sgx-aware"
 
 // TestbedConfig parameterises a simulated cluster.
 type TestbedConfig struct {
-	// EPCSize is the PRM size of SGX machines (DefaultEPC when zero);
+	// EPCSize is the PRM size of SGX machines (stack.DefaultEPC when zero);
 	// Fig. 7 sweeps it across 32-256 MiB.
 	EPCSize int64
 	// Policy is the placement policy (Binpack when nil).
@@ -82,16 +64,16 @@ type TestbedConfig struct {
 
 func (c TestbedConfig) withDefaults() TestbedConfig {
 	if c.EPCSize <= 0 {
-		c.EPCSize = DefaultEPC
+		c.EPCSize = stack.DefaultEPC
 	}
 	if c.Policy == nil {
 		c.Policy = core.Binpack{}
 	}
 	if c.StdNodeCount <= 0 {
-		c.StdNodeCount = StdNodes
+		c.StdNodeCount = stack.StdNodes
 	}
 	if c.SGXNodeCount <= 0 {
-		c.SGXNodeCount = SGXNodes
+		c.SGXNodeCount = stack.SGXNodes
 	}
 	if c.SchedulerInterval <= 0 {
 		c.SchedulerInterval = 5 * time.Second
@@ -102,68 +84,27 @@ func (c TestbedConfig) withDefaults() TestbedConfig {
 	return c
 }
 
-// Testbed is one assembled simulated cluster.
+// Testbed is the §VI-A cluster: the stack preset plus the paper's
+// scheduler. Close (the stack's) stops the scheduler too.
 type Testbed struct {
+	*stack.Stack
 	Cfg       TestbedConfig
-	Clk       *clock.Sim
-	Srv       *apiserver.Server
-	DB        *tsdb.DB
 	Scheduler *core.Scheduler
-	Kubelets  []*kubelet.Kubelet
-
-	heapster *monitor.Heapster
-	probes   *monitor.DaemonSet
 }
 
-// NewTestbed assembles and starts the full stack.
+// NewTestbed starts the §VI-A preset of the stack — the master in front
+// of the configured fleet — and the paper's scheduler on it.
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	cfg = cfg.withDefaults()
-	clk := clock.NewSim()
-	var srvOpts []apiserver.Option
-	if cfg.Telemetry != nil {
-		srvOpts = append(srvOpts, apiserver.WithTelemetry(cfg.Telemetry))
+	st := stack.New(apiserver.WithTelemetry(cfg.Telemetry))
+	if err := st.Start(stack.Config{
+		Nodes:          stack.WithMaster(stack.Fleet(cfg.StdNodeCount, cfg.SGXNodeCount, cfg.EPCSize, cfg.SGX2)),
+		NoEnforcement:  !cfg.Enforcement,
+		ScrapeInterval: cfg.ScrapeInterval,
+	}); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	srv := apiserver.New(clk, srvOpts...)
-	db := tsdb.New(clk)
-
-	tb := &Testbed{Cfg: cfg, Clk: clk, Srv: srv, DB: db}
-
-	// The master hosts the control plane and runs no jobs (§VI-A).
-	master := machine.New("master", StdNodeRAM, StdNodeCPU)
-	masterKl := kubelet.New(clk, srv, master, kubelet.WithUnschedulable())
-	tb.Kubelets = append(tb.Kubelets, masterKl)
-
-	for i := 0; i < cfg.StdNodeCount; i++ {
-		m := machine.New(fmt.Sprintf("std-%d", i+1), StdNodeRAM, StdNodeCPU)
-		tb.Kubelets = append(tb.Kubelets, kubelet.New(clk, srv, m))
-	}
-	var driverOpts []isgx.Option
-	if !cfg.Enforcement {
-		driverOpts = append(driverOpts, isgx.WithoutEnforcement())
-	}
-	sgxOpt := machine.WithSGX
-	if cfg.SGX2 {
-		sgxOpt = machine.WithSGX2
-	}
-	for i := 0; i < cfg.SGXNodeCount; i++ {
-		m := machine.New(fmt.Sprintf("sgx-%d", i+1), SGXNodeRAM, SGXNodeCPU,
-			sgxOpt(sgx.GeometryForSize(cfg.EPCSize), driverOpts...))
-		tb.Kubelets = append(tb.Kubelets, kubelet.New(clk, srv, m))
-	}
-	for _, kl := range tb.Kubelets {
-		if err := kl.Start(); err != nil {
-			return nil, fmt.Errorf("experiments: starting kubelet: %w", err)
-		}
-	}
-
-	tb.heapster = monitor.NewHeapster(clk, db, cfg.ScrapeInterval)
-	for _, kl := range tb.Kubelets {
-		tb.heapster.AddSource(kl)
-	}
-	tb.heapster.Start()
-	tb.probes = monitor.DeployProbes(clk, db, tb.Kubelets, cfg.ScrapeInterval)
-
-	sched, err := core.New(clk, srv, db, core.Config{
+	sched, err := core.New(st.Clk, st.Srv, st.DB, core.Config{
 		Name:             SchedulerName,
 		Policy:           cfg.Policy,
 		Interval:         cfg.SchedulerInterval,
@@ -175,11 +116,12 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		TraceDetailEvery: cfg.TraceDetailEvery,
 	})
 	if err != nil {
+		st.Close()
 		return nil, fmt.Errorf("experiments: building scheduler: %w", err)
 	}
-	tb.Scheduler = sched
+	st.OnClose(sched.Close)
 	sched.Start()
-	return tb, nil
+	return &Testbed{Stack: st, Cfg: cfg, Scheduler: sched}, nil
 }
 
 // UsableEPCPerNode returns the application-usable EPC bytes of one SGX
@@ -197,15 +139,4 @@ func (tb *Testbed) SGXNodeNames() []string {
 		}
 	}
 	return out
-}
-
-// Close stops every component.
-func (tb *Testbed) Close() {
-	tb.Scheduler.Close()
-	tb.heapster.Stop()
-	tb.probes.Stop()
-	for _, kl := range tb.Kubelets {
-		kl.Stop()
-	}
-	tb.DB.Close()
 }

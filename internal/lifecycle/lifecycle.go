@@ -30,34 +30,13 @@ var latencyBuckets = []float64{
 	0.5, 1, 2.5, 5, 10, 15, 30, 60, 120, 300, 600, 1800, 3600,
 }
 
-// classes are the fixed label values, indexed like api's class set.
-var classes = []api.WorkloadClass{
-	api.ClassUnspecified, api.ClassLatencySensitive, api.ClassBatch, api.ClassBestEffort,
-}
-
-func classIndex(c api.WorkloadClass) int {
-	for i, k := range classes {
-		if k == c {
-			return i
-		}
-	}
-	return 0
-}
-
-func classLabel(c api.WorkloadClass) string {
-	if c == api.ClassUnspecified {
-		return "unclassified"
-	}
-	return string(c)
-}
-
 // Tracker consumes pod watch events and feeds the per-class lifecycle
 // histograms. One tracker per cluster; attach with Track.
 type Tracker struct {
-	queue   [4]*telemetry.Histogram // lifecycle_queue_seconds{class}
-	startup [4]*telemetry.Histogram // lifecycle_startup_seconds{class}
-	total   [4]*telemetry.Histogram // lifecycle_submit_to_run_seconds{class}
-	run     [4]*telemetry.Histogram // lifecycle_run_seconds{class}
+	queue   [api.NumClasses]*telemetry.Histogram // lifecycle_queue_seconds{class}
+	startup [api.NumClasses]*telemetry.Histogram // lifecycle_startup_seconds{class}
+	total   [api.NumClasses]*telemetry.Histogram // lifecycle_submit_to_run_seconds{class}
+	run     [api.NumClasses]*telemetry.Histogram // lifecycle_run_seconds{class}
 
 	binds   *telemetry.Counter // lifecycle_binds_observed_total
 	runs    *telemetry.Counter // lifecycle_runs_observed_total
@@ -90,8 +69,8 @@ func New(reg *telemetry.Registry) *Tracker {
 	startup := reg.HistogramVec("lifecycle_startup_seconds", "class", latencyBuckets)
 	total := reg.HistogramVec("lifecycle_submit_to_run_seconds", "class", latencyBuckets)
 	run := reg.HistogramVec("lifecycle_run_seconds", "class", latencyBuckets)
-	for i, c := range classes {
-		l := classLabel(c)
+	for i, c := range api.Classes {
+		l := c.Label()
 		t.queue[i] = queue.With(l)
 		t.startup[i] = startup.With(l)
 		t.total[i] = total.With(l)
@@ -139,7 +118,7 @@ func (t *Tracker) Consume(evs []apiserver.WatchEvent) {
 			continue
 		}
 		p := ev.Pod
-		ci := classIndex(p.Spec.WorkloadClass())
+		ci := p.Spec.Class.Slot()
 		switch ev.Type {
 		case apiserver.PodBound:
 			// One queue-wait sample per bind: a preempted pod that

@@ -28,7 +28,7 @@ func TestLifecycleHistogramsMatchEventStream(t *testing.T) {
 
 	var observedBinds, observedRuns int
 	runningSeen := make(map[string]bool)
-	unsub := c.srv.SubscribeBatch(func(evs []apiserver.WatchEvent) {
+	unsub := c.st.Srv.SubscribeBatch(func(evs []apiserver.WatchEvent) {
 		for _, ev := range evs {
 			switch ev.Type {
 			case apiserver.PodBound:
