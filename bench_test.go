@@ -798,7 +798,7 @@ func (planOnlyPreScore) PreScore(*core.PodInfo, []*core.NodeView) []*core.NodeVi
 
 // BenchmarkMillionPod is the ROADMAP's million-pod scale tier: 5k nodes,
 // 1M bound pods (primed directly into the cluster cache), a 100k-deep
-// pending queue, and a MaxPendingPerPass window of 1000. The cluster is
+// pending queue, and a MaxPendingPerPass cap of 1000. The cluster is
 // shaped so that ~1 node in 20 has headroom for a pending pod and the
 // rest sit within one request of full — the regime where indexed
 // candidate generation pays: the log2 free-memory buckets prove the full

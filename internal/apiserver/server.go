@@ -300,10 +300,10 @@ type Server struct {
 	// pending is the submission queue (§IV), ordered priority-then-FCFS:
 	// higher api.PodSpec.Priority tiers drain first, first-come
 	// first-served within a tier, with a per-scheduler index so fleet
-	// members visit only their own shard. Binds remove their pod in O(1)
+	// members walk only their own shard. Binds remove their pod in O(1)
 	// amortized. Guarded by pendingMu, which is acquired while holding
-	// state stripes but never the reverse (VisitPending copies names out
-	// under pendingMu alone).
+	// state stripes but never the reverse (PullPending copies a chunk of
+	// names out under pendingMu alone).
 	pendingMu sync.Mutex
 	pending   *pendingSet
 
@@ -492,8 +492,7 @@ func (s *Server) snapshotWorldLocked() Snapshot {
 	snap.Pods = pods
 	// Every queue mutation happens under a pod stripe, so the queue is
 	// stable here; pendingMu is taken against the readers that hold no
-	// stripe (VisitPending, the depth gauges) — the queue's ordered walk
-	// keeps scratch state, so even two readers must not overlap.
+	// stripe (PullPending, the depth gauges).
 	s.pendingMu.Lock()
 	snap.Pending = s.pending.Snapshot()
 	s.pendingMu.Unlock()
@@ -646,47 +645,98 @@ func (s *Server) ListPods(filter func(*api.Pod) bool) []*api.Pod {
 	return out
 }
 
-// pendingNamesPool recycles the name buffers VisitPending/PendingPods
-// copy the queue into (the copy is what keeps pendingMu from ever being
-// held across a stripe acquisition — see stripe.go's lock order).
-var pendingNamesPool = sync.Pool{New: func() any { return new([]string) }}
-
-// copyPendingNames snapshots the queued names for a scheduler under
-// pendingMu alone, stopping after limit names when limit > 0 — the
-// queue's ordered visit makes the truncated copy exactly the queue head,
-// so a deep backlog is never copied wholesale just to walk its prefix.
-// Callers must return the buffer to pendingNamesPool.
-func (s *Server) copyPendingNames(schedulerName string, limit int) *[]string {
-	bufp := pendingNamesPool.Get().(*[]string)
-	names := (*bufp)[:0]
-	s.pendingMu.Lock()
-	s.pending.Visit(schedulerName, func(name string) bool {
-		names = append(names, name)
-		return limit <= 0 || len(names) < limit
-	})
-	s.pendingMu.Unlock()
-	*bufp = names
-	return bufp
+// PendingWalk is one walk over a scheduler's pending queue, taken a
+// chunk at a time (WalkPending, then PullPending until it reports false).
+// It is a value the caller owns and holds no reference into the queue:
+// between two pulls it is a tier, a push stamp and a count, so pods may be
+// bound, preempted and re-queued freely while a walk is open, and an
+// abandoned walk costs nothing.
+type PendingWalk struct {
+	sched string
+	left  int // names the cap still allows; 0 when the walk has no cap
+	cur   pendingCursor
+	done  bool
 }
 
-// PendingPods returns the queued pods for the given scheduler in
-// priority-then-FCFS order (§IV: "the orchestrator keeps a persistent
-// queue of pending jobs ... applying a first-come first-served priority";
-// api.PodSpec.Priority refines it into tiers). An empty schedulerName
-// matches every pod. Pods that left the queue between the name snapshot
-// and the stripe visit (a concurrent bind won) are skipped.
-func (s *Server) PendingPods(schedulerName string) []*api.Pod {
-	bufp := s.copyPendingNames(schedulerName, 0)
-	out := make([]*api.Pod, 0, len(*bufp))
-	for _, name := range *bufp {
+// WalkPending opens a walk over the given scheduler's queued pods (an
+// empty schedulerName matches every pod) in priority-then-FCFS order
+// (§IV: "the orchestrator keeps a persistent queue of pending jobs ...
+// applying a first-come first-served priority"; api.PodSpec.Priority
+// refines it into tiers), with the members of a gang delivered adjacently.
+// The walk's horizon is fixed here: it delivers what is queued now and
+// still queued when reached, and nothing pushed later — a pod preempted
+// and re-queued while the walk is open waits for the next one, wherever
+// in the order it lands. limit > 0 caps the pods the walk examines; the
+// cap is checked between gangs, so a gang whose first member is inside
+// it is delivered whole.
+func (s *Server) WalkPending(schedulerName string, limit int) PendingWalk {
+	s.pendingMu.Lock()
+	horizon := s.pending.nextSeq
+	s.pendingMu.Unlock()
+	return PendingWalk{sched: schedulerName, left: max(limit, 0), cur: newPendingCursor(horizon)}
+}
+
+// PullPending delivers the walk's next chunk: the next names are copied
+// out under pendingMu alone — a fixed-size run (pendingChunk), or the
+// whole of a tier that holds gangs — and fn is then called for each pod
+// still queued, under its stripe lock, without copying, so a pod bound
+// concurrently with the walk is skipped rather than handed to fn stale.
+// The same read-only, no-retain, no-reentrancy contract as VisitPods
+// applies. It reports whether another pull may deliver more: false once
+// the queue is exhausted, the cap is spent or fn returned false, and from
+// then on. What a walk costs is what it pulled — names copied, stripes
+// locked, time under pendingMu — whatever the depth of the queue behind.
+func (s *Server) PullPending(w *PendingWalk, fn func(*api.Pod) bool) bool {
+	if w.done {
+		return false
+	}
+	var buf [pendingChunk]string
+	s.pendingMu.Lock()
+	names, more := s.pending.pull(w.sched, &w.cur, buf[:0], w.left)
+	s.pendingMu.Unlock()
+	if w.left > 0 {
+		if w.left -= len(names); w.left <= 0 {
+			more = false
+		}
+	}
+	for _, name := range names {
 		sh := s.podShardFor(name)
 		sh.mu.Lock()
-		if p, ok := sh.pods[name]; ok && p.Status.Phase == api.PodPending && p.Spec.NodeName == "" {
-			out = append(out, p.Clone())
-		}
+		p, ok := sh.pods[name]
+		stop := ok && p.Status.Phase == api.PodPending && p.Spec.NodeName == "" && !fn(p)
 		sh.mu.Unlock()
+		if stop {
+			more = false
+			break
+		}
 	}
-	pendingNamesPool.Put(bufp)
+	w.done = !more
+	return more
+}
+
+// VisitPendingN is one whole walk (see WalkPending and PullPending for
+// the order, the horizon, the cap and fn's contract): fn is called for
+// the given scheduler's queued pods until the queue, the limit (limit <= 0
+// visits all) or fn ends it.
+func (s *Server) VisitPendingN(schedulerName string, limit int, fn func(*api.Pod) bool) {
+	w := s.WalkPending(schedulerName, limit)
+	for s.PullPending(&w, fn) {
+	}
+}
+
+// VisitPending is VisitPendingN with no limit.
+func (s *Server) VisitPending(schedulerName string, fn func(*api.Pod) bool) {
+	s.VisitPendingN(schedulerName, 0, fn)
+}
+
+// PendingPods returns copies of the given scheduler's queued pods, in
+// the order of one whole walk.
+func (s *Server) PendingPods(schedulerName string) []*api.Pod {
+	out := []*api.Pod{}
+	s.VisitPending(schedulerName, func(p *api.Pod) bool {
+		out = append(out, p.Clone())
+		return true
+	})
 	return out
 }
 
@@ -724,39 +774,6 @@ func (s *Server) VisitPod(name string, fn func(*api.Pod)) {
 	if p, ok := sh.pods[name]; ok {
 		fn(p)
 	}
-}
-
-// VisitPending calls fn for the given scheduler's queued pods in
-// priority-then-FCFS order, each under its stripe lock, without copying.
-// The same read-only, no-retain, no-reentrancy contract as VisitPods
-// applies; an empty schedulerName matches every pod. Returning false
-// stops the walk. The queue order is snapshotted under pendingMu and the
-// pods then visited stripe by stripe, so pods bound concurrently with
-// the walk are skipped rather than handed to fn stale.
-func (s *Server) VisitPending(schedulerName string, fn func(*api.Pod) bool) {
-	s.VisitPendingN(schedulerName, 0, fn)
-}
-
-// VisitPendingN is VisitPending windowed to the queue's first limit pods
-// (limit <= 0 visits all). The name snapshot itself is truncated, so the
-// cost of a pass over a 100k-deep backlog is O(limit), not O(queue) —
-// the MaxPendingPerPass window schedulers use at million-pod scale.
-func (s *Server) VisitPendingN(schedulerName string, limit int, fn func(*api.Pod) bool) {
-	bufp := s.copyPendingNames(schedulerName, limit)
-	for _, name := range *bufp {
-		sh := s.podShardFor(name)
-		sh.mu.Lock()
-		p, ok := sh.pods[name]
-		stop := false
-		if ok && p.Status.Phase == api.PodPending && p.Spec.NodeName == "" {
-			stop = !fn(p)
-		}
-		sh.mu.Unlock()
-		if stop {
-			break
-		}
-	}
-	pendingNamesPool.Put(bufp)
 }
 
 // PendingCount returns the number of queued pods across all schedulers.

@@ -30,10 +30,14 @@ import (
 // published under the node stripe exactly like a charge. Cross-shard
 // readers (SnapshotNow, ListAndWatchBatch, subscription registration)
 // take lockWorld themselves; the per-object read accessors lock a single
-// stripe around a copy. VisitPending and PendingPods copy the queued
-// names under pendingMu alone and release it before touching pod
-// stripes — pendingMu is only ever acquired while holding stripes, never
-// the reverse.
+// stripe around a copy. The pending queue is read by one walk,
+// PullPending (VisitPending, VisitPendingN and PendingPods are loops
+// over it): each pull copies one chunk of queued names under pendingMu
+// alone, releases it, and only then visits those pods one stripe at a
+// time; between pulls the walk holds no lock at all, only a value cursor
+// and the horizon (the push stamp past which it does not look) fixed when
+// it began. So pendingMu is only ever acquired while holding stripes,
+// never the reverse, and is held for a chunk, not for the queue.
 //
 // The gang reservation tables' resMu (see Server) sits outside the
 // ladder entirely: it is a strict leaf, locked and unlocked without

@@ -47,12 +47,13 @@ type Config struct {
 	// what lets the sharded multi-scheduler experiments measure how
 	// adding schedulers scales backlog draining.
 	MaxBindsPerPass int
-	// MaxPendingPerPass bounds how many queued pods one pass copies out of
-	// the API server and attempts to place (0 = all). With a 100k-deep
-	// backlog a pass would otherwise copy the whole queue every interval
-	// only to run out of MaxBindsPerPass budget after a fraction of it;
-	// the window keeps the per-pass copy O(window) while priority-then-
-	// FCFS order guarantees the head of the queue is always in it.
+	// MaxPendingPerPass caps how many queued pods one pass examines (0 =
+	// no cap): a pass that finds the head of a deep backlog unschedulable
+	// gives up after this many instead of cycling the whole queue.
+	// Priority-then-FCFS order puts the head of the queue inside the cap,
+	// and a gang whose first member is inside it is examined whole. It is
+	// not what keeps a pass cheap: a pass pulls the queue as it spends its
+	// budget and copies what it examines, whatever the depth behind.
 	MaxPendingPerPass int
 	// PercentageNodesToScore engages sampled scoring: a pod's feasibility
 	// search stops after finding numFeasibleNodesToFind(pct, ...)
@@ -205,9 +206,9 @@ type Scheduler struct {
 	pipelines  [api.NumClasses]pipeline
 	classifier *WorkloadClassifier
 
-	// passMu serializes scheduling passes; the pending buffer and the
-	// cycle state are reused across passes so a steady-state pass
-	// allocates next to nothing.
+	// passMu serializes scheduling passes; the pending buffer (one pulled
+	// chunk of pod copies, cleared when the pass ends) and the cycle state
+	// are reused across passes so a steady-state pass allocates nothing.
 	passMu     sync.Mutex
 	pendingBuf []api.Pod
 	cyc        cycleState
@@ -366,22 +367,24 @@ func (s *Scheduler) Close() {
 // benchmarks).
 func (s *Scheduler) Cache() *ClusterCache { return s.cache }
 
-// ScheduleOnce runs a single §IV pass: snapshot the priority-then-FCFS
-// pending queue, bring the scheduler's incremental view of node state
-// and fused usage current from the cluster cache — O(nodes changed since
-// the last pass), not O(nodes) — and run one scheduling cycle per pending
-// pod: the profile's filter pipeline over job-node combinations, placement
-// by the preference/scoring plugins, and the bind. A pod with no feasible
-// node may preempt strictly lower-priority pods (see preemption.go);
-// otherwise it stays queued for the next pass. It returns the number of
-// pods bound. Pass cost scales with pending pods and nodes, not with the
-// total number of bound pods — the cache absorbed that per-pod work when
-// the pods' events arrived.
+// ScheduleOnce runs a single §IV pass: open a walk of the
+// priority-then-FCFS pending queue, bring the scheduler's incremental
+// view of node state and fused usage current from the cluster cache —
+// O(nodes changed since the last pass), not O(nodes) — and run one
+// scheduling cycle per pending pod: the profile's filter pipeline over
+// job-node combinations, placement by the preference/scoring plugins, and
+// the bind. A pod with no feasible node may preempt strictly
+// lower-priority pods (see preemption.go); otherwise it stays queued for
+// the next pass. It returns the number of pods bound. Pass cost scales
+// with the pods it examines and with nodes — not with the depth of the
+// queue behind them, nor with the total number of bound pods: the cache
+// absorbed that per-pod work when the pods' events arrived.
 //
-// The pending walk takes shallow pod snapshots under the API server lock
-// (one struct copy each — specs are immutable after creation, so the
-// copies are consistent) and releases it before any policy work, so a
-// slow placement pass never stalls concurrent schedulers or kubelets.
+// The walk takes shallow pod snapshots a chunk at a time, each under its
+// stripe of the API server (one struct copy each — specs are immutable
+// after creation, so the copies are consistent), and holds no lock during
+// policy work, so a slow placement pass never stalls concurrent
+// schedulers or kubelets.
 func (s *Scheduler) ScheduleOnce() int {
 	return s.schedulePass(true)
 }
@@ -434,43 +437,55 @@ func (s *Scheduler) schedulePass(syncFirst bool) int {
 	c.det = c.rec.detailOnly()
 	tally := Stats{Passes: 1}
 
-	// VisitPending snapshots the queue order and walks the striped pod
-	// state one stripe at a time — pods a concurrent fleet member binds
-	// mid-walk are skipped, not handed over stale. MaxPendingPerPass
-	// windows the copy so a deep backlog costs O(window), not O(queue).
-	pending := s.pendingBuf[:0]
-	s.srv.VisitPendingN(s.cfg.Name, s.cfg.MaxPendingPerPass, func(pod *api.Pod) bool {
-		pending = append(pending, *pod)
-		return true
-	})
-	s.pendingBuf = pending
-	if len(pending) == 0 {
+	// The queue is pulled as the pass spends its budget, a chunk at a
+	// time: the walk's horizon is fixed here, so the pass sees the queue
+	// as it stands now — a victim its own preemption re-queues waits for
+	// the next pass — but copies only the pods it gets to. Pods a
+	// concurrent fleet member binds mid-walk are skipped, not handed over
+	// stale.
+	walk := s.srv.WalkPending(s.cfg.Name, s.cfg.MaxPendingPerPass)
+	examined, used, chunk := 0, 0, s.pendingBuf
+	for more := true; more; {
+		chunk = chunk[:0]
+		more = s.srv.PullPending(&walk, func(pod *api.Pod) bool {
+			chunk = append(chunk, *pod)
+			return true
+		})
+		if len(chunk) > 0 && examined == 0 {
+			if syncFirst {
+				tSync := c.rec.now()
+				s.syncedViewLocked()
+				c.rec.stageSince(stageSync, tSync)
+			}
+			// One-lock-per-pass preemption gate, refreshed after evictions.
+			c.minPrio, c.anyBound, c.beBound = s.cache.preemptGate()
+		}
+		examined, used = examined+len(chunk), max(used, len(chunk))
+		for i := range chunk {
+			o := s.cycle(c, &chunk[i])
+			tally.count(o)
+			if o.stale || (s.cfg.MaxBindsPerPass > 0 && tally.Bound+tally.Held >= s.cfg.MaxBindsPerPass) {
+				more = false // the rest stays queued
+				break
+			}
+		}
+	}
+	// Each pull overwrote the one before; what the longest left behind is
+	// cleared, so no pod copy outlives the pass.
+	clear(chunk[:used])
+	s.pendingBuf = chunk[:0]
+	if examined == 0 {
 		// Nothing to place, but still drain time-driven cache state: the
 		// aggregator's expiry heap and the maturity heap are only emptied
 		// by a refresh, and idle is the steady state between job waves —
 		// an idle scheduler must not let them grow while metrics flow.
 		s.cache.Refresh()
-	} else {
-		if syncFirst {
-			tSync := c.rec.now()
-			s.syncedViewLocked()
-			c.rec.stageSince(stageSync, tSync)
-		}
-		// One-lock-per-pass preemption gate, refreshed after evictions.
-		c.minPrio, c.anyBound, c.beBound = s.cache.preemptGate()
-		for i := range pending {
-			o := s.cycle(c, &pending[i])
-			tally.count(o)
-			if o.stale || (s.cfg.MaxBindsPerPass > 0 && tally.Bound+tally.Held >= s.cfg.MaxBindsPerPass) {
-				break // the rest stays queued
-			}
-		}
 	}
 	s.mu.Lock()
 	s.stats.add(tally)
 	s.mu.Unlock()
 	if c.rec != nil {
-		s.recordPass(c.rec, len(pending), &tally)
+		s.recordPass(c.rec, examined, &tally)
 	}
 	return tally.Bound
 }

@@ -247,7 +247,8 @@ func (r *passRecorder) trace(scheduler string, wall time.Duration, pending int, 
 // recordPass closes out one instrumented pass: observes the duration
 // histograms, adds the pass tally — the same value Scheduler.Stats
 // accumulates — to the registry counters, and pushes the trace onto the
-// ring. Called once per pass with passMu held.
+// ring. pending is the pods the pass examined (PassTrace.Pending), not
+// the queue's depth. Called once per pass with passMu held.
 func (s *Scheduler) recordPass(rec *passRecorder, pending int, tally *Stats) {
 	wall := time.Since(rec.start)
 	m := s.metrics

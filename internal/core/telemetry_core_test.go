@@ -550,3 +550,48 @@ func passTallyEveryOutcome(t *testing.T) {
 		t.Fatalf("ring holds %d traces, want one per non-idle pass (%d)", n, calls-1)
 	}
 }
+
+// TestPassCostIndependentOfQueueDepth: a pass pulls the queue as it
+// spends its budget, so what it costs is what it cycled. With a bind
+// budget of 64 and every pod schedulable, a pass over a 1k-deep and a
+// 100k-deep queue examines the same pods (PassTrace.Pending — pod copies
+// taken, which single-threaded is names copied), binds the same number,
+// and a steady-state pass allocates the same at both depths.
+func TestPassCostIndependentOfQueueDepth(t *testing.T) {
+	type cost struct {
+		examined, bound int
+		allocs          float64
+	}
+	measure := func(depth int) cost {
+		cfg := Config{MaxBindsPerPass: 64, Telemetry: telemetry.New(), Trace: telemetry.NewTraceRing(1)}
+		_, srv, sched := newBareScheduler(t, 8, cfg)
+		for i := 0; i < depth; i++ {
+			if err := srv.CreatePod(telemetryPod(fmt.Sprintf("pod-%06d", i), "telemetry-test", resource.MiB)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sched.ScheduleOnce() // warm the pass buffers
+		var c cost
+		if !raceEnabled {
+			c.allocs = testing.AllocsPerRun(8, func() { sched.ScheduleOnce() })
+		}
+		tr := sched.Traces()[0]
+		c.examined, c.bound = tr.Pending, tr.Bound
+		if cap(sched.pendingBuf) > 2*c.examined {
+			t.Errorf("depth %d: the pass buffer holds %d pods after a pass that examined %d", depth, cap(sched.pendingBuf), c.examined)
+		}
+		for i := range sched.pendingBuf[:cap(sched.pendingBuf)] {
+			if p := &sched.pendingBuf[:cap(sched.pendingBuf)][i]; p.Name != "" || p.Spec.Containers != nil {
+				t.Fatalf("depth %d: the pass buffer still pins pod %q after the pass", depth, p.Name)
+			}
+		}
+		return c
+	}
+	shallow, deep := measure(1_000), measure(100_000)
+	if shallow.examined != 64 || shallow.bound != 64 {
+		t.Fatalf("pass over the 1k queue examined %d pods and bound %d, want 64 and 64", shallow.examined, shallow.bound)
+	}
+	if deep != shallow {
+		t.Fatalf("pass cost depends on queue depth: 1k-deep %+v, 100k-deep %+v", shallow, deep)
+	}
+}

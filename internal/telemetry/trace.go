@@ -60,6 +60,9 @@ type PassTrace struct {
 	Wall     time.Duration
 	Detailed bool
 
+	// Pending is the pods the pass examined — what it pulled from the
+	// queue before its budget, its cap or the queue ran out — not the
+	// depth of the queue (apiserver_pending_depth is that).
 	Pending       int
 	Bound         int
 	Unschedulable int
