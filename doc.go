@@ -65,6 +65,34 @@
 // integers. The API server refuses a pod with a negative request or
 // limit, so every stored quantity is non-negative.
 //
+// The watch stream has one reference model, internal/model: a pure,
+// clock-free reducer (model.New(admission), then Apply per event) holding
+// what the stream describes — per node, allocatable and committed
+// requests; per pod, node, phase, class, priority, charge, permit and the
+// rev it last entered the queue at; per gang, quorum, held / bound /
+// finished members and the SubmittedAt / ScheduledAt stamps of its first
+// member and of the bind that first made it full; per class, binds, runs
+// and preemptions; and the pending order (priority, then queue entry). A
+// permit charges its node like a bind, the gang commit's PodBound moves
+// no capacity, and a settled gang is whole when bound plus finished
+// members reach its quorum. Apply refuses, with an error wrapping one of
+// model.ErrRev, ErrChargedTwice, ErrCommitNode, ErrNegative or
+// ErrOvercommit, an event that breaks a rule the server guarantees: a rev
+// that is not the last + 1 (the first sets the base), a charge taken
+// twice, a gang commit off its permit's node, a negative commitment, or
+// one beyond what admission allows (EPC under AdmitGuarded, everything
+// under AdmitStrict, nothing under AdmitNone); a refused event changes
+// nothing but the last rev. A node the stream has not described has no
+// allocatable, so an audit subscribes before the first node registers.
+// The model deliberately leaves out usage (the scheduler's fusion of
+// requests with measured peaks), time beyond the server's status stamps,
+// and gang coalescing in the pending queue — its pending order is the
+// server's whenever no gang is queued and no two queue entries race. It
+// is the one referee: the multi-scheduler, gang, class and observability
+// experiments read their safety counts and event-derived ground truth off
+// it, and the conflict-interleaving, snapshot-prefix, gang-prefix and
+// lifecycle property tests are Apply plus assertions.
+//
 // The module path is github.com/sgxorch/sgxorch (Go 1.24).
 //
 // The monitoring plane is built for long replays, and a series' identity

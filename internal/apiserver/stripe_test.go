@@ -137,129 +137,6 @@ func TestConcurrentBindStatsUnderStorm(t *testing.T) {
 	}
 }
 
-// TestSnapshotConsistentPrefixDuringConcurrentBinds is the striping
-// safety property: a SnapshotNow taken at any instant of a bind storm
-// must equal the state obtained by replaying the event log up to the
-// snapshot's Rev — no torn cross-shard reads, no applied-but-unpublished
-// commits, no published-but-unapplied events.
-func TestSnapshotConsistentPrefixDuringConcurrentBinds(t *testing.T) {
-	const (
-		nodes   = 8
-		fit     = 40
-		pods    = 384
-		binders = 8
-		snaps   = 40
-	)
-	s := New(clock.NewSim(), WithAdmission(AdmitStrict))
-	defer s.Close()
-
-	// The recorder subscribes before any mutation so the event log is
-	// replayable from rev 0. Sync mode delivers on the mutating
-	// goroutines; the mutex serializes appends and delivery order is
-	// rev order, so the slice ends up rev-sorted.
-	var evMu sync.Mutex
-	var events []WatchEvent
-	unsub := s.SubscribeBatch(func(evs []WatchEvent) {
-		evMu.Lock()
-		events = append(events, evs...)
-		evMu.Unlock()
-	}, nil)
-	defer unsub()
-
-	for n := 0; n < nodes; n++ {
-		if err := s.RegisterNode(stormNode(fmt.Sprintf("node-%02d", n), fit)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for p := 0; p < pods; p++ {
-		if err := s.CreatePod(stormPod(fmt.Sprintf("pod-%04d", p))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var wg sync.WaitGroup
-	per := pods / binders
-	for b := 0; b < binders; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			for i := b * per; i < (b+1)*per; i++ {
-				// Outcome is irrelevant: the property must hold whether the
-				// bind lands or loses an admission race.
-				_ = s.Bind(fmt.Sprintf("pod-%04d", i), fmt.Sprintf("node-%02d", i%nodes))
-			}
-		}(b)
-	}
-	snapshots := make([]Snapshot, 0, snaps+1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < snaps; i++ {
-			snapshots = append(snapshots, s.SnapshotNow())
-		}
-	}()
-	wg.Wait()
-	snapshots = append(snapshots, s.SnapshotNow())
-	s.QuiesceWatch()
-
-	evMu.Lock()
-	defer evMu.Unlock()
-	for i := 1; i < len(events); i++ {
-		if events[i].Rev != events[i-1].Rev+1 {
-			t.Fatalf("event log not dense: rev %d follows %d", events[i].Rev, events[i-1].Rev)
-		}
-	}
-
-	for _, snap := range snapshots {
-		// Replay the prefix.
-		type podState struct {
-			node  string
-			phase api.PodPhase
-		}
-		model := make(map[string]podState)
-		var pendingOrder []string
-		for _, ev := range events {
-			if ev.Rev > snap.Rev {
-				break
-			}
-			switch ev.Type {
-			case PodCreated:
-				model[ev.Pod.Name] = podState{phase: api.PodPending}
-				pendingOrder = append(pendingOrder, ev.Pod.Name)
-			case PodBound, PodUpdated:
-				model[ev.Pod.Name] = podState{node: ev.Pod.Spec.NodeName, phase: ev.Pod.Status.Phase}
-			}
-		}
-		if len(snap.Pods) != len(model) {
-			t.Fatalf("snapshot rev %d has %d pods, replay has %d", snap.Rev, len(snap.Pods), len(model))
-		}
-		for _, p := range snap.Pods {
-			m, ok := model[p.Name]
-			if !ok {
-				t.Fatalf("snapshot rev %d contains %s, absent from the replayed prefix", snap.Rev, p.Name)
-			}
-			if p.Spec.NodeName != m.node || p.Status.Phase != m.phase {
-				t.Fatalf("snapshot rev %d: pod %s is (%q,%s), replay says (%q,%s) — torn read",
-					snap.Rev, p.Name, p.Spec.NodeName, p.Status.Phase, m.node, m.phase)
-			}
-		}
-		wantPending := make([]string, 0, len(pendingOrder))
-		for _, name := range pendingOrder {
-			if m := model[name]; m.node == "" && m.phase == api.PodPending {
-				wantPending = append(wantPending, name)
-			}
-		}
-		if len(snap.Pending) != len(wantPending) {
-			t.Fatalf("snapshot rev %d pending has %d pods, replay %d", snap.Rev, len(snap.Pending), len(wantPending))
-		}
-		for i := range wantPending {
-			if snap.Pending[i] != wantPending[i] {
-				t.Fatalf("snapshot rev %d pending[%d] = %s, replay says %s", snap.Rev, i, snap.Pending[i], wantPending[i])
-			}
-		}
-	}
-}
-
 // bindAllocsPinned is what one successful Bind allocates with telemetry
 // off, synchronous watch and one subscriber: the pod struct the event
 // carries and the event-log message naming the node. The commit

@@ -8,24 +8,29 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
 // gangTestbed wires an API server, a shared gang director, and a
 // scheduler fleet (1..n members) over plain registered nodes — no
-// kubelets, so placement is the only moving part.
+// kubelets, so placement is the only moving part. events records the
+// whole watch stream, from before the first node registers.
 type gangTestbed struct {
-	clk   *clock.Sim
-	srv   *apiserver.Server
-	dir   *GangDirector
-	fleet *ShardedSchedulers
+	clk    *clock.Sim
+	srv    *apiserver.Server
+	dir    *GangDirector
+	fleet  *ShardedSchedulers
+	events []apiserver.WatchEvent
 }
 
 func newGangTestbed(t *testing.T, nodes int, memPerNode int64, gcfg GangConfig, shards int) *gangTestbed {
 	t.Helper()
 	clk := clock.NewSim()
 	srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
+	tb := &gangTestbed{clk: clk, srv: srv}
+	t.Cleanup(srv.Subscribe(func(ev apiserver.WatchEvent) { tb.events = append(tb.events, ev) }))
 	for i := 0; i < nodes; i++ {
 		n := &api.Node{
 			Name:        fmt.Sprintf("n%02d", i+1),
@@ -37,21 +42,22 @@ func newGangTestbed(t *testing.T, nodes int, memPerNode int64, gcfg GangConfig, 
 			t.Fatal(err)
 		}
 	}
-	dir := NewGangDirector(clk, srv, gcfg)
+	tb.dir = NewGangDirector(clk, srv, gcfg)
 	fleet, err := NewSharded(clk, srv, tsdb.New(clk), Config{
 		Name:     "s",
 		Policy:   Binpack{},
 		Interval: time.Second,
-		Gang:     dir,
+		Gang:     tb.dir,
 	}, shards, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb.fleet = fleet
 	t.Cleanup(func() {
 		fleet.Close()
-		dir.Close()
+		tb.dir.Close()
 	})
-	return &gangTestbed{clk: clk, srv: srv, dir: dir, fleet: fleet}
+	return tb
 }
 
 func (tb *gangTestbed) submit(t *testing.T, p *api.Pod) {
@@ -215,58 +221,39 @@ func TestGangStarvationBoost(t *testing.T) {
 	}
 }
 
-// checkNoPartialGang replays an event stream prefix by prefix and fails
-// if any prefix observes a partially committed gang with a foreign event
-// interleaved: once a group's commit burst starts (first PodBound while
-// co-members still hold permits), every following event must be another
-// PodBound of the same group until no permits remain — the replay
-// witness that CommitGroup is atomic under the world ladder.
-func checkNoPartialGang(t *testing.T, events []apiserver.WatchEvent, minMember map[string]int) {
+// checkNoPartialGang applies an event stream to the reference model
+// prefix by prefix and fails on any refusal, and on any prefix that
+// observes a partially committed gang with a foreign event interleaved:
+// once a group's commit burst starts (first PodBound while co-members
+// still hold permits), every following event must be another PodBound of
+// the same group until no permits remain — the replay witness that
+// CommitGroup is atomic under the world ladder. Once settled (no permits
+// outstanding), a gang is whole or not placed at all (model.Gang.Partial).
+func checkNoPartialGang(t *testing.T, events []apiserver.WatchEvent) {
 	t.Helper()
-	held := map[string]map[string]bool{}  // group -> permit holders
-	bound := map[string]map[string]bool{} // group -> bound members
+	m := model.New(apiserver.AdmitStrict)
 	for i, ev := range events {
+		if err := m.Apply(ev); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
 		if ev.Pod == nil || !ev.Pod.Spec.InGang() {
 			continue
 		}
-		g := ev.Pod.Spec.PodGroup
-		switch ev.Type {
-		case apiserver.PodPermitHeld:
-			if held[g] == nil {
-				held[g] = map[string]bool{}
-			}
-			held[g][ev.Pod.Name] = true
-		case apiserver.PodPermitReleased:
-			delete(held[g], ev.Pod.Name)
-		case apiserver.PodBound:
-			delete(held[g], ev.Pod.Name)
-			if bound[g] == nil {
-				bound[g] = map[string]bool{}
-			}
-			bound[g][ev.Pod.Name] = true
-		case apiserver.PodUpdated:
-			if ev.Pod.Spec.NodeName == "" || ev.Pod.IsTerminal() {
-				delete(bound[g], ev.Pod.Name)
-			}
-		}
-		// Prefix invariant: a group mid-commit (some members bound, some
-		// still holding permits) only ever appears inside its own commit
-		// burst, i.e. the next event continues it.
-		if len(bound[g]) > 0 && len(held[g]) > 0 {
+		name := ev.Pod.Spec.PodGroup
+		g := m.Gangs[name]
+		held, bound, finished := g.Count()
+		if bound > 0 && held > 0 {
 			if i+1 >= len(events) {
-				t.Fatalf("event stream ends with gang %s partially committed (%d bound, %d held)",
-					g, len(bound[g]), len(held[g]))
+				t.Fatalf("event stream ends with gang %s partially committed (%d bound, %d held)", name, bound, held)
 			}
 			next := events[i+1]
-			if next.Type != apiserver.PodBound || next.Pod == nil || next.Pod.Spec.PodGroup != g {
+			if next.Type != apiserver.PodBound || next.Pod == nil || next.Pod.Spec.PodGroup != name {
 				t.Fatalf("event %d: gang %s partially committed (%d bound, %d held) with foreign event %v interleaved",
-					i, g, len(bound[g]), len(held[g]), next.Type)
+					i, name, bound, held, next.Type)
 			}
 		}
-		// Once settled (no permits outstanding), a gang is bound fully or
-		// not at all.
-		if n := len(bound[g]); len(held[g]) == 0 && n > 0 && n < minMember[g] {
-			t.Fatalf("event %d: gang %s settled at %d/%d members bound", i, g, n, minMember[g])
+		if g.Partial() {
+			t.Fatalf("event %d: gang %s settled at %d/%d members bound (%d finished)", i, name, bound, g.MinMember, finished)
 		}
 	}
 }
@@ -277,15 +264,9 @@ func checkNoPartialGang(t *testing.T, events []apiserver.WatchEvent, minMember m
 // placed at all. Solo pods interleave freely throughout.
 func TestGangNeverPartiallyBoundAcrossEventPrefixes(t *testing.T) {
 	tb := newGangTestbed(t, 4, 8*resource.MiB, GangConfig{PermitTimeout: 5 * time.Second}, 1)
-	var events []apiserver.WatchEvent
-	unsub := tb.srv.Subscribe(func(ev apiserver.WatchEvent) { events = append(events, ev) })
-	defer unsub()
-
-	minMember := map[string]int{}
 	k := 3
 	for wave := 0; wave < 4; wave++ {
 		group := fmt.Sprintf("gang-%d", wave)
-		minMember[group] = k
 		for m := 0; m < k; m++ {
 			tb.submit(t, memGangPod(fmt.Sprintf("%s-m%d", group, m), group, k, resource.MiB, 0))
 		}
@@ -300,7 +281,7 @@ func TestGangNeverPartiallyBoundAcrossEventPrefixes(t *testing.T) {
 		tb.clk.Advance(2 * time.Second)
 	}
 
-	checkNoPartialGang(t, events, minMember)
+	checkNoPartialGang(t, tb.events)
 	if n := tb.srv.ReservationCount(); n != 0 {
 		t.Fatalf("permits outstanding at end = %d, want 0", n)
 	}
@@ -311,16 +292,10 @@ func TestGangNeverPartiallyBoundAcrossEventPrefixes(t *testing.T) {
 // from different members' passes. The same prefix property must hold
 // under the contention, and runs must be deterministic.
 func TestGangShardedContentionNoPartialBinding(t *testing.T) {
-	run := func() ([]apiserver.WatchEvent, map[string]int, int) {
+	run := func() ([]apiserver.WatchEvent, int) {
 		tb := newGangTestbed(t, 4, 8*resource.MiB, GangConfig{PermitTimeout: 5 * time.Second}, 2)
-		var events []apiserver.WatchEvent
-		unsub := tb.srv.Subscribe(func(ev apiserver.WatchEvent) { events = append(events, ev) })
-		defer unsub()
-
-		minMember := map[string]int{}
-		for wave := 0; wave < 3; wave++ {
-			group := fmt.Sprintf("cgang-%d", wave)
-			minMember[group] = 4
+		groups := []string{"cgang-0", "cgang-1", "cgang-2"}
+		for wave, group := range groups {
 			for m := 0; m < 4; m++ {
 				tb.submit(t, memGangPod(fmt.Sprintf("%s-m%d", group, m), group, 4, resource.MiB, 0))
 			}
@@ -332,19 +307,19 @@ func TestGangShardedContentionNoPartialBinding(t *testing.T) {
 			tb.fleet.RunRound()
 			tb.clk.Advance(2 * time.Second)
 		}
-		checkNoPartialGang(t, events, minMember)
+		checkNoPartialGang(t, tb.events)
 		if n := tb.srv.ReservationCount(); n != 0 {
 			t.Fatalf("permits outstanding at end = %d, want 0", n)
 		}
 		bound := 0
-		for g := range minMember {
+		for _, g := range groups {
 			bound += tb.srv.BoundGroupCount(g)
 		}
-		return events, minMember, bound
+		return tb.events, bound
 	}
 
-	evA, _, boundA := run()
-	evB, _, boundB := run()
+	evA, boundA := run()
+	evB, boundB := run()
 	if boundA != boundB || len(evA) != len(evB) {
 		t.Fatalf("nondeterministic: run A bound %d (%d events), run B bound %d (%d events)",
 			boundA, len(evA), boundB, len(evB))

@@ -8,8 +8,8 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
-	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stack"
 )
@@ -22,8 +22,8 @@ import (
 // unsampled, batch bin-packs behind them, best-effort absorbs the
 // evictions. Measured per class: p50/p99 waiting time (§VI-E's metric,
 // split by class), preemptions suffered and inflicted, plus cluster-wide
-// SGX (EPC) utilization and the capacity invariant re-derived from the
-// watch stream.
+// SGX (EPC) utilization and the capacity invariant, read off the
+// reference model's replay of the watch stream.
 
 // ClassesExpConfig parameterises one mixed-fleet run.
 type ClassesExpConfig struct {
@@ -131,85 +131,9 @@ type ClassesExpResult struct {
 	// SGXUtilization is the time-averaged committed fraction of the
 	// cluster's EPC pages between the first submission and the drain.
 	SGXUtilization float64
-	// Violations counts capacity-invariant breaches re-derived from the
-	// watch stream — must be 0: class routing must never trade safety.
+	// Violations counts the watch events the reference model refused —
+	// must be 0: class routing must never trade safety.
 	Violations int
-}
-
-// classWatcher replays the watch stream: per-class preemptions suffered,
-// and the EPC-page commitment integral for SGX utilization.
-type classWatcher struct {
-	clk clock.Clock
-	// suffered counts evictions (bound → unbound, non-terminal) per
-	// declared class.
-	suffered map[api.WorkloadClass]int
-	bound    map[string]int64 // pod → committed EPC pages (SGX jobs only)
-	classOf  map[string]api.WorkloadClass
-	epcCap   int64 // cluster EPC pages, from node registrations
-	epcUsed  int64
-	lastAt   time.Time
-	integral float64 // page-seconds
-}
-
-func newClassWatcher(clk clock.Clock) *classWatcher {
-	return &classWatcher{
-		clk:      clk,
-		suffered: make(map[api.WorkloadClass]int),
-		bound:    make(map[string]int64),
-		classOf:  make(map[string]api.WorkloadClass),
-	}
-}
-
-// advance integrates the EPC commitment up to now.
-func (w *classWatcher) advance() {
-	now := w.clk.Now()
-	if !w.lastAt.IsZero() && now.After(w.lastAt) {
-		w.integral += float64(w.epcUsed) * now.Sub(w.lastAt).Seconds()
-	}
-	w.lastAt = now
-}
-
-func (w *classWatcher) onEvent(ev apiserver.WatchEvent) {
-	switch ev.Type {
-	case apiserver.NodeRegistered:
-		w.advance()
-		w.epcCap += ev.Node.Allocatable.Get(resource.EPCPages)
-	case apiserver.PodBound:
-		w.classOf[ev.Pod.Name] = ev.Pod.Spec.WorkloadClass()
-		if pages := ev.Pod.TotalRequests().Get(resource.EPCPages); pages > 0 {
-			if _, dup := w.bound[ev.Pod.Name]; !dup {
-				w.advance()
-				w.bound[ev.Pod.Name] = pages
-				w.epcUsed += pages
-			}
-		} else {
-			w.bound[ev.Pod.Name] = 0
-		}
-	case apiserver.PodUpdated:
-		pages, wasBound := w.bound[ev.Pod.Name]
-		if !wasBound {
-			return
-		}
-		if ev.Pod.IsTerminal() || ev.Pod.Spec.NodeName == "" {
-			w.advance()
-			w.epcUsed -= pages
-			delete(w.bound, ev.Pod.Name)
-		}
-		if !ev.Pod.IsTerminal() && ev.Pod.Spec.NodeName == "" {
-			// Preemption: the pod returned to the queue still live.
-			w.suffered[ev.Pod.Spec.WorkloadClass()]++
-		}
-	}
-}
-
-// utilization finalises the integral at now over the elapsed window.
-func (w *classWatcher) utilization(since time.Time) float64 {
-	w.advance()
-	window := w.lastAt.Sub(since).Seconds()
-	if window <= 0 || w.epcCap == 0 {
-		return 0
-	}
-	return w.integral / (float64(w.epcCap) * window)
 }
 
 // classPodFromJob shapes one wave member from a trace job.
@@ -244,13 +168,30 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 	st := stack.New(apiserver.WithAdmission(apiserver.AdmitStrict))
 	clk, srv := st.Clk, st.Srv
 
-	// Watchers subscribe before Start — before any node exists — so the
-	// replayed stream is complete, and stay subscribed through Close: the
-	// tap's digest covers the kubelets' NotReady tail.
-	capWatch := newCapacityWatcher()
-	defer srv.Subscribe(capWatch.onEvent)()
-	classWatch := newClassWatcher(clk)
-	defer srv.Subscribe(classWatch.onEvent)()
+	// The model and the tap subscribe before Start — before any node
+	// exists — so the replayed stream is complete, and stay subscribed
+	// through Close: the tap's digest covers the kubelets' NotReady tail.
+	// SGX utilization integrates the model's committed EPC pages over time
+	// in steps at every SGX bind and wherever a pod leaves its node: it is
+	// pinned bit for bit, and a float sum split elsewhere can move a bit.
+	// epcSum is the page-seconds up to the last step, epcPages the pages
+	// committed since.
+	m, refused := model.New(apiserver.AdmitStrict), 0
+	epcAt, epcSum, epcPages := clk.Now(), 0.0, int64(0)
+	step := func() {
+		now := clk.Now()
+		epcSum += float64(epcPages) * now.Sub(epcAt).Seconds()
+		epcAt, epcPages = now, m.Total.Committed[resource.EPCPages]
+	}
+	defer srv.Subscribe(func(ev apiserver.WatchEvent) {
+		if m.Apply(ev) != nil {
+			refused++
+		}
+		leaves := ev.Type == apiserver.PodUpdated && (ev.Pod.IsTerminal() || ev.Pod.Spec.NodeName == "")
+		if leaves || ev.Type == apiserver.PodBound && ev.Pod.IsSGX() {
+			step()
+		}
+	})()
 	if cfg.tap != nil {
 		defer srv.Subscribe(cfg.tap)()
 	}
@@ -315,15 +256,18 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 	}
 
 	completed := clk.Run(srv.AllTerminal, start.Add(cfg.Horizon))
+	step()
 
 	res := ClassesExpResult{
-		Shards:         cfg.Shards,
-		Jobs:           need,
-		Completed:      completed,
-		DrainTime:      clk.Since(start),
-		PerClass:       make(map[string]ClassOutcome),
-		SGXUtilization: classWatch.utilization(start),
-		Violations:     capWatch.violations,
+		Shards:     cfg.Shards,
+		Jobs:       need,
+		Completed:  completed,
+		DrainTime:  clk.Since(start),
+		PerClass:   make(map[string]ClassOutcome),
+		Violations: refused,
+	}
+	if window, pages := epcAt.Sub(start).Seconds(), m.Total.Allocatable[resource.EPCPages]; window > 0 && pages > 0 {
+		res.SGXUtilization = epcSum / (float64(pages) * window)
 	}
 	waits := make(map[api.WorkloadClass][]time.Duration)
 	counts := make(map[api.WorkloadClass]int)
@@ -339,7 +283,7 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 	for _, class := range api.Classes[1:] { // the three waves
 		out := ClassOutcome{
 			Jobs:                 counts[class],
-			PreemptionsSuffered:  classWatch.suffered[class],
+			PreemptionsSuffered:  m.ByClass[class.Slot()].Preemptions,
 			PreemptionsInflicted: stats.Class(class).Preemptions,
 			Victims:              stats.Class(class).Victims,
 		}

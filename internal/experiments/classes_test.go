@@ -61,6 +61,10 @@ func TestClassesMixedFleetSGXUtilization(t *testing.T) {
 	if res.SGXUtilization <= 0 || res.SGXUtilization > 1 {
 		t.Fatalf("SGX utilization = %v, want in (0, 1]", res.SGXUtilization)
 	}
+	// Bit for bit: the integral is a float sum in event order.
+	if want := 0.016149112166106726; res.SGXUtilization != want {
+		t.Fatalf("SGX utilization = %v, want %v", res.SGXUtilization, want)
+	}
 
 	noSGX, err := ClassesMixedFleet(ClassesExpConfig{Seed: 9, SGXEvery: -1})
 	if err != nil {
@@ -76,7 +80,8 @@ func TestClassesMixedFleetSGXUtilization(t *testing.T) {
 // exactly, run to run and (through the literals) commit to commit. The
 // sharded-with-preemption fleets are the deterministic runs in which a
 // member's view freshness after a preemption attempt could move a
-// placement, so both fleet sizes pin the whole stream.
+// placement, so those fleet sizes pin the whole stream; the single
+// scheduler is the baseline beside them.
 func TestClassesMixedFleetDeterministic(t *testing.T) {
 	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 	for _, tc := range []struct {
@@ -84,9 +89,18 @@ func TestClassesMixedFleetDeterministic(t *testing.T) {
 		drain    time.Duration
 		perClass map[string]ClassOutcome
 		digest   string
+		sgxUtil  float64
 	}{
 		{
-			shards: 2, drain: sec(20*60 + 10.5), digest: "fb20c3694925555b",
+			shards: 1, drain: sec(20*60 + 10.5), digest: "7347161a6e29ce71", sgxUtil: 0.010235057380054646,
+			perClass: map[string]ClassOutcome{
+				string(api.ClassLatencySensitive): {Jobs: 15, P50Wait: sec(5.5), P99Wait: sec(5.5), PreemptionsInflicted: 7, Victims: 7},
+				string(api.ClassBatch):            {Jobs: 15, P50Wait: sec(55.5), P99Wait: sec(130.5)},
+				string(api.ClassBestEffort):       {Jobs: 45, P50Wait: sec(5.5), P99Wait: sec(610.5), PreemptionsSuffered: 7},
+			},
+		},
+		{
+			shards: 2, drain: sec(20*60 + 10.5), digest: "fb20c3694925555b", sgxUtil: 0.010235057380054646,
 			perClass: map[string]ClassOutcome{
 				string(api.ClassLatencySensitive): {Jobs: 15, P50Wait: sec(5.5), P99Wait: sec(5.5), PreemptionsInflicted: 8, Victims: 9},
 				string(api.ClassBatch):            {Jobs: 15, P50Wait: sec(65.5), P99Wait: sec(580.5)},
@@ -94,7 +108,7 @@ func TestClassesMixedFleetDeterministic(t *testing.T) {
 			},
 		},
 		{
-			shards: 4, drain: sec(20*60 + 15.5), digest: "14036b86cdced5fd",
+			shards: 4, drain: sec(20*60 + 15.5), digest: "14036b86cdced5fd", sgxUtil: 0.010192955128388442,
 			perClass: map[string]ClassOutcome{
 				string(api.ClassLatencySensitive): {Jobs: 15, P50Wait: sec(5.5), P99Wait: sec(5.5), PreemptionsInflicted: 8, Victims: 8},
 				string(api.ClassBatch):            {Jobs: 15, P50Wait: sec(70.5), P99Wait: sec(585.5)},
@@ -145,6 +159,9 @@ func TestClassesMixedFleetDeterministic(t *testing.T) {
 			// schedule to every earlier commit's.
 			if a.DrainTime != tc.drain {
 				t.Fatalf("drain time = %v, want %v: the mixed-fleet schedule changed", a.DrainTime, tc.drain)
+			}
+			if a.SGXUtilization != tc.sgxUtil {
+				t.Fatalf("SGX utilization = %v, want %v", a.SGXUtilization, tc.sgxUtil)
 			}
 			for class, want := range tc.perClass {
 				if got := a.PerClass[class]; got != want {

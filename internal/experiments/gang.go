@@ -7,8 +7,8 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
-	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stack"
 )
@@ -19,9 +19,9 @@ import (
 // schedulers that share one gang director. Measured: deadlock-freedom
 // (the backlog drains — no gang camps on capacity forever and no two
 // gangs starve each other), time-to-full-gang (member submission →
-// whole-gang commit), and the all-or-nothing invariant — a watch
-// subscriber replays the event stream and counts the instants any gang
-// is partially placed outside its own atomic commit burst (must be
+// whole-gang commit), and the all-or-nothing invariant — the reference
+// model replays the event stream and the run counts the instants any
+// gang is partially placed outside its own atomic commit burst (must be
 // zero), plus the post-hoc accounting check that permit rollbacks
 // returned every held resource.
 
@@ -106,92 +106,11 @@ type GangExpResult struct {
 	// whole-gang commit across the gangs that committed.
 	MeanTimeToFullGang time.Duration
 	MaxTimeToFullGang  time.Duration
-	// Violations counts capacity-invariant breaches re-derived from the
-	// watch stream (permits charge like binds); LeakedPermits is the
-	// post-hoc rollback accounting check — both must be 0.
+	// Violations counts the watch events the reference model refused
+	// (permits charge like binds); LeakedPermits is the post-hoc rollback
+	// accounting check — both must be 0.
 	Violations    int
 	LeakedPermits int
-}
-
-// gangWatcher replays the watch stream as it arrives and checks the
-// all-or-nothing invariant: outside a commit burst (permits still
-// outstanding), a gang is either fully placed — bound plus already
-// finished members cover MinMember — or absent. It also records each
-// gang's first full commit for the time-to-full-gang metric.
-type gangWatcher struct {
-	clk       clock.Clock
-	minMember map[string]int
-	submitted map[string]time.Time
-	held      map[string]map[string]bool
-	bound     map[string]map[string]bool
-	terminal  map[string]map[string]bool
-	fullAt    map[string]time.Time
-	partial   int
-}
-
-func newGangWatcher(clk clock.Clock) *gangWatcher {
-	return &gangWatcher{
-		clk:       clk,
-		minMember: make(map[string]int),
-		submitted: make(map[string]time.Time),
-		held:      make(map[string]map[string]bool),
-		bound:     make(map[string]map[string]bool),
-		terminal:  make(map[string]map[string]bool),
-		fullAt:    make(map[string]time.Time),
-	}
-}
-
-func (w *gangWatcher) member(m map[string]map[string]bool, g string) map[string]bool {
-	s := m[g]
-	if s == nil {
-		s = make(map[string]bool)
-		m[g] = s
-	}
-	return s
-}
-
-func (w *gangWatcher) onEvent(ev apiserver.WatchEvent) {
-	if ev.Pod == nil || !ev.Pod.Spec.InGang() {
-		return
-	}
-	g := ev.Pod.Spec.PodGroup
-	name := ev.Pod.Name
-	switch ev.Type {
-	case apiserver.PodCreated:
-		if _, ok := w.submitted[g]; !ok {
-			w.submitted[g] = w.clk.Now()
-			w.minMember[g] = ev.Pod.Spec.GangMinMember()
-		}
-		return
-	case apiserver.PodPermitHeld:
-		w.member(w.held, g)[name] = true
-	case apiserver.PodPermitReleased:
-		delete(w.held[g], name)
-	case apiserver.PodBound:
-		delete(w.held[g], name)
-		w.member(w.bound, g)[name] = true
-	case apiserver.PodUpdated:
-		if ev.Pod.IsTerminal() {
-			delete(w.bound[g], name)
-			delete(w.held[g], name)
-			w.member(w.terminal, g)[name] = true
-		} else if ev.Pod.Spec.NodeName == "" {
-			delete(w.bound[g], name) // preempted
-		}
-	default:
-		return
-	}
-	// Settled gang (no permits outstanding): all-or-nothing. Bound plus
-	// finished members must cover the group, or nothing may be placed.
-	placed := len(w.bound[g])
-	if len(w.held[g]) == 0 && placed > 0 && placed+len(w.terminal[g]) < w.minMember[g] {
-		w.partial++
-	}
-	if placed >= w.minMember[g] {
-		if _, ok := w.fullAt[g]; !ok {
-			w.fullAt[g] = w.clk.Now()
-		}
-	}
 }
 
 // gangPodFromJob shapes one gang member from a trace job: every member
@@ -221,12 +140,16 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 	st := stack.New(apiserver.WithAdmission(apiserver.AdmitStrict))
 	clk, srv := st.Clk, st.Srv
 
-	// Both watchers subscribe before Start — before any node or pod
-	// exists — so the replayed stream is complete.
-	capWatch := newCapacityWatcher()
-	defer srv.Subscribe(capWatch.onEvent)()
-	gangWatch := newGangWatcher(clk)
-	defer srv.Subscribe(gangWatch.onEvent)()
+	// The model subscribes before Start, before any node or pod exists; a
+	// partial gang counts at every event of the gang that finds it so.
+	m, refused, partial := model.New(apiserver.AdmitStrict), 0, 0
+	defer srv.Subscribe(func(ev apiserver.WatchEvent) {
+		if m.Apply(ev) != nil {
+			refused++
+		} else if ev.Pod != nil && ev.Pod.Spec.InGang() && m.Gangs[ev.Pod.Spec.PodGroup].Partial() {
+			partial++
+		}
+	})()
 
 	if err := st.Start(stack.Config{Nodes: stack.Fleet(cfg.StdNodes, 0, 0, false)}); err != nil {
 		return GangExpResult{}, fmt.Errorf("gang: %w", err)
@@ -285,8 +208,8 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 		GangSize:          cfg.GangSize,
 		Completed:         completed,
 		DrainTime:         clk.Since(start),
-		PartialPlacements: gangWatch.partial,
-		Violations:        capWatch.violations,
+		PartialPlacements: partial,
+		Violations:        refused,
 		LeakedPermits:     srv.ReservationCount(),
 	}
 	ds := dir.Stats()
@@ -294,13 +217,12 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 	res.PermitTimeouts = ds.Timeouts
 	var sum time.Duration
 	n := 0
-	for g, at := range gangWatch.fullAt {
-		d := at.Sub(gangWatch.submitted[g])
-		sum += d
-		if d > res.MaxTimeToFullGang {
-			res.MaxTimeToFullGang = d
+	for _, g := range m.Gangs {
+		if d := g.FullAt.Sub(g.SubmittedAt); !g.FullAt.IsZero() {
+			sum += d
+			res.MaxTimeToFullGang = max(res.MaxTimeToFullGang, d)
+			n++
 		}
-		n++
 	}
 	if n > 0 {
 		res.MeanTimeToFullGang = sum / time.Duration(n)

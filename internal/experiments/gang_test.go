@@ -3,6 +3,7 @@ package experiments
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestGangScenarioAllOrNothing: at every fleet size the backlog drains
@@ -15,6 +16,19 @@ func TestGangScenarioAllOrNothing(t *testing.T) {
 	}
 	if len(results) != 3 {
 		t.Fatalf("got %d results, want 3", len(results))
+	}
+	// Time-to-full-gang at 1 / 2 / 4 shards, pinned to every earlier
+	// commit's: it is read off the watch stream's status stamps.
+	wantFull := [][2]time.Duration{
+		{22500 * time.Millisecond, 40 * time.Second},
+		{17500 * time.Millisecond, 35 * time.Second},
+		{14375 * time.Millisecond, 30 * time.Second},
+	}
+	for i, res := range results {
+		if got := [2]time.Duration{res.MeanTimeToFullGang, res.MaxTimeToFullGang}; got != wantFull[i] {
+			t.Errorf("shards=%d: mean / max time-to-full-gang = %v / %v, want %v / %v",
+				res.Shards, got[0], got[1], wantFull[i][0], wantFull[i][1])
+		}
 	}
 	for _, res := range results {
 		if !res.Completed {
@@ -52,5 +66,9 @@ func TestGangDrainDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("nondeterministic gang drain:\n  a = %+v\n  b = %+v", a, b)
+	}
+	if a.MeanTimeToFullGang != 14375*time.Millisecond || a.MaxTimeToFullGang != 30*time.Second {
+		t.Fatalf("mean / max time-to-full-gang = %v / %v, want 14.375s / 30s",
+			a.MeanTimeToFullGang, a.MaxTimeToFullGang)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stack"
 )
@@ -19,7 +20,7 @@ import (
 // the same Borg backlog through the admission-checked conditional bind,
 // reporting backlog-drain throughput, the optimistic-concurrency conflict
 // rate, and the safety invariant — no node's committed requests ever
-// exceed its allocatable — asserted post-hoc from the watch event stream.
+// exceed its allocatable — asserted from the watch event stream.
 
 // MultiSchedConfig parameterises one backlog drain.
 type MultiSchedConfig struct {
@@ -91,10 +92,9 @@ type MultiSchedResult struct {
 	Conflicts    int
 	Attempts     int64
 	ConflictRate float64
-	// Violations counts capacity-invariant breaches derived from the
-	// watch event stream (must be zero) plus any kubelet OutOfEPC
-	// admission failures (the defense-in-depth layer the conditional bind
-	// makes unreachable).
+	// Violations counts the watch events the reference model refused (must
+	// be zero) plus any kubelet OutOfEPC admission failures (the
+	// defense-in-depth layer the conditional bind makes unreachable).
 	Violations int
 	// Failed counts jobs that ended Failed.
 	Failed int
@@ -107,66 +107,6 @@ type MultiSchedComparison struct {
 	// single-scheduler run.
 	SpeedupX2 float64
 	SpeedupX4 float64
-}
-
-// capacityWatcher re-derives every node's committed requests from the
-// watch event stream alone and counts the instants a node exceeds its
-// allocatable — the post-hoc safety check the admission-checked bind must
-// make impossible.
-type capacityWatcher struct {
-	alloc      map[string]resource.List
-	committed  map[string]resource.List
-	bound      map[string]boundCharge
-	violations int
-}
-
-type boundCharge struct {
-	node string
-	req  resource.List
-}
-
-func newCapacityWatcher() *capacityWatcher {
-	return &capacityWatcher{
-		alloc:     make(map[string]resource.List),
-		committed: make(map[string]resource.List),
-		bound:     make(map[string]boundCharge),
-	}
-}
-
-// onEvent applies one watch event. Callbacks are serialized by the API
-// server's delivery ordering, so no locking is needed.
-func (w *capacityWatcher) onEvent(ev apiserver.WatchEvent) {
-	switch ev.Type {
-	case apiserver.NodeRegistered, apiserver.NodeUpdated:
-		w.alloc[ev.Node.Name] = ev.Node.Allocatable
-	case apiserver.PodBound, apiserver.PodPermitHeld:
-		// A gang permit commits its capacity on the node exactly like a
-		// bind; the later PodBound from the group commit must not
-		// double-charge the member.
-		if _, held := w.bound[ev.Pod.Name]; held && ev.Type == apiserver.PodBound {
-			w.check(ev.Pod.Spec.NodeName)
-			return
-		}
-		req := ev.Pod.TotalRequests()
-		w.committed[ev.Pod.Spec.NodeName] = w.committed[ev.Pod.Spec.NodeName].Add(req)
-		w.bound[ev.Pod.Name] = boundCharge{node: ev.Pod.Spec.NodeName, req: req}
-		w.check(ev.Pod.Spec.NodeName)
-	case apiserver.PodUpdated, apiserver.PodPermitReleased:
-		c, ok := w.bound[ev.Pod.Name]
-		if ok && (ev.Type == apiserver.PodPermitReleased || ev.Pod.IsTerminal() || ev.Pod.Spec.NodeName == "") {
-			w.committed[c.node] = w.committed[c.node].Sub(c.req)
-			delete(w.bound, ev.Pod.Name)
-		}
-	}
-}
-
-func (w *capacityWatcher) check(node string) {
-	alloc := w.alloc[node]
-	for r, v := range w.committed[node] {
-		if v > alloc[r] {
-			w.violations++
-		}
-	}
 }
 
 // multiSchedPod converts one backlog job into a pod. Workloads sleep for
@@ -202,18 +142,21 @@ func multiSchedPod(job borg.Job, sgxJob bool) *api.Pod {
 // and measures how long a fleet of cfg.Shards schedulers takes to bind it
 // all. The API server runs strict request-sum admission (the schedulers
 // are request-only, so request sums are exactly the invariant each
-// believes it maintains), every bind is conditional, and a watch
-// subscriber re-derives node commitments from events to prove no node was
-// ever overcommitted.
+// believes it maintains), every bind is conditional, and the reference
+// model replays the watch stream to prove no node was ever overcommitted.
 func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 	cfg = cfg.withDefaults()
 	st := stack.New(apiserver.WithAdmission(apiserver.AdmitStrict))
 	clk, srv := st.Clk, st.Srv
 
-	// The watcher subscribes before Start so it observes node
-	// registrations, and unsubscribes after Close.
-	watcher := newCapacityWatcher()
-	defer srv.Subscribe(watcher.onEvent)()
+	// The reference model subscribes before Start so it knows every
+	// node's allocatable, and unsubscribes after Close.
+	m, refused := model.New(apiserver.AdmitStrict), 0
+	defer srv.Subscribe(func(ev apiserver.WatchEvent) {
+		if m.Apply(ev) != nil {
+			refused++
+		}
+	})()
 
 	if err := st.Start(stack.Config{Nodes: stack.Fleet(cfg.StdNodes, cfg.SGXNodes, stack.DefaultEPC, false)}); err != nil {
 		return MultiSchedResult{}, fmt.Errorf("multisched: %w", err)
@@ -260,7 +203,7 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 	if bs.Attempts > 0 {
 		res.ConflictRate = float64(bs.RejectedCapacity+bs.RejectedNodeState) / float64(bs.Attempts)
 	}
-	res.Violations = watcher.violations
+	res.Violations = refused
 	for _, p := range srv.ListPods(func(p *api.Pod) bool { return p.Status.Phase == api.PodFailed }) {
 		res.Failed++
 		if strings.Contains(p.Status.Reason, "OutOfEPC") {

@@ -9,6 +9,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/influxql"
+	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
 )
 
@@ -17,11 +18,11 @@ import (
 // instrumented stack while the registry self-scrapes into the same TSDB
 // that holds the container metrics; afterwards the per-class submit→bind
 // p99 is read back through InfluxQL, and the run cross-checks the
-// telemetry against ground truth independently re-derived from the watch
-// event stream. Any disagreement — trace sequence regressions, histogram
-// totals diverging from the event stream, metrics the scrape failed to
-// materialise — is reported as a violation, not an error: the harness
-// completes and lets the caller decide how loudly to fail.
+// telemetry against ground truth the reference model re-derives from the
+// watch stream. Any disagreement — trace sequence regressions, histogram
+// totals diverging from the stream, metrics the scrape failed to
+// materialise, events the model refused — is a violation, not an error:
+// the harness completes and lets the caller decide how loudly to fail.
 
 // ObservabilityConfig parameterises one instrumented run.
 type ObservabilityConfig struct {
@@ -110,54 +111,14 @@ type ObservabilityResult struct {
 	Violations []string
 }
 
-// obsEventCounter independently re-derives lifecycle ground truth from
-// the watch stream: binds per class, and run transitions per scheduling
-// cycle (a preemption requeue to Pending starts a new cycle) — the exact
-// identities the lifecycle tracker's histograms must reproduce.
-type obsEventCounter struct {
-	binds   map[api.WorkloadClass]int
-	runs    int
-	running map[string]bool
-}
-
-func newObsEventCounter() *obsEventCounter {
-	return &obsEventCounter{
-		binds:   make(map[api.WorkloadClass]int),
-		running: make(map[string]bool),
-	}
-}
-
-func (c *obsEventCounter) onEvent(ev apiserver.WatchEvent) {
-	switch ev.Type {
-	case apiserver.PodBound:
-		c.binds[ev.Pod.Spec.WorkloadClass()]++
-	case apiserver.PodUpdated:
-		switch ev.Pod.Status.Phase {
-		case api.PodRunning:
-			if !c.running[ev.Pod.Name] {
-				c.running[ev.Pod.Name] = true
-				c.runs++
-			}
-		default:
-			delete(c.running, ev.Pod.Name)
-		}
-	}
-}
-
-func (c *obsEventCounter) totalBinds() int {
-	total := 0
-	for _, n := range c.binds {
-		total += n
-	}
-	return total
-}
-
 // Observability runs the instrumented mixed-class drain and audits the
 // telemetry it produced.
 func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	cfg = cfg.withDefaults()
 	reg := telemetry.New()
 	ring := telemetry.NewTraceRing(0)
+	// Ground truth: the reference model reads the tracker's stream.
+	m, refused := model.New(apiserver.AdmitGuarded), 0
 	tb, err := NewTestbed(TestbedConfig{
 		UseMetrics:        true,
 		SchedulerInterval: cfg.Interval,
@@ -166,15 +127,16 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 		Telemetry:         reg,
 		Trace:             ring,
 		TraceDetailEvery:  cfg.TraceDetailEvery,
+		tap: func(ev apiserver.WatchEvent) {
+			if m.Apply(ev) != nil {
+				refused++
+			}
+		},
 	})
 	if err != nil {
 		return ObservabilityResult{}, err
 	}
 	defer tb.Close()
-
-	// Ground truth and the lifecycle tracker consume the same stream.
-	counter := newObsEventCounter()
-	defer tb.Srv.Subscribe(counter.onEvent)()
 	tb.Observe(reg, cfg.ScrapeInterval)
 
 	trace := borg.NewGenerator(borg.DefaultConfig(cfg.Seed)).EvalSlice()
@@ -226,17 +188,22 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	scrapes := int64(tb.Clk.Since(start)/cfg.ScrapeInterval) + 1
 
 	res := ObservabilityResult{
-		Jobs:          need,
-		Completed:     completed,
-		DrainTime:     tb.Clk.Since(start),
-		Passes:        reg.Counter("scheduler_passes_total").Value(),
-		Scrapes:       scrapes,
-		BindsObserved: counter.totalBinds(),
-		RunsObserved:  counter.runs,
-		PerClass:      make(map[string]ObservabilityClassOutcome),
+		Jobs:      need,
+		Completed: completed,
+		DrainTime: tb.Clk.Since(start),
+		Passes:    reg.Counter("scheduler_passes_total").Value(),
+		Scrapes:   scrapes,
+		PerClass:  make(map[string]ObservabilityClassOutcome),
+	}
+	for _, tally := range m.ByClass {
+		res.BindsObserved += tally.Binds
+		res.RunsObserved += tally.Runs
 	}
 	violate := func(format string, args ...any) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
+	}
+	if refused > 0 {
+		violate("the reference model refused %d watch events", refused)
 	}
 
 	// Trace-ring invariants: non-empty, strictly increasing Seq, pending
@@ -282,17 +249,17 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 		startupTotal += reg.HistogramVec("lifecycle_startup_seconds", "class", nil).With(label).Count()
 		totalTotal += reg.HistogramVec("lifecycle_submit_to_run_seconds", "class", nil).With(label).Count()
 	}
-	if queueTotal != int64(counter.totalBinds()) {
-		violate("queue histogram total %d != event-derived binds %d", queueTotal, counter.totalBinds())
+	if queueTotal != int64(res.BindsObserved) {
+		violate("queue histogram total %d != event-derived binds %d", queueTotal, res.BindsObserved)
 	}
-	if startupTotal != int64(counter.runs) {
-		violate("startup histogram total %d != event-derived runs %d", startupTotal, counter.runs)
+	if startupTotal != int64(res.RunsObserved) {
+		violate("startup histogram total %d != event-derived runs %d", startupTotal, res.RunsObserved)
 	}
-	if totalTotal != int64(counter.runs) {
-		violate("submit-to-run histogram total %d != event-derived runs %d", totalTotal, counter.runs)
+	if totalTotal != int64(res.RunsObserved) {
+		violate("submit-to-run histogram total %d != event-derived runs %d", totalTotal, res.RunsObserved)
 	}
-	if binds := tb.Tracker.BindsObserved(); binds != int64(counter.totalBinds()) {
-		violate("tracker binds %d != event-derived binds %d", binds, counter.totalBinds())
+	if binds := tb.Tracker.BindsObserved(); binds != int64(res.BindsObserved) {
+		violate("tracker binds %d != event-derived binds %d", binds, res.BindsObserved)
 	}
 	if res.Passes == 0 {
 		violate("scheduler_passes_total = 0 after a full drain")
@@ -300,8 +267,8 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	if got := reg.Histogram("scheduler_pass_duration_seconds", nil).Count(); got != res.Passes {
 		violate("pass duration histogram count %d != passes_total %d", got, res.Passes)
 	}
-	if got := reg.Histogram("apiserver_bind_latency_seconds", nil).Count(); got < int64(counter.totalBinds()) {
-		violate("bind latency count %d < binds %d", got, counter.totalBinds())
+	if got := reg.Histogram("apiserver_bind_latency_seconds", nil).Count(); got < int64(res.BindsObserved) {
+		violate("bind latency count %d < binds %d", got, res.BindsObserved)
 	}
 
 	// Read the per-class submit→bind quantiles back out of the TSDB the
@@ -323,7 +290,7 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 			if class == api.ClassBestEffort {
 				out.Jobs = fillers
 			}
-			out.Binds = counter.binds[class]
+			out.Binds = m.ByClass[class.Slot()].Binds
 			if v, ok := byClass[label]; ok {
 				*field(&out) = v
 			} else if out.Binds > 0 {

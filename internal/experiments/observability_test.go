@@ -16,6 +16,9 @@ func TestObservabilityCleanRun(t *testing.T) {
 	if res.BindsObserved < res.Jobs {
 		t.Fatalf("binds observed %d < jobs %d", res.BindsObserved, res.Jobs)
 	}
+	if res.BindsObserved != 48 || res.RunsObserved != 48 {
+		t.Fatalf("binds / runs observed = %d / %d, want 48 / 48", res.BindsObserved, res.RunsObserved)
+	}
 	if res.Passes == 0 || res.Traces == 0 || res.DetailedTraces == 0 {
 		t.Fatalf("instrumentation silent: passes=%d traces=%d detailed=%d",
 			res.Passes, res.Traces, res.DetailedTraces)
@@ -45,5 +48,8 @@ func TestObservabilityDeterministic(t *testing.T) {
 	if a.BindsObserved != b.BindsObserved || a.RunsObserved != b.RunsObserved ||
 		a.Passes != b.Passes || a.DrainTime != b.DrainTime {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
+	}
+	if a.BindsObserved != 36 || a.RunsObserved != 36 {
+		t.Fatalf("binds / runs observed = %d / %d, want 36 / 36", a.BindsObserved, a.RunsObserved)
 	}
 }

@@ -60,6 +60,8 @@ type TestbedConfig struct {
 	// TraceDetailEvery samples detailed (per-pod, per-plugin) tracing on
 	// every Nth instrumented pass (scheduler default when 0).
 	TraceDetailEvery int
+	// tap, when set, sees the whole watch stream, first node included.
+	tap func(apiserver.WatchEvent)
 }
 
 func (c TestbedConfig) withDefaults() TestbedConfig {
@@ -97,6 +99,9 @@ type Testbed struct {
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	cfg = cfg.withDefaults()
 	st := stack.New(apiserver.WithTelemetry(cfg.Telemetry))
+	if cfg.tap != nil {
+		st.OnClose(st.Srv.Subscribe(cfg.tap))
+	}
 	if err := st.Start(stack.Config{
 		Nodes:          stack.WithMaster(stack.Fleet(cfg.StdNodeCount, cfg.SGXNodeCount, cfg.EPCSize, cfg.SGX2)),
 		NoEnforcement:  !cfg.Enforcement,

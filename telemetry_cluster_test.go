@@ -7,8 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
+	"github.com/sgxorch/sgxorch/internal/model"
 )
 
 // TestLifecycleHistogramsMatchEventStream is the enabled-registry
@@ -17,8 +17,9 @@ import (
 // itself — every PodBound event is exactly one submit→bind sample, and
 // every transition to Running exactly one bind→run sample per
 // scheduling cycle (a preemption requeue back to Pending starts a new
-// cycle). An independent subscriber on the same event ring derives the
-// expected counts; the tracker is never consulted for them.
+// cycle). The reference model (internal/model), subscribed on the same
+// event ring, derives the expected counts; the tracker is never
+// consulted for them.
 func TestLifecycleHistogramsMatchEventStream(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{SchedulerInterval: time.Second})
 	if err != nil {
@@ -26,25 +27,15 @@ func TestLifecycleHistogramsMatchEventStream(t *testing.T) {
 	}
 	defer c.Close()
 
-	var observedBinds, observedRuns int
-	runningSeen := make(map[string]bool)
+	// The model joins after the nodes registered, so it knows no node's
+	// allocatable; the jobs request no EPC from a guarded server, so no
+	// capacity rule reaches what it does not know.
+	m := model.New(apiserver.AdmitGuarded)
+	var refused error
 	unsub := c.st.Srv.SubscribeBatch(func(evs []apiserver.WatchEvent) {
 		for _, ev := range evs {
-			switch ev.Type {
-			case apiserver.PodBound:
-				observedBinds++
-			case apiserver.PodUpdated:
-				switch ev.Pod.Status.Phase {
-				case api.PodRunning:
-					if !runningSeen[ev.Pod.Name] {
-						runningSeen[ev.Pod.Name] = true
-						observedRuns++
-					}
-				case api.PodPending: // preemption requeue: a new cycle begins
-					delete(runningSeen, ev.Pod.Name)
-				case api.PodSucceeded, api.PodFailed:
-					delete(runningSeen, ev.Pod.Name)
-				}
+			if err := m.Apply(ev); err != nil && refused == nil {
+				refused = err
 			}
 		}
 	}, nil)
@@ -73,6 +64,14 @@ func TestLifecycleHistogramsMatchEventStream(t *testing.T) {
 	}
 	c.AdvanceTime(2 * time.Minute)
 
+	if refused != nil {
+		t.Fatalf("the reference model refused the stream: %v", refused)
+	}
+	var observedBinds, observedRuns int
+	for _, tally := range m.ByClass {
+		observedBinds += tally.Binds
+		observedRuns += tally.Runs
+	}
 	if observedBinds == 0 || observedRuns == 0 {
 		t.Fatalf("workload too gentle: binds=%d runs=%d", observedBinds, observedRuns)
 	}
