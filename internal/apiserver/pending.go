@@ -21,7 +21,7 @@ import (
 // scheduling pass sees a whole gang adjacently instead of interleaved
 // with unrelated pods (which would strand permits across passes).
 type pendingQueue struct {
-	prios   []int32 // distinct priorities present, sorted descending
+	prios   []int32 // distinct priorities ever pushed, sorted descending; a tier may be empty
 	buckets map[int32]*pendingBucket
 	idx     map[string]int32  // pod name → its bucket's priority
 	groupOf map[string]string // pod name → pod group (gang members only)
@@ -139,9 +139,11 @@ func (q *pendingQueue) Push(name string, seq uint64, prio int32, group string, c
 }
 
 // Remove drops a pod from the queue (no-op when absent): its slot is
-// tombstoned in O(1), the bucket compacted once tombstones outnumber live
-// entries, and emptied tiers are deleted so the tier list only holds
-// priorities actually queued.
+// tombstoned in O(1) and the bucket compacted once tombstones outnumber
+// live entries. An emptied tier keeps its bucket, truncated, and its place
+// in the tier list: most pods of a replay arrive into an empty queue, and
+// the next push into the tier then allocates nothing. A walk steps over an
+// empty tier, and PriorityCounts skips it.
 func (q *pendingQueue) Remove(name string) {
 	prio, ok := q.idx[name]
 	if !ok {
@@ -172,9 +174,9 @@ func (q *pendingQueue) Remove(name string) {
 		}
 	}
 	if len(b.byName) == 0 {
-		delete(q.buckets, prio)
-		i := sort.Search(len(q.prios), func(i int) bool { return q.prios[i] <= prio })
-		q.prios = append(q.prios[:i], q.prios[i+1:]...)
+		// Every entry is a tombstone, so truncating drops no name.
+		b.entries = b.entries[:0]
+		b.dead, b.head = 0, 0
 		return
 	}
 	if b.dead <= len(b.entries)/2 {
@@ -207,11 +209,11 @@ const pendingChunk = 64
 // pendingCursor is where a walk of one queue stands, as a plain value:
 // the tier it is in and the first stamp of that tier it has not examined,
 // never an index or a pointer. Whatever happens to the queue between two
-// pulls — tombstones compacted, the tier emptied and deleted, the whole
-// per-scheduler sub-queue dropped and re-created — the next pull finds
-// its place again by binary search. horizon is the set's next stamp when
-// the walk began: the walk never delivers a stamp at or beyond it, so it
-// sees the queue as it stood then, minus what has left since.
+// pulls — tombstones compacted, the tier or the whole per-scheduler
+// sub-queue emptied and refilled — the next pull finds its place again by
+// binary search. horizon is the set's next stamp when the walk began: the
+// walk never delivers a stamp at or beyond it, so it sees the queue as it
+// stood then, minus what has left since.
 type pendingCursor struct {
 	prio    int32
 	seq     uint64
@@ -347,7 +349,8 @@ func (ps *pendingSet) Push(name, sched string, prio int32, group string, class a
 	q.Push(name, seq, prio, group, class)
 }
 
-// Remove drops a pod from both views (no-op when absent).
+// Remove drops a pod from both views (no-op when absent). A scheduler's
+// emptied sub-queue is kept, like an emptied tier, for its next push.
 func (ps *pendingSet) Remove(name, sched string) {
 	ps.all.Remove(name)
 	if sched == "" {
@@ -355,14 +358,11 @@ func (ps *pendingSet) Remove(name, sched string) {
 	}
 	if q, ok := ps.bySched[sched]; ok {
 		q.Remove(name)
-		if q.Len() == 0 {
-			delete(ps.bySched, sched)
-		}
 	}
 }
 
 // queue returns the named scheduler's view (the empty name: the global
-// queue), nil when the scheduler has nothing queued.
+// queue), nil when the scheduler has never had a pod queued.
 func (ps *pendingSet) queue(sched string) *pendingQueue {
 	if sched == "" {
 		return ps.all

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -475,16 +476,18 @@ func modelNames(pods []modelPod) []string {
 // pods as noise) that keep changing between pulls: pods removed ahead of
 // and behind the cursor, removed pods re-pushed (the preemption
 // re-queue), fresh pushes, removals in bulk (tombstone compaction, tiers
-// deleted) and the whole sub-queue emptied, dropped and re-created.
+// emptied), one tier emptied and refilled, and the whole sub-queue
+// emptied, kept and refilled.
 //
 // Two statements, the second the stronger: (1) every pull delivers
 // exactly the next names of today's order over what is live now and older
 // than the horizon, from where the walk stands — so the walk as a whole
 // delivers the start snapshot minus the pods removed before they were
-// reached, each once, and nothing pushed after it began; (2) as long as
-// no gang member was removed mid-walk (removing a gang's first member
-// moves where the rest of it surfaces), the delivered sequence IS that
-// snapshot with the removed pods struck out, position for position.
+// reached, each once, and nothing pushed after it began, a refill of an
+// emptied tier or sub-queue included; (2) as long as no gang member was
+// removed mid-walk (removing a gang's first member moves where the rest of
+// it surfaces), the delivered sequence IS that snapshot with the removed
+// pods struck out, position for position.
 func TestPendingPullModelProperty(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -605,7 +608,7 @@ func TestPendingPullModelProperty(t *testing.T) {
 			}
 
 			for ops := rng.Intn(6); ops > 0; ops-- {
-				switch op := rng.Intn(10); {
+				switch op := rng.Intn(11); {
 				case op < 4 && len(live) > 0:
 					take(rng.Intn(len(live)))
 				case op < 6 && len(removed) > 0: // the preemption re-queue
@@ -615,16 +618,29 @@ func TestPendingPullModelProperty(t *testing.T) {
 					push(p.name, p.prio, p.group)
 				case op < 8:
 					pushFresh()
-				case op == 8: // bulk removal: compaction, tiers deleted
+				case op == 8: // bulk removal: compaction, tiers emptied
 					for n := len(live) * 2 / 3; n > 0; n-- {
 						take(rng.Intn(len(live)))
 					}
-				default: // the sub-queue emptied, dropped, re-created
+				case op == 9 && len(live) > 0: // one tier emptied, kept, refilled
+					prio := live[rng.Intn(len(live))].prio
+					for i := len(live) - 1; i >= 0; i-- {
+						if live[i].prio == prio {
+							take(i)
+						}
+					}
+					if b := ps.bySched["s"].buckets[prio]; b == nil || len(b.entries) != 0 || !slices.Contains(ps.bySched["s"].prios, prio) {
+						t.Fatalf("seed %d: emptied tier %d was not kept, truncated", seed, prio)
+					}
+					serial++
+					push(fmt.Sprintf("p%04d", serial), prio, "")
+				default: // the sub-queue emptied, kept, refilled
+					kept := ps.bySched["s"]
 					for len(live) > 0 {
 						take(len(live) - 1)
 					}
-					if ps.bySched["s"] != nil {
-						t.Fatalf("seed %d: emptied sub-queue was kept", seed)
+					if ps.bySched["s"] != kept || kept.Len() != 0 {
+						t.Fatalf("seed %d: emptied sub-queue was not kept", seed)
 					}
 					pushFresh()
 				}
@@ -647,6 +663,36 @@ func TestPendingPullModelProperty(t *testing.T) {
 		if fmt.Sprint(delivered) != fmt.Sprint(want) {
 			t.Fatalf("seed %d (gang member removed mid-walk: %v): delivered\n%v, want\n%v", seed, gangTouched, delivered, want)
 		}
+	}
+}
+
+// TestPendingPushIntoEmptiedQueueAllocatesNothing: a pod arriving into
+// an empty queue — the common case of the paper's replay — finds its
+// scheduler's sub-queue and its tier where the last pod left them, so once
+// their maps and slices have grown the push and the removal that empties
+// them again allocate nothing. Dropping either on empty re-made four maps
+// and a bucket per arrival.
+func TestPendingPushIntoEmptiedQueueAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ps := newPendingSet()
+	names := [...]string{"a", "b", "c", "d"}
+	i := 0
+	cycle := func() {
+		name := names[i%len(names)]
+		i++
+		ps.Push(name, "s", 3, "", api.ClassBatch)
+		ps.Remove(name, "s")
+	}
+	for range 16 {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("a push into an emptied, kept sub-queue and tier allocates %v times, want 0", got)
+	}
+	if ps.Len() != 0 || ps.bySched["s"] == nil || len(ps.bySched["s"].prios) != 1 {
+		t.Fatalf("queue after the cycles: %d queued, sub-queue %v", ps.Len(), ps.bySched["s"])
 	}
 }
 

@@ -152,7 +152,8 @@ func (d *Driver) ClearLimit(cgroupPath string) {
 
 // PagesForCgroup aggregates EPC occupancy per pod (via its cgroup path) —
 // the quantity the SGX metrics probe pushes into the time-series database
-// (§V-C).
+// (§V-C). The package keeps the total as enclaves commit and release
+// pages, so this is a lookup, not a walk of the pod's enclaves.
 func (d *Driver) PagesForCgroup(cgroupPath string) int64 {
 	return d.pkg.PagesForCgroup(cgroupPath)
 }

@@ -23,9 +23,9 @@ func (d *Driver) IoctlAugmentPages(e *sgx.Enclave, n int64) error {
 		d.mu.Lock()
 		limit, ok := d.limits[e.CgroupPath]
 		d.mu.Unlock()
-		if ok && d.pkg.PagesForCgroup(e.CgroupPath)+n > limit {
+		if used := d.pkg.PagesForCgroup(e.CgroupPath); ok && used+n > limit {
 			return fmt.Errorf("%w: cgroup %s at %d pages, +%d exceeds limit %d",
-				ErrEnclaveDenied, e.CgroupPath, d.pkg.PagesForCgroup(e.CgroupPath), n, limit)
+				ErrEnclaveDenied, e.CgroupPath, used, n, limit)
 		}
 	}
 	return e.AugmentPages(n)

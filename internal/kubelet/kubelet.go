@@ -56,7 +56,15 @@ type Kubelet struct {
 	pods        map[string]*podEntry
 	unsubscribe func()
 	started     bool
+
+	// PodStats' buffers, reused by every call: the (name, cgroup) pairs
+	// read under mu and the stats handed to the collector.
+	statsMu  sync.Mutex
+	statRefs []statRef
+	stats    []PodStat
 }
+
+type statRef struct{ name, cgroup string }
 
 type podEntry struct {
 	cgroup     string
@@ -477,24 +485,32 @@ func (k *Kubelet) releaseLocked(entry *podEntry) {
 // PodStats reports per-pod usage for this node's pods — the stats
 // endpoint Heapster and the SGX probe scrape (§V-C) — sorted by pod name
 // so the metric write order, and with it the streaming aggregator's event
-// order, is identical across identical runs.
+// order, is identical across identical runs. Each pod's figures are two
+// lookups of totals the machine and its SGX package keep.
+//
+// The returned slice belongs to the kubelet and is valid until the next
+// PodStats call, which refills it: a collector reads it before returning
+// and never keeps it. Once the buffers have grown to the node's pod count
+// a call allocates nothing.
 func (k *Kubelet) PodStats() []PodStat {
-	type ref struct{ name, cgroup string }
+	k.statsMu.Lock()
+	defer k.statsMu.Unlock()
+	refs := k.statRefs[:0]
 	k.mu.Lock()
-	refs := make([]ref, 0, len(k.pods))
 	for name, e := range k.pods {
-		refs = append(refs, ref{name: name, cgroup: e.cgroup})
+		refs = append(refs, statRef{name: name, cgroup: e.cgroup})
 	}
 	k.mu.Unlock()
-	slices.SortFunc(refs, func(a, b ref) int { return strings.Compare(a.name, b.name) })
+	slices.SortFunc(refs, func(a, b statRef) int { return strings.Compare(a.name, b.name) })
 
-	out := make([]PodStat, len(refs))
-	for i, r := range refs {
-		out[i] = PodStat{
+	out := k.stats[:0]
+	for _, r := range refs {
+		out = append(out, PodStat{
 			PodName:     r.name,
 			MemoryBytes: k.mach.VMBytesByCgroup(r.cgroup),
 			EPCBytes:    resource.BytesForPages(k.mach.EPCPagesByCgroup(r.cgroup)),
-		}
+		})
 	}
+	k.statRefs, k.stats = refs, out
 	return out
 }

@@ -41,8 +41,12 @@ type Machine struct {
 
 	mu      sync.Mutex
 	usedRAM int64
-	procs   map[int]*Process
-	nextPID int
+	// vmByCgroup is usedRAM by cgroup, moved with it: the collectors read a
+	// pod's memory without visiting its processes. A cgroup at zero has no
+	// entry.
+	vmByCgroup map[string]int64
+	procs      map[int]*Process
+	nextPID    int
 }
 
 // Option configures a Machine.
@@ -77,11 +81,12 @@ func WithSGX2(geo sgx.Geometry, driverOpts ...isgx.Option) Option {
 // millicores.
 func New(name string, ramBytes, cpuMillis int64, opts ...Option) *Machine {
 	m := &Machine{
-		name:      name,
-		ramBytes:  ramBytes,
-		cpuMillis: cpuMillis,
-		procs:     make(map[int]*Process),
-		nextPID:   1,
+		name:       name,
+		ramBytes:   ramBytes,
+		cpuMillis:  cpuMillis,
+		vmByCgroup: make(map[string]int64),
+		procs:      make(map[int]*Process),
+		nextPID:    1,
 	}
 	for _, o := range opts {
 		o(m)
@@ -180,7 +185,7 @@ func (p *Process) AllocVM(bytes int64) error {
 		return fmt.Errorf("%w: used %d + %d > %d", ErrOutOfMemory,
 			p.m.usedRAM, bytes, p.m.ramBytes)
 	}
-	p.m.usedRAM += bytes
+	p.m.chargeLocked(p.CgroupPath, bytes)
 	p.vmBytes += bytes
 	return nil
 }
@@ -195,7 +200,7 @@ func (p *Process) FreeVM(bytes int64) {
 		bytes = p.vmBytes
 	}
 	p.vmBytes -= bytes
-	p.m.usedRAM -= bytes
+	p.m.chargeLocked(p.CgroupPath, -bytes)
 }
 
 // VMBytes returns the process's current virtual-memory allocation.
@@ -249,27 +254,33 @@ func (p *Process) Kill() {
 	}
 
 	p.m.mu.Lock()
-	p.m.usedRAM -= vm
+	p.m.chargeLocked(p.CgroupPath, -vm)
 	delete(p.m.procs, p.PID)
 	p.m.mu.Unlock()
 }
 
-// VMBytesByCgroup sums the virtual memory of all live processes in the
+// chargeLocked moves the machine's and the cgroup's memory by bytes.
+// Caller must hold m.mu.
+func (m *Machine) chargeLocked(cgroupPath string, bytes int64) {
+	m.usedRAM += bytes
+	if v := m.vmByCgroup[cgroupPath] + bytes; v > 0 {
+		m.vmByCgroup[cgroupPath] = v
+	} else {
+		delete(m.vmByCgroup, cgroupPath)
+	}
+}
+
+// VMBytesByCgroup returns the virtual memory of all live processes in the
 // given cgroup — the per-pod figure the Heapster-equivalent collector
-// scrapes (§V-C).
+// scrapes (§V-C). The total is kept as processes allocate, free and die,
+// so this is a lookup.
 func (m *Machine) VMBytesByCgroup(cgroupPath string) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var total int64
-	for _, p := range m.procs {
-		if p.CgroupPath == cgroupPath {
-			total += p.VMBytes()
-		}
-	}
-	return total
+	return m.vmByCgroup[cgroupPath]
 }
 
-// EPCPagesByCgroup sums the EPC pages of the given cgroup via the driver —
+// EPCPagesByCgroup returns the EPC pages of the given cgroup via the driver —
 // the per-pod figure the SGX metrics probe scrapes (§V-C). Non-SGX
 // machines report zero.
 func (m *Machine) EPCPagesByCgroup(cgroupPath string) int64 {

@@ -5,8 +5,13 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/kubelet"
+	"github.com/sgxorch/sgxorch/internal/machine"
+	"github.com/sgxorch/sgxorch/internal/resource"
+	"github.com/sgxorch/sgxorch/internal/sgx"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
@@ -87,5 +92,63 @@ func TestScrapeAllocationsDoNotGrowWithPods(t *testing.T) {
 	few, many := perRound(8), perRound(64)
 	if few != many || few > 4 {
 		t.Fatalf("a scrape round allocates %v times at 8 pods and %v at 64, want the same small constant", few, many)
+	}
+}
+
+// TestScrapeOverExistingSeriesAllocatesNothing pins the whole node-stats
+// path on a real kubelet: Heapster and the SGX probe each ask the kubelet
+// for its pods' stats (read from the machine's and the SGX package's
+// per-cgroup totals into the kubelet's own buffer) and write one point per
+// pod into series that already exist. Once the buffers and point slices
+// have grown, a scrape allocates nothing; a per-call stats slice, a copy of
+// Heapster's source list or a per-pod scan that allocates would each show.
+func TestScrapeOverExistingSeriesAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	clk := clock.NewSim()
+	srv := apiserver.New(clk)
+	kl := kubelet.New(clk, srv, machine.New("sgx-1", 8*resource.GiB, 8000, machine.WithSGX(sgx.DefaultGeometry())))
+	if err := kl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer kl.Stop()
+	const pods = 8
+	for i := 0; i < pods; i++ {
+		name := fmt.Sprintf("job-%d", i)
+		pod := &api.Pod{Name: name, Spec: api.PodSpec{Containers: []api.Container{{
+			Name:      "main",
+			Resources: api.Requirements{Requests: resource.List{resource.Memory: 64 * resource.MiB, resource.EPCPages: 256}},
+			Workload:  api.WorkloadSpec{Kind: api.WorkloadStressEPC, Duration: time.Hour, AllocBytes: resource.MiB},
+		}}}}
+		if err := srv.CreatePod(pod); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Bind(name, "sgx-1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(5 * time.Second) // admission and enclave startup
+	if st := kl.PodStats(); len(st) != pods || st[0].EPCBytes != resource.MiB {
+		t.Fatalf("stats = %+v, want %d running pods with 1 MiB of EPC each", st, pods)
+	}
+
+	db := tsdb.New(clk, tsdb.WithGCInterval(0), tsdb.WithRetention(time.Minute))
+	h := NewHeapster(clk, db, 0)
+	h.AddSource(kl)
+	p := NewProbe(clk, db, kl, 0)
+	round := func() {
+		clk.Advance(DefaultScrapeInterval)
+		h.Scrape()
+		p.Scrape()
+	}
+	for i := 0; i < 16; i++ { // point slices reach their retention size
+		round()
+	}
+	if got := testing.AllocsPerRun(50, round); got != 0 {
+		t.Fatalf("a Heapster + probe scrape over existing series allocates %v times, want 0", got)
+	}
+	if got := db.SeriesCount(); got != 2*pods {
+		t.Fatalf("%d series, want %d", got, 2*pods)
 	}
 }

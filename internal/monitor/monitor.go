@@ -8,6 +8,7 @@
 package monitor
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -36,6 +37,10 @@ const (
 const DefaultScrapeInterval = 10 * time.Second
 
 // StatsSource abstracts the kubelet stats endpoint the collectors scrape.
+// The slice PodStats returns belongs to the source and is valid until its
+// next PodStats call: a collector reads it before returning and never
+// keeps it, so a source may refill one buffer on every call (the kubelet
+// does).
 type StatsSource interface {
 	NodeName() string
 	PodStats() []kubelet.PodStat
@@ -50,7 +55,7 @@ type Heapster struct {
 	interval time.Duration
 
 	mu      sync.Mutex
-	sources []StatsSource
+	sources []StatsSource // copy-on-write: a scrape walks the slice it read under mu after unlocking
 	stop    func()
 }
 
@@ -67,7 +72,8 @@ func NewHeapster(clk clock.Clock, db *tsdb.DB, interval time.Duration) *Heapster
 func (h *Heapster) AddSource(s StatsSource) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.sources = append(h.sources, s)
+	// Clip so the append copies: a scrape in flight keeps walking the old slice.
+	h.sources = append(slices.Clip(h.sources), s)
 }
 
 // Start begins periodic scraping. It returns immediately; use Stop to
@@ -96,8 +102,7 @@ func (h *Heapster) Stop() {
 // pod. Exposed for deterministic tests and manual collection.
 func (h *Heapster) Scrape() {
 	h.mu.Lock()
-	sources := make([]StatsSource, len(h.sources))
-	copy(sources, h.sources)
+	sources := h.sources
 	h.mu.Unlock()
 	for _, src := range sources {
 		node := src.NodeName()

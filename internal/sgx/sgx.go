@@ -135,7 +135,7 @@ func (e *Enclave) AddPages(n int64) error {
 	case EnclaveInitialized:
 		return fmt.Errorf("%w: EADD after EINIT (SGX 1 forbids dynamic allocation)", ErrEnclaveState)
 	}
-	if err := e.pkg.commit(n); err != nil {
+	if err := e.pkg.commit(e, n); err != nil {
 		return err
 	}
 	e.pages += n
@@ -166,7 +166,7 @@ func (e *Enclave) Destroy() error {
 	if e.state == EnclaveDestroyedState {
 		return ErrEnclaveDestroyed
 	}
-	e.pkg.release(e.pages)
+	e.pkg.release(e, e.pages)
 	e.pkg.forget(e.ID)
 	e.pages = 0
 	e.state = EnclaveDestroyedState
@@ -186,7 +186,12 @@ type Package struct {
 	mu        sync.Mutex
 	enclaves  map[uint64]*Enclave
 	committed int64 // total committed pages across enclaves
-	nextID    uint64
+	// The same pages by owner, moved with committed: the driver's limit
+	// check and the metrics probe read a pod's (or a process's) total
+	// without visiting its enclaves. An owner at zero has no entry.
+	byCgroup map[string]int64
+	byPID    map[int]int64
+	nextID   uint64
 }
 
 // Option configures a Package.
@@ -202,6 +207,8 @@ func NewPackage(geo Geometry, opts ...Option) *Package {
 	p := &Package{
 		geo:      geo,
 		enclaves: make(map[uint64]*Enclave),
+		byCgroup: make(map[string]int64),
+		byPID:    make(map[int]int64),
 		nextID:   1,
 	}
 	for _, o := range opts {
@@ -230,8 +237,10 @@ func (p *Package) CreateEnclave(pid int, cgroupPath string) *Enclave {
 	return e
 }
 
-// commit reserves n pages of EPC.
-func (p *Package) commit(n int64) error {
+// commit reserves n pages of EPC for enclave e, charging them to its
+// process and cgroup in the same critical section: a reader never sees
+// pages committed but not yet owned.
+func (p *Package) commit(e *Enclave, n int64) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.allowOvercommit && p.committed+n > p.geo.UsablePages() {
@@ -239,15 +248,30 @@ func (p *Package) commit(n int64) error {
 			ErrEPCExhausted, p.committed, n, p.geo.UsablePages())
 	}
 	p.committed += n
+	addTotal(p.byCgroup, e.CgroupPath, n)
+	addTotal(p.byPID, e.PID, n)
 	return nil
 }
 
-func (p *Package) release(n int64) {
+// release returns n of enclave e's pages to the EPC.
+func (p *Package) release(e *Enclave, n int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.committed -= n
 	if p.committed < 0 {
 		p.committed = 0
+	}
+	addTotal(p.byCgroup, e.CgroupPath, -n)
+	addTotal(p.byPID, e.PID, -n)
+}
+
+// addTotal moves an owner's page total by n, dropping the owner once it
+// holds nothing.
+func addTotal[K comparable](totals map[K]int64, owner K, n int64) {
+	if v := totals[owner] + n; v > 0 {
+		totals[owner] = v
+	} else {
+		delete(totals, owner)
 	}
 }
 
@@ -282,13 +306,7 @@ func (p *Package) FreePages() int64 {
 func (p *Package) PagesForPID(pid int) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var total int64
-	for _, e := range p.enclaves {
-		if e.PID == pid {
-			total += e.pages
-		}
-	}
-	return total
+	return p.byPID[pid]
 }
 
 // PagesForCgroup returns the pages committed by all enclaves whose owning
@@ -297,13 +315,7 @@ func (p *Package) PagesForPID(pid int) int64 {
 func (p *Package) PagesForCgroup(cgroupPath string) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var total int64
-	for _, e := range p.enclaves {
-		if e.CgroupPath == cgroupPath {
-			total += e.pages
-		}
-	}
-	return total
+	return p.byCgroup[cgroupPath]
 }
 
 // EnclaveCount returns the number of live enclaves.

@@ -43,7 +43,7 @@ func (e *Enclave) AugmentPages(n int64) error {
 	if !e.pkg.SGX2() {
 		return ErrSGX1Only
 	}
-	if err := e.pkg.commit(n); err != nil {
+	if err := e.pkg.commit(e, n); err != nil {
 		return err
 	}
 	e.pages += n
@@ -71,7 +71,7 @@ func (e *Enclave) TrimPages(n int64) (int64, error) {
 	if n > e.pages {
 		n = e.pages
 	}
-	e.pkg.release(n)
+	e.pkg.release(e, n)
 	e.pages -= n
 	return n, nil
 }

@@ -2,6 +2,8 @@ package sgx
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -157,5 +159,59 @@ func TestDynamicAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEnclavePagesConcurrentReaders: the per-pod and per-process page
+// totals are read by the metrics probe and the driver's limit check while
+// enclaves grow and shrink (EDMM, §VI-G) on other goroutines. The totals
+// move inside the same critical section as the package's commitment, so a
+// reader sees an enclave's pages either before or after an operation,
+// never torn between the two, and (run it under -race) never reads what
+// an enclave operation is writing.
+func TestEnclavePagesConcurrentReaders(t *testing.T) {
+	const base, step, rounds = 100, 40, 2000
+	p := NewPackage(DefaultGeometry(), WithSGX2())
+	e := p.CreateEnclave(7, "/kubepods/podA")
+	if err := e.AddPages(base); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Init(); err != nil {
+		t.Fatal(err)
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for i := 0; i < rounds; i++ {
+			if err := e.AugmentPages(step); err != nil {
+				t.Error(err)
+				return
+			}
+			if n, err := e.TrimPages(step); err != nil || n != step {
+				t.Errorf("TrimPages = %d, %v; want %d", n, err, step)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for !done.Load() {
+			for _, got := range [...]int64{p.PagesForCgroup("/kubepods/podA"), p.PagesForPID(7)} {
+				if got != base && got != base+step {
+					t.Errorf("a reader saw %d pages, want %d or %d", got, base, base+step)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	if err := e.Destroy(); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := p.PagesForCgroup("/kubepods/podA"), p.PagesForPID(7); a != 0 || b != 0 || len(p.byCgroup) != 0 || len(p.byPID) != 0 {
+		t.Fatalf("after destroy: cgroup %d, pid %d pages, %d + %d owner totals kept; want none", a, b, len(p.byCgroup), len(p.byPID))
 	}
 }

@@ -26,7 +26,12 @@
 // receive the series' own stored tag set, which is immutable from
 // creation until the sweep drops the series. A writer may therefore refill
 // and reuse one map across writes, and a reader may keep the tag set it
-// was handed, but must never modify it.
+// was handed, but must never modify it. What the sweep drops is recycled:
+// a series created later takes a swept series' entry and point storage,
+// so it allocates only its key and its tag clone. Tag sets are never
+// recycled, since a reader may keep one. Point storage is, since no
+// reader holds it: Scan's window slices do not outlive the callback and
+// Series returns copies.
 package tsdb
 
 import (
@@ -131,6 +136,10 @@ type DB struct {
 	observers    []writeObserver // copy-on-write: a write walks the slice it read under mu after unlocking
 	nextObsID    int
 	keyBuf       []byte // Write's canonical-key scratch
+	// free holds swept series' entries, point capacity kept, for Write to
+	// reuse. SweepNow recycles from each measurement no more entries than
+	// it keeps live, so the list never outgrows the live series count.
+	free []*seriesEntry
 }
 
 // measurement groups the series of one measurement name. entries is kept
@@ -243,7 +252,12 @@ func (db *DB) Write(measurement string, tags Tags, value float64, t time.Time) {
 	e, ok := m.byKey[string(db.keyBuf)] // no string is built for a lookup
 	if !ok {
 		key := string(db.keyBuf)
-		e = &seriesEntry{key: key, tags: tags.Clone()}
+		if n := len(db.free); n > 0 {
+			e, db.free = db.free[n-1], db.free[:n-1]
+		} else {
+			e = &seriesEntry{}
+		}
+		e.key, e.tags = key, tags.Clone()
 		m.byKey[key] = e
 		i := sort.Search(len(m.entries), func(i int) bool { return m.entries[i].key >= key })
 		m.entries = append(m.entries, nil)
@@ -383,23 +397,36 @@ func (db *DB) SweepNow() int {
 	defer db.mu.Unlock()
 	deleted := 0
 	for name, m := range db.measurements {
-		kept := m.entries[:0]
-		for _, e := range m.entries {
-			if n := len(e.points); n == 0 || e.points[n-1].Time.Before(cutoff) {
-				delete(m.byKey, e.key)
-				deleted++
-				continue
+		// Partition in place: live entries to the front in their order,
+		// swept ones behind them.
+		kept := 0
+		for i, e := range m.entries {
+			if n := len(e.points); n > 0 && !e.points[n-1].Time.Before(cutoff) {
+				m.entries[kept], m.entries[i] = e, m.entries[kept]
+				kept++
 			}
-			kept = append(kept, e)
 		}
-		for i := len(kept); i < len(m.entries); i++ {
-			m.entries[i] = nil
+		for i, e := range m.entries[kept:] {
+			delete(m.byKey, e.key)
+			if i < kept { // recycle no more than the measurement keeps live
+				// Truncated, not cleared: a stale point references nothing
+				// but its time's Location, a package-level value, and
+				// clearing retention-sized slices would slow the sweep.
+				e.key, e.tags, e.points = "", nil, e.points[:0]
+				db.free = append(db.free, e)
+			}
 		}
-		m.entries = kept
-		if len(m.entries) == 0 {
+		deleted += len(m.entries) - kept
+		clear(m.entries[kept:])
+		m.entries = m.entries[:kept]
+		if kept == 0 {
 			delete(db.measurements, name)
 		}
 	}
 	db.nSeries -= deleted
+	if len(db.free) > db.nSeries { // entries no write took since an earlier sweep
+		clear(db.free[db.nSeries:])
+		db.free = db.free[:db.nSeries]
+	}
 	return deleted
 }

@@ -465,3 +465,60 @@ func TestObserverChurnDuringConcurrentWrites(t *testing.T) {
 		t.Fatalf("%d distinct writes delivered, want %d", got, want)
 	}
 }
+
+var (
+	sinkKey  string
+	sinkTags Tags
+)
+
+// TestSeriesCreatedAfterSweepAllocatesKeyAndTagsOnly: the series of a pod
+// that has come and gone is swept, and the next new series takes its entry
+// and its grown point slice. Creating it then allocates what identity
+// needs and nothing else — its key string and its tag clone — and filling
+// it to the size the swept series had allocates nothing. Tag sets are
+// never reused: the one a reader kept from a swept series still reads as
+// it did after another series took the entry.
+func TestSeriesCreatedAfterSweepAllocatesKeyAndTagsOnly(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	clk := clock.NewSim()
+	db := New(clk, WithRetention(time.Minute), WithGCInterval(0))
+	var kept Tags
+	db.OnWrite(func(_ string, tags Tags, _ float64, _ time.Time) {
+		if kept == nil && tags["pod_name"] == "churn-a" {
+			kept = tags
+		}
+	})
+	live := Tags{"pod_name": "live", "nodename": "n"}
+	pods := [2]Tags{{"pod_name": "churn-a", "nodename": "n"}, {"pod_name": "churn-b", "nodename": "n"}}
+	// One pod lifetime: the churned series is created, grows over eight
+	// scrapes beside a long-lived one, ages out and is swept. Successive
+	// lifetimes alternate between two pods.
+	lifetimes := 0
+	lifetime := func() {
+		churn := pods[lifetimes%2]
+		lifetimes++
+		for i := 0; i < 8; i++ {
+			clk.Advance(10 * time.Second)
+			db.WriteNow("m", live, 1)
+			db.WriteNow("m", churn, 1)
+		}
+		clk.Advance(2 * time.Minute)
+		db.WriteNow("m", live, 1)
+		if swept := db.SweepNow(); swept != 1 {
+			t.Fatalf("sweep dropped %d series, want the churned one", swept)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		lifetime()
+	}
+	key := []byte("nodename=n,pod_name=churn-a,")
+	identity := testing.AllocsPerRun(50, func() { sinkKey, sinkTags = string(key), pods[0].Clone() })
+	if got := testing.AllocsPerRun(50, lifetime); got != identity {
+		t.Fatalf("a series created after a sweep allocates %v times over its lifetime, want %v (its key and tag clone)", got, identity)
+	}
+	if len(kept) != 2 || kept["pod_name"] != "churn-a" || kept["nodename"] != "n" {
+		t.Fatalf("a tag set kept from a swept series reads %v", kept)
+	}
+}
