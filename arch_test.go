@@ -1,0 +1,693 @@
+package sgxorch_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// The architecture rules: the shape the module keeps, checked on its
+// syntax trees (imports, selectors, case clauses, map key types, method
+// sets) with the standard library's parser alone. Run them with
+//
+//	go test -run TestArchitecture .
+//
+// A rule's doc says why it exists. An exception to a rule is an entry in
+// a list below that states its reason; a new rule needs a negative
+// control in TestArchitectureRulesFire.
+
+const modulePath = "github.com/sgxorch/sgxorch"
+
+// srcFile is one parsed Go file of the repository.
+type srcFile struct {
+	path    string // slash-separated, relative to the repository root
+	dir     string // its package directory, path.Dir(path)
+	test    bool   // a _test.go file
+	syntax  *ast.File
+	imports map[string]string // local name → import path
+}
+
+// codebase is every Go file of the repository that the default build
+// context matches, bench/ (its own module) included.
+type codebase struct {
+	fset  *token.FileSet
+	files []*srcFile
+}
+
+func (c *codebase) add(name string, src any) error {
+	f, err := parser.ParseFile(c.fset, name, src, parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	sf := &srcFile{path: name, dir: path.Dir(name), test: strings.HasSuffix(name, "_test.go"),
+		syntax: f, imports: map[string]string{}}
+	for _, spec := range f.Imports {
+		ip, _ := strconv.Unquote(spec.Path.Value)
+		local := path.Base(ip)
+		if spec.Name != nil {
+			local = spec.Name.Name
+		}
+		sf.imports[local] = ip
+	}
+	c.files = append(c.files, sf)
+	return nil
+}
+
+// parseTree parses every Go file under root, skipping the directories the
+// go command skips (".x", "_x", testdata) and files whose build
+// constraints the default context rejects.
+func parseTree(root string) (*codebase, error) {
+	c := &codebase{fset: token.NewFileSet()}
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), name); err != nil || !ok {
+			return err
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		return c.add(filepath.ToSlash(rel), nil)
+	})
+	return c, err
+}
+
+// parseSources builds a codebase from in-memory files keyed by their
+// repository-relative path.
+func parseSources(files map[string]string) (*codebase, error) {
+	c := &codebase{fset: token.NewFileSet()}
+	for name, src := range files {
+		if err := c.add(name, src); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+func (c *codebase) at(p token.Pos) string {
+	pos := c.fset.Position(p)
+	return fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+}
+
+// within reports whether the slash path p is dir or lies beneath it.
+func within(p, dir string) bool { return p == dir || strings.HasPrefix(p, dir+"/") }
+
+// pkgRef reports n as a qualified identifier pkg.Name, pkg being the
+// import path the qualifier names in f.
+func (f *srcFile) pkgRef(n ast.Node) (pkg, name string, ok bool) {
+	sel, isSel := n.(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false
+	}
+	x, isIdent := sel.X.(*ast.Ident)
+	if !isIdent {
+		return "", "", false
+	}
+	pkg, ok = f.imports[x.Name]
+	return pkg, sel.Sel.Name, ok
+}
+
+// walk calls visit on every node of f with the top-level function
+// declaration it lies in, nil outside one.
+func (f *srcFile) walk(visit func(fn *ast.FuncDecl, n ast.Node)) {
+	for _, d := range f.syntax.Decls {
+		fn, _ := d.(*ast.FuncDecl)
+		ast.Inspect(d, func(n ast.Node) bool {
+			if n != nil {
+				visit(fn, n)
+			}
+			return true
+		})
+	}
+}
+
+// recvType names a method's receiver type, "" for a function.
+func recvType(fn *ast.FuncDecl) string {
+	if fn.Recv == nil || len(fn.Recv.List) == 0 {
+		return ""
+	}
+	t := fn.Recv.List[0].Type
+	for {
+		switch x := t.(type) {
+		case *ast.StarExpr:
+			t = x.X
+		case *ast.IndexExpr:
+			t = x.X
+		case *ast.IndexListExpr:
+			t = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// forbidImport flags each import of forbidden by a non-test file of dir.
+func forbidImport(dir, forbidden string) func(*codebase) []string {
+	return func(c *codebase) (out []string) {
+		for _, f := range c.files {
+			if f.test || f.dir != dir {
+				continue
+			}
+			for _, spec := range f.syntax.Imports {
+				if ip, _ := strconv.Unquote(spec.Path.Value); ip == forbidden {
+					out = append(out, c.at(spec.Pos())+": imports "+forbidden)
+				}
+			}
+		}
+		return out
+	}
+}
+
+// forbidRefs flags each qualified reference — call, method value, case
+// clause, comparison — to one of targets ("import/path.Name") in a file
+// that exempt does not excuse.
+func forbidRefs(exempt func(*srcFile) bool, targets ...string) func(*codebase) []string {
+	return func(c *codebase) (out []string) {
+		for _, f := range c.files {
+			if exempt(f) {
+				continue
+			}
+			f.walk(func(_ *ast.FuncDecl, n ast.Node) {
+				if pkg, name, ok := f.pkgRef(n); ok {
+					for _, t := range targets {
+						if t == pkg+"."+name {
+							out = append(out, c.at(n.Pos())+": refers to "+path.Base(pkg)+"."+name)
+						}
+					}
+				}
+			})
+		}
+		return out
+	}
+}
+
+// isSubscribeEntry reports whether a Server method is named as a
+// subscription or takes a callback of WatchEvents.
+func isSubscribeEntry(fn *ast.FuncDecl) bool {
+	name := fn.Name.Name
+	if strings.HasPrefix(name, "Subscribe") || strings.HasPrefix(name, "ListAndWatch") {
+		return true
+	}
+	for _, p := range fn.Type.Params.List {
+		if cb, ok := p.Type.(*ast.FuncType); ok {
+			watches := false
+			ast.Inspect(cb.Params, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == "WatchEvent" {
+					watches = true
+				}
+				return true
+			})
+			if watches {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+type archRule struct {
+	name  string
+	doc   string
+	check func(*codebase) []string // one line per violation, led by file:line
+}
+
+var archRules = []archRule{
+	{
+		name: "core-imports-no-query-engine",
+		doc: `The scheduler's only read of usage is monitor.WindowMax; the
+InfluxQL from-scratch view is internal/core's test oracle
+(oracle_test.go). The query engine stays out of the production package
+so the reference path cannot creep back into the pass.`,
+		check: forbidImport("internal/core", modulePath+"/internal/influxql"),
+	},
+	{
+		name: "runtime-stack-in-goid-only",
+		doc: `A goroutine-id lookup is a stack traceback: on the synchronous
+commit → fan-out path it was half the CPU of the paper's replay. The
+combining Flush needs no goroutine identity, so runtime.Stack is read
+only by the Async cold-path helper watch.goid (once per pump start, once
+per unsubscribe that finds a delivery in flight) and cannot creep back
+per event.`,
+		check: func(c *codebase) (out []string) {
+			for _, f := range c.files {
+				if f.test {
+					continue
+				}
+				f.walk(func(fn *ast.FuncDecl, n ast.Node) {
+					pkg, name, ok := f.pkgRef(n)
+					if !ok || pkg != "runtime" || name != "Stack" {
+						return
+					}
+					if f.dir != "internal/watch" || fn == nil || fn.Recv != nil || fn.Name.Name != "goid" {
+						out = append(out, c.at(n.Pos())+": runtime.Stack outside watch.goid")
+					}
+				})
+			}
+			return out
+		},
+	},
+	{
+		name: "monitor-imports-no-container-heap",
+		doc: `WindowMax's expiry heap is a typed binary heap: container/heap
+boxes every pushed and popped entry into an interface, one allocation per
+sample on the write path every scrape takes.`,
+		check: forbidImport("internal/monitor", "container/heap"),
+	},
+	{
+		name: "no-map-keyed-by-resource-name",
+		doc: `A resource quantity is a fixed array indexed by resource.Name (three
+integers, copied by assignment, compared with ==). A map keyed by the
+name is the form it replaced — an allocation per request sum and a hashed
+lookup per (pod, node) compare — and must not come back as a side door:
+test files and bench/ included.`,
+		check: func(c *codebase) (out []string) {
+			for _, f := range c.files {
+				ast.Inspect(f.syntax, func(n ast.Node) bool {
+					m, ok := n.(*ast.MapType)
+					if !ok {
+						return true
+					}
+					pkg, name, qualified := f.pkgRef(m.Key)
+					id, local := m.Key.(*ast.Ident)
+					if qualified && pkg == modulePath+"/internal/resource" && name == "Name" ||
+						local && f.dir == "internal/resource" && id.Name == "Name" {
+						out = append(out, c.at(m.Pos())+": map keyed by resource.Name; use resource.List")
+					}
+					return true
+				})
+			}
+			return out
+		},
+	},
+	{
+		name: "one-watch-ring-three-entry-points",
+		doc: `The watch stream is one ring read by one kind of subscription: every
+subscriber sees every event, and *apiserver.Server offers exactly
+Subscribe, SubscribeBatch and ListAndWatchBatch, which differ in what the
+caller supplies, not in what it is sent. A per-kind ring (a topic) or a
+fourth entry point, in any file of the package, is the machinery this
+replaced. An entry point is an exported Server method named Subscribe… or
+ListAndWatch…, or one that takes a callback of WatchEvents.`,
+		check: func(c *codebase) (out []string) {
+			want := map[string]bool{"Subscribe": false, "SubscribeBatch": false, "ListAndWatchBatch": false}
+			for _, f := range c.files {
+				if f.test || f.dir != "internal/watch" && f.dir != "internal/apiserver" {
+					continue
+				}
+				ast.Inspect(f.syntax, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && strings.Contains(strings.ToLower(id.Name), "topic") {
+						out = append(out, c.at(id.Pos())+": "+id.Name+": topics are back in the watch path")
+					}
+					return true
+				})
+				if f.dir != "internal/apiserver" {
+					continue
+				}
+				for _, d := range f.syntax.Decls {
+					fn, ok := d.(*ast.FuncDecl)
+					if !ok || recvType(fn) != "Server" || !fn.Name.IsExported() || !isSubscribeEntry(fn) {
+						continue
+					}
+					if _, known := want[fn.Name.Name]; !known {
+						out = append(out, c.at(fn.Pos())+": Server."+fn.Name.Name+" is a fourth subscribe entry point")
+						continue
+					}
+					want[fn.Name.Name] = true
+				}
+			}
+			for _, name := range []string{"Subscribe", "SubscribeBatch", "ListAndWatchBatch"} {
+				if !want[name] {
+					out = append(out, "internal/apiserver: Server."+name+" is missing")
+				}
+			}
+			return out
+		},
+	},
+	{
+		name: "one-assembly-of-the-stack",
+		doc: `The stack below the scheduler is assembled in one place,
+internal/stack: under the simulated clock the order components register
+in decides how same-instant events fire, so it is part of every golden
+digest and sim_digest, and a second assembly is a second place to get it
+wrong. cmd/sgx-probe is a component demo (one node, the probe only, no
+scheduler); bench/ mirrors the assembly under spans and is its own
+module; tests build single components.`,
+		check: forbidRefs(func(f *srcFile) bool {
+			return f.test || within(f.dir, "internal/stack") || within(f.dir, "cmd/sgx-probe") || within(f.dir, "bench")
+		},
+			modulePath+"/internal/kubelet.New",
+			modulePath+"/internal/monitor.NewHeapster",
+			modulePath+"/internal/monitor.DeployProbes",
+			modulePath+"/internal/lifecycle.New"),
+	},
+	{
+		name: "one-reference-model",
+		doc: `Replaying the watch stream into cluster state is one reducer,
+internal/model: the experiments' audits and the property tests read it,
+so its rules (a permit charges like a bind, a gang commit moves no
+capacity and stays on its permit's node, finished members count toward
+the quorum) are written once. Whoever reads the permit events — a case
+clause, a comparison — is replaying the stream again, and a *Watcher
+struct in internal/experiments is a replay by another name.
+internal/core/cache.go is the scheduler's own incremental view; bench/ is
+its own module.`,
+		check: func(c *codebase) []string {
+			out := forbidRefs(func(f *srcFile) bool {
+				return within(f.dir, "internal/apiserver") || within(f.dir, "internal/model") ||
+					f.path == "internal/core/cache.go" || within(f.dir, "bench")
+			},
+				modulePath+"/internal/apiserver.PodPermitHeld",
+				modulePath+"/internal/apiserver.PodPermitReleased")(c)
+			for _, f := range c.files {
+				if !within(f.dir, "internal/experiments") {
+					continue
+				}
+				ast.Inspect(f.syntax, func(n ast.Node) bool {
+					if ts, ok := n.(*ast.TypeSpec); ok && strings.HasSuffix(ts.Name.Name, "Watcher") {
+						if _, isStruct := ts.Type.(*ast.StructType); isStruct {
+							out = append(out, c.at(ts.Pos())+": "+ts.Name.Name+": read internal/model instead")
+						}
+					}
+					return true
+				})
+			}
+			return out
+		},
+	},
+	{
+		name: "the-pass-pulls-the-queue",
+		doc: `A pass pulls the pending queue a chunk at a time as it spends its
+budget (apiserver.WalkPending / PullPending), so it costs what it cycled,
+not the depth of the queue. The whole-walk forms — VisitPending,
+VisitPendingN, PendingPods — are for callers that want the whole queue;
+in the pass, called or taken as a method value, they are the
+copy-then-walk this replaced, as is a pooled buffer of every queued name
+in the server (pendingNamesPool, copyPendingNames).`,
+		check: func(c *codebase) (out []string) {
+			for _, f := range c.files {
+				core := !f.test && within(f.dir, "internal/core")
+				server := within(f.dir, "internal/apiserver")
+				if !core && !server {
+					continue
+				}
+				ast.Inspect(f.syntax, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						if name := n.Sel.Name; core && (name == "VisitPending" || name == "VisitPendingN" || name == "PendingPods") {
+							out = append(out, c.at(n.Pos())+": "+name+" walks the whole pending queue; pull it")
+						}
+					case *ast.Ident:
+						if server && (n.Name == "pendingNamesPool" || n.Name == "copyPendingNames") {
+							out = append(out, c.at(n.Pos())+": "+n.Name+": the whole-queue name copy is back")
+						}
+					}
+					return true
+				})
+			}
+			return out
+		},
+	},
+	{
+		name: "no-dead-internal-surface",
+		doc: `Every exported top-level function, and every exported method of an
+exported type, in internal/ has a non-test reference outside its own
+declaration, or an entry in deadSurfaceAllow that states why it stays. A
+method counts as referenced when its name is selected anywhere outside
+tests, is declared in an interface of the repository, or is String or
+Error. The match is by name: a miss lets dead code through, it never
+flags live code.`,
+		check: func(c *codebase) []string { return deadSurface(c, deadSurfaceAllow) },
+	},
+}
+
+// deadSurfaceAllow lists exported internal/ functions and methods that
+// have no non-test reference and stay, keyed "dir.Func" or
+// "dir.Type.Method", each with its reason.
+var deadSurfaceAllow = map[string]string{
+	// Seams that tests of another package (or the root benchmarks) reach
+	// the stack through.
+	"internal/apiserver.WithWatchCapacity":          "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) shrinks the ring to force resyncs",
+	"internal/apiserver.WithWatchBatch":             "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) caps the batch the cache sees",
+	"internal/apiserver.Server.ListNodes":           "internal/core's oracle_test.go and invariants_test.go read every node from the server",
+	"internal/apiserver.Server.BoundGroupMembers":   "TestGangWaitsForQuorumThenCommits (internal/core) checks a gang's bound members",
+	"internal/core.Scheduler.Cache":                 "BenchmarkMillionPod (root) seeds the scheduler's cache",
+	"internal/core.ClusterCache.InjectBoundPod":     "BenchmarkMillionPod (root) plants 1M bound pods without a million commits",
+	"internal/tsdb.WithRetention":                   "internal/monitor, internal/telemetry and internal/core tests bound the database they scrape into",
+	"internal/machine.Machine.ProcessCount":         "internal/kubelet and internal/stress tests check a pod's processes are gone",
+	"internal/isgx.Driver.LimitFor":                 "TestPodFullLifecycle (internal/kubelet) checks the kubelet set the pod's EPC limit",
+	"internal/isgx.Driver.Enforcing":                "TestSGXMachine (internal/machine) checks the driver a machine builds enforces limits",
+	"internal/sgx.Enclave.State":                    "internal/isgx and internal/machine tests check an enclave's lifecycle through the driver",
+	"internal/sgx.Enclave.Pages":                    "internal/isgx and internal/machine tests check an enclave's commitment through the driver",
+	"internal/sgx.Package.EnclaveCount":             "TestEnclaveInitDeniedOverLimit (internal/isgx) checks a denied enclave is gone",
+	"internal/sgx.Package.PagesForPID":              "TestIndexedTotalsMatchScanProperty (internal/machine) holds the per-process totals to a scan",
+	"internal/deviceplugin.SGXPlugin.AllocationFor": "internal/kubelet's resync tests check the devices a missed binding holds",
+	"internal/golden.StreamDigest":                  "the determinism tests of internal/core and internal/experiments pin their runs with it",
+	// The plugin framework's extension points, beside WithPreScore and
+	// WithScores; internal/core's preemption and telemetry tests compose
+	// filter and permit plugins with them.
+	"internal/core.WithFilters": "a Profile's filter-plugin option",
+	"internal/core.WithPermits": "a Profile's permit-plugin option",
+	// Readers of the published Borg trace: the user's path from the real
+	// task_events / usage files to a replayable Trace, and the parsers of
+	// external bytes that fuzz targets are to cover.
+	"internal/borg.ReadCSV":         "reads a Trace written by cmd/borg-trace",
+	"internal/borg.ParseTaskEvents": "parses the published task_events table",
+	"internal/borg.ParseUsageCSV":   "parses the published task_usage table",
+	"internal/borg.JobsFromEvents":  "turns task_events and usage into Jobs",
+	"internal/borg.WriteTaskEvents": "renders a Trace for tooling built for the task_events format",
+	// Waiting for the caller they were built for.
+	"internal/sgx.Package.SlowdownFactor":     "the §V-A paging penalty; an SGX execution is to run at its rate",
+	"internal/experiments.WindowAblation":     "a §VI ablation the evaluation table is to carry as a row",
+	"internal/experiments.IntervalAblation":   "a §VI ablation the evaluation table is to carry as a row",
+	"internal/experiments.SGX2Ablation":       "the §VI-G SGX 2 extension the evaluation table is to carry as a row",
+	"internal/experiments.PreemptionScenario": "the preemption scenario the evaluation table is to carry as a row",
+}
+
+// references indexes the non-test references of c by name: funcs holds
+// "dir.Name" for each package-level identifier read in dir or selected
+// from the package at dir; methods holds each selected name and each
+// interface method name.
+func references(c *codebase) (funcs, methods map[string]bool) {
+	funcs, methods = map[string]bool{}, map[string]bool{}
+	for _, f := range c.files {
+		if f.test {
+			continue
+		}
+		selected := map[*ast.Ident]bool{}
+		f.walk(func(fn *ast.FuncDecl, n ast.Node) {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selected[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && fn != nil && fn.Recv != nil && n.Sel.Name == fn.Name.Name &&
+					len(fn.Recv.List[0].Names) > 0 && x.Name == fn.Recv.List[0].Names[0].Name {
+					return // a method calling itself
+				}
+				methods[n.Sel.Name] = true
+				if pkg, name, ok := f.pkgRef(n); ok && strings.HasPrefix(pkg, modulePath+"/") {
+					funcs[strings.TrimPrefix(pkg, modulePath+"/")+"."+name] = true
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						methods[name.Name] = true
+					}
+				}
+			case *ast.Ident:
+				if selected[n] || fn != nil && n.Name == fn.Name.Name && (fn.Recv == nil || n == fn.Name) {
+					return // a selector's name, the declaration's own name, or a recursive call
+				}
+				funcs[f.dir+"."+n.Name] = true
+			}
+		})
+	}
+	return funcs, methods
+}
+
+func deadSurface(c *codebase, allow map[string]string) (out []string) {
+	funcs, methods := references(c)
+	declared := map[string]bool{}
+	for _, f := range c.files {
+		if f.test || !within(f.dir, "internal") {
+			continue
+		}
+		for _, d := range f.syntax.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			key, name := f.dir+"."+fn.Name.Name, fn.Name.Name
+			live := funcs[key]
+			if recv := recvType(fn); recv != "" {
+				if !ast.IsExported(recv) {
+					continue // reachable only through an interface it satisfies
+				}
+				key = f.dir + "." + recv + "." + name
+				live = methods[name] || name == "String" || name == "Error"
+			}
+			declared[key] = true
+			switch {
+			case live && allow[key] != "":
+				out = append(out, c.at(fn.Pos())+": "+key+" is referenced; drop its allowlist entry")
+			case live, allow[key] != "":
+			default:
+				out = append(out, c.at(fn.Pos())+": "+key+" has no non-test reference")
+			}
+		}
+	}
+	for key := range allow {
+		if !declared[key] {
+			out = append(out, "allowlist entry "+key+" names no declaration")
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+func TestArchitecture(t *testing.T) {
+	c, err := parseTree(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range archRules {
+		t.Run(r.name, func(t *testing.T) {
+			if out := r.check(c); len(out) > 0 {
+				t.Errorf("%s\n\n%s", strings.Join(out, "\n"), r.doc)
+			}
+		})
+	}
+}
+
+// TestArchitectureRulesFire feeds every rule a small source that breaks
+// it and wants the rule to name the offending line, so a matcher that
+// silently matches nothing fails here.
+func TestArchitectureRulesFire(t *testing.T) {
+	const server = `package apiserver
+type Server struct{}
+type WatchEvent struct{}
+type Snapshot struct{}
+func (s *Server) Subscribe(fn func(WatchEvent)) func() { return nil }
+func (s *Server) SubscribeBatch(fn func([]WatchEvent), r func(Snapshot)) func() { return nil }
+func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), r func(Snapshot)) (Snapshot, func()) { return Snapshot{}, nil }
+`
+	cases := []struct {
+		rule  string
+		files map[string]string
+		want  string // the file:line the rule must report
+	}{
+		{"core-imports-no-query-engine", map[string]string{
+			"internal/core/view.go": "package core\n\nimport _ \"github.com/sgxorch/sgxorch/internal/influxql\"\n",
+		}, "internal/core/view.go:3"},
+		{"runtime-stack-in-goid-only", map[string]string{
+			"internal/watch/broker.go": "package watch\n\nimport \"runtime\"\n\nfunc goid() { runtime.Stack(nil, false) }\n",
+			"internal/watch/flush.go":  "package watch\n\nimport rt \"runtime\"\n\nvar stack = rt.Stack\n",
+		}, "internal/watch/flush.go:5"},
+		{"monitor-imports-no-container-heap", map[string]string{
+			"internal/monitor/windowmax.go": "package monitor\n\nimport \"container/heap\"\n\nvar _ heap.Interface\n",
+		}, "internal/monitor/windowmax.go:3"},
+		{"no-map-keyed-by-resource-name", map[string]string{
+			"bench/layers.go": "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/resource\"\n\nvar m map[resource.Name]int64\n",
+		}, "bench/layers.go:5"},
+		{"no-map-keyed-by-resource-name", map[string]string{
+			"internal/resource/list_test.go": "package resource\n\nfunc TestX() { _ = map[Name]int64{} }\n",
+		}, "internal/resource/list_test.go:3"},
+		{"one-watch-ring-three-entry-points", map[string]string{
+			"internal/apiserver/server.go": server,
+			"internal/apiserver/keyed.go":  "package apiserver\n\nfunc (s *Server) SubscribeKeyed(key string, fn func(WatchEvent)) func() { return nil }\n",
+		}, "internal/apiserver/keyed.go:3"},
+		{"one-watch-ring-three-entry-points", map[string]string{
+			"internal/apiserver/server.go": server,
+			"internal/apiserver/pods.go":   "package apiserver\n\nfunc (s *Server) OnPods(fn func([]WatchEvent)) {}\n",
+		}, "internal/apiserver/pods.go:3"},
+		{"one-watch-ring-three-entry-points", map[string]string{
+			"internal/apiserver/server.go": server,
+			"internal/watch/ring.go":       "package watch\n\ntype ring struct{ byTopic map[string]int }\n",
+		}, "internal/watch/ring.go:3"},
+		{"one-assembly-of-the-stack", map[string]string{
+			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/kubelet\"\n\nvar k = kubelet.New(nil)\n",
+		}, "internal/experiments/testbed.go:5"},
+		{"one-reference-model", map[string]string{
+			"internal/experiments/audit.go": `package experiments
+
+import "github.com/sgxorch/sgxorch/internal/apiserver"
+
+func held(ev apiserver.WatchEvent) bool {
+	return ev.Type == apiserver.PodPermitHeld
+}
+`,
+		}, "internal/experiments/audit.go:6"},
+		{"one-reference-model", map[string]string{
+			"internal/experiments/gang_test.go": "package experiments\n\ntype gangWatcher struct{ held int }\n",
+		}, "internal/experiments/gang_test.go:3"},
+		{"the-pass-pulls-the-queue", map[string]string{
+			"internal/core/pass.go": "package core\n\nfunc pass(s interface{ PendingPods(string) []string }) { walk := s.PendingPods; _ = walk }\n",
+		}, "internal/core/pass.go:3"},
+		{"the-pass-pulls-the-queue", map[string]string{
+			"internal/apiserver/pending.go": "package apiserver\n\nvar pendingNamesPool []string\n",
+		}, "internal/apiserver/pending.go:3"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/sgx/quote.go": "package sgx\n\nfunc live() { Live() }\n\nfunc Live() {}\n\nfunc Dead() { Dead() }\n",
+		}, "internal/sgx/quote.go:7"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/sgx/enclave.go": "package sgx\n\ntype Enclave struct{}\n\nfunc (e *Enclave) Seal() { e.Seal() }\n",
+			"cmd/x/main.go":           "package main\n\nfunc main() { var s interface{ String() string }; _ = s }\n",
+		}, "internal/sgx/enclave.go:5"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/sgx/enclave.go":      "package sgx\n\ntype Enclave struct{}\n\nfunc (e *Enclave) Seal() {}\n",
+			"internal/sgx/enclave_test.go": "package sgx\n\nfunc use(e *Enclave) { e.Seal() }\n",
+		}, "internal/sgx/enclave.go:5"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/golden/golden.go": "package golden\n\nfunc StreamDigest() {}\n",
+			"cmd/x/main.go":             "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/golden\"\n\nfunc main() { golden.StreamDigest() }\n",
+		}, "internal/golden/golden.go:3"},
+	}
+	covered := map[string]bool{}
+	for _, tc := range cases {
+		covered[tc.rule] = true
+		var rule *archRule
+		for i := range archRules {
+			if archRules[i].name == tc.rule {
+				rule = &archRules[i]
+			}
+		}
+		if rule == nil {
+			t.Errorf("no rule named %q", tc.rule)
+			continue
+		}
+		c, err := parseSources(tc.files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := rule.check(c)
+		if !strings.Contains(strings.Join(out, "\n"), tc.want+":") {
+			t.Errorf("%s: want a violation at %s, got %q", tc.rule, tc.want, out)
+		}
+	}
+	for _, r := range archRules {
+		if !covered[r.name] {
+			t.Errorf("rule %s has no negative control", r.name)
+		}
+	}
+}

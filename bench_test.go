@@ -8,8 +8,9 @@
 //
 //	go test -bench=Fig -benchmem
 //
-// regenerates the whole evaluation. EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// regenerates the whole evaluation. `go run ./cmd/benchreport` prints the
+// figures with their paper-vs-measured notes; a committed, pinned table of
+// that comparison is ROADMAP.md item 9.
 package sgxorch_test
 
 import (

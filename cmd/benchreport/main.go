@@ -1,10 +1,10 @@
 // Command benchreport regenerates every figure of the paper's evaluation
-// (Figs. 3-11) and renders the series and paper-vs-measured notes — the
-// data behind EXPERIMENTS.md. It doubles as the perf-artifact emitter:
-// given -bench-input, it parses raw `go test -bench` output and writes a
-// machine-readable JSON report (ns/op, B/op, allocs/op and custom
-// metrics like binds/s per benchmark) — the BENCH_<n>.json artifact the
-// CI bench job uploads so the repo keeps a perf trajectory.
+// (Figs. 3-11) and renders the series and paper-vs-measured notes (a
+// committed, pinned table of them is ROADMAP.md item 9). It doubles as the
+// perf-artifact emitter: given -bench-input, it parses raw `go test -bench`
+// output and writes a machine-readable JSON report (ns/op, B/op, allocs/op
+// and custom metrics like binds/s per benchmark) — the BENCH_<n>.json
+// artifact the CI bench job uploads so the repo keeps a perf trajectory.
 //
 // Figure mode accepts -cpuprofile/-memprofile to capture pprof profiles
 // of the reproduction run itself — the quickest way to see where a

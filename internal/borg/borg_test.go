@@ -142,7 +142,7 @@ func TestConcurrencyProfileShape(t *testing.T) {
 	}
 }
 
-func TestWindowAndSampling(t *testing.T) {
+func TestWindow(t *testing.T) {
 	tr := &Trace{Horizon: 10 * time.Second}
 	for i := 0; i < 10; i++ {
 		tr.Jobs = append(tr.Jobs, Job{ID: int64(i), Submit: time.Duration(i) * time.Second, Duration: time.Second})
@@ -153,37 +153,6 @@ func TestWindowAndSampling(t *testing.T) {
 	}
 	if w.Jobs[0].Submit != 0 || w.Jobs[0].ID != 3 {
 		t.Fatalf("window not re-based: %+v", w.Jobs[0])
-	}
-	s := tr.SampleEveryN(3)
-	if s.Len() != 4 { // jobs 0,3,6,9
-		t.Fatalf("sampled = %d", s.Len())
-	}
-	if s.Jobs[1].ID != 3 {
-		t.Fatalf("sampling picked %d, want 3", s.Jobs[1].ID)
-	}
-	id := tr.SampleEveryN(1)
-	if id.Len() != tr.Len() {
-		t.Fatal("SampleEveryN(1) should keep all jobs")
-	}
-	id.Jobs[0].ID = 999
-	if tr.Jobs[0].ID == 999 {
-		t.Fatal("SampleEveryN(1) aliased the source")
-	}
-}
-
-func TestConcurrentAt(t *testing.T) {
-	tr := &Trace{Jobs: []Job{
-		{Submit: 0, Duration: 10 * time.Second},
-		{Submit: 5 * time.Second, Duration: 10 * time.Second},
-	}}
-	if got := tr.ConcurrentAt(7 * time.Second); got != 2 {
-		t.Fatalf("ConcurrentAt(7s) = %d", got)
-	}
-	if got := tr.ConcurrentAt(12 * time.Second); got != 1 {
-		t.Fatalf("ConcurrentAt(12s) = %d", got)
-	}
-	if got := tr.ConcurrentAt(20 * time.Second); got != 0 {
-		t.Fatalf("ConcurrentAt(20s) = %d", got)
 	}
 }
 
@@ -272,16 +241,22 @@ func TestAdvertisementConsistencyProperty(t *testing.T) {
 	}
 }
 
-// Property: windowing then sampling preserves job field integrity.
-func TestWindowSampleProperty(t *testing.T) {
+// Property: windowing keeps exactly the jobs submitted inside the window,
+// re-based to its start.
+func TestWindowProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		tr := NewGenerator(DefaultConfig(seed)).FullDay(2000)
 		w := tr.Window(2*time.Hour, 4*time.Hour)
-		s := w.SampleEveryN(7)
-		if s.Len() != (w.Len()+6)/7 {
+		inside := 0
+		for _, j := range tr.Jobs {
+			if j.Submit >= 2*time.Hour && j.Submit < 4*time.Hour {
+				inside++
+			}
+		}
+		if w.Len() != inside {
 			return false
 		}
-		for _, j := range s.Jobs {
+		for _, j := range w.Jobs {
 			if j.Submit < 0 || j.Submit >= 2*time.Hour {
 				return false
 			}

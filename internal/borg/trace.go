@@ -127,31 +127,6 @@ func (t *Trace) Window(from, to time.Duration) *Trace {
 	return out
 }
 
-// SampleEveryN keeps every n-th job (the first, the n+1-th, ...) — the
-// paper's frequency reduction (§VI-B).
-func (t *Trace) SampleEveryN(n int) *Trace {
-	if n <= 1 {
-		cp := &Trace{Jobs: append([]Job(nil), t.Jobs...), Horizon: t.Horizon}
-		return cp
-	}
-	out := &Trace{Horizon: t.Horizon}
-	for i := 0; i < len(t.Jobs); i += n {
-		out.Jobs = append(out.Jobs, t.Jobs[i])
-	}
-	return out
-}
-
-// ConcurrentAt counts jobs running at the given offset.
-func (t *Trace) ConcurrentAt(at time.Duration) int {
-	n := 0
-	for _, j := range t.Jobs {
-		if j.Submit <= at && at < j.Submit+j.Duration {
-			n++
-		}
-	}
-	return n
-}
-
 // OverAllocatorCount counts jobs whose usage exceeds their advertisement.
 func (t *Trace) OverAllocatorCount() int {
 	n := 0

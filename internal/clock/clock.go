@@ -1,6 +1,6 @@
-// Package clock abstracts time so that the whole orchestrator stack can run
-// either against the wall clock (production daemons) or against a
-// deterministic discrete-event simulation (experiments, tests, benchmarks).
+// Package clock abstracts time so that the whole orchestrator stack runs
+// against a deterministic discrete-event simulation (experiments, tests,
+// benchmarks); a wall-clock Clock would satisfy the same interface.
 //
 // The paper's evaluation replays multi-hour Google Borg trace slices
 // (§VI-B); running them on SimClock compresses hours of virtual time into

@@ -206,25 +206,6 @@ func TestSimEventOrderProperty(t *testing.T) {
 	}
 }
 
-func TestRealClockBasics(t *testing.T) {
-	c := NewReal()
-	start := c.Now()
-	c.Sleep(time.Millisecond)
-	if c.Since(start) <= 0 {
-		t.Fatal("Real clock did not advance")
-	}
-	done := make(chan struct{})
-	tm := c.AfterFunc(time.Millisecond, func() { close(done) })
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Real AfterFunc did not fire")
-	}
-	if tm.Stop() {
-		t.Fatal("Stop on fired timer returned true")
-	}
-}
-
 // TestPeriodicTickAllocatesOnlyItsTimer: re-arming costs the simulated
 // timer's one event and nothing else — a method value made per re-arm
 // would be a second allocation on every tick of every scrape, pass and

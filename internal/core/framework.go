@@ -50,7 +50,7 @@ type cycleScratch struct {
 
 // cycleScratch returns the pod's cycle scratch, created on first use and
 // then kept across refills (fillPodInfo) — so a PodInfo built outside a
-// scheduler (NewPodInfo, a literal) works on a private one.
+// scheduler (a literal) works on a private one.
 func (p *PodInfo) cycleScratch() *cycleScratch {
 	if p.scratch == nil {
 		p.scratch = &cycleScratch{}
@@ -74,13 +74,6 @@ func (p *PodInfo) narrow(candidates []*NodeView, keep func(*NodeView) bool) []*N
 	}
 	sc.narrow[sc.slot] = kept
 	return kept
-}
-
-// NewPodInfo extracts a pod's request data.
-func NewPodInfo(pod *api.Pod) *PodInfo {
-	info := &PodInfo{}
-	fillPodInfo(info, pod)
-	return info
 }
 
 // fillPodInfo populates info in place, keeping its cycle scratch.
@@ -356,22 +349,15 @@ func (p *Profile) Feasible(pod *PodInfo, node *NodeView) bool {
 	return true
 }
 
-// Select runs the placement half of the pipeline for one pod: narrow by
-// preference, score, and pick the first candidate with the strictly
+// selectInfo runs the placement half of the pipeline for one pod: narrow
+// by preference, score, and pick the first candidate with the strictly
 // greatest weighted score above the profile's minimum. Candidates arrive
-// pre-filtered and sorted by node name. Safe for concurrent use: each
-// call works on scratch of its own.
-func (p *Profile) Select(pod *api.Pod, candidates []*NodeView, view *ClusterView) (string, bool) {
-	return p.selectInfo(NewPodInfo(pod), candidates, view, nil)
-}
-
-// selectInfo is Select for callers that already extracted the PodInfo,
-// over the pod's cycle scratch. Scoring runs plugin-outer over one
-// accumulator per candidate, so a detailed pass times each score plugin
-// across the whole candidate set in one clock-read pair; every
-// candidate's sum still accumulates in plugin order, which keeps the
-// selection — floating-point rounding and first-best tie-breaks included
-// — what a candidate-outer loop computes.
+// pre-filtered and sorted by node name. Scoring runs plugin-outer over one
+// accumulator per candidate in the pod's cycle scratch, so a detailed pass
+// times each score plugin across the whole candidate set in one clock-read
+// pair; every candidate's sum still accumulates in plugin order, which
+// keeps the selection — floating-point rounding and first-best tie-breaks
+// included — what a candidate-outer loop computes.
 func (p *Profile) selectInfo(pod *PodInfo, candidates []*NodeView, view *ClusterView, det *passRecorder) (string, bool) {
 	sc := pod.cycleScratch()
 	for i, ps := range p.preScore {

@@ -14,6 +14,14 @@ import (
 // them to verbatim copies of the pre-framework implementations, so the
 // refactor is provably bit-identical on randomized inputs.
 
+// newPodInfo extracts a pod's request data the way a scheduling cycle
+// does.
+func newPodInfo(pod *api.Pod) *PodInfo {
+	info := &PodInfo{}
+	fillPodInfo(info, pod)
+	return info
+}
+
 // refPreferNonSGX is the pre-framework preferNonSGX, verbatim.
 func refPreferNonSGX(pod *api.Pod, candidates []*NodeView) []*NodeView {
 	if pod.IsSGX() {
@@ -167,7 +175,7 @@ func TestProfilePoliciesMatchReferenceImplementations(t *testing.T) {
 			}
 		}
 		for _, tc := range cases {
-			gotName, gotOK := tc.policy.Profile().Select(pod, candidates, view)
+			gotName, gotOK := tc.policy.Profile().selectInfo(newPodInfo(pod), candidates, view, nil)
 			wantName, wantOK := tc.ref(pod, candidates, view)
 			if gotName != wantName || gotOK != wantOK {
 				t.Fatalf("trial %d: %s diverged from reference: got (%q, %v), want (%q, %v)",
@@ -202,7 +210,7 @@ func TestDefaultFeasibilityMatchesFits(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			pod.Spec.Containers[0].Resources.Requests[resource.CPU] = int64(rng.Intn(12000))
 		}
-		info := NewPodInfo(pod)
+		info := newPodInfo(pod)
 		for _, n := range view.Nodes {
 			got, want := (DefaultFeasibility{}).Filter(info, n), sectionIV(info.Req, n)
 			if got != want {
@@ -236,7 +244,7 @@ func TestUsageAwareProfileScoring(t *testing.T) {
 	loaded := nv("a", false, 1000, 900, 0, 0)
 	idle := nv("b", false, 1000, 100, 0, 0)
 	view := &ClusterView{Nodes: []*NodeView{loaded, idle}}
-	got, ok := UsageAware{}.Profile().Select(stdPod(50), view.Nodes, view)
+	got, ok := UsageAware{}.Profile().selectInfo(newPodInfo(stdPod(50)), view.Nodes, view, nil)
 	if !ok || got != "b" {
 		t.Fatalf("usage-aware chose %q, want b (most headroom)", got)
 	}
@@ -247,7 +255,7 @@ func TestUsageAwareProfileScoring(t *testing.T) {
 	cool := nv("b-sgx", true, 1000, 0, 10000, 1000)
 	hot.FreeDevices, cool.FreeDevices = 5000, 5000
 	view = &ClusterView{Nodes: []*NodeView{hot, cool}}
-	got, ok = UsageAware{}.Profile().Select(sgxPodReq(1, 100), view.Nodes, view)
+	got, ok = UsageAware{}.Profile().selectInfo(newPodInfo(sgxPodReq(1, 100)), view.Nodes, view, nil)
 	if !ok || got != "b-sgx" {
 		t.Fatalf("usage-aware chose %q, want b-sgx (less EPC pressure)", got)
 	}
@@ -269,7 +277,7 @@ func TestProfileComposition(t *testing.T) {
 	a := nv("a", false, 1000, 800, 0, 0)
 	b := nv("b", false, 1000, 0, 0, 0)
 	view := &ClusterView{Nodes: []*NodeView{a, b}}
-	got, ok := prof.Select(stdPod(10), view.Nodes, view)
+	got, ok := prof.selectInfo(newPodInfo(stdPod(10)), view.Nodes, view, nil)
 	if !ok || got != "b" {
 		t.Fatalf("custom profile chose %q, want b", got)
 	}
@@ -293,7 +301,7 @@ func TestPreScoreDeclineContract(t *testing.T) {
 	)
 	noCap := &NodeView{Name: "a", Allocatable: resource.List{}, Used: resource.List{}}
 	view := &ClusterView{Nodes: []*NodeView{noCap}}
-	if got, ok := prof.Select(stdPod(10), view.Nodes, view); ok {
+	if got, ok := prof.selectInfo(newPodInfo(stdPod(10)), view.Nodes, view, nil); ok {
 		t.Fatalf("profile placed on capacity-less node %q; pre-score decline ignored", got)
 	}
 
@@ -305,7 +313,7 @@ func TestPreScoreDeclineContract(t *testing.T) {
 	)
 	sgxOnly := nv("s", true, 100, 0, 1000, 0)
 	view = &ClusterView{Nodes: []*NodeView{sgxOnly}}
-	if got, ok := prof.Select(stdPod(10), view.Nodes, view); !ok || got != "s" {
+	if got, ok := prof.selectInfo(newPodInfo(stdPod(10)), view.Nodes, view, nil); !ok || got != "s" {
 		t.Fatalf("SGX-last fallback = (%q, %v), want (s, true)", got, ok)
 	}
 }
@@ -317,7 +325,7 @@ func TestSpreadScoreMonotonicInStdDev(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		view := randomView(rng)
 		pod := randomPolicyPod(rng)
-		info := NewPodInfo(pod)
+		info := newPodInfo(pod)
 		res := resource.Memory
 		if info.SGX {
 			res = resource.EPCPages

@@ -124,7 +124,7 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 				pod := &api.Pod{Name: "probe", Spec: api.PodSpec{Containers: []api.Container{{
 					Name: "main", Resources: api.Requirements{Requests: req},
 				}}}}
-				info := NewPodInfo(pod)
+				info := newPodInfo(pod)
 				full := map[string]bool{}
 				for _, n := range view.Nodes {
 					if s.pipelines[api.ClassUnspecified.Slot()].profile.Feasible(info, n) {
@@ -365,7 +365,7 @@ func TestSampledRotationCovers(t *testing.T) {
 	view := s.Cache().NewView()
 	s.Cache().SyncView(view)
 
-	info := NewPodInfo(&api.Pod{Spec: api.PodSpec{Containers: []api.Container{{
+	info := newPodInfo(&api.Pod{Spec: api.PodSpec{Containers: []api.Container{{
 		Name: "main", Resources: api.Requirements{Requests: resource.List{resource.Memory: resource.GiB}},
 	}}}})
 	seen := map[string]bool{}

@@ -199,12 +199,3 @@ func (ss *ShardedSchedulers) Stats() Stats {
 	}
 	return total
 }
-
-// MemberStats returns each member's counters, in member order.
-func (ss *ShardedSchedulers) MemberStats() []Stats {
-	out := make([]Stats, len(ss.members))
-	for i, m := range ss.members {
-		out[i] = m.Stats()
-	}
-	return out
-}

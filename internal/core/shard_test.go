@@ -93,7 +93,7 @@ func TestShardedConflictRetry(t *testing.T) {
 	if bound := ss.RunRound(); bound != 1 {
 		t.Fatalf("round 1 bound %d pods, want 1 (node holds only one)", bound)
 	}
-	stats := ss.MemberStats()
+	stats := []Stats{ss.members[0].Stats(), ss.members[1].Stats()}
 	if stats[0].Bound != 1 || stats[0].Conflicts != 0 {
 		t.Fatalf("member 0 stats = %+v, want the clean winner", stats[0])
 	}
@@ -120,7 +120,7 @@ func TestShardedConflictRetry(t *testing.T) {
 	if pb.Spec.NodeName != "n1" {
 		t.Fatalf("conflicted pod did not retry onto n1: %q", pb.Spec.NodeName)
 	}
-	if got := ss.MemberStats()[1]; got.Conflicts != 1 || got.Bound != 1 {
+	if got := ss.members[1].Stats(); got.Conflicts != 1 || got.Bound != 1 {
 		t.Fatalf("member 1 after retry = %+v", got)
 	}
 }

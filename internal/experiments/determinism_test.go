@@ -8,9 +8,9 @@ import (
 	"github.com/sgxorch/sgxorch/internal/golden"
 )
 
-// TestReplayDeterministicPerSeed backs EXPERIMENTS.md's reproducibility
-// claim: two replays with the same seed produce identical per-job
-// outcomes, bit for bit.
+// TestReplayDeterministicPerSeed backs the reproducibility of the figures
+// `go run ./cmd/benchreport` regenerates (ROADMAP.md item 9): two replays
+// with the same seed produce identical per-job outcomes, bit for bit.
 func TestReplayDeterministicPerSeed(t *testing.T) {
 	run := func() *ReplayResult {
 		tb, err := NewTestbed(TestbedConfig{UseMetrics: true, Enforcement: true})

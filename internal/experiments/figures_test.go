@@ -100,7 +100,7 @@ func TestFig6Deterministic(t *testing.T) {
 	}
 }
 
-func TestRenderAndSummary(t *testing.T) {
+func TestRender(t *testing.T) {
 	fig := Fig3MemoryCDF(1, 1000)
 	var sb strings.Builder
 	if err := fig.Render(&sb, 10); err != nil {
@@ -113,9 +113,6 @@ func TestRenderAndSummary(t *testing.T) {
 	// Downsampling respected.
 	if got := strings.Count(out, "\n   "); got > 14+len(fig.Notes) {
 		t.Fatalf("render emitted too many rows: %d", got)
-	}
-	if s := fig.Summary(); !strings.Contains(s, "fig3") {
-		t.Fatalf("summary = %q", s)
 	}
 }
 

@@ -54,18 +54,3 @@ func sampleIndexes(n, max int) []int {
 	}
 	return out
 }
-
-// Summary returns a one-line digest per series (final point), used by the
-// benchmark harness output.
-func (f Figure) Summary() string {
-	parts := make([]string, 0, len(f.Series))
-	for _, s := range f.Series {
-		if len(s.Points) == 0 {
-			parts = append(parts, s.Name+": empty")
-			continue
-		}
-		last := s.Points[len(s.Points)-1]
-		parts = append(parts, fmt.Sprintf("%s: (%.1f, %.1f)", s.Name, last.X, last.Y))
-	}
-	return f.ID + " " + strings.Join(parts, "; ")
-}

@@ -1,7 +1,8 @@
 // Package isgx simulates the paper's modified Intel SGX Linux kernel
-// driver (§V-E): EPC usage counters exported as module parameters, a
-// per-process occupancy ioctl, and the cgroup-keyed EPC limit ioctl that
-// enforces pod resource declarations at enclave initialization (§V-D).
+// driver (§V-E): EPC usage counters exported as module parameters and the
+// cgroup-keyed EPC limit ioctl that enforces pod resource declarations at
+// enclave initialization (§V-D). The patch's per-process occupancy ioctl
+// is not modelled: nothing in the stack issues it.
 //
 // The real patch is 115 lines of C on top of Intel's isgx driver; this
 // package reproduces its externally observable contract so that the
@@ -105,18 +106,8 @@ func (d *Driver) Sysfs() map[string]string {
 	}
 }
 
-// IoctlPagesForPID reports the number of occupied EPC pages of a single
-// process — the first new ioctl of §V-E, "helpful to identify processes
-// that should be preempted and possibly migrated".
-func (d *Driver) IoctlPagesForPID(pid int) (int64, error) {
-	if pid <= 0 {
-		return 0, fmt.Errorf("%w: pid %d", ErrInvalidArgument, pid)
-	}
-	return d.pkg.PagesForPID(pid), nil
-}
-
 // IoctlSetLimit records the EPC page limit for a pod identified by its
-// cgroup path — the second new ioctl of §V-E, issued by the patched
+// cgroup path — the limit ioctl of §V-E, issued by the patched
 // Kubelet at pod creation (§V-D). Limits are write-once.
 func (d *Driver) IoctlSetLimit(cgroupPath string, pages int64) error {
 	if cgroupPath == "" {

@@ -41,31 +41,6 @@ func TestModuleParameters(t *testing.T) {
 	}
 }
 
-func TestIoctlPagesForPID(t *testing.T) {
-	d := newDriver(t)
-	if _, err := d.IoctlPagesForPID(0); !errors.Is(err, ErrInvalidArgument) {
-		t.Fatalf("pid 0 err = %v", err)
-	}
-	e1, err := d.OpenEnclave(7, "/kubepods/a", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := d.OpenEnclave(7, "/kubepods/a", 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.IoctlPagesForPID(7)
-	if err != nil || got != 30 {
-		t.Fatalf("IoctlPagesForPID(7) = %d, %v; want 30", got, err)
-	}
-	_ = e1.Destroy()
-	got, _ = d.IoctlPagesForPID(7)
-	if got != 20 {
-		t.Fatalf("after destroying one enclave = %d, want 20", got)
-	}
-	_ = e2.Destroy()
-}
-
 func TestIoctlSetLimitWriteOnce(t *testing.T) {
 	d := newDriver(t)
 	if err := d.IoctlSetLimit("/kubepods/pod1", 100); err != nil {

@@ -121,13 +121,6 @@ func (m *Machine) RAMUsed() int64 {
 	return m.usedRAM
 }
 
-// RAMFree returns the unallocated RAM.
-func (m *Machine) RAMFree() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ramBytes - m.usedRAM
-}
-
 // Process is a simulated OS process belonging to a pod (cgroup).
 type Process struct {
 	PID        int
@@ -188,26 +181,6 @@ func (p *Process) AllocVM(bytes int64) error {
 	p.m.chargeLocked(p.CgroupPath, bytes)
 	p.vmBytes += bytes
 	return nil
-}
-
-// FreeVM releases up to bytes of the process's virtual memory.
-func (p *Process) FreeVM(bytes int64) {
-	p.m.mu.Lock()
-	defer p.m.mu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if bytes > p.vmBytes {
-		bytes = p.vmBytes
-	}
-	p.vmBytes -= bytes
-	p.m.chargeLocked(p.CgroupPath, -bytes)
-}
-
-// VMBytes returns the process's current virtual-memory allocation.
-func (p *Process) VMBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.vmBytes
 }
 
 // OpenEnclave builds and initializes an enclave through the machine's
@@ -288,19 +261,4 @@ func (m *Machine) EPCPagesByCgroup(cgroupPath string) int64 {
 		return 0
 	}
 	return m.driver.PagesForCgroup(cgroupPath)
-}
-
-// Cgroups returns the distinct cgroup paths with live processes.
-func (m *Machine) Cgroups() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range m.procs {
-		if !seen[p.CgroupPath] {
-			seen[p.CgroupPath] = true
-			out = append(out, p.CgroupPath)
-		}
-	}
-	return out
 }

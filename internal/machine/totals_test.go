@@ -18,7 +18,7 @@ func scanVMBytes(m *Machine, cgroupPath string) int64 {
 	var total int64
 	for _, p := range m.procs {
 		if p.CgroupPath == cgroupPath {
-			total += p.VMBytes()
+			total += p.vmBytes
 		}
 	}
 	return total

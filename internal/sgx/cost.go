@@ -1,7 +1,6 @@
 package sgx
 
 import (
-	"math/rand"
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/resource"
@@ -72,15 +71,4 @@ func (m CostModel) AllocLatency(allocBytes, usableBytes int64) time.Duration {
 // allocation of allocBytes: PSW service launch plus memory commitment.
 func (m CostModel) StartupLatency(allocBytes, usableBytes int64) time.Duration {
 	return m.PSWStartup + m.AllocLatency(allocBytes, usableBytes)
-}
-
-// Jittered returns a sampling function that perturbs StartupLatency by a
-// uniform relative jitter in ±frac, reproducing the run-to-run variance
-// behind Fig. 6's 95% confidence intervals (60 runs per point).
-func (m CostModel) Jittered(r *rand.Rand, frac float64) func(allocBytes, usableBytes int64) time.Duration {
-	return func(allocBytes, usableBytes int64) time.Duration {
-		base := m.StartupLatency(allocBytes, usableBytes)
-		jitter := 1 + frac*(2*r.Float64()-1)
-		return time.Duration(float64(base) * jitter)
-	}
 }

@@ -97,7 +97,7 @@ func (s EnclaveState) String() string {
 // EPC pages.
 type Enclave struct {
 	ID         uint64
-	PID        int    // owning process, for the per-process ioctl (§V-E)
+	PID        int    // owning process, for the per-process page count (§V-E)
 	CgroupPath string // pod identity, for limit enforcement (§V-D)
 
 	mu    sync.Mutex
@@ -281,13 +281,6 @@ func (p *Package) forget(id uint64) {
 	delete(p.enclaves, id)
 }
 
-// CommittedPages returns the total pages committed across live enclaves.
-func (p *Package) CommittedPages() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.committed
-}
-
 // FreePages returns the number of usable pages not committed to any
 // enclave; with paging enabled it never goes below zero. This value backs
 // the driver's sgx_nr_free_pages module parameter (§V-E).
@@ -302,7 +295,7 @@ func (p *Package) FreePages() int64 {
 }
 
 // PagesForPID returns the pages committed by all enclaves of one process —
-// the per-process metric exposed through the driver ioctl (§V-E).
+// the per-process metric of the patched driver's occupancy ioctl (§V-E).
 func (p *Package) PagesForPID(pid int) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

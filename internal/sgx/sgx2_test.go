@@ -59,7 +59,7 @@ func TestAugmentAndTrimLifecycle(t *testing.T) {
 	if got := e.Pages(); got != 150 {
 		t.Fatalf("pages = %d, want 150", got)
 	}
-	if got := p.CommittedPages(); got != 150 {
+	if got := p.committed; got != 150 {
 		t.Fatalf("committed = %d", got)
 	}
 	// Trim more than held: clamps.
@@ -151,7 +151,7 @@ func TestDynamicAccountingProperty(t *testing.T) {
 				}
 				held -= released
 			}
-			if e.Pages() != held || p.CommittedPages() != held {
+			if e.Pages() != held || p.committed != held {
 				return false
 			}
 		}

@@ -2,7 +2,6 @@ package sgx
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -69,8 +68,8 @@ func TestEnclaveLifecycle(t *testing.T) {
 	if err := e.Destroy(); !errors.Is(err, ErrEnclaveDestroyed) {
 		t.Fatalf("double Destroy err = %v, want ErrEnclaveDestroyed", err)
 	}
-	if got := p.CommittedPages(); got != 0 {
-		t.Fatalf("CommittedPages after destroy = %d, want 0", got)
+	if got := p.committed; got != 0 {
+		t.Fatalf("committed pages after destroy = %d, want 0", got)
 	}
 	if got := p.EnclaveCount(); got != 0 {
 		t.Fatalf("EnclaveCount after destroy = %d, want 0", got)
@@ -218,21 +217,6 @@ func TestCostModelMonotoneInAllocation(t *testing.T) {
 	}
 }
 
-func TestJitteredStaysWithinBounds(t *testing.T) {
-	m := DefaultCostModel()
-	usable := DefaultGeometry().UsableBytes()
-	sample := m.Jittered(rand.New(rand.NewSource(1)), 0.1)
-	base := m.StartupLatency(64*resource.MiB, usable)
-	for i := 0; i < 100; i++ {
-		got := sample(64*resource.MiB, usable)
-		lo := time.Duration(float64(base) * 0.9)
-		hi := time.Duration(float64(base) * 1.1)
-		if got < lo || got > hi {
-			t.Fatalf("jittered sample %v outside [%v, %v]", got, lo, hi)
-		}
-	}
-}
-
 // Property: committed pages accounting never leaks across create/destroy
 // sequences.
 func TestCommitReleaseAccountingProperty(t *testing.T) {
@@ -249,7 +233,7 @@ func TestCommitReleaseAccountingProperty(t *testing.T) {
 			want += n
 			live = append(live, e)
 		}
-		if p.CommittedPages() != want {
+		if p.committed != want {
 			return false
 		}
 		for _, e := range live {
@@ -257,7 +241,7 @@ func TestCommitReleaseAccountingProperty(t *testing.T) {
 				return false
 			}
 		}
-		return p.CommittedPages() == 0 && p.EnclaveCount() == 0
+		return p.committed == 0 && p.EnclaveCount() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -58,29 +58,6 @@ func PopStdDev(xs []float64) float64 {
 	return math.Sqrt(sum / float64(len(xs)))
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
-// Min returns the smallest element of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Max returns the largest element of xs.
 func Max(xs []float64) (float64, error) {
 	if len(xs) == 0 {

@@ -30,18 +30,11 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
+func TestMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	mn, err := Min(xs)
-	if err != nil || mn != -1 {
-		t.Fatalf("Min = %v, %v", mn, err)
-	}
 	mx, err := Max(xs)
 	if err != nil || mx != 7 {
 		t.Fatalf("Max = %v, %v", mx, err)
-	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Fatalf("Min(nil) err = %v, want ErrEmpty", err)
 	}
 	if _, err := Max(nil); err != ErrEmpty {
 		t.Fatalf("Max(nil) err = %v, want ErrEmpty", err)

@@ -117,8 +117,7 @@ func (r *Runner) Run(cfg Config) (*Execution, error) {
 	case api.WorkloadStressEPC:
 		// PSW/AESM boot, then enclave memory commitment at the measured
 		// two-slope rate.
-		usable := cfg.Machine.SGX().Geometry().UsableBytes()
-		startup := r.cost.PSWStartup + r.cost.AllocLatency(cfg.Spec.AllocBytes, usable)
+		startup := r.cost.StartupLatency(cfg.Spec.AllocBytes, cfg.Machine.SGX().Geometry().UsableBytes())
 		pages := resource.PagesForBytes(cfg.Spec.AllocBytes)
 		ex.arm(startup, func() {
 			if _, err := ex.proc.OpenEnclave(pages); err != nil {

@@ -133,16 +133,6 @@ func (r *TraceRing) Snapshot() []PassTrace {
 	return out
 }
 
-// Cap returns the ring capacity (0 on a nil ring).
-func (r *TraceRing) Cap() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.buf)
-}
-
 // Len returns the retained trace count.
 func (r *TraceRing) Len() int {
 	if r == nil {

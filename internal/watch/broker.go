@@ -432,33 +432,6 @@ func (b *Broker[T]) Close() {
 	b.cond.Broadcast()
 }
 
-// LastRev returns the resource version of the newest appended event
-// (stashed out-of-order sequenced publishes do not count until their
-// gap fills).
-func (b *Broker[T]) LastRev() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastRev
-}
-
-// EventsSince returns copies of the retained events with rev > afterRev
-// in rev order, or ErrTooOld when that interval has been partially
-// evicted from the ring.
-func (b *Broker[T]) EventsSince(afterRev int64) ([]T, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r := &b.ring
-	if afterRev < r.evictedRev {
-		return nil, fmt.Errorf("%w: have >= %d, requested > %d", ErrTooOld, r.evictedRev, afterRev)
-	}
-	first := r.search(afterRev)
-	out := make([]T, 0, r.count-first)
-	for i := first; i < r.count; i++ {
-		out = append(out, r.at(i).ev)
-	}
-	return out, nil
-}
-
 // Stats returns a snapshot of the broker and per-subscriber accounting,
 // subscribers in subscription order.
 func (b *Broker[T]) Stats() Stats {
@@ -657,7 +630,7 @@ func (b *Broker[T]) callLocked(sub *subscription[T], f func() int64) (int64, boo
 // header) — a full traceback's worth of work, so it is the Async cold
 // path's alone: once per pump start, and once per unsubscribe that finds
 // a delivery in flight. Nothing per event and nothing in Sync mode calls
-// it (CI holds runtime.Stack to this one site).
+// it (TestArchitecture holds runtime.Stack to this one site).
 func goid() int64 {
 	var buf [32]byte
 	n := runtime.Stack(buf[:], false)

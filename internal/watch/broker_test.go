@@ -1,7 +1,6 @@
 package watch
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -369,27 +368,6 @@ func TestSyncOverflowResyncsInline(t *testing.T) {
 	checkOrdered(t, got, "sync-resync")
 }
 
-func TestEventsSinceTooOld(t *testing.T) {
-	b, publish := intBroker(Options{Mode: Sync, Capacity: 4})
-	for i := 0; i < 10; i++ {
-		publish()
-	}
-	if _, err := b.EventsSince(0); !errors.Is(err, ErrTooOld) {
-		t.Fatalf("EventsSince(0) error = %v, want ErrTooOld", err)
-	}
-	evs, err := b.EventsSince(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 4 || evs[0] != 7 {
-		t.Fatalf("EventsSince(6) = %v, want [7 8 9 10]", evs)
-	}
-	evs, err = b.EventsSince(10)
-	if err != nil || len(evs) != 0 {
-		t.Fatalf("EventsSince(head) = %v, %v; want empty", evs, err)
-	}
-}
-
 // TestBrokerPropertyRandom is the ordering/duplication/resync property
 // test: random concurrent publishers, consumers of random speeds on a
 // tiny ring, every consumer either resyncs (and its reconstructed state
@@ -502,4 +480,13 @@ func TestQuiesceIdleReturns(t *testing.T) {
 	if st := b.Stats().PerSubscriber[0]; st.Delivered != 1 {
 		t.Fatalf("after Quiesce, Delivered = %d, want 1", st.Delivered)
 	}
+}
+
+// LastRev returns the resource version of the newest appended event
+// (stashed out-of-order sequenced publishes do not count until their
+// gap fills).
+func (b *Broker[T]) LastRev() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.lastRev
 }
