@@ -441,6 +441,38 @@ Error. The match is by name: a miss lets dead code through, it never
 flags live code.`,
 		check: func(c *codebase) []string { return deadSurface(c, deadSurfaceAllow) },
 	},
+	{
+		name: "no-unset-internal-knob",
+		doc: `Every exported field of an exported internal/ …Config, …Options or
+…Profile struct is set by non-test code somewhere (bench/ included), or
+has an entry in knobAllow that names the test or benchmark needing its
+second value. Each settable value doubles the configurations the tests
+must cover; a value every caller leaves at its default is a constant. A
+field is set by a key in a composite literal of its type, or by its name
+selected on the left of an assignment in a file of another package that
+names the type (a package's own defaulting assignments do not count).
+The match is by name, without type checking: an assignment in a file
+that never names the type is not seen.`,
+		check: func(c *codebase) []string { return unsetKnobs(c, knobAllow) },
+	},
+}
+
+// knobAllow lists exported internal/ configuration fields that only tests
+// and benchmarks set, keyed "dir.Type.Field", each with what needs the
+// second value.
+var knobAllow = map[string]string{
+	"internal/core.Config.PercentageNodesToScore":           "BenchmarkMillionPod (root) runs a sampled arm (0) against a full-scan arm (100)",
+	"internal/core.Config.MaxPendingPerPass":                "BenchmarkMillionPod (root) caps its 100k-deep queue at 1000 pods a pass",
+	"internal/core.GangConfig.PermitTimeout":                "internal/core's gang tests race 5–10 s permit rollbacks against commits",
+	"internal/experiments.TestbedConfig.StdNodeCount":       "BenchmarkAblation_UsageAwareVsRequestOnly (root) contends one standard node",
+	"internal/experiments.TestbedConfig.SGXNodeCount":       "BenchmarkAblation_UsageAwareVsRequestOnly (root) keeps the minimum one SGX node",
+	"internal/experiments.MultiSchedConfig.Concurrent":      "TestMultiSchedConcurrentDrainSafe drains on real goroutines under -race",
+	"internal/experiments.MultiSchedConfig.Horizon":         "TestMultiSchedConcurrentDrainSafe gives the nondeterministic drain 4 h",
+	"internal/experiments.ClassesExpConfig.Shards":          "TestClassesMixedFleetDeterministic pins the 1-, 2- and 4-shard fleets",
+	"internal/experiments.ClassesExpConfig.SGXEvery":        "TestClassesMixedFleetSGXUtilization compares the run with a fleet of no SGX jobs",
+	"internal/experiments.ObservabilityConfig.JobsPerClass": "the observability tests pin 8- and 6-job waves",
+	"internal/experiments.FanoutScenarioConfig.Nodes":       "TestFanoutDrainCompletes shrinks the grid's cluster to 16 nodes",
+	"internal/experiments.FanoutScenarioConfig.Backlog":     "TestFanoutDrainCompletes shrinks the grid's backlog to 96 pods",
 }
 
 // deadSurfaceAllow lists exported internal/ functions and methods that
@@ -462,7 +494,6 @@ var deadSurfaceAllow = map[string]string{
 	"internal/sgx.Enclave.State":                    "internal/isgx and internal/machine tests check an enclave's lifecycle through the driver",
 	"internal/sgx.Enclave.Pages":                    "internal/isgx and internal/machine tests check an enclave's commitment through the driver",
 	"internal/sgx.Package.EnclaveCount":             "TestEnclaveInitDeniedOverLimit (internal/isgx) checks a denied enclave is gone",
-	"internal/sgx.Package.PagesForPID":              "TestIndexedTotalsMatchScanProperty (internal/machine) holds the per-process totals to a scan",
 	"internal/deviceplugin.SGXPlugin.AllocationFor": "internal/kubelet's resync tests check the devices a missed binding holds",
 	"internal/golden.StreamDigest":                  "the determinism tests of internal/core and internal/experiments pin their runs with it",
 	// The plugin framework's extension points, beside WithPreScore and
@@ -488,8 +519,8 @@ var deadSurfaceAllow = map[string]string{
 
 // references indexes the non-test references of c by name: funcs holds
 // "dir.Name" for each package-level identifier read in dir or selected
-// from the package at dir; methods holds each selected name and each
-// interface method name.
+// from the package at dir; methods holds each name selected from a value
+// (not from an imported package) and each interface method name.
 func references(c *codebase) (funcs, methods map[string]bool) {
 	funcs, methods = map[string]bool{}, map[string]bool{}
 	for _, f := range c.files {
@@ -501,14 +532,17 @@ func references(c *codebase) (funcs, methods map[string]bool) {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				selected[n.Sel] = true
+				if pkg, name, ok := f.pkgRef(n); ok {
+					if strings.HasPrefix(pkg, modulePath+"/") {
+						funcs[strings.TrimPrefix(pkg, modulePath+"/")+"."+name] = true
+					}
+					return // a qualified identifier, not a method
+				}
 				if x, ok := n.X.(*ast.Ident); ok && fn != nil && fn.Recv != nil && n.Sel.Name == fn.Name.Name &&
 					len(fn.Recv.List[0].Names) > 0 && x.Name == fn.Recv.List[0].Names[0].Name {
 					return // a method calling itself
 				}
 				methods[n.Sel.Name] = true
-				if pkg, name, ok := f.pkgRef(n); ok && strings.HasPrefix(pkg, modulePath+"/") {
-					funcs[strings.TrimPrefix(pkg, modulePath+"/")+"."+name] = true
-				}
 			case *ast.InterfaceType:
 				for _, m := range n.Methods.List {
 					for _, name := range m.Names {
@@ -560,6 +594,109 @@ func deadSurface(c *codebase, allow map[string]string) (out []string) {
 	for key := range allow {
 		if !declared[key] {
 			out = append(out, "allowlist entry "+key+" names no declaration")
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// isKnobStruct reports whether name is an exported configuration type.
+func isKnobStruct(name string) bool {
+	return ast.IsExported(name) &&
+		(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Profile"))
+}
+
+// knobFields returns the exported named fields of every exported
+// configuration struct in non-test internal/ code, keyed "dir.Type.Field".
+func knobFields(c *codebase) map[string]*ast.Ident {
+	fields := map[string]*ast.Ident{}
+	for _, f := range c.files {
+		if f.test || !within(f.dir, "internal") {
+			continue
+		}
+		ast.Inspect(f.syntax, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || !isKnobStruct(ts.Name.Name) {
+				return true
+			}
+			if st, isStruct := ts.Type.(*ast.StructType); isStruct {
+				for _, fld := range st.Fields.List {
+					for _, id := range fld.Names {
+						if id.IsExported() {
+							fields[f.dir+"."+ts.Name.Name+"."+id.Name] = id
+						}
+					}
+				}
+			}
+			return false
+		})
+	}
+	return fields
+}
+
+// knobsSet indexes, as "dir.Type.Field", the fields non-test code sets: each
+// key of a composite literal of a type, and each name a file selects on the
+// left of an assignment, for every type that file names from another
+// package of the module.
+func knobsSet(c *codebase) map[string]bool {
+	set := map[string]bool{}
+	for _, f := range c.files {
+		if f.test {
+			continue
+		}
+		named, assigned := map[string]bool{}, map[string]bool{}
+		ast.Inspect(f.syntax, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if pkg, name, ok := f.pkgRef(n); ok && strings.HasPrefix(pkg, modulePath+"/") {
+					named[strings.TrimPrefix(pkg, modulePath+"/")+"."+name] = true
+				}
+			case *ast.CompositeLit:
+				typ := ""
+				if pkg, name, ok := f.pkgRef(n.Type); ok {
+					typ = strings.TrimPrefix(pkg, modulePath+"/") + "." + name
+				} else if id, ok := n.Type.(*ast.Ident); ok {
+					typ = f.dir + "." + id.Name
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok && typ != "" {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							set[typ+"."+key.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						assigned[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		for typ := range named {
+			for field := range assigned {
+				set[typ+"."+field] = true
+			}
+		}
+	}
+	return set
+}
+
+func unsetKnobs(c *codebase, allow map[string]string) (out []string) {
+	fields, set := knobFields(c), knobsSet(c)
+	for key, id := range fields {
+		switch {
+		case set[key] && allow[key] != "":
+			out = append(out, c.at(id.Pos())+": "+key+" is set; drop its allowlist entry")
+		case set[key], allow[key] != "":
+		default:
+			out = append(out, c.at(id.Pos())+": "+key+" is set by no non-test code")
+		}
+	}
+	for key := range allow {
+		if fields[key] == nil {
+			out = append(out, "allowlist entry "+key+" names no field")
 		}
 	}
 	sort.Strings(out)
@@ -662,6 +799,10 @@ func held(ev apiserver.WatchEvent) bool {
 			"internal/golden/golden.go": "package golden\n\nfunc StreamDigest() {}\n",
 			"cmd/x/main.go":             "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/golden\"\n\nfunc main() { golden.StreamDigest() }\n",
 		}, "internal/golden/golden.go:3"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/borg/generator.go": "package borg\n\ntype Generator struct{}\n\nfunc (g *Generator) Config() {}\n",
+			"cmd/x/main.go":              "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/stack\"\n\nvar _ = stack.Config{}\n",
+		}, "internal/borg/generator.go:5"},
 	}
 	covered := map[string]bool{}
 	for _, tc := range cases {
@@ -683,6 +824,52 @@ func held(ev apiserver.WatchEvent) bool {
 		out := rule.check(c)
 		if !strings.Contains(strings.Join(out, "\n"), tc.want+":") {
 			t.Errorf("%s: want a violation at %s, got %q", tc.rule, tc.want, out)
+		}
+	}
+	// The knob rule takes its allowlist from the case; want is a fragment
+	// of the report, or "" when the sources must pass.
+	const knob = "package stress\n\ntype Config struct {\n\tOnStarted func()\n}\n"
+	const setter = "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/stress\"\n\n"
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		allow map[string]string
+		want  string
+	}{
+		{"unset field", map[string]string{"internal/stress/stress.go": knob}, nil, "internal/stress/stress.go:4:"},
+		{"own package's defaulting", map[string]string{
+			"internal/stress/stress.go":   knob,
+			"internal/stress/defaults.go": "package stress\n\nfunc (c Config) withDefaults() Config { c.OnStarted = func() {}; return c }\n",
+		}, nil, "internal/stress/stress.go:4:"},
+		{"set by a literal", map[string]string{
+			"internal/stress/stress.go": knob,
+			"cmd/x/main.go":             setter + "var _ = stress.Config{OnStarted: func() {}}\n",
+		}, nil, ""},
+		{"assigned from another package", map[string]string{
+			"internal/stress/stress.go": knob,
+			"cmd/x/main.go":             setter + "func main() { var c stress.Config; c.OnStarted = func() {}; _ = c }\n",
+		}, nil, ""},
+		{"set only by a test", map[string]string{
+			"internal/stress/stress.go":      knob,
+			"internal/stress/stress_test.go": "package stress\n\nvar _ = Config{OnStarted: func() {}}\n",
+		}, map[string]string{"internal/stress.Config.OnStarted": "a test sets it"}, ""},
+		{"stale allowlist entry", map[string]string{
+			"internal/stress/stress.go": knob,
+			"cmd/x/main.go":             setter + "var _ = stress.Config{OnStarted: func() {}}\n",
+		}, map[string]string{"internal/stress.Config.OnStarted": "a test sets it"}, "internal/stress/stress.go:4:"},
+		{"allowlist entry naming no field", map[string]string{
+			"internal/stress/stress.go": knob,
+			"cmd/x/main.go":             setter + "var _ = stress.Config{OnStarted: func() {}}\n",
+		}, map[string]string{"internal/stress.Config.OnFinished": "a test sets it"}, "internal/stress.Config.OnFinished names no field"},
+	} {
+		covered["no-unset-internal-knob"] = true
+		c, err := parseSources(tc.files)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := strings.Join(unsetKnobs(c, tc.allow), "\n")
+		if tc.want == "" && out != "" || !strings.Contains(out, tc.want) {
+			t.Errorf("no-unset-internal-knob, %s: want %q, got %q", tc.name, tc.want, out)
 		}
 	}
 	for _, r := range archRules {

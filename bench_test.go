@@ -1,6 +1,8 @@
 // Benchmarks regenerating every table/figure of the paper's evaluation
-// (§VI, Figs. 3-11), plus ablation and micro benchmarks for the design
-// choices DESIGN.md calls out.
+// (§VI, Figs. 3-11), plus ablations of the scheduler's own design choices
+// (usage-aware versus request-only accounting, SGX-last ordering, the
+// metric window, the pass interval) and micro benchmarks of the paths
+// every pass and every replayed job take.
 //
 // Each figure benchmark runs the corresponding experiment harness end to
 // end (full simulated cluster replays for Figs. 7-11) and reports the
@@ -48,7 +50,7 @@ func BenchmarkFig3_MemoryUsageCDF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fig = experiments.Fig3MemoryCDF(benchSeed, 20000)
 	}
-	c := stats.NewCDF(borg.NewGenerator(borg.DefaultConfig(benchSeed)).FullDay(20000).MemFractions())
+	c := stats.NewCDF(borg.NewGenerator(benchSeed).FullDay(20000).MemFractions())
 	b.ReportMetric(100*c.At(0.1), "pct_below_0.1")
 	b.ReportMetric(float64(len(fig.Series[0].Points)), "curve_points")
 }
@@ -225,7 +227,10 @@ func BenchmarkFig11_LimitsEnforcement(b *testing.B) {
 }
 
 // BenchmarkAblation_UsageAwareVsRequestOnly quantifies what the paper's
-// usage-aware scheduling buys over request-only accounting (DESIGN.md §5).
+// usage-aware scheduling buys over request-only accounting: it charges a
+// pod max(measured, requested) for one metric window after it starts and
+// its measured peak alone after that, so over-declared requests stop
+// holding capacity.
 // The all-standard replay runs on a single 64 GiB node so that memory is
 // contended: honest jobs advertise up to 1.6× their real usage (§VI-B),
 // and only the usage-aware scheduler reclaims that headroom.
@@ -240,7 +245,7 @@ func BenchmarkAblation_UsageAwareVsRequestOnly(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		trace := borg.NewGenerator(borg.DefaultConfig(benchSeed)).EvalSlice()
+		trace := borg.NewGenerator(benchSeed).EvalSlice()
 		res, err := tb.Replay(experiments.ReplayConfig{
 			Trace:    trace,
 			SGXRatio: 0,
@@ -297,7 +302,7 @@ func BenchmarkSchedulerPass(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer tb.Close()
-	trace := borg.NewGenerator(borg.DefaultConfig(benchSeed)).EvalSlice()
+	trace := borg.NewGenerator(benchSeed).EvalSlice()
 	// Submit everything at once so the queue is as deep as possible.
 	for i, job := range trace.Jobs {
 		pod := benchPod(job, i%2 == 0)
@@ -326,7 +331,7 @@ func BenchmarkClassifiedPass(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer tb.Close()
-	trace := borg.NewGenerator(borg.DefaultConfig(benchSeed)).EvalSlice()
+	trace := borg.NewGenerator(benchSeed).EvalSlice()
 	tiers := []struct {
 		class api.WorkloadClass
 		prio  int32
@@ -367,7 +372,7 @@ func BenchmarkInstrumentedPass(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer tb.Close()
-	trace := borg.NewGenerator(borg.DefaultConfig(benchSeed)).EvalSlice()
+	trace := borg.NewGenerator(benchSeed).EvalSlice()
 	for i, job := range trace.Jobs {
 		pod := benchPod(job, i%2 == 0)
 		if err := tb.Srv.CreatePod(pod); err != nil {
@@ -692,7 +697,7 @@ func BenchmarkEnclaveLifecycle(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := driver.OpenEnclave(1, "/kubepods/bench", 4096)
+		e, err := driver.OpenEnclave("/kubepods/bench", 4096)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -718,7 +723,7 @@ func BenchmarkDevicePluginAllocate(b *testing.B) {
 // BenchmarkBorgEvalSlice measures trace generation (§VI-B input).
 func BenchmarkBorgEvalSlice(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tr := borg.NewGenerator(borg.DefaultConfig(int64(i))).EvalSlice()
+		tr := borg.NewGenerator(int64(i)).EvalSlice()
 		if tr.Len() != borg.EvalJobCount {
 			b.Fatal("bad trace")
 		}

@@ -122,9 +122,6 @@ type ClusterConfig struct {
 	// instrumentation site in the scheduler and API server reduces to a
 	// nil check — zero allocations and zero clock reads added.
 	DisableTelemetry bool
-	// TraceRingSize overrides how many recent pass traces the scheduler
-	// retains (telemetry.DefaultTraceRingSize when 0).
-	TraceRingSize int
 }
 
 // PaperTestbedNodes returns the §VI-A cluster shape.
@@ -207,7 +204,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{}
 	if !cfg.DisableTelemetry {
 		c.reg = telemetry.New()
-		c.trace = telemetry.NewTraceRing(cfg.TraceRingSize)
+		c.trace = telemetry.NewTraceRing(0)
 	}
 	c.st = stack.New(apiserver.WithTelemetry(c.reg))
 	if err := c.st.Start(stack.Config{

@@ -39,13 +39,13 @@ func run() error {
 		if err := fs.Parse(args); err != nil {
 			return err
 		}
-		return printStats(borg.NewGenerator(borg.DefaultConfig(*seed)).EvalSlice())
+		return printStats(borg.NewGenerator(*seed).EvalSlice())
 	case "gen":
 		out := fs.String("o", "-", "output file (- for stdout)")
 		if err := fs.Parse(args); err != nil {
 			return err
 		}
-		tr := borg.NewGenerator(borg.DefaultConfig(*seed)).EvalSlice()
+		tr := borg.NewGenerator(*seed).EvalSlice()
 		w := os.Stdout
 		if *out != "-" {
 			f, err := os.Create(*out)
@@ -61,7 +61,7 @@ func run() error {
 		if err := fs.Parse(args); err != nil {
 			return err
 		}
-		return printDay(borg.NewGenerator(borg.DefaultConfig(*seed)), *jobs)
+		return printDay(borg.NewGenerator(*seed), *jobs)
 	default:
 		return fmt.Errorf("unknown subcommand %q", cmd)
 	}

@@ -29,8 +29,8 @@
 // stripe and one node stripe, and binds against different nodes proceed
 // in parallel on different cores. A thin global layer keeps what must
 // stay totally ordered: resource versions come from one atomic counter,
-// and the watch broker re-orders racing publishes back into rev order
-// (watch.Options.Sequenced), so the event log remains a single coherent
+// and the watch broker re-orders racing publishes back into rev order,
+// so the event log remains a single coherent
 // history even though commits run concurrently. Cross-shard readers —
 // snapshots, the informer handshake, resync — take every stripe in a
 // fixed ascending order (lockWorld); with the world held no commit is
@@ -287,8 +287,7 @@ type Server struct {
 
 	// seq allocates resource versions — the only piece of commit state
 	// that stays global, because the event log must remain one totally
-	// ordered history. The broker's Sequenced mode tolerates racing
-	// publishers, so allocation is a single atomic add, not a lock.
+	// ordered history. The broker tolerates racing publishers, so allocation is a single atomic add, not a lock.
 	seq     atomic.Int64
 	nextUID atomic.Int64
 
@@ -364,9 +363,6 @@ func New(clk clock.Clock, opts ...Option) *Server {
 		s.nodeShards[i].nodes = make(map[string]*api.Node)
 		s.nodeShards[i].committed = make(map[string]resource.List)
 	}
-	// Sequenced lets stripe-parallel commits race to the broker and still
-	// produce a rev-ordered log.
-	s.watchOpts.Sequenced = true
 	s.broker = watch.New[WatchEvent](s.watchOpts)
 	return s
 }

@@ -85,7 +85,7 @@ func (t *txn) node(name string) *nodeShard {
 // is published while every stripe the mutation touched is still held:
 // lockWorld cannot observe an applied mutation whose event is still
 // unpublished. Racing publishes from other stripes may reach the broker
-// out of rev order; its Sequenced mode restores the order.
+// out of rev order; the broker restores the order.
 func (t *txn) publish(ev WatchEvent, reason, message string) {
 	if ev.Pod != nil {
 		t.s.recordEvent(kindPod, ev.Pod.Name, reason, message)

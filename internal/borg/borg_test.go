@@ -12,7 +12,7 @@ import (
 )
 
 func TestEvalSliceMatchesPaperCounts(t *testing.T) {
-	tr := NewGenerator(DefaultConfig(1)).EvalSlice()
+	tr := NewGenerator(1).EvalSlice()
 	if got := tr.Len(); got != EvalJobCount {
 		t.Fatalf("jobs = %d, want %d", got, EvalJobCount)
 	}
@@ -26,7 +26,7 @@ func TestEvalSliceMatchesPaperCounts(t *testing.T) {
 }
 
 func TestEvalSliceJobBounds(t *testing.T) {
-	tr := NewGenerator(DefaultConfig(2)).EvalSlice()
+	tr := NewGenerator(2).EvalSlice()
 	var prev time.Duration
 	for _, j := range tr.Jobs {
 		if j.Submit < 0 || j.Submit >= time.Hour {
@@ -49,8 +49,8 @@ func TestEvalSliceJobBounds(t *testing.T) {
 }
 
 func TestEvalSliceDeterministicPerSeed(t *testing.T) {
-	a := NewGenerator(DefaultConfig(42)).EvalSlice()
-	b := NewGenerator(DefaultConfig(42)).EvalSlice()
+	a := NewGenerator(42).EvalSlice()
+	b := NewGenerator(42).EvalSlice()
 	if len(a.Jobs) != len(b.Jobs) {
 		t.Fatal("lengths differ")
 	}
@@ -59,7 +59,7 @@ func TestEvalSliceDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("job %d differs: %+v vs %+v", i, a.Jobs[i], b.Jobs[i])
 		}
 	}
-	c := NewGenerator(DefaultConfig(43)).EvalSlice()
+	c := NewGenerator(43).EvalSlice()
 	same := true
 	for i := range a.Jobs {
 		if a.Jobs[i] != c.Jobs[i] {
@@ -73,7 +73,7 @@ func TestEvalSliceDeterministicPerSeed(t *testing.T) {
 }
 
 func TestFullDayDistributions(t *testing.T) {
-	tr := NewGenerator(DefaultConfig(3)).FullDay(20000)
+	tr := NewGenerator(3).FullDay(20000)
 	if tr.Len() != 20000 {
 		t.Fatalf("jobs = %d", tr.Len())
 	}
@@ -115,7 +115,7 @@ func TestFullDayDistributions(t *testing.T) {
 }
 
 func TestConcurrencyProfileShape(t *testing.T) {
-	g := NewGenerator(DefaultConfig(4))
+	g := NewGenerator(4)
 	pts := g.ConcurrencyProfile(10 * time.Minute)
 	if len(pts) != 145 { // 24h / 10min + 1
 		t.Fatalf("points = %d", len(pts))
@@ -178,7 +178,7 @@ func TestTotalDuration(t *testing.T) {
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	tr := NewGenerator(DefaultConfig(5)).EvalSlice()
+	tr := NewGenerator(5).EvalSlice()
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestReadCSVErrors(t *testing.T) {
 // jobs never do.
 func TestAdvertisementConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		tr := NewGenerator(DefaultConfig(seed)).EvalSlice()
+		tr := NewGenerator(seed).EvalSlice()
 		for _, j := range tr.Jobs {
 			if j.OverAllocates() && j.AssignedMemFrac >= j.MaxMemFrac {
 				return false
@@ -245,7 +245,7 @@ func TestAdvertisementConsistencyProperty(t *testing.T) {
 // re-based to its start.
 func TestWindowProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		tr := NewGenerator(DefaultConfig(seed)).FullDay(2000)
+		tr := NewGenerator(seed).FullDay(2000)
 		w := tr.Window(2*time.Hour, 4*time.Hour)
 		inside := 0
 		for _, j := range tr.Jobs {

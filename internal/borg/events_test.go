@@ -92,7 +92,7 @@ func TestJobsFromEvents(t *testing.T) {
 }
 
 func TestTaskEventsRoundTrip(t *testing.T) {
-	src := NewGenerator(DefaultConfig(6)).EvalSlice()
+	src := NewGenerator(6).EvalSlice()
 	var buf bytes.Buffer
 	if err := WriteTaskEvents(&buf, src); err != nil {
 		t.Fatal(err)

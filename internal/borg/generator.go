@@ -11,104 +11,51 @@ import (
 // trace).
 const Day = 24 * time.Hour
 
-// GeneratorConfig tunes the synthetic trace distributions. The defaults
-// are the calibration described in DESIGN.md §2; they are exported so the
-// ablation benchmarks can stress other regimes.
-type GeneratorConfig struct {
-	Seed int64
-
+// The calibration of the synthetic trace. With 663 jobs over one hour,
+// E[frac] ≈ 0.105 and E[duration] ≈ 118 s put the all-SGX replay's EPC
+// demand at ~103% of the two SGX nodes' 187 MiB (§VI-A cluster) — the
+// overload regime behind Fig. 8's long waiting-time tail — and reproduce
+// Fig. 7's drain times within ~15% at every simulated EPC size.
+const (
 	// Durations: shifted exponential capped at MaxDuration.
-	DurationMin  time.Duration
-	DurationMean time.Duration
+	durationMin  = 5 * time.Second
+	durationMean = 125 * time.Second
 
-	// Memory fractions: log-normal ln N(FracMu, FracSigma), clamped to
+	// Memory fractions: log-normal ln N(fracMu, fracSigma), clamped to
 	// (0, MaxMemFraction].
-	FracMu    float64
-	FracSigma float64
+	fracMu    = -2.7
+	fracSigma = 0.95
 
-	// OverAllocRatio is the probability that a job's maximal usage
-	// exceeds its advertisement (44/663 in the evaluation slice, §VI-F).
-	OverAllocRatio float64
+	// overAllocRatio is the probability that a job's maximal usage exceeds
+	// its advertisement (44/663 in the evaluation slice, §VI-F).
+	overAllocRatio = float64(EvalOverAllocators) / float64(EvalJobCount)
 
-	// Concurrency profile (Fig. 5): Base ± Amplitude daily wave plus a
-	// shorter wiggle and noise, with the minimum centred on the
-	// evaluation window.
-	ConcurrencyBase      float64
-	ConcurrencyAmplitude float64
-	ConcurrencyWiggle    float64
-	ConcurrencyNoise     float64
-}
-
-// DefaultConfig returns the calibrated defaults.
-func DefaultConfig(seed int64) GeneratorConfig {
-	// Calibration: with 663 jobs over one hour, E[frac] ≈ 0.105 and
-	// E[duration] ≈ 118 s put the all-SGX replay's EPC demand at ~103% of
-	// the two SGX nodes' 187 MiB (§VI-A cluster) — the overload regime
-	// behind Fig. 8's long waiting-time tail — and reproduce Fig. 7's
-	// drain times within ~15% at every simulated EPC size.
-	return GeneratorConfig{
-		Seed:                 seed,
-		DurationMin:          5 * time.Second,
-		DurationMean:         125 * time.Second,
-		FracMu:               -2.7,
-		FracSigma:            0.95,
-		OverAllocRatio:       float64(EvalOverAllocators) / float64(EvalJobCount),
-		ConcurrencyBase:      134000,
-		ConcurrencyAmplitude: 7000,
-		ConcurrencyWiggle:    2500,
-		ConcurrencyNoise:     1500,
-	}
-}
+	// Concurrency profile (Fig. 5): base ± amplitude daily wave plus a
+	// shorter wiggle and noise, with the minimum centred on the evaluation
+	// window.
+	concurrencyBase      = 134000
+	concurrencyAmplitude = 7000
+	concurrencyWiggle    = 2500
+	concurrencyNoise     = 1500
+)
 
 // Generator produces deterministic synthetic traces.
 type Generator struct {
-	cfg GeneratorConfig
-	rng *rand.Rand
+	seed int64
+	rng  *rand.Rand
 }
 
-// NewGenerator creates a generator; zero-valued config fields are filled
-// with the calibrated defaults.
-func NewGenerator(cfg GeneratorConfig) *Generator {
-	def := DefaultConfig(cfg.Seed)
-	if cfg.DurationMin <= 0 {
-		cfg.DurationMin = def.DurationMin
-	}
-	if cfg.DurationMean <= 0 {
-		cfg.DurationMean = def.DurationMean
-	}
-	if cfg.FracMu == 0 {
-		cfg.FracMu = def.FracMu
-	}
-	if cfg.FracSigma <= 0 {
-		cfg.FracSigma = def.FracSigma
-	}
-	if cfg.OverAllocRatio <= 0 {
-		cfg.OverAllocRatio = def.OverAllocRatio
-	}
-	if cfg.ConcurrencyBase <= 0 {
-		cfg.ConcurrencyBase = def.ConcurrencyBase
-	}
-	if cfg.ConcurrencyAmplitude <= 0 {
-		cfg.ConcurrencyAmplitude = def.ConcurrencyAmplitude
-	}
-	if cfg.ConcurrencyWiggle <= 0 {
-		cfg.ConcurrencyWiggle = def.ConcurrencyWiggle
-	}
-	if cfg.ConcurrencyNoise <= 0 {
-		cfg.ConcurrencyNoise = def.ConcurrencyNoise
-	}
-	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+// NewGenerator creates a generator whose traces are a function of seed.
+func NewGenerator(seed int64) *Generator {
+	return &Generator{seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
-
-// Config returns the effective configuration.
-func (g *Generator) Config() GeneratorConfig { return g.cfg }
 
 // sampleDuration draws a job duration: min + Exp(mean-min), capped at
 // MaxDuration, matching Fig. 4's bounded CDF. Times are truncated to the
 // microsecond granularity of the original trace.
 func (g *Generator) sampleDuration() time.Duration {
-	mean := float64(g.cfg.DurationMean - g.cfg.DurationMin)
-	d := g.cfg.DurationMin + time.Duration(g.rng.ExpFloat64()*mean)
+	mean := float64(durationMean - durationMin)
+	d := durationMin + time.Duration(g.rng.ExpFloat64()*mean)
 	if d > MaxDuration {
 		d = MaxDuration
 	}
@@ -118,7 +65,7 @@ func (g *Generator) sampleDuration() time.Duration {
 // sampleFrac draws a maximal memory usage fraction from the calibrated
 // log-normal, clamped to (0, cap].
 func (g *Generator) sampleFrac(cap float64) float64 {
-	f := math.Exp(g.cfg.FracMu + g.cfg.FracSigma*g.rng.NormFloat64())
+	f := math.Exp(fracMu + fracSigma*g.rng.NormFloat64())
 	if f > cap {
 		f = cap
 	}
@@ -154,12 +101,12 @@ func (g *Generator) assignAdvertised(maxFrac float64, overAllocates bool, cap fl
 func (g *Generator) concurrencyAt(t time.Duration) float64 {
 	u := float64(t) / float64(Day)
 	const u0 = 8280.0 / 86400.0
-	wave := g.cfg.ConcurrencyAmplitude * math.Cos(2*math.Pi*(u-u0-0.5))
+	wave := concurrencyAmplitude * math.Cos(2*math.Pi*(u-u0-0.5))
 	// The wiggle's phase keeps its trough aligned with the daily wave's
 	// minimum at u0, so the global minimum stays inside the evaluation
 	// window.
-	wiggle := g.cfg.ConcurrencyWiggle * math.Sin(6*math.Pi*u+2.902)
-	return g.cfg.ConcurrencyBase + wave + wiggle
+	wiggle := concurrencyWiggle * math.Sin(6*math.Pi*u+2.902)
+	return concurrencyBase + wave + wiggle
 }
 
 // ConcurrencyPoint is one sample of the Fig. 5 series.
@@ -174,10 +121,10 @@ func (g *Generator) ConcurrencyProfile(step time.Duration) []ConcurrencyPoint {
 	if step <= 0 {
 		step = 10 * time.Minute
 	}
-	rng := rand.New(rand.NewSource(g.cfg.Seed + 5))
+	rng := rand.New(rand.NewSource(g.seed + 5))
 	var out []ConcurrencyPoint
 	for t := time.Duration(0); t <= Day; t += step {
-		noise := g.cfg.ConcurrencyNoise * (2*rng.Float64() - 1)
+		noise := concurrencyNoise * (2*rng.Float64() - 1)
 		out = append(out, ConcurrencyPoint{Offset: t, Jobs: g.concurrencyAt(t) + noise})
 	}
 	return out
@@ -217,7 +164,7 @@ func (g *Generator) FullDay(n int) *Trace {
 		submit := (time.Duration(minute)*time.Minute +
 			time.Duration(g.rng.Float64()*float64(time.Minute))).Truncate(time.Microsecond)
 		maxFrac := g.sampleFrac(MaxMemFraction)
-		over := g.rng.Float64() < g.cfg.OverAllocRatio
+		over := g.rng.Float64() < overAllocRatio
 		tr.Jobs = append(tr.Jobs, Job{
 			Submit:          submit,
 			Duration:        g.sampleDuration(),
@@ -246,7 +193,7 @@ func (g *Generator) EvalSlice() *Trace {
 	for i := 0; i < EvalOverAllocators; i++ {
 		over[i] = true
 	}
-	rng := rand.New(rand.NewSource(g.cfg.Seed + 7))
+	rng := rand.New(rand.NewSource(g.seed + 7))
 	rng.Shuffle(EvalJobCount, func(i, j int) { over[i], over[j] = over[j], over[i] })
 
 	// Arrivals: ordered uniforms, shaped by the (nearly flat) intensity

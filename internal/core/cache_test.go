@@ -134,10 +134,8 @@ func TestClusterCacheMatchesBuildView(t *testing.T) {
 		}
 
 		window := time.Duration(5+rng.Intn(56)) * time.Second
-		lag := time.Duration(1+rng.Intn(40)) * time.Second
 		s, err := New(clk, srv, db, Config{
-			Name: "s", Policy: Binpack{}, UseMetrics: true,
-			Window: window, MetricsLag: lag,
+			Name: "s", Policy: Binpack{}, UseMetrics: true, Window: window,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -42,16 +42,9 @@ type ClassifierConfig struct {
 	// Infer enables signal-based classification for pods with no
 	// explicit class. Off (the default), unclassified pods stay
 	// unclassified and take the scheduler's default pipeline — the
-	// bit-identical-compatibility anchor.
+	// bit-identical-compatibility anchor. On, the thresholds are
+	// DefaultLatencyPriority and DefaultBatchDuration.
 	Infer bool
-	// LatencyPriority is the priority tier at or above which an
-	// unclassified pod is inferred latency-sensitive
-	// (DefaultLatencyPriority when zero).
-	LatencyPriority int32
-	// BatchDuration is the declared workload runtime at or beyond which
-	// an unclassified pod is inferred batch (DefaultBatchDuration when
-	// zero).
-	BatchDuration time.Duration
 }
 
 // WorkloadClassifier assigns workload classes to pods. An explicitly
@@ -63,14 +56,8 @@ type WorkloadClassifier struct {
 	cfg ClassifierConfig
 }
 
-// NewWorkloadClassifier builds a classifier with defaults applied.
+// NewWorkloadClassifier builds a classifier.
 func NewWorkloadClassifier(cfg ClassifierConfig) *WorkloadClassifier {
-	if cfg.LatencyPriority == 0 {
-		cfg.LatencyPriority = DefaultLatencyPriority
-	}
-	if cfg.BatchDuration <= 0 {
-		cfg.BatchDuration = DefaultBatchDuration
-	}
 	return &WorkloadClassifier{cfg: cfg}
 }
 
@@ -91,13 +78,13 @@ func (c *WorkloadClassifier) Classify(pod *api.Pod) api.WorkloadClass {
 	if pod.Spec.InGang() {
 		return api.ClassBatch
 	}
-	if pod.Spec.Priority >= c.cfg.LatencyPriority {
+	if pod.Spec.Priority >= DefaultLatencyPriority {
 		return api.ClassLatencySensitive
 	}
 	if pod.Spec.Priority < 0 {
 		return api.ClassBestEffort
 	}
-	if c.maxDuration(pod) >= c.cfg.BatchDuration {
+	if c.maxDuration(pod) >= DefaultBatchDuration {
 		return api.ClassBatch
 	}
 	if pod.IsSGX() {
@@ -125,10 +112,9 @@ type ClassProfile struct {
 	Class api.WorkloadClass
 	// Policy supplies the plugin pipeline, exactly as Config.Policy does.
 	Policy Policy
-	// PercentageNodesToScore / MinFeasibleNodesToFind override the
-	// scheduler's sampling bounds for this class (0 inherits the
-	// scheduler Config; see Config.PercentageNodesToScore).
-	PercentageNodesToScore int
+	// MinFeasibleNodesToFind raises this class's sampling floor (0
+	// inherits DefaultMinFeasibleNodesToFind; the sampling percentage is
+	// always the scheduler's, see Config.PercentageNodesToScore).
 	MinFeasibleNodesToFind int
 	// MayPreempt gates whether this class's pods ever evict others. A
 	// preempting class additionally gains access to best-effort victims
@@ -138,10 +124,9 @@ type ClassProfile struct {
 }
 
 // ClassRegistry routes pods to per-class scheduling profiles. Build one
-// with NewClassRegistry, optionally override classes with Set, and hand
-// it to Config.Classes; a sharded fleet passes the same registry to
-// every member (the registry is only read after construction, and the
-// profiles it yields are immutable).
+// with NewClassRegistry and hand it to Config.Classes; a sharded fleet
+// passes the same registry to every member (the registry is only read
+// after construction, and the profiles it yields are immutable).
 type ClassRegistry struct {
 	classifier *WorkloadClassifier
 	// profiles is indexed by class slot; a nil Policy marks a slot with no
@@ -167,21 +152,21 @@ func NewClassRegistry(classifier *WorkloadClassifier) *ClassRegistry {
 		classifier = NewWorkloadClassifier(ClassifierConfig{})
 	}
 	r := &ClassRegistry{classifier: classifier}
-	r.Set(ClassProfile{
+	r.set(ClassProfile{
 		Class:                  api.ClassLatencySensitive,
 		Policy:                 UsageAware{},
 		MinFeasibleNodesToFind: DefaultLatencyMinFeasible,
 		MayPreempt:             true,
 	})
-	r.Set(ClassProfile{Class: api.ClassBatch, Policy: Binpack{}})
-	r.Set(ClassProfile{Class: api.ClassBestEffort, Policy: Spread{}})
+	r.set(ClassProfile{Class: api.ClassBatch, Policy: Binpack{}})
+	r.set(ClassProfile{Class: api.ClassBestEffort, Policy: Spread{}})
 	return r
 }
 
-// Set installs (or replaces) one class's profile. Unknown classes and a
+// set installs (or replaces) one class's profile. Unknown classes and a
 // nil policy are ignored — the unspecified class cannot be overridden;
 // it is defined as the scheduler's own pipeline.
-func (r *ClassRegistry) Set(cp ClassProfile) {
+func (r *ClassRegistry) set(cp ClassProfile) {
 	if !cp.Class.Known() || cp.Policy == nil {
 		return
 	}
@@ -209,21 +194,21 @@ type pipeline struct {
 }
 
 // resolvePipelines builds a scheduler's pipeline table from its Config.
-// The default slot is the Config.Policy pipeline with the Config's own
-// sampling bounds, free to preempt strictly lower tiers — the exact
-// pre-class pass. A class with a registered profile gets that profile's
-// pipeline, its bounds where set (0 inherits the Config's) and its
-// preemption gate; a class without one schedules like the default slot
-// (its outcomes are still counted under its own slot). When the
-// scheduler runs a gang director its PreFilter/Permit plugins ride every
-// pipeline — the director passes solo pods through, and a gang member
-// explicitly classed outside batch must still honour the permit
-// protocol.
+// The default slot is the Config.Policy pipeline with the Config's
+// sampling percentage and the default floor, free to preempt strictly
+// lower tiers — the exact pre-class pass. A class with a registered
+// profile gets that profile's pipeline, its floor where set (0 inherits
+// the default) and its preemption gate; a class without one schedules
+// like the default slot (its outcomes are still counted under its own
+// slot). When the scheduler runs a gang director its PreFilter/Permit
+// plugins ride every pipeline — the director passes solo pods through,
+// and a gang member explicitly classed outside batch must still honour
+// the permit protocol.
 func resolvePipelines(cfg *Config) [api.NumClasses]pipeline {
 	def := pipeline{
 		profile:     cfg.Policy.Profile().withGang(cfg.Gang),
 		pct:         cfg.PercentageNodesToScore,
-		minFeasible: cfg.MinFeasibleNodesToFind,
+		minFeasible: DefaultMinFeasibleNodesToFind,
 		mayPreempt:  true,
 	}
 	var table [api.NumClasses]pipeline
@@ -235,9 +220,6 @@ func resolvePipelines(cfg *Config) [api.NumClasses]pipeline {
 		}
 		cp := &cfg.Classes.profiles[slot]
 		pl.profile = cp.Policy.Profile().withGang(cfg.Gang)
-		if cp.PercentageNodesToScore != 0 {
-			pl.pct = cp.PercentageNodesToScore
-		}
 		if cp.MinFeasibleNodesToFind != 0 {
 			pl.minFeasible = cp.MinFeasibleNodesToFind
 		}

@@ -79,9 +79,9 @@ func TestClassifierExplicitAndInference(t *testing.T) {
 
 // TestClassRegistryResolve: a scheduler Config resolves the default
 // registry into one pipeline per class slot with the documented gates —
-// inheriting the Config's sampling bounds where a class sets none — and
-// leaves unclassified pods on the Config.Policy pipeline. Overrides via
-// Set replace a class; the default slot cannot be occupied; a gang
+// the Config's sampling percentage, and the default floor where a class
+// sets none — and leaves unclassified pods on the Config.Policy pipeline.
+// Overrides via set replace a class; the default slot cannot be occupied; a gang
 // director's plugins ride every pipeline without touching the profiles
 // the policies yielded.
 func TestClassRegistryResolve(t *testing.T) {
@@ -96,9 +96,9 @@ func TestClassRegistryResolve(t *testing.T) {
 	}
 
 	base := NewProfile("base", WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}))
-	cfg := Config{Policy: base, Classes: r, PercentageNodesToScore: 30, MinFeasibleNodesToFind: 7}
+	cfg := Config{Policy: base, Classes: r, PercentageNodesToScore: 30}
 	table := resolvePipelines(&cfg)
-	if got, want := table[api.ClassUnspecified.Slot()], (pipeline{profile: base, pct: 30, minFeasible: 7, mayPreempt: true}); got != want {
+	if got, want := table[api.ClassUnspecified.Slot()], (pipeline{profile: base, pct: 30, minFeasible: DefaultMinFeasibleNodesToFind, mayPreempt: true}); got != want {
 		t.Fatalf("default slot = %+v, want the Config's own pipeline and bounds %+v", got, want)
 	}
 	ls := table[api.ClassLatencySensitive.Slot()]
@@ -109,8 +109,8 @@ func TestClassRegistryResolve(t *testing.T) {
 		t.Fatalf("latency-sensitive bounds = pct %d / min %d, want the Config's 30 and its own %d",
 			ls.pct, ls.minFeasible, DefaultLatencyMinFeasible)
 	}
-	if pl := table[api.ClassBatch.Slot()]; pl.profile.Name() != "binpack" || pl.mayPreempt || pl.takeBE || pl.minFeasible != 7 {
-		t.Fatalf("batch pipeline = %+v (must not preempt, inherits the Config's floor)", pl)
+	if pl := table[api.ClassBatch.Slot()]; pl.profile.Name() != "binpack" || pl.mayPreempt || pl.takeBE || pl.minFeasible != DefaultMinFeasibleNodesToFind {
+		t.Fatalf("batch pipeline = %+v (must not preempt, inherits the default floor)", pl)
 	}
 	if pl := table[api.ClassBestEffort.Slot()]; pl.profile.Name() != "spread" || pl.mayPreempt || pl.takeBE {
 		t.Fatalf("best-effort pipeline = %+v (must not preempt)", pl)
@@ -118,11 +118,11 @@ func TestClassRegistryResolve(t *testing.T) {
 
 	// Override one class; the others are untouched. A preempting
 	// best-effort class still may not take best-effort victims.
-	r.Set(ClassProfile{Class: api.ClassBatch, Policy: Spread{}, MayPreempt: true, PercentageNodesToScore: 80})
-	r.Set(ClassProfile{Class: api.ClassBestEffort, Policy: Spread{}, MayPreempt: true})
+	r.set(ClassProfile{Class: api.ClassBatch, Policy: Spread{}, MayPreempt: true})
+	r.set(ClassProfile{Class: api.ClassBestEffort, Policy: Spread{}, MayPreempt: true})
 	table = resolvePipelines(&cfg)
-	if pl := table[api.ClassBatch.Slot()]; pl.profile.Name() != "spread" || !pl.mayPreempt || !pl.takeBE || pl.pct != 80 {
-		t.Fatalf("batch after Set = %+v, want the preempt-capable override", pl)
+	if pl := table[api.ClassBatch.Slot()]; pl.profile.Name() != "spread" || !pl.mayPreempt || !pl.takeBE {
+		t.Fatalf("batch after set = %+v, want the preempt-capable override", pl)
 	}
 	if pl := table[api.ClassBestEffort.Slot()]; !pl.mayPreempt || pl.takeBE {
 		t.Fatalf("preempting best-effort = %+v, must not take best-effort victims", pl)
@@ -131,7 +131,7 @@ func TestClassRegistryResolve(t *testing.T) {
 		t.Fatal("overriding batch disturbed latency-sensitive")
 	}
 	// The unspecified slot rejects installation.
-	r.Set(ClassProfile{Class: api.ClassUnspecified, Policy: Spread{}})
+	r.set(ClassProfile{Class: api.ClassUnspecified, Policy: Spread{}})
 	if got := resolvePipelines(&cfg)[api.ClassUnspecified.Slot()].profile; got != base {
 		t.Fatalf("default slot accepted a profile: %q", got.Name())
 	}
@@ -420,7 +420,7 @@ func TestLatencyClassSamplingFloor(t *testing.T) {
 		t.Fatalf("latency floor at 400 nodes: target = %d, want full scan", target)
 	}
 	// The default floor samples at that size.
-	if target := numFeasibleNodesToFind(0, 0, 400); target >= 400 {
+	if target := numFeasibleNodesToFind(0, DefaultMinFeasibleNodesToFind, 400); target >= 400 {
 		t.Fatalf("default sampling at 400 nodes: target = %d, want < 400", target)
 	}
 }

@@ -103,9 +103,6 @@ const (
 // linearly with cluster size down to a 5% floor, full scan at or below
 // samplingMinClusterSize nodes.
 func numFeasibleNodesToFind(pct, minFeasible, numNodes int) int {
-	if minFeasible <= 0 {
-		minFeasible = DefaultMinFeasibleNodesToFind
-	}
 	if pct <= 0 {
 		if numNodes <= samplingMinClusterSize {
 			return numNodes

@@ -55,13 +55,6 @@ type GangConfig struct {
 	// reaching quorum before the director rolls them all back
 	// (DefaultPermitTimeout when zero; negative disables the timeout).
 	PermitTimeout time.Duration
-	// BoostEvery is the waiting age that earns a gang one extra
-	// priority tier during its members' passes — starvation prevention
-	// for gangs repeatedly losing capacity races to smaller jobs
-	// (DefaultBoostEvery when zero; negative disables boosting).
-	BoostEvery time.Duration
-	// MaxBoost caps the age boost (DefaultMaxBoost when zero).
-	MaxBoost int32
 }
 
 // Gang scheduling defaults.
@@ -71,7 +64,10 @@ const (
 	// gang survives a couple of passes of partial placement before
 	// releasing capacity.
 	DefaultPermitTimeout = 30 * time.Second
-	// DefaultBoostEvery: one priority tier per minute of waiting.
+	// DefaultBoostEvery is the waiting age that earns a gang one extra
+	// priority tier during its members' passes — starvation prevention
+	// for gangs repeatedly losing capacity races to smaller jobs: one
+	// tier per minute of waiting.
 	DefaultBoostEvery = time.Minute
 	// DefaultMaxBoost bounds the boost so an ancient gang cannot
 	// leapfrog operator-assigned high-priority tiers arbitrarily.
@@ -109,15 +105,6 @@ func NewGangDirector(clk clock.Clock, srv *apiserver.Server, cfg GangConfig) *Ga
 		cfg.PermitTimeout = DefaultPermitTimeout
 	case cfg.PermitTimeout < 0:
 		cfg.PermitTimeout = 0
-	}
-	switch {
-	case cfg.BoostEvery == 0:
-		cfg.BoostEvery = DefaultBoostEvery
-	case cfg.BoostEvery < 0:
-		cfg.BoostEvery = 0
-	}
-	if cfg.MaxBoost == 0 {
-		cfg.MaxBoost = DefaultMaxBoost
 	}
 	d := &GangDirector{
 		clk:    clk,
@@ -196,11 +183,8 @@ func (d *GangDirector) PreFilter(pod *PodInfo, view *ClusterView) bool {
 	minMember := gs.minMember
 	d.mu.Unlock()
 
-	if d.cfg.BoostEvery > 0 && age > 0 {
-		boost := int32(age / d.cfg.BoostEvery)
-		if boost > d.cfg.MaxBoost {
-			boost = d.cfg.MaxBoost
-		}
+	if age > 0 {
+		boost := int32(min(age/DefaultBoostEvery, DefaultMaxBoost))
 		// Scoped to this pass: PodInfo is pass-local scratch, so the
 		// boost raises this member's preemption leverage without
 		// rewriting the pod's declared priority.

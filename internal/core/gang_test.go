@@ -181,12 +181,12 @@ func TestGangPreFilterGatesImpossibleGangs(t *testing.T) {
 }
 
 // TestGangStarvationBoost: PreFilter raises a waiting gang member's
-// pass-local priority by one tier per BoostEvery of group age, capped at
-// MaxBoost, without rewriting the pod's declared priority.
+// pass-local priority by one tier per DefaultBoostEvery of group age,
+// capped at DefaultMaxBoost, without rewriting the pod's declared priority.
 func TestGangStarvationBoost(t *testing.T) {
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
-	dir := NewGangDirector(clk, srv, GangConfig{BoostEvery: time.Minute, MaxBoost: 3})
+	dir := NewGangDirector(clk, srv, GangConfig{})
 	defer dir.Close()
 	pod := memGangPod("g-a", "g", 2, resource.MiB, 5)
 	view := &ClusterView{Nodes: []*NodeView{{
@@ -213,8 +213,8 @@ func TestGangStarvationBoost(t *testing.T) {
 	clk.Advance(time.Hour)
 	info = newPodInfo(pod)
 	dir.PreFilter(info, view)
-	if info.Priority != 8 {
-		t.Fatalf("priority after an hour = %d, want 8 (capped at +3)", info.Priority)
+	if info.Priority != 5+DefaultMaxBoost {
+		t.Fatalf("priority after an hour = %d, want %d (capped at +%d)", info.Priority, 5+DefaultMaxBoost, DefaultMaxBoost)
 	}
 	if pod.Spec.Priority != 5 {
 		t.Fatalf("declared priority mutated: %d", pod.Spec.Priority)

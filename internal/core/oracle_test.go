@@ -114,7 +114,7 @@ func (o *oracle) BuildView() *ClusterView {
 		req := p.TotalRequests()
 		k := usageKey{pod: p.Name, node: p.Spec.NodeName}
 		memBytes, epcPages := podUsage(p, req, measuredMem[k], measuredEPC[k],
-			now, s.cfg.MetricsLag, s.cfg.UseMetrics)
+			now, s.cfg.Window, s.cfg.UseMetrics)
 		nv.Used[resource.Memory] += memBytes
 		nv.Used[resource.EPCPages] += epcPages
 		// Device items are reserved by request for the pod's lifetime.

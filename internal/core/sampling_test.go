@@ -20,19 +20,20 @@ import (
 // full scan at paper scale, kube-style shrinking percentage above it,
 // explicit percentages honoured, and the min-feasible floor.
 func TestNumFeasibleNodesToFind(t *testing.T) {
+	const floor = DefaultMinFeasibleNodesToFind
 	cases := []struct {
 		pct, minFeasible, nodes, want int
 	}{
-		{0, 0, 20, 20},       // paper-scale cluster: always full scan
-		{0, 0, 100, 100},     // at the threshold: still full
-		{0, 0, 500, 230},     // adaptive: (50 - 500/125)% = 46% of 500
-		{0, 0, 5000, 500},    // adaptive: max(5, 50-40)% = 10% of 5000
-		{0, 0, 100000, 5000}, // deep in the 5% floor
-		{5, 0, 5000, 250},    // explicit 5%
-		{100, 0, 5000, 5000}, // explicit full scan
-		{5, 0, 1000, 100},    // floor: 5% of 1000 = 50 < minFeasible 100
-		{5, 300, 1000, 300},  // custom floor
-		{5, 300, 200, 200},   // floor clamped to cluster size
+		{0, floor, 20, 20},       // paper-scale cluster: always full scan
+		{0, floor, 100, 100},     // at the threshold: still full
+		{0, floor, 500, 230},     // adaptive: (50 - 500/125)% = 46% of 500
+		{0, floor, 5000, 500},    // adaptive: max(5, 50-40)% = 10% of 5000
+		{0, floor, 100000, 5000}, // deep in the 5% floor
+		{5, floor, 5000, 250},    // explicit 5%
+		{100, floor, 5000, 5000}, // explicit full scan
+		{5, floor, 1000, 100},    // floor: 5% of 1000 = 50 < minFeasible 100
+		{5, 300, 1000, 300},      // custom floor
+		{5, 300, 200, 200},       // floor clamped to cluster size
 	}
 	for _, c := range cases {
 		if got := numFeasibleNodesToFind(c.pct, c.minFeasible, c.nodes); got != c.want {
@@ -79,7 +80,7 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 		}
 		s, err := New(clk, srv, db, Config{
 			Name: "s", Policy: Binpack{}, UseMetrics: true,
-			Window: 25 * time.Second, MetricsLag: 10 * time.Second,
+			Window: 25 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -32,12 +32,10 @@ type Config struct {
 	Policy Policy
 	// Interval between scheduling passes (DefaultInterval when zero).
 	Interval time.Duration
-	// Window is the sliding metric window (DefaultWindow when zero).
+	// Window is the sliding metric window (DefaultWindow when zero). It is
+	// also how long after a pod starts the scheduler keeps charging
+	// max(measured, requested) before trusting measurements alone.
 	Window time.Duration
-	// MetricsLag is how long after a pod starts the scheduler keeps
-	// charging max(measured, requested) before trusting measurements
-	// alone; defaults to Window.
-	MetricsLag time.Duration
 	// UseMetrics enables usage-aware scheduling; false reproduces the
 	// request-only accounting of the default Kubernetes scheduler.
 	UseMetrics bool
@@ -60,11 +58,9 @@ type Config struct {
 	// candidates via the incremental view's node index instead of
 	// scanning every node. 0 selects the adaptive kube-scheduler-style
 	// default (full scan at <=100 nodes, 50% shrinking to a 5% floor
-	// above); >=100 forces a full scan.
+	// above); >=100 forces a full scan. The search never stops below
+	// DefaultMinFeasibleNodesToFind candidates.
 	PercentageNodesToScore int
-	// MinFeasibleNodesToFind floors the sample size
-	// (DefaultMinFeasibleNodesToFind when zero).
-	MinFeasibleNodesToFind int
 	// Gang attaches a gang-scheduling director: the scheduler runs a
 	// copy of every pipeline with the director's PreFilter/Permit plugins
 	// appended, so pod-group members reserve conditionally and commit at
@@ -260,9 +256,6 @@ func newScheduler(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Confi
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	if cfg.MetricsLag <= 0 {
-		cfg.MetricsLag = cfg.Window
-	}
 	if cfg.UseMetrics && db == nil {
 		return nil, fmt.Errorf("core: UseMetrics requires a metrics database")
 	}
@@ -302,7 +295,7 @@ func newScheduler(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Confi
 	if cfg.UseMetrics {
 		s.agg = monitor.NewWindowMax(clk, db, cfg.Window, monitor.MeasurementEPC, monitor.MeasurementMemory)
 	}
-	s.cache = newClusterCache(clk, srv, s.agg, cfg.MetricsLag, cfg.UseMetrics)
+	s.cache = newClusterCache(clk, srv, s.agg, cfg.Window, cfg.UseMetrics)
 	if s.agg != nil {
 		s.agg.SetOnChange(s.cache.onMetric)
 	}

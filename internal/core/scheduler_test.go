@@ -292,7 +292,7 @@ func TestSchedulerConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cfg.Interval != DefaultInterval || s.cfg.Window != DefaultWindow || s.cfg.MetricsLag != DefaultWindow {
+	if s.cfg.Interval != DefaultInterval || s.cfg.Window != DefaultWindow {
 		t.Fatalf("defaults not applied: %+v", s.cfg)
 	}
 }
@@ -366,7 +366,7 @@ func TestUsageKeyedByPodAndNode(t *testing.T) {
 		}
 	}
 	s, err := New(clk, srv, db, Config{
-		Name: "s", Policy: Binpack{}, UseMetrics: true, MetricsLag: time.Second,
+		Name: "s", Policy: Binpack{}, UseMetrics: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestUsageKeyedByPodAndNode(t *testing.T) {
 	if err := srv.MarkRunning("dup"); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(10 * time.Second) // past MetricsLag: measurements only
+	clk.Advance(30 * time.Second) // past the window-long lag: measurements only
 
 	// Fresh points, both inside the window: the pod's live series on
 	// a-live reports 1 GiB; a stale series under the same pod name on

@@ -156,8 +156,7 @@ func TestShardedCacheMatchesBuildViewN2(t *testing.T) {
 
 		ss, err := NewSharded(clk, srv, db, Config{
 			Name: "ms", Policy: Binpack{}, UseMetrics: true,
-			Window:     time.Duration(5+rng.Intn(20)) * time.Second,
-			MetricsLag: time.Duration(1+rng.Intn(20)) * time.Second,
+			Window: time.Duration(5+rng.Intn(20)) * time.Second,
 		}, 2, false)
 		if err != nil {
 			t.Fatal(err)

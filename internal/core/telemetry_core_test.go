@@ -93,10 +93,10 @@ func steadyPassAllocs(t *testing.T, cfg Config, classes bool) float64 {
 	pending := []api.WorkloadClass{api.ClassUnspecified}
 	if classes {
 		reg := NewClassRegistry(nil)
-		reg.Set(ClassProfile{Class: api.ClassLatencySensitive, MayPreempt: true,
+		reg.set(ClassProfile{Class: api.ClassLatencySensitive, MayPreempt: true,
 			Policy: deniedProfile("deny-usage", UsageHeadroomScore{}, EPCPressureScore{})})
-		reg.Set(ClassProfile{Class: api.ClassBatch, Policy: deniedProfile("deny-batch", BinpackScore{})})
-		reg.Set(ClassProfile{Class: api.ClassBestEffort, Policy: deniedProfile("deny-least", LeastRequestedScore{})})
+		reg.set(ClassProfile{Class: api.ClassBatch, Policy: deniedProfile("deny-batch", BinpackScore{})})
+		reg.set(ClassProfile{Class: api.ClassBestEffort, Policy: deniedProfile("deny-least", LeastRequestedScore{})})
 		cfg.Classes = reg
 		pending = append(pending, api.ClassLatencySensitive, api.ClassBatch, api.ClassBestEffort)
 	}

@@ -11,8 +11,10 @@ import (
 
 // WindowAblation sweeps the sliding metric window of Listing 1 (25 s in
 // the paper) on the all-standard replay, where usage-aware memory packing
-// does the work. The window interacts with the 10 s probe period and the
-// scheduler's metric-lag fusion (DESIGN.md §5):
+// does the work. The window interacts with the 10 s probe period and with
+// the scheduler's metric-lag fusion, which charges a pod max(measured,
+// requested) for one window after it starts and its measured peak alone
+// after that:
 //
 //   - windows shorter than the scrape interval make mature pods' usage
 //     blink out of the query between samples, so the scheduler
@@ -21,7 +23,7 @@ import (
 //
 // The paper's 25 s window (2-3 probe samples) sits in the safe middle.
 func WindowAblation(seed int64) (Figure, error) {
-	trace := borg.NewGenerator(borg.DefaultConfig(seed)).EvalSlice()
+	trace := borg.NewGenerator(seed).EvalSlice()
 	fig := Figure{
 		ID:     "window",
 		Title:  "Sliding metric window ablation (Listing 1 uses 25 s)",
@@ -60,7 +62,7 @@ func WindowAblation(seed int64) (Figure, error) {
 // every job pays; long periods dominate waiting times for uncontended
 // workloads.
 func IntervalAblation(seed int64) (Figure, error) {
-	trace := borg.NewGenerator(borg.DefaultConfig(seed)).EvalSlice()
+	trace := borg.NewGenerator(seed).EvalSlice()
 	fig := Figure{
 		ID:     "interval",
 		Title:  "Scheduling period ablation",

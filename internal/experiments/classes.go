@@ -25,34 +25,31 @@ import (
 // SGX (EPC) utilization and the capacity invariant, read off the
 // reference model's replay of the watch stream.
 
+// The mixed fleet's fixed shape, on the §VI-A testbed's nodes.
+const (
+	// classJobsPerClass sizes the latency-sensitive and batch waves.
+	classJobsPerClass = 15
+	// classFillers is the best-effort wave: with the §VI-A node shape,
+	// three times a wave oversubscribes the fleet's RAM, which is the
+	// regime the class gates exist for.
+	classFillers = 3 * classJobsPerClass
+	// classFillerHold floors every filler job's duration so the fleet is
+	// still occupied when the real waves arrive.
+	classFillerHold = 10 * time.Minute
+	// classFillLead is how long the best-effort wave runs alone before the
+	// latency-sensitive and batch waves arrive.
+	classFillLead = 30 * time.Second
+	// classSGXEvery makes every n-th latency-sensitive job an SGX job.
+	classSGXEvery = 4
+)
+
 // ClassesExpConfig parameterises one mixed-fleet run.
 type ClassesExpConfig struct {
 	Seed   int64
 	Shards int
-	// JobsPerClass sizes the latency-sensitive and batch waves (15 by
-	// default).
-	JobsPerClass int
-	// FillerFactor scales the best-effort wave to FillerFactor ×
-	// JobsPerClass jobs (3 by default — with the §VI-A node shape that
-	// oversubscribes the fleet's RAM, which is the regime the class
-	// gates exist for).
-	FillerFactor int
-	// FillerHold floors every filler job's duration (10 min by default)
-	// so the fleet is still occupied when the real waves arrive.
-	FillerHold time.Duration
 	// SGXEvery makes every n-th latency-sensitive job an SGX job
-	// (4 by default; 0 disables SGX jobs).
+	// (classSGXEvery when zero; negative disables SGX jobs).
 	SGXEvery int
-	// StdNodes / SGXNodes shape the cluster (§VI-A: 2 / 2 by default).
-	StdNodes int
-	SGXNodes int
-	// FillLead is how long the best-effort wave runs alone before the
-	// latency-sensitive and batch waves arrive (30 s default).
-	FillLead time.Duration
-	// Interval is the scheduling period (5 s default).
-	Interval time.Duration
-	// Horizon caps the simulation (2 h default).
-	Horizon time.Duration
 
 	// tap, when set, receives the run's whole watch stream from before
 	// the first node registers: the in-package determinism test records
@@ -64,34 +61,10 @@ func (c ClassesExpConfig) withDefaults() ClassesExpConfig {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.JobsPerClass <= 0 {
-		c.JobsPerClass = 15
-	}
-	if c.FillerFactor <= 0 {
-		c.FillerFactor = 3
-	}
-	if c.FillerHold <= 0 {
-		c.FillerHold = 10 * time.Minute
-	}
 	if c.SGXEvery < 0 {
 		c.SGXEvery = 0
 	} else if c.SGXEvery == 0 {
-		c.SGXEvery = 4
-	}
-	if c.StdNodes <= 0 {
-		c.StdNodes = stack.StdNodes
-	}
-	if c.SGXNodes <= 0 {
-		c.SGXNodes = stack.SGXNodes
-	}
-	if c.FillLead <= 0 {
-		c.FillLead = 30 * time.Second
-	}
-	if c.Interval <= 0 {
-		c.Interval = 5 * time.Second
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 2 * time.Hour
+		c.SGXEvery = classSGXEvery
 	}
 	return c
 }
@@ -159,7 +132,7 @@ func waitQuantiles(waits []time.Duration) (p50, p99 time.Duration) {
 }
 
 // ClassesMixedFleet runs the mixed-fleet scenario: the best-effort wave
-// submits at t=0 and fills the cluster for FillLead; then the
+// submits at t=0 and fills the cluster for classFillLead; then the
 // latency-sensitive and batch waves (interleaved, LS first within each
 // pair) arrive as a backlog on top. The run drains until every job is
 // terminal or the horizon hits.
@@ -196,40 +169,32 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 		defer srv.Subscribe(cfg.tap)()
 	}
 
-	if err := st.Start(stack.Config{Nodes: stack.Fleet(cfg.StdNodes, cfg.SGXNodes, stack.DefaultEPC, false)}); err != nil {
+	if err := st.Start(stack.Config{Nodes: stack.Fleet(stack.StdNodes, stack.SGXNodes, stack.DefaultEPC, false)}); err != nil {
 		return ClassesExpResult{}, fmt.Errorf("classes: %w", err)
 	}
 	defer st.Close()
 
 	classes := core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{}))
 	ss, err := core.NewSharded(clk, srv, nil, core.Config{
-		Name:     "classsched",
-		Policy:   core.Binpack{},
-		Interval: cfg.Interval,
-		Classes:  classes,
+		Name:    "classsched",
+		Policy:  core.Binpack{},
+		Classes: classes,
 	}, cfg.Shards, false)
 	if err != nil {
 		return ClassesExpResult{}, fmt.Errorf("classes: building schedulers: %w", err)
 	}
 	defer ss.Close()
 
-	trace := borg.NewGenerator(borg.DefaultConfig(cfg.Seed)).EvalSlice()
-	fillers := cfg.FillerFactor * cfg.JobsPerClass
-	need := fillers + 2*cfg.JobsPerClass
-	if trace.Len() < need {
-		return ClassesExpResult{}, fmt.Errorf("classes: trace has %d jobs, need %d", trace.Len(), need)
-	}
+	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
 	submit := func(pod *api.Pod) error {
 		ss.Assign(pod)
 		return srv.CreatePod(pod)
 	}
 	// Best-effort filler first: it binds and spreads while nothing else
-	// is queued, and holds the fleet for at least FillerHold.
-	for i := 0; i < fillers; i++ {
+	// is queued, and holds the fleet for at least classFillerHold.
+	for i := 0; i < classFillers; i++ {
 		job := trace.Jobs[i]
-		if job.Duration < cfg.FillerHold {
-			job.Duration = cfg.FillerHold
-		}
+		job.Duration = max(job.Duration, classFillerHold)
 		pod := classPodFromJob(job, fmt.Sprintf("be-%03d", i),
 			api.ClassBestEffort, classBEPrio, false)
 		if err := submit(pod); err != nil {
@@ -238,29 +203,29 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 	}
 	start := clk.Now()
 	ss.Start()
-	clk.Advance(cfg.FillLead)
+	clk.Advance(classFillLead)
 
 	// The real work arrives on the occupied cluster.
-	for i := 0; i < cfg.JobsPerClass; i++ {
-		sgxJob := cfg.SGXEvery > 0 && i%cfg.SGXEvery == 0 && cfg.SGXNodes > 0
-		ls := classPodFromJob(trace.Jobs[fillers+i], fmt.Sprintf("ls-%03d", i),
+	for i := 0; i < classJobsPerClass; i++ {
+		sgxJob := cfg.SGXEvery > 0 && i%cfg.SGXEvery == 0
+		ls := classPodFromJob(trace.Jobs[classFillers+i], fmt.Sprintf("ls-%03d", i),
 			api.ClassLatencySensitive, classLatencyPrio, sgxJob)
 		if err := submit(ls); err != nil {
 			return ClassesExpResult{}, fmt.Errorf("classes: submitting latency wave: %w", err)
 		}
-		batch := classPodFromJob(trace.Jobs[fillers+cfg.JobsPerClass+i], fmt.Sprintf("batch-%03d", i),
+		batch := classPodFromJob(trace.Jobs[classFillers+classJobsPerClass+i], fmt.Sprintf("batch-%03d", i),
 			api.ClassBatch, classBatchPrio, false)
 		if err := submit(batch); err != nil {
 			return ClassesExpResult{}, fmt.Errorf("classes: submitting batch wave: %w", err)
 		}
 	}
 
-	completed := clk.Run(srv.AllTerminal, start.Add(cfg.Horizon))
+	completed := clk.Run(srv.AllTerminal, start.Add(drainHorizon))
 	step()
 
 	res := ClassesExpResult{
 		Shards:     cfg.Shards,
-		Jobs:       need,
+		Jobs:       classFillers + 2*classJobsPerClass,
 		Completed:  completed,
 		DrainTime:  clk.Since(start),
 		PerClass:   make(map[string]ClassOutcome),

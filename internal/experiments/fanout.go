@@ -39,10 +39,11 @@ type FanoutConfig struct {
 	// default).
 	Nodes   int
 	Backlog int
-	// MaxBindsPerPass is each member's per-pass bind budget (64 by
-	// default, matching the sharded throughput benchmark).
-	MaxBindsPerPass int
 }
+
+// fanoutBindsPerPass is each member's per-pass bind budget, matching the
+// sharded throughput benchmark.
+const fanoutBindsPerPass = 64
 
 func (c FanoutConfig) withDefaults() FanoutConfig {
 	if c.Schedulers <= 0 {
@@ -53,9 +54,6 @@ func (c FanoutConfig) withDefaults() FanoutConfig {
 	}
 	if c.Backlog <= 0 {
 		c.Backlog = 1024
-	}
-	if c.MaxBindsPerPass <= 0 {
-		c.MaxBindsPerPass = 64
 	}
 	return c
 }
@@ -125,7 +123,7 @@ func FanoutDrain(cfg FanoutConfig) (FanoutResult, error) {
 	ss, err := core.NewSharded(clk, srv, nil, core.Config{
 		Name:            "fanout",
 		Policy:          core.Binpack{},
-		MaxBindsPerPass: cfg.MaxBindsPerPass,
+		MaxBindsPerPass: fanoutBindsPerPass,
 	}, cfg.Schedulers, true /* real-goroutine rounds */)
 	if err != nil {
 		return FanoutResult{}, fmt.Errorf("fanout: building schedulers: %w", err)
@@ -189,10 +187,9 @@ type FanoutScenarioConfig struct {
 	// {1,8,32} by default).
 	Schedulers []int
 	Watchers   []int
-	// Nodes/Backlog/MaxBindsPerPass as in FanoutConfig.
-	Nodes           int
-	Backlog         int
-	MaxBindsPerPass int
+	// Nodes/Backlog as in FanoutConfig.
+	Nodes   int
+	Backlog int
 }
 
 // FanoutScenario sweeps schedulers × watchers × {sync, async} and
@@ -209,12 +206,11 @@ func FanoutScenario(cfg FanoutScenarioConfig) ([]FanoutResult, error) {
 		for _, scheds := range cfg.Schedulers {
 			for _, watchers := range cfg.Watchers {
 				res, err := FanoutDrain(FanoutConfig{
-					Schedulers:      scheds,
-					Watchers:        watchers,
-					Async:           async,
-					Nodes:           cfg.Nodes,
-					Backlog:         cfg.Backlog,
-					MaxBindsPerPass: cfg.MaxBindsPerPass,
+					Schedulers: scheds,
+					Watchers:   watchers,
+					Async:      async,
+					Nodes:      cfg.Nodes,
+					Backlog:    cfg.Backlog,
 				})
 				if err != nil {
 					return nil, err

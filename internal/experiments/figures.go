@@ -52,7 +52,7 @@ func cdfSeries(name string, values []float64, points int) Series {
 // maximal memory usage" — the CDF of per-job maximal memory usage as a
 // fraction of available memory, bounded by 0.5.
 func Fig3MemoryCDF(seed int64, jobs int) Figure {
-	tr := borg.NewGenerator(borg.DefaultConfig(seed)).FullDay(jobs)
+	tr := borg.NewGenerator(seed).FullDay(jobs)
 	fr := tr.MemFractions()
 	cdf := stats.NewCDF(fr)
 	return Figure{
@@ -72,7 +72,7 @@ func Fig3MemoryCDF(seed int64, jobs int) Figure {
 // Fig4DurationCDF reproduces Fig. 4: "Google Borg trace: distribution of
 // job duration" — all jobs last at most 300 s.
 func Fig4DurationCDF(seed int64, jobs int) Figure {
-	tr := borg.NewGenerator(borg.DefaultConfig(seed)).FullDay(jobs)
+	tr := borg.NewGenerator(seed).FullDay(jobs)
 	ds := tr.DurationsSeconds()
 	return Figure{
 		ID:     "fig4",
@@ -91,7 +91,7 @@ func Fig4DurationCDF(seed int64, jobs int) Figure {
 // first 24 h", with the evaluation slice (6480-10080 s) chosen as the
 // least job-intensive hour.
 func Fig5Concurrency(seed int64, step time.Duration) Figure {
-	g := borg.NewGenerator(borg.DefaultConfig(seed))
+	g := borg.NewGenerator(seed)
 	pts := g.ConcurrencyProfile(step)
 	s := Series{Name: "total jobs", Points: make([]Point, 0, len(pts))}
 	lo, hi := pts[0].Jobs, pts[0].Jobs

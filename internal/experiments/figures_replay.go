@@ -17,7 +17,7 @@ func replayOnce(seed int64, tcfg TestbedConfig, rcfg ReplayConfig) (*ReplayResul
 		return nil, err
 	}
 	if rcfg.Trace == nil {
-		rcfg.Trace = borg.NewGenerator(borg.DefaultConfig(seed)).EvalSlice()
+		rcfg.Trace = borg.NewGenerator(seed).EvalSlice()
 	}
 	if rcfg.Seed == 0 {
 		rcfg.Seed = seed
@@ -159,7 +159,7 @@ func Fig9WaitByRequest(seed int64) (Figure, error) {
 // jobs sent to the cluster, compared with the time reported by the trace"
 // — single-type runs (all SGX or all standard) under both strategies.
 func Fig10Turnaround(seed int64) (Figure, error) {
-	trace := borg.NewGenerator(borg.DefaultConfig(seed)).EvalSlice()
+	trace := borg.NewGenerator(seed).EvalSlice()
 	fig := Figure{
 		ID:     "fig10",
 		Title:  "Sum of turnaround times for all jobs, compared with the trace",
@@ -215,7 +215,7 @@ func Fig10Turnaround(seed int64) (Figure, error) {
 // limits being enforced". Malicious containers declare 1 EPC page but
 // allocate 25% or 50% of each SGX node's EPC; one per SGX node (§VI-F).
 func Fig11Malicious(seed int64) (Figure, error) {
-	trace := borg.NewGenerator(borg.DefaultConfig(seed)).EvalSlice()
+	trace := borg.NewGenerator(seed).EvalSlice()
 	fig := Figure{
 		ID:     "fig11",
 		Title:  "Waiting times with malicious containers, with and without limit enforcement",

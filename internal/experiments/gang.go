@@ -25,63 +25,30 @@ import (
 // zero), plus the post-hoc accounting check that permit rollbacks
 // returned every held resource.
 
+// The gang backlog's fixed shape. A gang may hold permits below quorum
+// for core.DefaultPermitTimeout.
+const (
+	// gangCount is how many k-pod gang jobs the backlog carries; gangSize
+	// is k.
+	gangCount = 8
+	gangSize  = 4
+	// gangSoloJobs interleave ordinary one-pod jobs into the backlog for
+	// capacity churn.
+	gangSoloJobs = 2 * gangCount
+	// gangStdNodes shapes the cluster: tight enough that gangs contend
+	// with the solo churn for headroom.
+	gangStdNodes = 8
+	// gangBindsPerPass is each member's per-pass budget; permits count
+	// against it like binds.
+	gangBindsPerPass = 4
+)
+
 // GangExpConfig parameterises one gang backlog drain.
 type GangExpConfig struct {
-	Seed   int64
+	Seed int64
+	// Shards is the number of schedulers sharing the director (1 when
+	// zero).
 	Shards int
-	// Gangs is how many k-pod gang jobs the backlog carries (8 by
-	// default); GangSize is k (4 by default).
-	Gangs    int
-	GangSize int
-	// SoloJobs interleave ordinary one-pod jobs into the backlog for
-	// capacity churn (2× Gangs by default).
-	SoloJobs int
-	// StdNodes shapes the cluster (8 by default — tight enough that
-	// gangs contend with the solo churn for headroom).
-	StdNodes int
-	// MaxBindsPerPass is each member's per-pass budget (4 by default;
-	// permits count against it like binds).
-	MaxBindsPerPass int
-	// Interval is the scheduling period (5 s default).
-	Interval time.Duration
-	// PermitTimeout bounds how long a gang may hold permits below quorum
-	// (30 s default).
-	PermitTimeout time.Duration
-	// Horizon caps the simulation (2 h default).
-	Horizon time.Duration
-}
-
-func (c GangExpConfig) withDefaults() GangExpConfig {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Gangs <= 0 {
-		c.Gangs = 8
-	}
-	if c.GangSize <= 0 {
-		c.GangSize = 4
-	}
-	if c.SoloJobs < 0 {
-		c.SoloJobs = 0
-	} else if c.SoloJobs == 0 {
-		c.SoloJobs = 2 * c.Gangs
-	}
-	if c.StdNodes <= 0 {
-		c.StdNodes = 8
-	}
-	if c.MaxBindsPerPass <= 0 {
-		c.MaxBindsPerPass = 4
-	}
-	if c.Interval <= 0 {
-		c.Interval = 5 * time.Second
-	}
-	if c.PermitTimeout <= 0 {
-		c.PermitTimeout = 30 * time.Second
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 2 * time.Hour
-	}
-	return c
 }
 
 // GangExpResult reports one drain.
@@ -136,7 +103,7 @@ func gangPodFromJob(job borg.Job, name, group string, minMember int) *api.Pod {
 // GangDrain submits a Borg-derived backlog of gang and solo jobs at t=0
 // and drains it with cfg.Shards schedulers sharing one gang director.
 func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
-	cfg = cfg.withDefaults()
+	cfg.Shards = max(cfg.Shards, 1)
 	st := stack.New(apiserver.WithAdmission(apiserver.AdmitStrict))
 	clk, srv := st.Clk, st.Srv
 
@@ -151,18 +118,17 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 		}
 	})()
 
-	if err := st.Start(stack.Config{Nodes: stack.Fleet(cfg.StdNodes, 0, 0, false)}); err != nil {
+	if err := st.Start(stack.Config{Nodes: stack.Fleet(gangStdNodes, 0, 0, false)}); err != nil {
 		return GangExpResult{}, fmt.Errorf("gang: %w", err)
 	}
 	defer st.Close()
 
-	dir := core.NewGangDirector(clk, srv, core.GangConfig{PermitTimeout: cfg.PermitTimeout})
+	dir := core.NewGangDirector(clk, srv, core.GangConfig{})
 	defer dir.Close()
 	ss, err := core.NewSharded(clk, srv, nil, core.Config{
 		Name:            "gangsched",
 		Policy:          core.Binpack{},
-		Interval:        cfg.Interval,
-		MaxBindsPerPass: cfg.MaxBindsPerPass,
+		MaxBindsPerPass: gangBindsPerPass,
 		Gang:            dir,
 	}, cfg.Shards, false)
 	if err != nil {
@@ -170,28 +136,24 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 	}
 	defer ss.Close()
 
-	// Backlog: the first Gangs×GangSize trace jobs become gang members
-	// (job i shapes gang i's members), the next SoloJobs stay solo.
-	trace := borg.NewGenerator(borg.DefaultConfig(cfg.Seed)).EvalSlice()
-	need := cfg.Gangs + cfg.SoloJobs
-	if trace.Len() < need {
-		return GangExpResult{}, fmt.Errorf("gang: trace has %d jobs, need %d", trace.Len(), need)
-	}
+	// Backlog: the first gangCount trace jobs each shape one gang's
+	// members, the next gangSoloJobs stay solo.
+	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
 	submit := func(pod *api.Pod) error {
 		ss.Assign(pod)
 		return srv.CreatePod(pod)
 	}
-	for i := 0; i < cfg.Gangs; i++ {
+	for i := 0; i < gangCount; i++ {
 		group := fmt.Sprintf("gang-%03d", i)
-		for m := 0; m < cfg.GangSize; m++ {
-			pod := gangPodFromJob(trace.Jobs[i], fmt.Sprintf("%s-m%d", group, m), group, cfg.GangSize)
+		for m := 0; m < gangSize; m++ {
+			pod := gangPodFromJob(trace.Jobs[i], fmt.Sprintf("%s-m%d", group, m), group, gangSize)
 			if err := submit(pod); err != nil {
 				return GangExpResult{}, fmt.Errorf("gang: submitting backlog: %w", err)
 			}
 		}
 	}
-	for i := 0; i < cfg.SoloJobs; i++ {
-		if err := submit(multiSchedPod(trace.Jobs[cfg.Gangs+i], false)); err != nil {
+	for i := 0; i < gangSoloJobs; i++ {
+		if err := submit(multiSchedPod(trace.Jobs[gangCount+i], false)); err != nil {
 			return GangExpResult{}, fmt.Errorf("gang: submitting backlog: %w", err)
 		}
 	}
@@ -200,12 +162,12 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 	ss.Start()
 	completed := clk.Run(func() bool {
 		return srv.PendingCount() == 0 && srv.ReservationCount() == 0
-	}, start.Add(cfg.Horizon))
+	}, start.Add(drainHorizon))
 
 	res := GangExpResult{
 		Shards:            cfg.Shards,
-		Gangs:             cfg.Gangs,
-		GangSize:          cfg.GangSize,
+		Gangs:             gangCount,
+		GangSize:          gangSize,
 		Completed:         completed,
 		DrainTime:         clk.Since(start),
 		PartialPlacements: partial,

@@ -22,31 +22,34 @@ import (
 // rate, and the safety invariant — no node's committed requests ever
 // exceed its allocatable — asserted from the watch event stream.
 
+// drainHorizon cuts off a backlog drain that has not finished.
+const drainHorizon = 2 * time.Hour
+
+// The drain's fixed shape.
+const (
+	// multiSchedSGXRatio is the fraction of backlog jobs designated SGX:
+	// EPC is scarce, so SGX jobs are where capacity conflicts concentrate.
+	multiSchedSGXRatio = 0.10
+	// multiSchedStdNodes / multiSchedSGXNodes shape the cluster: wide
+	// enough that draining is scheduler-bound, not capacity-bound, which is
+	// the regime where adding schedulers can pay off.
+	multiSchedStdNodes = 16
+	multiSchedSGXNodes = 4
+	// multiSchedBindsPerPass is each member's per-pass bind budget: real
+	// schedulers have finite per-cycle throughput, and the budget is what
+	// makes "more schedulers" measurable under the simulation clock.
+	multiSchedBindsPerPass = 2
+)
+
 // MultiSchedConfig parameterises one backlog drain.
 type MultiSchedConfig struct {
 	Seed   int64
 	Shards int
-	// SGXRatio is the fraction of backlog jobs designated SGX (0.10 by
-	// default — EPC is scarce, so SGX jobs are where capacity conflicts
-	// concentrate).
-	SGXRatio float64
-	// StdNodes / SGXNodes shape the cluster (16 / 4 by default: wide
-	// enough that draining is scheduler-bound, not capacity-bound, which
-	// is the regime where adding schedulers can pay off).
-	StdNodes int
-	SGXNodes int
-	// MaxBindsPerPass is each member's per-pass bind budget (2 by
-	// default): real schedulers have finite per-cycle throughput, and the
-	// budget is what makes "more schedulers" measurable under the
-	// simulation clock.
-	MaxBindsPerPass int
-	// Interval is the scheduling period (5 s default).
-	Interval time.Duration
 	// Concurrent runs rounds on real goroutines instead of the
 	// deterministic round-robin (benchmarks only; conflict counts become
 	// nondeterministic).
 	Concurrent bool
-	// Horizon caps the simulation (2 h default).
+	// Horizon caps the simulation (drainHorizon when zero).
 	Horizon time.Duration
 }
 
@@ -54,23 +57,8 @@ func (c MultiSchedConfig) withDefaults() MultiSchedConfig {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.SGXRatio <= 0 {
-		c.SGXRatio = 0.10
-	}
-	if c.StdNodes <= 0 {
-		c.StdNodes = 16
-	}
-	if c.SGXNodes <= 0 {
-		c.SGXNodes = 4
-	}
-	if c.MaxBindsPerPass <= 0 {
-		c.MaxBindsPerPass = 2
-	}
-	if c.Interval <= 0 {
-		c.Interval = 5 * time.Second
-	}
 	if c.Horizon <= 0 {
-		c.Horizon = 2 * time.Hour
+		c.Horizon = drainHorizon
 	}
 	return c
 }
@@ -158,7 +146,7 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 		}
 	})()
 
-	if err := st.Start(stack.Config{Nodes: stack.Fleet(cfg.StdNodes, cfg.SGXNodes, stack.DefaultEPC, false)}); err != nil {
+	if err := st.Start(stack.Config{Nodes: stack.Fleet(multiSchedStdNodes, multiSchedSGXNodes, stack.DefaultEPC, false)}); err != nil {
 		return MultiSchedResult{}, fmt.Errorf("multisched: %w", err)
 	}
 	defer st.Close()
@@ -166,16 +154,15 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 	ss, err := core.NewSharded(clk, srv, nil, core.Config{
 		Name:            "multisched",
 		Policy:          core.Binpack{},
-		Interval:        cfg.Interval,
-		MaxBindsPerPass: cfg.MaxBindsPerPass,
+		MaxBindsPerPass: multiSchedBindsPerPass,
 	}, cfg.Shards, cfg.Concurrent)
 	if err != nil {
 		return MultiSchedResult{}, fmt.Errorf("multisched: building schedulers: %w", err)
 	}
 	defer ss.Close()
 
-	trace := borg.NewGenerator(borg.DefaultConfig(cfg.Seed)).EvalSlice()
-	isSGX := designateSGX(trace.Len(), cfg.SGXRatio, cfg.Seed)
+	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
+	isSGX := designateSGX(trace.Len(), multiSchedSGXRatio, cfg.Seed)
 	for i, job := range trace.Jobs {
 		pod := multiSchedPod(job, isSGX[i])
 		ss.Assign(pod)

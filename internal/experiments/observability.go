@@ -10,6 +10,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/influxql"
 	"github.com/sgxorch/sgxorch/internal/model"
+	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
 )
 
@@ -24,55 +25,20 @@ import (
 // materialise, events the model refused — is a violation, not an error:
 // the harness completes and lets the caller decide how loudly to fail.
 
-// ObservabilityConfig parameterises one instrumented run.
+// ObservabilityConfig parameterises one instrumented run. Its waves have
+// the mixed fleet's shape (classes.go): every classSGXEvery-th
+// latency-sensitive job is an SGX job, and the best-effort filler wave,
+// 4 × JobsPerClass jobs with durations floored to classFillerHold, runs
+// alone for classFillLead, so the fleet is occupied when the real waves
+// arrive and the class gates produce distinct latency distributions to
+// observe. Every pass is traced in detail: a drain this size only has a
+// handful of busy passes, and the run must surface plugin spans to audit
+// them.
 type ObservabilityConfig struct {
 	Seed int64
-	// JobsPerClass sizes the latency-sensitive and batch waves (12 by
-	// default); the best-effort filler wave is 4 × JobsPerClass jobs with
-	// durations floored to fillerHold, so the fleet is occupied when the
-	// real waves arrive and the class gates produce distinct latency
-	// distributions to observe.
+	// JobsPerClass sizes the latency-sensitive and batch waves (12 when
+	// zero).
 	JobsPerClass int
-	// FillLead is how long the filler wave runs alone (30 s default).
-	FillLead time.Duration
-	// SGXEvery makes every n-th latency-sensitive job an SGX job
-	// (4 by default; negative disables).
-	SGXEvery int
-	// Interval is the scheduling period (5 s default); ScrapeInterval the
-	// self-scrape cadence (10 s default).
-	Interval       time.Duration
-	ScrapeInterval time.Duration
-	// TraceDetailEvery samples detailed per-plugin tracing (every pass by
-	// default: a drain this size only has a handful of busy passes, and
-	// the run must surface plugin spans to audit them).
-	TraceDetailEvery int
-	// Horizon caps the simulation (2 h default).
-	Horizon time.Duration
-}
-
-func (c ObservabilityConfig) withDefaults() ObservabilityConfig {
-	if c.JobsPerClass <= 0 {
-		c.JobsPerClass = 12
-	}
-	if c.FillLead <= 0 {
-		c.FillLead = 30 * time.Second
-	}
-	if c.SGXEvery == 0 {
-		c.SGXEvery = 4
-	}
-	if c.Interval <= 0 {
-		c.Interval = 5 * time.Second
-	}
-	if c.ScrapeInterval <= 0 {
-		c.ScrapeInterval = 10 * time.Second
-	}
-	if c.TraceDetailEvery <= 0 {
-		c.TraceDetailEvery = 1
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 2 * time.Hour
-	}
-	return c
 }
 
 // ObservabilityClassOutcome is one class's telemetry slice.
@@ -114,19 +80,19 @@ type ObservabilityResult struct {
 // Observability runs the instrumented mixed-class drain and audits the
 // telemetry it produced.
 func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
-	cfg = cfg.withDefaults()
+	if cfg.JobsPerClass <= 0 {
+		cfg.JobsPerClass = 12
+	}
 	reg := telemetry.New()
 	ring := telemetry.NewTraceRing(0)
 	// Ground truth: the reference model reads the tracker's stream.
 	m, refused := model.New(apiserver.AdmitGuarded), 0
 	tb, err := NewTestbed(TestbedConfig{
-		UseMetrics:        true,
-		SchedulerInterval: cfg.Interval,
-		ScrapeInterval:    cfg.ScrapeInterval,
-		Classes:           core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{})),
-		Telemetry:         reg,
-		Trace:             ring,
-		TraceDetailEvery:  cfg.TraceDetailEvery,
+		UseMetrics:       true,
+		Classes:          core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{})),
+		Telemetry:        reg,
+		Trace:            ring,
+		TraceDetailEvery: 1,
 		tap: func(ev apiserver.WatchEvent) {
 			if m.Apply(ev) != nil {
 				refused++
@@ -137,9 +103,9 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 		return ObservabilityResult{}, err
 	}
 	defer tb.Close()
-	tb.Observe(reg, cfg.ScrapeInterval)
+	tb.Observe(reg, monitor.DefaultScrapeInterval)
 
-	trace := borg.NewGenerator(borg.DefaultConfig(cfg.Seed)).EvalSlice()
+	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
 	fillers := 4 * cfg.JobsPerClass
 	need := fillers + 2*cfg.JobsPerClass
 	if trace.Len() < need {
@@ -159,20 +125,17 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	start := tb.Clk.Now()
 	// Best-effort fillers occupy the fleet first, held long enough that
 	// the later waves find it busy.
-	const fillerHold = 10 * time.Minute
 	for i := 0; i < fillers; i++ {
 		job := trace.Jobs[i]
-		if job.Duration < fillerHold {
-			job.Duration = fillerHold
-		}
+		job.Duration = max(job.Duration, classFillerHold)
 		if err := submit(job, fmt.Sprintf("best-effort-%03d", i),
 			api.ClassBestEffort, classBEPrio, false); err != nil {
 			return ObservabilityResult{}, err
 		}
 	}
-	tb.Clk.Advance(cfg.FillLead)
+	tb.Clk.Advance(classFillLead)
 	for i := 0; i < cfg.JobsPerClass; i++ {
-		sgxJob := cfg.SGXEvery > 0 && i%cfg.SGXEvery == 0
+		sgxJob := i%classSGXEvery == 0
 		if err := submit(trace.Jobs[fillers+i], fmt.Sprintf("latency-sensitive-%03d", i),
 			api.ClassLatencySensitive, classLatencyPrio, sgxJob); err != nil {
 			return ObservabilityResult{}, err
@@ -182,10 +145,10 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 			return ObservabilityResult{}, err
 		}
 	}
-	completed := tb.Clk.Run(tb.Srv.AllTerminal, start.Add(cfg.Horizon))
+	completed := tb.Clk.Run(tb.Srv.AllTerminal, start.Add(drainHorizon))
 	// One final scrape so the TSDB holds the drained end-state.
 	reg.ScrapeInto(tb.DB)
-	scrapes := int64(tb.Clk.Since(start)/cfg.ScrapeInterval) + 1
+	scrapes := int64(tb.Clk.Since(start)/monitor.DefaultScrapeInterval) + 1
 
 	res := ObservabilityResult{
 		Jobs:      need,
@@ -237,7 +200,7 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 		}
 	}
 	if res.DetailedTraces == 0 {
-		violate("no detailed trace sampled (TraceDetailEvery=%d)", cfg.TraceDetailEvery)
+		violate("no detailed trace sampled with every pass detailed")
 	}
 
 	// Histogram ≡ event stream: the lifecycle histograms must total the

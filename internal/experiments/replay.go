@@ -31,12 +31,13 @@ type ReplayConfig struct {
 	// they request half their peak as baseline, declare the peak as
 	// limit, and burst via EAUG mid-run. Requires an SGX2 testbed.
 	DynamicEPC bool
-	// SampleEvery controls the pending-queue sampling period for Fig. 7
-	// (30 s when zero).
-	SampleEvery time.Duration
 	// Horizon caps the simulation (12 h when zero).
 	Horizon time.Duration
 }
+
+// pendingSampleEvery is the period at which a replay samples the pending
+// queue for Fig. 7.
+const pendingSampleEvery = 30 * time.Second
 
 // JobOutcome is the per-job result of a replay.
 type JobOutcome struct {
@@ -126,9 +127,6 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = 12 * time.Hour
 	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 30 * time.Second
-	}
 
 	jobs := cfg.Trace.Jobs
 	isSGX := designateSGX(len(jobs), cfg.SGXRatio, cfg.Seed)
@@ -157,7 +155,7 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 
 	// Pending-queue sampling for Fig. 7.
 	var series []PendingPoint
-	stopSampling := clock.Periodic(tb.Clk, cfg.SampleEvery, func() {
+	stopSampling := clock.Periodic(tb.Clk, pendingSampleEvery, func() {
 		series = append(series, tb.samplePending(start))
 	})
 	defer stopSampling()

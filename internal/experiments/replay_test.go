@@ -12,7 +12,7 @@ import (
 )
 
 func evalTrace(seed int64) *borg.Trace {
-	return borg.NewGenerator(borg.DefaultConfig(seed)).EvalSlice()
+	return borg.NewGenerator(seed).EvalSlice()
 }
 
 func TestReplayAllStandardCompletes(t *testing.T) {

@@ -23,7 +23,7 @@ import (
 // will work out-of-the-box") converts the freed baseline into admission
 // headroom.
 func SGX2Ablation(seed int64) (Figure, error) {
-	trace := borg.NewGenerator(borg.DefaultConfig(seed)).EvalSlice()
+	trace := borg.NewGenerator(seed).EvalSlice()
 	fig := Figure{
 		ID:     "sgx2",
 		Title:  "SGX 2 dynamic EPC allocation vs SGX 1 static commitment (extension of §VI-G)",

@@ -13,6 +13,7 @@ import (
 
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/sgx"
 	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
@@ -40,9 +41,10 @@ type TestbedConfig struct {
 	// StdNodeCount / SGXNodeCount override the §VI-A shape when > 0.
 	StdNodeCount int
 	SGXNodeCount int
-	// SchedulerInterval / ScrapeInterval override the control loops.
+	// SchedulerInterval overrides the scheduling period (5 s when zero);
+	// the IntervalAblation experiment sweeps it. Monitoring scrapes every
+	// monitor.DefaultScrapeInterval.
 	SchedulerInterval time.Duration
-	ScrapeInterval    time.Duration
 	// SchedulerWindow overrides the sliding metric window (Listing 1's
 	// 25 s when zero) — the WindowAblation experiment sweeps it.
 	SchedulerWindow time.Duration
@@ -80,9 +82,6 @@ func (c TestbedConfig) withDefaults() TestbedConfig {
 	if c.SchedulerInterval <= 0 {
 		c.SchedulerInterval = 5 * time.Second
 	}
-	if c.ScrapeInterval <= 0 {
-		c.ScrapeInterval = 10 * time.Second
-	}
 	return c
 }
 
@@ -105,7 +104,7 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	if err := st.Start(stack.Config{
 		Nodes:          stack.WithMaster(stack.Fleet(cfg.StdNodeCount, cfg.SGXNodeCount, cfg.EPCSize, cfg.SGX2)),
 		NoEnforcement:  !cfg.Enforcement,
-		ScrapeInterval: cfg.ScrapeInterval,
+		ScrapeInterval: monitor.DefaultScrapeInterval,
 	}); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

@@ -80,10 +80,6 @@ func New(pkg *sgx.Package, opts ...Option) *Driver {
 	return d
 }
 
-// Package exposes the underlying SGX package (for tests and the machine
-// model).
-func (d *Driver) Package() *sgx.Package { return d.pkg }
-
 // Enforcing reports whether EPC limit enforcement is active.
 func (d *Driver) Enforcing() bool { return d.enforce }
 
@@ -154,25 +150,19 @@ func (d *Driver) PagesForCgroup(cgroupPath string) int64 {
 // front), and EINIT with the __sgx_encl_init limit check of §V-D/§V-E:
 // the total pages owned by the pod's enclaves are compared against the
 // limit advertised by its enclosing pod; exceeding it denies
-// initialization and releases the pages.
-func (d *Driver) OpenEnclave(pid int, cgroupPath string, pages int64) (*sgx.Enclave, error) {
+// initialization and releases the pages. Pages beyond the usable EPC are
+// paged by the package, not refused.
+func (d *Driver) OpenEnclave(cgroupPath string, pages int64) (*sgx.Enclave, error) {
 	if pages < 0 {
 		return nil, fmt.Errorf("%w: negative page count %d", ErrInvalidArgument, pages)
 	}
-	e := d.pkg.CreateEnclave(pid, cgroupPath)
-	if err := e.AddPages(pages); err != nil {
-		derr := e.Destroy()
-		if derr != nil {
-			return nil, errors.Join(err, derr)
-		}
-		return nil, err
+	e := d.pkg.CreateEnclave(cgroupPath)
+	err := e.AddPages(pages)
+	if err == nil {
+		err = d.checkEnclInit(cgroupPath)
 	}
-	if err := d.checkEnclInit(cgroupPath); err != nil {
-		derr := e.Destroy()
-		if derr != nil {
-			return nil, errors.Join(err, derr)
-		}
-		return nil, err
+	if err != nil {
+		return nil, errors.Join(err, e.Destroy())
 	}
 	if err := e.Init(); err != nil {
 		return nil, err

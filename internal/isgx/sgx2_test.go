@@ -16,7 +16,7 @@ func TestAugmentWithinLimit(t *testing.T) {
 	if err := d.IoctlSetLimit("/kubepods/pod", 1000); err != nil {
 		t.Fatal(err)
 	}
-	e, err := d.OpenEnclave(1, "/kubepods/pod", 400)
+	e, err := d.OpenEnclave("/kubepods/pod", 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestAugmentDeniedOverLimit(t *testing.T) {
 	if err := d.IoctlSetLimit("/kubepods/pod", 1000); err != nil {
 		t.Fatal(err)
 	}
-	e, err := d.OpenEnclave(1, "/kubepods/pod", 400)
+	e, err := d.OpenEnclave("/kubepods/pod", 400)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestAugmentWithoutEnforcement(t *testing.T) {
 	if err := d.IoctlSetLimit("/kubepods/pod", 10); err != nil {
 		t.Fatal(err)
 	}
-	e, err := d.OpenEnclave(1, "/kubepods/pod", 5)
+	e, err := d.OpenEnclave("/kubepods/pod", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestAugmentWithoutEnforcement(t *testing.T) {
 
 func TestTrimThroughDriver(t *testing.T) {
 	d := newSGX2Driver()
-	e, err := d.OpenEnclave(1, "/kubepods/pod", 500)
+	e, err := d.OpenEnclave("/kubepods/pod", 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSGX2IoctlValidation(t *testing.T) {
 	if err := d.IoctlAugmentPages(nil, 1); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("nil enclave err = %v", err)
 	}
-	e, err := d.OpenEnclave(1, "/kubepods/pod", 1)
+	e, err := d.OpenEnclave("/kubepods/pod", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSGX2IoctlValidation(t *testing.T) {
 
 func TestAugmentOnSGX1Driver(t *testing.T) {
 	d := New(sgx.NewPackage(sgx.DefaultGeometry()))
-	e, err := d.OpenEnclave(1, "/kubepods/pod", 1)
+	e, err := d.OpenEnclave("/kubepods/pod", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

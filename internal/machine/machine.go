@@ -54,16 +54,11 @@ type Option func(*Machine)
 
 // WithSGX equips the machine with an SGX package of the given geometry and
 // attaches a (modified) isgx driver to it. Driver options configure limit
-// enforcement.
-//
-// The package is created with paging enabled: real SGX 1 hardware and the
-// kernel driver support EPC over-commitment via the paging mechanism
-// (§II), so enclave allocation beyond the usable EPC succeeds but is slow.
-// Preventing over-commitment is the orchestrator's job (§V-A), not the
-// hardware's.
+// enforcement. The package pages as the hardware does; preventing
+// over-commitment is the orchestrator's job (see package sgx).
 func WithSGX(geo sgx.Geometry, driverOpts ...isgx.Option) Option {
 	return func(m *Machine) {
-		m.sgxPkg = sgx.NewPackage(geo, sgx.WithOvercommit())
+		m.sgxPkg = sgx.NewPackage(geo)
 		m.driver = isgx.New(m.sgxPkg, driverOpts...)
 	}
 }
@@ -72,7 +67,7 @@ func WithSGX(geo sgx.Geometry, driverOpts ...isgx.Option) Option {
 // dynamic EPC memory management (EDMM, §VI-G).
 func WithSGX2(geo sgx.Geometry, driverOpts ...isgx.Option) Option {
 	return func(m *Machine) {
-		m.sgxPkg = sgx.NewPackage(geo, sgx.WithOvercommit(), sgx.WithSGX2())
+		m.sgxPkg = sgx.NewPackage(geo, sgx.WithSGX2())
 		m.driver = isgx.New(m.sgxPkg, driverOpts...)
 	}
 }
@@ -143,17 +138,6 @@ func (m *Machine) StartProcess(cgroupPath string) *Process {
 	return p
 }
 
-// Process returns the live process with the given PID.
-func (m *Machine) Process(pid int) (*Process, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.procs[pid]
-	if !ok {
-		return nil, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
-	}
-	return p, nil
-}
-
 // ProcessCount returns the number of live processes.
 func (m *Machine) ProcessCount() int {
 	m.mu.Lock()
@@ -184,7 +168,7 @@ func (p *Process) AllocVM(bytes int64) error {
 }
 
 // OpenEnclave builds and initializes an enclave through the machine's
-// driver, charging the pages to this process and its cgroup.
+// driver, charging the pages to this process's cgroup.
 func (p *Process) OpenEnclave(pages int64) (*sgx.Enclave, error) {
 	if p.m.driver == nil {
 		return nil, fmt.Errorf("%w: machine %s", ErrNoSGX, p.m.name)
@@ -195,7 +179,7 @@ func (p *Process) OpenEnclave(pages int64) (*sgx.Enclave, error) {
 		return nil, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, p.PID)
 	}
 	p.mu.Unlock()
-	e, err := p.m.driver.OpenEnclave(p.PID, p.CgroupPath, pages)
+	e, err := p.m.driver.OpenEnclave(p.CgroupPath, pages)
 	if err != nil {
 		return nil, err
 	}

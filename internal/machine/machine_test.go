@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,17 @@ func TestVMAllocationAndOOM(t *testing.T) {
 	if err := p.AllocVM(-1); err == nil {
 		t.Fatal("negative alloc accepted")
 	}
+}
+
+// Process returns the live process with the given PID.
+func (m *Machine) Process(pid int) (*Process, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p, ok := m.procs[pid]
+	if !ok {
+		return nil, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
+	}
+	return p, nil
 }
 
 func TestProcessLifecycle(t *testing.T) {

@@ -7,6 +7,13 @@
 // plugin, kubelet, scheduler — only observes page counters and latencies,
 // and this package reproduces exactly the counters and latencies the paper
 // reports, so scheduling behaviour is preserved.
+//
+// Like the real hardware and driver, a package pages: committing more than
+// the usable EPC succeeds, with pages evicted to regular memory at a steep
+// cost (§II). Nothing here refuses an allocation for want of EPC. What
+// prevents over-commitment is the orchestrator (§V-A): the API server admits
+// no more EPC device requests on a node than it has usable pages, and the
+// driver denies an enclave whose pod exceeds its declared share (§V-D).
 package sgx
 
 import (
@@ -19,10 +26,6 @@ import (
 
 // Errors returned by EPC operations.
 var (
-	// ErrEPCExhausted is returned when an allocation would exceed the
-	// usable EPC and over-commitment is disabled. The paper's stack
-	// "deliberately prevent[s] over-commitment of the EPC" (§V-A).
-	ErrEPCExhausted = errors.New("sgx: EPC exhausted")
 	// ErrEnclaveState is returned on lifecycle misuse (e.g. adding pages
 	// after initialization — SGX 1 commits all memory before EINIT, §II).
 	ErrEnclaveState = errors.New("sgx: invalid enclave state")
@@ -97,7 +100,6 @@ func (s EnclaveState) String() string {
 // EPC pages.
 type Enclave struct {
 	ID         uint64
-	PID        int    // owning process, for the per-process page count (§V-E)
 	CgroupPath string // pod identity, for limit enforcement (§V-D)
 
 	mu    sync.Mutex
@@ -135,9 +137,7 @@ func (e *Enclave) AddPages(n int64) error {
 	case EnclaveInitialized:
 		return fmt.Errorf("%w: EADD after EINIT (SGX 1 forbids dynamic allocation)", ErrEnclaveState)
 	}
-	if err := e.pkg.commit(e, n); err != nil {
-		return err
-	}
+	e.pkg.commit(e, n)
 	e.pages += n
 	return nil
 }
@@ -176,31 +176,21 @@ func (e *Enclave) Destroy() error {
 // Package models one SGX-capable CPU package and its EPC.
 type Package struct {
 	geo Geometry
-	// allowOvercommit enables the paging mechanism (§II). The
-	// orchestrator stack keeps it disabled on purpose (§V-A), but the
-	// model implements it so the 1000× penalty regime is testable.
-	allowOvercommit bool
 	// sgx2 enables dynamic EPC memory management (EDMM, §VI-G).
 	sgx2 bool
 
 	mu        sync.Mutex
 	enclaves  map[uint64]*Enclave
-	committed int64 // total committed pages across enclaves
-	// The same pages by owner, moved with committed: the driver's limit
-	// check and the metrics probe read a pod's (or a process's) total
-	// without visiting its enclaves. An owner at zero has no entry.
+	committed int64 // total committed pages across enclaves, paged ones included
+	// The same pages by cgroup, moved with committed: the driver's limit
+	// check and the metrics probe read a pod's total without visiting its
+	// enclaves. A cgroup at zero has no entry.
 	byCgroup map[string]int64
-	byPID    map[int]int64
 	nextID   uint64
 }
 
 // Option configures a Package.
 type Option func(*Package)
-
-// WithOvercommit enables EPC over-commitment via paging.
-func WithOvercommit() Option {
-	return func(p *Package) { p.allowOvercommit = true }
-}
 
 // NewPackage creates an SGX package with the given geometry.
 func NewPackage(geo Geometry, opts ...Option) *Package {
@@ -208,7 +198,6 @@ func NewPackage(geo Geometry, opts ...Option) *Package {
 		geo:      geo,
 		enclaves: make(map[uint64]*Enclave),
 		byCgroup: make(map[string]int64),
-		byPID:    make(map[int]int64),
 		nextID:   1,
 	}
 	for _, o := range opts {
@@ -220,14 +209,13 @@ func NewPackage(geo Geometry, opts ...Option) *Package {
 // Geometry returns the package's EPC geometry.
 func (p *Package) Geometry() Geometry { return p.geo }
 
-// CreateEnclave performs ECREATE for a process. The returned enclave holds
-// no pages yet.
-func (p *Package) CreateEnclave(pid int, cgroupPath string) *Enclave {
+// CreateEnclave performs ECREATE for a process of the given cgroup. The
+// returned enclave holds no pages yet.
+func (p *Package) CreateEnclave(cgroupPath string) *Enclave {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e := &Enclave{
 		ID:         p.nextID,
-		PID:        pid,
 		CgroupPath: cgroupPath,
 		pkg:        p,
 		state:      EnclaveCreated,
@@ -238,19 +226,13 @@ func (p *Package) CreateEnclave(pid int, cgroupPath string) *Enclave {
 }
 
 // commit reserves n pages of EPC for enclave e, charging them to its
-// process and cgroup in the same critical section: a reader never sees
-// pages committed but not yet owned.
-func (p *Package) commit(e *Enclave, n int64) error {
+// cgroup in the same critical section: a reader never sees pages committed
+// but not yet owned. Pages beyond the usable EPC are paged, not refused.
+func (p *Package) commit(e *Enclave, n int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.allowOvercommit && p.committed+n > p.geo.UsablePages() {
-		return fmt.Errorf("%w: committed %d + %d > usable %d pages",
-			ErrEPCExhausted, p.committed, n, p.geo.UsablePages())
-	}
 	p.committed += n
 	addTotal(p.byCgroup, e.CgroupPath, n)
-	addTotal(p.byPID, e.PID, n)
-	return nil
 }
 
 // release returns n of enclave e's pages to the EPC.
@@ -262,12 +244,11 @@ func (p *Package) release(e *Enclave, n int64) {
 		p.committed = 0
 	}
 	addTotal(p.byCgroup, e.CgroupPath, -n)
-	addTotal(p.byPID, e.PID, -n)
 }
 
-// addTotal moves an owner's page total by n, dropping the owner once it
+// addTotal moves a cgroup's page total by n, dropping the cgroup once it
 // holds nothing.
-func addTotal[K comparable](totals map[K]int64, owner K, n int64) {
+func addTotal(totals map[string]int64, owner string, n int64) {
 	if v := totals[owner] + n; v > 0 {
 		totals[owner] = v
 	} else {
@@ -282,7 +263,7 @@ func (p *Package) forget(id uint64) {
 }
 
 // FreePages returns the number of usable pages not committed to any
-// enclave; with paging enabled it never goes below zero. This value backs
+// enclave; under paging it is zero, never negative. This value backs
 // the driver's sgx_nr_free_pages module parameter (§V-E).
 func (p *Package) FreePages() int64 {
 	p.mu.Lock()
@@ -292,14 +273,6 @@ func (p *Package) FreePages() int64 {
 		free = 0
 	}
 	return free
-}
-
-// PagesForPID returns the pages committed by all enclaves of one process —
-// the per-process metric of the patched driver's occupancy ioctl (§V-E).
-func (p *Package) PagesForPID(pid int) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.byPID[pid]
 }
 
 // PagesForCgroup returns the pages committed by all enclaves whose owning

@@ -21,7 +21,7 @@ func TestSGX2Capability(t *testing.T) {
 
 func TestAugmentRequiresSGX2(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave(1, "cg")
+	e := p.CreateEnclave("cg")
 	if err := e.AddPages(10); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestAugmentRequiresSGX2(t *testing.T) {
 
 func TestAugmentAndTrimLifecycle(t *testing.T) {
 	p := NewPackage(DefaultGeometry(), WithSGX2())
-	e := p.CreateEnclave(1, "cg")
+	e := p.CreateEnclave("cg")
 	// EAUG before EINIT is a lifecycle error even on SGX 2.
 	if err := e.AugmentPages(1); !errors.Is(err, ErrEnclaveState) {
 		t.Fatalf("pre-init EAUG err = %v", err)
@@ -83,7 +83,7 @@ func TestAugmentAndTrimLifecycle(t *testing.T) {
 
 func TestAugmentNegative(t *testing.T) {
 	p := NewPackage(DefaultGeometry(), WithSGX2())
-	e := p.CreateEnclave(1, "cg")
+	e := p.CreateEnclave("cg")
 	if err := e.AddPages(1); err != nil {
 		t.Fatal(err)
 	}
@@ -98,30 +98,12 @@ func TestAugmentNegative(t *testing.T) {
 	}
 }
 
-func TestAugmentRespectsEPCCapacity(t *testing.T) {
-	// Without overcommit, dynamic growth hits the usable-EPC wall too.
-	p := NewPackage(DefaultGeometry(), WithSGX2())
-	e := p.CreateEnclave(1, "cg")
-	if err := e.AddPages(23000); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Init(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AugmentPages(936); err != nil {
-		t.Fatalf("EAUG within capacity failed: %v", err)
-	}
-	if err := e.AugmentPages(1); !errors.Is(err, ErrEPCExhausted) {
-		t.Fatalf("EAUG past capacity err = %v", err)
-	}
-}
-
 // Property: any interleaving of EAUG/trim keeps package accounting
 // balanced.
 func TestDynamicAccountingProperty(t *testing.T) {
 	f := func(ops []int16) bool {
-		p := NewPackage(DefaultGeometry(), WithSGX2(), WithOvercommit())
-		e := p.CreateEnclave(1, "cg")
+		p := NewPackage(DefaultGeometry(), WithSGX2())
+		e := p.CreateEnclave("cg")
 		if err := e.AddPages(100); err != nil {
 			return false
 		}
@@ -162,8 +144,7 @@ func TestDynamicAccountingProperty(t *testing.T) {
 	}
 }
 
-// TestEnclavePagesConcurrentReaders: the per-pod and per-process page
-// totals are read by the metrics probe and the driver's limit check while
+// TestEnclavePagesConcurrentReaders: the per-pod page totals are read by the metrics probe and the driver's limit check while
 // enclaves grow and shrink (EDMM, §VI-G) on other goroutines. The totals
 // move inside the same critical section as the package's commitment, so a
 // reader sees an enclave's pages either before or after an operation,
@@ -172,7 +153,7 @@ func TestDynamicAccountingProperty(t *testing.T) {
 func TestEnclavePagesConcurrentReaders(t *testing.T) {
 	const base, step, rounds = 100, 40, 2000
 	p := NewPackage(DefaultGeometry(), WithSGX2())
-	e := p.CreateEnclave(7, "/kubepods/podA")
+	e := p.CreateEnclave("/kubepods/podA")
 	if err := e.AddPages(base); err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +180,9 @@ func TestEnclavePagesConcurrentReaders(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !done.Load() {
-			for _, got := range [...]int64{p.PagesForCgroup("/kubepods/podA"), p.PagesForPID(7)} {
-				if got != base && got != base+step {
-					t.Errorf("a reader saw %d pages, want %d or %d", got, base, base+step)
-					return
-				}
+			if got := p.PagesForCgroup("/kubepods/podA"); got != base && got != base+step {
+				t.Errorf("a reader saw %d pages, want %d or %d", got, base, base+step)
+				return
 			}
 		}
 	}()
@@ -211,7 +190,7 @@ func TestEnclavePagesConcurrentReaders(t *testing.T) {
 	if err := e.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if a, b := p.PagesForCgroup("/kubepods/podA"), p.PagesForPID(7); a != 0 || b != 0 || len(p.byCgroup) != 0 || len(p.byPID) != 0 {
-		t.Fatalf("after destroy: cgroup %d, pid %d pages, %d + %d owner totals kept; want none", a, b, len(p.byCgroup), len(p.byPID))
+	if a := p.PagesForCgroup("/kubepods/podA"); a != 0 || len(p.byCgroup) != 0 {
+		t.Fatalf("after destroy: cgroup %d pages, %d owner totals kept; want none", a, len(p.byCgroup))
 	}
 }

@@ -42,7 +42,7 @@ func TestGeometryScalesProportionally(t *testing.T) {
 
 func TestEnclaveLifecycle(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave(42, "/kubepods/pod-1")
+	e := p.CreateEnclave("/kubepods/pod-1")
 	if e.State() != EnclaveCreated {
 		t.Fatalf("state = %v, want created", e.State())
 	}
@@ -78,36 +78,15 @@ func TestEnclaveLifecycle(t *testing.T) {
 
 func TestAddPagesNegative(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave(1, "c")
+	e := p.CreateEnclave("c")
 	if err := e.AddPages(-1); !errors.Is(err, ErrEnclaveState) {
 		t.Fatalf("AddPages(-1) err = %v", err)
 	}
 }
 
-func TestEPCExhaustionWithoutOvercommit(t *testing.T) {
-	p := NewPackage(DefaultGeometry())
-	a := p.CreateEnclave(1, "a")
-	if err := a.AddPages(23936); err != nil {
-		t.Fatalf("filling EPC exactly should work: %v", err)
-	}
-	b := p.CreateEnclave(2, "b")
-	if err := b.AddPages(1); !errors.Is(err, ErrEPCExhausted) {
-		t.Fatalf("over-commit err = %v, want ErrEPCExhausted", err)
-	}
-	if got := p.FreePages(); got != 0 {
-		t.Fatalf("FreePages = %d, want 0", got)
-	}
-	if err := a.Destroy(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPages(1); err != nil {
-		t.Fatalf("allocation after release failed: %v", err)
-	}
-}
-
 func TestOvercommitAndSlowdown(t *testing.T) {
-	p := NewPackage(DefaultGeometry(), WithOvercommit())
-	e := p.CreateEnclave(1, "a")
+	p := NewPackage(DefaultGeometry())
+	e := p.CreateEnclave("a")
 	if err := e.AddPages(2 * 23936); err != nil {
 		t.Fatalf("overcommit with paging enabled failed: %v", err)
 	}
@@ -125,7 +104,7 @@ func TestOvercommitAndSlowdown(t *testing.T) {
 
 func TestNoOvercommitSlowdownIsOne(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave(1, "a")
+	e := p.CreateEnclave("a")
 	if err := e.AddPages(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +113,11 @@ func TestNoOvercommitSlowdownIsOne(t *testing.T) {
 	}
 }
 
-func TestPagesForPIDAndCgroup(t *testing.T) {
+func TestPagesForCgroup(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e1 := p.CreateEnclave(10, "/kubepods/podA")
-	e2 := p.CreateEnclave(10, "/kubepods/podA")
-	e3 := p.CreateEnclave(20, "/kubepods/podB")
+	e1 := p.CreateEnclave("/kubepods/podA")
+	e2 := p.CreateEnclave("/kubepods/podA")
+	e3 := p.CreateEnclave("/kubepods/podB")
 	for _, pair := range []struct {
 		e *Enclave
 		n int64
@@ -146,12 +125,6 @@ func TestPagesForPIDAndCgroup(t *testing.T) {
 		if err := pair.e.AddPages(pair.n); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := p.PagesForPID(10); got != 150 {
-		t.Fatalf("PagesForPID(10) = %d, want 150", got)
-	}
-	if got := p.PagesForPID(99); got != 0 {
-		t.Fatalf("PagesForPID(99) = %d, want 0", got)
 	}
 	if got := p.PagesForCgroup("/kubepods/podA"); got != 150 {
 		t.Fatalf("PagesForCgroup(podA) = %d, want 150", got)
@@ -221,11 +194,11 @@ func TestCostModelMonotoneInAllocation(t *testing.T) {
 // sequences.
 func TestCommitReleaseAccountingProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
-		p := NewPackage(DefaultGeometry(), WithOvercommit())
+		p := NewPackage(DefaultGeometry())
 		var live []*Enclave
 		var want int64
-		for i, s := range sizes {
-			e := p.CreateEnclave(i, "cg")
+		for _, s := range sizes {
+			e := p.CreateEnclave("cg")
 			n := int64(s % 1000)
 			if err := e.AddPages(n); err != nil {
 				return false

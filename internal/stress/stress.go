@@ -44,17 +44,11 @@ func NewRunner(clk clock.Clock, cost sgx.CostModel) *Runner {
 	return &Runner{clk: clk, cost: cost}
 }
 
-// CostModel returns the runner's SGX cost model.
-func (r *Runner) CostModel() sgx.CostModel { return r.cost }
-
 // Config describes one workload execution.
 type Config struct {
 	Machine    *machine.Machine
 	CgroupPath string
 	Spec       api.WorkloadSpec
-	// OnStarted fires when the workload process launches (the pod's
-	// Running instant; ends the paper's waiting time).
-	OnStarted func()
 	// OnFinished fires exactly once at termination; err is nil for a
 	// normal completion and non-nil when the workload was killed (e.g.
 	// enclave denial, OOM).
@@ -97,9 +91,6 @@ func (r *Runner) Run(cfg Config) (*Execution, error) {
 		proc:   cfg.Machine.StartProcess(cfg.CgroupPath),
 		onDone: cfg.OnFinished,
 	}
-	if cfg.OnStarted != nil {
-		cfg.OnStarted()
-	}
 
 	switch cfg.Spec.Kind {
 	case api.WorkloadSleep:
@@ -121,8 +112,8 @@ func (r *Runner) Run(cfg Config) (*Execution, error) {
 		pages := resource.PagesForBytes(cfg.Spec.AllocBytes)
 		ex.arm(startup, func() {
 			if _, err := ex.proc.OpenEnclave(pages); err != nil {
-				// Enclave denied (limit enforcement, §V-D) or EPC
-				// exhausted: the job is killed immediately (§VI-F).
+				// Enclave denied (limit enforcement, §V-D): the job is
+				// killed immediately (§VI-F).
 				ex.finish(err)
 				return
 			}

@@ -35,14 +35,13 @@
 //     without it. Slow subscribers batch up naturally; fast publishers
 //     never block on slow consumers.
 //
-// A Sequenced broker additionally accepts publishes out of rev order:
-// writers that allocate revs from an atomic counter (the sharded API
-// server) can race each other to Publish, and the broker buffers the
-// out-of-order arrivals and appends them to the ring strictly in rev
-// order once the gap fills. This requires dense revs — every rev
-// allocated must eventually be published — which holds for the API
-// server because allocation and publish are straight-line code under
-// the owning shard's lock.
+// Revs are dense and publishes may arrive out of rev order: writers that
+// allocate revs from an atomic counter (the striped API server) race each
+// other to Publish, and the broker buffers the out-of-order arrivals and
+// appends them to the ring strictly in rev order once the gap fills. Every
+// rev allocated must therefore eventually be published, which holds for
+// the API server because allocation and publish are straight-line code
+// under the owning stripe's lock.
 //
 // A subscriber that falls so far behind that its cursor drops off the
 // ring is "too old" (ErrTooOld): instead of stalling the writer or
@@ -116,10 +115,6 @@ type Options struct {
 	Capacity int
 	// MaxBatch caps one delivery batch (DefaultMaxBatch when <= 0).
 	MaxBatch int
-	// Sequenced accepts out-of-rev-order publishes from racing writers,
-	// buffering gaps and appending in rev order. Requires dense revs:
-	// every allocated rev must eventually be published.
-	Sequenced bool
 }
 
 // SubscriberStats is the per-subscriber back-pressure accounting.
@@ -275,9 +270,8 @@ type subscription[T any] struct {
 // Broker is a versioned event broker over one fixed-capacity ring
 // buffer. The zero value is not usable; call New.
 type Broker[T any] struct {
-	mode      Mode
-	maxBatch  int
-	sequenced bool
+	mode     Mode
+	maxBatch int
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast: publish, cursor advance, delivery end, close
@@ -286,8 +280,8 @@ type Broker[T any] struct {
 
 	lastRev int64 // rev of the newest appended event
 
-	// stash holds sequenced publishes that arrived before their
-	// predecessors; drained into the ring as gaps fill.
+	// stash holds publishes that arrived before their predecessors;
+	// drained into the ring as gaps fill.
 	stash map[int64]T
 
 	subs   map[int64]*subscription[T]
@@ -310,27 +304,23 @@ func New[T any](opts Options) *Broker[T] {
 		opts.MaxBatch = DefaultMaxBatch
 	}
 	b := &Broker[T]{
-		mode:      opts.Mode,
-		maxBatch:  opts.MaxBatch,
-		sequenced: opts.Sequenced,
-		ring:      ring[T]{capacity: opts.Capacity},
-		subs:      make(map[int64]*subscription[T]),
-	}
-	if opts.Sequenced {
-		b.stash = make(map[int64]T)
+		mode:     opts.Mode,
+		maxBatch: opts.MaxBatch,
+		ring:     ring[T]{capacity: opts.Capacity},
+		stash:    make(map[int64]T),
+		subs:     make(map[int64]*subscription[T]),
 	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
 // Publish appends one event to the ring at the given resource version.
-// On a non-sequenced broker revisions must be strictly increasing across
-// calls — the caller serializes publishes (typically by holding its own
-// state lock, which is safe: the append is O(1) and never runs
-// subscriber code). On a sequenced broker, racing writers may arrive out
-// of order; the event is buffered until every lower rev has been
-// published, then appended in rev order. When the ring is full its
-// oldest event is evicted; subscribers still needing it resync.
+// Revisions are dense: the first is 1 and each rev is published once.
+// Racing writers may arrive out of order; an event is buffered until
+// every lower rev has been published, then appended in rev order. The
+// append is O(1) and never runs subscriber code, so a caller may publish
+// under its own state lock. When the ring is full its oldest event is
+// evicted; subscribers still needing it resync.
 func (b *Broker[T]) Publish(rev int64, ev T) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -340,26 +330,24 @@ func (b *Broker[T]) Publish(rev int64, ev T) {
 	if rev <= b.lastRev {
 		panic(fmt.Sprintf("watch: Publish rev %d not after %d", rev, b.lastRev))
 	}
-	if b.sequenced && rev != b.lastRev+1 {
+	if rev != b.lastRev+1 {
 		if _, dup := b.stash[rev]; dup {
-			panic(fmt.Sprintf("watch: duplicate sequenced Publish rev %d", rev))
+			panic(fmt.Sprintf("watch: duplicate Publish rev %d", rev))
 		}
 		b.stash[rev] = ev
 		return
 	}
 	b.ring.append(rev, ev)
 	b.lastRev = rev
-	if b.sequenced {
-		// Drain any stashed successors whose gap just filled.
-		for {
-			next, ok := b.stash[b.lastRev+1]
-			if !ok {
-				break
-			}
-			delete(b.stash, b.lastRev+1)
-			b.lastRev++
-			b.ring.append(b.lastRev, next)
+	// Drain any stashed successors whose gap just filled.
+	for {
+		next, ok := b.stash[b.lastRev+1]
+		if !ok {
+			break
 		}
+		delete(b.stash, b.lastRev+1)
+		b.lastRev++
+		b.ring.append(b.lastRev, next)
 	}
 	b.cond.Broadcast()
 }
@@ -447,8 +435,8 @@ func (b *Broker[T]) Stats() Stats {
 }
 
 // Quiesce blocks until every subscriber's cursor has reached every
-// event published before the call, no sequenced publish is stashed
-// awaiting its gap, and no delivery or flush is in flight — the barrier
+// event published before the call, no publish is stashed awaiting its
+// gap, and no delivery or flush is in flight — the barrier
 // tests and benchmarks use to observe a settled fan-out, and in Sync mode
 // the way a goroutine whose Flush found another flusher active waits for
 // its own events to land. Not from inside a callback: the flush it would

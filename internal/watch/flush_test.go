@@ -32,7 +32,7 @@ type propSub struct {
 }
 
 // TestSyncFlushConcurrentProperty is the combining Flush's contract under
-// real interleavings: racing publishers on a Sequenced Sync broker whose
+// real interleavings: racing publishers on a Sync broker whose
 // Flush either claims the drain or returns at once, callbacks that
 // publish re-entrantly, and callbacks that subscribe newcomers and
 // unsubscribe themselves and others in the middle of a sweep. Every
@@ -48,7 +48,7 @@ func TestSyncFlushConcurrentProperty(t *testing.T) {
 		perRound   = 5
 		baseSubs   = 4
 	)
-	b := New[int64](Options{Mode: Sync, Sequenced: true, Capacity: 1 << 14, MaxBatch: 4})
+	b := New[int64](Options{Mode: Sync, Capacity: 1 << 14, MaxBatch: 4})
 	defer b.Close()
 
 	var seq atomic.Int64

@@ -117,7 +117,7 @@ func (s *modelSub) explain(log []int64) (dropped, resyncs int64, err error) {
 // TestBatchCutModelProperty checks the batch cut — one search plus a
 // contiguous run of the ring — against a plain slice of the published
 // revs: random capacities on both sides of the ring's first allocation
-// (so it grows lazily and wraps), MaxBatch 1–7, sparse revs, and a random
+// (so it grows lazily and wraps), MaxBatch 1–7, and a random
 // interleaving of publish bursts, flushes and late subscribes at
 // arbitrary cursors, with and without a resync handler. In Sync mode the
 // schedule is the test's, so the model predicts every subscriber's exact
@@ -191,7 +191,7 @@ func runBatchCutModel(t *testing.T, mode Mode, rng *rand.Rand) {
 		switch op := rng.Intn(10); {
 		case op < 6:
 			for n := 1 + rng.Intn(2*capacity); n > 0 && len(log) < events; n-- {
-				head += 1 + rng.Int63n(3)
+				head++
 				log = append(log, head)
 				b.Publish(head, head)
 			}

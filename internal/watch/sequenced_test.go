@@ -7,10 +7,10 @@ import (
 )
 
 // TestSequencedPublishReorders: writers racing an atomic rev allocator
-// may reach a sequenced broker out of order; events must still land on
+// may reach the broker out of order; events must still land on
 // the ring — and reach subscribers — in rev order.
 func TestSequencedPublishReorders(t *testing.T) {
-	b := New[int64](Options{Mode: Sync, Sequenced: true})
+	b := New[int64](Options{Mode: Sync})
 	var got []int64
 	unsub := b.Subscribe(0, func(evs []int64) { got = append(got, evs...) }, nil)
 	defer unsub()
@@ -29,7 +29,7 @@ func TestSequencedPublishReorders(t *testing.T) {
 	}
 }
 
-// TestSequencedConcurrentPublishersDeliverInOrder hammers the sequenced
+// TestSequencedConcurrentPublishersDeliverInOrder hammers the reordering
 // path: goroutines allocate revs from an atomic counter, publish in
 // whatever order they are scheduled, and every subscriber must still
 // observe the full dense stream in rev order.
@@ -38,7 +38,7 @@ func TestSequencedConcurrentPublishersDeliverInOrder(t *testing.T) {
 		workers = 8
 		perW    = 200
 	)
-	b := New[int64](Options{Mode: Sync, Sequenced: true})
+	b := New[int64](Options{Mode: Sync})
 	var mu sync.Mutex
 	var got []int64
 	unsub := b.Subscribe(0, func(evs []int64) {

@@ -31,13 +31,13 @@ type (
 // 6480-10080 s window of a synthetic Borg trace after 1-in-1200 sampling —
 // 663 jobs over one hour, 44 of them over-allocating.
 func GenerateBorgEvalSlice(seed int64) *BorgTrace {
-	return borg.NewGenerator(borg.DefaultConfig(seed)).EvalSlice()
+	return borg.NewGenerator(seed).EvalSlice()
 }
 
 // GenerateBorgDay generates a synthetic 24 h Borg trace with n jobs,
 // calibrated to the published distributions (Figs. 3-5).
 func GenerateBorgDay(seed int64, n int) *BorgTrace {
-	return borg.NewGenerator(borg.DefaultConfig(seed)).FullDay(n)
+	return borg.NewGenerator(seed).FullDay(n)
 }
 
 // ReplayOptions configures a Borg trace replay on the paper's testbed.
