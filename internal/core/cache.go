@@ -79,6 +79,11 @@ type ClusterCache struct {
 	// best-effort victims only plans victim searches when at least one
 	// such pod is charged somewhere.
 	beCount int
+	// gangLeft counts gang members that stopped being tracked. A departure
+	// can make the rest of its gang evictable on other nodes without any
+	// node's headroom rising (the member was charged nothing, or ran on a
+	// node no view holds), so SyncView counts it as a loosening.
+	gangLeft uint64
 
 	// Change journal for incremental views (SyncView): the names of nodes
 	// whose scheduling-relevant state changed, in change order.
@@ -306,6 +311,10 @@ func (c *ClusterCache) SyncView(v *ClusterView) {
 			cn.allocatable.Get(resource.EPCPages)-cn.reqEPC)
 	}
 	v.syncedTo = tip
+	if v.gangLeft != c.gangLeft {
+		v.gangLeft = c.gangLeft
+		v.loosened++
+	}
 }
 
 // rebuildViewLocked repopulates an incremental view from scratch in node
@@ -326,6 +335,7 @@ func (c *ClusterCache) rebuildViewLocked(v *ClusterView) {
 	}
 	v.epoch = c.viewEpoch
 	v.syncedTo = c.journalBase + int64(len(c.journal))
+	v.gangLeft = c.gangLeft
 }
 
 // InjectBoundPod force-feeds the cache one live bound pod without going
@@ -540,6 +550,7 @@ func (c *ClusterCache) removePodLocked(cp *cachedPod) {
 				delete(c.groups, cp.group)
 			}
 		}
+		c.gangLeft++
 	}
 	c.touchLocked(cp.node)
 	if c.prioCount[cp.priority]--; c.prioCount[cp.priority] <= 0 {
@@ -651,24 +662,22 @@ func (c *ClusterCache) preemptGate() (prio int32, anyBound, beBound bool) {
 // includeBE additionally admits pods that declared the best-effort
 // workload class regardless of their tier (a gang unit needs every
 // member eligible on one ground or the other) — the one sanctioned
-// relaxation of the strictly-lower-priority invariant.
-func (c *ClusterCache) victimsBelow(node string, prio int32, includeBE bool, buf []victimInfo) []victimInfo {
+// relaxation of the strictly-lower-priority invariant. groups is the
+// caller's scratch for the node's gang names, returned for reuse, so an
+// attempt allocates nothing however many gangs the node hosts.
+func (c *ClusterCache) victimsBelow(node string, prio int32, includeBE bool, buf []victimInfo, groups []string) ([]victimInfo, []string) {
 	c.mu.Lock()
 	cn, ok := c.nodes[node]
 	if !ok {
 		c.mu.Unlock()
-		return buf
+		return buf, groups
 	}
 	eligible := func(cp *cachedPod) bool {
 		return cp.priority < prio || (includeBE && cp.bestEffort)
 	}
-	var nodeGroups map[string]bool
 	for _, cp := range cn.pods {
 		if cp.group != "" {
-			if nodeGroups == nil {
-				nodeGroups = make(map[string]bool)
-			}
-			nodeGroups[cp.group] = true
+			groups = append(groups, cp.group)
 			continue
 		}
 		if eligible(cp) {
@@ -682,7 +691,11 @@ func (c *ClusterCache) victimsBelow(node string, prio int32, includeBE bool, buf
 			})
 		}
 	}
-	for g := range nodeGroups {
+	// One unit per gang, however many members the node hosts; sorted, so
+	// the walk below is deterministic too.
+	slices.Sort(groups)
+	groups = slices.Compact(groups)
+	for _, g := range groups {
 		members := c.groups[g]
 		unit := victimInfo{name: g, group: g, count: len(members)}
 		unitEligible := true
@@ -716,7 +729,7 @@ func (c *ClusterCache) victimsBelow(node string, prio int32, includeBE bool, buf
 		}
 		return strings.Compare(a.name, b.name)
 	})
-	return buf
+	return buf, groups
 }
 
 // matEntry schedules one pod's young→mature re-fusion.

@@ -31,6 +31,9 @@ type cycleState struct {
 	minPrio  int32
 	anyBound bool
 	beBound  bool
+	// memo holds the pass's clean failures (memo.go), emptied at the start
+	// of every pass and on every preemption.
+	memo failureMemo
 
 	// Pod scope: the pod's request data — summed once, because the filter
 	// plugins run per (pod, node) — and the pipeline its class resolved
@@ -40,10 +43,12 @@ type cycleState struct {
 	info PodInfo
 	pl   *pipeline
 
-	// Scratch: candidates holds the feasible nodes, victims serves the
-	// preemption planner, only is the one-candidate list of placesOn.
+	// Scratch: candidates holds the feasible nodes, victims and groups
+	// serve the preemption planner, only is the one-candidate list of
+	// placesOn.
 	candidates []*NodeView
 	victims    []victimInfo
+	groups     []string
 	only       []*NodeView
 }
 
@@ -95,6 +100,9 @@ type outcome struct {
 	// victims counts the pods this cycle evicted to make room (0 = it did
 	// not preempt). A cycle that preempted may still end in any kind.
 	victims int
+	// memoised qualifies outcomeUnschedulable: the pass's failure memo
+	// proved it, and the cycle ran neither the filter nor the planner.
+	memoised bool
 }
 
 // count folds one cycle's outcome into the pass tally.
@@ -102,6 +110,9 @@ func (s *Stats) count(o outcome) {
 	c := &s.ByClass[o.slot]
 	if o.sampled {
 		s.Sampled++
+	}
+	if o.memoised {
+		s.Memoised++
 	}
 	if o.victims > 0 {
 		s.Preemptions++
@@ -145,11 +156,18 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 	}
 	c.pl = &s.pipelines[o.slot]
 	prof, det := c.pl.profile, c.det
+	// A solo pod an earlier failure of this pass already proves
+	// unschedulable skips every stage below but the preemption gate and
+	// sync (memo.go). Gang members never do: the director's PreFilter
+	// gates them and raises their priority. A custom filter need not be
+	// monotone in the request, so only the §IV fit takes part.
+	memoable := !s.noMemo && !pod.Spec.InGang() && prof.defaultFiltersOnly()
+	dominated := memoable && c.memo.dominates(s.view, o.slot, info)
 
 	// Pre-filter stage: per-pod early rejects (and pass-scoped mutations
 	// like the gang age boost) before any per-node work.
 	t := det.now()
-	ok := prof.runPreFilter(info, s.view, det)
+	ok := dominated || prof.runPreFilter(info, s.view, det)
 	det.stageSince(stagePreFilter, t)
 	if !ok {
 		o.kind = outcomeGated
@@ -165,12 +183,17 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 		// from the name-sorted full scan (best-fit buckets first), which
 		// only matters to order-sensitive tie-breaks — acceptable by
 		// construction: sampling itself already trades exhaustive choice
-		// for pass cost.
+		// for pass cost. A dominated pod's search would have found nothing
+		// and so visited every eligible node; the rotation moves as far.
 		var visited int
-		candidates, visited = s.view.sampleFeasible(info, prof, target, s.sampleOffset, candidates)
+		if dominated {
+			visited = s.view.eligible(info)
+		} else {
+			candidates, visited = s.view.sampleFeasible(info, prof, target, s.sampleOffset, candidates)
+		}
 		s.sampleOffset += visited
 		o.sampled = true
-	} else {
+	} else if !dominated {
 		for _, n := range nodes {
 			if prof.Feasible(info, n) {
 				candidates = append(candidates, n)
@@ -179,20 +202,32 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 	}
 	c.candidates = candidates
 	det.stageSince(stageFilter, t)
+	filteredAt := s.view.loosened
 
 	t = det.now()
-	node, ok := prof.selectInfo(info, candidates, s.view, det)
+	var node string
+	ok = false
+	if !dominated {
+		node, ok = prof.selectInfo(info, candidates, s.view, det)
+	}
 	det.stageSince(stageScore, t)
+	// A clean failure so far: nothing passed the filter, so no placement
+	// stage declined anything.
+	clean := memoable && len(candidates) == 0
 	if !ok && c.mayPreempt() {
 		// No feasible node: try to make room by evicting strictly
 		// lower-priority pods — plus declared best-effort pods when the
 		// pipeline may take them (preemption.go).
 		t = det.now()
-		target, evicted := s.preempt(c)
+		target, evicted, noSet := s.preempt(c, dominated)
 		det.stageSince(stagePreempt, t)
+		clean = clean && noSet
 		if target != "" {
 			o.victims = evicted
-			// Continue from a view that reflects the evictions.
+			// Continue from a view that reflects the evictions, with the
+			// memo emptied: the evictions and the refreshed gate may let
+			// any pod fit or preempt.
+			c.memo.reset()
 			s.syncedViewLocked()
 			c.minPrio, c.anyBound, c.beBound = s.cache.preemptGate()
 			// The planner already replayed the pipeline against the
@@ -207,6 +242,15 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 		}
 	}
 	if !ok {
+		// Proofs hold only while the view has not loosened since the filter
+		// read it: the preemption sync may have.
+		if s.view.loosened == filteredAt {
+			if dominated {
+				o.memoised = true
+			} else if clean {
+				c.memo.record(s.view, o.slot, info)
+			}
+		}
 		o.kind = outcomeUnschedulable
 		return o
 	}

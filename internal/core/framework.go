@@ -346,6 +346,17 @@ func (p *Profile) Feasible(pod *PodInfo, node *NodeView) bool {
 	return true
 }
 
+// defaultFiltersOnly reports whether the filter stage is the §IV
+// feasibility rule and nothing else.
+func (p *Profile) defaultFiltersOnly() bool {
+	for _, f := range p.filters {
+		if _, ok := f.(DefaultFeasibility); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // selectInfo runs the placement half of the pipeline for one pod: narrow
 // by preference, score, and pick the first candidate with the strictly
 // greatest weighted score above the profile's minimum. Candidates arrive

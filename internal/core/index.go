@@ -192,35 +192,11 @@ func clearBucket(bucket *[]*NodeView) {
 // eligible nodes across passes. With a fixed starting offset and a
 // deterministic index, the walk is fully deterministic.
 func (v *ClusterView) sampleFeasible(pod *PodInfo, prof *Profile, limit, offset int, buf []*NodeView) ([]*NodeView, int) {
-	ix := v.idx
-	seq := v.seqScratch[:0]
-	if pod.SGX {
-		minB := minBucketFor(pod.EPCPages)
-		part := &ix.parts[partSGX]
-		for b := minB; b < numBuckets; b++ {
-			if s := part.epc[b]; len(s) > 0 {
-				seq = append(seq, s)
-			}
-		}
-	} else {
-		minB := minBucketFor(pod.Req[resource.Memory])
-		for _, p := range [2]int{partStandard, partSGX} {
-			part := &ix.parts[p]
-			for b := minB; b < numBuckets; b++ {
-				if s := part.mem[b]; len(s) > 0 {
-					seq = append(seq, s)
-				}
-			}
-		}
-	}
-	v.seqScratch = seq
-	total := 0
-	for _, s := range seq {
-		total += len(s)
-	}
+	total := v.eligible(pod)
 	if total == 0 {
 		return buf, 0
 	}
+	seq := v.seqScratch
 	start := offset % total
 	visited := 0
 	// Phase 1: logical positions [start, total).
@@ -267,4 +243,37 @@ phase1:
 		}
 	}
 	return buf, visited
+}
+
+// eligible lists the index buckets that can hold pod, in walk order, into
+// the view's sequence scratch and returns how many nodes they hold — what
+// a search that finds nothing visits.
+func (v *ClusterView) eligible(pod *PodInfo) int {
+	ix := v.idx
+	seq := v.seqScratch[:0]
+	if pod.SGX {
+		minB := minBucketFor(pod.EPCPages)
+		part := &ix.parts[partSGX]
+		for b := minB; b < numBuckets; b++ {
+			if s := part.epc[b]; len(s) > 0 {
+				seq = append(seq, s)
+			}
+		}
+	} else {
+		minB := minBucketFor(pod.Req[resource.Memory])
+		for _, p := range [2]int{partStandard, partSGX} {
+			part := &ix.parts[p]
+			for b := minB; b < numBuckets; b++ {
+				if s := part.mem[b]; len(s) > 0 {
+					seq = append(seq, s)
+				}
+			}
+		}
+	}
+	v.seqScratch = seq
+	total := 0
+	for _, s := range seq {
+		total += len(s)
+	}
+	return total
 }

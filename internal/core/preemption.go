@@ -45,13 +45,20 @@ import (
 // which can fall short of the plan when a concurrent scheduler took the
 // same victim or a victim finished first. node == "" means no feasible
 // victim set exists; nothing is evicted then.
-func (s *Scheduler) preempt(c *cycleState) (node string, victims int) {
+//
+// dominated says the pass's failure memo (memo.go) proves no node has a
+// victim set for this pod as long as the view has not loosened since: the
+// gate and the sync still run, and the planner only if the sync loosened.
+// clean reports a failure the memo may record: every node was planned and
+// lacked eligible victims — none already fit the pod, and the pipeline
+// vetoed no victim set (both depend on more than the request's size).
+func (s *Scheduler) preempt(c *cycleState, dominated bool) (node string, victims int, clean bool) {
 	pod, takeBE := &c.info, c.pl.takeBE
 	// Re-check the gate against live state: the caller's per-pass gate
 	// may be stale after earlier evictions in this pass.
 	minPrio, anyBound, beBound := s.cache.preemptGate()
 	if !(anyBound && minPrio < pod.Priority) && !(takeBE && beBound) {
-		return "", 0
+		return "", 0, false
 	}
 	// Plan on the scheduler's own view, brought current first: by now it
 	// may predate metric or eviction churn, and the victim charges — read
@@ -59,18 +66,22 @@ func (s *Scheduler) preempt(c *cycleState) (node string, victims int) {
 	// subtracted from. The planner only reads the view; evictions are
 	// simulated on a scratch NodeView.
 	view := s.syncedViewLocked()
+	if dominated && c.memo.live(view) {
+		return "", 0, true
+	}
 
 	// The §IV SGX-last rule binds preemption too: a standard pod may only
 	// preempt its way onto SGX hardware when no non-SGX node has a
 	// feasible victim set, no matter how cheap the SGX-node victims are.
 	var bestNode string
 	var bestSet []victimInfo
+	clean = true
 	plan := func(sgxNodes bool) {
 		for _, n := range view.Nodes {
 			if n.SGX != sgxNodes || !staticallyFeasible(pod, n) {
 				continue
 			}
-			c.victims = s.cache.victimsBelow(n.Name, pod.Priority, takeBE, c.victims[:0])
+			c.victims, c.groups = s.cache.victimsBelow(n.Name, pod.Priority, takeBE, c.victims[:0], c.groups[:0])
 			set, ok := minimalVictimSet(pod, n, c.victims)
 			if !ok {
 				continue
@@ -81,8 +92,12 @@ func (s *Scheduler) preempt(c *cycleState) (node string, victims int) {
 			// math cannot see, and an eviction such a pipeline
 			// would reject every pass must never start (it would kill the
 			// victims without ever binding the pod — and again next
-			// pass).
-			if !s.placesOn(c, afterEvictions(n, set)) {
+			// pass). An empty set means the pod already fits: the filter
+			// failed it on what the victim math does not see (CPU), or a
+			// racing change made room; no preemption, and the next pass
+			// binds normally.
+			if len(set) == 0 || !s.placesOn(c, afterEvictions(n, set)) {
+				clean = false
 				continue
 			}
 			if bestNode == "" || betterVictimSet(set, bestSet) {
@@ -102,7 +117,7 @@ func (s *Scheduler) preempt(c *cycleState) (node string, victims int) {
 		}
 	}
 	if bestNode == "" {
-		return "", 0
+		return "", 0, clean
 	}
 	reason := "higher-priority pod " + pod.Pod.Name
 	for _, v := range bestSet {
@@ -125,7 +140,7 @@ func (s *Scheduler) preempt(c *cycleState) (node string, victims int) {
 			victims++
 		}
 	}
-	return bestNode, victims
+	return bestNode, victims, false
 }
 
 // victimCount sums the pods displaced by a victim set — a gang unit
@@ -177,8 +192,9 @@ func staticallyFeasible(pod *PodInfo, node *NodeView) bool {
 // chosen set backwards — sparing the most important victims first — and
 // drops everyone the fit can do without, yielding a minimal set biased
 // toward the fewest, lowest-priority victims. The returned slice aliases
-// victims' backing array.
-func minimalVictimSet(pod *PodInfo, node *NodeView, victims []victimInfo) ([]victimInfo, bool) {
+// victims' backing array; it is empty, with ok true, when the pod already
+// fits without victims. ok false means not even every victim is enough.
+func minimalVictimSet(pod *PodInfo, node *NodeView, victims []victimInfo) (set []victimInfo, ok bool) {
 	// Deficits the evictions must cover, from the node's fused usage and
 	// device accounting. Resources other than memory and EPC (e.g. CPU)
 	// are never charged by the cache, so the static check already settled
@@ -190,10 +206,7 @@ func minimalVictimSet(pod *PodInfo, node *NodeView, victims []victimInfo) ([]vic
 		return freedMem >= needMem && freedEPC >= needEPC && freedDev >= needDev
 	}
 	if fits(0, 0, 0) {
-		// Already fits with no victims: the caller only asks after the
-		// filter pipeline failed, so this means a racing change — report
-		// no preemption and let the next pass bind normally.
-		return nil, false
+		return nil, true
 	}
 
 	var freedMem, freedEPC, freedDev int64
@@ -210,7 +223,7 @@ func minimalVictimSet(pod *PodInfo, node *NodeView, victims []victimInfo) ([]vic
 	}
 	// Reprieve pass: drop victims the fit survives without, most
 	// important (and latest-taken) first.
-	set := victims[:chosen]
+	set = victims[:chosen]
 	for i := len(set) - 1; i >= 0; i-- {
 		v := set[i]
 		if fits(freedMem-v.memBytes, freedEPC-v.epcPages, freedDev-v.reqEPC) {

@@ -458,3 +458,49 @@ func TestPreemptionAttemptAllocsIndependentOfClusterSize(t *testing.T) {
 			pendingPods, small, large)
 	}
 }
+
+// TestPreemptionAttemptAcrossGangsAllocFree pins a failed preemption
+// attempt over nodes that host gang members at zero allocations: every
+// node holds members of two gangs, each gang spanning two nodes, beside a
+// peer of the pending pod's tier, so the planner collapses each node's
+// members into gang units on every attempt and still finds no victim set.
+// (A planner that collects a node's gangs into a fresh set pays for it per
+// node per attempt.)
+func TestPreemptionAttemptAcrossGangsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
+	}
+	const nodes = 8
+	_, srv, sched := newBareScheduler(t, nodes, Config{})
+	bind := func(pod *api.Pod, node string) {
+		t.Helper()
+		pod.Spec.SchedulerName = sched.Name()
+		if err := srv.CreatePod(pod); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Bind(pod.Name, node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := func(i int) string { return fmt.Sprintf("node-%02d", i%nodes) }
+	for i := 0; i < nodes; i++ {
+		// Gang g-i has a member on node i and one on node i+1.
+		for m := 0; m < 2; m++ {
+			bind(memGangPod(fmt.Sprintf("g-%d-%d", i, m), fmt.Sprintf("g-%d", i), 2, resource.GiB, 0), node(i+m))
+		}
+		bind(memPod("peer-"+node(i), 62*resource.GiB, 5), node(i))
+	}
+	pod := memPod("waiting", 8*resource.GiB, 5)
+	pod.Spec.SchedulerName = sched.Name()
+	if err := srv.CreatePod(pod); err != nil {
+		t.Fatal(err)
+	}
+	sched.ScheduleOnce() // warm the pass and planner buffers
+	allocs := testing.AllocsPerRun(20, func() { sched.ScheduleOnce() })
+	if st := sched.Stats(); st.Bound != 0 || st.Preemptions != 0 || st.Unschedulable != st.Passes {
+		t.Fatalf("stats = %+v, want every pass to plan over every node and find no victim set", st)
+	}
+	if allocs != 0 {
+		t.Fatalf("a failed preemption attempt over %d nodes hosting gang members allocated %v/op, want 0", nodes, allocs)
+	}
+}

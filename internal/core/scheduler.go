@@ -108,6 +108,10 @@ type Stats struct {
 	Passes        int
 	Bound         int
 	Unschedulable int
+	// Memoised counts the Unschedulable cycles the pass's failure memo
+	// proved without running the filter or the preemption planner
+	// (memo.go).
+	Memoised int
 	// Preemptions counts scheduling decisions that evicted lower-priority
 	// victims to make room; Victims counts the pods evicted by them — the
 	// evictions the API server confirmed, each a requeue on the watch
@@ -160,6 +164,7 @@ func (s *Stats) add(other Stats) {
 	s.Passes += other.Passes
 	s.Bound += other.Bound
 	s.Unschedulable += other.Unschedulable
+	s.Memoised += other.Memoised
 	s.Preemptions += other.Preemptions
 	s.Victims += other.Victims
 	s.Conflicts += other.Conflicts
@@ -219,6 +224,9 @@ type Scheduler struct {
 	// spreads over all eligible nodes across pods and passes. Purely a
 	// function of the pass history, so sim-clock runs stay reproducible.
 	sampleOffset int
+	// noMemo runs every cycle in full, bypassing the failure memo: the
+	// exhaustive reference the memo's property test compares against.
+	noMemo bool
 
 	// metrics/trace are the telemetry handles (nil when disabled); rec
 	// is the reusable per-pass trace accumulator and passSeq numbers
@@ -428,6 +436,7 @@ func (s *Scheduler) schedulePass(syncFirst bool) int {
 		c.rec.begin(s.passSeq, s.cfg.TraceDetailEvery)
 	}
 	c.det = c.rec.detailOnly()
+	c.memo.reset() // a pass proves only what it sees; nothing carries over
 	tally := Stats{Passes: 1}
 
 	// The queue is pulled as the pass spends its budget, a chunk at a

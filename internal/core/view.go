@@ -93,6 +93,16 @@ type ClusterView struct {
 	syncedTo   int64
 	freeNodes  []*NodeView
 	seqScratch [][]*NodeView
+
+	// loosened counts the syncs that may have let some pod fit, or find
+	// victims, where it could not before: a node inserted, a node's
+	// headroom, allocatable or free devices risen or its SGX gained, a
+	// rebuild, or a gang member leaving the cluster (gangLeft is the cache's
+	// departure count as of the last sync). Commit and dropNode only
+	// tighten and leave it alone. The pass's failure memo (memo.go) holds
+	// only while it stands still.
+	loosened uint64
+	gangLeft uint64
 }
 
 // newIndexedView returns an empty incremental view; ClusterCache.SyncView
@@ -156,6 +166,9 @@ func (c *ClusterView) fillNode(n *NodeView, sgx bool, alloc resource.List, memUs
 // name-sorted) if absent, otherwise updates it in place and re-buckets.
 func (c *ClusterView) setNode(name string, sgx bool, alloc resource.List, memUsed, epcUsed, freeDev int64) {
 	if n := c.byName[name]; n != nil {
+		if loosens(n, sgx, alloc, memUsed, epcUsed, freeDev) {
+			c.loosened++
+		}
 		if n.SGX != sgx {
 			// Partition flip: reinsert under the other hardware class.
 			c.idx.remove(n)
@@ -167,6 +180,7 @@ func (c *ClusterView) setNode(name string, sgx bool, alloc resource.List, memUse
 		c.idx.rebucket(n)
 		return
 	}
+	c.loosened++
 	n := c.takeNodeView(name)
 	c.fillNode(n, sgx, alloc, memUsed, epcUsed, freeDev)
 	i := sort.Search(len(c.Nodes), func(i int) bool { return c.Nodes[i].Name >= name })
@@ -175,6 +189,23 @@ func (c *ClusterView) setNode(name string, sgx bool, alloc resource.List, memUse
 	c.Nodes[i] = n
 	c.byName[name] = n
 	c.idx.insert(n)
+}
+
+// loosens reports whether refilling n with the given state could let a pod
+// fit it, or find victims on it, that could not before: SGX gained, or any
+// resource's allocatable, headroom or free devices risen. A refill also
+// drops the CPU a mid-pass Commit charged, which counts as headroom risen.
+func loosens(n *NodeView, sgx bool, alloc resource.List, memUsed, epcUsed, freeDev int64) bool {
+	if (sgx && !n.SGX) || freeDev > n.FreeDevices {
+		return true
+	}
+	used := resource.List{resource.Memory: memUsed, resource.EPCPages: epcUsed}
+	for r := range alloc {
+		if alloc[r] > n.Allocatable[r] || alloc[r]-used[r] > n.Allocatable[r]-n.Used[r] {
+			return true
+		}
+	}
+	return false
 }
 
 // dropNode removes a node from an incremental view and retires its
@@ -192,8 +223,9 @@ func (c *ClusterView) dropNode(name string) {
 }
 
 // recycleAll retires every node to the pool and empties the index,
-// preparing the view for a full rebuild.
+// preparing the view for a full rebuild — which may loosen anything.
 func (c *ClusterView) recycleAll() {
+	c.loosened++
 	c.freeNodes = append(c.freeNodes, c.Nodes...)
 	for i := range c.Nodes {
 		c.Nodes[i] = nil
