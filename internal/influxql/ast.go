@@ -13,6 +13,7 @@ package influxql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -110,7 +111,7 @@ type Source struct {
 }
 
 // String reconstructs a canonical form of the query (useful in errors and
-// logs).
+// logs): Parse reads it back to a query that renders the same string.
 func (q *Query) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SELECT %s(%s)", q.Field.Func, q.Field.Arg)
@@ -120,18 +121,21 @@ func (q *Query) String() string {
 	if q.Source.Sub != nil {
 		fmt.Fprintf(&b, " FROM (%s)", q.Source.Sub.String())
 	} else {
-		fmt.Fprintf(&b, " FROM %q", q.Source.Measurement)
+		fmt.Fprintf(&b, " FROM %s", quote(q.Source.Measurement, '"'))
 	}
 	if len(q.Where) > 0 {
 		parts := make([]string, 0, len(q.Where))
 		for _, c := range q.Where {
 			switch {
 			case c.IsTime:
-				parts = append(parts, fmt.Sprintf("time %s now() - %s", c.Op, c.Offset))
+				// The lexer reads "us", not "µs".
+				offset := strings.Replace(c.Offset.String(), "µs", "us", 1)
+				parts = append(parts, fmt.Sprintf("time %s now() - %s", c.Op, offset))
 			case c.IsTag:
-				parts = append(parts, fmt.Sprintf("%s %s '%s'", c.Subject, c.Op, c.Str))
+				parts = append(parts, fmt.Sprintf("%s %s %s", c.Subject, c.Op, quote(c.Str, '\'')))
 			default:
-				parts = append(parts, fmt.Sprintf("%s %s %g", c.Subject, c.Op, c.Number))
+				// No exponent: the lexer reads none.
+				parts = append(parts, fmt.Sprintf("%s %s %s", c.Subject, c.Op, strconv.FormatFloat(c.Number, 'f', -1, 64)))
 			}
 		}
 		fmt.Fprintf(&b, " WHERE %s", strings.Join(parts, " AND "))
@@ -140,4 +144,19 @@ func (q *Query) String() string {
 		fmt.Fprintf(&b, " GROUP BY %s", strings.Join(q.GroupBy, ", "))
 	}
 	return b.String()
+}
+
+// quote renders s raw between the quote character pref, or the other
+// one if s contains pref. The lexer has no escapes, so it cannot produce
+// a string that contains both.
+func quote(s string, pref byte) string {
+	q := pref
+	if strings.IndexByte(s, q) >= 0 {
+		if q == '"' {
+			q = '\''
+		} else {
+			q = '"'
+		}
+	}
+	return string(q) + s + string(q)
 }

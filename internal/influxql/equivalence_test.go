@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -245,84 +247,228 @@ func TestStreamingMatchesMaterializingExecutor(t *testing.T) {
 	}
 }
 
+// failingQueries each find an unknown field after the scan has begun:
+// the first at a point past its value filter, the second once the
+// subquery's aggregator is full, at the first inner row.
+var failingQueries = []string{
+	`SELECT SUM(value) FROM "m" WHERE value > 3 AND w > 1 GROUP BY pod_name`,
+	`SELECT SUM(w) AS total FROM (SELECT MAX(value) AS v FROM "m" GROUP BY pod_name, nodename) GROUP BY nodename`,
+}
+
+// testStreamingMatchesOracle runs every trial's query through the
+// aggregator pool back to back with queries of other shapes, so that a
+// run inherits storage an earlier run grew: its own query, an earlier
+// trial's query with another GROUP BY arity or subquery shape, its own
+// again, a query that fails mid-scan, and its own once more. Every result
+// must equal the oracle's, and every aggregator the pool hands back must
+// hold nothing an earlier run stored.
 func testStreamingMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pick := func(from []string) string { return from[rng.Intn(len(from))] }
-	aggs := []string{"SUM", "MAX", "MIN", "MEAN", "COUNT", "LAST"}
+	var earlier []*Query
+	failed := 0
 	for trial := 0; trial < 300; trial++ {
-		clk := clock.NewSim()
-		db := tsdb.New(clk, tsdb.WithGCInterval(0))
-		start := clk.Now()
-		clk.Advance(2 * time.Minute)
+		db := randomDB(rng)
+		q := mustParse(t, randomQuery(rng))
+		seq := []*Query{q}
+		if prev := otherShape(rng, earlier, q); prev != nil {
+			seq = append(seq, prev)
+		}
+		fail := mustParse(t, failingQueries[rng.Intn(len(failingQueries))])
+		seq = append(seq, q, fail, q)
+		for i, q := range seq {
+			queryErr, err := matchOracle(db, q)
+			if err != nil {
+				t.Fatalf("trial %d, run %d of %d: %v", trial, i+1, len(seq), err)
+			}
+			if q == fail && queryErr != nil {
+				failed++
+			}
+		}
+		// The last run released its outer and subquery aggregators.
+		released := []*aggregator{aggregators.Get().(*aggregator), aggregators.Get().(*aggregator)}
+		for _, a := range released {
+			if err := checkReleased(a); err != nil {
+				t.Fatalf("trial %d: released aggregator: %v", trial, err)
+			}
+			aggregators.Put(a)
+		}
+		earlier = append(earlier, q)
+	}
+	if failed == 0 {
+		t.Fatal("no failing query failed: the error paths went unexercised")
+	}
+}
 
-		nPoints := rng.Intn(300)
-		for i := 0; i < nPoints; i++ {
-			tags := tsdb.Tags{}
-			for _, tag := range equivTags {
-				if v := pick(tag.values); v != missingTag {
-					tags[tag.key] = v
+// TestRunConcurrentMatchesSerialProperty runs random queries against one
+// database from 8 goroutines at once, all drawing aggregators from the
+// one pool, and requires every result to equal the serial result.
+func TestRunConcurrentMatchesSerialProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	db := randomDB(rng)
+	queries := []*Query{mustParse(t, failingQueries[0]), mustParse(t, failingQueries[1])}
+	for len(queries) < 40 {
+		queries = append(queries, mustParse(t, randomQuery(rng)))
+	}
+	type outcome struct {
+		res Result
+		err error
+	}
+	serial := make([]outcome, len(queries))
+	for i, q := range queries {
+		serial[i].res, serial[i].err = Run(db, q)
+	}
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for range 100 {
+				i := rng.Intn(len(queries))
+				got, err := Run(db, queries[i])
+				want := serial[i]
+				if fmt.Sprint(err) != fmt.Sprint(want.err) || err == nil && !resultsEqual(got, want.res) {
+					t.Errorf("worker %d, query %q: got %+v, %v; serial %+v, %v", w, queries[i], got.Rows, err, want.res.Rows, want.err)
+					return
 				}
 			}
-			at := start.Add(time.Duration(rng.Int63n(int64(2 * time.Minute))))
-			db.Write("m", tags, float64(rng.Intn(8)), at) // zeros included
-		}
+		}()
+	}
+	wg.Wait()
+}
 
-		window := time.Duration(5+rng.Intn(115)) * time.Second
-		inner := fmt.Sprintf(`SELECT %s(value) AS v FROM "m"`, pick(aggs))
-		var conds []string
-		if rng.Intn(2) == 0 {
-			conds = append(conds, "value <> 0")
+// matchOracle runs q through both executors. It returns the query's own
+// error, and reports any difference in the rows or in the error as err.
+func matchOracle(db *tsdb.DB, q *Query) (queryErr, err error) {
+	got, gotErr := Run(db, q)
+	want, wantErr := refRun(db, q)
+	if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrUnknownField) != errors.Is(wantErr, ErrUnknownField) {
+		return gotErr, fmt.Errorf("error mismatch: streaming=%v reference=%v (query %q)", gotErr, wantErr, q)
+	}
+	if gotErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			return gotErr, fmt.Errorf("error text: streaming=%q reference=%q (query %q)", gotErr, wantErr, q)
 		}
-		if rng.Intn(4) == 0 {
-			conds = append(conds, fmt.Sprintf("nodename %s '%s'", pick([]string{"=", "<>"}), pick(equivTags[1].values[:5])))
-		}
-		conds = append(conds, fmt.Sprintf("time >= now() - %ds", int(window.Seconds())))
-		inner += " WHERE " + strings.Join(conds, " AND ")
-		inner += pick([]string{"", " GROUP BY pod_name", " GROUP BY pod_name, nodename",
-			" GROUP BY nodename, pod_name", " GROUP BY zone, pod_name", " GROUP BY pod_name, pod_name"})
-		query := inner
-		if rng.Intn(2) == 0 {
-			// The outer query may group by, and filter on, a tag the
-			// subquery did not group by (it reads ""), and filter on the
-			// inner value and on the rows' implicit now() timestamp.
-			var outer []string
-			if rng.Intn(3) == 0 {
-				outer = append(outer, fmt.Sprintf("%s %s '%s'", pick([]string{"nodename", "pod_name"}),
-					pick([]string{"=", "<>"}), pick([]string{"n0", "a", "ab", "", "p=1"})))
-			}
-			if rng.Intn(3) == 0 {
-				outer = append(outer, fmt.Sprintf("%s %s %d", pick([]string{"v", "v", "v", "w"}),
-					pick([]string{">", ">=", "<", "<>", "="}), rng.Intn(8)))
-			}
-			if rng.Intn(3) == 0 {
-				outer = append(outer, pick([]string{"time >= now() - 10s", "time < now() - 1s", "time = now()", "time <> now()"}))
-			}
-			query = fmt.Sprintf(`SELECT %s(%s) AS total FROM (%s)`, pick(aggs), pick([]string{"v", "v", "v", "v", "value"}), inner)
-			if len(outer) > 0 {
-				query += " WHERE " + strings.Join(outer, " AND ")
-			}
-			query += pick([]string{"", " GROUP BY nodename", " GROUP BY nodename", " GROUP BY zone", " GROUP BY nodename, pod_name"})
-		}
+		return gotErr, nil
+	}
+	if !resultsEqual(got, want) {
+		return nil, fmt.Errorf("query %q\nstreaming: %+v\nreference: %+v", q, got.Rows, want.Rows)
+	}
+	return nil, nil
+}
 
-		q, err := Parse(query)
-		if err != nil {
-			t.Fatalf("trial %d: parse %q: %v", trial, query, err)
-		}
-		got, gotErr := Run(db, q)
-		want, wantErr := refRun(db, q)
-		if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrUnknownField) != errors.Is(wantErr, ErrUnknownField) {
-			t.Fatalf("trial %d: error mismatch: streaming=%v reference=%v (query %q)",
-				trial, gotErr, wantErr, query)
-		}
-		if gotErr != nil {
-			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("trial %d: error text: streaming=%q reference=%q (query %q)", trial, gotErr, wantErr, query)
-			}
-			continue
-		}
-		if !resultsEqual(got, want) {
-			t.Fatalf("trial %d: query %q\nstreaming: %+v\nreference: %+v",
-				trial, query, got.Rows, want.Rows)
+// checkReleased reports anything a released aggregator still holds:
+// a group, a row, a hash bucket, a string anywhere in the capacity of
+// the slab or the probe, or the query.
+func checkReleased(a *aggregator) error {
+	switch {
+	case a.q != nil:
+		return fmt.Errorf("holds query %q", a.q)
+	case len(a.groups) != 0 || len(a.vals) != 0 || len(a.rows) != 0:
+		return fmt.Errorf("%d groups, %d values, %d rows left", len(a.groups), len(a.vals), len(a.rows))
+	case slices.ContainsFunc(a.heads, func(h int32) bool { return h != 0 }):
+		return fmt.Errorf("hash buckets not zeroed: %v", a.heads)
+	case slices.ContainsFunc(a.vals[:cap(a.vals)], func(v string) bool { return v != "" }):
+		return fmt.Errorf("slab keeps values %q", a.vals[:cap(a.vals)])
+	case slices.ContainsFunc(a.probe[:cap(a.probe)], func(v string) bool { return v != "" }):
+		return fmt.Errorf("probe keeps values %q", a.probe[:cap(a.probe)])
+	}
+	return nil
+}
+
+func mustParse(t *testing.T, query string) *Query {
+	t.Helper()
+	q, err := Parse(query)
+	if err != nil {
+		t.Fatalf("parse %q: %v", query, err)
+	}
+	return q
+}
+
+// shape is what decides how an aggregator's storage is laid out: the
+// GROUP BY arity, and the subquery's (-1 without one).
+func shape(q *Query) [2]int {
+	inner := -1
+	if q.Source.Sub != nil {
+		inner = len(q.Source.Sub.GroupBy)
+	}
+	return [2]int{len(q.GroupBy), inner}
+}
+
+// otherShape picks an earlier query whose shape differs from q's, or nil.
+func otherShape(rng *rand.Rand, earlier []*Query, q *Query) *Query {
+	if len(earlier) == 0 {
+		return nil
+	}
+	start := rng.Intn(len(earlier))
+	for i := range earlier {
+		if e := earlier[(start+i)%len(earlier)]; shape(e) != shape(q) {
+			return e
 		}
 	}
+	return nil
+}
+
+// randomDB writes up to 300 points of measurement "m" over two minutes,
+// tagged from equivTags.
+func randomDB(rng *rand.Rand) *tsdb.DB {
+	clk := clock.NewSim()
+	db := tsdb.New(clk, tsdb.WithGCInterval(0))
+	start := clk.Now()
+	clk.Advance(2 * time.Minute)
+	nPoints := rng.Intn(300)
+	for i := 0; i < nPoints; i++ {
+		tags := tsdb.Tags{}
+		for _, tag := range equivTags {
+			if v := tag.values[rng.Intn(len(tag.values))]; v != missingTag {
+				tags[tag.key] = v
+			}
+		}
+		at := start.Add(time.Duration(rng.Int63n(int64(2 * time.Minute))))
+		db.Write("m", tags, float64(rng.Intn(8)), at) // zeros included
+	}
+	return db
+}
+
+// randomQuery draws a query over "m": an aggregation with value, tag and
+// time filters and a GROUP BY, half the time wrapped in an outer query.
+func randomQuery(rng *rand.Rand) string {
+	pick := func(from []string) string { return from[rng.Intn(len(from))] }
+	aggs := []string{"SUM", "MAX", "MIN", "MEAN", "COUNT", "LAST"}
+	window := time.Duration(5+rng.Intn(115)) * time.Second
+	inner := fmt.Sprintf(`SELECT %s(value) AS v FROM "m"`, pick(aggs))
+	var conds []string
+	if rng.Intn(2) == 0 {
+		conds = append(conds, "value <> 0")
+	}
+	if rng.Intn(4) == 0 {
+		conds = append(conds, fmt.Sprintf("nodename %s '%s'", pick([]string{"=", "<>"}), pick(equivTags[1].values[:5])))
+	}
+	conds = append(conds, fmt.Sprintf("time >= now() - %ds", int(window.Seconds())))
+	inner += " WHERE " + strings.Join(conds, " AND ")
+	inner += pick([]string{"", " GROUP BY pod_name", " GROUP BY pod_name, nodename",
+		" GROUP BY nodename, pod_name", " GROUP BY zone, pod_name", " GROUP BY pod_name, pod_name"})
+	if rng.Intn(2) != 0 {
+		return inner
+	}
+	// The outer query may group by, and filter on, a tag the subquery did
+	// not group by (it reads ""), and filter on the inner value and on the
+	// rows' implicit now() timestamp.
+	var outer []string
+	if rng.Intn(3) == 0 {
+		outer = append(outer, fmt.Sprintf("%s %s '%s'", pick([]string{"nodename", "pod_name"}),
+			pick([]string{"=", "<>"}), pick([]string{"n0", "a", "ab", "", "p=1"})))
+	}
+	if rng.Intn(3) == 0 {
+		outer = append(outer, fmt.Sprintf("%s %s %d", pick([]string{"v", "v", "v", "w"}),
+			pick([]string{">", ">=", "<", "<>", "="}), rng.Intn(8)))
+	}
+	if rng.Intn(3) == 0 {
+		outer = append(outer, pick([]string{"time >= now() - 10s", "time < now() - 1s", "time = now()", "time <> now()"}))
+	}
+	query := fmt.Sprintf(`SELECT %s(%s) AS total FROM (%s)`, pick(aggs), pick([]string{"v", "v", "v", "v", "value"}), inner)
+	if len(outer) > 0 {
+		query += " WHERE " + strings.Join(outer, " AND ")
+	}
+	return query + pick([]string{"", " GROUP BY nodename", " GROUP BY nodename", " GROUP BY zone", " GROUP BY nodename, pod_name"})
 }

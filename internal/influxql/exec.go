@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/tsdb"
@@ -54,27 +55,35 @@ func Execute(db *tsdb.DB, query string) (Result, error) {
 // aggregates. A subquery's groups are folded straight into the outer
 // aggregator; no intermediate rows exist.
 //
-// A query allocates O(log groups) times, never per series or per point:
-// groups live in one slice and their GROUP BY values in one slab, found
-// through a hash of the values, and all that allocates while a query
-// runs is those two slices and the hash index growing by doubling, one
-// index slice for the row order, and a tag map for each row returned.
-// Nothing is kept from one Run to the next.
+// A query allocates little beyond its answer: the row slice, one tag map
+// per row, and a scan's list of the predicates its window did not absorb.
+// Groups live in one slice and their GROUP BY values in one slab,
+// found through a hash of the values; those two slices, the hash index,
+// the probe tuple and the row-order index belong to an aggregator taken
+// from a pool for the run and given back when it returns, errors
+// included (a subquery takes a second one, given back once its groups
+// are folded into the outer). What the next run inherits is capacity
+// only, never a value: the release empties the group slice, the slab
+// and the row order, zeroes every hash bucket, clears every string the
+// slab and the probe held and drops the query. A run therefore starts
+// from the state a fresh aggregator would, and the result shares no
+// memory with the aggregator, so no run can observe another's groups,
+// and the pool keeps no swept series' tag values alive.
 func Run(db *tsdb.DB, q *Query) (Result, error) {
-	agg, err := run(db, q)
-	if err != nil {
+	agg := newAggregator(q)
+	defer agg.release()
+	if err := agg.run(db); err != nil {
 		return Result{}, err
 	}
 	return agg.result()
 }
 
-// run folds the query's source into a fresh aggregator.
-func run(db *tsdb.DB, q *Query) (*aggregator, error) {
-	agg := newAggregator(q)
-	if q.Source.Sub != nil {
-		return agg, runSub(db, q, agg)
+// run folds the query's source into a.
+func (a *aggregator) run(db *tsdb.DB) error {
+	if a.q.Source.Sub != nil {
+		return runSub(db, a.q, a)
 	}
-	return agg, runScan(db, q, agg)
+	return runScan(db, a.q, a)
 }
 
 // runSub evaluates a subquery source: every inner group, in the order
@@ -83,8 +92,9 @@ func run(db *tsdb.DB, q *Query) (*aggregator, error) {
 // not group by reads as "".
 func runSub(db *tsdb.DB, q *Query, agg *aggregator) error {
 	sub := q.Source.Sub
-	inner, err := run(db, sub)
-	if err != nil {
+	inner := newAggregator(sub)
+	defer inner.release()
+	if err := inner.run(db); err != nil {
 		return err
 	}
 	now := db.Now()
@@ -293,13 +303,15 @@ func compareFloat(v float64, op CompareOp, x float64) (bool, error) {
 // proportional to the number of output rows. Groups sit in one slice in
 // creation order and their GROUP BY values in one slab, len(q.GroupBy)
 // strings per group; a group is found through a hash of its values, with
-// colliding groups chained and told apart value by value.
+// colliding groups chained and told apart value by value. Aggregators are
+// pooled: each slice grows from where release left it (see Run).
 type aggregator struct {
 	q      *Query
 	groups []groupState
 	vals   []string // group g's values: vals[g*n : (g+1)*n], n = len(q.GroupBy)
 	heads  []int32  // hash bucket → 1 + the newest group of its chain; a power of two long
 	probe  []string // the value tuple group() looks up, filled by the caller
+	rows   []int32  // the groups in row order, filled by order()
 }
 
 // groupState carries every running statistic any supported aggregation
@@ -319,8 +331,30 @@ type groupState struct {
 // so that every lookup walks a collision chain.
 var groupHashMask = ^uint64(0)
 
+// aggregators holds released aggregators for the next run to take.
+var aggregators = sync.Pool{New: func() any { return &aggregator{heads: make([]int32, 8)} }}
+
+// newAggregator takes an empty aggregator from the pool for q.
 func newAggregator(q *Query) *aggregator {
-	return &aggregator{q: q, heads: make([]int32, 8), probe: make([]string, len(q.GroupBy))}
+	a := aggregators.Get().(*aggregator)
+	a.q = q
+	if n := len(q.GroupBy); n <= cap(a.probe) {
+		a.probe = a.probe[:n]
+	} else {
+		a.probe = make([]string, n)
+	}
+	return a
+}
+
+// release empties a, keeping its slices' capacity, and returns it to the
+// pool. Every string it held is cleared first: the pooled slab must not
+// keep a swept series' tag values alive.
+func (a *aggregator) release() {
+	clear(a.vals)
+	clear(a.probe)
+	clear(a.heads)
+	a.q, a.groups, a.vals, a.rows = nil, a.groups[:0], a.vals[:0], a.rows[:0]
+	aggregators.Put(a)
 }
 
 // values returns group g's GROUP BY values, in GROUP BY order.
@@ -363,14 +397,14 @@ func (a *aggregator) link(g int32) {
 	a.groups[g].next, *b = *b, g+1
 }
 
-// order returns the groups sorted by value tuple — the row order.
+// order returns the groups sorted by value tuple — the row order. It is
+// called at most once per run, on the empty slice release left.
 func (a *aggregator) order() []int32 {
-	order := make([]int32, len(a.groups))
-	for g := range order {
-		order[g] = int32(g)
+	for g := range a.groups {
+		a.rows = append(a.rows, int32(g))
 	}
-	slices.SortFunc(order, func(x, y int32) int { return slices.Compare(a.values(x), a.values(y)) })
-	return order
+	slices.SortFunc(a.rows, func(x, y int32) int { return slices.Compare(a.values(x), a.values(y)) })
+	return a.rows
 }
 
 // observe folds one sample into the running state. The first sample

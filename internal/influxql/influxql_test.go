@@ -198,27 +198,29 @@ func TestUnknownFieldError(t *testing.T) {
 	}
 }
 
+// badQueries each fail to parse.
+var badQueries = []string{
+	"",
+	"SELECT",
+	"FROM m",
+	"SELECT SUM(value)",
+	"SELECT SUM value FROM m",
+	"SELECT BOGUS(value) FROM m",
+	`SELECT SUM(value) FROM`,
+	`SELECT SUM(value) FROM m WHERE`,
+	`SELECT SUM(value) FROM m WHERE value >`,
+	`SELECT SUM(value) FROM m WHERE time >= later()`,
+	`SELECT SUM(value) FROM m GROUP`,
+	`SELECT SUM(value) FROM m GROUP BY`,
+	`SELECT SUM(value) FROM m trailing`,
+	`SELECT SUM(value) FROM (SELECT SUM(value) FROM m`,
+	`SELECT SUM(value) FROM m WHERE nodename > 'a'`,
+	`SELECT SUM(value) FROM "unterminated`,
+	`SELECT SUM(value) FROM m WHERE value ! 1`,
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"SELECT",
-		"FROM m",
-		"SELECT SUM(value)",
-		"SELECT SUM value FROM m",
-		"SELECT BOGUS(value) FROM m",
-		`SELECT SUM(value) FROM`,
-		`SELECT SUM(value) FROM m WHERE`,
-		`SELECT SUM(value) FROM m WHERE value >`,
-		`SELECT SUM(value) FROM m WHERE time >= later()`,
-		`SELECT SUM(value) FROM m GROUP`,
-		`SELECT SUM(value) FROM m GROUP BY`,
-		`SELECT SUM(value) FROM m trailing`,
-		`SELECT SUM(value) FROM (SELECT SUM(value) FROM m`,
-		`SELECT SUM(value) FROM m WHERE nodename > 'a'`,
-		`SELECT SUM(value) FROM "unterminated`,
-		`SELECT SUM(value) FROM m WHERE value ! 1`,
-	}
-	for _, q := range bad {
+	for _, q := range badQueries {
 		if _, err := Parse(q); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", q)
 		}

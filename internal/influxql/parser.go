@@ -1,6 +1,8 @@
 package influxql
 
 import (
+	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -248,7 +250,12 @@ func parseInfluxDuration(s string) (time.Duration, error) {
 		if err != nil {
 			return 0, err
 		}
-		return time.Duration(days * 24 * float64(time.Hour)), nil
+		// float64(math.MaxInt64) is 2^63: anything from there on would
+		// wrap to a negative offset.
+		if d := days * 24 * float64(time.Hour); d < math.MaxInt64 {
+			return time.Duration(d), nil
+		}
+		return 0, errors.New("out of range")
 	}
 	return time.ParseDuration(s)
 }

@@ -45,15 +45,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return "{" + pairs + "}"
 	}
 
-	for _, k := range sortedKeys(r.counters) {
+	for _, k := range r.counterKeys {
 		typeLine(k.name, "counter")
 		fmt.Fprintf(w, "%s%s %d\n", k.name, label(k), r.counters[k].Value())
 	}
-	for _, k := range sortedKeys(r.gauges) {
+	for _, k := range r.gaugeKeys {
 		typeLine(k.name, "gauge")
 		fmt.Fprintf(w, "%s%s %s\n", k.name, label(k), formatFloat(r.gauges[k].Value()))
 	}
-	for _, k := range sortedKeys(r.histograms) {
+	for _, k := range r.histogramKeys {
 		typeLine(k.name, "histogram")
 		h := r.histograms[k]
 		cum, count, sum := h.snapshotBuckets()

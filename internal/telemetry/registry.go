@@ -21,11 +21,15 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
+
+	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
 // Counter is a monotonically increasing metric. The zero value (or a nil
@@ -88,6 +92,20 @@ type metricKey struct {
 	labelValue string
 }
 
+// compareKeys orders series by name, then label key, then label value:
+// the order of every export.
+func compareKeys(a, b metricKey) int {
+	return cmp.Or(strings.Compare(a.name, b.name), strings.Compare(a.labelKey, b.labelKey),
+		strings.Compare(a.labelValue, b.labelValue))
+}
+
+// insertKey adds a newly registered k to keys, keeping them in
+// compareKeys order, so that an export walks them without sorting.
+func insertKey(keys []metricKey, k metricKey) []metricKey {
+	i, _ := slices.BinarySearchFunc(keys, k, compareKeys)
+	return slices.Insert(keys, i, k)
+}
+
 func (k metricKey) String() string {
 	if k.labelKey == "" {
 		return k.name
@@ -105,6 +123,10 @@ type Registry struct {
 	histograms map[metricKey]*Histogram
 	collectors []func()
 	collecting bool
+
+	// Each map's keys in compareKeys order, kept at registration.
+	counterKeys, gaugeKeys, histogramKeys []metricKey
+	scratch                               tsdb.Tags // ScrapeInto's one tag map
 }
 
 // New creates an enabled registry.
@@ -113,6 +135,7 @@ func New() *Registry {
 		counters:   make(map[metricKey]*Counter),
 		gauges:     make(map[metricKey]*Gauge),
 		histograms: make(map[metricKey]*Histogram),
+		scratch:    tsdb.Tags{},
 	}
 }
 
@@ -133,6 +156,7 @@ func (r *Registry) counterKey(k metricKey) *Counter {
 	if !ok {
 		c = &Counter{selfName: SelfScrapeMeasurementPrefix + k.name}
 		r.counters[k] = c
+		r.counterKeys = insertKey(r.counterKeys, k)
 	}
 	return c
 }
@@ -152,6 +176,7 @@ func (r *Registry) gaugeKey(k metricKey) *Gauge {
 	if !ok {
 		g = &Gauge{selfName: SelfScrapeMeasurementPrefix + k.name}
 		r.gauges[k] = g
+		r.gaugeKeys = insertKey(r.gaugeKeys, k)
 	}
 	return g
 }
@@ -174,6 +199,7 @@ func (r *Registry) histogramKey(k metricKey, bounds []float64) *Histogram {
 		h = newHistogram(bounds)
 		h.selfName = SelfScrapeMeasurementPrefix + k.name
 		r.histograms[k] = h
+		r.histogramKeys = insertKey(r.histogramKeys, k)
 	}
 	return h
 }
@@ -327,22 +353,4 @@ func (r *Registry) Collect() {
 	r.mu.Lock()
 	r.collecting = false
 	r.mu.Unlock()
-}
-
-// sortedKeys returns map keys in deterministic name-then-label order.
-func sortedKeys[V any](m map[metricKey]V) []metricKey {
-	keys := make([]metricKey, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].name != keys[j].name {
-			return keys[i].name < keys[j].name
-		}
-		if keys[i].labelKey != keys[j].labelKey {
-			return keys[i].labelKey < keys[j].labelKey
-		}
-		return keys[i].labelValue < keys[j].labelValue
-	})
-	return keys
 }

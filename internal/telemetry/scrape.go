@@ -46,26 +46,25 @@ func (r *Registry) ScrapeInto(db *tsdb.DB) {
 
 	// One tag map serves every write: the database clones it for a new
 	// series and otherwise only reads it during the call.
-	scratch := tsdb.Tags{}
 	tags := func(k metricKey, extraKey, extraVal string) tsdb.Tags {
-		clear(scratch)
+		clear(r.scratch)
 		if k.labelKey != "" {
-			scratch[k.labelKey] = k.labelValue
+			r.scratch[k.labelKey] = k.labelValue
 		}
 		if extraKey != "" {
-			scratch[extraKey] = extraVal
+			r.scratch[extraKey] = extraVal
 		}
-		return scratch
+		return r.scratch
 	}
-	for _, k := range sortedKeys(r.counters) {
+	for _, k := range r.counterKeys {
 		c := r.counters[k]
 		db.WriteNow(c.selfName, tags(k, "", ""), float64(c.Value()))
 	}
-	for _, k := range sortedKeys(r.gauges) {
+	for _, k := range r.gaugeKeys {
 		g := r.gauges[k]
 		db.WriteNow(g.selfName, tags(k, "", ""), g.Value())
 	}
-	for _, k := range sortedKeys(r.histograms) {
+	for _, k := range r.histogramKeys {
 		h := r.histograms[k]
 		if h.Count() == 0 {
 			continue // no estimate to publish yet

@@ -381,3 +381,32 @@ func TestScrapeIntoExactTagSetsFromOneScratchMap(t *testing.T) {
 		t.Fatalf("a self-scrape allocates %v times over 2 classes and %v over 32, want the same", few, many)
 	}
 }
+
+// TestSelfScrapeOverExistingSeriesAllocatesNothing: once every series
+// exists and its point slice has its retention size, a self-scrape walks
+// the registration-ordered keys and refills the registry's one tag map,
+// and writes points in place — no key slice, sort or map per scrape.
+func TestSelfScrapeOverExistingSeriesAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	clk := clock.NewSim()
+	// Retention below the step: each write prunes the series' last point.
+	db := tsdb.New(clk, tsdb.WithGCInterval(0), tsdb.WithRetention(5*time.Second))
+	r := New()
+	r.Counter("binds_total").Add(4)
+	r.GaugeVec("depth", "class").With("batch").Set(2)
+	r.Gauge("lag").Set(1)
+	r.HistogramVec("wait_seconds", "class", []float64{1, 10}).With("batch").Observe(0.5)
+	r.Histogram("pass_seconds", nil).Observe(0.002)
+	scrape := func() {
+		clk.Advance(10 * time.Second)
+		r.ScrapeInto(db)
+	}
+	for range 4 {
+		scrape()
+	}
+	if got := testing.AllocsPerRun(20, scrape); got != 0 {
+		t.Fatalf("a self-scrape over existing series allocates %v times, want 0", got)
+	}
+}
