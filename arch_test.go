@@ -502,8 +502,10 @@ var deadSurfaceAllow = map[string]string{
 	"internal/core.WithFilters": "a Profile's filter-plugin option",
 	"internal/core.WithPermits": "a Profile's permit-plugin option",
 	// Readers of the published Borg trace: the user's path from the real
-	// task_events / usage files to a replayable Trace, and the parsers of
-	// external bytes that fuzz targets are to cover.
+	// task_events / usage files to a replayable Trace. The three parsers of
+	// external bytes are covered by the fuzz targets in
+	// internal/borg/fuzz_test.go (FuzzReadCSV, FuzzParseTaskEvents,
+	// FuzzParseUsageCSV), each a bounded CI step.
 	"internal/borg.ReadCSV":         "reads a Trace written by cmd/borg-trace",
 	"internal/borg.ParseTaskEvents": "parses the published task_events table",
 	"internal/borg.ParseUsageCSV":   "parses the published task_usage table",

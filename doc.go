@@ -240,14 +240,15 @@
 // the sequenced watch broker buffers out-of-order arrivals so
 // subscribers always observe the dense rev stream in order. The lock
 // order is fixed — pod stripes (ascending), then node stripes
-// (ascending), then the pending-queue mutex, then the event log, then
-// the broker — and every mutator runs in one commit transaction
+// (ascending), then the pending-queue mutex, then the broker, with the
+// gang reservation mutex a leaf below any of them — and every mutator
+// runs in one commit transaction
 // (internal/apiserver/txn.go) that takes its stripes along that ladder,
 // publishes while they are held and releases them at a single site:
 // mutators never touch a stripe mutex directly, txn.end is the only
 // unlock site, and a release of capacity is published under the node
 // stripe just like a charge. That makes every SnapshotNow a consistent
-// prefix of the event log at its revision and every prefix of the
+// prefix of the watch stream at its revision and every prefix of the
 // stream a state that never over-commits a node (property tests race
 // snapshots against a bind storm, and bind/evict/gang interleavings
 // against each other, to pin exactly that). Watch events ride one
@@ -256,11 +257,12 @@
 // which differ in what the caller supplies, not in what it is sent —
 // reads the same dense rev-ordered stream of pod and node events, and a
 // batch is a contiguous run of the ring after the subscriber's cursor.
-// Bind outcomes and per-subscriber delivery accounting
-// are plain atomics (Server.BindStats, Server.WatchStats) readable
-// mid-storm without touching any stripe, and the human-readable audit
-// trail (Server.Events) is a bounded ring that retains the newest 16k
-// entries instead of growing with cluster lifetime.
+// The watch stream is the server's only record of a commit; there is no
+// second, human-readable event log. A refused bind publishes nothing: the
+// caller gets the typed error, and the refusal is counted by reason in
+// the plain atomics of Server.BindStats (readable mid-storm without
+// touching any stripe, like the per-subscriber Server.WatchStats) and by
+// workload class in apiserver_bind_rejections_total.
 //
 // Pod groups schedule as gangs — all or nothing (internal/core/gang.go,
 // internal/apiserver/gang.go). A job that is useless until every member

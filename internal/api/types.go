@@ -368,11 +368,3 @@ func cloneStringMap(m map[string]string) map[string]string {
 	}
 	return out
 }
-
-// Event records a cluster occurrence for observability.
-type Event struct {
-	Time    time.Time
-	Object  string // e.g. "pod/job-42", "node/sgx-1"
-	Reason  string
-	Message string
-}

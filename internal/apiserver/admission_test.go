@@ -27,7 +27,8 @@ func reqPod(name string, req resource.List) *api.Pod {
 // TestBindRefusesCordonedNode is the regression test for the cordon race:
 // Bind used to stamp ScheduledAt and emit PodBound even when the target
 // node was cordoned or drained mid-pass. The admission check must refuse
-// with ErrConflict, keep the pod pending, and log a BindRejected event.
+// with ErrConflict, keep the pod pending, publish nothing and count the
+// refusal in BindStats.
 func TestBindRefusesCordonedNode(t *testing.T) {
 	clk := clock.NewSim()
 	s := New(clk)
@@ -40,10 +41,10 @@ func TestBindRefusesCordonedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var boundEvents int
+	var podEvents int
 	unsub := s.Subscribe(func(ev WatchEvent) {
-		if ev.Type == PodBound {
-			boundEvents++
+		if ev.Pod != nil {
+			podEvents++
 		}
 	})
 	defer unsub()
@@ -62,9 +63,6 @@ func TestBindRefusesCordonedNode(t *testing.T) {
 	if got := s.PendingCount(); got != 1 {
 		t.Fatalf("pod left the queue on a rejected bind: pending = %d", got)
 	}
-	if boundEvents != 0 {
-		t.Fatalf("rejected bind emitted %d PodBound event(s)", boundEvents)
-	}
 
 	// NotReady nodes are refused the same way.
 	node2 := testNode("n2", false)
@@ -80,14 +78,8 @@ func TestBindRefusesCordonedNode(t *testing.T) {
 	if st.Attempts != 2 || st.Bound != 0 || st.RejectedNodeState != 2 {
 		t.Fatalf("BindStats = %+v, want 2 attempts, 2 node-state rejections", st)
 	}
-	var rejected int
-	for _, ev := range s.Events() {
-		if ev.Reason == "BindRejected" {
-			rejected++
-		}
-	}
-	if rejected != 2 {
-		t.Fatalf("BindRejected events = %d, want 2", rejected)
+	if podEvents != 0 {
+		t.Fatalf("rejected binds emitted %d pod event(s)", podEvents)
 	}
 }
 
@@ -249,7 +241,7 @@ func TestCreatePodRefusesNegativeQuantities(t *testing.T) {
 
 // TestBindRefusalReasonIsDeterministic: a pod over-asking both cpu and
 // memory is refused for the same resource — the first in name order —
-// on every server, in the error and in the BindRejected audit record.
+// on every server, in the error and in its BindStats class.
 func TestBindRefusalReasonIsDeterministic(t *testing.T) {
 	const want = "apiserver: conflicting state transition: pod big requests cpu=9000 beyond node n1 allocatable 8000"
 	for trial := 0; trial < 50; trial++ {
@@ -264,9 +256,8 @@ func TestBindRefusalReasonIsDeterministic(t *testing.T) {
 		if !errors.Is(err, ErrConflict) || err.Error() != want {
 			t.Fatalf("trial %d: bind err = %v, want %q", trial, err, want)
 		}
-		evs := s.Events()
-		if last := evs[len(evs)-1]; last.Reason != "BindRejected" || last.Message != want {
-			t.Fatalf("trial %d: audit record = %+v, want BindRejected %q", trial, last, want)
+		if st := s.BindStats(); st.RejectedNodeState != 1 || st.RejectedCapacity != 0 {
+			t.Fatalf("trial %d: BindStats = %+v, want one node-state rejection", trial, st)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package apiserver
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Gang (pod-group) primitives: the server-side half of all-or-nothing
@@ -27,51 +26,6 @@ import (
 // apply the same per-pod bodies (txn.go) the single-pod operations use.
 // The reservation tables themselves sit under resMu, a leaf lock (see
 // Server) so any path can consult them.
-
-// GangStats counts gang operation outcomes. All counters are atomics;
-// reads never contend with the commit path.
-type GangStats struct {
-	// Permits counts successful Reserve calls; PermitRejected the
-	// refused ones (pod/node state or capacity admission).
-	Permits        int64
-	PermitRejected int64
-	// MembersBound counts members bound via CommitGroup;
-	// MembersReleased counts permits rolled back via ReleaseGroup.
-	MembersBound    int64
-	MembersReleased int64
-	// GroupsCommitted / GroupsReleased / GroupsPreempted count the
-	// group-level operations.
-	GroupsCommitted int64
-	GroupsReleased  int64
-	GroupsPreempted int64
-}
-
-type gangCounters struct {
-	permits         atomic.Int64
-	permitRejected  atomic.Int64
-	membersBound    atomic.Int64
-	membersReleased atomic.Int64
-	groupsCommitted atomic.Int64
-	groupsReleased  atomic.Int64
-	groupsPreempted atomic.Int64
-}
-
-func (c *gangCounters) snapshot() GangStats {
-	return GangStats{
-		Permits:         c.permits.Load(),
-		PermitRejected:  c.permitRejected.Load(),
-		MembersBound:    c.membersBound.Load(),
-		MembersReleased: c.membersReleased.Load(),
-		GroupsCommitted: c.groupsCommitted.Load(),
-		GroupsReleased:  c.groupsReleased.Load(),
-		GroupsPreempted: c.groupsPreempted.Load(),
-	}
-}
-
-// GangStats returns a copy of the gang operation counters.
-func (s *Server) GangStats() GangStats {
-	return s.gangs.snapshot()
-}
 
 // --- reservation table helpers (resMu leaf discipline: lock, touch the
 // maps, unlock — never acquire anything else while held) ---
@@ -221,16 +175,6 @@ func (s *Server) VisitReservations(fn func(pod, node, group string)) {
 func (s *Server) Reserve(podName, nodeName string) error {
 	t := s.begin()
 	defer t.end()
-	if err := t.reserve(podName, nodeName); err != nil {
-		s.gangs.permitRejected.Add(1)
-		return err
-	}
-	s.gangs.permits.Add(1)
-	return nil
-}
-
-// reserve is Reserve's body; the wrapper counts its outcome.
-func (t *txn) reserve(podName, nodeName string) error {
 	p := t.pod(podName)
 	if p == nil {
 		return fmt.Errorf("%w: pod %s", ErrNotFound, podName)
@@ -238,21 +182,20 @@ func (t *txn) reserve(podName, nodeName string) error {
 	if !p.Spec.InGang() {
 		return fmt.Errorf("%w: pod %s is not in a pod group", ErrConflict, podName)
 	}
-	if err := t.s.placeable(p); err != nil {
+	if err := s.placeable(p); err != nil {
 		return err
 	}
-	n, err := t.target(p, nodeName)
+	n, err := t.target(nodeName)
 	if err != nil {
 		return err
 	}
 	if err := t.charge(p, n); err != nil {
 		return err
 	}
-	t.s.putReservation(podName, nodeName, p.Spec.PodGroup)
+	s.putReservation(podName, nodeName, p.Spec.PodGroup)
 	ev := eventPod(p)
 	ev.Spec.NodeName = nodeName
-	t.publish(WatchEvent{Type: PodPermitHeld, Pod: ev}, "PermitHeld",
-		"gang "+p.Spec.PodGroup+" reserved node "+nodeName)
+	t.publish(WatchEvent{Type: PodPermitHeld, Pod: ev})
 	return nil
 }
 
@@ -277,7 +220,7 @@ func (t *txn) reserve(podName, nodeName string) error {
 // CommitGroup atomically binds every member of the group currently
 // holding a permit, in sorted name order, under the world ladder: the
 // PodBound events occupy consecutive resource versions with no foreign
-// commit interleaved, so every consistent prefix of the event log sees
+// commit interleaved, so every consistent prefix of the watch stream sees
 // either no member bound or the binding sequence in progress with all
 // capacity already safely committed since Reserve. Returns how many
 // members were bound. Capacity is NOT re-admitted — it was committed at
@@ -291,10 +234,8 @@ func (s *Server) CommitGroup(group string) (int, error) {
 	}
 	for _, name := range members {
 		r, _ := s.dropReservation(name)
-		t.bindPod(t.pod(name), r.node, "gang "+group+" committed to node "+r.node)
+		t.bindPod(t.pod(name), r.node)
 	}
-	s.gangs.membersBound.Add(int64(len(members)))
-	s.gangs.groupsCommitted.Add(1)
 	return len(members), nil
 }
 
@@ -313,10 +254,6 @@ func (s *Server) ReleaseGroup(group, reason string) (int, error) {
 	members := s.gangMembers(group, true, false)
 	for _, name := range members {
 		t.rollbackPermit(t.pod(name), reason)
-	}
-	if len(members) > 0 {
-		s.gangs.membersReleased.Add(int64(len(members)))
-		s.gangs.groupsReleased.Add(1)
 	}
 	return len(members), nil
 }
@@ -340,6 +277,5 @@ func (s *Server) PreemptGroup(group, reason string) (int, error) {
 			t.requeueBound(p, reason)
 		}
 	}
-	s.gangs.groupsPreempted.Add(1)
 	return len(members), nil
 }

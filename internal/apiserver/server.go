@@ -21,7 +21,7 @@
 // event while they are still held, and releases them at a single site,
 // txn.end, before flushing the broker. Mutators never touch a stripe
 // mutex, the rev counter or the broker directly, so the ordering that
-// makes the event log trustworthy — nothing a commit changed is visible
+// makes the watch stream trustworthy — nothing a commit changed is visible
 // to another commit before its event is published, a release of
 // capacity no less than a charge — cannot be got wrong per call site.
 // A bind's whole commit (admission check, committed-request accounting,
@@ -30,12 +30,12 @@
 // in parallel on different cores. A thin global layer keeps what must
 // stay totally ordered: resource versions come from one atomic counter,
 // and the watch broker re-orders racing publishes back into rev order,
-// so the event log remains a single coherent
-// history even though commits run concurrently. Cross-shard readers —
-// snapshots, the informer handshake, resync — take every stripe in a
-// fixed ascending order (lockWorld); with the world held no commit is
-// in flight, which is exactly what makes a snapshot a consistent prefix
-// of the event log.
+// so the watch stream — the server's only record of a commit — remains
+// a single coherent history even though commits run concurrently.
+// Cross-shard readers — snapshots, the informer handshake, resync — take
+// every stripe in a fixed ascending order (lockWorld); with the world
+// held no commit is in flight, which is exactly what makes a snapshot a
+// consistent prefix of the watch stream.
 //
 // Watchers attach in one of three ways, which differ in what the caller
 // supplies: Subscribe (a per-event callback), SubscribeBatch (a batch
@@ -286,7 +286,7 @@ type Server struct {
 	broker *watch.Broker[WatchEvent]
 
 	// seq allocates resource versions — the only piece of commit state
-	// that stays global, because the event log must remain one totally
+	// that stays global, because the watch stream must remain one totally
 	// ordered history. The broker tolerates racing publishers, so allocation is a single atomic add, not a lock.
 	seq     atomic.Int64
 	nextUID atomic.Int64
@@ -307,7 +307,6 @@ type Server struct {
 	pending   *pendingSet
 
 	binds bindCounters
-	gangs gangCounters
 
 	// metrics is the optional registry instrumentation (WithTelemetry):
 	// bind commit latency and per-class rejection counters on the commit
@@ -316,9 +315,9 @@ type Server struct {
 	metrics *srvMetrics
 
 	// resMu guards the gang reservation tables (reservations, groupHolds,
-	// groupBound). It is a leaf lock like eventLog.mu: acquired and
-	// released without ever taking another lock while held, so it may be
-	// taken from any point of the ladder. All mutations additionally
+	// groupBound). It is a leaf lock: acquired and released without ever
+	// taking another lock while held, so it may be taken from any point
+	// of the ladder. All mutations additionally
 	// happen while holding the affected pod's stripe (or the world), which
 	// is what makes a read under a pod stripe stable.
 	resMu sync.Mutex
@@ -329,10 +328,6 @@ type Server struct {
 	// groupBound indexes the live *bound* members of each gang, so
 	// PreemptGroup can evict a whole gang without scanning every stripe.
 	groupBound map[string]map[string]bool
-
-	// log is the bounded human-readable event log (kubectl-get-events
-	// analogue); it has its own mutex below the stripes in the ordering.
-	log *eventLog
 }
 
 // reservation is one held permit: capacity for the pod is committed on
@@ -348,7 +343,6 @@ func New(clk clock.Clock, opts ...Option) *Server {
 	s := &Server{
 		clk:          clk,
 		pending:      newPendingSet(),
-		log:          newEventLog(maxEvents),
 		reservations: make(map[string]reservation),
 		groupHolds:   make(map[string]map[string]string),
 		groupBound:   make(map[string]map[string]bool),
@@ -459,7 +453,7 @@ func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), resync func(Snapshot))
 // cluster state — what a resyncing watcher rebuilds from. It takes
 // every stripe in the fixed order, so concurrent binds are either fully
 // included (state and event) or not at all: the snapshot is always a
-// consistent prefix of the event log.
+// consistent prefix of the watch stream.
 func (s *Server) SnapshotNow() Snapshot {
 	s.lockWorld()
 	defer s.unlockWorld()
@@ -510,30 +504,20 @@ func (s *Server) QuiesceWatch() {
 	s.broker.Quiesce()
 }
 
-// recordEvent appends to the bounded human-readable event log.
-func (s *Server) recordEvent(kind, name, reason, message string) {
-	s.log.append(logEntry{time: s.clk.Now(), kind: kind, name: name, reason: reason, message: message})
-}
-
-// Events returns a copy of the retained event log, oldest first.
-func (s *Server) Events() []api.Event {
-	return s.log.snapshot()
-}
-
 // RegisterNode adds a node to the cluster.
 func (s *Server) RegisterNode(n *api.Node) error {
-	return s.putNode(n, NodeRegistered, "Registered")
+	return s.putNode(n, NodeRegistered)
 }
 
 // UpdateNode replaces a node's stored state (e.g. when the device plugin
 // extends its allocatable resources, §V-A).
 func (s *Server) UpdateNode(n *api.Node) error {
-	return s.putNode(n, NodeUpdated, "Updated")
+	return s.putNode(n, NodeUpdated)
 }
 
 // putNode stores a copy of n under its stripe: a registration needs the
 // name free, an update needs it taken.
-func (s *Server) putNode(n *api.Node, typ WatchEventType, reason string) error {
+func (s *Server) putNode(n *api.Node, typ WatchEventType) error {
 	t := s.begin()
 	defer t.end()
 	nsh := t.node(n.Name)
@@ -546,7 +530,7 @@ func (s *Server) putNode(n *api.Node, typ WatchEventType, reason string) error {
 	}
 	stored := n.Clone()
 	nsh.nodes[n.Name] = stored
-	t.publish(WatchEvent{Type: typ, Node: stored.Clone()}, reason, stored.Allocatable.String())
+	t.publish(WatchEvent{Type: typ, Node: stored.Clone()})
 	return nil
 }
 
@@ -606,7 +590,7 @@ func (s *Server) CreatePod(p *api.Pod) error {
 	stored.Status.SubmittedAt = s.clk.Now()
 	t.psh.pods[stored.Name] = stored
 	s.pushPending(stored)
-	t.publish(WatchEvent{Type: PodCreated, Pod: eventPod(stored)}, "Created", "queued as pending")
+	t.publish(WatchEvent{Type: PodCreated, Pod: eventPod(stored)})
 	return nil
 }
 
@@ -828,7 +812,7 @@ func (s *Server) bindCommit(podName, nodeName string) error {
 		s.metrics.rejectedUnknownPod()
 		return fmt.Errorf("%w: pod %s", ErrNotFound, podName)
 	}
-	n, err := t.target(p, nodeName)
+	n, err := t.target(nodeName)
 	if err != nil {
 		return s.refuseBind(p, &s.binds.rejectedNodeState, err)
 	}
@@ -843,12 +827,13 @@ func (s *Server) bindCommit(podName, nodeName string) error {
 		return s.refuseBind(p, class, err)
 	}
 	s.binds.bound.Add(1)
-	t.bindPod(p, nodeName, "assigned to node "+nodeName)
+	t.bindPod(p, nodeName)
 	return nil
 }
 
 // refuseBind counts a refused bind in its rejection class and hands the
-// error back.
+// error back. A refusal publishes nothing and draws no rev: the typed
+// error, BindStats and the per-class rejection counter are its record.
 func (s *Server) refuseBind(p *api.Pod, class *atomic.Int64, err error) error {
 	class.Add(1)
 	s.metrics.rejected(p.Spec.WorkloadClass())
@@ -900,12 +885,6 @@ func (s *Server) admitBind(p *api.Pod, n *api.Node, com resource.List, req resou
 	return nil
 }
 
-// rejectBind records a refused bind in the event log so rejected
-// optimistic transactions stay observable.
-func (s *Server) rejectBind(podName, reason string) {
-	s.recordEvent(kindPod, podName, "BindRejected", reason)
-}
-
 // removePending drops a pod from the pending queue (see pendingQueue for
 // the amortized O(1) layout). Safe to call while holding stripe locks —
 // pendingMu is below them in the lock order.
@@ -925,22 +904,22 @@ func (s *Server) pushPending(p *api.Pod) {
 
 // MarkRunning transitions a bound pod to Running, stamping StartedAt.
 func (s *Server) MarkRunning(podName string) error {
-	return s.transition(podName, api.PodRunning, "Started", "")
+	return s.transition(podName, api.PodRunning, "")
 }
 
 // MarkSucceeded transitions a pod to Succeeded, stamping FinishedAt.
 func (s *Server) MarkSucceeded(podName string) error {
-	return s.transition(podName, api.PodSucceeded, "Completed", "")
+	return s.transition(podName, api.PodSucceeded, "")
 }
 
 // MarkFailed transitions a pod to Failed with a reason, stamping
 // FinishedAt. Pods killed by EPC limit enforcement land here (§VI-F:
 // "these jobs are immediately killed after launch").
 func (s *Server) MarkFailed(podName, reason string) error {
-	return s.transition(podName, api.PodFailed, "Failed", reason)
+	return s.transition(podName, api.PodFailed, reason)
 }
 
-func (s *Server) transition(podName string, phase api.PodPhase, event, reason string) error {
+func (s *Server) transition(podName string, phase api.PodPhase, reason string) error {
 	t := s.begin()
 	defer t.end()
 	p := t.pod(podName)
@@ -976,7 +955,7 @@ func (s *Server) transition(podName string, phase api.PodPhase, event, reason st
 	}
 	p.Status.Phase = phase
 	p.Status.Reason = reason
-	t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)}, event, reason)
+	t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)})
 	return nil
 }
 
@@ -1017,7 +996,7 @@ func (s *Server) Preempt(podName, reason string) error {
 // whether it is still queued or already running. Kubelets react to the
 // update by killing the workload and releasing its resources.
 func (s *Server) Evict(podName, reason string) error {
-	return s.transition(podName, api.PodFailed, "Evicted", withReason("Evicted", reason))
+	return s.transition(podName, api.PodFailed, withReason("Evicted", reason))
 }
 
 // AllTerminal reports whether every pod has reached a terminal phase —

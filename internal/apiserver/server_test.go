@@ -243,28 +243,45 @@ func TestWatchNotifications(t *testing.T) {
 	}
 }
 
+// TestEventsLog: the watch stream is the server's only record of a
+// commit. It names each object in commit order, and a refused bind
+// delivers nothing and moves no rev.
 func TestEventsLog(t *testing.T) {
 	s := New(clock.NewSim())
+	var got []string
+	var revs []int64
+	defer s.Subscribe(func(ev WatchEvent) {
+		var name string
+		if ev.Pod != nil {
+			name = "pod/" + ev.Pod.Name
+		} else {
+			name = "node/" + ev.Node.Name
+		}
+		got = append(got, fmt.Sprint(name, " ", ev.Type))
+		revs = append(revs, ev.Rev)
+	})()
 	if err := s.RegisterNode(testNode("n1", false)); err != nil {
 		t.Fatal(err)
-	}
-	evs := s.Events()
-	if len(evs) != 1 || evs[0].Reason != "Registered" {
-		t.Fatalf("events = %v", evs)
 	}
 	if err := s.CreatePod(testPod("p1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Bind("p1", "nowhere"); err == nil {
-		t.Fatal("bind to an unknown node succeeded")
+	rev := s.SnapshotNow().Rev
+	if err := s.Bind("p1", "nowhere"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("bind to an unknown node err = %v, want ErrNotFound", err)
 	}
-	var got []string
-	for _, ev := range s.Events() {
-		got = append(got, ev.Object+" "+ev.Reason)
+	want := []string{
+		fmt.Sprint("node/n1 ", NodeRegistered),
+		fmt.Sprint("pod/p1 ", PodCreated),
 	}
-	want := []string{"node/n1 Registered", "pod/p1 Created", "pod/p1 BindRejected"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("events = %q, want %q", got, want)
+	if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(revs) != "[1 2]" {
+		t.Fatalf("stream = %q at revs %v, want %q at [1 2]", got, revs, want)
+	}
+	if after := s.SnapshotNow().Rev; after != rev {
+		t.Fatalf("refused bind moved the rev from %d to %d", rev, after)
+	}
+	if st := s.BindStats(); st.Attempts != 1 || st.RejectedNodeState != 1 {
+		t.Fatalf("BindStats = %+v, want 1 attempt, 1 node-state rejection", st)
 	}
 }
 

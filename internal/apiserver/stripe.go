@@ -19,8 +19,7 @@ import (
 //	pod stripes (ascending index)
 //	  → node stripes (ascending index)
 //	    → pendingMu
-//	      → eventLog.mu
-//	        → broker mutex (via Publish)
+//	      → broker mutex (via Publish)
 //
 // Mutators never touch a stripe mutex directly: they run in a txn (see
 // txn.go), which takes one pod stripe and then one node stripe on demand
@@ -102,7 +101,7 @@ func (s *Server) nodeShardFor(name string) *nodeShard {
 // ladder cross-shard readers and world-form transactions use. While the
 // world is held no mutation is in flight, so every resource version
 // allocated so far has been published and applied: the state read under
-// lockWorld is exactly the prefix of the event log up to s.seq. That
+// lockWorld is exactly the prefix of the watch stream up to s.seq. That
 // includes the pending queue, which only ever changes under a pod
 // stripe; pendingMu stays a per-access lock below the stripes, the same
 // for a world holder as for a single-stripe one.

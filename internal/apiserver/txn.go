@@ -78,20 +78,15 @@ func (t *txn) node(name string) *nodeShard {
 	return nsh
 }
 
-// publish records the mutation in the human-readable event log, draws
-// the next resource version and appends the event to the broker ring — an
-// O(1) append that fixes the event's place in the global order without
-// running subscriber code. Because only end releases stripes, the event
+// publish draws the next resource version and appends the event to the
+// broker ring — an O(1) append that fixes the event's place in the global
+// order without running subscriber code. The watch stream is the server's
+// only record of a commit. Because only end releases stripes, the event
 // is published while every stripe the mutation touched is still held:
 // lockWorld cannot observe an applied mutation whose event is still
 // unpublished. Racing publishes from other stripes may reach the broker
 // out of rev order; the broker restores the order.
-func (t *txn) publish(ev WatchEvent, reason, message string) {
-	if ev.Pod != nil {
-		t.s.recordEvent(kindPod, ev.Pod.Name, reason, message)
-	} else {
-		t.s.recordEvent(kindNode, ev.Node.Name, reason, message)
-	}
+func (t *txn) publish(ev WatchEvent) {
 	ev.Rev = t.s.seq.Add(1)
 	t.s.broker.Publish(ev.Rev, ev)
 	t.published = true
@@ -147,12 +142,11 @@ func (s *Server) placeable(p *api.Pod) error {
 	return nil
 }
 
-// target takes the stripe of the node p is to be placed on and returns
-// the node; an unknown one is a logged refusal.
-func (t *txn) target(p *api.Pod, nodeName string) (*api.Node, error) {
+// target takes the stripe of the node a pod is to be placed on and
+// returns the node; an unknown one is refused.
+func (t *txn) target(nodeName string) (*api.Node, error) {
 	n, ok := t.node(nodeName).nodes[nodeName]
 	if !ok {
-		t.s.rejectBind(p.Name, "node "+nodeName+" unknown")
 		return nil, fmt.Errorf("%w: node %s", ErrNotFound, nodeName)
 	}
 	return n, nil
@@ -161,14 +155,13 @@ func (t *txn) target(p *api.Pod, nodeName string) (*api.Node, error) {
 // charge is the node half of the conditional commit, on the node target
 // returned: admission re-validated against authoritative node state,
 // then the pod's requests moved into the node's committed accounting and
-// the pod taken off the pending queue. Refusals are logged so rejected
-// optimistic transactions stay observable.
+// the pod taken off the pending queue. A refusal publishes nothing: the
+// caller gets the typed error, and Bind counts it (BindStats).
 func (t *txn) charge(p *api.Pod, n *api.Node) error {
 	nsh := t.s.nodeShardFor(n.Name)
 	req := p.TotalRequests()
 	com := nsh.committed[n.Name]
 	if err := t.s.admitBind(p, n, com, req); err != nil {
-		t.s.rejectBind(p.Name, err.Error())
 		return err
 	}
 	nsh.committed[n.Name] = com.Add(req)
@@ -186,13 +179,13 @@ func (t *txn) release(p *api.Pod, nodeName string) {
 
 // bindPod makes a charged pod bound: Bind right after charge, CommitGroup
 // on the capacity Reserve charged.
-func (t *txn) bindPod(p *api.Pod, nodeName, message string) {
+func (t *txn) bindPod(p *api.Pod, nodeName string) {
 	p.Spec.NodeName = nodeName
 	p.Status.ScheduledAt = t.s.clk.Now()
 	if p.Spec.InGang() {
 		t.s.addGroupBound(p.Spec.PodGroup, p.Name)
 	}
-	t.publish(WatchEvent{Type: PodBound, Pod: eventPod(p)}, "Bound", message)
+	t.publish(WatchEvent{Type: PodBound, Pod: eventPod(p)})
 }
 
 // requeueBound evicts a bound pod back to the pending queue (Preempt,
@@ -209,7 +202,7 @@ func (t *txn) requeueBound(p *api.Pod, reason string) {
 		t.s.dropGroupBound(p.Spec.PodGroup, p.Name)
 	}
 	t.s.pushPending(p)
-	t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)}, "Preempted", reason)
+	t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)})
 }
 
 // dropPermit cancels the permit p holds, if any, and releases the
@@ -230,7 +223,6 @@ func (t *txn) rollbackPermit(p *api.Pod, reason string) bool {
 	}
 	p.Status.Reason = reason
 	t.s.pushPending(p)
-	t.publish(WatchEvent{Type: PodPermitReleased, Pod: eventPod(p)},
-		"PermitReleased", "gang "+p.Spec.PodGroup+": "+reason)
+	t.publish(WatchEvent{Type: PodPermitReleased, Pod: eventPod(p)})
 	return true
 }

@@ -1,73 +1,12 @@
 package apiserver
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
-
-// TestEventLogGrowthAndWrap walks the audit ring through every shape it
-// takes: empty, growing geometrically from 64 entries, capped at its
-// bound, and wrapped. After every append the snapshot must be the newest
-// min(appended, capacity) events, oldest first, and the buffer must never
-// have been sized past the bound or past twice what it holds.
-func TestEventLogGrowthAndWrap(t *testing.T) {
-	for _, capacity := range []int{1, 63, 64, 65, 129, maxEvents} {
-		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
-			l := newEventLog(capacity)
-			if got := l.snapshot(); len(got) != 0 {
-				t.Fatalf("empty log snapshots %d events", len(got))
-			}
-			epoch := time.Unix(0, 0)
-			check := func(appended int) {
-				t.Helper()
-				got := l.snapshot()
-				retained := min(appended, capacity)
-				if len(got) != retained {
-					t.Fatalf("after %d appends: %d events retained, want %d", appended, len(got), retained)
-				}
-				for i, ev := range got {
-					n := appended - retained + i
-					want := api.Event{
-						Time:    epoch.Add(time.Duration(n)),
-						Object:  fmt.Sprintf("pod/p%d", n),
-						Reason:  "R",
-						Message: fmt.Sprint(n),
-					}
-					if n%2 == 1 {
-						want.Object = fmt.Sprintf("node/p%d", n)
-					}
-					if ev != want {
-						t.Fatalf("after %d appends: event %d = %+v, want %+v", appended, i, ev, want)
-					}
-				}
-				if c := cap(l.buf); c > capacity || c > max(64, 2*retained) {
-					t.Fatalf("after %d appends: buffer sized %d for %d events, bound %d", appended, c, retained, capacity)
-				}
-			}
-			// Every step on the small rings; on the full-size one around a
-			// doubling, the bound and the wrap.
-			total := 2*capacity + 3
-			edges := map[int]bool{64: true, 65: true, 8192: true, 8193: true,
-				capacity - 1: true, capacity: true, capacity + 1: true, total: true}
-			for n := 0; n < total; n++ {
-				kind := kindPod
-				if n%2 == 1 {
-					kind = kindNode
-				}
-				l.append(logEntry{time: epoch.Add(time.Duration(n)), kind: kind,
-					name: fmt.Sprintf("p%d", n), reason: "R", message: fmt.Sprint(n)})
-				if appended := n + 1; capacity <= 129 || edges[appended] {
-					check(appended)
-				}
-			}
-		})
-	}
-}
 
 // TestEventPodSharesSpecKeepsStatus is the contract of the pod a watch
 // event carries: the struct is the event's own — its binding and status

@@ -202,6 +202,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+const csvHeaderLine = "job_id,submit_us,duration_us,assigned_mem_frac,max_mem_frac\n"
+
 func TestReadCSVErrors(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -213,6 +215,14 @@ func TestReadCSVErrors(t *testing.T) {
 		{"negative submit", "job_id,submit_us,duration_us,assigned_mem_frac,max_mem_frac\n1,-5,0,0,0\n"},
 		{"frac out of range", "job_id,submit_us,duration_us,assigned_mem_frac,max_mem_frac\n1,0,0,2.0,0\n"},
 		{"wrong fields", "job_id,submit_us,duration_us,assigned_mem_frac,max_mem_frac\n1,0,0\n"},
+		// NaN fails both `< 0` and `> 1`; the range test must not let it in.
+		{"NaN fraction", csvHeaderLine + "1,0,1000,NaN,0.5\n"},
+		{"NaN max fraction", csvHeaderLine + "1,0,1000,0.5,NaN\n"},
+		// Microsecond counts past math.MaxInt64/1000 wrap negative as a
+		// Duration: the job would be submitted millions of hours ago.
+		{"submit wraps", csvHeaderLine + "1,9300000000000000,1000,0.5,0.5\n"},
+		{"duration wraps", csvHeaderLine + "1,0,9300000000000000,0.5,0.5\n"},
+		{"end wraps", csvHeaderLine + "1,9000000000000000,9000000000000000,0.5,0.5\n"},
 	}
 	for _, tc := range cases {
 		if _, err := ReadCSV(strings.NewReader(tc.input)); err == nil {

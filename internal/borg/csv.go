@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"time"
 )
@@ -81,33 +82,57 @@ func parseRecord(rec []string) (Job, error) {
 	if err != nil {
 		return Job{}, fmt.Errorf("job_id: %w", err)
 	}
-	submitUS, err := strconv.ParseInt(rec[1], 10, 64)
+	submit, err := parseMicros("submit_us", rec[1])
 	if err != nil {
-		return Job{}, fmt.Errorf("submit_us: %w", err)
+		return Job{}, err
 	}
-	durUS, err := strconv.ParseInt(rec[2], 10, 64)
+	dur, err := parseMicros("duration_us", rec[2])
 	if err != nil {
-		return Job{}, fmt.Errorf("duration_us: %w", err)
+		return Job{}, err
 	}
-	assigned, err := strconv.ParseFloat(rec[3], 64)
+	if submit > math.MaxInt64-dur {
+		return Job{}, fmt.Errorf("job ends past what a Duration holds (submit %v, duration %v)", submit, dur)
+	}
+	assigned, err := parseFraction("assigned_mem_frac", rec[3])
 	if err != nil {
-		return Job{}, fmt.Errorf("assigned_mem_frac: %w", err)
+		return Job{}, err
 	}
-	maxFrac, err := strconv.ParseFloat(rec[4], 64)
+	maxFrac, err := parseFraction("max_mem_frac", rec[4])
 	if err != nil {
-		return Job{}, fmt.Errorf("max_mem_frac: %w", err)
-	}
-	if submitUS < 0 || durUS < 0 {
-		return Job{}, fmt.Errorf("negative time fields (submit %d, duration %d)", submitUS, durUS)
-	}
-	if assigned < 0 || assigned > 1 || maxFrac < 0 || maxFrac > 1 {
-		return Job{}, fmt.Errorf("memory fraction out of [0,1]: assigned %g, max %g", assigned, maxFrac)
+		return Job{}, err
 	}
 	return Job{
 		ID:              id,
-		Submit:          time.Duration(submitUS) * time.Microsecond,
-		Duration:        time.Duration(durUS) * time.Microsecond,
+		Submit:          submit,
+		Duration:        dur,
 		AssignedMemFrac: assigned,
 		MaxMemFrac:      maxFrac,
 	}, nil
+}
+
+// parseMicros reads a trace's microsecond count as a Duration. A negative
+// count, or one past what a Duration holds (math.MaxInt64/1000 µs), is
+// refused: converting it would wrap.
+func parseMicros(field, s string) (time.Duration, error) {
+	us, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", field, err)
+	}
+	if us < 0 || us > math.MaxInt64/1000 {
+		return 0, fmt.Errorf("%s %d out of [0, %d] µs", field, us, int64(math.MaxInt64/1000))
+	}
+	return time.Duration(us) * time.Microsecond, nil
+}
+
+// parseFraction reads a memory fraction and refuses one outside [0, 1].
+// The test is written so that NaN, which fails every comparison, fails it.
+func parseFraction(field, s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", field, err)
+	}
+	if !(f >= 0 && f <= 1) {
+		return 0, fmt.Errorf("%s %g out of [0,1]", field, f)
+	}
+	return f, nil
 }

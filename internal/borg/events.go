@@ -76,9 +76,9 @@ func ParseTaskEvents(r io.Reader) ([]TaskEvent, error) {
 }
 
 func parseTaskEvent(rec []string) (TaskEvent, error) {
-	ts, err := strconv.ParseInt(rec[0], 10, 64)
+	ts, err := parseMicros("timestamp", rec[0])
 	if err != nil {
-		return TaskEvent{}, fmt.Errorf("timestamp: %w", err)
+		return TaskEvent{}, err
 	}
 	jobID, err := strconv.ParseInt(rec[2], 10, 64)
 	if err != nil {
@@ -99,15 +99,12 @@ func parseTaskEvent(rec []string) (TaskEvent, error) {
 	}
 	memReq := 0.0
 	if rec[10] != "" {
-		if memReq, err = strconv.ParseFloat(rec[10], 64); err != nil {
-			return TaskEvent{}, fmt.Errorf("memory request: %w", err)
-		}
-		if memReq < 0 || memReq > 1 {
-			return TaskEvent{}, fmt.Errorf("memory request %g out of [0,1]", memReq)
+		if memReq, err = parseFraction("memory request", rec[10]); err != nil {
+			return TaskEvent{}, err
 		}
 	}
 	return TaskEvent{
-		Timestamp:     time.Duration(ts) * time.Microsecond,
+		Timestamp:     ts,
 		JobID:         jobID,
 		TaskIndex:     taskIdx,
 		Type:          TaskEventType(evType),
@@ -249,12 +246,9 @@ func ParseUsageCSV(r io.Reader) (map[int64]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("borg: usage line %d job ID: %w", line, err)
 		}
-		frac, err := strconv.ParseFloat(rec[1], 64)
+		frac, err := parseFraction("fraction", rec[1])
 		if err != nil {
-			return nil, fmt.Errorf("borg: usage line %d fraction: %w", line, err)
-		}
-		if frac < 0 || frac > 1 {
-			return nil, fmt.Errorf("borg: usage line %d fraction %g out of [0,1]", line, frac)
+			return nil, fmt.Errorf("borg: usage line %d: %w", line, err)
 		}
 		out[id] = frac
 	}

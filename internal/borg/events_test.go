@@ -40,6 +40,10 @@ func TestParseTaskEventsErrors(t *testing.T) {
 		"0,,100,0,,0,u,2,9,,bogus,,\n", // bad memory request
 		"0,,100,0,,0,u,2,9,,1.5,,\n",   // memory request out of range
 		"0,,100,0,,0\n",                // wrong column count
+		"0,,100,0,,0,u,2,9,,NaN,,\n",   // NaN memory request
+		"-1,,100,0,,0,u,2,9,,,,\n",     // negative timestamp
+		// A timestamp past math.MaxInt64/1000 µs wraps negative as a Duration.
+		"9300000000000000,,100,0,,0,u,2,9,,,,\n",
 	}
 	for _, in := range bad {
 		if _, err := ParseTaskEvents(strings.NewReader(in)); err == nil {
@@ -137,7 +141,7 @@ func TestParseUsageCSV(t *testing.T) {
 	if len(m) != 2 || m[1] != 0.25 || m[42] != 0.01 {
 		t.Fatalf("usage = %v", m)
 	}
-	for _, bad := range []string{"x,0.5\n", "1,abc\n", "1,1.5\n", "1\n"} {
+	for _, bad := range []string{"x,0.5\n", "1,abc\n", "1,1.5\n", "1\n", "1,NaN\n"} {
 		if _, err := ParseUsageCSV(strings.NewReader(bad)); err == nil {
 			t.Errorf("no error for %q", bad)
 		}

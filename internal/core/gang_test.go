@@ -146,9 +146,15 @@ func TestGangPermitTimeoutRollsBackAndRecovers(t *testing.T) {
 	if s := tb.dir.Stats(); s.Timeouts != 1 || s.Commits != 0 {
 		t.Fatalf("director stats = %+v", s)
 	}
-	gs := tb.srv.GangStats()
-	if gs.MembersReleased != 2 || gs.GroupsReleased != 1 {
-		t.Fatalf("gang stats = %+v", gs)
+	// The one rollback announced both permits, with the director's reason.
+	var released []string
+	for _, ev := range tb.events {
+		if ev.Pod != nil && ev.Pod.Status.Reason == "permit timeout" {
+			released = append(released, ev.Pod.Name)
+		}
+	}
+	if fmt.Sprint(released) != "[g-a g-b]" {
+		t.Fatalf("permits released = %v, want [g-a g-b]", released)
 	}
 
 	tb.submit(t, memGangPod("g-c", "g", 3, resource.MiB, 0))
@@ -370,7 +376,20 @@ func TestGangPreemptionEvictsWholeGang(t *testing.T) {
 	if n := tb.srv.BoundGroupCount("g"); n != 0 {
 		t.Fatalf("gang partially survived preemption: %d members still bound", n)
 	}
-	if s := tb.srv.GangStats(); s.GroupsPreempted != 1 {
-		t.Fatalf("gang stats = %+v, want GroupsPreempted 1", s)
+	// One PreemptGroup evicted the gang: its four members went back to the
+	// queue at consecutive revs, with no foreign commit in between.
+	var evicted []apiserver.WatchEvent
+	for _, ev := range tb.events {
+		if ev.Type == apiserver.PodUpdated && ev.Pod.Spec.PodGroup == "g" && ev.Pod.Status.Phase == api.PodPending {
+			evicted = append(evicted, ev)
+		}
+	}
+	if len(evicted) != 4 {
+		t.Fatalf("%d gang members re-queued, want 4", len(evicted))
+	}
+	for i, ev := range evicted {
+		if i > 0 && ev.Rev != evicted[i-1].Rev+1 {
+			t.Fatalf("evictions at revs %d then %d: not one atomic step", evicted[i-1].Rev, ev.Rev)
+		}
 	}
 }

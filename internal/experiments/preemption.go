@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
@@ -89,6 +91,15 @@ func PreemptionScenario(urgentPriority int32) (PreemptionReport, error) {
 		}
 		tb.Clk.Advance(15 * time.Second) // hogs bind, start, and begin reporting usage
 
+		// The victims are read off the watch stream, in rev order: each pod
+		// a preemption sent back to the queue.
+		var victims []string
+		defer tb.Srv.Subscribe(func(ev apiserver.WatchEvent) {
+			if p := ev.Pod; ev.Type == apiserver.PodUpdated && p.Status.Phase == api.PodPending &&
+				p.Spec.NodeName == "" && strings.HasPrefix(p.Status.Reason, "Preempted") {
+				victims = append(victims, p.Name)
+			}
+		})()
 		passesBefore := tb.Scheduler.Stats().Passes
 		urgent := preemptionEPCJob("urgent", prio, 6000, 2*time.Minute)
 		if err := tb.Srv.CreatePod(urgent); err != nil {
@@ -119,11 +130,7 @@ func PreemptionScenario(urgentPriority int32) (PreemptionReport, error) {
 		rep.PassesToBind = st.Passes - passesBefore
 		rep.Preemptions = st.Preemptions
 		rep.EvictedVictims = st.Victims
-		for _, ev := range tb.Srv.Events() {
-			if ev.Reason == "Preempted" {
-				rep.Victims = append(rep.Victims, ev.Object[len("pod/"):])
-			}
-		}
+		rep.Victims = victims
 		return rep, tb, nil
 	}
 
