@@ -398,14 +398,16 @@ its own module.`,
 		},
 	},
 	{
-		name: "the-pass-pulls-the-queue",
-		doc: `A pass pulls the pending queue a chunk at a time as it spends its
-budget (apiserver.WalkPending / PullPending), so it costs what it cycled,
-not the depth of the queue. The whole-walk forms — VisitPending,
-VisitPendingN, PendingPods — are for callers that want the whole queue;
-in the pass, called or taken as a method value, they are the
-copy-then-walk this replaced, as is a pooled buffer of every queued name
-in the server (pendingNamesPool, copyPendingNames).`,
+		name: "the-pass-reads-no-server-queue",
+		doc: `The scheduler owns its queue: a pass walks the queue its
+ClusterCache keeps from the watch stream (internal/core/queue.go), and
+the API server keeps only which pods are pending. The server's readers —
+VisitPending, VisitPendingN, PendingPods, PendingCount — are for
+sampling, benchmarks and tests; selected in internal/core outside tests,
+called or taken as a method value, the pass reads the server's queue
+again. internal/apiserver declares no ordered walk: a pendingCursor or
+pendingBucket type, or anything named pull, is the server deciding the
+scheduling order again.`,
 		check: func(c *codebase) (out []string) {
 			for _, f := range c.files {
 				core := !f.test && within(f.dir, "internal/core")
@@ -416,12 +418,17 @@ in the server (pendingNamesPool, copyPendingNames).`,
 				ast.Inspect(f.syntax, func(n ast.Node) bool {
 					switch n := n.(type) {
 					case *ast.SelectorExpr:
-						if name := n.Sel.Name; core && (name == "VisitPending" || name == "VisitPendingN" || name == "PendingPods") {
-							out = append(out, c.at(n.Pos())+": "+name+" walks the whole pending queue; pull it")
+						switch name := n.Sel.Name; {
+						case core && (name == "VisitPending" || name == "VisitPendingN" || name == "PendingPods" || name == "PendingCount"):
+							out = append(out, c.at(n.Pos())+": "+name+" reads the server's queue; walk the cache's")
 						}
-					case *ast.Ident:
-						if server && (n.Name == "pendingNamesPool" || n.Name == "copyPendingNames") {
-							out = append(out, c.at(n.Pos())+": "+n.Name+": the whole-queue name copy is back")
+					case *ast.TypeSpec:
+						if server && (n.Name.Name == "pendingCursor" || n.Name.Name == "pendingBucket") {
+							out = append(out, c.at(n.Pos())+": "+n.Name.Name+": the server's ordered walk is back")
+						}
+					case *ast.FuncDecl:
+						if server && n.Name.Name == "pull" {
+							out = append(out, c.at(n.Pos())+": pull: the server's ordered walk is back")
 						}
 					}
 					return true
@@ -780,12 +787,15 @@ func held(ev apiserver.WatchEvent) bool {
 		{"one-reference-model", map[string]string{
 			"internal/experiments/gang_test.go": "package experiments\n\ntype gangWatcher struct{ held int }\n",
 		}, "internal/experiments/gang_test.go:3"},
-		{"the-pass-pulls-the-queue", map[string]string{
-			"internal/core/pass.go": "package core\n\nfunc pass(s interface{ PendingPods(string) []string }) { walk := s.PendingPods; _ = walk }\n",
+		{"the-pass-reads-no-server-queue", map[string]string{
+			"internal/core/pass.go": "package core\n\nfunc pass(s interface{ PendingCount() int }) { depth := s.PendingCount; _ = depth }\n",
 		}, "internal/core/pass.go:3"},
-		{"the-pass-pulls-the-queue", map[string]string{
-			"internal/apiserver/pending.go": "package apiserver\n\nvar pendingNamesPool []string\n",
+		{"the-pass-reads-no-server-queue", map[string]string{
+			"internal/apiserver/pending.go": "package apiserver\n\ntype pendingCursor struct{ seq uint64 }\n\nfunc (c *pendingCursor) pull() {}\n",
 		}, "internal/apiserver/pending.go:3"},
+		{"the-pass-reads-no-server-queue", map[string]string{
+			"internal/apiserver/walk.go": "package apiserver\n\ntype index struct{}\n\nfunc (x *index) pull(n int) []string { return nil }\n",
+		}, "internal/apiserver/walk.go:5"},
 		{"no-dead-internal-surface", map[string]string{
 			"internal/sgx/quote.go": "package sgx\n\nfunc live() { Live() }\n\nfunc Live() {}\n\nfunc Dead() { Dead() }\n",
 		}, "internal/sgx/quote.go:7"},

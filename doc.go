@@ -86,8 +86,10 @@
 // allocatable, so an audit subscribes before the first node registers.
 // The model deliberately leaves out usage (the scheduler's fusion of
 // requests with measured peaks), time beyond the server's status stamps,
-// and gang coalescing in the pending queue — its pending order is the
-// server's whenever no gang is queued and no two queue entries race. It
+// and gang coalescing in the scheduler's queue — its pending order
+// (priority, then the rev a pod entered the queue at) is the server's
+// Snapshot.Pending always, and each scheduler's queue once gangs are
+// coalesced (a property test replays both). It
 // is the one referee: the multi-scheduler, gang, class and observability
 // experiments read their safety counts and event-derived ground truth off
 // it, and the conflict-interleaving, snapshot-prefix, gang-prefix and
@@ -151,7 +153,9 @@
 // tally — the value behind SchedulerStats, the scheduler_*_total series
 // and the pass trace alike.
 //
-// Jobs carry a priority: the pending queue drains priority-then-FCFS,
+// Jobs carry a priority: each scheduler's queue — kept by its cluster
+// cache from the watch stream; the API server only indexes which pods are
+// pending — drains priority-then-FCFS,
 // and when a high-priority job finds no feasible node the scheduler
 // preempts a minimal set of strictly lower-priority jobs — fewest
 // victims, lowest priorities first, deterministic tie-breaks. Victims
@@ -285,7 +289,7 @@
 // charged); if the quorum never arrives, a sim-clock permit timeout
 // rolls the gang back wholesale (ReleaseGroup: capacity returned,
 // members re-queued, PodPermitReleased) and the gang retries. The
-// pending queue coalesces co-members within a priority tier so quorums
+// scheduler's queue coalesces co-members within a priority tier so quorums
 // assemble in one pass instead of trickling, preemption treats a gang
 // as one victim unit priced at its cluster-wide membership (evict the
 // whole gang — held and bound members both — or none, via

@@ -15,8 +15,8 @@ import (
 // stream ever observes a partially bound gang becoming visible
 // piecemeal with other commits interleaved that could invalidate it.
 // If the quorum never arrives, ReleaseGroup rolls every permit back
-// wholesale: capacity returns and the members re-enter the pending
-// queue. PreemptGroup extends the eviction path with the same
+// wholesale: capacity returns and the members are pending again.
+// PreemptGroup extends the eviction path with the same
 // atomicity: a gang is evicted whole or not at all.
 //
 // Locking: Reserve runs in a stripe-form transaction (one pod stripe +
@@ -166,7 +166,7 @@ func (s *Server) VisitReservations(fn func(pod, node, group string)) {
 // Reserve grants a gang member a permit on a node: the same conditional
 // commit as Bind — admission re-validated against authoritative state
 // under the pod's and node's stripes, capacity moved into the node's
-// committed accounting, pod removed from the pending queue — except the
+// committed accounting, pod no longer pending — except the
 // pod's binding stays empty. The member is now held in the waiting
 // area: CommitGroup binds it for real, ReleaseGroup rolls it back. The
 // emitted PodPermitHeld event carries the reserved node in the pod
@@ -241,8 +241,8 @@ func (s *Server) CommitGroup(group string) (int, error) {
 
 // ReleaseGroup rolls back every permit the group holds, wholesale,
 // under the world ladder: committed capacity returns to the nodes and
-// the members re-enter the pending queue at the tail of their priority
-// tier. This is the permit-timeout path — a gang that cannot reach
+// the members are pending again, queued from their events' revs. This is
+// the permit-timeout path — a gang that cannot reach
 // quorum must not camp on capacity other work could use. Returns how
 // many permits were released.
 func (s *Server) ReleaseGroup(group, reason string) (int, error) {
@@ -261,8 +261,8 @@ func (s *Server) ReleaseGroup(group, reason string) (int, error) {
 // PreemptGroup evicts every live bound member of the gang — and rolls
 // back any permits it still holds — in one atomic step under the world
 // ladder: a gang is preempted whole or not at all, so preemption can
-// never strand a partial gang on the cluster. Members re-enter the
-// pending queue with scheduling timestamps reset, exactly like Preempt.
+// never strand a partial gang on the cluster. Members are pending again
+// with scheduling timestamps reset, exactly like Preempt.
 // Returns how many members were evicted (bound) plus released (held).
 func (s *Server) PreemptGroup(group, reason string) (int, error) {
 	reason = withReason("Preempted", reason)

@@ -321,35 +321,3 @@ func TestPreemptGroupEvictsWholeGangOrNothing(t *testing.T) {
 		t.Fatalf("second PreemptGroup: err = %v, want ErrConflict", err)
 	}
 }
-
-// TestPendingQueueCoalescesGangMembers: within a priority tier the queue
-// surfaces a gang's members adjacently, so one scheduling pass sees the
-// whole group together instead of straddling pass boundaries.
-func TestPendingQueueCoalescesGangMembers(t *testing.T) {
-	clk := clock.NewSim()
-	srv := New(clk)
-	submissions := []struct{ name, group string }{
-		{"g1-a", "g1"}, {"solo-1", ""}, {"g1-b", "g1"}, {"solo-2", ""},
-		{"g2-a", "g2"}, {"g1-c", "g1"}, {"g2-b", "g2"},
-	}
-	for _, s := range submissions {
-		var p *api.Pod
-		if s.group == "" {
-			p = prioPod(s.name, 0)
-		} else {
-			p = gangPod(s.name, s.group, 3, 0)
-		}
-		if err := srv.CreatePod(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var got []string
-	srv.VisitPending("", func(p *api.Pod) bool {
-		got = append(got, p.Name)
-		return true
-	})
-	want := "[g1-a g1-b g1-c solo-1 solo-2 g2-a g2-b]"
-	if fmt.Sprint(got) != want {
-		t.Fatalf("coalesced order = %v, want %v", got, want)
-	}
-}

@@ -1,9 +1,9 @@
 // Package apiserver is the in-process equivalent of the Kubernetes API
-// server: the source of truth for nodes and pods, the persistent queue of
-// pending jobs (§IV, step Ì — FCFS, refined into priority tiers by
-// api.PodSpec.Priority), and the notification hub that kubelets and
-// schedulers subscribe to. Preempt returns a bound pod to the queue so
-// higher-priority work can take its place.
+// server: the source of truth for nodes and pods, which of them are
+// pending (§IV, step Ì — the order they are scheduled in is each
+// scheduler's own), and the notification hub that kubelets and
+// schedulers subscribe to. Preempt returns a bound pod to the pending
+// pods so higher-priority work can take its place.
 //
 // Bind is an admission-checked conditional commit (see Admission): with
 // several optimistically concurrent schedulers sharing the cluster
@@ -262,8 +262,9 @@ type Snapshot struct {
 	Rev   int64
 	Nodes []*api.Node // sorted by name
 	Pods  []*api.Pod  // sorted by name
-	// Pending holds the queued pod names in FCFS submission order,
-	// across all schedulers.
+	// Pending holds the queued pod names across all schedulers, by
+	// priority (descending), then queue rev — the rev of the event that
+	// put the pod in the queue; internal/model's Pending order.
 	Pending []string
 }
 
@@ -296,15 +297,12 @@ type Server struct {
 	podShards  [numStripes]podShard
 	nodeShards [numStripes]nodeShard
 
-	// pending is the submission queue (§IV), ordered priority-then-FCFS:
-	// higher api.PodSpec.Priority tiers drain first, first-come
-	// first-served within a tier, with a per-scheduler index so fleet
-	// members walk only their own shard. Binds remove their pod in O(1)
-	// amortized. Guarded by pendingMu, which is acquired while holding
-	// state stripes but never the reverse (PullPending copies a chunk of
-	// names out under pendingMu alone).
+	// pending indexes which pods are pending (see pendingIndex): a bind
+	// takes its pod out with one map delete. Guarded by pendingMu, which is
+	// acquired while holding state stripes but never the reverse (the
+	// whole-queue readers copy names out under pendingMu alone).
 	pendingMu sync.Mutex
-	pending   *pendingSet
+	pending   pendingIndex
 
 	binds bindCounters
 
@@ -342,7 +340,7 @@ type reservation struct {
 func New(clk clock.Clock, opts ...Option) *Server {
 	s := &Server{
 		clk:          clk,
-		pending:      newPendingSet(),
+		pending:      newPendingIndex(),
 		reservations: make(map[string]reservation),
 		groupHolds:   make(map[string]map[string]string),
 		groupBound:   make(map[string]map[string]bool),
@@ -480,12 +478,16 @@ func (s *Server) snapshotWorldLocked() Snapshot {
 	}
 	sort.Slice(pods, func(i, j int) bool { return pods[i].Name < pods[j].Name })
 	snap.Pods = pods
-	// Every queue mutation happens under a pod stripe, so the queue is
+	// Every index mutation happens under a pod stripe, so the index is
 	// stable here; pendingMu is taken against the readers that hold no
-	// stripe (PullPending, the depth gauges).
+	// stripe (the whole-queue readers, the depth gauges).
 	s.pendingMu.Lock()
-	snap.Pending = s.pending.Snapshot()
+	order := s.pending.order("")
 	s.pendingMu.Unlock()
+	snap.Pending = make([]string, len(order))
+	for i, r := range order {
+		snap.Pending[i] = r.name
+	}
 	return snap
 }
 
@@ -564,7 +566,7 @@ func (s *Server) ListNodes() []*api.Node {
 }
 
 // CreatePod submits a pod: it is stamped, assigned a UID if absent, marked
-// Pending and appended to the FCFS queue (§IV step Ë). A negative request
+// Pending and indexed as pending (§IV step Ë). A negative request
 // or limit is refused: it would pass bind admission and lower the node's
 // committed sum, and later binds would then over-commit the node (§V-A:
 // no EPC over-commitment).
@@ -589,8 +591,7 @@ func (s *Server) CreatePod(p *api.Pod) error {
 	stored.Status.Phase = api.PodPending
 	stored.Status.SubmittedAt = s.clk.Now()
 	t.psh.pods[stored.Name] = stored
-	s.pushPending(stored)
-	t.publish(WatchEvent{Type: PodCreated, Pod: eventPod(stored)})
+	s.pushPending(stored, t.publish(WatchEvent{Type: PodCreated, Pod: eventPod(stored)}))
 	return nil
 }
 
@@ -625,82 +626,28 @@ func (s *Server) ListPods(filter func(*api.Pod) bool) []*api.Pod {
 	return out
 }
 
-// PendingWalk is one walk over a scheduler's pending queue, taken a
-// chunk at a time (WalkPending, then PullPending until it reports false).
-// It is a value the caller owns and holds no reference into the queue:
-// between two pulls it is a tier, a push stamp and a count, so pods may be
-// bound, preempted and re-queued freely while a walk is open, and an
-// abandoned walk costs nothing.
-type PendingWalk struct {
-	sched string
-	left  int // names the cap still allows; 0 when the walk has no cap
-	cur   pendingCursor
-	done  bool
-}
-
-// WalkPending opens a walk over the given scheduler's queued pods (an
-// empty schedulerName matches every pod) in priority-then-FCFS order
-// (§IV: "the orchestrator keeps a persistent queue of pending jobs ...
-// applying a first-come first-served priority"; api.PodSpec.Priority
-// refines it into tiers), with the members of a gang delivered adjacently.
-// The walk's horizon is fixed here: it delivers what is queued now and
-// still queued when reached, and nothing pushed later — a pod preempted
-// and re-queued while the walk is open waits for the next one, wherever
-// in the order it lands. limit > 0 caps the pods the walk examines; the
-// cap is checked between gangs, so a gang whose first member is inside
-// it is delivered whole.
-func (s *Server) WalkPending(schedulerName string, limit int) PendingWalk {
+// VisitPendingN calls fn for the given scheduler's pending pods (an
+// empty schedulerName matches every pod) in Snapshot.Pending's order until
+// the pods, the limit (limit <= 0 visits all) or fn ends it, under each
+// pod's stripe lock and with VisitPods' contract; a pod bound since the
+// names were copied out is skipped. It sorts the whole index: it is for
+// sampling, benchmarks and tests, and a pass reads its own queue instead.
+func (s *Server) VisitPendingN(schedulerName string, limit int, fn func(*api.Pod) bool) {
 	s.pendingMu.Lock()
-	horizon := s.pending.nextSeq
+	order := s.pending.order(schedulerName)
 	s.pendingMu.Unlock()
-	return PendingWalk{sched: schedulerName, left: max(limit, 0), cur: newPendingCursor(horizon)}
-}
-
-// PullPending delivers the walk's next chunk: the next names are copied
-// out under pendingMu alone — a fixed-size run (pendingChunk), or the
-// whole of a tier that holds gangs — and fn is then called for each pod
-// still queued, under its stripe lock, without copying, so a pod bound
-// concurrently with the walk is skipped rather than handed to fn stale.
-// The same read-only, no-retain, no-reentrancy contract as VisitPods
-// applies. It reports whether another pull may deliver more: false once
-// the queue is exhausted, the cap is spent or fn returned false, and from
-// then on. What a walk costs is what it pulled — names copied, stripes
-// locked, time under pendingMu — whatever the depth of the queue behind.
-func (s *Server) PullPending(w *PendingWalk, fn func(*api.Pod) bool) bool {
-	if w.done {
-		return false
+	if limit > 0 && len(order) > limit {
+		order = order[:limit]
 	}
-	var buf [pendingChunk]string
-	s.pendingMu.Lock()
-	names, more := s.pending.pull(w.sched, &w.cur, buf[:0], w.left)
-	s.pendingMu.Unlock()
-	if w.left > 0 {
-		if w.left -= len(names); w.left <= 0 {
-			more = false
-		}
-	}
-	for _, name := range names {
-		sh := s.podShardFor(name)
+	for _, r := range order {
+		sh := s.podShardFor(r.name)
 		sh.mu.Lock()
-		p, ok := sh.pods[name]
+		p, ok := sh.pods[r.name]
 		stop := ok && p.Status.Phase == api.PodPending && p.Spec.NodeName == "" && !fn(p)
 		sh.mu.Unlock()
 		if stop {
-			more = false
-			break
+			return
 		}
-	}
-	w.done = !more
-	return more
-}
-
-// VisitPendingN is one whole walk (see WalkPending and PullPending for
-// the order, the horizon, the cap and fn's contract): fn is called for
-// the given scheduler's queued pods until the queue, the limit (limit <= 0
-// visits all) or fn ends it.
-func (s *Server) VisitPendingN(schedulerName string, limit int, fn func(*api.Pod) bool) {
-	w := s.WalkPending(schedulerName, limit)
-	for s.PullPending(&w, fn) {
 	}
 }
 
@@ -709,8 +656,8 @@ func (s *Server) VisitPending(schedulerName string, fn func(*api.Pod) bool) {
 	s.VisitPendingN(schedulerName, 0, fn)
 }
 
-// PendingPods returns copies of the given scheduler's queued pods, in
-// the order of one whole walk.
+// PendingPods returns copies of the given scheduler's pending pods, in
+// VisitPending's order.
 func (s *Server) PendingPods(schedulerName string) []*api.Pod {
 	out := []*api.Pod{}
 	s.VisitPending(schedulerName, func(p *api.Pod) bool {
@@ -756,23 +703,23 @@ func (s *Server) VisitPod(name string, fn func(*api.Pod)) {
 	}
 }
 
-// PendingCount returns the number of queued pods across all schedulers.
+// PendingCount returns the number of pending pods across all schedulers.
 func (s *Server) PendingCount() int {
 	s.pendingMu.Lock()
 	defer s.pendingMu.Unlock()
-	return s.pending.Len()
+	return len(s.pending.pods)
 }
 
-// PendingCountByClass returns the named scheduler's queue depth per
-// workload class (the empty name reports the global queue): one entry
-// per known class with queued pods, plus api.ClassUnspecified for the
-// unclassified remainder. The per-class counters are maintained on
-// push/remove, so this is O(classes) under the pending lock — cheap
-// enough for per-pass backlog monitoring.
+// PendingCountByClass returns the named scheduler's pending pods per
+// workload class (the empty name reports every scheduler's): one entry
+// per known class with pending pods, plus api.ClassUnspecified for the
+// unclassified remainder. The per-class counters are maintained as pods
+// enter and leave the index, so this is O(schedulers × classes) under the
+// pending lock — cheap enough for per-pass backlog monitoring.
 func (s *Server) PendingCountByClass(schedulerName string) map[api.WorkloadClass]int {
 	s.pendingMu.Lock()
 	defer s.pendingMu.Unlock()
-	return s.pending.ClassCounts(schedulerName)
+	return s.pending.classCounts(schedulerName)
 }
 
 // Bind assigns a pending pod to a node (§IV step Í: "the scheduler
@@ -783,8 +730,7 @@ func (s *Server) PendingCountByClass(schedulerName string) map[api.WorkloadClass
 // that planned against a stale cache loses the race with a typed
 // ErrConflict / ErrOutdated — the pod stays queued and reschedules from
 // a fresh view — instead of silently overcommitting the node. On success
-// the pod leaves the pending queue; kubelets learn about it via
-// PodBound.
+// the pod is no longer pending; kubelets learn about it via PodBound.
 //
 // The whole commit — admission, committed accounting, pod mutation,
 // event publish — happens under exactly one pod stripe and one node
@@ -885,20 +831,21 @@ func (s *Server) admitBind(p *api.Pod, n *api.Node, com resource.List, req resou
 	return nil
 }
 
-// removePending drops a pod from the pending queue (see pendingQueue for
-// the amortized O(1) layout). Safe to call while holding stripe locks —
-// pendingMu is below them in the lock order.
+// removePending drops a pod from the pending index. Safe to call while
+// holding stripe locks — pendingMu is below them in the lock order.
 func (s *Server) removePending(p *api.Pod) {
 	s.pendingMu.Lock()
-	s.pending.Remove(p.Name, p.Spec.SchedulerName)
+	s.pending.remove(p.Name)
 	s.pendingMu.Unlock()
 }
 
-// pushPending queues a pod at the tail of its priority tier; same lock
+// pushPending indexes a pod as pending from rev, the rev its commit's
+// event drew: the mutator calls it after publish, still inside its
+// transaction, so a snapshot never sees one without the other. Same lock
 // discipline as removePending.
-func (s *Server) pushPending(p *api.Pod) {
+func (s *Server) pushPending(p *api.Pod, rev int64) {
 	s.pendingMu.Lock()
-	s.pending.Push(p.Name, p.Spec.SchedulerName, p.Spec.Priority, p.Spec.PodGroup, p.Spec.WorkloadClass())
+	s.pending.add(p, rev)
 	s.pendingMu.Unlock()
 }
 
@@ -949,8 +896,8 @@ func (s *Server) transition(podName string, phase api.PodPhase, reason string) e
 		if p.Spec.InGang() {
 			s.dropGroupBound(p.Spec.PodGroup, podName)
 		}
-		// A pod failed before start (e.g. admission denial) still leaves
-		// the queue.
+		// A pod failed before start (e.g. admission denial) is no longer
+		// pending either.
 		s.removePending(p)
 	}
 	p.Status.Phase = phase
@@ -968,9 +915,9 @@ func withReason(verb, reason string) string {
 	return verb + ": " + reason
 }
 
-// Preempt returns a bound, non-terminal pod to the pending queue: its
-// binding is cleared and it re-enters its priority tier at the tail, to be
-// scheduled again later. The kubelet holding the pod reacts to the update
+// Preempt returns a bound, non-terminal pod to the pending pods: its
+// binding is cleared and it re-enters the queue, behind every pod of its
+// priority queued before it, to be scheduled again later. The kubelet holding the pod reacts to the update
 // by killing the workload and releasing its resources — this is the §IV
 // eviction path priority scheduling uses to make room for more important
 // pods. Scheduling timestamps are reset so waiting/turnaround metrics

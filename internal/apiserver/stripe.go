@@ -29,14 +29,14 @@ import (
 // published under the node stripe exactly like a charge. Cross-shard
 // readers (SnapshotNow, ListAndWatchBatch, subscription registration)
 // take lockWorld themselves; the per-object read accessors lock a single
-// stripe around a copy. The pending queue is read by one walk,
-// PullPending (VisitPending, VisitPendingN and PendingPods are loops
-// over it): each pull copies one chunk of queued names under pendingMu
-// alone, releases it, and only then visits those pods one stripe at a
-// time; between pulls the walk holds no lock at all, only a value cursor
-// and the horizon (the push stamp past which it does not look) fixed when
-// it began. So pendingMu is only ever acquired while holding stripes,
-// never the reverse, and is held for a chunk, not for the queue.
+// stripe around a copy. pendingMu guards an index of which pods are
+// pending (pending.go), not an order: a commit holds it for one map
+// insert or delete, the depth readers for a few counters, and the
+// whole-queue readers (VisitPending, VisitPendingN, PendingPods) to copy
+// the sorted names out before they visit those pods one stripe at a time.
+// A scheduling pass reads its own queue (internal/core) and takes
+// pendingMu no more. So pendingMu is only ever acquired while holding
+// stripes or none, never the reverse.
 //
 // The gang reservation tables' resMu (see Server) sits outside the
 // ladder entirely: it is a strict leaf, locked and unlocked without
@@ -102,7 +102,7 @@ func (s *Server) nodeShardFor(name string) *nodeShard {
 // world is held no mutation is in flight, so every resource version
 // allocated so far has been published and applied: the state read under
 // lockWorld is exactly the prefix of the watch stream up to s.seq. That
-// includes the pending queue, which only ever changes under a pod
+// includes the pending index, which only ever changes under a pod
 // stripe; pendingMu stays a per-access lock below the stripes, the same
 // for a world holder as for a single-stripe one.
 func (s *Server) lockWorld() {

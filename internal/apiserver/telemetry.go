@@ -1,6 +1,7 @@
 package apiserver
 
 import (
+	"maps"
 	"strconv"
 
 	"github.com/sgxorch/sgxorch/internal/api"
@@ -91,8 +92,8 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 
 	reg.RegisterCollector(func() {
 		s.pendingMu.Lock()
-		classes := s.pending.ClassCounts("")
-		prios := s.pending.PriorityCounts("")
+		classes := s.pending.classCounts("")
+		prios := maps.Clone(s.pending.prios)
 		s.pendingMu.Unlock()
 		for i, c := range api.Classes {
 			classGauges[i].Set(float64(classes[c]))

@@ -85,11 +85,12 @@ func (t *txn) node(name string) *nodeShard {
 // is published while every stripe the mutation touched is still held:
 // lockWorld cannot observe an applied mutation whose event is still
 // unpublished. Racing publishes from other stripes may reach the broker
-// out of rev order; the broker restores the order.
-func (t *txn) publish(ev WatchEvent) {
+// out of rev order; the broker restores the order. It returns the rev.
+func (t *txn) publish(ev WatchEvent) int64 {
 	ev.Rev = t.s.seq.Add(1)
 	t.s.broker.Publish(ev.Rev, ev)
 	t.published = true
+	return ev.Rev
 }
 
 // end releases what the transaction holds, in reverse ladder order, and
@@ -155,7 +156,7 @@ func (t *txn) target(nodeName string) (*api.Node, error) {
 // charge is the node half of the conditional commit, on the node target
 // returned: admission re-validated against authoritative node state,
 // then the pod's requests moved into the node's committed accounting and
-// the pod taken off the pending queue. A refusal publishes nothing: the
+// the pod taken out of the pending index. A refusal publishes nothing: the
 // caller gets the typed error, and Bind counts it (BindStats).
 func (t *txn) charge(p *api.Pod, n *api.Node) error {
 	nsh := t.s.nodeShardFor(n.Name)
@@ -188,9 +189,9 @@ func (t *txn) bindPod(p *api.Pod, nodeName string) {
 	t.publish(WatchEvent{Type: PodBound, Pod: eventPod(p)})
 }
 
-// requeueBound evicts a bound pod back to the pending queue (Preempt,
+// requeueBound evicts a bound pod back to the pending pods (Preempt,
 // PreemptGroup): capacity released, binding cleared, scheduling
-// timestamps reset, tail of its priority tier.
+// timestamps reset, queued again from its event's rev.
 func (t *txn) requeueBound(p *api.Pod, reason string) {
 	t.release(p, p.Spec.NodeName)
 	p.Spec.NodeName = ""
@@ -201,8 +202,7 @@ func (t *txn) requeueBound(p *api.Pod, reason string) {
 	if p.Spec.InGang() {
 		t.s.dropGroupBound(p.Spec.PodGroup, p.Name)
 	}
-	t.s.pushPending(p)
-	t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)})
+	t.s.pushPending(p, t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)}))
 }
 
 // dropPermit cancels the permit p holds, if any, and releases the
@@ -215,14 +215,13 @@ func (t *txn) dropPermit(p *api.Pod) bool {
 	return held
 }
 
-// rollbackPermit returns a permit holder to the pending queue
+// rollbackPermit returns a permit holder to the pending pods
 // (ReleaseGroup, PreemptGroup); false when p holds no permit.
 func (t *txn) rollbackPermit(p *api.Pod, reason string) bool {
 	if !t.dropPermit(p) {
 		return false
 	}
 	p.Status.Reason = reason
-	t.s.pushPending(p)
-	t.publish(WatchEvent{Type: PodPermitReleased, Pod: eventPod(p)})
+	t.s.pushPending(p, t.publish(WatchEvent{Type: PodPermitReleased, Pod: eventPod(p)}))
 	return true
 }

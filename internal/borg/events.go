@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -54,7 +55,10 @@ type TaskEvent struct {
 }
 
 // ParseTaskEvents reads a task_events CSV stream (headerless, as
-// distributed).
+// distributed). A row stamped exactly 2^63−1 µs is an event after the
+// trace's window and is dropped, so a job that finishes after the window
+// has no FINISH and JobsFromEvents skips it as still running at trace end.
+// Every other timestamp beyond a Duration's range is refused.
 func ParseTaskEvents(r io.Reader) ([]TaskEvent, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = taskEventColumns
@@ -66,6 +70,10 @@ func ParseTaskEvents(r io.Reader) ([]TaskEvent, error) {
 		}
 		if err != nil {
 			return nil, fmt.Errorf("borg: task_events line %d: %w", line, err)
+		}
+		// The published trace stamps an event after its window 2^63−1 µs.
+		if us, err := strconv.ParseInt(rec[0], 10, 64); err == nil && us == math.MaxInt64 {
+			continue
 		}
 		ev, err := parseTaskEvent(rec)
 		if err != nil {

@@ -2,6 +2,7 @@ package borg
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -44,10 +45,63 @@ func TestParseTaskEventsErrors(t *testing.T) {
 		"-1,,100,0,,0,u,2,9,,,,\n",     // negative timestamp
 		// A timestamp past math.MaxInt64/1000 µs wraps negative as a Duration.
 		"9300000000000000,,100,0,,0,u,2,9,,,,\n",
+		// Only 2^63−1 marks an event after the window; its neighbour is refused.
+		"9223372036854775806,,100,0,,0,u,2,9,,,,\n",
 	}
 	for _, in := range bad {
 		if _, err := ParseTaskEvents(strings.NewReader(in)); err == nil {
 			t.Errorf("no error for %q", in)
+		}
+	}
+}
+
+// TestParseTaskEventsAfterWindow: the published trace stamps events after
+// its window 2^63−1 µs. Such a row is dropped, not refused with the whole
+// file, and a job whose FINISH it was is skipped as still running at trace
+// end.
+func TestParseTaskEventsAfterWindow(t *testing.T) {
+	const marker = "9223372036854775807"
+	for _, tc := range []struct {
+		name   string
+		rows   []string
+		events int // events parsed
+		jobs   []int64
+	}{{
+		name: "marker row dropped",
+		rows: []string{
+			"0,,100,0,,0,u,2,9,,0.125,,",
+			marker + ",,100,0,m1,2,u,2,9,,,,", // EVICT after the window
+			"1000000,,100,0,m1,1,u,2,9,,,,",
+			"61000000,,100,0,m1,4,u,2,9,,,,",
+		},
+		events: 3,
+		jobs:   []int64{100},
+	}, {
+		name: "finish after the window",
+		rows: []string{
+			"0,,100,0,,0,u,2,9,,0.125,,",
+			"1000000,,100,0,m1,1,u,2,9,,,,",
+			"61000000,,100,0,m1,4,u,2,9,,,,",
+			"0,,200,0,,0,u,2,9,,0.25,,",
+			"2000000,,200,0,m2,1,u,2,9,,,,",
+			marker + ",,200,0,m2,4,u,2,9,,,,",
+		},
+		events: 5,
+		jobs:   []int64{100},
+	}} {
+		events, err := ParseTaskEvents(strings.NewReader(strings.Join(tc.rows, "\n") + "\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(events) != tc.events {
+			t.Fatalf("%s: %d events, want %d", tc.name, len(events), tc.events)
+		}
+		var jobs []int64
+		for _, j := range JobsFromEvents(events, nil).Jobs {
+			jobs = append(jobs, j.ID)
+		}
+		if fmt.Sprint(jobs) != fmt.Sprint(tc.jobs) {
+			t.Fatalf("%s: jobs %v, want %v", tc.name, jobs, tc.jobs)
 		}
 	}
 }

@@ -82,6 +82,7 @@ func FuzzParseTaskEvents(f *testing.F) {
 		"0,,100,0,,0,u,2,9,,NaN,,\n",
 		"9300000000000000,,100,0,,0,u,2,9,,,,\n",
 		"9223372036854775,,100,,,8,u,2,9,,1,,\n",
+		"0,,100,0,,0,u,2,9,,0.5,,\n1000000,,100,0,m1,1,u,2,9,,,,\n9223372036854775807,,100,0,m1,4,u,2,9,,,,\n",
 	} {
 		f.Add(seed)
 	}

@@ -85,6 +85,14 @@ type ClusterCache struct {
 	// node no view holds), so SyncView counts it as a loosening.
 	gangLeft uint64
 
+	// queues is the scheduling order (queue.go): one queue per
+	// Spec.SchedulerName, holding exactly the pods whose latest event shows
+	// them Pending with no node. queueSeq stamps the next push; it never
+	// restarts, not even on a resync, so a walk opened before a resync sees
+	// none of the entries the resync queued.
+	queues   map[string]*podQueue
+	queueSeq uint64
+
 	// Change journal for incremental views (SyncView): the names of nodes
 	// whose scheduling-relevant state changed, in change order.
 	// journalBase is the absolute offset of journal[0] — entries older
@@ -188,6 +196,7 @@ func (c *ClusterCache) primeLocked(snap apiserver.Snapshot) {
 	for _, p := range snap.Pods {
 		c.addPodLocked(p, now, false)
 	}
+	c.primeQueuesLocked(snap)
 	// In-flight gang permits are invisible in the snapshot's pod state
 	// (the pods are still unbound) but their capacity is committed on the
 	// nodes; charge them so a cache primed (or resynced) mid-gang matches
@@ -387,8 +396,6 @@ func (c *ClusterCache) applyLocked(ev *apiserver.WatchEvent, now time.Time) {
 	switch ev.Type {
 	case apiserver.NodeRegistered, apiserver.NodeUpdated:
 		c.upsertNodeLocked(ev.Node)
-	case apiserver.PodCreated:
-		// Still pending: no node to account against yet.
 	case apiserver.PodBound:
 		c.addPodLocked(ev.Pod, now, false)
 	case apiserver.PodPermitHeld:
@@ -405,6 +412,95 @@ func (c *ClusterCache) applyLocked(ev *apiserver.WatchEvent, now time.Time) {
 		}
 	case apiserver.PodUpdated:
 		c.podUpdatedLocked(ev.Pod, now)
+	}
+	if ev.Pod != nil {
+		c.queueLocked(ev.Pod)
+	}
+}
+
+// primeQueuesLocked rebuilds the queues from a snapshot's pending pods,
+// in Snapshot.Pending's order (the snapshot's pods are sorted by name).
+// The stamps continue where they stood, so a walk opened before the
+// rebuild delivers nothing after it: nothing twice, and nothing that left
+// the queue. Caller must hold c.mu.
+func (c *ClusterCache) primeQueuesLocked(snap apiserver.Snapshot) {
+	c.queues = make(map[string]*podQueue)
+	for _, name := range snap.Pending {
+		if i := sort.Search(len(snap.Pods), func(i int) bool { return snap.Pods[i].Name >= name }); i < len(snap.Pods) && snap.Pods[i].Name == name {
+			c.queueLocked(snap.Pods[i])
+		}
+	}
+}
+
+// queueLocked files a pod event into its scheduler's queue: a pod the
+// event shows Pending with no node enters it at its tier's tail, unless it
+// is queued already, and any other pod leaves it (a permit's event carries
+// the reserved node). Caller must hold c.mu.
+func (c *ClusterCache) queueLocked(p *api.Pod) {
+	q := c.queues[p.Spec.SchedulerName]
+	if p.Status.Phase != api.PodPending || p.Spec.NodeName != "" {
+		if q != nil {
+			q.remove(p)
+		}
+		return
+	}
+	if q == nil {
+		q = &podQueue{buckets: make(map[int32]*queueBucket)}
+		c.queues[p.Spec.SchedulerName] = q
+	}
+	if q.entry(p) != nil {
+		return
+	}
+	q.push(queuedPod{pod: p, req: p.TotalRequests(), seq: c.queueSeq})
+	c.queueSeq++
+}
+
+// walk opens a walk over the named scheduler's queue. Its horizon is fixed
+// here: it delivers what is queued now and still queued when reached, and
+// nothing queued later — a pod preempted and re-queued while the walk is
+// open waits for the next one. limit > 0 caps the pods it examines,
+// checked between gangs.
+func (c *ClusterCache) walk(sched string, limit int) queueWalk {
+	c.mu.Lock()
+	horizon := c.queueSeq
+	c.mu.Unlock()
+	return queueWalk{sched: sched, left: max(limit, 0), cur: newQueueCursor(horizon)}
+}
+
+// pull appends the walk's next chunk to out (see podQueue.pull) and
+// reports whether another pull may deliver more: false once the queue is
+// exhausted or the cap is spent, after which the walk is over.
+func (c *ClusterCache) pull(w *queueWalk, out []queuedPod) ([]queuedPod, bool) {
+	n, more := len(out), false
+	c.mu.Lock()
+	if q := c.queues[w.sched]; q != nil {
+		out, more = q.pull(&w.cur, out, w.left)
+	}
+	c.mu.Unlock()
+	if w.left > 0 {
+		if w.left -= len(out) - n; w.left <= 0 {
+			more = false
+		}
+	}
+	return out, more
+}
+
+// dequeue takes the pods a pass committed out of their queue, each unless
+// it left the queue, and perhaps re-entered it, since the walk handed it
+// out. With a synchronous watch the commits' events have already done
+// this; with an asynchronous one they may still be on their way, and the
+// next pass must not attempt those pods again. The walk that handed them
+// out never returns to them, so one lock at the pass's end serves all.
+func (c *ClusterCache) dequeue(committed []queuedPod) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range committed {
+		e := &committed[i]
+		if q := c.queues[e.pod.Spec.SchedulerName]; q != nil {
+			if cur := q.entry(e.pod); cur != nil && cur.seq == e.seq {
+				q.remove(e.pod)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 
-	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 )
 
@@ -34,6 +33,9 @@ type cycleState struct {
 	// memo holds the pass's clean failures (memo.go), emptied at the start
 	// of every pass and on every preemption.
 	memo failureMemo
+	// committed holds the entries whose commit the server accepted, taken
+	// out of the queue together when the pass ends (ClusterCache.dequeue).
+	committed []queuedPod
 
 	// Pod scope: the pod's request data — summed once, because the filter
 	// plugins run per (pod, node) — and the pipeline its class resolved
@@ -144,9 +146,9 @@ func (s *Stats) count(o outcome) {
 // passes only: preemption planning included, since it runs for every pod
 // that failed to place and two clock reads per unschedulable pod on every
 // pass would dominate the instrumentation budget on a congested queue.
-func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
-	info := &c.info
-	fillPodInfo(info, pod)
+func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
+	info, pod := &c.info, e.pod
+	fillPodInfo(info, pod, e.req)
 	// Workload-class resolution is a table lookup: the pod's class slot
 	// selects the pipeline with its sampling bounds and preemption gates;
 	// unclassified pods take slot 0 — the exact pre-class pass.
@@ -264,7 +266,7 @@ func (s *Scheduler) cycle(c *cycleState, pod *api.Pod) outcome {
 		o.kind = outcomeUnschedulable
 		return o
 	}
-	o.kind, o.stale = s.commit(c, node, dec == PermitWait)
+	o.kind, o.stale = s.commit(c, e, node, dec == PermitWait)
 	return o
 }
 
@@ -285,10 +287,11 @@ func (s *Scheduler) placesOn(c *cycleState, n *NodeView) bool {
 
 // commit is the binding half of the cycle: it hands the decision to the
 // API server — as a conditional reservation when a permit plugin said
-// wait, as a bind otherwise — and on success charges the view, so later
-// decisions in this pass see the node's reduced headroom. Both commits
-// share one error taxonomy; stale reports the refusal that ends the pass.
-func (s *Scheduler) commit(c *cycleState, node string, wait bool) (kind outcomeKind, stale bool) {
+// wait, as a bind otherwise — and on success notes the entry for the
+// pass to take out of its queue and charges the view, so later decisions
+// in this pass see the node's reduced headroom. Both commits share one
+// error taxonomy; stale reports the refusal that ends the pass.
+func (s *Scheduler) commit(c *cycleState, e *queuedPod, node string, wait bool) (kind outcomeKind, stale bool) {
 	t := c.rec.now()
 	var err error
 	if wait {
@@ -314,6 +317,7 @@ func (s *Scheduler) commit(c *cycleState, node string, wait bool) (kind outcomeK
 	default:
 		return outcomeSkipped, false
 	}
+	c.committed = append(c.committed, *e)
 	s.view.Commit(node, c.info.Req)
 	if !wait {
 		return outcomeBound, false

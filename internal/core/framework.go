@@ -17,7 +17,7 @@ import (
 // priority tiers) compose without touching the scheduling pass.
 
 // PodInfo carries one pending pod together with its request data, summed
-// over the pod's containers once per pod per pass so the per-(pod, node)
+// over the pod's containers once per queue entry so the per-(pod, node)
 // plugin calls read scalars.
 type PodInfo struct {
 	Pod *api.Pod
@@ -76,9 +76,10 @@ func (p *PodInfo) narrow(candidates []*NodeView, keep func(*NodeView) bool) []*N
 	return kept
 }
 
-// fillPodInfo populates info in place, keeping its cycle scratch.
-func fillPodInfo(info *PodInfo, pod *api.Pod) {
-	*info = PodInfo{Pod: pod, Req: pod.TotalRequests(), Priority: pod.Spec.Priority, scratch: info.scratch}
+// fillPodInfo populates info in place from a pod and its request totals,
+// keeping its cycle scratch.
+func fillPodInfo(info *PodInfo, pod *api.Pod, req resource.List) {
+	*info = PodInfo{Pod: pod, Req: req, Priority: pod.Spec.Priority, scratch: info.scratch}
 	info.EPCPages = info.Req[resource.EPCPages]
 	info.SGX = info.EPCPages > 0
 }

@@ -18,7 +18,7 @@ import (
 // does.
 func newPodInfo(pod *api.Pod) *PodInfo {
 	info := &PodInfo{}
-	fillPodInfo(info, pod)
+	fillPodInfo(info, pod, pod.TotalRequests())
 	return info
 }
 

@@ -92,8 +92,10 @@ func (f smallOffSGX) PreScore(pod *PodInfo, candidates []*NodeView) []*NodeView 
 // off: pods of three tiers and four class slots, SGX and standard, some
 // requesting CPU, some in gangs, some declaring best-effort; a fleet that
 // starts full; metric writes, completions, cordons and clock steps between
-// passes; and memoRace armed before some of them.
-func runMemoScenario(t *testing.T, seed int64, topo memoTopology, memo bool) memoRun {
+// passes; and memoRace armed before some of them. atPass, when not nil,
+// runs before every pass (every round of the sharded fleet) with the
+// reference model of the stream so far.
+func runMemoScenario(t *testing.T, seed int64, topo memoTopology, memo bool, atPass func(*model.Cluster, *apiserver.Server, []*Scheduler)) memoRun {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	clk := clock.NewSim()
@@ -292,6 +294,9 @@ func runMemoScenario(t *testing.T, seed int64, topo memoTopology, memo bool) mem
 			race.finish = p.Name
 		}
 		race.racing, race.tier = rng.Intn(2) == 0, [...]int32{0, 0, 0, 5, 10}[rng.Intn(5)]
+		if atPass != nil {
+			atPass(ref, srv, members)
+		}
 		pass()
 		clk.Advance(time.Duration(1+rng.Intn(20)) * time.Second)
 	}
@@ -311,8 +316,8 @@ func TestMemoMatchesExhaustiveProperty(t *testing.T) {
 	var memoised, unschedulable int
 	for seed := int64(1); seed <= 200; seed++ {
 		topo := memoTopology(seed % int64(numMemoTopologies))
-		full := runMemoScenario(t, seed, topo, false)
-		fast := runMemoScenario(t, seed, topo, true)
+		full := runMemoScenario(t, seed, topo, false, nil)
+		fast := runMemoScenario(t, seed, topo, true, nil)
 		for _, run := range []memoRun{full, fast} {
 			if run.refusal != nil {
 				t.Fatalf("seed %d (%s): the reference model refused the stream: %v", seed, topo, run.refusal)

@@ -1,0 +1,607 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/apiserver"
+	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/model"
+	"github.com/sgxorch/sgxorch/internal/resource"
+)
+
+// queueOrder is one whole walk of the named scheduler's queue, by pod name.
+func queueOrder(c *ClusterCache, sched string) []string {
+	return walkNames(c, sched, 0)
+}
+
+// walkNames is one walk of the named scheduler's queue capped at limit
+// (limit <= 0: no cap), by pod name.
+func walkNames(c *ClusterCache, sched string, limit int) []string {
+	w := c.walk(sched, limit)
+	var out []string
+	var buf []queuedPod
+	for more := true; more; {
+		buf, more = c.pull(&w, buf[:0])
+		for _, e := range buf {
+			out = append(out, e.pod.Name)
+		}
+	}
+	return out
+}
+
+// bareQueues is a cluster cache reduced to its queues, fed pod events
+// directly through queueLocked.
+func bareQueues() *ClusterCache {
+	return &ClusterCache{queues: make(map[string]*podQueue)}
+}
+
+// queuedAs is the pod an event shows entering the queue; gone is the same
+// pod leaving it (bound).
+func queuedAs(name, sched string, prio int32, group string) *api.Pod {
+	return &api.Pod{Name: name, Spec: api.PodSpec{SchedulerName: sched, Priority: prio, PodGroup: group},
+		Status: api.PodStatus{Phase: api.PodPending}}
+}
+
+// queued counts the pods in q.
+func queued(q *podQueue) int {
+	n := 0
+	for _, b := range q.buckets {
+		n += len(b.byName)
+	}
+	return n
+}
+
+func gone(p *api.Pod) *api.Pod {
+	q := *p
+	q.Spec.NodeName = "n"
+	return &q
+}
+
+// modelPod is one queued pod of the plain-slice reference queue the walk
+// is checked against.
+type modelPod struct {
+	name  string
+	prio  int32
+	group string
+	seq   uint64
+}
+
+// modelVisit is the queue's walk order restated over a plain slice of
+// live pods in push order: tiers descending, FCFS inside a tier, the
+// first member of a gang followed at once by its co-members of that tier.
+func modelVisit(live []modelPod) []modelPod {
+	sorted := append([]modelPod(nil), live...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].prio > sorted[j].prio })
+	var out []modelPod
+	emitted := map[string]bool{}
+	for i, p := range sorted {
+		if emitted[p.name] {
+			continue
+		}
+		emitted[p.name] = true
+		out = append(out, p)
+		if p.group == "" {
+			continue
+		}
+		for _, m := range sorted[i+1:] {
+			if m.prio == p.prio && m.group == p.group && !emitted[m.name] {
+				emitted[m.name] = true
+				out = append(out, m)
+			}
+		}
+	}
+	return out
+}
+
+func modelNames(pods []modelPod) []string {
+	out := make([]string, len(pods))
+	for i, p := range pods {
+		out[i] = p.name
+	}
+	return out
+}
+
+// TestQueueOrderMatchesReferenceProperty referees the scheduler's queue
+// against internal/model: at the start of every pass of the failure
+// memo's churn (memo_test.go) — 200 seeds over a full-scan fleet, a
+// sampled fleet and a two-member round-robin fleet, every round's start
+// for the last — each member's whole walk of its queue must be the
+// model's Pending order (priority, then queue rev) of that member's pods,
+// with each gang coalesced behind its first member in a tier (modelVisit).
+// After each comparison a straggler joins the first gang still queued,
+// behind every pod queued since its co-members, so later walks meet gangs
+// the queue must pull together.
+func TestQueueOrderMatchesReferenceProperty(t *testing.T) {
+	walks, queued, stragglers := 0, 0, 0
+	for seed := int64(1); seed <= 200; seed++ {
+		topo := memoTopology(seed % int64(numMemoTopologies))
+		runMemoScenario(t, seed, topo, true, func(ref *model.Cluster, srv *apiserver.Server, members []*Scheduler) {
+			pending := ref.Pending()
+			defer func() {
+				for _, name := range pending {
+					if p, _ := srv.GetPod(name); p.Spec.InGang() {
+						stragglers++
+						p.Name = fmt.Sprintf("%s-late-%d", p.Spec.PodGroup, stragglers)
+						p.UID, p.Status = "", api.PodStatus{}
+						if err := srv.CreatePod(p); err != nil {
+							t.Fatal(err)
+						}
+						return
+					}
+				}
+			}()
+			for _, m := range members {
+				var live []modelPod
+				for _, name := range pending {
+					var sched, group string
+					srv.VisitPod(name, func(p *api.Pod) { sched, group = p.Spec.SchedulerName, p.Spec.PodGroup })
+					if sched == m.Name() {
+						mp := ref.Pods[name]
+						live = append(live, modelPod{name: name, prio: mp.Priority, group: group, seq: uint64(mp.QueuedAt)})
+					}
+				}
+				want := modelNames(modelVisit(live))
+				if got := queueOrder(m.cache, m.Name()); !slices.Equal(got, want) {
+					t.Fatalf("seed %d (%s), walk %d of %s:\nqueue %v\nmodel %v", seed, topo, walks, m.Name(), got, want)
+				}
+				walks++
+				queued += len(want)
+			}
+		})
+	}
+	if queued == 0 {
+		t.Fatal("no walk found a queued pod: the property is vacuous")
+	}
+	t.Logf("%d walks, %d queued pods compared", walks, queued)
+}
+
+// TestPendingPullModelProperty checks the chunked pull against the walk
+// it replaced — one ordered visit of the queue as it stood when the pass
+// began — on random queues (1–4 tiers, 0–3 gangs, a second scheduler's
+// pods as noise) that keep changing between pulls: pods removed ahead of
+// and behind the cursor, removed pods re-pushed (the preemption
+// re-queue), fresh pushes, removals in bulk (tombstone compaction, tiers
+// emptied), one tier emptied and refilled, the whole queue emptied, kept
+// and refilled, and the queues rebuilt from a snapshot (a resync).
+//
+// Two statements, the second the stronger: (1) every pull delivers
+// exactly the next names of today's order over what is live now and older
+// than the horizon, from where the walk stands — so the walk as a whole
+// delivers the start snapshot minus the pods removed before they were
+// reached, each once, and nothing pushed after it began, a refill of an
+// emptied tier or queue and a resync's rebuild included; (2) as long as no
+// gang member was removed mid-walk (removing a gang's first member moves
+// where the rest of it surfaces), the delivered sequence IS that snapshot
+// with the removed pods struck out, position for position.
+func TestPendingPullModelProperty(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := bareQueues()
+		var live []modelPod // scheduler "s", push order
+		pods := map[string]*api.Pod{}
+		serial := 0
+		tiers, gangs := 1+rng.Intn(4), rng.Intn(4)
+		push := func(name string, prio int32, group string) {
+			live = append(live, modelPod{name: name, prio: prio, group: group, seq: c.queueSeq})
+			pods[name] = queuedAs(name, "s", prio, group)
+			c.queueLocked(pods[name])
+		}
+		pushFresh := func() {
+			group := ""
+			if gangs > 0 && rng.Intn(3) == 0 {
+				group = fmt.Sprintf("gang-%d", rng.Intn(gangs))
+			}
+			serial++
+			push(fmt.Sprintf("p%04d", serial), int32(rng.Intn(tiers)), group)
+			if rng.Intn(4) == 0 { // another scheduler's pod shares the stamps
+				serial++
+				c.queueLocked(queuedAs(fmt.Sprintf("other%04d", serial), "o", int32(rng.Intn(tiers)), ""))
+			}
+		}
+		remove := func(i int) modelPod {
+			p := live[i]
+			c.queueLocked(gone(pods[p.name]))
+			live = append(live[:i], live[i+1:]...)
+			return p
+		}
+		for n := rng.Intn(400); n > 0; n-- {
+			pushFresh()
+		}
+		for n := rng.Intn(len(live)/2 + 1); n > 0; n-- { // tombstones before the walk begins
+			remove(rng.Intn(len(live)))
+		}
+
+		// A capped walk over the quiet queue: whole gangs until the cap is
+		// reached, then nothing.
+		snapshot := modelVisit(live)
+		{
+			limit := 1 + rng.Intn(len(snapshot)+1)
+			var want []string
+			for i, p := range snapshot {
+				inGang := i > 0 && p.group != "" && snapshot[i-1].group == p.group && snapshot[i-1].prio == p.prio
+				if len(want) >= limit && !inGang {
+					break
+				}
+				want = append(want, p.name)
+			}
+			if got := walkNames(c, "s", limit); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d: walk capped at %d delivered\n%v, want\n%v", seed, limit, got, want)
+			}
+		}
+
+		// The open walk, the queue changing between its pulls.
+		w := c.walk("s", 0)
+		horizon := w.cur.horizon
+		var delivered []string
+		seen := map[string]bool{}
+		var removed []modelPod // not re-pushed yet
+		removedUnreached := map[string]bool{}
+		gangTouched := false
+		unreached := func(p modelPod) {
+			if p.seq < horizon && !seen[p.name] {
+				removedUnreached[p.name] = true
+				gangTouched = gangTouched || p.group != ""
+			}
+		}
+		take := func(i int) {
+			p := remove(i)
+			removed = append(removed, p)
+			unreached(p)
+		}
+		// The walk's place in the order: the tier it is in and the highest
+		// stamp it delivered there.
+		posPrio, posSeq, started := int32(0), uint64(0), false
+		var buf []queuedPod
+		for more := true; more; {
+			var want []string
+			for _, p := range modelVisit(live) {
+				if p.seq >= horizon || seen[p.name] {
+					continue
+				}
+				if started && (p.prio > posPrio || (p.prio == posPrio && p.seq < posSeq)) {
+					continue
+				}
+				want = append(want, p.name)
+			}
+			buf, more = c.pull(&w, buf[:0])
+			var names []string
+			for _, e := range buf {
+				names = append(names, e.pod.Name)
+			}
+			if len(names) > len(want) || fmt.Sprint(names) != fmt.Sprint(want[:len(names)]) {
+				t.Fatalf("seed %d: pull after %d delivered\n%v, want a prefix of\n%v", seed, len(delivered), names, want)
+			}
+			if !more && len(names) != len(want) {
+				t.Fatalf("seed %d: walk ended with %v undelivered", seed, want[len(names):])
+			}
+			for _, name := range names {
+				if seen[name] {
+					t.Fatalf("seed %d: %s delivered twice", seed, name)
+				}
+				seen[name] = true
+				delivered = append(delivered, name)
+				for _, p := range live {
+					if p.name != name {
+						continue
+					}
+					if p.seq >= horizon {
+						t.Fatalf("seed %d: %s (stamp %d) delivered past horizon %d", seed, name, p.seq, horizon)
+					}
+					if !started || p.prio < posPrio {
+						posPrio, posSeq, started = p.prio, p.seq, true
+					}
+					posSeq = max(posSeq, p.seq)
+				}
+			}
+
+			for ops := rng.Intn(6); ops > 0; ops-- {
+				switch op := rng.Intn(12); {
+				case op < 4 && len(live) > 0:
+					take(rng.Intn(len(live)))
+				case op < 6 && len(removed) > 0: // the preemption re-queue
+					i := rng.Intn(len(removed))
+					p := removed[i]
+					removed = append(removed[:i], removed[i+1:]...)
+					push(p.name, p.prio, p.group)
+				case op < 8:
+					pushFresh()
+				case op == 8: // bulk removal: compaction, tiers emptied
+					for n := len(live) * 2 / 3; n > 0; n-- {
+						take(rng.Intn(len(live)))
+					}
+				case op == 9 && len(live) > 0: // one tier emptied, kept, refilled
+					prio := live[rng.Intn(len(live))].prio
+					for i := len(live) - 1; i >= 0; i-- {
+						if live[i].prio == prio {
+							take(i)
+						}
+					}
+					if b := c.queues["s"].buckets[prio]; b == nil || len(b.entries) != 0 || !slices.Contains(c.queues["s"].prios, prio) {
+						t.Fatalf("seed %d: emptied tier %d was not kept, truncated", seed, prio)
+					}
+					serial++
+					push(fmt.Sprintf("p%04d", serial), prio, "")
+				case op == 10: // a resync rebuilds the queues in snapshot order
+					order := slices.Clone(live)
+					slices.SortStableFunc(order, func(a, b modelPod) int { return int(b.prio) - int(a.prio) })
+					snap := apiserver.Snapshot{}
+					for _, p := range order {
+						unreached(p)
+						snap.Pending = append(snap.Pending, p.name)
+						snap.Pods = append(snap.Pods, pods[p.name])
+					}
+					sort.Slice(snap.Pods, func(i, j int) bool { return snap.Pods[i].Name < snap.Pods[j].Name })
+					live = live[:0]
+					for _, p := range order {
+						p.seq = c.queueSeq + uint64(len(live))
+						live = append(live, p)
+					}
+					c.primeQueuesLocked(snap)
+				default: // the queue emptied, kept, refilled
+					kept := c.queues["s"]
+					for len(live) > 0 {
+						take(len(live) - 1)
+					}
+					if c.queues["s"] != kept || queued(kept) != 0 {
+						t.Fatalf("seed %d: emptied queue was not kept", seed)
+					}
+					pushFresh()
+				}
+			}
+		}
+
+		var want []string
+		for _, name := range modelNames(snapshot) {
+			if !removedUnreached[name] {
+				want = append(want, name)
+			}
+		}
+		if len(delivered) != len(want) {
+			t.Fatalf("seed %d: delivered %d pods, snapshot minus removed has %d", seed, len(delivered), len(want))
+		}
+		if gangTouched {
+			sort.Strings(delivered)
+			sort.Strings(want)
+		}
+		if fmt.Sprint(delivered) != fmt.Sprint(want) {
+			t.Fatalf("seed %d (gang member removed mid-walk: %v): delivered\n%v, want\n%v", seed, gangTouched, delivered, want)
+		}
+	}
+}
+
+// TestPendingPushIntoEmptiedQueueAllocatesNothing: a pod arriving into
+// an empty queue — the common case of the paper's replay — finds its
+// scheduler's queue and its tier where the last pod left them, so once
+// their maps and slices have grown the push and the removal that empties
+// them again allocate nothing. Dropping either on empty re-made three maps
+// and a bucket per arrival.
+func TestPendingPushIntoEmptiedQueueAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c := bareQueues()
+	var pods [4]*api.Pod
+	for i, name := range [...]string{"a", "b", "c", "d"} {
+		pods[i] = queuedAs(name, "s", 3, "")
+	}
+	left := [4]*api.Pod{gone(pods[0]), gone(pods[1]), gone(pods[2]), gone(pods[3])}
+	i := 0
+	cycle := func() {
+		k := i % len(pods)
+		i++
+		c.queueLocked(pods[k])
+		c.queueLocked(left[k])
+	}
+	for range 16 {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Fatalf("a push into an emptied, kept queue and tier allocates %v times, want 0", got)
+	}
+	if q := c.queues["s"]; q == nil || queued(q) != 0 || len(q.prios) != 1 {
+		t.Fatalf("queue after the cycles: %+v", q)
+	}
+}
+
+// newQueueCache returns a server and a cluster cache watching it.
+func newQueueCache(t *testing.T) (*apiserver.Server, *ClusterCache) {
+	clk := clock.NewSim()
+	srv := apiserver.New(clk)
+	t.Cleanup(srv.Close)
+	c := newClusterCache(clk, srv, nil, 0, false)
+	t.Cleanup(c.Close)
+	return srv, c
+}
+
+// createQueued submits pods of scheduler "s" (group "" for a solo pod).
+func createQueued(t *testing.T, srv *apiserver.Server, pods ...*api.Pod) {
+	t.Helper()
+	for _, p := range pods {
+		p.Spec.SchedulerName = "s"
+		if err := srv.CreatePod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPendingQueueCoalescesGangMembers: within a priority tier the queue
+// surfaces a gang's members adjacently, so one scheduling pass sees the
+// whole group together instead of straddling pass boundaries.
+func TestPendingQueueCoalescesGangMembers(t *testing.T) {
+	srv, c := newQueueCache(t)
+	for _, s := range []struct{ name, group string }{
+		{"g1-a", "g1"}, {"solo-1", ""}, {"g1-b", "g1"}, {"solo-2", ""},
+		{"g2-a", "g2"}, {"g1-c", "g1"}, {"g2-b", "g2"},
+	} {
+		createQueued(t, srv, memGangPod(s.name, s.group, 3, resource.MiB, 0))
+	}
+	if got, want := fmt.Sprint(queueOrder(c, "s")), "[g1-a g1-b g1-c solo-1 solo-2 g2-a g2-b]"; got != want {
+		t.Fatalf("coalesced order = %v, want %v", got, want)
+	}
+}
+
+// TestGangCoalescingStaysWithinPriorityTier: gang coalescing never
+// crosses tiers. Co-members of one group split across two priorities
+// coalesce independently inside each tier — the high tier's first
+// member pulls only its same-tier peers forward, and the low-tier
+// members keep their place behind every higher-priority pod instead of
+// being hoisted up to join the gang.
+func TestGangCoalescingStaysWithinPriorityTier(t *testing.T) {
+	srv, c := newQueueCache(t)
+	push := func(name string, prio int32, group string) {
+		createQueued(t, srv, memGangPod(name, group, 2, resource.MiB, prio))
+	}
+	// Tier 5: solo, gang, solo, gang — g-hi-2 should coalesce up next
+	// to g-hi-1, but no further than its own tier.
+	push("solo-hi-1", 5, "")
+	push("g-hi-1", 5, "ring")
+	push("solo-hi-2", 5, "")
+	push("g-hi-2", 5, "ring")
+	// Tier 0: same shape, same group name.
+	push("solo-lo-1", 0, "")
+	push("g-lo-1", 0, "ring")
+	push("solo-lo-2", 0, "")
+	push("g-lo-2", 0, "ring")
+
+	want := []string{
+		"solo-hi-1", "g-hi-1", "g-hi-2", "solo-hi-2",
+		"solo-lo-1", "g-lo-1", "g-lo-2", "solo-lo-2",
+	}
+	if got := queueOrder(c, "s"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("cross-tier gang order = %v, want %v", got, want)
+	}
+
+	// Taking one tier's members out must not disturb the other tier's
+	// coalescing (the group indexes are per-bucket).
+	for _, name := range []string{"g-hi-1", "solo-lo-1"} {
+		if err := srv.MarkFailed(name, "gone"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want = []string{
+		"solo-hi-1", "solo-hi-2", "g-hi-2",
+		"g-lo-1", "g-lo-2", "solo-lo-2",
+	}
+	if got := queueOrder(c, "s"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after removals = %v, want %v", got, want)
+	}
+
+	// Draining the high tier entirely leaves the low tier's gang intact
+	// and adjacent.
+	for _, name := range []string{"solo-hi-1", "solo-hi-2", "g-hi-2"} {
+		if err := srv.MarkFailed(name, "gone"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want = []string{"g-lo-1", "g-lo-2", "solo-lo-2"}
+	if got := queueOrder(c, "s"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after draining the high tier = %v, want %v", got, want)
+	}
+}
+
+// TestGangCoalescingCrossTierWindowedVisit: a capped walk over a gang
+// that straddles tiers returns the high-tier members coalesced inside the
+// window and never pulls the low-tier co-members past higher-priority
+// solo pods to fill it.
+func TestGangCoalescingCrossTierWindowedVisit(t *testing.T) {
+	srv, c := newQueueCache(t)
+	for _, p := range []*api.Pod{
+		memGangPod("m-hi-1", "mpi", 2, resource.MiB, 5),
+		memPod("solo-hi", resource.MiB, 5),
+		memGangPod("m-hi-2", "mpi", 2, resource.MiB, 5),
+		memPod("solo-lo", resource.MiB, 0),
+		memGangPod("m-lo-1", "mpi", 2, resource.MiB, 0),
+		memGangPod("m-lo-2", "mpi", 2, resource.MiB, 0),
+	} {
+		createQueued(t, srv, p)
+	}
+	// The window sees the whole high tier (gang coalesced ahead of the
+	// solo pushed between its members), then FCFS into tier 0: solo-lo
+	// arrived first and keeps its place — the low-tier gang members do
+	// not jump it to rejoin their high-tier co-members.
+	if got, want := fmt.Sprint(walkNames(c, "s", 4)), "[m-hi-1 m-hi-2 solo-hi solo-lo]"; got != want {
+		t.Fatalf("windowed cross-tier walk = %v, want %v", got, want)
+	}
+	if got, want := fmt.Sprint(queueOrder(c, "s")), "[m-hi-1 m-hi-2 solo-hi solo-lo m-lo-1 m-lo-2]"; got != want {
+		t.Fatalf("full cross-tier walk = %v, want %v", got, want)
+	}
+}
+
+// TestVisitPendingNCapKeepsGangsWhole: the cap on pods examined is
+// checked between gangs, never inside one — a gang whose first member is
+// inside the cap is delivered with every co-member the walk pulls forward
+// behind it, and the walk stops there. A cap that cut a gang would leave
+// the members it did deliver holding permits that can only time out.
+func TestVisitPendingNCapKeepsGangsWhole(t *testing.T) {
+	srv, c := newQueueCache(t)
+	for _, p := range []struct{ name, group string }{
+		{"g-1", "ring"}, {"solo-1", ""}, {"g-2", "ring"}, {"g-3", "ring"}, {"g-4", "ring"}, {"solo-2", ""},
+	} {
+		createQueued(t, srv, memGangPod(p.name, p.group, 4, resource.MiB, 0))
+	}
+	for _, tc := range []struct {
+		limit int
+		want  string
+	}{
+		{1, "[g-1 g-2 g-3 g-4]"},
+		{2, "[g-1 g-2 g-3 g-4]"},
+		{4, "[g-1 g-2 g-3 g-4]"},
+		{5, "[g-1 g-2 g-3 g-4 solo-1]"},
+		{0, "[g-1 g-2 g-3 g-4 solo-1 solo-2]"},
+	} {
+		if got := fmt.Sprint(walkNames(c, "s", tc.limit)); got != tc.want {
+			t.Errorf("cap %d delivered %v, want %s", tc.limit, got, tc.want)
+		}
+	}
+}
+
+// TestPendingPullConcurrentDrain: two Concurrent fleet members drain
+// their queues over an asynchronous watch, side by side, each pass binding
+// its budget while the PodBound events of its earlier passes may still be
+// on their way to the cache. Every pod is attempted exactly once — a pass
+// takes what the server accepted out of its queue itself, so the next pass
+// never re-attempts a pod whose event lags — and the backlog is bound to
+// the last pod.
+func TestPendingPullConcurrentDrain(t *testing.T) {
+	clk := clock.NewSim()
+	srv := apiserver.New(clk, apiserver.WithAsyncWatch())
+	defer srv.Close()
+	big := resource.List{resource.Memory: 1 << 50}
+	if err := srv.RegisterNode(&api.Node{Name: "n", Capacity: big, Allocatable: big, Ready: true}); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewSharded(clk, srv, nil, Config{Name: "drain", Policy: Binpack{}, MaxBindsPerPass: 100}, 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	const backlog = 3000
+	for i := 0; i < backlog; i++ {
+		p := memPod(fmt.Sprintf("pod-%04d", i), resource.MiB, int32(i%3))
+		if i%50 < 4 { // a few gangs, so some tiers are pulled whole
+			p.Spec.PodGroup = fmt.Sprintf("gang-%d", i/50)
+		}
+		ss.Assign(p)
+		if err := srv.CreatePod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.QuiesceWatch()
+	for round := 0; srv.PendingCount() > 0; round++ {
+		if round > 10*backlog/100 {
+			t.Fatalf("backlog not drained after %d rounds: %d pending", round, srv.PendingCount())
+		}
+		ss.RunRound()
+	}
+	if bs := srv.BindStats(); bs.Bound != backlog || bs.Attempts != backlog {
+		t.Fatalf("bound %d in %d attempts, want the %d backlog bound once each", bs.Bound, bs.Attempts, backlog)
+	}
+	if st := ss.Stats(); st.Bound != backlog || st.Conflicts != 0 {
+		t.Fatalf("fleet stats %+v, want %d bound and no conflict", st, backlog)
+	}
+}

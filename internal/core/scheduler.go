@@ -207,12 +207,13 @@ type Scheduler struct {
 	pipelines  [api.NumClasses]pipeline
 	classifier *WorkloadClassifier
 
-	// passMu serializes scheduling passes; the pending buffer (one pulled
-	// chunk of pod copies, cleared when the pass ends) and the cycle state
-	// are reused across passes so a steady-state pass allocates nothing.
-	passMu     sync.Mutex
-	pendingBuf []api.Pod
-	cyc        cycleState
+	// passMu serializes scheduling passes; the chunk buffer (one pulled
+	// chunk of queue entries, cleared when the pass ends) and the cycle
+	// state are reused across passes so a steady-state pass allocates
+	// nothing.
+	passMu sync.Mutex
+	chunk  []queuedPod
+	cyc    cycleState
 	// view is the scheduler's one cluster view, persistent across passes:
 	// pooled NodeViews plus the candidate index, brought current via
 	// cache.SyncView at O(changed nodes) — by the pass before it plans,
@@ -368,8 +369,9 @@ func (s *Scheduler) Close() {
 // benchmarks).
 func (s *Scheduler) Cache() *ClusterCache { return s.cache }
 
-// ScheduleOnce runs a single §IV pass: open a walk of the
-// priority-then-FCFS pending queue, bring the scheduler's incremental
+// ScheduleOnce runs a single §IV pass: open a walk of the scheduler's
+// priority-then-FCFS pending queue (kept by the cluster cache from the
+// watch stream, see queue.go), bring the scheduler's incremental
 // view of node state and fused usage current from the cluster cache —
 // O(nodes changed since the last pass), not O(nodes) — and run one
 // scheduling cycle per pending pod: the profile's filter pipeline over
@@ -381,11 +383,10 @@ func (s *Scheduler) Cache() *ClusterCache { return s.cache }
 // queue behind them, nor with the total number of bound pods: the cache
 // absorbed that per-pod work when the pods' events arrived.
 //
-// The walk takes shallow pod snapshots a chunk at a time, each under its
-// stripe of the API server (one struct copy each — specs are immutable
-// after creation, so the copies are consistent), and holds no lock during
-// policy work, so a slow placement pass never stalls concurrent
-// schedulers or kubelets.
+// The walk copies queue entries a chunk at a time under the cache's lock —
+// each the read-only pod of the event that queued it and its request
+// totals — and holds no lock during policy work, so a slow placement pass
+// never stalls concurrent schedulers, kubelets or the API server.
 func (s *Scheduler) ScheduleOnce() int {
 	return s.schedulePass(true)
 }
@@ -442,17 +443,12 @@ func (s *Scheduler) schedulePass(syncFirst bool) int {
 	// The queue is pulled as the pass spends its budget, a chunk at a
 	// time: the walk's horizon is fixed here, so the pass sees the queue
 	// as it stands now — a victim its own preemption re-queues waits for
-	// the next pass — but copies only the pods it gets to. Pods a
-	// concurrent fleet member binds mid-walk are skipped, not handed over
-	// stale.
-	walk := s.srv.WalkPending(s.cfg.Name, s.cfg.MaxPendingPerPass)
-	examined, used, chunk := 0, 0, s.pendingBuf
+	// the next pass — but copies only the entries it gets to. Pods that
+	// leave the queue mid-walk are skipped, not handed over stale.
+	walk := s.cache.walk(s.cfg.Name, s.cfg.MaxPendingPerPass)
+	examined, used, chunk := 0, 0, s.chunk
 	for more := true; more; {
-		chunk = chunk[:0]
-		more = s.srv.PullPending(&walk, func(pod *api.Pod) bool {
-			chunk = append(chunk, *pod)
-			return true
-		})
+		chunk, more = s.cache.pull(&walk, chunk[:0])
 		if len(chunk) > 0 && examined == 0 {
 			if syncFirst {
 				tSync := c.rec.now()
@@ -473,9 +469,12 @@ func (s *Scheduler) schedulePass(syncFirst bool) int {
 		}
 	}
 	// Each pull overwrote the one before; what the longest left behind is
-	// cleared, so no pod copy outlives the pass.
+	// cleared, so the buffer pins no pod past the pass.
 	clear(chunk[:used])
-	s.pendingBuf = chunk[:0]
+	s.chunk = chunk[:0]
+	s.cache.dequeue(c.committed)
+	clear(c.committed)
+	c.committed = c.committed[:0]
 	if examined == 0 {
 		// Nothing to place, but still drain time-driven cache state: the
 		// aggregator's expiry heap and the maturity heap are only emptied

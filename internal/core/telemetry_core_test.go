@@ -554,8 +554,8 @@ func passTallyEveryOutcome(t *testing.T) {
 // TestPassCostIndependentOfQueueDepth: a pass pulls the queue as it
 // spends its budget, so what it costs is what it cycled. With a bind
 // budget of 64 and every pod schedulable, a pass over a 1k-deep and a
-// 100k-deep queue examines the same pods (PassTrace.Pending — pod copies
-// taken, which single-threaded is names copied), binds the same number,
+// 100k-deep queue examines the same pods (PassTrace.Pending — queue
+// entries copied), binds the same number,
 // and a steady-state pass allocates the same at both depths.
 func TestPassCostIndependentOfQueueDepth(t *testing.T) {
 	type cost struct {
@@ -577,12 +577,12 @@ func TestPassCostIndependentOfQueueDepth(t *testing.T) {
 		}
 		tr := sched.Traces()[0]
 		c.examined, c.bound = tr.Pending, tr.Bound
-		if cap(sched.pendingBuf) > 2*c.examined {
-			t.Errorf("depth %d: the pass buffer holds %d pods after a pass that examined %d", depth, cap(sched.pendingBuf), c.examined)
+		if cap(sched.chunk) > 2*c.examined {
+			t.Errorf("depth %d: the pass buffer holds %d entries after a pass that examined %d", depth, cap(sched.chunk), c.examined)
 		}
-		for i := range sched.pendingBuf[:cap(sched.pendingBuf)] {
-			if p := &sched.pendingBuf[:cap(sched.pendingBuf)][i]; p.Name != "" || p.Spec.Containers != nil {
-				t.Fatalf("depth %d: the pass buffer still pins pod %q after the pass", depth, p.Name)
+		for _, e := range sched.chunk[:cap(sched.chunk)] {
+			if e.pod != nil {
+				t.Fatalf("depth %d: the pass buffer still pins pod %q after the pass", depth, e.pod.Name)
 			}
 		}
 		return c
