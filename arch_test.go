@@ -438,6 +438,34 @@ scheduling order again.`,
 		},
 	},
 	{
+		name: "core-subscribes-only-in-its-cache",
+		doc: `internal/core reads the watch stream once per scheduler, through
+its ClusterCache (cache.go). Anything else in the package that needs
+cluster state reads the cache or asks the server in one call (the gang
+director's Server.GangCounts). A second subscription keeps a second copy
+of state the server or the cache already keeps, and costs a callback on
+every event of every workload (watch.deliveries = published ×
+subscribers). Outside tests, only cache.go selects Subscribe,
+SubscribeBatch or ListAndWatchBatch.`,
+		check: func(c *codebase) (out []string) {
+			for _, f := range c.files {
+				if f.test || !within(f.dir, "internal/core") || f.path == "internal/core/cache.go" {
+					continue
+				}
+				ast.Inspect(f.syntax, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok {
+						switch sel.Sel.Name {
+						case "Subscribe", "SubscribeBatch", "ListAndWatchBatch":
+							out = append(out, c.at(sel.Pos())+": "+sel.Sel.Name+" outside cache.go: read the cache or the server")
+						}
+					}
+					return true
+				})
+			}
+			return out
+		},
+	},
+	{
 		name: "no-dead-internal-surface",
 		doc: `Every exported top-level function, and every exported method of an
 exported type, in internal/ has a non-test reference outside its own
@@ -490,8 +518,7 @@ var deadSurfaceAllow = map[string]string{
 	// the stack through.
 	"internal/apiserver.WithWatchCapacity":          "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) shrinks the ring to force resyncs",
 	"internal/apiserver.WithWatchBatch":             "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) caps the batch the cache sees",
-	"internal/apiserver.Server.ListNodes":           "internal/core's oracle_test.go and invariants_test.go read every node from the server",
-	"internal/apiserver.Server.BoundGroupMembers":   "TestGangWaitsForQuorumThenCommits (internal/core) checks a gang's bound members",
+	"internal/apiserver.Server.ListNodes":           "internal/core's invariants_test.go reads every node from the server",
 	"internal/core.Scheduler.Cache":                 "BenchmarkMillionPod (root) seeds the scheduler's cache",
 	"internal/core.ClusterCache.InjectBoundPod":     "BenchmarkMillionPod (root) plants 1M bound pods without a million commits",
 	"internal/tsdb.WithRetention":                   "internal/monitor, internal/telemetry and internal/core tests bound the database they scrape into",
@@ -796,6 +823,10 @@ func held(ev apiserver.WatchEvent) bool {
 		{"the-pass-reads-no-server-queue", map[string]string{
 			"internal/apiserver/walk.go": "package apiserver\n\ntype index struct{}\n\nfunc (x *index) pull(n int) []string { return nil }\n",
 		}, "internal/apiserver/walk.go:5"},
+		{"core-subscribes-only-in-its-cache", map[string]string{
+			"internal/core/cache.go": "package core\n\nfunc prime(s interface{ ListAndWatchBatch(func()) }) { s.ListAndWatchBatch(nil) }\n",
+			"internal/core/gang.go":  "package core\n\nfunc watch(s interface{ SubscribeBatch(func(), func()) func() }) { s.SubscribeBatch(nil, nil) }\n",
+		}, "internal/core/gang.go:3"},
 		{"no-dead-internal-surface", map[string]string{
 			"internal/sgx/quote.go": "package sgx\n\nfunc live() { Live() }\n\nfunc Live() {}\n\nfunc Dead() { Dead() }\n",
 		}, "internal/sgx/quote.go:7"},

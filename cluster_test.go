@@ -36,6 +36,20 @@ func TestNewClusterDefaultsToPaperTestbed(t *testing.T) {
 	}
 }
 
+// TestClusterWatchSubscribers: the watch stream has one subscriber per
+// kubelet plus the scheduler's cache and the lifecycle tracker. The gang
+// director reads the server's gang counts and subscribes to nothing.
+func TestClusterWatchSubscribers(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got, want := c.st.Srv.WatchStats().Subscribers, len(c.Nodes())+2; got != want {
+		t.Fatalf("watch subscribers = %d, want %d (a kubelet per node, the cache, the tracker)", got, want)
+	}
+}
+
 // TestInferClasses: with inference on, a job that declares no class is
 // classified from its scheduling signals, so an undeclared priority-100
 // job counts under latency-sensitive; with it off, the same job stays on

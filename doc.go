@@ -288,7 +288,13 @@
 // consecutive revisions, no re-admission — the capacity is already
 // charged); if the quorum never arrives, a sim-clock permit timeout
 // rolls the gang back wholesale (ReleaseGroup: capacity returned,
-// members re-queued, PodPermitReleased) and the gang retries. The
+// members re-queued, PodPermitReleased) and the gang retries. A gang
+// is counted once, by the API server: one record per group holds its
+// permits, its live bound members and how many members finished, and
+// the director reads the three in one Server.GangCounts call instead of
+// watching the stream — a finished member, even one evicted before it
+// was placed, shrinks the quorum. Snapshot.Permits lists the held
+// permits, so a cache primed mid-gang charges them from the snapshot. The
 // scheduler's queue coalesces co-members within a priority tier so quorums
 // assemble in one pass instead of trickling, preemption treats a gang
 // as one victim unit priced at its cluster-wide membership (evict the

@@ -1,8 +1,11 @@
 package apiserver
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+
+	"github.com/sgxorch/sgxorch/internal/api"
 )
 
 // Gang (pod-group) primitives: the server-side half of all-or-nothing
@@ -24,79 +27,87 @@ import (
 // PreemptGroup run in the world form — they touch many stripes and
 // their atomicity guarantee *is* "no other commit interleaves" — and
 // apply the same per-pod bodies (txn.go) the single-pod operations use.
-// The reservation tables themselves sit under resMu, a leaf lock (see
-// Server) so any path can consult them.
+// The gang records sit under resMu, a leaf lock (see Server) so any path
+// can consult them.
 
-// --- reservation table helpers (resMu leaf discipline: lock, touch the
-// maps, unlock — never acquire anything else while held) ---
-
-// reservedNode returns the node a pod holds a permit on, if any.
-func (s *Server) reservedNode(pod string) (string, bool) {
-	s.resMu.Lock()
-	r, ok := s.reservations[pod]
-	s.resMu.Unlock()
-	return r.node, ok
+// gangRecord is the server's one record of a pod group: the members
+// holding a permit (pod → node), the live bound members, and how many
+// members reached a terminal phase — the triple internal/model's
+// Gang.Count reads off the stream. held and bound are disjoint.
+type gangRecord struct {
+	held     map[string]string
+	bound    map[string]bool
+	finished int
 }
 
-func (s *Server) putReservation(pod, node, group string) {
-	s.resMu.Lock()
-	s.reservations[pod] = reservation{node: node, group: group}
-	holds := s.groupHolds[group]
-	if holds == nil {
-		holds = make(map[string]string)
-		s.groupHolds[group] = holds
+// Permit is a held gang permit: Pod's capacity is committed on Node,
+// pending the gang's CommitGroup or ReleaseGroup.
+type Permit struct{ Pod, Node string }
+
+// memberState is where a gang member stands in its group's record.
+type memberState int
+
+const (
+	memberPending  memberState = iota // unbound, holding no permit
+	memberHeld                        // holding a permit
+	memberBound                       // bound and live
+	memberFinished                    // terminal
+)
+
+// moveMember records gang member p's new state (held on node, bound,
+// pending or finished) and returns the permit it held before, if any; a
+// solo pod has no record. Every change to a record goes through it, under
+// p's stripe or the world, which is what makes a read under a pod stripe
+// stable.
+func (s *Server) moveMember(p *api.Pod, to memberState, node string) (permit string, held bool) {
+	if !p.Spec.InGang() {
+		return "", false
 	}
-	holds[pod] = node
-	s.resMu.Unlock()
-}
-
-// dropReservation removes a pod's permit from both tables, returning it
-// so the caller can release the committed capacity.
-func (s *Server) dropReservation(pod string) (reservation, bool) {
 	s.resMu.Lock()
-	r, ok := s.reservations[pod]
-	if ok {
-		delete(s.reservations, pod)
-		if holds := s.groupHolds[r.group]; holds != nil {
-			delete(holds, pod)
-			if len(holds) == 0 {
-				delete(s.groupHolds, r.group)
-			}
-		}
+	defer s.resMu.Unlock()
+	g := s.gangs[p.Spec.PodGroup]
+	if g == nil {
+		g = &gangRecord{held: make(map[string]string), bound: make(map[string]bool)}
+		s.gangs[p.Spec.PodGroup] = g
 	}
-	s.resMu.Unlock()
-	return r, ok
-}
-
-func (s *Server) addGroupBound(group, pod string) {
-	s.resMu.Lock()
-	members := s.groupBound[group]
-	if members == nil {
-		members = make(map[string]bool)
-		s.groupBound[group] = members
+	permit, held = g.held[p.Name]
+	delete(g.held, p.Name)
+	delete(g.bound, p.Name)
+	switch to {
+	case memberHeld:
+		g.held[p.Name] = node
+	case memberBound:
+		g.bound[p.Name] = true
+	case memberFinished:
+		g.finished++
 	}
-	members[pod] = true
-	s.resMu.Unlock()
+	return permit, held
 }
 
-func (s *Server) dropGroupBound(group, pod string) {
-	s.resMu.Lock()
-	if members := s.groupBound[group]; members != nil {
-		delete(members, pod)
-		if len(members) == 0 {
-			delete(s.groupBound, group)
-		}
+// reservedNode returns the node p holds a permit on, if any.
+func (s *Server) reservedNode(p *api.Pod) (string, bool) {
+	if !p.Spec.InGang() {
+		return "", false
 	}
-	s.resMu.Unlock()
+	s.resMu.Lock()
+	defer s.resMu.Unlock()
+	if g := s.gangs[p.Spec.PodGroup]; g != nil {
+		node, ok := g.held[p.Name]
+		return node, ok
+	}
+	return "", false
 }
 
-// HoldCount returns how many members of the group currently hold
-// permits.
-func (s *Server) HoldCount(group string) int {
+// GangCounts returns the group's members holding a permit, bound and
+// live, and terminal — internal/model's Gang.Count — read in one
+// acquisition of resMu, so no gang operation lands between the three.
+func (s *Server) GangCounts(group string) (held, bound, finished int) {
 	s.resMu.Lock()
-	n := len(s.groupHolds[group])
-	s.resMu.Unlock()
-	return n
+	defer s.resMu.Unlock()
+	if g := s.gangs[group]; g != nil {
+		return len(g.held), len(g.bound), g.finished
+	}
+	return 0, 0, 0
 }
 
 // ReservationCount returns the total number of permits currently held
@@ -104,63 +115,43 @@ func (s *Server) HoldCount(group string) int {
 // assert it returns to zero after a rollback.
 func (s *Server) ReservationCount() int {
 	s.resMu.Lock()
-	n := len(s.reservations)
-	s.resMu.Unlock()
+	defer s.resMu.Unlock()
+	n := 0
+	for _, g := range s.gangs {
+		n += len(g.held)
+	}
 	return n
 }
 
-// BoundGroupCount returns how many members of the group are currently
-// bound.
-func (s *Server) BoundGroupCount(group string) int {
-	s.resMu.Lock()
-	n := len(s.groupBound[group])
-	s.resMu.Unlock()
-	return n
-}
-
-// BoundGroupMembers returns the names of the group's live bound
-// members, sorted.
-func (s *Server) BoundGroupMembers(group string) []string {
-	return s.gangMembers(group, false, true)
-}
-
-// gangMembers returns, sorted by name, the group's permit holders
-// and/or its live bound members — the two tables are disjoint: a pod
-// leaves groupHolds in the same step (CommitGroup) that adds it to
-// groupBound.
-func (s *Server) gangMembers(group string, held, bound bool) []string {
-	s.resMu.Lock()
-	out := make([]string, 0, len(s.groupHolds[group])+len(s.groupBound[group]))
-	if held {
-		for name := range s.groupHolds[group] {
-			out = append(out, name)
-		}
+// appendMembers appends the record's permits and, with bound, its live
+// bound members as permits with no Node. A nil record has none.
+func (g *gangRecord) appendMembers(out []Permit, bound bool) []Permit {
+	if g == nil {
+		return out
+	}
+	for pod, node := range g.held {
+		out = append(out, Permit{Pod: pod, Node: node})
 	}
 	if bound {
-		for name := range s.groupBound[group] {
-			out = append(out, name)
+		for pod := range g.bound {
+			out = append(out, Permit{Pod: pod})
 		}
 	}
-	s.resMu.Unlock()
-	sort.Strings(out)
 	return out
 }
 
-// VisitReservations calls fn for every held permit (pod, node, group),
-// in sorted pod-name order. The table is copied out under resMu first,
-// so fn may call back into the server.
-func (s *Server) VisitReservations(fn func(pod, node, group string)) {
-	type hold struct{ pod, node, group string }
+func sortPermits(ps []Permit) {
+	slices.SortFunc(ps, func(a, b Permit) int { return cmp.Compare(a.Pod, b.Pod) })
+}
+
+// members returns the group's permits and, with bound, its live bound
+// members (with no Node), sorted by pod.
+func (s *Server) members(group string, bound bool) []Permit {
 	s.resMu.Lock()
-	holds := make([]hold, 0, len(s.reservations))
-	for pod, r := range s.reservations {
-		holds = append(holds, hold{pod, r.node, r.group})
-	}
+	out := s.gangs[group].appendMembers(nil, bound)
 	s.resMu.Unlock()
-	sort.Slice(holds, func(i, j int) bool { return holds[i].pod < holds[j].pod })
-	for _, h := range holds {
-		fn(h.pod, h.node, h.group)
-	}
+	sortPermits(out)
+	return out
 }
 
 // Reserve grants a gang member a permit on a node: the same conditional
@@ -192,29 +183,29 @@ func (s *Server) Reserve(podName, nodeName string) error {
 	if err := t.charge(p, n); err != nil {
 		return err
 	}
-	s.putReservation(podName, nodeName, p.Spec.PodGroup)
+	s.moveMember(p, memberHeld, nodeName)
 	ev := eventPod(p)
 	ev.Spec.NodeName = nodeName
 	t.publish(WatchEvent{Type: PodPermitHeld, Pod: ev})
 	return nil
 }
 
-// The group operations below walk gangMembers under the world ladder and
-// rely on two invariants instead of re-checking each member defensively:
+// The group operations below list their members under the world ladder
+// and rely on two invariants instead of re-checking each member
+// defensively:
 //
 // A permit holder is always a live, Pending, unbound pod. Three guards
-// keep it so: a terminal transition drops the permit it finds
-// (transition → dropPermit), Bind and Reserve refuse a pod that holds
-// one (placeable) while MarkRunning and Preempt refuse an unbound pod,
-// and there is no pod-delete API. So "the permit outlived its pod" cannot
-// happen, and no code path releases a permit's capacity without
-// publishing the event that says so.
+// keep it so: a terminal transition drops the permit it finds, Bind and
+// Reserve refuse a pod that holds one (placeable) while MarkRunning and
+// Preempt refuse an unbound pod, and there is no pod-delete API. So "the
+// permit outlived its pod" cannot happen, and no code path releases a
+// permit's capacity without publishing the event that says so.
 //
-// groupBound holds exactly the live bound gang members: bindPod adds,
-// the terminal transition and requeueBound drop.
+// A record's bound set is exactly the group's live bound members:
+// bindPod adds, the terminal transition and requeueBound drop.
 //
-// With the world held the tables cannot change between gangMembers and
-// the per-member step, so every listed member is still what the table
+// With the world held the records cannot change between the listing and
+// the per-member step, so every listed member is still what the record
 // said it was.
 
 // CommitGroup atomically binds every member of the group currently
@@ -228,15 +219,14 @@ func (s *Server) Reserve(podName, nodeName string) error {
 func (s *Server) CommitGroup(group string) (int, error) {
 	t := s.beginWorld()
 	defer t.end()
-	members := s.gangMembers(group, true, false)
-	if len(members) == 0 {
+	permits := s.members(group, false)
+	if len(permits) == 0 {
 		return 0, fmt.Errorf("%w: group %s holds no permits", ErrConflict, group)
 	}
-	for _, name := range members {
-		r, _ := s.dropReservation(name)
-		t.bindPod(t.pod(name), r.node)
+	for _, pm := range permits {
+		t.bindPod(t.pod(pm.Pod), pm.Node)
 	}
-	return len(members), nil
+	return len(permits), nil
 }
 
 // ReleaseGroup rolls back every permit the group holds, wholesale,
@@ -251,11 +241,11 @@ func (s *Server) ReleaseGroup(group, reason string) (int, error) {
 	}
 	t := s.beginWorld()
 	defer t.end()
-	members := s.gangMembers(group, true, false)
-	for _, name := range members {
-		t.rollbackPermit(t.pod(name), reason)
+	permits := s.members(group, false)
+	for _, pm := range permits {
+		t.rollbackPermit(t.pod(pm.Pod), reason)
 	}
-	return len(members), nil
+	return len(permits), nil
 }
 
 // PreemptGroup evicts every live bound member of the gang — and rolls
@@ -268,13 +258,15 @@ func (s *Server) PreemptGroup(group, reason string) (int, error) {
 	reason = withReason("Preempted", reason)
 	t := s.beginWorld()
 	defer t.end()
-	members := s.gangMembers(group, true, true)
+	members := s.members(group, true)
 	if len(members) == 0 {
 		return 0, fmt.Errorf("%w: group %s has no live members", ErrConflict, group)
 	}
-	for _, name := range members {
-		if p := t.pod(name); !t.rollbackPermit(p, reason) {
+	for _, m := range members {
+		if p := t.pod(m.Pod); m.Node == "" {
 			t.requeueBound(p, reason)
+		} else {
+			t.rollbackPermit(p, reason)
 		}
 	}
 	return len(members), nil

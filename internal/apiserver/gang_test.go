@@ -88,8 +88,8 @@ func TestReserveHoldsCapacityWithoutBinding(t *testing.T) {
 	if err := srv.Reserve("g-b", "n1"); err != nil {
 		t.Fatal(err)
 	}
-	if n := srv.HoldCount("g"); n != 2 {
-		t.Fatalf("HoldCount = %d, want 2", n)
+	if held, bound, finished := srv.GangCounts("g"); held != 2 || bound != 0 || finished != 0 {
+		t.Fatalf("GangCounts = %d, %d, %d, want 2 held", held, bound, finished)
 	}
 	mark := len(events)
 	bound, err := srv.CommitGroup("g")
@@ -110,8 +110,11 @@ func TestReserveHoldsCapacityWithoutBinding(t *testing.T) {
 			t.Fatalf("commit revs not consecutive: %d then %d", commitEvents[i-1].Rev, ev.Rev)
 		}
 	}
-	if got := fmt.Sprint(srv.BoundGroupMembers("g")); got != "[g-a g-b]" {
-		t.Fatalf("BoundGroupMembers = %v", got)
+	if got := commitEvents[0].Pod.Name + " " + commitEvents[1].Pod.Name; got != "g-a g-b" {
+		t.Fatalf("commit bound %s, want g-a g-b in name order", got)
+	}
+	if held, bound, finished := srv.GangCounts("g"); held != 0 || bound != 2 || finished != 0 {
+		t.Fatalf("GangCounts after commit = %d, %d, %d, want 2 bound", held, bound, finished)
 	}
 	if n := srv.ReservationCount(); n != 0 {
 		t.Fatalf("ReservationCount after commit = %d, want 0", n)
@@ -217,8 +220,46 @@ func TestTerminalReservedPodReleasesCapacity(t *testing.T) {
 	if n := srv.ReservationCount(); n != 0 {
 		t.Fatalf("ReservationCount after terminal transition = %d, want 0", n)
 	}
+	if held, bound, finished := srv.GangCounts("g"); held != 0 || bound != 0 || finished != 1 {
+		t.Fatalf("GangCounts after terminal transition = %d, %d, %d, want 1 finished", held, bound, finished)
+	}
 	if _, err := srv.CommitGroup("g"); !errors.Is(err, ErrConflict) {
 		t.Fatalf("CommitGroup after member died: err = %v, want ErrConflict", err)
+	}
+}
+
+// TestVisitPendingNSkipsPermitTakenConcurrently: VisitPendingN copies the
+// pending names out, then visits each pod under its stripe. A gang member
+// that takes a permit in between is still Pending and unbound, but no
+// longer pending: fn must not see it. fn on the first pod has another
+// goroutine reserve the later pod, on another stripe, and waits for it.
+func TestVisitPendingNSkipsPermitTakenConcurrently(t *testing.T) {
+	srv := New(clock.NewSim())
+	if err := srv.RegisterNode(gangNode("n1", resource.GiB)); err != nil {
+		t.Fatal(err)
+	}
+	later := "g-a"
+	for i := 0; stripeFor(later) == stripeFor("first"); i++ {
+		later = fmt.Sprintf("g-a%d", i)
+	}
+	for _, p := range []*api.Pod{prioPod("first", 0), gangPod(later, "g", 2, 0)} {
+		if err := srv.CreatePod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var visited []string
+	srv.VisitPendingN("", 0, func(p *api.Pod) bool {
+		if visited = append(visited, p.Name); len(visited) == 1 {
+			reserved := make(chan error)
+			go func() { reserved <- srv.Reserve(later, "n1") }()
+			if err := <-reserved; err != nil {
+				t.Errorf("reserve %s: %v", later, err)
+			}
+		}
+		return true
+	})
+	if fmt.Sprint(visited) != "[first]" {
+		t.Fatalf("visited %v, want [first]: %s took a permit before its visit", visited, later)
 	}
 }
 
@@ -298,9 +339,8 @@ func TestPreemptGroupEvictsWholeGangOrNothing(t *testing.T) {
 	if got := srv.Committed("n1").Get(resource.Memory); got != 0 {
 		t.Fatalf("committed after group preemption = %d, want 0", got)
 	}
-	if srv.ReservationCount() != 0 || srv.BoundGroupCount("g") != 0 {
-		t.Fatalf("gang state survived: %d permits, %d bound",
-			srv.ReservationCount(), srv.BoundGroupCount("g"))
+	if held, bound, _ := srv.GangCounts("g"); srv.ReservationCount() != 0 || held != 0 || bound != 0 {
+		t.Fatalf("gang state survived: %d permits, %d held, %d bound", srv.ReservationCount(), held, bound)
 	}
 	n := 0
 	srv.VisitPending("", func(p *api.Pod) bool {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,13 +40,15 @@ func record(t *testing.T, s *apiserver.Server) func() []apiserver.WatchEvent {
 // interleavings of every capacity-moving operation — bind / preempt /
 // finish / fail / evict on plain pods, and for two-member gangs reserve
 // followed by evict-while-held, ReleaseGroup, CommitGroup or
-// PreemptGroup — with binds racing and conflicting, against a
+// PreemptGroup, or an eviction while still pending before any reserve
+// and then CommitGroup — with binds racing and conflicting, against a
 // strict-admission server, and makes internal/model the referee: the
 // recorded watch stream must apply without a refusal (dense revs, no
 // charge taken twice, gang commits on their permits' nodes, no node's
 // commitment negative or beyond its allocatable at any prefix), and the
 // model's end state must be the server's — committed requests per node,
-// permits held, (node, phase) per pod, bound members per gang. The
+// permits held and the snapshot's list of them, (node, phase) per pod,
+// and every gang's held, bound and finished members (GangCounts). The
 // capacity half holds only if every release is published while the node
 // stripe is still held.
 func TestConflictInterleavingCapacityProperty(t *testing.T) {
@@ -104,13 +107,17 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 					// is the point), then resolve the permits one way.
 					group := fmt.Sprintf("gang-%d-%d", w, i)
 					members := []string{name + "-a", name + "-b"}
-					for _, m := range members {
+					resolution := rng.Intn(5)
+					for j, m := range members {
 						if !create(m, group) {
 							return
 						}
+						if resolution == 4 && j == 0 {
+							_ = s.Evict(m, "chaos") // finishes while pending
+						}
 						_ = s.Reserve(m, randNode())
 					}
-					switch rng.Intn(4) {
+					switch resolution {
 					case 0:
 						_ = s.Evict(members[0], "chaos") // terminal while held
 						_, _ = s.ReleaseGroup(group, "chaos")
@@ -128,6 +135,8 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 						case 1:
 							_ = s.MarkFailed(members[rng.Intn(2)], "chaos")
 						}
+					case 4:
+						_, _ = s.CommitGroup(group) // the finished member counts toward the quorum
 					}
 					continue
 				}
@@ -194,10 +203,26 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 			t.Fatalf("pod %s: server (%q, %s), the model (%q, %s)", p.Name, p.Spec.NodeName, p.Status.Phase, node, mp.Phase)
 		}
 	}
-	for name, g := range m.Gangs {
-		if _, bound, _ := g.Count(); s.BoundGroupCount(name) != bound {
-			t.Fatalf("gang %s: server has %d bound members, the model %d", name, s.BoundGroupCount(name), bound)
+	var permits []apiserver.Permit
+	for name, p := range m.Pods {
+		if p.Held {
+			permits = append(permits, apiserver.Permit{Pod: name, Node: p.Node})
 		}
+	}
+	slices.SortFunc(permits, func(a, b apiserver.Permit) int { return strings.Compare(a.Pod, b.Pod) })
+	if got := s.SnapshotNow().Permits; !slices.Equal(got, permits) {
+		t.Fatalf("snapshot permits %v, the model %v", got, permits)
+	}
+	finished := 0
+	for name, g := range m.Gangs {
+		held, bound, done := g.Count()
+		if h, b, f := s.GangCounts(name); h != held || b != bound || f != done {
+			t.Fatalf("gang %s: server counts %d held, %d bound, %d finished; the model %d, %d, %d", name, h, b, f, held, bound, done)
+		}
+		finished += done
+	}
+	if finished == 0 {
+		t.Fatal("no gang member finished: the finished count went unchecked")
 	}
 }
 

@@ -257,7 +257,8 @@ type WatchEvent struct {
 
 // Snapshot is a consistent point-in-time copy of the cluster state, as
 // returned by ListAndWatchBatch. Rev is the resource version of the last
-// mutation included in it.
+// mutation included in it. Everything in it — permits included — is read
+// under the world ladder, so it is the watch stream's state at Rev.
 type Snapshot struct {
 	Rev   int64
 	Nodes []*api.Node // sorted by name
@@ -266,6 +267,10 @@ type Snapshot struct {
 	// priority (descending), then queue rev — the rev of the event that
 	// put the pod in the queue; internal/model's Pending order.
 	Pending []string
+	// Permits holds the gang permits, sorted by pod: a permit holder is
+	// unbound and Pending in Pods, but its capacity is committed on the
+	// permit's node, as its PodPermitHeld event said.
+	Permits []Permit
 }
 
 // Server is the in-memory API server. See the package comment and
@@ -312,38 +317,25 @@ type Server struct {
 	// Nil when telemetry is off — every hot-path site is a nil check.
 	metrics *srvMetrics
 
-	// resMu guards the gang reservation tables (reservations, groupHolds,
-	// groupBound). It is a leaf lock: acquired and released without ever
-	// taking another lock while held, so it may be taken from any point
-	// of the ladder. All mutations additionally
-	// happen while holding the affected pod's stripe (or the world), which
-	// is what makes a read under a pod stripe stable.
+	// gangs is the one record of each pod group (gang.go): its permits,
+	// its live bound members and how many members finished — what the gang
+	// director reads in one GangCounts call and a snapshot lists as
+	// Permits. resMu guards it. It is a leaf lock: acquired and released
+	// without ever taking another lock while held, so it may be taken from
+	// any point of the ladder. Every record change additionally happens
+	// while holding the member's pod stripe (or the world), which is what
+	// makes a read under a pod stripe stable.
 	resMu sync.Mutex
-	// reservations maps a pod holding a permit to its reservation;
-	// groupHolds indexes the same reservations by gang.
-	reservations map[string]reservation
-	groupHolds   map[string]map[string]string // group → pod → node
-	// groupBound indexes the live *bound* members of each gang, so
-	// PreemptGroup can evict a whole gang without scanning every stripe.
-	groupBound map[string]map[string]bool
-}
-
-// reservation is one held permit: capacity for the pod is committed on
-// node, pending the gang's CommitGroup or ReleaseGroup.
-type reservation struct {
-	node  string
-	group string
+	gangs map[string]*gangRecord
 }
 
 // New creates an empty API server with guarded bind admission and
 // synchronous watch delivery.
 func New(clk clock.Clock, opts ...Option) *Server {
 	s := &Server{
-		clk:          clk,
-		pending:      newPendingIndex(),
-		reservations: make(map[string]reservation),
-		groupHolds:   make(map[string]map[string]string),
-		groupBound:   make(map[string]map[string]bool),
+		clk:     clk,
+		pending: newPendingIndex(),
+		gangs:   make(map[string]*gangRecord),
 	}
 	for _, o := range opts {
 		o(s)
@@ -488,6 +480,12 @@ func (s *Server) snapshotWorldLocked() Snapshot {
 	for i, r := range order {
 		snap.Pending[i] = r.name
 	}
+	s.resMu.Lock()
+	for _, g := range s.gangs {
+		snap.Permits = g.appendMembers(snap.Permits, false)
+	}
+	s.resMu.Unlock()
+	sortPermits(snap.Permits)
 	return snap
 }
 
@@ -629,9 +627,10 @@ func (s *Server) ListPods(filter func(*api.Pod) bool) []*api.Pod {
 // VisitPendingN calls fn for the given scheduler's pending pods (an
 // empty schedulerName matches every pod) in Snapshot.Pending's order until
 // the pods, the limit (limit <= 0 visits all) or fn ends it, under each
-// pod's stripe lock and with VisitPods' contract; a pod bound since the
-// names were copied out is skipped. It sorts the whole index: it is for
-// sampling, benchmarks and tests, and a pass reads its own queue instead.
+// pod's stripe lock and with VisitPods' contract; a pod that left the
+// pending pods since the names were copied out (bound, holding a permit,
+// or terminal) is skipped. It sorts the whole index: it is for sampling,
+// benchmarks and tests, and a pass reads its own queue instead.
 func (s *Server) VisitPendingN(schedulerName string, limit int, fn func(*api.Pod) bool) {
 	s.pendingMu.Lock()
 	order := s.pending.order(schedulerName)
@@ -642,8 +641,12 @@ func (s *Server) VisitPendingN(schedulerName string, limit int, fn func(*api.Pod
 	for _, r := range order {
 		sh := s.podShardFor(r.name)
 		sh.mu.Lock()
-		p, ok := sh.pods[r.name]
-		stop := ok && p.Status.Phase == api.PodPending && p.Spec.NodeName == "" && !fn(p)
+		// The index changes only under the pod's stripe, so this answer
+		// holds while fn runs.
+		s.pendingMu.Lock()
+		_, pending := s.pending.pods[r.name]
+		s.pendingMu.Unlock()
+		stop := pending && !fn(sh.pods[r.name])
 		sh.mu.Unlock()
 		if stop {
 			return
@@ -885,16 +888,15 @@ func (s *Server) transition(podName string, phase api.PodPhase, reason string) e
 		p.Status.StartedAt = now
 	case api.PodSucceeded, api.PodFailed:
 		p.Status.FinishedAt = now
-		if p.Spec.NodeName != "" {
-			t.release(p, p.Spec.NodeName)
-		} else {
-			// A gang member evicted while holding a permit is unbound but
-			// has capacity committed on its reserved node — release it or
-			// the node leaks headroom forever.
-			t.dropPermit(p)
+		// A gang member evicted while holding a permit is unbound but has
+		// capacity committed on its permit's node — release it there or
+		// the node leaks headroom forever.
+		node := p.Spec.NodeName
+		if permit, held := s.moveMember(p, memberFinished, ""); held {
+			node = permit
 		}
-		if p.Spec.InGang() {
-			s.dropGroupBound(p.Spec.PodGroup, podName)
+		if node != "" {
+			t.release(p, node)
 		}
 		// A pod failed before start (e.g. admission denial) is no longer
 		// pending either.

@@ -38,13 +38,12 @@ import (
 // pendingMu no more. So pendingMu is only ever acquired while holding
 // stripes or none, never the reverse.
 //
-// The gang reservation tables' resMu (see Server) sits outside the
-// ladder entirely: it is a strict leaf, locked and unlocked without
-// ever acquiring another lock while held, so it may be taken from any
-// rung — including while the world is held. Reads of a pod's
-// reservation are stable under that pod's stripe because every
-// reservation mutation for a pod happens while its stripe (or the
-// world) is held.
+// The gang records' resMu (see Server) sits outside the ladder
+// entirely: it is a strict leaf, locked and unlocked without ever
+// acquiring another lock while held, so it may be taken from any rung —
+// including while the world is held. Reads of a pod's permit are stable
+// under that pod's stripe because every record change for a member
+// happens while its stripe (or the world) is held.
 const numStripes = 64
 
 // podShard is one stripe of the pod map. Padded so neighbouring

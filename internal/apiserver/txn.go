@@ -136,7 +136,7 @@ func (s *Server) placeable(p *api.Pod) error {
 	if p.Status.Phase != api.PodPending {
 		return fmt.Errorf("%w: pod %s in phase %s", ErrConflict, p.Name, p.Status.Phase)
 	}
-	if node, held := s.reservedNode(p.Name); held {
+	if node, held := s.reservedNode(p); held {
 		return fmt.Errorf("%w: pod %s holds a gang permit on %s (use CommitGroup)",
 			ErrConflict, p.Name, node)
 	}
@@ -183,9 +183,7 @@ func (t *txn) release(p *api.Pod, nodeName string) {
 func (t *txn) bindPod(p *api.Pod, nodeName string) {
 	p.Spec.NodeName = nodeName
 	p.Status.ScheduledAt = t.s.clk.Now()
-	if p.Spec.InGang() {
-		t.s.addGroupBound(p.Spec.PodGroup, p.Name)
-	}
+	t.s.moveMember(p, memberBound, "")
 	t.publish(WatchEvent{Type: PodBound, Pod: eventPod(p)})
 }
 
@@ -199,29 +197,16 @@ func (t *txn) requeueBound(p *api.Pod, reason string) {
 	p.Status.Reason = reason
 	p.Status.ScheduledAt = time.Time{}
 	p.Status.StartedAt = time.Time{}
-	if p.Spec.InGang() {
-		t.s.dropGroupBound(p.Spec.PodGroup, p.Name)
-	}
+	t.s.moveMember(p, memberPending, "")
 	t.s.pushPending(p, t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)}))
 }
 
-// dropPermit cancels the permit p holds, if any, and releases the
-// capacity it reserved; the caller publishes what becomes of the pod.
-func (t *txn) dropPermit(p *api.Pod) bool {
-	r, held := t.s.dropReservation(p.Name)
-	if held {
-		t.release(p, r.node)
-	}
-	return held
-}
-
 // rollbackPermit returns a permit holder to the pending pods
-// (ReleaseGroup, PreemptGroup); false when p holds no permit.
-func (t *txn) rollbackPermit(p *api.Pod, reason string) bool {
-	if !t.dropPermit(p) {
-		return false
-	}
+// (ReleaseGroup, PreemptGroup), releasing the capacity its permit
+// reserved.
+func (t *txn) rollbackPermit(p *api.Pod, reason string) {
+	node, _ := t.s.moveMember(p, memberPending, "")
+	t.release(p, node)
 	p.Status.Reason = reason
 	t.s.pushPending(p, t.publish(WatchEvent{Type: PodPermitReleased, Pod: eventPod(p)}))
-	return true
 }

@@ -197,35 +197,21 @@ func (c *ClusterCache) primeLocked(snap apiserver.Snapshot) {
 		c.addPodLocked(p, now, false)
 	}
 	c.primeQueuesLocked(snap)
-	// In-flight gang permits are invisible in the snapshot's pod state
-	// (the pods are still unbound) but their capacity is committed on the
-	// nodes; charge them so a cache primed (or resynced) mid-gang matches
-	// the server. PodPermitHeld events past snap.Rev find the pod already
-	// tracked and no-op; released-before-prime permits simply never
-	// appear, and their PodPermitReleased delivery no-ops too.
-	c.srv.VisitReservations(func(pod, node, group string) {
-		if _, ok := c.pods[pod]; ok {
-			return
-		}
-		if _, ok := c.nodes[node]; !ok {
-			return
-		}
-		p, err := c.srv.GetPod(pod)
-		if err != nil || p.IsTerminal() {
-			return
-		}
-		req := p.TotalRequests()
-		c.trackPodLocked(&cachedPod{
-			name:       pod,
-			node:       node,
-			group:      group,
-			priority:   p.Spec.Priority,
-			reqMem:     req.Get(resource.Memory),
-			reqEPC:     req.Get(resource.EPCPages),
-			reserved:   true,
-			bestEffort: p.Spec.WorkloadClass() == api.ClassBestEffort,
-		}, now)
-	})
+	// A permit holder is unbound in the snapshot's pod state, but its
+	// capacity is committed on the permit's node: charge it there, as its
+	// PodPermitHeld event did.
+	for _, pm := range snap.Permits {
+		held := *snapshotPod(snap, pm.Pod)
+		held.Spec.NodeName = pm.Node
+		c.addPodLocked(&held, now, true)
+	}
+}
+
+// snapshotPod finds a pod of the snapshot by name; a snapshot's Pending
+// and Permits name only pods it holds.
+func snapshotPod(snap apiserver.Snapshot, name string) *api.Pod {
+	i := sort.Search(len(snap.Pods), func(i int) bool { return snap.Pods[i].Name >= name })
+	return snap.Pods[i]
 }
 
 // resync is the broker's ring-overflow recovery: the cache missed
@@ -426,9 +412,7 @@ func (c *ClusterCache) applyLocked(ev *apiserver.WatchEvent, now time.Time) {
 func (c *ClusterCache) primeQueuesLocked(snap apiserver.Snapshot) {
 	c.queues = make(map[string]*podQueue)
 	for _, name := range snap.Pending {
-		if i := sort.Search(len(snap.Pods), func(i int) bool { return snap.Pods[i].Name >= name }); i < len(snap.Pods) && snap.Pods[i].Name == name {
-			c.queueLocked(snap.Pods[i])
-		}
+		c.queueLocked(snapshotPod(snap, name))
 	}
 }
 

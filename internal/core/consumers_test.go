@@ -15,12 +15,11 @@ import (
 	"github.com/sgxorch/sgxorch/internal/telemetry"
 )
 
-// TestPodConsumersSkipNodeEventsInBatch: the kubelet, the lifecycle
-// tracker and the gang director read the one watch stream, node events
-// included. A NodeRegistered and a NodeUpdated for a foreign node handed
-// over in the same batch as the kubelet's own PodBound must change
-// nothing: the pod is admitted and runs once, the histograms count it
-// once, and the director keeps no state for a solo pod.
+// TestPodConsumersSkipNodeEventsInBatch: the kubelet and the lifecycle
+// tracker read the one watch stream, node events included. A
+// NodeRegistered and a NodeUpdated for a foreign node handed over in the
+// same batch as the kubelet's own PodBound must change nothing: the pod
+// is admitted and runs once, and the histograms count it once.
 func TestPodConsumersSkipNodeEventsInBatch(t *testing.T) {
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
@@ -53,8 +52,6 @@ func TestPodConsumersSkipNodeEventsInBatch(t *testing.T) {
 	tracker := lifecycle.New(reg)
 	tracker.Track(srv)
 	defer tracker.Close()
-	gang := NewGangDirector(clk, srv, GangConfig{})
-	defer gang.Close()
 	var batches []string
 	defer srv.SubscribeBatch(func(evs []apiserver.WatchEvent) {
 		var types []apiserver.WatchEventType
@@ -88,11 +85,5 @@ func TestPodConsumersSkipNodeEventsInBatch(t *testing.T) {
 		if n := reg.HistogramVec(name, "class", nil).With("unclassified").Count(); n != 1 {
 			t.Fatalf("%s{unclassified} counts %d samples, want 1", name, n)
 		}
-	}
-	gang.mu.Lock()
-	groups := len(gang.groups)
-	gang.mu.Unlock()
-	if groups != 0 || gang.Stats() != (GangDirectorStats{}) {
-		t.Fatalf("gang director holds %d groups, stats %+v, want none", groups, gang.Stats())
 	}
 }

@@ -31,11 +31,11 @@ import (
 //     every permit back wholesale (ReleaseGroup) if quorum never
 //     arrives — a gang must not camp on capacity other work could use.
 //
-// Concurrency: the director's mutex only guards its own tables and is
-// never held across an API-server mutation — CommitGroup/ReleaseGroup
-// publish watch events that deliver synchronously back into subscriber
-// callbacks, and holding the mutex there would deadlock the director's
-// own event subscription.
+// The group's held, bound and finished members are the API server's
+// (Server.GangCounts, read in one call): the director watches nothing and
+// keeps only each group's quorum, age and permit timer. Its mutex guards
+// those and is never held across an API-server mutation, so one
+// member's commit never stalls another scheduler's PreFilter.
 type GangDirector struct {
 	clk clock.Clock
 	srv *apiserver.Server
@@ -43,7 +43,7 @@ type GangDirector struct {
 
 	mu     sync.Mutex
 	groups map[string]*gangState
-	unsub  func()
+	closed bool
 
 	commits  atomic.Int64
 	timeouts atomic.Int64
@@ -85,10 +85,9 @@ type GangDirectorStats struct {
 // gangState is the director's per-group bookkeeping.
 type gangState struct {
 	minMember int
+	// firstSeen is the group's first PreFilter or OnReserved, the age
+	// the priority boost counts from.
 	firstSeen time.Time
-	// done counts members that reached a terminal phase — they no
-	// longer need placement, so the quorum for the remainder shrinks.
-	done int
 	// round invalidates stale permit-timeout callbacks: commit and
 	// rollback both advance it, so a timer armed for an earlier round
 	// fires as a no-op.
@@ -96,9 +95,7 @@ type gangState struct {
 	timer clock.Timer
 }
 
-// NewGangDirector creates a director bound to the API server. It
-// subscribes to pod events to track members leaving their groups
-// (terminal transitions shrink the quorum); Close unsubscribes.
+// NewGangDirector creates a director bound to the API server.
 func NewGangDirector(clk clock.Clock, srv *apiserver.Server, cfg GangConfig) *GangDirector {
 	switch {
 	case cfg.PermitTimeout == 0:
@@ -106,47 +103,31 @@ func NewGangDirector(clk clock.Clock, srv *apiserver.Server, cfg GangConfig) *Ga
 	case cfg.PermitTimeout < 0:
 		cfg.PermitTimeout = 0
 	}
-	d := &GangDirector{
+	return &GangDirector{
 		clk:    clk,
 		srv:    srv,
 		cfg:    cfg,
 		groups: make(map[string]*gangState),
 	}
-	d.unsub = srv.SubscribeBatch(d.onPodEvents, nil)
-	return d
 }
 
-// Close detaches the director from the API server watch.
+// Close stops the director's armed permit timers, and arms no more: a
+// gang holding permits below quorum keeps them.
 func (d *GangDirector) Close() {
-	if d.unsub != nil {
-		d.unsub()
-		d.unsub = nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.closed = true
+	for _, gs := range d.groups {
+		if gs.timer != nil {
+			gs.timer.Stop()
+			gs.timer = nil
+		}
 	}
 }
 
 // Stats returns a copy of the director's counters.
 func (d *GangDirector) Stats() GangDirectorStats {
 	return GangDirectorStats{Commits: d.commits.Load(), Timeouts: d.timeouts.Load()}
-}
-
-// onPodEvents tracks gang members reaching terminal phases: a finished
-// (or failed/evicted) member no longer needs placement, so the group's
-// remaining quorum shrinks. Runs as a watch callback — it only mutates
-// director state, never the server.
-func (d *GangDirector) onPodEvents(evs []apiserver.WatchEvent) {
-	for i := range evs {
-		ev := &evs[i]
-		if ev.Type != apiserver.PodUpdated || ev.Pod == nil {
-			continue
-		}
-		if !ev.Pod.Spec.InGang() || !ev.Pod.IsTerminal() {
-			continue
-		}
-		d.mu.Lock()
-		gs := d.ensureLocked(ev.Pod.Spec.PodGroup, ev.Pod.Spec.GangMinMember())
-		gs.done++
-		d.mu.Unlock()
-	}
 }
 
 // ensureLocked returns the group's state, creating it (stamping
@@ -179,7 +160,6 @@ func (d *GangDirector) PreFilter(pod *PodInfo, view *ClusterView) bool {
 	d.mu.Lock()
 	gs := d.ensureLocked(group, pod.Pod.Spec.GangMinMember())
 	age := d.clk.Now().Sub(gs.firstSeen)
-	done := gs.done
 	minMember := gs.minMember
 	d.mu.Unlock()
 
@@ -192,8 +172,10 @@ func (d *GangDirector) PreFilter(pod *PodInfo, view *ClusterView) bool {
 	}
 
 	// need = members still requiring a slot this pass, including this
-	// one. Held and bound members already have theirs.
-	need := minMember - done - d.srv.BoundGroupCount(group) - d.srv.HoldCount(group)
+	// one. Held and bound members already have theirs; finished members
+	// need none.
+	held, bound, finished := d.srv.GangCounts(group)
+	need := minMember - finished - bound - held
 	if need < 1 {
 		need = 1
 	}
@@ -251,30 +233,29 @@ func (d *GangDirector) Permit(pod *PodInfo, _ string) PermitDecision {
 }
 
 // OnReserved implements ReserveObserver: a member's reservation
-// committed, so re-evaluate the group's quorum. At quorum the whole
-// gang commits atomically; the first permit of a round arms the
-// rollback timeout. Called by the scheduler outside its pass locks, so
-// the server mutations here are safe.
+// committed, so re-evaluate the group's quorum — finished members count
+// toward it. At quorum the whole gang commits atomically; the first
+// permit of a round arms the rollback timeout. Called by the scheduler
+// outside its pass locks, so the server mutations here are safe.
 func (d *GangDirector) OnReserved(pod *PodInfo, _ string) {
 	spec := &pod.Pod.Spec
 	if !spec.InGang() {
 		return
 	}
 	group := spec.PodGroup
-	holds := d.srv.HoldCount(group)
-	bound := d.srv.BoundGroupCount(group)
+	held, bound, finished := d.srv.GangCounts(group)
 
 	d.mu.Lock()
 	gs := d.ensureLocked(group, spec.GangMinMember())
-	need := gs.minMember - gs.done - bound
-	commit := holds > 0 && holds >= need
+	need := gs.minMember - finished - bound
+	commit := held > 0 && held >= need
 	if commit {
 		if gs.timer != nil {
 			gs.timer.Stop()
 			gs.timer = nil
 		}
 		gs.round++
-	} else if gs.timer == nil && d.cfg.PermitTimeout > 0 {
+	} else if gs.timer == nil && d.cfg.PermitTimeout > 0 && !d.closed {
 		round := gs.round
 		gs.timer = d.clk.AfterFunc(d.cfg.PermitTimeout, func() {
 			d.onPermitTimeout(group, round)
@@ -283,9 +264,6 @@ func (d *GangDirector) OnReserved(pod *PodInfo, _ string) {
 	d.mu.Unlock()
 
 	if commit {
-		// Outside d.mu: the commit's PodBound events deliver
-		// synchronously into watch callbacks (including this
-		// director's own subscription).
 		if _, err := d.srv.CommitGroup(group); err == nil {
 			d.commits.Add(1)
 		}
@@ -299,7 +277,7 @@ func (d *GangDirector) OnReserved(pod *PodInfo, _ string) {
 func (d *GangDirector) onPermitTimeout(group string, round int) {
 	d.mu.Lock()
 	gs := d.groups[group]
-	if gs == nil || gs.round != round {
+	if gs == nil || gs.round != round || d.closed {
 		d.mu.Unlock()
 		return
 	}

@@ -60,6 +60,12 @@ func newGangTestbed(t *testing.T, nodes int, memPerNode int64, gcfg GangConfig, 
 	return tb
 }
 
+// bound returns the group's live bound members, as the server counts them.
+func (tb *gangTestbed) bound(group string) int {
+	_, bound, _ := tb.srv.GangCounts(group)
+	return bound
+}
+
 func (tb *gangTestbed) submit(t *testing.T, p *api.Pod) {
 	t.Helper()
 	tb.fleet.Assign(p)
@@ -101,7 +107,7 @@ func TestGangWaitsForQuorumThenCommits(t *testing.T) {
 	if n := tb.srv.ReservationCount(); n != 2 {
 		t.Fatalf("permits after partial gang = %d, want 2", n)
 	}
-	if n := tb.srv.BoundGroupCount("g"); n != 0 {
+	if n := tb.bound("g"); n != 0 {
 		t.Fatalf("bound members before quorum = %d, want 0", n)
 	}
 	stats := tb.fleet.Stats()
@@ -111,8 +117,14 @@ func TestGangWaitsForQuorumThenCommits(t *testing.T) {
 
 	tb.submit(t, memGangPod("g-c", "g", 3, resource.MiB, 0))
 	tb.fleet.RunRound()
-	if got := fmt.Sprint(tb.srv.BoundGroupMembers("g")); got != "[g-a g-b g-c]" {
-		t.Fatalf("bound members after quorum = %v", got)
+	var bound []string
+	for _, ev := range tb.events {
+		if ev.Type == apiserver.PodBound && ev.Pod.Spec.PodGroup == "g" {
+			bound = append(bound, ev.Pod.Name)
+		}
+	}
+	if got := fmt.Sprint(bound); got != "[g-a g-b g-c]" || tb.bound("g") != 3 {
+		t.Fatalf("bound members after quorum = %v (%d live)", got, tb.bound("g"))
 	}
 	if n := tb.srv.ReservationCount(); n != 0 {
 		t.Fatalf("permits after commit = %d, want 0", n)
@@ -160,11 +172,54 @@ func TestGangPermitTimeoutRollsBackAndRecovers(t *testing.T) {
 	tb.submit(t, memGangPod("g-c", "g", 3, resource.MiB, 0))
 	// The released members are back in the queue; the next rounds reach
 	// quorum and commit.
-	for i := 0; i < 3 && tb.srv.BoundGroupCount("g") < 3; i++ {
+	for i := 0; i < 3 && tb.bound("g") < 3; i++ {
 		tb.fleet.RunRound()
 	}
-	if n := tb.srv.BoundGroupCount("g"); n != 3 {
+	if n := tb.bound("g"); n != 3 {
 		t.Fatalf("bound members after recovery = %d, want 3", n)
+	}
+}
+
+// TestGangFinishedPendingMemberCountsTowardQuorum: the director watches
+// no stream; a member evicted before it was ever placed reaches it
+// through the server's finished count, so the other two members' permits
+// are a quorum of three.
+func TestGangFinishedPendingMemberCountsTowardQuorum(t *testing.T) {
+	tb := newGangTestbed(t, 1, resource.GiB, GangConfig{}, 1)
+	for _, name := range []string{"g-a", "g-b", "g-c"} {
+		tb.submit(t, memGangPod(name, "g", 3, resource.MiB, 0))
+	}
+	if err := tb.srv.Evict("g-c", "gone before placement"); err != nil {
+		t.Fatal(err)
+	}
+	tb.fleet.RunRound()
+	if held, bound, finished := tb.srv.GangCounts("g"); held != 0 || bound != 2 || finished != 1 {
+		t.Fatalf("GangCounts = %d held, %d bound, %d finished, want 0, 2, 1", held, bound, finished)
+	}
+	if s := tb.dir.Stats(); s.Commits != 1 || s.Timeouts != 0 {
+		t.Fatalf("director stats = %+v, want one commit", s)
+	}
+}
+
+// TestGangDirectorCloseStopsPermitTimers: Close stops the armed permit
+// timers, so a gang holding permits below quorum keeps them past the
+// timeout.
+func TestGangDirectorCloseStopsPermitTimers(t *testing.T) {
+	tb := newGangTestbed(t, 1, resource.GiB, GangConfig{}, 1)
+	for _, name := range []string{"g-a", "g-b"} {
+		tb.submit(t, memGangPod(name, "g", 3, resource.MiB, 0))
+	}
+	tb.fleet.RunRound()
+	if n := tb.srv.ReservationCount(); n != 2 {
+		t.Fatalf("permits = %d, want 2", n)
+	}
+	tb.dir.Close()
+	tb.clk.Advance(DefaultPermitTimeout + time.Second)
+	if n := tb.srv.ReservationCount(); n != 2 {
+		t.Fatalf("permits after the timeout = %d, want 2: a closed director released them", n)
+	}
+	if s := tb.dir.Stats(); s.Timeouts != 0 {
+		t.Fatalf("director stats = %+v, want no timeout", s)
 	}
 }
 
@@ -319,7 +374,7 @@ func TestGangShardedContentionNoPartialBinding(t *testing.T) {
 		}
 		bound := 0
 		for _, g := range groups {
-			bound += tb.srv.BoundGroupCount(g)
+			bound += tb.bound(g)
 		}
 		return tb.events, bound
 	}
@@ -361,7 +416,7 @@ func TestGangPreemptionEvictsWholeGang(t *testing.T) {
 		tb.submit(t, memGangPod(fmt.Sprintf("g-m%d", m), "g", 4, resource.MiB, 0))
 	}
 	tb.fleet.RunRound()
-	if n := tb.srv.BoundGroupCount("g"); n != 4 {
+	if n := tb.bound("g"); n != 4 {
 		t.Fatalf("gang not placed: %d/4 bound", n)
 	}
 
@@ -373,7 +428,7 @@ func TestGangPreemptionEvictsWholeGang(t *testing.T) {
 	if vip.Spec.NodeName == "" {
 		t.Fatal("high-priority pod not placed by gang preemption")
 	}
-	if n := tb.srv.BoundGroupCount("g"); n != 0 {
+	if n := tb.bound("g"); n != 0 {
 		t.Fatalf("gang partially survived preemption: %d members still bound", n)
 	}
 	// One PreemptGroup evicted the gang: its four members went back to the

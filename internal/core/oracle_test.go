@@ -86,9 +86,10 @@ func (o *oracle) BuildView() *ClusterView {
 	measuredEPC, measuredMem := o.queryUsage()
 	now := s.clk.Now()
 
+	snap := s.srv.SnapshotNow()
 	view := &ClusterView{}
 	nodeByName := make(map[string]*NodeView)
-	for _, n := range s.srv.ListNodes() {
+	for _, n := range snap.Nodes {
 		if n.Unschedulable || !n.Ready {
 			continue
 		}
@@ -103,13 +104,13 @@ func (o *oracle) BuildView() *ClusterView {
 		nodeByName[n.Name] = nv
 	}
 
-	s.srv.VisitPods(func(p *api.Pod) bool {
+	for _, p := range snap.Pods {
 		if p.Spec.NodeName == "" || p.IsTerminal() {
-			return true
+			continue
 		}
 		nv, ok := nodeByName[p.Spec.NodeName]
 		if !ok {
-			return true
+			continue
 		}
 		req := p.TotalRequests()
 		k := usageKey{pod: p.Name, node: p.Spec.NodeName}
@@ -119,28 +120,23 @@ func (o *oracle) BuildView() *ClusterView {
 		nv.Used[resource.EPCPages] += epcPages
 		// Device items are reserved by request for the pod's lifetime.
 		nv.FreeDevices -= req.Get(resource.EPCPages)
-		return true
-	})
-	// Conditional gang reservations: the pod is still unbound in
-	// authoritative state (VisitPods saw no NodeName), but Reserve already
-	// committed its capacity on the node. Charge requests directly — a
-	// reserved pod has not started, so the fusion above would floor at
-	// requests anyway — keeping this reference view equivalent to the
-	// event-driven cache's PodPermitHeld accounting.
-	s.srv.VisitReservations(func(pod, node, _ string) {
-		nv, ok := nodeByName[node]
+	}
+	// Conditional gang reservations: the pod is still unbound in the
+	// snapshot's pod state, but Reserve already committed its capacity on
+	// the permit's node. Charge requests directly — a reserved pod has not
+	// started, so the fusion above would floor at requests anyway —
+	// keeping this reference view equivalent to the event-driven cache's
+	// PodPermitHeld accounting.
+	for _, pm := range snap.Permits {
+		nv, ok := nodeByName[pm.Node]
 		if !ok {
-			return
+			continue
 		}
-		p, err := s.srv.GetPod(pod)
-		if err != nil {
-			return
-		}
-		req := p.TotalRequests()
+		req := snapshotPod(snap, pm.Pod).TotalRequests()
 		nv.Used[resource.Memory] += req.Get(resource.Memory)
 		nv.Used[resource.EPCPages] += req.Get(resource.EPCPages)
 		nv.FreeDevices -= req.Get(resource.EPCPages)
-	})
+	}
 	view.sortNodes()
 	return view
 }
