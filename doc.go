@@ -107,8 +107,16 @@
 // looked up in place, and write observers and scans are handed the
 // series' own immutable tag set, so a collector's two-entry tag literal
 // never leaves its stack and a writer may refill one map across writes.
+// A stored point is 16 pointer-free bytes — its instant as Unix
+// nanoseconds in an int64, saturated at the range's ends by
+// tsdb.UnixNanos, and its value — so the garbage collector never scans
+// point storage and every window search, insert, prune and sweep compares
+// integers; a write reads the database clock once. time.Time stays at the
+// API: Write, write observers, Scan's bounds and Now.
 // internal/influxql executes Listing 1-style queries by pushing time and
-// value predicates into that scan and folding points into per-group
+// value predicates into that scan (a residual time predicate's threshold
+// is computed once per query and compared as an int64) and folding points
+// into per-group
 // running aggregates found through a hash of the GROUP BY tag values; a
 // subquery's groups fold straight into the outer aggregator, and tag maps
 // are built only for the rows returned — a query allocates O(log groups)

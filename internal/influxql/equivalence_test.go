@@ -49,7 +49,7 @@ func refRun(db *tsdb.DB, q *Query) (Result, error) {
 	} else {
 		for _, s := range db.Series(q.Source.Measurement) {
 			for _, p := range s.Points {
-				samples = append(samples, refSample{tags: s.Tags, time: p.Time, field: "value", value: p.Value})
+				samples = append(samples, refSample{tags: s.Tags, time: time.Unix(0, p.Nanos), field: "value", value: p.Value})
 			}
 		}
 	}
@@ -138,7 +138,25 @@ func projectTags(groupBy []string, tags tsdb.Tags) tsdb.Tags {
 func refEvalCondition(c Condition, s refSample, now time.Time) (bool, error) {
 	switch {
 	case c.IsTime:
-		return compareTime(s.time, c.Op, now.Add(-c.Offset))
+		// Compared as time.Time, not through the executor's integer
+		// comparison, so a bug the two shared would not pass unseen.
+		threshold := now.Add(-c.Offset)
+		switch c.Op {
+		case OpGte:
+			return !s.time.Before(threshold), nil
+		case OpGt:
+			return s.time.After(threshold), nil
+		case OpLte:
+			return !s.time.After(threshold), nil
+		case OpLt:
+			return s.time.Before(threshold), nil
+		case OpEq:
+			return s.time.Equal(threshold), nil
+		case OpNeq:
+			return !s.time.Equal(threshold), nil
+		default:
+			return false, fmt.Errorf("influxql: unsupported time operator %q", c.Op)
+		}
 	case c.IsTag:
 		v := s.tags[c.Subject]
 		if c.Op == OpEq {

@@ -98,6 +98,7 @@ func runSub(db *tsdb.DB, q *Query, agg *aggregator) error {
 		return err
 	}
 	now := db.Now()
+	nowNanos := tsdb.UnixNanos(now)
 	field := sub.Field.OutName()
 	tag := func(g int32, key string) string {
 		if i := slices.Index(sub.GroupBy, key); i >= 0 {
@@ -114,7 +115,7 @@ func runSub(db *tsdb.DB, q *Query, agg *aggregator) error {
 		for _, c := range q.Where {
 			switch {
 			case c.IsTime:
-				keep, err = compareTime(now, c.Op, now.Add(-c.Offset))
+				keep, err = compareNanos(nowNanos, c.Op, tsdb.UnixNanos(now.Add(-c.Offset)))
 			case c.IsTag:
 				keep = (c.Op == OpEq) == (tag(g, c.Subject) == c.Str)
 			case c.Subject != field:
@@ -138,7 +139,7 @@ func runSub(db *tsdb.DB, q *Query, agg *aggregator) error {
 		for i, k := range q.GroupBy {
 			agg.probe[i] = tag(g, k)
 		}
-		agg.group().observe(now, v)
+		agg.group().observe(nowNanos, v)
 	}
 	return nil
 }
@@ -173,7 +174,7 @@ func runScan(db *tsdb.DB, q *Query, agg *aggregator) error {
 				case c.IsTag:
 					// Handled once per series above.
 				case c.IsTime:
-					ok, err := compareTime(p.Time, c.Op, now.Add(-c.Offset))
+					ok, err := compareNanos(p.Nanos, c.Op, c.at)
 					if err != nil {
 						scanErr = err
 						return false
@@ -209,18 +210,25 @@ func runScan(db *tsdb.DB, q *Query, agg *aggregator) error {
 				}
 				g = agg.group()
 			}
-			g.observe(p.Time, p.Value)
+			g.observe(p.Nanos, p.Value)
 		}
 		return true
 	})
 	return scanErr
 }
 
+// residualCond is a condition the scan window did not absorb, evaluated
+// per series (tag conditions) or per point.
+type residualCond struct {
+	Condition
+	at int64 // time conditions: the threshold now() - Offset, as tsdb.UnixNanos
+}
+
 // pushdownWindow folds range-style time conditions into inclusive scan
 // bounds [from, to] (zero = unbounded) and returns the conditions that
-// still need per-series or per-point evaluation. empty reports a
-// provably empty window (from after to).
-func pushdownWindow(conds []Condition, now time.Time) (from, to time.Time, residual []Condition, empty bool, err error) {
+// still need per-series or per-point evaluation, each time threshold
+// computed once. empty reports a provably empty window (from after to).
+func pushdownWindow(conds []Condition, now time.Time) (from, to time.Time, residual []residualCond, empty bool, err error) {
 	tightenFrom := func(t time.Time) {
 		if from.IsZero() || t.After(from) {
 			from = t
@@ -233,7 +241,7 @@ func pushdownWindow(conds []Condition, now time.Time) (from, to time.Time, resid
 	}
 	for _, c := range conds {
 		if !c.IsTime {
-			residual = append(residual, c)
+			residual = append(residual, residualCond{Condition: c})
 			continue
 		}
 		threshold := now.Add(-c.Offset)
@@ -250,7 +258,7 @@ func pushdownWindow(conds []Condition, now time.Time) (from, to time.Time, resid
 			tightenFrom(threshold)
 			tightenTo(threshold)
 		case OpNeq:
-			residual = append(residual, c)
+			residual = append(residual, residualCond{Condition: c, at: tsdb.UnixNanos(threshold)})
 		default:
 			return from, to, nil, false, fmt.Errorf("influxql: unsupported time operator %q", c.Op)
 		}
@@ -261,20 +269,21 @@ func pushdownWindow(conds []Condition, now time.Time) (from, to time.Time, resid
 	return from, to, residual, false, nil
 }
 
-func compareTime(t time.Time, op CompareOp, threshold time.Time) (bool, error) {
+// compareNanos compares two instants in Unix nanoseconds.
+func compareNanos(t int64, op CompareOp, threshold int64) (bool, error) {
 	switch op {
 	case OpGte:
-		return !t.Before(threshold), nil
+		return t >= threshold, nil
 	case OpGt:
-		return t.After(threshold), nil
+		return t > threshold, nil
 	case OpLte:
-		return !t.After(threshold), nil
+		return t <= threshold, nil
 	case OpLt:
-		return t.Before(threshold), nil
+		return t < threshold, nil
 	case OpEq:
-		return t.Equal(threshold), nil
+		return t == threshold, nil
 	case OpNeq:
-		return !t.Equal(threshold), nil
+		return t != threshold, nil
 	default:
 		return false, fmt.Errorf("influxql: unsupported time operator %q", op)
 	}
@@ -324,7 +333,7 @@ type groupState struct {
 	max      float64
 	min      float64
 	last     float64
-	lastTime time.Time
+	lastTime int64 // Unix nanoseconds
 }
 
 // groupHashMask narrows the value hash; the tests clear most of its bits
@@ -410,7 +419,7 @@ func (a *aggregator) order() []int32 {
 // observe folds one sample into the running state. The first sample
 // seeds LAST; afterwards a strictly later timestamp wins, matching
 // InfluxQL's LAST over unordered inputs.
-func (g *groupState) observe(t time.Time, v float64) {
+func (g *groupState) observe(t int64, v float64) {
 	g.count++
 	if g.count == 1 {
 		g.sum, g.max, g.min, g.last, g.lastTime = v, v, v, v, t
@@ -423,7 +432,7 @@ func (g *groupState) observe(t time.Time, v float64) {
 	if v < g.min {
 		g.min = v
 	}
-	if t.After(g.lastTime) {
+	if t > g.lastTime {
 		g.last, g.lastTime = v, t
 	}
 }

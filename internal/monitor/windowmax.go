@@ -24,14 +24,17 @@ import (
 // path that preserves the invariant.
 //
 // Because the max also changes when the peak ages out of the window with
-// no write in between, series register their front's expiry instant in a
-// min-heap; Refresh pops only the series whose front actually expired, so
+// no write in between, series register their front's instant in a
+// min-heap, whose order is the fronts' expiry order; Refresh pops only the
+// series whose front actually expired (fell before now − window), so
 // keeping the whole keyspace current costs O(expired · log series), not
 // O(series). The heap is a typed binary heap of (instant, *series) pairs
 // — nothing is boxed, so a steady-state sample allocates nothing — and it
 // is lazy: a front change pushes a fresh entry and leaves the old one to
 // be recognised as stale (its instant no longer matches the series'
-// front) when it surfaces. The change callback (SetOnChange) fires on
+// front) when it surfaces. Instants are Unix nanoseconds
+// (tsdb.UnixNanos), so a deque entry is 16 pointer-free bytes and every
+// comparison is an integer one. The change callback (SetOnChange) fires on
 // every observable max transition — from writes and from expiry — which
 // is what lets a consumer (the scheduler's ClusterCache) maintain derived
 // sums incrementally.
@@ -60,7 +63,7 @@ type wmKey struct {
 }
 
 type wmPoint struct {
-	t time.Time
+	t int64 // Unix nanoseconds
 	v float64
 }
 
@@ -77,9 +80,9 @@ type wmSeries struct {
 // dropExpired evicts the front entries older than cutoff by moving the
 // rest down: the deque keeps the head of its array, so a series whose
 // deque is not growing never reallocates it.
-func (s *wmSeries) dropExpired(cutoff time.Time) {
+func (s *wmSeries) dropExpired(cutoff int64) {
 	k := 0
-	for k < len(s.dq) && s.dq[k].t.Before(cutoff) {
+	for k < len(s.dq) && s.dq[k].t < cutoff {
 		k++
 	}
 	if k > 0 {
@@ -113,11 +116,12 @@ func NewWindowMax(clk clock.Clock, db *tsdb.DB, window time.Duration, measuremen
 	// absorbs, instead of being missed entirely.
 	w.unsubscribe = db.OnWrite(w.onWrite)
 	now := clk.Now()
+	cutoff := w.cutoff(now)
 	for _, m := range measurements {
 		db.Scan(m, now.Add(-window), time.Time{}, func(tags tsdb.Tags, pts []tsdb.Point) bool {
 			w.mu.Lock()
 			for _, p := range pts {
-				w.observeLocked(m, tags[TagPod], tags[TagNode], p.Value, p.Time, now)
+				w.observeLocked(m, tags[TagPod], tags[TagNode], p.Value, p.Nanos, cutoff)
 			}
 			w.mu.Unlock()
 			return true
@@ -137,6 +141,10 @@ func (w *WindowMax) Close() {
 // Window returns the sliding window length.
 func (w *WindowMax) Window() time.Duration { return w.window }
 
+// cutoff is the oldest instant the window holds at now: an entry before
+// it has expired.
+func (w *WindowMax) cutoff(now time.Time) int64 { return tsdb.UnixNanos(now.Add(-w.window)) }
+
 // SetOnChange registers the single change callback. It runs on the
 // goroutine that triggered the transition (a metric write or a Refresh),
 // with the aggregator lock released; it may call Max but must not call
@@ -152,7 +160,7 @@ func (w *WindowMax) SetOnChange(fn func(measurement, pod, node string, max float
 // entries are skipped, not evicted, so it is safe to call from the change
 // callback.
 func (w *WindowMax) Max(measurement, pod, node string) (float64, bool) {
-	cutoff := w.clk.Now().Add(-w.window)
+	cutoff := w.cutoff(w.clk.Now())
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	s, ok := w.series[wmKey{measurement: measurement, pod: pod, node: node}]
@@ -162,7 +170,7 @@ func (w *WindowMax) Max(measurement, pod, node string) (float64, bool) {
 	// Values decrease front to back, so the first unexpired entry is the
 	// window max.
 	for _, p := range s.dq {
-		if !p.t.Before(cutoff) {
+		if p.t >= cutoff {
 			return p.v, true
 		}
 	}
@@ -181,14 +189,13 @@ func (w *WindowMax) SeriesCount() int {
 // registered expiry has passed are touched. Consumers call it once per
 // scheduling pass, before reading.
 func (w *WindowMax) Refresh() {
-	now := w.clk.Now()
-	cutoff := now.Add(-w.window)
+	cutoff := w.cutoff(w.clk.Now())
 	var changes []wmChange
 	w.mu.Lock()
-	for len(w.expiry) > 0 && w.expiry[0].at.Before(now) {
+	for len(w.expiry) > 0 && w.expiry[0].at < cutoff {
 		ent := w.expiry.pop()
 		s := ent.s
-		if len(s.dq) == 0 || !s.dq[0].t.Add(w.window).Equal(ent.at) {
+		if len(s.dq) == 0 || s.dq[0].t != ent.at {
 			// Stale entry: the series was dropped, or its front changed
 			// after this was pushed, and that transition already
 			// announced itself and registered a fresh expiry.
@@ -200,7 +207,7 @@ func (w *WindowMax) Refresh() {
 			changes = append(changes, wmChange{key: s.key})
 			continue
 		}
-		w.expiry.push(expiryEntry{at: s.dq[0].t.Add(w.window), s: s})
+		w.expiry.push(expiryEntry{at: s.dq[0].t, s: s})
 		changes = append(changes, wmChange{key: s.key, max: s.dq[0].v, ok: true})
 	}
 	fn := w.onChange
@@ -213,9 +220,9 @@ func (w *WindowMax) onWrite(measurement string, tags tsdb.Tags, value float64, t
 	if !w.keep[measurement] {
 		return
 	}
-	now := w.clk.Now()
+	cutoff := w.cutoff(w.clk.Now())
 	w.mu.Lock()
-	change, changed := w.observeLocked(measurement, tags[TagPod], tags[TagNode], value, t, now)
+	change, changed := w.observeLocked(measurement, tags[TagPod], tags[TagNode], value, tsdb.UnixNanos(t), cutoff)
 	fn := w.onChange
 	w.mu.Unlock()
 	if changed {
@@ -236,13 +243,12 @@ func (w *WindowMax) fire(fn func(string, string, string, float64, bool), changes
 // observable max changed. The comparison is against the pre-eviction
 // front — the value last announced for this series — so a peak that ages
 // out exactly when a smaller sample arrives is still reported as a drop.
-// Caller must hold w.mu.
-func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, now time.Time) (wmChange, bool) {
+// t and cutoff are Unix nanoseconds. Caller must hold w.mu.
+func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, cutoff int64) (wmChange, bool) {
 	if v == 0 {
 		return wmChange{}, false // Listing 1: WHERE value <> 0
 	}
-	cutoff := now.Add(-w.window)
-	if t.Before(cutoff) {
+	if t < cutoff {
 		return wmChange{}, false // already outside the window
 	}
 	key := wmKey{measurement: measurement, pod: pod, node: node}
@@ -263,7 +269,7 @@ func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, n
 	if hadFront && front == oldFront {
 		return wmChange{}, false
 	}
-	w.expiry.push(expiryEntry{at: front.t.Add(w.window), s: s})
+	w.expiry.push(expiryEntry{at: front.t, s: s})
 	return wmChange{key: key, max: front.v, ok: true}, true
 }
 
@@ -274,7 +280,7 @@ func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, n
 // dominates, unless a later entry already dominates it.
 func (s *wmSeries) insert(p wmPoint) {
 	n := len(s.dq)
-	if n == 0 || !p.t.Before(s.dq[n-1].t) {
+	if n == 0 || p.t >= s.dq[n-1].t {
 		for len(s.dq) > 0 && s.dq[len(s.dq)-1].v <= p.v {
 			s.dq = s.dq[:len(s.dq)-1]
 		}
@@ -283,7 +289,7 @@ func (s *wmSeries) insert(p wmPoint) {
 	}
 	// Out-of-order: i is the first entry strictly later than p.
 	i := 0
-	for i < n && !s.dq[i].t.After(p.t) {
+	for i < n && s.dq[i].t <= p.t {
 		i++
 	}
 	if s.dq[i].v >= p.v {
@@ -307,14 +313,15 @@ func (s *wmSeries) insert(p wmPoint) {
 // expiryEntry schedules one series' front for eviction. Entries are lazy:
 // a front change leaves the old entry in the heap to be skipped later.
 type expiryEntry struct {
-	at time.Time
+	at int64 // the front's instant in Unix nanoseconds; due once the window's cutoff passes it
 	s  *wmSeries
 }
 
 // expiryHeap is a binary min-heap on at. push and pop sift exactly as
-// container/heap does, so entries due at the same instant surface in the
-// order they always have — the order Refresh announces changes in, which
-// the scheduler's cache and every recorded run depend on.
+// container/heap does, and the integer order of the fronts' instants is
+// the order of their expiries, so entries due at the same instant surface
+// in the order they always have — the order Refresh announces changes in,
+// which the scheduler's cache and every recorded run depend on.
 type expiryHeap []expiryEntry
 
 func (h *expiryHeap) push(e expiryEntry) {
@@ -322,7 +329,7 @@ func (h *expiryHeap) push(e expiryEntry) {
 	*h = q
 	for j := len(q) - 1; ; {
 		i := (j - 1) / 2 // parent
-		if i == j || !q[j].at.Before(q[i].at) {
+		if i == j || q[j].at >= q[i].at {
 			break
 		}
 		q[i], q[j] = q[j], q[i]
@@ -339,10 +346,10 @@ func (h *expiryHeap) pop() expiryEntry {
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && q[r].at.Before(q[j].at) {
+		if r := j + 1; r < n && q[r].at < q[j].at {
 			j = r
 		}
-		if !q[j].at.Before(q[i].at) {
+		if q[j].at >= q[i].at {
 			break
 		}
 		q[i], q[j] = q[j], q[i]

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -300,5 +301,41 @@ func TestWindowMaxSeriesRecreatedAfterDrop(t *testing.T) {
 	}
 	if n := w.SeriesCount(); n != 0 {
 		t.Fatalf("%d series left", n)
+	}
+}
+
+// TestPointsAreSixteenPointerFreeBytes: a stored tsdb point and a deque
+// entry are each an int64 instant and a float64 value. A time.Time field
+// would double either and give the garbage collector every series'
+// storage to scan again.
+func TestPointsAreSixteenPointerFreeBytes(t *testing.T) {
+	for _, typ := range []reflect.Type{reflect.TypeFor[tsdb.Point](), reflect.TypeFor[wmPoint]()} {
+		if typ.Size() != 16 {
+			t.Errorf("%v is %d bytes, want 16", typ, typ.Size())
+		}
+		for i := range typ.NumField() {
+			if f := typ.Field(i); f.Type.Kind() != reflect.Int64 && f.Type.Kind() != reflect.Float64 {
+				t.Errorf("%v.%s is a %v, want int64 or float64", typ, f.Name, f.Type)
+			}
+		}
+	}
+}
+
+// TestWindowMaxOutOfRangeInstants: a sample stamped before 1678 has
+// expired on arrival, and one stamped after 2262 never expires, however
+// far the clock runs; neither wraps around the int64 range.
+func TestWindowMaxOutOfRangeInstants(t *testing.T) {
+	clk, db := wmDB()
+	w := NewWindowMax(clk, db, 25*time.Second, MeasurementEPC)
+	defer w.Close()
+	db.Write(MeasurementEPC, wmTags("old", "n"), 7, time.Time{})
+	db.Write(MeasurementEPC, wmTags("far", "n"), 9, time.Date(2300, time.January, 1, 0, 0, 0, 0, time.UTC))
+	if _, ok := w.Max(MeasurementEPC, "old", "n"); ok {
+		t.Fatal("a sample at the zero time entered the window")
+	}
+	clk.Advance(time.Hour)
+	w.Refresh()
+	if v, ok := w.Max(MeasurementEPC, "far", "n"); !ok || v != 9 {
+		t.Fatalf("max of the year-2300 sample an hour on = %v, %v; want 9", v, ok)
 	}
 }

@@ -18,6 +18,14 @@
 // whole series whose newest point has aged out — so series of terminated
 // pods do not accumulate over a long replay.
 //
+// Instants: a point is 16 pointer-free bytes, its instant as Unix
+// nanoseconds in an int64 (saturated at the range's ends by UnixNanos)
+// and its value. The garbage collector never scans point storage, and
+// every search, insert, prune and sweep compares integers; time.Time
+// appears only at the API (Write, WriteObserver, Scan's bounds, Now). A
+// write reads the database clock once, for its prune and, in WriteNow,
+// its stamp.
+//
 // Identity: a series' canonical key and its tag set are rendered once,
 // when its first point arrives, and never again. Write resolves an
 // existing series without allocating — the key is rendered into a buffer
@@ -35,6 +43,7 @@
 package tsdb
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -43,11 +52,25 @@ import (
 	"github.com/sgxorch/sgxorch/internal/clock"
 )
 
-// Point is one timestamped sample.
+// Point is one timestamped sample. Nanos is its instant in Unix
+// nanoseconds, as UnixNanos renders it.
 type Point struct {
-	Time  time.Time
+	Nanos int64
 	Value float64
 }
+
+// unixEpoch is the instant UnixNanos measures from.
+var unixEpoch = time.Unix(0, 0)
+
+// UnixNanos returns t as Unix nanoseconds, saturated to the int64 range:
+// an instant before 1678 reads as math.MinInt64 and one after 2262 as
+// math.MaxInt64, where time.Time.UnixNano's result is undefined (it maps
+// the zero time.Time to a date in 1754 and year 1500 to one in 2084).
+// The saturation is time.Time.Sub's, which clamps to the Duration range,
+// and that is the int64 nanosecond range. Every conversion of a
+// monitoring instant goes through here, so integer order is time order
+// wherever the two meet.
+func UnixNanos(t time.Time) int64 { return int64(t.Sub(unixEpoch)) }
 
 // Tags identifies a series within a measurement.
 type Tags map[string]string
@@ -156,6 +179,21 @@ type seriesEntry struct {
 	points []Point // time-ordered
 }
 
+// search returns the index of the first of pts at or after the instant
+// ns; pts is time-ordered.
+func search(pts []Point, ns int64) int {
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pts[m].Nanos < ns {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // Option configures the DB.
 type Option func(*DB)
 
@@ -242,6 +280,19 @@ func (db *DB) OnWrite(fn WriteObserver) (unsubscribe func()) {
 // on a series' first write, and a write to an existing series allocates
 // nothing beyond the growth of its point slice.
 func (db *DB) Write(measurement string, tags Tags, value float64, t time.Time) {
+	db.write(measurement, tags, value, t, db.clk.Now())
+}
+
+// WriteNow appends a sample stamped with the database clock.
+func (db *DB) WriteNow(measurement string, tags Tags, value float64) {
+	now := db.clk.Now()
+	db.write(measurement, tags, value, now, now)
+}
+
+// write is Write with now, the one clock reading the write prunes
+// against.
+func (db *DB) write(measurement string, tags Tags, value float64, t, now time.Time) {
+	ns, cutoff := UnixNanos(t), db.cutoff(now)
 	db.mu.Lock()
 	db.keyBuf = appendCanonical(db.keyBuf[:0], tags)
 	m, ok := db.measurements[measurement]
@@ -265,15 +316,17 @@ func (db *DB) Write(measurement string, tags Tags, value float64, t time.Time) {
 		m.entries[i] = e
 		db.nSeries++
 	}
-	if n := len(e.points); n == 0 || !t.Before(e.points[n-1].Time) {
-		e.points = append(e.points, Point{Time: t, Value: value})
+	if n := len(e.points); n == 0 || ns >= e.points[n-1].Nanos {
+		e.points = append(e.points, Point{Nanos: ns, Value: value})
 	} else {
-		i := sort.Search(n, func(i int) bool { return e.points[i].Time.After(t) })
+		i := search(e.points, ns+1) // after its equals; ns < the last, so no overflow
 		e.points = append(e.points, Point{})
 		copy(e.points[i+1:], e.points[i:])
-		e.points[i] = Point{Time: t, Value: value}
+		e.points[i] = Point{Nanos: ns, Value: value}
 	}
-	db.pruneLocked(e)
+	if i := search(e.points, cutoff); i > 0 { // the expired run is a prefix
+		e.points = append(e.points[:0], e.points[i:]...)
+	}
 	observers, stored := db.observers, e.tags
 	db.mu.Unlock()
 	for _, o := range observers {
@@ -281,34 +334,17 @@ func (db *DB) Write(measurement string, tags Tags, value float64, t time.Time) {
 	}
 }
 
-// WriteNow appends a sample stamped with the database clock.
-func (db *DB) WriteNow(measurement string, tags Tags, value float64) {
-	db.Write(measurement, tags, value, db.clk.Now())
-}
+// cutoff is the oldest instant retention keeps at now: a point before it
+// has expired.
+func (db *DB) cutoff(now time.Time) int64 { return UnixNanos(now.Add(-db.retention)) }
 
-// pruneLocked discards points older than the retention window, relative
-// to the clock. Points are time-ordered, so the expired run is a prefix.
-// Caller must hold db.mu.
-func (db *DB) pruneLocked(e *seriesEntry) {
-	cutoff := db.clk.Now().Add(-db.retention)
-	i := sort.Search(len(e.points), func(i int) bool { return !e.points[i].Time.Before(cutoff) })
-	if i > 0 {
-		e.points = append(e.points[:0], e.points[i:]...)
-	}
-}
-
-// window returns the in-place sub-slice of e's points in [from, to]. A
-// zero from/to leaves that side unbounded; the retention cutoff always
-// applies as a lower bound so reads never observe expired points.
-func (e *seriesEntry) window(cutoff, from, to time.Time) []Point {
-	if from.Before(cutoff) {
-		from = cutoff
-	}
+// window returns the in-place sub-slice of e's points in [from, to].
+// math.MaxInt64 leaves to unbounded.
+func (e *seriesEntry) window(from, to int64) []Point {
 	pts := e.points
-	lo := sort.Search(len(pts), func(i int) bool { return !pts[i].Time.Before(from) })
-	hi := len(pts)
-	if !to.IsZero() {
-		hi = sort.Search(len(pts), func(i int) bool { return pts[i].Time.After(to) })
+	lo, hi := search(pts, from), len(pts)
+	if to < math.MaxInt64 {
+		hi = search(pts, to+1)
 	}
 	if lo >= hi {
 		return nil
@@ -324,7 +360,13 @@ func (e *seriesEntry) window(cutoff, from, to time.Time) []Point {
 // retain past its return; returning false stops the scan. The callback
 // runs under the database lock and must not call back into the DB.
 func (db *DB) Scan(measurement string, from, to time.Time, fn func(tags Tags, points []Point) bool) {
-	cutoff := db.clk.Now().Add(-db.retention)
+	lo, hi := db.cutoff(db.clk.Now()), int64(math.MaxInt64)
+	if !from.IsZero() {
+		lo = max(lo, UnixNanos(from))
+	}
+	if !to.IsZero() {
+		hi = UnixNanos(to)
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	m, ok := db.measurements[measurement]
@@ -332,7 +374,7 @@ func (db *DB) Scan(measurement string, from, to time.Time, fn func(tags Tags, po
 		return
 	}
 	for _, e := range m.entries {
-		if pts := e.window(cutoff, from, to); len(pts) > 0 {
+		if pts := e.window(lo, hi); len(pts) > 0 {
 			if !fn(e.tags, pts) {
 				return
 			}
@@ -344,7 +386,7 @@ func (db *DB) Scan(measurement string, from, to time.Time, fn func(tags Tags, po
 // deterministically by canonical tags. Expired points are excluded even
 // if no write has pruned them yet.
 func (db *DB) Series(measurement string) []SeriesData {
-	cutoff := db.clk.Now().Add(-db.retention)
+	cutoff := db.cutoff(db.clk.Now())
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	m, ok := db.measurements[measurement]
@@ -353,7 +395,7 @@ func (db *DB) Series(measurement string) []SeriesData {
 	}
 	out := make([]SeriesData, 0, len(m.entries))
 	for _, e := range m.entries {
-		pts := e.window(cutoff, time.Time{}, time.Time{})
+		pts := e.window(cutoff, math.MaxInt64)
 		if len(pts) == 0 {
 			continue
 		}
@@ -392,7 +434,7 @@ func (db *DB) SeriesCount() int {
 // no write will ever prune again. It returns the number of series
 // deleted. The background sweep calls this every GC interval.
 func (db *DB) SweepNow() int {
-	cutoff := db.clk.Now().Add(-db.retention)
+	cutoff := db.cutoff(db.clk.Now())
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	deleted := 0
@@ -401,7 +443,7 @@ func (db *DB) SweepNow() int {
 		// swept ones behind them.
 		kept := 0
 		for i, e := range m.entries {
-			if n := len(e.points); n > 0 && !e.points[n-1].Time.Before(cutoff) {
+			if n := len(e.points); n > 0 && e.points[n-1].Nanos >= cutoff {
 				m.entries[kept], m.entries[i] = e, m.entries[kept]
 				kept++
 			}
@@ -409,9 +451,7 @@ func (db *DB) SweepNow() int {
 		for i, e := range m.entries[kept:] {
 			delete(m.byKey, e.key)
 			if i < kept { // recycle no more than the measurement keeps live
-				// Truncated, not cleared: a stale point references nothing
-				// but its time's Location, a package-level value, and
-				// clearing retention-sized slices would slow the sweep.
+				// Truncated, not cleared: a point holds no pointer.
 				e.key, e.tags, e.points = "", nil, e.points[:0]
 				db.free = append(db.free, e)
 			}

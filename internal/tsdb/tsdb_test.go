@@ -2,6 +2,8 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,12 +98,10 @@ func TestOutOfOrderWritesKeptTimeOrdered(t *testing.T) {
 	if len(s) != 1 {
 		t.Fatalf("series = %d, want 1", len(s))
 	}
-	prev := time.Time{}
-	for _, p := range s[0].Points {
-		if p.Time.Before(prev) {
+	for i := 1; i < len(s[0].Points); i++ {
+		if s[0].Points[i].Nanos < s[0].Points[i-1].Nanos {
 			t.Fatalf("points not time-ordered: %v", s[0].Points)
 		}
-		prev = p.Time
 	}
 	if len(s[0].Points) != 5 {
 		t.Fatalf("points = %d, want 5", len(s[0].Points))
@@ -235,8 +235,65 @@ func TestExplicitTimestampWrite(t *testing.T) {
 	past := clk.Now().Add(-30 * time.Second)
 	db.Write("m", Tags{"k": "v"}, 7, past)
 	s := db.Series("m")
-	if !s[0].Points[0].Time.Equal(past) {
-		t.Fatalf("point time = %v, want %v", s[0].Points[0].Time, past)
+	if got := time.Unix(0, s[0].Points[0].Nanos); !got.Equal(past) {
+		t.Fatalf("point time = %v, want %v", got, past)
+	}
+}
+
+// TestOutOfRangeInstantsSaturate: time.Time.UnixNano is undefined before
+// 1678 and after 2262. UnixNanos clamps such an instant to the end of the
+// int64 range it lies beyond, so the database treats a point stamped
+// there as it treats any other instant that far out: the zero time and
+// year 1500 are expired on arrival, and year 2300 stays after every point
+// of today.
+func TestOutOfRangeInstantsSaturate(t *testing.T) {
+	y1500 := time.Date(1500, time.January, 1, 0, 0, 0, 0, time.UTC)
+	y2300 := time.Date(2300, time.January, 1, 0, 0, 0, 0, time.UTC)
+	for _, c := range []struct {
+		at   time.Time
+		want int64
+	}{
+		{time.Time{}, math.MinInt64},
+		{y1500, math.MinInt64},
+		{y2300, math.MaxInt64},
+		{time.Unix(0, math.MinInt64), math.MinInt64},
+		{time.Unix(0, math.MaxInt64), math.MaxInt64},
+		{time.Unix(0, math.MaxInt64).Add(time.Nanosecond), math.MaxInt64},
+		{time.Unix(0, math.MinInt64).Add(-time.Nanosecond), math.MinInt64},
+		{clock.SimEpoch, clock.SimEpoch.UnixNano()},
+	} {
+		if got := UnixNanos(c.at); got != c.want {
+			t.Errorf("UnixNanos(%v) = %d, want %d", c.at, got, c.want)
+		}
+	}
+
+	clk := clock.NewSim()
+	db := New(clk, WithGCInterval(0))
+	now := clk.Now()
+	tags := Tags{"k": "v"}
+	db.Write("m", tags, 1, time.Time{})
+	db.Write("m", tags, 2, y1500)
+	db.Write("m", tags, 3, y2300)
+	db.Write("m", tags, 4, now)
+	want := []Point{{Nanos: now.UnixNano(), Value: 4}, {Nanos: math.MaxInt64, Value: 3}}
+	if s := db.Series("m"); len(s) != 1 || !slices.Equal(s[0].Points, want) {
+		t.Fatalf("Series = %+v, want one series of %v", s, want)
+	}
+	var scanned []Point
+	db.Scan("m", time.Time{}, time.Time{}, func(_ Tags, pts []Point) bool {
+		scanned = append(scanned, pts...)
+		return true
+	})
+	if !slices.Equal(scanned, want) {
+		t.Fatalf("open Scan visits %v, want %v", scanned, want)
+	}
+	scanned = scanned[:0]
+	db.Scan("m", time.Time{}, now, func(_ Tags, pts []Point) bool {
+		scanned = append(scanned, pts...)
+		return true
+	})
+	if !slices.Equal(scanned, want[:1]) {
+		t.Fatalf("Scan up to now visits %v, want %v", scanned, want[:1])
 	}
 }
 
