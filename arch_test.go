@@ -407,13 +407,24 @@ sampling, benchmarks and tests; selected in internal/core outside tests,
 called or taken as a method value, the pass reads the server's queue
 again. internal/apiserver declares no ordered walk: a pendingCursor or
 pendingBucket type, or anything named pull, is the server deciding the
-scheduling order again.`,
+scheduling order again. Nor does it sort its pending pods: the readers
+and a snapshot hand them out in no order, and the cache's prime sorts
+what it files. An import of sort, slices or cmp in
+internal/apiserver/pending.go is that sort coming back.`,
 		check: func(c *codebase) (out []string) {
 			for _, f := range c.files {
 				core := !f.test && within(f.dir, "internal/core")
 				server := within(f.dir, "internal/apiserver")
 				if !core && !server {
 					continue
+				}
+				if f.path == "internal/apiserver/pending.go" {
+					for _, spec := range f.syntax.Imports {
+						switch ip, _ := strconv.Unquote(spec.Path.Value); ip {
+						case "sort", "slices", "cmp":
+							out = append(out, c.at(spec.Pos())+": "+ip+": the server sorts its pending pods again")
+						}
+					}
 				}
 				ast.Inspect(f.syntax, func(n ast.Node) bool {
 					switch n := n.(type) {
@@ -820,6 +831,9 @@ func held(ev apiserver.WatchEvent) bool {
 		{"the-pass-reads-no-server-queue", map[string]string{
 			"internal/apiserver/pending.go": "package apiserver\n\ntype pendingCursor struct{ seq uint64 }\n\nfunc (c *pendingCursor) pull() {}\n",
 		}, "internal/apiserver/pending.go:3"},
+		{"the-pass-reads-no-server-queue", map[string]string{
+			"internal/apiserver/pending.go": "package apiserver\n\nimport (\n\t\"maps\"\n\tsorted \"slices\"\n)\n\nfunc names(m map[string]int64) []string { return sorted.Sorted(maps.Keys(m)) }\n",
+		}, "internal/apiserver/pending.go:5"},
 		{"the-pass-reads-no-server-queue", map[string]string{
 			"internal/apiserver/walk.go": "package apiserver\n\ntype index struct{}\n\nfunc (x *index) pull(n int) []string { return nil }\n",
 		}, "internal/apiserver/walk.go:5"},

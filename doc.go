@@ -87,13 +87,13 @@
 // The model deliberately leaves out usage (the scheduler's fusion of
 // requests with measured peaks), time beyond the server's status stamps,
 // and gang coalescing in the scheduler's queue — its pending order
-// (priority, then the rev a pod entered the queue at) is the server's
-// Snapshot.Pending always, and each scheduler's queue once gangs are
-// coalesced (a property test replays both). It
-// is the one referee: the multi-scheduler, gang, class and observability
-// experiments read their safety counts and event-derived ground truth off
-// it, and the conflict-interleaving, snapshot-prefix, gang-prefix and
-// lifecycle property tests are Apply plus assertions.
+// (priority, then the rev a pod entered the queue at) is each scheduler's
+// queue once gangs are coalesced (a property test replays it); the server
+// keeps no order, and its Snapshot.Pending revs are the model's QueuedAt.
+// It is the one referee: the multi-scheduler, gang, class and
+// observability experiments read their safety counts and event-derived
+// ground truth off it, and the conflict-interleaving, snapshot-prefix,
+// gang-prefix and lifecycle property tests are Apply plus assertions.
 //
 // The module path is github.com/sgxorch/sgxorch (Go 1.24).
 //

@@ -3,6 +3,7 @@ package apiserver
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/sgxorch/sgxorch/internal/api"
@@ -171,12 +172,7 @@ func TestReleaseGroupRollsBackWholesale(t *testing.T) {
 	if n := srv.ReservationCount(); n != 0 {
 		t.Fatalf("ReservationCount after release = %d, want 0", n)
 	}
-	var queued []string
-	srv.VisitPending("", func(p *api.Pod) bool {
-		queued = append(queued, p.Name)
-		return true
-	})
-	if fmt.Sprint(queued) != "[g-a g-b]" {
+	if queued := visited(srv, "", 0); fmt.Sprint(queued) != "[g-a g-b]" {
 		t.Fatalf("pending after release = %v, want [g-a g-b]", queued)
 	}
 	p, _ := srv.GetPod("g-a")
@@ -231,8 +227,11 @@ func TestTerminalReservedPodReleasesCapacity(t *testing.T) {
 // TestVisitPendingNSkipsPermitTakenConcurrently: VisitPendingN copies the
 // pending names out, then visits each pod under its stripe. A gang member
 // that takes a permit in between is still Pending and unbound, but no
-// longer pending: fn must not see it. fn on the first pod has another
-// goroutine reserve the later pod, on another stripe, and waits for it.
+// longer pending: fn must not see it. When fn holds the solo pod first
+// and has not met the member yet, it has another goroutine reserve the
+// member, on another stripe, and waits for it. The visit order is
+// unspecified, so the visit is retried until it reaches the solo pod
+// first; fn never reserves the pod in hand or one it already visited.
 func TestVisitPendingNSkipsPermitTakenConcurrently(t *testing.T) {
 	srv := New(clock.NewSim())
 	if err := srv.RegisterNode(gangNode("n1", resource.GiB)); err != nil {
@@ -247,19 +246,30 @@ func TestVisitPendingNSkipsPermitTakenConcurrently(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var visited []string
-	srv.VisitPendingN("", 0, func(p *api.Pod) bool {
-		if visited = append(visited, p.Name); len(visited) == 1 {
-			reserved := make(chan error)
-			go func() { reserved <- srv.Reserve(later, "n1") }()
-			if err := <-reserved; err != nil {
-				t.Errorf("reserve %s: %v", later, err)
-			}
+	for attempt := 0; ; attempt++ {
+		if attempt == 1000 {
+			t.Fatalf("%d visits never reached first before %s", attempt, later)
 		}
-		return true
-	})
-	if fmt.Sprint(visited) != "[first]" {
-		t.Fatalf("visited %v, want [first]: %s took a permit before its visit", visited, later)
+		var seen []string
+		raced := false
+		srv.VisitPendingN("", 0, func(p *api.Pod) bool {
+			seen = append(seen, p.Name)
+			if p.Name == "first" && !slices.Contains(seen, later) {
+				raced = true
+				reserved := make(chan error)
+				go func() { reserved <- srv.Reserve(later, "n1") }()
+				if err := <-reserved; err != nil {
+					t.Errorf("reserve %s: %v", later, err)
+				}
+			}
+			return true
+		})
+		if raced {
+			if fmt.Sprint(seen) != "[first]" {
+				t.Fatalf("visited %v, want [first]: %s took a permit before its visit", seen, later)
+			}
+			return
+		}
 	}
 }
 

@@ -230,12 +230,12 @@ func TestConflictInterleavingCapacityProperty(t *testing.T) {
 // safety property: a SnapshotNow taken at any instant of a bind storm
 // must equal the model of the event log up to the snapshot's Rev — no
 // torn cross-shard reads, no applied-but-unpublished commits, no
-// published-but-unapplied events, and the pending pods in the model's
-// order: priority, then the rev each entered the queue at. Gang members
-// created between other pods of their tier keep their own place (the
-// order is the scheduler's to coalesce, not the server's), and preempters
-// requeue bound pods while the binders run, on other stripes: a requeue is
-// ordered by the rev its event drew, not by when it reached the index.
+// published-but-unapplied events, and the pending pods the model's, each
+// at the rev it entered the queue at (the model's QueuedAt — what a
+// scheduler orders a tier by; the order is the scheduler's, not the
+// server's). Preempters requeue bound pods while the binders run, on
+// other stripes: a requeue is queued at the rev its event drew, not at
+// when it reached the index.
 func TestSnapshotConsistentPrefixDuringConcurrentBinds(t *testing.T) {
 	const (
 		nodes      = 8
@@ -342,8 +342,17 @@ func TestSnapshotConsistentPrefixDuringConcurrentBinds(t *testing.T) {
 					snap.Rev, p.Name, p.Spec.NodeName, p.Status.Phase, mp.Node, mp.Phase)
 			}
 		}
-		if want := m.Pending(); !slices.Equal(snap.Pending, want) {
-			t.Fatalf("snapshot rev %d pending = %v, the model says %v", snap.Rev, snap.Pending, want)
+		// Each pending pod's queue rev is the model's QueuedAt, the rev
+		// every scheduler orders its queue by within a tier.
+		want := m.Pending()
+		if len(snap.Pending) != len(want) {
+			t.Fatalf("snapshot rev %d has %d pending pods, the model %d", snap.Rev, len(snap.Pending), len(want))
+		}
+		for _, q := range snap.Pending {
+			if !slices.Contains(want, q.Pod) || q.Rev != m.Pods[q.Pod].QueuedAt {
+				t.Fatalf("snapshot rev %d: %s pending at rev %d, the model says pending %v at %d",
+					snap.Rev, q.Pod, q.Rev, slices.Contains(want, q.Pod), m.Pods[q.Pod].QueuedAt)
+			}
 		}
 	}
 	if m.ByClass[0].Preemptions == 0 {

@@ -1,17 +1,12 @@
 package apiserver
 
-import (
-	"cmp"
-	"slices"
-
-	"github.com/sgxorch/sgxorch/internal/api"
-)
+import "github.com/sgxorch/sgxorch/internal/api"
 
 // pendingIndex is which pods are pending: every unbound, non-terminal pod
 // holding no permit (§IV's queue of pending jobs), by name. It keeps no
-// order — a scheduler reads the pending pods and decides their order
-// itself (internal/core keeps its queue from the watch stream) — only what
-// the depth counters and the whole-queue readers need: each pod's
+// order and hands out none — order unspecified; a scheduler orders its own
+// queue (internal/core keeps it from the watch stream) — only what the
+// depth counters, the whole-queue readers and a snapshot need: each pod's
 // scheduler, priority, workload class and queue rev, the rev of the event
 // that put it in the queue (PodCreated, a requeue PodUpdated or
 // PodPermitReleased; internal/model's QueuedAt). Per-(scheduler, class)
@@ -77,27 +72,4 @@ func (x *pendingIndex) classCounts(sched string) map[api.WorkloadClass]int {
 		}
 	}
 	return out
-}
-
-// ranked is a pending pod's name beside what orders it.
-type ranked struct {
-	name string
-	prio int32
-	rev  int64
-}
-
-// order returns the named scheduler's pending pods (the empty name: every
-// pod) by priority, descending, then queue rev — internal/model's Pending
-// order.
-func (x *pendingIndex) order(sched string) []ranked {
-	all := make([]ranked, 0, len(x.pods))
-	for name, e := range x.pods {
-		if sched == "" || e.sched == sched {
-			all = append(all, ranked{name, e.prio, e.rev})
-		}
-	}
-	slices.SortFunc(all, func(a, b ranked) int {
-		return cmp.Or(cmp.Compare(b.prio, a.prio), cmp.Compare(a.rev, b.rev))
-	})
-	return all
 }

@@ -3,8 +3,9 @@ package apiserver
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"github.com/sgxorch/sgxorch/internal/api"
@@ -26,9 +27,31 @@ func prioPod(name string, prio int32) *api.Pod {
 	}
 }
 
-// TestPendingQueuePriorityThenFCFS: the queue drains higher tiers first
-// and first-come first-served within a tier, regardless of interleaved
-// submission order.
+// queueRevs is each pending pod's queue rev, as a snapshot lists it.
+func queueRevs(s *Server) map[string]int64 {
+	out := map[string]int64{}
+	for _, q := range s.SnapshotNow().Pending {
+		out[q.Pod] = q.Rev
+	}
+	return out
+}
+
+// visited is the names a VisitPendingN of the named scheduler hands fn,
+// sorted: the server's visit order is unspecified.
+func visited(s *Server, sched string, limit int) []string {
+	var out []string
+	s.VisitPendingN(sched, limit, func(p *api.Pod) bool {
+		out = append(out, p.Name)
+		return true
+	})
+	slices.Sort(out)
+	return out
+}
+
+// TestPendingQueuePriorityThenFCFS: whatever the interleaving of tiers,
+// every submitted pod is pending at the rev of its PodCreated — what a
+// scheduler orders its queue by within a tier (internal/core's
+// TestCacheQueueOrdersServerScenarios asserts that order).
 func TestPendingQueuePriorityThenFCFS(t *testing.T) {
 	clk := clock.NewSim()
 	srv := New(clk)
@@ -39,89 +62,76 @@ func TestPendingQueuePriorityThenFCFS(t *testing.T) {
 		{"low-1", 0}, {"high-1", 5}, {"low-2", 0}, {"mid-1", 3},
 		{"high-2", 5}, {"mid-2", 3}, {"low-3", 0},
 	}
-	for _, s := range submissions {
+	want := map[string]int64{}
+	for i, s := range submissions {
 		if err := srv.CreatePod(prioPod(s.name, s.prio)); err != nil {
 			t.Fatal(err)
 		}
+		want[s.name] = int64(i + 1)
 	}
-	want := []string{"high-1", "high-2", "mid-1", "mid-2", "low-1", "low-2", "low-3"}
-
+	names := slices.Sorted(maps.Keys(want))
+	if got := visited(srv, "", 0); !slices.Equal(got, names) {
+		t.Fatalf("VisitPending visited %v, want %v", got, names)
+	}
 	var got []string
-	srv.VisitPending("", func(p *api.Pod) bool {
-		got = append(got, p.Name)
-		return true
-	})
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("VisitPending order = %v, want %v", got, want)
-	}
-
-	got = got[:0]
 	for _, p := range srv.PendingPods("s") {
 		got = append(got, p.Name)
 	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("PendingPods order = %v, want %v", got, want)
+	if slices.Sort(got); !slices.Equal(got, names) {
+		t.Fatalf("PendingPods = %v, want %v", got, names)
 	}
-
-	snap, unsub := srv.ListAndWatchBatch(func([]WatchEvent) {}, nil)
-	defer unsub()
-	if fmt.Sprint(snap.Pending) != fmt.Sprint(want) {
-		t.Fatalf("snapshot Pending order = %v, want %v", snap.Pending, want)
+	if got := queueRevs(srv); !maps.Equal(got, want) {
+		t.Fatalf("snapshot queue revs = %v, want %v", got, want)
 	}
 }
 
 // TestPendingQueueRandomizedAgainstReference churns random
-// submit/remove/visit traffic through the pending index and checks its
-// order and counts against a straightforward sort-based model.
+// submit/remove traffic through the pending index and checks each
+// entry's queue rev and priority, and the counts, against a plain map.
 func TestPendingQueueRandomizedAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	x := newPendingIndex()
 	type entry struct {
-		name string
 		prio int32
 		rev  int64
 	}
-	var model []entry
+	model := map[string]entry{}
+	var names []string // model's keys, for picking one to remove
 	rev := int64(0)
 	for op := 0; op < 5000; op++ {
 		switch {
-		case rng.Intn(3) > 0 || len(model) == 0:
+		case rng.Intn(3) > 0 || len(names) == 0:
 			rev++
 			name := fmt.Sprintf("p%05d", rev)
 			prio := int32(rng.Intn(5) - 2)
 			x.add(prioPod(name, prio), rev)
-			model = append(model, entry{name: name, prio: prio, rev: rev})
+			model[name] = entry{prio, rev}
+			names = append(names, name)
 		default:
-			i := rng.Intn(len(model))
-			x.remove(model[i].name)
-			model = append(model[:i], model[i+1:]...)
+			i := rng.Intn(len(names))
+			x.remove(names[i])
+			delete(model, names[i])
+			names = append(names[:i], names[i+1:]...)
 		}
 		if op%50 != 0 {
 			continue
 		}
-		sorted := append([]entry(nil), model...)
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].prio != sorted[j].prio {
-				return sorted[i].prio > sorted[j].prio
-			}
-			return sorted[i].rev < sorted[j].rev
-		})
-		got := x.order("")
-		if len(got) != len(sorted) || len(x.pods) != len(sorted) {
-			t.Fatalf("op %d: index orders %d (holds %d), model has %d", op, len(got), len(x.pods), len(sorted))
+		if len(x.pods) != len(model) {
+			t.Fatalf("op %d: index holds %d, model has %d", op, len(x.pods), len(model))
 		}
 		prios := map[int32]int{}
-		for i := range got {
-			if got[i].name != sorted[i].name {
-				t.Fatalf("op %d: position %d = %s, model %s", op, i, got[i].name, sorted[i].name)
+		for name, want := range model {
+			e, ok := x.pods[name]
+			if !ok || e.prio != want.prio || e.rev != want.rev {
+				t.Fatalf("op %d: %s indexed %+v (present %v), model %+v", op, name, e, ok, want)
 			}
-			prios[sorted[i].prio]++
+			prios[want.prio]++
 		}
-		if fmt.Sprint(x.prios) != fmt.Sprint(prios) {
+		if !maps.Equal(x.prios, prios) {
 			t.Fatalf("op %d: priority counts %v, model %v", op, x.prios, prios)
 		}
-		if n := x.classCounts("s")[api.ClassUnspecified]; n != len(sorted) {
-			t.Fatalf("op %d: class count %d, model %d", op, n, len(sorted))
+		if n := x.classCounts("s")[api.ClassUnspecified]; n != len(model) {
+			t.Fatalf("op %d: class count %d, model %d", op, n, len(model))
 		}
 	}
 }
@@ -171,16 +181,12 @@ func TestPreemptRequeuesBoundPod(t *testing.T) {
 	if p.Status.Reason != "Preempted: test" {
 		t.Fatalf("reason = %q", p.Status.Reason)
 	}
-	// Re-queued at the tail of its tier: peer (never scheduled) first.
-	var order []string
-	srv.VisitPending("", func(p *api.Pod) bool {
-		order = append(order, p.Name)
-		return true
-	})
-	if fmt.Sprint(order) != "[peer victim]" {
-		t.Fatalf("requeue order = %v, want [peer victim]", order)
-	}
+	// Re-queued at the rev of its PodUpdated, behind peer (never
+	// scheduled) in its tier.
 	last := events[len(events)-1]
+	if got, want := queueRevs(srv), map[string]int64{"peer": 3, "victim": last.Rev}; !maps.Equal(got, want) {
+		t.Fatalf("queue revs after the requeue = %v, want %v", got, want)
+	}
 	if last.Type != PodUpdated || last.Pod.Name != "victim" || last.Pod.Spec.NodeName != "" {
 		t.Fatalf("last event = %+v, want PodUpdated for unbound victim", last)
 	}
@@ -214,41 +220,39 @@ func TestPreemptRejectsUnboundAndTerminalPods(t *testing.T) {
 }
 
 // TestVisitPendingNWindowsDeepQueue fills the queue 100k deep and proves
-// the capped visit returns exactly the queue head in order, and that the
-// callback can stop it early.
+// the full visit sees every pod once, the capped visit exactly the window
+// of distinct pending pods, and that the callback can stop it early; every
+// pod is pending at the rev of its PodCreated.
 func TestVisitPendingNWindowsDeepQueue(t *testing.T) {
 	clk := clock.NewSim()
 	srv := New(clk)
 	const depth = 100_000
-	for i := 0; i < depth; i++ {
-		// Priorities cycle so the head interleaves tiers; within a tier the
-		// order is submission order.
-		if err := srv.CreatePod(prioPod(fmt.Sprintf("pod-%06d", i), int32(i%3))); err != nil {
+	all := make([]string, depth)
+	for i := range depth {
+		// Priorities cycle so the tiers interleave.
+		all[i] = fmt.Sprintf("pod-%06d", i)
+		if err := srv.CreatePod(prioPod(all[i], int32(i%3))); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	var full []string
-	srv.VisitPending("s", func(p *api.Pod) bool {
-		full = append(full, p.Name)
-		return true
-	})
-	if len(full) != depth {
-		t.Fatalf("full visit saw %d pods, want %d", len(full), depth)
+	if got := visited(srv, "s", 0); !slices.Equal(got, all) {
+		t.Fatalf("full visit saw %d pods, want the %d submitted", len(got), depth)
+	}
+	revs := queueRevs(srv)
+	for i, name := range all {
+		if revs[name] != int64(i+1) {
+			t.Fatalf("%s queued at %d, want %d", name, revs[name], i+1)
+		}
 	}
 
 	const window = 100
-	var head []string
-	srv.VisitPendingN("s", window, func(p *api.Pod) bool {
-		head = append(head, p.Name)
-		return true
-	})
-	if len(head) != window {
-		t.Fatalf("windowed visit saw %d pods, want %d", len(head), window)
+	head := visited(srv, "s", window)
+	if distinct := len(slices.Compact(slices.Clone(head))); len(head) != window || distinct != window {
+		t.Fatalf("windowed visit saw %d pods (%d distinct), want %d", len(head), distinct, window)
 	}
-	for i := range head {
-		if head[i] != full[i] {
-			t.Fatalf("windowed visit[%d] = %s, want %s (order not preserved)", i, head[i], full[i])
+	for _, name := range head {
+		if _, ok := revs[name]; !ok {
+			t.Fatalf("windowed visit saw %s, not pending", name)
 		}
 	}
 

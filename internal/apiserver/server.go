@@ -263,14 +263,20 @@ type Snapshot struct {
 	Rev   int64
 	Nodes []*api.Node // sorted by name
 	Pods  []*api.Pod  // sorted by name
-	// Pending holds the queued pod names across all schedulers, by
-	// priority (descending), then queue rev — the rev of the event that
-	// put the pod in the queue; internal/model's Pending order.
-	Pending []string
+	// Pending holds the queued pods across all schedulers with their
+	// queue revs, order unspecified; a scheduler orders its own queue.
+	Pending []Queued
 	// Permits holds the gang permits, sorted by pod: a permit holder is
 	// unbound and Pending in Pods, but its capacity is committed on the
 	// permit's node, as its PodPermitHeld event said.
 	Permits []Permit
+}
+
+// Queued is a pending pod of a Snapshot beside its queue rev: the rev of
+// the event that put it in the queue (internal/model's QueuedAt).
+type Queued struct {
+	Pod string
+	Rev int64
 }
 
 // Server is the in-memory API server. See the package comment and
@@ -474,12 +480,11 @@ func (s *Server) snapshotWorldLocked() Snapshot {
 	// stable here; pendingMu is taken against the readers that hold no
 	// stripe (the whole-queue readers, the depth gauges).
 	s.pendingMu.Lock()
-	order := s.pending.order("")
-	s.pendingMu.Unlock()
-	snap.Pending = make([]string, len(order))
-	for i, r := range order {
-		snap.Pending[i] = r.name
+	snap.Pending = make([]Queued, 0, len(s.pending.pods))
+	for name, e := range s.pending.pods {
+		snap.Pending = append(snap.Pending, Queued{name, e.rev})
 	}
+	s.pendingMu.Unlock()
 	s.resMu.Lock()
 	for _, g := range s.gangs {
 		snap.Permits = g.appendMembers(snap.Permits, false)
@@ -624,29 +629,37 @@ func (s *Server) ListPods(filter func(*api.Pod) bool) []*api.Pod {
 	return out
 }
 
-// VisitPendingN calls fn for the given scheduler's pending pods (an
-// empty schedulerName matches every pod) in Snapshot.Pending's order until
-// the pods, the limit (limit <= 0 visits all) or fn ends it, under each
-// pod's stripe lock and with VisitPods' contract; a pod that left the
-// pending pods since the names were copied out (bound, holding a permit,
-// or terminal) is skipped. It sorts the whole index: it is for sampling,
-// benchmarks and tests, and a pass reads its own queue instead.
+// VisitPendingN calls fn for up to limit (limit <= 0: every) of the
+// given scheduler's pending pods (an empty schedulerName matches every
+// pod), order unspecified — a scheduler orders its own queue — until the
+// pods or fn ends it, under each pod's stripe lock and with VisitPods'
+// contract; a pod that left the pending pods since the names were copied
+// out (bound, holding a permit, or terminal) is skipped. It is for
+// sampling, benchmarks and tests; a pass reads its own queue instead.
 func (s *Server) VisitPendingN(schedulerName string, limit int, fn func(*api.Pod) bool) {
 	s.pendingMu.Lock()
-	order := s.pending.order(schedulerName)
-	s.pendingMu.Unlock()
-	if limit > 0 && len(order) > limit {
-		order = order[:limit]
+	if limit <= 0 {
+		limit = len(s.pending.pods)
 	}
-	for _, r := range order {
-		sh := s.podShardFor(r.name)
+	names := make([]string, 0, min(limit, len(s.pending.pods)))
+	for name, e := range s.pending.pods {
+		if len(names) == limit {
+			break
+		}
+		if schedulerName == "" || e.sched == schedulerName {
+			names = append(names, name)
+		}
+	}
+	s.pendingMu.Unlock()
+	for _, name := range names {
+		sh := s.podShardFor(name)
 		sh.mu.Lock()
 		// The index changes only under the pod's stripe, so this answer
 		// holds while fn runs.
 		s.pendingMu.Lock()
-		_, pending := s.pending.pods[r.name]
+		_, pending := s.pending.pods[name]
 		s.pendingMu.Unlock()
-		stop := pending && !fn(sh.pods[r.name])
+		stop := pending && !fn(sh.pods[name])
 		sh.mu.Unlock()
 		if stop {
 			return
@@ -659,8 +672,8 @@ func (s *Server) VisitPending(schedulerName string, fn func(*api.Pod) bool) {
 	s.VisitPendingN(schedulerName, 0, fn)
 }
 
-// PendingPods returns copies of the given scheduler's pending pods, in
-// VisitPending's order.
+// PendingPods returns copies of the given scheduler's pending pods, order
+// unspecified.
 func (s *Server) PendingPods(schedulerName string) []*api.Pod {
 	out := []*api.Pod{}
 	s.VisitPending(schedulerName, func(p *api.Pod) bool {

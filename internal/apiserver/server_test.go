@@ -3,6 +3,8 @@ package apiserver
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -91,23 +93,28 @@ func TestUpdateNode(t *testing.T) {
 func TestCreatePodQueuesFCFS(t *testing.T) {
 	clk := clock.NewSim()
 	s := New(clk)
+	want := map[string]int64{}
 	for i := 0; i < 5; i++ {
 		clk.Advance(time.Second)
-		if err := s.CreatePod(testPod(fmt.Sprintf("pod-%d", i))); err != nil {
+		name := fmt.Sprintf("pod-%d", i)
+		if err := s.CreatePod(testPod(name)); err != nil {
 			t.Fatal(err)
 		}
+		want[name] = int64(i + 1)
 	}
 	if err := s.CreatePod(testPod("pod-0")); !errors.Is(err, ErrAlreadyExists) {
 		t.Fatalf("duplicate pod err = %v", err)
+	}
+	// Each pod is queued at the rev of its PodCreated, what FCFS orders
+	// by (internal/core's TestCacheQueueOrdersServerScenarios).
+	if got := queueRevs(s); !maps.Equal(got, want) {
+		t.Fatalf("queue revs = %v, want %v", got, want)
 	}
 	pending := s.PendingPods("sgx-binpack")
 	if len(pending) != 5 {
 		t.Fatalf("pending = %d, want 5", len(pending))
 	}
-	for i, p := range pending {
-		if p.Name != fmt.Sprintf("pod-%d", i) {
-			t.Fatalf("FCFS order violated: %v at %d", p.Name, i)
-		}
+	for _, p := range pending {
 		if p.Status.Phase != api.PodPending {
 			t.Fatalf("phase = %s", p.Status.Phase)
 		}
@@ -368,19 +375,11 @@ func TestVisitPendingFCFSOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var seen []string
-	s.VisitPending("sgx-binpack", func(p *api.Pod) bool {
-		seen = append(seen, p.Name)
-		return true
-	})
-	want := []string{"pod-0", "pod-2", "pod-4"}
-	if len(seen) != len(want) {
-		t.Fatalf("visited %v, want %v", seen, want)
+	if got, want := visited(s, "sgx-binpack", 0), []string{"pod-0", "pod-2", "pod-4"}; !slices.Equal(got, want) {
+		t.Fatalf("visited %v, want %v", got, want)
 	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("visited %v, want %v (FCFS order)", seen, want)
-		}
+	if got, want := queueRevs(s), map[string]int64{"pod-0": 1, "pod-1": 2, "pod-2": 3, "pod-3": 4, "pod-4": 5}; !maps.Equal(got, want) {
+		t.Fatalf("queue revs = %v, want %v", got, want)
 	}
 
 	// Early stop.
@@ -470,8 +469,8 @@ func TestListAndWatchHandshake(t *testing.T) {
 	if snap.Pods[0].Spec.NodeName != "n1" {
 		t.Fatal("snapshot missed the bind")
 	}
-	if len(snap.Pending) != 2 || snap.Pending[0] != "p1" || snap.Pending[1] != "p2" {
-		t.Fatalf("snapshot pending = %v, want [p1 p2]", snap.Pending)
+	if got := snap.Pending; len(got) != 2 || !slices.Contains(got, Queued{"p1", 3}) || !slices.Contains(got, Queued{"p2", 4}) {
+		t.Fatalf("snapshot pending = %v, want p1 at rev 3 and p2 at rev 4", got)
 	}
 	if len(events) != 0 {
 		t.Fatalf("events before any mutation: %v", events)
@@ -548,15 +547,21 @@ func TestNotifyDeliversInRegistrationOrder(t *testing.T) {
 	}
 }
 
-// TestPendingQueueIndexAndCompaction: removals from the FCFS queue are
-// index-based with tombstone compaction; order and counts must survive
-// arbitrary interleavings of creates, binds and failures.
+// TestPendingQueueIndexAndCompaction: the pending pods, their queue revs
+// and their count must survive arbitrary interleavings of creates, binds
+// and failures.
 func TestPendingQueueIndexAndCompaction(t *testing.T) {
 	clk := clock.NewSim()
 	s := New(clk)
 	if err := s.RegisterNode(testNode("n1", false)); err != nil {
 		t.Fatal(err)
 	}
+	created := map[string]int64{}
+	defer s.Subscribe(func(ev WatchEvent) {
+		if ev.Type == PodCreated {
+			created[ev.Pod.Name] = ev.Rev
+		}
+	})()
 	const n = 200
 	for i := 0; i < n; i++ {
 		if err := s.CreatePod(testPod(fmt.Sprintf("pod-%03d", i))); err != nil {
@@ -585,27 +590,22 @@ func TestPendingQueueIndexAndCompaction(t *testing.T) {
 	if got := s.PendingCount(); got != wantCount {
 		t.Fatalf("PendingCount = %d, want %d", got, wantCount)
 	}
-	var got []string
-	s.VisitPending("", func(p *api.Pod) bool {
-		got = append(got, p.Name)
-		return true
-	})
-	var want []string
+	want := map[string]int64{}
 	for i := n/2 + 1; i < n; i += 2 {
-		want = append(want, fmt.Sprintf("pod-%03d", i))
+		name := fmt.Sprintf("pod-%03d", i)
+		want[name] = created[name]
 	}
 	for i := 0; i < 5; i++ {
-		want = append(want, fmt.Sprintf("late-%d", i))
+		name := fmt.Sprintf("late-%d", i)
+		want[name] = created[name]
 	}
-	if len(got) != len(want) {
-		t.Fatalf("pending = %v\nwant %v", got, want)
+	if got := visited(s, "", 0); !slices.Equal(got, slices.Sorted(maps.Keys(want))) {
+		t.Fatalf("pending = %v\nwant %v", got, slices.Sorted(maps.Keys(want)))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("pending[%d] = %s, want %s (FCFS order lost)", i, got[i], want[i])
-		}
+	if got := queueRevs(s); !maps.Equal(got, want) {
+		t.Fatalf("queue revs = %v\nwant %v", got, want)
 	}
-	if listed := s.PendingPods(""); len(listed) != len(want) || listed[0].Name != want[0] {
+	if listed := s.PendingPods(""); len(listed) != len(want) {
 		t.Fatalf("PendingPods diverged from VisitPending: %d items", len(listed))
 	}
 }

@@ -33,7 +33,8 @@ import (
 // pending (pending.go), not an order: a commit holds it for one map
 // insert or delete, the depth readers for a few counters, and the
 // whole-queue readers (VisitPending, VisitPendingN, PendingPods) to copy
-// the sorted names out before they visit those pods one stripe at a time.
+// the names out, unsorted, before they visit those pods one stripe at a
+// time.
 // A scheduling pass reads its own queue (internal/core) and takes
 // pendingMu no more. So pendingMu is only ever acquired while holding
 // stripes or none, never the reverse.

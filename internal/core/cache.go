@@ -405,14 +405,26 @@ func (c *ClusterCache) applyLocked(ev *apiserver.WatchEvent, now time.Time) {
 }
 
 // primeQueuesLocked rebuilds the queues from a snapshot's pending pods,
-// in Snapshot.Pending's order (the snapshot's pods are sorted by name).
-// The stamps continue where they stood, so a walk opened before the
-// rebuild delivers nothing after it: nothing twice, and nothing that left
-// the queue. Caller must hold c.mu.
+// which it files by priority (descending), then queue rev — the order the
+// stream filed them in, internal/model's Pending order; the snapshot
+// hands them over in none. The stamps continue where they stood, so a
+// walk opened before the rebuild delivers nothing after it: nothing
+// twice, and nothing that left the queue. Caller must hold c.mu.
 func (c *ClusterCache) primeQueuesLocked(snap apiserver.Snapshot) {
+	type queued struct {
+		pod *api.Pod
+		rev int64
+	}
+	pending := make([]queued, len(snap.Pending))
+	for i, q := range snap.Pending {
+		pending[i] = queued{snapshotPod(snap, q.Pod), q.Rev}
+	}
+	slices.SortFunc(pending, func(a, b queued) int {
+		return cmp.Or(cmp.Compare(b.pod.Spec.Priority, a.pod.Spec.Priority), cmp.Compare(a.rev, b.rev))
+	})
 	c.queues = make(map[string]*podQueue)
-	for _, name := range snap.Pending {
-		c.queueLocked(snapshotPod(snap, name))
+	for _, q := range pending {
+		c.queueLocked(q.pod)
 	}
 }
 

@@ -326,15 +326,19 @@ func TestPendingPullModelProperty(t *testing.T) {
 					}
 					serial++
 					push(fmt.Sprintf("p%04d", serial), prio, "")
-				case op == 10: // a resync rebuilds the queues in snapshot order
+				case op == 10: // a resync rebuilds the queues from a snapshot
+					// The snapshot's pending pods come in no order, each
+					// beside its queue rev (a stamp is one, in push
+					// order): the prime must restore tiers, then FCFS.
 					order := slices.Clone(live)
 					slices.SortStableFunc(order, func(a, b modelPod) int { return int(b.prio) - int(a.prio) })
 					snap := apiserver.Snapshot{}
 					for _, p := range order {
 						unreached(p)
-						snap.Pending = append(snap.Pending, p.name)
+						snap.Pending = append(snap.Pending, apiserver.Queued{Pod: p.name, Rev: int64(p.seq)})
 						snap.Pods = append(snap.Pods, pods[p.name])
 					}
+					rng.Shuffle(len(snap.Pending), func(i, j int) { snap.Pending[i], snap.Pending[j] = snap.Pending[j], snap.Pending[i] })
 					sort.Slice(snap.Pods, func(i, j int) bool { return snap.Pods[i].Name < snap.Pods[j].Name })
 					live = live[:0]
 					for _, p := range order {
@@ -342,6 +346,9 @@ func TestPendingPullModelProperty(t *testing.T) {
 						live = append(live, p)
 					}
 					c.primeQueuesLocked(snap)
+					if got, want := queueOrder(c, "s"), modelNames(modelVisit(live)); !slices.Equal(got, want) {
+						t.Fatalf("seed %d: the queue primed from a shuffled snapshot walks\n%v, want\n%v", seed, got, want)
+					}
 				default: // the queue emptied, kept, refilled
 					kept := c.queues["s"]
 					for len(live) > 0 {
@@ -426,6 +433,124 @@ func createQueued(t *testing.T, srv *apiserver.Server, pods ...*api.Pod) {
 		if err := srv.CreatePod(p); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCacheQueueOrdersServerScenarios: the API server hands out its
+// pending pods in no order, so priority, then FCFS, is the cache's to
+// keep. Over the scenarios whose queue revs internal/apiserver's pending
+// tests pin, both the queue a cache keeps from the live stream and the
+// queue a fresh ListAndWatchBatch handshake primes from the snapshot are
+// that order.
+func TestCacheQueueOrdersServerScenarios(t *testing.T) {
+	create := func(t *testing.T, srv *apiserver.Server, sched, name string, prio int32) {
+		t.Helper()
+		p := memPod(name, resource.MiB, prio)
+		p.Spec.SchedulerName = sched
+		if err := srv.CreatePod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node := func(t *testing.T, srv *apiserver.Server) {
+		t.Helper()
+		big := resource.List{resource.Memory: 1 << 50}
+		if err := srv.RegisterNode(&api.Node{Name: "n", Capacity: big, Allocatable: big, Ready: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const depth = 100_000
+	var deep [3][]string // the deep queue's tiers, ascending
+	for i := range depth {
+		deep[i%3] = append(deep[i%3], fmt.Sprintf("pod-%06d", i))
+	}
+	for _, tc := range []struct {
+		name   string
+		build  func(t *testing.T, srv *apiserver.Server)
+		want   map[string][]string // by scheduler
+		window int                 // > 0: also walk "s" capped here
+	}{
+		{"PriorityThenFCFS", func(t *testing.T, srv *apiserver.Server) {
+			for _, p := range []struct {
+				name string
+				prio int32
+			}{
+				{"low-1", 0}, {"high-1", 5}, {"low-2", 0}, {"mid-1", 3},
+				{"high-2", 5}, {"mid-2", 3}, {"low-3", 0},
+			} {
+				create(t, srv, "s", p.name, p.prio)
+			}
+		}, map[string][]string{"s": {"high-1", "high-2", "mid-1", "mid-2", "low-1", "low-2", "low-3"}}, 0},
+		{"FCFSPerScheduler", func(t *testing.T, srv *apiserver.Server) {
+			for i := range 5 {
+				create(t, srv, []string{"s", "other"}[i%2], fmt.Sprintf("pod-%d", i), 0)
+			}
+		}, map[string][]string{"s": {"pod-0", "pod-2", "pod-4"}, "other": {"pod-1", "pod-3"}}, 0},
+		{"BindsAndFailuresKeepFCFS", func(t *testing.T, srv *apiserver.Server) {
+			node(t, srv)
+			for i := range 200 {
+				create(t, srv, "s", fmt.Sprintf("pod-%03d", i), 0)
+			}
+			for i := 0; i < 200; i += 2 {
+				if err := srv.Bind(fmt.Sprintf("pod-%03d", i), "n"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 1; i < 100; i += 2 {
+				if err := srv.MarkFailed(fmt.Sprintf("pod-%03d", i), "chaos"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range 5 {
+				create(t, srv, "s", fmt.Sprintf("late-%d", i), 0)
+			}
+		}, map[string][]string{"s": func() (out []string) {
+			for i := 101; i < 200; i += 2 {
+				out = append(out, fmt.Sprintf("pod-%03d", i))
+			}
+			return append(out, "late-0", "late-1", "late-2", "late-3", "late-4")
+		}()}, 0},
+		{"PreemptRequeuesAtTierTail", func(t *testing.T, srv *apiserver.Server) {
+			node(t, srv)
+			create(t, srv, "s", "victim", 1)
+			create(t, srv, "s", "peer", 1)
+			if err := srv.Bind("victim", "n"); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.MarkRunning("victim"); err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Preempt("victim", "test"); err != nil {
+				t.Fatal(err)
+			}
+		}, map[string][]string{"s": {"peer", "victim"}}, 0},
+		{"DeepQueue", func(t *testing.T, srv *apiserver.Server) {
+			for i := range depth {
+				create(t, srv, "s", fmt.Sprintf("pod-%06d", i), int32(i%3))
+			}
+		}, map[string][]string{"s": slices.Concat(deep[2], deep[1], deep[0])}, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, live := newQueueCache(t)
+			tc.build(t, srv)
+			primed := newClusterCache(clock.NewSim(), srv, nil, 0, false)
+			defer primed.Close()
+			for _, c := range []struct {
+				how   string
+				cache *ClusterCache
+			}{{"live stream", live}, {"fresh prime", primed}} {
+				for sched, want := range tc.want {
+					if got := queueOrder(c.cache, sched); !slices.Equal(got, want) {
+						t.Fatalf("%s: %s's queue (%d pods) diverges from priority-then-FCFS (%d pods)\n%v\nwant\n%v",
+							c.how, sched, len(got), len(want), got[:min(len(got), 20)], want[:min(len(want), 20)])
+					}
+				}
+				if tc.window > 0 {
+					if got, want := walkNames(c.cache, "s", tc.window), tc.want["s"][:tc.window]; !slices.Equal(got, want) {
+						t.Fatalf("%s: walk capped at %d = %v, want %v", c.how, tc.window, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
