@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -226,6 +227,109 @@ func isSubscribeEntry(fn *ast.FuncDecl) bool {
 		}
 	}
 	return false
+}
+
+// fieldWrites calls visit for every assignment or ++/-- whose target is a
+// field of a variable — w.A.B = …, w.A[k] = …, w.A++ — with the selector
+// path from w and the expression w was last bound from before the write,
+// in a scope that encloses it: a block, a case clause, or the if, for or
+// switch whose init bound it. bound is nil for a parameter, a range
+// variable or an unbound name.
+func fieldWrites(f *srcFile, visit func(w *ast.Ident, path []string, bound ast.Expr)) {
+	type binding struct {
+		name  string
+		at    token.Pos
+		scope ast.Node
+		rhs   ast.Expr
+	}
+	var binds []binding
+	var stack []ast.Node
+	write := func(target ast.Expr) {
+		var path []string
+		for {
+			switch e := target.(type) {
+			case *ast.SelectorExpr:
+				path, target = append([]string{e.Sel.Name}, path...), e.X
+			case *ast.IndexExpr:
+				target = e.X
+			case *ast.ParenExpr:
+				target = e.X
+			case *ast.Ident:
+				if len(path) == 0 {
+					return
+				}
+				var bound ast.Expr
+				for _, b := range binds {
+					if b.name == e.Name && b.at < e.Pos() && b.scope.Pos() <= e.Pos() && e.Pos() < b.scope.End() {
+						bound = b.rhs
+					}
+				}
+				visit(e, path, bound)
+				return
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f.syntax, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, l := range n.Lhs {
+				write(l)
+			}
+			scope := stack[len(stack)-1]
+			for i, l := range n.Lhs {
+				id, ok := l.(*ast.Ident)
+				if !ok || id.Name == "_" {
+					continue
+				}
+				rhs := n.Rhs[0]
+				if len(n.Rhs) == len(n.Lhs) {
+					rhs = n.Rhs[i]
+				}
+				binds = append(binds, binding{id.Name, n.End(), scope, rhs})
+			}
+		case *ast.IncDecStmt:
+			write(n.X)
+		case *ast.RangeStmt:
+			for _, x := range []ast.Expr{n.Key, n.Value} {
+				if id, ok := x.(*ast.Ident); ok {
+					binds = append(binds, binding{id.Name, n.X.End(), n, nil})
+				}
+			}
+		}
+		stack = append(stack, n)
+		return true
+	})
+}
+
+// calls reports whether e is a call of a method or function named one of
+// names.
+func calls(e ast.Expr, names ...string) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	switch fn := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		return slices.Contains(names, fn.Sel.Name)
+	case *ast.Ident:
+		return slices.Contains(names, fn.Name)
+	}
+	return false
+}
+
+// freshCopy reports whether e makes a pod the caller may write: the next
+// version, a clone or a struct copy.
+func freshCopy(e ast.Expr) bool {
+	if _, deref := e.(*ast.StarExpr); deref {
+		return true
+	}
+	return calls(e, "nextVersion", "Clone")
 }
 
 type archRule struct {
@@ -471,6 +575,35 @@ SubscribeBatch or ListAndWatchBatch.`,
 						}
 					}
 					return true
+				})
+			}
+			return out
+		},
+	},
+	{
+		name: "stored-objects-are-read-only",
+		doc: `A stored pod or node is immutable: a commit stores a new version
+and publishes that pointer, and every reader — an event, GetPod, GetNode,
+the lists, a snapshot — gets a stored version with no copy. A write
+through one rewrites state the caches already hold, behind every event.
+So in internal/apiserver a pod field (Spec, Status, Labels, UID) is
+written only through a variable bound from the version builder
+(txn.nextVersion), from .Clone() or from a struct copy (*p), and
+anywhere in the repository a variable bound from GetPod( or GetNode( has
+no field written until it is rebound from .Clone(). The match is by
+name, over each variable's latest binding in scope: a write after a
+clone made in a branch that does not enclose it still counts.`,
+		check: func(c *codebase) (out []string) {
+			podFields := map[string]bool{"Spec": true, "Status": true, "Labels": true, "UID": true}
+			for _, f := range c.files {
+				server := !f.test && within(f.dir, "internal/apiserver")
+				fieldWrites(f, func(w *ast.Ident, path []string, bound ast.Expr) {
+					switch {
+					case server && slices.ContainsFunc(path, func(p string) bool { return podFields[p] }) && !freshCopy(bound):
+						out = append(out, c.at(w.Pos())+": writes "+w.Name+"."+strings.Join(path, ".")+" in place; build the next version")
+					case calls(bound, "GetPod", "GetNode"):
+						out = append(out, c.at(w.Pos())+": writes "+w.Name+"."+strings.Join(path, ".")+" of a stored version; clone it first")
+					}
 				})
 			}
 			return out
@@ -841,6 +974,38 @@ func held(ev apiserver.WatchEvent) bool {
 			"internal/core/cache.go": "package core\n\nfunc prime(s interface{ ListAndWatchBatch(func()) }) { s.ListAndWatchBatch(nil) }\n",
 			"internal/core/gang.go":  "package core\n\nfunc watch(s interface{ SubscribeBatch(func(), func()) func() }) { s.SubscribeBatch(nil, nil) }\n",
 		}, "internal/core/gang.go:3"},
+		{"stored-objects-are-read-only", map[string]string{
+			"internal/core/queue_test.go": `package core
+
+func straggler(srv interface{ GetPod(string) (*Pod, error) }) {
+	if p, _ := srv.GetPod("a"); p.Spec.InGang() {
+		p.Name = "a-late"
+	}
+}
+`,
+		}, "internal/core/queue_test.go:5"},
+		{"stored-objects-are-read-only", map[string]string{
+			"internal/kubelet/kubelet.go": `package kubelet
+
+func stop(srv interface{ GetNode(string) (*Node, error) }) {
+	n, err := srv.GetNode("n1")
+	if err == nil {
+		n = n.Clone()
+	}
+	n.Ready = false
+}
+`,
+		}, "internal/kubelet/kubelet.go:8"},
+		{"stored-objects-are-read-only", map[string]string{
+			"internal/apiserver/server.go": `package apiserver
+
+func (t *txn) run(p *Pod) {
+	c := p.Clone()
+	c.Status.Reason = "copy"
+	p.Status.Phase = PodRunning
+}
+`,
+		}, "internal/apiserver/server.go:6"},
 		{"no-dead-internal-surface", map[string]string{
 			"internal/sgx/quote.go": "package sgx\n\nfunc live() { Live() }\n\nfunc Live() {}\n\nfunc Dead() { Dead() }\n",
 		}, "internal/sgx/quote.go:7"},

@@ -189,9 +189,10 @@
 // Flush that finds one active — re-entrant from a callback or concurrent
 // from another committer, the broker does not ask which — returns at
 // once, so no commit pays a goroutine-id lookup (a stack traceback).
-// Watch events carry a private copy of the pod struct — binding and
-// status are the commit's — sharing the labels and containers nothing
-// changes after CreatePod, instead of a deep copy. In asynchronous mode
+// A stored pod or node is immutable: a commit stores its next version and
+// publishes that same pointer, so an event, GetPod, the lists and a
+// snapshot all hand out stored versions, read-only and safe to retain,
+// with no copy. In asynchronous mode
 // (apiserver.WithAsyncWatch) every subscriber gets a pump goroutine that
 // drains the ring in batches ([]WatchEvent per callback): publishers
 // never wait for consumers, slow consumers batch up naturally, and a

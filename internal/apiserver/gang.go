@@ -184,9 +184,9 @@ func (s *Server) Reserve(podName, nodeName string) error {
 		return err
 	}
 	s.moveMember(p, memberHeld, nodeName)
-	ev := eventPod(p)
+	ev := *p
 	ev.Spec.NodeName = nodeName
-	t.publish(WatchEvent{Type: PodPermitHeld, Pod: ev})
+	t.publish(WatchEvent{Type: PodPermitHeld, Pod: &ev})
 	return nil
 }
 

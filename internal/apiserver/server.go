@@ -62,9 +62,10 @@
 package apiserver
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -235,19 +236,17 @@ const (
 )
 
 // WatchEvent is delivered to subscribers on state changes. Pod and Node
-// are safe to retain and read-only. Node is a deep copy. Pod is a copy of
-// the pod struct private to the event — Name, UID, the scalar Spec fields
-// (Spec.NodeName above all) and the whole Status are this commit's and
-// never show a later transition — whose Labels map and Spec.Containers
-// slice (each container's resource lists with it) are shared with the
-// stored pod and with every other event about it: the server never
-// changes them after CreatePod, and a subscriber that wrote through them
-// would corrupt the source of truth. A consumer that needs a pod it may
-// edit clones it (api.Pod.Clone) or asks GetPod. Rev is the
-// server's resource version at the mutation: revisions increase by one
-// per event, so a cache built from a ListAndWatchBatch snapshot can discard
-// events already reflected in it (Rev <= Snapshot.Rev) without racing
-// concurrent mutations.
+// are the stored versions the commit made — immutable, safe to retain,
+// and the same pointers GetPod, GetNode, the lists and a Snapshot hand
+// out until a later commit stores the next version. A later commit never
+// shows through one (PodPermitHeld's pod alone is the event's own copy,
+// carrying the permit's node). Versions of a pod share its Labels map and
+// Spec.Containers slice; nothing may write through any of it, and a
+// consumer that needs a pod or node it may edit clones it
+// (api.Pod.Clone, api.Node.Clone). Rev is the server's resource version
+// at the mutation: revisions increase by one per event, so a cache built
+// from a ListAndWatchBatch snapshot can discard events already reflected
+// in it (Rev <= Snapshot.Rev) without racing concurrent mutations.
 type WatchEvent struct {
 	Type WatchEventType
 	Rev  int64
@@ -255,10 +254,11 @@ type WatchEvent struct {
 	Node *api.Node
 }
 
-// Snapshot is a consistent point-in-time copy of the cluster state, as
+// Snapshot is a consistent point-in-time view of the cluster state, as
 // returned by ListAndWatchBatch. Rev is the resource version of the last
 // mutation included in it. Everything in it — permits included — is read
-// under the world ladder, so it is the watch stream's state at Rev.
+// under the world ladder, so it is the watch stream's state at Rev. Its
+// nodes and pods are the stored versions, read-only like an event's.
 type Snapshot struct {
 	Rev   int64
 	Nodes []*api.Node // sorted by name
@@ -460,22 +460,24 @@ func (s *Server) SnapshotNow() Snapshot {
 // ladder (lockWorld).
 func (s *Server) snapshotWorldLocked() Snapshot {
 	snap := Snapshot{Rev: s.seq.Load()}
-	var nodes []*api.Node
+	var nn, np int
+	for i := range numStripes {
+		nn, np = nn+len(s.nodeShards[i].nodes), np+len(s.podShards[i].pods)
+	}
+	snap.Nodes = make([]*api.Node, 0, nn)
 	for i := range s.nodeShards {
 		for _, n := range s.nodeShards[i].nodes {
-			nodes = append(nodes, n.Clone())
+			snap.Nodes = append(snap.Nodes, n)
 		}
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	snap.Nodes = nodes
-	var pods []*api.Pod
+	slices.SortFunc(snap.Nodes, func(a, b *api.Node) int { return cmp.Compare(a.Name, b.Name) })
+	snap.Pods = make([]*api.Pod, 0, np)
 	for i := range s.podShards {
 		for _, p := range s.podShards[i].pods {
-			pods = append(pods, p.Clone())
+			snap.Pods = append(snap.Pods, p)
 		}
 	}
-	sort.Slice(pods, func(i, j int) bool { return pods[i].Name < pods[j].Name })
-	snap.Pods = pods
+	slices.SortFunc(snap.Pods, func(a, b *api.Pod) int { return cmp.Compare(a.Name, b.Name) })
 	// Every index mutation happens under a pod stripe, so the index is
 	// stable here; pendingMu is taken against the readers that hold no
 	// stripe (the whole-queue readers, the depth gauges).
@@ -520,8 +522,8 @@ func (s *Server) UpdateNode(n *api.Node) error {
 	return s.putNode(n, NodeUpdated)
 }
 
-// putNode stores a copy of n under its stripe: a registration needs the
-// name free, an update needs it taken.
+// putNode stores a copy of n under its stripe and publishes that copy: a
+// registration needs the name free, an update needs it taken.
 func (s *Server) putNode(n *api.Node, typ WatchEventType) error {
 	t := s.begin()
 	defer t.end()
@@ -535,11 +537,12 @@ func (s *Server) putNode(n *api.Node, typ WatchEventType) error {
 	}
 	stored := n.Clone()
 	nsh.nodes[n.Name] = stored
-	t.publish(WatchEvent{Type: typ, Node: stored.Clone()})
+	t.publish(WatchEvent{Type: typ, Node: stored})
 	return nil
 }
 
-// GetNode returns a copy of the named node.
+// GetNode returns the named node's stored version: read-only (see
+// WatchEvent); clone it to edit it for UpdateNode.
 func (s *Server) GetNode(name string) (*api.Node, error) {
 	sh := s.nodeShardFor(name)
 	sh.mu.Lock()
@@ -548,23 +551,24 @@ func (s *Server) GetNode(name string) (*api.Node, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: node %s", ErrNotFound, name)
 	}
-	return n.Clone(), nil
+	return n, nil
 }
 
-// ListNodes returns copies of all nodes, sorted by name for deterministic
-// iteration (the binpack policy relies on a consistent node order, §IV).
-// Stripes are visited one at a time — ListNodes does not stop the world.
+// ListNodes returns the stored versions of all nodes, read-only (see
+// WatchEvent), sorted by name for deterministic iteration (the binpack
+// policy relies on a consistent node order, §IV). Stripes are visited one
+// at a time — ListNodes does not stop the world.
 func (s *Server) ListNodes() []*api.Node {
 	var out []*api.Node
 	for i := range s.nodeShards {
 		sh := &s.nodeShards[i]
 		sh.mu.Lock()
 		for _, n := range sh.nodes {
-			out = append(out, n.Clone())
+			out = append(out, n)
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *api.Node) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -594,11 +598,12 @@ func (s *Server) CreatePod(p *api.Pod) error {
 	stored.Status.Phase = api.PodPending
 	stored.Status.SubmittedAt = s.clk.Now()
 	t.psh.pods[stored.Name] = stored
-	s.pushPending(stored, t.publish(WatchEvent{Type: PodCreated, Pod: eventPod(stored)}))
+	s.pushPending(stored, t.publish(WatchEvent{Type: PodCreated, Pod: stored}))
 	return nil
 }
 
-// GetPod returns a copy of the named pod.
+// GetPod returns the named pod's stored version, the pod its last event
+// carried: read-only (see WatchEvent), never changed by a later commit.
 func (s *Server) GetPod(name string) (*api.Pod, error) {
 	sh := s.podShardFor(name)
 	sh.mu.Lock()
@@ -607,12 +612,13 @@ func (s *Server) GetPod(name string) (*api.Pod, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: pod %s", ErrNotFound, name)
 	}
-	return p.Clone(), nil
+	return p, nil
 }
 
-// ListPods returns copies of all pods matching the filter (nil matches
-// everything), sorted by name. The filter runs under a stripe lock and
-// must not call back into the server.
+// ListPods returns the stored versions of all pods matching the filter
+// (nil matches everything), read-only (see WatchEvent), sorted by name.
+// The filter runs under a stripe lock and must not call back into the
+// server.
 func (s *Server) ListPods(filter func(*api.Pod) bool) []*api.Pod {
 	var out []*api.Pod
 	for i := range s.podShards {
@@ -620,12 +626,12 @@ func (s *Server) ListPods(filter func(*api.Pod) bool) []*api.Pod {
 		sh.mu.Lock()
 		for _, p := range sh.pods {
 			if filter == nil || filter(p) {
-				out = append(out, p.Clone())
+				out = append(out, p)
 			}
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *api.Pod) int { return cmp.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -672,23 +678,21 @@ func (s *Server) VisitPending(schedulerName string, fn func(*api.Pod) bool) {
 	s.VisitPendingN(schedulerName, 0, fn)
 }
 
-// PendingPods returns copies of the given scheduler's pending pods, order
-// unspecified.
+// PendingPods returns the stored versions of the given scheduler's pending
+// pods, read-only (see WatchEvent), order unspecified.
 func (s *Server) PendingPods(schedulerName string) []*api.Pod {
 	out := []*api.Pod{}
 	s.VisitPending(schedulerName, func(p *api.Pod) bool {
-		out = append(out, p.Clone())
+		out = append(out, p)
 		return true
 	})
 	return out
 }
 
-// VisitPods calls fn for every live pod under its stripe lock, without
-// copying. It is the allocation-free companion of ListPods for hot paths
-// (the scheduler visits every active pod once per pass). fn must treat
-// the pod as read-only, must not retain it past its return, and must not
-// call back into the server; returning false stops the walk. Iteration
-// order is unspecified.
+// VisitPods calls fn for every pod's stored version under its stripe
+// lock: ListPods without the slice or the sort. The pod is read-only (see
+// WatchEvent) and may be retained; fn must not call back into the server.
+// Returning false stops the walk. Iteration order is unspecified.
 func (s *Server) VisitPods(fn func(*api.Pod) bool) {
 	for i := range s.podShards {
 		sh := &s.podShards[i]
@@ -703,19 +707,6 @@ func (s *Server) VisitPods(fn func(*api.Pod) bool) {
 		if !more {
 			return
 		}
-	}
-}
-
-// VisitPod is VisitPods for one pod by name: fn sees the stored pod under
-// its stripe lock, under the same read-only, no-retain, no-reentrancy
-// contract, and is not called when the pod does not exist. It is what a
-// reader that wants a field or two uses instead of GetPod's deep copy.
-func (s *Server) VisitPod(name string, fn func(*api.Pod)) {
-	sh := s.podShardFor(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if p, ok := sh.pods[name]; ok {
-		fn(p)
 	}
 }
 
@@ -892,15 +883,15 @@ func (s *Server) transition(podName string, phase api.PodPhase, reason string) e
 	if p.IsTerminal() {
 		return fmt.Errorf("%w: pod %s already terminal (%s)", ErrConflict, podName, p.Status.Phase)
 	}
-	now := s.clk.Now()
+	if phase == api.PodRunning && p.Spec.NodeName == "" {
+		return fmt.Errorf("%w: pod %s running without binding", ErrConflict, podName)
+	}
+	p = t.nextVersion(p)
 	switch phase {
 	case api.PodRunning:
-		if p.Spec.NodeName == "" {
-			return fmt.Errorf("%w: pod %s running without binding", ErrConflict, podName)
-		}
-		p.Status.StartedAt = now
+		p.Status.StartedAt = s.clk.Now()
 	case api.PodSucceeded, api.PodFailed:
-		p.Status.FinishedAt = now
+		p.Status.FinishedAt = s.clk.Now()
 		// A gang member evicted while holding a permit is unbound but has
 		// capacity committed on its permit's node — release it there or
 		// the node leaks headroom forever.
@@ -917,7 +908,7 @@ func (s *Server) transition(podName string, phase api.PodPhase, reason string) e
 	}
 	p.Status.Phase = phase
 	p.Status.Reason = reason
-	t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)})
+	t.publish(WatchEvent{Type: PodUpdated, Pod: p})
 	return nil
 }
 

@@ -51,11 +51,21 @@ func TestNodeRegistry(t *testing.T) {
 	if err != nil || n.Name != "n1" {
 		t.Fatalf("GetNode = %v, %v", n, err)
 	}
-	// Mutating the returned copy must not affect the stored node.
-	n.Allocatable[resource.Memory] = 1
+	// An update stores a new version: the node handed out before it never
+	// shows it, and GetNode returns the version the update published.
+	edit := n.Clone()
+	edit.Allocatable[resource.Memory] = 1
+	var published *api.Node
+	defer s.Subscribe(func(ev WatchEvent) { published = ev.Node })()
+	if err := s.UpdateNode(edit); err != nil {
+		t.Fatal(err)
+	}
+	if n.Allocatable[resource.Memory] != 64*resource.GiB {
+		t.Fatal("an update showed through a node GetNode handed out before it")
+	}
 	n2, _ := s.GetNode("n1")
-	if n2.Allocatable[resource.Memory] != 64*resource.GiB {
-		t.Fatal("GetNode returned aliased state")
+	if n2 != published || n2 == edit || n2.Allocatable[resource.Memory] != 1 {
+		t.Fatalf("GetNode after the update = %+v, want the version its event carried", n2)
 	}
 }
 
@@ -482,10 +492,19 @@ func TestListAndWatchHandshake(t *testing.T) {
 	if len(events) != 1 || events[0].Type != PodUpdated || events[0].Rev != snap.Rev+1 {
 		t.Fatalf("post-handshake events = %+v", events)
 	}
-	// Mutating snapshot contents must not reach stored state.
-	snap.Nodes[0].Ready = false
-	if n, _ := s.GetNode("n1"); !n.Ready {
-		t.Fatal("snapshot aliased stored node")
+	// The snapshot holds the stored versions: a later commit never shows
+	// through them, and an unchanged object is the pointer GetPod returns.
+	if p := snap.Pods[0]; p.Status.Phase != api.PodPending || !p.Status.StartedAt.IsZero() {
+		t.Fatalf("a later transition shows through the snapshot's p0: %+v", p.Status)
+	}
+	if got, _ := s.GetPod("p0"); got != events[0].Pod || got == snap.Pods[0] {
+		t.Fatal("GetPod does not return the version MarkRunning published")
+	}
+	if got, _ := s.GetPod("p1"); got != snap.Pods[1] {
+		t.Fatal("snapshot copied an unchanged pod")
+	}
+	if n, _ := s.GetNode("n1"); n != snap.Nodes[0] {
+		t.Fatal("snapshot copied an unchanged node")
 	}
 }
 

@@ -29,12 +29,13 @@ import (
 // published under the node stripe exactly like a charge. Cross-shard
 // readers (SnapshotNow, ListAndWatchBatch, subscription registration)
 // take lockWorld themselves; the per-object read accessors lock a single
-// stripe around a copy. pendingMu guards an index of which pods are
-// pending (pending.go), not an order: a commit holds it for one map
-// insert or delete, the depth readers for a few counters, and the
-// whole-queue readers (VisitPending, VisitPendingN, PendingPods) to copy
-// the names out, unsorted, before they visit those pods one stripe at a
-// time.
+// stripe around a map lookup and hand out the stored version, which no
+// commit writes again (it stores a new one, txn.nextVersion). pendingMu
+// guards an index of which pods are pending (pending.go), not an order: a
+// commit holds it for one map insert or delete, the depth readers for a
+// few counters, and the whole-queue readers (VisitPending, VisitPendingN,
+// PendingPods) to copy the names out, unsorted, before they visit those
+// pods one stripe at a time.
 // A scheduling pass reads its own queue (internal/core) and takes
 // pendingMu no more. So pendingMu is only ever acquired while holding
 // stripes or none, never the reverse.

@@ -174,3 +174,189 @@ func TestBindAllocsPinned(t *testing.T) {
 		t.Fatalf("Bind allocates %.0f objects per commit, pinned at %d", got, bindAllocsPinned)
 	}
 }
+
+// TestGetPodAllocsPinned: GetPod hands out the stored version, so a read
+// allocates nothing — a deep clone per call (two objects and the label
+// map) shows here first.
+func TestGetPodAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
+	}
+	s := New(clock.NewSim())
+	if err := s.CreatePod(testPod("p1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := s.GetPod("p1"); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("GetPod allocates %.0f objects per call, pinned at 0", got)
+	}
+}
+
+// TestSnapshotAllocsIndependentOfPods: SnapshotNow allocates its slices
+// and nothing per object, so its count is the same at 100 and 1 000 pods.
+// A clone per pod or node, or a slice grown by append, makes it grow.
+func TestSnapshotAllocsIndependentOfPods(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
+	}
+	allocs := func(pods int) float64 {
+		s := New(clock.NewSim())
+		for n := 0; n < 4; n++ {
+			if err := s.RegisterNode(stormNode(fmt.Sprintf("n%d", n), int64(pods))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < pods; i++ {
+			name := fmt.Sprintf("p-%04d", i)
+			if err := s.CreatePod(stormPod(name)); err != nil {
+				t.Fatal(err)
+			}
+			if i%2 == 0 {
+				if err := s.Bind(name, fmt.Sprintf("n%d", i%4)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return testing.AllocsPerRun(20, func() { _ = s.SnapshotNow() })
+	}
+	if small, large := allocs(100), allocs(1000); small != large {
+		t.Fatalf("SnapshotNow allocates %.0f objects at 100 pods and %.0f at 1 000, want the same", small, large)
+	}
+}
+
+// podVersion is what a commit decides about a pod: its binding and its
+// status.
+type podVersion struct {
+	node   string
+	status api.PodStatus
+}
+
+func versionOf(p *api.Pod) podVersion { return podVersion{p.Spec.NodeName, p.Status} }
+
+// TestStoredVersionsConcurrent: readers (GetPod, ListPods, SnapshotNow)
+// race binds, lifecycle transitions and preemptions. Every pod a reader
+// gets must be a version some event published — the same pointer — and
+// still read as that event did: no commit edits a version once it is
+// handed out, to a subscriber or a reader.
+func TestStoredVersionsConcurrent(t *testing.T) {
+	const (
+		nodes   = 4
+		pods    = 128
+		writers = 4
+		readers = 3
+	)
+	s := New(clock.NewSim())
+	var mu sync.Mutex
+	published := map[*api.Pod]podVersion{}
+	defer s.Subscribe(func(ev WatchEvent) {
+		if ev.Pod != nil {
+			mu.Lock()
+			published[ev.Pod] = versionOf(ev.Pod)
+			mu.Unlock()
+		}
+	})()
+	for n := 0; n < nodes; n++ {
+		if err := s.RegisterNode(stormNode(fmt.Sprintf("node-%d", n), pods)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < pods; i++ {
+		if err := s.CreatePod(stormPod(fmt.Sprintf("pod-%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	done := make(chan struct{})
+	seen := make([]map[*api.Pod]podVersion, readers)
+	var rg sync.WaitGroup
+	for r := range seen {
+		seen[r] = map[*api.Pod]podVersion{}
+		rg.Add(1)
+		go func(got map[*api.Pod]podVersion) {
+			defer rg.Done()
+			record := func(p *api.Pod) {
+				v := versionOf(p)
+				if first, ok := got[p]; ok && first != v {
+					panic(fmt.Sprintf("pod %s changed after it was handed out: %+v, then %+v", p.Name, first, v))
+				}
+				got[p] = v
+			}
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				switch i % 3 {
+				case 0:
+					if p, err := s.GetPod(fmt.Sprintf("pod-%03d", i%pods)); err == nil {
+						record(p)
+					}
+				case 1:
+					for _, p := range s.ListPods(nil) {
+						record(p)
+					}
+				default:
+					for _, p := range s.SnapshotNow().Pods {
+						record(p)
+					}
+				}
+			}
+		}(seen[r])
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < pods; i += writers {
+				name, node := fmt.Sprintf("pod-%03d", i), fmt.Sprintf("node-%d", i%nodes)
+				// Errors are fine: each step is a legal commit or a refusal
+				// that changes nothing.
+				_ = s.Bind(name, node)
+				if i%3 == 0 {
+					_ = s.Preempt(name, "storm")
+					_ = s.Bind(name, node)
+				}
+				_ = s.MarkRunning(name)
+				if i%5 == 0 {
+					_ = s.MarkFailed(name, "storm")
+				} else {
+					_ = s.MarkSucceeded(name)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	rg.Wait()
+
+	reads := 0
+	for _, got := range seen {
+		for p, v := range got {
+			reads++
+			want, ok := published[p]
+			switch {
+			case !ok:
+				t.Fatalf("a reader got pod %s (%+v), a version no event published", p.Name, v)
+			case want != v:
+				t.Fatalf("pod %s read as %+v, its event published %+v", p.Name, v, want)
+			}
+		}
+	}
+	for p, want := range published {
+		if got := versionOf(p); got != want {
+			t.Fatalf("pod %s's event changed after it was published: %+v, then %+v", p.Name, want, got)
+		}
+	}
+	if reads == 0 {
+		t.Fatal("no reader read a pod: the property is vacuous")
+	}
+	if !s.AllTerminal() {
+		t.Fatal("a pod did not finish: the storm did not run its lifecycle")
+	}
+}

@@ -113,14 +113,15 @@ func (t *txn) end() {
 	}
 }
 
-// eventPod returns the pod a watch event carries (see WatchEvent): a
-// private copy of the struct, so binding and status stay this commit's,
-// sharing Labels and Spec.Containers with the stored pod — nothing writes
-// either in place after CreatePod's severing deep clone, so a commit need
-// not copy a spec nobody changed.
-func eventPod(p *api.Pod) *api.Pod {
-	ev := *p
-	return &ev
+// nextVersion stores and returns the pod's next version, the one
+// allocation of a pod commit: a copy of the stored struct that the commit
+// edits and then publishes, the same pointer, as its event's pod (see
+// WatchEvent). Versions share Labels and Spec.Containers, which nothing
+// writes after CreatePod's deep clone.
+func (t *txn) nextVersion(p *api.Pod) *api.Pod {
+	v := *p
+	t.s.podShardFor(p.Name).pods[p.Name] = &v
+	return &v
 }
 
 // --- per-pod mutation bodies, shared by the single-pod operations
@@ -181,10 +182,11 @@ func (t *txn) release(p *api.Pod, nodeName string) {
 // bindPod makes a charged pod bound: Bind right after charge, CommitGroup
 // on the capacity Reserve charged.
 func (t *txn) bindPod(p *api.Pod, nodeName string) {
+	p = t.nextVersion(p)
 	p.Spec.NodeName = nodeName
 	p.Status.ScheduledAt = t.s.clk.Now()
 	t.s.moveMember(p, memberBound, "")
-	t.publish(WatchEvent{Type: PodBound, Pod: eventPod(p)})
+	t.publish(WatchEvent{Type: PodBound, Pod: p})
 }
 
 // requeueBound evicts a bound pod back to the pending pods (Preempt,
@@ -192,13 +194,14 @@ func (t *txn) bindPod(p *api.Pod, nodeName string) {
 // timestamps reset, queued again from its event's rev.
 func (t *txn) requeueBound(p *api.Pod, reason string) {
 	t.release(p, p.Spec.NodeName)
+	p = t.nextVersion(p)
 	p.Spec.NodeName = ""
 	p.Status.Phase = api.PodPending
 	p.Status.Reason = reason
 	p.Status.ScheduledAt = time.Time{}
 	p.Status.StartedAt = time.Time{}
 	t.s.moveMember(p, memberPending, "")
-	t.s.pushPending(p, t.publish(WatchEvent{Type: PodUpdated, Pod: eventPod(p)}))
+	t.s.pushPending(p, t.publish(WatchEvent{Type: PodUpdated, Pod: p}))
 }
 
 // rollbackPermit returns a permit holder to the pending pods
@@ -207,6 +210,7 @@ func (t *txn) requeueBound(p *api.Pod, reason string) {
 func (t *txn) rollbackPermit(p *api.Pod, reason string) {
 	node, _ := t.s.moveMember(p, memberPending, "")
 	t.release(p, node)
+	p = t.nextVersion(p)
 	p.Status.Reason = reason
-	t.s.pushPending(p, t.publish(WatchEvent{Type: PodPermitReleased, Pod: eventPod(p)}))
+	t.s.pushPending(p, t.publish(WatchEvent{Type: PodPermitReleased, Pod: p}))
 }

@@ -9,11 +9,12 @@ import (
 )
 
 // TestEventPodSharesSpecKeepsStatus is the contract of the pod a watch
-// event carries: the struct is the event's own — its binding and status
-// are the commit's, whatever the pod goes through afterwards — while the
-// labels and containers are the stored pod's, shared, never copied per
-// commit. The read API stays isolated from all of it: what GetPod returns
-// can be edited freely.
+// event carries: the struct is the version its commit stored — its
+// binding and status are the commit's, whatever the pod goes through
+// afterwards — while the labels and containers are shared by every
+// version, never copied per commit. The read API hands out the same
+// versions: GetPod returns the pointer the pod's last event carried, and
+// a result handed out never shows a later commit.
 func TestEventPodSharesSpecKeepsStatus(t *testing.T) {
 	s := New(clock.NewSim())
 	if err := s.RegisterNode(testNode("n1", false)); err != nil {
@@ -30,6 +31,11 @@ func TestEventPodSharesSpecKeepsStatus(t *testing.T) {
 	// The create severed the caller's pod from the stored one.
 	submitted.Labels["tier"] = "edited"
 	submitted.Spec.Containers[0].Resources.Requests[resource.Memory] = 1
+	created, err := s.GetPod("p1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := &created.Spec.Containers[0]
 	if err := s.Bind("p1", "n1"); err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +59,6 @@ func TestEventPodSharesSpecKeepsStatus(t *testing.T) {
 	if len(evs) != len(want) {
 		t.Fatalf("%d pod events, want %d", len(evs), len(want))
 	}
-	var stored *api.Container
-	s.VisitPod("p1", func(p *api.Pod) { stored = &p.Spec.Containers[0] })
-	if stored == nil {
-		t.Fatal("VisitPod does not find p1")
-	}
-	s.VisitPod("ghost", func(*api.Pod) { t.Error("VisitPod visited a pod that does not exist") })
 	check := func(when string) {
 		t.Helper()
 		for i, w := range want {
@@ -82,25 +82,28 @@ func TestEventPodSharesSpecKeepsStatus(t *testing.T) {
 		}
 	}
 	check("after the pod's whole life")
+	if created != evs[0].Pod || created.Spec.NodeName != "" || created.Status.Phase != api.PodPending {
+		t.Fatalf("the GetPod result before the bind is not the PodCreated version: %+v", created)
+	}
 
 	got, err := s.GetPod("p1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got.Spec.Containers[0] == stored {
-		t.Fatal("GetPod hands out the stored pod's containers")
+	if got != evs[len(evs)-1].Pod {
+		t.Fatal("GetPod does not return the pointer the pod's last event carried")
 	}
-	got.Spec.Containers[0].Resources.Requests[resource.Memory] = 7
-	got.Spec.Containers[0].Resources.Requests[resource.EPCPages] = 7
-	got.Labels["tier"] = "edited"
-	got.Status.Phase = api.PodFailed
-	check("after editing a GetPod result")
-	again, err := s.GetPod("p1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Status.Phase != api.PodSucceeded || again.Labels["tier"] != "batch" || again.IsSGX() ||
+	// A caller that wants to edit a pod edits a clone; the stored version
+	// and every event stay as they were.
+	edit := got.Clone()
+	edit.Spec.Containers[0].Resources.Requests[resource.Memory] = 7
+	edit.Spec.Containers[0].Resources.Requests[resource.EPCPages] = 7
+	edit.Labels["tier"] = "edited"
+	edit.Status.Phase = api.PodFailed
+	check("after editing a clone of a GetPod result")
+	if again, _ := s.GetPod("p1"); again != got || again.Status.Phase != api.PodSucceeded ||
+		again.Labels["tier"] != "batch" || again.IsSGX() ||
 		again.Spec.Containers[0].Resources.Requests.Get(resource.Memory) != resource.GiB {
-		t.Fatalf("editing a GetPod result changed the stored pod: %+v", again)
+		t.Fatalf("editing a clone changed the stored pod: %+v", again)
 	}
 }

@@ -168,6 +168,7 @@ func TestClusterCacheMatchesBuildView(t *testing.T) {
 				if err != nil {
 					break
 				}
+				n = n.Clone()
 				switch rng.Intn(3) {
 				case 0:
 					n.Ready = !n.Ready
@@ -234,6 +235,7 @@ func TestCacheDropsDrainedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	n = n.Clone()
 	n.Ready = true
 	if err := c.srv.UpdateNode(n); err != nil {
 		t.Fatal(err)

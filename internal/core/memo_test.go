@@ -284,6 +284,7 @@ func runMemoScenario(t *testing.T, seed int64, topo memoTopology, memo bool, atP
 		}
 		if rng.Intn(5) == 0 {
 			n, _ := srv.GetNode(nodes[rng.Intn(len(nodes))])
+			n = n.Clone()
 			n.Unschedulable = !n.Unschedulable
 			if err := srv.UpdateNode(n); err != nil {
 				t.Fatal(err)
@@ -548,6 +549,7 @@ func TestMemoSeesEveryLoosening(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			n = n.Clone()
 			n.Allocatable[resource.Memory] = 8 * resource.GiB
 			if err := srv.UpdateNode(n); err != nil {
 				return err
@@ -576,6 +578,7 @@ func TestMemoSeesEveryLoosening(t *testing.T) {
 			if err != nil {
 				return err
 			}
+			n = n.Clone()
 			n.Unschedulable = false
 			return srv.UpdateNode(n)
 		},
@@ -635,6 +638,7 @@ func TestMemoSeesEveryLoosening(t *testing.T) {
 			}
 			if tc.cordon != "" {
 				n, _ := srv.GetNode(tc.cordon)
+				n = n.Clone()
 				n.Unschedulable = true
 				if err := srv.UpdateNode(n); err != nil {
 					t.Fatal(err)

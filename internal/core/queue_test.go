@@ -125,6 +125,7 @@ func TestQueueOrderMatchesReferenceProperty(t *testing.T) {
 			defer func() {
 				for _, name := range pending {
 					if p, _ := srv.GetPod(name); p.Spec.InGang() {
+						p = p.Clone()
 						stragglers++
 						p.Name = fmt.Sprintf("%s-late-%d", p.Spec.PodGroup, stragglers)
 						p.UID, p.Status = "", api.PodStatus{}
@@ -138,11 +139,9 @@ func TestQueueOrderMatchesReferenceProperty(t *testing.T) {
 			for _, m := range members {
 				var live []modelPod
 				for _, name := range pending {
-					var sched, group string
-					srv.VisitPod(name, func(p *api.Pod) { sched, group = p.Spec.SchedulerName, p.Spec.PodGroup })
-					if sched == m.Name() {
+					if p, _ := srv.GetPod(name); p.Spec.SchedulerName == m.Name() {
 						mp := ref.Pods[name]
-						live = append(live, modelPod{name: name, prio: mp.Priority, group: group, seq: uint64(mp.QueuedAt)})
+						live = append(live, modelPod{name: name, prio: mp.Priority, group: p.Spec.PodGroup, seq: uint64(mp.QueuedAt)})
 					}
 				}
 				want := modelNames(modelVisit(live))

@@ -122,6 +122,7 @@ func TestCacheResyncAfterOverflowMatchesBuildView(t *testing.T) {
 					if err != nil {
 						break
 					}
+					n = n.Clone()
 					switch rng.Intn(3) {
 					case 0:
 						n.Ready = !n.Ready

@@ -193,6 +193,7 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 				if err != nil {
 					break
 				}
+				n = n.Clone()
 				switch rng.Intn(3) {
 				case 0:
 					n.Ready = !n.Ready

@@ -209,6 +209,7 @@ func TestShardedCacheMatchesBuildViewN2(t *testing.T) {
 				if err != nil {
 					break
 				}
+				n = n.Clone()
 				if rng.Intn(2) == 0 {
 					n.Ready = !n.Ready
 				} else {

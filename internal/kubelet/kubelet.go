@@ -171,6 +171,7 @@ func (k *Kubelet) Stop() {
 	}
 	if wasStarted {
 		if node, err := k.srv.GetNode(k.nodeName); err == nil && node.Ready {
+			node = node.Clone()
 			node.Ready = false
 			// UpdateNode only fails for unknown nodes, which Start
 			// registered.
@@ -294,12 +295,9 @@ func (k *Kubelet) admit(pod *api.Pod) {
 	// since. Launch only the binding this admission was scheduled for:
 	// same node, same binding instant (a re-bind re-runs admit with the
 	// fresh timestamps).
-	current := false
-	k.srv.VisitPod(pod.Name, func(cur *api.Pod) {
-		current = !cur.IsTerminal() && cur.Spec.NodeName == k.nodeName &&
-			cur.Status.ScheduledAt.Equal(pod.Status.ScheduledAt)
-	})
-	if !current {
+	cur, err := k.srv.GetPod(pod.Name)
+	if err != nil || cur.IsTerminal() || cur.Spec.NodeName != k.nodeName ||
+		!cur.Status.ScheduledAt.Equal(pod.Status.ScheduledAt) {
 		return
 	}
 	// A bind→preempt→re-bind to this node within one simulated instant
