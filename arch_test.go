@@ -615,9 +615,9 @@ clone made in a branch that does not enclose it still counts.`,
 exported type, in internal/ has a non-test reference outside its own
 declaration, or an entry in deadSurfaceAllow that states why it stays. A
 method counts as referenced when its name is selected anywhere outside
-tests, is declared in an interface of the repository, or is String or
-Error. The match is by name: a miss lets dead code through, it never
-flags live code.`,
+tests, or is String or Error. An interface declaring it does not count:
+a call through the interface selects the name too. The match is by
+name: a miss lets dead code through, it never flags live code.`,
 		check: func(c *codebase) []string { return deadSurface(c, deadSurfaceAllow) },
 	},
 	{
@@ -700,7 +700,7 @@ var deadSurfaceAllow = map[string]string{
 // references indexes the non-test references of c by name: funcs holds
 // "dir.Name" for each package-level identifier read in dir or selected
 // from the package at dir; methods holds each name selected from a value
-// (not from an imported package) and each interface method name.
+// (not from an imported package).
 func references(c *codebase) (funcs, methods map[string]bool) {
 	funcs, methods = map[string]bool{}, map[string]bool{}
 	for _, f := range c.files {
@@ -723,12 +723,6 @@ func references(c *codebase) (funcs, methods map[string]bool) {
 					return // a method calling itself
 				}
 				methods[n.Sel.Name] = true
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, name := range m.Names {
-						methods[name.Name] = true
-					}
-				}
 			case *ast.Ident:
 				if selected[n] || fn != nil && n.Name == fn.Name.Name && (fn.Recv == nil || n == fn.Name) {
 					return // a selector's name, the declaration's own name, or a recursive call
@@ -1017,6 +1011,10 @@ func (t *txn) run(p *Pod) {
 			"internal/sgx/enclave.go":      "package sgx\n\ntype Enclave struct{}\n\nfunc (e *Enclave) Seal() {}\n",
 			"internal/sgx/enclave_test.go": "package sgx\n\nfunc use(e *Enclave) { e.Seal() }\n",
 		}, "internal/sgx/enclave.go:5"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/clock/clock.go":    "package clock\n\ntype Clock interface{ Sleep() }\n\ntype Sim struct{}\n\nfunc (s *Sim) Sleep() {}\n\nvar _ Clock = (*Sim)(nil)\n",
+			"internal/clock/sim_test.go": "package clock\n\nfunc use(c Clock) { c.Sleep() }\n",
+		}, "internal/clock/clock.go:7"},
 		{"no-dead-internal-surface", map[string]string{
 			"internal/golden/golden.go": "package golden\n\nfunc StreamDigest() {}\n",
 			"cmd/x/main.go":             "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/golden\"\n\nfunc main() { golden.StreamDigest() }\n",

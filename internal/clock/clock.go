@@ -3,8 +3,10 @@
 // benchmarks); a wall-clock Clock would satisfy the same interface.
 //
 // The paper's evaluation replays multi-hour Google Borg trace slices
-// (§VI-B); running them on SimClock compresses hours of virtual time into
+// (§VI-B); running them on Sim compresses hours of virtual time into
 // milliseconds of wall time while preserving event ordering exactly.
+// A component reads the time with Now and schedules work with AfterFunc;
+// periodic work is one re-armed timer (see Periodic).
 package clock
 
 import (
@@ -19,77 +21,64 @@ import (
 type Clock interface {
 	// Now returns the current instant.
 	Now() time.Time
-	// Since returns the elapsed duration between t and Now.
-	Since(t time.Time) time.Duration
-	// Sleep blocks the calling goroutine for d.
-	//
-	// On SimClock the caller resumes once virtual time has advanced past
-	// d; some other goroutine must be driving the simulation.
-	Sleep(d time.Duration)
-	// After returns a channel that delivers the then-current time once d
-	// has elapsed.
-	After(d time.Duration) <-chan time.Time
 	// AfterFunc schedules f to run once d has elapsed. It returns a Timer
-	// whose Stop method cancels the call.
+	// that cancels or re-arms the call.
 	//
-	// On SimClock, f runs synchronously on the goroutine driving the
+	// On Sim, f runs synchronously on the goroutine driving the
 	// simulation, which makes chains of AfterFunc callbacks fully
-	// deterministic. Periodic work throughout the orchestrator is built
-	// from self-rescheduling AfterFunc calls (see Periodic).
+	// deterministic.
 	AfterFunc(d time.Duration, f func()) Timer
 }
 
-// Timer is a cancellable pending callback or channel event.
+// Timer is a pending callback that its owner can cancel or re-arm.
 type Timer interface {
 	// Stop cancels the timer. It reports whether the timer was still
-	// pending (and is now cancelled).
+	// pending (and is now cancelled); it is false once the callback has
+	// fired or the timer was already stopped.
 	Stop() bool
+	// Reset re-arms the timer to run its callback once d has elapsed,
+	// whether it is pending, has fired or was stopped; on Sim it then
+	// fires after every call already scheduled for that instant, exactly
+	// as a new AfterFunc would.
+	Reset(d time.Duration)
 }
 
 // Periodic runs f every interval until the returned stop function is
 // called. The first invocation happens after one interval, not
 // immediately. f runs on the clock's callback goroutine; it must not block
-// for long.
+// for long. It is one timer, re-armed after each f returns.
 func Periodic(c Clock, interval time.Duration, f func()) (stop func()) {
 	if interval <= 0 {
 		panic("clock: Periodic interval must be positive")
 	}
-	p := &periodic{c: c, interval: interval, f: f}
-	p.fire = p.tick
-	p.schedule()
+	p := &periodic{interval: interval, f: f}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.timer = c.AfterFunc(interval, p.tick)
 	return p.stop
 }
 
 type periodic struct {
-	c        Clock
 	interval time.Duration
 	f        func()
-	fire     func() // p.tick, bound once: a method value per re-arm would allocate per tick
 
 	mu      sync.Mutex
 	timer   Timer
 	stopped bool
 }
 
-func (p *periodic) schedule() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stopped {
-		return
-	}
-	p.timer = p.c.AfterFunc(p.interval, p.fire)
-}
-
 func (p *periodic) tick() {
 	p.f()
-	p.schedule()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.stopped {
+		p.timer.Reset(p.interval)
+	}
 }
 
 func (p *periodic) stop() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stopped = true
-	if p.timer != nil {
-		p.timer.Stop()
-	}
+	p.timer.Stop()
 }

@@ -6,9 +6,12 @@ import (
 	"time"
 )
 
-// SimEpoch is the default start instant of a simulation. Using a fixed
-// epoch keeps experiment output deterministic and diffable.
+// SimEpoch is the start instant of a simulation. Using a fixed epoch keeps
+// experiment output deterministic and diffable.
 var SimEpoch = time.Date(2011, time.May, 1, 0, 0, 0, 0, time.UTC)
+
+// never is Step's deadline: later than any event's instant.
+var never = time.Unix(1<<62, 0)
 
 // Sim is a deterministic discrete-event simulation clock.
 //
@@ -19,7 +22,9 @@ var SimEpoch = time.Date(2011, time.May, 1, 0, 0, 0, 0, time.UTC)
 // milliseconds.
 //
 // Events that share a timestamp fire in scheduling order (FIFO), which
-// keeps runs reproducible bit-for-bit.
+// keeps runs reproducible bit-for-bit. A timer is one heap entry: Stop
+// takes it out, Reset moves it (or puts it back) with a fresh place in
+// that order, exactly as a new AfterFunc would.
 type Sim struct {
 	mu  sync.Mutex
 	now time.Time
@@ -28,10 +33,7 @@ type Sim struct {
 }
 
 // NewSim returns a simulation clock starting at SimEpoch.
-func NewSim() *Sim { return NewSimAt(SimEpoch) }
-
-// NewSimAt returns a simulation clock starting at the given instant.
-func NewSimAt(start time.Time) *Sim { return &Sim{now: start} }
+func NewSim() *Sim { return &Sim{now: SimEpoch} }
 
 // Now implements Clock.
 func (s *Sim) Now() time.Time {
@@ -40,32 +42,27 @@ func (s *Sim) Now() time.Time {
 	return s.now
 }
 
-// Since implements Clock.
-func (s *Sim) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
-
-// Sleep implements Clock. It blocks the calling goroutine until virtual
-// time advances past d; a different goroutine must drive the simulation.
-func (s *Sim) Sleep(d time.Duration) { <-s.After(d) }
-
-// After implements Clock.
-func (s *Sim) After(d time.Duration) <-chan time.Time {
-	ch := make(chan time.Time, 1)
-	s.AfterFunc(d, func() { ch <- s.Now() })
-	return ch
-}
-
 // AfterFunc implements Clock. Callbacks run synchronously on the driver
 // goroutine in timestamp order.
 func (s *Sim) AfterFunc(d time.Duration, f func()) Timer {
-	if d < 0 {
-		d = 0
-	}
+	ev := &event{fn: f, clock: s, index: -1}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ev := &event{at: s.now.Add(d), seq: s.seq, fn: f, clock: s}
-	s.seq++
-	heap.Push(&s.pq, ev)
+	s.arm(ev, d)
 	return ev
+}
+
+// arm schedules ev d from now (a negative d is now) behind every event
+// already scheduled for that instant. Caller must hold s.mu.
+func (s *Sim) arm(ev *event, d time.Duration) {
+	ev.at = s.now.Add(max(d, 0))
+	ev.seq = s.seq
+	s.seq++
+	if ev.index < 0 {
+		heap.Push(&s.pq, ev)
+	} else {
+		heap.Fix(&s.pq, ev.index)
+	}
 }
 
 // Len reports the number of pending events.
@@ -75,31 +72,32 @@ func (s *Sim) Len() int {
 	return s.pq.Len()
 }
 
+// next pops the earliest pending event if it is due by deadline and
+// advances virtual time to it. When none is due it returns nil, first
+// moving the clock up to deadline if settle is set.
+func (s *Sim) next(deadline time.Time, settle bool) *event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.pq) == 0 || s.pq[0].at.After(deadline) {
+		if settle && s.now.Before(deadline) {
+			s.now = deadline
+		}
+		return nil
+	}
+	ev := heap.Pop(&s.pq).(*event)
+	s.now = ev.at
+	return ev
+}
+
 // Step pops the earliest pending event, advances virtual time to it and
 // runs its callback. It reports whether an event was executed.
 func (s *Sim) Step() bool {
-	s.mu.Lock()
-	ev := s.popRunnable()
+	ev := s.next(never, false)
 	if ev == nil {
-		s.mu.Unlock()
 		return false
 	}
-	s.now = ev.at
-	s.mu.Unlock()
 	ev.fn()
 	return true
-}
-
-// popRunnable discards cancelled events and returns the next live one.
-// Caller must hold s.mu.
-func (s *Sim) popRunnable() *event {
-	for s.pq.Len() > 0 {
-		ev := heap.Pop(&s.pq).(*event)
-		if !ev.stopped {
-			return ev
-		}
-	}
-	return nil
 }
 
 // Advance runs every event scheduled within the next d of virtual time,
@@ -112,76 +110,55 @@ func (s *Sim) Advance(d time.Duration) {
 // event lies after deadline; the clock finishes at deadline (or later if
 // it had already passed it).
 func (s *Sim) RunUntil(deadline time.Time) {
-	for {
-		s.mu.Lock()
-		ev := s.popRunnable()
-		if ev == nil {
-			if s.now.Before(deadline) {
-				s.now = deadline
-			}
-			s.mu.Unlock()
-			return
-		}
-		if ev.at.After(deadline) {
-			// Not due yet: put it back and finish.
-			heap.Push(&s.pq, ev)
-			if s.now.Before(deadline) {
-				s.now = deadline
-			}
-			s.mu.Unlock()
-			return
-		}
-		s.now = ev.at
-		s.mu.Unlock()
+	for ev := s.next(deadline, true); ev != nil; ev = s.next(deadline, true) {
 		ev.fn()
 	}
 }
 
 // Run executes events until done returns true, the event queue drains, or
-// virtual time passes horizon. It reports whether done became true.
+// the next event lies after horizon. It reports whether done became true.
 //
 // Periodic tasks reschedule themselves forever, so experiments always pass
 // a done predicate (e.g. "all pods terminal") plus a safety horizon.
 func (s *Sim) Run(done func() bool, horizon time.Time) bool {
-	for {
-		if done != nil && done() {
-			return true
-		}
-		s.mu.Lock()
-		ev := s.popRunnable()
+	for done == nil || !done() {
+		ev := s.next(horizon, false)
 		if ev == nil {
-			s.mu.Unlock()
 			return done != nil && done()
 		}
-		if ev.at.After(horizon) {
-			heap.Push(&s.pq, ev)
-			s.mu.Unlock()
-			return false
-		}
-		s.now = ev.at
-		s.mu.Unlock()
 		ev.fn()
 	}
+	return true
 }
 
+// event is a Timer: one entry of its clock's heap while pending (index is
+// its position there), out of it (index -1) once fired or stopped.
 type event struct {
-	at      time.Time
-	seq     uint64
-	fn      func()
-	index   int
-	stopped bool
-	clock   *Sim
+	at    time.Time
+	seq   uint64
+	fn    func()
+	index int
+	clock *Sim
 }
 
 // Stop implements Timer.
 func (e *event) Stop() bool {
-	e.clock.mu.Lock()
-	defer e.clock.mu.Unlock()
-	if e.stopped {
+	s := e.clock
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e.index < 0 {
 		return false
 	}
-	e.stopped = true
+	heap.Remove(&s.pq, e.index)
 	return true
+}
+
+// Reset implements Timer.
+func (e *event) Reset(d time.Duration) {
+	s := e.clock
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.arm(e, d)
 }
 
 // eventQueue is a min-heap ordered by (at, seq).
@@ -213,6 +190,7 @@ func (q *eventQueue) Pop() any {
 	n := len(old)
 	ev := old[n-1]
 	old[n-1] = nil
+	ev.index = -1
 	*q = old[:n-1]
 	return ev
 }

@@ -1,7 +1,6 @@
 package clock
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -54,8 +53,8 @@ func TestSimAdvanceSetsTimeExactly(t *testing.T) {
 	if !fired {
 		t.Fatal("event within Advance window did not fire")
 	}
-	if got := s.Since(SimEpoch); got != 2*time.Second {
-		t.Fatalf("Since(epoch) = %v, want 2s", got)
+	if got := s.Now().Sub(SimEpoch); got != 2*time.Second {
+		t.Fatalf("Now() - epoch = %v, want 2s", got)
 	}
 }
 
@@ -69,9 +68,20 @@ func TestSimTimerStop(t *testing.T) {
 	if tm.Stop() {
 		t.Fatal("second Stop() = true, want false")
 	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("Len() = %d with only a stopped timer, want 0", n)
+	}
 	s.Advance(5 * time.Second)
 	if fired {
 		t.Fatal("stopped timer fired")
+	}
+	tm = s.AfterFunc(time.Second, func() { fired = true })
+	s.Advance(time.Second)
+	if !fired {
+		t.Fatal("timer did not fire")
+	}
+	if tm.Stop() {
+		t.Fatal("Stop() after the callback fired = true, want false")
 	}
 }
 
@@ -123,37 +133,6 @@ func TestSimRunStopsAtHorizon(t *testing.T) {
 	}
 }
 
-func TestSimAfterChannel(t *testing.T) {
-	s := NewSim()
-	ch := s.After(time.Second)
-	go s.RunUntil(SimEpoch.Add(2 * time.Second))
-	at := <-ch
-	if want := SimEpoch.Add(time.Second); !at.Equal(want) {
-		t.Fatalf("After fired at %v, want %v", at, want)
-	}
-}
-
-func TestSimSleepBlocksUntilAdvance(t *testing.T) {
-	s := NewSim()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var woke time.Time
-	go func() {
-		defer wg.Done()
-		s.Sleep(3 * time.Second)
-		woke = s.Now()
-	}()
-	// Drive the simulation until the sleeper's event exists and fires.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Len() == 0 && time.Now().Before(deadline) {
-	}
-	s.Advance(3 * time.Second)
-	wg.Wait()
-	if woke.Before(SimEpoch.Add(3 * time.Second)) {
-		t.Fatalf("sleeper woke at %v, want >= %v", woke, SimEpoch.Add(3*time.Second))
-	}
-}
-
 func TestPeriodicTicksAndStops(t *testing.T) {
 	s := NewSim()
 	count := 0
@@ -166,6 +145,22 @@ func TestPeriodicTicksAndStops(t *testing.T) {
 	s.Advance(time.Hour)
 	if count != 3 {
 		t.Fatalf("periodic fired after stop: count = %d", count)
+	}
+
+	// Stopped from inside its own callback, it is not re-armed.
+	self := 0
+	var stopSelf func()
+	stopSelf = Periodic(s, 10*time.Second, func() {
+		if self++; self == 2 {
+			stopSelf()
+		}
+	})
+	s.Advance(time.Hour)
+	if self != 2 {
+		t.Fatalf("periodic stopped on its 2nd tick ticked %d times", self)
+	}
+	if n := s.Len(); n != 0 {
+		t.Fatalf("Len() = %d after both periodics stopped, want 0", n)
 	}
 }
 
@@ -206,11 +201,10 @@ func TestSimEventOrderProperty(t *testing.T) {
 	}
 }
 
-// TestPeriodicTickAllocatesOnlyItsTimer: re-arming costs the simulated
-// timer's one event and nothing else — a method value made per re-arm
-// would be a second allocation on every tick of every scrape, pass and
-// sweep.
-func TestPeriodicTickAllocatesOnlyItsTimer(t *testing.T) {
+// TestPeriodicTickAllocatesNothing: a periodic task is one timer that
+// each tick re-arms in place, so a tick of a scrape, pass or sweep
+// allocates nothing in the clock.
+func TestPeriodicTickAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
@@ -218,8 +212,8 @@ func TestPeriodicTickAllocatesOnlyItsTimer(t *testing.T) {
 	ticks := 0
 	stop := Periodic(clk, time.Second, func() { ticks++ })
 	defer stop()
-	if got := testing.AllocsPerRun(100, func() { clk.Advance(time.Second) }); got != 1 {
-		t.Fatalf("a periodic tick allocates %v times, want 1 (the timer event)", got)
+	if got := testing.AllocsPerRun(100, func() { clk.Advance(time.Second) }); got != 0 {
+		t.Fatalf("a periodic tick allocates %v times, want 0", got)
 	}
 	if ticks != 101 {
 		t.Fatalf("ticks = %d, want 101", ticks)

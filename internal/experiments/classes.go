@@ -227,7 +227,7 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 		Shards:     cfg.Shards,
 		Jobs:       classFillers + 2*classJobsPerClass,
 		Completed:  completed,
-		DrainTime:  clk.Since(start),
+		DrainTime:  clk.Now().Sub(start),
 		PerClass:   make(map[string]ClassOutcome),
 		Violations: refused,
 	}

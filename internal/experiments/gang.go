@@ -169,7 +169,7 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 		Gangs:             gangCount,
 		GangSize:          gangSize,
 		Completed:         completed,
-		DrainTime:         clk.Since(start),
+		DrainTime:         clk.Now().Sub(start),
 		PartialPlacements: partial,
 		Violations:        refused,
 		LeakedPermits:     srv.ReservationCount(),

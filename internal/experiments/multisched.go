@@ -178,7 +178,7 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 	res := MultiSchedResult{
 		Shards:    cfg.Shards,
 		Jobs:      trace.Len(),
-		DrainTime: clk.Since(start),
+		DrainTime: clk.Now().Sub(start),
 		Completed: completed,
 	}
 	if secs := res.DrainTime.Seconds(); secs > 0 {

@@ -148,12 +148,12 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	completed := tb.Clk.Run(tb.Srv.AllTerminal, start.Add(drainHorizon))
 	// One final scrape so the TSDB holds the drained end-state.
 	reg.ScrapeInto(tb.DB)
-	scrapes := int64(tb.Clk.Since(start)/monitor.DefaultScrapeInterval) + 1
+	scrapes := int64(tb.Clk.Now().Sub(start)/monitor.DefaultScrapeInterval) + 1
 
 	res := ObservabilityResult{
 		Jobs:      need,
 		Completed: completed,
-		DrainTime: tb.Clk.Since(start),
+		DrainTime: tb.Clk.Now().Sub(start),
 		Passes:    reg.Counter("scheduler_passes_total").Value(),
 		Scrapes:   scrapes,
 		PerClass:  make(map[string]ObservabilityClassOutcome),

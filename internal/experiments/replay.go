@@ -326,7 +326,7 @@ func (tb *Testbed) deployMalicious(cfg ReplayConfig) error {
 
 // samplePending computes the pending-queue request totals (Fig. 7).
 func (tb *Testbed) samplePending(start time.Time) PendingPoint {
-	pt := PendingPoint{Offset: tb.Clk.Since(start)}
+	pt := PendingPoint{Offset: tb.Clk.Now().Sub(start)}
 	tb.Srv.VisitPending(SchedulerName, func(pod *api.Pod) bool {
 		req := pod.TotalRequests()
 		pt.RequestedEPCBytes += resource.BytesForPages(req.Get(resource.EPCPages))
