@@ -689,10 +689,11 @@ func (c *Cluster) LifecycleStats() (binds, runs int64) {
 	return c.st.Tracker.BindsObserved(), c.st.Tracker.RunsObserved()
 }
 
-// Query runs an InfluxQL query against the cluster's TSDB — container
-// measurements ("sgx/epc", "memory/working_set") and, via the
-// self-scrape, the orchestrator's own metrics under "self/…". For
-// example, the per-class p99 submission-to-bind latency:
+// Query runs an InfluxQL query against the cluster's TSDB — the
+// container measurements the EPC probes and Heapster write ("sgx/epc",
+// "memory/usage", one series per pod and node, as Listing 1 reads them)
+// and, via the self-scrape, the orchestrator's own metrics under
+// "self/…". For example, the per-class p99 submission-to-bind latency:
 //
 //	SELECT MAX(value) FROM "self/lifecycle_queue_seconds" WHERE quantile = '0.99' GROUP BY class
 //

@@ -2,11 +2,14 @@ package sgxorch
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/borg"
+	"github.com/sgxorch/sgxorch/internal/monitor"
 )
 
 func TestNewClusterDefaultsToPaperTestbed(t *testing.T) {
@@ -602,5 +605,61 @@ func TestGangJobsScheduleAllOrNothing(t *testing.T) {
 	}
 	if gs.Timeouts != 0 {
 		t.Fatalf("gang timeouts = %d, want 0", gs.Timeouts)
+	}
+}
+
+// TestClusterListing1MatchesWindowPeak runs the paper's Listing 1 and its
+// "memory/usage" twin through Cluster.Query over what the EPC probes and
+// Heapster wrote, and requires each node's row to equal the per-node sum
+// of monitor.WindowPeak: the tsdb scan path, independent of the InfluxQL
+// executor.
+func TestClusterListing1MatchesWindowPeak(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Policy: PolicySpread}) // two rows per measurement
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := range int64(6) {
+		jobs := []JobSpec{
+			{Name: fmt.Sprintf("sgx-%d", i), Duration: 10 * time.Minute, MemoryRequestBytes: (i + 1) * 64 * MiB, EPCRequestBytes: (i + 1) * 4 * MiB},
+			{Name: fmt.Sprintf("std-%d", i), Duration: 10 * time.Minute, MemoryRequestBytes: (i + 1) * GiB},
+		}
+		for _, job := range jobs {
+			if err := c.SubmitJob(job); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c.AdvanceTime(time.Minute) // several scrapes past the binds
+	const sub = `(SELECT MAX(value) AS %[1]s FROM %[2]q
+WHERE value <> 0 AND time >= now() - 25s
+GROUP BY pod_name, nodename
+)`
+	for _, tc := range []struct{ field, measurement string }{
+		{"epc", monitor.MeasurementEPC},
+		{"mem", monitor.MeasurementMemory},
+	} {
+		query := fmt.Sprintf("SELECT SUM(%[1]s) AS %[1]s FROM\n"+sub+"\nGROUP BY nodename", tc.field, tc.measurement)
+		res, err := c.Query(query)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		want, pods := map[string]float64{}, map[string]int{}
+		for pn, peak := range monitor.WindowPeak(c.st.DB, tc.measurement, 25*time.Second) {
+			want[pn.Node] += peak
+			pods[pn.Node]++
+		}
+		if got := res.ValueByTag(monitor.TagNode); len(res.Rows) != len(want) || !maps.Equal(got, want) {
+			t.Fatalf("%s per node: Listing 1 %v, WindowPeak %v", tc.measurement, got, want)
+		}
+		if len(pods) < 2 || slices.Max(slices.Collect(maps.Values(pods))) < 2 {
+			t.Fatalf("%s: pods per node %v; want two nodes, one with two pods", tc.measurement, pods)
+		}
+		t.Logf("%s: %v over %v", tc.measurement, want, pods)
+		for node := range want {
+			if tc.measurement == monitor.MeasurementEPC && !strings.HasPrefix(node, "sgx-") {
+				t.Fatalf("EPC usage reported on standard node %q", node)
+			}
+		}
 	}
 }

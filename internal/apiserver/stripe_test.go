@@ -269,14 +269,19 @@ func TestStoredVersionsConcurrent(t *testing.T) {
 		}
 	}
 
+	// The writers start only once every reader runs: a reader the
+	// scheduler started after the storm would read nothing while it
+	// commits.
 	done := make(chan struct{})
 	seen := make([]map[*api.Pod]podVersion, readers)
-	var rg sync.WaitGroup
+	var rg, started sync.WaitGroup
+	started.Add(readers)
 	for r := range seen {
 		seen[r] = map[*api.Pod]podVersion{}
 		rg.Add(1)
 		go func(got map[*api.Pod]podVersion) {
 			defer rg.Done()
+			started.Done()
 			record := func(p *api.Pod) {
 				v := versionOf(p)
 				if first, ok := got[p]; ok && first != v {
@@ -313,6 +318,7 @@ func TestStoredVersionsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			started.Wait()
 			for i := w; i < pods; i += writers {
 				name, node := fmt.Sprintf("pod-%03d", i), fmt.Sprintf("node-%d", i%nodes)
 				// Errors are fine: each step is a legal commit or a refusal

@@ -251,8 +251,9 @@ var equivTags = []struct {
 // TestStreamingMatchesMaterializingExecutor drives randomized databases
 // and queries through both executors and requires identical results: the
 // same rows in the same order, every float equal bit for bit. Values are
-// small integers so float folds are exact in either evaluation order. The
-// second pass narrows the group hash to two bits, so every lookup walks a
+// drawn from equivValues, so a SUM or MEAN folded in another order than
+// the oracle's comes out different, not only a LAST. The second pass
+// narrows the group hash to two bits, so every lookup walks a
 // collision chain and only the value-by-value comparison tells groups
 // apart.
 func TestStreamingMatchesMaterializingExecutor(t *testing.T) {
@@ -262,6 +263,29 @@ func TestStreamingMatchesMaterializingExecutor(t *testing.T) {
 			groupHashMask = mask
 			testStreamingMatchesOracle(t)
 		})
+	}
+}
+
+// TestSubqueryFoldsInInnerRowOrder pins the order an outer group folds
+// its rows in: the subquery's row order (pod_name, then nodename), not
+// the scan's series order (nodename, then pod_name). The three rows sum
+// to 1 in row order, (1e16 + -1e16) + 1, and to 0 in series order,
+// where 1 + 1e16 rounds back to 1e16.
+func TestSubqueryFoldsInInnerRowOrder(t *testing.T) {
+	clk := clock.NewSim()
+	db := tsdb.New(clk, tsdb.WithGCInterval(0))
+	for _, s := range []struct {
+		node, pod string
+		v         float64
+	}{{"n0", "c", 1}, {"n1", "a", 1e16}, {"n2", "b", -1e16}} {
+		db.WriteNow("m", tsdb.Tags{"nodename": s.node, "pod_name": s.pod}, s.v)
+	}
+	q := mustParse(t, `SELECT SUM(v) AS total FROM (SELECT MAX(value) AS v FROM "m" GROUP BY pod_name, nodename)`)
+	if _, err := matchOracle(db, q); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := Run(db, q); err != nil || len(res.Rows) != 1 || res.Rows[0].Value != 1 {
+		t.Fatalf("got %+v, %v; want one row of 1", res.Rows, err)
 	}
 }
 
@@ -376,8 +400,9 @@ func matchOracle(db *tsdb.DB, q *Query) (queryErr, err error) {
 }
 
 // checkReleased reports anything a released aggregator still holds:
-// a group, a row, a hash bucket, a string anywhere in the capacity of
-// the slab or the probe, or the query.
+// a group, an entry of the row list (whether order or a subquery's fold
+// filled it), a hash bucket, a string anywhere in the capacity of the
+// slab or the probe, or the query.
 func checkReleased(a *aggregator) error {
 	switch {
 	case a.q != nil:
@@ -427,8 +452,14 @@ func otherShape(rng *rand.Rand, earlier []*Query, q *Query) *Query {
 	return nil
 }
 
+// equivValues are the values randomDB writes: zeros, which a value <> 0
+// filter drops, and floats whose sum depends on the order they are added
+// in (0.1 + 0.2 + 3.3 is not 3.3 + 0.2 + 0.1, and 1e16 absorbs a small
+// addend that -1e16 then leaves visible or not).
+var equivValues = []float64{0, 1, 2, 3, 0.1, 0.2, 3.3, 1e16, -1e16}
+
 // randomDB writes up to 300 points of measurement "m" over two minutes,
-// tagged from equivTags.
+// tagged from equivTags, valued from equivValues.
 func randomDB(rng *rand.Rand) *tsdb.DB {
 	clk := clock.NewSim()
 	db := tsdb.New(clk, tsdb.WithGCInterval(0))
@@ -443,7 +474,7 @@ func randomDB(rng *rand.Rand) *tsdb.DB {
 			}
 		}
 		at := start.Add(time.Duration(rng.Int63n(int64(2 * time.Minute))))
-		db.Write("m", tags, float64(rng.Intn(8)), at) // zeros included
+		db.Write("m", tags, equivValues[rng.Intn(len(equivValues))], at)
 	}
 	return db
 }

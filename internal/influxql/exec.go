@@ -1,6 +1,7 @@
 package influxql
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -53,22 +54,23 @@ func Execute(db *tsdb.DB, query string) (Result, error) {
 // bounds, tag predicates evaluated once per series, and the remaining
 // point predicates applied as points flow into per-group running
 // aggregates. A subquery's groups are folded straight into the outer
-// aggregator; no intermediate rows exist.
+// aggregator, each outer group folding its rows in inner row order; no
+// intermediate result exists.
 //
 // A query allocates little beyond its answer: the row slice, one tag map
 // per row, and a scan's list of the predicates its window did not absorb.
 // Groups live in one slice and their GROUP BY values in one slab,
 // found through a hash of the values; those two slices, the hash index,
-// the probe tuple and the row-order index belong to an aggregator taken
-// from a pool for the run and given back when it returns, errors
-// included (a subquery takes a second one, given back once its groups
-// are folded into the outer). What the next run inherits is capacity
-// only, never a value: the release empties the group slice, the slab
-// and the row order, zeroes every hash bucket, clears every string the
-// slab and the probe held and drops the query. A run therefore starts
-// from the state a fresh aggregator would, and the result shares no
-// memory with the aggregator, so no run can observe another's groups,
-// and the pool keeps no swept series' tag values alive.
+// the probe tuple and the row list belong to an aggregator taken from a
+// pool for the run and given back when it returns, errors included (a
+// subquery takes a second one, given back once its groups are folded
+// into the outer). What the next run inherits is capacity only, never a
+// value: the release empties the group slice, the slab and the row
+// list, zeroes every hash bucket, clears every string the slab and the
+// probe held and drops the query. A run therefore starts from the state
+// a fresh aggregator would, and the result shares no memory with the
+// aggregator, so no run can observe another's groups, and the pool keeps
+// no swept series' tag values alive.
 func Run(db *tsdb.DB, q *Query) (Result, error) {
 	agg := newAggregator(q)
 	defer agg.release()
@@ -86,10 +88,19 @@ func (a *aggregator) run(db *tsdb.DB) error {
 	return runScan(db, a.q, a)
 }
 
-// runSub evaluates a subquery source: every inner group, in the order
-// its row would have been returned, becomes one sample stamped at now(),
-// filtered by the outer WHERE and folded into agg. A tag the subquery did
-// not group by reads as "".
+// runSub evaluates a subquery source: every inner group becomes one
+// sample stamped at now(), filtered by the outer WHERE and folded into
+// agg. A tag the subquery did not group by reads as "".
+//
+// Each outer group folds its samples in inner row order, the order a
+// materialized subquery returns its rows in, so every float sum is the
+// one that subquery gives; the outer groups' states are independent and
+// result() orders them itself. The first pass walks the inner groups in
+// creation order (the scan's series order), filtering each, resolving
+// its outer group and adding it to the inner aggregator's row list; the
+// second sorts that list by (outer group, inner row order) and folds it.
+// On Listing 1 the series order already is that order, so the sort only
+// confirms it.
 func runSub(db *tsdb.DB, q *Query, agg *aggregator) error {
 	sub := q.Source.Sub
 	inner := newAggregator(sub)
@@ -106,7 +117,8 @@ func runSub(db *tsdb.DB, q *Query, agg *aggregator) error {
 		}
 		return ""
 	}
-	for _, g := range inner.order() {
+	inner.rows = slices.Grow(inner.rows, len(inner.groups))
+	for g := range int32(len(inner.groups)) {
 		v, err := inner.groups[g].fold(sub.Field.Func)
 		if err != nil {
 			return err
@@ -139,7 +151,12 @@ func runSub(db *tsdb.DB, q *Query, agg *aggregator) error {
 		for i, k := range q.GroupBy {
 			agg.probe[i] = tag(g, k)
 		}
-		agg.group().observe(nowNanos, v)
+		inner.groups[g].outer = agg.group()
+		inner.rows = append(inner.rows, g)
+	}
+	for _, g := range inner.sortRows() {
+		v, _ := inner.groups[g].fold(sub.Field.Func) // folded without error above
+		agg.groups[inner.groups[g].outer].observe(nowNanos, v)
 	}
 	return nil
 }
@@ -208,7 +225,7 @@ func runScan(db *tsdb.DB, q *Query, agg *aggregator) error {
 				for i, k := range q.GroupBy {
 					agg.probe[i] = tags[k]
 				}
-				g = agg.group()
+				g = &agg.groups[agg.group()]
 			}
 			g.observe(p.Nanos, p.Value)
 		}
@@ -320,7 +337,7 @@ type aggregator struct {
 	vals   []string // group g's values: vals[g*n : (g+1)*n], n = len(q.GroupBy)
 	heads  []int32  // hash bucket → 1 + the newest group of its chain; a power of two long
 	probe  []string // the value tuple group() looks up, filled by the caller
-	rows   []int32  // the groups in row order, filled by order()
+	rows   []int32  // the row list: the groups in row order (order), or a subquery's rows (runSub)
 }
 
 // groupState carries every running statistic any supported aggregation
@@ -328,6 +345,7 @@ type aggregator struct {
 type groupState struct {
 	hash     uint64
 	next     int32 // 1 + the next group of the collision chain, 0 at its end
+	outer    int32 // the outer group this group's row feeds while a subquery folds (runSub), else 0
 	count    int64
 	sum      float64
 	max      float64
@@ -372,9 +390,9 @@ func (a *aggregator) values(g int32) []string {
 	return a.vals[int(g)*n : (int(g)+1)*n]
 }
 
-// group resolves (or creates) the group whose values are a.probe. The
-// pointer is valid until the next call.
-func (a *aggregator) group() *groupState {
+// group resolves (or creates) the group whose values are a.probe and
+// returns its index in a.groups.
+func (a *aggregator) group() int32 {
 	h := uint64(14695981039346656037) // FNV-1a, a boundary byte after each value
 	for _, v := range a.probe {
 		for i := 0; i < len(v); i++ {
@@ -384,8 +402,8 @@ func (a *aggregator) group() *groupState {
 	}
 	h &= groupHashMask
 	for g := a.heads[h&uint64(len(a.heads)-1)]; g != 0; g = a.groups[g-1].next {
-		if gs := &a.groups[g-1]; gs.hash == h && slices.Equal(a.values(g-1), a.probe) {
-			return gs
+		if a.groups[g-1].hash == h && slices.Equal(a.values(g-1), a.probe) {
+			return g - 1
 		}
 	}
 	if len(a.groups) == len(a.heads) { // keep chains short: double the buckets and relink
@@ -396,8 +414,9 @@ func (a *aggregator) group() *groupState {
 	}
 	a.groups = append(a.groups, groupState{hash: h})
 	a.vals = append(a.vals, a.probe...)
-	a.link(int32(len(a.groups) - 1))
-	return &a.groups[len(a.groups)-1]
+	g := int32(len(a.groups) - 1)
+	a.link(g)
+	return g
 }
 
 // link puts group g at the head of its bucket's chain.
@@ -406,13 +425,27 @@ func (a *aggregator) link(g int32) {
 	a.groups[g].next, *b = *b, g+1
 }
 
-// order returns the groups sorted by value tuple — the row order. It is
-// called at most once per run, on the empty slice release left.
+// order fills the row list with every group and returns it sorted by
+// value tuple — the row order. It is called at most once per run, on the
+// empty list release left.
 func (a *aggregator) order() []int32 {
-	for g := range a.groups {
-		a.rows = append(a.rows, int32(g))
+	a.rows = slices.Grow(a.rows, len(a.groups))
+	for g := range int32(len(a.groups)) {
+		a.rows = append(a.rows, g)
 	}
-	slices.SortFunc(a.rows, func(x, y int32) int { return slices.Compare(a.values(x), a.values(y)) })
+	return a.sortRows()
+}
+
+// sortRows sorts the row list by outer group, then by value tuple.
+// pdqsort finishes an already sorted list in about len(a.rows)
+// comparisons.
+func (a *aggregator) sortRows() []int32 {
+	slices.SortFunc(a.rows, func(x, y int32) int {
+		if c := cmp.Compare(a.groups[x].outer, a.groups[y].outer); c != 0 {
+			return c
+		}
+		return slices.Compare(a.values(x), a.values(y))
+	})
 	return a.rows
 }
 

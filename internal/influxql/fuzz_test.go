@@ -1,6 +1,9 @@
 package influxql
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // FuzzParse feeds arbitrary text to the parser: Parse must never panic,
 // and a query it accepts must render to a canonical form that parses
@@ -42,6 +45,36 @@ func FuzzParse(f *testing.F) {
 		}
 		if got := again.String(); got != rendered {
 			t.Fatalf("Parse(%q) renders %q, which renders %q", input, rendered, got)
+		}
+	})
+}
+
+// FuzzRun runs arbitrary query text that parses against one fixed
+// random database through both the streaming executor and the
+// materializing reference (refRun), and requires the same rows bit for
+// bit, or the same error. Run it with
+//
+//	go test -run '^$' -fuzz '^FuzzRun$' -fuzztime 30s ./internal/influxql
+//
+// Crashers it finds are kept under testdata/fuzz/FuzzRun and replayed by
+// every plain go test.
+func FuzzRun(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	db := randomDB(rng)
+	f.Add(listing1)
+	for _, q := range failingQueries {
+		f.Add(q)
+	}
+	for range 8 {
+		f.Add(randomQuery(rng))
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		q, err := Parse(input)
+		if err != nil {
+			return
+		}
+		if _, err := matchOracle(db, q); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
