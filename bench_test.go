@@ -360,8 +360,8 @@ func BenchmarkClassifiedPass(b *testing.B) {
 // detail sampling — so the pass pays every always-on instrumentation
 // cost (pass/stage spans, per-class counter folds, the ring's span
 // copy) and, on every 32nd pass, the detailed per-pod/per-plugin
-// timings. Gated against BenchmarkSchedulerPass in CI: the issue budget
-// allows at most 5% time/op on top of the uninstrumented pass.
+// timings. Its budget is at most 5% time/op on top of
+// BenchmarkSchedulerPass, the uninstrumented pass.
 func BenchmarkInstrumentedPass(b *testing.B) {
 	tb, err := experiments.NewTestbed(experiments.TestbedConfig{
 		UseMetrics: true, Enforcement: true,
@@ -390,9 +390,10 @@ func BenchmarkInstrumentedPass(b *testing.B) {
 // cluster cache a scheduling pass costs O(pending pods + nodes), not
 // O(total pods): the pass over a cluster with 10000 bound pods and a
 // handful of pending ones takes about as long as over one with 1000. (The
-// arm keeps its historical "/incremental" name so the rows line up with
-// BENCH_6…9.json; the from-scratch rebuild it used to be compared with is
-// no longer a production path — it is internal/core's test oracle.)
+// arm keeps its historical "/incremental" name, which older benchmark
+// records in git history use; the from-scratch rebuild it used to be
+// compared with is no longer a production path — it is internal/core's
+// test oracle.)
 func BenchmarkSchedulerPassScaling(b *testing.B) {
 	const nodes = 100
 	for _, bound := range []int{1000, 10000} {
@@ -641,7 +642,7 @@ func benchPod(job borg.Job, sgxJob bool) *api.Pod {
 // 4 + solo churn on 8 nodes, 2 sharded schedulers sharing one gang
 // director) end to end per op and reports gang outcomes. The op fails
 // outright if the all-or-nothing invariant breaks or a permit leaks,
-// so the bench gate doubles as a correctness tripwire.
+// so CI's one-iteration bench smoke doubles as a correctness tripwire.
 func BenchmarkGangSchedule(b *testing.B) {
 	var res experiments.GangExpResult
 	for i := 0; i < b.N; i++ {

@@ -1,10 +1,10 @@
 // Command benchreport regenerates every figure of the paper's evaluation
 // (Figs. 3-11) and renders the series and paper-vs-measured notes (a
-// committed, pinned table of them is ROADMAP.md item 9). It doubles as the
-// perf-artifact emitter: given -bench-input, it parses raw `go test -bench`
-// output and writes a machine-readable JSON report (ns/op, B/op, allocs/op
-// and custom metrics like binds/s per benchmark) — the BENCH_<n>.json
-// artifact the CI bench job uploads so the repo keeps a perf trajectory.
+// committed, pinned table of them is ROADMAP.md item 9).
+//
+// With -compare REV it measures the working tree against REV on the
+// whole-stack benchmark instead (bench/run.sh, judged by BENCHMARK.json's
+// bounds over ten alternating pairs; see README.md, "Measuring a change").
 //
 // Figure mode accepts -cpuprofile/-memprofile to capture pprof profiles
 // of the reproduction run itself — the quickest way to see where a
@@ -14,10 +14,11 @@
 // Usage:
 //
 //	benchreport [-seed 1] [-figs fig3,fig7,...] [-rows 24] [-cpuprofile cpu.out] [-memprofile mem.out]
-//	benchreport -bench-input bench-head.txt [-json-out BENCH_5.json] [-commit SHA]
+//	benchreport -compare REV
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	sgxorch "github.com/sgxorch/sgxorch"
-	"github.com/sgxorch/sgxorch/internal/benchgate"
 )
 
 func main() {
@@ -37,31 +37,32 @@ func main() {
 	}
 }
 
-func run() error {
+func run() (err error) {
 	seed := flag.Int64("seed", 1, "experiment seed")
 	figs := flag.String("figs", "", "comma-separated figure ids (default: all)")
 	rows := flag.Int("rows", 24, "max rows rendered per series")
-	benchInput := flag.String("bench-input", "", "raw `go test -bench` output to convert to JSON (skips figure mode)")
-	jsonOut := flag.String("json-out", "", "JSON report destination (default: stdout)")
-	commit := flag.String("commit", "", "VCS revision to stamp into the JSON report")
+	compareRev := flag.String("compare", "", "compare the working tree with `rev` on the whole-stack benchmark (skips figure mode)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the figure runs to `file`")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile after the figure runs to `file`")
 	flag.Parse()
 
-	if *benchInput != "" {
-		return emitBenchJSON(*benchInput, *jsonOut, *commit)
+	if *compareRev != "" {
+		return compare(*compareRev, os.Stdout)
 	}
 
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
+		f, ferr := os.Create(*cpuProfile)
+		if ferr != nil {
+			return ferr
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
+		if ferr := pprof.StartCPUProfile(f); ferr != nil {
+			f.Close()
+			return ferr
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
 	}
 
 	ids := sgxorch.FigureIDs()
@@ -87,43 +88,12 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		runtime.GC() // settle the heap so the profile shows retained state
 		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
 			return err
 		}
-	}
-	return nil
-}
-
-// emitBenchJSON converts raw benchmark output into the JSON perf
-// artifact.
-func emitBenchJSON(inputPath, outPath, commit string) error {
-	in, err := os.Open(inputPath)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	rep, err := benchgate.ParseBench(in)
-	if err != nil {
-		return err
-	}
-	rep.Source = inputPath
-	rep.Commit = commit
-	out := os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := rep.WriteJSON(out); err != nil {
-		return err
-	}
-	if outPath != "" {
-		fmt.Printf("benchreport: wrote %d benchmarks to %s\n", len(rep.Benchmarks), outPath)
+		return f.Close()
 	}
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/borg"
-	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stats"
 )
 
@@ -46,16 +45,18 @@ func run() error {
 			return err
 		}
 		tr := borg.NewGenerator(*seed).EvalSlice()
-		w := os.Stdout
-		if *out != "-" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
+		if *out == "-" {
+			return borg.WriteCSV(os.Stdout, tr)
 		}
-		return borg.WriteCSV(w, tr)
+		f, err := os.Create(*out)
+		if err != nil {
+			return err
+		}
+		if err := borg.WriteCSV(f, tr); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
 	case "day":
 		jobs := fs.Int("jobs", 20000, "jobs to materialise")
 		if err := fs.Parse(args); err != nil {
@@ -108,6 +109,5 @@ func printDay(g *borg.Generator, jobs int) error {
 	for _, p := range prof {
 		fmt.Printf("  t=%5.1fh  %6.0f jobs\n", p.Offset.Hours(), p.Jobs)
 	}
-	_ = resource.MiB
 	return nil
 }
