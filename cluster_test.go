@@ -316,6 +316,9 @@ func TestReplayBorgTraceFacade(t *testing.T) {
 	if _, err := ReplayBorgTrace(ReplayOptions{Policy: "nope"}); err == nil {
 		t.Fatal("bad policy accepted")
 	}
+	if _, err := ReplayBorgTrace(ReplayOptions{EPCSize: -5 * MiB}); err == nil {
+		t.Fatal("negative EPCSize accepted")
+	}
 }
 
 // The two public entry points are the same machine. Both stand on one

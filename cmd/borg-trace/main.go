@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -18,18 +19,25 @@ import (
 	"github.com/sgxorch/sgxorch/internal/stats"
 )
 
+// usage is the package doc's synopsis, printed by -h, -help and help.
+const usage = `usage:
+  borg-trace stats [-seed S]             print eval-slice statistics
+  borg-trace gen   [-seed S] [-o FILE]   write the eval slice as CSV
+  borg-trace day   [-seed S] [-jobs N]   full-day distribution summary`
+
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "borg-trace:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	if len(os.Args) < 2 {
-		return fmt.Errorf("usage: borg-trace stats|gen|day [flags]")
+// run executes one subcommand; help goes to stdout.
+func run(argv []string, stdout io.Writer) error {
+	if len(argv) == 0 {
+		return fmt.Errorf("missing subcommand\n%s", usage)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
+	cmd, args := argv[0], argv[1:]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "generator seed")
 
@@ -63,8 +71,11 @@ func run() error {
 			return err
 		}
 		return printDay(borg.NewGenerator(*seed), *jobs)
+	case "-h", "-help", "--help", "help":
+		_, err := fmt.Fprintln(stdout, usage)
+		return err
 	default:
-		return fmt.Errorf("unknown subcommand %q", cmd)
+		return fmt.Errorf("unknown subcommand %q\n%s", cmd, usage)
 	}
 }
 

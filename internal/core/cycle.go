@@ -37,8 +37,8 @@ type cycleState struct {
 	// out of the queue together when the pass ends (ClusterCache.dequeue).
 	committed []queuedPod
 
-	// Pod scope: the pod's request data — summed once, because the filter
-	// plugins run per (pod, node) — and the pipeline its class resolved
+	// Pod scope: the pod's request data — summed once, because the §IV
+	// fit runs per (pod, node) — and the pipeline its class resolved
 	// to. info is refilled in place for every pod, keeping its
 	// cycleScratch (narrowing and scores), which is how the plugins reach
 	// scheduler-owned scratch.
@@ -103,7 +103,7 @@ type outcome struct {
 	// not preempt). A cycle that preempted may still end in any kind.
 	victims int
 	// memoised qualifies outcomeUnschedulable: the pass's failure memo
-	// proved it, and the cycle ran neither the filter nor the planner.
+	// proved it, and the cycle ran neither the fit check nor the planner.
 	memoised bool
 }
 
@@ -140,12 +140,13 @@ func (s *Stats) count(o outcome) {
 }
 
 // cycle schedules one pending pod: classify it onto its pipeline, run the
-// pre-filter, filter, pre-score/score and permit stages, fall back to
-// preemption when nothing is feasible, and commit the decision. The
-// per-pod stage spans are timed through c.det, i.e. on detail-sampled
-// passes only: preemption planning included, since it runs for every pod
-// that failed to place and two clock reads per unschedulable pod on every
-// pass would dominate the instrumentation budget on a congested queue.
+// pre-filter stage, the §IV fit over the nodes, the pre-score/score and
+// permit stages, fall back to preemption when nothing is feasible, and
+// commit the decision. The per-pod stage spans are timed through c.det,
+// i.e. on detail-sampled passes only: preemption planning included, since
+// it runs for every pod that failed to place and two clock reads per
+// unschedulable pod on every pass would dominate the instrumentation
+// budget on a congested queue.
 func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 	info, pod := &c.info, e.pod
 	fillPodInfo(info, pod, e.req)
@@ -161,9 +162,8 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 	// A solo pod an earlier failure of this pass already proves
 	// unschedulable skips every stage below but the preemption gate and
 	// sync (memo.go). Gang members never do: the director's PreFilter
-	// gates them and raises their priority. A custom filter need not be
-	// monotone in the request, so only the §IV fit takes part.
-	memoable := !s.noMemo && !pod.Spec.InGang() && prof.defaultFiltersOnly()
+	// gates them and raises their priority.
+	memoable := !s.noMemo && !pod.Spec.InGang()
 	dominated := memoable && c.memo.dominates(s.view, o.slot, info)
 
 	// Pre-filter stage: per-pod early rejects (and pass-scoped mutations
@@ -191,13 +191,13 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 		if dominated {
 			visited = s.view.eligible(info)
 		} else {
-			candidates, visited = s.view.sampleFeasible(info, prof, target, s.sampleOffset, candidates)
+			candidates, visited = s.view.sampleFeasible(info, target, s.sampleOffset, candidates)
 		}
 		s.sampleOffset += visited
 		o.sampled = true
 	} else if !dominated {
 		for _, n := range nodes {
-			if prof.Feasible(info, n) {
+			if n.Fits(info.Req) {
 				candidates = append(candidates, n)
 			}
 		}
@@ -213,8 +213,8 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 		node, ok = prof.selectInfo(info, candidates, s.view, det)
 	}
 	det.stageSince(stageScore, t)
-	// A clean failure so far: nothing passed the filter, so no placement
-	// stage declined anything.
+	// A clean failure so far: no node fit, so no placement stage declined
+	// anything.
 	clean := memoable && len(candidates) == 0
 	if !ok && c.mayPreempt() {
 		// No feasible node: try to make room by evicting strictly
@@ -244,8 +244,8 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 		}
 	}
 	if !ok {
-		// Proofs hold only while the view has not loosened since the filter
-		// read it: the preemption sync may have.
+		// Proofs hold only while the view has not loosened since the fit
+		// check read it: the preemption sync may have.
 		if s.view.loosened == filteredAt {
 			if dominated {
 				o.memoised = true
@@ -270,18 +270,17 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 	return o
 }
 
-// placesOn replays the pod's whole pipeline — filters, preferences,
+// placesOn replays the pod's whole pipeline — the §IV fit, preferences,
 // scores — with n as the only candidate and reports whether it would place
 // the pod exactly there. Preemption asks it twice: the planner of a
 // simulated post-eviction node before evicting anyone, the cycle of the
 // real node after.
 func (s *Scheduler) placesOn(c *cycleState, n *NodeView) bool {
-	prof := c.pl.profile
-	if !prof.Feasible(&c.info, n) {
+	if !n.Fits(c.info.Req) {
 		return false
 	}
 	c.only = append(c.only[:0], n)
-	name, ok := prof.selectInfo(&c.info, c.only, s.view, nil)
+	name, ok := c.pl.profile.selectInfo(&c.info, c.only, s.view, nil)
 	return ok && name == n.Name
 }
 
@@ -309,10 +308,9 @@ func (s *Scheduler) commit(c *cycleState, e *queuedPod, node string, wait bool) 
 		// cache that has already absorbed the winner's events.
 		return outcomeConflict, true
 	case errors.Is(err, apiserver.ErrConflict):
-		// Other admission refusals (node cordoned mid-pass, or a pod/node
-		// incompatibility a custom pipeline failed to filter) may be
-		// permanent for *this* pod — skip it rather than head-of-line
-		// block the rest of the queue.
+		// Other admission refusals (node cordoned mid-pass, pod already
+		// bound or terminal) may be permanent for *this* pod — skip it
+		// rather than head-of-line block the rest of the queue.
 		return outcomeConflict, false
 	default:
 		return outcomeSkipped, false

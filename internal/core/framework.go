@@ -8,17 +8,19 @@ import (
 )
 
 // This file implements the scheduler's plugin framework: a Kubernetes-style
-// pipeline of filter plugins (hard feasibility, §IV's hardware and
-// saturation checks), pre-score plugins (candidate-narrowing preferences,
-// §IV's "only resort to SGX-enabled nodes ... when no other choice is
-// possible") and weighted score plugins (placement quality). The paper's
-// fixed binpack/spread strategies are expressed as profiles over these
-// plugins, so new placement behaviours (usage-headroom, EPC-pressure,
-// priority tiers) compose without touching the scheduling pass.
+// pipeline around the one §IV feasibility rule (NodeView.Fits, hardware
+// compatibility and saturation, which every pipeline applies as is):
+// pre-filter plugins (per-pod gates), pre-score plugins (candidate-narrowing
+// preferences, §IV's "only resort to SGX-enabled nodes ... when no other
+// choice is possible"), weighted score plugins (placement quality) and
+// permit plugins (how a placement commits). The paper's fixed
+// binpack/spread strategies are expressed as profiles over these plugins,
+// so new placement behaviours (usage-headroom, EPC-pressure, priority
+// tiers) compose without touching the scheduling pass.
 
 // PodInfo carries one pending pod together with its request data, summed
 // over the pod's containers once per queue entry so the per-(pod, node)
-// plugin calls read scalars.
+// fit checks and plugin calls read scalars.
 type PodInfo struct {
 	Pod *api.Pod
 	// Req is the pod's total resource requests.
@@ -172,14 +174,6 @@ type ReserveObserver interface {
 	OnReserved(pod *PodInfo, nodeName string)
 }
 
-// FilterPlugin decides hard feasibility of one (pod, node) combination.
-// Filters run for every candidate node each pass, so implementations must
-// not allocate.
-type FilterPlugin interface {
-	Name() string
-	Filter(pod *PodInfo, node *NodeView) bool
-}
-
 // PreScorePlugin narrows the feasible candidates by preference before
 // scoring. Returning nil means "no preference": the caller keeps the
 // full candidate list. Returning a non-nil slice — including a non-nil
@@ -208,14 +202,14 @@ type WeightedScore struct {
 // Profile is one assembled scheduling pipeline, immutable once built: its
 // plugins hold no state of their own (per-cycle scratch travels with the
 // PodInfo), so one Profile may serve any number of schedulers
-// concurrently. A *Profile is a Policy that yields itself, so custom
-// profiles plug into Config.Policy directly; the built-in
+// concurrently. Feasibility is not a plug point: every profile filters by
+// the §IV rule, NodeView.Fits. A *Profile is a Policy that yields itself,
+// so custom profiles plug into Config.Policy directly; the built-in
 // Binpack/Spread/LeastRequested/UsageAware values are names for canned
 // profiles.
 type Profile struct {
 	name       string
 	preFilters []PreFilterPlugin
-	filters    []FilterPlugin
 	preScore   []PreScorePlugin
 	scores     []WeightedScore
 	permits    []PermitPlugin
@@ -226,12 +220,6 @@ type Profile struct {
 
 // ProfileOpt configures a Profile.
 type ProfileOpt func(*Profile)
-
-// WithFilters appends extra filter plugins after the default §IV
-// feasibility set (SGX capability, EPC device fit, resource saturation).
-func WithFilters(filters ...FilterPlugin) ProfileOpt {
-	return func(p *Profile) { p.filters = append(p.filters, filters...) }
-}
 
 // WithPermits appends permit plugins (run after node selection, deciding
 // whether the placement binds immediately, waits, or is denied).
@@ -255,14 +243,11 @@ func WithMinScore(min float64) ProfileOpt {
 	return func(p *Profile) { p.minScore = min }
 }
 
-// NewProfile assembles a pipeline. Every profile starts from the default
-// §IV feasibility filter; options append preferences and scores.
+// NewProfile assembles a pipeline. Every profile places only on nodes the
+// §IV rule (NodeView.Fits) accepts; options append preferences, scores and
+// permits.
 func NewProfile(name string, opts ...ProfileOpt) *Profile {
-	p := &Profile{
-		name:     name,
-		filters:  []FilterPlugin{DefaultFeasibility{}},
-		minScore: math.Inf(-1),
-	}
+	p := &Profile{name: name, minScore: math.Inf(-1)}
 	for _, o := range opts {
 		o(p)
 	}
@@ -337,36 +322,16 @@ func (p *Profile) notifyReserved(pod *PodInfo, nodeName string) {
 	}
 }
 
-// Feasible runs the filter pipeline for one (pod, node) combination.
-func (p *Profile) Feasible(pod *PodInfo, node *NodeView) bool {
-	for _, f := range p.filters {
-		if !f.Filter(pod, node) {
-			return false
-		}
-	}
-	return true
-}
-
-// defaultFiltersOnly reports whether the filter stage is the §IV
-// feasibility rule and nothing else.
-func (p *Profile) defaultFiltersOnly() bool {
-	for _, f := range p.filters {
-		if _, ok := f.(DefaultFeasibility); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // selectInfo runs the placement half of the pipeline for one pod: narrow
 // by preference, score, and pick the first candidate with the strictly
-// greatest weighted score above the profile's minimum. Candidates arrive
-// pre-filtered and sorted by node name. Scoring runs plugin-outer over one
-// accumulator per candidate in the pod's cycle scratch, so a detailed pass
-// times each score plugin across the whole candidate set in one clock-read
-// pair; every candidate's sum still accumulates in plugin order, which
-// keeps the selection — floating-point rounding and first-best tie-breaks
-// included — what a candidate-outer loop computes.
+// greatest weighted score above the profile's minimum. Every candidate
+// already passes NodeView.Fits; the full scan hands them over sorted by
+// node name. Scoring runs plugin-outer over one accumulator per candidate
+// in the pod's cycle scratch, so a detailed pass times each score plugin
+// across the whole candidate set in one clock-read pair; every
+// candidate's sum still accumulates in plugin order, which keeps the
+// selection — floating-point rounding and first-best tie-breaks included
+// — what a candidate-outer loop computes.
 func (p *Profile) selectInfo(pod *PodInfo, candidates []*NodeView, view *ClusterView, det *passRecorder) (string, bool) {
 	sc := pod.cycleScratch()
 	for i, ps := range p.preScore {
@@ -409,19 +374,6 @@ func (p *Profile) selectInfo(pod *PodInfo, candidates []*NodeView, view *Cluster
 	}
 	return best, true
 }
-
-// --- Filter plugins (the §IV feasibility checks) ---
-
-// DefaultFeasibility is the §IV feasibility rule — SGX capability, EPC
-// device fit, resource saturation — as a filter plugin: NodeView.Fits on
-// the pod's request totals. It is the only filter any profile registers.
-type DefaultFeasibility struct{}
-
-// Name implements FilterPlugin.
-func (DefaultFeasibility) Name() string { return "default-feasibility" }
-
-// Filter implements FilterPlugin.
-func (DefaultFeasibility) Filter(pod *PodInfo, node *NodeView) bool { return node.Fits(pod.Req) }
 
 // --- Pre-score plugins ---
 

@@ -198,9 +198,10 @@ func sectionIV(req resource.List, n *NodeView) bool {
 
 // TestDefaultFeasibilityMatchesFits is the differential property of the
 // feasibility rule: on randomized nodes (over-used ones included) and
-// pods, the filter every profile registers agrees with the restatement
-// above, and so do the two other readers of the rule — the gang
-// pre-filter's slot count and the preemption planner's static check.
+// pods, NodeView.Fits — the filter every profile applies — agrees with
+// the restatement above, and so do the two other readers of the rule —
+// the gang pre-filter's slot count and the preemption planner's static
+// check.
 func TestDefaultFeasibilityMatchesFits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var overUsed, accepted int
@@ -212,16 +213,16 @@ func TestDefaultFeasibilityMatchesFits(t *testing.T) {
 		}
 		info := newPodInfo(pod)
 		for _, n := range view.Nodes {
-			got, want := (DefaultFeasibility{}).Filter(info, n), sectionIV(info.Req, n)
+			got, want := n.Fits(info.Req), sectionIV(info.Req, n)
 			if got != want {
-				t.Fatalf("trial %d node %+v pod %v: Filter = %v, §IV = %v", trial, n, info.Req, got, want)
+				t.Fatalf("trial %d node %+v pod %v: Fits = %v, §IV = %v", trial, n, info.Req, got, want)
 			}
 			if slots := memberSlots(info, n); (slots > 0) != got {
-				t.Fatalf("trial %d node %+v pod %v: memberSlots = %d, Filter = %v", trial, n, info.Req, slots, got)
+				t.Fatalf("trial %d node %+v pod %v: memberSlots = %d, Fits = %v", trial, n, info.Req, slots, got)
 			}
 			empty := &NodeView{Name: n.Name, SGX: n.SGX, Allocatable: n.Allocatable, FreeDevices: n.Allocatable[resource.EPCPages]}
-			if static, want := staticallyFeasible(info, n), (DefaultFeasibility{}).Filter(info, empty); static != want {
-				t.Fatalf("trial %d node %+v pod %v: staticallyFeasible = %v, Filter on the empty node = %v", trial, n, info.Req, static, want)
+			if static, want := staticallyFeasible(info, n), empty.Fits(info.Req); static != want {
+				t.Fatalf("trial %d node %+v pod %v: staticallyFeasible = %v, Fits on the empty node = %v", trial, n, info.Req, static, want)
 			}
 			if n.Used[resource.EPCPages] > n.Allocatable[resource.EPCPages] && !info.SGX {
 				overUsed++
@@ -261,8 +262,8 @@ func TestUsageAwareProfileScoring(t *testing.T) {
 	}
 }
 
-// TestProfileComposition: custom profiles assemble filters, preferences
-// and weighted scores.
+// TestProfileComposition: custom profiles assemble preferences and
+// weighted scores.
 func TestProfileComposition(t *testing.T) {
 	prof := NewProfile("custom",
 		WithPreScore(SGXLastPreScore{}),

@@ -8,8 +8,8 @@ package core
 // log2 buckets of effective free EPC for SGX nodes). A pod's candidate
 // search starts from the buckets that can possibly fit its request
 // instead of scanning view.Nodes: nodes in skipped buckets are *provably*
-// infeasible for the default §IV saturation filter, so the index never
-// hides a node the full-scan pipeline would accept — the completeness
+// infeasible for the §IV saturation check (NodeView.Fits), so the index
+// never hides a node the full scan would accept — the completeness
 // property the equivalence tests in sampling_test.go pin.
 //
 // The index is maintained by exactly the two paths that mutate an
@@ -173,12 +173,13 @@ func clearBucket(bucket *[]*NodeView) {
 }
 
 // sampleFeasible generates up to limit feasible candidates for pod by
-// walking the index's eligible buckets, starting at a rotating offset
-// into the eligible sequence and wrapping around. Every visited node runs
-// the profile's full filter pipeline, so the returned candidates are a
-// subset of what a full scan would accept; because ineligible buckets are
-// provably infeasible, a walk that exhausts the sequence (limit >=
-// eligible) finds exactly the full-scan feasible set.
+// walking the index's eligible buckets as one ring: the cursor starts at a
+// rotating offset into the eligible sequence and wraps around, stopping
+// after limit candidates or once every eligible node was visited. Every
+// visited node runs the §IV fit (NodeView.Fits), so the returned
+// candidates are a subset of what a full scan would accept; because
+// ineligible buckets are provably infeasible, a walk that exhausts the
+// ring (limit >= eligible) finds exactly the full-scan feasible set.
 //
 // Bucket walk order is lowest eligible bucket first — a best-fit bias
 // that steers pods toward the tightest nodes that can still hold them —
@@ -191,54 +192,32 @@ func clearBucket(bucket *[]*NodeView) {
 // searches start where the last one stopped, spreading coverage over all
 // eligible nodes across passes. With a fixed starting offset and a
 // deterministic index, the walk is fully deterministic.
-func (v *ClusterView) sampleFeasible(pod *PodInfo, prof *Profile, limit, offset int, buf []*NodeView) ([]*NodeView, int) {
+func (v *ClusterView) sampleFeasible(pod *PodInfo, limit, offset int, buf []*NodeView) ([]*NodeView, int) {
 	total := v.eligible(pod)
 	if total == 0 {
 		return buf, 0
 	}
+	// The cursor is (bucket b, position i); eligible lists no empty bucket.
 	seq := v.seqScratch
-	start := offset % total
+	b, i := 0, offset%total
+	for i >= len(seq[b]) {
+		i -= len(seq[b])
+		b++
+	}
 	visited := 0
-	// Phase 1: logical positions [start, total).
-	pos := 0
-phase1:
-	for _, s := range seq {
-		if pos+len(s) <= start {
-			pos += len(s)
-			continue
-		}
-		from := 0
-		if start > pos {
-			from = start - pos
-		}
-		for _, n := range s[from:] {
-			visited++
-			if prof.Feasible(pod, n) {
-				buf = append(buf, n)
-				if len(buf) >= limit {
-					break phase1
-				}
+	for visited < total {
+		n := seq[b][i]
+		visited++
+		if n.Fits(pod.Req) {
+			buf = append(buf, n)
+			if len(buf) >= limit {
+				break
 			}
 		}
-		pos += len(s)
-	}
-	// Phase 2: wrap around through logical positions [0, start).
-	if len(buf) < limit {
-		pos = 0
-	phase2:
-		for _, s := range seq {
-			for _, n := range s {
-				if pos >= start {
-					break phase2
-				}
-				pos++
-				visited++
-				if prof.Feasible(pod, n) {
-					buf = append(buf, n)
-					if len(buf) >= limit {
-						break phase2
-					}
-				}
+		if i++; i == len(seq[b]) {
+			i = 0
+			if b++; b == len(seq) {
+				b = 0
 			}
 		}
 	}

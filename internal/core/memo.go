@@ -33,11 +33,10 @@ import "github.com/sgxorch/sgxorch/internal/resource"
 // still changes: the sampled search's rotation advances by the nodes a
 // failed search visits, and a pod whose gate is open re-reads the live
 // gate and syncs the view — and runs the real planner if that sync
-// loosened. Only DefaultFeasibility pipelines take part (a custom filter
-// need not be monotone), a candidate list the placement stage declined is
-// not a clean failure, and neither is a node that already fit or whose
-// victim set the pipeline vetoed. Gang members never take part: the gang
-// director's PreFilter gates them and raises their priority for the pass.
+// loosened. A candidate list the placement stage declined is not a clean
+// failure, and neither is a node that already fit or whose victim set the
+// pipeline vetoed. Gang members never take part: the gang director's
+// PreFilter gates them and raises their priority for the pass.
 // Any preemption empties the memo, since it refreshes the pass's gate.
 
 // memoKey is what a dominated pod shares with the failure that proves

@@ -5,15 +5,14 @@ import (
 	"github.com/sgxorch/sgxorch/internal/stats"
 )
 
-// Policy names a placement strategy and yields its pipeline: the §IV
-// feasibility filters plus the strategy's preference and scoring plugins,
-// assembled over the plugin framework (see framework.go). The scheduler
-// asks once, at construction, and runs every pod through the profile it
-// got — so a profile's extra filters take part in the feasibility stage.
-// The built-in policies build their canned profile on demand; a *Profile
-// is a Policy that yields itself, which is how custom pipelines plug into
-// Config.Policy. Profiles are immutable, so one value may be handed to
-// any number of schedulers.
+// Policy names a placement strategy and yields its pipeline: the
+// strategy's preference and scoring plugins, assembled over the plugin
+// framework (see framework.go), placing only where the §IV filter
+// (NodeView.Fits) accepts. The scheduler asks once, at construction, and
+// runs every pod through the profile it got. The built-in policies build
+// their canned profile on demand; a *Profile is a Policy that yields
+// itself, which is how custom pipelines plug into Config.Policy. Profiles
+// are immutable, so one value may be handed to any number of schedulers.
 type Policy interface {
 	Name() string
 	Profile() *Profile

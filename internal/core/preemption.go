@@ -87,15 +87,14 @@ func (s *Scheduler) preempt(c *cycleState, dominated bool) (node string, victims
 				continue
 			}
 			// Replay the full pipeline against the node as it would look
-			// after the evictions: a profile's custom filter, pre-score or
-			// score plugins may veto this node for reasons the victim
-			// math cannot see, and an eviction such a pipeline
-			// would reject every pass must never start (it would kill the
-			// victims without ever binding the pod — and again next
-			// pass). An empty set means the pod already fits: the filter
-			// failed it on what the victim math does not see (CPU), or a
-			// racing change made room; no preemption, and the next pass
-			// binds normally.
+			// after the evictions: a profile's pre-score or score plugins
+			// may veto this node for reasons the victim math cannot see,
+			// and an eviction such a pipeline would reject every pass must
+			// never start (it would kill the victims without ever binding
+			// the pod — and again next pass). An empty set means the pod
+			// already fits: the §IV fit failed it on what the victim math
+			// does not see (CPU), or a racing change made room; no
+			// preemption, and the next pass binds normally.
 			if len(set) == 0 || !s.placesOn(c, afterEvictions(n, set)) {
 				clean = false
 				continue

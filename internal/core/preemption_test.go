@@ -241,15 +241,6 @@ func TestPriorityOrdersPendingQueue(t *testing.T) {
 	}
 }
 
-// rejectNodeFilter vetoes one node by name — a stand-in for custom
-// filter plugins composed via WithFilters.
-type rejectNodeFilter struct{ node string }
-
-func (f rejectNodeFilter) Name() string { return "reject-" + f.node }
-func (f rejectNodeFilter) Filter(_ *PodInfo, n *NodeView) bool {
-	return n.Name != f.node
-}
-
 // declineAllPreScore refuses every candidate — a stand-in for
 // placement constraints that live past the filter stage, in a profile's
 // preference or scoring plugins.
@@ -294,42 +285,8 @@ func preemptionVetoCluster(t *testing.T, policy Policy) (*Scheduler, *apiserver.
 	return s, srv
 }
 
-// TestPreemptionHonoursCustomFilterPlugins: a node vetoed by a profile's
-// extra filter plugin must never have victims evicted for a pod that
-// could not bind there anyway.
-func TestPreemptionHonoursCustomFilterPlugins(t *testing.T) {
-	vetoed := NewProfile("vetoed",
-		WithFilters(rejectNodeFilter{node: "n1"}),
-		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}),
-	)
-	s, srv := preemptionVetoCluster(t, vetoed)
-	for pass := 0; pass < 3; pass++ {
-		if got := s.ScheduleOnce(); got != 0 {
-			t.Fatalf("pass %d bound %d pods on a vetoed node", pass, got)
-		}
-	}
-	victim, _ := srv.GetPod("victim")
-	if victim.Spec.NodeName != "n1" {
-		t.Fatalf("victim evicted (now on %q) although the filter vetoes the node for the preemptor", victim.Spec.NodeName)
-	}
-	if st := s.Stats(); st.Preemptions != 0 || st.Victims != 0 {
-		t.Fatalf("stats = %+v, want no futile evictions", st)
-	}
-
-	// Sanity: the identical cluster without the veto does preempt.
-	s2, srv2 := preemptionVetoCluster(t, NewProfile("open",
-		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1})))
-	if got := s2.ScheduleOnce(); got != 1 {
-		t.Fatalf("control run bound %d pods, want 1 via preemption", got)
-	}
-	victim, _ = srv2.GetPod("victim")
-	if victim.Spec.NodeName != "" {
-		t.Fatal("control run did not evict the victim")
-	}
-}
-
 // TestPreemptionHonoursPreScoreDecline: a profile whose placement stage
-// declines every candidate — past the filters, where the victim math
+// declines every candidate — past the §IV fit, where the victim math
 // cannot see it — must also veto preemption: no evictions, no bind.
 func TestPreemptionHonoursPreScoreDecline(t *testing.T) {
 	s, srv := preemptionVetoCluster(t, NewProfile("decline-all",
@@ -346,6 +303,17 @@ func TestPreemptionHonoursPreScoreDecline(t *testing.T) {
 	}
 	if st := s.Stats(); st.Preemptions != 0 || st.Victims != 0 {
 		t.Fatalf("stats = %+v, want no futile evictions", st)
+	}
+
+	// Control: the identical cluster without the veto does preempt.
+	s2, srv2 := preemptionVetoCluster(t, NewProfile("open",
+		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1})))
+	if got := s2.ScheduleOnce(); got != 1 {
+		t.Fatalf("control run bound %d pods, want 1 via preemption", got)
+	}
+	victim, _ = srv2.GetPod("victim")
+	if victim.Spec.NodeName != "" {
+		t.Fatal("control run did not evict the victim")
 	}
 }
 

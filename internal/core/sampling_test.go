@@ -50,11 +50,14 @@ func TestNumFeasibleNodesToFind(t *testing.T) {
 //  1. the pooled incremental view ≡ the oracle's from-scratch BuildView
 //     (the copy-on-write sync loses nothing);
 //  2. an exhaustive index walk (limit ≥ cluster) finds exactly the nodes
-//     the full-scan filter pipeline accepts — the index's bucket-skip
-//     provably never hides a feasible node;
+//     the full scan's §IV fit accepts — the index's bucket-skip provably
+//     never hides a feasible node;
 //  3. a limited walk from an arbitrary rotation offset finds only
 //     full-scan-feasible nodes, exactly min(limit, feasible) of them,
-//     with no duplicates.
+//     with no duplicates;
+//  4. from offsets that start just before a bucket boundary and just
+//     before the wrap, the walk's candidates, in order, and its visited
+//     count equal ringWalk's.
 func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(9000 + trial)))
@@ -128,13 +131,13 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 				info := newPodInfo(pod)
 				full := map[string]bool{}
 				for _, n := range view.Nodes {
-					if s.pipelines[api.ClassUnspecified.Slot()].profile.Feasible(info, n) {
+					if n.Fits(info.Req) {
 						full[n.Name] = true
 					}
 				}
 				offset := rng.Intn(1000)
 				// Exhaustive walk: exact set equality with the full scan.
-				got, _ := view.sampleFeasible(info, s.pipelines[api.ClassUnspecified.Slot()].profile, len(view.Nodes)+1, offset, nil)
+				got, _ := view.sampleFeasible(info, len(view.Nodes)+1, offset, nil)
 				if len(got) != len(full) {
 					t.Fatalf("%s: req=%v exhaustive walk found %d nodes, full scan %d", ctx, req, len(got), len(full))
 				}
@@ -145,7 +148,7 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 				}
 				// Limited walk: subset, exact count, no duplicates.
 				limit := 1 + rng.Intn(3)
-				sampled, _ := view.sampleFeasible(info, s.pipelines[api.ClassUnspecified.Slot()].profile, limit, offset, nil)
+				sampled, _ := view.sampleFeasible(info, limit, offset, nil)
 				want := limit
 				if len(full) < want {
 					want = len(full)
@@ -163,6 +166,31 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 						t.Fatalf("%s: req=%v sampled %s twice", ctx, req, n.Name)
 					}
 					seen[n.Name] = true
+				}
+				// Walk order against the reference, at limits 1, 2 and
+				// exhaustive: from the random offset, and from each
+				// bucket's last node, so the walk crosses a bucket
+				// boundary (from the last bucket, the wrap).
+				ring, bounds := eligibleRing(view, info)
+				offsets := []int{offset}
+				for _, b := range bounds {
+					offsets = append(offsets, b-1)
+				}
+				for _, off := range offsets {
+					for _, lim := range []int{1, 2, len(ring) + 1} {
+						want, wantVisited := ringWalk(ring, info, lim, off)
+						got, visited := view.sampleFeasible(info, lim, off, nil)
+						if visited != wantVisited || len(got) != len(want) {
+							t.Fatalf("%s: req=%v limit=%d offset=%d: walk found %d in %d visits, reference %d in %d",
+								ctx, req, lim, off, len(got), visited, len(want), wantVisited)
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("%s: req=%v limit=%d offset=%d: candidate %d is %s, reference %s",
+									ctx, req, lim, off, i, got[i].Name, want[i].Name)
+							}
+						}
+					}
 				}
 			}
 		}
@@ -224,6 +252,31 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 		probe(fmt.Sprintf("trial %d final", trial))
 		s.Close()
 	}
+}
+
+// eligibleRing flattens view.eligible's buckets, in walk order, into one
+// ring and returns it with the ring position just past each bucket.
+func eligibleRing(view *ClusterView, info *PodInfo) (ring []*NodeView, bounds []int) {
+	view.eligible(info)
+	for _, b := range view.seqScratch {
+		ring = append(ring, b...)
+		bounds = append(bounds, len(ring))
+	}
+	return ring, bounds
+}
+
+// ringWalk is sampleFeasible's naive reference: read the ring from
+// offset % len(ring), one node at a time, until limit nodes fit or every
+// node was visited.
+func ringWalk(ring []*NodeView, info *PodInfo, limit, offset int) (found []*NodeView, visited int) {
+	for visited < len(ring) && len(found) < limit {
+		n := ring[(offset%len(ring)+visited)%len(ring)]
+		visited++
+		if n.Fits(info.Req) {
+			found = append(found, n)
+		}
+	}
+	return found, visited
 }
 
 // TestSyncViewCommitConverges pins the optimistic-commit contract: a
@@ -373,7 +426,7 @@ func TestSampledRotationCovers(t *testing.T) {
 	seen := map[string]bool{}
 	offset := 0
 	for i := 0; i < nNodes; i++ {
-		got, visited := view.sampleFeasible(info, s.pipelines[api.ClassUnspecified.Slot()].profile, 1, offset, nil)
+		got, visited := view.sampleFeasible(info, 1, offset, nil)
 		if len(got) != 1 {
 			t.Fatalf("search %d found %d candidates, want 1", i, len(got))
 		}

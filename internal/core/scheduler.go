@@ -201,8 +201,8 @@ type Scheduler struct {
 
 	// pipelines is the per-class-slot scheduling behaviour resolved from
 	// the Config at construction (classify.go): slot 0 is the Policy's
-	// pipeline — the §IV feasibility filters plus the policy's preference
-	// and scoring plugins (framework.go) — and the only slot in use when
+	// pipeline — the policy's preference and scoring plugins over the §IV
+	// fit (framework.go) — and the only slot in use when
 	// classifier is nil (workload classes off).
 	pipelines  [api.NumClasses]pipeline
 	classifier *WorkloadClassifier
@@ -374,7 +374,7 @@ func (s *Scheduler) Cache() *ClusterCache { return s.cache }
 // watch stream, see queue.go), bring the scheduler's incremental
 // view of node state and fused usage current from the cluster cache —
 // O(nodes changed since the last pass), not O(nodes) — and run one
-// scheduling cycle per pending pod: the profile's filter pipeline over
+// scheduling cycle per pending pod: the §IV filter (NodeView.Fits) over
 // job-node combinations, placement by the preference/scoring plugins, and
 // the bind. A pod with no feasible node may preempt strictly
 // lower-priority pods (see preemption.go); otherwise it stays queued for

@@ -2,9 +2,10 @@
 // scheduler (§IV, §V-B). It periodically drains the API server's
 // priority-then-FCFS pending queue, fuses static resource requests with
 // live usage metrics (the sliding-window peaks of Listing 1), and runs
-// each pod through a plugin pipeline (framework.go): filter plugins for
-// hardware compatibility and saturation, pre-score plugins for the
-// SGX-last preference, and weighted score plugins for placement quality.
+// each pod through one pipeline (framework.go): the §IV filter for
+// hardware compatibility and saturation (NodeView.Fits, below), pre-score
+// plugins for the SGX-last preference, and weighted score plugins for
+// placement quality.
 // The supported policies — binpack, spread, and the request-only baseline
 // mirroring Kubernetes' default scheduler — are profiles over those
 // plugins, bit-identical to their original fixed implementations. When a

@@ -114,6 +114,14 @@ func TestRender(t *testing.T) {
 	if got := strings.Count(out, "\n   "); got > 14+len(fig.Notes) {
 		t.Fatalf("render emitted too many rows: %d", got)
 	}
+	// A one-row budget renders one row per series.
+	sb.Reset()
+	if err := fig.Render(&sb, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Count(sb.String(), "\n   "), 1+len(fig.Notes)+len(fig.Series); got != want {
+		t.Fatalf("one-row render emitted %d indented lines, want %d:\n%s", got, want, sb.String())
+	}
 }
 
 func TestSampleIndexes(t *testing.T) {
@@ -127,5 +135,8 @@ func TestSampleIndexes(t *testing.T) {
 	got = sampleIndexes(100, 10)
 	if len(got) != 10 || got[0] != 0 || got[9] != 99 {
 		t.Fatalf("downsampled = %v", got)
+	}
+	if got = sampleIndexes(100, 1); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("one-row budget = %v", got)
 	}
 }

@@ -36,10 +36,13 @@ func (f Figure) Render(w io.Writer, maxRows int) error {
 }
 
 // sampleIndexes picks up to max evenly spaced indexes, always including
-// the first and last.
+// the first and, when max allows two, the last.
 func sampleIndexes(n, max int) []int {
 	if n <= 0 {
 		return nil
+	}
+	if max == 1 {
+		return []int{0}
 	}
 	if n <= max {
 		out := make([]int, n)

@@ -16,10 +16,9 @@ const (
 	// checks, pass-scoped boosts).
 	StagePreFilter = "prefilter"
 	// StageFilter is the feasibility walk: candidate generation over the
-	// node index (sampled) or the full node list. Filter plugins run
-	// fused per (pod, node), so this stage reports walk totals, not
-	// per-plugin splits — timing every plugin on every combination would
-	// cost more than the work measured.
+	// node index (sampled) or the full node list. The §IV fit runs per
+	// (pod, node) inside the walk, so this stage reports walk totals —
+	// timing every combination would cost more than the work measured.
 	StageFilter = "filter"
 	// StageScore is preference narrowing plus weighted scoring and
 	// selection.

@@ -50,8 +50,8 @@ type ReplayOptions struct {
 	SGXRatio float64
 	// Policy selects the placement strategy (binpack by default).
 	Policy Policy
-	// EPCSize is the SGX machines' PRM size (128 MiB by default); Fig. 7
-	// sweeps 32-256 MiB.
+	// EPCSize is the SGX machines' PRM size (128 MiB when 0; negative is
+	// an error); Fig. 7 sweeps 32-256 MiB.
 	EPCSize int64
 	// DisableMetrics turns off usage-aware scheduling.
 	DisableMetrics bool
@@ -72,6 +72,9 @@ func ReplayBorgTrace(opts ReplayOptions) (*ReplayResult, error) {
 	policy, err := opts.Policy.corePolicy()
 	if err != nil {
 		return nil, err
+	}
+	if opts.EPCSize < 0 {
+		return nil, fmt.Errorf("sgxorch: negative EPCSize %d", opts.EPCSize)
 	}
 	if opts.Horizon <= 0 {
 		opts.Horizon = 24 * time.Hour
