@@ -674,10 +674,6 @@ var deadSurfaceAllow = map[string]string{
 	"internal/sgx.Package.EnclaveCount":             "TestEnclaveInitDeniedOverLimit (internal/isgx) checks a denied enclave is gone",
 	"internal/deviceplugin.SGXPlugin.AllocationFor": "internal/kubelet's resync tests check the devices a missed binding holds",
 	"internal/golden.StreamDigest":                  "the determinism tests of internal/core and internal/experiments pin their runs with it",
-	// The plugin framework's extension point beside WithPreScore and
-	// WithScores; internal/core's telemetry tests compose permit plugins
-	// with it.
-	"internal/core.WithPermits": "a Profile's permit-plugin option",
 	// Readers of the published Borg trace: the user's path from the real
 	// task_events / usage files to a replayable Trace. The three parsers of
 	// external bytes are covered by the fuzz targets in

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -23,16 +24,23 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sgx-plugin:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	epcMiB := flag.Int64("epc-mib", 128, "EPC (PRM) size in MiB")
-	allocs := flag.String("allocate", "2560,8192,12000", "comma-separated per-pod page allocations to simulate")
-	flag.Parse()
+// run parses args, runs the demonstration and writes it to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sgx-plugin", flag.ContinueOnError)
+	epcMiB := fs.Int64("epc-mib", 128, "EPC (PRM) size in MiB, > 0")
+	allocs := fs.String("allocate", "2560,8192,12000", "comma-separated per-pod page allocations to simulate")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *epcMiB <= 0 {
+		return fmt.Errorf("-epc-mib %d: want a size > 0", *epcMiB)
+	}
 
 	m := machine.New("sgx-node", 8*resource.GiB, 8000,
 		machine.WithSGX(sgx.GeometryForSize(*epcMiB*resource.MiB)))
@@ -41,10 +49,10 @@ func run() error {
 		return fmt.Errorf("no SGX kernel module detected")
 	}
 
-	fmt.Printf("detected SGX kernel module on %s\n", m.Name())
-	fmt.Printf("resource: %s\n", plugin.ResourceName())
-	fmt.Printf("advertised devices: %d (one per usable EPC page)\n", plugin.DeviceCount())
-	printSysfs(m)
+	fmt.Fprintf(stdout, "detected SGX kernel module on %s\n", m.Name())
+	fmt.Fprintf(stdout, "resource: %s\n", plugin.ResourceName())
+	fmt.Fprintf(stdout, "advertised devices: %d (one per usable EPC page)\n", plugin.DeviceCount())
+	printSysfs(stdout, m)
 
 	for i, f := range strings.Split(*allocs, ",") {
 		pages, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
@@ -54,17 +62,17 @@ func run() error {
 		cgroup := fmt.Sprintf("/kubepods/pod-%d", i)
 		resp, err := plugin.Allocate(cgroup, pages)
 		if err != nil {
-			fmt.Printf("allocate %6d pages for %s: DENIED (%v)\n", pages, cgroup, err)
+			fmt.Fprintf(stdout, "allocate %6d pages for %s: DENIED (%v)\n", pages, cgroup, err)
 			continue
 		}
-		fmt.Printf("allocate %6d pages for %s: ok, mounts %s -> %s (free %d)\n",
+		fmt.Fprintf(stdout, "allocate %6d pages for %s: ok, mounts %s -> %s (free %d)\n",
 			pages, cgroup, resp.Mounts[0].HostPath, resp.Mounts[0].ContainerPath,
 			plugin.FreeDevices())
 	}
 	return nil
 }
 
-func printSysfs(m *machine.Machine) {
+func printSysfs(stdout io.Writer, m *machine.Machine) {
 	fs := m.Driver().Sysfs()
 	keys := make([]string, 0, len(fs))
 	for k := range fs {
@@ -72,6 +80,6 @@ func printSysfs(m *machine.Machine) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("%s = %s\n", k, fs[k])
+		fmt.Fprintf(stdout, "%s = %s\n", k, fs[k])
 	}
 }

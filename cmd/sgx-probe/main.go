@@ -1,17 +1,19 @@
 // Command sgx-probe demonstrates the monitoring pipeline of §V-C: SGX
 // workloads run on a simulated node, the metrics probe pushes their EPC
 // usage into the time-series database, and the paper's Listing 1 query is
-// executed against it.
+// executed against it. The query's window is Listing 1's verbatim 25 s,
+// not a flag.
 //
 // Usage:
 //
-//	sgx-probe [-pods N] [-interval 10s] [-window 25s]
+//	sgx-probe [-pods N] [-interval 10s]
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -37,16 +39,20 @@ GROUP BY pod_name, nodename
 GROUP BY nodename`
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sgx-probe:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	pods := flag.Int("pods", 3, "number of SGX pods to run")
-	interval := flag.Duration("interval", 10*time.Second, "probe scrape interval")
-	flag.Parse()
+// run parses args, runs the pipeline and writes what it saw to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sgx-probe", flag.ContinueOnError)
+	pods := fs.Int("pods", 3, "number of SGX pods to run")
+	interval := fs.Duration("interval", 10*time.Second, "probe scrape interval")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
@@ -60,7 +66,7 @@ func run() error {
 
 	ds := monitor.DeployProbes(clk, db, []*kubelet.Kubelet{kl}, *interval)
 	defer ds.Stop()
-	fmt.Printf("deployed %d probe(s) via DaemonSet on SGX-enabled nodes\n", ds.Size())
+	fmt.Fprintf(stdout, "deployed %d probe(s) via DaemonSet on SGX-enabled nodes\n", ds.Size())
 
 	for i := 0; i < *pods; i++ {
 		pages := int64(2560 * (i + 1))
@@ -86,7 +92,7 @@ func run() error {
 			if errors.Is(err, apiserver.ErrConflict) {
 				// Expected once the pool runs out: the conditional bind
 				// refuses EPC over-commitment at admission (§V-A).
-				fmt.Printf("%s denied at bind admission (EPC pool exhausted): ok\n", pod.Name)
+				fmt.Fprintf(stdout, "%s denied at bind admission (EPC pool exhausted): ok\n", pod.Name)
 				continue
 			}
 			return err
@@ -96,24 +102,24 @@ func run() error {
 	// Let workloads start and the probe collect a few samples.
 	clk.Advance(45 * time.Second)
 
-	fmt.Println("\ndriver counters:")
+	fmt.Fprintln(stdout, "\ndriver counters:")
 	for path, v := range m.Driver().Sysfs() {
-		fmt.Printf("  %s = %s\n", path, v)
+		fmt.Fprintf(stdout, "  %s = %s\n", path, v)
 	}
 
-	fmt.Println("\nListing 1 (verbatim InfluxQL):")
-	fmt.Println(listing1)
+	fmt.Fprintln(stdout, "\nListing 1 (verbatim InfluxQL):")
+	fmt.Fprintln(stdout, listing1)
 	res, err := influxql.Execute(db, listing1)
 	if err != nil {
 		return err
 	}
-	fmt.Println("\nresult:")
+	fmt.Fprintln(stdout, "\nresult:")
 	for _, row := range res.Rows {
-		fmt.Printf("  nodename=%s  epc=%.0f bytes (%.1f MiB)\n",
+		fmt.Fprintf(stdout, "  nodename=%s  epc=%.0f bytes (%.1f MiB)\n",
 			row.Tags[monitor.TagNode], row.Value, row.Value/float64(resource.MiB))
 	}
 
-	fmt.Println("\nper-pod window peaks (tsdb scan path):")
+	fmt.Fprintln(stdout, "\nper-pod window peaks (tsdb scan path):")
 	peaks := monitor.WindowPeak(db, monitor.MeasurementEPC, 25*time.Second)
 	keys := make([]monitor.PodNode, 0, len(peaks))
 	for key := range peaks {
@@ -126,7 +132,7 @@ func run() error {
 		return keys[i].Pod < keys[j].Pod
 	})
 	for _, key := range keys {
-		fmt.Printf("  pod=%s node=%s  peak=%.1f MiB\n",
+		fmt.Fprintf(stdout, "  pod=%s node=%s  peak=%.1f MiB\n",
 			key.Pod, key.Node, peaks[key]/float64(resource.MiB))
 	}
 	return nil

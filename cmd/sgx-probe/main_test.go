@@ -1,0 +1,25 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestRunAtDefaults runs the monitoring pipeline at its defaults: three
+// pods on one SGX node, and Listing 1 answering for that node.
+func TestRunAtDefaults(t *testing.T) {
+	var out strings.Builder
+	if err := run(nil, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"deployed 1 probe(s)",
+		"Listing 1 (verbatim InfluxQL):",
+		"nodename=sgx-1",
+		"pod=enclave-0 node=sgx-1",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("sgx-probe printed %q, missing %q", out.String(), want)
+		}
+	}
+}

@@ -10,12 +10,15 @@
 // The cluster is the paper's §VI-A testbed (one master, two 64 GiB
 // standard nodes, two SGX nodes with 128 MiB EPC). Jobs arrive over one
 // simulated hour; the tool reports per-job placements and the §VI-E
-// waiting-time summary.
+// waiting-time summary. -sgx-ratio R in [0, 1] makes ⌈n·R⌉ of the first n
+// jobs SGX jobs, spread evenly: R = 1/k designates job-000, job-k, ….
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -24,19 +27,42 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sgx-scheduler:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	policy := flag.String("policy", "binpack", "placement policy: binpack, spread or least-requested")
-	jobs := flag.Int("jobs", 40, "number of jobs to submit")
-	sgxRatio := flag.Float64("sgx-ratio", 0.5, "fraction of SGX-enabled jobs")
-	seed := flag.Int64("seed", 1, "random seed")
-	metrics := flag.Bool("metrics", true, "usage-aware scheduling (false = request-only baseline)")
-	flag.Parse()
+// sgxJobsAmong returns how many of the first n jobs are SGX jobs at ratio
+// r: ⌈n·r⌉, read with a tolerance, because the product of a decimal ratio
+// is inexact (30 × 0.1 is 3.0000000000000004).
+func sgxJobsAmong(n int, r float64) int {
+	return int(math.Ceil(float64(n)*r - 1e-9))
+}
+
+// isSGXJob reports whether job i is an SGX job at ratio r: it is when the
+// first i+1 jobs hold one more SGX job than the first i.
+func isSGXJob(i int, r float64) bool {
+	return sgxJobsAmong(i+1, r) > sgxJobsAmong(i, r)
+}
+
+// run parses args, runs the jobs and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("sgx-scheduler", flag.ContinueOnError)
+	policy := fs.String("policy", "binpack", "placement policy: binpack, spread or least-requested")
+	jobs := fs.Int("jobs", 40, "number of jobs to submit")
+	sgxRatio := fs.Float64("sgx-ratio", 0.5, "fraction of SGX-enabled jobs, in [0, 1]")
+	seed := fs.Int64("seed", 1, "random seed")
+	metrics := fs.Bool("metrics", true, "usage-aware scheduling (false = request-only baseline)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *jobs < 0 {
+		return fmt.Errorf("-jobs %d: want a count >= 0", *jobs)
+	}
+	if !(*sgxRatio >= 0 && *sgxRatio <= 1) {
+		return fmt.Errorf("-sgx-ratio %v: want a fraction in [0, 1]", *sgxRatio)
+	}
 
 	cluster, err := sgxorch.NewCluster(sgxorch.ClusterConfig{
 		Policy:         sgxorch.Policy(*policy),
@@ -52,12 +78,8 @@ func run() error {
 	if n > trace.Len() {
 		n = trace.Len()
 	}
-	sgxEvery := 0
-	if *sgxRatio > 0 {
-		sgxEvery = int(1 / *sgxRatio)
-	}
-	fmt.Printf("submitting %d jobs (%.0f%% SGX) under %s over one simulated hour\n",
-		n, *sgxRatio*100, *policy)
+	fmt.Fprintf(stdout, "submitting %d jobs (%d SGX) under %s over one simulated hour\n",
+		n, sgxJobsAmong(n, *sgxRatio), *policy)
 
 	for i := 0; i < n; i++ {
 		job := trace.Jobs[i]
@@ -65,7 +87,7 @@ func run() error {
 			Name:     fmt.Sprintf("job-%03d", i),
 			Duration: job.Duration,
 		}
-		if sgxEvery > 0 && i%sgxEvery == 0 {
+		if isSGXJob(i, *sgxRatio) {
 			spec.EPCRequestBytes = int64(job.AssignedMemFrac * 93.5 * float64(sgxorch.MiB))
 			spec.EPCUsageBytes = int64(job.MaxMemFrac * 93.5 * float64(sgxorch.MiB))
 		} else {
@@ -98,17 +120,17 @@ func run() error {
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-	fmt.Printf("%-10s %-8s %-10s %s\n", "JOB", "NODE", "PHASE", "WAITING")
+	fmt.Fprintf(stdout, "%-10s %-8s %-10s %s\n", "JOB", "NODE", "PHASE", "WAITING")
 	for _, r := range rows {
-		fmt.Printf("%-10s %-8s %-10s %v\n", r.name, r.node, r.phase, r.wait.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "%-10s %-8s %-10s %v\n", r.name, r.node, r.phase, r.wait.Round(time.Millisecond))
 	}
 
 	stats := cluster.SchedulerStats()
-	fmt.Printf("\nscheduler: %d passes, %d bound, %d unschedulable attempts\n",
+	fmt.Fprintf(stdout, "\nscheduler: %d passes, %d bound, %d unschedulable attempts\n",
 		stats.Passes, stats.Bound, stats.Unschedulable)
 	sort.Float64s(waits)
 	if len(waits) > 0 {
-		fmt.Printf("waiting: median %.1fs, max %.1fs\n", waits[len(waits)/2], waits[len(waits)-1])
+		fmt.Fprintf(stdout, "waiting: median %.1fs, max %.1fs\n", waits[len(waits)/2], waits[len(waits)-1])
 	}
 	return nil
 }

@@ -159,7 +159,8 @@
 // pipeline, each reporting a typed outcome (bound, held, gated,
 // unschedulable, conflict, skipped) that the pass folds into a single
 // tally — the value behind SchedulerStats, the scheduler_*_total series
-// and the pass trace alike.
+// and the pass trace alike. Only placement is pluggable: gang scheduling
+// (below) is a call the cycle makes, not a plugin.
 //
 // Jobs carry a priority: each scheduler's queue — kept by its cluster
 // cache from the watch stream; the API server only indexes which pods are
@@ -279,44 +280,45 @@
 //
 // Pod groups schedule as gangs — all or nothing (internal/core/gang.go,
 // internal/apiserver/gang.go). A job that is useless until every member
-// runs (distributed training, MPI) sets PodSpec.PodGroup/MinMember, and
-// its members flow through two new framework plugin points. PreFilter
-// gates a member before candidate generation: the gang director sums
-// per-node slots for the group's remaining quorum against the
-// scheduler's current view and rejects the pass early when the whole
-// gang cannot possibly fit — no capacity is taken that must be given
-// back, and an age-based priority boost (pass-local, never mutating the
-// declared priority) keeps old gangs from starving behind a stream of
-// younger solo pods. Permit intercepts the member after a node is
-// chosen: instead of binding, the scheduler calls Server.Reserve — a
-// conditional bind that charges the node's committed accounting under
-// the same striped admission path as Bind but leaves the pod unbound,
-// holding a permit (PodPermitHeld). When MinMember co-members hold
-// permits, the director commits the whole group atomically
-// (CommitGroup: every member binds under the world ladder with
-// consecutive revisions, no re-admission — the capacity is already
-// charged); if the quorum never arrives, a sim-clock permit timeout
-// rolls the gang back wholesale (ReleaseGroup: capacity returned,
-// members re-queued, PodPermitReleased) and the gang retries. A gang
-// is counted once, by the API server: one record per group holds its
-// permits, its live bound members and how many members finished, and
-// the director reads the three in one Server.GangCounts call instead of
-// watching the stream — a finished member, even one evicted before it
-// was placed, shrinks the quorum. Snapshot.Permits lists the held
-// permits, so a cache primed mid-gang charges them from the snapshot. The
-// scheduler's queue coalesces co-members within a priority tier so quorums
-// assemble in one pass instead of trickling, preemption treats a gang
-// as one victim unit priced at its cluster-wide membership (evict the
-// whole gang — held and bound members both — or none, via
-// PreemptGroup), and one director serves a whole sharded fleet, so
-// gangs split across schedulers still reach cluster-wide quorum. A
-// watch-stream replay property test pins the invariant: across every
-// event prefix, under sharded contention included, no gang is ever
-// partially bound outside its own atomic commit burst. The gang
-// experiment (internal/experiments.GangScenario, walked through in
-// examples/gang) drains a Borg backlog of k-pod gangs plus solo churn
-// at 1/2/4 schedulers, measuring deadlock-freedom, time-to-full-gang,
-// and post-hoc permit-leak accounting.
+// runs (distributed training, MPI) sets PodSpec.PodGroup/MinMember, and a
+// scheduler with a gang director (Config.Gang) calls the director for
+// those members only, at two steps of the cycle (Kubernetes' PreFilter and
+// Permit points, by analogy); solo pods never reach it, and without a
+// director a member binds at once. The gate comes before candidate
+// generation: the gang director sums per-node slots for the group's
+// remaining quorum against the scheduler's current view and rejects the
+// pass early when the whole gang cannot possibly fit — no capacity is
+// taken that must be given back, and an age-based priority boost
+// (cycle-local, never mutating the declared priority) keeps old gangs from
+// starving behind a stream of younger solo pods. After a node is chosen,
+// instead of binding the member, the scheduler calls Server.Reserve — a
+// conditional bind that charges the node's committed accounting under the
+// same striped admission path as Bind but leaves the pod unbound, holding
+// a permit (PodPermitHeld), and hands it to the director's quorum step.
+// When MinMember co-members hold permits, the director commits the whole
+// group atomically (CommitGroup: every member binds under the world ladder
+// with consecutive revisions, no re-admission — the capacity is already
+// charged); if the quorum never arrives, a sim-clock permit timeout rolls
+// the gang back wholesale (ReleaseGroup: capacity returned, members
+// re-queued, PodPermitReleased) and the gang retries. A gang is counted
+// once, by the API server: one record per group holds its permits, its
+// live bound members and how many members finished, and the director reads
+// the three in one Server.GangCounts call instead of watching the stream —
+// a finished member, even one evicted before it was placed, shrinks the
+// quorum. Snapshot.Permits lists the held permits, so a cache primed
+// mid-gang charges them from the snapshot. The scheduler's queue coalesces
+// co-members within a priority tier so quorums assemble in one pass
+// instead of trickling, preemption treats a gang as one victim unit priced
+// at its cluster-wide membership (evict the whole gang — held and bound
+// members both — or none, via PreemptGroup), and one director serves a
+// whole sharded fleet, so gangs split across schedulers still reach
+// cluster-wide quorum. A watch-stream replay property test pins the
+// invariant: across every event prefix, under sharded contention included,
+// no gang is ever partially bound outside its own atomic commit burst. The
+// gang experiment (internal/experiments.GangScenario, walked through in
+// examples/gang) drains a Borg backlog of k-pod gangs plus solo churn at
+// 1/2/4 schedulers, measuring deadlock-freedom, time-to-full-gang, and
+// post-hoc permit-leak accounting.
 //
 // Workloads classify into per-class scheduling profiles
 // (internal/core/classify.go). A pod declares PodSpec.Class —

@@ -1,8 +1,8 @@
 // Gang scheduling: MPI-style jobs whose pods are useless until every
-// member runs. Each member passes the gang PreFilter (is there any
-// chance the whole group fits?) and then binds *conditionally* at the
-// Permit stage — the API server reserves its capacity but leaves the
-// pod unbound, holding a permit. When MinMember co-members hold
+// member runs. The scheduling cycle hands each member to the gang
+// director: it passes the director's gate (is there any chance the whole
+// group fits?) and then binds *conditionally* — the API server reserves
+// its capacity but leaves the pod unbound, holding a permit. When MinMember co-members hold
 // permits the director commits the whole group atomically through the
 // striped admission path; if the quorum never arrives, the permit
 // timeout rolls every member back wholesale and the gang retries. This
@@ -21,7 +21,7 @@ import "github.com/sgxorch/sgxorch/internal/experiments"
 
 func main() {
 	fmt.Println("Gang backlog drain (8 gangs x 4 members + 16 solo jobs, 8 std nodes)")
-	fmt.Println("Lifecycle per gang: PreFilter gate -> Permit (hold) -> quorum -> atomic commit,")
+	fmt.Println("Lifecycle per gang: director gate -> reserve (hold) -> quorum -> atomic commit,")
 	fmt.Println("or permit timeout -> wholesale rollback -> retry.")
 	fmt.Println()
 

@@ -16,7 +16,8 @@ import (
 // indexed by class slot; per pod the pass classifies and looks its slot
 // up. Unclassified pods land on the default slot — the scheduler's single
 // configured pipeline, bit-identical to a scheduler with no registry at
-// all.
+// all. Gang scheduling is not part of any class's pipeline: the cycle
+// hands a gang member to the gang director in whichever slot it lands.
 
 // Classifier inference defaults.
 const (
@@ -179,7 +180,7 @@ func (r *ClassRegistry) Classify(pod *api.Pod) api.WorkloadClass {
 }
 
 // pipeline is one class slot's resolved scheduling behaviour: the plugin
-// pipeline (gang plugins included), the candidate-sampling bounds and
+// pipeline, the candidate-sampling bounds and
 // the preemption gates. A scheduler holds one per slot, resolved at
 // construction, so the pass never re-derives an override.
 type pipeline struct {
@@ -200,13 +201,12 @@ type pipeline struct {
 // profile gets that profile's pipeline, its floor where set (0 inherits
 // the default) and its preemption gate; a class without one schedules
 // like the default slot (its outcomes are still counted under its own
-// slot). When the scheduler runs a gang director its PreFilter/Permit
-// plugins ride every pipeline — the director passes solo pods through,
-// and a gang member explicitly classed outside batch must still honour
-// the permit protocol.
+// slot). Every slot keeps its policy's own profile, shared as is: the gang
+// protocol is not part of a pipeline, so a gang member honours it in
+// whichever slot it is classed (cycle.go).
 func resolvePipelines(cfg *Config) [api.NumClasses]pipeline {
 	def := pipeline{
-		profile:     cfg.Policy.Profile().withGang(cfg.Gang),
+		profile:     cfg.Policy.Profile(),
 		pct:         cfg.PercentageNodesToScore,
 		minFeasible: DefaultMinFeasibleNodesToFind,
 		mayPreempt:  true,
@@ -219,7 +219,7 @@ func resolvePipelines(cfg *Config) [api.NumClasses]pipeline {
 			continue
 		}
 		cp := &cfg.Classes.profiles[slot]
-		pl.profile = cp.Policy.Profile().withGang(cfg.Gang)
+		pl.profile = cp.Policy.Profile()
 		if cp.MinFeasibleNodesToFind != 0 {
 			pl.minFeasible = cp.MinFeasibleNodesToFind
 		}

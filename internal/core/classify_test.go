@@ -81,9 +81,7 @@ func TestClassifierExplicitAndInference(t *testing.T) {
 // registry into one pipeline per class slot with the documented gates —
 // the Config's sampling percentage, and the default floor where a class
 // sets none — and leaves unclassified pods on the Config.Policy pipeline.
-// Overrides via set replace a class; the default slot cannot be occupied; a gang
-// director's plugins ride every pipeline without touching the profiles
-// the policies yielded.
+// Overrides via set replace a class; the default slot cannot be occupied.
 func TestClassRegistryResolve(t *testing.T) {
 	r := NewClassRegistry(nil) // explicit-only classifier
 	for _, class := range api.Classes[1:] {
@@ -134,26 +132,6 @@ func TestClassRegistryResolve(t *testing.T) {
 	r.set(ClassProfile{Class: api.ClassUnspecified, Policy: Spread{}})
 	if got := resolvePipelines(&cfg)[api.ClassUnspecified.Slot()].profile; got != base {
 		t.Fatalf("default slot accepted a profile: %q", got.Name())
-	}
-
-	// A gang director's plugins are appended to a copy of every
-	// pipeline; the caller's profile is left as built.
-	clk := clock.NewSim()
-	srv := apiserver.New(clk)
-	defer srv.Close()
-	gd := NewGangDirector(clk, srv, GangConfig{})
-	defer gd.Close()
-	cfg.Gang = gd
-	for slot, pl := range resolvePipelines(&cfg) {
-		if n := len(pl.profile.permits); n != 1 || pl.profile.permits[0] != PermitPlugin(gd) {
-			t.Fatalf("slot %d: gang permit plugin not appended (%d permits)", slot, n)
-		}
-		if n := len(pl.profile.preFilters); n != 1 || pl.profile.preFilters[0] != PreFilterPlugin(gd) {
-			t.Fatalf("slot %d: gang pre-filter plugin not appended (%d pre-filters)", slot, n)
-		}
-	}
-	if len(base.permits) != 0 || len(base.preFilters) != 0 {
-		t.Fatal("attaching the gang director mutated the caller's profile")
 	}
 }
 

@@ -71,17 +71,16 @@ const (
 	outcomeSkipped outcomeKind = iota
 	// outcomeBound: the pod was bound to a node.
 	outcomeBound
-	// outcomeHeld: a permit plugin asked to wait and the pod took a
-	// conditional reservation in place of the bind (a gang member below
-	// quorum).
+	// outcomeHeld: a gang member under a gang director took a conditional
+	// reservation in place of the bind (the gang commits at quorum).
 	outcomeHeld
-	// outcomeGated: a PreFilter plugin rejected the pod before any
-	// per-node work.
+	// outcomeGated: the gang director's admit gate turned a gang member
+	// away before any per-node work.
 	outcomeGated
 	// outcomeUnschedulable: no node passed the pipeline (and preemption,
-	// where allowed, found no victim set), or a permit plugin denied the
-	// placement. The pod stays queued and is retried next pass, keeping its
-	// queue position without head-of-line blocking the rest of the queue.
+	// where allowed, found no victim set). The pod stays queued and is
+	// retried next pass, keeping its queue position without head-of-line
+	// blocking the rest of the queue.
 	outcomeUnschedulable
 	// outcomeConflict: the API server refused the commit because this
 	// scheduler's view was outdated or the node's state changed mid-pass.
@@ -139,14 +138,14 @@ func (s *Stats) count(o outcome) {
 	}
 }
 
-// cycle schedules one pending pod: classify it onto its pipeline, run the
-// pre-filter stage, the §IV fit over the nodes, the pre-score/score and
-// permit stages, fall back to preemption when nothing is feasible, and
-// commit the decision. The per-pod stage spans are timed through c.det,
-// i.e. on detail-sampled passes only: preemption planning included, since
-// it runs for every pod that failed to place and two clock reads per
-// unschedulable pod on every pass would dominate the instrumentation
-// budget on a congested queue.
+// cycle schedules one pending pod: classify it onto its pipeline, gate a
+// gang member through the gang director, run the §IV fit over the nodes
+// and the pre-score/score stage, fall back to preemption when nothing is
+// feasible, and commit the decision. The per-pod stage spans are timed
+// through c.det, i.e. on detail-sampled passes only: preemption planning
+// included, since it runs for every pod that failed to place and two clock
+// reads per unschedulable pod on every pass would dominate the
+// instrumentation budget on a congested queue.
 func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 	info, pod := &c.info, e.pod
 	fillPodInfo(info, pod, e.req)
@@ -158,25 +157,27 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 		o.slot = s.classifier.Classify(pod).Slot()
 	}
 	c.pl = &s.pipelines[o.slot]
-	prof, det := c.pl.profile, c.det
+	det := c.det
+	// A gang member under a director is gated by it (which may also
+	// raise its priority for the cycle) and reserves instead of binding;
+	// every other pod binds at once.
+	gang := s.cfg.Gang != nil && pod.Spec.InGang()
+	if gang {
+		t := det.now()
+		ok := s.cfg.Gang.admit(info, s.view)
+		det.stageSince(stagePreFilter, t)
+		if !ok {
+			o.kind = outcomeGated
+			return o
+		}
+	}
 	// A solo pod an earlier failure of this pass already proves
 	// unschedulable skips every stage below but the preemption gate and
-	// sync (memo.go). Gang members never do: the director's PreFilter
-	// gates them and raises their priority.
+	// sync (memo.go). Gang members never do.
 	memoable := !s.noMemo && !pod.Spec.InGang()
 	dominated := memoable && c.memo.dominates(s.view, o.slot, info)
 
-	// Pre-filter stage: per-pod early rejects (and pass-scoped mutations
-	// like the gang age boost) before any per-node work.
 	t := det.now()
-	ok := dominated || prof.runPreFilter(info, s.view, det)
-	det.stageSince(stagePreFilter, t)
-	if !ok {
-		o.kind = outcomeGated
-		return o
-	}
-
-	t = det.now()
 	nodes := s.view.Nodes
 	candidates := c.candidates[:0]
 	if target := numFeasibleNodesToFind(c.pl.pct, c.pl.minFeasible, len(nodes)); target < len(nodes) {
@@ -208,9 +209,9 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 
 	t = det.now()
 	var node string
-	ok = false
+	ok := false
 	if !dominated {
-		node, ok = prof.selectInfo(info, candidates, s.view, det)
+		node, ok = c.pl.profile.selectInfo(info, candidates, s.view, det)
 	}
 	det.stageSince(stageScore, t)
 	// A clean failure so far: no node fit, so no placement stage declined
@@ -256,17 +257,7 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 		o.kind = outcomeUnschedulable
 		return o
 	}
-
-	// Permit stage: a plugin may convert the bind into a conditional
-	// reservation (gang members wait for quorum) or deny it.
-	t = det.now()
-	dec := prof.runPermit(info, node, det)
-	det.stageSince(stagePermit, t)
-	if dec == PermitDeny {
-		o.kind = outcomeUnschedulable
-		return o
-	}
-	o.kind, o.stale = s.commit(c, e, node, dec == PermitWait)
+	o.kind, o.stale = s.commit(c, e, node, gang)
 	return o
 }
 
@@ -285,15 +276,15 @@ func (s *Scheduler) placesOn(c *cycleState, n *NodeView) bool {
 }
 
 // commit is the binding half of the cycle: it hands the decision to the
-// API server — as a conditional reservation when a permit plugin said
-// wait, as a bind otherwise — and on success notes the entry for the
+// API server — as a conditional reservation for a gang member under the
+// director, as a bind otherwise — and on success notes the entry for the
 // pass to take out of its queue and charges the view, so later decisions
 // in this pass see the node's reduced headroom. Both commits share one
 // error taxonomy; stale reports the refusal that ends the pass.
-func (s *Scheduler) commit(c *cycleState, e *queuedPod, node string, wait bool) (kind outcomeKind, stale bool) {
+func (s *Scheduler) commit(c *cycleState, e *queuedPod, node string, gang bool) (kind outcomeKind, stale bool) {
 	t := c.rec.now()
 	var err error
-	if wait {
+	if gang {
 		err = s.srv.Reserve(c.info.Pod.Name, node)
 	} else {
 		err = s.srv.Bind(c.info.Pod.Name, node)
@@ -317,13 +308,15 @@ func (s *Scheduler) commit(c *cycleState, e *queuedPod, node string, wait bool) 
 	}
 	c.committed = append(c.committed, *e)
 	s.view.Commit(node, c.info.Req)
-	if !wait {
+	if !gang {
 		return outcomeBound, false
 	}
-	// Notify observers (the gang director counts the permit toward quorum
-	// and may commit the whole gang). Outside the server critical
-	// sections; the pass view is unaffected — a commit emits PodBound
-	// events the cache absorbs for the *next* pass.
-	c.pl.profile.notifyReserved(&c.info, node)
+	// The director counts the permit toward quorum and may commit the
+	// whole gang. Outside the server critical sections; the pass view is
+	// unaffected — a commit emits PodBound events the cache absorbs for
+	// the *next* pass.
+	t = c.det.now()
+	s.cfg.Gang.onReserved(&c.info)
+	c.det.stageSince(stagePermit, t)
 	return outcomeHeld, false
 }

@@ -8,19 +8,22 @@ import (
 )
 
 // This file implements the scheduler's plugin framework: a Kubernetes-style
-// pipeline around the one §IV feasibility rule (NodeView.Fits, hardware
-// compatibility and saturation, which every pipeline applies as is):
-// pre-filter plugins (per-pod gates), pre-score plugins (candidate-narrowing
-// preferences, §IV's "only resort to SGX-enabled nodes ... when no other
-// choice is possible"), weighted score plugins (placement quality) and
-// permit plugins (how a placement commits). The paper's fixed
+// placement pipeline after the one §IV feasibility rule (NodeView.Fits,
+// hardware compatibility and saturation, which every pipeline applies as
+// is): pre-score plugins (candidate-narrowing preferences, §IV's "only
+// resort to SGX-enabled nodes ... when no other choice is possible") and
+// weighted score plugins (placement quality). The paper's fixed
 // binpack/spread strategies are expressed as profiles over these plugins,
 // so new placement behaviours (usage-headroom, EPC-pressure, priority
-// tiers) compose without touching the scheduling pass.
+// tiers) compose without touching the scheduling pass. How a placement
+// commits is not a plug point: the cycle binds it, or, for a gang member
+// under a gang director (Config.Gang), reserves it (gang.go).
 
 // PodInfo carries one pending pod together with its request data, summed
 // over the pod's containers once per queue entry so the per-(pod, node)
-// fit checks and plugin calls read scalars.
+// fit checks and plugin calls read scalars. The cycle refills it for every
+// pod, so what a stage writes into it (the gang director's age boost of
+// Priority) lasts for that pod's cycle only.
 type PodInfo struct {
 	Pod *api.Pod
 	// Req is the pod's total resource requests.
@@ -128,52 +131,6 @@ func numFeasibleNodesToFind(pct, minFeasible, numNodes int) int {
 	return k
 }
 
-// PreFilterPlugin runs once per pod per pass, before any per-node work.
-// Returning false rejects the pass for this pod early — the pod stays
-// queued and is retried later — which is how gang scheduling skips a
-// member whose co-members cannot possibly fit this pass instead of
-// taking a permit that would only be rolled back. PreFilter may mutate
-// the PodInfo (e.g. a starvation-prevention priority boost); the
-// mutation is scoped to this pass, never written back to the pod.
-type PreFilterPlugin interface {
-	Name() string
-	PreFilter(pod *PodInfo, view *ClusterView) bool
-}
-
-// PermitDecision is a PermitPlugin's verdict on a selected placement.
-type PermitDecision int
-
-const (
-	// PermitAllow binds the pod immediately (the default for every pod
-	// when no permit plugin objects).
-	PermitAllow PermitDecision = iota
-	// PermitWait converts the bind into a conditional reservation
-	// (apiserver.Reserve): capacity commits on the node but the pod
-	// waits in the permit area until its gang reaches quorum
-	// (CommitGroup) or times out (ReleaseGroup).
-	PermitWait
-	// PermitDeny refuses the placement outright; the pod stays queued.
-	PermitDeny
-)
-
-// PermitPlugin runs after a node has been selected and decides how the
-// placement commits. The first non-Allow decision wins. Plugins that
-// also implement ReserveObserver are notified after a PermitWait
-// reservation actually commits on the API server — the hook the gang
-// director uses to count permits toward quorum.
-type PermitPlugin interface {
-	Name() string
-	Permit(pod *PodInfo, nodeName string) PermitDecision
-}
-
-// ReserveObserver is an optional PermitPlugin extension: OnReserved is
-// called (outside any scheduler lock) after the pod's reservation
-// committed on the API server. The observer may call back into the
-// server (e.g. CommitGroup when quorum is reached).
-type ReserveObserver interface {
-	OnReserved(pod *PodInfo, nodeName string)
-}
-
 // PreScorePlugin narrows the feasible candidates by preference before
 // scoring. Returning nil means "no preference": the caller keeps the
 // full candidate list. Returning a non-nil slice — including a non-nil
@@ -208,11 +165,9 @@ type WeightedScore struct {
 // Binpack/Spread/LeastRequested/UsageAware values are names for canned
 // profiles.
 type Profile struct {
-	name       string
-	preFilters []PreFilterPlugin
-	preScore   []PreScorePlugin
-	scores     []WeightedScore
-	permits    []PermitPlugin
+	name     string
+	preScore []PreScorePlugin
+	scores   []WeightedScore
 	// minScore rejects candidates scoring at or below it (LeastRequested's
 	// historical "-1.0 or worse declines" contract); defaults to -Inf.
 	minScore float64
@@ -220,12 +175,6 @@ type Profile struct {
 
 // ProfileOpt configures a Profile.
 type ProfileOpt func(*Profile)
-
-// WithPermits appends permit plugins (run after node selection, deciding
-// whether the placement binds immediately, waits, or is denied).
-func WithPermits(plugins ...PermitPlugin) ProfileOpt {
-	return func(p *Profile) { p.permits = append(p.permits, plugins...) }
-}
 
 // WithPreScore appends candidate-narrowing preference plugins.
 func WithPreScore(plugins ...PreScorePlugin) ProfileOpt {
@@ -244,8 +193,7 @@ func WithMinScore(min float64) ProfileOpt {
 }
 
 // NewProfile assembles a pipeline. Every profile places only on nodes the
-// §IV rule (NodeView.Fits) accepts; options append preferences, scores and
-// permits.
+// §IV rule (NodeView.Fits) accepts; options append preferences and scores.
 func NewProfile(name string, opts ...ProfileOpt) *Profile {
 	p := &Profile{name: name, minScore: math.Inf(-1)}
 	for _, o := range opts {
@@ -260,68 +208,6 @@ func (p *Profile) Name() string { return p.name }
 // Profile implements Policy: a profile is its own pipeline.
 func (p *Profile) Profile() *Profile { return p }
 
-// withGang returns a copy of p with the director's PreFilter and Permit
-// plugins appended (p itself when there is no director); p — possibly
-// caller-owned and shared with other schedulers — is left as built. The
-// capped slices force append to copy rather than write into p's backing
-// arrays.
-func (p *Profile) withGang(d *GangDirector) *Profile {
-	if d == nil {
-		return p
-	}
-	c := *p
-	c.preFilters = append(p.preFilters[:len(p.preFilters):len(p.preFilters)], d)
-	c.permits = append(p.permits[:len(p.permits):len(p.permits)], d)
-	return &c
-}
-
-// The stage runners below are the one pipeline every pass takes. det is
-// the pass recorder on detail-sampled passes and nil on all others (and
-// with telemetry off): per-plugin timing happens inside the stages,
-// behind that nil check, instead of in a second copy of them.
-
-// runPreFilter runs the pre-filter stage; false rejects the pod's pass.
-func (p *Profile) runPreFilter(pod *PodInfo, view *ClusterView, det *passRecorder) bool {
-	for _, pf := range p.preFilters {
-		t0 := det.now()
-		ok := pf.PreFilter(pod, view)
-		if det != nil {
-			det.addPlugin(stagePreFilter, pf.Name(), t0)
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// runPermit runs the permit stage for a selected placement; the first
-// non-Allow decision wins.
-func (p *Profile) runPermit(pod *PodInfo, nodeName string, det *passRecorder) PermitDecision {
-	for _, pp := range p.permits {
-		t0 := det.now()
-		d := pp.Permit(pod, nodeName)
-		if det != nil {
-			det.addPlugin(stagePermit, pp.Name(), t0)
-		}
-		if d != PermitAllow {
-			return d
-		}
-	}
-	return PermitAllow
-}
-
-// notifyReserved tells permit plugins implementing ReserveObserver that
-// the pod's reservation committed. Called outside server and scheduler
-// locks, so observers may call back into the API server.
-func (p *Profile) notifyReserved(pod *PodInfo, nodeName string) {
-	for _, pp := range p.permits {
-		if obs, ok := pp.(ReserveObserver); ok {
-			obs.OnReserved(pod, nodeName)
-		}
-	}
-}
-
 // selectInfo runs the placement half of the pipeline for one pod: narrow
 // by preference, score, and pick the first candidate with the strictly
 // greatest weighted score above the profile's minimum. Every candidate
@@ -331,7 +217,9 @@ func (p *Profile) notifyReserved(pod *PodInfo, nodeName string) {
 // across the whole candidate set in one clock-read pair; every
 // candidate's sum still accumulates in plugin order, which keeps the
 // selection — floating-point rounding and first-best tie-breaks included
-// — what a candidate-outer loop computes.
+// — what a candidate-outer loop computes. det is the pass recorder on
+// detail-sampled passes and nil on all others (and with telemetry off), so
+// per-plugin timing costs an undetailed pass a nil check.
 func (p *Profile) selectInfo(pod *PodInfo, candidates []*NodeView, view *ClusterView, det *passRecorder) (string, bool) {
 	sc := pod.cycleScratch()
 	for i, ps := range p.preScore {

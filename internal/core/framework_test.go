@@ -200,8 +200,8 @@ func sectionIV(req resource.List, n *NodeView) bool {
 // feasibility rule: on randomized nodes (over-used ones included) and
 // pods, NodeView.Fits — the filter every profile applies — agrees with
 // the restatement above, and so do the two other readers of the rule —
-// the gang pre-filter's slot count and the preemption planner's static
-// check.
+// the gang director's slot count (memberSlots) and the preemption
+// planner's static check.
 func TestDefaultFeasibilityMatchesFits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var overUsed, accepted int

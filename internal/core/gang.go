@@ -9,33 +9,37 @@ import (
 	"github.com/sgxorch/sgxorch/internal/clock"
 )
 
-// GangDirector coordinates all-or-nothing scheduling of pod groups over
-// the framework's PreFilter and Permit plugin points. It is shared by
-// every scheduler placing gang members (Config.Gang; a sharded fleet
-// passes the same director to all members), because quorum is a
-// cluster-wide property no single member can decide from its own state.
+// GangDirector coordinates all-or-nothing scheduling of pod groups. The
+// scheduling cycle calls it for gang members only, and only when a
+// scheduler has one (Config.Gang); solo pods never reach it. It is shared
+// by every scheduler placing gang members (a sharded fleet passes the same
+// director to all members), because quorum is a cluster-wide property no
+// single member can decide from its own state.
 //
 // The lifecycle of a gang:
 //
-//  1. PreFilter gates each member: if the group's remaining members
-//     cannot possibly fit the cluster this pass, the member is skipped
-//     before any per-node work — no point holding a permit that will
-//     only be rolled back. Long-waiting gangs get an age-based priority
-//     boost here (starvation prevention), scoped to the pass.
-//  2. Permit converts the member's selected placement into a
-//     conditional reservation (apiserver.Reserve): capacity commits on
-//     the node, the pod waits in the permit area.
-//  3. OnReserved counts the permit toward quorum. At quorum the
+//  1. admit gates each member before any per-node work: if the group's
+//     remaining members cannot possibly fit the cluster this pass, the
+//     member is skipped — no point holding a permit that will only be
+//     rolled back. Long-waiting gangs get an age-based priority boost
+//     here (starvation prevention), scoped to the member's cycle.
+//  2. The cycle commits the member's selected placement as a
+//     conditional reservation (apiserver.Reserve) instead of a bind:
+//     capacity commits on the node, the pod waits in the permit area.
+//  3. onReserved counts the permit toward quorum. At quorum the
 //     director commits the whole gang atomically (CommitGroup); the
 //     first permit of a round also arms a sim-clock timeout that rolls
 //     every permit back wholesale (ReleaseGroup) if quorum never
 //     arrives — a gang must not camp on capacity other work could use.
 //
+// Kubernetes' coscheduling plugin does steps 1 and 2 at its PreFilter and
+// Permit extension points; here they are two calls of one cycle.
+//
 // The group's held, bound and finished members are the API server's
 // (Server.GangCounts, read in one call): the director watches nothing and
 // keeps only each group's quorum, age and permit timer. Its mutex guards
 // those and is never held across an API-server mutation, so one
-// member's commit never stalls another scheduler's PreFilter.
+// member's commit never stalls another scheduler's admit.
 type GangDirector struct {
 	clk clock.Clock
 	srv *apiserver.Server
@@ -85,7 +89,7 @@ type GangDirectorStats struct {
 // gangState is the director's per-group bookkeeping.
 type gangState struct {
 	minMember int
-	// firstSeen is the group's first PreFilter or OnReserved, the age
+	// firstSeen is the group's first admit or onReserved, the age
 	// the priority boost counts from.
 	firstSeen time.Time
 	// round invalidates stale permit-timeout callbacks: commit and
@@ -144,18 +148,12 @@ func (d *GangDirector) ensureLocked(group string, minMember int) *gangState {
 	return gs
 }
 
-// Name implements PreFilterPlugin and PermitPlugin.
-func (d *GangDirector) Name() string { return "gang" }
-
-// PreFilter implements PreFilterPlugin: solo pods pass through; gang
-// members get the age-based priority boost and the group-level
-// capacity gate — if the members still needing placement could not all
-// fit the view's current headroom, the pass is rejected early, before
-// this member takes a permit that would only roll back at timeout.
-func (d *GangDirector) PreFilter(pod *PodInfo, view *ClusterView) bool {
-	if !pod.Pod.Spec.InGang() {
-		return true
-	}
+// admit is a gang member's gate: it applies the age-based priority boost
+// and the group-level capacity check — if the members still needing
+// placement could not all fit the view's current headroom, the member's
+// cycle ends here, before it takes a permit that would only roll back at
+// timeout.
+func (d *GangDirector) admit(pod *PodInfo, view *ClusterView) bool {
 	group := pod.Pod.Spec.PodGroup
 	d.mu.Lock()
 	gs := d.ensureLocked(group, pod.Pod.Spec.GangMinMember())
@@ -165,7 +163,7 @@ func (d *GangDirector) PreFilter(pod *PodInfo, view *ClusterView) bool {
 
 	if age > 0 {
 		boost := int32(min(age/DefaultBoostEvery, DefaultMaxBoost))
-		// Scoped to this pass: PodInfo is pass-local scratch, so the
+		// Scoped to this cycle: PodInfo is refilled per pod, so the
 		// boost raises this member's preemption leverage without
 		// rewriting the pod's declared priority.
 		pod.Priority += boost
@@ -223,25 +221,13 @@ func memberSlots(pod *PodInfo, node *NodeView) int {
 	return slots
 }
 
-// Permit implements PermitPlugin: gang members wait (reserve
-// conditionally), solo pods bind immediately.
-func (d *GangDirector) Permit(pod *PodInfo, _ string) PermitDecision {
-	if pod.Pod.Spec.InGang() {
-		return PermitWait
-	}
-	return PermitAllow
-}
-
-// OnReserved implements ReserveObserver: a member's reservation
-// committed, so re-evaluate the group's quorum — finished members count
-// toward it. At quorum the whole gang commits atomically; the first
-// permit of a round arms the rollback timeout. Called by the scheduler
-// outside its pass locks, so the server mutations here are safe.
-func (d *GangDirector) OnReserved(pod *PodInfo, _ string) {
+// onReserved is called after a member's reservation committed: it
+// re-evaluates the group's quorum — finished members count toward it. At
+// quorum the whole gang commits atomically; the first permit of a round
+// arms the rollback timeout. The scheduler calls it outside the server's
+// critical sections, so the server mutations here are safe.
+func (d *GangDirector) onReserved(pod *PodInfo) {
 	spec := &pod.Pod.Spec
-	if !spec.InGang() {
-		return
-	}
 	group := spec.PodGroup
 	held, bound, finished := d.srv.GangCounts(group)
 

@@ -241,7 +241,73 @@ func TestGangPreFilterGatesImpossibleGangs(t *testing.T) {
 	}
 }
 
-// TestGangStarvationBoost: PreFilter raises a waiting gang member's
+// TestGangProtocolInEveryClassSlot pins the gang protocol by behaviour:
+// under a scheduler with a gang director, a gang member below quorum is
+// held — reserved, not bound — in whichever class slot it is classed,
+// while a solo pod in the same pass binds; under a scheduler with no
+// director the same members bind at once.
+func TestGangProtocolInEveryClassSlot(t *testing.T) {
+	for _, withDirector := range []bool{true, false} {
+		t.Run(fmt.Sprintf("director=%v", withDirector), func(t *testing.T) {
+			clk := clock.NewSim()
+			srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
+			defer srv.Close()
+			for _, name := range []string{"n1", "n2"} {
+				alloc := resource.List{resource.Memory: 10 * resource.GiB}
+				if err := srv.RegisterNode(&api.Node{Name: name, Capacity: alloc, Allocatable: alloc, Ready: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg := Config{Name: "s", Policy: Binpack{}, Classes: NewClassRegistry(nil)}
+			if withDirector {
+				cfg.Gang = NewGangDirector(clk, srv, GangConfig{})
+				defer cfg.Gang.Close()
+			}
+			sched, err := New(clk, srv, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sched.Close()
+			for _, class := range api.Classes {
+				p := memGangPod(fmt.Sprintf("m-%d", class.Slot()), fmt.Sprintf("g-%d", class.Slot()), 2, resource.GiB, 0)
+				p.Spec.Class, p.Spec.SchedulerName = class, "s"
+				if err := srv.CreatePod(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			solo := memPod("solo", resource.GiB, 0)
+			solo.Spec.SchedulerName = "s"
+			if err := srv.CreatePod(solo); err != nil {
+				t.Fatal(err)
+			}
+			sched.ScheduleOnce()
+
+			if p, _ := srv.GetPod("solo"); p.Spec.NodeName == "" {
+				t.Fatal("the solo pod did not bind")
+			}
+			st := sched.Stats()
+			for _, class := range api.Classes {
+				held, bound, _ := srv.GangCounts(fmt.Sprintf("g-%d", class.Slot()))
+				if withDirector && (held != 1 || bound != 0 || st.Class(class).Held != 1) {
+					t.Errorf("slot %d member: held %d, bound %d, class stats %+v; want held, not bound",
+						class.Slot(), held, bound, st.Class(class))
+				}
+				if !withDirector && (held != 0 || bound != 1) {
+					t.Errorf("slot %d member: held %d, bound %d; want bound at once", class.Slot(), held, bound)
+				}
+			}
+			wantBound, wantHeld := 5, 0
+			if withDirector {
+				wantBound, wantHeld = 1, 4
+			}
+			if st.Bound != wantBound || st.Held != wantHeld {
+				t.Errorf("pass bound %d and held %d, want %d and %d", st.Bound, st.Held, wantBound, wantHeld)
+			}
+		})
+	}
+}
+
+// TestGangStarvationBoost: admit raises a waiting gang member's
 // pass-local priority by one tier per DefaultBoostEvery of group age,
 // capped at DefaultMaxBoost, without rewriting the pod's declared priority.
 func TestGangStarvationBoost(t *testing.T) {
@@ -257,7 +323,7 @@ func TestGangStarvationBoost(t *testing.T) {
 	}}}
 
 	info := newPodInfo(pod)
-	if !dir.PreFilter(info, view) {
+	if !dir.admit(info, view) {
 		t.Fatal("feasible gang member gated")
 	}
 	if info.Priority != 5 {
@@ -266,14 +332,14 @@ func TestGangStarvationBoost(t *testing.T) {
 
 	clk.Advance(2 * time.Minute)
 	info = newPodInfo(pod)
-	dir.PreFilter(info, view)
+	dir.admit(info, view)
 	if info.Priority != 7 {
 		t.Fatalf("priority after 2min = %d, want 7", info.Priority)
 	}
 
 	clk.Advance(time.Hour)
 	info = newPodInfo(pod)
-	dir.PreFilter(info, view)
+	dir.admit(info, view)
 	if info.Priority != 5+DefaultMaxBoost {
 		t.Fatalf("priority after an hour = %d, want %d (capped at +%d)", info.Priority, 5+DefaultMaxBoost, DefaultMaxBoost)
 	}

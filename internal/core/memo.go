@@ -26,17 +26,16 @@ import "github.com/sgxorch/sgxorch/internal/resource"
 //     the eligible charges alike, and a gang unit only becomes eligible when
 //     a member leaves, which the view counts as a loosening.
 //
-// So a dominated pod's cycle skips PreFilter (for a solo pod the only one,
-// the gang director's, passes it untouched), the filter, the placement
-// stage and the planner, and reports outcomeUnschedulable exactly as the
-// exhaustive cycle would. What the exhaustive cycle would have changed it
+// So a dominated pod's cycle skips the filter, the placement stage and the
+// planner, and reports outcomeUnschedulable exactly as the exhaustive cycle
+// would. What the exhaustive cycle would have changed it
 // still changes: the sampled search's rotation advances by the nodes a
 // failed search visits, and a pod whose gate is open re-reads the live
 // gate and syncs the view — and runs the real planner if that sync
 // loosened. A candidate list the placement stage declined is not a clean
 // failure, and neither is a node that already fit or whose victim set the
-// pipeline vetoed. Gang members never take part: the gang director's
-// PreFilter gates them and raises their priority for the pass.
+// pipeline vetoed. Gang members never take part: a gang director gates
+// them and raises their priority for their cycle.
 // Any preemption empties the memo, since it refreshes the pass's gate.
 
 // memoKey is what a dominated pod shares with the failure that proves

@@ -61,11 +61,12 @@ type Config struct {
 	// above); >=100 forces a full scan. The search never stops below
 	// DefaultMinFeasibleNodesToFind candidates.
 	PercentageNodesToScore int
-	// Gang attaches a gang-scheduling director: the scheduler runs a
-	// copy of every pipeline with the director's PreFilter/Permit plugins
-	// appended, so pod-group members reserve conditionally and commit at
-	// quorum instead of binding individually. A sharded fleet must pass
-	// the same director to every member — quorum is cluster-wide.
+	// Gang attaches a gang-scheduling director: the cycle lets it gate
+	// every pod-group member and reserves a member's placement
+	// conditionally instead of binding it, so the gang commits at quorum
+	// (gang.go). Solo pods never reach it, and with Gang nil a gang member
+	// binds like a solo pod. A sharded fleet must pass the same director
+	// to every member — quorum is cluster-wide.
 	Gang *GangDirector
 	// Classes attaches a workload-class registry (classify.go): each
 	// pending pod is classified and routed through its class's own
@@ -73,8 +74,7 @@ type Config struct {
 	// take the Policy pipeline above with this Config's bounds,
 	// bit-identical to a scheduler with Classes nil. Each scheduler
 	// resolves the registry into its own pipeline table at construction
-	// (threading Gang's plugins through every pipeline) and only reads it
-	// afterwards; the profiles it yields are immutable — narrowing and
+	// and only reads it afterwards; the profiles it yields are immutable — narrowing and
 	// score scratch live in each scheduler's cycle state, not in the
 	// plugins — so one registry value can safely serve a whole sharded
 	// fleet.
@@ -93,10 +93,10 @@ type Config struct {
 	// interleave chronologically (traces carry the scheduler name).
 	Trace *telemetry.TraceRing
 	// TraceDetailEvery samples detailed tracing: every Nth pass
-	// additionally times the per-pod prefilter/filter/score/permit
-	// stages and preemption planning, and breaks prefilter/score/permit
-	// down per plugin (DefaultTraceDetailEvery when 0; negative disables
-	// detail). Undetailed passes still record pass-level spans
+	// additionally times the per-pod filter and score stages, the gang
+	// director's gate (prefilter) and quorum step (permit) and preemption
+	// planning, and breaks the score stage down per plugin
+	// (DefaultTraceDetailEvery when 0; negative disables detail). Undetailed passes still record pass-level spans
 	// (snapshot-sync, bind) and every counter — detail sampling is what
 	// keeps the instrumented pass within a few percent of the
 	// uninstrumented one.
@@ -127,8 +127,9 @@ type Stats struct {
 	// sampling path instead of a full node scan (see
 	// Config.PercentageNodesToScore).
 	Sampled int
-	// Gated counts pods a PreFilter plugin rejected before any per-node
-	// work (e.g. a gang whose remaining members cannot fit this pass).
+	// Gated counts gang members the gang director's gate turned away
+	// before any per-node work (their gang's remaining members cannot fit
+	// this pass).
 	Gated int
 	// Held counts successful conditional reservations (gang permits)
 	// taken in place of immediate binds.

@@ -23,7 +23,7 @@ import (
 //     pass — while per-pod stage timing (prefilter, filter, score,
 //     permit, preemption plan) and per-plugin breakdowns run only on
 //     every TraceDetailEvery-th pass, amortising their per-pod clock
-//     reads to a few percent: the cycle and the stage runners hold the
+//     reads to a few percent: the cycle and the score stage hold the
 //     recorder on those passes and nil on all others (detailOnly).
 
 // DefaultTraceDetailEvery is how often a pass records detailed per-pod
@@ -187,7 +187,7 @@ func (r *passRecorder) stageSince(stage int, t0 time.Time) {
 
 // addPlugin folds one plugin call, started at t0, into its per-pass
 // aggregate. Unlike the methods above it needs a non-nil recorder: the
-// stage runners check before evaluating the plugin's name.
+// score stage checks before evaluating the plugin's name.
 func (r *passRecorder) addPlugin(stage int, name string, t0 time.Time) {
 	d := time.Since(t0)
 	if r.pluginIdx == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/sgxorch/sgxorch/internal/api"
@@ -59,29 +60,23 @@ func telemetryPod(name, sched string, memBytes int64) *api.Pod {
 	}
 }
 
-// denyPermit refuses every selected placement, so a pod that fits still
-// runs prefilter, the filter walk, narrowing, scoring and permit — and
-// then stays queued, leaving the pass nothing to mutate.
-type denyPermit struct{}
-
-func (denyPermit) Name() string                           { return "deny" }
-func (denyPermit) Permit(*PodInfo, string) PermitDecision { return PermitDeny }
-
-// deniedProfile is the SGX-last pipeline over the given scores with
-// denyPermit at its end.
+// deniedProfile is the SGX-last pipeline over the given scores with a
+// minimum score no candidate reaches, so a pod that fits still runs the
+// filter walk, narrowing and scoring — and then stays queued, leaving the
+// pass nothing to mutate.
 func deniedProfile(name string, scores ...ScorePlugin) *Profile {
 	ws := make([]WeightedScore, len(scores))
 	for i, sp := range scores {
 		ws[i] = WeightedScore{Plugin: sp, Weight: 1}
 	}
-	return NewProfile(name, WithPreScore(SGXLastPreScore{}), WithScores(ws...), WithPermits(denyPermit{}))
+	return NewProfile(name, WithPreScore(SGXLastPreScore{}), WithScores(ws...), WithMinScore(math.Inf(1)))
 }
 
 // steadyPassAllocs measures a steady-state pass that does everything a
 // pass can do without mutating the cluster. Per class in play it queues
 // one pod too large for any node (unschedulable with no candidates) and
-// one that fits every node but is denied at permit (the whole pipeline
-// over a full candidate list); with classes on, all four class slots have
+// one that fits every node but that no candidate scores high enough for
+// (the whole pipeline over a full candidate list); with classes on, all four class slots have
 // pods pending and the three class pipelines differ in their score
 // plugins.
 func steadyPassAllocs(t *testing.T, cfg Config, classes bool) float64 {
@@ -123,8 +118,7 @@ func steadyPassAllocs(t *testing.T, cfg Config, classes bool) float64 {
 
 // TestDisabledTelemetryPassAllocFree holds the hard budget of the
 // instrumentation: with Config.Telemetry nil, a steady-state scheduling
-// pass — prefilter, the filter walk, narrowing, scoring, permit and the
-// unschedulable path, with and without workload classes — allocates
+// pass — the filter walk, narrowing, scoring and the unschedulable path, with and without workload classes — allocates
 // nothing. Every instrumentation site must stay behind a nil check, and
 // the cycle's outcome and scratch must stay off the heap, for this to
 // hold.
@@ -350,18 +344,20 @@ func assertOneTally(t *testing.T, sched *Scheduler, reg *telemetry.Registry, cal
 	return st
 }
 
-// midCycle is a permit plugin that lets a test act between a pod's
-// placement decision and its commit — the window in which a concurrent
-// scheduler or an operator would invalidate the plan. It allows every
-// placement.
+// midCycle is a score plugin (rating every candidate 0) that lets a test
+// act between a pod's placement decision and its commit — the window in
+// which a concurrent scheduler or an operator would invalidate the plan.
+// It acts once, on the first candidate it rates, which is the candidate
+// the all-tie scores select.
 type midCycle map[string]func(node string)
 
 func (midCycle) Name() string { return "mid-cycle" }
-func (m midCycle) Permit(pod *PodInfo, node string) PermitDecision {
+func (m midCycle) Score(pod *PodInfo, node *NodeView, _ *ClusterView) float64 {
 	if act := m[pod.Pod.Name]; act != nil {
-		act(node)
+		delete(m, pod.Pod.Name)
+		act(node.Name)
 	}
-	return PermitAllow
+	return 0
 }
 
 // midScore is midCycle one stage earlier: a score plugin (rating every
@@ -411,8 +407,8 @@ func passTallyEveryOutcome(t *testing.T) {
 		Name: "tally",
 		Policy: NewProfile("hooked",
 			WithPreScore(SGXLastPreScore{}),
-			WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}, WeightedScore{Plugin: scoring, Weight: 1}),
-			WithPermits(hooks)),
+			WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}, WeightedScore{Plugin: scoring, Weight: 1},
+				WeightedScore{Plugin: hooks, Weight: 1})),
 		Gang:             gd,
 		Classes:          NewClassRegistry(nil),
 		MaxBindsPerPass:  2,
@@ -472,7 +468,7 @@ func passTallyEveryOutcome(t *testing.T) {
 		t.Fatalf("after the gated/unschedulable pass: %+v", st)
 	}
 
-	// Pass 4: "raced" is bound by hand between its permit and its commit
+	// Pass 4: "raced" is bound by hand between its scoring and its commit
 	// (a non-stale conflict: skip the pod, keep going); "loser" has its
 	// node filled by another scheduler's pod in the same window (a stale
 	// conflict: the view is provably outdated, the pass ends) — so
@@ -498,7 +494,6 @@ func passTallyEveryOutcome(t *testing.T) {
 	}
 	pendingUnbound("loser")
 	pendingUnbound("after")
-	delete(hooks, "loser")
 
 	// Pass 5: from a refreshed view both land on the other node — and
 	// spend the budget again.

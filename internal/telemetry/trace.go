@@ -6,14 +6,15 @@ import (
 )
 
 // Stage names of one scheduling pass, in pipeline order. Stage-level
-// spans carry these names; per-plugin breakdown spans carry the same
-// stage plus the plugin's name.
+// spans carry these names; per-plugin breakdown spans (score plugins)
+// carry the same stage plus the plugin's name.
 const (
 	// StageSnapshotSync is bringing the incremental cluster view current
 	// (cache.SyncView) before planning.
 	StageSnapshotSync = "snapshot-sync"
-	// StagePreFilter is the per-pod early-reject stage (gang quorum
-	// checks, pass-scoped boosts).
+	// StagePreFilter is the gang director's gate on a gang member: the
+	// group's capacity check and its age boost (Kubernetes' PreFilter
+	// point, by analogy). Solo pods skip it.
 	StagePreFilter = "prefilter"
 	// StageFilter is the feasibility walk: candidate generation over the
 	// node index (sampled) or the full node list. The §IV fit runs per
@@ -23,8 +24,9 @@ const (
 	// StageScore is preference narrowing plus weighted scoring and
 	// selection.
 	StageScore = "score"
-	// StagePermit is the permit stage plus conditional reservations
-	// (gang members waiting for quorum).
+	// StagePermit is the gang director's quorum step after a held member's
+	// conditional reservation, the whole-gang commit at quorum included
+	// (Kubernetes' Permit point, by analogy).
 	StagePermit = "permit"
 	// StagePreempt is preemption planning: victim search and pipeline
 	// replay against the predicted post-eviction state.
