@@ -359,8 +359,7 @@ func BenchmarkClassifiedPass(b *testing.B) {
 // telemetry stack attached — metrics registry, pass-trace ring, default
 // detail sampling — so the pass pays every always-on instrumentation
 // cost (pass/stage spans, per-class counter folds, the ring's span
-// copy) and, on every 32nd pass, the detailed per-pod/per-plugin
-// timings. Its budget is at most 5% time/op on top of
+// copy) and, on every 32nd pass, the detailed per-pod stage timings. Its budget is at most 5% time/op on top of
 // BenchmarkSchedulerPass, the uninstrumented pass.
 func BenchmarkInstrumentedPass(b *testing.B) {
 	tb, err := experiments.NewTestbed(experiments.TestbedConfig{
@@ -792,15 +791,14 @@ func BenchmarkAblation_SchedulerInterval(b *testing.B) {
 	b.ReportMetric(pts[len(pts)-1].Y, "wait_30s_interval_s")
 }
 
-// planOnlyPreScore declines every candidate (a non-nil empty PreScore
-// result), so a scheduling pass does all candidate-generation and
-// pipeline work but binds nothing — keeping the cluster, and therefore
-// the per-iteration cost, stable across benchmark iterations.
-type planOnlyPreScore struct{}
+// planOnly declines every candidate, so a scheduling pass does all
+// candidate-generation work but binds nothing — keeping the cluster, and
+// therefore the per-iteration cost, stable across benchmark iterations.
+type planOnly struct{}
 
-func (planOnlyPreScore) Name() string { return "plan-only" }
-func (planOnlyPreScore) PreScore(*core.PodInfo, []*core.NodeView) []*core.NodeView {
-	return []*core.NodeView{}
+func (planOnly) Name() string { return "plan-only" }
+func (planOnly) Select(*core.PodInfo, []*core.NodeView, *core.ClusterView) (string, bool) {
+	return "", false
 }
 
 // BenchmarkMillionPod is the ROADMAP's million-pod scale tier: 5k nodes,
@@ -811,7 +809,7 @@ func (planOnlyPreScore) PreScore(*core.PodInfo, []*core.NodeView) []*core.NodeVi
 // candidate generation pays: the log2 free-memory buckets prove the full
 // nodes infeasible without visiting them, so a sampled pass visits
 // O(open nodes) per pod while the full-scan arm walks all 5k. Passes
-// plan without binding (plan-only profile), so every iteration measures
+// plan without binding (plan-only policy), so every iteration measures
 // the same pass. The two arms differ only in PercentageNodesToScore:
 // 0 (adaptive sampling, the default) vs 100 (full scan, the pre-index
 // behaviour); the acceptance bar is indexed >= 10x faster.
@@ -845,7 +843,7 @@ func BenchmarkMillionPod(b *testing.B) {
 			defer srv.Close()
 			sched, err := core.New(clk, srv, nil, core.Config{
 				Name:                   "mp",
-				Policy:                 core.NewProfile("plan-only", core.WithPreScore(planOnlyPreScore{})),
+				Policy:                 planOnly{},
 				MaxPendingPerPass:      1000,
 				PercentageNodesToScore: mode.pct,
 			})

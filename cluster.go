@@ -100,9 +100,10 @@ type ClusterConfig struct {
 	Nodes []NodeSpec
 	// Policy selects the placement strategy (binpack by default).
 	Policy Policy
-	// UseMetrics enables usage-aware scheduling over the monitoring
-	// pipeline (the paper's scheduler). Defaults to true; set
-	// DisableMetrics to turn it off.
+	// DisableMetrics turns off usage-aware scheduling over the
+	// monitoring pipeline (the paper's scheduler, on by default): the
+	// scheduler then reproduces the request-only accounting of the
+	// default Kubernetes scheduler.
 	DisableMetrics bool
 	// DisableEnforcement turns off driver-level EPC limit enforcement
 	// (§V-D), as in Fig. 11's "limits disabled" runs.
@@ -672,8 +673,8 @@ func (c *Cluster) WritePrometheus(w io.Writer) error {
 }
 
 // PassTraces returns the scheduler's retained pass traces, oldest
-// first: per-pass wall time, outcome counts, and stage/plugin timing
-// spans (detailed per-plugin breakdowns on sampled passes — see
+// first: per-pass wall time, outcome counts, and stage timing spans
+// (the per-pod stages on sampled passes only — see
 // core.Config.TraceDetailEvery). Empty on a telemetry-disabled
 // cluster.
 func (c *Cluster) PassTraces() []telemetry.PassTrace {

@@ -144,23 +144,21 @@
 // test oracle (oracle_test.go), the reference implementation the cache
 // is property-tested against.
 //
-// Scheduling itself is a plugin framework (internal/core) around one
-// fixed filter, the §IV feasibility rule (SGX capability, EPC device fit,
-// resource saturation): a pipeline of candidate-narrowing pre-score
-// plugins (the SGX-last rule) and weighted score plugins (binpack,
-// spread, least-requested, usage-headroom, EPC-pressure). The paper's fixed
-// strategies are profiles over these plugins — bit-identical to their
-// original implementations, which the tests pin — and new behaviours
-// compose without touching the scheduling pass. A policy is simply a
-// name that yields a profile; profiles and plugins are immutable (the
-// per-pod narrowing and score scratch belongs to each scheduler's cycle
-// state), so one profile or class registry can serve a whole concurrent
-// fleet. A pass is a loop of per-pod scheduling cycles over that one
-// pipeline, each reporting a typed outcome (bound, held, gated,
+// Scheduling itself (internal/core) is one fixed filter, the §IV
+// feasibility rule (SGX capability, EPC device fit, resource
+// saturation), followed by a placement policy that selects among the
+// nodes it accepted in one call: the paper's binpack and spread, which
+// keep standard jobs off SGX nodes while another node will do; the
+// request-only baseline of Kubernetes' default scheduler (§V-B); and a
+// usage-aware policy that scores measured headroom and EPC pressure.
+// Each is bit-identical to its original implementation, which the tests
+// pin. Policies are stateless values, so one policy or class registry
+// can serve a whole concurrent fleet. A pass is a loop of per-pod
+// scheduling cycles, each reporting a typed outcome (bound, held, gated,
 // unschedulable, conflict, skipped) that the pass folds into a single
 // tally — the value behind SchedulerStats, the scheduler_*_total series
-// and the pass trace alike. Only placement is pluggable: gang scheduling
-// (below) is a call the cycle makes, not a plugin.
+// and the pass trace alike. Gang scheduling (below) is a call the cycle
+// makes, not part of a policy.
 //
 // Jobs carry a priority: each scheduler's queue — kept by its cluster
 // cache from the watch stream; the API server only indexes which pods are
@@ -327,7 +325,7 @@
 // members batch, priority ≥ 100 latency-sensitive, negative priority
 // best-effort, max container duration ≥ 5m batch, SGX jobs
 // latency-sensitive. A ClassRegistry (Config.Classes) maps each class
-// to a full pipeline profile plus sampling and preemption gates,
+// to a placement policy plus sampling and preemption gates,
 // resolved per pod inside the pass: latency-sensitive scores
 // usage-aware with a sampling floor (DefaultLatencyMinFeasible) and may
 // preempt — including best-effort pods at any priority, the one
@@ -335,7 +333,7 @@
 // batch bin-packs and never preempts; best-effort spreads, never
 // preempts, and its bound pods are always eviction-eligible (tracked
 // from the declared class, so a sharded fleet agrees on eligibility).
-// Unclassified pods take the scheduler's own pipeline untouched — a
+// Unclassified pods take the scheduler's own policy untouched — a
 // property test pins the event stream with a registry attached
 // bit-identical to a class-free scheduler on unclassified workloads.
 // Per-class Stats.ByClass and Server.PendingCountByClass split the
@@ -347,7 +345,7 @@
 // tiers with zero capacity violations.
 //
 // At the million-pod scale the pass itself is sublinear in the cluster
-// (internal/core: index.go, view.go, framework.go). Each scheduler owns
+// (internal/core: index.go, view.go). Each scheduler owns
 // one long-lived incremental ClusterView — the only kind of view the
 // scheduler builds; the pass plans on it and so does the preemption
 // planner, which simulates evictions on a scratch node rather than
@@ -381,7 +379,7 @@
 // fixed-bucket histograms behind nil-safe handles, so a disabled
 // registry (ClusterConfig.DisableTelemetry) costs one branch per site
 // and zero allocations on the scheduling hot path. Instrumentation
-// spans every layer: the scheduler times its pass and pipeline stages
+// spans every layer: the scheduler times its pass and its stages
 // (snapshot-sync, prefilter, filter, score, permit, preemption-plan,
 // bind) and counts outcomes per workload class; the API server
 // histograms bind latency and counts rejections by class, and
@@ -390,11 +388,11 @@
 // lifecycle tracker (internal/lifecycle) consumes the watch event
 // stream to histogram submit→bind, bind→run and run durations per
 // class. Each instrumented scheduling pass also records a PassTrace —
-// stage spans plus, on sampled passes, per-plugin breakdowns — into a
-// fixed ring readable via Cluster.PassTraces. There is one pipeline, not
-// a timed copy beside a plain one: timing is sampled inside it, behind a
+// its stage spans, the per-pod stages on sampled passes only — into a
+// fixed ring readable via Cluster.PassTraces. There is one pass, not a
+// timed copy beside a plain one: timing is sampled inside it, behind a
 // recorder that is nil unless the pass is instrumented (and, for per-pod
-// and per-plugin timing, detail-sampled), and detail sampling
+// timing, detail-sampled), and detail sampling
 // (Config.TraceDetailEvery) keeps the instrumented pass within a few
 // percent of the uninstrumented one. That toll is measured with
 // BenchmarkInstrumentedPass against BenchmarkSchedulerPass, not gated:

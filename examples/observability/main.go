@@ -11,45 +11,56 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
+
+	"github.com/sgxorch/sgxorch/internal/experiments"
 )
 
-import "github.com/sgxorch/sgxorch/internal/experiments"
-
 func main() {
-	fmt.Println("Instrumented mixed-class drain (48 best-effort fillers, then 12 latency-sensitive")
-	fmt.Println("+ 12 batch jobs on 2 std + 2 SGX nodes), self-scraped every 10s, queried back")
-	fmt.Println("via InfluxQL")
-	fmt.Println()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run drains the workload and writes the walkthrough to w; it fails on
+// any broken invariant or an undrained workload.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "Instrumented mixed-class drain (48 best-effort fillers, then 12 latency-sensitive")
+	fmt.Fprintln(w, "+ 12 batch jobs on 2 std + 2 SGX nodes), self-scraped every 10s, queried back")
+	fmt.Fprintln(w, "via InfluxQL")
+	fmt.Fprintln(w)
 
 	res, err := experiments.Observability(experiments.ObservabilityConfig{Seed: 7})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%-18s %-6s %-7s %-14s %-14s\n",
+	fmt.Fprintf(w, "%-18s %-6s %-7s %-14s %-14s\n",
 		"class", "jobs", "binds", "p50 sub→bind", "p99 sub→bind")
 	for _, class := range []string{"latency-sensitive", "batch", "best-effort"} {
 		o := res.PerClass[class]
-		fmt.Printf("%-18s %-6d %-7d %-14s %-14s\n",
+		fmt.Fprintf(w, "%-18s %-6d %-7d %-14s %-14s\n",
 			class, o.Jobs, o.Binds,
 			fmt.Sprintf("%.1fs", o.P50Queue), fmt.Sprintf("%.1fs", o.P99Queue))
 	}
-	fmt.Println()
-	fmt.Printf("drained=%t in %s: %d passes, %d binds, %d runs observed\n",
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "drained=%t in %s: %d passes, %d binds, %d runs observed\n",
 		res.Completed, res.DrainTime, res.Passes, res.BindsObserved, res.RunsObserved)
-	fmt.Printf("trace ring retained %d passes (%d with per-plugin spans), %d self-scrapes\n",
+	fmt.Fprintf(w, "trace ring retained %d passes (%d detailed), %d self-scrapes\n",
 		res.Traces, res.DetailedTraces, res.Scrapes)
 
 	if len(res.Violations) != 0 {
-		log.Fatalf("telemetry invariants broken:\n%v", res.Violations)
+		return fmt.Errorf("telemetry invariants broken:\n%v", res.Violations)
 	}
 	if !res.Completed {
-		log.Fatalf("workload did not drain within the horizon (%s)", res.DrainTime)
+		return fmt.Errorf("workload did not drain within the horizon (%s)", res.DrainTime)
 	}
-	fmt.Println()
-	fmt.Println("Every audit passed: pass traces carry strictly increasing sequence numbers,")
-	fmt.Println("the lifecycle histograms total exactly the bind and run events replayed from")
-	fmt.Println("the watch stream, and each class's latency quantiles were answered from the")
-	fmt.Println("TSDB by the same InfluxQL path that serves container metrics.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Every audit passed: pass traces carry strictly increasing sequence numbers,")
+	fmt.Fprintln(w, "the lifecycle histograms total exactly the bind and run events replayed from")
+	fmt.Fprintln(w, "the watch stream, and each class's latency quantiles were answered from the")
+	fmt.Fprintln(w, "TSDB by the same InfluxQL path that serves container metrics.")
+	return nil
 }

@@ -6,17 +6,16 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 )
 
-// This file implements workload classes over the plugin framework: a
-// WorkloadClassifier assigns each pending pod a class (explicitly
-// declared via api.PodSpec.Class, or inferred from duration, priority,
-// gang and EPC signals), and a ClassRegistry resolves each class to its
-// own scheduling profile — plugins, score weights, candidate-sampling
-// bounds and preemption eligibility. A scheduler resolves the registry
-// (Config.Classes) once, at construction, into a table of pipelines
-// indexed by class slot; per pod the pass classifies and looks its slot
-// up. Unclassified pods land on the default slot — the scheduler's single
-// configured pipeline, bit-identical to a scheduler with no registry at
-// all. Gang scheduling is not part of any class's pipeline: the cycle
+// This file implements workload classes: a WorkloadClassifier assigns
+// each pending pod a class (explicitly declared via api.PodSpec.Class, or
+// inferred from duration, priority, gang and EPC signals), and a
+// ClassRegistry resolves each class to its own scheduling profile — the
+// placement policy, candidate-sampling bounds and preemption
+// eligibility. A scheduler resolves the registry (Config.Classes) once,
+// at construction, into a table of pipelines indexed by class slot; per
+// pod the pass classifies and looks its slot up. Unclassified pods land
+// on the default slot — the scheduler's single configured pipeline,
+// bit-identical to a scheduler with no registry at all. Gang scheduling is not part of any class's pipeline: the cycle
 // hands a gang member to the gang director in whichever slot it lands.
 
 // Classifier inference defaults.
@@ -32,7 +31,7 @@ const (
 	DefaultBatchDuration = 5 * time.Minute
 	// DefaultLatencyMinFeasible is the raised sampling floor of the
 	// latency-sensitive class: its candidate search never stops below
-	// this many feasible nodes (5× the framework default), so a
+	// this many feasible nodes (5× the scheduler default), so a
 	// latency-sensitive pod is never placed from a thin sample of a
 	// large cluster.
 	DefaultLatencyMinFeasible = 5 * DefaultMinFeasibleNodesToFind
@@ -111,7 +110,7 @@ type ClassProfile struct {
 	// Class is the workload class this profile serves (must be a known
 	// class — the unspecified class always means the default pipeline).
 	Class api.WorkloadClass
-	// Policy supplies the plugin pipeline, exactly as Config.Policy does.
+	// Policy places the class's pods, exactly as Config.Policy does.
 	Policy Policy
 	// MinFeasibleNodesToFind raises this class's sampling floor (0
 	// inherits DefaultMinFeasibleNodesToFind; the sampling percentage is
@@ -127,7 +126,7 @@ type ClassProfile struct {
 // ClassRegistry routes pods to per-class scheduling profiles. Build one
 // with NewClassRegistry and hand it to Config.Classes; a sharded fleet
 // passes the same registry to every member (the registry is only read
-// after construction, and the profiles it yields are immutable).
+// after construction, and the policies it holds are stateless values).
 type ClassRegistry struct {
 	classifier *WorkloadClassifier
 	// profiles is indexed by class slot; a nil Policy marks a slot with no
@@ -142,9 +141,9 @@ type ClassRegistry struct {
 //   - latency-sensitive: usage-aware scoring (headroom + EPC pressure,
 //     SGX-last), may preempt, candidate search never sampled below
 //     DefaultLatencyMinFeasible feasible nodes;
-//   - batch: bin-packs (SGX-last first-fit), gang support rides along
-//     (the gang director's plugins attach to every class pipeline when
-//     the scheduler has one), never preempts;
+//   - batch: bin-packs (SGX-last first-fit), never preempts; a gang
+//     member is held for quorum under the scheduler's gang director, as
+//     in every other class slot;
 //   - best-effort: spreads by load stddev, never preempts — and its
 //     bound pods are always preemption-eligible, which the cache
 //     tracks from the declared spec class.
@@ -179,12 +178,12 @@ func (r *ClassRegistry) Classify(pod *api.Pod) api.WorkloadClass {
 	return r.classifier.Classify(pod)
 }
 
-// pipeline is one class slot's resolved scheduling behaviour: the plugin
-// pipeline, the candidate-sampling bounds and
-// the preemption gates. A scheduler holds one per slot, resolved at
+// pipeline is one class slot's resolved scheduling behaviour: the
+// placement policy, the candidate-sampling bounds and the preemption
+// gates. A scheduler holds one per slot, resolved at
 // construction, so the pass never re-derives an override.
 type pipeline struct {
-	profile     *Profile
+	policy      Policy
 	pct         int
 	minFeasible int
 	// mayPreempt gates whether the slot's pods ever evict others; takeBE
@@ -195,18 +194,17 @@ type pipeline struct {
 }
 
 // resolvePipelines builds a scheduler's pipeline table from its Config.
-// The default slot is the Config.Policy pipeline with the Config's
-// sampling percentage and the default floor, free to preempt strictly
-// lower tiers — the exact pre-class pass. A class with a registered
-// profile gets that profile's pipeline, its floor where set (0 inherits
-// the default) and its preemption gate; a class without one schedules
-// like the default slot (its outcomes are still counted under its own
-// slot). Every slot keeps its policy's own profile, shared as is: the gang
-// protocol is not part of a pipeline, so a gang member honours it in
-// whichever slot it is classed (cycle.go).
+// The default slot is Config.Policy with the Config's sampling
+// percentage and the default floor, free to preempt strictly lower tiers —
+// the exact pre-class pass. A class with a registered profile gets that
+// profile's policy, its floor where set (0 inherits the default) and its
+// preemption gate; a class without one schedules like the default slot
+// (its outcomes are still counted under its own slot). The gang protocol
+// is not part of a pipeline, so a gang member honours it in whichever
+// slot it is classed (cycle.go).
 func resolvePipelines(cfg *Config) [api.NumClasses]pipeline {
 	def := pipeline{
-		profile:     cfg.Policy.Profile(),
+		policy:      cfg.Policy,
 		pct:         cfg.PercentageNodesToScore,
 		minFeasible: DefaultMinFeasibleNodesToFind,
 		mayPreempt:  true,
@@ -219,7 +217,7 @@ func resolvePipelines(cfg *Config) [api.NumClasses]pipeline {
 			continue
 		}
 		cp := &cfg.Classes.profiles[slot]
-		pl.profile = cp.Policy.Profile()
+		pl.policy = cp.Policy
 		if cp.MinFeasibleNodesToFind != 0 {
 			pl.minFeasible = cp.MinFeasibleNodesToFind
 		}

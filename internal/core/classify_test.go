@@ -93,24 +93,23 @@ func TestClassRegistryResolve(t *testing.T) {
 		t.Fatalf("unclassified pod classified as %q, want the default", got)
 	}
 
-	base := NewProfile("base", WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}))
-	cfg := Config{Policy: base, Classes: r, PercentageNodesToScore: 30}
+	cfg := Config{Policy: LeastRequested{}, Classes: r, PercentageNodesToScore: 30}
 	table := resolvePipelines(&cfg)
-	if got, want := table[api.ClassUnspecified.Slot()], (pipeline{profile: base, pct: 30, minFeasible: DefaultMinFeasibleNodesToFind, mayPreempt: true}); got != want {
+	if got, want := table[api.ClassUnspecified.Slot()], (pipeline{policy: LeastRequested{}, pct: 30, minFeasible: DefaultMinFeasibleNodesToFind, mayPreempt: true}); got != want {
 		t.Fatalf("default slot = %+v, want the Config's own pipeline and bounds %+v", got, want)
 	}
 	ls := table[api.ClassLatencySensitive.Slot()]
-	if ls.profile.Name() != "usage-aware" || !ls.mayPreempt || !ls.takeBE {
+	if ls.policy.Name() != "usage-aware" || !ls.mayPreempt || !ls.takeBE {
 		t.Fatalf("latency-sensitive pipeline = %+v", ls)
 	}
 	if ls.minFeasible != DefaultLatencyMinFeasible || ls.pct != 30 {
 		t.Fatalf("latency-sensitive bounds = pct %d / min %d, want the Config's 30 and its own %d",
 			ls.pct, ls.minFeasible, DefaultLatencyMinFeasible)
 	}
-	if pl := table[api.ClassBatch.Slot()]; pl.profile.Name() != "binpack" || pl.mayPreempt || pl.takeBE || pl.minFeasible != DefaultMinFeasibleNodesToFind {
+	if pl := table[api.ClassBatch.Slot()]; pl.policy.Name() != "binpack" || pl.mayPreempt || pl.takeBE || pl.minFeasible != DefaultMinFeasibleNodesToFind {
 		t.Fatalf("batch pipeline = %+v (must not preempt, inherits the default floor)", pl)
 	}
-	if pl := table[api.ClassBestEffort.Slot()]; pl.profile.Name() != "spread" || pl.mayPreempt || pl.takeBE {
+	if pl := table[api.ClassBestEffort.Slot()]; pl.policy.Name() != "spread" || pl.mayPreempt || pl.takeBE {
 		t.Fatalf("best-effort pipeline = %+v (must not preempt)", pl)
 	}
 
@@ -119,18 +118,18 @@ func TestClassRegistryResolve(t *testing.T) {
 	r.set(ClassProfile{Class: api.ClassBatch, Policy: Spread{}, MayPreempt: true})
 	r.set(ClassProfile{Class: api.ClassBestEffort, Policy: Spread{}, MayPreempt: true})
 	table = resolvePipelines(&cfg)
-	if pl := table[api.ClassBatch.Slot()]; pl.profile.Name() != "spread" || !pl.mayPreempt || !pl.takeBE {
+	if pl := table[api.ClassBatch.Slot()]; pl.policy.Name() != "spread" || !pl.mayPreempt || !pl.takeBE {
 		t.Fatalf("batch after set = %+v, want the preempt-capable override", pl)
 	}
 	if pl := table[api.ClassBestEffort.Slot()]; !pl.mayPreempt || pl.takeBE {
 		t.Fatalf("preempting best-effort = %+v, must not take best-effort victims", pl)
 	}
-	if table[api.ClassLatencySensitive.Slot()].profile.Name() != "usage-aware" {
+	if table[api.ClassLatencySensitive.Slot()].policy.Name() != "usage-aware" {
 		t.Fatal("overriding batch disturbed latency-sensitive")
 	}
 	// The unspecified slot rejects installation.
 	r.set(ClassProfile{Class: api.ClassUnspecified, Policy: Spread{}})
-	if got := resolvePipelines(&cfg)[api.ClassUnspecified.Slot()].profile; got != base {
+	if got := resolvePipelines(&cfg)[api.ClassUnspecified.Slot()].policy; got != (LeastRequested{}) {
 		t.Fatalf("default slot accepted a profile: %q", got.Name())
 	}
 }

@@ -17,9 +17,9 @@ import (
 // buffers are recycled across pods and passes.
 type cycleState struct {
 	// Pass scope. rec is the pass recorder, nil with telemetry off; det is
-	// rec on detail-sampled passes and nil otherwise, so per-pod and
-	// per-plugin timing costs undetailed passes a nil check. (What the
-	// pass plans on is the scheduler's one view, Scheduler.view.)
+	// rec on detail-sampled passes and nil otherwise, so per-pod stage
+	// timing costs undetailed passes a nil check. (What the pass plans on
+	// is the scheduler's one view, Scheduler.view.)
 	rec *passRecorder
 	det *passRecorder
 	// The once-per-pass preemption gate: no pod can preempt unless some
@@ -38,10 +38,8 @@ type cycleState struct {
 	committed []queuedPod
 
 	// Pod scope: the pod's request data — summed once, because the §IV
-	// fit runs per (pod, node) — and the pipeline its class resolved
-	// to. info is refilled in place for every pod, keeping its
-	// cycleScratch (narrowing and scores), which is how the plugins reach
-	// scheduler-owned scratch.
+	// fit runs per (pod, node) — and the pipeline its class resolved to.
+	// info is refilled in place for every pod.
 	info PodInfo
 	pl   *pipeline
 
@@ -77,10 +75,10 @@ const (
 	// outcomeGated: the gang director's admit gate turned a gang member
 	// away before any per-node work.
 	outcomeGated
-	// outcomeUnschedulable: no node passed the pipeline (and preemption,
-	// where allowed, found no victim set). The pod stays queued and is
-	// retried next pass, keeping its queue position without head-of-line
-	// blocking the rest of the queue.
+	// outcomeUnschedulable: the policy placed the pod nowhere (and
+	// preemption, where allowed, found no victim set). The pod stays
+	// queued and is retried next pass, keeping its queue position without
+	// head-of-line blocking the rest of the queue.
 	outcomeUnschedulable
 	// outcomeConflict: the API server refused the commit because this
 	// scheduler's view was outdated or the node's state changed mid-pass.
@@ -139,13 +137,13 @@ func (s *Stats) count(o outcome) {
 }
 
 // cycle schedules one pending pod: classify it onto its pipeline, gate a
-// gang member through the gang director, run the §IV fit over the nodes
-// and the pre-score/score stage, fall back to preemption when nothing is
-// feasible, and commit the decision. The per-pod stage spans are timed
-// through c.det, i.e. on detail-sampled passes only: preemption planning
-// included, since it runs for every pod that failed to place and two clock
-// reads per unschedulable pod on every pass would dominate the
-// instrumentation budget on a congested queue.
+// gang member through the gang director, run the §IV fit over the nodes,
+// let the pipeline's policy select among the candidates, fall back to
+// preemption when it places nowhere, and commit the decision. The per-pod
+// stage spans are timed through c.det, i.e. on detail-sampled passes
+// only: preemption planning included, since it runs for every pod that
+// failed to place and two clock reads per unschedulable pod on every pass
+// would dominate the instrumentation budget on a congested queue.
 func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 	info, pod := &c.info, e.pod
 	fillPodInfo(info, pod, e.req)
@@ -211,11 +209,11 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 	var node string
 	ok := false
 	if !dominated {
-		node, ok = c.pl.profile.selectInfo(info, candidates, s.view, det)
+		node, ok = c.pl.policy.Select(info, candidates, s.view)
 	}
 	det.stageSince(stageScore, t)
-	// A clean failure so far: no node fit, so no placement stage declined
-	// anything.
+	// A clean failure so far: no node fit, so the policy declined
+	// nothing.
 	clean := memoable && len(candidates) == 0
 	if !ok && c.mayPreempt() {
 		// No feasible node: try to make room by evicting strictly
@@ -233,7 +231,7 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 			c.memo.reset()
 			s.syncedViewLocked()
 			c.minPrio, c.anyBound, c.beBound = s.cache.preemptGate()
-			// The planner already replayed the pipeline against the
+			// The planner already replayed the placement against the
 			// predicted post-eviction state, but re-run it against the
 			// actual view so a racing mutation can never over-commit the
 			// node or bypass a policy veto — and so a victim that left on
@@ -261,9 +259,9 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 	return o
 }
 
-// placesOn replays the pod's whole pipeline — the §IV fit, preferences,
-// scores — with n as the only candidate and reports whether it would place
-// the pod exactly there. Preemption asks it twice: the planner of a
+// placesOn replays the pod's placement — the §IV fit, then the policy —
+// with n as the only candidate and reports whether it would place the pod
+// exactly there. Preemption asks it twice: the planner of a
 // simulated post-eviction node before evicting anyone, the cycle of the
 // real node after.
 func (s *Scheduler) placesOn(c *cycleState, n *NodeView) bool {
@@ -271,7 +269,7 @@ func (s *Scheduler) placesOn(c *cycleState, n *NodeView) bool {
 		return false
 	}
 	c.only = append(c.only[:0], n)
-	name, ok := c.pl.profile.selectInfo(&c.info, c.only, s.view, nil)
+	name, ok := c.pl.policy.Select(&c.info, c.only, s.view)
 	return ok && name == n.Name
 }
 

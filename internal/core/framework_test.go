@@ -2,17 +2,19 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/stats"
 )
 
-// The built-in policies were rewritten as plugin profiles; these tests pin
-// them to verbatim copies of the pre-framework implementations, so the
-// refactor is provably bit-identical on randomized inputs.
+// The built-in policies have been rewritten twice — as profiles over a
+// plugin pipeline, then back as one Select each. These tests pin them to
+// verbatim copies of the first implementations (and, for UsageAware, a
+// restatement of its plugin pipeline), so every rewrite is provably
+// bit-identical on randomized inputs.
 
 // newPodInfo extracts a pod's request data the way a scheduling cycle
 // does.
@@ -22,7 +24,7 @@ func newPodInfo(pod *api.Pod) *PodInfo {
 	return info
 }
 
-// refPreferNonSGX is the pre-framework preferNonSGX, verbatim.
+// refPreferNonSGX is the first preferNonSGX, verbatim.
 func refPreferNonSGX(pod *api.Pod, candidates []*NodeView) []*NodeView {
 	if pod.IsSGX() {
 		return candidates
@@ -39,7 +41,7 @@ func refPreferNonSGX(pod *api.Pod, candidates []*NodeView) []*NodeView {
 	return candidates
 }
 
-// refBinpackSelect is the pre-framework Binpack.Select, verbatim.
+// refBinpackSelect is the first Binpack.Select, verbatim.
 func refBinpackSelect(pod *api.Pod, candidates []*NodeView, _ *ClusterView) (string, bool) {
 	if len(candidates) == 0 {
 		return "", false
@@ -54,7 +56,8 @@ func refBinpackSelect(pod *api.Pod, candidates []*NodeView, _ *ClusterView) (str
 	return candidates[0].Name, true
 }
 
-// refSpreadSelect is the pre-framework Spread.Select, verbatim.
+// refSpreadSelect is the first Spread.Select, verbatim, over the first
+// hypotheticalStdDev.
 func refSpreadSelect(pod *api.Pod, candidates []*NodeView, view *ClusterView) (string, bool) {
 	candidates = refPreferNonSGX(pod, candidates)
 	if len(candidates) == 0 {
@@ -69,7 +72,7 @@ func refSpreadSelect(pod *api.Pod, candidates []*NodeView, view *ClusterView) (s
 	best := ""
 	bestDev := 0.0
 	for _, cand := range candidates {
-		dev := hypotheticalStdDev(view, cand.Name, res, req.Get(res))
+		dev := refHypotheticalStdDev(view, cand.Name, res, req.Get(res))
 		if best == "" || dev < bestDev {
 			best = cand.Name
 			bestDev = dev
@@ -78,8 +81,7 @@ func refSpreadSelect(pod *api.Pod, candidates []*NodeView, view *ClusterView) (s
 	return best, true
 }
 
-// refLeastRequestedSelect is the pre-framework LeastRequested.Select,
-// verbatim.
+// refLeastRequestedSelect is the first LeastRequested.Select, verbatim.
 func refLeastRequestedSelect(pod *api.Pod, candidates []*NodeView, _ *ClusterView) (string, bool) {
 	if len(candidates) == 0 {
 		return "", false
@@ -94,6 +96,79 @@ func refLeastRequestedSelect(pod *api.Pod, candidates []*NodeView, _ *ClusterVie
 		}
 		free := capMem - c.Used.Get(resource.Memory) - req.Get(resource.Memory)
 		score := float64(free) / float64(capMem)
+		if score > bestScore {
+			best = c.Name
+			bestScore = score
+		}
+	}
+	if best == "" {
+		return "", false
+	}
+	return best, true
+}
+
+// refHypotheticalStdDev is the first hypotheticalStdDev, verbatim, with
+// the stats.PopStdDev it called inlined: the loads collected into a
+// slice, then their population standard deviation.
+func refHypotheticalStdDev(view *ClusterView, target string, res resource.Name, extra int64) float64 {
+	loads := make([]float64, 0, len(view.Nodes))
+	for _, n := range view.Nodes {
+		if n.Allocatable.Get(res) <= 0 {
+			continue
+		}
+		used := n.Used.Get(res)
+		if n.Name == target {
+			used += extra
+		}
+		loads = append(loads, float64(used)/float64(n.Allocatable.Get(res)))
+	}
+	if len(loads) == 0 {
+		return 0
+	}
+	m := 0.0
+	for _, x := range loads {
+		m += x
+	}
+	m /= float64(len(loads))
+	sum := 0.0
+	for _, x := range loads {
+		d := x - m
+		sum += d * d
+	}
+	return math.Sqrt(sum / float64(len(loads)))
+}
+
+// refUsageAwareSelect is the usage-aware profile as the plugin pipeline
+// ran it: the SGX-last candidates, then the first candidate whose
+// strictly greatest sum 0 + 1·headroom + 0.5·pressure lies above -Inf.
+func refUsageAwareSelect(pod *api.Pod, candidates []*NodeView, _ *ClusterView) (string, bool) {
+	candidates = refPreferNonSGX(pod, candidates)
+	sgx := pod.IsSGX()
+	res := resource.Memory
+	if sgx {
+		res = resource.EPCPages
+	}
+	req := pod.TotalRequests()
+	best := ""
+	bestScore := math.Inf(-1)
+	for _, c := range candidates {
+		headroom := 0.0
+		if alloc := c.Allocatable.Get(res); alloc > 0 {
+			free := alloc - c.Used.Get(res) - req.Get(res)
+			if free < 0 {
+				free = 0
+			}
+			headroom = float64(free) / float64(alloc)
+		}
+		pressure := 0.0
+		if sgx && c.SGX {
+			if alloc := c.Allocatable.Get(resource.EPCPages); alloc > 0 {
+				pressure = -float64(c.Used.Get(resource.EPCPages)) / float64(alloc)
+			}
+		}
+		score := 0.0
+		score += 1 * headroom
+		score += 0.5 * pressure
 		if score > bestScore {
 			best = c.Name
 			bestScore = score
@@ -151,8 +226,8 @@ func randomPolicyPod(rng *rand.Rand) *api.Pod {
 }
 
 // TestProfilePoliciesMatchReferenceImplementations randomizes views,
-// candidate subsets and pods, and requires the profile-backed Selects to
-// agree exactly with the pre-framework code.
+// candidate subsets and pods, and requires every policy's Select to agree
+// exactly with its reference.
 func TestProfilePoliciesMatchReferenceImplementations(t *testing.T) {
 	type refFn func(*api.Pod, []*NodeView, *ClusterView) (string, bool)
 	cases := []struct {
@@ -162,6 +237,7 @@ func TestProfilePoliciesMatchReferenceImplementations(t *testing.T) {
 		{Binpack{}, refBinpackSelect},
 		{Spread{}, refSpreadSelect},
 		{LeastRequested{}, refLeastRequestedSelect},
+		{UsageAware{}, refUsageAwareSelect},
 	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 2000; trial++ {
@@ -175,7 +251,7 @@ func TestProfilePoliciesMatchReferenceImplementations(t *testing.T) {
 			}
 		}
 		for _, tc := range cases {
-			gotName, gotOK := tc.policy.Profile().selectInfo(newPodInfo(pod), candidates, view, nil)
+			gotName, gotOK := tc.policy.Select(newPodInfo(pod), candidates, view)
 			wantName, wantOK := tc.ref(pod, candidates, view)
 			if gotName != wantName || gotOK != wantOK {
 				t.Fatalf("trial %d: %s diverged from reference: got (%q, %v), want (%q, %v)",
@@ -198,7 +274,7 @@ func sectionIV(req resource.List, n *NodeView) bool {
 
 // TestDefaultFeasibilityMatchesFits is the differential property of the
 // feasibility rule: on randomized nodes (over-used ones included) and
-// pods, NodeView.Fits — the filter every profile applies — agrees with
+// pods, NodeView.Fits — the filter every policy selects behind — agrees with
 // the restatement above, and so do the two other readers of the rule —
 // the gang director's slot count (memberSlots) and the preemption
 // planner's static check.
@@ -239,13 +315,13 @@ func TestDefaultFeasibilityMatchesFits(t *testing.T) {
 	}
 }
 
-// TestUsageAwareProfileScoring: the usage-aware profile places on the
+// TestUsageAwareProfileScoring: the usage-aware policy places on the
 // node with the most measured headroom and penalises EPC pressure.
 func TestUsageAwareProfileScoring(t *testing.T) {
 	loaded := nv("a", false, 1000, 900, 0, 0)
 	idle := nv("b", false, 1000, 100, 0, 0)
 	view := &ClusterView{Nodes: []*NodeView{loaded, idle}}
-	got, ok := UsageAware{}.Profile().selectInfo(newPodInfo(stdPod(50)), view.Nodes, view, nil)
+	got, ok := UsageAware{}.Select(newPodInfo(stdPod(50)), view.Nodes, view)
 	if !ok || got != "b" {
 		t.Fatalf("usage-aware chose %q, want b (most headroom)", got)
 	}
@@ -256,71 +332,16 @@ func TestUsageAwareProfileScoring(t *testing.T) {
 	cool := nv("b-sgx", true, 1000, 0, 10000, 1000)
 	hot.FreeDevices, cool.FreeDevices = 5000, 5000
 	view = &ClusterView{Nodes: []*NodeView{hot, cool}}
-	got, ok = UsageAware{}.Profile().selectInfo(newPodInfo(sgxPodReq(1, 100)), view.Nodes, view, nil)
+	got, ok = UsageAware{}.Select(newPodInfo(sgxPodReq(1, 100)), view.Nodes, view)
 	if !ok || got != "b-sgx" {
 		t.Fatalf("usage-aware chose %q, want b-sgx (less EPC pressure)", got)
 	}
 }
 
-// TestProfileComposition: custom profiles assemble preferences and
-// weighted scores.
-func TestProfileComposition(t *testing.T) {
-	prof := NewProfile("custom",
-		WithPreScore(SGXLastPreScore{}),
-		WithScores(
-			WeightedScore{Plugin: LeastRequestedScore{}, Weight: 2},
-			WeightedScore{Plugin: EPCPressureScore{}, Weight: 1},
-		),
-	)
-	if prof.Name() != "custom" {
-		t.Fatalf("name = %q", prof.Name())
-	}
-	a := nv("a", false, 1000, 800, 0, 0)
-	b := nv("b", false, 1000, 0, 0, 0)
-	view := &ClusterView{Nodes: []*NodeView{a, b}}
-	got, ok := prof.selectInfo(newPodInfo(stdPod(10)), view.Nodes, view, nil)
-	if !ok || got != "b" {
-		t.Fatalf("custom profile chose %q, want b", got)
-	}
-	// Profiles are Policies that yield themselves: they plug into a
-	// scheduler config directly.
-	var pol Policy = prof
-	if pol.Profile() != prof {
-		t.Fatal("a profile used as a Policy must yield itself")
-	}
-}
-
-// TestPreScoreDeclineContract: a pre-score plugin returning a non-nil
-// empty slice declines every candidate, while nil means no preference —
-// the contract custom profiles compose against.
-func TestPreScoreDeclineContract(t *testing.T) {
-	// All candidates lack memory capacity: MemoryCapacityPreScore must
-	// decline them even when a later score plugin would happily rank them.
-	prof := NewProfile("decline",
-		WithPreScore(MemoryCapacityPreScore{}),
-		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}),
-	)
-	noCap := &NodeView{Name: "a", Allocatable: resource.List{}, Used: resource.List{}}
-	view := &ClusterView{Nodes: []*NodeView{noCap}}
-	if got, ok := prof.selectInfo(newPodInfo(stdPod(10)), view.Nodes, view, nil); ok {
-		t.Fatalf("profile placed on capacity-less node %q; pre-score decline ignored", got)
-	}
-
-	// SGXLast with only SGX candidates reports no preference (nil), so
-	// the standard pod still places as a last resort.
-	prof = NewProfile("fallback",
-		WithPreScore(SGXLastPreScore{}),
-		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}),
-	)
-	sgxOnly := nv("s", true, 100, 0, 1000, 0)
-	view = &ClusterView{Nodes: []*NodeView{sgxOnly}}
-	if got, ok := prof.selectInfo(newPodInfo(stdPod(10)), view.Nodes, view, nil); !ok || got != "s" {
-		t.Fatalf("SGX-last fallback = (%q, %v), want (s, true)", got, ok)
-	}
-}
-
-// TestSpreadScoreMonotonicInStdDev: the score plugin must order nodes
-// exactly opposite to the hypothetical stddev.
+// TestSpreadScoreMonotonicInStdDev: spread places on a candidate whose
+// hypothetical load stddev no other candidate beats, the first such in
+// candidate order; and the allocation-free hypotheticalStdDev is
+// bit-identical to the slice-and-PopStdDev one it replaced.
 func TestSpreadScoreMonotonicInStdDev(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 500; trial++ {
@@ -332,20 +353,37 @@ func TestSpreadScoreMonotonicInStdDev(t *testing.T) {
 			res = resource.EPCPages
 		}
 		req := pod.TotalRequests()
+		devs := make(map[string]float64)
 		for _, n := range view.Nodes {
-			score := (SpreadScore{}).Score(info, n, view)
 			dev := hypotheticalStdDev(view, n.Name, res, req.Get(res))
-			if score != -dev {
-				t.Fatalf("SpreadScore = %v, want %v", score, -dev)
+			if want := refHypotheticalStdDev(view, n.Name, res, req.Get(res)); math.Float64bits(dev) != math.Float64bits(want) {
+				t.Fatalf("trial %d: hypotheticalStdDev(%s) = %v, the reference %v", trial, n.Name, dev, want)
+			}
+			devs[n.Name] = dev
+		}
+		got, ok := Spread{}.Select(info, view.Nodes, view)
+		if !ok {
+			t.Fatalf("trial %d: spread declined %d candidates", trial, len(view.Nodes))
+		}
+		skip, earlier := offSGX(info, view.Nodes), true
+		for _, n := range view.Nodes {
+			switch {
+			case skip && n.SGX:
+			case n.Name == got:
+				earlier = false
+			case devs[n.Name] < devs[got] || earlier && devs[n.Name] == devs[got]:
+				t.Fatalf("trial %d: spread chose %s (stddev %v) over %s (%v)", trial, got, devs[got], n.Name, devs[n.Name])
 			}
 		}
 	}
 }
 
-// TestPopStdDevEmpty guards the spread edge the profile relies on: no
-// resource-holding nodes must yield 0, not NaN, so scoring stays ordered.
+// TestPopStdDevEmpty guards the spread edge the policy relies on: with no
+// node holding the resource the stddev is 0, not NaN, so scoring stays
+// ordered.
 func TestPopStdDevEmpty(t *testing.T) {
-	if got := stats.PopStdDev(nil); got != 0 {
-		t.Fatalf("PopStdDev(nil) = %v, want 0", got)
+	view := &ClusterView{Nodes: []*NodeView{nv("a", false, 1000, 0, 0, 0)}}
+	if got := hypotheticalStdDev(view, "a", resource.EPCPages, 100); got != 0 {
+		t.Fatalf("hypotheticalStdDev over no EPC-holding node = %v, want 0", got)
 	}
 }

@@ -172,6 +172,48 @@ func clearBucket(bucket *[]*NodeView) {
 	*bucket = b[:0]
 }
 
+// Sampled-scoring defaults (see Config.PercentageNodesToScore).
+const (
+	// DefaultMinFeasibleNodesToFind floors the adaptive sample size: no
+	// matter how small the percentage, a search keeps going until it has
+	// this many feasible candidates (or runs out of nodes) — kube-
+	// scheduler's minFeasibleNodesToFind.
+	DefaultMinFeasibleNodesToFind = 100
+	// samplingMinClusterSize: clusters at or below this size always score
+	// every node, so sampling never changes behaviour for the paper-scale
+	// testbeds (§VI runs tens of nodes).
+	samplingMinClusterSize = 100
+)
+
+// numFeasibleNodesToFind returns how many feasible candidates one pod's
+// search should stop after, given the configured percentage (0 =
+// adaptive, >=100 = all) and the cluster size. The adaptive default
+// mirrors kube-scheduler's percentageOfNodesToScore: 50% shrinking
+// linearly with cluster size down to a 5% floor, full scan at or below
+// samplingMinClusterSize nodes.
+func numFeasibleNodesToFind(pct, minFeasible, numNodes int) int {
+	if pct <= 0 {
+		if numNodes <= samplingMinClusterSize {
+			return numNodes
+		}
+		pct = 50 - numNodes/125
+		if pct < 5 {
+			pct = 5
+		}
+	}
+	if pct >= 100 {
+		return numNodes
+	}
+	k := numNodes * pct / 100
+	if k < minFeasible {
+		k = minFeasible
+	}
+	if k > numNodes {
+		k = numNodes
+	}
+	return k
+}
+
 // sampleFeasible generates up to limit feasible candidates for pod by
 // walking the index's eligible buckets as one ring: the cursor starts at a
 // rotating offset into the eligible sequence and wraps around, stopping
@@ -184,8 +226,8 @@ func clearBucket(bucket *[]*NodeView) {
 // Bucket walk order is lowest eligible bucket first — a best-fit bias
 // that steers pods toward the tightest nodes that can still hold them —
 // and standard pods meet the standard partition before the SGX one,
-// matching the §IV SGX-last preference at generation time (the pre-score
-// stage still enforces it on whatever is found).
+// matching the §IV SGX-last preference at generation time (the policy
+// still enforces it on whatever is found).
 //
 // Returns the appended candidate slice and the number of nodes visited;
 // the caller advances its rotation offset by the latter so consecutive

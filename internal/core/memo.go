@@ -32,9 +32,9 @@ import "github.com/sgxorch/sgxorch/internal/resource"
 // still changes: the sampled search's rotation advances by the nodes a
 // failed search visits, and a pod whose gate is open re-reads the live
 // gate and syncs the view — and runs the real planner if that sync
-// loosened. A candidate list the placement stage declined is not a clean
-// failure, and neither is a node that already fit or whose victim set the
-// pipeline vetoed. Gang members never take part: a gang director gates
+// loosened. A candidate list the policy declined is not a clean failure,
+// and neither is a node that already fit or whose victim set the policy
+// vetoed. Gang members never take part: a gang director gates
 // them and raises their priority for their cycle.
 // Any preemption empties the memo, since it refreshes the pass's gate.
 

@@ -40,13 +40,13 @@ type memoRun struct {
 	refusal error
 }
 
-// memoRace is a score plugin (rating every node 0) through which the
-// cluster changes in the middle of a pass, as it does under a concurrent
-// fleet. Armed with a pod to finish, it completes that pod the next time
-// a pod is scored for placement: room frees up that the next sync picks
-// up. Armed with a tier, it binds the racer — a pod no scheduler serves,
+// memoRace is a hook (see hooked) through which the cluster changes in
+// the middle of a pass, as it does under a concurrent fleet. Armed with a
+// pod to finish, it completes that pod the next time a pod's candidates
+// are rated for placement: room frees up that the next sync picks up.
+// Armed with a tier, it binds the racer — a pod no scheduler serves,
 // filling a whole node, below every tier — onto the node the preemption
-// planner replays a pipeline of that tier against, between plan and
+// planner replays a policy of that tier against, between plan and
 // eviction: the eviction then frees no headroom, and the racer opens the
 // pass's preemption gate to the tier above it.
 type memoRace struct {
@@ -56,8 +56,7 @@ type memoRace struct {
 	tier   int32
 }
 
-func (*memoRace) Name() string { return "race" }
-func (r *memoRace) Score(pod *PodInfo, node *NodeView, view *ClusterView) float64 {
+func (r *memoRace) hook(pod *PodInfo, node *NodeView, view *ClusterView) {
 	switch planned := view.Node(node.Name) != node; {
 	case planned && r.racing && pod.Priority == r.tier:
 		r.racing = false
@@ -66,25 +65,22 @@ func (r *memoRace) Score(pod *PodInfo, node *NodeView, view *ClusterView) float6
 		_ = r.srv.MarkSucceeded(r.finish)
 		r.finish = ""
 	}
-	return 0
 }
 
-// smallOffSGX keeps standard pods asking for less memory than below off SGX
-// hardware: a rule past the filter that depends on the request's size, so
-// it vetoes a small pod's preemption on an SGX node and not a larger pod's.
-type smallOffSGX struct{ below int64 }
+// smallOffSGX keeps standard pods asking for less memory than below off
+// SGX hardware, declining where its policy would fall back to an SGX
+// node: a rule past the filter that depends on the request's size, so it
+// vetoes a small pod's preemption on an SGX node and not a larger pod's.
+type smallOffSGX struct {
+	Policy
+	below int64
+}
 
-var declineAll = []*NodeView{}
-
-func (smallOffSGX) Name() string { return "small-off-sgx" }
-func (f smallOffSGX) PreScore(pod *PodInfo, candidates []*NodeView) []*NodeView {
-	if pod.SGX || pod.Req[resource.Memory] >= f.below {
-		return nil
+func (f smallOffSGX) Select(pod *PodInfo, candidates []*NodeView, view *ClusterView) (string, bool) {
+	if !pod.SGX && pod.Req[resource.Memory] < f.below && !offSGX(pod, candidates) {
+		return "", false
 	}
-	if kept := pod.narrow(candidates, func(n *NodeView) bool { return !n.SGX }); len(kept) > 0 {
-		return kept
-	}
-	return declineAll
+	return f.Policy.Select(pod, candidates, view)
 }
 
 // runMemoScenario drives one seeded history of randomized churn under the
@@ -147,18 +143,14 @@ func runMemoScenario(t *testing.T, seed int64, topo memoTopology, memo bool, atP
 	race := &memoRace{srv: srv}
 	classes := NewClassRegistry(nil)
 	classes.set(ClassProfile{
-		Class: api.ClassLatencySensitive,
-		Policy: NewProfile("usage-aware-racing", WithPreScore(SGXLastPreScore{}), WithScores(
-			WeightedScore{Plugin: UsageHeadroomScore{}, Weight: 1},
-			WeightedScore{Plugin: EPCPressureScore{}, Weight: 1},
-			WeightedScore{Plugin: race, Weight: 1})),
+		Class:                  api.ClassLatencySensitive,
+		Policy:                 hooked{UsageAware{}, race.hook},
 		MinFeasibleNodesToFind: DefaultLatencyMinFeasible,
 		MayPreempt:             true,
 	})
 	cfg := Config{
-		Name: "memo",
-		Policy: NewProfile("binpack-small-off-sgx", WithPreScore(SGXLastPreScore{}, smallOffSGX{below: 4 * unit}),
-			WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}, WeightedScore{Plugin: race, Weight: 1})),
+		Name:       "memo",
+		Policy:     smallOffSGX{Policy: hooked{Binpack{}, race.hook}, below: 4 * unit},
 		UseMetrics: true,
 		Classes:    classes,
 		Gang:       dir,
@@ -473,24 +465,22 @@ func TestMemoKeepsNoProofAcrossALoosening(t *testing.T) {
 	}
 }
 
-// onScore is a score plugin (rating every node 0) that runs act the first
-// time it scores a node for placement.
+// onScore is a hook (see hooked) that runs act the first time a pod's
+// candidates are rated for placement.
 type onScore struct{ act func() }
 
-func (*onScore) Name() string { return "on-score" }
-func (o *onScore) Score(*PodInfo, *NodeView, *ClusterView) float64 {
+func (o *onScore) hook(*PodInfo, *NodeView, *ClusterView) {
 	if act := o.act; act != nil {
 		o.act = nil
 		act()
 	}
-	return 0
 }
 
 // TestMemoSeesEveryLoosening drives each way the view can loosen in the
 // middle of a pass past a pod the memo could wrongly skip. "a" fails
-// cleanly; "trigger", placed next, changes the cluster while it is
-// scored; "b", the same pod as "a", must then do what it would without
-// the memo:
+// cleanly; "trigger", placed next, changes the cluster while its
+// candidates are rated; "b", the same pod as "a", must then do what it
+// would without the memo:
 //   - "gang": a member of a's only victim gang, running on a cordoned node
 //     and outranking a, finishes, so the rest of the gang becomes
 //     evictable and b preempts it — no node's headroom rose;
@@ -650,9 +640,8 @@ func TestMemoSeesEveryLoosening(t *testing.T) {
 				}
 			}}
 			s, err := New(clk, srv, nil, Config{
-				Name: "s",
-				Policy: NewProfile("binpack-triggered", WithPreScore(SGXLastPreScore{}),
-					WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}, WeightedScore{Plugin: trigger, Weight: 1})),
+				Name:    "s",
+				Policy:  hooked{Binpack{}, trigger.hook},
 				Classes: NewClassRegistry(nil),
 			})
 			if err != nil {

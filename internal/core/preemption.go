@@ -86,10 +86,10 @@ func (s *Scheduler) preempt(c *cycleState, dominated bool) (node string, victims
 			if !ok {
 				continue
 			}
-			// Replay the full pipeline against the node as it would look
-			// after the evictions: a profile's pre-score or score plugins
-			// may veto this node for reasons the victim math cannot see,
-			// and an eviction such a pipeline would reject every pass must
+			// Replay the placement against the node as it would look
+			// after the evictions: the policy may decline this node for
+			// reasons the victim math cannot see, and an eviction such a
+			// policy would reject every pass must
 			// never start (it would kill the victims without ever binding
 			// the pod — and again next pass). An empty set means the pod
 			// already fits: the §IV fit failed it on what the victim math

@@ -241,16 +241,6 @@ func TestPriorityOrdersPendingQueue(t *testing.T) {
 	}
 }
 
-// declineAllPreScore refuses every candidate — a stand-in for
-// placement constraints that live past the filter stage, in a profile's
-// preference or scoring plugins.
-type declineAllPreScore struct{}
-
-func (declineAllPreScore) Name() string { return "decline-all" }
-func (declineAllPreScore) PreScore(*PodInfo, []*NodeView) []*NodeView {
-	return []*NodeView{}
-}
-
 // preemptionVetoCluster builds one 10 GiB node with a bound low-priority
 // 8 GiB victim and queues a priority-5 4 GiB pod that can only fit by
 // eviction.
@@ -285,13 +275,12 @@ func preemptionVetoCluster(t *testing.T, policy Policy) (*Scheduler, *apiserver.
 	return s, srv
 }
 
-// TestPreemptionHonoursPreScoreDecline: a profile whose placement stage
-// declines every candidate — past the §IV fit, where the victim math
-// cannot see it — must also veto preemption: no evictions, no bind.
+// TestPreemptionHonoursPreScoreDecline: a policy that declines every
+// candidate — a stand-in for placement constraints past the §IV fit,
+// where the victim math cannot see them, once a declining pre-score
+// plugin — must also veto preemption: no evictions, no bind.
 func TestPreemptionHonoursPreScoreDecline(t *testing.T) {
-	s, srv := preemptionVetoCluster(t, NewProfile("decline-all",
-		WithPreScore(declineAllPreScore{}),
-		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1})))
+	s, srv := preemptionVetoCluster(t, denied{Binpack{}})
 	for pass := 0; pass < 3; pass++ {
 		if got := s.ScheduleOnce(); got != 0 {
 			t.Fatalf("pass %d bound %d pods against the policy's veto", pass, got)
@@ -299,15 +288,14 @@ func TestPreemptionHonoursPreScoreDecline(t *testing.T) {
 	}
 	victim, _ := srv.GetPod("victim")
 	if victim.Spec.NodeName != "n1" {
-		t.Fatalf("victim evicted (now on %q) although the profile declines every node", victim.Spec.NodeName)
+		t.Fatalf("victim evicted (now on %q) although the policy declines every node", victim.Spec.NodeName)
 	}
 	if st := s.Stats(); st.Preemptions != 0 || st.Victims != 0 {
 		t.Fatalf("stats = %+v, want no futile evictions", st)
 	}
 
 	// Control: the identical cluster without the veto does preempt.
-	s2, srv2 := preemptionVetoCluster(t, NewProfile("open",
-		WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1})))
+	s2, srv2 := preemptionVetoCluster(t, Binpack{})
 	if got := s2.ScheduleOnce(); got != 1 {
 		t.Fatalf("control run bound %d pods, want 1 via preemption", got)
 	}

@@ -70,14 +70,12 @@ type Config struct {
 	Gang *GangDirector
 	// Classes attaches a workload-class registry (classify.go): each
 	// pending pod is classified and routed through its class's own
-	// pipeline, sampling bounds and preemption gate; unclassified pods
-	// take the Policy pipeline above with this Config's bounds,
-	// bit-identical to a scheduler with Classes nil. Each scheduler
-	// resolves the registry into its own pipeline table at construction
-	// and only reads it afterwards; the profiles it yields are immutable — narrowing and
-	// score scratch live in each scheduler's cycle state, not in the
-	// plugins — so one registry value can safely serve a whole sharded
-	// fleet.
+	// policy, sampling bounds and preemption gate; unclassified pods take
+	// the Policy above with this Config's bounds, bit-identical to a
+	// scheduler with Classes nil. Each scheduler resolves the registry
+	// into its own pipeline table at construction and only reads it
+	// afterwards, and the policies it holds are stateless values, so one
+	// registry value can safely serve a whole sharded fleet.
 	Classes *ClassRegistry
 	// Telemetry attaches a metrics registry (internal/telemetry): the
 	// scheduler records pass/stage duration histograms, per-class
@@ -95,11 +93,10 @@ type Config struct {
 	// TraceDetailEvery samples detailed tracing: every Nth pass
 	// additionally times the per-pod filter and score stages, the gang
 	// director's gate (prefilter) and quorum step (permit) and preemption
-	// planning, and breaks the score stage down per plugin
-	// (DefaultTraceDetailEvery when 0; negative disables detail). Undetailed passes still record pass-level spans
-	// (snapshot-sync, bind) and every counter — detail sampling is what
-	// keeps the instrumented pass within a few percent of the
-	// uninstrumented one.
+	// planning (DefaultTraceDetailEvery when 0; negative disables detail).
+	// Undetailed passes still record pass-level spans (snapshot-sync,
+	// bind) and every counter — detail sampling is what keeps the
+	// instrumented pass within a few percent of the uninstrumented one.
 	TraceDetailEvery int
 }
 
@@ -202,9 +199,9 @@ type Scheduler struct {
 
 	// pipelines is the per-class-slot scheduling behaviour resolved from
 	// the Config at construction (classify.go): slot 0 is the Policy's
-	// pipeline — the policy's preference and scoring plugins over the §IV
-	// fit (framework.go) — and the only slot in use when
-	// classifier is nil (workload classes off).
+	// pipeline — the Policy selecting among the nodes the §IV fit accepts
+	// — and the only slot in use when classifier is nil (workload classes
+	// off).
 	pipelines  [api.NumClasses]pipeline
 	classifier *WorkloadClassifier
 
@@ -376,8 +373,7 @@ func (s *Scheduler) Cache() *ClusterCache { return s.cache }
 // view of node state and fused usage current from the cluster cache —
 // O(nodes changed since the last pass), not O(nodes) — and run one
 // scheduling cycle per pending pod: the §IV filter (NodeView.Fits) over
-// job-node combinations, placement by the preference/scoring plugins, and
-// the bind. A pod with no feasible node may preempt strictly
+// job-node combinations, placement by the pod's policy, and the bind. A pod with no feasible node may preempt strictly
 // lower-priority pods (see preemption.go); otherwise it stays queued for
 // the next pass. It returns the number of pods bound. Pass cost scales
 // with the pods it examines and with nodes — not with the depth of the

@@ -334,10 +334,10 @@ func TestShardedDeterminismN2(t *testing.T) {
 // once, no node's committed requests ever exceed its capacity, and the
 // fleet drains the backlog. Conflict counts are nondeterministic here —
 // that is the mode's nature; safety is not. Run under -race in CI, where
-// the rows also prove the members share no mutable pipeline state: SGX
-// pods return early from the SGX-last preference, so only the standard
-// pods of the last two rows drive every member through the narrowing
-// stage of a pipeline the whole fleet resolved from one value.
+// the rows also prove the members share no mutable policy state: every
+// member places through the policy values the whole fleet resolved from
+// one Config, and the last row's spread reads each member's own view
+// for every candidate it rates.
 func TestShardedConcurrentRoundsSafe(t *testing.T) {
 	// A backlog long enough that the members' passes genuinely overlap: on
 	// a short one the server's lock handoffs order most of their accesses
@@ -380,12 +380,10 @@ func TestShardedConcurrentRoundsSafe(t *testing.T) {
 			},
 		},
 		{
-			name: "standard pods, one caller-built profile",
-			cfg: Config{Policy: NewProfile("shared",
-				WithPreScore(SGXLastPreScore{}),
-				WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}))},
-			res: resource.Memory,
-			qty: resource.GiB / 2,
+			name: "standard pods, spread",
+			cfg:  Config{Policy: Spread{}},
+			res:  resource.Memory,
+			qty:  resource.GiB / 2,
 			pod: func(name string, mem int64) *api.Pod {
 				return memJob(name, mem, mem, time.Hour)
 			},

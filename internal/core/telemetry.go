@@ -9,11 +9,11 @@ import (
 
 // This file is the scheduler's instrumentation layer: pre-resolved
 // registry handles (schedMetrics) and the reusable per-pass recorder
-// feeding the trace ring. There is one pipeline and one pass; timing is
-// sampled inside them through the recorder's nil-safe methods, never in a
-// second copy of the code being timed. Everything here is designed
-// around two hard budgets, pinned by BenchmarkInstrumentedPass and the
-// alloc guards in telemetry_core_test.go:
+// feeding the trace ring. There is one pass; timing is sampled inside it
+// through the recorder's nil-safe methods, never in a second copy of the
+// code being timed. Everything here is designed around two hard budgets,
+// pinned by BenchmarkInstrumentedPass and the alloc guards in
+// telemetry_core_test.go:
 //
 //   - telemetry disabled (Config.Telemetry nil): zero allocations and
 //     zero clock reads added to a pass — the pass holds a nil recorder
@@ -21,14 +21,13 @@ import (
 //   - telemetry enabled: pass-level spans (snapshot-sync, bind commits,
 //     wall time) are timed on every pass — a handful of clock reads per
 //     pass — while per-pod stage timing (prefilter, filter, score,
-//     permit, preemption plan) and per-plugin breakdowns run only on
-//     every TraceDetailEvery-th pass, amortising their per-pod clock
-//     reads to a few percent: the cycle and the score stage hold the
-//     recorder on those passes and nil on all others (detailOnly).
+//     permit, preemption plan) runs only on every TraceDetailEvery-th
+//     pass, amortising its per-pod clock reads to a few percent: the
+//     cycle holds the recorder on those passes and nil on all others
+//     (detailOnly).
 
 // DefaultTraceDetailEvery is how often a pass records detailed per-pod
-// stage timing and per-plugin breakdowns (1 in N passes; see
-// Config.TraceDetailEvery).
+// stage timing (1 in N passes; see Config.TraceDetailEvery).
 const DefaultTraceDetailEvery = 32
 
 // Pass stage indexes (dense array form of the telemetry.Stage* names).
@@ -113,48 +112,28 @@ func newSchedMetrics(reg *telemetry.Registry) *schedMetrics {
 	return m
 }
 
-// pluginKey identifies one plugin's share of one stage within a pass.
-type pluginKey struct {
-	stage int
-	name  string
-}
-
-// pluginAgg accumulates one plugin's time and call count over a pass.
-type pluginAgg struct {
-	stage int
-	name  string
-	ns    int64
-	n     int
-}
-
 // passRecorder is the reusable per-pass trace accumulator. One lives in
 // each Scheduler, guarded by passMu like the other pass buffers; its
-// maps, slices and span buffer are recycled so a steady-state
-// instrumented pass allocates only the ring's retained copy. All
-// methods are nil-receiver-safe: a nil recorder (telemetry disabled)
-// never reads the clock.
+// span buffer is recycled so a steady-state instrumented pass allocates
+// only the ring's retained copy. All methods are nil-receiver-safe: a nil
+// recorder (telemetry disabled) never reads the clock.
 type passRecorder struct {
 	start   time.Time
 	seq     int64
 	detail  bool
 	stageNS [numStages]int64
 	stageN  [numStages]int
-
-	plugins   []pluginAgg
-	pluginIdx map[pluginKey]int
-	spans     []telemetry.Span
+	spans   []telemetry.Span
 }
 
 // begin resets the recorder for one pass. Detailed passes (1 in
-// detailEvery) carry per-pod stage timing and per-plugin breakdowns.
+// detailEvery) carry per-pod stage timing.
 func (r *passRecorder) begin(seq int64, detailEvery int) {
 	r.start = time.Now()
 	r.seq = seq
 	r.detail = detailEvery > 0 && seq%int64(detailEvery) == 0
 	r.stageNS = [numStages]int64{}
 	r.stageN = [numStages]int{}
-	r.plugins = r.plugins[:0]
-	clear(r.pluginIdx)
 }
 
 // now reads the wall clock — the zero time on a nil recorder, so
@@ -167,7 +146,7 @@ func (r *passRecorder) now() time.Time {
 }
 
 // detailOnly returns r on a detail-sampled pass and nil otherwise — the
-// recorder handed to everything that times per pod or per plugin.
+// recorder handed to everything that times per pod.
 func (r *passRecorder) detailOnly() *passRecorder {
 	if r == nil || !r.detail {
 		return nil
@@ -185,28 +164,8 @@ func (r *passRecorder) stageSince(stage int, t0 time.Time) {
 	r.stageN[stage]++
 }
 
-// addPlugin folds one plugin call, started at t0, into its per-pass
-// aggregate. Unlike the methods above it needs a non-nil recorder: the
-// score stage checks before evaluating the plugin's name.
-func (r *passRecorder) addPlugin(stage int, name string, t0 time.Time) {
-	d := time.Since(t0)
-	if r.pluginIdx == nil {
-		r.pluginIdx = make(map[pluginKey]int)
-	}
-	k := pluginKey{stage: stage, name: name}
-	i, ok := r.pluginIdx[k]
-	if !ok {
-		i = len(r.plugins)
-		r.plugins = append(r.plugins, pluginAgg{stage: stage, name: name})
-		r.pluginIdx[k] = i
-	}
-	r.plugins[i].ns += int64(d)
-	r.plugins[i].n++
-}
-
-// trace assembles the pass's spans (stage spans first, plugin
-// breakdowns after) and its tally into a PassTrace over the recorder's
-// reused span buffer; the ring copies on record.
+// trace assembles the pass's stage spans and its tally into a PassTrace
+// over the recorder's reused span buffer; the ring copies on record.
 func (r *passRecorder) trace(scheduler string, wall time.Duration, pending int, tally *Stats) telemetry.PassTrace {
 	r.spans = r.spans[:0]
 	for i := 0; i < numStages; i++ {
@@ -217,14 +176,6 @@ func (r *passRecorder) trace(scheduler string, wall time.Duration, pending int, 
 			Stage: stageNames[i],
 			Dur:   time.Duration(r.stageNS[i]),
 			Count: r.stageN[i],
-		})
-	}
-	for _, p := range r.plugins {
-		r.spans = append(r.spans, telemetry.Span{
-			Stage:  stageNames[p.stage],
-			Plugin: p.name,
-			Dur:    time.Duration(p.ns),
-			Count:  p.n,
 		})
 	}
 	return telemetry.PassTrace{

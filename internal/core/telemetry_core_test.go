@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"github.com/sgxorch/sgxorch/internal/api"
@@ -60,38 +59,27 @@ func telemetryPod(name, sched string, memBytes int64) *api.Pod {
 	}
 }
 
-// deniedProfile is the SGX-last pipeline over the given scores with a
-// minimum score no candidate reaches, so a pod that fits still runs the
-// filter walk, narrowing and scoring — and then stays queued, leaving the
-// pass nothing to mutate.
-func deniedProfile(name string, scores ...ScorePlugin) *Profile {
-	ws := make([]WeightedScore, len(scores))
-	for i, sp := range scores {
-		ws[i] = WeightedScore{Plugin: sp, Weight: 1}
-	}
-	return NewProfile(name, WithPreScore(SGXLastPreScore{}), WithScores(ws...), WithMinScore(math.Inf(1)))
-}
-
 // steadyPassAllocs measures a steady-state pass that does everything a
 // pass can do without mutating the cluster. Per class in play it queues
 // one pod too large for any node (unschedulable with no candidates) and
-// one that fits every node but that no candidate scores high enough for
-// (the whole pipeline over a full candidate list); with classes on, all four class slots have
-// pods pending and the three class pipelines differ in their score
-// plugins.
+// one that fits every node but that its policy declines after a full
+// selection over every candidate (denied); with classes on, all four
+// class slots have pods pending and run the shipped policies: binpack on
+// the default slot and NewClassRegistry's own on the class slots.
 func steadyPassAllocs(t *testing.T, cfg Config, classes bool) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
 	}
-	cfg.Policy = deniedProfile("deny-binpack", BinpackScore{})
+	cfg.Policy = denied{Binpack{}}
 	pending := []api.WorkloadClass{api.ClassUnspecified}
 	if classes {
 		reg := NewClassRegistry(nil)
-		reg.set(ClassProfile{Class: api.ClassLatencySensitive, MayPreempt: true,
-			Policy: deniedProfile("deny-usage", UsageHeadroomScore{}, EPCPressureScore{})})
-		reg.set(ClassProfile{Class: api.ClassBatch, Policy: deniedProfile("deny-batch", BinpackScore{})})
-		reg.set(ClassProfile{Class: api.ClassBestEffort, Policy: deniedProfile("deny-least", LeastRequestedScore{})})
+		for i := range reg.profiles {
+			if cp := &reg.profiles[i]; cp.Policy != nil {
+				cp.Policy = denied{cp.Policy}
+			}
+		}
 		cfg.Classes = reg
 		pending = append(pending, api.ClassLatencySensitive, api.ClassBatch, api.ClassBestEffort)
 	}
@@ -118,7 +106,8 @@ func steadyPassAllocs(t *testing.T, cfg Config, classes bool) float64 {
 
 // TestDisabledTelemetryPassAllocFree holds the hard budget of the
 // instrumentation: with Config.Telemetry nil, a steady-state scheduling
-// pass — the filter walk, narrowing, scoring and the unschedulable path, with and without workload classes — allocates
+// pass — the filter walk, every shipped policy's selection and the
+// unschedulable path, with and without workload classes — allocates
 // nothing. Every instrumentation site must stay behind a nil check, and
 // the cycle's outcome and scratch must stay off the heap, for this to
 // hold.
@@ -135,8 +124,8 @@ func TestDisabledTelemetryPassAllocFree(t *testing.T) {
 // TestEnabledTelemetryUndetailedPassAllocs bounds the enabled overhead:
 // an instrumented pass performs only atomic counter/histogram updates
 // plus the ring's single span-copy, so it must stay within one small
-// allocation per pass — undetailed and, because per-plugin timing runs
-// inside the one pipeline over cycle-owned scratch, detailed too.
+// allocation per pass — undetailed and, because the per-pod stage
+// timing only adds to the recorder's fixed accumulators, detailed too.
 func TestEnabledTelemetryUndetailedPassAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -144,7 +133,7 @@ func TestEnabledTelemetryUndetailedPassAllocs(t *testing.T) {
 	}{
 		// Beyond the run length: every measured pass is undetailed.
 		{"undetailed", 1 << 30},
-		// Every measured pass times each stage and plugin.
+		// Every measured pass times each per-pod stage.
 		{"detailed", 1},
 	} {
 		for _, classes := range []bool{false, true} {
@@ -160,9 +149,8 @@ func TestEnabledTelemetryUndetailedPassAllocs(t *testing.T) {
 
 // TestDetailedPassMatchesPlain is the bit-identical equivalence check:
 // a scheduler tracing every pass in full detail (clock reads around
-// every stage and plugin of the one pipeline) must make exactly the
-// placements of an uninstrumented scheduler over the same cluster and
-// workload.
+// every per-pod stage) must make exactly the placements of an
+// uninstrumented scheduler over the same cluster and workload.
 func TestDetailedPassMatchesPlain(t *testing.T) {
 	place := func(cfg Config) map[string]string {
 		_, srv, sched := newBareScheduler(t, 6, cfg)
@@ -190,7 +178,7 @@ func TestDetailedPassMatchesPlain(t *testing.T) {
 		Name:             "detailed",
 		Telemetry:        telemetry.New(),
 		Trace:            telemetry.NewTraceRing(8),
-		TraceDetailEvery: 1, // every pass times every stage and plugin
+		TraceDetailEvery: 1, // every pass times every per-pod stage
 	})
 	if len(plain) != len(detailed) {
 		t.Fatalf("pod counts differ: %d vs %d", len(plain), len(detailed))
@@ -213,7 +201,8 @@ func TestPassMetricsAndTraceRing(t *testing.T) {
 
 // passRingAndSpans: pass counters match ScheduleOnce calls, the
 // histogram totals match the counters, traces carry strictly increasing
-// Seq with stage spans, and detailed traces add per-plugin spans.
+// Seq with stage spans, and only detailed traces carry the per-pod filter
+// and score spans.
 func passRingAndSpans(t *testing.T) {
 	reg := telemetry.New()
 	ring := telemetry.NewTraceRing(16)
@@ -250,7 +239,7 @@ func passRingAndSpans(t *testing.T) {
 		t.Fatal("no pass traces recorded")
 	}
 	lastSeq := int64(0)
-	sawDetailedPlugins := false
+	sawDetailed := false
 	for _, tr := range traces {
 		if tr.Seq <= lastSeq {
 			t.Fatalf("trace Seq not strictly increasing: %d after %d", tr.Seq, lastSeq)
@@ -265,17 +254,19 @@ func passRingAndSpans(t *testing.T) {
 		if len(tr.Spans) == 0 {
 			t.Fatalf("trace seq=%d has no spans", tr.Seq)
 		}
+		perPod := 0
 		for _, sp := range tr.Spans {
-			if sp.Plugin != "" {
-				if !tr.Detailed {
-					t.Fatalf("undetailed trace seq=%d carries plugin span %q", tr.Seq, sp.Plugin)
-				}
-				sawDetailedPlugins = true
+			if sp.Stage == telemetry.StageFilter || sp.Stage == telemetry.StageScore {
+				perPod++
 			}
 		}
+		if want := map[bool]int{false: 0, true: 2}[tr.Detailed]; perPod != want {
+			t.Fatalf("trace seq=%d (detailed %v) carries %d of the filter and score spans, want %d", tr.Seq, tr.Detailed, perPod, want)
+		}
+		sawDetailed = sawDetailed || tr.Detailed
 	}
-	if !sawDetailedPlugins {
-		t.Fatal("no detailed trace with plugin spans (TraceDetailEvery=2 over 4 passes must sample at least one)")
+	if !sawDetailed {
+		t.Fatal("no detailed trace (TraceDetailEvery=2 over 4 passes must sample at least one)")
 	}
 
 	assertOneTally(t, sched, reg, passes)
@@ -344,37 +335,32 @@ func assertOneTally(t *testing.T, sched *Scheduler, reg *telemetry.Registry, cal
 	return st
 }
 
-// midCycle is a score plugin (rating every candidate 0) that lets a test
-// act between a pod's placement decision and its commit — the window in
-// which a concurrent scheduler or an operator would invalidate the plan.
-// It acts once, on the first candidate it rates, which is the candidate
-// the all-tie scores select.
+// midCycle is a hook (see hooked) that lets a test act between a pod's
+// placement decision and its commit — the window in which a concurrent
+// scheduler or an operator would invalidate the plan. It acts once per
+// pod, on the pod's first candidate, which binpack selects on standard
+// nodes.
 type midCycle map[string]func(node string)
 
-func (midCycle) Name() string { return "mid-cycle" }
-func (m midCycle) Score(pod *PodInfo, node *NodeView, _ *ClusterView) float64 {
+func (m midCycle) hook(pod *PodInfo, first *NodeView, _ *ClusterView) {
 	if act := m[pod.Pod.Name]; act != nil {
 		delete(m, pod.Pod.Name)
-		act(node.Name)
+		act(first.Name)
 	}
-	return 0
 }
 
-// midScore is midCycle one stage earlier: a score plugin (rating every
-// candidate 0) that lets a test act, once, while a pod's candidates are
-// being scored. A pod with no feasible node has no candidates to score
-// until the preemption planner replays its pipeline against a simulated
-// post-eviction node, so for such a pod the act lands between the choice
-// of a victim set and its eviction.
+// midScore is midCycle run before it, with no node: a hook that lets a
+// test act, once, while a pod's candidates are being rated. A pod with no
+// feasible node has no candidate until the preemption planner replays its
+// policy against a simulated post-eviction node, so for such a pod the
+// act lands between the choice of a victim set and its eviction.
 type midScore map[string]func()
 
-func (midScore) Name() string { return "mid-score" }
-func (m midScore) Score(pod *PodInfo, _ *NodeView, _ *ClusterView) float64 {
+func (m midScore) hook(pod *PodInfo, _ *NodeView, _ *ClusterView) {
 	if act := m[pod.Pod.Name]; act != nil {
 		delete(m, pod.Pod.Name)
 		act()
 	}
-	return 0
 }
 
 // passTallyEveryOutcome drives one scheduler through every outcome a
@@ -404,11 +390,8 @@ func passTallyEveryOutcome(t *testing.T) {
 		}
 	})()
 	sched, err := New(clk, srv, nil, Config{
-		Name: "tally",
-		Policy: NewProfile("hooked",
-			WithPreScore(SGXLastPreScore{}),
-			WithScores(WeightedScore{Plugin: BinpackScore{}, Weight: 1}, WeightedScore{Plugin: scoring, Weight: 1},
-				WeightedScore{Plugin: hooks, Weight: 1})),
+		Name:             "tally",
+		Policy:           hooked{hooked{Binpack{}, hooks.hook}, scoring.hook},
 		Gang:             gd,
 		Classes:          NewClassRegistry(nil),
 		MaxBindsPerPass:  2,
@@ -513,7 +496,7 @@ func passTallyEveryOutcome(t *testing.T) {
 
 	// Pass 7: "late" fits nowhere either and plans to evict "a" — which
 	// finishes on its own while the planner is still replaying the
-	// pipeline (in a concurrent fleet: another member evicts the same
+	// policy (in a concurrent fleet: another member evicts the same
 	// victim first). The server refuses the eviction, so no preemption
 	// and no victim may be counted — the stream shows no requeue — yet the
 	// cycle's re-check finds the room "a" left behind and binds in the
@@ -527,7 +510,7 @@ func passTallyEveryOutcome(t *testing.T) {
 	before = st
 	st = pass(1)
 	if len(scoring) != 0 {
-		t.Fatal("the planner never replayed late's pipeline: the refused-eviction case did not run")
+		t.Fatal("the planner never replayed late's policy: the refused-eviction case did not run")
 	}
 	if st.Preemptions != before.Preemptions || st.Victims != before.Victims {
 		t.Fatalf("a refused eviction was counted: %+v (before %+v)", st, before)

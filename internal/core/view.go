@@ -1,14 +1,13 @@
 // Package core implements the paper's primary contribution: the SGX-aware
 // scheduler (§IV, §V-B). It periodically drains the API server's
 // priority-then-FCFS pending queue, fuses static resource requests with
-// live usage metrics (the sliding-window peaks of Listing 1), and runs
-// each pod through one pipeline (framework.go): the §IV filter for
-// hardware compatibility and saturation (NodeView.Fits, below), pre-score
-// plugins for the SGX-last preference, and weighted score plugins for
-// placement quality.
-// The supported policies — binpack, spread, and the request-only baseline
-// mirroring Kubernetes' default scheduler — are profiles over those
-// plugins, bit-identical to their original fixed implementations. When a
+// live usage metrics (the sliding-window peaks of Listing 1), and places
+// each pod in two steps: the §IV filter for hardware compatibility and
+// saturation (NodeView.Fits, below), then one Select call of a placement
+// policy among the nodes it accepted (policy.go). The supported policies —
+// binpack and spread with the SGX-last preference, the request-only
+// baseline mirroring Kubernetes' default scheduler, and a usage-aware
+// policy — are bit-identical to their original implementations. When a
 // pod finds no feasible node, the scheduler may preempt strictly
 // lower-priority pods (preemption.go): minimal victim sets, deterministic
 // tie-breaks, victims re-queued rather than failed.
@@ -48,7 +47,7 @@ type NodeView struct {
 	// Index locator fields, maintained by nodeIndex (index.go) for nodes
 	// held in a scheduler's incremental view; zero and meaningless in a
 	// literal NodeView built outside one (the preemption planner's scratch
-	// node, plugin unit tests, the test oracle).
+	// node, policy unit tests, the test oracle).
 	idxPart   int8
 	memBucket int8
 	epcBucket int8
@@ -82,7 +81,7 @@ func (v *NodeView) Fits(req resource.List) bool {
 // after a pass is O(changed nodes) instead of O(cluster). It is owned by
 // one scheduler and must only be mutated through Commit and SyncView. A
 // literal &ClusterView{Nodes: ...} is still a valid read-only input to
-// plugins, Node and Commit — which is what plugin unit tests and the test
+// policies, Node and Commit — which is what policy unit tests and the test
 // oracle hand around — but nothing in the scheduler plans a pass on one.
 type ClusterView struct {
 	Nodes []*NodeView

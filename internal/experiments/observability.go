@@ -32,8 +32,8 @@ import (
 // alone for classFillLead, so the fleet is occupied when the real waves
 // arrive and the class gates produce distinct latency distributions to
 // observe. Every pass is traced in detail: a drain this size only has a
-// handful of busy passes, and the run must surface plugin spans to audit
-// them.
+// handful of busy passes, and the run must surface the per-pod stage
+// spans to audit them.
 type ObservabilityConfig struct {
 	Seed int64
 	// JobsPerClass sizes the latency-sensitive and batch waves (12 when
@@ -62,7 +62,7 @@ type ObservabilityResult struct {
 	Passes  int64
 	Scrapes int64
 	// Traces / DetailedTraces count the pass-trace ring's retained
-	// entries and how many carried per-plugin spans.
+	// entries and how many carried per-pod stage spans.
 	Traces         int
 	DetailedTraces int
 	// BindsObserved / RunsObserved are the event-stream ground truth the
@@ -170,7 +170,8 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	}
 
 	// Trace-ring invariants: non-empty, strictly increasing Seq, pending
-	// recorded on every retained pass, detailed passes carry plugin spans.
+	// recorded on every retained pass, filter and score spans on detailed
+	// passes and on no others.
 	traces := ring.Snapshot()
 	res.Traces = len(traces)
 	if len(traces) == 0 {
@@ -185,18 +186,19 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 		if tr.Pending == 0 {
 			violate("trace seq=%d retained with zero pending pods", tr.Seq)
 		}
+		perPod := 0
+		for _, sp := range tr.Spans {
+			if sp.Stage == telemetry.StageFilter || sp.Stage == telemetry.StageScore {
+				perPod++
+			}
+		}
 		if tr.Detailed {
 			res.DetailedTraces++
-			hasPlugin := false
-			for _, sp := range tr.Spans {
-				if sp.Plugin != "" {
-					hasPlugin = true
-					break
-				}
+			if perPod != 2 {
+				violate("detailed trace seq=%d has %d of the filter and score spans", tr.Seq, perPod)
 			}
-			if !hasPlugin {
-				violate("detailed trace seq=%d has no plugin spans", tr.Seq)
-			}
+		} else if perPod != 0 {
+			violate("undetailed trace seq=%d carries per-pod stage spans", tr.Seq)
 		}
 	}
 	if res.DetailedTraces == 0 {

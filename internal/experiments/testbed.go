@@ -59,7 +59,7 @@ type TestbedConfig struct {
 	// Trace overrides the scheduler's pass-trace ring (a fresh default
 	// ring when nil and Telemetry is set).
 	Trace *telemetry.TraceRing
-	// TraceDetailEvery samples detailed (per-pod, per-plugin) tracing on
+	// TraceDetailEvery samples detailed (per-pod stage) tracing on
 	// every Nth instrumented pass (scheduler default when 0).
 	TraceDetailEvery int
 	// tap, when set, sees the whole watch stream, first node included.

@@ -1,7 +1,6 @@
 // Package stats provides the small statistical toolkit used across the
 // reproduction: empirical CDFs (Figs. 3, 4, 8, 11), means with 95%
-// confidence intervals (Figs. 6, 9), standard deviations (the spread
-// scheduling policy, §IV), and histogram bucketing (Fig. 9).
+// confidence intervals (Figs. 6, 9), and histogram bucketing (Fig. 9).
 package stats
 
 import (
@@ -42,21 +41,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// PopStdDev returns the population standard deviation (n denominator).
-// The spread policy minimises this quantity across node loads (§IV).
-func PopStdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
-}
 
 // Max returns the largest element of xs.
 func Max(xs []float64) (float64, error) {

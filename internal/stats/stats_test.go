@@ -13,9 +13,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	if got := Mean(xs); got != 5 {
 		t.Fatalf("Mean = %v, want 5", got)
 	}
-	if got := PopStdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Fatalf("PopStdDev = %v, want 2", got)
-	}
 	if got := Variance(xs); !almostEqual(got, 32.0/7.0, 1e-12) {
 		t.Fatalf("Variance = %v, want %v", got, 32.0/7.0)
 	}

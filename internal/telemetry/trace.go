@@ -5,9 +5,8 @@ import (
 	"time"
 )
 
-// Stage names of one scheduling pass, in pipeline order. Stage-level
-// spans carry these names; per-plugin breakdown spans (score plugins)
-// carry the same stage plus the plugin's name.
+// Stage names of one scheduling pass, in the order a cycle runs them.
+// Every span carries one of these names.
 const (
 	// StageSnapshotSync is bringing the incremental cluster view current
 	// (cache.SyncView) before planning.
@@ -21,8 +20,8 @@ const (
 	// (pod, node) inside the walk, so this stage reports walk totals —
 	// timing every combination would cost more than the work measured.
 	StageFilter = "filter"
-	// StageScore is preference narrowing plus weighted scoring and
-	// selection.
+	// StageScore is the policy's selection among the feasible candidates
+	// (core.Policy.Select): the SGX-last rule, scoring and the pick.
 	StageScore = "score"
 	// StagePermit is the gang director's quorum step after a held member's
 	// conditional reservation, the whole-gang commit at quorum included
@@ -35,23 +34,21 @@ const (
 	StageBind = "bind"
 )
 
-// Span is one timed slice of a pass: a whole stage (Plugin empty) or
-// one plugin's share of a stage. Count is how many operations the span
-// aggregates — pods for per-pod stages, calls for plugin spans, commit
-// attempts for bind.
+// Span is one stage's time over a pass. Count is how many operations
+// the span aggregates — pods for per-pod stages, commit attempts for
+// bind.
 type Span struct {
-	Stage  string
-	Plugin string
-	Dur    time.Duration
-	Count  int
+	Stage string
+	Dur   time.Duration
+	Count int
 }
 
 // PassTrace is the record of one scheduling pass: wall timing, outcome
-// counts, and the stage/plugin spans. Detailed marks passes that
-// carried per-pod stage timing and per-plugin breakdowns (sampled —
-// see core.Config.TraceDetailEvery); undetailed passes still record
-// pass-level spans (snapshot-sync, preemption-plan, bind) and every
-// outcome counter.
+// counts, and the stage spans. Detailed marks passes that carried
+// per-pod stage timing — prefilter, filter, score, permit and
+// preemption-plan (sampled — see core.Config.TraceDetailEvery);
+// undetailed passes still record the pass-level spans (snapshot-sync,
+// bind) and every outcome counter.
 type PassTrace struct {
 	Scheduler string
 	// Seq numbers this scheduler's passes from 1; consecutive traces
