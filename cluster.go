@@ -242,7 +242,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.sched = sched
 	c.st.OnClose(sched.Close)
 	if c.reg != nil {
-		c.registerFacadeCollectors()
+		// The cluster builds the gang director, so it exports the
+		// director's two counts.
+		commits, timeouts := c.reg.Gauge("gang_commits"), c.reg.Gauge("gang_timeouts")
+		c.reg.RegisterCollector(func() {
+			gs := c.gang.Stats()
+			commits.Set(float64(gs.Commits))
+			timeouts.Set(float64(gs.Timeouts))
+		})
 	}
 	// Observe sits between building the scheduler and starting it: the
 	// tracker and the self-scrape register after the scheduler's cache
@@ -250,81 +257,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.st.Observe(c.reg, cfg.ScrapeInterval)
 	sched.Start()
 	return c, nil
-}
-
-// registerFacadeCollectors folds the legacy snapshot accessors —
-// SchedulerStats, BindStats, WatchStats, GangStats, PendingByClass —
-// into registry gauges at collection time, so one scrape carries every
-// number the individual accessors expose.
-func (c *Cluster) registerFacadeCollectors() {
-	reg := c.reg
-	schedGauges := struct {
-		passes, bound, unschedulable, preemptions, victims *telemetry.Gauge
-	}{
-		reg.Gauge("cluster_scheduler_passes"),
-		reg.Gauge("cluster_scheduler_bound"),
-		reg.Gauge("cluster_scheduler_unschedulable"),
-		reg.Gauge("cluster_scheduler_preemptions"),
-		reg.Gauge("cluster_scheduler_victims"),
-	}
-	bindGauges := struct {
-		attempts, bound, rejPod, rejNode, rejCapacity *telemetry.Gauge
-	}{
-		reg.Gauge("cluster_bind_attempts"),
-		reg.Gauge("cluster_bind_bound"),
-		reg.Gauge("cluster_bind_rejected_pod_state"),
-		reg.Gauge("cluster_bind_rejected_node_state"),
-		reg.Gauge("cluster_bind_rejected_capacity"),
-	}
-	watchGauges := struct {
-		published, evicted, subscribers *telemetry.Gauge
-	}{
-		reg.Gauge("cluster_watch_published"),
-		reg.Gauge("cluster_watch_evicted"),
-		reg.Gauge("cluster_watch_subscribers"),
-	}
-	gangCommits := reg.Gauge("cluster_gang_commits")
-	gangTimeouts := reg.Gauge("cluster_gang_timeouts")
-	pendingDepth := reg.GaugeVec("cluster_pending_depth", "class")
-	// A class's gauge appears with its first queued job and is written
-	// every collection from then on, so a drained class reads zero.
-	var pendingGauges [api.NumClasses]*telemetry.Gauge
-	reg.RegisterCollector(func() {
-		ss := c.SchedulerStats()
-		schedGauges.passes.Set(float64(ss.Passes))
-		schedGauges.bound.Set(float64(ss.Bound))
-		schedGauges.unschedulable.Set(float64(ss.Unschedulable))
-		schedGauges.preemptions.Set(float64(ss.Preemptions))
-		schedGauges.victims.Set(float64(ss.Victims))
-
-		bs := c.st.Srv.BindStats()
-		bindGauges.attempts.Set(float64(bs.Attempts))
-		bindGauges.bound.Set(float64(bs.Bound))
-		bindGauges.rejPod.Set(float64(bs.RejectedPodState))
-		bindGauges.rejNode.Set(float64(bs.RejectedNodeState))
-		bindGauges.rejCapacity.Set(float64(bs.RejectedCapacity))
-
-		ws := c.st.Srv.WatchStats()
-		watchGauges.published.Set(float64(ws.Published))
-		watchGauges.evicted.Set(float64(ws.Evicted))
-		watchGauges.subscribers.Set(float64(ws.Subscribers))
-
-		gs := c.GangStats()
-		gangCommits.Set(float64(gs.Commits))
-		gangTimeouts.Set(float64(gs.Timeouts))
-
-		depth := c.st.Srv.PendingCountByClass(schedulerName)
-		for slot, class := range api.Classes {
-			n, live := depth[class]
-			if pendingGauges[slot] == nil {
-				if !live {
-					continue
-				}
-				pendingGauges[slot] = pendingDepth.With(class.Label())
-			}
-			pendingGauges[slot].Set(float64(n))
-		}
-	})
 }
 
 // Close stops every component. The cluster is unusable afterwards;
@@ -586,12 +518,11 @@ type ClassSchedulerStats struct {
 	Victims     int
 }
 
-// SchedulerStats returns the scheduler's counters.
-//
-// Deprecated: prefer Cluster.Telemetry, which carries these counters
-// (as cluster_scheduler_* gauges and the scheduler_*_total series) next
-// to every other metric in one export. This accessor remains supported
-// for programmatic checks.
+// SchedulerStats returns the scheduler's counters. The registry
+// carries the same numbers: scheduler_passes_total, and
+// scheduler_{bound,unschedulable,preemptions,victims}_total{class=…},
+// whose sum over class is the field of the same name. On a
+// telemetry-disabled cluster this accessor is the only read.
 func (c *Cluster) SchedulerStats() SchedulerStats {
 	s := c.sched.Stats()
 	out := SchedulerStats{
@@ -619,22 +550,6 @@ func (c *Cluster) SchedulerStats() SchedulerStats {
 	return out
 }
 
-// PendingByClass returns the scheduler's queue depth per workload class
-// (empty key = unclassified jobs). Only classes with queued jobs have
-// entries.
-//
-// Deprecated: prefer Cluster.Telemetry, where the same depths appear as
-// the cluster_pending_depth{class=…} gauges (and the API server's
-// apiserver_pending_depth family adds per-priority breakdowns). This
-// accessor remains supported for programmatic checks.
-func (c *Cluster) PendingByClass() map[string]int {
-	out := make(map[string]int)
-	for class, n := range c.st.Srv.PendingCountByClass(schedulerName) {
-		out[string(class)] = n
-	}
-	return out
-}
-
 // GangStats reports gang-scheduling outcomes: gangs committed at quorum
 // and whole-gang permit rollbacks at the timeout.
 type GangStats struct {
@@ -642,27 +557,23 @@ type GangStats struct {
 	Timeouts int64
 }
 
-// GangStats returns the gang director's counters.
-//
-// Deprecated: prefer Cluster.Telemetry, which exports the same counters
-// as the cluster_gang_commits/cluster_gang_timeouts gauges. This
-// accessor remains supported for programmatic checks.
+// GangStats returns the gang director's counters, which the registry
+// carries as the gang_commits and gang_timeouts gauges. On a
+// telemetry-disabled cluster this accessor is the only read.
 func (c *Cluster) GangStats() GangStats {
 	s := c.gang.Stats()
 	return GangStats{Commits: s.Commits, Timeouts: s.Timeouts}
 }
 
 // Telemetry returns the cluster's metrics registry — the one-stop
-// observability surface. Reading it (WritePrometheus, ScrapeInto, or
-// any registry export) first runs the registered collectors, which fold
-// the legacy snapshot accessors — SchedulerStats, the API server's
-// BindStats and WatchStats, GangStats and PendingByClass — into
-// cluster_* gauges, alongside the live counters and histograms the
-// scheduler, API server, watch broker and lifecycle tracker maintain
-// directly. The individual accessors remain for programmatic use, but
-// new monitoring integrations should consume this registry instead of
-// polling them one by one. Nil when ClusterConfig.DisableTelemetry is
-// set — and a nil registry is a safe no-op for every operation.
+// observability surface. Each count is exported once, by the component
+// that counts it, under that component's prefix: scheduler_*, apiserver_*
+// (bind outcomes, queue depth per class and priority), watch_*,
+// lifecycle_* and gang_*. Reading the registry (WritePrometheus,
+// ScrapeInto, or any registry export) first runs the pull-time
+// collectors that copy the components' own counters into their gauges.
+// Nil when ClusterConfig.DisableTelemetry is set — and a nil registry is
+// a safe no-op for every operation.
 func (c *Cluster) Telemetry() *telemetry.Registry { return c.reg }
 
 // WritePrometheus writes every metric in Prometheus text exposition

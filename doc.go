@@ -408,7 +408,8 @@
 //
 //	res, _ := cluster.Query(`SELECT MAX(value) FROM "self/lifecycle_queue_seconds" WHERE quantile = '0.99' GROUP BY class`)
 //
-// Cluster.Telemetry exposes the registry itself; the older
-// SchedulerStats/PendingByClass/GangStats accessors remain but fold
-// into registry gauges at collection time.
+// Cluster.Telemetry exposes the registry itself, where each count is
+// exported once, by the component that counts it. The SchedulerStats
+// and GangStats accessors read the same counters directly, and are the
+// only reads on a telemetry-disabled cluster.
 package sgxorch

@@ -8,25 +8,36 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	sgxorch "github.com/sgxorch/sgxorch"
 )
 
 func main() {
-	fmt.Println("scenario 1: limits DISABLED (upstream driver)")
-	runScenario(true)
-	fmt.Println("\nscenario 2: limits ENFORCED (the paper's modified driver, §V-D)")
-	runScenario(false)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func runScenario(disableEnforcement bool) {
+// run plays both scenarios and writes their outcomes to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "scenario 1: limits DISABLED (upstream driver)")
+	if err := runScenario(w, true); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "\nscenario 2: limits ENFORCED (the paper's modified driver, §V-D)")
+	return runScenario(w, false)
+}
+
+func runScenario(w io.Writer, disableEnforcement bool) error {
 	cluster, err := sgxorch.NewCluster(sgxorch.ClusterConfig{
 		DisableEnforcement: disableEnforcement,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer cluster.Close()
 
@@ -38,7 +49,7 @@ func runScenario(disableEnforcement bool) {
 		EPCRequestBytes: 4 * sgxorch.KiB,
 		EPCUsageBytes:   46 * sgxorch.MiB,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Give the cheater time to start and the probes time to expose its
 	// real footprint (the 25 s sliding window of Listing 1).
@@ -52,21 +63,28 @@ func runScenario(disableEnforcement bool) {
 			Duration:        time.Minute,
 			EPCRequestBytes: 60 * sgxorch.MiB,
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	cluster.AdvanceTime(5 * time.Minute)
 
-	mal, _ := cluster.JobStatus("malicious")
-	fmt.Printf("  malicious: phase %-9s reason %q\n", mal.Phase, mal.Reason)
+	mal, err := cluster.JobStatus("malicious")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "  malicious: phase %-9s reason %q\n", mal.Phase, mal.Reason)
 	for _, name := range []string{"honest-1", "honest-2"} {
-		st, _ := cluster.JobStatus(name)
+		st, err := cluster.JobStatus(name)
+		if err != nil {
+			return err
+		}
 		wait := "still pending"
 		if st.Started {
 			wait = fmt.Sprintf("waited %v", st.Waiting.Round(time.Second))
 		}
-		fmt.Printf("  %-9s: phase %-9s node %-6s %s\n", st.Name, st.Phase, st.Node, wait)
+		fmt.Fprintf(w, "  %-9s: phase %-9s node %-6s %s\n", st.Name, st.Phase, st.Node, wait)
 	}
 	stats := cluster.SchedulerStats()
-	fmt.Printf("  scheduler: %d unschedulable attempts\n", stats.Unschedulable)
+	fmt.Fprintf(w, "  scheduler: %d unschedulable attempts\n", stats.Unschedulable)
+	return nil
 }

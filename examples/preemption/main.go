@@ -6,19 +6,30 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	sgxorch "github.com/sgxorch/sgxorch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the scenario and writes its walkthrough to w; it fails if a
+// job cannot be submitted or read back, or the jobs do not finish.
+func run(w io.Writer) error {
 	cluster, err := sgxorch.NewCluster(sgxorch.ClusterConfig{
 		Policy: sgxorch.PolicyBinpack,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer cluster.Close()
 
@@ -30,12 +41,14 @@ func main() {
 			Duration:        time.Hour,
 			EPCRequestBytes: 43 * sgxorch.MiB,
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	cluster.AdvanceTime(15 * time.Second)
-	fmt.Println("cluster warmed up: both SGX nodes committed to low-priority hogs")
-	printJobs(cluster, "hog-a", "hog-b", "hog-c", "hog-d")
+	fmt.Fprintln(w, "cluster warmed up: both SGX nodes committed to low-priority hogs")
+	if err := printJobs(w, cluster, "hog-a", "hog-b", "hog-c", "hog-d"); err != nil {
+		return err
+	}
 
 	// An urgent enclave job that cannot fit anywhere: without priorities
 	// it would wait until a hog finishes.
@@ -45,40 +58,43 @@ func main() {
 		EPCRequestBytes: 24 * sgxorch.MiB,
 		Priority:        10,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cluster.AdvanceTime(10 * time.Second) // one scheduling pass
 
 	st, err := cluster.JobStatus("urgent")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	stats := cluster.SchedulerStats()
-	fmt.Printf("\nurgent job after one pass: %s on %s (waited %v)\n",
+	fmt.Fprintf(w, "\nurgent job after one pass: %s on %s (waited %v)\n",
 		st.Phase, st.Node, st.Waiting.Round(time.Millisecond))
-	fmt.Printf("scheduler: %d preemption(s), %d victim(s) evicted and re-queued\n",
+	fmt.Fprintf(w, "scheduler: %d preemption(s), %d victim(s) evicted and re-queued\n",
 		stats.Preemptions, stats.Victims)
-	printJobs(cluster, "hog-a", "hog-b", "hog-c", "hog-d", "urgent")
+	if err := printJobs(w, cluster, "hog-a", "hog-b", "hog-c", "hog-d", "urgent"); err != nil {
+		return err
+	}
 
 	// Let the urgent job finish; the victim reschedules onto the freed
 	// node and completes its hour on its own.
 	if !cluster.WaitAll(4 * time.Hour) {
-		log.Fatal("jobs did not finish")
+		return errors.New("jobs did not finish")
 	}
-	fmt.Println("\nafter drain: every job finished — the victim rescheduled")
-	printJobs(cluster, "hog-a", "hog-b", "hog-c", "hog-d", "urgent")
+	fmt.Fprintln(w, "\nafter drain: every job finished — the victim rescheduled")
+	return printJobs(w, cluster, "hog-a", "hog-b", "hog-c", "hog-d", "urgent")
 }
 
-func printJobs(cluster *sgxorch.Cluster, names ...string) {
+func printJobs(w io.Writer, cluster *sgxorch.Cluster, names ...string) error {
 	for _, name := range names {
 		st, err := cluster.JobStatus(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		node := st.Node
 		if node == "" {
 			node = "-"
 		}
-		fmt.Printf("  %-8s phase %-9s node %-6s %s\n", st.Name, st.Phase, node, st.Reason)
+		fmt.Fprintf(w, "  %-8s phase %-9s node %-6s %s\n", st.Name, st.Phase, node, st.Reason)
 	}
+	return nil
 }

@@ -49,8 +49,12 @@ func (m *srvMetrics) rejectedUnknownPod() {
 //   - apiserver_pending_depth{class=} and
 //     apiserver_pending_depth_priority{priority=} — queue backlog
 //     gauges, refreshed by a pull-time collector;
-//   - watch_subscriber_{max_lag,resyncs,dropped}{subscriber=} — the
-//     broker's per-subscriber delivery health, same collector.
+//   - apiserver_bind_{attempts,bound} and
+//     apiserver_bind_rejected_{pod_state,node_state,capacity} — the
+//     BindStats counts, same collector;
+//   - watch_{published,evicted,subscribers} — the broker's totals, and
+//     watch_subscriber_{max_lag,resyncs,dropped}{subscriber=} — its
+//     per-subscriber delivery health, same collector.
 //
 // Collectors run at export/scrape time only, so the commit path pays
 // one histogram observation per bind and one counter increment per
@@ -79,6 +83,14 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 	subLag := reg.GaugeVec("watch_subscriber_max_lag", "subscriber")
 	subResyncs := reg.GaugeVec("watch_subscriber_resyncs", "subscriber")
 	subDropped := reg.GaugeVec("watch_subscriber_dropped", "subscriber")
+	attempts := reg.Gauge("apiserver_bind_attempts")
+	bound := reg.Gauge("apiserver_bind_bound")
+	rejPod := reg.Gauge("apiserver_bind_rejected_pod_state")
+	rejNode := reg.Gauge("apiserver_bind_rejected_node_state")
+	rejCapacity := reg.Gauge("apiserver_bind_rejected_capacity")
+	published := reg.Gauge("watch_published")
+	evicted := reg.Gauge("watch_evicted")
+	subscribers := reg.Gauge("watch_subscribers")
 
 	// Every class is written each collection (zero included), so a
 	// drained class's gauge cannot stick at its last backlog.
@@ -112,8 +124,19 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 			g.Set(float64(n))
 		}
 
+		bs := s.binds.snapshot()
+		attempts.Set(float64(bs.Attempts))
+		bound.Set(float64(bs.Bound))
+		rejPod.Set(float64(bs.RejectedPodState))
+		rejNode.Set(float64(bs.RejectedNodeState))
+		rejCapacity.Set(float64(bs.RejectedCapacity))
+
+		ws := s.broker.Stats()
+		published.Set(float64(ws.Published))
+		evicted.Set(float64(ws.Evicted))
+		subscribers.Set(float64(ws.Subscribers))
 		live := make(map[int64]bool, len(subs))
-		for _, ss := range s.broker.Stats().PerSubscriber {
+		for _, ss := range ws.PerSubscriber {
 			live[ss.ID] = true
 			g, ok := subs[ss.ID]
 			if !ok {

@@ -1,6 +1,7 @@
 package apiserver
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func telemetryTestPod(name string, class api.WorkloadClass, prio int32, memBytes
 
 func TestServerTelemetryBindLatencyAndRejections(t *testing.T) {
 	reg := telemetry.New()
-	s := New(clock.NewSim(), WithTelemetry(reg))
+	s := New(clock.NewSim(), WithTelemetry(reg), WithAdmission(AdmitStrict))
 	defer s.Close()
 	if err := s.RegisterNode(telemetryNode("n1")); err != nil {
 		t.Fatal(err)
@@ -58,20 +59,42 @@ func TestServerTelemetryBindLatencyAndRejections(t *testing.T) {
 	if err := s.Bind("ghost-pod", "n1"); err == nil {
 		t.Fatal("bind of unknown pod must fail")
 	}
+	// Rejection by capacity: the pod fits the node alone, not beside
+	// the bound one.
+	if err := s.CreatePod(telemetryTestPod("full", api.ClassBatch, 0, 16*resource.GiB)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Bind("full", "n1"); !errors.Is(err, ErrOutdated) {
+		t.Fatalf("bind beyond the node's headroom: err = %v, want ErrOutdated", err)
+	}
 	rej := reg.CounterVec("apiserver_bind_rejections_total", "class")
-	if got := rej.With("batch").Value(); got != 1 {
-		t.Fatalf("rejections{batch} = %d, want 1", got)
+	if got := rej.With("batch").Value(); got != 2 {
+		t.Fatalf("rejections{batch} = %d, want 2", got)
 	}
 	if got := rej.With("unknown").Value(); got != 1 {
 		t.Fatalf("rejections{unknown} = %d, want 1", got)
 	}
-	// Every Bind outcome is a latency sample: success and both
+	// Every Bind outcome is a latency sample: the success and the three
 	// rejections.
-	if lat.Count() != 3 {
-		t.Fatalf("bind latency count = %d, want 3 (all attempts observed)", lat.Count())
+	if lat.Count() != 4 {
+		t.Fatalf("bind latency count = %d, want 4 (all attempts observed)", lat.Count())
 	}
-	if bs := s.BindStats(); bs.Attempts != 3 {
-		t.Fatalf("BindStats.Attempts = %d, want 3", bs.Attempts)
+	bs := s.BindStats()
+	if want := (BindStats{Attempts: 4, Bound: 1, RejectedPodState: 1, RejectedNodeState: 1, RejectedCapacity: 1}); bs != want {
+		t.Fatalf("BindStats = %+v, want %+v", bs, want)
+	}
+	// The bind gauges carry BindStats, one series per field.
+	reg.Collect()
+	for name, want := range map[string]int64{
+		"apiserver_bind_attempts":            bs.Attempts,
+		"apiserver_bind_bound":               bs.Bound,
+		"apiserver_bind_rejected_pod_state":  bs.RejectedPodState,
+		"apiserver_bind_rejected_node_state": bs.RejectedNodeState,
+		"apiserver_bind_rejected_capacity":   bs.RejectedCapacity,
+	} {
+		if got := reg.Gauge(name).Value(); got != float64(want) {
+			t.Errorf("%s = %v, BindStats reads %d", name, got, want)
+		}
 	}
 }
 
@@ -129,6 +152,21 @@ func TestServerTelemetryDepthAndWatchCollectors(t *testing.T) {
 	}
 	if got := depth.With("latency-sensitive").Value(); got != 0 {
 		t.Fatalf("drained class gauge = %v, want 0", got)
+	}
+
+	// The watch totals carry WatchStats.
+	ws := s.WatchStats()
+	if ws.Published == 0 || ws.Subscribers != 1 {
+		t.Fatalf("WatchStats = %+v, want events published to one subscriber", ws)
+	}
+	for name, want := range map[string]int64{
+		"watch_published":   ws.Published,
+		"watch_evicted":     ws.Evicted,
+		"watch_subscribers": int64(ws.Subscribers),
+	} {
+		if got := reg.Gauge(name).Value(); got != float64(want) {
+			t.Errorf("%s = %v, WatchStats reads %d", name, got, want)
+		}
 	}
 
 	// The watch collector publishes per-subscriber series; binding above

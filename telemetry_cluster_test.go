@@ -3,10 +3,12 @@ package sgxorch
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/model"
 )
@@ -146,8 +148,8 @@ func TestClusterSelfScrapeQueryableViaInfluxQL(t *testing.T) {
 		}
 	}
 
-	// The Prometheus exposition carries scheduler, apiserver, lifecycle
-	// and folded facade series.
+	// The Prometheus exposition carries scheduler, apiserver and
+	// lifecycle series.
 	var sb strings.Builder
 	if err := c.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -157,12 +159,137 @@ func TestClusterSelfScrapeQueryableViaInfluxQL(t *testing.T) {
 		"scheduler_passes_total",
 		"apiserver_bind_latency_seconds_count",
 		`lifecycle_queue_seconds_bucket{class="batch"`,
-		"cluster_bind_attempts",
-		"cluster_scheduler_bound",
+		"apiserver_bind_attempts",
+		"scheduler_bound_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestTelemetryExportsEachCountOnce is the referee for the export
+// surface: every count the accessors report appears in one registry
+// export, under the prefix of the component that counts it, and no
+// series restates another under a cluster_ name. The workload preempts,
+// commits a gang and leaves a job queued mid-run, so no check compares
+// zero with zero alone.
+func TestTelemetryExportsEachCountOnce(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{SchedulerInterval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	submit := func(spec JobSpec) {
+		t.Helper()
+		if err := c.SubmitJob(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Four hour-long hogs commit most of both SGX nodes' EPC; an urgent
+	// enclave job then preempts one, which re-queues.
+	for _, name := range []string{"hog-a", "hog-b", "hog-c", "hog-d"} {
+		submit(JobSpec{Name: name, Duration: time.Hour, EPCRequestBytes: 43 * MiB})
+	}
+	c.AdvanceTime(15 * time.Second)
+	submit(JobSpec{Name: "urgent", Duration: 2 * time.Minute, EPCRequestBytes: 24 * MiB, Priority: 10})
+	for _, name := range []string{"gang-0", "gang-1"} {
+		submit(JobSpec{
+			Name: name, Duration: time.Minute, MemoryRequestBytes: GiB,
+			Gang: "g", GangMinMember: 2, Class: ClassBatch,
+		})
+	}
+	c.AdvanceTime(10 * time.Second)
+	checkExportsEachCountOnce(t, c, true)
+	if !c.WaitAll(4 * time.Hour) {
+		t.Fatal("workload did not drain")
+	}
+	checkExportsEachCountOnce(t, c, false)
+	if ss, gs := c.SchedulerStats(), c.GangStats(); ss.Preemptions == 0 || gs.Commits == 0 {
+		t.Fatalf("workload too gentle: preemptions=%d gang commits=%d", ss.Preemptions, gs.Commits)
+	}
+}
+
+// checkExportsEachCountOnce compares one export with the accessors;
+// queued says the scheduler's queue must be non-empty.
+func checkExportsEachCountOnce(t *testing.T, c *Cluster, queued bool) {
+	t.Helper()
+	c.Telemetry().Collect()
+	var sb strings.Builder
+	if err := c.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	series := make(map[string]float64)
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if strings.HasPrefix(line, "cluster_") {
+			t.Errorf("series %q restates a component's count", line)
+		}
+		cut := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[cut+1:], 64)
+		if err != nil {
+			t.Fatalf("exposition line %q: %v", line, err)
+		}
+		if _, dup := series[line[:cut]]; dup {
+			t.Errorf("series %s exported twice", line[:cut])
+		}
+		series[line[:cut]] = v
+	}
+	// sum adds a family's series over their labels.
+	sum := func(name string) int64 {
+		var total float64
+		for k, v := range series {
+			if k == name || strings.HasPrefix(k, name+"{") {
+				total += v
+			}
+		}
+		return int64(total)
+	}
+	want := func(name string, got, accessor int64) {
+		t.Helper()
+		if got != accessor {
+			t.Errorf("%s = %d, accessor reads %d", name, got, accessor)
+		}
+	}
+
+	ss := c.SchedulerStats()
+	want("scheduler_passes_total", sum("scheduler_passes_total"), int64(ss.Passes))
+	want("scheduler_bound_total", sum("scheduler_bound_total"), int64(ss.Bound))
+	want("scheduler_unschedulable_total", sum("scheduler_unschedulable_total"), int64(ss.Unschedulable))
+	want("scheduler_preemptions_total", sum("scheduler_preemptions_total"), int64(ss.Preemptions))
+	want("scheduler_victims_total", sum("scheduler_victims_total"), int64(ss.Victims))
+
+	bs := c.st.Srv.BindStats()
+	want("apiserver_bind_attempts", sum("apiserver_bind_attempts"), bs.Attempts)
+	want("apiserver_bind_bound", sum("apiserver_bind_bound"), bs.Bound)
+	want("apiserver_bind_rejected_pod_state", sum("apiserver_bind_rejected_pod_state"), bs.RejectedPodState)
+	want("apiserver_bind_rejected_node_state", sum("apiserver_bind_rejected_node_state"), bs.RejectedNodeState)
+	want("apiserver_bind_rejected_capacity", sum("apiserver_bind_rejected_capacity"), bs.RejectedCapacity)
+
+	ws := c.st.Srv.WatchStats()
+	want("watch_published", sum("watch_published"), ws.Published)
+	want("watch_evicted", sum("watch_evicted"), ws.Evicted)
+	want("watch_subscribers", sum("watch_subscribers"), int64(ws.Subscribers))
+
+	gs := c.GangStats()
+	want("gang_commits", sum("gang_commits"), gs.Commits)
+	want("gang_timeouts", sum("gang_timeouts"), gs.Timeouts)
+
+	depth := c.st.Srv.PendingCountByClass(schedulerName)
+	var queue int
+	for _, class := range api.Classes {
+		name := fmt.Sprintf("apiserver_pending_depth{class=%q}", class.Label())
+		got, ok := series[name]
+		if !ok {
+			t.Errorf("%s not exported", name)
+		}
+		want(name, int64(got), int64(depth[class]))
+		queue += depth[class]
+	}
+	if queued != (queue > 0) {
+		t.Fatalf("queued jobs = %d, want queued=%v", queue, queued)
 	}
 }
 
