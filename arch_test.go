@@ -407,16 +407,22 @@ test files and bench/ included.`,
 		},
 	},
 	{
-		name: "one-watch-ring-three-entry-points",
-		doc: `The watch stream is one ring read by one kind of subscription: every
-subscriber sees every event, and *apiserver.Server offers exactly
-Subscribe, SubscribeBatch and ListAndWatchBatch, which differ in what the
-caller supplies, not in what it is sent. A per-kind ring (a topic) or a
-fourth entry point, in any file of the package, is the machinery this
-replaced. An entry point is an exported Server method named Subscribe… or
+		name: "one-watch-ring-four-entry-points",
+		doc: `The watch stream is one ring in one total order. A subscription is
+sent either the whole stream or one node's sub-sequence of it, in the same
+order, and *apiserver.Server offers exactly four entry points: Subscribe,
+SubscribeBatch and ListAndWatchBatch, which differ in what the caller
+supplies, not in what it is sent (the whole stream), and SubscribeNode,
+which is sent one node's events. A per-kind ring (a topic) or a fifth
+entry point, in any file of the package, is the machinery this replaced.
+An entry point is an exported Server method named Subscribe… or
 ListAndWatch…, or one that takes a callback of WatchEvents.`,
 		check: func(c *codebase) (out []string) {
-			want := map[string]bool{"Subscribe": false, "SubscribeBatch": false, "ListAndWatchBatch": false}
+			entries := []string{"Subscribe", "SubscribeBatch", "ListAndWatchBatch", "SubscribeNode"}
+			want := map[string]bool{}
+			for _, name := range entries {
+				want[name] = false
+			}
 			for _, f := range c.files {
 				if f.test || f.dir != "internal/watch" && f.dir != "internal/apiserver" {
 					continue
@@ -436,13 +442,13 @@ ListAndWatch…, or one that takes a callback of WatchEvents.`,
 						continue
 					}
 					if _, known := want[fn.Name.Name]; !known {
-						out = append(out, c.at(fn.Pos())+": Server."+fn.Name.Name+" is a fourth subscribe entry point")
+						out = append(out, c.at(fn.Pos())+": Server."+fn.Name.Name+" is a fifth subscribe entry point")
 						continue
 					}
 					want[fn.Name.Name] = true
 				}
 			}
-			for _, name := range []string{"Subscribe", "SubscribeBatch", "ListAndWatchBatch"} {
+			for _, name := range entries {
 				if !want[name] {
 					out = append(out, "internal/apiserver: Server."+name+" is missing")
 				}
@@ -559,9 +565,10 @@ its ClusterCache (cache.go). Anything else in the package that needs
 cluster state reads the cache or asks the server in one call (the gang
 director's Server.GangCounts). A second subscription keeps a second copy
 of state the server or the cache already keeps, and costs a callback on
-every event of every workload (watch.deliveries = published ×
-subscribers). Outside tests, only cache.go selects Subscribe,
-SubscribeBatch or ListAndWatchBatch.`,
+every event it is sent, on every workload (watch.deliveries grows by
+the events published for a whole-stream subscriber). Outside tests, only
+cache.go selects Subscribe, SubscribeBatch, ListAndWatchBatch or
+SubscribeNode.`,
 		check: func(c *codebase) (out []string) {
 			for _, f := range c.files {
 				if f.test || !within(f.dir, "internal/core") || f.path == "internal/core/cache.go" {
@@ -570,7 +577,7 @@ SubscribeBatch or ListAndWatchBatch.`,
 				ast.Inspect(f.syntax, func(n ast.Node) bool {
 					if sel, ok := n.(*ast.SelectorExpr); ok {
 						switch sel.Sel.Name {
-						case "Subscribe", "SubscribeBatch", "ListAndWatchBatch":
+						case "Subscribe", "SubscribeBatch", "ListAndWatchBatch", "SubscribeNode":
 							out = append(out, c.at(sel.Pos())+": "+sel.Sel.Name+" outside cache.go: read the cache or the server")
 						}
 					}
@@ -897,6 +904,7 @@ type Snapshot struct{}
 func (s *Server) Subscribe(fn func(WatchEvent)) func() { return nil }
 func (s *Server) SubscribeBatch(fn func([]WatchEvent), r func(Snapshot)) func() { return nil }
 func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), r func(Snapshot)) (Snapshot, func()) { return Snapshot{}, nil }
+func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), r func(Snapshot)) func() { return nil }
 `
 	cases := []struct {
 		rule  string
@@ -919,15 +927,15 @@ func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), r func(Snapshot)) (Sna
 		{"no-map-keyed-by-resource-name", map[string]string{
 			"internal/resource/list_test.go": "package resource\n\nfunc TestX() { _ = map[Name]int64{} }\n",
 		}, "internal/resource/list_test.go:3"},
-		{"one-watch-ring-three-entry-points", map[string]string{
+		{"one-watch-ring-four-entry-points", map[string]string{
 			"internal/apiserver/server.go": server,
 			"internal/apiserver/keyed.go":  "package apiserver\n\nfunc (s *Server) SubscribeKeyed(key string, fn func(WatchEvent)) func() { return nil }\n",
 		}, "internal/apiserver/keyed.go:3"},
-		{"one-watch-ring-three-entry-points", map[string]string{
+		{"one-watch-ring-four-entry-points", map[string]string{
 			"internal/apiserver/server.go": server,
 			"internal/apiserver/pods.go":   "package apiserver\n\nfunc (s *Server) OnPods(fn func([]WatchEvent)) {}\n",
 		}, "internal/apiserver/pods.go:3"},
-		{"one-watch-ring-three-entry-points", map[string]string{
+		{"one-watch-ring-four-entry-points", map[string]string{
 			"internal/apiserver/server.go": server,
 			"internal/watch/ring.go":       "package watch\n\ntype ring struct{ byTopic map[string]int }\n",
 		}, "internal/watch/ring.go:3"},

@@ -180,10 +180,13 @@
 // cursors. A mutation's commit critical section performs
 // an O(1) ring append and never runs subscriber code; dissemination is a
 // separate concern. In the default synchronous mode the publishing
-// goroutine delivers inline afterwards, one batch per subscriber in
-// subscription order — under the simulation clock this is bit-for-bit
-// the historical callback-list behavior, which the determinism and
-// cache≡rebuild property tests pin. The flush is a combining one: the
+// goroutine delivers inline afterwards, one batch per subscriber with an
+// event pending, in subscription order — under the simulation clock this
+// is bit-for-bit the historical callback-list behavior, which the
+// determinism and cache≡rebuild property tests pin. A kubelet is sent
+// its own node's events alone (Server.SubscribeNode), so a commit wakes
+// the whole-stream subscribers and the one kubelet it concerns, not the
+// fleet. The flush is a combining one: the
 // goroutine that finds none in progress drains for everybody, and a
 // Flush that finds one active — re-entrant from a callback or concurrent
 // from another committer, the broker does not ask which — returns at
@@ -208,7 +211,7 @@
 // examples/fanout) drains the same backlog at 1-8 concurrent schedulers
 // × 1-32 watchers under both modes: with synchronous delivery the
 // fan-out runs inside a mutating call — one committer at a time delivers
-// everybody's events to every subscriber, serially, and its bind returns
+// everybody's events to every subscriber they are for, serially, and its bind returns
 // only when the drain does; with the async broker no commit runs
 // subscriber code, the pumps deliver in parallel and in batches, and a
 // slow subscriber resyncs instead of holding anyone up — which is what
@@ -264,11 +267,14 @@
 // stream a state that never over-commits a node (property tests race
 // snapshots against a bind storm, and bind/evict/gang interleavings
 // against each other, to pin exactly that). Watch events ride one
-// lazily-grown bounded ring: every subscriber — through
+// lazily-grown bounded ring, each published under the node it concerns
+// (a preemption under the node the pod left): a subscriber through
 // Server.Subscribe, Server.SubscribeBatch or Server.ListAndWatchBatch,
-// which differ in what the caller supplies, not in what it is sent —
-// reads the same dense rev-ordered stream of pod and node events, and a
-// batch is a contiguous run of the ring after the subscriber's cursor.
+// which differ in what the caller supplies, not in what it is sent,
+// reads the whole dense rev-ordered stream of pod and node events, a
+// batch being a contiguous run of the ring after its cursor; one through
+// Server.SubscribeNode reads one node's sub-sequence of it, in the same
+// order. There are no per-kind rings.
 // The watch stream is the server's only record of a commit; there is no
 // second, human-readable event log. A refused bind publishes nothing: the
 // caller gets the typed error, and the refusal is counted by reason in

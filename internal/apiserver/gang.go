@@ -186,7 +186,7 @@ func (s *Server) Reserve(podName, nodeName string) error {
 	s.moveMember(p, memberHeld, nodeName)
 	ev := *p
 	ev.Spec.NodeName = nodeName
-	t.publish(WatchEvent{Type: PodPermitHeld, Pod: &ev})
+	t.publish(WatchEvent{Type: PodPermitHeld, Pod: &ev}, nodeName)
 	return nil
 }
 

@@ -37,15 +37,18 @@
 // held no commit is in flight, which is exactly what makes a snapshot a
 // consistent prefix of the watch stream.
 //
-// Watchers attach in one of three ways, which differ in what the caller
-// supplies: Subscribe (a per-event callback), SubscribeBatch (a batch
-// callback and an optional resync handler) or the informer-style
-// ListAndWatchBatch, which additionally couples a consistent snapshot
-// to the event stream atomically: every event carries a monotonically
-// increasing resource version, so a consumer building a cache from the
-// snapshot discards anything already reflected in it and stays exactly
-// consistent without quiescing the server. All three see the same
-// stream — every pod and node event, in rev order.
+// Watchers attach in one of four ways. Subscribe (a per-event callback),
+// SubscribeBatch (a batch callback and an optional resync handler) and
+// the informer-style ListAndWatchBatch differ in what the caller
+// supplies, not in what it is sent: the whole stream, every pod and node
+// event in rev order. ListAndWatchBatch additionally couples a
+// consistent snapshot to the event stream atomically: every event
+// carries a monotonically increasing resource version, so a consumer
+// building a cache from the snapshot discards anything already reflected
+// in it and stays exactly consistent without quiescing the server.
+// SubscribeNode, the kubelet's watch, is sent one node's sub-sequence of
+// that stream, in the same order: each event is published under the node
+// it concerns (see txn.publish).
 //
 // Event fan-out rides the internal/watch broker — one versioned ring
 // buffer with per-subscriber cursors — so a mutation's critical section
@@ -379,20 +382,20 @@ func (s *Server) Committed(nodeName string) resource.List {
 	return sh.committed[nodeName]
 }
 
-// Subscribe registers a per-event watch callback and returns an
-// unsubscribe function. In synchronous mode callbacks run on a goroutine
-// performing a mutation — the one holding the broker's flush, which
-// delivers concurrent committers' events with its own — after the state
-// stripes are released, and must not synchronously mutate the server
-// (use clock.AfterFunc for follow-ups); in async mode they run on a pump
-// goroutine. Events arrive in resource-version order with no
-// duplicates. No callback starts after unsubscribe returns; async mode
-// also waits for one in flight (unless called from it), synchronous mode
-// does not — see internal/watch. A subscriber that falls off the broker
-// ring in async mode has the missed interval counted in its watch stats
-// and continues from the oldest retained event — consumers that must
-// never miss events should use SubscribeBatch or ListAndWatchBatch with
-// a resync handler.
+// Subscribe registers a per-event watch callback for the whole stream
+// and returns an unsubscribe function. In synchronous mode callbacks run
+// on a goroutine performing a mutation — the one holding the broker's
+// flush, which delivers concurrent committers' events with its own —
+// after the state stripes are released, and must not synchronously
+// mutate the server (use clock.AfterFunc for follow-ups); in async mode
+// they run on a pump goroutine. Events arrive in resource-version order
+// with no duplicates. No callback starts after unsubscribe returns;
+// async mode also waits for one in flight (unless called from it),
+// synchronous mode does not — see internal/watch. A subscriber that
+// falls off the broker ring in async mode has the missed interval
+// counted in its watch stats and continues from the oldest retained
+// event — consumers that must never miss events should use
+// SubscribeBatch or ListAndWatchBatch with a resync handler.
 func (s *Server) Subscribe(fn func(WatchEvent)) (unsubscribe func()) {
 	return s.SubscribeBatch(func(evs []WatchEvent) {
 		for _, ev := range evs {
@@ -401,19 +404,32 @@ func (s *Server) Subscribe(fn func(WatchEvent)) (unsubscribe func()) {
 	}, nil)
 }
 
-// SubscribeBatch registers a batched watch callback: the broker hands it
-// consecutive events as one slice (reused between calls — do not retain
-// it). resync, when non-nil, is invoked if the subscriber falls off the
-// broker ring: it receives a fresh consistent snapshot to rebuild from,
-// and delivery resumes with the first event after that snapshot's Rev.
-// Registration happens at the current resource version under the world
-// ladder: with every stripe held no commit is in flight, so every rev <=
-// the registered cursor has already been published — the subscriber
-// provably misses nothing after its cursor.
+// SubscribeBatch registers a batched watch callback for the whole
+// stream: the broker hands it consecutive events as one slice (reused
+// between calls — do not retain it). resync, when non-nil, is invoked if
+// the subscriber falls off the broker ring: it receives a fresh
+// consistent snapshot to rebuild from, and delivery resumes with the
+// first event after that snapshot's Rev. Registration happens at the
+// current resource version under the world ladder: with every stripe
+// held no commit is in flight, so every rev <= the registered cursor has
+// already been published — the subscriber provably misses nothing after
+// its cursor.
 func (s *Server) SubscribeBatch(fn func([]WatchEvent), resync func(Snapshot)) (unsubscribe func()) {
 	s.lockWorld()
 	defer s.unlockWorld()
-	return s.broker.Subscribe(s.seq.Load(), fn, s.resyncFrom(resync))
+	return s.broker.Subscribe(s.seq.Load(), "", fn, s.resyncFrom(resync))
+}
+
+// SubscribeNode is SubscribeBatch for the events of one node alone, in
+// the same order: the node's own events, a pod's bind to it, permit on
+// it and transitions while bound to it, and its preemption away from it.
+// A pod's creation, and a permit release or terminal transition while
+// unbound, concern no node and reach only the whole stream. resync, when
+// non-nil, is invoked only if an event of the node fell off the ring.
+func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), resync func(Snapshot)) (unsubscribe func()) {
+	s.lockWorld()
+	defer s.unlockWorld()
+	return s.broker.Subscribe(s.seq.Load(), node, fn, s.resyncFrom(resync))
 }
 
 // resyncFrom adapts a consumer's snapshot handler to the broker's
@@ -442,7 +458,7 @@ func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), resync func(Snapshot))
 	s.lockWorld()
 	defer s.unlockWorld()
 	snap := s.snapshotWorldLocked()
-	return snap, s.broker.Subscribe(snap.Rev, fn, s.resyncFrom(resync))
+	return snap, s.broker.Subscribe(snap.Rev, "", fn, s.resyncFrom(resync))
 }
 
 // SnapshotNow returns a consistent point-in-time snapshot of the
@@ -537,7 +553,7 @@ func (s *Server) putNode(n *api.Node, typ WatchEventType) error {
 	}
 	stored := n.Clone()
 	nsh.nodes[n.Name] = stored
-	t.publish(WatchEvent{Type: typ, Node: stored})
+	t.publish(WatchEvent{Type: typ, Node: stored}, n.Name)
 	return nil
 }
 
@@ -598,7 +614,7 @@ func (s *Server) CreatePod(p *api.Pod) error {
 	stored.Status.Phase = api.PodPending
 	stored.Status.SubmittedAt = s.clk.Now()
 	t.psh.pods[stored.Name] = stored
-	s.pushPending(stored, t.publish(WatchEvent{Type: PodCreated, Pod: stored}))
+	s.pushPending(stored, t.publish(WatchEvent{Type: PodCreated, Pod: stored}, ""))
 	return nil
 }
 
@@ -908,7 +924,7 @@ func (s *Server) transition(podName string, phase api.PodPhase, reason string) e
 	}
 	p.Status.Phase = phase
 	p.Status.Reason = reason
-	t.publish(WatchEvent{Type: PodUpdated, Pod: p})
+	t.publish(WatchEvent{Type: PodUpdated, Pod: p}, p.Spec.NodeName)
 	return nil
 }
 

@@ -79,16 +79,18 @@ func (t *txn) node(name string) *nodeShard {
 }
 
 // publish draws the next resource version and appends the event to the
-// broker ring — an O(1) append that fixes the event's place in the global
-// order without running subscriber code. The watch stream is the server's
-// only record of a commit. Because only end releases stripes, the event
+// broker ring under node, the node it concerns ("" for none), whose
+// SubscribeNode watchers it reaches besides the whole-stream ones — an
+// O(1) append that fixes the event's place in the global order without
+// running subscriber code. The watch stream is the server's only record
+// of a commit. Because only end releases stripes, the event
 // is published while every stripe the mutation touched is still held:
 // lockWorld cannot observe an applied mutation whose event is still
 // unpublished. Racing publishes from other stripes may reach the broker
 // out of rev order; the broker restores the order. It returns the rev.
-func (t *txn) publish(ev WatchEvent) int64 {
+func (t *txn) publish(ev WatchEvent, node string) int64 {
 	ev.Rev = t.s.seq.Add(1)
-	t.s.broker.Publish(ev.Rev, ev)
+	t.s.broker.Publish(ev.Rev, node, ev)
 	t.published = true
 	return ev.Rev
 }
@@ -186,14 +188,16 @@ func (t *txn) bindPod(p *api.Pod, nodeName string) {
 	p.Spec.NodeName = nodeName
 	p.Status.ScheduledAt = t.s.clk.Now()
 	t.s.moveMember(p, memberBound, "")
-	t.publish(WatchEvent{Type: PodBound, Pod: p})
+	t.publish(WatchEvent{Type: PodBound, Pod: p}, nodeName)
 }
 
 // requeueBound evicts a bound pod back to the pending pods (Preempt,
 // PreemptGroup): capacity released, binding cleared, scheduling
-// timestamps reset, queued again from its event's rev.
+// timestamps reset, queued again from its event's rev. The event is the
+// node's it left: the kubelet there kills the workload.
 func (t *txn) requeueBound(p *api.Pod, reason string) {
-	t.release(p, p.Spec.NodeName)
+	left := p.Spec.NodeName
+	t.release(p, left)
 	p = t.nextVersion(p)
 	p.Spec.NodeName = ""
 	p.Status.Phase = api.PodPending
@@ -201,7 +205,7 @@ func (t *txn) requeueBound(p *api.Pod, reason string) {
 	p.Status.ScheduledAt = time.Time{}
 	p.Status.StartedAt = time.Time{}
 	t.s.moveMember(p, memberPending, "")
-	t.s.pushPending(p, t.publish(WatchEvent{Type: PodUpdated, Pod: p}))
+	t.s.pushPending(p, t.publish(WatchEvent{Type: PodUpdated, Pod: p}, left))
 }
 
 // rollbackPermit returns a permit holder to the pending pods
@@ -212,5 +216,5 @@ func (t *txn) rollbackPermit(p *api.Pod, reason string) {
 	t.release(p, node)
 	p = t.nextVersion(p)
 	p.Status.Reason = reason
-	t.s.pushPending(p, t.publish(WatchEvent{Type: PodPermitReleased, Pod: p}))
+	t.s.pushPending(p, t.publish(WatchEvent{Type: PodPermitReleased, Pod: p}, ""))
 }

@@ -139,10 +139,10 @@ func (k *Kubelet) Start() error {
 	if err := k.srv.RegisterNode(node); err != nil {
 		return fmt.Errorf("kubelet %s: %w", k.nodeName, err)
 	}
-	// The kubelet reacts to bindings and terminations of its own pods;
-	// onEvent discards everything else on the stream (node events, other
-	// nodes' pods).
-	k.unsubscribe = k.srv.SubscribeBatch(k.onEvents, k.resync)
+	// The kubelet reacts to bindings and terminations of its own pods, so
+	// it watches its node's events alone; onEvent skips the rest of them
+	// (node events, its pods' other transitions).
+	k.unsubscribe = k.srv.SubscribeNode(k.nodeName, k.onEvents, k.resync)
 	return nil
 }
 

@@ -5,27 +5,30 @@
 // O(1) and returns; subscribers consume the ring through per-subscriber
 // cursors, in batches, without ever making the writer wait.
 //
-// There is one ring and one stream: every subscriber sees every event,
-// in strict resource-version order, and a batch is a contiguous run of
-// the ring starting just after the subscriber's cursor. "Every prefix of
-// the stream is a consistent state of the source" is therefore a
-// property of one array.
+// There is one ring and one stream, in strict resource-version order.
+// Each event is published with a key (the empty key for none), and a
+// subscription is sent either the whole stream or the sub-sequence of one
+// key's events, in the same order: a whole-stream batch is a contiguous
+// run of the ring starting just after the subscriber's cursor, a keyed
+// batch that run's events of its key. "Every prefix of the stream is a
+// consistent state of the source" is therefore a property of one array.
 //
 // Two delivery modes:
 //
 //   - Sync: events are delivered inline by Flush, on the publishing
-//     goroutine, one batch per subscriber in subscription order. Flush
-//     is a combining single flusher: the first caller claims the flush
-//     and drains the ring completely; a call that finds a flusher
-//     active — re-entrant from one of its callbacks or concurrent from
-//     another goroutine, which the broker neither can nor needs to tell
-//     apart — returns at once and leaves its events to that drain, which
-//     re-reads the head after every callback and gives the claim up in
-//     the same critical section as its last, empty sweep. Under a
-//     single-goroutine simulation every event is therefore handed to
-//     every subscriber before the outermost mutating call returns —
-//     bit-for-bit reproducible, exactly like a callback list, which is
-//     what the determinism and cache≡rebuild property tests pin. Under
+//     goroutine, one batch per subscriber with an event pending, in
+//     subscription order. Flush is a combining single flusher: the first
+//     caller claims the flush and drains the ring completely; a call
+//     that finds a flusher active — re-entrant from one of its callbacks
+//     or concurrent from another goroutine, which the broker neither can
+//     nor needs to tell apart — returns at once and leaves its events to
+//     that drain, which re-reads the head after every callback and gives
+//     the claim up in the same critical section as its last, empty
+//     sweep. Under a single-goroutine simulation every event is
+//     therefore handed to every subscriber it is for before the
+//     outermost mutating call returns — bit-for-bit reproducible,
+//     exactly like a callback list, which is what the determinism and
+//     cache≡rebuild property tests pin. Under
 //     concurrent publishers nothing is left undelivered once they have
 //     all returned; a caller that needs delivery to have happened at
 //     some earlier point uses Quiesce (from outside a callback).
@@ -44,7 +47,8 @@
 // under the owning stripe's lock.
 //
 // A subscriber that falls so far behind that its cursor drops off the
-// ring is "too old" (ErrTooOld): instead of stalling the writer or
+// ring is "too old" (ErrTooOld) — a keyed subscriber only when an event
+// of its key was evicted undelivered. Instead of stalling the writer or
 // silently corrupting the consumer, the broker invokes the subscriber's
 // resync handler, which re-primes the consumer from a fresh snapshot of
 // the source of truth and returns the snapshot's resource version as the
@@ -68,6 +72,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -152,9 +157,10 @@ type Stats struct {
 	PerSubscriber []SubscriberStats
 }
 
-// entry is one retained event.
+// entry is one retained event. Revs are dense and appended in order, so
+// an entry's rev is its position: evictedRev + 1 + its ring offset.
 type entry[T any] struct {
-	rev int64
+	key int32 // the interned key it was published with; 0: none
 	ev  T
 }
 
@@ -165,9 +171,7 @@ type ring[T any] struct {
 	start    int // index of the oldest retained event
 	count    int
 
-	evictedRev int64 // highest rev pushed off the ring
-	published  int64
-	evicted    int64
+	evictedRev int64 // highest rev pushed off the ring = events evicted
 }
 
 // append adds one event, growing the buffer geometrically up to the
@@ -177,7 +181,8 @@ type ring[T any] struct {
 // created per server, and preallocating the ring at capacity both slows
 // construction and leaves a large pointer-bearing array live for the GC
 // to scan even when the server never sees more than a handful of events.
-func (r *ring[T]) append(rev int64, ev T) {
+// It returns the key of the event evicted to make room (0 when none was).
+func (r *ring[T]) append(e entry[T]) (evictedKey int32) {
 	if r.count == len(r.buf) && r.count < r.capacity {
 		n := 2 * len(r.buf)
 		if n == 0 {
@@ -194,36 +199,19 @@ func (r *ring[T]) append(rev int64, ev T) {
 	}
 	if r.count == len(r.buf) {
 		old := &r.buf[r.start]
-		r.evictedRev = old.rev
-		var zero entry[T]
-		*old = zero // release the payload to the GC
+		evictedKey = old.key
+		*old = entry[T]{} // release the payload to the GC
 		r.start = (r.start + 1) % len(r.buf)
 		r.count--
-		r.evicted++
+		r.evictedRev++
 	}
-	r.buf[(r.start+r.count)%len(r.buf)] = entry[T]{rev: rev, ev: ev}
+	r.buf[(r.start+r.count)%len(r.buf)] = e
 	r.count++
-	r.published++
+	return evictedKey
 }
 
 // at returns the i-th oldest retained entry.
 func (r *ring[T]) at(i int) *entry[T] { return &r.buf[(r.start+i)%len(r.buf)] }
-
-// search returns the smallest ring offset whose event rev exceeds
-// afterRev (count when none does). Revisions are strictly increasing
-// along the ring, so this is a binary search.
-func (r *ring[T]) search(afterRev int64) int {
-	lo, hi := 0, r.count
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if r.at(mid).rev > afterRev {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
 
 // subStats is the internal per-subscriber accounting. Counters are
 // atomics so Stats readers never contend with the delivery path (they
@@ -254,7 +242,12 @@ func (s *subStats) snapshot() SubscriberStats {
 // released, fenced by the delivering flag.
 type subscription[T any] struct {
 	id     int64
+	key    int32 // 0: the whole stream
 	cursor int64 // rev of the last event consumed (or start rev)
+	// next is a keyed subscription's first undelivered event: set when
+	// one of its key is appended, re-sought when the cursor moves; 0 when
+	// none is pending. Past the eviction horizon it means "fell off".
+	next   int64
 	fn     func([]T)
 	resync func() int64 // nil: fall forward and count Dropped
 
@@ -282,10 +275,14 @@ type Broker[T any] struct {
 
 	// stash holds publishes that arrived before their predecessors;
 	// drained into the ring as gaps fill.
-	stash map[int64]T
+	stash map[int64]entry[T]
 
-	subs   map[int64]*subscription[T]
-	order  []int64 // subscription ids, ascending (= subscription order)
+	// keys interns each key published or subscribed to; keyed is indexed
+	// by the interned key.
+	keys  map[string]int32
+	keyed []keyState[T]
+
+	order  []*subscription[T] // ids ascending (= subscription order)
 	nextID int64
 
 	// flushing is the Sync-mode flush claim: the one flusher holding it
@@ -293,6 +290,13 @@ type Broker[T any] struct {
 	flushing bool
 
 	closed bool
+}
+
+// keyState is one key's subscriptions and the newest rev of its events
+// evicted from the ring.
+type keyState[T any] struct {
+	subs    []*subscription[T]
+	evicted int64
 }
 
 // New creates a broker.
@@ -307,21 +311,24 @@ func New[T any](opts Options) *Broker[T] {
 		mode:     opts.Mode,
 		maxBatch: opts.MaxBatch,
 		ring:     ring[T]{capacity: opts.Capacity},
-		stash:    make(map[int64]T),
-		subs:     make(map[int64]*subscription[T]),
+		stash:    make(map[int64]entry[T]),
+		keys:     make(map[string]int32),
+		keyed:    make([]keyState[T], 1), // key 0 is "none"
 	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-// Publish appends one event to the ring at the given resource version.
-// Revisions are dense: the first is 1 and each rev is published once.
+// Publish appends one event to the ring at the given resource version,
+// under key ("" for none): it reaches the whole-stream subscribers and
+// those of its key. Revisions are dense: the first is 1 and each rev is
+// published once.
 // Racing writers may arrive out of order; an event is buffered until
 // every lower rev has been published, then appended in rev order. The
 // append is O(1) and never runs subscriber code, so a caller may publish
 // under its own state lock. When the ring is full its oldest event is
 // evicted; subscribers still needing it resync.
-func (b *Broker[T]) Publish(rev int64, ev T) {
+func (b *Broker[T]) Publish(rev int64, key string, ev T) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -330,29 +337,46 @@ func (b *Broker[T]) Publish(rev int64, ev T) {
 	if rev <= b.lastRev {
 		panic(fmt.Sprintf("watch: Publish rev %d not after %d", rev, b.lastRev))
 	}
+	e := entry[T]{key: b.intern(key), ev: ev}
 	if rev != b.lastRev+1 {
 		if _, dup := b.stash[rev]; dup {
 			panic(fmt.Sprintf("watch: duplicate Publish rev %d", rev))
 		}
-		b.stash[rev] = ev
+		b.stash[rev] = e
 		return
 	}
-	b.ring.append(rev, ev)
-	b.lastRev = rev
-	// Drain any stashed successors whose gap just filled.
-	for {
-		next, ok := b.stash[b.lastRev+1]
-		if !ok {
-			break
-		}
+	for ok := true; ok; e, ok = b.stash[b.lastRev+1] {
+		// Append, then drain any stashed successors whose gap just filled.
 		delete(b.stash, b.lastRev+1)
+		if gone := b.ring.append(e); gone != 0 {
+			b.keyed[gone].evicted = b.ring.evictedRev
+		}
 		b.lastRev++
-		b.ring.append(b.lastRev, next)
+		for _, sub := range b.keyed[e.key].subs {
+			if sub.next == 0 && b.lastRev > sub.cursor {
+				sub.next = b.lastRev
+			}
+		}
 	}
 	b.cond.Broadcast()
 }
 
-// Subscribe registers fn for every event with rev > afterRev, delivered
+// intern returns key's id, 0 for the empty key. Caller holds b.mu.
+func (b *Broker[T]) intern(key string) int32 {
+	if key == "" {
+		return 0
+	}
+	k, ok := b.keys[key]
+	if !ok {
+		k = int32(len(b.keyed))
+		b.keys[key] = k
+		b.keyed = append(b.keyed, keyState[T]{})
+	}
+	return k
+}
+
+// Subscribe registers fn for every event with rev > afterRev — every
+// event when key is "", else only those published under key — delivered
 // in batches in strict resource-version order with no duplicates. The
 // batch slice is reused between invocations — callbacks must not retain
 // it. resync (optional) is invoked when the subscriber falls off the
@@ -362,7 +386,7 @@ func (b *Broker[T]) Publish(rev int64, ev T) {
 // anywhere including the callback itself: no callback starts after it
 // returns, and in Async mode one in flight on another goroutine has
 // returned too (Sync mode does not wait — see the package comment).
-func (b *Broker[T]) Subscribe(afterRev int64, fn func([]T), resync func() int64) (unsubscribe func()) {
+func (b *Broker[T]) Subscribe(afterRev int64, key string, fn func([]T), resync func() int64) (unsubscribe func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -371,12 +395,15 @@ func (b *Broker[T]) Subscribe(afterRev int64, fn func([]T), resync func() int64)
 	b.nextID++
 	sub := &subscription[T]{
 		id:     b.nextID,
-		cursor: afterRev,
+		key:    b.intern(key),
 		fn:     fn,
 		resync: resync,
 	}
-	b.subs[sub.id] = sub
-	b.order = append(b.order, sub.id)
+	b.moveLocked(sub, afterRev)
+	if sub.key != 0 {
+		b.keyed[sub.key].subs = append(b.keyed[sub.key].subs, sub)
+	}
+	b.order = append(b.order, sub)
 	if b.mode == Async {
 		go b.pump(sub)
 	}
@@ -396,12 +423,9 @@ func (b *Broker[T]) unsubscribe(sub *subscription[T]) {
 		return
 	}
 	sub.closed = true
-	delete(b.subs, sub.id)
-	for i, id := range b.order {
-		if id == sub.id {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			break
-		}
+	b.order = slices.DeleteFunc(b.order, func(s *subscription[T]) bool { return s == sub })
+	if ks := &b.keyed[sub.key]; sub.key != 0 {
+		ks.subs = slices.DeleteFunc(ks.subs, func(s *subscription[T]) bool { return s == sub })
 	}
 	b.cond.Broadcast() // wake the pump so it exits
 	if b.mode == Async && sub.delivering && sub.pumpGoid != goid() {
@@ -425,17 +449,17 @@ func (b *Broker[T]) Close() {
 func (b *Broker[T]) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	st := Stats{Published: b.ring.published, Evicted: b.ring.evicted, Subscribers: len(b.subs)}
-	for _, id := range b.order {
-		ss := b.subs[id].stats.snapshot()
-		ss.ID = id
+	st := Stats{Published: b.lastRev, Evicted: b.ring.evictedRev, Subscribers: len(b.order)}
+	for _, sub := range b.order {
+		ss := sub.stats.snapshot()
+		ss.ID = sub.id
 		st.PerSubscriber = append(st.PerSubscriber, ss)
 	}
 	return st
 }
 
-// Quiesce blocks until every subscriber's cursor has reached every
-// event published before the call, no publish is stashed awaiting its
+// Quiesce blocks until every subscriber has been handed every event for
+// it published before the call, no publish is stashed awaiting its
 // gap, and no delivery or flush is in flight — the barrier
 // tests and benchmarks use to observe a settled fan-out, and in Sync mode
 // the way a goroutine whose Flush found another flusher active waits for
@@ -447,8 +471,8 @@ func (b *Broker[T]) Quiesce() {
 	target := b.lastRev
 	for {
 		settled := !b.flushing && len(b.stash) == 0
-		for _, sub := range b.subs {
-			if sub.cursor < target || sub.delivering {
+		for _, sub := range b.order {
+			if next := b.pending(sub); next != 0 && next <= target || sub.delivering {
 				settled = false
 				break
 			}
@@ -489,11 +513,11 @@ func (b *Broker[T]) Flush() {
 	b.cond.Broadcast()
 }
 
-// drainLocked repeatedly offers pending events to every subscriber until
-// a whole sweep delivers nothing (events published by the callbacks
-// themselves, or by other goroutines meanwhile, included). Caller holds
-// b.mu and has claimed the flushing flag; the mutex is released around
-// callbacks.
+// drainLocked repeatedly offers pending events to every subscriber with
+// one pending until a whole sweep delivers nothing (events published by
+// the callbacks themselves, or by other goroutines meanwhile, included).
+// Caller holds b.mu and has claimed the flushing flag; the mutex is
+// released around callbacks.
 func (b *Broker[T]) drainLocked() {
 	for {
 		progressed := false
@@ -503,16 +527,16 @@ func (b *Broker[T]) drainLocked() {
 		// of that moment, and survives removals by re-seating its index
 		// on the first id after the one it just served.
 		newest := b.nextID
-		for i := 0; i < len(b.order) && b.order[i] <= newest; {
-			sub := b.subs[b.order[i]]
-			if sub.cursor < b.lastRev && b.serveLocked(sub) {
+		for i := 0; i < len(b.order) && b.order[i].id <= newest; {
+			sub := b.order[i]
+			if b.pending(sub) != 0 && b.serveLocked(sub) {
 				progressed = true
 			}
-			if i < len(b.order) && b.order[i] == sub.id {
+			if i < len(b.order) && b.order[i] == sub {
 				i++
 				continue
 			}
-			i = sort.Search(len(b.order), func(j int) bool { return b.order[j] > sub.id })
+			i = sort.Search(len(b.order), func(j int) bool { return b.order[j].id > sub.id })
 		}
 		if !progressed {
 			return
@@ -527,7 +551,7 @@ func (b *Broker[T]) pump(sub *subscription[T]) {
 	defer b.mu.Unlock()
 	sub.pumpGoid = id
 	for {
-		for !sub.closed && !b.closed && sub.cursor >= b.lastRev {
+		for !sub.closed && !b.closed && b.pending(sub) == 0 {
 			b.cond.Wait()
 		}
 		if sub.closed || b.closed {
@@ -537,17 +561,52 @@ func (b *Broker[T]) pump(sub *subscription[T]) {
 	}
 }
 
-// serveLocked moves one subscriber forward: either delivers the next
-// batch — the contiguous run of the ring just after its cursor — or runs
-// its too-old recovery. Caller holds b.mu; it is released around the
-// callback. Reports whether the cursor advanced.
+// pending returns the rev of sub's first undelivered event, 0 when it
+// has none. Caller holds b.mu.
+func (b *Broker[T]) pending(sub *subscription[T]) int64 {
+	if sub.key != 0 {
+		return sub.next
+	}
+	if sub.cursor < b.lastRev {
+		return sub.cursor + 1
+	}
+	return 0
+}
+
+// moveLocked sets sub's cursor and, for a keyed subscription, seeks its
+// next event: the first of its key in the ring after the cursor, or the
+// one after the cursor if an event of its key past the cursor was
+// evicted. Caller holds b.mu.
+func (b *Broker[T]) moveLocked(sub *subscription[T], cursor int64) {
+	sub.cursor, sub.next = cursor, 0
+	if sub.key == 0 {
+		return
+	}
+	r := &b.ring
+	if cursor < r.evictedRev && b.keyed[sub.key].evicted > cursor {
+		sub.next = cursor + 1
+		return
+	}
+	for i := max(cursor-r.evictedRev, 0); i < int64(r.count); i++ {
+		if r.at(int(i)).key == sub.key {
+			sub.next = r.evictedRev + 1 + i
+			return
+		}
+	}
+}
+
+// serveLocked moves one subscriber with an event pending forward: either
+// delivers the next batch — its events of the ring from its first
+// undelivered one — or runs its too-old recovery. Caller holds b.mu; it
+// is released around the callback. Reports whether the cursor advanced.
 func (b *Broker[T]) serveLocked(sub *subscription[T]) bool {
 	r := &b.ring
-	if horizon := r.evictedRev; sub.cursor < horizon {
-		// Fell off the ring: events after the cursor were evicted.
+	first := b.pending(sub)
+	if horizon := r.evictedRev; first <= horizon {
+		// Fell off the ring: an event it needed was evicted.
 		if sub.resync == nil {
 			sub.stats.dropped.Add(horizon - sub.cursor)
-			sub.cursor = horizon
+			b.moveLocked(sub, horizon)
 			b.cond.Broadcast()
 			return true
 		}
@@ -561,36 +620,45 @@ func (b *Broker[T]) serveLocked(sub *subscription[T]) bool {
 		// eviction horizon at snapshot time; if the ring wrapped again
 		// during the resync, the next serve detects it and resyncs again.
 		if newCursor > sub.cursor {
-			sub.cursor = newCursor
+			b.moveLocked(sub, newCursor)
 		}
 		b.cond.Broadcast()
 		return sub.cursor > before
 	}
-	// Cut a batch: up to maxBatch consecutive entries after the cursor.
-	first := r.search(sub.cursor)
-	n := min(r.count-first, b.maxBatch)
-	if n == 0 {
-		return false
-	}
+	// Cut a batch: up to maxBatch of its events from the first, which
+	// every key matches for a whole-stream subscriber; the next of them
+	// after the batch becomes its next pending event.
 	batch := sub.buf[:0]
 	if cap(batch) < b.maxBatch {
 		batch = make([]T, 0, b.maxBatch)
 	}
-	for i := first; i < first+n; i++ {
-		batch = append(batch, r.at(i).ev)
+	last, next := first, int64(0)
+	for i := int(first - r.evictedRev - 1); i < r.count; i++ {
+		e := r.at(i)
+		if sub.key != 0 && e.key != sub.key {
+			continue
+		}
+		rev := r.evictedRev + 1 + int64(i)
+		if len(batch) == b.maxBatch {
+			next = rev
+			break
+		}
+		batch = append(batch, e.ev)
+		last = rev
 	}
 	sub.buf = batch
-	if lag := b.lastRev - sub.cursor; lag > sub.stats.maxLag.Load() {
+	if lag := b.lastRev - first + 1; lag > sub.stats.maxLag.Load() {
 		sub.stats.maxLag.Store(lag)
 	}
-	sub.cursor = r.at(first + n - 1).rev
+	sub.cursor, sub.next = last, next
 	if _, ok := b.callLocked(sub, func() int64 { sub.fn(batch); return 0 }); !ok {
 		return false
 	}
-	sub.stats.delivered.Add(int64(n))
+	n := int64(len(batch))
+	sub.stats.delivered.Add(n)
 	sub.stats.batches.Add(1)
-	if int64(n) > sub.stats.maxBatch.Load() {
-		sub.stats.maxBatch.Store(int64(n))
+	if n > sub.stats.maxBatch.Load() {
+		sub.stats.maxBatch.Store(n)
 	}
 	b.cond.Broadcast()
 	return true

@@ -18,7 +18,7 @@ func intBroker(opts Options) (*Broker[int64], func() int64) {
 		mu.Lock()
 		rev++
 		r := rev
-		b.Publish(r, r)
+		b.Publish(r, "", r)
 		mu.Unlock()
 		return r
 	}
@@ -39,9 +39,9 @@ func checkOrdered(t *testing.T, revs []int64, context string) {
 func TestSyncDeliveryInOrder(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Sync})
 	var got1, got2 []int64
-	unsub1 := b.Subscribe(0, func(evs []int64) { got1 = append(got1, evs...) }, nil)
+	unsub1 := b.Subscribe(0, "", func(evs []int64) { got1 = append(got1, evs...) }, nil)
 	defer unsub1()
-	unsub2 := b.Subscribe(0, func(evs []int64) { got2 = append(got2, evs...) }, nil)
+	unsub2 := b.Subscribe(0, "", func(evs []int64) { got2 = append(got2, evs...) }, nil)
 	defer unsub2()
 	for i := 0; i < 50; i++ {
 		publish()
@@ -67,7 +67,7 @@ func TestSubscribeMidStreamSkipsOldEvents(t *testing.T) {
 	}
 	b.Flush()
 	var got []int64
-	unsub := b.Subscribe(last, func(evs []int64) { got = append(got, evs...) }, nil)
+	unsub := b.Subscribe(last, "", func(evs []int64) { got = append(got, evs...) }, nil)
 	defer unsub()
 	publish()
 	publish()
@@ -83,7 +83,7 @@ func TestSubscribeMidStreamSkipsOldEvents(t *testing.T) {
 func TestSyncReentrantPublish(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Sync})
 	var got []int64
-	unsub := b.Subscribe(0, func(evs []int64) {
+	unsub := b.Subscribe(0, "", func(evs []int64) {
 		for _, ev := range evs {
 			got = append(got, ev)
 			if ev == 1 {
@@ -105,7 +105,7 @@ func TestUnsubscribeFromInsideCallbackSync(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Sync})
 	var got []int64
 	var unsub func()
-	unsub = b.Subscribe(0, func(evs []int64) {
+	unsub = b.Subscribe(0, "", func(evs []int64) {
 		got = append(got, evs...)
 		unsub() // must not deadlock; no further deliveries
 	}, nil)
@@ -123,7 +123,7 @@ func TestUnsubscribeFromInsideCallbackAsync(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Async, MaxBatch: 1})
 	delivered := make(chan int64, 16)
 	var unsub func()
-	unsub = b.Subscribe(0, func(evs []int64) {
+	unsub = b.Subscribe(0, "", func(evs []int64) {
 		delivered <- evs[0]
 		unsub()
 	}, nil)
@@ -151,7 +151,7 @@ func TestUnsubscribeWaitsForInflightDelivery(t *testing.T) {
 	release := make(chan struct{})
 	var mu sync.Mutex
 	inCallback := false
-	unsub := b.Subscribe(0, func(evs []int64) {
+	unsub := b.Subscribe(0, "", func(evs []int64) {
 		mu.Lock()
 		inCallback = true
 		mu.Unlock()
@@ -210,7 +210,7 @@ func TestUnsubscribeConcurrentWithDeliveryHammer(t *testing.T) {
 		var unsubs []func()
 		for i := 0; i < 8; i++ {
 			var n int64
-			unsubs = append(unsubs, b.Subscribe(0, func(evs []int64) { n += int64(len(evs)) }, func() int64 { return b.LastRev() }))
+			unsubs = append(unsubs, b.Subscribe(0, "", func(evs []int64) { n += int64(len(evs)) }, func() int64 { return b.LastRev() }))
 		}
 		var uw sync.WaitGroup
 		for _, u := range unsubs {
@@ -229,7 +229,7 @@ func TestAsyncDeliversEverythingBatched(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Async, MaxBatch: 32})
 	var mu sync.Mutex
 	var got []int64
-	unsub := b.Subscribe(0, func(evs []int64) {
+	unsub := b.Subscribe(0, "", func(evs []int64) {
 		time.Sleep(time.Millisecond) // slow consumer: lets batches build up
 		mu.Lock()
 		got = append(got, evs...)
@@ -270,7 +270,7 @@ func TestOverflowTriggersResync(t *testing.T) {
 	var mu sync.Mutex
 	var got []int64
 	var resyncRevs []int64
-	unsub := b.Subscribe(0, func(evs []int64) {
+	unsub := b.Subscribe(0, "", func(evs []int64) {
 		<-gate // hold the pump until the ring has wrapped
 		mu.Lock()
 		got = append(got, evs...)
@@ -329,7 +329,7 @@ func TestOverflowTriggersResync(t *testing.T) {
 func TestOverflowWithoutResyncCountsDropped(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Sync, Capacity: 8})
 	var got []int64
-	unsub := b.Subscribe(0, func(evs []int64) { got = append(got, evs...) }, nil)
+	unsub := b.Subscribe(0, "", func(evs []int64) { got = append(got, evs...) }, nil)
 	defer unsub()
 	// Publish without flushing: the ring wraps while the subscriber
 	// starves.
@@ -353,7 +353,7 @@ func TestSyncOverflowResyncsInline(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Sync, Capacity: 4})
 	var resyncs int
 	var got []int64
-	unsub := b.Subscribe(0, func(evs []int64) { got = append(got, evs...) }, func() int64 {
+	unsub := b.Subscribe(0, "", func(evs []int64) { got = append(got, evs...) }, func() int64 {
 		resyncs++
 		return b.LastRev()
 	})
@@ -391,7 +391,7 @@ func TestBrokerPropertyRandom(t *testing.T) {
 			src.Lock()
 			src.rev++
 			src.sum += src.rev
-			b.Publish(src.rev, src.rev)
+			b.Publish(src.rev, "", src.rev)
 			src.Unlock()
 		}
 		snapshot := func() (int64, int64) {
@@ -413,7 +413,7 @@ func TestBrokerPropertyRandom(t *testing.T) {
 		for ci := 0; ci < nConsumers; ci++ {
 			c := &consumer{delay: time.Duration(rng.Intn(300)) * time.Microsecond}
 			consumers[ci] = c
-			unsubs = append(unsubs, b.Subscribe(0, func(evs []int64) {
+			unsubs = append(unsubs, b.Subscribe(0, "", func(evs []int64) {
 				time.Sleep(c.delay)
 				c.mu.Lock()
 				for _, rev := range evs {
@@ -473,7 +473,7 @@ func TestQuiesceIdleReturns(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Quiesce blocked on an idle broker")
 	}
-	unsub := b.Subscribe(0, func([]int64) {}, nil)
+	unsub := b.Subscribe(0, "", func([]int64) {}, nil)
 	defer unsub()
 	publish()
 	b.Quiesce()

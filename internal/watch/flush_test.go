@@ -54,7 +54,7 @@ func TestSyncFlushConcurrentProperty(t *testing.T) {
 	var seq atomic.Int64
 	publish := func() {
 		rev := seq.Add(1)
-		b.Publish(rev, rev)
+		b.Publish(rev, "", rev)
 		b.Flush() // claims the drain, or returns at once if someone holds it
 	}
 
@@ -67,7 +67,7 @@ func TestSyncFlushConcurrentProperty(t *testing.T) {
 	// delivered rev (on the flusher, mutex released).
 	subscribe := func(act func(s *propSub, rev int64)) *propSub {
 		s := &propSub{start: b.LastRev()}
-		s.unsub = b.Subscribe(s.start, func(evs []int64) {
+		s.unsub = b.Subscribe(s.start, "", func(evs []int64) {
 			if s.closedInCallback {
 				s.startedAfter = true
 			}
@@ -210,33 +210,41 @@ func TestSyncFlushConcurrentProperty(t *testing.T) {
 }
 
 // TestSyncPublishFlushAllocsPinned: a steady-state Sync Publish + Flush
-// to six subscribers allocates nothing — the ring is at capacity, the
-// batch buffers exist, the sweep walks the subscriber order in place.
-// Anything per-event on this path (a goroutine-id lookup allocates its
-// stack buffer, a copy of the order its slice) trips it.
+// to six whole-stream subscribers and two keyed ones allocates nothing —
+// the ring is at capacity, the batch buffers exist, the keys are
+// interned, the sweep walks the subscriber order in place. Anything
+// per-event on this path (a goroutine-id lookup allocates its stack
+// buffer, a copy of the order its slice) trips it.
 func TestSyncPublishFlushAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
 	}
 	b := New[int64](Options{Mode: Sync, Capacity: 64})
-	var delivered int64
+	var delivered, keyed int64
 	for i := 0; i < 6; i++ {
-		defer b.Subscribe(0, func(evs []int64) { delivered += int64(len(evs)) }, nil)()
+		defer b.Subscribe(0, "", func(evs []int64) { delivered += int64(len(evs)) }, nil)()
 	}
-	var rev int64
+	for _, key := range []string{"a", "b"} {
+		defer b.Subscribe(0, key, func(evs []int64) { keyed += int64(len(evs)) }, nil)()
+	}
+	var rev, wantKeyed int64
 	step := func() {
 		rev++
-		b.Publish(rev, rev)
+		key := [...]string{"a", "", "b"}[rev%3]
+		if key != "" {
+			wantKeyed++
+		}
+		b.Publish(rev, key, rev)
 		b.Flush()
 	}
 	for i := 0; i < 100; i++ { // wrap the ring, size every batch buffer
 		step()
 	}
 	if got := testing.AllocsPerRun(1000, step); got != 0 {
-		t.Fatalf("Sync Publish+Flush to 6 subscribers allocates %.1f objects per event, want 0", got)
+		t.Fatalf("Sync Publish+Flush to 8 subscribers allocates %.1f objects per event, want 0", got)
 	}
-	if delivered != 6*rev {
-		t.Fatalf("delivered %d events, want %d", delivered, 6*rev)
+	if delivered != 6*rev || keyed != wantKeyed {
+		t.Fatalf("delivered %d events and %d keyed, want %d and %d", delivered, keyed, 6*rev, wantKeyed)
 	}
 }
 
@@ -256,24 +264,24 @@ func TestSyncSweepCoversSubscribersPresentAtItsStart(t *testing.T) {
 		}
 	}
 	var unsubA func()
-	unsubA = b.Subscribe(0, func(evs []int64) {
+	unsubA = b.Subscribe(0, "", func(evs []int64) {
 		record("A", evs)
 		unsubA() // removes the entry the sweep stands on
 	}, nil)
-	unsubZ := b.Subscribe(0, func(evs []int64) { record("Z", evs) }, nil)
-	defer b.Subscribe(0, func(evs []int64) {
+	unsubZ := b.Subscribe(0, "", func(evs []int64) { record("Z", evs) }, nil)
+	defer b.Subscribe(0, "", func(evs []int64) {
 		record("B", evs)
 		if evs[0] == 1 {
-			b.Subscribe(b.LastRev(), func(evs []int64) { record("E", evs) }, nil)
+			b.Subscribe(b.LastRev(), "", func(evs []int64) { record("E", evs) }, nil)
 			publish() // rev 2, left to this drain
 			b.Flush()
 		}
 	}, nil)()
-	defer b.Subscribe(0, func(evs []int64) {
+	defer b.Subscribe(0, "", func(evs []int64) {
 		record("C", evs)
 		unsubZ() // removes an entry behind the sweep's position
 	}, nil)()
-	defer b.Subscribe(0, func(evs []int64) { record("D", evs) }, nil)()
+	defer b.Subscribe(0, "", func(evs []int64) { record("D", evs) }, nil)()
 
 	publish()
 	b.Flush()

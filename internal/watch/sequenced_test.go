@@ -12,14 +12,14 @@ import (
 func TestSequencedPublishReorders(t *testing.T) {
 	b := New[int64](Options{Mode: Sync})
 	var got []int64
-	unsub := b.Subscribe(0, func(evs []int64) { got = append(got, evs...) }, nil)
+	unsub := b.Subscribe(0, "", func(evs []int64) { got = append(got, evs...) }, nil)
 	defer unsub()
-	b.Publish(2, 2)
-	b.Publish(3, 3)
+	b.Publish(2, "", 2)
+	b.Publish(3, "", 3)
 	if lr := b.LastRev(); lr != 0 {
 		t.Fatalf("LastRev = %d with the gap at rev 1 unfilled, want 0", lr)
 	}
-	b.Publish(1, 1)
+	b.Publish(1, "", 1)
 	if lr := b.LastRev(); lr != 3 {
 		t.Fatalf("LastRev = %d after the gap filled, want 3", lr)
 	}
@@ -41,7 +41,7 @@ func TestSequencedConcurrentPublishersDeliverInOrder(t *testing.T) {
 	b := New[int64](Options{Mode: Sync})
 	var mu sync.Mutex
 	var got []int64
-	unsub := b.Subscribe(0, func(evs []int64) {
+	unsub := b.Subscribe(0, "", func(evs []int64) {
 		mu.Lock()
 		got = append(got, evs...)
 		mu.Unlock()
@@ -56,7 +56,7 @@ func TestSequencedConcurrentPublishersDeliverInOrder(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				rev := seq.Add(1)
-				b.Publish(rev, rev)
+				b.Publish(rev, "", rev)
 				b.Flush()
 			}
 		}()

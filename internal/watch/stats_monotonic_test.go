@@ -22,8 +22,8 @@ func TestWatchSubscriberStatsMonotonicUnderChurn(t *testing.T) {
 	subscribe := func() {
 		// A deliberately slow consumer without a resync handler (drops)
 		// and a fast one with a resync handler (resyncs).
-		slow := b.Subscribe(0, func([]int64) { time.Sleep(50 * time.Microsecond) }, nil)
-		fast := b.Subscribe(0, func([]int64) {}, func() int64 { return b.LastRev() })
+		slow := b.Subscribe(0, "", func([]int64) { time.Sleep(50 * time.Microsecond) }, nil)
+		fast := b.Subscribe(0, "", func([]int64) {}, func() int64 { return b.LastRev() })
 		mu.Lock()
 		unsubs = append(unsubs, slow, fast)
 		mu.Unlock()
@@ -36,7 +36,7 @@ func TestWatchSubscriberStatsMonotonicUnderChurn(t *testing.T) {
 	go func() {
 		defer close(done)
 		for rev := int64(1); rev <= 4000; rev++ {
-			b.Publish(rev, rev)
+			b.Publish(rev, "", rev)
 			b.Flush()
 			switch rev {
 			case 1000, 2500: // churn mid-storm
