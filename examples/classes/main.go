@@ -13,31 +13,42 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
+
+	"github.com/sgxorch/sgxorch/internal/experiments"
 )
 
-import "github.com/sgxorch/sgxorch/internal/experiments"
-
 func main() {
-	fmt.Println("Mixed-fleet workload classes (45 best-effort fillers, then 15 latency-sensitive")
-	fmt.Println("+ 15 batch jobs on an occupied 2 std + 2 SGX node fleet)")
-	fmt.Println()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the mixed fleet and writes the walkthrough to w; it fails
+// unless latency-sensitive p99 wait lands strictly below the other two
+// tiers with no capacity violation.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "Mixed-fleet workload classes (45 best-effort fillers, then 15 latency-sensitive")
+	fmt.Fprintln(w, "+ 15 batch jobs on an occupied 2 std + 2 SGX node fleet)")
+	fmt.Fprintln(w)
 
 	res, err := experiments.ClassesMixedFleet(experiments.ClassesExpConfig{Seed: 9})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%-18s %-6s %-12s %-12s %-10s %-10s %-8s\n",
+	fmt.Fprintf(w, "%-18s %-6s %-12s %-12s %-10s %-10s %-8s\n",
 		"class", "jobs", "p50-wait", "p99-wait", "suffered", "inflicted", "victims")
 	for _, class := range []string{"latency-sensitive", "batch", "best-effort"} {
 		o := res.PerClass[class]
-		fmt.Printf("%-18s %-6d %-12s %-12s %-10d %-10d %-8d\n",
+		fmt.Fprintf(w, "%-18s %-6d %-12s %-12s %-10d %-10d %-8d\n",
 			class, o.Jobs, o.P50Wait, o.P99Wait,
 			o.PreemptionsSuffered, o.PreemptionsInflicted, o.Victims)
 	}
-	fmt.Println()
-	fmt.Printf("drained=%t in %s, SGX(EPC) utilization %.1f%%, capacity violations %d\n",
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "drained=%t in %s, SGX(EPC) utilization %.1f%%, capacity violations %d\n",
 		res.Completed, res.DrainTime, 100*res.SGXUtilization, res.Violations)
 
 	ls := res.PerClass["latency-sensitive"]
@@ -46,11 +57,12 @@ func main() {
 	if !res.Completed || res.Violations != 0 ||
 		ls.P99Wait >= batch.P99Wait || ls.P99Wait >= be.P99Wait ||
 		ls.PreemptionsSuffered != 0 {
-		log.Fatalf("class invariant broken: %+v", res)
+		return fmt.Errorf("class invariant broken: %+v", res)
 	}
-	fmt.Println()
-	fmt.Println("Latency-sensitive p99 wait sits strictly below both other tiers: it cut the")
-	fmt.Println("queue by evicting best-effort fillers, while batch — which never preempts —")
-	fmt.Println("waited for the fillers to finish. The violations column replays every bind")
-	fmt.Println("against node capacity: the class fast path never oversubscribed a node.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Latency-sensitive p99 wait sits strictly below both other tiers: it cut the")
+	fmt.Fprintln(w, "queue by evicting best-effort fillers, while batch — which never preempts —")
+	fmt.Fprintln(w, "waited for the fillers to finish. The violations column replays every bind")
+	fmt.Fprintln(w, "against node capacity: the class fast path never oversubscribed a node.")
+	return nil
 }

@@ -14,35 +14,47 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
+
+	"github.com/sgxorch/sgxorch/internal/experiments"
 )
 
-import "github.com/sgxorch/sgxorch/internal/experiments"
-
 func main() {
-	fmt.Println("Gang backlog drain (8 gangs x 4 members + 16 solo jobs, 8 std nodes)")
-	fmt.Println("Lifecycle per gang: director gate -> reserve (hold) -> quorum -> atomic commit,")
-	fmt.Println("or permit timeout -> wholesale rollback -> retry.")
-	fmt.Println()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run drains the gang backlog at 1, 2 and 4 schedulers and writes the
+// walkthrough to w; it fails if a gang is ever partially placed, a
+// permit leaks or the backlog does not drain.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "Gang backlog drain (8 gangs x 4 members + 16 solo jobs, 8 std nodes)")
+	fmt.Fprintln(w, "Lifecycle per gang: director gate -> reserve (hold) -> quorum -> atomic commit,")
+	fmt.Fprintln(w, "or permit timeout -> wholesale rollback -> retry.")
+	fmt.Fprintln(w)
 
 	results, err := experiments.GangScenario(1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%-11s %-9s %-12s %-9s %-9s %-14s %-9s %-7s\n",
+	fmt.Fprintf(w, "%-11s %-9s %-12s %-9s %-9s %-14s %-9s %-7s\n",
 		"schedulers", "drained", "drain", "commits", "timeouts", "mean-to-full", "partials", "leaks")
 	for _, r := range results {
-		fmt.Printf("%-11d %-9t %-12s %-9d %-9d %-14s %-9d %-7d\n",
+		fmt.Fprintf(w, "%-11d %-9t %-12s %-9d %-9d %-14s %-9d %-7d\n",
 			r.Shards, r.Completed, r.DrainTime, r.GangsCommitted, r.PermitTimeouts,
 			r.MeanTimeToFullGang, r.PartialPlacements, r.LeakedPermits)
 		if !r.Completed || r.PartialPlacements != 0 || r.Violations != 0 || r.LeakedPermits != 0 {
-			log.Fatalf("invariant broken at %d schedulers: %+v", r.Shards, r)
+			return fmt.Errorf("invariant broken at %d schedulers: %+v", r.Shards, r)
 		}
 	}
-	fmt.Println()
-	fmt.Println("Permit timeouts are recoverable — the gang's held capacity is returned and")
-	fmt.Println("its members requeue. The partials column replays the watch stream: outside")
-	fmt.Println("a gang's own atomic commit burst, no gang was ever partially placed, at any")
-	fmt.Println("fleet size; leaks proves every rollback returned all held capacity.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Permit timeouts are recoverable — the gang's held capacity is returned and")
+	fmt.Fprintln(w, "its members requeue. The partials column replays the watch stream: outside")
+	fmt.Fprintln(w, "a gang's own atomic commit burst, no gang was ever partially placed, at any")
+	fmt.Fprintln(w, "fleet size; leaks proves every rollback returned all held capacity.")
+	return nil
 }

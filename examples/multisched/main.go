@@ -13,32 +13,43 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
+
+	"github.com/sgxorch/sgxorch/internal/experiments"
 )
 
-import "github.com/sgxorch/sgxorch/internal/experiments"
-
 func main() {
-	fmt.Println("Multi-scheduler backlog drain (Borg eval slice, 663 jobs, 16 std + 4 SGX nodes)")
-	fmt.Println("Each scheduler binds at most 2 pods per 5 s pass; pods are sharded by name hash.")
-	fmt.Println()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run drains the backlog at 1, 2 and 4 schedulers and writes the
+// walkthrough to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "Multi-scheduler backlog drain (Borg eval slice, 663 jobs, 16 std + 4 SGX nodes)")
+	fmt.Fprintln(w, "Each scheduler binds at most 2 pods per 5 s pass; pods are sharded by name hash.")
+	fmt.Fprintln(w)
 
 	cmp, err := experiments.MultiSchedScenario(1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("%-11s %-12s %-12s %-11s %-14s %-10s\n",
+	fmt.Fprintf(w, "%-11s %-12s %-12s %-11s %-14s %-10s\n",
 		"schedulers", "drain", "binds/sec", "conflicts", "conflict-rate", "violations")
 	for _, r := range cmp.Results {
-		fmt.Printf("%-11d %-12s %-12.3f %-11d %-14.3f %-10d\n",
+		fmt.Fprintf(w, "%-11d %-12s %-12.3f %-11d %-14.3f %-10d\n",
 			r.Shards, r.DrainTime, r.BindsPerSecond, r.Conflicts, r.ConflictRate, r.Violations)
 	}
-	fmt.Println()
-	fmt.Printf("speedup: 2 schedulers %.2fx, 4 schedulers %.2fx over one\n", cmp.SpeedupX2, cmp.SpeedupX4)
-	fmt.Println()
-	fmt.Println("Conflicts are not failures: each one is a bind the server refused because")
-	fmt.Println("a concurrent scheduler won that capacity first — the losing pod simply")
-	fmt.Println("reschedules. The violations column proves the invariant: replaying the")
-	fmt.Println("watch events, no node's committed requests ever exceeded its allocatable.")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "speedup: 2 schedulers %.2fx, 4 schedulers %.2fx over one\n", cmp.SpeedupX2, cmp.SpeedupX4)
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Conflicts are not failures: each one is a bind the server refused because")
+	fmt.Fprintln(w, "a concurrent scheduler won that capacity first — the losing pod simply")
+	fmt.Fprintln(w, "reschedules. The violations column proves the invariant: replaying the")
+	fmt.Fprintln(w, "watch events, no node's committed requests ever exceeded its allocatable.")
+	return nil
 }
