@@ -508,6 +508,44 @@ its own module.`,
 		},
 	},
 	{
+		name: "one-audited-testbed",
+		doc: `Every experiment in internal/experiments runs on one assembly with
+one audit: testbed.go calls stack.New and model.New once each and builds
+the schedulers (core.New or core.NewSharded), and a harness differs only
+in its TestbedConfig. A harness that builds its own stack, scheduler or
+reference model is a second testbed, with a second audit to keep equal to
+the first. fanout.go builds its schedulers on a bare API server: it times
+the fan-out on the wall clock over nodes that have no kubelet, which no
+stack assembles.`,
+		check: func(c *codebase) (out []string) {
+			const testbed = "internal/experiments/testbed.go"
+			calls := map[string]int{}
+			for _, f := range c.files {
+				if f.test || f.dir != "internal/experiments" {
+					continue
+				}
+				f.walk(func(_ *ast.FuncDecl, n ast.Node) {
+					pkg, name, ok := f.pkgRef(n)
+					if !ok {
+						return
+					}
+					ref := path.Base(pkg) + "." + name
+					switch pkg + "." + name {
+					case modulePath + "/internal/stack.New", modulePath + "/internal/model.New":
+						if calls[ref]++; f.path != testbed || calls[ref] > 1 {
+							out = append(out, c.at(n.Pos())+": "+ref+": the testbed builds the one stack and audit")
+						}
+					case modulePath + "/internal/core.New", modulePath + "/internal/core.NewSharded":
+						if f.path != testbed && f.path != "internal/experiments/fanout.go" {
+							out = append(out, c.at(n.Pos())+": "+ref+": the testbed builds the schedulers")
+						}
+					}
+				})
+			}
+			return out
+		},
+	},
+	{
 		name: "the-pass-reads-no-server-queue",
 		doc: `The scheduler owns its queue: a pass walks the queue its
 ClusterCache keeps from the watch stream (internal/core/queue.go), and
@@ -650,8 +688,6 @@ var knobAllow = map[string]string{
 	"internal/core.Config.PercentageNodesToScore":           "BenchmarkMillionPod (root) runs a sampled arm (0) against a full-scan arm (100)",
 	"internal/core.Config.MaxPendingPerPass":                "BenchmarkMillionPod (root) caps its 100k-deep queue at 1000 pods a pass",
 	"internal/core.GangConfig.PermitTimeout":                "internal/core's gang tests race 5–10 s permit rollbacks against commits",
-	"internal/experiments.TestbedConfig.StdNodeCount":       "BenchmarkAblation_UsageAwareVsRequestOnly (root) contends one standard node",
-	"internal/experiments.TestbedConfig.SGXNodeCount":       "BenchmarkAblation_UsageAwareVsRequestOnly (root) keeps the minimum one SGX node",
 	"internal/experiments.MultiSchedConfig.Concurrent":      "TestMultiSchedConcurrentDrainSafe drains on real goroutines under -race",
 	"internal/experiments.MultiSchedConfig.Horizon":         "TestMultiSchedConcurrentDrainSafe gives the nondeterministic drain 4 h",
 	"internal/experiments.ClassesExpConfig.Shards":          "TestClassesMixedFleetDeterministic pins the 1-, 2- and 4-shard fleets",
@@ -955,6 +991,16 @@ func held(ev apiserver.WatchEvent) bool {
 		{"one-reference-model", map[string]string{
 			"internal/experiments/gang_test.go": "package experiments\n\ntype gangWatcher struct{ held int }\n",
 		}, "internal/experiments/gang_test.go:3"},
+		{"one-audited-testbed", map[string]string{
+			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/stack\"\n\nvar st = stack.New()\n",
+			"internal/experiments/gang.go":    "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/stack\"\n\nvar gangs = stack.New()\n",
+		}, "internal/experiments/gang.go:5"},
+		{"one-audited-testbed", map[string]string{
+			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/model\"\n\nvar audit = model.New(0)\n\nvar shadow = model.New(0)\n",
+		}, "internal/experiments/testbed.go:7"},
+		{"one-audited-testbed", map[string]string{
+			"internal/experiments/classes.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/core\"\n\nvar fleet = core.NewSharded\n",
+		}, "internal/experiments/classes.go:5"},
 		{"the-pass-reads-no-server-queue", map[string]string{
 			"internal/core/pass.go": "package core\n\nfunc pass(s interface{ PendingCount() int }) { depth := s.PendingCount; _ = depth }\n",
 		}, "internal/core/pass.go:3"},

@@ -36,6 +36,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/sgx"
+	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/stats"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
@@ -236,12 +237,11 @@ func BenchmarkFig11_LimitsEnforcement(b *testing.B) {
 // and only the usage-aware scheduler reclaims that headroom.
 func BenchmarkAblation_UsageAwareVsRequestOnly(b *testing.B) {
 	run := func(useMetrics bool) float64 {
-		tb, err := experiments.NewTestbed(experiments.TestbedConfig{
-			StdNodeCount: 1,
-			SGXNodeCount: 1, // minimum shape; unused by the 0% SGX replay
-			UseMetrics:   useMetrics,
-			Enforcement:  true,
-		})
+		cfg := experiments.Paper(0)
+		// One standard node; the SGX node is unused by the 0% SGX replay.
+		cfg.Stack.Nodes = stack.WithMaster(stack.Fleet(1, 1, stack.DefaultEPC, false))
+		cfg.Scheduler.UseMetrics = useMetrics
+		tb, err := experiments.NewTestbed(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -295,9 +295,7 @@ func BenchmarkAblation_SGXLastOrdering(b *testing.B) {
 // BenchmarkSchedulerPass measures one §IV scheduling pass over a loaded
 // queue (microbenchmark of the scheduler's hot path).
 func BenchmarkSchedulerPass(b *testing.B) {
-	tb, err := experiments.NewTestbed(experiments.TestbedConfig{
-		UseMetrics: true, Enforcement: true,
-	})
+	tb, err := experiments.NewTestbed(experiments.Paper(0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -323,10 +321,9 @@ func BenchmarkSchedulerPass(b *testing.B) {
 // the per-class stats fold. Gating this next to BenchmarkSchedulerPass
 // bounds the toll class routing adds to the scheduler's hot loop.
 func BenchmarkClassifiedPass(b *testing.B) {
-	classes := core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{}))
-	tb, err := experiments.NewTestbed(experiments.TestbedConfig{
-		UseMetrics: true, Enforcement: true, Classes: classes,
-	})
+	cfg := experiments.Paper(0)
+	cfg.Scheduler.Classes = core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{}))
+	tb, err := experiments.NewTestbed(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -362,11 +359,10 @@ func BenchmarkClassifiedPass(b *testing.B) {
 // copy) and, on every 32nd pass, the detailed per-pod stage timings. Its budget is at most 5% time/op on top of
 // BenchmarkSchedulerPass, the uninstrumented pass.
 func BenchmarkInstrumentedPass(b *testing.B) {
-	tb, err := experiments.NewTestbed(experiments.TestbedConfig{
-		UseMetrics: true, Enforcement: true,
-		Telemetry: telemetry.New(),
-		Trace:     telemetry.NewTraceRing(0),
-	})
+	cfg := experiments.Paper(0)
+	cfg.Scheduler.Telemetry = telemetry.New()
+	cfg.Scheduler.Trace = telemetry.NewTraceRing(0)
+	tb, err := experiments.NewTestbed(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -35,15 +35,20 @@
 // unschedulable master) and, when a scrape interval is given, the TSDB
 // with Heapster and the probe DaemonSet. NewCluster configures it from
 // ClusterConfig and puts a gang director, a class registry and the
-// scheduler on top; ReplayBorgTrace and the figure harnesses run on
-// internal/experiments' Testbed, which is the §VI-A preset of the same
-// assembly (stack.PaperTestbed: one master, two 64 GiB standard nodes,
-// two 8 GiB SGX nodes with 128 MiB of EPC) under the paper's scheduler —
-// a configuration, not a second construction; the multi-scheduler, gang
-// and class experiments and internal/core's test rigs stand on it too.
-// Assembly is two steps, stack.New then Start, so an audit that must see
-// the watch stream from its first event subscribes in between, and
-// Observe attaches the lifecycle tracker and the registry self-scrape.
+// scheduler on top. Every experiment of internal/experiments — the
+// figure harnesses, the ablations, the preemption scenario, the
+// multi-scheduler, gang and class fleets and the observability run, and
+// ReplayBorgTrace — runs on its Testbed, a configuration of the same
+// assembly (a stack.Config and a core.Config, plus the shard count,
+// concurrent rounds, a shared gang director and the admission mode), not
+// a second construction. Its Paper preset is §VI-A: one master, two
+// 64 GiB standard nodes and two 8 GiB SGX nodes with 128 MiB of EPC
+// under the paper's scheduler. internal/core's test rigs stand on the
+// stack too. Assembly is two steps, stack.New then Start, so an audit
+// that must see the watch stream from its first event subscribes in
+// between — the testbed's reference-model audit does, for every
+// experiment but ReplayBorgTrace — and Observe attaches the lifecycle
+// tracker and the registry self-scrape.
 // The order matters and is written down once: under the simulated clock
 // components registered for the same instant fire in registration order,
 // so the order of Start, Observe and the scheduler's own Start decides

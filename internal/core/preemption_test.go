@@ -170,6 +170,46 @@ func TestPreemptionPrefersLowestPriorityVictims(t *testing.T) {
 	}
 }
 
+// TestPreemptionTieBreaksOnLeastImportantVictim: two nodes offer victim
+// sets of the same size that tie on every priority but the lowest; the
+// preemptor takes the node whose least important victim ranks lower. That
+// node is visited second, so a comparison that stops above the last
+// victim keeps the first.
+func TestPreemptionTieBreaksOnLeastImportantVictim(t *testing.T) {
+	c := newTestCluster(t, clusterSpec{sgxNodes: 2, useMetrics: true, enforcement: true})
+	// Two hogs per node, bound by hand: sgx-1's set is priorities (3, 5),
+	// sgx-2's (1, 5). The urgent pod needs both of a node's hogs gone.
+	for _, h := range []struct {
+		name, node string
+		prio       int32
+	}{{"a-hog", "sgx-1", 3}, {"b-hog", "sgx-1", 5}, {"c-hog", "sgx-2", 1}, {"d-hog", "sgx-2", 5}} {
+		pod := withPriority(epcJob(h.name, 11000, 30*resource.MiB, time.Hour), h.prio)
+		pod.Spec.SchedulerName = "pinned"
+		if err := c.srv.CreatePod(pod); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.srv.Bind(h.name, h.node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.clk.Advance(10 * time.Second)
+
+	c.submit(t, withPriority(epcJob("urgent", 20000, 20*resource.MiB, 30*time.Second), 10))
+	c.clk.Advance(5 * time.Second)
+
+	urgent, _ := c.srv.GetPod("urgent")
+	if urgent.Spec.NodeName != "sgx-2" {
+		t.Fatalf("urgent on %q, want sgx-2 (its least important victim ranks lower)", urgent.Spec.NodeName)
+	}
+	for name, want := range map[string]api.PodPhase{
+		"a-hog": api.PodRunning, "b-hog": api.PodRunning, "c-hog": api.PodPending, "d-hog": api.PodPending,
+	} {
+		if p, _ := c.srv.GetPod(name); p.Status.Phase != want {
+			t.Errorf("%s = %s, want %s", name, p.Status.Phase, want)
+		}
+	}
+}
+
 // TestPreemptionRespectsSGXLastRule: a high-priority standard pod must
 // preempt on a standard node even when an SGX node offers a cheaper
 // victim set — §IV's "only resort to SGX-enabled nodes ... when no other

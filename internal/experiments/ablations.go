@@ -34,12 +34,9 @@ func WindowAblation(seed int64) (Figure, error) {
 	failed := Series{Name: "OOM-killed jobs"}
 	for _, window := range []time.Duration{5 * time.Second, 15 * time.Second,
 		25 * time.Second, 60 * time.Second, 120 * time.Second} {
-		res, err := replayOnce(seed, TestbedConfig{
-			Policy:          core.Binpack{},
-			UseMetrics:      true,
-			Enforcement:     true,
-			SchedulerWindow: window,
-		}, ReplayConfig{Trace: trace, SGXRatio: 0, Horizon: 24 * time.Hour})
+		tcfg := Paper(0)
+		tcfg.Scheduler = core.Config{Name: SchedulerName, Policy: core.Binpack{}, UseMetrics: true, Window: window}
+		res, err := replayOnce(seed, tcfg, ReplayConfig{Trace: trace, SGXRatio: 0, Horizon: 24 * time.Hour})
 		if err != nil {
 			return Figure{}, fmt.Errorf("window ablation (%v): %w", window, err)
 		}
@@ -72,12 +69,9 @@ func IntervalAblation(seed int64) (Figure, error) {
 	s := Series{Name: "mean wait (0% SGX)"}
 	for _, interval := range []time.Duration{time.Second, 5 * time.Second,
 		15 * time.Second, 30 * time.Second} {
-		res, err := replayOnce(seed, TestbedConfig{
-			Policy:            core.Binpack{},
-			UseMetrics:        true,
-			Enforcement:       true,
-			SchedulerInterval: interval,
-		}, ReplayConfig{Trace: trace, SGXRatio: 0, Horizon: 24 * time.Hour})
+		tcfg := Paper(0)
+		tcfg.Scheduler.Interval = interval
+		res, err := replayOnce(seed, tcfg, ReplayConfig{Trace: trace, SGXRatio: 0, Horizon: 24 * time.Hour})
 		if err != nil {
 			return Figure{}, fmt.Errorf("interval ablation (%v): %w", interval, err)
 		}

@@ -9,7 +9,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
-	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stack"
 )
@@ -109,13 +108,41 @@ type ClassesExpResult struct {
 	Violations int
 }
 
-// classPodFromJob shapes one wave member from a trace job.
-func classPodFromJob(job borg.Job, name string, class api.WorkloadClass, prio int32, sgxJob bool) *api.Pod {
-	pod := multiSchedPod(job, sgxJob)
-	pod.Name = name
-	pod.Spec.Class = class
-	pod.Spec.Priority = prio
-	return pod
+// submitWaves submits the mixed fleet's waves from trace: fillers
+// best-effort jobs, held at least classFillerHold, run alone for
+// classFillLead; then perClass latency-sensitive and perClass batch jobs
+// arrive, interleaved, every sgxEvery-th latency-sensitive one an SGX job
+// (none when sgxEvery is zero). names formats the pods of the three waves
+// in that order.
+func submitWaves(tb *Testbed, trace *borg.Trace, fillers, perClass, sgxEvery int, names [3]string) error {
+	submit := func(job borg.Job, name string, class api.WorkloadClass, prio int32, sgxJob bool) error {
+		pod := multiSchedPod(job, sgxJob)
+		pod.Name, pod.Spec.Class, pod.Spec.Priority = name, class, prio
+		if err := tb.Submit(pod); err != nil {
+			return fmt.Errorf("submitting %s: %w", name, err)
+		}
+		return nil
+	}
+	for i := 0; i < fillers; i++ {
+		job := trace.Jobs[i]
+		job.Duration = max(job.Duration, classFillerHold)
+		if err := submit(job, fmt.Sprintf(names[0], i), api.ClassBestEffort, classBEPrio, false); err != nil {
+			return err
+		}
+	}
+	tb.Clk.Advance(classFillLead)
+	for i := 0; i < perClass; i++ {
+		sgxJob := sgxEvery > 0 && i%sgxEvery == 0
+		if err := submit(trace.Jobs[fillers+i], fmt.Sprintf(names[1], i),
+			api.ClassLatencySensitive, classLatencyPrio, sgxJob); err != nil {
+			return err
+		}
+		if err := submit(trace.Jobs[fillers+perClass+i], fmt.Sprintf(names[2], i),
+			api.ClassBatch, classBatchPrio, false); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // waitQuantiles returns p50/p99 over the started jobs' waiting times.
@@ -138,88 +165,58 @@ func waitQuantiles(waits []time.Duration) (p50, p99 time.Duration) {
 // terminal or the horizon hits.
 func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 	cfg = cfg.withDefaults()
-	st := stack.New(apiserver.WithAdmission(apiserver.AdmitStrict))
-	clk, srv := st.Clk, st.Srv
-
-	// The model and the tap subscribe before Start — before any node
-	// exists — so the replayed stream is complete, and stay subscribed
-	// through Close: the tap's digest covers the kubelets' NotReady tail.
-	// SGX utilization integrates the model's committed EPC pages over time
-	// in steps at every SGX bind and wherever a pod leaves its node: it is
-	// pinned bit for bit, and a float sum split elsewhere can move a bit.
-	// epcSum is the page-seconds up to the last step, epcPages the pages
-	// committed since.
-	m, refused := model.New(apiserver.AdmitStrict), 0
-	epcAt, epcSum, epcPages := clk.Now(), 0.0, int64(0)
+	// The audit subscribes before the first node registers, so the
+	// replayed stream is complete, and stays subscribed through Close: the
+	// tap's digest covers the kubelets' NotReady tail. SGX utilization
+	// integrates the model's committed EPC pages over time in steps at
+	// every SGX bind and wherever a pod leaves its node: it is pinned bit
+	// for bit, and a float sum split elsewhere can move a bit. epcSum is
+	// the page-seconds up to the last step, epcPages the pages committed
+	// since.
+	a := newAudit(apiserver.AdmitStrict)
+	var tb *Testbed // step runs at pod events, after NewTestbed returns
+	var epcAt time.Time
+	epcSum, epcPages := 0.0, int64(0)
 	step := func() {
-		now := clk.Now()
+		now := tb.Clk.Now()
 		epcSum += float64(epcPages) * now.Sub(epcAt).Seconds()
-		epcAt, epcPages = now, m.Total.Committed[resource.EPCPages]
+		epcAt, epcPages = now, a.Total.Committed[resource.EPCPages]
 	}
-	defer srv.Subscribe(func(ev apiserver.WatchEvent) {
-		if m.Apply(ev) != nil {
-			refused++
-		}
+	a.then = func(ev apiserver.WatchEvent, _ error) {
 		leaves := ev.Type == apiserver.PodUpdated && (ev.Pod.IsTerminal() || ev.Pod.Spec.NodeName == "")
 		if leaves || ev.Type == apiserver.PodBound && ev.Pod.IsSGX() {
 			step()
 		}
-	})()
-	if cfg.tap != nil {
-		defer srv.Subscribe(cfg.tap)()
+		if cfg.tap != nil {
+			cfg.tap(ev)
+		}
 	}
-
-	if err := st.Start(stack.Config{Nodes: stack.Fleet(stack.StdNodes, stack.SGXNodes, stack.DefaultEPC, false)}); err != nil {
+	tb, err := NewTestbed(TestbedConfig{
+		Stack: stack.Config{Nodes: stack.Fleet(stack.StdNodes, stack.SGXNodes, stack.DefaultEPC, false)},
+		Scheduler: core.Config{
+			Name:    "classsched",
+			Policy:  core.Binpack{},
+			Classes: core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{})),
+		},
+		Shards:    cfg.Shards,
+		Admission: apiserver.AdmitStrict,
+		audit:     a,
+	})
+	if err != nil {
 		return ClassesExpResult{}, fmt.Errorf("classes: %w", err)
 	}
-	defer st.Close()
+	defer tb.Close()
+	clk, srv := tb.Clk, tb.Srv
+	epcAt = clk.Now()
 
-	classes := core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{}))
-	ss, err := core.NewSharded(clk, srv, nil, core.Config{
-		Name:    "classsched",
-		Policy:  core.Binpack{},
-		Classes: classes,
-	}, cfg.Shards, false)
-	if err != nil {
-		return ClassesExpResult{}, fmt.Errorf("classes: building schedulers: %w", err)
-	}
-	defer ss.Close()
-
-	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
-	submit := func(pod *api.Pod) error {
-		ss.Assign(pod)
-		return srv.CreatePod(pod)
-	}
-	// Best-effort filler first: it binds and spreads while nothing else
-	// is queued, and holds the fleet for at least classFillerHold.
-	for i := 0; i < classFillers; i++ {
-		job := trace.Jobs[i]
-		job.Duration = max(job.Duration, classFillerHold)
-		pod := classPodFromJob(job, fmt.Sprintf("be-%03d", i),
-			api.ClassBestEffort, classBEPrio, false)
-		if err := submit(pod); err != nil {
-			return ClassesExpResult{}, fmt.Errorf("classes: submitting filler: %w", err)
-		}
-	}
 	start := clk.Now()
-	ss.Start()
-	clk.Advance(classFillLead)
-
-	// The real work arrives on the occupied cluster.
-	for i := 0; i < classJobsPerClass; i++ {
-		sgxJob := cfg.SGXEvery > 0 && i%cfg.SGXEvery == 0
-		ls := classPodFromJob(trace.Jobs[classFillers+i], fmt.Sprintf("ls-%03d", i),
-			api.ClassLatencySensitive, classLatencyPrio, sgxJob)
-		if err := submit(ls); err != nil {
-			return ClassesExpResult{}, fmt.Errorf("classes: submitting latency wave: %w", err)
-		}
-		batch := classPodFromJob(trace.Jobs[classFillers+classJobsPerClass+i], fmt.Sprintf("batch-%03d", i),
-			api.ClassBatch, classBatchPrio, false)
-		if err := submit(batch); err != nil {
-			return ClassesExpResult{}, fmt.Errorf("classes: submitting batch wave: %w", err)
-		}
+	// The best-effort wave binds and spreads while nothing else is queued;
+	// the real work arrives on the occupied cluster.
+	err = submitWaves(tb, borg.NewGenerator(cfg.Seed).EvalSlice(), classFillers, classJobsPerClass, cfg.SGXEvery,
+		[3]string{"be-%03d", "ls-%03d", "batch-%03d"})
+	if err != nil {
+		return ClassesExpResult{}, fmt.Errorf("classes: %w", err)
 	}
-
 	completed := clk.Run(srv.AllTerminal, start.Add(drainHorizon))
 	step()
 
@@ -229,9 +226,9 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 		Completed:  completed,
 		DrainTime:  clk.Now().Sub(start),
 		PerClass:   make(map[string]ClassOutcome),
-		Violations: refused,
+		Violations: a.violations,
 	}
-	if window, pages := epcAt.Sub(start).Seconds(), m.Total.Allocatable[resource.EPCPages]; window > 0 && pages > 0 {
+	if window, pages := epcAt.Sub(start).Seconds(), a.Total.Allocatable[resource.EPCPages]; window > 0 && pages > 0 {
 		res.SGXUtilization = epcSum / (float64(pages) * window)
 	}
 	waits := make(map[api.WorkloadClass][]time.Duration)
@@ -244,11 +241,11 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 		}
 		return true
 	})
-	stats := ss.Stats()
+	stats := tb.Fleet.Stats()
 	for _, class := range api.Classes[1:] { // the three waves
 		out := ClassOutcome{
 			Jobs:                 counts[class],
-			PreemptionsSuffered:  m.ByClass[class.Slot()].Preemptions,
+			PreemptionsSuffered:  a.ByClass[class.Slot()].Preemptions,
 			PreemptionsInflicted: stats.Class(class).Preemptions,
 			Victims:              stats.Class(class).Victims,
 		}

@@ -13,7 +13,7 @@ import (
 // with the same seed produce identical per-job outcomes, bit for bit.
 func TestReplayDeterministicPerSeed(t *testing.T) {
 	run := func() *ReplayResult {
-		tb, err := NewTestbed(TestbedConfig{UseMetrics: true, Enforcement: true})
+		tb, err := NewTestbed(Paper(0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestReplayDeterministicPerSeed(t *testing.T) {
 // constant: different seeds must produce different schedules.
 func TestReplaySeedsDiffer(t *testing.T) {
 	run := func(seed int64) time.Duration {
-		tb, err := NewTestbed(TestbedConfig{UseMetrics: true, Enforcement: true})
+		tb, err := NewTestbed(Paper(0))
 		if err != nil {
 			t.Fatal(err)
 		}

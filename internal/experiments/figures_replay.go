@@ -10,8 +10,10 @@ import (
 	"github.com/sgxorch/sgxorch/internal/stats"
 )
 
-// replayOnce builds a fresh testbed and replays the evaluation slice.
+// replayOnce builds a fresh audited testbed and replays the evaluation
+// slice; an event the reference model refused fails the replay.
 func replayOnce(seed int64, tcfg TestbedConfig, rcfg ReplayConfig) (*ReplayResult, error) {
+	tcfg.audit = newAudit(tcfg.Admission)
 	tb, err := NewTestbed(tcfg)
 	if err != nil {
 		return nil, err
@@ -22,7 +24,11 @@ func replayOnce(seed int64, tcfg TestbedConfig, rcfg ReplayConfig) (*ReplayResul
 	if rcfg.Seed == 0 {
 		rcfg.Seed = seed
 	}
-	return tb.Replay(rcfg)
+	res, err := tb.Replay(rcfg)
+	if err != nil {
+		return nil, err
+	}
+	return res, tcfg.audit.err()
 }
 
 // Fig7PendingQueue reproduces Fig. 7: "time series of the total memory
@@ -40,12 +46,7 @@ func Fig7PendingQueue(seed int64) (Figure, error) {
 		YLabel: "Requests in queue [MiB]",
 	}
 	for _, sizeMiB := range []int64{32, 64, 128, 256} {
-		res, err := replayOnce(seed, TestbedConfig{
-			EPCSize:     sizeMiB * resource.MiB,
-			Policy:      core.Binpack{},
-			UseMetrics:  true,
-			Enforcement: true,
-		}, ReplayConfig{SGXRatio: 1, Horizon: 24 * time.Hour})
+		res, err := replayOnce(seed, Paper(sizeMiB*resource.MiB), ReplayConfig{SGXRatio: 1, Horizon: 24 * time.Hour})
 		if err != nil {
 			return Figure{}, fmt.Errorf("fig7 (EPC %d MiB): %w", sizeMiB, err)
 		}
@@ -78,11 +79,7 @@ func Fig8WaitCDF(seed int64) (Figure, error) {
 	labels := map[int]string{0: "No SGX jobs", 25: "25% SGX jobs", 50: "50% SGX jobs",
 		75: "75% SGX jobs", 100: "Only SGX jobs"}
 	for _, pct := range []int{0, 25, 50, 75, 100} {
-		res, err := replayOnce(seed, TestbedConfig{
-			Policy:      core.Binpack{},
-			UseMetrics:  true,
-			Enforcement: true,
-		}, ReplayConfig{SGXRatio: float64(pct) / 100, Horizon: 24 * time.Hour})
+		res, err := replayOnce(seed, Paper(0), ReplayConfig{SGXRatio: float64(pct) / 100, Horizon: 24 * time.Hour})
 		if err != nil {
 			return Figure{}, fmt.Errorf("fig8 (%d%%): %w", pct, err)
 		}
@@ -110,11 +107,9 @@ func Fig9WaitByRequest(seed int64) (Figure, error) {
 	}
 	const buckets = 5
 	for _, pol := range []core.Policy{core.Spread{}, core.Binpack{}} {
-		res, err := replayOnce(seed, TestbedConfig{
-			Policy:      pol,
-			UseMetrics:  true,
-			Enforcement: true,
-		}, ReplayConfig{SGXRatio: 0.5, Horizon: 24 * time.Hour})
+		tcfg := Paper(0)
+		tcfg.Scheduler.Policy = pol
+		res, err := replayOnce(seed, tcfg, ReplayConfig{SGXRatio: 0.5, Horizon: 24 * time.Hour})
 		if err != nil {
 			return Figure{}, fmt.Errorf("fig9 (%s): %w", pol.Name(), err)
 		}
@@ -184,11 +179,9 @@ func Fig10Turnaround(seed int64) (Figure, error) {
 		if r.sgx {
 			ratio, kind = 1.0, "SGX"
 		}
-		res, err := replayOnce(seed, TestbedConfig{
-			Policy:      r.policy,
-			UseMetrics:  true,
-			Enforcement: true,
-		}, ReplayConfig{Trace: trace, SGXRatio: ratio, Horizon: 24 * time.Hour})
+		tcfg := Paper(0)
+		tcfg.Scheduler.Policy = r.policy
+		res, err := replayOnce(seed, tcfg, ReplayConfig{Trace: trace, SGXRatio: ratio, Horizon: 24 * time.Hour})
 		if err != nil {
 			return Figure{}, fmt.Errorf("fig10 (%s/%s): %w", r.policy.Name(), kind, err)
 		}
@@ -239,11 +232,9 @@ func Fig11Malicious(seed int64) (Figure, error) {
 			rcfg.MaliciousPerSGXNode = 1
 			rcfg.MaliciousEPCFraction = c.fraction
 		}
-		res, err := replayOnce(seed, TestbedConfig{
-			Policy:      core.Binpack{},
-			UseMetrics:  true,
-			Enforcement: c.enforce,
-		}, rcfg)
+		tcfg := Paper(0)
+		tcfg.Stack.NoEnforcement = !c.enforce
+		res, err := replayOnce(seed, tcfg, rcfg)
 		if err != nil {
 			return Figure{}, fmt.Errorf("fig11 (%s): %w", c.name, err)
 		}

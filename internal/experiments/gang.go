@@ -8,7 +8,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
-	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stack"
 )
@@ -104,62 +103,51 @@ func gangPodFromJob(job borg.Job, name, group string, minMember int) *api.Pod {
 // and drains it with cfg.Shards schedulers sharing one gang director.
 func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 	cfg.Shards = max(cfg.Shards, 1)
-	st := stack.New(apiserver.WithAdmission(apiserver.AdmitStrict))
-	clk, srv := st.Clk, st.Srv
-
-	// The model subscribes before Start, before any node or pod exists; a
-	// partial gang counts at every event of the gang that finds it so.
-	m, refused, partial := model.New(apiserver.AdmitStrict), 0, 0
-	defer srv.Subscribe(func(ev apiserver.WatchEvent) {
-		if m.Apply(ev) != nil {
-			refused++
-		} else if ev.Pod != nil && ev.Pod.Spec.InGang() && m.Gangs[ev.Pod.Spec.PodGroup].Partial() {
+	// A partial gang counts at every accepted event of the gang that finds
+	// it so.
+	a, partial := newAudit(apiserver.AdmitStrict), 0
+	a.then = func(ev apiserver.WatchEvent, refused error) {
+		if refused == nil && ev.Pod != nil && ev.Pod.Spec.InGang() && a.Gangs[ev.Pod.Spec.PodGroup].Partial() {
 			partial++
 		}
-	})()
-
-	if err := st.Start(stack.Config{Nodes: stack.Fleet(gangStdNodes, 0, 0, false)}); err != nil {
+	}
+	tb, err := NewTestbed(TestbedConfig{
+		Stack: stack.Config{Nodes: stack.Fleet(gangStdNodes, 0, 0, false)},
+		Scheduler: core.Config{
+			Name:            "gangsched",
+			Policy:          core.Binpack{},
+			MaxBindsPerPass: gangBindsPerPass,
+		},
+		Shards:    cfg.Shards,
+		Gangs:     true,
+		Admission: apiserver.AdmitStrict,
+		audit:     a,
+	})
+	if err != nil {
 		return GangExpResult{}, fmt.Errorf("gang: %w", err)
 	}
-	defer st.Close()
-
-	dir := core.NewGangDirector(clk, srv, core.GangConfig{})
-	defer dir.Close()
-	ss, err := core.NewSharded(clk, srv, nil, core.Config{
-		Name:            "gangsched",
-		Policy:          core.Binpack{},
-		MaxBindsPerPass: gangBindsPerPass,
-		Gang:            dir,
-	}, cfg.Shards, false)
-	if err != nil {
-		return GangExpResult{}, fmt.Errorf("gang: building schedulers: %w", err)
-	}
-	defer ss.Close()
+	defer tb.Close()
+	clk, srv := tb.Clk, tb.Srv
 
 	// Backlog: the first gangCount trace jobs each shape one gang's
 	// members, the next gangSoloJobs stay solo.
 	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
-	submit := func(pod *api.Pod) error {
-		ss.Assign(pod)
-		return srv.CreatePod(pod)
-	}
 	for i := 0; i < gangCount; i++ {
 		group := fmt.Sprintf("gang-%03d", i)
 		for m := 0; m < gangSize; m++ {
 			pod := gangPodFromJob(trace.Jobs[i], fmt.Sprintf("%s-m%d", group, m), group, gangSize)
-			if err := submit(pod); err != nil {
+			if err := tb.Submit(pod); err != nil {
 				return GangExpResult{}, fmt.Errorf("gang: submitting backlog: %w", err)
 			}
 		}
 	}
 	for i := 0; i < gangSoloJobs; i++ {
-		if err := submit(multiSchedPod(trace.Jobs[gangCount+i], false)); err != nil {
+		if err := tb.Submit(multiSchedPod(trace.Jobs[gangCount+i], false)); err != nil {
 			return GangExpResult{}, fmt.Errorf("gang: submitting backlog: %w", err)
 		}
 	}
 
 	start := clk.Now()
-	ss.Start()
 	completed := clk.Run(func() bool {
 		return srv.PendingCount() == 0 && srv.ReservationCount() == 0
 	}, start.Add(drainHorizon))
@@ -171,15 +159,15 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 		Completed:         completed,
 		DrainTime:         clk.Now().Sub(start),
 		PartialPlacements: partial,
-		Violations:        refused,
+		Violations:        a.violations,
 		LeakedPermits:     srv.ReservationCount(),
 	}
-	ds := dir.Stats()
+	ds := tb.Gang.Stats()
 	res.GangsCommitted = ds.Commits
 	res.PermitTimeouts = ds.Timeouts
 	var sum time.Duration
 	n := 0
-	for _, g := range m.Gangs {
+	for _, g := range a.Gangs {
 		if d := g.FullAt.Sub(g.SubmittedAt); !g.FullAt.IsZero() {
 			sum += d
 			res.MaxTimeToFullGang = max(res.MaxTimeToFullGang, d)

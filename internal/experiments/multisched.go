@@ -9,7 +9,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
-	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stack"
 )
@@ -51,16 +50,6 @@ type MultiSchedConfig struct {
 	Concurrent bool
 	// Horizon caps the simulation (drainHorizon when zero).
 	Horizon time.Duration
-}
-
-func (c MultiSchedConfig) withDefaults() MultiSchedConfig {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = drainHorizon
-	}
-	return c
 }
 
 // MultiSchedResult reports one drain.
@@ -133,46 +122,38 @@ func multiSchedPod(job borg.Job, sgxJob bool) *api.Pod {
 // believes it maintains), every bind is conditional, and the reference
 // model replays the watch stream to prove no node was ever overcommitted.
 func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
-	cfg = cfg.withDefaults()
-	st := stack.New(apiserver.WithAdmission(apiserver.AdmitStrict))
-	clk, srv := st.Clk, st.Srv
-
-	// The reference model subscribes before Start so it knows every
-	// node's allocatable, and unsubscribes after Close.
-	m, refused := model.New(apiserver.AdmitStrict), 0
-	defer srv.Subscribe(func(ev apiserver.WatchEvent) {
-		if m.Apply(ev) != nil {
-			refused++
-		}
-	})()
-
-	if err := st.Start(stack.Config{Nodes: stack.Fleet(multiSchedStdNodes, multiSchedSGXNodes, stack.DefaultEPC, false)}); err != nil {
+	cfg.Shards = max(cfg.Shards, 1)
+	if cfg.Horizon <= 0 {
+		cfg.Horizon = drainHorizon
+	}
+	a := newAudit(apiserver.AdmitStrict)
+	tb, err := NewTestbed(TestbedConfig{
+		Stack: stack.Config{Nodes: stack.Fleet(multiSchedStdNodes, multiSchedSGXNodes, stack.DefaultEPC, false)},
+		Scheduler: core.Config{
+			Name:            "multisched",
+			Policy:          core.Binpack{},
+			MaxBindsPerPass: multiSchedBindsPerPass,
+		},
+		Shards:     cfg.Shards,
+		Concurrent: cfg.Concurrent,
+		Admission:  apiserver.AdmitStrict,
+		audit:      a,
+	})
+	if err != nil {
 		return MultiSchedResult{}, fmt.Errorf("multisched: %w", err)
 	}
-	defer st.Close()
-
-	ss, err := core.NewSharded(clk, srv, nil, core.Config{
-		Name:            "multisched",
-		Policy:          core.Binpack{},
-		MaxBindsPerPass: multiSchedBindsPerPass,
-	}, cfg.Shards, cfg.Concurrent)
-	if err != nil {
-		return MultiSchedResult{}, fmt.Errorf("multisched: building schedulers: %w", err)
-	}
-	defer ss.Close()
+	defer tb.Close()
+	clk, srv := tb.Clk, tb.Srv
 
 	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
 	isSGX := designateSGX(trace.Len(), multiSchedSGXRatio, cfg.Seed)
 	for i, job := range trace.Jobs {
-		pod := multiSchedPod(job, isSGX[i])
-		ss.Assign(pod)
-		if err := srv.CreatePod(pod); err != nil {
+		if err := tb.Submit(multiSchedPod(job, isSGX[i])); err != nil {
 			return MultiSchedResult{}, fmt.Errorf("multisched: submitting backlog: %w", err)
 		}
 	}
 
 	start := clk.Now()
-	ss.Start()
 	completed := clk.Run(func() bool { return srv.PendingCount() == 0 }, start.Add(cfg.Horizon))
 
 	res := MultiSchedResult{
@@ -185,12 +166,12 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 		res.BindsPerSecond = float64(res.Jobs-srv.PendingCount()) / secs
 	}
 	bs := srv.BindStats()
-	res.Conflicts = ss.Stats().Conflicts
+	res.Conflicts = tb.Fleet.Stats().Conflicts
 	res.Attempts = bs.Attempts
 	if bs.Attempts > 0 {
 		res.ConflictRate = float64(bs.RejectedCapacity+bs.RejectedNodeState) / float64(bs.Attempts)
 	}
-	res.Violations = refused
+	res.Violations = a.violations
 	for _, p := range srv.ListPods(func(p *api.Pod) bool { return p.Status.Phase == api.PodFailed }) {
 		res.Failed++
 		if strings.Contains(p.Status.Reason, "OutOfEPC") {

@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
-	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/influxql"
-	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
 )
@@ -85,20 +83,22 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	}
 	reg := telemetry.New()
 	ring := telemetry.NewTraceRing(0)
-	// Ground truth: the reference model reads the tracker's stream.
-	m, refused := model.New(apiserver.AdmitGuarded), 0
-	tb, err := NewTestbed(TestbedConfig{
+	// The §VI-A testbed, instrumented, with EPC limits off. Ground truth:
+	// the reference model reads the server's stream.
+	tcfg := Paper(0)
+	tcfg.Stack.NoEnforcement = true
+	tcfg.Scheduler = core.Config{
+		Name:             SchedulerName,
+		Policy:           core.Binpack{},
 		UseMetrics:       true,
 		Classes:          core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{})),
 		Telemetry:        reg,
 		Trace:            ring,
 		TraceDetailEvery: 1,
-		tap: func(ev apiserver.WatchEvent) {
-			if m.Apply(ev) != nil {
-				refused++
-			}
-		},
-	})
+	}
+	a := newAudit(tcfg.Admission)
+	tcfg.audit = a
+	tb, err := NewTestbed(tcfg)
 	if err != nil {
 		return ObservabilityResult{}, err
 	}
@@ -111,39 +111,11 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	if trace.Len() < need {
 		return ObservabilityResult{}, fmt.Errorf("observability: trace has %d jobs, need %d", trace.Len(), need)
 	}
-	submit := func(job borg.Job, name string, class api.WorkloadClass, prio int32, sgxJob bool) error {
-		pod := multiSchedPod(job, sgxJob)
-		pod.Name = name
-		pod.Spec.SchedulerName = SchedulerName
-		pod.Spec.Class = class
-		pod.Spec.Priority = prio
-		if err := tb.Srv.CreatePod(pod); err != nil {
-			return fmt.Errorf("observability: submitting %s: %w", name, err)
-		}
-		return nil
-	}
 	start := tb.Clk.Now()
-	// Best-effort fillers occupy the fleet first, held long enough that
-	// the later waves find it busy.
-	for i := 0; i < fillers; i++ {
-		job := trace.Jobs[i]
-		job.Duration = max(job.Duration, classFillerHold)
-		if err := submit(job, fmt.Sprintf("best-effort-%03d", i),
-			api.ClassBestEffort, classBEPrio, false); err != nil {
-			return ObservabilityResult{}, err
-		}
-	}
-	tb.Clk.Advance(classFillLead)
-	for i := 0; i < cfg.JobsPerClass; i++ {
-		sgxJob := i%classSGXEvery == 0
-		if err := submit(trace.Jobs[fillers+i], fmt.Sprintf("latency-sensitive-%03d", i),
-			api.ClassLatencySensitive, classLatencyPrio, sgxJob); err != nil {
-			return ObservabilityResult{}, err
-		}
-		if err := submit(trace.Jobs[fillers+cfg.JobsPerClass+i], fmt.Sprintf("batch-%03d", i),
-			api.ClassBatch, classBatchPrio, false); err != nil {
-			return ObservabilityResult{}, err
-		}
+	err = submitWaves(tb, trace, fillers, cfg.JobsPerClass, classSGXEvery,
+		[3]string{"best-effort-%03d", "latency-sensitive-%03d", "batch-%03d"})
+	if err != nil {
+		return ObservabilityResult{}, fmt.Errorf("observability: %w", err)
 	}
 	completed := tb.Clk.Run(tb.Srv.AllTerminal, start.Add(drainHorizon))
 	// One final scrape so the TSDB holds the drained end-state.
@@ -158,15 +130,15 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 		Scrapes:   scrapes,
 		PerClass:  make(map[string]ObservabilityClassOutcome),
 	}
-	for _, tally := range m.ByClass {
+	for _, tally := range a.ByClass {
 		res.BindsObserved += tally.Binds
 		res.RunsObserved += tally.Runs
 	}
 	violate := func(format string, args ...any) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
 	}
-	if refused > 0 {
-		violate("the reference model refused %d watch events", refused)
+	if a.violations > 0 {
+		violate("the reference model refused %d watch events", a.violations)
 	}
 
 	// Trace-ring invariants: non-empty, strictly increasing Seq, pending
@@ -255,7 +227,7 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 			if class == api.ClassBestEffort {
 				out.Jobs = fillers
 			}
-			out.Binds = m.ByClass[class.Slot()].Binds
+			out.Binds = a.ByClass[class.Slot()].Binds
 			if v, ok := byClass[label]; ok {
 				*field(&out) = v
 			} else if out.Binds > 0 {

@@ -7,7 +7,6 @@ import (
 
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
-	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
@@ -72,11 +71,9 @@ func preemptionEPCJob(name string, prio int32, pages int64, dur time.Duration) *
 // examples/preemption walkthrough) interpret the numbers.
 func PreemptionScenario(urgentPriority int32) (PreemptionReport, error) {
 	run := func(prio int32) (PreemptionReport, *Testbed, error) {
-		tb, err := NewTestbed(TestbedConfig{
-			Policy:      core.Binpack{},
-			UseMetrics:  true,
-			Enforcement: true,
-		})
+		tcfg := Paper(0)
+		tcfg.audit = newAudit(tcfg.Admission)
+		tb, err := NewTestbed(tcfg)
 		if err != nil {
 			return PreemptionReport{}, nil, fmt.Errorf("preemption scenario: %w", err)
 		}
@@ -153,6 +150,9 @@ func PreemptionScenario(urgentPriority int32) (PreemptionReport, error) {
 		}
 	}
 	tb.Close()
+	if err := tb.Cfg.audit.err(); err != nil {
+		return PreemptionReport{}, fmt.Errorf("preemption scenario: %w", err)
+	}
 
 	// Contrast run: the same job without a priority waits FCFS.
 	baseRep, baseTb, err := run(0)
@@ -166,6 +166,9 @@ func PreemptionScenario(urgentPriority int32) (PreemptionReport, error) {
 		}
 	}
 	baseTb.Close()
+	if err := baseTb.Cfg.audit.err(); err != nil {
+		return PreemptionReport{}, fmt.Errorf("preemption scenario baseline: %w", err)
+	}
 	if baseRep.Preemptions != 0 {
 		rep.Notes = append(rep.Notes, "unexpected: baseline run preempted")
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/resource"
+	"github.com/sgxorch/sgxorch/internal/sgx"
 )
 
 // ReplayConfig describes one trace replay on a testbed (§VI-B/§VI-C).
@@ -291,10 +292,13 @@ func advertisedBytes(job borg.Job, sgxJob bool) int64 {
 // declares 1 EPC page in requests and limits but allocates a large share
 // of the node's EPC for the whole experiment.
 func (tb *Testbed) deployMalicious(cfg ReplayConfig) error {
-	allocBytes := int64(cfg.MaliciousEPCFraction * float64(tb.UsableEPCPerNode()))
-	for _, nodeName := range tb.SGXNodeNames() {
+	for _, node := range tb.Cfg.Stack.Nodes {
+		if node.EPCSize == 0 {
+			continue
+		}
+		allocBytes := int64(cfg.MaliciousEPCFraction * float64(sgx.GeometryForSize(node.EPCSize).UsableBytes()))
 		for i := 0; i < cfg.MaliciousPerSGXNode; i++ {
-			name := fmt.Sprintf("malicious-%s-%d", nodeName, i)
+			name := fmt.Sprintf("malicious-%s-%d", node.Name, i)
 			pod := &api.Pod{
 				Name: name,
 				Spec: api.PodSpec{
@@ -316,7 +320,7 @@ func (tb *Testbed) deployMalicious(cfg ReplayConfig) error {
 			if err := tb.Srv.CreatePod(pod); err != nil {
 				return fmt.Errorf("experiments: creating malicious pod: %w", err)
 			}
-			if err := tb.Srv.Bind(name, nodeName); err != nil {
+			if err := tb.Srv.Bind(name, node.Name); err != nil {
 				return fmt.Errorf("experiments: binding malicious pod: %w", err)
 			}
 		}

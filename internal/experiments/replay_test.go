@@ -16,7 +16,7 @@ func evalTrace(seed int64) *borg.Trace {
 }
 
 func TestReplayAllStandardCompletes(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{UseMetrics: true, Enforcement: true})
+	tb, err := NewTestbed(Paper(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestReplayAllStandardCompletes(t *testing.T) {
 }
 
 func TestReplayAllSGXCompletesWithContention(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{UseMetrics: true, Enforcement: true})
+	tb, err := NewTestbed(Paper(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,9 @@ func TestReplayAllSGXCompletesWithContention(t *testing.T) {
 
 func TestReplayMaliciousBlocksThroughput(t *testing.T) {
 	mk := func(enforce bool) *ReplayResult {
-		tb, err := NewTestbed(TestbedConfig{UseMetrics: true, Enforcement: enforce})
+		cfg := Paper(0)
+		cfg.Stack.NoEnforcement = !enforce
+		tb, err := NewTestbed(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +119,9 @@ func TestReplayMaliciousBlocksThroughput(t *testing.T) {
 }
 
 func TestReplaySpreadPolicy(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{Policy: core.Spread{}, UseMetrics: true, Enforcement: true})
+	cfg := Paper(0)
+	cfg.Scheduler.Policy = core.Spread{}
+	tb, err := NewTestbed(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,7 @@ func TestReplaySpreadPolicy(t *testing.T) {
 }
 
 func TestReplayPendingSeriesSampled(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{UseMetrics: true, Enforcement: true})
+	tb, err := NewTestbed(Paper(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,7 @@ func TestReplayValidation(t *testing.T) {
 		"negative EPC fraction":   {Trace: evalTrace(1), MaliciousPerSGXNode: 1, MaliciousEPCFraction: -0.5},
 		"EPC fraction above 1":    {Trace: evalTrace(1), MaliciousPerSGXNode: 1, MaliciousEPCFraction: 1.5},
 	} {
-		tb, err := NewTestbed(TestbedConfig{})
+		tb, err := NewTestbed(Paper(0))
 		if err != nil {
 			t.Fatal(err)
 		}

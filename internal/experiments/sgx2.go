@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/borg"
-	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/stats"
 )
 
@@ -34,14 +34,12 @@ func SGX2Ablation(seed int64) (Figure, error) {
 		name    string
 		dynamic bool
 	}
+	// The §VI-A testbed with SGX 2 machines.
+	sgx2 := Paper(0)
+	sgx2.Stack.Nodes = stack.WithMaster(stack.Fleet(stack.StdNodes, stack.SGXNodes, stack.DefaultEPC, true))
 	makespans := make(map[string]time.Duration)
 	for _, m := range []mode{{"SGX1 static", false}, {"SGX2 dynamic", true}} {
-		res, err := replayOnce(seed, TestbedConfig{
-			Policy:      core.Binpack{},
-			UseMetrics:  true,
-			Enforcement: true,
-			SGX2:        true,
-		}, ReplayConfig{
+		res, err := replayOnce(seed, sgx2, ReplayConfig{
 			Trace:      trace,
 			SGXRatio:   1,
 			DynamicEPC: m.dynamic,

@@ -5,10 +5,13 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/borg"
+	"github.com/sgxorch/sgxorch/internal/stack"
 )
 
 func TestSGX2DynamicReplayCompletes(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{UseMetrics: true, Enforcement: true, SGX2: true})
+	cfg := Paper(0)
+	cfg.Stack.Nodes = stack.WithMaster(stack.Fleet(stack.StdNodes, stack.SGXNodes, stack.DefaultEPC, true))
+	tb, err := NewTestbed(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func TestSGX2AblationShape(t *testing.T) {
 }
 
 func TestDynamicOnSGX1TestbedFails(t *testing.T) {
-	tb, err := NewTestbed(TestbedConfig{UseMetrics: true, Enforcement: true})
+	tb, err := NewTestbed(Paper(0))
 	if err != nil {
 		t.Fatal(err)
 	}

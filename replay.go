@@ -79,12 +79,11 @@ func ReplayBorgTrace(opts ReplayOptions) (*ReplayResult, error) {
 	if opts.Horizon <= 0 {
 		opts.Horizon = 24 * time.Hour
 	}
-	tb, err := experiments.NewTestbed(experiments.TestbedConfig{
-		EPCSize:     opts.EPCSize,
-		Policy:      policy,
-		UseMetrics:  !opts.DisableMetrics,
-		Enforcement: !opts.DisableEnforcement,
-	})
+	cfg := experiments.Paper(opts.EPCSize)
+	cfg.Scheduler.Policy = policy
+	cfg.Scheduler.UseMetrics = !opts.DisableMetrics
+	cfg.Stack.NoEnforcement = opts.DisableEnforcement
+	tb, err := experiments.NewTestbed(cfg)
 	if err != nil {
 		return nil, err
 	}
