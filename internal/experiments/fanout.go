@@ -86,7 +86,10 @@ type FanoutResult struct {
 // bind throughput. The cluster is deliberately wide and the pods
 // request-only, so the measurement isolates the control plane — commit
 // plus fan-out — rather than placement difficulty (every bind
-// succeeds; scheduling work parallelizes across members).
+// succeeds; scheduling work parallelizes across members). It is the one
+// experiment off the Testbed: its nodes are registered without kubelets
+// on an asynchronous-watch server, which no stack assembles, and it is
+// timed on the wall clock, not the simulated one.
 func FanoutDrain(cfg FanoutConfig) (FanoutResult, error) {
 	cfg = cfg.withDefaults()
 	clk := clock.NewSim() // never advanced: rounds are driven manually
