@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 	"time"
 
@@ -18,6 +20,14 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run replays the slice under binpack and spread and writes each policy's
+// waiting-time distribution to w.
+func run(w io.Writer) error {
 	for _, policy := range []sgxorch.Policy{sgxorch.PolicyBinpack, sgxorch.PolicySpread} {
 		res, err := sgxorch.ReplayBorgTrace(sgxorch.ReplayOptions{
 			Seed:     1,
@@ -25,9 +35,9 @@ func main() {
 			Policy:   policy,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("policy %-8s makespan %-10v failed %d/663\n",
+		fmt.Fprintf(w, "policy %-8s makespan %-10v failed %d/663\n",
 			policy, res.Makespan.Round(time.Second), res.Failed)
 		for _, sgxJobs := range []bool{true, false} {
 			kind := "standard"
@@ -39,12 +49,13 @@ func main() {
 			if len(waits) == 0 {
 				continue
 			}
-			fmt.Printf("  %-8s jobs=%3d  wait p50=%6.1fs  p90=%6.1fs  max=%6.1fs\n",
+			fmt.Fprintf(w, "  %-8s jobs=%3d  wait p50=%6.1fs  p90=%6.1fs  max=%6.1fs\n",
 				kind, len(waits), waits[len(waits)/2], waits[len(waits)*9/10], waits[len(waits)-1])
 		}
-		fmt.Printf("  total turnaround %v (Fig. 10 metric)\n\n",
+		fmt.Fprintf(w, "  total turnaround %v (Fig. 10 metric)\n\n",
 			res.TotalTurnaround().Round(time.Minute))
 	}
-	fmt.Println("expected shape (paper §VI-E): binpack beats spread; a 50% SGX mix")
-	fmt.Println("stays close to the all-standard waiting-time profile.")
+	fmt.Fprintln(w, "expected shape (paper §VI-E): binpack beats spread; a 50% SGX mix")
+	fmt.Fprintln(w, "stays close to the all-standard waiting-time profile.")
+	return nil
 }

@@ -6,13 +6,23 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	sgxorch "github.com/sgxorch/sgxorch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run places the jobs on the edge site and writes the placements and the
+// EPC page usage per SGX node to w.
+func run(w io.Writer) error {
 	cluster, err := sgxorch.NewCluster(sgxorch.ClusterConfig{
 		Policy: sgxorch.PolicySpread,
 		Nodes: []sgxorch.NodeSpec{
@@ -23,7 +33,7 @@ func main() {
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer cluster.Close()
 
@@ -34,7 +44,7 @@ func main() {
 			Duration:        30 * time.Minute,
 			EPCRequestBytes: 12 * sgxorch.MiB,
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	// One standard job: must land on big-std even though the SGX nodes
@@ -44,7 +54,7 @@ func main() {
 		Duration:           30 * time.Minute,
 		MemoryRequestBytes: 2 * sgxorch.GiB,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	cluster.AdvanceTime(time.Minute)
@@ -53,20 +63,24 @@ func main() {
 	for i := 0; i < 6; i++ {
 		st, err := cluster.JobStatus(fmt.Sprintf("enclave-%d", i))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		placements[st.Node]++
-		fmt.Printf("enclave-%d -> %s\n", i, st.Node)
+		fmt.Fprintf(w, "enclave-%d -> %s\n", i, st.Node)
 	}
-	web, _ := cluster.JobStatus("web-frontend")
-	fmt.Printf("web-frontend -> %s\n\n", web.Node)
+	web, err := cluster.JobStatus("web-frontend")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "web-frontend -> %s\n\n", web.Node)
 
-	fmt.Println("EPC page usage per node:")
+	fmt.Fprintln(w, "EPC page usage per node:")
 	for _, n := range cluster.Nodes() {
 		if !n.SGX {
 			continue
 		}
-		fmt.Printf("  %-7s %5d / %5d pages in use (%d pods)\n",
+		fmt.Fprintf(w, "  %-7s %5d / %5d pages in use (%d pods)\n",
 			n.Name, n.EPCPages-n.EPCPagesFree, n.EPCPages, placements[n.Name])
 	}
+	return nil
 }

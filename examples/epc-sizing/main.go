@@ -10,15 +10,24 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	sgxorch "github.com/sgxorch/sgxorch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run replays the all-SGX trace at each EPC size and writes the sweep to w.
+func run(w io.Writer) error {
 	trace := sgxorch.GenerateBorgEvalSlice(1)
-	fmt.Println("replaying 663 SGX jobs for each simulated EPC size (binpack):")
+	fmt.Fprintln(w, "replaying 663 SGX jobs for each simulated EPC size (binpack):")
 	for _, sizeMiB := range []int64{32, 64, 128, 256} {
 		res, err := sgxorch.ReplayBorgTrace(sgxorch.ReplayOptions{
 			Trace:    trace,
@@ -27,7 +36,7 @@ func main() {
 			EPCSize:  sizeMiB * sgxorch.MiB,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var peak int64
 		for _, pt := range res.PendingSeries {
@@ -37,16 +46,17 @@ func main() {
 		}
 		waits := res.WaitingSeconds(nil)
 		var mean float64
-		for _, w := range waits {
-			mean += w
+		for _, s := range waits {
+			mean += s
 		}
 		if len(waits) > 0 {
 			mean /= float64(len(waits))
 		}
-		fmt.Printf("  EPC %3d MiB: makespan %-9v queue peak %4.0f MiB  mean wait %6.1fs\n",
+		fmt.Fprintf(w, "  EPC %3d MiB: makespan %-9v queue peak %4.0f MiB  mean wait %6.1fs\n",
 			sizeMiB, res.Makespan.Round(time.Minute),
 			float64(peak)/float64(sgxorch.MiB), mean)
 	}
-	fmt.Println("\ndoubling the EPC roughly halves the drain time until contention")
-	fmt.Println("vanishes — the paper's case for SGX 2's larger enclave memory.")
+	fmt.Fprintln(w, "\ndoubling the EPC roughly halves the drain time until contention")
+	fmt.Fprintln(w, "vanishes — the paper's case for SGX 2's larger enclave memory.")
+	return nil
 }

@@ -4,21 +4,31 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	sgxorch "github.com/sgxorch/sgxorch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run places and completes the two jobs and writes where each ran to w.
+func run(w io.Writer) error {
 	// The default cluster is the paper's testbed (§VI-A): one master,
 	// two 64 GiB standard nodes, two SGX nodes with 128 MiB EPC.
 	cluster, err := sgxorch.NewCluster(sgxorch.ClusterConfig{
 		Policy: sgxorch.PolicyBinpack,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer cluster.Close()
 
@@ -29,7 +39,7 @@ func main() {
 		Duration:        2 * time.Minute,
 		EPCRequestBytes: 10 * sgxorch.MiB,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// A standard job: the scheduler keeps it off the scarce SGX nodes as
@@ -39,25 +49,25 @@ func main() {
 		Duration:           90 * time.Second,
 		MemoryRequestBytes: 4 * sgxorch.GiB,
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Time is simulated: hours of cluster time run in milliseconds.
 	if !cluster.WaitAll(time.Hour) {
-		log.Fatal("jobs did not finish")
+		return errors.New("jobs did not finish")
 	}
 
 	for _, name := range []string{"confidential-service", "batch-analytics"} {
 		st, err := cluster.JobStatus(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-22s -> node %-6s phase %-9s waited %-8v turnaround %v\n",
+		fmt.Fprintf(w, "%-22s -> node %-6s phase %-9s waited %-8v turnaround %v\n",
 			st.Name, st.Node, st.Phase, st.Waiting.Round(time.Millisecond),
 			st.Turnaround.Round(time.Millisecond))
 	}
 
-	fmt.Println("\ncluster state after completion:")
+	fmt.Fprintln(w, "\ncluster state after completion:")
 	for _, n := range cluster.Nodes() {
 		kind := "standard"
 		if n.SGX {
@@ -66,6 +76,7 @@ func main() {
 		if n.Unschedulable {
 			kind += ", master"
 		}
-		fmt.Printf("  %-8s %s\n", n.Name, kind)
+		fmt.Fprintf(w, "  %-8s %s\n", n.Name, kind)
 	}
+	return nil
 }

@@ -7,28 +7,41 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	sgxorch "github.com/sgxorch/sgxorch"
 )
 
 func main() {
-	fmt.Println("three jobs, each peaking at 60 MiB of EPC on one 93.5 MiB node")
-
-	fmt.Println("\nSGX 1 (static commitment — jobs must reserve their peak):")
-	runStatic()
-	fmt.Println("\nSGX 2 (dynamic allocation — jobs reserve a 20 MiB baseline):")
-	runDynamic()
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func runStatic() {
+// run drains the three jobs on an SGX 1 node, then on an SGX 2 node, and
+// writes each job's waiting time to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "three jobs, each peaking at 60 MiB of EPC on one 93.5 MiB node")
+
+	fmt.Fprintln(w, "\nSGX 1 (static commitment — jobs must reserve their peak):")
+	if err := runStatic(w); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "\nSGX 2 (dynamic allocation — jobs reserve a 20 MiB baseline):")
+	return runDynamic(w)
+}
+
+func runStatic(w io.Writer) error {
 	cluster, err := sgxorch.NewCluster(sgxorch.ClusterConfig{
 		Nodes: []sgxorch.NodeSpec{{Name: "sgx-1", RAMBytes: 8 * sgxorch.GiB, CPUMillis: 8000, SGX: true}},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer cluster.Close()
 	for i := 0; i < 3; i++ {
@@ -37,18 +50,18 @@ func runStatic() {
 			Duration:        3 * time.Minute,
 			EPCRequestBytes: 60 * sgxorch.MiB, // must reserve the peak
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	report(cluster)
+	return report(w, cluster)
 }
 
-func runDynamic() {
+func runDynamic(w io.Writer) error {
 	cluster, err := sgxorch.NewCluster(sgxorch.ClusterConfig{
 		Nodes: []sgxorch.NodeSpec{{Name: "sgx-1", RAMBytes: 8 * sgxorch.GiB, CPUMillis: 8000, SGX2: true}},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer cluster.Close()
 	for i := 0; i < 3; i++ {
@@ -59,21 +72,22 @@ func runDynamic() {
 			EPCUsageBytes:   60 * sgxorch.MiB, // burst peak (driver-limited)
 			DynamicEPC:      true,
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	report(cluster)
+	return report(w, cluster)
 }
 
-func report(cluster *sgxorch.Cluster) {
+func report(w io.Writer, cluster *sgxorch.Cluster) error {
 	if !cluster.WaitAll(6 * time.Hour) {
-		log.Fatal("jobs did not finish")
+		return errors.New("jobs did not finish")
 	}
 	for i := 0; i < 3; i++ {
 		st, err := cluster.JobStatus(fmt.Sprintf("job-%d", i))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %s: %-9s waited %v\n", st.Name, st.Phase, st.Waiting.Round(time.Second))
+		fmt.Fprintf(w, "  %s: %-9s waited %v\n", st.Name, st.Phase, st.Waiting.Round(time.Second))
 	}
+	return nil
 }
