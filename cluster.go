@@ -298,7 +298,8 @@ type JobSpec struct {
 	EPCUsageBytes    int64
 	// DynamicEPC runs the SGX 2 workload (§VI-G): the job holds
 	// EPCRequestBytes as baseline and bursts to EPCUsageBytes mid-run
-	// via dynamic EPC allocation. Requires an SGX2 node.
+	// via dynamic EPC allocation. Requires an SGX2 node and a non-zero
+	// EPCRequestBytes: SubmitJob refuses a DynamicEPC job without one.
 	DynamicEPC bool
 	// EPCLimitBytes is the pod's driver-enforced EPC cap. It defaults to
 	// EPCRequestBytes for static jobs (usage beyond the advertisement is
@@ -333,6 +334,9 @@ func (c *Cluster) SubmitJob(spec JobSpec) error {
 		if b < 0 {
 			return fmt.Errorf("sgxorch: job %s: negative byte quantity %d", spec.Name, b)
 		}
+	}
+	if spec.DynamicEPC && spec.EPCRequestBytes == 0 {
+		return fmt.Errorf("sgxorch: job %s: DynamicEPC needs an EPCRequestBytes baseline", spec.Name)
 	}
 	class := api.WorkloadClass(spec.Class)
 	if spec.Class != "" && !class.Known() {

@@ -127,7 +127,6 @@ func Fig6Startup(seed int64, runs int) Figure {
 	if runs <= 0 {
 		runs = 60 // "the required average time required for 60 runs"
 	}
-	model := sgx.DefaultCostModel()
 	usable := sgx.DefaultGeometry().UsableBytes()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -151,9 +150,9 @@ func Fig6Startup(seed int64, runs int) Figure {
 			// Run-to-run variance behind the paper's error bars: the
 			// service start jitters a few percent; allocation jitters
 			// with both relative and small absolute noise.
-			pswMS := float64(model.PSWStartup.Milliseconds())
+			pswMS := float64(sgx.PSWStartup.Milliseconds())
 			pswSamples = append(pswSamples, pswMS*(1+0.05*(2*rng.Float64()-1)))
-			allocMS := float64(model.AllocLatency(sz.bytes, usable)) / float64(time.Millisecond)
+			allocMS := float64(sgx.AllocLatency(sz.bytes, usable)) / float64(time.Millisecond)
 			allocSamples = append(allocSamples,
 				allocMS*(1+0.04*(2*rng.Float64()-1))+2*rng.Float64())
 		}

@@ -21,7 +21,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/deviceplugin"
 	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/sgx"
 	"github.com/sgxorch/sgxorch/internal/stress"
 )
 
@@ -46,7 +45,6 @@ type Kubelet struct {
 	clk    clock.Clock
 	srv    *apiserver.Server
 	mach   *machine.Machine
-	runner *stress.Runner
 	plugin *deviceplugin.SGXPlugin
 
 	nodeName      string
@@ -90,7 +88,6 @@ func New(clk clock.Clock, srv *apiserver.Server, mach *machine.Machine, opts ...
 		srv:      srv,
 		mach:     mach,
 		nodeName: mach.Name(),
-		runner:   stress.NewRunner(clk, sgx.CostModel{}),
 		pods:     make(map[string]*podEntry),
 	}
 	for _, o := range opts {
@@ -388,7 +385,7 @@ func (k *Kubelet) admit(pod *api.Pod) {
 		return
 	}
 	for _, w := range workloads {
-		ex, err := k.runner.Run(stress.Config{
+		ex, err := stress.Run(k.clk, stress.Config{
 			Machine:    k.mach,
 			CgroupPath: cgroup,
 			Spec:       w,

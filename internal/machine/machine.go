@@ -184,6 +184,13 @@ func (p *Process) OpenEnclave(pages int64) (*sgx.Enclave, error) {
 		return nil, err
 	}
 	p.mu.Lock()
+	if p.dead {
+		// Killed while the enclave was being built: Kill could not see
+		// it, so it is destroyed here.
+		p.mu.Unlock()
+		_ = e.Destroy()
+		return nil, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, p.PID)
+	}
 	p.enclaves = append(p.enclaves, e)
 	p.mu.Unlock()
 	return e, nil

@@ -6,8 +6,9 @@ import (
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
-// CostModel reproduces the startup-latency measurements of Fig. 6
-// ("Startup time of SGX processes observed for varying EPC sizes", §VI-D):
+// The start-up costs measured in §VI-D (Fig. 6, "Startup time of SGX
+// processes observed for varying EPC sizes"). They are the paper's
+// figures, not settings:
 //
 //   - launching the Platform Software / AESM service costs a constant
 //     ~100 ms ("the service startup time is virtually the same in all
@@ -17,35 +18,22 @@ import (
 //     about 200 ms";
 //   - standard (non-SGX) processes start in under 1 ms and are omitted
 //     from the figure.
-type CostModel struct {
+const (
 	// PSWStartup is the AESM/PSW service initialization cost paid once
 	// per container (§VI-D: one PSW instance per container because
 	// privileged mode is avoided).
-	PSWStartup time.Duration
-	// AllocBelowPerMiB is the per-MiB commit cost while the allocation
-	// fits in usable EPC.
-	AllocBelowPerMiB time.Duration
-	// AllocAbovePerMiB is the per-MiB cost for the portion beyond usable
-	// EPC (the paging regime).
-	AllocAbovePerMiB time.Duration
-	// AllocAboveFixed is the fixed penalty paid once when the allocation
-	// crosses the usable-EPC boundary.
-	AllocAboveFixed time.Duration
+	PSWStartup = 100 * time.Millisecond
 	// StandardStartup is the startup latency of a non-SGX process
 	// ("steadily took less than 1 ms").
-	StandardStartup time.Duration
-}
+	StandardStartup = 500 * time.Microsecond
 
-// DefaultCostModel returns the constants measured in §VI-D.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		PSWStartup:       100 * time.Millisecond,
-		AllocBelowPerMiB: 1600 * time.Microsecond,
-		AllocAbovePerMiB: 4500 * time.Microsecond,
-		AllocAboveFixed:  200 * time.Millisecond,
-		StandardStartup:  500 * time.Microsecond,
-	}
-}
+	// The two-slope commit cost: per MiB while the allocation fits in
+	// usable EPC, per MiB for the portion beyond it (the paging regime),
+	// and the fixed penalty paid once on crossing the boundary.
+	allocBelowPerMiB = 1600 * time.Microsecond
+	allocAbovePerMiB = 4500 * time.Microsecond
+	allocAboveFixed  = 200 * time.Millisecond
+)
 
 // durPerMiB scales a per-MiB cost to an arbitrary byte count.
 func durPerMiB(perMiB time.Duration, bytes int64) time.Duration {
@@ -55,20 +43,20 @@ func durPerMiB(perMiB time.Duration, bytes int64) time.Duration {
 // AllocLatency returns the time to commit allocBytes of enclave memory on
 // a package whose usable EPC is usableBytes, following the two-slope model
 // of Fig. 6.
-func (m CostModel) AllocLatency(allocBytes, usableBytes int64) time.Duration {
+func AllocLatency(allocBytes, usableBytes int64) time.Duration {
 	if allocBytes <= 0 {
 		return 0
 	}
 	if allocBytes <= usableBytes {
-		return durPerMiB(m.AllocBelowPerMiB, allocBytes)
+		return durPerMiB(allocBelowPerMiB, allocBytes)
 	}
-	below := durPerMiB(m.AllocBelowPerMiB, usableBytes)
-	above := durPerMiB(m.AllocAbovePerMiB, allocBytes-usableBytes)
-	return below + above + m.AllocAboveFixed
+	below := durPerMiB(allocBelowPerMiB, usableBytes)
+	above := durPerMiB(allocAbovePerMiB, allocBytes-usableBytes)
+	return below + above + allocAboveFixed
 }
 
 // StartupLatency returns the full SGX process startup time for an enclave
 // allocation of allocBytes: PSW service launch plus memory commitment.
-func (m CostModel) StartupLatency(allocBytes, usableBytes int64) time.Duration {
-	return m.PSWStartup + m.AllocLatency(allocBytes, usableBytes)
+func StartupLatency(allocBytes, usableBytes int64) time.Duration {
+	return PSWStartup + AllocLatency(allocBytes, usableBytes)
 }

@@ -135,28 +135,27 @@ func TestPagesForCgroup(t *testing.T) {
 }
 
 func TestCostModelFig6Trends(t *testing.T) {
-	m := DefaultCostModel()
 	usable := DefaultGeometry().UsableBytes()
 
 	// PSW startup alone for a zero-byte enclave.
-	if got := m.StartupLatency(0, usable); got != 100*time.Millisecond {
+	if got := StartupLatency(0, usable); got != 100*time.Millisecond {
 		t.Fatalf("StartupLatency(0) = %v, want 100ms", got)
 	}
 
 	// Below the knee: 1.6 ms/MiB.
-	got32 := m.AllocLatency(32*resource.MiB, usable)
+	got32 := AllocLatency(32*resource.MiB, usable)
 	if want := 32 * 1600 * time.Microsecond; got32 != want {
 		t.Fatalf("AllocLatency(32MiB) = %v, want %v", got32, want)
 	}
 
 	// Exactly at the knee (93.5 MiB): still the cheap slope.
-	gotKnee := m.AllocLatency(usable, usable)
+	gotKnee := AllocLatency(usable, usable)
 	if want := time.Duration(93.5 * 1600 * float64(time.Microsecond)); gotKnee != want {
 		t.Fatalf("AllocLatency(93.5MiB) = %v, want %v", gotKnee, want)
 	}
 
 	// Above the knee: fixed 200 ms plus 4.5 ms/MiB for the excess.
-	got128 := m.AllocLatency(128*resource.MiB, usable)
+	got128 := AllocLatency(128*resource.MiB, usable)
 	want128 := gotKnee + 200*time.Millisecond +
 		time.Duration(34.5*4500*float64(time.Microsecond))
 	if got128 != want128 {
@@ -164,26 +163,25 @@ func TestCostModelFig6Trends(t *testing.T) {
 	}
 
 	// Total at 128 MiB lands near the paper's ~600 ms reading.
-	total := m.StartupLatency(128*resource.MiB, usable)
+	total := StartupLatency(128*resource.MiB, usable)
 	if total < 580*time.Millisecond || total > 620*time.Millisecond {
 		t.Fatalf("StartupLatency(128MiB) = %v, want ~600ms", total)
 	}
 
 	// Standard jobs: "less than 1 ms".
-	if m.StandardStartup >= time.Millisecond {
-		t.Fatalf("StandardStartup = %v, want < 1ms", m.StandardStartup)
+	if StandardStartup >= time.Millisecond {
+		t.Fatalf("StandardStartup = %v, want < 1ms", StandardStartup)
 	}
 }
 
 func TestCostModelMonotoneInAllocation(t *testing.T) {
-	m := DefaultCostModel()
 	usable := DefaultGeometry().UsableBytes()
 	f := func(a, b uint32) bool {
 		x, y := int64(a)%(256*resource.MiB), int64(b)%(256*resource.MiB)
 		if x > y {
 			x, y = y, x
 		}
-		return m.AllocLatency(x, usable) <= m.AllocLatency(y, usable)
+		return AllocLatency(x, usable) <= AllocLatency(y, usable)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

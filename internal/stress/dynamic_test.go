@@ -20,14 +20,13 @@ func sgx2Machine(opts ...isgx.Option) *machine.Machine {
 
 func TestDynamicEPCRampProfile(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := sgx2Machine()
 	cg := "/kubepods/dyn"
 
 	peak := 24 * resource.MiB
 	base := 12 * resource.MiB
 	done := false
-	_, err := r.Run(Config{
+	_, err := Run(clk, Config{
 		Machine:    m,
 		CgroupPath: cg,
 		Spec: api.WorkloadSpec{
@@ -77,7 +76,6 @@ func TestDynamicEPCRampProfile(t *testing.T) {
 
 func TestDynamicEPCBurstDeniedByLimit(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := sgx2Machine()
 	cg := "/kubepods/dyn"
 	// Limit covers the baseline but not the burst: the §VI-G enforcement
@@ -86,7 +84,7 @@ func TestDynamicEPCBurstDeniedByLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var finishErr error
-	_, err := r.Run(Config{
+	_, err := Run(clk, Config{
 		Machine:    m,
 		CgroupPath: cg,
 		Spec: api.WorkloadSpec{
@@ -111,10 +109,9 @@ func TestDynamicEPCBurstDeniedByLimit(t *testing.T) {
 
 func TestDynamicEPCDefaultBaseline(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := sgx2Machine()
 	cg := "/kubepods/dyn"
-	_, err := r.Run(Config{
+	_, err := Run(clk, Config{
 		Machine:    m,
 		CgroupPath: cg,
 		Spec: api.WorkloadSpec{
@@ -135,9 +132,8 @@ func TestDynamicEPCDefaultBaseline(t *testing.T) {
 
 func TestDynamicEPCRequiresSGX2(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := sgxMachine() // SGX 1
-	_, err := r.Run(Config{
+	_, err := Run(clk, Config{
 		Machine: m,
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressEPCDynamic,
@@ -149,7 +145,7 @@ func TestDynamicEPCRequiresSGX2(t *testing.T) {
 		t.Fatalf("err = %v, want ErrSGX1Only", err)
 	}
 	plain := machine.New("plain", resource.GiB, 1000)
-	if _, err := r.Run(Config{
+	if _, err := Run(clk, Config{
 		Machine: plain,
 		Spec:    api.WorkloadSpec{Kind: api.WorkloadStressEPCDynamic, AllocBytes: 1},
 	}); !errors.Is(err, machine.ErrNoSGX) {

@@ -9,6 +9,11 @@
 // advertised request — holds it for the trace duration, then releases it.
 // Enclave-init denial by the modified driver (§V-D) kills the workload
 // immediately, which is how malicious containers die in Fig. 11.
+//
+// Each workload is a fixed plan of at most four steps, each a delay and
+// the operation that ends it (allocate memory, open the enclave, augment,
+// trim, done). The plan runs on one clock timer: Run arms it for the
+// first step, and each step re-arms it for the next with Reset.
 package stress
 
 import (
@@ -28,22 +33,6 @@ import (
 // externally.
 var ErrAborted = errors.New("stress: workload aborted")
 
-// Runner launches workloads on machines using a shared clock and SGX cost
-// model.
-type Runner struct {
-	clk  clock.Clock
-	cost sgx.CostModel
-}
-
-// NewRunner creates a workload runner. A zero CostModel is replaced by the
-// paper's measured defaults.
-func NewRunner(clk clock.Clock, cost sgx.CostModel) *Runner {
-	if cost == (sgx.CostModel{}) {
-		cost = sgx.DefaultCostModel()
-	}
-	return &Runner{clk: clk, cost: cost}
-}
-
 // Config describes one workload execution.
 type Config struct {
 	Machine    *machine.Machine
@@ -55,87 +44,154 @@ type Config struct {
 	OnFinished func(err error)
 }
 
+// op is what a plan step does once its delay has elapsed.
+type op uint8
+
+const (
+	opAllocVM op = iota
+	opOpenEnclave
+	opAugment
+	opTrim
+	opDone
+)
+
+// step is one entry of an execution's plan: op runs once after has
+// elapsed since the step before it ran (since Run, for the first).
+type step struct {
+	after time.Duration
+	op    op
+}
+
 // Execution is a handle on a running workload.
 type Execution struct {
-	clk  clock.Clock
-	proc *machine.Process
+	cfg  Config
+	plan [4]step
+	next int
+	// pages is what the enclave commits when it opens; burst is what the
+	// dynamic workload augments and later trims.
+	pages, burst int64
+	proc         *machine.Process
+	enclave      *sgx.Enclave
 
 	mu       sync.Mutex
 	timer    clock.Timer
 	finished bool
-	onDone   func(error)
 }
 
-// Run starts the workload and returns its handle. Startup latencies
+// Run starts the workload on clk and returns its handle. Startup latencies
 // (PSW + allocation, Fig. 6) elapse on the clock before memory is
-// committed, then the working set is held for the spec duration.
-func (r *Runner) Run(cfg Config) (*Execution, error) {
+// committed, then the working set is held for the spec duration. A
+// refused spec starts no process.
+func Run(clk clock.Clock, cfg Config) (*Execution, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("stress: nil machine")
 	}
-	if cfg.Spec.Duration < 0 {
-		return nil, fmt.Errorf("stress: negative duration %v", cfg.Spec.Duration)
+	spec := cfg.Spec
+	if spec.Duration < 0 {
+		return nil, fmt.Errorf("stress: negative duration %v", spec.Duration)
 	}
-	epcKind := cfg.Spec.Kind == api.WorkloadStressEPC || cfg.Spec.Kind == api.WorkloadStressEPCDynamic
+	epcKind := spec.Kind == api.WorkloadStressEPC || spec.Kind == api.WorkloadStressEPCDynamic
 	if epcKind && !cfg.Machine.HasSGX() {
 		return nil, fmt.Errorf("stress: EPC workload on non-SGX machine %s: %w",
 			cfg.Machine.Name(), machine.ErrNoSGX)
 	}
-	if cfg.Spec.Kind == api.WorkloadStressEPCDynamic && !cfg.Machine.SGX().SGX2() {
-		return nil, fmt.Errorf("stress: dynamic EPC workload needs SGX 2 on machine %s: %w",
-			cfg.Machine.Name(), sgx.ErrSGX1Only)
-	}
 
-	ex := &Execution{
-		clk:    r.clk,
-		proc:   cfg.Machine.StartProcess(cfg.CgroupPath),
-		onDone: cfg.OnFinished,
-	}
-
-	switch cfg.Spec.Kind {
+	ex := &Execution{cfg: cfg}
+	switch spec.Kind {
 	case api.WorkloadSleep:
-		ex.arm(cfg.Spec.Duration, func() { ex.finish(nil) })
+		ex.plan[0] = step{spec.Duration, opDone}
 	case api.WorkloadStressVM:
 		// "Measurements for standard jobs ... steadily took less than
 		// 1 ms" (§VI-D).
-		ex.arm(r.cost.StandardStartup, func() {
-			if err := ex.proc.AllocVM(cfg.Spec.AllocBytes); err != nil {
-				ex.finish(err)
-				return
-			}
-			ex.arm(cfg.Spec.Duration, func() { ex.finish(nil) })
-		})
+		ex.plan = [4]step{{sgx.StandardStartup, opAllocVM}, {spec.Duration, opDone}}
 	case api.WorkloadStressEPC:
 		// PSW/AESM boot, then enclave memory commitment at the measured
-		// two-slope rate.
-		startup := r.cost.StartupLatency(cfg.Spec.AllocBytes, cfg.Machine.SGX().Geometry().UsableBytes())
-		pages := resource.PagesForBytes(cfg.Spec.AllocBytes)
-		ex.arm(startup, func() {
-			if _, err := ex.proc.OpenEnclave(pages); err != nil {
-				// Enclave denied (limit enforcement, §V-D): the job is
-				// killed immediately (§VI-F).
-				ex.finish(err)
-				return
-			}
-			ex.arm(cfg.Spec.Duration, func() { ex.finish(nil) })
-		})
+		// two-slope rate. A denied enclave (limit enforcement, §V-D)
+		// kills the job immediately (§VI-F).
+		startup := sgx.StartupLatency(spec.AllocBytes, cfg.Machine.SGX().Geometry().UsableBytes())
+		ex.pages = resource.PagesForBytes(spec.AllocBytes)
+		ex.plan = [4]step{{startup, opOpenEnclave}, {spec.Duration, opDone}}
 	case api.WorkloadStressEPCDynamic:
-		r.runDynamicEPC(ex, cfg)
+		if !cfg.Machine.SGX().SGX2() {
+			return nil, fmt.Errorf("stress: dynamic EPC workload needs SGX 2 on machine %s: %w",
+				cfg.Machine.Name(), sgx.ErrSGX1Only)
+		}
+		ex.planDynamic()
 	default:
-		ex.proc.Kill()
-		return nil, fmt.Errorf("stress: unknown workload kind %v", cfg.Spec.Kind)
+		return nil, fmt.Errorf("stress: unknown workload kind %v", spec.Kind)
 	}
+
+	ex.proc = cfg.Machine.StartProcess(cfg.CgroupPath)
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	ex.timer = clk.AfterFunc(ex.plan[0].after, ex.fire)
 	return ex, nil
 }
 
-// arm schedules the next lifecycle step unless already finished.
-func (e *Execution) arm(d time.Duration, f func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.finished {
+// planDynamic lays out the SGX 2 workload of §VI-G: the enclave commits a
+// baseline working set at initialization, bursts to its peak via dynamic
+// EPC allocation (EAUG) for the middle third of its runtime, and trims
+// back (EREMOVE) for the final third. Both dynamic operations go through
+// the driver, which applies the pod's EPC limit to the burst exactly as
+// it does at enclave initialization; a denied burst kills the job like an
+// EINIT denial would.
+//
+// Compared with the SGX 1 stressor — which must hold its peak for the
+// whole run — the dynamic variant keeps EPC free between bursts, which a
+// usage-aware scheduler converts into extra packing headroom ("this new
+// feature can really improve resource utilization on shared
+// infrastructures", §VI-G).
+func (e *Execution) planDynamic() {
+	spec := e.cfg.Spec
+	baseBytes := spec.BaseBytes
+	if baseBytes <= 0 {
+		baseBytes = spec.AllocBytes / 2
+	}
+	baseBytes = min(baseBytes, spec.AllocBytes)
+	e.pages = resource.PagesForBytes(baseBytes)
+	e.burst = resource.PagesForBytes(spec.AllocBytes) - e.pages
+
+	usable := e.cfg.Machine.SGX().Geometry().UsableBytes()
+	phase := spec.Duration / 3
+	e.plan = [4]step{
+		{sgx.StartupLatency(baseBytes, usable), opOpenEnclave},
+		{phase, opAugment},
+		{phase, opTrim},
+		{spec.Duration - 2*phase, opDone},
+	}
+}
+
+// fire runs the due step, then re-arms the timer for the next one unless
+// the workload has finished.
+func (e *Execution) fire() {
+	var err error
+	switch e.plan[e.next].op {
+	case opAllocVM:
+		err = e.proc.AllocVM(e.cfg.Spec.AllocBytes)
+	case opOpenEnclave:
+		e.enclave, err = e.proc.OpenEnclave(e.pages)
+	case opAugment:
+		if e.burst > 0 {
+			err = e.cfg.Machine.Driver().IoctlAugmentPages(e.enclave, e.burst)
+		}
+	case opTrim:
+		if e.burst > 0 {
+			_, err = e.cfg.Machine.Driver().IoctlTrimPages(e.enclave, e.burst)
+		}
+	case opDone:
+		e.finish(nil)
 		return
 	}
-	e.timer = e.clk.AfterFunc(d, f)
+	if err != nil {
+		e.finish(err)
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.finished {
+		e.next++
+		e.timer.Reset(e.plan[e.next].after)
+	}
 }
 
 // finish terminates the workload exactly once: the process is killed
@@ -147,28 +203,14 @@ func (e *Execution) finish(err error) {
 		return
 	}
 	e.finished = true
-	t := e.timer
-	done := e.onDone
 	e.mu.Unlock()
 
-	if t != nil {
-		t.Stop()
-	}
+	e.timer.Stop()
 	e.proc.Kill()
-	if done != nil {
+	if done := e.cfg.OnFinished; done != nil {
 		done(err)
 	}
 }
 
 // Abort kills the workload; OnFinished receives ErrAborted.
 func (e *Execution) Abort() { e.finish(ErrAborted) }
-
-// Finished reports whether the workload has terminated.
-func (e *Execution) Finished() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.finished
-}
-
-// PID returns the workload's process ID.
-func (e *Execution) PID() int { return e.proc.PID }

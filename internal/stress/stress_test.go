@@ -20,12 +20,11 @@ func sgxMachine(opts ...isgx.Option) *machine.Machine {
 
 func TestVMWorkloadLifecycle(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := machine.New("std-1", 64*resource.GiB, 8000)
 
 	var finishErr error
 	finished := false
-	ex, err := r.Run(Config{
+	_, err := Run(clk, Config{
 		Machine:    m,
 		CgroupPath: "/kubepods/pod-1",
 		Spec: api.WorkloadSpec{
@@ -47,7 +46,7 @@ func TestVMWorkloadLifecycle(t *testing.T) {
 
 	// Before the duration elapses the workload holds its memory.
 	clk.Advance(30 * time.Second)
-	if ex.Finished() {
+	if finished {
 		t.Fatal("finished too early")
 	}
 
@@ -62,13 +61,11 @@ func TestVMWorkloadLifecycle(t *testing.T) {
 
 func TestEPCWorkloadStartupLatency(t *testing.T) {
 	clk := clock.NewSim()
-	cost := sgx.DefaultCostModel()
-	r := NewRunner(clk, cost)
 	m := sgxMachine()
 
 	allocBytes := 32 * resource.MiB
 	var finishedAt time.Time
-	_, err := r.Run(Config{
+	_, err := Run(clk, Config{
 		Machine:    m,
 		CgroupPath: "/kubepods/pod-1",
 		Spec: api.WorkloadSpec{
@@ -82,7 +79,7 @@ func TestEPCWorkloadStartupLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	startup := cost.StartupLatency(allocBytes, m.SGX().Geometry().UsableBytes())
+	startup := sgx.StartupLatency(allocBytes, m.SGX().Geometry().UsableBytes())
 
 	// Just before the startup completes, no EPC is committed.
 	clk.Advance(startup - time.Millisecond)
@@ -109,7 +106,6 @@ func TestEPCWorkloadStartupLatency(t *testing.T) {
 
 func TestEPCWorkloadDeniedByLimit(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := sgxMachine()
 	cg := "/kubepods/pod-malicious"
 	// Pod advertised 1 page (§VI-F malicious modus operandi).
@@ -118,7 +114,7 @@ func TestEPCWorkloadDeniedByLimit(t *testing.T) {
 	}
 
 	var finishErr error
-	_, err := r.Run(Config{
+	_, err := Run(clk, Config{
 		Machine:    m,
 		CgroupPath: cg,
 		Spec: api.WorkloadSpec{
@@ -145,9 +141,8 @@ func TestEPCWorkloadDeniedByLimit(t *testing.T) {
 
 func TestEPCWorkloadOnNonSGXMachineRejected(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := machine.New("std-1", 64*resource.GiB, 8000)
-	_, err := r.Run(Config{
+	_, err := Run(clk, Config{
 		Machine: m,
 		Spec:    api.WorkloadSpec{Kind: api.WorkloadStressEPC, AllocBytes: 1},
 	})
@@ -158,10 +153,9 @@ func TestEPCWorkloadOnNonSGXMachineRejected(t *testing.T) {
 
 func TestVMWorkloadOOMKilled(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := machine.New("tiny", resource.MiB, 1000)
 	var finishErr error
-	_, err := r.Run(Config{
+	_, err := Run(clk, Config{
 		Machine: m,
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressVM,
@@ -184,10 +178,9 @@ func TestVMWorkloadOOMKilled(t *testing.T) {
 
 func TestSleepWorkload(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := machine.New("n", resource.GiB, 1000)
 	done := false
-	_, err := r.Run(Config{
+	_, err := Run(clk, Config{
 		Machine:    m,
 		Spec:       api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: 5 * time.Second},
 		OnFinished: func(error) { done = true },
@@ -207,11 +200,10 @@ func TestSleepWorkload(t *testing.T) {
 
 func TestAbort(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := machine.New("n", resource.GiB, 1000)
 	var finishErr error
 	calls := 0
-	ex, err := r.Run(Config{
+	ex, err := Run(clk, Config{
 		Machine:    m,
 		Spec:       api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: time.Hour},
 		OnFinished: func(err error) { calls++; finishErr = err },
@@ -229,16 +221,12 @@ func TestAbort(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("OnFinished called %d times, want 1", calls)
 	}
-	if !ex.Finished() {
-		t.Fatal("Finished = false after abort")
-	}
 }
 
 func TestUnknownWorkloadKind(t *testing.T) {
 	clk := clock.NewSim()
-	r := NewRunner(clk, sgx.CostModel{})
 	m := machine.New("n", resource.GiB, 1000)
-	if _, err := r.Run(Config{Machine: m, Spec: api.WorkloadSpec{Kind: 0}}); err == nil {
+	if _, err := Run(clk, Config{Machine: m, Spec: api.WorkloadSpec{Kind: 0}}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	if got := m.ProcessCount(); got != 0 {
@@ -247,15 +235,7 @@ func TestUnknownWorkloadKind(t *testing.T) {
 }
 
 func TestNilMachine(t *testing.T) {
-	r := NewRunner(clock.NewSim(), sgx.CostModel{})
-	if _, err := r.Run(Config{}); err == nil {
+	if _, err := Run(clock.NewSim(), Config{}); err == nil {
 		t.Fatal("nil machine accepted")
-	}
-}
-
-func TestDefaultCostModelApplied(t *testing.T) {
-	r := NewRunner(clock.NewSim(), sgx.CostModel{})
-	if r.cost != sgx.DefaultCostModel() {
-		t.Fatal("zero cost model not defaulted")
 	}
 }
