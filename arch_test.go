@@ -416,7 +416,11 @@ supplies, not in what it is sent (the whole stream), and SubscribeNode,
 which is sent one node's events. A per-kind ring (a topic) or a fifth
 entry point, in any file of the package, is the machinery this replaced.
 An entry point is an exported Server method named Subscribe… or
-ListAndWatch…, or one that takes a callback of WatchEvents.`,
+ListAndWatch…, or one that takes a callback of WatchEvents. The broker
+draws each event's resource version as it appends it, so the stream has
+one order point only while every commit publishes through txn.publish,
+under the stripes it holds: no other non-test code of the package calls
+the broker's Publish.`,
 		check: func(c *codebase) (out []string) {
 			entries := []string{"Subscribe", "SubscribeBatch", "ListAndWatchBatch", "SubscribeNode"}
 			want := map[string]bool{}
@@ -436,6 +440,20 @@ ListAndWatch…, or one that takes a callback of WatchEvents.`,
 				if f.dir != "internal/apiserver" {
 					continue
 				}
+				f.walk(func(fn *ast.FuncDecl, n ast.Node) {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok || sel.Sel.Name != "Publish" {
+						return
+					}
+					if fn != nil && recvType(fn) == "txn" && fn.Name.Name == "publish" {
+						return
+					}
+					out = append(out, c.at(call.Pos())+": Publish outside txn.publish: the stream's order point is the commit's publish")
+				})
 				for _, d := range f.syntax.Decls {
 					fn, ok := d.(*ast.FuncDecl)
 					if !ok || recvType(fn) != "Server" || !fn.Name.IsExported() || !isSubscribeEntry(fn) {
@@ -694,7 +712,6 @@ var knobAllow = map[string]string{
 	"internal/experiments.ClassesExpConfig.SGXEvery":        "TestClassesMixedFleetSGXUtilization compares the run with a fleet of no SGX jobs",
 	"internal/experiments.ObservabilityConfig.JobsPerClass": "the observability tests pin 8- and 6-job waves",
 	"internal/experiments.FanoutScenarioConfig.Nodes":       "TestFanoutDrainCompletes shrinks the grid's cluster to 16 nodes",
-	"internal/experiments.FanoutScenarioConfig.Backlog":     "TestFanoutDrainCompletes shrinks the grid's backlog to 96 pods",
 }
 
 // deadSurfaceAllow lists exported internal/ functions and methods that
@@ -975,6 +992,11 @@ func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), r func(Snapsh
 			"internal/apiserver/server.go": server,
 			"internal/watch/ring.go":       "package watch\n\ntype ring struct{ byTopic map[string]int }\n",
 		}, "internal/watch/ring.go:3"},
+		{"one-watch-ring-four-entry-points", map[string]string{
+			"internal/apiserver/server.go": server,
+			"internal/apiserver/txn.go":    "package apiserver\n\nfunc (t *txn) publish(ev WatchEvent) int64 { return t.s.broker.Publish(\"\", ev, nil) }\n",
+			"internal/apiserver/fast.go":   "package apiserver\n\nfunc (s *Server) fastPublish(ev WatchEvent) {\n\ts.broker.Publish(\"\", ev, nil)\n}\n",
+		}, "internal/apiserver/fast.go:4"},
 		{"one-assembly-of-the-stack", map[string]string{
 			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/kubelet\"\n\nvar k = kubelet.New(nil)\n",
 		}, "internal/experiments/testbed.go:5"},

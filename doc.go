@@ -254,13 +254,13 @@
 // so a Bind takes exactly one pod stripe and one node stripe —
 // admission re-validation, committed-resource accounting and the pod
 // mutation all happen under those two locks, and binds touching
-// different stripes commit concurrently. A thin global layer keeps the
-// cluster totally ordered anyway: revisions come from one atomic
-// counter, events are published while the stripes are still held, and
-// the sequenced watch broker buffers out-of-order arrivals so
-// subscribers always observe the dense rev stream in order. The lock
-// order is fixed — pod stripes (ascending), then node stripes
-// (ascending), then the pending-queue mutex, then the broker, with the
+// different stripes commit concurrently. One global point keeps the
+// cluster totally ordered anyway: events are published while the stripes
+// are still held, and the watch broker draws each event's revision under
+// its mutex as it appends it, so subscribers always observe the dense
+// rev stream in order. The lock order is fixed — pod stripes
+// (ascending), then node stripes (ascending), then the pending-queue
+// mutex, then the broker, with the
 // gang reservation mutex a leaf below any of them — and every mutator
 // runs in one commit transaction
 // (internal/apiserver/txn.go) that takes its stripes along that ladder,

@@ -20,22 +20,22 @@
 // needs them (or every stripe, for the gang operations), publishes each
 // event while they are still held, and releases them at a single site,
 // txn.end, before flushing the broker. Mutators never touch a stripe
-// mutex, the rev counter or the broker directly, so the ordering that
-// makes the watch stream trustworthy — nothing a commit changed is visible
-// to another commit before its event is published, a release of
-// capacity no less than a charge — cannot be got wrong per call site.
+// mutex or the broker directly, so the ordering that makes the watch
+// stream trustworthy — nothing a commit changed is visible to another
+// commit before its event is published, a release of capacity no less
+// than a charge — cannot be got wrong per call site.
 // A bind's whole commit (admission check, committed-request accounting,
 // pod-binding mutation, event publish) thus runs under exactly one pod
 // stripe and one node stripe, and binds against different nodes proceed
-// in parallel on different cores. A thin global layer keeps what must
-// stay totally ordered: resource versions come from one atomic counter,
-// and the watch broker re-orders racing publishes back into rev order,
-// so the watch stream — the server's only record of a commit — remains
-// a single coherent history even though commits run concurrently.
-// Cross-shard readers — snapshots, the informer handshake, resync — take
-// every stripe in a fixed ascending order (lockWorld); with the world
-// held no commit is in flight, which is exactly what makes a snapshot a
-// consistent prefix of the watch stream.
+// in parallel on different cores. One global point keeps what must stay
+// totally ordered: the watch broker draws each event's resource version
+// under its own mutex as it appends the event, so the watch stream — the
+// server's only record of a commit — remains a single coherent history
+// even though commits run concurrently. Cross-shard readers — snapshots,
+// the informer handshake, resync — take every stripe in a fixed
+// ascending order (lockWorld); with the world held no commit is in
+// flight, which is exactly what makes a snapshot a consistent prefix of
+// the watch stream.
 //
 // Watchers attach in one of four ways. Subscribe (a per-event callback),
 // SubscribeBatch (a batch callback and an optional resync handler) and
@@ -300,10 +300,6 @@ type Server struct {
 	// innermost lock; subscriber callbacks run with no server lock held.
 	broker *watch.Broker[WatchEvent]
 
-	// seq allocates resource versions — the only piece of commit state
-	// that stays global, because the watch stream must remain one totally
-	// ordered history. The broker tolerates racing publishers, so allocation is a single atomic add, not a lock.
-	seq     atomic.Int64
 	nextUID atomic.Int64
 
 	// podShards/nodeShards are the striped state maps (see stripe.go):
@@ -361,7 +357,8 @@ func New(clk clock.Clock, opts ...Option) *Server {
 }
 
 // Close shuts the watch broker down (async pumps exit). The server's
-// state remains readable; further mutations stop emitting events.
+// state remains readable; further mutations stop emitting events and
+// draw no resource version (a pod queued after Close has queue rev 0).
 func (s *Server) Close() {
 	s.broker.Close()
 }
@@ -410,14 +407,13 @@ func (s *Server) Subscribe(fn func(WatchEvent)) (unsubscribe func()) {
 // the subscriber falls off the broker ring: it receives a fresh
 // consistent snapshot to rebuild from, and delivery resumes with the
 // first event after that snapshot's Rev. Registration happens at the
-// current resource version under the world ladder: with every stripe
-// held no commit is in flight, so every rev <= the registered cursor has
-// already been published — the subscriber provably misses nothing after
-// its cursor.
+// broker's head, under the broker mutex that draws every rev, so the
+// subscriber is sent exactly the events published after it — but it may
+// begin between two events of one world-form commit (a gang operation),
+// so a consumer that needs a consistent state starts from
+// ListAndWatchBatch.
 func (s *Server) SubscribeBatch(fn func([]WatchEvent), resync func(Snapshot)) (unsubscribe func()) {
-	s.lockWorld()
-	defer s.unlockWorld()
-	return s.broker.Subscribe(s.seq.Load(), "", fn, s.resyncFrom(resync))
+	return s.broker.Subscribe("", fn, s.resyncFrom(resync))
 }
 
 // SubscribeNode is SubscribeBatch for the events of one node alone, in
@@ -427,9 +423,7 @@ func (s *Server) SubscribeBatch(fn func([]WatchEvent), resync func(Snapshot)) (u
 // unbound, concern no node and reach only the whole stream. resync, when
 // non-nil, is invoked only if an event of the node fell off the ring.
 func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), resync func(Snapshot)) (unsubscribe func()) {
-	s.lockWorld()
-	defer s.unlockWorld()
-	return s.broker.Subscribe(s.seq.Load(), node, fn, s.resyncFrom(resync))
+	return s.broker.Subscribe(node, fn, s.resyncFrom(resync))
 }
 
 // resyncFrom adapts a consumer's snapshot handler to the broker's
@@ -457,8 +451,7 @@ func (s *Server) resyncFrom(resync func(Snapshot)) func() int64 {
 func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), resync func(Snapshot)) (Snapshot, func()) {
 	s.lockWorld()
 	defer s.unlockWorld()
-	snap := s.snapshotWorldLocked()
-	return snap, s.broker.Subscribe(snap.Rev, "", fn, s.resyncFrom(resync))
+	return s.snapshotWorldLocked(), s.broker.Subscribe("", fn, s.resyncFrom(resync))
 }
 
 // SnapshotNow returns a consistent point-in-time snapshot of the
@@ -473,9 +466,10 @@ func (s *Server) SnapshotNow() Snapshot {
 }
 
 // snapshotWorldLocked builds a Snapshot. Caller must hold the world
-// ladder (lockWorld).
+// ladder (lockWorld): every event is published under a stripe, so the
+// broker's head stays put while it reads.
 func (s *Server) snapshotWorldLocked() Snapshot {
-	snap := Snapshot{Rev: s.seq.Load()}
+	snap := Snapshot{Rev: s.broker.LastRev()}
 	var nn, np int
 	for i := range numStripes {
 		nn, np = nn+len(s.nodeShards[i].nodes), np+len(s.podShards[i].pods)

@@ -629,39 +629,55 @@ func TestPendingQueueIndexAndCompaction(t *testing.T) {
 	}
 }
 
-// TestConcurrentMutatorsDeliverInRevOrder: with parallel mutators, every
-// subscriber must still observe events in strictly increasing resource-
-// version order — the informer contract a cache's rev gate depends on.
+// TestConcurrentMutatorsDeliverInRevOrder: with parallel mutators on
+// several nodes, the whole stream is exactly the revs 1..n in order — the
+// broker draws each rev as it appends the event, so none is skipped or
+// reordered — and each node's SubscribeNode watcher is sent exactly that
+// stream's events of its node, in the same increasing order: the informer
+// contract a cache's or a kubelet's rev gate depends on.
 func TestConcurrentMutatorsDeliverInRevOrder(t *testing.T) {
+	nodes := []string{"n0", "n1", "n2", "n3"}
+	const (
+		workers   = 8
+		perWorker = 40
+	)
+	n := len(nodes) + workers*perWorker*3
 	clk := clock.NewSim()
 	s := New(clk)
-	if err := s.RegisterNode(testNode("n1", true)); err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
-	var revs []int64
-	unsub := s.Subscribe(func(ev WatchEvent) {
+	var stream []WatchEvent
+	defer s.Subscribe(func(ev WatchEvent) {
 		mu.Lock()
-		revs = append(revs, ev.Rev)
+		stream = append(stream, ev)
 		mu.Unlock()
-	})
-	defer unsub()
+	})()
+	perNode := make([][]int64, len(nodes))
+	for i, node := range nodes {
+		defer s.SubscribeNode(node, func(evs []WatchEvent) {
+			mu.Lock()
+			for _, ev := range evs {
+				perNode[i] = append(perNode[i], ev.Rev)
+			}
+			mu.Unlock()
+		}, nil)()
+		if err := s.RegisterNode(testNode(node, true)); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	const workers = 8
-	const perWorker = 40
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
+			node := nodes[w%len(nodes)]
+			for i := range perWorker {
 				name := fmt.Sprintf("ord-%d-%d", w, i)
 				if err := s.CreatePod(testPod(name)); err != nil {
 					t.Errorf("create %s: %v", name, err)
 					return
 				}
-				if err := s.Bind(name, "n1"); err != nil {
+				if err := s.Bind(name, node); err != nil {
 					t.Errorf("bind %s: %v", name, err)
 					return
 				}
@@ -673,12 +689,32 @@ func TestConcurrentMutatorsDeliverInRevOrder(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if len(revs) != workers*perWorker*3 {
-		t.Fatalf("events = %d, want %d", len(revs), workers*perWorker*3)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(stream) != n {
+		t.Fatalf("events = %d, want %d", len(stream), n)
 	}
-	for i := 1; i < len(revs); i++ {
-		if revs[i] <= revs[i-1] {
-			t.Fatalf("event %d rev %d after rev %d: delivery out of order", i, revs[i], revs[i-1])
+	want := make([][]int64, len(nodes))
+	for i, ev := range stream {
+		if ev.Rev != int64(i+1) {
+			t.Fatalf("event %d has rev %d: the stream is not exactly revs 1..%d in order", i, ev.Rev, n)
+		}
+		on := ""
+		switch {
+		case ev.Node != nil:
+			on = ev.Node.Name
+		case ev.Pod != nil:
+			on = ev.Pod.Spec.NodeName
+		}
+		if k := slices.Index(nodes, on); k >= 0 {
+			want[k] = append(want[k], ev.Rev)
+		}
+	}
+	for k, node := range nodes {
+		if !slices.Equal(perNode[k], want[k]) {
+			t.Fatalf("node %s's watcher was sent %d revs, want its %d events of the stream in order:\ngot  %v\nwant %v",
+				node, len(perNode[k]), len(want[k]), perNode[k], want[k])
 		}
 	}
 }

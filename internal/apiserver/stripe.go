@@ -27,10 +27,11 @@ import (
 // whose end is the write path's only unlock site. Every stripe a txn
 // takes stays held through its publishes, so a release of capacity is
 // published under the node stripe exactly like a charge. Cross-shard
-// readers (SnapshotNow, ListAndWatchBatch, subscription registration)
-// take lockWorld themselves; the per-object read accessors lock a single
-// stripe around a map lookup and hand out the stored version, which no
-// commit writes again (it stores a new one, txn.nextVersion). pendingMu
+// readers (SnapshotNow, ListAndWatchBatch) take lockWorld themselves; a
+// subscription registers under the broker mutex alone. The per-object
+// read accessors lock a single stripe around a map lookup and hand out
+// the stored version, which no commit writes again (it stores a new one,
+// txn.nextVersion). pendingMu
 // guards an index of which pods are pending (pending.go), not an order: a
 // commit holds it for one map insert or delete, the depth readers for a
 // few counters, and the whole-queue readers (VisitPending, VisitPendingN,
@@ -100,12 +101,12 @@ func (s *Server) nodeShardFor(name string) *nodeShard {
 // lockWorld acquires every stripe in the fixed global order (pod
 // stripes ascending, then node stripes ascending) — the stop-the-world
 // ladder cross-shard readers and world-form transactions use. While the
-// world is held no mutation is in flight, so every resource version
-// allocated so far has been published and applied: the state read under
-// lockWorld is exactly the prefix of the watch stream up to s.seq. That
-// includes the pending index, which only ever changes under a pod
-// stripe; pendingMu stays a per-access lock below the stripes, the same
-// for a world holder as for a single-stripe one.
+// world is held no mutation is in flight and every event is published
+// under a stripe, so the state read under lockWorld is exactly the prefix
+// of the watch stream up to the broker's head. That includes the pending
+// index, which only ever changes under a pod stripe; pendingMu stays a
+// per-access lock below the stripes, the same for a world holder as for a
+// single-stripe one.
 func (s *Server) lockWorld() {
 	for i := range s.podShards {
 		s.podShards[i].mu.Lock()

@@ -8,12 +8,12 @@ import (
 )
 
 // txn is the one commit transaction every mutator runs in — the only
-// code that locks or unlocks a state stripe on the write path, draws a
-// resource version, publishes to the broker or flushes it. A mutator
-// begins a transaction, defers end, reaches state through pod and node,
-// and announces each mutation with publish; every early return is then a
-// plain `return err`, and the protocol's two ordering rules hold by
-// construction instead of per call site:
+// code that locks or unlocks a state stripe on the write path, publishes
+// to the broker or flushes it. A mutator begins a transaction, defers
+// end, reaches state through pod and node, and announces each mutation
+// with publish; every early return is then a plain `return err`, and the
+// protocol's two ordering rules hold by construction instead of per call
+// site:
 //
 //   - stripes are taken along the ladder (one pod stripe, then one node
 //     stripe — see stripe.go) and released by end in reverse order;
@@ -78,22 +78,22 @@ func (t *txn) node(name string) *nodeShard {
 	return nsh
 }
 
-// publish draws the next resource version and appends the event to the
-// broker ring under node, the node it concerns ("" for none), whose
-// SubscribeNode watchers it reaches besides the whole-stream ones — an
-// O(1) append that fixes the event's place in the global order without
-// running subscriber code. The watch stream is the server's only record
-// of a commit. Because only end releases stripes, the event
+// publish appends the event to the broker ring under node, the node it
+// concerns ("" for none), whose SubscribeNode watchers it reaches besides
+// the whole-stream ones, and returns the resource version the broker drew
+// for it — an O(1) append that fixes the event's place in the one global
+// order without running subscriber code. The watch stream is the server's
+// only record of a commit. Because only end releases stripes, the event
 // is published while every stripe the mutation touched is still held:
 // lockWorld cannot observe an applied mutation whose event is still
-// unpublished. Racing publishes from other stripes may reach the broker
-// out of rev order; the broker restores the order. It returns the rev.
+// unpublished.
 func (t *txn) publish(ev WatchEvent, node string) int64 {
-	ev.Rev = t.s.seq.Add(1)
-	t.s.broker.Publish(ev.Rev, node, ev)
 	t.published = true
-	return ev.Rev
+	return t.s.broker.Publish(node, ev, stampRev)
 }
+
+// stampRev writes the rev the broker drew into the event it appended.
+func stampRev(ev *WatchEvent, rev int64) { ev.Rev = rev }
 
 // end releases what the transaction holds, in reverse ladder order, and
 // then delivers what it published (inline in synchronous mode, a no-op

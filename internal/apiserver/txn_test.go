@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/clock"
@@ -250,5 +251,49 @@ func TestTxnLadderGuardPanics(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestSubscribeWhileStripeHeld: registering a subscription reads the
+// broker's head under the broker mutex and takes no stripe, so
+// SubscribeBatch and SubscribeNode return while a commit holds a pod
+// stripe, and are sent what is published after they registered.
+func TestSubscribeWhileStripeHeld(t *testing.T) {
+	s := New(clock.NewSim())
+	if err := s.RegisterNode(testNode("n1", false)); err != nil {
+		t.Fatal(err)
+	}
+	tx := s.begin()
+	tx.pod("p-held")
+	var whole, node []int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.SubscribeBatch(func(evs []WatchEvent) {
+			for _, ev := range evs {
+				whole = append(whole, ev.Rev)
+			}
+		}, nil)
+		s.SubscribeNode("n1", func(evs []WatchEvent) {
+			for _, ev := range evs {
+				node = append(node, ev.Rev)
+			}
+		}, nil)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("SubscribeBatch/SubscribeNode blocked on a held pod stripe")
+	}
+	tx.end()
+	<-done
+	if err := s.CreatePod(testPod("p-held")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Bind("p-held", "n1"); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(whole, []int64{2, 3}) || !slices.Equal(node, []int64{3}) {
+		t.Fatalf("whole stream got revs %v, node n1 %v; want [2 3] and [3]", whole, node)
 	}
 }

@@ -667,3 +667,26 @@ func TestMemoSeesEveryLoosening(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoKeepsAtMostMaxEntries: a pass whose failures do not order one
+// another (each asks for more CPU and less memory than the one before)
+// fills the memo to maxMemoEntries and records nothing past it. The
+// entries kept still prove themselves; a failure past the bound proves
+// nothing, so its pod runs its own cycle.
+func TestMemoKeepsAtMostMaxEntries(t *testing.T) {
+	var m failureMemo
+	v := &ClusterView{}
+	pods := make([]*PodInfo, maxMemoEntries+4)
+	for i := range pods {
+		pods[i] = &PodInfo{Req: resource.List{resource.CPU: int64(i + 1), resource.Memory: int64(len(pods) - i)}}
+		m.record(v, 0, pods[i])
+	}
+	if len(m.entries) != maxMemoEntries {
+		t.Fatalf("memo holds %d entries after %d incomparable failures, want exactly %d", len(m.entries), len(pods), maxMemoEntries)
+	}
+	for i, p := range pods {
+		if got, want := m.dominates(v, 0, p), i < maxMemoEntries; got != want {
+			t.Fatalf("failure %d: dominated = %v, want %v", i, got, want)
+		}
+	}
+}

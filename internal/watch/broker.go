@@ -38,13 +38,11 @@
 //     without it. Slow subscribers batch up naturally; fast publishers
 //     never block on slow consumers.
 //
-// Revs are dense and publishes may arrive out of rev order: writers that
-// allocate revs from an atomic counter (the striped API server) race each
-// other to Publish, and the broker buffers the out-of-order arrivals and
-// appends them to the ring strictly in rev order once the gap fills. Every
-// rev allocated must therefore eventually be published, which holds for
-// the API server because allocation and publish are straight-line code
-// under the owning stripe's lock.
+// The broker is the stream's one order point: Publish draws each event's
+// resource version under the broker mutex as it appends it, so revs are
+// dense, the first is 1, and the ring holds them in order whichever
+// writer wins the mutex. A new subscription registers at the head under
+// the same mutex, so it is sent exactly the events appended after it.
 //
 // A subscriber that falls so far behind that its cursor drops off the
 // ring is "too old" (ErrTooOld) — a keyed subscriber only when an event
@@ -70,7 +68,6 @@ package watch
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"slices"
 	"sort"
@@ -273,10 +270,6 @@ type Broker[T any] struct {
 
 	lastRev int64 // rev of the newest appended event
 
-	// stash holds publishes that arrived before their predecessors;
-	// drained into the ring as gaps fill.
-	stash map[int64]entry[T]
-
 	// keys interns each key published or subscribed to; keyed is indexed
 	// by the interned key.
 	keys  map[string]int32
@@ -311,7 +304,6 @@ func New[T any](opts Options) *Broker[T] {
 		mode:     opts.Mode,
 		maxBatch: opts.MaxBatch,
 		ring:     ring[T]{capacity: opts.Capacity},
-		stash:    make(map[int64]entry[T]),
 		keys:     make(map[string]int32),
 		keyed:    make([]keyState[T], 1), // key 0 is "none"
 	}
@@ -319,46 +311,42 @@ func New[T any](opts Options) *Broker[T] {
 	return b
 }
 
-// Publish appends one event to the ring at the given resource version,
-// under key ("" for none): it reaches the whole-stream subscribers and
-// those of its key. Revisions are dense: the first is 1 and each rev is
-// published once.
-// Racing writers may arrive out of order; an event is buffered until
-// every lower rev has been published, then appended in rev order. The
-// append is O(1) and never runs subscriber code, so a caller may publish
-// under its own state lock. When the ring is full its oldest event is
-// evicted; subscribers still needing it resync.
-func (b *Broker[T]) Publish(rev int64, key string, ev T) {
+// Publish appends one event to the ring under key ("" for none): it
+// reaches the whole-stream subscribers and those of its key. It draws the
+// event's resource version — the head's plus one — stamps it into the
+// appended copy with stamp and returns it; after Close it appends nothing
+// and returns 0. The append is O(1) and never runs subscriber code, so a
+// caller may publish under its own state lock. When the ring is full its
+// oldest event is evicted; subscribers still needing it resync.
+func (b *Broker[T]) Publish(key string, ev T, stamp func(ev *T, rev int64)) int64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return
-	}
-	if rev <= b.lastRev {
-		panic(fmt.Sprintf("watch: Publish rev %d not after %d", rev, b.lastRev))
+		return 0
 	}
 	e := entry[T]{key: b.intern(key), ev: ev}
-	if rev != b.lastRev+1 {
-		if _, dup := b.stash[rev]; dup {
-			panic(fmt.Sprintf("watch: duplicate Publish rev %d", rev))
-		}
-		b.stash[rev] = e
-		return
+	if gone := b.ring.append(e); gone != 0 {
+		b.keyed[gone].evicted = b.ring.evictedRev
 	}
-	for ok := true; ok; e, ok = b.stash[b.lastRev+1] {
-		// Append, then drain any stashed successors whose gap just filled.
-		delete(b.stash, b.lastRev+1)
-		if gone := b.ring.append(e); gone != 0 {
-			b.keyed[gone].evicted = b.ring.evictedRev
-		}
-		b.lastRev++
-		for _, sub := range b.keyed[e.key].subs {
-			if sub.next == 0 && b.lastRev > sub.cursor {
-				sub.next = b.lastRev
-			}
+	b.lastRev++
+	// Stamp the slot, not ev: ev's address passed to a func value escapes,
+	// and every publish would allocate a copy of it.
+	stamp(&b.ring.at(b.ring.count-1).ev, b.lastRev)
+	for _, sub := range b.keyed[e.key].subs {
+		if sub.next == 0 {
+			sub.next = b.lastRev
 		}
 	}
 	b.cond.Broadcast()
+	return b.lastRev
+}
+
+// LastRev returns the resource version of the newest appended event, the
+// head a new subscription registers at.
+func (b *Broker[T]) LastRev() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.lastRev
 }
 
 // intern returns key's id, 0 for the empty key. Caller holds b.mu.
@@ -375,7 +363,7 @@ func (b *Broker[T]) intern(key string) int32 {
 	return k
 }
 
-// Subscribe registers fn for every event with rev > afterRev — every
+// Subscribe registers fn for every event appended after it — every
 // event when key is "", else only those published under key — delivered
 // in batches in strict resource-version order with no duplicates. The
 // batch slice is reused between invocations — callbacks must not retain
@@ -386,7 +374,7 @@ func (b *Broker[T]) intern(key string) int32 {
 // anywhere including the callback itself: no callback starts after it
 // returns, and in Async mode one in flight on another goroutine has
 // returned too (Sync mode does not wait — see the package comment).
-func (b *Broker[T]) Subscribe(afterRev int64, key string, fn func([]T), resync func() int64) (unsubscribe func()) {
+func (b *Broker[T]) Subscribe(key string, fn func([]T), resync func() int64) (unsubscribe func()) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -396,10 +384,10 @@ func (b *Broker[T]) Subscribe(afterRev int64, key string, fn func([]T), resync f
 	sub := &subscription[T]{
 		id:     b.nextID,
 		key:    b.intern(key),
+		cursor: b.lastRev,
 		fn:     fn,
 		resync: resync,
 	}
-	b.moveLocked(sub, afterRev)
 	if sub.key != 0 {
 		b.keyed[sub.key].subs = append(b.keyed[sub.key].subs, sub)
 	}
@@ -459,18 +447,17 @@ func (b *Broker[T]) Stats() Stats {
 }
 
 // Quiesce blocks until every subscriber has been handed every event for
-// it published before the call, no publish is stashed awaiting its
-// gap, and no delivery or flush is in flight — the barrier
-// tests and benchmarks use to observe a settled fan-out, and in Sync mode
-// the way a goroutine whose Flush found another flusher active waits for
-// its own events to land. Not from inside a callback: the flush it would
+// it published before the call and no delivery or flush is in flight —
+// the barrier tests and benchmarks use to observe a settled fan-out, and
+// in Sync mode the way a goroutine whose Flush found another flusher
+// active waits for its own events to land. Not from inside a callback: the flush it would
 // wait out is the one running it.
 func (b *Broker[T]) Quiesce() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	target := b.lastRev
 	for {
-		settled := !b.flushing && len(b.stash) == 0
+		settled := !b.flushing
 		for _, sub := range b.order {
 			if next := b.pending(sub); next != 0 && next <= target || sub.delivering {
 				settled = false

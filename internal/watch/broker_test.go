@@ -8,21 +8,14 @@ import (
 	"time"
 )
 
-// intBroker publishes sequential ints whose rev equals the value — the
+// setRev is the int64 events' stamp: an event's value is its rev.
+func setRev(ev *int64, rev int64) { *ev = rev }
+
+// intBroker publishes ints whose value is the rev the broker drew — the
 // simplest model of the apiserver's versioned event stream.
 func intBroker(opts Options) (*Broker[int64], func() int64) {
 	b := New[int64](opts)
-	var mu sync.Mutex
-	var rev int64
-	publish := func() int64 {
-		mu.Lock()
-		rev++
-		r := rev
-		b.Publish(r, "", r)
-		mu.Unlock()
-		return r
-	}
-	return b, publish
+	return b, func() int64 { return b.Publish("", 0, setRev) }
 }
 
 // checkOrdered fails unless revs are strictly increasing (no duplicate,
@@ -39,9 +32,9 @@ func checkOrdered(t *testing.T, revs []int64, context string) {
 func TestSyncDeliveryInOrder(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Sync})
 	var got1, got2 []int64
-	unsub1 := b.Subscribe(0, "", func(evs []int64) { got1 = append(got1, evs...) }, nil)
+	unsub1 := b.Subscribe("", func(evs []int64) { got1 = append(got1, evs...) }, nil)
 	defer unsub1()
-	unsub2 := b.Subscribe(0, "", func(evs []int64) { got2 = append(got2, evs...) }, nil)
+	unsub2 := b.Subscribe("", func(evs []int64) { got2 = append(got2, evs...) }, nil)
 	defer unsub2()
 	for i := 0; i < 50; i++ {
 		publish()
@@ -66,8 +59,11 @@ func TestSubscribeMidStreamSkipsOldEvents(t *testing.T) {
 		last = publish()
 	}
 	b.Flush()
+	if last != 10 {
+		t.Fatalf("tenth publish drew rev %d, want 10", last)
+	}
 	var got []int64
-	unsub := b.Subscribe(last, "", func(evs []int64) { got = append(got, evs...) }, nil)
+	unsub := b.Subscribe("", func(evs []int64) { got = append(got, evs...) }, nil)
 	defer unsub()
 	publish()
 	publish()
@@ -83,7 +79,7 @@ func TestSubscribeMidStreamSkipsOldEvents(t *testing.T) {
 func TestSyncReentrantPublish(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Sync})
 	var got []int64
-	unsub := b.Subscribe(0, "", func(evs []int64) {
+	unsub := b.Subscribe("", func(evs []int64) {
 		for _, ev := range evs {
 			got = append(got, ev)
 			if ev == 1 {
@@ -105,7 +101,7 @@ func TestUnsubscribeFromInsideCallbackSync(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Sync})
 	var got []int64
 	var unsub func()
-	unsub = b.Subscribe(0, "", func(evs []int64) {
+	unsub = b.Subscribe("", func(evs []int64) {
 		got = append(got, evs...)
 		unsub() // must not deadlock; no further deliveries
 	}, nil)
@@ -123,7 +119,7 @@ func TestUnsubscribeFromInsideCallbackAsync(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Async, MaxBatch: 1})
 	delivered := make(chan int64, 16)
 	var unsub func()
-	unsub = b.Subscribe(0, "", func(evs []int64) {
+	unsub = b.Subscribe("", func(evs []int64) {
 		delivered <- evs[0]
 		unsub()
 	}, nil)
@@ -151,7 +147,7 @@ func TestUnsubscribeWaitsForInflightDelivery(t *testing.T) {
 	release := make(chan struct{})
 	var mu sync.Mutex
 	inCallback := false
-	unsub := b.Subscribe(0, "", func(evs []int64) {
+	unsub := b.Subscribe("", func(evs []int64) {
 		mu.Lock()
 		inCallback = true
 		mu.Unlock()
@@ -210,7 +206,7 @@ func TestUnsubscribeConcurrentWithDeliveryHammer(t *testing.T) {
 		var unsubs []func()
 		for i := 0; i < 8; i++ {
 			var n int64
-			unsubs = append(unsubs, b.Subscribe(0, "", func(evs []int64) { n += int64(len(evs)) }, func() int64 { return b.LastRev() }))
+			unsubs = append(unsubs, b.Subscribe("", func(evs []int64) { n += int64(len(evs)) }, func() int64 { return b.LastRev() }))
 		}
 		var uw sync.WaitGroup
 		for _, u := range unsubs {
@@ -229,7 +225,7 @@ func TestAsyncDeliversEverythingBatched(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Async, MaxBatch: 32})
 	var mu sync.Mutex
 	var got []int64
-	unsub := b.Subscribe(0, "", func(evs []int64) {
+	unsub := b.Subscribe("", func(evs []int64) {
 		time.Sleep(time.Millisecond) // slow consumer: lets batches build up
 		mu.Lock()
 		got = append(got, evs...)
@@ -270,7 +266,7 @@ func TestOverflowTriggersResync(t *testing.T) {
 	var mu sync.Mutex
 	var got []int64
 	var resyncRevs []int64
-	unsub := b.Subscribe(0, "", func(evs []int64) {
+	unsub := b.Subscribe("", func(evs []int64) {
 		<-gate // hold the pump until the ring has wrapped
 		mu.Lock()
 		got = append(got, evs...)
@@ -329,7 +325,7 @@ func TestOverflowTriggersResync(t *testing.T) {
 func TestOverflowWithoutResyncCountsDropped(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Sync, Capacity: 8})
 	var got []int64
-	unsub := b.Subscribe(0, "", func(evs []int64) { got = append(got, evs...) }, nil)
+	unsub := b.Subscribe("", func(evs []int64) { got = append(got, evs...) }, nil)
 	defer unsub()
 	// Publish without flushing: the ring wraps while the subscriber
 	// starves.
@@ -353,7 +349,7 @@ func TestSyncOverflowResyncsInline(t *testing.T) {
 	b, publish := intBroker(Options{Mode: Sync, Capacity: 4})
 	var resyncs int
 	var got []int64
-	unsub := b.Subscribe(0, "", func(evs []int64) { got = append(got, evs...) }, func() int64 {
+	unsub := b.Subscribe("", func(evs []int64) { got = append(got, evs...) }, func() int64 {
 		resyncs++
 		return b.LastRev()
 	})
@@ -389,9 +385,8 @@ func TestBrokerPropertyRandom(t *testing.T) {
 		}
 		publish := func() {
 			src.Lock()
-			src.rev++
+			src.rev = b.Publish("", 0, setRev)
 			src.sum += src.rev
-			b.Publish(src.rev, "", src.rev)
 			src.Unlock()
 		}
 		snapshot := func() (int64, int64) {
@@ -413,7 +408,7 @@ func TestBrokerPropertyRandom(t *testing.T) {
 		for ci := 0; ci < nConsumers; ci++ {
 			c := &consumer{delay: time.Duration(rng.Intn(300)) * time.Microsecond}
 			consumers[ci] = c
-			unsubs = append(unsubs, b.Subscribe(0, "", func(evs []int64) {
+			unsubs = append(unsubs, b.Subscribe("", func(evs []int64) {
 				time.Sleep(c.delay)
 				c.mu.Lock()
 				for _, rev := range evs {
@@ -473,20 +468,11 @@ func TestQuiesceIdleReturns(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Quiesce blocked on an idle broker")
 	}
-	unsub := b.Subscribe(0, "", func([]int64) {}, nil)
+	unsub := b.Subscribe("", func([]int64) {}, nil)
 	defer unsub()
 	publish()
 	b.Quiesce()
 	if st := b.Stats().PerSubscriber[0]; st.Delivered != 1 {
 		t.Fatalf("after Quiesce, Delivered = %d, want 1", st.Delivered)
 	}
-}
-
-// LastRev returns the resource version of the newest appended event
-// (stashed out-of-order sequenced publishes do not count until their
-// gap fills).
-func (b *Broker[T]) LastRev() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastRev
 }

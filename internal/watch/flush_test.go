@@ -14,7 +14,7 @@ import (
 // callback at a time, handing over through the broker mutex — and read
 // by the test after every publisher has joined.
 type propSub struct {
-	start int64 // the cursor it subscribed at
+	start int64 // the head it subscribed at
 	unsub func()
 	got   []int64
 
@@ -24,9 +24,9 @@ type propSub struct {
 	closedInCallback bool
 	startedAfter     bool
 	// fence is 0 while the subscriber is live; once its unsubscribe has
-	// returned it holds the newest rev allocated by then. A batch is cut
+	// returned it holds the newest rev appended by then. A batch is cut
 	// under the broker mutex before its callback starts, so a rev
-	// allocated after the unsubscribe returned can reach the subscriber
+	// appended after the unsubscribe returned can reach the subscriber
 	// only through a callback that started after it.
 	fence atomic.Int64
 }
@@ -51,10 +51,14 @@ func TestSyncFlushConcurrentProperty(t *testing.T) {
 	b := New[int64](Options{Mode: Sync, Capacity: 1 << 14, MaxBatch: 4})
 	defer b.Close()
 
-	var seq atomic.Int64
+	// pubMu couples a subscriber's start to its registration: publishers
+	// share it, subscribe holds it alone, so no rev is drawn between
+	// reading the head and registering at it.
+	var pubMu sync.RWMutex
 	publish := func() {
-		rev := seq.Add(1)
-		b.Publish(rev, "", rev)
+		pubMu.RLock()
+		b.Publish("", 0, setRev)
+		pubMu.RUnlock()
 		b.Flush() // claims the drain, or returns at once if someone holds it
 	}
 
@@ -66,8 +70,11 @@ func TestSyncFlushConcurrentProperty(t *testing.T) {
 	// subscribe registers a recorder; act, when non-nil, runs on every
 	// delivered rev (on the flusher, mutex released).
 	subscribe := func(act func(s *propSub, rev int64)) *propSub {
-		s := &propSub{start: b.LastRev()}
-		s.unsub = b.Subscribe(s.start, "", func(evs []int64) {
+		s := &propSub{}
+		pubMu.Lock()
+		defer pubMu.Unlock()
+		s.start = b.LastRev()
+		s.unsub = b.Subscribe("", func(evs []int64) {
 			if s.closedInCallback {
 				s.startedAfter = true
 			}
@@ -96,7 +103,7 @@ func TestSyncFlushConcurrentProperty(t *testing.T) {
 	closeFromCallback := func(s *propSub) {
 		s.unsub()
 		s.closedInCallback = true
-		s.fence.Store(seq.Load())
+		s.fence.Store(b.LastRev())
 	}
 
 	dynamic := 0 // touched by subscriber 1's callback only
@@ -159,13 +166,13 @@ func TestSyncFlushConcurrentProperty(t *testing.T) {
 				if round%8 == p { // unsubscribe from outside any callback
 					if s := popEvictable(); s != nil {
 						s.unsub()
-						s.fence.Store(seq.Load())
+						s.fence.Store(b.LastRev())
 					}
 				}
 			}()
 		}
 		wg.Wait()
-		total := seq.Load()
+		total := b.LastRev()
 		mu.Lock()
 		for i, s := range all {
 			if last := s.start + int64(len(s.got)); s.fence.Load() == 0 && last != total {
@@ -176,7 +183,7 @@ func TestSyncFlushConcurrentProperty(t *testing.T) {
 		mu.Unlock()
 	}
 
-	if total := seq.Load(); total <= rounds*publishers*perRound {
+	if total := b.LastRev(); total <= rounds*publishers*perRound {
 		t.Fatalf("published %d revs: the re-entrant publishes never ran", total)
 	}
 	mu.Lock()
@@ -195,7 +202,7 @@ func TestSyncFlushConcurrentProperty(t *testing.T) {
 		if fence := s.fence.Load(); fence != 0 {
 			closed++
 			if last := s.start + int64(len(s.got)); last > fence {
-				t.Errorf("subscriber %d: saw rev %d, allocated after its unsubscribe returned (fence %d)", i, last, fence)
+				t.Errorf("subscriber %d: saw rev %d, appended after its unsubscribe returned (fence %d)", i, last, fence)
 			}
 		}
 	}
@@ -222,10 +229,10 @@ func TestSyncPublishFlushAllocsPinned(t *testing.T) {
 	b := New[int64](Options{Mode: Sync, Capacity: 64})
 	var delivered, keyed int64
 	for i := 0; i < 6; i++ {
-		defer b.Subscribe(0, "", func(evs []int64) { delivered += int64(len(evs)) }, nil)()
+		defer b.Subscribe("", func(evs []int64) { delivered += int64(len(evs)) }, nil)()
 	}
 	for _, key := range []string{"a", "b"} {
-		defer b.Subscribe(0, key, func(evs []int64) { keyed += int64(len(evs)) }, nil)()
+		defer b.Subscribe(key, func(evs []int64) { keyed += int64(len(evs)) }, nil)()
 	}
 	var rev, wantKeyed int64
 	step := func() {
@@ -234,7 +241,9 @@ func TestSyncPublishFlushAllocsPinned(t *testing.T) {
 		if key != "" {
 			wantKeyed++
 		}
-		b.Publish(rev, key, rev)
+		if got := b.Publish(key, 0, setRev); got != rev {
+			t.Fatalf("Publish drew rev %d, want %d", got, rev)
+		}
 		b.Flush()
 	}
 	for i := 0; i < 100; i++ { // wrap the ring, size every batch buffer
@@ -264,24 +273,24 @@ func TestSyncSweepCoversSubscribersPresentAtItsStart(t *testing.T) {
 		}
 	}
 	var unsubA func()
-	unsubA = b.Subscribe(0, "", func(evs []int64) {
+	unsubA = b.Subscribe("", func(evs []int64) {
 		record("A", evs)
 		unsubA() // removes the entry the sweep stands on
 	}, nil)
-	unsubZ := b.Subscribe(0, "", func(evs []int64) { record("Z", evs) }, nil)
-	defer b.Subscribe(0, "", func(evs []int64) {
+	unsubZ := b.Subscribe("", func(evs []int64) { record("Z", evs) }, nil)
+	defer b.Subscribe("", func(evs []int64) {
 		record("B", evs)
 		if evs[0] == 1 {
-			b.Subscribe(b.LastRev(), "", func(evs []int64) { record("E", evs) }, nil)
+			b.Subscribe("", func(evs []int64) { record("E", evs) }, nil)
 			publish() // rev 2, left to this drain
 			b.Flush()
 		}
 	}, nil)()
-	defer b.Subscribe(0, "", func(evs []int64) {
+	defer b.Subscribe("", func(evs []int64) {
 		record("C", evs)
 		unsubZ() // removes an entry behind the sweep's position
 	}, nil)()
-	defer b.Subscribe(0, "", func(evs []int64) { record("D", evs) }, nil)()
+	defer b.Subscribe("", func(evs []int64) { record("D", evs) }, nil)()
 
 	publish()
 	b.Flush()

@@ -20,7 +20,7 @@ type step struct {
 // with, what its callbacks recorded, and — in Sync mode, where the
 // schedule is the test's own — what the slice model predicted.
 type modelSub struct {
-	after     int64
+	after     int64  // the head it registered at
 	key       string // "" for the whole stream
 	hasResync bool
 	unsub     func()
@@ -173,7 +173,7 @@ func (s *modelSub) explain(log []int64, horizon int64, keyOf func(int64) string)
 // the published revs: random capacities on both sides of the ring's
 // first allocation (so it grows lazily and wraps), MaxBatch 1–7, and a
 // random interleaving of publish bursts, flushes and late subscribes at
-// arbitrary cursors, with and without a resync handler. Events carry
+// the head, with and without a resync handler. Events carry
 // keys, and every other subscriber is keyed: its model is the
 // whole-stream model over the log filtered by its key, falling off only
 // when an event of its key was evicted. In Sync mode the
@@ -207,7 +207,7 @@ func runBatchCutModel(t *testing.T, mode Mode, trial int, rng *rand.Rand) {
 	var head int64
 	var subs []*modelSub
 	subscribe := func() {
-		s := &modelSub{after: rng.Int63n(head + 4), hasResync: rng.Intn(2) == 0}
+		s := &modelSub{after: head, hasResync: rng.Intn(2) == 0}
 		if len(subs)%2 == 1 {
 			s.key = [...]string{"c", "d", "a", "b"}[len(subs)/2%4]
 		}
@@ -222,7 +222,7 @@ func runBatchCutModel(t *testing.T, mode Mode, trial int, rng *rand.Rand) {
 				return rev
 			}
 		}
-		s.unsub = b.Subscribe(s.after, s.key, func(evs []int64) {
+		s.unsub = b.Subscribe(s.key, func(evs []int64) {
 			if mode == Async && len(evs)%2 == 1 {
 				runtime.Gosched() // let the publisher run ahead of this pump
 			}
@@ -254,7 +254,9 @@ func runBatchCutModel(t *testing.T, mode Mode, trial int, rng *rand.Rand) {
 			for n := 1 + rng.Intn(2*capacity); n > 0 && len(log) < events; n-- {
 				head++
 				log = append(log, head)
-				b.Publish(head, keyOf(head), head)
+				if rev := b.Publish(keyOf(head), 0, setRev); rev != head {
+					t.Fatalf("Publish drew rev %d, want %d", rev, head)
+				}
 			}
 		case op < 9:
 			flush()
