@@ -527,19 +527,23 @@ its own module.`,
 	},
 	{
 		name: "one-audited-testbed",
-		doc: `Every experiment in internal/experiments runs on one assembly with
-one audit: testbed.go calls stack.New and model.New once each and builds
-the schedulers (core.New or core.NewSharded), and a harness differs only
-in its TestbedConfig. A harness that builds its own stack, scheduler or
-reference model is a second testbed, with a second audit to keep equal to
-the first. fanout.go builds its schedulers on a bare API server: it times
-the fan-out on the wall clock over nodes that have no kubelet, which no
-stack assembles.`,
+		doc: `Every scheduler in the module runs on one assembly with one audit:
+internal/experiments/testbed.go calls stack.New, core.New,
+core.NewGangDirector and model.New once each, and core.NewSharded for a
+fleet, so sgxorch.NewCluster and every experiment differ only in their
+TestbedConfig. Under the simulated clock the order in which the testbed
+builds and starts things is part of every golden digest and sim_digest;
+a second place that builds a stack, a scheduler, a gang director or a
+reference model is a second order to keep equal to the first.
+internal/experiments/fanout.go builds its schedulers on a bare API
+server: it times the fan-out on the wall clock over nodes that have no
+kubelet, which no stack assembles. bench/ mirrors the assembly under
+spans and is its own module; tests build what they test.`,
 		check: func(c *codebase) (out []string) {
 			const testbed = "internal/experiments/testbed.go"
 			calls := map[string]int{}
 			for _, f := range c.files {
-				if f.test || f.dir != "internal/experiments" {
+				if f.test || within(f.dir, "bench") {
 					continue
 				}
 				f.walk(func(_ *ast.FuncDecl, n ast.Node) {
@@ -549,11 +553,12 @@ stack assembles.`,
 					}
 					ref := path.Base(pkg) + "." + name
 					switch pkg + "." + name {
-					case modulePath + "/internal/stack.New", modulePath + "/internal/model.New":
+					case modulePath + "/internal/stack.New", modulePath + "/internal/model.New",
+						modulePath + "/internal/core.New", modulePath + "/internal/core.NewGangDirector":
 						if calls[ref]++; f.path != testbed || calls[ref] > 1 {
-							out = append(out, c.at(n.Pos())+": "+ref+": the testbed builds the one stack and audit")
+							out = append(out, c.at(n.Pos())+": "+ref+": the testbed builds it, once")
 						}
-					case modulePath + "/internal/core.New", modulePath + "/internal/core.NewSharded":
+					case modulePath + "/internal/core.NewSharded":
 						if f.path != testbed && f.path != "internal/experiments/fanout.go" {
 							out = append(out, c.at(n.Pos())+": "+ref+": the testbed builds the schedulers")
 						}
@@ -1023,6 +1028,9 @@ func held(ev apiserver.WatchEvent) bool {
 		{"one-audited-testbed", map[string]string{
 			"internal/experiments/classes.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/core\"\n\nvar fleet = core.NewSharded\n",
 		}, "internal/experiments/classes.go:5"},
+		{"one-audited-testbed", map[string]string{
+			"cluster.go": "package sgxorch\n\nimport \"github.com/sgxorch/sgxorch/internal/core\"\n\nvar gangs = core.NewGangDirector(nil, nil, core.GangConfig{})\n",
+		}, "cluster.go:5"},
 		{"the-pass-reads-no-server-queue", map[string]string{
 			"internal/core/pass.go": "package core\n\nfunc pass(s interface{ PendingCount() int }) { depth := s.PendingCount; _ = depth }\n",
 		}, "internal/core/pass.go:3"},

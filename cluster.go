@@ -7,9 +7,10 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
-	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/experiments"
 	"github.com/sgxorch/sgxorch/internal/influxql"
+	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
@@ -108,9 +109,11 @@ type ClusterConfig struct {
 	// DisableEnforcement turns off driver-level EPC limit enforcement
 	// (§V-D), as in Fig. 11's "limits disabled" runs.
 	DisableEnforcement bool
-	// SchedulerInterval is the scheduling period (5 s default).
+	// SchedulerInterval is the scheduling period (core.DefaultInterval,
+	// 5 s, when zero).
 	SchedulerInterval time.Duration
-	// ScrapeInterval is the monitoring period (10 s default).
+	// ScrapeInterval is the monitoring period
+	// (monitor.DefaultScrapeInterval, 10 s, when zero).
 	ScrapeInterval time.Duration
 	// InferClasses classifies jobs that declare no workload class from
 	// their scheduling signals (priority tier, declared runtime, gang
@@ -138,22 +141,19 @@ func PaperTestbedNodes() []NodeSpec {
 }
 
 // Cluster is a running simulated cluster: API server, kubelets, device
-// plugins and monitoring (the internal/stack assembly the paper testbed
-// and the experiments also stand on) plus one SGX-aware scheduler.
+// plugins and monitoring plus one SGX-aware scheduler with its gang
+// director — the testbed every experiment of internal/experiments runs
+// on, built by the same experiments.NewTestbed.
 type Cluster struct {
-	st    *stack.Stack
-	sched *core.Scheduler
-	gang  *core.GangDirector
-
-	reg   *telemetry.Registry
-	trace *telemetry.TraceRing
+	tb *experiments.Testbed
 }
 
 // schedulerName is the identity jobs submitted through Cluster use.
 const schedulerName = "sgxorch"
 
-// NewCluster assembles and starts a cluster. Time is simulated: use
-// AdvanceTime or WaitAll to make progress.
+// NewCluster validates cfg and starts the cluster on an
+// experiments.Testbed. Time is simulated: use AdvanceTime or WaitAll to
+// make progress.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	policy, err := cfg.Policy.corePolicy()
 	if err != nil {
@@ -163,11 +163,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(nodes) == 0 {
 		nodes = PaperTestbedNodes()
 	}
-	if cfg.SchedulerInterval <= 0 {
-		cfg.SchedulerInterval = 5 * time.Second
-	}
 	if cfg.ScrapeInterval <= 0 {
-		cfg.ScrapeInterval = 10 * time.Second
+		cfg.ScrapeInterval = monitor.DefaultScrapeInterval
 	}
 	// The whole node list is checked before anything is built, so a bad
 	// entry never leaves an earlier node's kubelet started and subscribed.
@@ -202,78 +199,53 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 
-	c := &Cluster{}
-	if !cfg.DisableTelemetry {
-		c.reg = telemetry.New()
-		c.trace = telemetry.NewTraceRing(0)
+	tcfg := experiments.TestbedConfig{
+		Stack: stack.Config{
+			Nodes:          stackNodes,
+			NoEnforcement:  cfg.DisableEnforcement,
+			ScrapeInterval: cfg.ScrapeInterval,
+		},
+		Scheduler: core.Config{
+			Name:       schedulerName,
+			Policy:     policy,
+			Interval:   cfg.SchedulerInterval,
+			UseMetrics: !cfg.DisableMetrics,
+			// Always class-aware: with inference off the registry only
+			// routes explicitly declared classes, and undeclared jobs
+			// schedule exactly as a class-free scheduler would — so
+			// attaching it unconditionally costs legacy callers nothing.
+			Classes: core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{
+				Infer: cfg.InferClasses,
+			})),
+		},
+		Gangs: true,
 	}
-	c.st = stack.New(apiserver.WithTelemetry(c.reg))
-	if err := c.st.Start(stack.Config{
-		Nodes:          stackNodes,
-		NoEnforcement:  cfg.DisableEnforcement,
-		ScrapeInterval: cfg.ScrapeInterval,
-	}); err != nil {
+	if !cfg.DisableTelemetry {
+		tcfg.Scheduler.Telemetry = telemetry.New()
+		tcfg.Scheduler.Trace = telemetry.NewTraceRing(0)
+	}
+	tb, err := experiments.NewTestbed(tcfg)
+	if err != nil {
 		return nil, fmt.Errorf("sgxorch: %w", err)
 	}
-
-	c.gang = core.NewGangDirector(c.st.Clk, c.st.Srv, core.GangConfig{})
-	c.st.OnClose(c.gang.Close)
-	// Always class-aware: with inference off the registry only routes
-	// explicitly declared classes, and undeclared jobs schedule exactly
-	// as a class-free scheduler would — so attaching it unconditionally
-	// costs legacy callers nothing.
-	classes := core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{
-		Infer: cfg.InferClasses,
-	}))
-	sched, err := core.New(c.st.Clk, c.st.Srv, c.st.DB, core.Config{
-		Name:       schedulerName,
-		Policy:     policy,
-		Interval:   cfg.SchedulerInterval,
-		UseMetrics: !cfg.DisableMetrics,
-		Gang:       c.gang,
-		Classes:    classes,
-		Telemetry:  c.reg,
-		Trace:      c.trace,
-	})
-	if err != nil {
-		c.st.Close()
-		return nil, err
-	}
-	c.sched = sched
-	c.st.OnClose(sched.Close)
-	if c.reg != nil {
-		// The cluster builds the gang director, so it exports the
-		// director's two counts.
-		commits, timeouts := c.reg.Gauge("gang_commits"), c.reg.Gauge("gang_timeouts")
-		c.reg.RegisterCollector(func() {
-			gs := c.gang.Stats()
-			commits.Set(float64(gs.Commits))
-			timeouts.Set(float64(gs.Timeouts))
-		})
-	}
-	// Observe sits between building the scheduler and starting it: the
-	// tracker and the self-scrape register after the scheduler's cache
-	// and before its pass timer, the order every sim_digest was taken in.
-	c.st.Observe(c.reg, cfg.ScrapeInterval)
-	sched.Start()
-	return c, nil
+	return &Cluster{tb: tb}, nil
 }
 
 // Close stops every component. The cluster is unusable afterwards;
 // closing it again is a no-op.
-func (c *Cluster) Close() { c.st.Close() }
+func (c *Cluster) Close() { c.tb.Close() }
 
 // Now returns the cluster's current simulated time.
-func (c *Cluster) Now() time.Time { return c.st.Clk.Now() }
+func (c *Cluster) Now() time.Time { return c.tb.Clk.Now() }
 
 // AdvanceTime advances the simulation by d, running every scheduled event
 // (scheduler passes, monitoring scrapes, workload completions) in order.
-func (c *Cluster) AdvanceTime(d time.Duration) { c.st.Clk.Advance(d) }
+func (c *Cluster) AdvanceTime(d time.Duration) { c.tb.Clk.Advance(d) }
 
 // WaitAll advances simulated time until every submitted job is terminal,
 // or until max elapses. It reports whether all jobs finished.
 func (c *Cluster) WaitAll(max time.Duration) bool {
-	return c.st.Clk.Run(c.st.Srv.AllTerminal, c.st.Clk.Now().Add(max))
+	return c.tb.Clk.Run(c.tb.Srv.AllTerminal, c.tb.Clk.Now().Add(max))
 }
 
 // JobSpec describes one job submission.
@@ -387,11 +359,10 @@ func (c *Cluster) SubmitJob(spec JobSpec) error {
 	pod := &api.Pod{
 		Name: spec.Name,
 		Spec: api.PodSpec{
-			SchedulerName: schedulerName,
-			Priority:      spec.Priority,
-			PodGroup:      spec.Gang,
-			MinMember:     spec.GangMinMember,
-			Class:         class,
+			Priority:  spec.Priority,
+			PodGroup:  spec.Gang,
+			MinMember: spec.GangMinMember,
+			Class:     class,
 			Containers: []api.Container{{
 				Name:      "workload",
 				Resources: api.Requirements{Requests: requests, Limits: limits},
@@ -399,7 +370,7 @@ func (c *Cluster) SubmitJob(spec JobSpec) error {
 			}},
 		},
 	}
-	return c.st.Srv.CreatePod(pod)
+	return c.tb.Submit(pod)
 }
 
 // JobStatus reports one job's observable state.
@@ -421,7 +392,7 @@ type JobStatus struct {
 
 // JobStatus returns the state of a submitted job.
 func (c *Cluster) JobStatus(name string) (JobStatus, error) {
-	pod, err := c.st.Srv.GetPod(name)
+	pod, err := c.tb.Srv.GetPod(name)
 	if err != nil {
 		return JobStatus{}, err
 	}
@@ -457,14 +428,14 @@ type NodeStatus struct {
 // Nodes lists the cluster's nodes with live usage.
 func (c *Cluster) Nodes() []NodeStatus {
 	var out []NodeStatus
-	for _, kl := range c.st.Kubelets {
+	for _, kl := range c.tb.Kubelets {
 		m := kl.Machine()
 		st := NodeStatus{
 			Name:        m.Name(),
 			MemoryBytes: m.RAMBytes(),
 			MemoryUsed:  m.RAMUsed(),
 		}
-		if node, err := c.st.Srv.GetNode(m.Name()); err == nil {
+		if node, err := c.tb.Srv.GetNode(m.Name()); err == nil {
 			st.Unschedulable = node.Unschedulable
 		}
 		if p := kl.Plugin(); p != nil {
@@ -480,14 +451,14 @@ func (c *Cluster) Nodes() []NodeStatus {
 // EvictJob forcibly terminates a job (queued or running); its resources
 // are released and its phase becomes Failed with an eviction reason.
 func (c *Cluster) EvictJob(name, reason string) error {
-	return c.st.Srv.Evict(name, reason)
+	return c.tb.Srv.Evict(name, reason)
 }
 
 // DrainNode takes a node out of service: it goes NotReady (the scheduler
 // stops placing pods there) and its running jobs fail, as on a Kubernetes
 // node drain.
 func (c *Cluster) DrainNode(name string) error {
-	for _, kl := range c.st.Kubelets {
+	for _, kl := range c.tb.Kubelets {
 		if kl.NodeName() == name {
 			kl.Stop()
 			return nil
@@ -528,7 +499,7 @@ type ClassSchedulerStats struct {
 // whose sum over class is the field of the same name. On a
 // telemetry-disabled cluster this accessor is the only read.
 func (c *Cluster) SchedulerStats() SchedulerStats {
-	s := c.sched.Stats()
+	s := c.tb.Scheduler.Stats()
 	out := SchedulerStats{
 		Passes:        s.Passes,
 		Bound:         s.Bound,
@@ -565,7 +536,7 @@ type GangStats struct {
 // carries as the gang_commits and gang_timeouts gauges. On a
 // telemetry-disabled cluster this accessor is the only read.
 func (c *Cluster) GangStats() GangStats {
-	s := c.gang.Stats()
+	s := c.tb.Gang.Stats()
 	return GangStats{Commits: s.Commits, Timeouts: s.Timeouts}
 }
 
@@ -578,13 +549,13 @@ func (c *Cluster) GangStats() GangStats {
 // collectors that copy the components' own counters into their gauges.
 // Nil when ClusterConfig.DisableTelemetry is set — and a nil registry is
 // a safe no-op for every operation.
-func (c *Cluster) Telemetry() *telemetry.Registry { return c.reg }
+func (c *Cluster) Telemetry() *telemetry.Registry { return c.tb.Cfg.Scheduler.Telemetry }
 
 // WritePrometheus writes every metric in Prometheus text exposition
 // format — the pull endpoint's body, minus the HTTP server. No-op on a
 // telemetry-disabled cluster.
 func (c *Cluster) WritePrometheus(w io.Writer) error {
-	return c.reg.WritePrometheus(w)
+	return c.Telemetry().WritePrometheus(w)
 }
 
 // PassTraces returns the scheduler's retained pass traces, oldest
@@ -593,7 +564,7 @@ func (c *Cluster) WritePrometheus(w io.Writer) error {
 // core.Config.TraceDetailEvery). Empty on a telemetry-disabled
 // cluster.
 func (c *Cluster) PassTraces() []telemetry.PassTrace {
-	return c.trace.Snapshot()
+	return c.tb.Cfg.Scheduler.Trace.Snapshot()
 }
 
 // LifecycleStats reports how many lifecycle samples the tracker has
@@ -602,7 +573,7 @@ func (c *Cluster) PassTraces() []telemetry.PassTrace {
 // submit-to-run histograms. Zero-valued on a telemetry-disabled
 // cluster.
 func (c *Cluster) LifecycleStats() (binds, runs int64) {
-	return c.st.Tracker.BindsObserved(), c.st.Tracker.RunsObserved()
+	return c.tb.Tracker.BindsObserved(), c.tb.Tracker.RunsObserved()
 }
 
 // Query runs an InfluxQL query against the cluster's TSDB — the
@@ -616,5 +587,5 @@ func (c *Cluster) LifecycleStats() (binds, runs int64) {
 // Telemetry series lag the live registry by at most one ScrapeInterval;
 // Cluster.Telemetry reads are exact.
 func (c *Cluster) Query(query string) (influxql.Result, error) {
-	return influxql.Execute(c.st.DB, query)
+	return influxql.Execute(c.tb.DB, query)
 }

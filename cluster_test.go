@@ -48,7 +48,7 @@ func TestClusterWatchSubscribers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got, want := c.st.Srv.WatchStats().Subscribers, len(c.Nodes())+2; got != want {
+	if got, want := c.tb.Srv.WatchStats().Subscribers, len(c.Nodes())+2; got != want {
 		t.Fatalf("watch subscribers = %d, want %d (a kubelet per node, the cache, the tracker)", got, want)
 	}
 }
@@ -649,7 +649,7 @@ GROUP BY pod_name, nodename
 			t.Fatalf("%s: %v", query, err)
 		}
 		want, pods := map[string]float64{}, map[string]int{}
-		for pn, peak := range monitor.WindowPeak(c.st.DB, tc.measurement, 25*time.Second) {
+		for pn, peak := range monitor.WindowPeak(c.tb.DB, tc.measurement, 25*time.Second) {
 			want[pn.Node] += peak
 			pods[pn.Node]++
 		}

@@ -33,32 +33,34 @@
 // internal/stack: the simulated clock, the API server, one machine and
 // kubelet per node (SGX / SGX 2 geometry, limit enforcement, the
 // unschedulable master) and, when a scrape interval is given, the TSDB
-// with Heapster and the probe DaemonSet. NewCluster configures it from
-// ClusterConfig and puts a gang director, a class registry and the
-// scheduler on top. Every experiment of internal/experiments — the
-// figure harnesses, the ablations, the preemption scenario, the
-// multi-scheduler, gang and class fleets and the observability run, and
-// ReplayBorgTrace — runs on its Testbed, a configuration of the same
-// assembly (a stack.Config and a core.Config, plus the shard count,
-// concurrent rounds, a shared gang director and the admission mode), not
-// a second construction. Its Paper preset is §VI-A: one master, two
-// 64 GiB standard nodes and two 8 GiB SGX nodes with 128 MiB of EPC
-// under the paper's scheduler. internal/core's test rigs stand on the
-// stack too. Assembly is two steps, stack.New then Start, so an audit
-// that must see the watch stream from its first event subscribes in
-// between — the testbed's reference-model audit does, for every
-// experiment but ReplayBorgTrace — and Observe attaches the lifecycle
-// tracker and the registry self-scrape.
-// The order matters and is written down once: under the simulated clock
-// components registered for the same instant fire in registration order,
-// so the order of Start, Observe and the scheduler's own Start decides
-// how same-instant scrapes, passes and completions interleave — and with
-// it every golden digest. Close stops everything in reverse start order,
-// except that kubelets stop in node order (each publishes its node's
-// NotReady update, and the determinism tests digest that tail). A test
-// pins that the two public entry points are the same machine: the §VI-B
-// slice agrees job for job — phase, waiting time, turnaround — between
-// ReplayBorgTrace and the same jobs submitted to a Cluster.
+// with Heapster and the probe DaemonSet. The schedulers on top are built
+// in one place too, internal/experiments' Testbed: a configuration of the
+// stack (a stack.Config and a core.Config, plus the shard count,
+// concurrent rounds, a shared gang director and the admission mode).
+// NewCluster translates ClusterConfig into one — a class-aware scheduler
+// with a gang director and, unless telemetry is disabled, a registry and
+// a pass-trace ring — and every experiment — the figure harnesses, the
+// ablations, the preemption scenario, the multi-scheduler, gang and class
+// fleets, the observability run and ReplayBorgTrace — is another. The
+// Paper preset is §VI-A: one master, two 64 GiB standard nodes and two
+// 8 GiB SGX nodes with 128 MiB of EPC under the paper's scheduler.
+// internal/core's test rigs stand on the stack too. Assembly is two
+// steps, stack.New then Start, so an audit that must see the watch
+// stream from its first event subscribes in between — the testbed's
+// reference-model audit does, for every experiment but ReplayBorgTrace —
+// and, with a registry, Observe attaches the lifecycle tracker and the
+// registry self-scrape between building the schedulers and starting them.
+// The order matters and is written down once, in NewTestbed: under the
+// simulated clock components registered for the same instant fire in
+// registration order, so the order of Start, Observe and the schedulers'
+// own Start decides how same-instant scrapes, passes and completions
+// interleave — and with it every golden digest. Close stops everything
+// in reverse start order, except that kubelets stop in node order (each
+// publishes its node's NotReady update, and the determinism tests digest
+// that tail). A test pins that the two public entry points are the same
+// machine: the §VI-B slice agrees job for job — phase, waiting time,
+// turnaround — between ReplayBorgTrace and the same jobs submitted to a
+// Cluster.
 //
 // Resource quantities (internal/resource) are values. The paper makes EPC
 // one more countable item beside CPU and memory (§V-A), so the vocabulary

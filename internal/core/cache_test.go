@@ -355,3 +355,82 @@ func TestIdlePassesDrainAggregator(t *testing.T) {
 		t.Fatalf("aggregator still holds %d series after idle passes (expiry heap not drained)", got)
 	}
 }
+
+// TestCachePrimesHeldPermits: a scheduler built while a gang sits below
+// quorum primes its cache from a snapshot in which the members are
+// unbound but hold permits. The prime must charge each permit on its
+// node, as the PodPermitHeld event did for the caches that saw it; the
+// oracle charges the snapshot's permits the same way.
+func TestCachePrimesHeldPermits(t *testing.T) {
+	tb := newGangTestbed(t, 2, resource.GiB, GangConfig{}, 1)
+	tb.submit(t, memPod("solo", 64*resource.MiB, 0))
+	for _, name := range []string{"g-a", "g-b"} {
+		tb.submit(t, memGangPod(name, "g", 3, 100*resource.MiB, 0))
+	}
+	tb.fleet.RunRound()
+	if n := tb.srv.ReservationCount(); n != 2 {
+		t.Fatalf("permits before the late scheduler = %d, want 2", n)
+	}
+
+	late, err := New(tb.clk, tb.srv, nil, Config{Name: "late", Policy: Binpack{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	got := freshView(late.Cache())
+	viewsEqual(t, got, oracleView(late, nil), "primed with held permits")
+	var used int64
+	for _, n := range got.Nodes {
+		used += n.Used.Get(resource.Memory)
+	}
+	if want := 264 * resource.MiB; used != want {
+		t.Fatalf("primed view charges %d bytes, want %d (the bound pod and both permits)", used, want)
+	}
+}
+
+// TestViewJournalCompaction drives the change journal past
+// maxViewJournal, so its oldest half is dropped and journalBase moves.
+// Views that synced before the compaction and are still close to the tip
+// replay across it, their offset into the journal taken from
+// journalBase: one synced after every touch, and one that last synced
+// just before n05 registered, a few touches ahead of the compaction (the
+// registration is n05's one journal entry, so a replay that started one
+// entry late would leave n05 out). A view synced once before the first
+// touch is left behind the dropped prefix and must rebuild. All three
+// must then equal a fresh view.
+func TestViewJournalCompaction(t *testing.T) {
+	tb := newGangTestbed(t, 4, resource.GiB, GangConfig{}, 1)
+	c := newClusterCache(tb.clk, tb.srv, nil, 0, false)
+	defer c.Close()
+	every, lagging, stale := c.NewView(), c.NewView(), c.NewView()
+	for _, v := range []*ClusterView{every, lagging, stale} {
+		c.SyncView(v)
+	}
+	pods := 0
+	touch := func() { // a pod on n01
+		pods++
+		c.InjectBoundPod(fmt.Sprintf("p%05d", pods), "n01", resource.KiB, 0)
+		c.SyncView(every)
+	}
+	for len(c.journal) < maxViewJournal-4 {
+		touch()
+	}
+	c.SyncView(lagging)
+	n05 := resource.List{resource.Memory: resource.GiB}
+	if err := tb.srv.RegisterNode(&api.Node{Name: "n05", Capacity: n05, Allocatable: n05, Ready: true}); err != nil {
+		t.Fatal(err)
+	}
+	c.SyncView(every)
+	for i := 0; i < 4; i++ {
+		touch()
+	}
+	if c.journalBase == 0 {
+		t.Fatalf("%d touches left the journal uncompacted (%d entries)", pods, len(c.journal))
+	}
+	c.SyncView(lagging)
+	c.SyncView(stale)
+	want := freshView(c)
+	viewsEqual(t, every, want, "view synced at every touch")
+	viewsEqual(t, lagging, want, "view synced before n05 registered")
+	viewsEqual(t, stale, want, "view synced before the first touch")
+}

@@ -103,7 +103,6 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 		return ObservabilityResult{}, err
 	}
 	defer tb.Close()
-	tb.Observe(reg, monitor.DefaultScrapeInterval)
 
 	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
 	fillers := 4 * cfg.JobsPerClass

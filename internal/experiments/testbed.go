@@ -3,11 +3,13 @@
 // scheduler → kubelets → device plugin → driver → monitoring →
 // time-series queries) and renders one harness per figure (Figs. 3-11).
 //
-// Every experiment runs on one assembly, the Testbed: internal/stack —
-// the same assembly sgxorch.NewCluster runs on — with one scheduler or a
-// sharded fleet on top. A harness differs only in its TestbedConfig: the
-// §VI-A replays start from the Paper preset, the multi-scheduler, gang
-// and class fleets name their own nodes, shard count and admission mode.
+// Every experiment runs on one assembly, the Testbed: internal/stack with
+// one scheduler or a sharded fleet on top. sgxorch.NewCluster runs on it
+// too: the shipped cluster is one more TestbedConfig, a class-aware,
+// instrumented scheduler with a gang director. A harness differs only in
+// its TestbedConfig: the §VI-A replays start from the Paper preset, the
+// multi-scheduler, gang and class fleets name their own nodes, shard
+// count and admission mode.
 // The harnesses audit what they run: the reference model (internal/model)
 // replays the testbed's whole watch stream, and an event it refuses is a
 // violation. Only the public ReplayBorgTrace, which the whole-stack
@@ -115,9 +117,17 @@ type Testbed struct {
 // NewTestbed starts the configured stack and its schedulers. The audit
 // subscribes before the first node registers and unsubscribes after the
 // kubelets stop, so it sees the whole stream, their NotReady tail
-// included.
+// included. With Scheduler.Telemetry set, the registry exports the gang
+// director's counts and the stack's observability plane attaches.
+//
+// Order is part of the result: under the simulated clock, what registers
+// for one instant fires in registration order, so the schedulers' caches
+// subscribe after the stack, the tracker and the self-scrape follow, and
+// the pass timers are armed last: the order every golden digest and
+// sim_digest was taken in.
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
-	st := stack.New(apiserver.WithAdmission(cfg.Admission), apiserver.WithTelemetry(cfg.Scheduler.Telemetry))
+	reg := cfg.Scheduler.Telemetry
+	st := stack.New(apiserver.WithAdmission(cfg.Admission), apiserver.WithTelemetry(reg))
 	if cfg.audit != nil {
 		st.OnClose(st.Srv.Subscribe(cfg.audit.apply))
 	}
@@ -140,13 +150,26 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 		st.Close()
 		return nil, fmt.Errorf("experiments: building scheduler: %w", err)
 	}
+	var start func()
 	if tb.Fleet != nil {
 		st.OnClose(tb.Fleet.Close)
-		tb.Fleet.Start()
+		start = tb.Fleet.Start
 	} else {
 		st.OnClose(tb.Scheduler.Close)
-		tb.Scheduler.Start()
+		start = tb.Scheduler.Start
 	}
+	if reg != nil {
+		if gang := tb.Gang; gang != nil {
+			commits, timeouts := reg.Gauge("gang_commits"), reg.Gauge("gang_timeouts")
+			reg.RegisterCollector(func() {
+				gs := gang.Stats()
+				commits.Set(float64(gs.Commits))
+				timeouts.Set(float64(gs.Timeouts))
+			})
+		}
+		st.Observe(reg, cfg.Stack.ScrapeInterval)
+	}
+	start()
 	return tb, nil
 }
 

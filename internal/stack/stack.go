@@ -1,12 +1,11 @@
 // Package stack is the one assembly of everything below the scheduler:
 // the simulated clock, the API server, one machine and kubelet per node
 // and — when a scrape interval is given — the monitoring plane (TSDB,
-// Heapster, the SGX probe DaemonSet). sgxorch.NewCluster, the §VI-A
-// testbed of internal/experiments, the fleet experiments and
-// internal/core's test rigs all stand on it; schedulers stay with their
-// callers, which differ in which one they build (core.New or
+// Heapster, the SGX probe DaemonSet). Outside tests one caller builds it
+// and the schedulers on top: internal/experiments' NewTestbed, which
+// sgxorch.NewCluster and every experiment run on (core.New or
 // core.NewSharded, with or without gang director, class registry and
-// telemetry).
+// telemetry). internal/core's test rigs stand on it too.
 //
 // Assembly is two steps, New then Start, so a consumer that must see the
 // watch stream from its first event — the experiments' safety audits —
@@ -19,7 +18,8 @@
 // every golden digest and every sim_digest. The order is: TSDB retention
 // sweep → kubelets in node order → Heapster → probes → whatever the
 // caller builds next (gang director, scheduler) → Observe's lifecycle
-// tracker → registry self-scrape → the caller's sched.Start().
+// tracker → registry self-scrape → the caller's sched.Start(), the order
+// internal/experiments' NewTestbed keeps.
 package stack
 
 import (
@@ -183,9 +183,8 @@ func (n Node) machine(noEnforcement bool) *machine.Machine {
 // server-stamped timestamps into per-class latency histograms, and the
 // registry's self-scrape into the TSDB on the given cadence, so the
 // orchestrator's own health is queryable through the same InfluxQL path
-// as container metrics. A nil registry attaches nothing. To keep the
-// product's firing order, call it after the scheduler is built and
-// before it is started.
+// as container metrics. A nil registry attaches nothing. Call it after
+// the scheduler is built and before it is started, as NewTestbed does.
 func (s *Stack) Observe(reg *telemetry.Registry, interval time.Duration) {
 	s.Tracker = lifecycle.New(reg)
 	s.Tracker.Track(s.Srv)

@@ -83,7 +83,7 @@ func runScaling(tb testing.TB, nodes []NodeSpec, jobs []JobSpec) scalingRow {
 	}
 	defer c.Close()
 	var points int64
-	defer c.st.DB.OnWrite(func(string, tsdb.Tags, float64, time.Time) { points++ })()
+	defer c.tb.DB.OnWrite(func(string, tsdb.Tags, float64, time.Time) { points++ })()
 	for _, spec := range jobs {
 		if err := c.SubmitJob(spec); err != nil {
 			tb.Fatal(err)
@@ -92,7 +92,7 @@ func runScaling(tb testing.TB, nodes []NodeSpec, jobs []JobSpec) scalingRow {
 	if !c.WaitAll(48 * time.Hour) {
 		tb.Fatalf("%d nodes: jobs still live after 48h", len(nodes))
 	}
-	ws := c.st.Srv.WatchStats()
+	ws := c.tb.Srv.WatchStats()
 	row := scalingRow{
 		nodes: len(nodes), jobs: len(jobs),
 		events: ws.Published, subscribers: ws.Subscribers,

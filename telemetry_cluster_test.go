@@ -34,7 +34,7 @@ func TestLifecycleHistogramsMatchEventStream(t *testing.T) {
 	// capacity rule reaches what it does not know.
 	m := model.New(apiserver.AdmitGuarded)
 	var refused error
-	unsub := c.st.Srv.SubscribeBatch(func(evs []apiserver.WatchEvent) {
+	unsub := c.tb.Srv.SubscribeBatch(func(evs []apiserver.WatchEvent) {
 		for _, ev := range evs {
 			if err := m.Apply(ev); err != nil && refused == nil {
 				refused = err
@@ -261,14 +261,14 @@ func checkExportsEachCountOnce(t *testing.T, c *Cluster, queued bool) {
 	want("scheduler_preemptions_total", sum("scheduler_preemptions_total"), int64(ss.Preemptions))
 	want("scheduler_victims_total", sum("scheduler_victims_total"), int64(ss.Victims))
 
-	bs := c.st.Srv.BindStats()
+	bs := c.tb.Srv.BindStats()
 	want("apiserver_bind_attempts", sum("apiserver_bind_attempts"), bs.Attempts)
 	want("apiserver_bind_bound", sum("apiserver_bind_bound"), bs.Bound)
 	want("apiserver_bind_rejected_pod_state", sum("apiserver_bind_rejected_pod_state"), bs.RejectedPodState)
 	want("apiserver_bind_rejected_node_state", sum("apiserver_bind_rejected_node_state"), bs.RejectedNodeState)
 	want("apiserver_bind_rejected_capacity", sum("apiserver_bind_rejected_capacity"), bs.RejectedCapacity)
 
-	ws := c.st.Srv.WatchStats()
+	ws := c.tb.Srv.WatchStats()
 	want("watch_published", sum("watch_published"), ws.Published)
 	want("watch_evicted", sum("watch_evicted"), ws.Evicted)
 	want("watch_subscribers", sum("watch_subscribers"), int64(ws.Subscribers))
@@ -277,7 +277,7 @@ func checkExportsEachCountOnce(t *testing.T, c *Cluster, queued bool) {
 	want("gang_commits", sum("gang_commits"), gs.Commits)
 	want("gang_timeouts", sum("gang_timeouts"), gs.Timeouts)
 
-	depth := c.st.Srv.PendingCountByClass(schedulerName)
+	depth := c.tb.Srv.PendingCountByClass(schedulerName)
 	var queue int
 	for _, class := range api.Classes {
 		name := fmt.Sprintf("apiserver_pending_depth{class=%q}", class.Label())
