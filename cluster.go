@@ -544,7 +544,8 @@ func (c *Cluster) GangStats() GangStats {
 // observability surface. Each count is exported once, by the component
 // that counts it, under that component's prefix: scheduler_*, apiserver_*
 // (bind outcomes, queue depth per class and priority), watch_*,
-// lifecycle_* and gang_*. Reading the registry (WritePrometheus,
+// lifecycle_* and gang_*, beside model_violations, the watch events the
+// reference model refused (0 on a sound run). Reading the registry (WritePrometheus,
 // ScrapeInto, or any registry export) first runs the pull-time
 // collectors that copy the components' own counters into their gauges.
 // Nil when ClusterConfig.DisableTelemetry is set — and a nil registry is

@@ -40,16 +40,17 @@ func TestNewClusterDefaultsToPaperTestbed(t *testing.T) {
 }
 
 // TestClusterWatchSubscribers: the watch stream has one subscriber per
-// kubelet plus the scheduler's cache and the lifecycle tracker. The gang
-// director reads the server's gang counts and subscribes to nothing.
+// kubelet plus the reference model's audit, the scheduler's cache and the
+// lifecycle tracker. The gang director reads the server's gang counts and
+// subscribes to nothing.
 func TestClusterWatchSubscribers(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got, want := c.tb.Srv.WatchStats().Subscribers, len(c.Nodes())+2; got != want {
-		t.Fatalf("watch subscribers = %d, want %d (a kubelet per node, the cache, the tracker)", got, want)
+	if got, want := c.tb.Srv.WatchStats().Subscribers, len(c.Nodes())+3; got != want {
+		t.Fatalf("watch subscribers = %d, want %d (a kubelet per node, the audit, the cache, the tracker)", got, want)
 	}
 }
 
@@ -327,7 +328,9 @@ func TestReplayBorgTraceFacade(t *testing.T) {
 // registry, and claims jobs that declare neither schedule exactly as they
 // would without them. So the §VI-B slice replayed on the testbed and the
 // same jobs submitted to a Cluster at their trace offsets must agree, job
-// for job, on phase, waiting time and turnaround.
+// for job, on phase, waiting time and turnaround. The seed-1 replay is
+// also a referee of the reference model's audit: an event it refused
+// fails ReplayBorgTrace.
 func TestReplayAndClusterAgreeJobForJob(t *testing.T) {
 	trace := GenerateBorgEvalSlice(1)
 	res, err := ReplayBorgTrace(ReplayOptions{Trace: trace, Seed: 1, SGXRatio: 0.5})

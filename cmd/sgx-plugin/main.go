@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +36,9 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sgx-plugin", flag.ContinueOnError)
 	epcMiB := fs.Int64("epc-mib", 128, "EPC (PRM) size in MiB, > 0")
 	allocs := fs.String("allocate", "2560,8192,12000", "comma-separated per-pod page allocations to simulate")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	if *epcMiB <= 0 {

@@ -27,3 +27,16 @@ func TestNonPositiveEPCRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestHelpIsNotAnError: -h prints the usage alone and, as with the
+// standard flag set, is not an error; an unknown flag still is.
+func TestHelpIsNotAnError(t *testing.T) {
+	var help strings.Builder
+	if err := run([]string{"-h"}, &help); err != nil || help.Len() > 0 {
+		t.Fatalf("sgx-plugin -h = %v, printing %q to stdout", err, help.String())
+	}
+	var out strings.Builder
+	if err := run([]string{"-bogus"}, &out); err == nil {
+		t.Fatalf("sgx-plugin -bogus succeeded, printing %q", out.String())
+	}
+}

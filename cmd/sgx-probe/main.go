@@ -50,7 +50,9 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sgx-probe", flag.ContinueOnError)
 	pods := fs.Int("pods", 3, "number of SGX pods to run")
 	interval := fs.Duration("interval", 10*time.Second, "probe scrape interval")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 

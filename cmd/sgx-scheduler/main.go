@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,7 +55,9 @@ func run(args []string, stdout io.Writer) error {
 	sgxRatio := fs.Float64("sgx-ratio", 0.5, "fraction of SGX-enabled jobs, in [0, 1]")
 	seed := fs.Int64("seed", 1, "random seed")
 	metrics := fs.Bool("metrics", true, "usage-aware scheduling (false = request-only baseline)")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil // -h printed the usage
+	} else if err != nil {
 		return err
 	}
 	if *jobs < 0 {

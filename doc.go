@@ -47,8 +47,8 @@
 // internal/core's test rigs stand on the stack too. Assembly is two
 // steps, stack.New then Start, so an audit that must see the watch
 // stream from its first event subscribes in between — the testbed's
-// reference-model audit does, for every experiment but ReplayBorgTrace —
-// and, with a registry, Observe attaches the lifecycle tracker and the
+// reference-model audit does, for every testbed, the shipped Cluster and
+// ReplayBorgTrace included — and, with a registry, Observe attaches the lifecycle tracker and the
 // registry self-scrape between building the schedulers and starting them.
 // The order matters and is written down once, in NewTestbed: under the
 // simulated clock components registered for the same instant fire in
@@ -97,10 +97,11 @@
 // (priority, then the rev a pod entered the queue at) is each scheduler's
 // queue once gangs are coalesced (a property test replays it); the server
 // keeps no order, and its Snapshot.Pending revs are the model's QueuedAt.
-// It is the one referee: the multi-scheduler, gang, class and
-// observability experiments read their safety counts and event-derived
-// ground truth off it, and the conflict-interleaving, snapshot-prefix,
-// gang-prefix and lifecycle property tests are Apply plus assertions.
+// It is the one referee: every testbed runs under its audit. A refused
+// event fails ReplayBorgTrace after the testbed closes, and a Cluster
+// with telemetry exports the refusals as the model_violations gauge; the
+// experiments read their safety counts and event-derived ground truth off
+// it, and the property tests are Apply plus assertions.
 //
 // The module path is github.com/sgxorch/sgxorch (Go 1.24).
 //

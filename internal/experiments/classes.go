@@ -9,6 +9,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stack"
 )
@@ -165,31 +166,19 @@ func waitQuantiles(waits []time.Duration) (p50, p99 time.Duration) {
 // terminal or the horizon hits.
 func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 	cfg = cfg.withDefaults()
-	// The audit subscribes before the first node registers, so the
-	// replayed stream is complete, and stays subscribed through Close: the
-	// tap's digest covers the kubelets' NotReady tail. SGX utilization
-	// integrates the model's committed EPC pages over time in steps at
-	// every SGX bind and wherever a pod leaves its node: it is pinned bit
-	// for bit, and a float sum split elsewhere can move a bit. epcSum is
-	// the page-seconds up to the last step, epcPages the pages committed
-	// since.
-	a := newAudit(apiserver.AdmitStrict)
+	// The audit sees the whole stream, the kubelets' NotReady tail
+	// included, and so does the tap. SGX utilization integrates the
+	// model's committed EPC pages over time in steps at every SGX bind and
+	// wherever a pod leaves its node: it is pinned bit for bit, and a
+	// float sum split elsewhere can move a bit. epcSum is the page-seconds
+	// up to the last step, epcPages the pages committed since.
 	var tb *Testbed // step runs at pod events, after NewTestbed returns
 	var epcAt time.Time
 	epcSum, epcPages := 0.0, int64(0)
 	step := func() {
 		now := tb.Clk.Now()
 		epcSum += float64(epcPages) * now.Sub(epcAt).Seconds()
-		epcAt, epcPages = now, a.Total.Committed[resource.EPCPages]
-	}
-	a.then = func(ev apiserver.WatchEvent, _ error) {
-		leaves := ev.Type == apiserver.PodUpdated && (ev.Pod.IsTerminal() || ev.Pod.Spec.NodeName == "")
-		if leaves || ev.Type == apiserver.PodBound && ev.Pod.IsSGX() {
-			step()
-		}
-		if cfg.tap != nil {
-			cfg.tap(ev)
-		}
+		epcAt, epcPages = now, tb.audit.Total.Committed[resource.EPCPages]
 	}
 	tb, err := NewTestbed(TestbedConfig{
 		Stack: stack.Config{Nodes: stack.Fleet(stack.StdNodes, stack.SGXNodes, stack.DefaultEPC, false)},
@@ -200,13 +189,21 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 		},
 		Shards:    cfg.Shards,
 		Admission: apiserver.AdmitStrict,
-		audit:     a,
+		onEvent: func(_ *model.Cluster, ev apiserver.WatchEvent, _ error) {
+			leaves := ev.Type == apiserver.PodUpdated && (ev.Pod.IsTerminal() || ev.Pod.Spec.NodeName == "")
+			if leaves || ev.Type == apiserver.PodBound && ev.Pod.IsSGX() {
+				step()
+			}
+			if cfg.tap != nil {
+				cfg.tap(ev)
+			}
+		},
 	})
 	if err != nil {
 		return ClassesExpResult{}, fmt.Errorf("classes: %w", err)
 	}
 	defer tb.Close()
-	clk, srv := tb.Clk, tb.Srv
+	clk, srv, a := tb.Clk, tb.Srv, tb.audit
 	epcAt = clk.Now()
 
 	start := clk.Now()

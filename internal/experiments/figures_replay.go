@@ -10,10 +10,9 @@ import (
 	"github.com/sgxorch/sgxorch/internal/stats"
 )
 
-// replayOnce builds a fresh audited testbed and replays the evaluation
-// slice; an event the reference model refused fails the replay.
+// replayOnce builds a fresh testbed and replays the evaluation slice; an
+// event the reference model refused fails the replay.
 func replayOnce(seed int64, tcfg TestbedConfig, rcfg ReplayConfig) (*ReplayResult, error) {
-	tcfg.audit = newAudit(tcfg.Admission)
 	tb, err := NewTestbed(tcfg)
 	if err != nil {
 		return nil, err
@@ -24,11 +23,7 @@ func replayOnce(seed int64, tcfg TestbedConfig, rcfg ReplayConfig) (*ReplayResul
 	if rcfg.Seed == 0 {
 		rcfg.Seed = seed
 	}
-	res, err := tb.Replay(rcfg)
-	if err != nil {
-		return nil, err
-	}
-	return res, tcfg.audit.err()
+	return tb.Replay(rcfg)
 }
 
 // Fig7PendingQueue reproduces Fig. 7: "time series of the total memory

@@ -8,6 +8,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stack"
 )
@@ -103,14 +104,7 @@ func gangPodFromJob(job borg.Job, name, group string, minMember int) *api.Pod {
 // and drains it with cfg.Shards schedulers sharing one gang director.
 func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 	cfg.Shards = max(cfg.Shards, 1)
-	// A partial gang counts at every accepted event of the gang that finds
-	// it so.
-	a, partial := newAudit(apiserver.AdmitStrict), 0
-	a.then = func(ev apiserver.WatchEvent, refused error) {
-		if refused == nil && ev.Pod != nil && ev.Pod.Spec.InGang() && a.Gangs[ev.Pod.Spec.PodGroup].Partial() {
-			partial++
-		}
-	}
+	partial := 0
 	tb, err := NewTestbed(TestbedConfig{
 		Stack: stack.Config{Nodes: stack.Fleet(gangStdNodes, 0, 0, false)},
 		Scheduler: core.Config{
@@ -121,13 +115,19 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 		Shards:    cfg.Shards,
 		Gangs:     true,
 		Admission: apiserver.AdmitStrict,
-		audit:     a,
+		// A partial gang counts at every accepted event of the gang that
+		// finds it so.
+		onEvent: func(m *model.Cluster, ev apiserver.WatchEvent, refused error) {
+			if refused == nil && ev.Pod != nil && ev.Pod.Spec.InGang() && m.Gangs[ev.Pod.Spec.PodGroup].Partial() {
+				partial++
+			}
+		},
 	})
 	if err != nil {
 		return GangExpResult{}, fmt.Errorf("gang: %w", err)
 	}
 	defer tb.Close()
-	clk, srv := tb.Clk, tb.Srv
+	clk, srv, a := tb.Clk, tb.Srv, tb.audit
 
 	// Backlog: the first gangCount trace jobs each shape one gang's
 	// members, the next gangSoloJobs stay solo.

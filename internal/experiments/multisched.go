@@ -126,7 +126,6 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 	if cfg.Horizon <= 0 {
 		cfg.Horizon = drainHorizon
 	}
-	a := newAudit(apiserver.AdmitStrict)
 	tb, err := NewTestbed(TestbedConfig{
 		Stack: stack.Config{Nodes: stack.Fleet(multiSchedStdNodes, multiSchedSGXNodes, stack.DefaultEPC, false)},
 		Scheduler: core.Config{
@@ -137,7 +136,6 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 		Shards:     cfg.Shards,
 		Concurrent: cfg.Concurrent,
 		Admission:  apiserver.AdmitStrict,
-		audit:      a,
 	})
 	if err != nil {
 		return MultiSchedResult{}, fmt.Errorf("multisched: %w", err)
@@ -171,7 +169,7 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 	if bs.Attempts > 0 {
 		res.ConflictRate = float64(bs.RejectedCapacity+bs.RejectedNodeState) / float64(bs.Attempts)
 	}
-	res.Violations = a.violations
+	res.Violations = tb.audit.violations
 	for _, p := range srv.ListPods(func(p *api.Pod) bool { return p.Status.Phase == api.PodFailed }) {
 		res.Failed++
 		if strings.Contains(p.Status.Reason, "OutOfEPC") {

@@ -96,13 +96,12 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 		Trace:            ring,
 		TraceDetailEvery: 1,
 	}
-	a := newAudit(tcfg.Admission)
-	tcfg.audit = a
 	tb, err := NewTestbed(tcfg)
 	if err != nil {
 		return ObservabilityResult{}, err
 	}
 	defer tb.Close()
+	a := tb.audit
 
 	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
 	fillers := 4 * cfg.JobsPerClass

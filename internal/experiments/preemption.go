@@ -71,9 +71,7 @@ func preemptionEPCJob(name string, prio int32, pages int64, dur time.Duration) *
 // examples/preemption walkthrough) interpret the numbers.
 func PreemptionScenario(urgentPriority int32) (PreemptionReport, error) {
 	run := func(prio int32) (PreemptionReport, *Testbed, error) {
-		tcfg := Paper(0)
-		tcfg.audit = newAudit(tcfg.Admission)
-		tb, err := NewTestbed(tcfg)
+		tb, err := NewTestbed(Paper(0))
 		if err != nil {
 			return PreemptionReport{}, nil, fmt.Errorf("preemption scenario: %w", err)
 		}
@@ -149,8 +147,7 @@ func PreemptionScenario(urgentPriority int32) (PreemptionReport, error) {
 			rep.HighPriorityWaiting = w
 		}
 	}
-	tb.Close()
-	if err := tb.Cfg.audit.err(); err != nil {
+	if err := tb.close(); err != nil {
 		return PreemptionReport{}, fmt.Errorf("preemption scenario: %w", err)
 	}
 
@@ -165,8 +162,7 @@ func PreemptionScenario(urgentPriority int32) (PreemptionReport, error) {
 			rep.LowPriorityBaselineWaiting = w
 		}
 	}
-	baseTb.Close()
-	if err := baseTb.Cfg.audit.err(); err != nil {
+	if err := baseTb.close(); err != nil {
 		return PreemptionReport{}, fmt.Errorf("preemption scenario baseline: %w", err)
 	}
 	if baseRep.Preemptions != 0 {

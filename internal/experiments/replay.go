@@ -109,7 +109,9 @@ func (r *ReplayResult) TotalTurnaround() time.Duration {
 
 // Replay runs a trace through the testbed and collects outcomes. The
 // testbed must be freshly built; Replay drives its simulation clock to
-// completion (or the horizon) and leaves the cluster stopped.
+// completion (or the horizon) and leaves the cluster stopped. An event
+// the audit refused, the kubelets' NotReady tail included, fails the
+// replay.
 func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	// A refused replay leaves the cluster stopped too.
 	defer tb.Close()
@@ -197,6 +199,9 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 			res.Failed++
 		}
 		res.Outcomes = append(res.Outcomes, o)
+	}
+	if err := tb.close(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -10,11 +10,11 @@
 // its TestbedConfig: the §VI-A replays start from the Paper preset, the
 // multi-scheduler, gang and class fleets name their own nodes, shard
 // count and admission mode.
-// The harnesses audit what they run: the reference model (internal/model)
-// replays the testbed's whole watch stream, and an event it refuses is a
-// violation. Only the public ReplayBorgTrace, which the whole-stack
-// benchmark drives, runs unaudited; FanoutDrain (fanout.go) builds no
-// stack at all.
+// Every testbed audits what it runs: the reference model (internal/model)
+// replays its whole watch stream under the testbed's own admission mode,
+// and an event it refuses is a violation. That holds for the shipped
+// cluster and the public ReplayBorgTrace as for every harness;
+// FanoutDrain (fanout.go) builds no stack at all.
 package experiments
 
 import (
@@ -26,6 +26,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/stack"
+	"github.com/sgxorch/sgxorch/internal/telemetry"
 )
 
 // SchedulerName is the identity replayed pods request.
@@ -44,12 +45,13 @@ type TestbedConfig struct {
 	Concurrent bool
 	// Gangs attaches one gang director that every member shares.
 	Gangs bool
-	// Admission is the API server's bind admission mode.
+	// Admission is the API server's bind admission mode, and the mode the
+	// audit's reference model admits charges in.
 	Admission apiserver.Admission
 
-	// audit, when set, replays the whole watch stream, first node
-	// included, through the reference model.
-	audit *audit
+	// onEvent, when set, sees every event after the audit, with the model
+	// the event left and the model's verdict on it.
+	onEvent func(m *model.Cluster, ev apiserver.WatchEvent, refused error)
 }
 
 // Paper returns the §VI-A testbed: the master in front of two standard
@@ -70,18 +72,13 @@ func Paper(epc int64) TestbedConfig {
 }
 
 // audit replays a testbed's watch stream through the reference model:
-// events counts what it was sent, violations what the model refused.
-// then, when set, sees every event after the model, with the model's
-// verdict on it.
+// events counts what it was sent, violations what the model refused, and
+// gauge (nil without telemetry) exports violations as model_violations.
 type audit struct {
 	*model.Cluster
 	events, violations int
-	then               func(ev apiserver.WatchEvent, refused error)
-}
-
-// newAudit returns an audit whose model admits binds as mode does.
-func newAudit(mode apiserver.Admission) *audit {
-	return &audit{Cluster: model.New(mode)}
+	gauge              *telemetry.Gauge
+	then               func(m *model.Cluster, ev apiserver.WatchEvent, refused error)
 }
 
 func (a *audit) apply(ev apiserver.WatchEvent) {
@@ -89,18 +86,11 @@ func (a *audit) apply(ev apiserver.WatchEvent) {
 	err := a.Apply(ev)
 	if err != nil {
 		a.violations++
+		a.gauge.Set(float64(a.violations))
 	}
 	if a.then != nil {
-		a.then(ev, err)
+		a.then(a.Cluster, ev, err)
 	}
-}
-
-// err reports the refused events, if any, as an error.
-func (a *audit) err() error {
-	if a.violations == 0 {
-		return nil
-	}
-	return fmt.Errorf("experiments: the reference model refused %d of %d watch events", a.violations, a.events)
 }
 
 // Testbed is a started cluster: the stack plus its scheduler (Shards
@@ -112,13 +102,15 @@ type Testbed struct {
 	Scheduler *core.Scheduler
 	Fleet     *core.ShardedSchedulers
 	Gang      *core.GangDirector
+	audit     *audit
 }
 
-// NewTestbed starts the configured stack and its schedulers. The audit
-// subscribes before the first node registers and unsubscribes after the
-// kubelets stop, so it sees the whole stream, their NotReady tail
-// included. With Scheduler.Telemetry set, the registry exports the gang
-// director's counts and the stack's observability plane attaches.
+// NewTestbed starts the configured stack and its schedulers under the
+// audit, which subscribes before the first node registers and unsubscribes
+// after the kubelets stop: it sees the whole stream, their NotReady tail
+// included. With Scheduler.Telemetry set, the registry exports the audit's
+// violations and the gang director's counts, and the stack's
+// observability plane attaches.
 //
 // Order is part of the result: under the simulated clock, what registers
 // for one instant fires in registration order, so the schedulers' caches
@@ -128,13 +120,12 @@ type Testbed struct {
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	reg := cfg.Scheduler.Telemetry
 	st := stack.New(apiserver.WithAdmission(cfg.Admission), apiserver.WithTelemetry(reg))
-	if cfg.audit != nil {
-		st.OnClose(st.Srv.Subscribe(cfg.audit.apply))
-	}
+	a := &audit{Cluster: model.New(cfg.Admission), gauge: reg.Gauge("model_violations"), then: cfg.onEvent}
+	st.OnClose(st.Srv.Subscribe(a.apply))
 	if err := st.Start(cfg.Stack); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
-	tb := &Testbed{Stack: st, Cfg: cfg}
+	tb := &Testbed{Stack: st, Cfg: cfg, audit: a}
 	if cfg.Gangs {
 		tb.Gang = core.NewGangDirector(st.Clk, st.Srv, core.GangConfig{})
 		st.OnClose(tb.Gang.Close)
@@ -171,6 +162,15 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 	}
 	start()
 	return tb, nil
+}
+
+// close stops the testbed and returns the audit's verdict on all it ran.
+func (tb *Testbed) close() error {
+	tb.Close()
+	if a := tb.audit; a.violations > 0 {
+		return fmt.Errorf("experiments: the reference model refused %d of %d watch events", a.violations, a.events)
+	}
+	return nil
 }
 
 // Submit creates pod for the testbed's scheduler, or for its fleet

@@ -1,25 +1,38 @@
 package experiments
 
 import (
+	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
+	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/sgx"
 	"github.com/sgxorch/sgxorch/internal/stack"
+	"github.com/sgxorch/sgxorch/internal/telemetry"
 )
 
-// TestAuditCountsPlantedFault: with the server's admission switched off,
-// a pod bound by hand past sgx-1's EPC is an event the guarded reference
-// model refuses. Every harness counts its violations through this one
-// audit, so a fault none of them can see is a fault this test misses.
+// TestAuditCountsPlantedFault: the testbed's audit is handed one forged
+// event, a bind past sgx-1's EPC at the stream's next rev, and refuses it
+// as an over-commit. The server's own next event, the first kubelet's
+// NotReady update at Close, comes at that rev too and is refused once
+// more; the stream resumes after it, so closing reports exactly two. Every
+// testbed counts its violations through this one audit, so a fault it
+// cannot see is a fault every harness and the shipped cluster miss.
 func TestAuditCountsPlantedFault(t *testing.T) {
 	cfg := Paper(0)
-	cfg.Admission = apiserver.AdmitNone
-	cfg.audit = newAudit(apiserver.AdmitGuarded)
+	var planted error
+	cfg.onEvent = func(_ *model.Cluster, ev apiserver.WatchEvent, refused error) {
+		if ev.Pod != nil && ev.Pod.Name == "hog" {
+			planted = refused
+		}
+	}
 	tb, err := NewTestbed(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -29,42 +42,134 @@ func TestAuditCountsPlantedFault(t *testing.T) {
 	hog := &api.Pod{
 		Name: "hog",
 		Spec: api.PodSpec{
-			SchedulerName: "nobody",
+			NodeName: "sgx-1",
 			Containers: []api.Container{{
 				Name:      "main",
 				Resources: api.Requirements{Requests: resource.List{resource.EPCPages: pages}},
-				Workload:  api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: time.Minute},
 			}},
 		},
 	}
-	if err := tb.Srv.CreatePod(hog); err != nil {
-		t.Fatal(err)
+	published := tb.Srv.WatchStats().Published
+	tb.audit.apply(apiserver.WatchEvent{Type: apiserver.PodBound, Rev: published + 1, Pod: hog})
+	if a := tb.audit; a.violations != 1 || !errors.Is(planted, model.ErrOvercommit) {
+		t.Fatalf("the audit counted %d violations in %d events, the forged bind refused with %v; want one ErrOvercommit",
+			a.violations, a.events, planted)
 	}
-	if err := tb.Srv.Bind("hog", "sgx-1"); err != nil {
-		t.Fatalf("the unguarded server refused the planted bind: %v", err)
-	}
-	if cfg.audit.violations < 1 || cfg.audit.err() == nil {
-		t.Fatalf("the audit counted %d violations in %d events, want the planted bind refused",
-			cfg.audit.violations, cfg.audit.events)
+	err = tb.close()
+	a, published := tb.audit, tb.Srv.WatchStats().Published
+	if a.violations != 2 || int64(a.events) != published+1 || err == nil {
+		t.Fatalf("after close the audit counted %d violations in %d events (%d published + 1 forged), verdict %v; want 2",
+			a.violations, a.events, published, err)
 	}
 }
 
-// TestAuditSeesWholeStream: an audited replay's audit is sent every event
+// TestAuditSeesWholeStream: the audit of every testbed is sent every event
 // the server published, from the first node's registration to the
-// kubelets' NotReady updates at Close.
+// kubelets' NotReady updates at Close, and refuses none of a clean run's:
+// on ReplayBorgTrace's testbed (the §VI-A preset under Replay) and on one
+// shaped as sgxorch.NewCluster builds it (class registry, gang director,
+// telemetry), where the refusals are the model_violations gauge.
 func TestAuditSeesWholeStream(t *testing.T) {
+	trace := &borg.Trace{Jobs: evalTrace(1).Jobs[:20], Horizon: time.Hour}
+	t.Run("replay", func(t *testing.T) {
+		tb, err := NewTestbed(Paper(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.Replay(ReplayConfig{Trace: trace, SGXRatio: 0.5, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		checkWholeStream(t, tb)
+	})
+	t.Run("cluster", func(t *testing.T) {
+		cfg := Paper(0)
+		reg := telemetry.New()
+		cfg.Scheduler.Classes = core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{}))
+		cfg.Scheduler.Telemetry, cfg.Scheduler.Trace = reg, telemetry.NewTraceRing(0)
+		cfg.Gangs = true
+		tb, err := NewTestbed(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tb.Close()
+		for i, job := range trace.Jobs {
+			pod := multiSchedPod(job, i%4 == 3)
+			if i < 4 {
+				pod.Spec.PodGroup, pod.Spec.MinMember = "g", 4
+			}
+			if err := tb.Submit(pod); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !tb.Clk.Run(tb.Srv.AllTerminal, tb.Clk.Now().Add(24*time.Hour)) {
+			t.Fatal("jobs still live after 24h")
+		}
+		if err := tb.close(); err != nil {
+			t.Fatal(err)
+		}
+		if commits := tb.Gang.Stats().Commits; commits != 1 {
+			t.Fatalf("gang commits = %d, want the one gang committed", commits)
+		}
+		checkWholeStream(t, tb)
+		if v := reg.Gauge("model_violations").Value(); v != 0 {
+			t.Fatalf("model_violations = %v", v)
+		}
+	})
+}
+
+// TestAuditGaugeReadConcurrently: the model_violations gauge is read on
+// one goroutine while a concurrent fleet's binds deliver events to the
+// audit on others (the race detector's case; run it under -race).
+func TestAuditGaugeReadConcurrently(t *testing.T) {
 	cfg := Paper(0)
-	cfg.audit = newAudit(cfg.Admission)
+	reg := telemetry.New()
+	cfg.Scheduler.Telemetry = reg
+	cfg.Shards, cfg.Concurrent = 2, true
 	tb, err := NewTestbed(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := &borg.Trace{Jobs: evalTrace(1).Jobs[:20], Horizon: time.Hour}
-	if _, err := tb.Replay(ReplayConfig{Trace: trace, SGXRatio: 0.5, Seed: 1}); err != nil {
-		t.Fatal(err)
+	defer tb.Close()
+	gauge := reg.Gauge("model_violations")
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				if v := gauge.Value(); v != 0 {
+					t.Errorf("model_violations = %v mid-run", v)
+					return
+				}
+				runtime.Gosched()
+			}
+		}
+	}()
+	stop := sync.OnceFunc(func() { close(done); wg.Wait() })
+	defer stop()
+	for _, job := range evalTrace(1).Jobs[:40] {
+		if err := tb.Submit(multiSchedPod(job, false)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	drained := tb.Clk.Run(tb.Srv.AllTerminal, tb.Clk.Now().Add(24*time.Hour))
+	stop()
+	if err := tb.close(); err != nil || !drained {
+		t.Fatalf("drained = %v, verdict %v", drained, err)
+	}
+	checkWholeStream(t, tb)
+}
+
+// checkWholeStream compares a closed testbed's audit with the server's
+// count of what it published.
+func checkWholeStream(t *testing.T, tb *Testbed) {
+	t.Helper()
 	published := tb.Srv.WatchStats().Published
-	if a := cfg.audit; int64(a.events) != published || a.violations != 0 {
+	if a := tb.audit; int64(a.events) != published || a.violations != 0 {
 		t.Fatalf("audit saw %d events with %d violations; the server published %d",
 			a.events, a.violations, published)
 	}

@@ -89,6 +89,7 @@ type Cluster struct {
 	ByClass   [api.NumClasses]Transitions
 	admission apiserver.Admission
 	rev       int64
+	spare     []Pod // new pods' records, carved from chunks of 128
 }
 
 // New returns an empty model of a server admitting binds in mode.
@@ -114,7 +115,11 @@ func (c *Cluster) Apply(ev apiserver.WatchEvent) error {
 	name, node, phase, req := ev.Pod.Name, ev.Pod.Spec.NodeName, ev.Pod.Status.Phase, ev.Pod.TotalRequests()
 	p, known := c.Pods[name]
 	if !known {
-		p = &Pod{Class: ev.Pod.Spec.WorkloadClass(), Priority: ev.Pod.Spec.Priority, QueuedAt: ev.Rev}
+		if len(c.spare) == 0 {
+			c.spare = make([]Pod, 128)
+		}
+		p, c.spare = &c.spare[0], c.spare[1:]
+		*p = Pod{Class: ev.Pod.Spec.WorkloadClass(), Priority: ev.Pod.Spec.Priority, QueuedAt: ev.Rev}
 	}
 	charge := ev.Type == apiserver.PodPermitHeld || ev.Type == apiserver.PodBound && !p.Held
 	switch {

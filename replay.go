@@ -67,7 +67,8 @@ type ReplayOptions struct {
 }
 
 // ReplayBorgTrace replays a Borg trace slice through the full stack on
-// the paper's 5-machine testbed and returns per-job outcomes.
+// the paper's 5-machine testbed and returns per-job outcomes. A watch
+// event the reference model refuses (an EPC over-commit, say) fails it.
 func ReplayBorgTrace(opts ReplayOptions) (*ReplayResult, error) {
 	policy, err := opts.Policy.corePolicy()
 	if err != nil {

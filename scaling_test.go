@@ -75,7 +75,8 @@ type scalingRow struct {
 }
 
 // runScaling drains one scalingCluster through the public Cluster and
-// counts what the layers did.
+// counts what the layers did. The cluster's audit, its first subscriber,
+// must have been sent the whole stream and refused none of it.
 func runScaling(tb testing.TB, nodes []NodeSpec, jobs []JobSpec) scalingRow {
 	c, err := NewCluster(ClusterConfig{Nodes: nodes})
 	if err != nil {
@@ -93,6 +94,12 @@ func runScaling(tb testing.TB, nodes []NodeSpec, jobs []JobSpec) scalingRow {
 		tb.Fatalf("%d nodes: jobs still live after 48h", len(nodes))
 	}
 	ws := c.tb.Srv.WatchStats()
+	if audit := ws.PerSubscriber[0]; audit.Delivered != ws.Published {
+		tb.Fatalf("%d nodes: the audit was sent %d of %d events", len(nodes), audit.Delivered, ws.Published)
+	}
+	if v := c.Telemetry().Gauge("model_violations").Value(); v != 0 {
+		tb.Fatalf("%d nodes: the reference model refused %v watch events", len(nodes), v)
+	}
 	row := scalingRow{
 		nodes: len(nodes), jobs: len(jobs),
 		events: ws.Published, subscribers: ws.Subscribers,

@@ -276,6 +276,9 @@ func checkExportsEachCountOnce(t *testing.T, c *Cluster, queued bool) {
 	gs := c.GangStats()
 	want("gang_commits", sum("gang_commits"), gs.Commits)
 	want("gang_timeouts", sum("gang_timeouts"), gs.Timeouts)
+	if v, ok := series["model_violations"]; !ok || v != 0 {
+		t.Errorf("model_violations = %v (exported %v), want 0: the reference model refused an event", v, ok)
+	}
 
 	depth := c.tb.Srv.PendingCountByClass(schedulerName)
 	var queue int
