@@ -710,8 +710,6 @@ that never names the type is not seen.`,
 // and benchmarks set, keyed "dir.Type.Field", each with what needs the
 // second value.
 var knobAllow = map[string]string{
-	"internal/core.Config.PercentageNodesToScore":           "BenchmarkMillionPod (root) runs a sampled arm (0) against a full-scan arm (100)",
-	"internal/core.Config.MaxPendingPerPass":                "BenchmarkMillionPod (root) caps its 100k-deep queue at 1000 pods a pass",
 	"internal/core.GangConfig.PermitTimeout":                "internal/core's gang tests race 5–10 s permit rollbacks against commits",
 	"internal/experiments.MultiSchedConfig.Concurrent":      "TestMultiSchedConcurrentDrainSafe drains on real goroutines under -race",
 	"internal/experiments.MultiSchedConfig.Horizon":         "TestMultiSchedConcurrentDrainSafe gives the nondeterministic drain 4 h",
@@ -725,13 +723,10 @@ var knobAllow = map[string]string{
 // have no non-test reference and stay, keyed "dir.Func" or
 // "dir.Type.Method", each with its reason.
 var deadSurfaceAllow = map[string]string{
-	// Seams that tests of another package (or the root benchmarks) reach
-	// the stack through.
+	// Seams that tests of another package reach the stack through.
 	"internal/apiserver.WithWatchCapacity":          "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) shrinks the ring to force resyncs",
 	"internal/apiserver.WithWatchBatch":             "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) caps the batch the cache sees",
 	"internal/apiserver.Server.ListNodes":           "internal/core's invariants_test.go reads every node from the server",
-	"internal/core.Scheduler.Cache":                 "BenchmarkMillionPod (root) seeds the scheduler's cache",
-	"internal/core.ClusterCache.InjectBoundPod":     "BenchmarkMillionPod (root) plants 1M bound pods without a million commits",
 	"internal/tsdb.WithRetention":                   "internal/monitor, internal/telemetry and internal/core tests bound the database they scrape into",
 	"internal/machine.Machine.ProcessCount":         "internal/kubelet and internal/stress tests check a pod's processes are gone",
 	"internal/isgx.Driver.LimitFor":                 "TestPodFullLifecycle (internal/kubelet) checks the kubelet set the pod's EPC limit",

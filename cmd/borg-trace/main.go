@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/borg"
+	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/stats"
 )
 
@@ -32,7 +33,7 @@ func main() {
 	}
 }
 
-// run executes one subcommand; help goes to stdout.
+// run executes one subcommand, writing what it prints to stdout.
 func run(argv []string, stdout io.Writer) error {
 	if len(argv) == 0 {
 		return fmt.Errorf("missing subcommand\n%s", usage)
@@ -46,7 +47,7 @@ func run(argv []string, stdout io.Writer) error {
 		if err := fs.Parse(args); err != nil {
 			return err
 		}
-		return printStats(borg.NewGenerator(*seed).EvalSlice())
+		return printStats(stdout, borg.NewGenerator(*seed).EvalSlice())
 	case "gen":
 		out := fs.String("o", "-", "output file (- for stdout)")
 		if err := fs.Parse(args); err != nil {
@@ -54,7 +55,7 @@ func run(argv []string, stdout io.Writer) error {
 		}
 		tr := borg.NewGenerator(*seed).EvalSlice()
 		if *out == "-" {
-			return borg.WriteCSV(os.Stdout, tr)
+			return borg.WriteCSV(stdout, tr)
 		}
 		f, err := os.Create(*out)
 		if err != nil {
@@ -70,7 +71,7 @@ func run(argv []string, stdout io.Writer) error {
 		if err := fs.Parse(args); err != nil {
 			return err
 		}
-		return printDay(borg.NewGenerator(*seed), *jobs)
+		return printDay(stdout, borg.NewGenerator(*seed), *jobs)
 	case "-h", "-help", "--help", "help":
 		_, err := fmt.Fprintln(stdout, usage)
 		return err
@@ -79,46 +80,50 @@ func run(argv []string, stdout io.Writer) error {
 	}
 }
 
-func printStats(tr *borg.Trace) error {
-	fmt.Printf("evaluation slice (§VI-B): window %v-%v sampled 1/%d\n",
+func printStats(w io.Writer, tr *borg.Trace) error {
+	fmt.Fprintf(w, "evaluation slice (§VI-B): window %v-%v sampled 1/%d\n",
 		borg.EvalWindowStart, borg.EvalWindowEnd, borg.SampleInterval)
-	fmt.Printf("jobs:            %d (paper: %d)\n", tr.Len(), borg.EvalJobCount)
-	fmt.Printf("over-allocators: %d (paper: %d)\n", tr.OverAllocatorCount(), borg.EvalOverAllocators)
-	fmt.Printf("total duration:  %v (the Fig. 10 'Trace' bar)\n", tr.TotalDuration().Round(time.Minute))
+	fmt.Fprintf(w, "jobs:            %d (paper: %d)\n", tr.Len(), borg.EvalJobCount)
+	fmt.Fprintf(w, "over-allocators: %d (paper: %d)\n", tr.OverAllocatorCount(), borg.EvalOverAllocators)
+	fmt.Fprintf(w, "total duration:  %v (the Fig. 10 'Trace' bar)\n", tr.TotalDuration().Round(time.Minute))
 
 	durs := stats.NewCDF(tr.DurationsSeconds())
 	q50, _ := durs.Quantile(0.5)
 	qmax, _ := durs.Quantile(1)
-	fmt.Printf("durations:       median %.0fs, max %.0fs (paper: all <= 300s)\n", q50, qmax)
+	fmt.Fprintf(w, "durations:       median %.0fs, max %.0fs (paper: all <= 300s)\n", q50, qmax)
 
 	fr := stats.NewCDF(tr.MemFractions())
 	f50, _ := fr.Quantile(0.5)
 	fmax, _ := fr.Quantile(1)
-	fmt.Printf("memory fraction: median %.3f, max %.3f\n", f50, fmax)
-	fmt.Printf("SGX demand:      median %.1f MiB, max %.1f MiB (x 93.5 MiB, §VI-B)\n",
-		f50*93.5, fmax*93.5)
-	fmt.Printf("std demand:      median %.2f GiB, max %.2f GiB (x 32 GiB, §VI-B)\n",
-		f50*32, fmax*32)
+	fmt.Fprintf(w, "memory fraction: median %.3f, max %.3f\n", f50, fmax)
+	// MiB and GiB are powers of two, so these quotients are exact: 93.5
+	// and 32.
+	sgxMiB := float64(borg.SGXMemoryScale) / float64(resource.MiB)
+	stdGiB := float64(borg.StandardMemoryScale) / float64(resource.GiB)
+	fmt.Fprintf(w, "SGX demand:      median %.1f MiB, max %.1f MiB (x %g MiB, §VI-B)\n",
+		f50*sgxMiB, fmax*sgxMiB, sgxMiB)
+	fmt.Fprintf(w, "std demand:      median %.2f GiB, max %.2f GiB (x %g GiB, §VI-B)\n",
+		f50*stdGiB, fmax*stdGiB, stdGiB)
 	return nil
 }
 
-func printDay(g *borg.Generator, jobs int) error {
+func printDay(w io.Writer, g *borg.Generator, jobs int) error {
 	tr := g.FullDay(jobs)
 	fr := stats.NewCDF(tr.MemFractions())
 	durs := stats.NewCDF(tr.DurationsSeconds())
-	fmt.Printf("full-day synthetic trace: %d jobs over 24h\n", tr.Len())
-	fmt.Println("\nFig. 3 anchors (max memory usage CDF):")
+	fmt.Fprintf(w, "full-day synthetic trace: %d jobs over 24h\n", tr.Len())
+	fmt.Fprintln(w, "\nFig. 3 anchors (max memory usage CDF):")
 	for _, x := range []float64{0.05, 0.1, 0.2, 0.3, 0.5} {
-		fmt.Printf("  CDF(%.2f) = %5.1f%%\n", x, 100*fr.At(x))
+		fmt.Fprintf(w, "  CDF(%.2f) = %5.1f%%\n", x, 100*fr.At(x))
 	}
-	fmt.Println("\nFig. 4 anchors (duration CDF):")
+	fmt.Fprintln(w, "\nFig. 4 anchors (duration CDF):")
 	for _, x := range []float64{50, 100, 150, 200, 300} {
-		fmt.Printf("  CDF(%3.0fs) = %5.1f%%\n", x, 100*durs.At(x))
+		fmt.Fprintf(w, "  CDF(%3.0fs) = %5.1f%%\n", x, 100*durs.At(x))
 	}
 	prof := g.ConcurrencyProfile(time.Hour)
-	fmt.Println("\nFig. 5 (concurrent jobs, hourly):")
+	fmt.Fprintln(w, "\nFig. 5 (concurrent jobs, hourly):")
 	for _, p := range prof {
-		fmt.Printf("  t=%5.1fh  %6.0f jobs\n", p.Offset.Hours(), p.Jobs)
+		fmt.Fprintf(w, "  t=%5.1fh  %6.0f jobs\n", p.Offset.Hours(), p.Jobs)
 	}
 	return nil
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	sgxorch "github.com/sgxorch/sgxorch"
+	"github.com/sgxorch/sgxorch/internal/borg"
 )
 
 func main() {
@@ -91,11 +92,11 @@ func run(args []string, stdout io.Writer) error {
 			Duration: job.Duration,
 		}
 		if isSGXJob(i, *sgxRatio) {
-			spec.EPCRequestBytes = int64(job.AssignedMemFrac * 93.5 * float64(sgxorch.MiB))
-			spec.EPCUsageBytes = int64(job.MaxMemFrac * 93.5 * float64(sgxorch.MiB))
+			spec.EPCRequestBytes = borg.SGXMemBytes(job.AssignedMemFrac)
+			spec.EPCUsageBytes = borg.SGXMemBytes(job.MaxMemFrac)
 		} else {
-			spec.MemoryRequestBytes = int64(job.AssignedMemFrac * 32 * float64(sgxorch.GiB))
-			spec.MemoryUsageBytes = int64(job.MaxMemFrac * 32 * float64(sgxorch.GiB))
+			spec.MemoryRequestBytes = borg.StandardMemBytes(job.AssignedMemFrac)
+			spec.MemoryUsageBytes = borg.StandardMemBytes(job.MaxMemFrac)
 		}
 		if err := cluster.SubmitJob(spec); err != nil {
 			return err

@@ -88,7 +88,7 @@
 // that is not the last + 1 (the first sets the base), a charge taken
 // twice, a gang commit off its permit's node, a negative commitment, or
 // one beyond what admission allows (EPC under AdmitGuarded, everything
-// under AdmitStrict, nothing under AdmitNone); a refused event changes
+// under AdmitStrict); a refused event changes
 // nothing but the last rev. A node the stream has not described has no
 // allocatable, so an audit subscribes before the first node registers.
 // The model deliberately leaves out usage (the scheduler's fusion of
@@ -372,8 +372,7 @@
 // bands, maintained incrementally on every commit; a pod's candidate
 // search walks only the bands that can possibly fit its request, so
 // infeasible nodes are skipped in bulk without evaluating them. On top
-// of that sits kube-scheduler-style sampled scoring
-// (Config.PercentageNodesToScore):
+// of that sits kube-scheduler-style sampled scoring:
 // above 100 nodes a pass stops after an adaptive number of feasible
 // candidates (50% shrinking to a 5% floor, never below 100), and a
 // deterministic rotating start offset spreads successive searches
@@ -381,8 +380,9 @@
 // fairness across passes rather than within one. Clusters at or below
 // 100 nodes — every testbed in the paper — always score every node, so
 // sampling changes nothing there, which the determinism and
-// cache≡rebuild property tests pin. BenchmarkMillionPod drives 5,000
-// nodes with a million bound pods and a 100k backlog through both arms;
+// cache≡rebuild property tests pin. BenchmarkMillionPod (internal/core)
+// drives 5,000 nodes with a million bound pods and a 1,000-pod backlog
+// through both arms;
 // the indexed, sampled pass is an order of magnitude faster than the
 // exhaustive scan at that scale.
 //

@@ -262,23 +262,6 @@ func TestBindRefusalReasonIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestAdmitNoneRestoresUncheckedBind: the escape hatch for byzantine-
-// scheduler tests binds anything onto anything known.
-func TestAdmitNoneRestoresUncheckedBind(t *testing.T) {
-	s := New(clock.NewSim(), WithAdmission(AdmitNone))
-	node := testNode("n1", false)
-	node.Unschedulable = true
-	if err := s.RegisterNode(node); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CreatePod(reqPod("p", resource.List{resource.Memory: 100 * resource.GiB, resource.EPCPages: 1})); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Bind("p", "n1"); err != nil {
-		t.Fatalf("unchecked bind refused: %v", err)
-	}
-}
-
 // TestConcurrentBindLastEPCDevice races two goroutines for the last EPC
 // devices of one node: exactly one bind must win, the other must lose
 // with ErrOutdated, and the committed accounting must equal the winner's

@@ -129,10 +129,6 @@ const (
 	// request sum is exactly the invariant every scheduler believes it is
 	// maintaining, so a stale cache can never overcommit a node.
 	AdmitStrict
-	// AdmitNone restores the historical unconditional bind. It exists for
-	// tests that simulate buggy or byzantine schedulers to exercise the
-	// kubelet's defense-in-depth admission.
-	AdmitNone
 )
 
 // Option configures a Server.
@@ -809,9 +805,6 @@ func (s *Server) refuseBind(p *api.Pod, class *atomic.Int64, err error) error {
 // drain); capacity refusals are ErrOutdated (a concurrent scheduler won
 // the headroom).
 func (s *Server) admitBind(p *api.Pod, n *api.Node, com resource.List, req resource.List) error {
-	if s.admission == AdmitNone {
-		return nil
-	}
 	if !n.Ready || n.Unschedulable {
 		return fmt.Errorf("%w: node %s is not schedulable (ready=%v unschedulable=%v)",
 			ErrConflict, n.Name, n.Ready, n.Unschedulable)

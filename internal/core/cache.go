@@ -333,29 +333,6 @@ func (c *ClusterCache) rebuildViewLocked(v *ClusterView) {
 	v.gangLeft = c.gangLeft
 }
 
-// InjectBoundPod force-feeds the cache one live bound pod without going
-// through the API server — the direct priming hook the million-pod
-// benchmark uses to reach 10^6 bound pods in setup time instead of
-// replaying 10^6 watch events. It charges the node exactly as a PodBound
-// event would (metrics-off fusion: requests). Not for production paths.
-func (c *ClusterCache) InjectBoundPod(name, node string, reqMem, reqEPC int64) {
-	now := c.clk.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.pods[name]; ok {
-		return
-	}
-	if _, ok := c.nodes[node]; !ok {
-		return
-	}
-	c.trackPodLocked(&cachedPod{
-		name:   name,
-		node:   node,
-		reqMem: reqMem,
-		reqEPC: reqEPC,
-	}, now)
-}
-
 // ApplyAll applies a batch of consecutive watch events under one lock
 // acquisition, with a single maturity-heap settle at the end — the
 // batched ingest the broker's pump delivery feeds. Events at or below
@@ -454,30 +431,24 @@ func (c *ClusterCache) queueLocked(p *api.Pod) {
 // walk opens a walk over the named scheduler's queue. Its horizon is fixed
 // here: it delivers what is queued now and still queued when reached, and
 // nothing queued later — a pod preempted and re-queued while the walk is
-// open waits for the next one. limit > 0 caps the pods it examines,
-// checked between gangs.
-func (c *ClusterCache) walk(sched string, limit int) queueWalk {
+// open waits for the next one.
+func (c *ClusterCache) walk(sched string) queueWalk {
 	c.mu.Lock()
 	horizon := c.queueSeq
 	c.mu.Unlock()
-	return queueWalk{sched: sched, left: max(limit, 0), cur: newQueueCursor(horizon)}
+	return queueWalk{sched: sched, cur: newQueueCursor(horizon)}
 }
 
 // pull appends the walk's next chunk to out (see podQueue.pull) and
 // reports whether another pull may deliver more: false once the queue is
-// exhausted or the cap is spent, after which the walk is over.
+// exhausted, after which the walk is over.
 func (c *ClusterCache) pull(w *queueWalk, out []queuedPod) ([]queuedPod, bool) {
-	n, more := len(out), false
+	more := false
 	c.mu.Lock()
 	if q := c.queues[w.sched]; q != nil {
-		out, more = q.pull(&w.cur, out, w.left)
+		out, more = q.pull(&w.cur, out)
 	}
 	c.mu.Unlock()
-	if w.left > 0 {
-		if w.left -= len(out) - n; w.left <= 0 {
-			more = false
-		}
-	}
 	return out, more
 }
 
@@ -574,8 +545,7 @@ func (c *ClusterCache) addPodLocked(p *api.Pod, now time.Time, reserved bool) {
 }
 
 // trackPodLocked registers a constructed cachedPod (whose node must
-// exist) and charges its node — shared by the watch path and the
-// benchmark priming hook.
+// exist) and charges its node.
 func (c *ClusterCache) trackPodLocked(cp *cachedPod, now time.Time) {
 	cn := c.nodes[cp.node]
 	c.pods[cp.name] = cp

@@ -14,6 +14,24 @@ import (
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
+// injectBoundPod charges node with one live bound pod without going
+// through the API server, exactly as a PodBound event would (metrics-off
+// fusion: requests) — how BenchmarkMillionPod reaches 10^6 bound pods in
+// setup time instead of replaying 10^6 watch events. A pod already
+// tracked, or a node the cache does not know, changes nothing.
+func (c *ClusterCache) injectBoundPod(name, node string, reqMem, reqEPC int64) {
+	now := c.clk.Now()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.pods[name]; ok {
+		return
+	}
+	if _, ok := c.nodes[node]; !ok {
+		return
+	}
+	c.trackPodLocked(&cachedPod{name: name, node: node, reqMem: reqMem, reqEPC: reqEPC}, now)
+}
+
 // viewsEqual compares two ClusterViews semantically: same nodes in the
 // same order with equal flags, allocatable, fused usage (absent resource
 // keys count as zero) and device headroom.
@@ -188,13 +206,13 @@ func TestClusterCacheMatchesBuildView(t *testing.T) {
 				clk.Advance(time.Duration(rng.Intn(15000)) * time.Millisecond)
 			}
 			if op%7 == 0 {
-				viewsEqual(t, freshView(s.Cache()), oracleView(s, db),
+				viewsEqual(t, freshView(s.cache), oracleView(s, db),
 					fmt.Sprintf("trial %d op %d", trial, op))
 			}
 		}
 		// Let every window decay and maturity pass, then compare once more.
 		clk.Advance(2 * time.Minute)
-		viewsEqual(t, freshView(s.Cache()), oracleView(s, db), fmt.Sprintf("trial %d final", trial))
+		viewsEqual(t, freshView(s.cache), oracleView(s, db), fmt.Sprintf("trial %d final", trial))
 		s.Close()
 	}
 }
@@ -209,7 +227,7 @@ func TestCacheDropsDrainedNode(t *testing.T) {
 	c.submit(t, epcJob("warm-1", 1000, 3*resource.MiB, 10*time.Minute))
 	c.clk.Advance(15 * time.Second)
 
-	cache := c.sched.Cache()
+	cache := c.sched.cache
 	before := freshView(cache)
 	if n := before.Node("sgx-1"); n == nil || n.Used.Get(resource.EPCPages) == 0 {
 		t.Fatalf("sgx-1 missing or idle before drain: %v", viewString(before))
@@ -322,11 +340,11 @@ func TestViewCommitIsolated(t *testing.T) {
 	}
 	defer s.Close()
 
-	view := freshView(s.Cache())
+	view := freshView(s.cache)
 	view.Commit("n1", resource.List{resource.Memory: resource.GiB, resource.EPCPages: 100})
 	view.Nodes[0].Allocatable[resource.Memory] = 1
 
-	fresh := freshView(s.Cache())
+	fresh := freshView(s.cache)
 	n := fresh.Node("n1")
 	if n.Used.Get(resource.Memory) != 0 || n.FreeDevices != 1000 {
 		t.Fatalf("view mutation leaked into the cache: used=%v free=%d", n.Used, n.FreeDevices)
@@ -377,7 +395,7 @@ func TestCachePrimesHeldPermits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer late.Close()
-	got := freshView(late.Cache())
+	got := freshView(late.cache)
 	viewsEqual(t, got, oracleView(late, nil), "primed with held permits")
 	var used int64
 	for _, n := range got.Nodes {
@@ -409,7 +427,7 @@ func TestViewJournalCompaction(t *testing.T) {
 	pods := 0
 	touch := func() { // a pod on n01
 		pods++
-		c.InjectBoundPod(fmt.Sprintf("p%05d", pods), "n01", resource.KiB, 0)
+		c.injectBoundPod(fmt.Sprintf("p%05d", pods), "n01", resource.KiB, 0)
 		c.SyncView(every)
 	}
 	for len(c.journal) < maxViewJournal-4 {

@@ -114,7 +114,7 @@ type ClassProfile struct {
 	Policy Policy
 	// MinFeasibleNodesToFind raises this class's sampling floor (0
 	// inherits DefaultMinFeasibleNodesToFind; the sampling percentage is
-	// always the scheduler's, see Config.PercentageNodesToScore).
+	// the adaptive one of numFeasibleNodesToFind for every class).
 	MinFeasibleNodesToFind int
 	// MayPreempt gates whether this class's pods ever evict others. A
 	// preempting class additionally gains access to best-effort victims
@@ -184,7 +184,6 @@ func (r *ClassRegistry) Classify(pod *api.Pod) api.WorkloadClass {
 // construction, so the pass never re-derives an override.
 type pipeline struct {
 	policy      Policy
-	pct         int
 	minFeasible int
 	// mayPreempt gates whether the slot's pods ever evict others; takeBE
 	// additionally admits declared best-effort pods as victims across
@@ -194,18 +193,16 @@ type pipeline struct {
 }
 
 // resolvePipelines builds a scheduler's pipeline table from its Config.
-// The default slot is Config.Policy with the Config's sampling
-// percentage and the default floor, free to preempt strictly lower tiers —
-// the exact pre-class pass. A class with a registered profile gets that
-// profile's policy, its floor where set (0 inherits the default) and its
-// preemption gate; a class without one schedules like the default slot
-// (its outcomes are still counted under its own slot). The gang protocol
-// is not part of a pipeline, so a gang member honours it in whichever
-// slot it is classed (cycle.go).
+// The default slot is Config.Policy with the default sampling floor, free
+// to preempt strictly lower tiers — the exact pre-class pass. A class
+// with a registered profile gets that profile's policy, its floor where
+// set (0 inherits the default) and its preemption gate; a class without
+// one schedules like the default slot (its outcomes are still counted
+// under its own slot). The gang protocol is not part of a pipeline, so a
+// gang member honours it in whichever slot it is classed (cycle.go).
 func resolvePipelines(cfg *Config) [api.NumClasses]pipeline {
 	def := pipeline{
 		policy:      cfg.Policy,
-		pct:         cfg.PercentageNodesToScore,
 		minFeasible: DefaultMinFeasibleNodesToFind,
 		mayPreempt:  true,
 	}

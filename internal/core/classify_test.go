@@ -79,8 +79,8 @@ func TestClassifierExplicitAndInference(t *testing.T) {
 
 // TestClassRegistryResolve: a scheduler Config resolves the default
 // registry into one pipeline per class slot with the documented gates —
-// the Config's sampling percentage, and the default floor where a class
-// sets none — and leaves unclassified pods on the Config.Policy pipeline.
+// the default sampling floor where a class sets none — and leaves
+// unclassified pods on the Config.Policy pipeline.
 // Overrides via set replace a class; the default slot cannot be occupied.
 func TestClassRegistryResolve(t *testing.T) {
 	r := NewClassRegistry(nil) // explicit-only classifier
@@ -93,18 +93,17 @@ func TestClassRegistryResolve(t *testing.T) {
 		t.Fatalf("unclassified pod classified as %q, want the default", got)
 	}
 
-	cfg := Config{Policy: LeastRequested{}, Classes: r, PercentageNodesToScore: 30}
+	cfg := Config{Policy: LeastRequested{}, Classes: r}
 	table := resolvePipelines(&cfg)
-	if got, want := table[api.ClassUnspecified.Slot()], (pipeline{policy: LeastRequested{}, pct: 30, minFeasible: DefaultMinFeasibleNodesToFind, mayPreempt: true}); got != want {
+	if got, want := table[api.ClassUnspecified.Slot()], (pipeline{policy: LeastRequested{}, minFeasible: DefaultMinFeasibleNodesToFind, mayPreempt: true}); got != want {
 		t.Fatalf("default slot = %+v, want the Config's own pipeline and bounds %+v", got, want)
 	}
 	ls := table[api.ClassLatencySensitive.Slot()]
 	if ls.policy.Name() != "usage-aware" || !ls.mayPreempt || !ls.takeBE {
 		t.Fatalf("latency-sensitive pipeline = %+v", ls)
 	}
-	if ls.minFeasible != DefaultLatencyMinFeasible || ls.pct != 30 {
-		t.Fatalf("latency-sensitive bounds = pct %d / min %d, want the Config's 30 and its own %d",
-			ls.pct, ls.minFeasible, DefaultLatencyMinFeasible)
+	if ls.minFeasible != DefaultLatencyMinFeasible {
+		t.Fatalf("latency-sensitive floor = %d, want its own %d", ls.minFeasible, DefaultLatencyMinFeasible)
 	}
 	if pl := table[api.ClassBatch.Slot()]; pl.policy.Name() != "binpack" || pl.mayPreempt || pl.takeBE || pl.minFeasible != DefaultMinFeasibleNodesToFind {
 		t.Fatalf("batch pipeline = %+v (must not preempt, inherits the default floor)", pl)
@@ -393,11 +392,11 @@ func TestPerClassStatsAndPendingDepth(t *testing.T) {
 // feasibility floor keeps its candidate search exhaustive at cluster
 // sizes where other pods are sampled.
 func TestLatencyClassSamplingFloor(t *testing.T) {
-	if target := numFeasibleNodesToFind(0, DefaultLatencyMinFeasible, 400); target != 400 {
+	if target := numFeasibleNodesToFind(DefaultLatencyMinFeasible, 400); target != 400 {
 		t.Fatalf("latency floor at 400 nodes: target = %d, want full scan", target)
 	}
 	// The default floor samples at that size.
-	if target := numFeasibleNodesToFind(0, DefaultMinFeasibleNodesToFind, 400); target >= 400 {
+	if target := numFeasibleNodesToFind(DefaultMinFeasibleNodesToFind, 400); target >= 400 {
 		t.Fatalf("default sampling at 400 nodes: target = %d, want < 400", target)
 	}
 }

@@ -178,7 +178,7 @@ func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 	t := det.now()
 	nodes := s.view.Nodes
 	candidates := c.candidates[:0]
-	if target := numFeasibleNodesToFind(c.pl.pct, c.pl.minFeasible, len(nodes)); target < len(nodes) {
+	if target := numFeasibleNodesToFind(c.pl.minFeasible, len(nodes)); target < len(nodes) {
 		// Sampled path: walk only the index buckets that can fit the pod,
 		// stop after enough feasible candidates. Candidate order differs
 		// from the name-sorted full scan (best-fit buckets first), which

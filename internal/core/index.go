@@ -172,7 +172,7 @@ func clearBucket(bucket *[]*NodeView) {
 	*bucket = b[:0]
 }
 
-// Sampled-scoring defaults (see Config.PercentageNodesToScore).
+// Sampled-scoring defaults (see numFeasibleNodesToFind).
 const (
 	// DefaultMinFeasibleNodesToFind floors the adaptive sample size: no
 	// matter how small the percentage, a search keeps going until it has
@@ -186,23 +186,17 @@ const (
 )
 
 // numFeasibleNodesToFind returns how many feasible candidates one pod's
-// search should stop after, given the configured percentage (0 =
-// adaptive, >=100 = all) and the cluster size. The adaptive default
-// mirrors kube-scheduler's percentageOfNodesToScore: 50% shrinking
-// linearly with cluster size down to a 5% floor, full scan at or below
-// samplingMinClusterSize nodes.
-func numFeasibleNodesToFind(pct, minFeasible, numNodes int) int {
-	if pct <= 0 {
-		if numNodes <= samplingMinClusterSize {
-			return numNodes
-		}
-		pct = 50 - numNodes/125
-		if pct < 5 {
-			pct = 5
-		}
-	}
-	if pct >= 100 {
+// search should stop after, given the pipeline's floor and the cluster
+// size. The percentage mirrors kube-scheduler's adaptive
+// percentageOfNodesToScore: 50% shrinking linearly with cluster size down
+// to a 5% floor, full scan at or below samplingMinClusterSize nodes.
+func numFeasibleNodesToFind(minFeasible, numNodes int) int {
+	if numNodes <= samplingMinClusterSize {
 		return numNodes
+	}
+	pct := 50 - numNodes/125
+	if pct < 5 {
+		pct = 5
 	}
 	k := numNodes * pct / 100
 	if k < minFeasible {

@@ -142,16 +142,12 @@ func (s *Scheduler) preempt(c *cycleState, dominated bool) (node string, victims
 	return bestNode, victims, false
 }
 
-// victimCount sums the pods displaced by a victim set — a gang unit
-// displaces its whole cluster-wide membership, not one pod.
+// victimCount sums the pods displaced by a victim set — a solo unit
+// counts 1, a gang unit its whole cluster-wide membership (at least 1).
 func victimCount(set []victimInfo) int {
 	n := 0
 	for _, v := range set {
-		if v.count > 1 {
-			n += v.count
-			continue
-		}
-		n++
+		n += v.count
 	}
 	return n
 }

@@ -168,18 +168,11 @@ func newQueueCursor(horizon uint64) queueCursor {
 // first live member of a group in a tier is immediately followed by its
 // live co-members in that tier (in their own FCFS order), which are
 // passed over where they stand. A pull ends once it holds queueChunk
-// pods, or limit when that is smaller (limit <= 0: no cap), except in a
-// tier that holds gangs: a cursor cannot say which co-members a previous
-// pull brought forward, so such a tier is delivered in one pull, ended
-// early by limit alone — checked between gangs, never inside one — and a
-// walk that limit ended there must not resume.
-func (q *podQueue) pull(cur *queueCursor, out []queuedPod, limit int) ([]queuedPod, bool) {
-	// Both bounds as lengths of out, which may arrive non-empty.
-	chunkEnd, limitEnd := len(out)+queueChunk, math.MaxInt
-	if limit > 0 {
-		limitEnd = len(out) + limit
-		chunkEnd = min(chunkEnd, limitEnd)
-	}
+// pods, except in a tier that holds gangs: a cursor cannot say which
+// co-members a previous pull brought forward, so such a tier is delivered
+// in one pull.
+func (q *podQueue) pull(cur *queueCursor, out []queuedPod) ([]queuedPod, bool) {
+	chunkEnd := len(out) + queueChunk // a length of out, which may arrive non-empty
 	t := sort.Search(len(q.prios), func(i int) bool { return q.prios[i] <= cur.prio })
 	for ; t < len(q.prios); t++ {
 		if len(out) >= chunkEnd {
@@ -210,10 +203,6 @@ func (q *podQueue) pull(cur *queueCursor, out []queuedPod, limit int) ([]queuedP
 			if g != "" && members[0] != e.pod.Name {
 				continue // delivered behind its group's first member
 			}
-			if len(out) >= limitEnd {
-				cur.seq = e.seq
-				return out, true
-			}
 			out = append(out, e)
 			if g == "" {
 				continue
@@ -237,6 +226,5 @@ func (q *podQueue) pull(cur *queueCursor, out []queuedPod, limit int) ([]queuedP
 // an abandoned walk costs nothing.
 type queueWalk struct {
 	sched string
-	left  int // pods the cap still allows; 0 when the walk has no cap
 	cur   queueCursor
 }

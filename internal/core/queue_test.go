@@ -16,13 +16,7 @@ import (
 
 // queueOrder is one whole walk of the named scheduler's queue, by pod name.
 func queueOrder(c *ClusterCache, sched string) []string {
-	return walkNames(c, sched, 0)
-}
-
-// walkNames is one walk of the named scheduler's queue capped at limit
-// (limit <= 0: no cap), by pod name.
-func walkNames(c *ClusterCache, sched string, limit int) []string {
-	w := c.walk(sched, limit)
+	w := c.walk(sched)
 	var out []string
 	var buf []queuedPod
 	for more := true; more; {
@@ -215,26 +209,10 @@ func TestPendingPullModelProperty(t *testing.T) {
 			remove(rng.Intn(len(live)))
 		}
 
-		// A capped walk over the quiet queue: whole gangs until the cap is
-		// reached, then nothing.
 		snapshot := modelVisit(live)
-		{
-			limit := 1 + rng.Intn(len(snapshot)+1)
-			var want []string
-			for i, p := range snapshot {
-				inGang := i > 0 && p.group != "" && snapshot[i-1].group == p.group && snapshot[i-1].prio == p.prio
-				if len(want) >= limit && !inGang {
-					break
-				}
-				want = append(want, p.name)
-			}
-			if got := walkNames(c, "s", limit); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("seed %d: walk capped at %d delivered\n%v, want\n%v", seed, limit, got, want)
-			}
-		}
 
 		// The open walk, the queue changing between its pulls.
-		w := c.walk("s", 0)
+		w := c.walk("s")
 		horizon := w.cur.horizon
 		var delivered []string
 		seen := map[string]bool{}
@@ -463,10 +441,9 @@ func TestCacheQueueOrdersServerScenarios(t *testing.T) {
 		deep[i%3] = append(deep[i%3], fmt.Sprintf("pod-%06d", i))
 	}
 	for _, tc := range []struct {
-		name   string
-		build  func(t *testing.T, srv *apiserver.Server)
-		want   map[string][]string // by scheduler
-		window int                 // > 0: also walk "s" capped here
+		name  string
+		build func(t *testing.T, srv *apiserver.Server)
+		want  map[string][]string // by scheduler
 	}{
 		{"PriorityThenFCFS", func(t *testing.T, srv *apiserver.Server) {
 			for _, p := range []struct {
@@ -478,12 +455,12 @@ func TestCacheQueueOrdersServerScenarios(t *testing.T) {
 			} {
 				create(t, srv, "s", p.name, p.prio)
 			}
-		}, map[string][]string{"s": {"high-1", "high-2", "mid-1", "mid-2", "low-1", "low-2", "low-3"}}, 0},
+		}, map[string][]string{"s": {"high-1", "high-2", "mid-1", "mid-2", "low-1", "low-2", "low-3"}}},
 		{"FCFSPerScheduler", func(t *testing.T, srv *apiserver.Server) {
 			for i := range 5 {
 				create(t, srv, []string{"s", "other"}[i%2], fmt.Sprintf("pod-%d", i), 0)
 			}
-		}, map[string][]string{"s": {"pod-0", "pod-2", "pod-4"}, "other": {"pod-1", "pod-3"}}, 0},
+		}, map[string][]string{"s": {"pod-0", "pod-2", "pod-4"}, "other": {"pod-1", "pod-3"}}},
 		{"BindsAndFailuresKeepFCFS", func(t *testing.T, srv *apiserver.Server) {
 			node(t, srv)
 			for i := range 200 {
@@ -507,7 +484,7 @@ func TestCacheQueueOrdersServerScenarios(t *testing.T) {
 				out = append(out, fmt.Sprintf("pod-%03d", i))
 			}
 			return append(out, "late-0", "late-1", "late-2", "late-3", "late-4")
-		}()}, 0},
+		}()}},
 		{"PreemptRequeuesAtTierTail", func(t *testing.T, srv *apiserver.Server) {
 			node(t, srv)
 			create(t, srv, "s", "victim", 1)
@@ -521,12 +498,12 @@ func TestCacheQueueOrdersServerScenarios(t *testing.T) {
 			if err := srv.Preempt("victim", "test"); err != nil {
 				t.Fatal(err)
 			}
-		}, map[string][]string{"s": {"peer", "victim"}}, 0},
+		}, map[string][]string{"s": {"peer", "victim"}}},
 		{"DeepQueue", func(t *testing.T, srv *apiserver.Server) {
 			for i := range depth {
 				create(t, srv, "s", fmt.Sprintf("pod-%06d", i), int32(i%3))
 			}
-		}, map[string][]string{"s": slices.Concat(deep[2], deep[1], deep[0])}, 100},
+		}, map[string][]string{"s": slices.Concat(deep[2], deep[1], deep[0])}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, live := newQueueCache(t)
@@ -541,11 +518,6 @@ func TestCacheQueueOrdersServerScenarios(t *testing.T) {
 					if got := queueOrder(c.cache, sched); !slices.Equal(got, want) {
 						t.Fatalf("%s: %s's queue (%d pods) diverges from priority-then-FCFS (%d pods)\n%v\nwant\n%v",
 							c.how, sched, len(got), len(want), got[:min(len(got), 20)], want[:min(len(want), 20)])
-					}
-				}
-				if tc.window > 0 {
-					if got, want := walkNames(c.cache, "s", tc.window), tc.want["s"][:tc.window]; !slices.Equal(got, want) {
-						t.Fatalf("%s: walk capped at %d = %v, want %v", c.how, tc.window, got, want)
 					}
 				}
 			}
@@ -625,62 +597,6 @@ func TestGangCoalescingStaysWithinPriorityTier(t *testing.T) {
 	want = []string{"g-lo-1", "g-lo-2", "solo-lo-2"}
 	if got := queueOrder(c, "s"); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after draining the high tier = %v, want %v", got, want)
-	}
-}
-
-// TestGangCoalescingCrossTierWindowedVisit: a capped walk over a gang
-// that straddles tiers returns the high-tier members coalesced inside the
-// window and never pulls the low-tier co-members past higher-priority
-// solo pods to fill it.
-func TestGangCoalescingCrossTierWindowedVisit(t *testing.T) {
-	srv, c := newQueueCache(t)
-	for _, p := range []*api.Pod{
-		memGangPod("m-hi-1", "mpi", 2, resource.MiB, 5),
-		memPod("solo-hi", resource.MiB, 5),
-		memGangPod("m-hi-2", "mpi", 2, resource.MiB, 5),
-		memPod("solo-lo", resource.MiB, 0),
-		memGangPod("m-lo-1", "mpi", 2, resource.MiB, 0),
-		memGangPod("m-lo-2", "mpi", 2, resource.MiB, 0),
-	} {
-		createQueued(t, srv, p)
-	}
-	// The window sees the whole high tier (gang coalesced ahead of the
-	// solo pushed between its members), then FCFS into tier 0: solo-lo
-	// arrived first and keeps its place — the low-tier gang members do
-	// not jump it to rejoin their high-tier co-members.
-	if got, want := fmt.Sprint(walkNames(c, "s", 4)), "[m-hi-1 m-hi-2 solo-hi solo-lo]"; got != want {
-		t.Fatalf("windowed cross-tier walk = %v, want %v", got, want)
-	}
-	if got, want := fmt.Sprint(queueOrder(c, "s")), "[m-hi-1 m-hi-2 solo-hi solo-lo m-lo-1 m-lo-2]"; got != want {
-		t.Fatalf("full cross-tier walk = %v, want %v", got, want)
-	}
-}
-
-// TestVisitPendingNCapKeepsGangsWhole: the cap on pods examined is
-// checked between gangs, never inside one — a gang whose first member is
-// inside the cap is delivered with every co-member the walk pulls forward
-// behind it, and the walk stops there. A cap that cut a gang would leave
-// the members it did deliver holding permits that can only time out.
-func TestVisitPendingNCapKeepsGangsWhole(t *testing.T) {
-	srv, c := newQueueCache(t)
-	for _, p := range []struct{ name, group string }{
-		{"g-1", "ring"}, {"solo-1", ""}, {"g-2", "ring"}, {"g-3", "ring"}, {"g-4", "ring"}, {"solo-2", ""},
-	} {
-		createQueued(t, srv, memGangPod(p.name, p.group, 4, resource.MiB, 0))
-	}
-	for _, tc := range []struct {
-		limit int
-		want  string
-	}{
-		{1, "[g-1 g-2 g-3 g-4]"},
-		{2, "[g-1 g-2 g-3 g-4]"},
-		{4, "[g-1 g-2 g-3 g-4]"},
-		{5, "[g-1 g-2 g-3 g-4 solo-1]"},
-		{0, "[g-1 g-2 g-3 g-4 solo-1 solo-2]"},
-	} {
-		if got := fmt.Sprint(walkNames(c, "s", tc.limit)); got != tc.want {
-			t.Errorf("cap %d delivered %v, want %s", tc.limit, got, tc.want)
-		}
 	}
 }
 

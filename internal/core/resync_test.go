@@ -85,7 +85,7 @@ func TestCacheResyncAfterOverflowMatchesBuildView(t *testing.T) {
 			}
 		}
 
-		cache := s.Cache()
+		cache := s.cache
 		for round := 0; round < 8; round++ {
 			// Pin the cache: its pump blocks inside ApplyAll on c.mu (at
 			// most one batch deep) while the burst below wraps the
@@ -199,7 +199,7 @@ func TestAsyncCacheConvergesWithoutOverflow(t *testing.T) {
 		}
 	}
 	srv.QuiesceWatch()
-	viewsEqual(t, freshView(s.Cache()), oracleView(s, nil), "async converged")
+	viewsEqual(t, freshView(s.cache), oracleView(s, nil), "async converged")
 	st := srv.WatchStats()
 	if st.PerSubscriber[0].Resyncs != 0 {
 		t.Fatalf("default-capacity ring overflowed: %+v", st.PerSubscriber[0])

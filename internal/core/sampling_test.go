@@ -18,27 +18,27 @@ import (
 
 // TestNumFeasibleNodesToFind pins the adaptive sample-size policy:
 // full scan at paper scale, kube-style shrinking percentage above it,
-// explicit percentages honoured, and the min-feasible floor.
+// and the min-feasible floor.
 func TestNumFeasibleNodesToFind(t *testing.T) {
 	const floor = DefaultMinFeasibleNodesToFind
 	cases := []struct {
-		pct, minFeasible, nodes, want int
+		minFeasible, nodes, want int
 	}{
-		{0, floor, 20, 20},       // paper-scale cluster: always full scan
-		{0, floor, 100, 100},     // at the threshold: still full
-		{0, floor, 500, 230},     // adaptive: (50 - 500/125)% = 46% of 500
-		{0, floor, 5000, 500},    // adaptive: max(5, 50-40)% = 10% of 5000
-		{0, floor, 100000, 5000}, // deep in the 5% floor
-		{5, floor, 5000, 250},    // explicit 5%
-		{100, floor, 5000, 5000}, // explicit full scan
-		{5, floor, 1000, 100},    // floor: 5% of 1000 = 50 < minFeasible 100
-		{5, 300, 1000, 300},      // custom floor
-		{5, 300, 200, 200},       // floor clamped to cluster size
+		{floor, 20, 20},       // paper-scale cluster: always full scan
+		{floor, 100, 100},     // at the threshold: still full
+		{floor, 500, 230},     // adaptive: (50 - 500/125)% = 46% of 500
+		{floor, 1000, 420},    // adaptive: (50 - 1000/125)% = 42% of 1000
+		{floor, 5000, 500},    // adaptive: max(5, 50-40)% = 10% of 5000
+		{floor, 100000, 5000}, // deep in the 5% floor
+		{floor, 101, 100},     // floor: 50% of 101 = 50 < minFeasible 100
+		{300, 500, 300},       // custom floor
+		{300, 200, 200},       // floor clamped to cluster size
+		{5000, 5000, 5000},    // a floor at the node count: full scan
 	}
 	for _, c := range cases {
-		if got := numFeasibleNodesToFind(c.pct, c.minFeasible, c.nodes); got != c.want {
-			t.Errorf("numFeasibleNodesToFind(%d, %d, %d) = %d, want %d",
-				c.pct, c.minFeasible, c.nodes, got, c.want)
+		if got := numFeasibleNodesToFind(c.minFeasible, c.nodes); got != c.want {
+			t.Errorf("numFeasibleNodesToFind(%d, %d) = %d, want %d",
+				c.minFeasible, c.nodes, got, c.want)
 		}
 	}
 }
@@ -88,7 +88,7 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		view := s.Cache().NewView()
+		view := s.cache.NewView()
 
 		var pods []string
 		makePod := func() *api.Pod {
@@ -241,13 +241,13 @@ func TestIndexedSamplingMatchesFullScan(t *testing.T) {
 				clk.Advance(time.Duration(rng.Intn(12000)) * time.Millisecond)
 			}
 			if op%5 == 0 {
-				s.Cache().SyncView(view)
+				s.cache.SyncView(view)
 				viewsEqual(t, view, oracleView(s, db), fmt.Sprintf("trial %d op %d", trial, op))
 				probe(fmt.Sprintf("trial %d op %d", trial, op))
 			}
 		}
 		clk.Advance(2 * time.Minute)
-		s.Cache().SyncView(view)
+		s.cache.SyncView(view)
 		viewsEqual(t, view, oracleView(s, db), fmt.Sprintf("trial %d final", trial))
 		probe(fmt.Sprintf("trial %d final", trial))
 		s.Close()
@@ -296,8 +296,8 @@ func TestSyncViewCommitConverges(t *testing.T) {
 	}
 	defer s.Close()
 
-	view := s.Cache().NewView()
-	s.Cache().SyncView(view)
+	view := s.cache.NewView()
+	s.cache.SyncView(view)
 	pod := &api.Pod{Name: "p1", Spec: api.PodSpec{SchedulerName: "s", Containers: []api.Container{{
 		Name: "main", Resources: api.Requirements{Requests: resource.List{resource.Memory: resource.GiB, resource.EPCPages: 100}},
 	}}}}
@@ -308,7 +308,7 @@ func TestSyncViewCommitConverges(t *testing.T) {
 	if err := srv.Bind("p1", "n1"); err != nil {
 		t.Fatal(err)
 	}
-	s.Cache().SyncView(view)
+	s.cache.SyncView(view)
 	viewsEqual(t, view, oracleView(s, nil), "post-bind sync")
 	n := view.Node("n1")
 	if n.Used.Get(resource.Memory) != resource.GiB || n.FreeDevices != 900 {
@@ -417,8 +417,8 @@ func TestSampledRotationCovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	view := s.Cache().NewView()
-	s.Cache().SyncView(view)
+	view := s.cache.NewView()
+	s.cache.SyncView(view)
 
 	info := newPodInfo(&api.Pod{Spec: api.PodSpec{Containers: []api.Container{{
 		Name: "main", Resources: api.Requirements{Requests: resource.List{resource.Memory: resource.GiB}},

@@ -45,22 +45,6 @@ type Config struct {
 	// what lets the sharded multi-scheduler experiments measure how
 	// adding schedulers scales backlog draining.
 	MaxBindsPerPass int
-	// MaxPendingPerPass caps how many queued pods one pass examines (0 =
-	// no cap): a pass that finds the head of a deep backlog unschedulable
-	// gives up after this many instead of cycling the whole queue.
-	// Priority-then-FCFS order puts the head of the queue inside the cap,
-	// and a gang whose first member is inside it is examined whole. It is
-	// not what keeps a pass cheap: a pass pulls the queue as it spends its
-	// budget and copies what it examines, whatever the depth behind.
-	MaxPendingPerPass int
-	// PercentageNodesToScore engages sampled scoring: a pod's feasibility
-	// search stops after finding numFeasibleNodesToFind(pct, ...)
-	// candidates via the incremental view's node index instead of
-	// scanning every node. 0 selects the adaptive kube-scheduler-style
-	// default (full scan at <=100 nodes, 50% shrinking to a 5% floor
-	// above); >=100 forces a full scan. The search never stops below
-	// DefaultMinFeasibleNodesToFind candidates.
-	PercentageNodesToScore int
 	// Gang attaches a gang-scheduling director: the cycle lets it gate
 	// every pod-group member and reserves a member's placement
 	// conditionally instead of binding it, so the gang commits at quorum
@@ -122,7 +106,7 @@ type Stats struct {
 	Conflicts int
 	// Sampled counts pods whose candidate search used the indexed
 	// sampling path instead of a full node scan (see
-	// Config.PercentageNodesToScore).
+	// numFeasibleNodesToFind).
 	Sampled int
 	// Gated counts gang members the gang director's gate turned away
 	// before any per-node work (their gang's remaining members cannot fit
@@ -363,10 +347,6 @@ func (s *Scheduler) Close() {
 	}
 }
 
-// Cache exposes the event-driven cluster cache (for tests and
-// benchmarks).
-func (s *Scheduler) Cache() *ClusterCache { return s.cache }
-
 // ScheduleOnce runs a single §IV pass: open a walk of the scheduler's
 // priority-then-FCFS pending queue (kept by the cluster cache from the
 // watch stream, see queue.go), bring the scheduler's incremental
@@ -442,7 +422,7 @@ func (s *Scheduler) schedulePass(syncFirst bool) int {
 	// as it stands now — a victim its own preemption re-queues waits for
 	// the next pass — but copies only the entries it gets to. Pods that
 	// leave the queue mid-walk are skipped, not handed over stale.
-	walk := s.cache.walk(s.cfg.Name, s.cfg.MaxPendingPerPass)
+	walk := s.cache.walk(s.cfg.Name)
 	examined, used, chunk := 0, 0, s.chunk
 	for more := true; more; {
 		chunk, more = s.cache.pull(&walk, chunk[:0])

@@ -401,7 +401,7 @@ func TestUsageKeyedByPodAndNode(t *testing.T) {
 		t.Fatalf("z-stale used = %d, want 0 (no pod runs there)", got)
 	}
 	// The production read path (WindowMax → cache) keys the same way.
-	viewsEqual(t, freshView(s.Cache()), view, "cache vs oracle")
+	viewsEqual(t, freshView(s.cache), view, "cache vs oracle")
 }
 
 // TestSubSecondWindowsBuildExactOffsets: windows that used to be

@@ -233,14 +233,14 @@ func TestShardedCacheMatchesBuildViewN2(t *testing.T) {
 			}
 			if op%9 == 0 {
 				for i, m := range ss.Members() {
-					viewsEqual(t, freshView(m.Cache()), oracleView(m, db),
+					viewsEqual(t, freshView(m.cache), oracleView(m, db),
 						fmt.Sprintf("trial %d op %d member %d", trial, op, i))
 				}
 			}
 		}
 		clk.Advance(2 * time.Minute)
 		for i, m := range ss.Members() {
-			viewsEqual(t, freshView(m.Cache()), oracleView(m, db),
+			viewsEqual(t, freshView(m.cache), oracleView(m, db),
 				fmt.Sprintf("trial %d final member %d", trial, i))
 		}
 		ss.Close()

@@ -21,17 +21,9 @@ type fixture struct {
 }
 
 func newFixture(t *testing.T, sgxNode bool, opts ...Option) *fixture {
-	return newFixtureAdmission(t, sgxNode, apiserver.AdmitGuarded, opts...)
-}
-
-// newFixtureAdmission builds a fixture with an explicit bind-admission
-// mode. Tests that simulate buggy schedulers (binding past capacity or
-// onto incompatible hardware) use AdmitNone so the kubelet's
-// defense-in-depth admission is still the layer under test.
-func newFixtureAdmission(t *testing.T, sgxNode bool, mode apiserver.Admission, opts ...Option) *fixture {
 	t.Helper()
 	clk := clock.NewSim()
-	srv := apiserver.New(clk, apiserver.WithAdmission(mode))
+	srv := apiserver.New(clk)
 	var mach *machine.Machine
 	if sgxNode {
 		mach = machine.New("sgx-1", 8*resource.GiB, 8000, machine.WithSGX(sgx.DefaultGeometry()))
@@ -194,13 +186,30 @@ func TestMaliciousPodKilledByLimit(t *testing.T) {
 	}
 }
 
+// forgeEPC rewrites the server's record of the fixture's node to
+// advertise pages EPC page items its device plugin does not have. The
+// server's conditional bind admits against that record, so a bind it
+// accepts still meets the kubelet's own admission — the layer under test
+// when a scheduler (or the record) is wrong.
+func (f *fixture) forgeEPC(t *testing.T, pages int64) {
+	t.Helper()
+	n, err := f.srv.GetNode(f.mach.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n = n.Clone()
+	n.Allocatable[resource.EPCPages] = pages
+	if err := f.srv.UpdateNode(n); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOutOfEPCAdmissionFails(t *testing.T) {
-	// The API server's conditional bind would refuse the second binding
-	// outright (ErrOutdated); disable it so the kubelet's own device
-	// admission stays the layer under test.
-	f := newFixtureAdmission(t, true, apiserver.AdmitNone)
-	// Two pods whose requests together exceed the device pool; bind both
-	// (simulating a buggy scheduler) — the second must fail admission.
+	f := newFixture(t, true)
+	// The node's record claims twice the plugin's 23936 devices, so the
+	// server binds two pods whose requests together exceed the device
+	// pool — the second must fail the kubelet's device admission.
+	f.forgeEPC(t, 2*23936)
 	a := sgxPod("a", 20000, resource.MiB, time.Minute)
 	b := sgxPod("b", 20000, resource.MiB, time.Minute)
 	for _, p := range []*api.Pod{a, b} {
@@ -223,9 +232,10 @@ func TestOutOfEPCAdmissionFails(t *testing.T) {
 }
 
 func TestSGXPodOnNonSGXNodeFails(t *testing.T) {
-	// Admission off: the server would refuse the hardware mismatch before
-	// the kubelet's "no SGX device plugin" failure path could run.
-	f := newFixtureAdmission(t, false, apiserver.AdmitNone)
+	f := newFixture(t, false)
+	// The standard node's record claims EPC, so the server binds an SGX
+	// pod to it — the kubelet, with no SGX device plugin, must fail it.
+	f.forgeEPC(t, 1000)
 	pod := sgxPod("job-1", 100, resource.MiB, time.Minute)
 	if err := f.srv.CreatePod(pod); err != nil {
 		t.Fatal(err)
@@ -235,8 +245,8 @@ func TestSGXPodOnNonSGXNodeFails(t *testing.T) {
 	}
 	f.clk.Advance(time.Second)
 	p, _ := f.srv.GetPod("job-1")
-	if p.Status.Phase != api.PodFailed {
-		t.Fatalf("phase = %s, want Failed", p.Status.Phase)
+	if p.Status.Phase != api.PodFailed || !strings.Contains(p.Status.Reason, "no SGX device plugin") {
+		t.Fatalf("pod = %s (%s), want Failed for the missing plugin", p.Status.Phase, p.Status.Reason)
 	}
 }
 

@@ -167,7 +167,6 @@ func TestAdmissionBoundsByMode(t *testing.T) {
 		{apiserver.AdmitStrict, "n", resource.List{resource.EPCPages: 10, resource.Memory: 10, resource.CPU: 10}, nil},
 		{apiserver.AdmitStrict, "n", resource.List{resource.Memory: 11}, ErrOvercommit},
 		{apiserver.AdmitStrict, "n", resource.List{resource.CPU: 11}, ErrOvercommit},
-		{apiserver.AdmitNone, "n", resource.List{resource.EPCPages: 11, resource.Memory: 11}, nil},
 	} {
 		m := New(tc.mode)
 		feed(t, m, registered("n", alloc))
