@@ -381,6 +381,13 @@ sample on the write path every scrape takes.`,
 		check: forbidImport("internal/monitor", "container/heap"),
 	},
 	{
+		name: "core-imports-no-container-heap",
+		doc: `The cache's maturity heap is a typed binary heap: container/heap
+boxes every pushed and popped entry into an interface, two allocations per
+started pod.`,
+		check: forbidImport("internal/core", "container/heap"),
+	},
+	{
 		name: "no-map-keyed-by-resource-name",
 		doc: `A resource quantity is a fixed array indexed by resource.Name (three
 integers, copied by assignment, compared with ==). A map keyed by the
@@ -976,6 +983,9 @@ func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), r func(Snapsh
 		{"monitor-imports-no-container-heap", map[string]string{
 			"internal/monitor/windowmax.go": "package monitor\n\nimport \"container/heap\"\n\nvar _ heap.Interface\n",
 		}, "internal/monitor/windowmax.go:3"},
+		{"core-imports-no-container-heap", map[string]string{
+			"internal/core/cache.go": "package core\n\nimport (\n\t\"cmp\"\n\t\"container/heap\"\n)\n\nvar _ = cmp.Compare[int]\nvar _ heap.Interface\n",
+		}, "internal/core/cache.go:5"},
 		{"no-map-keyed-by-resource-name", map[string]string{
 			"bench/layers.go": "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/resource\"\n\nvar m map[resource.Name]int64\n",
 		}, "bench/layers.go:5"},

@@ -144,7 +144,8 @@
 // (measurement, pod, node) series keeps Listing 1's 25 s peak current at
 // O(1) amortized per sample, and a typed, lazily cleaned expiry heap
 // re-announces peaks that age out of the window without a write — a
-// steady-state sample allocates nothing there either. A scheduling pass therefore
+// steady-state sample allocates nothing there either, and a sample that
+// only repeats the standing peak is not announced. A scheduling pass therefore
 // costs O(pending pods + nodes), independent of total cluster size, and
 // the aggregator is the scheduler's only read of usage: internal/core
 // does not import the query engine. The InfluxQL-driven from-scratch

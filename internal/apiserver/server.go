@@ -69,6 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -599,13 +600,32 @@ func (s *Server) CreatePod(p *api.Pod) error {
 	}
 	stored := p.Clone()
 	if stored.UID == "" {
-		stored.UID = fmt.Sprintf("uid-%06d", s.nextUID.Add(1))
+		stored.UID = podUID(s.nextUID.Add(1))
 	}
 	stored.Status.Phase = api.PodPending
 	stored.Status.SubmittedAt = s.clk.Now()
 	t.psh.pods[stored.Name] = stored
 	s.pushPending(stored, t.publish(WatchEvent{Type: PodCreated, Pod: stored}, ""))
 	return nil
+}
+
+// podUID is fmt.Sprintf("uid-%06d", n), byte for byte, without boxing n:
+// the sign, when there is one, counts toward the six places and the zeros
+// follow it.
+func podUID(n int64) string {
+	var buf [24]byte // "uid-" and the longest int64, "-9223372036854775808"
+	b := append(buf[:0], "uid-"...)
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], n, 10)
+	width := 6
+	if d[0] == '-' {
+		b = append(b, '-')
+		d, width = d[1:], width-1
+	}
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // GetPod returns the named pod's stored version, the pod its last event

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"container/heap"
 	"slices"
 	"sort"
 	"strings"
@@ -664,7 +663,7 @@ func (c *ClusterCache) pushMaturityLocked(cp *cachedPod, now time.Time) {
 	if !matureAt.After(now) {
 		return // already mature; fuseUsage saw that
 	}
-	heap.Push(&c.maturity, matEntry{at: matureAt, pod: cp.name})
+	c.maturity.push(matEntry{at: matureAt, pod: cp.name})
 }
 
 // refreshMaturityLocked re-fuses every pod whose maturity instant has
@@ -672,7 +671,7 @@ func (c *ClusterCache) pushMaturityLocked(cp *cachedPod, now time.Time) {
 // StartedAt are skipped.
 func (c *ClusterCache) refreshMaturityLocked(now time.Time) {
 	for len(c.maturity) > 0 && !c.maturity[0].at.After(now) {
-		ent := heap.Pop(&c.maturity).(matEntry)
+		ent := c.maturity.pop()
 		cp, ok := c.pods[ent.pod]
 		if !ok || cp.startedAt.IsZero() || !cp.startedAt.Add(c.lag).Equal(ent.at) {
 			continue
@@ -800,16 +799,45 @@ type matEntry struct {
 	pod string
 }
 
+// matHeap is a binary min-heap on at. push and pop sift exactly as
+// container/heap does, so entries due at the same instant surface in the
+// order they always have — the order matured pods re-fuse in — and
+// nothing is boxed on either side.
 type matHeap []matEntry
 
-func (h matHeap) Len() int           { return len(h) }
-func (h matHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h matHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *matHeap) Push(x any)        { *h = append(*h, x.(matEntry)) }
-func (h *matHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+func (h *matHeap) push(e matEntry) {
+	q := append(*h, e)
+	*h = q
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !q[j].at.Before(q[i].at) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *matHeap) pop() matEntry {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].at.Before(q[j].at) {
+			j = r
+		}
+		if !q[j].at.Before(q[i].at) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	e := q[n]
+	q[n] = matEntry{} // do not pin the pod name through the slack
+	*h = q[:n]
 	return e
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
@@ -145,10 +146,14 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 
 	start := tb.Clk.Now()
 	submitted := 0
+	// Each job's name is formed once: the pod, the final read and the
+	// outcome share it.
+	names := make([]string, len(jobs))
 	for i, job := range jobs {
 		i, job := i, job
+		names[i] = traceJobName(job.ID)
 		tb.Clk.AfterFunc(job.Submit, func() {
-			pod := tracePod(job, isSGX[i], cfg.DynamicEPC)
+			pod := tracePod(names[i], job, isSGX[i], cfg.DynamicEPC)
 			// CreatePod only fails on duplicate names, which the
 			// replay's naming scheme excludes.
 			_ = tb.Srv.CreatePod(pod)
@@ -170,12 +175,12 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 
 	res := &ReplayResult{Completed: completed, PendingSeries: series}
 	for i := range jobs {
-		pod, err := tb.Srv.GetPod(traceJobName(jobs[i].ID))
+		pod, err := tb.Srv.GetPod(names[i])
 		if err != nil {
 			// Not yet submitted before the horizon: record as never
 			// started.
 			res.Outcomes = append(res.Outcomes, JobOutcome{
-				Name: traceJobName(jobs[i].ID), SGX: isSGX[i], Submit: jobs[i].Submit,
+				Name: names[i], SGX: isSGX[i], Submit: jobs[i].Submit,
 			})
 			continue
 		}
@@ -218,15 +223,33 @@ func designateSGX(n int, ratio float64, seed int64) []bool {
 	return out
 }
 
-func traceJobName(id int64) string { return fmt.Sprintf("job-%06d", id) }
+// traceJobName is fmt.Sprintf("job-%06d", id), byte for byte, without
+// boxing id: the sign, when there is one, counts toward the six places
+// and the zeros follow it.
+func traceJobName(id int64) string {
+	var buf [24]byte // "job-" and the longest int64, "-9223372036854775808"
+	b := append(buf[:0], "job-"...)
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], id, 10)
+	width := 6
+	if d[0] == '-' {
+		b = append(b, '-')
+		d, width = d[1:], width-1
+	}
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
 
 // tracePod converts a trace job into a pod spec with §VI-B scaling:
 // requests carry the *assigned* memory, the workload allocates the
 // *maximal* usage ("the job will allocate the amount given in the maximal
 // memory usage field"). With dynamicEPC (the §VI-G SGX 2 mode), SGX jobs
 // request half their advertisement as steady-state baseline and declare
-// the full advertisement as their burst limit.
-func tracePod(job borg.Job, sgxJob, dynamicEPC bool) *api.Pod {
+// the full advertisement as their burst limit. name is the job's
+// traceJobName.
+func tracePod(name string, job borg.Job, sgxJob, dynamicEPC bool) *api.Pod {
 	var ctr api.Container
 	if sgxJob {
 		advBytes := borg.SGXMemBytes(job.AssignedMemFrac)
@@ -277,7 +300,7 @@ func tracePod(job borg.Job, sgxJob, dynamicEPC bool) *api.Pod {
 		}
 	}
 	return &api.Pod{
-		Name: traceJobName(job.ID),
+		Name: name,
 		Spec: api.PodSpec{
 			SchedulerName: SchedulerName,
 			Containers:    []api.Container{ctr},

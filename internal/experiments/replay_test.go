@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -207,7 +210,7 @@ func TestDesignateSGXRatioExact(t *testing.T) {
 
 func TestTracePodScaling(t *testing.T) {
 	job := borg.Job{ID: 7, Duration: time.Minute, AssignedMemFrac: 0.1, MaxMemFrac: 0.08}
-	sgxPod := tracePod(job, true, false)
+	sgxPod := tracePod(traceJobName(job.ID), job, true, false)
 	if !sgxPod.IsSGX() {
 		t.Fatal("SGX pod not SGX")
 	}
@@ -215,7 +218,7 @@ func TestTracePodScaling(t *testing.T) {
 	if got := sgxPod.TotalRequests().Get(resource.EPCPages); got != wantPages {
 		t.Fatalf("EPC request = %d, want %d", got, wantPages)
 	}
-	stdPod := tracePod(job, false, false)
+	stdPod := tracePod(traceJobName(job.ID), job, false, false)
 	if stdPod.IsSGX() {
 		t.Fatal("standard pod is SGX")
 	}
@@ -253,3 +256,20 @@ func median(xs []float64) float64 {
 }
 
 var _ = api.PodSucceeded
+
+// TestTraceJobNameMatchesSprintf: a replayed job's name is fmt.Sprintf's
+// "job-%06d", byte for byte, at the edges of the padding, at the extremes
+// of int64 and at random values of either sign.
+func TestTraceJobNameMatchesSprintf(t *testing.T) {
+	ids := []int64{0, 1, 9, 99_999, 999_999, 1_000_000, math.MaxInt64,
+		-1, -9_999, -99_999, -100_000, math.MinInt64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		ids = append(ids, rng.Int63()>>rng.Intn(63), -rng.Int63()>>rng.Intn(63))
+	}
+	for _, id := range ids {
+		if got, want := traceJobName(id), fmt.Sprintf("job-%06d", id); got != want {
+			t.Fatalf("traceJobName(%d) = %q, want %q", id, got, want)
+		}
+	}
+}

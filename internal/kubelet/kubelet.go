@@ -64,13 +64,24 @@ type Kubelet struct {
 
 type statRef struct{ name, cgroup string }
 
+// podEntry is one admission: the pod's record in k.pods while it holds
+// the node's devices, and the completion callback of every workload it
+// launches (Finished), so a workload's launch allocates no closure. Its
+// executions start on first, which holds a one-workload pod's execution
+// inside the entry.
 type podEntry struct {
+	k          *Kubelet
+	name       string
 	cgroup     string
 	epcPages   int64
 	executions []*stress.Execution
+	first      [1]*stress.Execution
 	remaining  int
 	firstErr   error
 }
+
+// Finished is stress.Config.OnFinished: one workload of the entry ended.
+func (e *podEntry) Finished(err error) { e.k.containerFinished(e, err) }
 
 // Option configures a Kubelet.
 type Option func(*Kubelet)
@@ -308,7 +319,8 @@ func (k *Kubelet) admit(pod *api.Pod) {
 	// newer admission's allocation for the same cgroup.
 	cgroup := pod.CgroupPath()
 	epcReq := pod.TotalRequests().Get(resource.EPCPages)
-	entry := &podEntry{cgroup: cgroup, epcPages: epcReq}
+	entry := &podEntry{k: k, name: pod.Name, cgroup: cgroup, epcPages: epcReq}
+	entry.executions = entry.first[:0]
 
 	k.mu.Lock()
 	if _, admitted := k.pods[pod.Name]; admitted {
@@ -350,10 +362,10 @@ func (k *Kubelet) admit(pod *api.Pod) {
 		return
 	}
 
-	var workloads []api.WorkloadSpec
-	for _, c := range pod.Spec.Containers {
-		if c.Workload.Kind != 0 {
-			workloads = append(workloads, c.Workload)
+	workloads := 0
+	for i := range pod.Spec.Containers {
+		if pod.Spec.Containers[i].Workload.Kind != 0 {
+			workloads++
 		}
 	}
 
@@ -364,7 +376,7 @@ func (k *Kubelet) admit(pod *api.Pod) {
 		k.mu.Unlock()
 		return
 	}
-	entry.remaining = len(workloads)
+	entry.remaining = workloads
 	k.mu.Unlock()
 
 	// MarkRunning errors only if the pod raced to a terminal state (or
@@ -380,19 +392,23 @@ func (k *Kubelet) admit(pod *api.Pod) {
 		return
 	}
 
-	if len(workloads) == 0 {
-		k.complete(pod.Name, entry, nil)
+	if workloads == 0 {
+		k.complete(entry, nil)
 		return
 	}
-	for _, w := range workloads {
+	for i := range pod.Spec.Containers {
+		w := &pod.Spec.Containers[i].Workload
+		if w.Kind == 0 {
+			continue
+		}
 		ex, err := stress.Run(k.clk, stress.Config{
 			Machine:    k.mach,
 			CgroupPath: cgroup,
-			Spec:       w,
-			OnFinished: func(err error) { k.containerFinished(pod.Name, entry, err) },
+			Spec:       *w,
+			OnFinished: entry,
 		})
 		if err != nil {
-			k.containerFinished(pod.Name, entry, err)
+			k.containerFinished(entry, err)
 			continue
 		}
 		k.mu.Lock()
@@ -415,9 +431,9 @@ func (k *Kubelet) admit(pod *api.Pod) {
 // its execution belongs to: a stale completion (an Abort issued by a
 // teardown racing a re-admission of the same pod name) must not be
 // attributed to the newer entry.
-func (k *Kubelet) containerFinished(podName string, entry *podEntry, err error) {
+func (k *Kubelet) containerFinished(entry *podEntry, err error) {
 	k.mu.Lock()
-	if k.pods[podName] != entry {
+	if k.pods[entry.name] != entry {
 		k.mu.Unlock()
 		return
 	}
@@ -431,7 +447,7 @@ func (k *Kubelet) containerFinished(podName string, entry *podEntry, err error) 
 	firstErr := entry.firstErr
 	k.mu.Unlock()
 	if done {
-		k.complete(podName, entry, firstErr)
+		k.complete(entry, firstErr)
 	}
 }
 
@@ -440,7 +456,8 @@ func (k *Kubelet) containerFinished(podName string, entry *podEntry, err error) 
 // triggered by aborting siblings below — become no-ops, and a teardown
 // that won the race is detected by entry identity), then the terminal
 // phase is reported.
-func (k *Kubelet) complete(podName string, entry *podEntry, err error) {
+func (k *Kubelet) complete(entry *podEntry, err error) {
+	podName := entry.name
 	k.mu.Lock()
 	if k.pods[podName] != entry {
 		// An eviction/preemption/resync teardown beat us: it aborted

@@ -54,6 +54,92 @@ func TestSteadyStateWriteAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestWarmRefreshAllocatesNothing: a Refresh that evicts expired peaks
+// and announces the drops collects them into the buffer the aggregator
+// keeps, so once the buffers have grown it allocates nothing — nor do the
+// writes between Refreshes. A fresh change slice per call would show as 1.
+func TestWarmRefreshAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	clk := clock.NewSim()
+	db := tsdb.New(clk, tsdb.WithGCInterval(0), tsdb.WithRetention(time.Minute))
+	w := NewWindowMax(clk, db, 25*time.Second, MeasurementEPC)
+	defer w.Close()
+	refreshing, fromRefresh := false, 0
+	w.SetOnChange(func(string, string, string, float64, bool) {
+		if refreshing {
+			fromRefresh++
+		}
+	})
+	tags := make([]tsdb.Tags, 16)
+	for i := range tags {
+		tags[i] = wmTags(fmt.Sprintf("p%02d", i), "n")
+	}
+	step := 0
+	round := func() {
+		// A falling sawtooth, 5 4 3 2 1 5 …: the peak keeps expiring
+		// above smaller samples, and the Refresh comes before the round's
+		// writes, so it is the Refresh that finds and announces the drops.
+		clk.Advance(10 * time.Second)
+		refreshing = true
+		w.Refresh()
+		refreshing = false
+		for _, tg := range tags {
+			db.WriteNow(MeasurementEPC, tg, float64(5-step%5))
+		}
+		step++
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	fromRefresh = 0
+	if got := testing.AllocsPerRun(100, round); got != 0 {
+		t.Fatalf("a warm write-and-Refresh round allocates %v times, want 0", got)
+	}
+	if fromRefresh < 100 {
+		t.Fatalf("Refresh announced %d drops over the measured rounds: nothing expired", fromRefresh)
+	}
+}
+
+// TestSteadySeriesAllocatesOnlyItsRecord: a new series whose deque holds
+// at most two entries — the peak and the latest sample, a pod whose usage
+// settles below its start-up peak — keeps them inside its record, so its
+// whole life allocates that record alone. A deque grown from nil would
+// show as two more.
+func TestSteadySeriesAllocatesOnlyItsRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	clk := clock.NewSim()
+	db := tsdb.New(clk, tsdb.WithGCInterval(0))
+	w := NewWindowMax(clk, db, 25*time.Second, MeasurementEPC)
+	defer w.Close()
+	const runs = 1000
+	tags := make([]tsdb.Tags, runs+1)
+	for i := range tags {
+		tags[i] = wmTags(fmt.Sprintf("pod-%04d", i), "n")
+	}
+	next := 0
+	life := func() {
+		tg := tags[next]
+		next++
+		now := clk.Now()
+		w.onWrite(MeasurementEPC, tg, 9, now) // the start-up peak
+		for k := 1; k <= 4; k++ {
+			w.onWrite(MeasurementEPC, tg, 7, now.Add(time.Duration(k)*time.Second))
+		}
+	}
+	// The map and the expiry heap grow by doubling; over a thousand
+	// series that rounds away.
+	if got := testing.AllocsPerRun(runs, life); got != 1 {
+		t.Fatalf("a steady series allocates %v objects, want 1 (its record)", got)
+	}
+	if got := w.SeriesCount(); got != runs+1 {
+		t.Fatalf("%d series, want %d", got, runs+1)
+	}
+}
+
 // TestScrapeAllocationsDoNotGrowWithPods: one Heapster + probe scrape
 // round over a stable pod set costs the same handful of allocations at 8
 // pods as at 64 — the collectors' tag literal stays on the stack, the

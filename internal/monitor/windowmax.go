@@ -34,10 +34,15 @@ import (
 // be recognised as stale (its instant no longer matches the series'
 // front) when it surfaces. Instants are Unix nanoseconds
 // (tsdb.UnixNanos), so a deque entry is 16 pointer-free bytes and every
-// comparison is an integer one. The change callback (SetOnChange) fires on
-// every observable max transition — from writes and from expiry — which
-// is what lets a consumer (the scheduler's ClusterCache) maintain derived
-// sums incrementally.
+// comparison is an integer one. A series' first two deque entries live
+// inside its record, which covers a pod whose usage peak holds steady,
+// and Refresh collects its transitions into a buffer it keeps, so neither
+// a new steady series nor a warm Refresh allocates beyond the record. The
+// change callback (SetOnChange) fires on every observable max transition
+// — a new peak value from a write, a drop from expiry — and not when a
+// later sample of the same value takes over a front still in the window;
+// that is what lets a consumer (the scheduler's ClusterCache) maintain
+// derived sums incrementally.
 //
 // The window must not exceed the database retention period: retention
 // clamping happens on the InfluxQL read path but not here.
@@ -50,6 +55,10 @@ type WindowMax struct {
 	series   map[wmKey]*wmSeries
 	expiry   expiryHeap
 	onChange func(measurement, pod, node string, max float64, ok bool)
+	// changes is Refresh's transition buffer, kept across calls so a warm
+	// Refresh allocates nothing. A Refresh takes it under mu and puts it
+	// back once it has announced them; one running meanwhile grows its own.
+	changes []wmChange
 
 	unsubscribe func()
 }
@@ -71,10 +80,13 @@ type wmPoint struct {
 // an expiry entry needs only the pointer. A series leaves w.series only
 // once its deque is empty, and nothing can fill it again afterwards: an
 // empty deque is what marks a dropped series to the heap entries that
-// still point at it.
+// still point at it. The deque starts on head, inside the record: a pod
+// whose usage holds steady keeps at most two entries (the peak and the
+// latest sample), so its series allocates nothing past the record.
 type wmSeries struct {
-	key wmKey
-	dq  []wmPoint
+	key  wmKey
+	dq   []wmPoint
+	head [2]wmPoint
 }
 
 // dropExpired evicts the front entries older than cutoff by moving the
@@ -145,10 +157,13 @@ func (w *WindowMax) Window() time.Duration { return w.window }
 // it has expired.
 func (w *WindowMax) cutoff(now time.Time) int64 { return tsdb.UnixNanos(now.Add(-w.window)) }
 
-// SetOnChange registers the single change callback. It runs on the
-// goroutine that triggered the transition (a metric write or a Refresh),
-// with the aggregator lock released; it may call Max but must not call
-// Refresh or Close.
+// SetOnChange registers the single change callback. It fires when a
+// series' peak value changes or the series empties. A later sample of
+// the same value taking over a front still in the window is not a change;
+// one bringing back a peak that had aged out, which Max no longer read,
+// is. It runs on the goroutine that triggered the transition (a metric
+// write or a Refresh), with the aggregator lock released; it may call
+// Max but must not call Refresh or Close.
 func (w *WindowMax) SetOnChange(fn func(measurement, pod, node string, max float64, ok bool)) {
 	w.mu.Lock()
 	w.onChange = fn
@@ -190,8 +205,9 @@ func (w *WindowMax) SeriesCount() int {
 // scheduling pass, before reading.
 func (w *WindowMax) Refresh() {
 	cutoff := w.cutoff(w.clk.Now())
-	var changes []wmChange
 	w.mu.Lock()
+	changes := w.changes[:0]
+	w.changes = nil
 	for len(w.expiry) > 0 && w.expiry[0].at < cutoff {
 		ent := w.expiry.pop()
 		s := ent.s
@@ -213,6 +229,10 @@ func (w *WindowMax) Refresh() {
 	fn := w.onChange
 	w.mu.Unlock()
 	w.fire(fn, changes)
+	clear(changes) // the buffer pins no dropped series' names
+	w.mu.Lock()
+	w.changes = changes[:0]
+	w.mu.Unlock()
 }
 
 // onWrite is the tsdb write-path hook.
@@ -243,6 +263,10 @@ func (w *WindowMax) fire(fn func(string, string, string, float64, bool), changes
 // observable max changed. The comparison is against the pre-eviction
 // front — the value last announced for this series — so a peak that ages
 // out exactly when a smaller sample arrives is still reported as a drop.
+// A new front carrying the announced value (a later sample equal to the
+// peak) is not reported, though its expiry is registered — unless the old
+// front had expired: Max skipped it from then on, so a reader may have
+// seen the peak gone, and the sample that brings it back is news.
 // t and cutoff are Unix nanoseconds. Caller must hold w.mu.
 func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, cutoff int64) (wmChange, bool) {
 	if v == 0 {
@@ -255,6 +279,7 @@ func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, c
 	s, ok := w.series[key]
 	if !ok {
 		s = &wmSeries{key: key}
+		s.dq = s.head[:0]
 		w.series[key] = s
 	}
 	var oldFront wmPoint
@@ -270,6 +295,9 @@ func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, c
 		return wmChange{}, false
 	}
 	w.expiry.push(expiryEntry{at: front.t, s: s})
+	if hadFront && front.v == oldFront.v && oldFront.t >= cutoff {
+		return wmChange{}, false // the announced peak stands, and stood all along
+	}
 	return wmChange{key: key, max: front.v, ok: true}, true
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -148,6 +149,104 @@ func TestWindowMaxChangeAnnouncements(t *testing.T) {
 	db.WriteNow("unrelated/metric", wmTags("p", "n"), 99) // untracked measurement
 	if fired != 2 {
 		t.Fatalf("fired = %d after untracked measurement", fired)
+	}
+}
+
+// TestWindowMaxAnnouncesValueChangesOnly: a later sample equal to the
+// peak takes over the deque's front (and its expiry) but leaves the
+// observable max where it was, so it is not announced; every sample that
+// moves the peak's value is, and so is the peak's expiry.
+func TestWindowMaxAnnouncesValueChangesOnly(t *testing.T) {
+	clk, db := wmDB()
+	w := NewWindowMax(clk, db, 25*time.Second, MeasurementEPC)
+	defer w.Close()
+	var announced []float64
+	w.SetOnChange(func(_, _, _ string, max float64, _ bool) { announced = append(announced, max) })
+
+	for i := 0; i < 5; i++ { // an unchanged peak: announced once
+		db.WriteNow(MeasurementEPC, wmTags("p", "n"), 5)
+		clk.Advance(10 * time.Second)
+	}
+	for _, v := range []float64{6, 7, 8, 9} { // a changed one: every time
+		db.WriteNow(MeasurementEPC, wmTags("p", "n"), v)
+		clk.Advance(time.Second)
+	}
+	if want := []float64{5, 6, 7, 8, 9}; !reflect.DeepEqual(announced, want) {
+		t.Fatalf("announced %v, want %v", announced, want)
+	}
+	// The last equal sample's expiry was registered: with no writes, the
+	// peak still falls once the window has passed it.
+	clk.Advance(30 * time.Second)
+	w.Refresh()
+	if _, ok := w.Max(MeasurementEPC, "p", "n"); ok || len(announced) != 6 {
+		t.Fatalf("after the window passed: announced %v, series still live = %v", announced, ok)
+	}
+
+	// A peak that expired with no Refresh to announce it: Max already
+	// reads it gone, so an equal sample that brings it back is announced.
+	db.WriteNow(MeasurementEPC, wmTags("q", "n"), 4)
+	clk.Advance(30 * time.Second)
+	if _, ok := w.Max(MeasurementEPC, "q", "n"); ok {
+		t.Fatal("an expired peak is still read")
+	}
+	db.WriteNow(MeasurementEPC, wmTags("q", "n"), 4)
+	if want := []float64{5, 6, 7, 8, 9, 0, 4, 4}; !reflect.DeepEqual(announced, want) {
+		t.Fatalf("announced %v, want %v", announced, want)
+	}
+}
+
+// TestWindowMaxRefreshConcurrent: Refreshes on several goroutines hand
+// the kept transition buffer between them while the clock advances and
+// samples arrive on another; with -race this checks the handover, and
+// afterwards every series' peak is the scan reference's.
+func TestWindowMaxRefreshConcurrent(t *testing.T) {
+	clk, db := wmDB()
+	w := NewWindowMax(clk, db, 25*time.Second, MeasurementEPC)
+	defer w.Close()
+	var mu sync.Mutex
+	announced := 0
+	w.SetOnChange(func(_, pod, node string, _ float64, _ bool) {
+		w.Max(MeasurementEPC, pod, node) // what the scheduler's cache does
+		mu.Lock()
+		announced++
+		mu.Unlock()
+	})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					w.Refresh()
+				}
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		clk.Advance(time.Duration(1+rng.Intn(5)) * time.Second)
+		db.WriteNow(MeasurementEPC, wmTags(fmt.Sprintf("p%d", rng.Intn(8)), "n"), float64(1+rng.Intn(10)))
+	}
+	close(stop)
+	wg.Wait()
+	w.Refresh()
+
+	want := WindowPeak(db, MeasurementEPC, 25*time.Second)
+	for k, v := range want {
+		if got, ok := w.Max(MeasurementEPC, k.Pod, k.Node); !ok || got != v {
+			t.Errorf("%s/%s: max = %v, %v; the scan reads %v", k.Pod, k.Node, got, ok, v)
+		}
+	}
+	if got := w.SeriesCount(); got != len(want) {
+		t.Errorf("%d live series, the scan finds %d", got, len(want))
+	}
+	if announced == 0 {
+		t.Fatal("nothing was announced")
 	}
 }
 

@@ -35,12 +35,12 @@ func TestDynamicEPCRampProfile(t *testing.T) {
 			AllocBytes: peak,
 			BaseBytes:  base,
 		},
-		OnFinished: func(err error) {
+		OnFinished: finishedFunc(func(err error) {
 			if err != nil {
 				t.Errorf("finish err = %v", err)
 			}
 			done = true
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestDynamicEPCBurstDeniedByLimit(t *testing.T) {
 			AllocBytes: 24 * resource.MiB,
 			BaseBytes:  12 * resource.MiB,
 		},
-		OnFinished: func(err error) { finishErr = err },
+		OnFinished: finishedFunc(func(err error) { finishErr = err }),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -74,12 +74,12 @@ func TestAbortConcurrentWithSteps(t *testing.T) {
 	for i := range exs {
 		cfg := Config{
 			CgroupPath: fmt.Sprintf("/kubepods/pod-%d", i),
-			OnFinished: func(err error) {
+			OnFinished: finishedFunc(func(err error) {
 				if err != nil && !errors.Is(err, ErrAborted) {
 					t.Errorf("workload %d: finish err = %v", i, err)
 				}
 				calls[i].Add(1)
-			},
+			}),
 		}
 		d := time.Duration(1+i%7) * time.Second
 		switch i % 4 {

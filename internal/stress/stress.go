@@ -38,10 +38,12 @@ type Config struct {
 	Machine    *machine.Machine
 	CgroupPath string
 	Spec       api.WorkloadSpec
-	// OnFinished fires exactly once at termination; err is nil for a
-	// normal completion and non-nil when the workload was killed (e.g.
-	// enclave denial, OOM).
-	OnFinished func(err error)
+	// OnFinished's Finished fires exactly once at termination; err is
+	// nil for a normal completion and non-nil when the workload was
+	// killed (e.g. enclave denial, OOM). It is an interface rather than a
+	// func so a caller can pass a record it already keeps — the kubelet
+	// passes its admission entry — and allocate no closure per workload.
+	OnFinished interface{ Finished(err error) }
 }
 
 // op is what a plan step does once its delay has elapsed.
@@ -208,7 +210,7 @@ func (e *Execution) finish(err error) {
 	e.timer.Stop()
 	e.proc.Kill()
 	if done := e.cfg.OnFinished; done != nil {
-		done(err)
+		done.Finished(err)
 	}
 }
 

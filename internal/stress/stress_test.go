@@ -13,6 +13,11 @@ import (
 	"github.com/sgxorch/sgxorch/internal/sgx"
 )
 
+// finishedFunc adapts a closure to Config.OnFinished.
+type finishedFunc func(err error)
+
+func (f finishedFunc) Finished(err error) { f(err) }
+
 func sgxMachine(opts ...isgx.Option) *machine.Machine {
 	return machine.New("sgx-1", 8*resource.GiB, 8000,
 		machine.WithSGX(sgx.DefaultGeometry(), opts...))
@@ -32,7 +37,7 @@ func TestVMWorkloadLifecycle(t *testing.T) {
 			Duration:   time.Minute,
 			AllocBytes: resource.GiB,
 		},
-		OnFinished: func(err error) { finished = true; finishErr = err },
+		OnFinished: finishedFunc(func(err error) { finished = true; finishErr = err }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +78,7 @@ func TestEPCWorkloadStartupLatency(t *testing.T) {
 			Duration:   10 * time.Second,
 			AllocBytes: allocBytes,
 		},
-		OnFinished: func(error) { finishedAt = clk.Now() },
+		OnFinished: finishedFunc(func(error) { finishedAt = clk.Now() }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +127,7 @@ func TestEPCWorkloadDeniedByLimit(t *testing.T) {
 			Duration:   time.Hour,
 			AllocBytes: m.SGX().Geometry().UsableBytes() / 2,
 		},
-		OnFinished: func(err error) { finishErr = err },
+		OnFinished: finishedFunc(func(err error) { finishErr = err }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +167,7 @@ func TestVMWorkloadOOMKilled(t *testing.T) {
 			Duration:   time.Minute,
 			AllocBytes: 2 * resource.MiB,
 		},
-		OnFinished: func(err error) { finishErr = err },
+		OnFinished: finishedFunc(func(err error) { finishErr = err }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +188,7 @@ func TestSleepWorkload(t *testing.T) {
 	_, err := Run(clk, Config{
 		Machine:    m,
 		Spec:       api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: 5 * time.Second},
-		OnFinished: func(error) { done = true },
+		OnFinished: finishedFunc(func(error) { done = true }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +211,7 @@ func TestAbort(t *testing.T) {
 	ex, err := Run(clk, Config{
 		Machine:    m,
 		Spec:       api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: time.Hour},
-		OnFinished: func(err error) { calls++; finishErr = err },
+		OnFinished: finishedFunc(func(err error) { calls++; finishErr = err }),
 	})
 	if err != nil {
 		t.Fatal(err)
