@@ -484,14 +484,14 @@ the broker's Publish.`,
 	{
 		name: "one-assembly-of-the-stack",
 		doc: `The stack below the scheduler is assembled in one place,
-internal/stack: under the simulated clock the order components register
-in decides how same-instant events fire, so it is part of every golden
-digest and sim_digest, and a second assembly is a second place to get it
-wrong. cmd/sgx-probe is a component demo (one node, the probe only, no
-scheduler); bench/ mirrors the assembly under spans and is its own
-module; tests build single components.`,
+internal/experiments/testbed.go's NewTestbed: under the simulated clock
+the order components register in decides how same-instant events fire,
+so it is part of every golden digest and sim_digest, and a second
+assembly is a second place to get it wrong. cmd/sgx-probe is a component
+demo (one node, the probe only, no scheduler); bench/ mirrors the
+assembly under spans and is its own module; tests build what they test.`,
 		check: forbidRefs(func(f *srcFile) bool {
-			return f.test || within(f.dir, "internal/stack") || within(f.dir, "cmd/sgx-probe") || within(f.dir, "bench")
+			return f.test || f.path == "internal/experiments/testbed.go" || within(f.dir, "cmd/sgx-probe") || within(f.dir, "bench")
 		},
 			modulePath+"/internal/kubelet.New",
 			modulePath+"/internal/monitor.NewHeapster",
@@ -535,9 +535,9 @@ its own module.`,
 	{
 		name: "one-audited-testbed",
 		doc: `Every scheduler in the module runs on one assembly with one audit:
-internal/experiments/testbed.go calls stack.New, core.New,
-core.NewGangDirector and model.New once each, and core.NewSharded for a
-fleet, so sgxorch.NewCluster and every experiment differ only in their
+internal/experiments/testbed.go calls core.New, core.NewGangDirector and
+model.New once each, and core.NewSharded for a fleet, so
+sgxorch.NewCluster and every experiment differ only in their
 TestbedConfig. Under the simulated clock the order in which the testbed
 builds and starts things is part of every golden digest and sim_digest;
 a second place that builds a stack, a scheduler, a gang director or a
@@ -562,8 +562,8 @@ experiments' own, which test the testbed and its audit.`,
 					}
 					ref := path.Base(pkg) + "." + name
 					switch pkg + "." + name {
-					case modulePath + "/internal/stack.New", modulePath + "/internal/model.New",
-						modulePath + "/internal/core.New", modulePath + "/internal/core.NewGangDirector":
+					case modulePath + "/internal/model.New", modulePath + "/internal/core.New",
+						modulePath + "/internal/core.NewGangDirector":
 						if calls[ref]++; f.path != testbed || calls[ref] > 1 {
 							out = append(out, c.at(n.Pos())+": "+ref+": the testbed builds it, once")
 						}
@@ -1010,8 +1010,8 @@ func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), r func(Snapsh
 			"internal/apiserver/fast.go":   "package apiserver\n\nfunc (s *Server) fastPublish(ev WatchEvent) {\n\ts.broker.Publish(\"\", ev, nil)\n}\n",
 		}, "internal/apiserver/fast.go:4"},
 		{"one-assembly-of-the-stack", map[string]string{
-			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/kubelet\"\n\nvar k = kubelet.New(nil)\n",
-		}, "internal/experiments/testbed.go:5"},
+			"internal/experiments/sgx2.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/kubelet\"\n\nvar k = kubelet.New(nil)\n",
+		}, "internal/experiments/sgx2.go:5"},
 		{"one-reference-model", map[string]string{
 			"internal/experiments/audit.go": `package experiments
 
@@ -1026,9 +1026,12 @@ func held(ev apiserver.WatchEvent) bool {
 			"internal/experiments/gang_test.go": "package experiments\n\ntype gangWatcher struct{ held int }\n",
 		}, "internal/experiments/gang_test.go:3"},
 		{"one-audited-testbed", map[string]string{
-			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/stack\"\n\nvar st = stack.New()\n",
-			"internal/experiments/gang.go":    "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/stack\"\n\nvar gangs = stack.New()\n",
+			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/core\"\n\nvar sched, _ = core.New(nil, nil, nil, core.Config{})\n",
+			"internal/experiments/gang.go":    "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/core\"\n\nvar gangs, _ = core.New(nil, nil, nil, core.Config{})\n",
 		}, "internal/experiments/gang.go:5"},
+		{"one-audited-testbed", map[string]string{
+			"cmd/x/main.go": "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/core\"\n\nfunc main() { core.New(nil, nil, nil, core.Config{}) }\n",
+		}, "cmd/x/main.go:5"},
 		{"one-audited-testbed", map[string]string{
 			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/model\"\n\nvar audit = model.New(0)\n\nvar shadow = model.New(0)\n",
 		}, "internal/experiments/testbed.go:7"},
@@ -1110,7 +1113,7 @@ func (t *txn) run(p *Pod) {
 		}, "internal/golden/golden.go:3"},
 		{"no-dead-internal-surface", map[string]string{
 			"internal/borg/generator.go": "package borg\n\ntype Generator struct{}\n\nfunc (g *Generator) Config() {}\n",
-			"cmd/x/main.go":              "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/stack\"\n\nvar _ = stack.Config{}\n",
+			"cmd/x/main.go":              "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/core\"\n\nvar _ = core.Config{}\n",
 		}, "internal/borg/generator.go:5"},
 	}
 	covered := map[string]bool{}

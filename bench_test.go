@@ -36,7 +36,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/sgx"
-	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/stats"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
@@ -239,7 +238,7 @@ func BenchmarkAblation_UsageAwareVsRequestOnly(b *testing.B) {
 	run := func(useMetrics bool) float64 {
 		cfg := experiments.Paper(0)
 		// One standard node; the SGX node is unused by the 0% SGX replay.
-		cfg.Stack.Nodes = stack.WithMaster(stack.Fleet(1, 1, stack.DefaultEPC, false))
+		cfg.Nodes = experiments.WithMaster(experiments.Fleet(1, 1, experiments.DefaultEPC, false))
 		cfg.Scheduler.UseMetrics = useMetrics
 		tb, err := experiments.NewTestbed(cfg)
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/influxql"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
 )
 
@@ -24,7 +23,7 @@ const (
 )
 
 // DefaultEPCSize is the PRM size of current SGX hardware (128 MiB, §II).
-const DefaultEPCSize = stack.DefaultEPC
+const DefaultEPCSize = experiments.DefaultEPC
 
 // Policy selects the scheduler's placement strategy (§IV).
 type Policy string
@@ -131,7 +130,7 @@ type ClusterConfig struct {
 // PaperTestbedNodes returns the §VI-A cluster shape.
 func PaperTestbedNodes() []NodeSpec {
 	var nodes []NodeSpec
-	for _, n := range stack.PaperTestbed() {
+	for _, n := range experiments.PaperTestbed() {
 		nodes = append(nodes, NodeSpec{
 			Name: n.Name, RAMBytes: n.RAMBytes, CPUMillis: n.CPUMillis,
 			SGX: n.EPCSize > 0, EPCSize: n.EPCSize, SGX2: n.SGX2, Master: n.Master,
@@ -185,26 +184,24 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		seen[spec.Name] = true
 	}
 
-	stackNodes := make([]stack.Node, len(nodes))
+	tbNodes := make([]experiments.Node, len(nodes))
 	for i, spec := range nodes {
-		stackNodes[i] = stack.Node{
+		tbNodes[i] = experiments.Node{
 			Name: spec.Name, RAMBytes: spec.RAMBytes, CPUMillis: spec.CPUMillis,
 			SGX2: spec.SGX2, Master: spec.Master,
 		}
 		if spec.SGX || spec.SGX2 {
-			stackNodes[i].EPCSize = spec.EPCSize
+			tbNodes[i].EPCSize = spec.EPCSize
 			if spec.EPCSize == 0 {
-				stackNodes[i].EPCSize = DefaultEPCSize
+				tbNodes[i].EPCSize = DefaultEPCSize
 			}
 		}
 	}
 
 	tcfg := experiments.TestbedConfig{
-		Stack: stack.Config{
-			Nodes:          stackNodes,
-			NoEnforcement:  cfg.DisableEnforcement,
-			ScrapeInterval: cfg.ScrapeInterval,
-		},
+		Nodes:          tbNodes,
+		NoEnforcement:  cfg.DisableEnforcement,
+		ScrapeInterval: cfg.ScrapeInterval,
 		Scheduler: core.Config{
 			Name:       schedulerName,
 			Policy:     policy,

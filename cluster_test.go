@@ -324,7 +324,7 @@ func TestReplayBorgTraceFacade(t *testing.T) {
 }
 
 // The two public entry points are the same machine. Both stand on one
-// internal/stack assembly; NewCluster adds a gang director and a class
+// experiments.Testbed assembly; NewCluster adds a gang director and a class
 // registry, and claims jobs that declare neither schedule exactly as they
 // would without them. So the §VI-B slice replayed on the testbed and the
 // same jobs submitted to a Cluster at their trace offsets must agree, job

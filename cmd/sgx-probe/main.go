@@ -14,7 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -105,8 +107,9 @@ func run(args []string, stdout io.Writer) error {
 	clk.Advance(45 * time.Second)
 
 	fmt.Fprintln(stdout, "\ndriver counters:")
-	for path, v := range m.Driver().Sysfs() {
-		fmt.Fprintf(stdout, "  %s = %s\n", path, v)
+	sysfs := m.Driver().Sysfs()
+	for _, path := range slices.Sorted(maps.Keys(sysfs)) {
+		fmt.Fprintf(stdout, "  %s = %s\n", path, sysfs[path])
 	}
 
 	fmt.Fprintln(stdout, "\nListing 1 (verbatim InfluxQL):")

@@ -24,6 +24,27 @@ func TestRunAtDefaults(t *testing.T) {
 	}
 }
 
+// TestDriverCountersPrintSorted: the driver's sysfs counters come out in
+// path order, so every run at the same flags prints the same bytes.
+func TestDriverCountersPrintSorted(t *testing.T) {
+	var first string
+	for i := 0; i < 20; i++ {
+		var out strings.Builder
+		if err := run(nil, &out); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = out.String()
+			free, total := strings.Index(first, "sgx_nr_free_pages = "), strings.Index(first, "sgx_nr_total_epc_pages = ")
+			if free < 0 || total < 0 || free > total {
+				t.Fatalf("driver counters out of path order:\n%s", first)
+			}
+		} else if got := out.String(); got != first {
+			t.Fatalf("run %d printed\n%s\nrun 0 printed\n%s", i, got, first)
+		}
+	}
+}
+
 // TestHelpIsNotAnError: -h prints the usage alone and, as with the
 // standard flag set, is not an error; an unknown flag still is.
 func TestHelpIsNotAnError(t *testing.T) {

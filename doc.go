@@ -29,31 +29,28 @@
 // trace substrate (internal/borg). This package is the stable public
 // surface over them.
 //
-// Everything below the scheduler is assembled in exactly one place,
-// internal/stack: the simulated clock, the API server, one machine and
-// kubelet per node (SGX / SGX 2 geometry, limit enforcement, the
-// unschedulable master) and, when a scrape interval is given, the TSDB
-// with Heapster and the probe DaemonSet. The schedulers on top are built
-// in one place too, internal/experiments' Testbed: a configuration of the
-// stack (a stack.Config and a core.Config, plus the shard count,
-// concurrent rounds, a shared gang director and the admission mode).
-// NewCluster translates ClusterConfig into one — a class-aware scheduler
-// with a gang director and, unless telemetry is disabled, a registry and
-// a pass-trace ring — and every experiment — the figure harnesses, the
-// ablations, the preemption scenario, the multi-scheduler, gang and class
-// fleets, the observability run and ReplayBorgTrace — is another. The
-// Paper preset is §VI-A: one master, two 64 GiB standard nodes and two
-// 8 GiB SGX nodes with 128 MiB of EPC under the paper's scheduler.
-// internal/core's test rigs stand on the stack too. Assembly is two
-// steps, stack.New then Start, so an audit that must see the watch
-// stream from its first event subscribes in between — the testbed's
-// reference-model audit does, for every testbed, the shipped Cluster and
-// ReplayBorgTrace included — and, with a registry, Observe attaches the lifecycle tracker and the
-// registry self-scrape between building the schedulers and starting them.
-// The order matters and is written down once, in NewTestbed: under the
-// simulated clock components registered for the same instant fire in
-// registration order, so the order of Start, Observe and the schedulers'
-// own Start decides how same-instant scrapes, passes and completions
+// The whole cluster is assembled in exactly one function,
+// internal/experiments' NewTestbed: the simulated clock, the API server,
+// one machine and kubelet per node (SGX / SGX 2 geometry, limit
+// enforcement, the unschedulable master), when a scrape interval is given
+// the TSDB with Heapster and the probe DaemonSet, and the schedulers on
+// top. A TestbedConfig names the nodes, limit enforcement, the scrape
+// interval and a core.Config, plus the shard count, concurrent rounds, a
+// shared gang director and the admission mode. NewCluster translates
+// ClusterConfig into one — a class-aware scheduler with a gang director
+// and, unless telemetry is disabled, a registry and a pass-trace ring —
+// and every experiment — the figure harnesses, the ablations, the
+// preemption scenario, the multi-scheduler, gang and class fleets, the
+// observability run and ReplayBorgTrace — is another. The Paper preset is
+// §VI-A: one master, two 64 GiB standard nodes and two 8 GiB SGX nodes
+// with 128 MiB of EPC under the paper's scheduler. Every testbed's
+// reference-model audit subscribes before the first node registers, so it
+// sees the whole watch stream, the shipped Cluster and ReplayBorgTrace
+// included. The order matters and is written down once, in NewTestbed's
+// doc: under the simulated clock components registered for the same
+// instant fire in registration order, so the order in which NewTestbed
+// starts kubelets, collectors, the tracker, the self-scrape and the pass
+// timers decides how same-instant scrapes, passes and completions
 // interleave — and with it every golden digest. Close stops everything
 // in reverse start order, except that kubelets stop in node order (each
 // publishes its node's NotReady update, and the determinism tests digest

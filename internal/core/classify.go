@@ -173,11 +173,6 @@ func (r *ClassRegistry) set(cp ClassProfile) {
 	r.profiles[cp.Class.Slot()] = cp
 }
 
-// Classify exposes the registry's classifier.
-func (r *ClassRegistry) Classify(pod *api.Pod) api.WorkloadClass {
-	return r.classifier.Classify(pod)
-}
-
 // pipeline is one class slot's resolved scheduling behaviour: the
 // placement policy, the candidate-sampling bounds and the preemption
 // gates. A scheduler holds one per slot, resolved at

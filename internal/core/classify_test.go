@@ -85,11 +85,11 @@ func TestClassifierExplicitAndInference(t *testing.T) {
 func TestClassRegistryResolve(t *testing.T) {
 	r := NewClassRegistry(nil) // explicit-only classifier
 	for _, class := range api.Classes[1:] {
-		if got := r.Classify(classedPod("p", class, 0, resource.GiB, time.Minute)); got != class {
+		if got := r.classifier.Classify(classedPod("p", class, 0, resource.GiB, time.Minute)); got != class {
 			t.Fatalf("%s pod classified as %q", class, got)
 		}
 	}
-	if got := r.Classify(memJob("plain", resource.GiB, resource.GiB, time.Minute)); got != api.ClassUnspecified {
+	if got := r.classifier.Classify(memJob("plain", resource.GiB, resource.GiB, time.Minute)); got != api.ClassUnspecified {
 		t.Fatalf("unclassified pod classified as %q, want the default", got)
 	}
 

@@ -10,11 +10,12 @@ import (
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/influxql"
+	"github.com/sgxorch/sgxorch/internal/isgx"
 	"github.com/sgxorch/sgxorch/internal/kubelet"
 	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/stack"
+	"github.com/sgxorch/sgxorch/internal/sgx"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
@@ -38,21 +39,15 @@ type clusterSpec struct {
 
 func newTestCluster(t *testing.T, spec clusterSpec) *testCluster {
 	t.Helper()
-	st := stack.New()
-	if err := st.Start(stack.Config{
-		Nodes:          stack.Fleet(spec.stdNodes, spec.sgxNodes, stack.DefaultEPC, false),
-		NoEnforcement:  !spec.enforcement,
-		ScrapeInterval: 10 * time.Second,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(st.Close)
+	clk := clock.NewSim()
+	srv := apiserver.New(clk)
+	db, kubelets := startNodes(t, clk, srv, spec.stdNodes, spec.sgxNodes, spec.enforcement)
 
 	policy := spec.policy
 	if policy == nil {
 		policy = Binpack{}
 	}
-	sched, err := New(st.Clk, st.Srv, st.DB, Config{
+	sched, err := New(clk, srv, db, Config{
 		Name:       "sgx-sched",
 		Policy:     policy,
 		Interval:   5 * time.Second,
@@ -61,9 +56,54 @@ func newTestCluster(t *testing.T, spec clusterSpec) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.OnClose(sched.Close)
+	t.Cleanup(sched.Close)
 	sched.Start()
-	return &testCluster{clk: st.Clk, srv: st.Srv, db: st.DB, sched: sched, kubelets: st.Kubelets}
+	return &testCluster{clk: clk, srv: srv, db: db, sched: sched, kubelets: kubelets}
+}
+
+// startNodes starts std standard and sgxNodes SGX machines of the §VI-A
+// models (std-1…, then sgx-1… with 128 MiB of PRM), one kubelet each, and
+// the monitoring plane over them: a TSDB, Heapster and the probe
+// DaemonSet, scraping every 10 s. It builds them in the experiments
+// testbed's order, so what fires at one instant fires as it does there,
+// and the test's cleanup stops them in reverse, the kubelets in node
+// order.
+func startNodes(t *testing.T, clk *clock.Sim, srv *apiserver.Server, std, sgxNodes int, enforcement bool) (*tsdb.DB, []*kubelet.Kubelet) {
+	t.Helper()
+	db := tsdb.New(clk)
+	t.Cleanup(db.Close)
+	var kubelets []*kubelet.Kubelet
+	t.Cleanup(func() {
+		for _, kl := range kubelets {
+			kl.Stop()
+		}
+	})
+	var driverOpts []isgx.Option
+	if !enforcement {
+		driverOpts = append(driverOpts, isgx.WithoutEnforcement())
+	}
+	for i := 1; i <= std+sgxNodes; i++ {
+		var m *machine.Machine
+		if i <= std {
+			m = machine.New(fmt.Sprintf("std-%d", i), 64*resource.GiB, 8000)
+		} else {
+			m = machine.New(fmt.Sprintf("sgx-%d", i-std), 8*resource.GiB, 8000,
+				machine.WithSGX(sgx.GeometryForSize(128*resource.MiB), driverOpts...))
+		}
+		kl := kubelet.New(clk, srv, m)
+		if err := kl.Start(); err != nil {
+			t.Fatal(err)
+		}
+		kubelets = append(kubelets, kl)
+	}
+	heapster := monitor.NewHeapster(clk, db, 10*time.Second)
+	for _, kl := range kubelets {
+		heapster.AddSource(kl)
+	}
+	heapster.Start()
+	t.Cleanup(heapster.Stop)
+	t.Cleanup(monitor.DeployProbes(clk, db, kubelets, 10*time.Second).Stop)
+	return db, kubelets
 }
 
 func (c *testCluster) submit(t *testing.T, pod *api.Pod) {

@@ -12,7 +12,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/golden"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
@@ -252,23 +251,18 @@ func TestShardedCacheMatchesBuildViewN2(t *testing.T) {
 // a sharded scheduler fleet.
 func shardedTestbed(t *testing.T, shards int, concurrent bool, admission apiserver.Admission) (*clock.Sim, *apiserver.Server, *ShardedSchedulers) {
 	t.Helper()
-	st := stack.New(apiserver.WithAdmission(admission))
-	if err := st.Start(stack.Config{
-		Nodes:          stack.Fleet(2, 2, stack.DefaultEPC, false),
-		ScrapeInterval: 10 * time.Second,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(st.Close)
+	clk := clock.NewSim()
+	srv := apiserver.New(clk, apiserver.WithAdmission(admission))
+	db, _ := startNodes(t, clk, srv, 2, 2, true)
 
-	ss, err := NewSharded(st.Clk, st.Srv, st.DB, Config{
+	ss, err := NewSharded(clk, srv, db, Config{
 		Name: "ms", Policy: Binpack{}, Interval: 5 * time.Second, UseMetrics: true,
 	}, shards, concurrent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.OnClose(ss.Close)
-	return st.Clk, st.Srv, ss
+	t.Cleanup(ss.Close)
+	return clk, srv, ss
 }
 
 // TestShardedDeterminismN2 runs the same seeded workload twice through a

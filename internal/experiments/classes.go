@@ -11,7 +11,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/stack"
 )
 
 // This file is the workload-class experiment: a mixed fleet of all three
@@ -181,7 +180,7 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 		epcAt, epcPages = now, tb.audit.Total.Committed[resource.EPCPages]
 	}
 	tb, err := NewTestbed(TestbedConfig{
-		Stack: stack.Config{Nodes: stack.Fleet(stack.StdNodes, stack.SGXNodes, stack.DefaultEPC, false)},
+		Nodes: Fleet(StdNodes, SGXNodes, DefaultEPC, false),
 		Scheduler: core.Config{
 			Name:    "classsched",
 			Policy:  core.Binpack{},

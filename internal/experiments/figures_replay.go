@@ -228,7 +228,7 @@ func Fig11Malicious(seed int64) (Figure, error) {
 			rcfg.MaliciousEPCFraction = c.fraction
 		}
 		tcfg := Paper(0)
-		tcfg.Stack.NoEnforcement = !c.enforce
+		tcfg.NoEnforcement = !c.enforce
 		res, err := replayOnce(seed, tcfg, rcfg)
 		if err != nil {
 			return Figure{}, fmt.Errorf("fig11 (%s): %w", c.name, err)

@@ -10,7 +10,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/stack"
 )
 
 // This file is the gang-scheduling experiment: the Borg backlog replayed
@@ -106,7 +105,7 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 	cfg.Shards = max(cfg.Shards, 1)
 	partial := 0
 	tb, err := NewTestbed(TestbedConfig{
-		Stack: stack.Config{Nodes: stack.Fleet(gangStdNodes, 0, 0, false)},
+		Nodes: Fleet(gangStdNodes, 0, 0, false),
 		Scheduler: core.Config{
 			Name:            "gangsched",
 			Policy:          core.Binpack{},

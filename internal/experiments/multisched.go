@@ -10,7 +10,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/stack"
 )
 
 // This file is the multi-scheduler scaling experiment: the paper deploys
@@ -127,7 +126,7 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 		cfg.Horizon = drainHorizon
 	}
 	tb, err := NewTestbed(TestbedConfig{
-		Stack: stack.Config{Nodes: stack.Fleet(multiSchedStdNodes, multiSchedSGXNodes, stack.DefaultEPC, false)},
+		Nodes: Fleet(multiSchedStdNodes, multiSchedSGXNodes, DefaultEPC, false),
 		Scheduler: core.Config{
 			Name:            "multisched",
 			Policy:          core.Binpack{},

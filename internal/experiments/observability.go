@@ -86,7 +86,7 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 	// The §VI-A testbed, instrumented, with EPC limits off. Ground truth:
 	// the reference model reads the server's stream.
 	tcfg := Paper(0)
-	tcfg.Stack.NoEnforcement = true
+	tcfg.NoEnforcement = true
 	tcfg.Scheduler = core.Config{
 		Name:             SchedulerName,
 		Policy:           core.Binpack{},

@@ -320,7 +320,7 @@ func advertisedBytes(job borg.Job, sgxJob bool) int64 {
 // declares 1 EPC page in requests and limits but allocates a large share
 // of the node's EPC for the whole experiment.
 func (tb *Testbed) deployMalicious(cfg ReplayConfig) error {
-	for _, node := range tb.Cfg.Stack.Nodes {
+	for _, node := range tb.Cfg.Nodes {
 		if node.EPCSize == 0 {
 			continue
 		}

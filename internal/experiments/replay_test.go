@@ -90,7 +90,7 @@ func TestReplayAllSGXCompletesWithContention(t *testing.T) {
 func TestReplayMaliciousBlocksThroughput(t *testing.T) {
 	mk := func(enforce bool) *ReplayResult {
 		cfg := Paper(0)
-		cfg.Stack.NoEnforcement = !enforce
+		cfg.NoEnforcement = !enforce
 		tb, err := NewTestbed(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/borg"
-	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/stats"
 )
 
@@ -36,7 +35,7 @@ func SGX2Ablation(seed int64) (Figure, error) {
 	}
 	// The §VI-A testbed with SGX 2 machines.
 	sgx2 := Paper(0)
-	sgx2.Stack.Nodes = stack.WithMaster(stack.Fleet(stack.StdNodes, stack.SGXNodes, stack.DefaultEPC, true))
+	sgx2.Nodes = WithMaster(Fleet(StdNodes, SGXNodes, DefaultEPC, true))
 	makespans := make(map[string]time.Duration)
 	for _, m := range []mode{{"SGX1 static", false}, {"SGX2 dynamic", true}} {
 		res, err := replayOnce(seed, sgx2, ReplayConfig{

@@ -5,12 +5,11 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/borg"
-	"github.com/sgxorch/sgxorch/internal/stack"
 )
 
 func TestSGX2DynamicReplayCompletes(t *testing.T) {
 	cfg := Paper(0)
-	cfg.Stack.Nodes = stack.WithMaster(stack.Fleet(stack.StdNodes, stack.SGXNodes, stack.DefaultEPC, true))
+	cfg.Nodes = WithMaster(Fleet(StdNodes, SGXNodes, DefaultEPC, true))
 	tb, err := NewTestbed(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -3,13 +3,15 @@
 // scheduler → kubelets → device plugin → driver → monitoring →
 // time-series queries) and renders one harness per figure (Figs. 3-11).
 //
-// Every experiment runs on one assembly, the Testbed: internal/stack with
-// one scheduler or a sharded fleet on top. sgxorch.NewCluster runs on it
-// too: the shipped cluster is one more TestbedConfig, a class-aware,
-// instrumented scheduler with a gang director. A harness differs only in
-// its TestbedConfig: the §VI-A replays start from the Paper preset, the
-// multi-scheduler, gang and class fleets name their own nodes, shard
-// count and admission mode.
+// Every experiment runs on one assembly, the Testbed: the simulated
+// clock, the API server, one machine and kubelet per node, the monitoring
+// plane (TSDB, Heapster, the SGX probe DaemonSet) and one scheduler or a
+// sharded fleet on top, all built by NewTestbed. sgxorch.NewCluster runs
+// on it too: the shipped cluster is one more TestbedConfig, a
+// class-aware, instrumented scheduler with a gang director. A harness
+// differs only in its TestbedConfig: the §VI-A replays start from the
+// Paper preset, the multi-scheduler, gang and class fleets name their own
+// nodes, shard count and admission mode.
 // Every testbed audits what it runs: the reference model (internal/model)
 // replays its whole watch stream under the testbed's own admission mode,
 // and an event it refuses is a violation. That holds for the shipped
@@ -19,24 +21,106 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
+	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/isgx"
+	"github.com/sgxorch/sgxorch/internal/kubelet"
+	"github.com/sgxorch/sgxorch/internal/lifecycle"
+	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/monitor"
-	"github.com/sgxorch/sgxorch/internal/stack"
+	"github.com/sgxorch/sgxorch/internal/resource"
+	"github.com/sgxorch/sgxorch/internal/sgx"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
+	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
 // SchedulerName is the identity replayed pods request.
 const SchedulerName = "sgx-aware"
 
-// TestbedConfig is one experiment's cluster: the stack it starts, the
-// scheduler configuration on top, and how the schedulers run.
+// Testbed hardware constants (§VI-A): three Dell R330 (Xeon E3-1270 v6,
+// 64 GiB) — one of them the Kubernetes master — plus two SGX machines
+// (i7-6700, 8 GiB, 128 MiB PRM).
+const (
+	StdNodeRAM = 64 * resource.GiB
+	SGXNodeRAM = 8 * resource.GiB
+	NodeCPU    = 8000 // 4 cores × 2 hyperthreads, millicores, on both models
+	DefaultEPC = 128 * resource.MiB
+	StdNodes   = 2
+	SGXNodes   = 2
+)
+
+// Node describes one machine of the cluster.
+type Node struct {
+	Name      string
+	RAMBytes  int64
+	CPUMillis int64
+	// EPCSize is the machine's PRM size; zero means no SGX package.
+	EPCSize int64
+	// SGX2 adds dynamic EPC memory management (EDMM, §VI-G) to an SGX
+	// machine.
+	SGX2 bool
+	// Master marks the node unschedulable: it hosts the control plane and
+	// runs no jobs (§VI-A).
+	Master bool
+}
+
+// Fleet returns std standard and sgx SGX worker machines of the §VI-A
+// models, named std-1… and sgx-1…, the SGX ones with epc bytes of PRM.
+func Fleet(std, sgx int, epc int64, sgx2 bool) []Node {
+	nodes := make([]Node, 0, std+sgx)
+	for i := 1; i <= std; i++ {
+		nodes = append(nodes, Node{Name: fmt.Sprintf("std-%d", i), RAMBytes: StdNodeRAM, CPUMillis: NodeCPU})
+	}
+	for i := 1; i <= sgx; i++ {
+		nodes = append(nodes, Node{Name: fmt.Sprintf("sgx-%d", i), RAMBytes: SGXNodeRAM, CPUMillis: NodeCPU, EPCSize: epc, SGX2: sgx2})
+	}
+	return nodes
+}
+
+// WithMaster puts the §VI-A master in front of the workers.
+func WithMaster(workers []Node) []Node {
+	master := Node{Name: "master", RAMBytes: StdNodeRAM, CPUMillis: NodeCPU, Master: true}
+	return append([]Node{master}, workers...)
+}
+
+// PaperTestbed is the §VI-A cluster: the master, two standard and two
+// SGX machines.
+func PaperTestbed() []Node {
+	return WithMaster(Fleet(StdNodes, SGXNodes, DefaultEPC, false))
+}
+
+func (n Node) machine(noEnforcement bool) *machine.Machine {
+	if n.EPCSize == 0 {
+		return machine.New(n.Name, n.RAMBytes, n.CPUMillis)
+	}
+	var driverOpts []isgx.Option
+	if noEnforcement {
+		driverOpts = append(driverOpts, isgx.WithoutEnforcement())
+	}
+	sgxOpt := machine.WithSGX
+	if n.SGX2 {
+		sgxOpt = machine.WithSGX2
+	}
+	return machine.New(n.Name, n.RAMBytes, n.CPUMillis, sgxOpt(sgx.GeometryForSize(n.EPCSize), driverOpts...))
+}
+
+// TestbedConfig is one experiment's cluster: its nodes and monitoring,
+// the scheduler configuration on top, and how the schedulers run.
 type TestbedConfig struct {
-	Stack     stack.Config
-	Scheduler core.Config
+	Nodes []Node
+	// NoEnforcement turns off driver-level EPC limit enforcement (§V-D)
+	// on every SGX machine, as in Fig. 11's "limits disabled" runs.
+	NoEnforcement bool
+	// ScrapeInterval is the monitoring period. Zero builds no monitoring
+	// plane at all — no TSDB, Heapster, probes or self-scrape — which is
+	// what the request-only fleet experiments run on.
+	ScrapeInterval time.Duration
+	Scheduler      core.Config
 	// Shards > 0 builds a fleet of that many core.NewSharded members
 	// sharing Scheduler; zero builds one core.New scheduler.
 	Shards int
@@ -55,19 +139,17 @@ type TestbedConfig struct {
 }
 
 // Paper returns the §VI-A testbed: the master in front of two standard
-// and two SGX machines with epc bytes of PRM (stack.DefaultEPC when zero),
+// and two SGX machines with epc bytes of PRM (DefaultEPC when zero),
 // monitored every monitor.DefaultScrapeInterval with EPC limits enforced,
 // under the paper's usage-aware binpack scheduler.
 func Paper(epc int64) TestbedConfig {
 	if epc == 0 {
-		epc = stack.DefaultEPC
+		epc = DefaultEPC
 	}
 	return TestbedConfig{
-		Stack: stack.Config{
-			Nodes:          stack.WithMaster(stack.Fleet(stack.StdNodes, stack.SGXNodes, epc, false)),
-			ScrapeInterval: monitor.DefaultScrapeInterval,
-		},
-		Scheduler: core.Config{Name: SchedulerName, Policy: core.Binpack{}, UseMetrics: true},
+		Nodes:          WithMaster(Fleet(StdNodes, SGXNodes, epc, false)),
+		ScrapeInterval: monitor.DefaultScrapeInterval,
+		Scheduler:      core.Config{Name: SchedulerName, Policy: core.Binpack{}, UseMetrics: true},
 	}
 }
 
@@ -93,60 +175,115 @@ func (a *audit) apply(ev apiserver.WatchEvent) {
 	}
 }
 
-// Testbed is a started cluster: the stack plus its scheduler (Shards
-// zero) or sharded fleet, and the gang director they share. Close (the
-// stack's) stops them too.
+// Testbed is a started cluster: the clock, the API server, the kubelets
+// and the monitoring plane, with its scheduler (Shards zero) or sharded
+// fleet and the gang director they share on top. Close stops them all.
 type Testbed struct {
-	*stack.Stack
+	Clk *clock.Sim
+	Srv *apiserver.Server
+	// DB is nil when ScrapeInterval is zero.
+	DB       *tsdb.DB
+	Kubelets []*kubelet.Kubelet
+	// Tracker is nil without Scheduler.Telemetry.
+	Tracker   *lifecycle.Tracker
 	Cfg       TestbedConfig
 	Scheduler *core.Scheduler
 	Fleet     *core.ShardedSchedulers
 	Gang      *core.GangDirector
 	audit     *audit
+	closers   []func()
 }
 
-// NewTestbed starts the configured stack and its schedulers under the
-// audit, which subscribes before the first node registers and unsubscribes
-// after the kubelets stop: it sees the whole stream, their NotReady tail
-// included. With Scheduler.Telemetry set, the registry exports the audit's
-// violations and the gang director's counts, and the stack's
-// observability plane attaches.
+// NewTestbed builds and starts the configured cluster under the audit.
 //
 // Order is part of the result: under the simulated clock, what registers
-// for one instant fires in registration order, so the schedulers' caches
-// subscribe after the stack, the tracker and the self-scrape follow, and
-// the pass timers are armed last: the order every golden digest and
-// sim_digest was taken in.
-func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
+// for one instant fires in registration order, so the order below decides
+// how same-instant scrapes, passes and completions interleave — and with
+// it every golden digest and sim_digest. NewTestbed builds, in this order:
+//  1. the clock and the API server;
+//  2. the audit's subscription, before the first node registers, so it
+//     sees the whole stream — the kubelets' NotReady tail at Close
+//     included;
+//  3. the TSDB, with a scrape interval;
+//  4. the closer that stops the kubelets;
+//  5. one machine and kubelet per node, in node order;
+//  6. Heapster over every kubelet, with a scrape interval;
+//  7. one SGX probe per SGX node (the DaemonSet), with a scrape interval;
+//  8. the gang director, with Gangs;
+//  9. the scheduler or the sharded fleet, and its closer;
+//  10. with Scheduler.Telemetry, the collector exporting the gang
+//     director's counts (the audit's violations are exported as they
+//     happen);
+//  11. with Scheduler.Telemetry, the lifecycle tracker;
+//  12. with Scheduler.Telemetry and a scrape interval, the registry's
+//     self-scrape into the TSDB;
+//  13. the pass timers, armed last.
+//
+// A kubelet that fails to start stops everything already started.
+func NewTestbed(cfg TestbedConfig) (*Testbed, error) { return newTestbed(clock.NewSim(), cfg) }
+
+// newTestbed is NewTestbed on a given clock, which a test can still read
+// when the start fails.
+func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
 	reg := cfg.Scheduler.Telemetry
-	st := stack.New(apiserver.WithAdmission(cfg.Admission), apiserver.WithTelemetry(reg))
-	a := &audit{Cluster: model.New(cfg.Admission), gauge: reg.Gauge("model_violations"), then: cfg.onEvent}
-	st.OnClose(st.Srv.Subscribe(a.apply))
-	if err := st.Start(cfg.Stack); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
+	tb := &Testbed{Clk: clk, Srv: apiserver.New(clk, apiserver.WithAdmission(cfg.Admission), apiserver.WithTelemetry(reg)), Cfg: cfg}
+	onClose := func(fn func()) { tb.closers = append(tb.closers, fn) }
+	tb.audit = &audit{Cluster: model.New(cfg.Admission), gauge: reg.Gauge("model_violations"), then: cfg.onEvent}
+	onClose(tb.Srv.Subscribe(tb.audit.apply))
+	if cfg.ScrapeInterval > 0 {
+		tb.DB = tsdb.New(clk)
+		onClose(tb.DB.Close)
 	}
-	tb := &Testbed{Stack: st, Cfg: cfg, audit: a}
+	// Kubelets stop in node order, not in reverse: a stopping kubelet
+	// publishes its node's NotReady update, the audit is still
+	// subscribed, and the determinism tests digest that tail.
+	onClose(func() {
+		for _, kl := range tb.Kubelets {
+			kl.Stop()
+		}
+	})
+	for _, n := range cfg.Nodes {
+		var opts []kubelet.Option
+		if n.Master {
+			opts = append(opts, kubelet.WithUnschedulable())
+		}
+		kl := kubelet.New(clk, tb.Srv, n.machine(cfg.NoEnforcement), opts...)
+		if err := kl.Start(); err != nil {
+			tb.Close()
+			return nil, fmt.Errorf("experiments: starting node %s: %w", n.Name, err)
+		}
+		tb.Kubelets = append(tb.Kubelets, kl)
+	}
+	if tb.DB != nil {
+		heapster := monitor.NewHeapster(clk, tb.DB, cfg.ScrapeInterval)
+		for _, kl := range tb.Kubelets {
+			heapster.AddSource(kl)
+		}
+		heapster.Start()
+		onClose(heapster.Stop)
+		onClose(monitor.DeployProbes(clk, tb.DB, tb.Kubelets, cfg.ScrapeInterval).Stop)
+	}
 	if cfg.Gangs {
-		tb.Gang = core.NewGangDirector(st.Clk, st.Srv, core.GangConfig{})
-		st.OnClose(tb.Gang.Close)
+		tb.Gang = core.NewGangDirector(clk, tb.Srv, core.GangConfig{})
+		onClose(tb.Gang.Close)
 		cfg.Scheduler.Gang = tb.Gang
 	}
 	var err error
 	if cfg.Shards == 0 {
-		tb.Scheduler, err = core.New(st.Clk, st.Srv, st.DB, cfg.Scheduler)
+		tb.Scheduler, err = core.New(clk, tb.Srv, tb.DB, cfg.Scheduler)
 	} else {
-		tb.Fleet, err = core.NewSharded(st.Clk, st.Srv, st.DB, cfg.Scheduler, cfg.Shards, cfg.Concurrent)
+		tb.Fleet, err = core.NewSharded(clk, tb.Srv, tb.DB, cfg.Scheduler, cfg.Shards, cfg.Concurrent)
 	}
 	if err != nil {
-		st.Close()
+		tb.Close()
 		return nil, fmt.Errorf("experiments: building scheduler: %w", err)
 	}
 	var start func()
 	if tb.Fleet != nil {
-		st.OnClose(tb.Fleet.Close)
+		onClose(tb.Fleet.Close)
 		start = tb.Fleet.Start
 	} else {
-		st.OnClose(tb.Scheduler.Close)
+		onClose(tb.Scheduler.Close)
 		start = tb.Scheduler.Start
 	}
 	if reg != nil {
@@ -158,10 +295,28 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
 				timeouts.Set(float64(gs.Timeouts))
 			})
 		}
-		st.Observe(reg, cfg.Stack.ScrapeInterval)
+		// The tracker consumes the same pod event stream as the kubelets
+		// and turns the server-stamped timestamps into per-class latency
+		// histograms; the self-scrape makes the orchestrator's own health
+		// queryable through the same InfluxQL path as container metrics.
+		tb.Tracker = lifecycle.New(reg)
+		tb.Tracker.Track(tb.Srv)
+		onClose(tb.Tracker.Close)
+		onClose(telemetry.StartSelfScrape(clk, reg, tb.DB, cfg.ScrapeInterval))
 	}
 	start()
 	return tb, nil
+}
+
+// Close stops every component in reverse start order (kubelets, among
+// themselves, in node order). Calling it again is a no-op.
+func (tb *Testbed) Close() {
+	for len(tb.closers) > 0 {
+		last := len(tb.closers) - 1
+		fn := tb.closers[last]
+		tb.closers = tb.closers[:last]
+		fn()
+	}
 }
 
 // close stops the testbed and returns the audit's verdict on all it ran.

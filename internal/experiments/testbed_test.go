@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,11 +12,11 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
+	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/sgx"
-	"github.com/sgxorch/sgxorch/internal/stack"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
 )
 
@@ -38,7 +40,7 @@ func TestAuditCountsPlantedFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tb.Close()
-	pages := resource.PagesForBytes(sgx.GeometryForSize(stack.DefaultEPC).UsableBytes()) + 1
+	pages := resource.PagesForBytes(sgx.GeometryForSize(DefaultEPC).UsableBytes()) + 1
 	hog := &api.Pod{
 		Name: "hog",
 		Spec: api.PodSpec{
@@ -172,5 +174,142 @@ func checkWholeStream(t *testing.T, tb *Testbed) {
 	if a := tb.audit; int64(a.events) != published || a.violations != 0 {
 		t.Fatalf("audit saw %d events with %d violations; the server published %d",
 			a.events, a.violations, published)
+	}
+}
+
+// recordNodeEvents makes cfg's audit hook record every node event of the
+// stream as "name:ready" or "name:notready".
+func recordNodeEvents(cfg *TestbedConfig, into *[]string) {
+	cfg.onEvent = func(_ *model.Cluster, ev apiserver.WatchEvent, _ error) {
+		if ev.Node == nil {
+			return
+		}
+		state := "ready"
+		if !ev.Node.Ready {
+			state = "notready"
+		}
+		*into = append(*into, ev.Node.Name+":"+state)
+	}
+}
+
+// TestTestbedAuditSeesFirstEvent: the audit subscribes before the first
+// node registers, so its first event is rev 1, the master's registration,
+// and the §VI-A preset comes up as the paper describes it.
+func TestTestbedAuditSeesFirstEvent(t *testing.T) {
+	cfg := Paper(0)
+	var first *apiserver.WatchEvent
+	cfg.onEvent = func(_ *model.Cluster, ev apiserver.WatchEvent, _ error) {
+		if first == nil {
+			first = &ev
+		}
+	}
+	tb, err := NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+
+	if first == nil || first.Type != apiserver.NodeRegistered || first.Rev != 1 || first.Node.Name != "master" {
+		t.Fatalf("first event = %+v, want rev 1 NodeRegistered master", first)
+	}
+	if !first.Node.Unschedulable {
+		t.Fatal("master registered schedulable")
+	}
+	var names []string
+	sgxNodes := 0
+	for _, kl := range tb.Kubelets {
+		names = append(names, kl.NodeName())
+		if kl.Plugin() != nil {
+			sgxNodes++
+		}
+	}
+	if want := []string{"master", "std-1", "std-2", "sgx-1", "sgx-2"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("kubelets = %v, want %v", names, want)
+	}
+	if sgxNodes != SGXNodes || tb.DB == nil {
+		t.Fatalf("%d SGX nodes, DB %v; want %d and a monitoring plane", sgxNodes, tb.DB, SGXNodes)
+	}
+}
+
+// TestTestbedCloseStopsKubeletsInNodeOrder: Close stops the kubelets in
+// node order — their NotReady updates reach the audit, still subscribed,
+// in that order — and everything else with them, so nothing is left on
+// the clock; a second Close does nothing.
+func TestTestbedCloseStopsKubeletsInNodeOrder(t *testing.T) {
+	cfg := Paper(0)
+	cfg.Nodes, cfg.NoEnforcement = Fleet(2, 1, DefaultEPC, true), true
+	reg := telemetry.New()
+	cfg.Scheduler.Telemetry = reg
+	var events []string
+	recordNodeEvents(&cfg, &events)
+	tb, err := NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tb.Tracker == nil {
+		t.Fatal("a testbed with telemetry has no tracker")
+	}
+	tb.Clk.Advance(10 * time.Second)
+	if n := reg.Counter("lifecycle_resyncs_total").Value(); n != 0 {
+		t.Fatalf("tracker resynced %d times on a sync stream", n)
+	}
+	if len(tb.DB.Measurements()) == 0 {
+		t.Fatal("a scrape interval passed and the TSDB is empty")
+	}
+
+	tb.Close()
+	tb.Close()
+	want := []string{
+		"std-1:ready", "std-2:ready", "sgx-1:ready",
+		"std-1:notready", "std-2:notready", "sgx-1:notready",
+	}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("node events = %v, want %v", events, want)
+	}
+	if tb.Clk.Step() {
+		t.Fatal("a periodic is still live after Close")
+	}
+}
+
+// TestTestbedFailedStartStopsStartedNodes: a node that fails to start
+// fails NewTestbed with its name, after the nodes already started are
+// stopped and nothing is left on the clock.
+func TestTestbedFailedStartStopsStartedNodes(t *testing.T) {
+	cfg := Paper(0)
+	cfg.Nodes = Fleet(2, 0, 0, false)
+	cfg.Nodes = append(cfg.Nodes, cfg.Nodes[0])
+	var events []string
+	recordNodeEvents(&cfg, &events)
+	clk := clock.NewSim()
+	tb, err := newTestbed(clk, cfg)
+	if tb != nil || err == nil || !strings.Contains(err.Error(), "std-1") {
+		t.Fatalf("NewTestbed with a duplicate node = %v, %v", tb, err)
+	}
+	want := []string{"std-1:ready", "std-2:ready", "std-1:notready", "std-2:notready"}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("node events = %v, want %v", events, want)
+	}
+	if n := clk.Len(); n != 0 {
+		t.Fatalf("%d events on the clock after a failed start, want none", n)
+	}
+}
+
+// TestTestbedWithoutScrapeIntervalBuildsNoMonitoring: without a scrape
+// interval there is no TSDB, tracker or self-scrape, and the scheduler's
+// pass timer is the one entry on the clock.
+func TestTestbedWithoutScrapeIntervalBuildsNoMonitoring(t *testing.T) {
+	tb, err := NewTestbed(TestbedConfig{
+		Nodes:     Fleet(1, 1, DefaultEPC, false),
+		Scheduler: core.Config{Name: SchedulerName, Policy: core.Binpack{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if tb.DB != nil || tb.Tracker != nil {
+		t.Fatalf("DB = %v, Tracker = %v; want neither", tb.DB, tb.Tracker)
+	}
+	if n := tb.Clk.Len(); n != 1 {
+		t.Fatalf("%d events on the clock, want the pass timer alone", n)
 	}
 }

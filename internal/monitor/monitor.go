@@ -46,26 +46,41 @@ type StatsSource interface {
 	PodStats() []kubelet.PodStat
 }
 
-// Heapster collects standard-memory usage from every node in the cluster
-// (§V-C: "Kubernetes natively supports Heapster, a lightweight monitoring
-// framework for containers").
+// Heapster is the monitoring plane's one collector: every interval it
+// asks each of its sources for their pods' stats and writes one point per
+// pod into the database, tagged with the pod and the node. NewHeapster
+// builds the paper's Heapster, which collects standard-memory usage from
+// every node in the cluster (§V-C: "Kubernetes natively supports
+// Heapster, a lightweight monitoring framework for containers"); NewProbe
+// builds the SGX metrics probe for one SGX-enabled node, which reads EPC
+// occupancy through the modified driver's interfaces and pushes it "into
+// the same InfluxDB database used by Heapster" (§V-C).
 type Heapster struct {
 	clk      clock.Clock
 	db       *tsdb.DB
 	interval time.Duration
+	epc      bool // writes sgx/epc from PodStat.EPCBytes, not memory/usage
 
 	mu      sync.Mutex
 	sources []StatsSource // copy-on-write: a scrape walks the slice it read under mu after unlocking
 	stop    func()
 }
 
-// NewHeapster creates a collector writing into db. A non-positive
-// interval selects the default.
+// NewHeapster creates a memory collector writing into db, with no
+// sources yet. A non-positive interval selects the default.
 func NewHeapster(clk clock.Clock, db *tsdb.DB, interval time.Duration) *Heapster {
 	if interval <= 0 {
 		interval = DefaultScrapeInterval
 	}
 	return &Heapster{clk: clk, db: db, interval: interval}
+}
+
+// NewProbe creates the EPC collector of one node. A non-positive
+// interval selects the default.
+func NewProbe(clk clock.Clock, db *tsdb.DB, source StatsSource, interval time.Duration) *Heapster {
+	p := NewHeapster(clk, db, interval)
+	p.epc, p.sources = true, []StatsSource{source}
+	return p
 }
 
 // AddSource registers a node's stats endpoint.
@@ -98,74 +113,30 @@ func (h *Heapster) Stop() {
 	}
 }
 
-// Scrape samples every source once, writing one memory/usage point per
-// pod. Exposed for deterministic tests and manual collection.
+// Scrape samples every source once, writing one point per pod: a memory
+// collector's memory/usage in bytes, a probe's sgx/epc in bytes (as
+// summed by Listing 1). Exposed for deterministic tests and manual
+// collection.
 func (h *Heapster) Scrape() {
 	h.mu.Lock()
 	sources := h.sources
 	h.mu.Unlock()
+	measurement := MeasurementMemory
+	if h.epc {
+		measurement = MeasurementEPC
+	}
 	for _, src := range sources {
 		node := src.NodeName()
 		for _, ps := range src.PodStats() {
-			h.db.WriteNow(MeasurementMemory, tsdb.Tags{
+			v := ps.MemoryBytes
+			if h.epc {
+				v = ps.EPCBytes
+			}
+			h.db.WriteNow(measurement, tsdb.Tags{
 				TagPod:  ps.PodName,
 				TagNode: node,
-			}, float64(ps.MemoryBytes))
+			}, float64(v))
 		}
-	}
-}
-
-// Probe is the SGX metrics probe for one SGX-enabled node. It reads EPC
-// occupancy through the modified driver's interfaces and pushes it "into
-// the same InfluxDB database used by Heapster" (§V-C).
-type Probe struct {
-	clk      clock.Clock
-	db       *tsdb.DB
-	source   StatsSource
-	interval time.Duration
-
-	mu   sync.Mutex
-	stop func()
-}
-
-// NewProbe creates a probe for one node.
-func NewProbe(clk clock.Clock, db *tsdb.DB, source StatsSource, interval time.Duration) *Probe {
-	if interval <= 0 {
-		interval = DefaultScrapeInterval
-	}
-	return &Probe{clk: clk, db: db, source: source, interval: interval}
-}
-
-// Start begins periodic collection.
-func (p *Probe) Start() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stop != nil {
-		return
-	}
-	p.stop = clock.Periodic(p.clk, p.interval, p.Scrape)
-}
-
-// Stop halts collection.
-func (p *Probe) Stop() {
-	p.mu.Lock()
-	stop := p.stop
-	p.stop = nil
-	p.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-}
-
-// Scrape samples EPC usage once, one sgx/epc point per pod (value in
-// bytes, as summed by Listing 1).
-func (p *Probe) Scrape() {
-	node := p.source.NodeName()
-	for _, ps := range p.source.PodStats() {
-		p.db.WriteNow(MeasurementEPC, tsdb.Tags{
-			TagPod:  ps.PodName,
-			TagNode: node,
-		}, float64(ps.EPCBytes))
 	}
 }
 
@@ -209,7 +180,7 @@ func WindowPeak(db *tsdb.DB, measurement string, window time.Duration) map[PodNo
 // standard and SGX-enabled cluster nodes is made by checking for the EPC
 // size advertised to Kubernetes by the device plugin".
 type DaemonSet struct {
-	probes []*Probe
+	probes []*Heapster
 }
 
 // DeployProbes creates and starts a probe on every kubelet whose device

@@ -83,7 +83,7 @@ func ReplayBorgTrace(opts ReplayOptions) (*ReplayResult, error) {
 	cfg := experiments.Paper(opts.EPCSize)
 	cfg.Scheduler.Policy = policy
 	cfg.Scheduler.UseMetrics = !opts.DisableMetrics
-	cfg.Stack.NoEnforcement = opts.DisableEnforcement
+	cfg.NoEnforcement = opts.DisableEnforcement
 	tb, err := experiments.NewTestbed(cfg)
 	if err != nil {
 		return nil, err
