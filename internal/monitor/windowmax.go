@@ -34,10 +34,11 @@ import (
 // be recognised as stale (its instant no longer matches the series'
 // front) when it surfaces. Instants are Unix nanoseconds
 // (tsdb.UnixNanos), so a deque entry is 16 pointer-free bytes and every
-// comparison is an integer one. A series' first two deque entries live
-// inside its record, which covers a pod whose usage peak holds steady,
-// and Refresh collects its transitions into a buffer it keeps, so neither
-// a new steady series nor a warm Refresh allocates beyond the record. The
+// comparison is an integer one. Series records are carved from chunks of
+// 64, a series' first two deque entries live inside its record, which
+// covers a pod whose usage peak holds steady, and Refresh collects its
+// transitions into a buffer it keeps, so a new steady series allocates
+// only its share of a chunk and a warm Refresh allocates nothing. The
 // change callback (SetOnChange) fires on every observable max transition
 // — a new peak value from a write, a drop from expiry — and not when a
 // later sample of the same value takes over a front still in the window;
@@ -59,6 +60,7 @@ type WindowMax struct {
 	// Refresh allocates nothing. A Refresh takes it under mu and puts it
 	// back once it has announced them; one running meanwhile grows its own.
 	changes []wmChange
+	spare   []wmSeries // new series' records, carved from chunks of 64
 
 	unsubscribe func()
 }
@@ -80,9 +82,11 @@ type wmPoint struct {
 // an expiry entry needs only the pointer. A series leaves w.series only
 // once its deque is empty, and nothing can fill it again afterwards: an
 // empty deque is what marks a dropped series to the heap entries that
-// still point at it. The deque starts on head, inside the record: a pod
-// whose usage holds steady keeps at most two entries (the peak and the
-// latest sample), so its series allocates nothing past the record.
+// still point at it. A dropped record is cleared, so its chunk keeps
+// neither its names nor a grown deque alive. The deque starts on head,
+// inside the record: a pod whose usage holds steady keeps at most two
+// entries (the peak and the latest sample), so its series allocates
+// nothing past its share of a chunk.
 type wmSeries struct {
 	key  wmKey
 	dq   []wmPoint
@@ -221,6 +225,7 @@ func (w *WindowMax) Refresh() {
 		if len(s.dq) == 0 {
 			delete(w.series, s.key)
 			changes = append(changes, wmChange{key: s.key})
+			*s = wmSeries{}
 			continue
 		}
 		w.expiry.push(expiryEntry{at: s.dq[0].t, s: s})
@@ -278,7 +283,11 @@ func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, c
 	key := wmKey{measurement: measurement, pod: pod, node: node}
 	s, ok := w.series[key]
 	if !ok {
-		s = &wmSeries{key: key}
+		if len(w.spare) == 0 {
+			w.spare = make([]wmSeries, 64)
+		}
+		s, w.spare = &w.spare[0], w.spare[1:]
+		s.key = key
 		s.dq = s.head[:0]
 		w.series[key] = s
 	}

@@ -34,16 +34,28 @@
 // receive the series' own stored tag set, which is immutable from
 // creation until the sweep drops the series. A writer may therefore refill
 // and reuse one map across writes, and a reader may keep the tag set it
-// was handed, but must never modify it. What the sweep drops is recycled:
-// a series created later takes a swept series' entry and point storage,
-// so it allocates only its key and its tag clone. Tag sets are never
-// recycled, since a reader may keep one. Point storage is, since no
-// reader holds it: Scan's window slices do not outlive the callback and
-// Series returns copies.
+// was handed, but must never modify it.
+//
+// Recycling: point storage circulates between series, since no reader
+// holds it: Scan's window slices do not outlive the callback and Series
+// returns copies. Every point buffer has a power-of-two capacity, its
+// class. A series that outgrows its buffer moves into one of twice the
+// capacity, taken from the spare list the database keeps for that class
+// (allocated only when the list is empty), and leaves its old buffer on
+// the spare list of its own class, where the next series to grow through
+// that class finds it. A swept series' entry goes onto a free list with
+// its buffer, and a series created later takes it, so it allocates only
+// its key and its tag clone; a swept series the free list has no room for
+// leaves its buffer on the spare lists. Spares never hold more point
+// capacity than the live series do: growth keeps that true, and SweepNow
+// drops spares, largest class first, until it is true again. Fresh
+// entries are carved from chunks of 64. Tag sets are never recycled,
+// since a reader may keep one.
 package tsdb
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -163,6 +175,10 @@ type DB struct {
 	// reuse. SweepNow recycles from each measurement no more entries than
 	// it keeps live, so the list never outgrows the live series count.
 	free []*seriesEntry
+	// spare[c] holds point buffers of capacity 1<<c that no series uses
+	// (see grow); their total capacity is at most the live series'.
+	spare [][][]Point
+	chunk []seriesEntry // fresh entries, carved from chunks of 64
 }
 
 // measurement groups the series of one measurement name. entries is kept
@@ -276,9 +292,9 @@ func (db *DB) OnWrite(fn WriteObserver) (unsubscribe func()) {
 // Write appends a sample to the series identified by measurement and
 // tags, stamped at time t. Out-of-order writes are tolerated: the point
 // is inserted at its time-ordered position. tags is only read, and only
-// until Write returns: the key, the tag clone and the entry are allocated
-// on a series' first write, and a write to an existing series allocates
-// nothing beyond the growth of its point slice.
+// until Write returns: the key and the tag clone are allocated on a
+// series' first write, and a write to an existing series allocates nothing
+// unless its point buffer must grow and no spare of the next class is left.
 func (db *DB) Write(measurement string, tags Tags, value float64, t time.Time) {
 	db.write(measurement, tags, value, t, db.clk.Now())
 }
@@ -306,7 +322,10 @@ func (db *DB) write(measurement string, tags Tags, value float64, t, now time.Ti
 		if n := len(db.free); n > 0 {
 			e, db.free = db.free[n-1], db.free[:n-1]
 		} else {
-			e = &seriesEntry{}
+			if len(db.chunk) == 0 {
+				db.chunk = make([]seriesEntry, 64)
+			}
+			e, db.chunk = &db.chunk[0], db.chunk[1:]
 		}
 		e.key, e.tags = key, tags.Clone()
 		m.byKey[key] = e
@@ -315,6 +334,9 @@ func (db *DB) write(measurement string, tags Tags, value float64, t, now time.Ti
 		copy(m.entries[i+1:], m.entries[i:])
 		m.entries[i] = e
 		db.nSeries++
+	}
+	if len(e.points) == cap(e.points) {
+		e.points = db.grow(e.points)
 	}
 	if n := len(e.points); n == 0 || ns >= e.points[n-1].Nanos {
 		e.points = append(e.points, Point{Nanos: ns, Value: value})
@@ -331,6 +353,69 @@ func (db *DB) write(measurement string, tags Tags, value float64, t, now time.Ti
 	db.mu.Unlock()
 	for _, o := range observers {
 		o.fn(measurement, stored, value, t)
+	}
+}
+
+// grow returns pts moved into a buffer of twice its capacity (of one
+// point when it has none), taken from that class's spare list when the
+// list holds one, and puts pts' own buffer on the spare list of its class.
+// The spares' capacity grows by no more than the live series' does, so a
+// bound SweepNow left holds until the next sweep.
+func (db *DB) grow(pts []Point) []Point {
+	c := 0
+	if cap(pts) > 0 {
+		c = bits.TrailingZeros(uint(cap(pts))) + 1
+	}
+	var next []Point
+	if c < len(db.spare) && len(db.spare[c]) > 0 {
+		list := db.spare[c]
+		next = list[len(list)-1]
+		list[len(list)-1] = nil
+		db.spare[c] = list[:len(list)-1]
+	} else {
+		next = make([]Point, 0, 1<<c)
+	}
+	next = append(next, pts...)
+	db.putSpare(pts)
+	return next
+}
+
+// putSpare files a buffer no series uses any more on the spare list of
+// its class.
+func (db *DB) putSpare(pts []Point) {
+	if cap(pts) == 0 {
+		return
+	}
+	c := bits.TrailingZeros(uint(cap(pts)))
+	for len(db.spare) <= c {
+		db.spare = append(db.spare, nil)
+	}
+	db.spare[c] = append(db.spare[c], pts[:0])
+}
+
+// release files a dropped entry's buffer as a spare and clears the entry:
+// its chunk would otherwise keep the key, the tags and the buffer alive.
+func (db *DB) release(e *seriesEntry) {
+	db.putSpare(e.points)
+	*e = seriesEntry{}
+}
+
+// trimSpares drops spare buffers, largest class first, until their total
+// capacity is at most live. The small classes every new series grows
+// through are the last to go.
+func (db *DB) trimSpares(live int) {
+	spare := 0
+	for c, list := range db.spare {
+		spare += len(list) << c
+	}
+	for c := len(db.spare) - 1; c >= 0 && spare > live; c-- {
+		list := db.spare[c]
+		for len(list) > 0 && spare > live {
+			list[len(list)-1] = nil
+			list = list[:len(list)-1]
+			spare -= 1 << c
+		}
+		db.spare[c] = list
 	}
 }
 
@@ -432,12 +517,13 @@ func (db *DB) SeriesCount() int {
 // SweepNow garbage-collects every series whose newest point has aged out
 // of retention — the fate of series belonging to terminated pods, which
 // no write will ever prune again. It returns the number of series
-// deleted. The background sweep calls this every GC interval.
+// deleted, and trims the spare point buffers back to the live series'
+// capacity. The background sweep calls this every GC interval.
 func (db *DB) SweepNow() int {
 	cutoff := db.cutoff(db.clk.Now())
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	deleted := 0
+	deleted, live := 0, 0
 	for name, m := range db.measurements {
 		// Partition in place: live entries to the front in their order,
 		// swept ones behind them.
@@ -446,6 +532,7 @@ func (db *DB) SweepNow() int {
 			if n := len(e.points); n > 0 && e.points[n-1].Nanos >= cutoff {
 				m.entries[kept], m.entries[i] = e, m.entries[kept]
 				kept++
+				live += cap(e.points)
 			}
 		}
 		for i, e := range m.entries[kept:] {
@@ -454,6 +541,8 @@ func (db *DB) SweepNow() int {
 				// Truncated, not cleared: a point holds no pointer.
 				e.key, e.tags, e.points = "", nil, e.points[:0]
 				db.free = append(db.free, e)
+			} else {
+				db.release(e)
 			}
 		}
 		deleted += len(m.entries) - kept
@@ -465,8 +554,12 @@ func (db *DB) SweepNow() int {
 	}
 	db.nSeries -= deleted
 	if len(db.free) > db.nSeries { // entries no write took since an earlier sweep
+		for _, e := range db.free[db.nSeries:] {
+			db.release(e)
+		}
 		clear(db.free[db.nSeries:])
 		db.free = db.free[:db.nSeries]
 	}
+	db.trimSpares(live)
 	return deleted
 }
