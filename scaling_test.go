@@ -15,7 +15,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
-var updateScaling = flag.Bool("update", false, "rewrite testdata/stack_scaling.golden from this run")
+var update = flag.Bool("update", false, "rewrite the testdata goldens of the tests run (stack_scaling, alloc_ledger) from this run")
 
 // scalingClasses rotates the job classes as the saturated benchmark
 // workload does: latency-sensitive, batch, best-effort.
@@ -134,7 +134,7 @@ func TestStackScaling(t *testing.T) {
 		fmt.Fprintln(&got, r)
 	}
 	const golden = "testdata/stack_scaling.golden"
-	if *updateScaling {
+	if *update {
 		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
