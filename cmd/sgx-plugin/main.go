@@ -69,7 +69,7 @@ func run(args []string, stdout io.Writer) error {
 			continue
 		}
 		fmt.Fprintf(stdout, "allocate %6d pages for %s: ok, mounts %s -> %s (free %d)\n",
-			pages, cgroup, resp.Mounts[0].HostPath, resp.Mounts[0].ContainerPath,
+			pages, cgroup, resp.Mount.HostPath, resp.Mount.ContainerPath,
 			plugin.FreeDevices())
 	}
 	return nil

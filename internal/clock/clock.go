@@ -5,8 +5,8 @@
 // The paper's evaluation replays multi-hour Google Borg trace slices
 // (§VI-B); running them on Sim compresses hours of virtual time into
 // milliseconds of wall time while preserving event ordering exactly.
-// A component reads the time with Now and schedules work with AfterFunc;
-// periodic work is one re-armed timer (see Periodic).
+// A component reads the time with Now and schedules work with AfterFunc
+// or Arm; periodic work is one re-armed timer (see Periodic).
 package clock
 
 import (
@@ -26,9 +26,20 @@ type Clock interface {
 	//
 	// On Sim, f runs synchronously on the goroutine driving the
 	// simulation, which makes chains of AfterFunc callbacks fully
-	// deterministic.
+	// deterministic. It is Arm on a fresh Event.
 	AfterFunc(d time.Duration, f func()) Timer
+	// Arm is AfterFunc for h.Fire on ev, an Event its caller keeps, so
+	// that arming allocates nothing; arming a pending ev re-arms it.
+	Arm(ev *Event, d time.Duration, h Handler)
 }
+
+// Handler is what an armed Event runs when it fires.
+type Handler interface{ Fire() }
+
+// funcHandler is AfterFunc's Handler; converting a func allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
 
 // Timer is a pending callback that its owner can cancel or re-arm.
 type Timer interface {

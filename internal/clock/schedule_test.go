@@ -176,7 +176,8 @@ func (s *lazySim) Run(done func() bool, horizon time.Time) bool {
 
 // simulator is what the schedule property drives on both clocks.
 type simulator interface {
-	Clock
+	Now() time.Time
+	AfterFunc(d time.Duration, f func()) Timer
 	Len() int
 	Step() bool
 	RunUntil(deadline time.Time)
@@ -347,8 +348,8 @@ func TestSimStopResetConcurrent(t *testing.T) {
 
 	s.mu.Lock()
 	for i, ev := range s.pq {
-		if ev.index != i {
-			t.Errorf("event at heap position %d records index %d", i, ev.index)
+		if ev.pos != i+1 {
+			t.Errorf("event at heap position %d records position %d", i, ev.pos-1)
 		}
 		if i > 0 && s.pq.Less(i, (i-1)/2) {
 			t.Errorf("heap position %d is earlier than its parent", i)

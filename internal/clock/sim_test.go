@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -217,5 +218,58 @@ func TestPeriodicTickAllocatesNothing(t *testing.T) {
 	}
 	if ticks != 101 {
 		t.Fatalf("ticks = %d, want 101", ticks)
+	}
+}
+
+// owned is a record that keeps its own timer, as a kubelet's admission
+// entry or a workload's execution does; firing logs its name.
+type owned struct {
+	Event
+	name string
+	log  *[]string
+}
+
+func (o *owned) Fire() { *o.log = append(*o.log, o.name) }
+
+// TestArmOwnedEventAllocatesNothing: arming, resetting, stopping and
+// firing an Event its caller keeps allocate nothing in the clock.
+func TestArmOwnedEventAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	clk := NewSim()
+	log := make([]string, 0, 128)
+	o := &owned{name: "o", log: &log}
+	got := testing.AllocsPerRun(100, func() {
+		clk.Arm(&o.Event, time.Second, o)
+		o.Reset(2 * time.Second)
+		if !o.Stop() {
+			t.Fatal("Stop of a pending Event reports it idle")
+		}
+		clk.Arm(&o.Event, time.Second, o)
+		clk.Advance(time.Second)
+	})
+	if got != 0 {
+		t.Fatalf("a caller-owned Event's arm, Reset, Stop and firing allocate %v times, want 0", got)
+	}
+	if len(log) != 101 || clk.Len() != 0 {
+		t.Fatalf("fired %d times with %d pending, want 101 and 0", len(log), clk.Len())
+	}
+}
+
+// TestArmTakesAfterFuncsPlace: at one instant, Events armed with Arm and
+// timers from AfterFunc fire in the order they were armed, and an Event
+// armed again while pending moves behind both.
+func TestArmTakesAfterFuncsPlace(t *testing.T) {
+	clk := NewSim()
+	var log []string
+	a, b := &owned{name: "a", log: &log}, &owned{name: "b", log: &log}
+	clk.Arm(&a.Event, time.Second, a)
+	clk.AfterFunc(time.Second, func() { log = append(log, "f") })
+	clk.Arm(&b.Event, time.Second, b)
+	clk.Arm(&a.Event, time.Second, a)
+	clk.Advance(time.Second)
+	if got, want := fmt.Sprint(log), "[f b a]"; got != want {
+		t.Fatalf("same-instant order %s, want %s", got, want)
 	}
 }

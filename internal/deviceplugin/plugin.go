@@ -5,8 +5,8 @@
 //
 // The real plugin talks to Kubelet over gRPC (ListAndWatch / Allocate);
 // here the same interface is invoked in-process by the kubelet's device
-// manager. Allocation responses carry the /dev/isgx mount, exactly what
-// Kubernetes injects into SGX pods.
+// manager. An allocation response carries the /dev/isgx mount, exactly
+// what Kubernetes injects into SGX pods.
 package deviceplugin
 
 import (
@@ -40,10 +40,10 @@ type Mount struct {
 type AllocateResponse struct {
 	// Pages is the number of EPC page items granted.
 	Pages int64
-	// Mounts carries the /dev/isgx device file (§V-F: "mounting the
-	// /dev/isgx pseudo-file exposed by the host kernel directly into the
-	// container").
-	Mounts []Mount
+	// Mount is the /dev/isgx device file (§V-F: "mounting the /dev/isgx
+	// pseudo-file exposed by the host kernel directly into the
+	// container"), the one mount an SGX pod needs.
+	Mount Mount
 }
 
 // SGXPlugin is the per-node device plugin instance.
@@ -92,26 +92,26 @@ func (p *SGXPlugin) FreeDevices() int64 {
 }
 
 // Allocate grants pages EPC page items to the pod identified by its
-// cgroup path and returns the device mounts. The plugin deliberately
-// prevents over-commitment of the EPC "in order to preserve predictable
-// performance for all pods deployed in the cluster" (§V-A).
-func (p *SGXPlugin) Allocate(cgroupPath string, pages int64) (*AllocateResponse, error) {
+// cgroup path and returns, by value, the device mount. The plugin
+// deliberately prevents over-commitment of the EPC "in order to preserve
+// predictable performance for all pods deployed in the cluster" (§V-A).
+func (p *SGXPlugin) Allocate(cgroupPath string, pages int64) (AllocateResponse, error) {
 	if pages <= 0 {
-		return nil, fmt.Errorf("deviceplugin: non-positive page request %d", pages)
+		return AllocateResponse{}, fmt.Errorf("deviceplugin: non-positive page request %d", pages)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, ok := p.allocated[cgroupPath]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrAlreadyAllocated, cgroupPath)
+		return AllocateResponse{}, fmt.Errorf("%w: %s", ErrAlreadyAllocated, cgroupPath)
 	}
 	if pages > p.free {
-		return nil, fmt.Errorf("%w: requested %d, free %d", ErrInsufficientDevices, pages, p.free)
+		return AllocateResponse{}, fmt.Errorf("%w: requested %d, free %d", ErrInsufficientDevices, pages, p.free)
 	}
 	p.free -= pages
 	p.allocated[cgroupPath] = pages
-	return &AllocateResponse{
-		Pages:  pages,
-		Mounts: []Mount{{HostPath: isgx.DevicePath, ContainerPath: isgx.DevicePath}},
+	return AllocateResponse{
+		Pages: pages,
+		Mount: Mount{HostPath: isgx.DevicePath, ContainerPath: isgx.DevicePath},
 	}, nil
 }
 

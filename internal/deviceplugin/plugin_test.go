@@ -53,9 +53,8 @@ func TestAllocateAndMounts(t *testing.T) {
 	if resp.Pages != 100 {
 		t.Fatalf("granted pages = %d", resp.Pages)
 	}
-	if len(resp.Mounts) != 1 || resp.Mounts[0].HostPath != isgx.DevicePath ||
-		resp.Mounts[0].ContainerPath != isgx.DevicePath {
-		t.Fatalf("mounts = %+v, want /dev/isgx", resp.Mounts)
+	if resp.Mount.HostPath != isgx.DevicePath || resp.Mount.ContainerPath != isgx.DevicePath {
+		t.Fatalf("mount = %+v, want /dev/isgx", resp.Mount)
 	}
 	if got := p.FreeDevices(); got != 23836 {
 		t.Fatalf("FreeDevices = %d", got)

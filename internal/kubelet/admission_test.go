@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,38 +13,44 @@ import (
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
-// admissionAllocsBefore is what admitting and completing a one-workload
-// pod allocated (735 objects over the 64 pods below) while the kubelet
-// collected the workloads into a slice, grew each entry's executions from
-// nil and handed every workload its own completion closure.
-const admissionAllocsBefore = 735.0 / 64
+// admissionAllocs pins TestAdmissionLifeAllocations: what one
+// one-workload SGX pod's bind, admission, run and completion allocate,
+// eight objects, plus the node's maps growing to 64 pods (seven objects
+// over the 64 under go1.24; the bound leaves room for 16, far short of
+// one more per pod). It was sixteen while the bind armed a closure on a fresh
+// timer, the workload allocated its execution, process, step timer and
+// the timer's method value, and the device plugin answered with a
+// response and a mount slice on the heap.
+const admissionAllocs = (8*64 + 16) / 64.0
 
-// TestAdmissionLifeAllocations pins what one pod's stay on its node
-// allocates: the admission (the server read, MarkRunning's version, the
-// workload's launch) and the completion (the workload's end and
-// MarkSucceeded). The entry is the workload's completion callback and
-// holds its first execution inline, and the containers are counted in
-// place, so the pod costs at least three objects fewer than before.
+// TestAdmissionLifeAllocations pins what one SGX pod's stay on its node
+// allocates, from its bind to its completion. The server's part is the
+// bound, running and succeeded versions of the pod. The node's is the
+// admission entry, which is the bind's timer and handler, holds the
+// workload's execution with its process and step timer, and is the
+// workload's completion callback; the pod's cgroup path; and the enclave
+// the workload opens, with the process's list of enclaves.
 func TestAdmissionLifeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	perPod := func() float64 {
-		f := newFixture(t, false)
+		f := newFixture(t, true)
 		const pods = 64
-		for i := 0; i < pods; i++ {
-			name := fmt.Sprintf("job-%02d", i)
-			if err := f.srv.CreatePod(vmPod(name, resource.MiB, resource.MiB, 10*time.Second)); err != nil {
-				t.Fatal(err)
-			}
-			// The bind arms the admission timer; what is counted below
-			// starts when it fires.
-			if err := f.srv.Bind(name, "std-1"); err != nil {
+		names := make([]string, pods)
+		for i := range names {
+			names[i] = fmt.Sprintf("job-%02d", i)
+			if err := f.srv.CreatePod(sgxPod(names[i], 100, 100*resource.EPCPageSize, 10*time.Second)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
+		for _, name := range names {
+			if err := f.srv.Bind(name, "sgx-1"); err != nil {
+				t.Fatal(err)
+			}
+		}
 		f.clk.Advance(time.Minute)
 		runtime.ReadMemStats(&after)
 		f.srv.VisitPods(func(p *api.Pod) bool {
@@ -59,9 +66,9 @@ func TestAdmissionLifeAllocations(t *testing.T) {
 		got = min(got, perPod())
 	}
 	t.Logf("%.3f objects per pod", got)
-	if got > admissionAllocsBefore-3 {
-		t.Fatalf("admitting and completing a one-workload pod allocates %.3f objects, want at most %.3f",
-			got, admissionAllocsBefore-3)
+	if got > admissionAllocs {
+		t.Fatalf("binding, admitting and completing a one-workload SGX pod allocates %.3f objects, want at most %.3f",
+			got, admissionAllocs)
 	}
 }
 
@@ -118,9 +125,6 @@ func TestKubeletTeardownDuringAdmissionConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plugin, drv := f.kl.Plugin(), f.mach.Driver()
-	total := plugin.DeviceCount()
-
 	// The driver binds pod p at step p, and the clock admits it during
 	// step p+4 (DefaultAdmissionLatency is five steps). The racer waits for
 	// the bind, then either 0–9 more steps or until the pod runs.
@@ -177,49 +181,11 @@ func TestKubeletTeardownDuringAdmissionConcurrent(t *testing.T) {
 		steps.Add(1)
 	}
 	f.clk.Advance(2 * DefaultAdmissionLatency) // the last re-binds' admissions
-
-	f.kl.mu.Lock()
-	var live, held int64
-	for _, e := range f.kl.pods {
-		live += int64(len(e.executions))
-		held += e.epcPages
-	}
-	f.kl.mu.Unlock()
-	if n := int64(f.mach.ProcessCount()); n != live {
-		t.Fatalf("%d processes live, but the admitted entries hold %d executions", n, live)
-	}
-	if free := plugin.FreeDevices(); free != total-held {
-		t.Fatalf("%d of %d EPC devices free, want %d: the admitted entries hold %d", free, total, total-held, held)
-	}
-
+	checkEntriesHoldNode(t, f)
 	f.clk.Advance(4 * time.Hour)
-	f.kl.mu.Lock()
-	left := len(f.kl.pods)
-	f.kl.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d admission entries left", left)
-	}
-	if n := f.mach.ProcessCount(); n != 0 {
-		t.Fatalf("%d processes left", n)
-	}
-	if free := plugin.FreeDevices(); free != total {
-		t.Fatalf("%d of %d EPC devices free, want all", free, total)
-	}
-	if free, all := drv.FreePages(), drv.TotalEPCPages(); free != all {
-		t.Fatalf("%d of %d EPC pages free, want all", free, all)
-	}
-	if used := f.mach.RAMUsed(); used != 0 {
-		t.Fatalf("%d bytes of memory still in use", used)
-	}
+	checkNodeEmpty(t, f, names)
 	for p, name := range names {
 		pod, _ := f.srv.GetPod(name)
-		cg := pod.CgroupPath()
-		if _, ok := plugin.AllocationFor(cg); ok {
-			t.Errorf("%s keeps a device allocation", name)
-		}
-		if _, ok := drv.LimitFor(cg); ok {
-			t.Errorf("%s keeps a driver limit", name)
-		}
 		switch pod.Status.Phase {
 		case api.PodSucceeded:
 			// The sleeper is the longest container; a doubled completion
@@ -231,6 +197,160 @@ func TestKubeletTeardownDuringAdmissionConcurrent(t *testing.T) {
 			// Evicted, or preempted and not bound again.
 		default:
 			t.Errorf("%s = %s (%s) after the clock ran out", name, pod.Status.Phase, pod.Status.Reason)
+		}
+	}
+}
+
+// checkEntriesHoldNode: with the clock still, every live process is a
+// running workload of an entry still admitted (no execution outlived its
+// entry), and the devices held are those entries' requests, so no entry
+// was released twice or kept what it released.
+func checkEntriesHoldNode(t *testing.T, f *fixture) {
+	t.Helper()
+	f.kl.mu.Lock()
+	var running, held int64
+	for _, e := range f.kl.pods {
+		running += int64(e.remaining)
+		held += e.epcPages
+	}
+	f.kl.mu.Unlock()
+	if n := int64(f.mach.ProcessCount()); n != running {
+		t.Fatalf("%d processes live, but the admitted entries run %d workloads", n, running)
+	}
+	plugin := f.kl.Plugin()
+	if free, total := plugin.FreeDevices(), plugin.DeviceCount(); free != total-held {
+		t.Fatalf("%d of %d EPC devices free, want %d: the admitted entries hold %d", free, total, total-held, held)
+	}
+}
+
+// checkNodeEmpty: once every pod has ended, the node keeps nothing of
+// them: no entry, process, device allocation, driver limit, memory or
+// EPC page.
+func checkNodeEmpty(t *testing.T, f *fixture, names []string) {
+	t.Helper()
+	f.kl.mu.Lock()
+	left := len(f.kl.pods)
+	f.kl.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d admission entries left", left)
+	}
+	if n := f.mach.ProcessCount(); n != 0 {
+		t.Fatalf("%d processes left", n)
+	}
+	plugin, drv := f.kl.Plugin(), f.mach.Driver()
+	if free, total := plugin.FreeDevices(), plugin.DeviceCount(); free != total {
+		t.Fatalf("%d of %d EPC devices free, want all", free, total)
+	}
+	if free, all := drv.FreePages(), drv.TotalEPCPages(); free != all {
+		t.Fatalf("%d of %d EPC pages free, want all", free, all)
+	}
+	if used := f.mach.RAMUsed(); used != 0 {
+		t.Fatalf("%d bytes of memory still in use", used)
+	}
+	for _, name := range names {
+		pod, _ := f.srv.GetPod(name)
+		cg := pod.CgroupPath()
+		if _, ok := plugin.AllocationFor(cg); ok {
+			t.Errorf("%s keeps a device allocation", name)
+		}
+		if _, ok := drv.LimitFor(cg); ok {
+			t.Errorf("%s keeps a driver limit", name)
+		}
+	}
+}
+
+// TestResyncEvictionDuringStepsConcurrent: while the clock binds pods,
+// admits them and runs their workloads' steps — all from timers embedded
+// in the admission entries and their executions — another goroutine
+// evicts or preempts random pods, the kubelet hearing it, or takes the
+// kubelet off the stream, evicts or preempts one or two pods it does not
+// hear of, and resyncs it against a fresh snapshot. Half the pods are
+// one-workload SGX pods, whose execution is the entry's own; the others
+// have three containers. The workloads end within seconds, so aborts land
+// before, during and after steps, and preempted pods are bound again
+// once. With the clock still, the entries hold exactly the node's
+// processes and devices; once the clock has run the rest out, the node
+// keeps nothing, and no pod is left Running.
+func TestResyncEvictionDuringStepsConcurrent(t *testing.T) {
+	f := newFixture(t, true)
+	const pods = 48
+	names := make([]string, pods)
+	for p := range names {
+		names[p] = fmt.Sprintf("pod-%02d", p)
+		dur := time.Duration(1+p%4) * time.Second
+		pod := multiPod(names[p], dur)
+		if p%2 == 0 {
+			pod = sgxPod(names[p], 100, 100*resource.EPCPageSize, dur)
+		}
+		if err := f.srv.CreatePod(pod); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A resync's snapshot and its reconciliation happen, for the broker,
+	// at one point of the stream; bindMu keeps the driver's binds out of
+	// that window, as the broker's delivery order does.
+	var bindMu sync.Mutex
+	var steps atomic.Int64
+	raced := make(chan struct{})
+	go func() {
+		defer close(raced)
+		rng := rand.New(rand.NewSource(int64(runtime.GOMAXPROCS(0))))
+		for i := 0; i < 3*pods; i++ {
+			for steps.Load() < int64(i/3) {
+				runtime.Gosched()
+			}
+			tearDown := func() {
+				if name := names[rng.Intn(pods)]; rng.Intn(2) == 0 {
+					_ = f.srv.Evict(name, "race")
+				} else {
+					_ = f.srv.Preempt(name, "race")
+				}
+			}
+			if rng.Intn(2) == 0 {
+				tearDown()
+				continue
+			}
+			bindMu.Lock()
+			f.detach()
+			for range 1 + rng.Intn(2) {
+				tearDown()
+			}
+			f.reattach()
+			f.kl.resync(f.srv.SnapshotNow())
+			bindMu.Unlock()
+		}
+	}()
+	racerDone := func() bool {
+		select {
+		case <-raced:
+			return true
+		default:
+			return false
+		}
+	}
+	rebound := make([]bool, pods)
+	for step := 0; step < pods || !racerDone(); step++ {
+		bindMu.Lock()
+		if step < pods {
+			_ = f.srv.Bind(names[step], "sgx-1") // the racer may evict it first
+		}
+		for p := 0; p < min(step, pods); p++ {
+			if pod, _ := f.srv.GetPod(names[p]); !rebound[p] && pod.Status.Phase == api.PodPending {
+				rebound[p] = true
+				_ = f.srv.Bind(names[p], "sgx-1")
+			}
+		}
+		bindMu.Unlock()
+		f.clk.Advance(DefaultAdmissionLatency / 5)
+		steps.Add(1)
+	}
+	checkEntriesHoldNode(t, f)
+	f.clk.Advance(time.Hour)
+	checkNodeEmpty(t, f, names)
+	for _, name := range names {
+		if pod, _ := f.srv.GetPod(name); pod.Status.Phase == api.PodRunning {
+			t.Errorf("%s is still Running after the clock ran out", name)
 		}
 	}
 }

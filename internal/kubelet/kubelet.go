@@ -64,21 +64,26 @@ type Kubelet struct {
 
 type statRef struct{ name, cgroup string }
 
-// podEntry is one admission: the pod's record in k.pods while it holds
-// the node's devices, and the completion callback of every workload it
-// launches (Finished), so a workload's launch allocates no closure. Its
-// executions start on first, which holds a one-workload pod's execution
-// inside the entry.
+// podEntry is a binding's stay on this node, the one object the node side
+// allocates for a one-workload pod: the bind arms the admission delay on
+// its timer (Fire admits); admission puts it in k.pods while it holds the
+// node's devices; it is each workload's completion callback (Finished) and
+// holds the first one's execution, with its process and step timer.
 type podEntry struct {
 	k          *Kubelet
-	name       string
+	pod        *api.Pod
+	admission  clock.Event
 	cgroup     string
 	epcPages   int64
 	executions []*stress.Execution
-	first      [1]*stress.Execution
+	started    [1]*stress.Execution // executions' first backing array
+	first      stress.Execution
 	remaining  int
 	firstErr   error
 }
+
+// Fire is the admission timer's clock.Handler.
+func (e *podEntry) Fire() { e.k.admit(e) }
 
 // Finished is stress.Config.OnFinished: one workload of the entry ended.
 func (e *podEntry) Finished(err error) { e.k.containerFinished(e, err) }
@@ -244,8 +249,8 @@ func (k *Kubelet) resync(snap apiserver.Snapshot) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		pod := desired[name]
-		k.clk.AfterFunc(DefaultAdmissionLatency, func() { k.admit(pod) })
+		e := &podEntry{k: k, pod: desired[name]}
+		k.clk.Arm(&e.admission, DefaultAdmissionLatency, e)
 	}
 }
 
@@ -255,12 +260,11 @@ func (k *Kubelet) onEvent(ev apiserver.WatchEvent) {
 	}
 	switch ev.Type {
 	case apiserver.PodBound:
-		if ev.Pod.Spec.NodeName != k.nodeName {
-			return
+		if ev.Pod.Spec.NodeName == k.nodeName {
+			// Container-runtime latency before the workload launches.
+			e := &podEntry{k: k, pod: ev.Pod}
+			k.clk.Arm(&e.admission, DefaultAdmissionLatency, e)
 		}
-		pod := ev.Pod
-		// Container-runtime latency before the workload launches.
-		k.clk.AfterFunc(DefaultAdmissionLatency, func() { k.admit(pod) })
 	case apiserver.PodUpdated:
 		// External terminal transitions (eviction) and preemptions (the
 		// pod re-queued with its binding cleared) kill the local workload
@@ -296,8 +300,9 @@ func (k *Kubelet) onEvent(ev apiserver.WatchEvent) {
 }
 
 // admit performs device allocation, limit registration and workload
-// launch for a pod bound to this node.
-func (k *Kubelet) admit(pod *api.Pod) {
+// launch for the binding entry was built for.
+func (k *Kubelet) admit(entry *podEntry) {
+	pod := entry.pod
 	// The binding can be undone during the admission latency — a
 	// preemption re-queues the pod, and it may even have been re-bound
 	// since. Launch only the binding this admission was scheduled for:
@@ -319,8 +324,8 @@ func (k *Kubelet) admit(pod *api.Pod) {
 	// newer admission's allocation for the same cgroup.
 	cgroup := pod.CgroupPath()
 	epcReq := pod.TotalRequests().Get(resource.EPCPages)
-	entry := &podEntry{k: k, name: pod.Name, cgroup: cgroup, epcPages: epcReq}
-	entry.executions = entry.first[:0]
+	entry.cgroup, entry.epcPages = cgroup, epcReq
+	entry.executions = entry.started[:0]
 
 	k.mu.Lock()
 	if _, admitted := k.pods[pod.Name]; admitted {
@@ -396,12 +401,18 @@ func (k *Kubelet) admit(pod *api.Pod) {
 		k.complete(entry, nil)
 		return
 	}
+	inline := true // the first workload runs in the entry's execution
 	for i := range pod.Spec.Containers {
 		w := &pod.Spec.Containers[i].Workload
 		if w.Kind == 0 {
 			continue
 		}
-		ex, err := stress.Run(k.clk, stress.Config{
+		ex := &entry.first
+		if !inline {
+			ex = new(stress.Execution)
+		}
+		inline = false
+		err := ex.Start(k.clk, stress.Config{
 			Machine:    k.mach,
 			CgroupPath: cgroup,
 			Spec:       *w,
@@ -433,7 +444,7 @@ func (k *Kubelet) admit(pod *api.Pod) {
 // attributed to the newer entry.
 func (k *Kubelet) containerFinished(entry *podEntry, err error) {
 	k.mu.Lock()
-	if k.pods[entry.name] != entry {
+	if k.pods[entry.pod.Name] != entry {
 		k.mu.Unlock()
 		return
 	}
@@ -457,7 +468,7 @@ func (k *Kubelet) containerFinished(entry *podEntry, err error) {
 // that won the race is detected by entry identity), then the terminal
 // phase is reported.
 func (k *Kubelet) complete(entry *podEntry, err error) {
-	podName := entry.name
+	podName := entry.pod.Name
 	k.mu.Lock()
 	if k.pods[podName] != entry {
 		// An eviction/preemption/resync teardown beat us: it aborted

@@ -20,6 +20,15 @@ func (f *fixture) detach() {
 	}
 }
 
+// reattach puts a detached kubelet back on its node's watch stream;
+// what it missed in between is for a resync to reconcile.
+func (f *fixture) reattach() {
+	unsub := f.srv.SubscribeNode(f.kl.NodeName(), f.kl.onEvents, f.kl.resync)
+	f.kl.mu.Lock()
+	f.kl.unsubscribe = unsub
+	f.kl.mu.Unlock()
+}
+
 // TestResyncAdmitsMissedBinding: a binding committed while the kubelet
 // was off the watch stream is admitted on resync — the workload
 // launches, devices are allocated, and the pod reaches Running.

@@ -128,14 +128,13 @@ type Process struct {
 	dead     bool
 }
 
-// StartProcess forks a new process inside the given cgroup.
-func (m *Machine) StartProcess(cgroupPath string) *Process {
+// Start forks p, a zero Process its caller keeps, on m in the cgroup.
+func (p *Process) Start(m *Machine, cgroupPath string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p := &Process{PID: m.nextPID, CgroupPath: cgroupPath, m: m}
+	p.PID, p.CgroupPath, p.m = m.nextPID, cgroupPath, m
 	m.nextPID++
 	m.procs[p.PID] = p
-	return p
 }
 
 // ProcessCount returns the number of live processes.

@@ -11,6 +11,13 @@ import (
 	"github.com/sgxorch/sgxorch/internal/sgx"
 )
 
+// spawn starts a process of its own in cgroupPath on m.
+func spawn(m *Machine, cgroupPath string) *Process {
+	p := new(Process)
+	p.Start(m, cgroupPath)
+	return p
+}
+
 func TestMachineBasics(t *testing.T) {
 	m := New("node-1", 8*resource.GiB, 4000)
 	if m.Name() != "node-1" || m.RAMBytes() != 8*resource.GiB || m.CPUMillis() != 4000 {
@@ -44,7 +51,7 @@ func TestSGXMachine(t *testing.T) {
 
 func TestVMAllocationAndOOM(t *testing.T) {
 	m := New("n", 1000, 1000)
-	p := m.StartProcess("/kubepods/a")
+	p := spawn(m, "/kubepods/a")
 	if err := p.AllocVM(600); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func (m *Machine) Process(pid int) (*Process, error) {
 
 func TestProcessLifecycle(t *testing.T) {
 	m := New("n", 1000, 1000)
-	p := m.StartProcess("/kubepods/a")
+	p := spawn(m, "/kubepods/a")
 	got, err := m.Process(p.PID)
 	if err != nil || got != p {
 		t.Fatalf("Process lookup = %v, %v", got, err)
@@ -104,7 +111,7 @@ func TestProcessLifecycle(t *testing.T) {
 
 func TestKillDestroysEnclaves(t *testing.T) {
 	m := New("sgx", 8*resource.GiB, 8000, WithSGX(sgx.DefaultGeometry()))
-	p := m.StartProcess("/kubepods/a")
+	p := spawn(m, "/kubepods/a")
 	if _, err := p.OpenEnclave(5000); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +126,7 @@ func TestKillDestroysEnclaves(t *testing.T) {
 
 func TestOpenEnclaveOnNonSGXMachine(t *testing.T) {
 	m := New("plain", resource.GiB, 1000)
-	p := m.StartProcess("/kubepods/a")
+	p := spawn(m, "/kubepods/a")
 	if _, err := p.OpenEnclave(10); !errors.Is(err, ErrNoSGX) {
 		t.Fatalf("err = %v, want ErrNoSGX", err)
 	}
@@ -127,9 +134,9 @@ func TestOpenEnclaveOnNonSGXMachine(t *testing.T) {
 
 func TestUsageByCgroup(t *testing.T) {
 	m := New("sgx", 8*resource.GiB, 8000, WithSGX(sgx.DefaultGeometry()))
-	a1 := m.StartProcess("/kubepods/podA")
-	a2 := m.StartProcess("/kubepods/podA")
-	b := m.StartProcess("/kubepods/podB")
+	a1 := spawn(m, "/kubepods/podA")
+	a2 := spawn(m, "/kubepods/podA")
+	b := spawn(m, "/kubepods/podB")
 	if err := a1.AllocVM(100); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,7 @@ func TestRAMAccountingProperty(t *testing.T) {
 		var procs []*Process
 		var want int64
 		for i, a := range allocs {
-			p := m.StartProcess("cg")
+			p := spawn(m, "cg")
 			n := int64(a % (1 << 20))
 			if err := p.AllocVM(n); err != nil {
 				return false

@@ -71,7 +71,7 @@ func TestIndexedTotalsMatchScanProperty(t *testing.T) {
 			for step := 0; step < 150; step++ {
 				switch op := rng.Intn(10); {
 				case op == 0 || len(procs) == 0:
-					procs = append(procs, m.StartProcess(cgroups[rng.Intn(len(cgroups))]))
+					procs = append(procs, spawn(m, cgroups[rng.Intn(len(cgroups))]))
 				case op == 1: // may exceed the machine's RAM, or reach a dead process
 					_ = procs[rng.Intn(len(procs))].AllocVM(rng.Int63n(128 * resource.MiB))
 				case op == 2:
@@ -83,7 +83,7 @@ func TestIndexedTotalsMatchScanProperty(t *testing.T) {
 						enclaves = append(enclaves, e)
 					}
 				case op == 5: // Fig. 11's over-allocating tenant
-					p := m.StartProcess(tenant)
+					p := spawn(m, tenant)
 					procs = append(procs, p)
 					e, err := p.OpenEnclave(3 * tenantLimit)
 					if enforce != (err != nil) {

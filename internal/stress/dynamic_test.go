@@ -26,7 +26,7 @@ func TestDynamicEPCRampProfile(t *testing.T) {
 	peak := 24 * resource.MiB
 	base := 12 * resource.MiB
 	done := false
-	_, err := Run(clk, Config{
+	err := new(Execution).Start(clk, Config{
 		Machine:    m,
 		CgroupPath: cg,
 		Spec: api.WorkloadSpec{
@@ -84,7 +84,7 @@ func TestDynamicEPCBurstDeniedByLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var finishErr error
-	_, err := Run(clk, Config{
+	err := new(Execution).Start(clk, Config{
 		Machine:    m,
 		CgroupPath: cg,
 		Spec: api.WorkloadSpec{
@@ -111,7 +111,7 @@ func TestDynamicEPCDefaultBaseline(t *testing.T) {
 	clk := clock.NewSim()
 	m := sgx2Machine()
 	cg := "/kubepods/dyn"
-	_, err := Run(clk, Config{
+	err := new(Execution).Start(clk, Config{
 		Machine:    m,
 		CgroupPath: cg,
 		Spec: api.WorkloadSpec{
@@ -133,7 +133,7 @@ func TestDynamicEPCDefaultBaseline(t *testing.T) {
 func TestDynamicEPCRequiresSGX2(t *testing.T) {
 	clk := clock.NewSim()
 	m := sgxMachine() // SGX 1
-	_, err := Run(clk, Config{
+	err := new(Execution).Start(clk, Config{
 		Machine: m,
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressEPCDynamic,
@@ -145,7 +145,7 @@ func TestDynamicEPCRequiresSGX2(t *testing.T) {
 		t.Fatalf("err = %v, want ErrSGX1Only", err)
 	}
 	plain := machine.New("plain", resource.GiB, 1000)
-	if _, err := Run(clk, Config{
+	if err := new(Execution).Start(clk, Config{
 		Machine: plain,
 		Spec:    api.WorkloadSpec{Kind: api.WorkloadStressEPCDynamic, AllocBytes: 1},
 	}); !errors.Is(err, machine.ErrNoSGX) {

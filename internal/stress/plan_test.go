@@ -16,8 +16,8 @@ import (
 )
 
 // TestWorkloadLifeAllocations pins what one workload's whole life
-// allocates, from Run to completion: the execution, its process, its one
-// timer and the timer's callback, plus what the machine and the driver
+// allocates, from Start to completion: the execution, which holds its
+// process and its one timer, plus what the machine and the driver
 // allocate for the memory it takes. Each later step re-arms that timer
 // in place, so a step allocates nothing here; a step that arms a new
 // timer or builds a new closure shows as a higher count.
@@ -32,23 +32,24 @@ func TestWorkloadLifeAllocations(t *testing.T) {
 		max  float64
 	}{
 		{"vm", machine.New("std", resource.GiB, 1000),
-			api.WorkloadSpec{Kind: api.WorkloadStressVM, Duration: time.Minute, AllocBytes: resource.MiB}, 4},
+			api.WorkloadSpec{Kind: api.WorkloadStressVM, Duration: time.Minute, AllocBytes: resource.MiB}, 1},
 		{"epc", sgxMachine(),
-			api.WorkloadSpec{Kind: api.WorkloadStressEPC, Duration: time.Minute, AllocBytes: resource.MiB}, 6},
+			api.WorkloadSpec{Kind: api.WorkloadStressEPC, Duration: time.Minute, AllocBytes: resource.MiB}, 3},
 		{"dynamic-epc", sgx2Machine(),
-			api.WorkloadSpec{Kind: api.WorkloadStressEPCDynamic, Duration: time.Minute, AllocBytes: 2 * resource.MiB}, 6},
+			api.WorkloadSpec{Kind: api.WorkloadStressEPCDynamic, Duration: time.Minute, AllocBytes: 2 * resource.MiB}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := clock.NewSim()
 			cfg := Config{Machine: tc.m, CgroupPath: "/kubepods/pod", Spec: tc.spec}
 			got := testing.AllocsPerRun(100, func() {
-				if _, err := Run(clk, cfg); err != nil {
+				if err := new(Execution).Start(clk, cfg); err != nil {
 					t.Fatal(err)
 				}
 				clk.Advance(2 * time.Minute)
 			})
+			t.Logf("%v objects", got)
 			if got > tc.max {
-				t.Fatalf("one workload life allocates %.0f times, want at most %.0f", got, tc.max)
+				t.Fatalf("one workload life allocates %v times, want at most %v", got, tc.max)
 			}
 			if n := tc.m.ProcessCount(); n != 0 {
 				t.Fatalf("%d processes left after completion", n)
@@ -92,11 +93,10 @@ func TestAbortConcurrentWithSteps(t *testing.T) {
 		default:
 			cfg.Machine, cfg.Spec = std, api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: d}
 		}
-		ex, err := Run(clk, cfg)
-		if err != nil {
+		exs[i] = new(Execution)
+		if err := exs[i].Start(clk, cfg); err != nil {
 			t.Fatal(err)
 		}
-		exs[i] = ex
 	}
 
 	start := make(chan struct{})

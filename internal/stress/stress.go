@@ -12,8 +12,9 @@
 //
 // Each workload is a fixed plan of at most four steps, each a delay and
 // the operation that ends it (allocate memory, open the enclave, augment,
-// trim, done). The plan runs on one clock timer: Run arms it for the
-// first step, and each step re-arms it for the next with Reset.
+// trim, done). The plan runs on one clock timer inside the Execution,
+// beside its process: Start arms it for the first step, and each step
+// re-arms it for the next with Reset.
 package stress
 
 import (
@@ -58,13 +59,13 @@ const (
 )
 
 // step is one entry of an execution's plan: op runs once after has
-// elapsed since the step before it ran (since Run, for the first).
+// elapsed since the step before it ran (since Start, for the first).
 type step struct {
 	after time.Duration
 	op    op
 }
 
-// Execution is a handle on a running workload.
+// Execution is a running workload: its plan, process and step timer.
 type Execution struct {
 	cfg  Config
 	plan [4]step
@@ -72,62 +73,60 @@ type Execution struct {
 	// pages is what the enclave commits when it opens; burst is what the
 	// dynamic workload augments and later trims.
 	pages, burst int64
-	proc         *machine.Process
+	proc         machine.Process
 	enclave      *sgx.Enclave
 
 	mu       sync.Mutex
-	timer    clock.Timer
+	timer    clock.Event
 	finished bool
 }
 
-// Run starts the workload on clk and returns its handle. Startup latencies
-// (PSW + allocation, Fig. 6) elapse on the clock before memory is
-// committed, then the working set is held for the spec duration. A
-// refused spec starts no process.
-func Run(clk clock.Clock, cfg Config) (*Execution, error) {
+// Start runs the workload on clk in e, a zero Execution its caller keeps
+// and does not copy. Startup latencies (PSW + allocation, Fig. 6) elapse
+// on the clock before memory is committed, then the working set is held
+// for the spec duration. A refused spec starts no process; e is spent.
+func (e *Execution) Start(clk clock.Clock, cfg Config) error {
 	if cfg.Machine == nil {
-		return nil, fmt.Errorf("stress: nil machine")
+		return fmt.Errorf("stress: nil machine")
 	}
 	spec := cfg.Spec
 	if spec.Duration < 0 {
-		return nil, fmt.Errorf("stress: negative duration %v", spec.Duration)
+		return fmt.Errorf("stress: negative duration %v", spec.Duration)
 	}
 	epcKind := spec.Kind == api.WorkloadStressEPC || spec.Kind == api.WorkloadStressEPCDynamic
 	if epcKind && !cfg.Machine.HasSGX() {
-		return nil, fmt.Errorf("stress: EPC workload on non-SGX machine %s: %w",
+		return fmt.Errorf("stress: EPC workload on non-SGX machine %s: %w",
 			cfg.Machine.Name(), machine.ErrNoSGX)
 	}
 
-	ex := &Execution{cfg: cfg}
+	e.cfg = cfg
 	switch spec.Kind {
 	case api.WorkloadSleep:
-		ex.plan[0] = step{spec.Duration, opDone}
+		e.plan[0] = step{spec.Duration, opDone}
 	case api.WorkloadStressVM:
 		// "Measurements for standard jobs ... steadily took less than
 		// 1 ms" (§VI-D).
-		ex.plan = [4]step{{sgx.StandardStartup, opAllocVM}, {spec.Duration, opDone}}
+		e.plan = [4]step{{sgx.StandardStartup, opAllocVM}, {spec.Duration, opDone}}
 	case api.WorkloadStressEPC:
 		// PSW/AESM boot, then enclave memory commitment at the measured
 		// two-slope rate. A denied enclave (limit enforcement, §V-D)
 		// kills the job immediately (§VI-F).
 		startup := sgx.StartupLatency(spec.AllocBytes, cfg.Machine.SGX().Geometry().UsableBytes())
-		ex.pages = resource.PagesForBytes(spec.AllocBytes)
-		ex.plan = [4]step{{startup, opOpenEnclave}, {spec.Duration, opDone}}
+		e.pages = resource.PagesForBytes(spec.AllocBytes)
+		e.plan = [4]step{{startup, opOpenEnclave}, {spec.Duration, opDone}}
 	case api.WorkloadStressEPCDynamic:
 		if !cfg.Machine.SGX().SGX2() {
-			return nil, fmt.Errorf("stress: dynamic EPC workload needs SGX 2 on machine %s: %w",
+			return fmt.Errorf("stress: dynamic EPC workload needs SGX 2 on machine %s: %w",
 				cfg.Machine.Name(), sgx.ErrSGX1Only)
 		}
-		ex.planDynamic()
+		e.planDynamic()
 	default:
-		return nil, fmt.Errorf("stress: unknown workload kind %v", spec.Kind)
+		return fmt.Errorf("stress: unknown workload kind %v", spec.Kind)
 	}
 
-	ex.proc = cfg.Machine.StartProcess(cfg.CgroupPath)
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	ex.timer = clk.AfterFunc(ex.plan[0].after, ex.fire)
-	return ex, nil
+	e.proc.Start(cfg.Machine, cfg.CgroupPath)
+	clk.Arm(&e.timer, e.plan[0].after, e)
+	return nil
 }
 
 // planDynamic lays out the SGX 2 workload of §VI-G: the enclave commits a
@@ -163,9 +162,9 @@ func (e *Execution) planDynamic() {
 	}
 }
 
-// fire runs the due step, then re-arms the timer for the next one unless
-// the workload has finished.
-func (e *Execution) fire() {
+// Fire is the step timer's clock.Handler: it runs the due step, then
+// re-arms the timer for the next one unless the workload has finished.
+func (e *Execution) Fire() {
 	var err error
 	switch e.plan[e.next].op {
 	case opAllocVM:

@@ -29,7 +29,7 @@ func TestVMWorkloadLifecycle(t *testing.T) {
 
 	var finishErr error
 	finished := false
-	_, err := Run(clk, Config{
+	err := new(Execution).Start(clk, Config{
 		Machine:    m,
 		CgroupPath: "/kubepods/pod-1",
 		Spec: api.WorkloadSpec{
@@ -70,7 +70,7 @@ func TestEPCWorkloadStartupLatency(t *testing.T) {
 
 	allocBytes := 32 * resource.MiB
 	var finishedAt time.Time
-	_, err := Run(clk, Config{
+	err := new(Execution).Start(clk, Config{
 		Machine:    m,
 		CgroupPath: "/kubepods/pod-1",
 		Spec: api.WorkloadSpec{
@@ -119,7 +119,7 @@ func TestEPCWorkloadDeniedByLimit(t *testing.T) {
 	}
 
 	var finishErr error
-	_, err := Run(clk, Config{
+	err := new(Execution).Start(clk, Config{
 		Machine:    m,
 		CgroupPath: cg,
 		Spec: api.WorkloadSpec{
@@ -147,7 +147,7 @@ func TestEPCWorkloadDeniedByLimit(t *testing.T) {
 func TestEPCWorkloadOnNonSGXMachineRejected(t *testing.T) {
 	clk := clock.NewSim()
 	m := machine.New("std-1", 64*resource.GiB, 8000)
-	_, err := Run(clk, Config{
+	err := new(Execution).Start(clk, Config{
 		Machine: m,
 		Spec:    api.WorkloadSpec{Kind: api.WorkloadStressEPC, AllocBytes: 1},
 	})
@@ -160,7 +160,7 @@ func TestVMWorkloadOOMKilled(t *testing.T) {
 	clk := clock.NewSim()
 	m := machine.New("tiny", resource.MiB, 1000)
 	var finishErr error
-	_, err := Run(clk, Config{
+	err := new(Execution).Start(clk, Config{
 		Machine: m,
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressVM,
@@ -185,7 +185,7 @@ func TestSleepWorkload(t *testing.T) {
 	clk := clock.NewSim()
 	m := machine.New("n", resource.GiB, 1000)
 	done := false
-	_, err := Run(clk, Config{
+	err := new(Execution).Start(clk, Config{
 		Machine:    m,
 		Spec:       api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: 5 * time.Second},
 		OnFinished: finishedFunc(func(error) { done = true }),
@@ -208,7 +208,8 @@ func TestAbort(t *testing.T) {
 	m := machine.New("n", resource.GiB, 1000)
 	var finishErr error
 	calls := 0
-	ex, err := Run(clk, Config{
+	ex := new(Execution)
+	err := ex.Start(clk, Config{
 		Machine:    m,
 		Spec:       api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: time.Hour},
 		OnFinished: finishedFunc(func(err error) { calls++; finishErr = err }),
@@ -231,7 +232,7 @@ func TestAbort(t *testing.T) {
 func TestUnknownWorkloadKind(t *testing.T) {
 	clk := clock.NewSim()
 	m := machine.New("n", resource.GiB, 1000)
-	if _, err := Run(clk, Config{Machine: m, Spec: api.WorkloadSpec{Kind: 0}}); err == nil {
+	if err := new(Execution).Start(clk, Config{Machine: m, Spec: api.WorkloadSpec{Kind: 0}}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	if got := m.ProcessCount(); got != 0 {
@@ -240,7 +241,7 @@ func TestUnknownWorkloadKind(t *testing.T) {
 }
 
 func TestNilMachine(t *testing.T) {
-	if _, err := Run(clock.NewSim(), Config{}); err == nil {
+	if err := new(Execution).Start(clock.NewSim(), Config{}); err == nil {
 		t.Fatal("nil machine accepted")
 	}
 }
