@@ -17,10 +17,9 @@ import (
 // one-workload SGX pod's bind, admission, run and completion allocate,
 // eight objects, plus the node's maps growing to 64 pods (seven objects
 // over the 64 under go1.24; the bound leaves room for 16, far short of
-// one more per pod). It was sixteen while the bind armed a closure on a fresh
-// timer, the workload allocated its execution, process, step timer and
-// the timer's method value, and the device plugin answered with a
-// response and a mount slice on the heap.
+// one more per pod). A closure or a fresh timer per bind, a workload's
+// execution, process, step timer or handler on the heap, or a device
+// grant on the heap each shows as one more object per pod.
 const admissionAllocs = (8*64 + 16) / 64.0
 
 // TestAdmissionLifeAllocations pins what one SGX pod's stay on its node
@@ -28,8 +27,8 @@ const admissionAllocs = (8*64 + 16) / 64.0
 // bound, running and succeeded versions of the pod. The node's is the
 // admission entry, which is the bind's timer and handler, holds the
 // workload's execution with its process and step timer, and is the
-// workload's completion callback; the pod's cgroup path; and the enclave
-// the workload opens, with the process's list of enclaves.
+// workload's completion callback; the pod's cgroup path; and what opening
+// the workload's enclave allocates in the SGX package and the process.
 func TestAdmissionLifeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
