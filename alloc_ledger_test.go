@@ -2,6 +2,7 @@ package sgxorch
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"os"
 	"runtime"
@@ -44,7 +45,9 @@ type ledgerSection struct {
 // module's root package when there is none; runtime work that no module
 // frame caused is left out), and compares objects and bytes per job, per
 // package, with testdata/alloc_ledger.golden. A row may move by 1 % or
-// 0.02 objects per job (0.5 B per job for bytes), whichever is larger.
+// 0.02 objects per job, whichever is larger; its bytes by 1 % or 2 B per
+// job, since a map's tables split by a hash seeded anew each run, which
+// moves a small row's bytes by up to 1 B per job.
 // -update rewrites the golden; its header names the Go release it was
 // pinned under, and another release skips the comparison, since escape
 // analysis moves with the compiler. The per-function column is what to
@@ -99,7 +102,7 @@ func TestAllocLedger(t *testing.T) {
 		for _, r := range append(slices.Clone(g.rows), g.all) {
 			seen[r.pkg] = true
 			p := pinned[r.pkg]
-			if !inTolerance(r.objects, p.objects, 0.02) || !inTolerance(r.bytes, p.bytes, 0.5) {
+			if !inTolerance(r.objects, p.objects, 0.02) || !inTolerance(r.bytes, p.bytes, 2) {
 				t.Errorf("%s: %s allocates %.2f objects and %.1f B per job, pinned at %.2f and %.1f (largest: %s)",
 					g.title, r.pkg, r.objects, r.bytes, p.objects, p.bytes, r.funcs)
 			}
@@ -200,10 +203,7 @@ func measureLedger(title string, jobs int, work func()) ledgerSection {
 			}
 		}
 		slices.SortFunc(fns, func(a, b string) int {
-			if d := byFunc[b].objects - byFunc[a].objects; d != 0 {
-				return int(d)
-			}
-			return strings.Compare(a, b)
+			return cmp.Or(cmp.Compare(byFunc[b].objects, byFunc[a].objects), strings.Compare(a, b))
 		})
 		var top []string
 		for _, fn := range fns[:min(len(fns), ledgerTopFuncs)] {
@@ -215,13 +215,7 @@ func measureLedger(title string, jobs int, work func()) ledgerSection {
 		sec.all.bytes += row.bytes
 	}
 	slices.SortFunc(sec.rows, func(a, b ledgerRow) int {
-		if a.objects != b.objects {
-			if a.objects > b.objects {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(a.pkg, b.pkg)
+		return cmp.Or(cmp.Compare(b.objects, a.objects), strings.Compare(a.pkg, b.pkg))
 	})
 	return sec
 }
