@@ -40,3 +40,23 @@ func TestHelpIsNotAnError(t *testing.T) {
 		t.Fatalf("sgx-plugin -bogus succeeded, printing %q", out.String())
 	}
 }
+
+// TestAllocateSectionPinned pins every allocation line of a run in which
+// one request exceeds the free devices: it is denied with the plugin's
+// error, and the requests before and after it are granted from the same
+// pool.
+func TestAllocateSectionPinned(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-allocate", "2560,8192,16000,1000"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	const want = `allocate   2560 pages for /kubepods/pod-0: ok, mounts /dev/isgx -> /dev/isgx (free 21376)
+allocate   8192 pages for /kubepods/pod-1: ok, mounts /dev/isgx -> /dev/isgx (free 13184)
+allocate  16000 pages for /kubepods/pod-2: DENIED (deviceplugin: insufficient EPC page devices: requested 16000, free 13184)
+allocate   1000 pages for /kubepods/pod-3: ok, mounts /dev/isgx -> /dev/isgx (free 12184)
+`
+	_, section, ok := strings.Cut(out.String(), "sgx_nr_total_epc_pages = 23936\n")
+	if !ok || section != want {
+		t.Fatalf("allocate section:\n%s\nwant:\n%s", section, want)
+	}
+}
