@@ -687,6 +687,35 @@ clone made in a branch that does not enclose it still counts.`,
 		},
 	},
 	{
+		name: "cgroup-fields-owned-by-their-layer",
+		doc: `A pod's cgroup record (internal/cgroup) carries one field per node
+layer, each read and written under the lock that layer already takes for
+its own totals, so a node total and the pod's share of it move in one
+critical section. So a field is assigned, or moved by +=, -=, ++ or --,
+in the package that owns it alone: VMBytes in internal/machine,
+CommittedPages in internal/sgx, LimitPages and Limited in internal/isgx,
+DevicePages in internal/deviceplugin. A record is built by a composite
+literal, which only names its ID. The match is by field name, without
+type checking, in every file, tests and bench/ included.`,
+		check: func(c *codebase) (out []string) {
+			owners := map[string]string{
+				"VMBytes":        "internal/machine",
+				"CommittedPages": "internal/sgx",
+				"LimitPages":     "internal/isgx",
+				"Limited":        "internal/isgx",
+				"DevicePages":    "internal/deviceplugin",
+			}
+			for _, f := range c.files {
+				fieldWrites(f, func(w *ast.Ident, path []string, _ ast.Expr) {
+					if owner, ok := owners[path[len(path)-1]]; ok && !within(f.dir, owner) {
+						out = append(out, c.at(w.Pos())+": writes "+w.Name+"."+strings.Join(path, ".")+", a cgroup field "+owner+" owns")
+					}
+				})
+			}
+			return out
+		},
+	},
+	{
 		name: "no-dead-internal-surface",
 		doc: `Every exported top-level function, and every exported method of an
 exported type, in internal/ has a non-test reference outside its own
@@ -731,18 +760,16 @@ var knobAllow = map[string]string{
 // "dir.Type.Method", each with its reason.
 var deadSurfaceAllow = map[string]string{
 	// Seams that tests of another package reach the stack through.
-	"internal/apiserver.WithWatchCapacity":          "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) shrinks the ring to force resyncs",
-	"internal/apiserver.WithWatchBatch":             "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) caps the batch the cache sees",
-	"internal/apiserver.Server.ListNodes":           "internal/core's invariants_test.go reads every node from the server",
-	"internal/tsdb.WithRetention":                   "internal/monitor, internal/telemetry and internal/core tests bound the database they scrape into",
-	"internal/machine.Machine.ProcessCount":         "internal/kubelet and internal/stress tests check a pod's processes are gone",
-	"internal/isgx.Driver.LimitFor":                 "TestPodFullLifecycle (internal/kubelet) checks the kubelet set the pod's EPC limit",
-	"internal/isgx.Driver.Enforcing":                "TestSGXMachine (internal/machine) checks the driver a machine builds enforces limits",
-	"internal/sgx.Enclave.State":                    "internal/isgx and internal/machine tests check an enclave's lifecycle through the driver",
-	"internal/sgx.Enclave.Pages":                    "internal/isgx and internal/machine tests check an enclave's commitment through the driver",
-	"internal/sgx.Package.EnclaveCount":             "TestEnclaveInitDeniedOverLimit (internal/isgx) checks a denied enclave is gone",
-	"internal/deviceplugin.SGXPlugin.AllocationFor": "internal/kubelet's resync tests check the devices a missed binding holds",
-	"internal/golden.StreamDigest":                  "the determinism tests of internal/core and internal/experiments pin their runs with it",
+	"internal/apiserver.WithWatchCapacity":  "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) shrinks the ring to force resyncs",
+	"internal/apiserver.WithWatchBatch":     "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) caps the batch the cache sees",
+	"internal/apiserver.Server.ListNodes":   "internal/core's invariants_test.go reads every node from the server",
+	"internal/tsdb.WithRetention":           "internal/monitor, internal/telemetry and internal/core tests bound the database they scrape into",
+	"internal/machine.Machine.ProcessCount": "internal/kubelet and internal/stress tests check a pod's processes are gone",
+	"internal/isgx.Driver.Enforcing":        "TestSGXMachine (internal/machine) checks the driver a machine builds enforces limits",
+	"internal/sgx.Enclave.State":            "internal/isgx and internal/machine tests check an enclave's lifecycle through the driver",
+	"internal/sgx.Enclave.Pages":            "internal/isgx and internal/machine tests check an enclave's commitment through the driver",
+	"internal/sgx.Package.EnclaveCount":     "TestEnclaveInitDeniedOverLimit (internal/isgx) checks a denied enclave is gone",
+	"internal/golden.StreamDigest":          "the determinism tests of internal/core and internal/experiments pin their runs with it",
 	// Readers of the published Borg trace: the user's path from the real
 	// task_events / usage files to a replayable Trace. The three parsers of
 	// external bytes are covered by the fuzz targets in
@@ -1092,6 +1119,13 @@ func (t *txn) run(p *Pod) {
 }
 `,
 		}, "internal/apiserver/server.go:6"},
+		{"cgroup-fields-owned-by-their-layer", map[string]string{
+			"internal/kubelet/kubelet.go": "package kubelet\n\nfunc release(e *podEntry) {\n\te.cg.DevicePages = 0\n}\n",
+		}, "internal/kubelet/kubelet.go:4"},
+		{"cgroup-fields-owned-by-their-layer", map[string]string{
+			"internal/sgx/sgx.go":          "package sgx\n\nfunc (p *Package) commit(e *Enclave, n int64) { e.Cgroup.CommittedPages += n }\n",
+			"internal/isgx/driver_test.go": "package isgx\n\nfunc TestX() {\n\tcg.LimitPages, cg.Limited = 1, true\n\tcgs[0].CommittedPages++\n}\n",
+		}, "internal/isgx/driver_test.go:5"},
 		{"no-dead-internal-surface", map[string]string{
 			"internal/sgx/quote.go": "package sgx\n\nfunc live() { Live() }\n\nfunc Live() {}\n\nfunc Dead() { Dead() }\n",
 		}, "internal/sgx/quote.go:7"},

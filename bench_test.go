@@ -27,6 +27,7 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/deviceplugin"
@@ -687,12 +688,13 @@ func BenchmarkInfluxQLListing1(b *testing.B) {
 // path with limit enforcement (§V-D/§V-E).
 func BenchmarkEnclaveLifecycle(b *testing.B) {
 	driver := isgx.New(sgx.NewPackage(sgx.DefaultGeometry()))
-	if err := driver.IoctlSetLimit("/kubepods/bench", 4096); err != nil {
+	cg := &cgroup.Cgroup{ID: "bench"}
+	if err := driver.IoctlSetLimit(cg, 4096); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e, err := driver.OpenEnclave("/kubepods/bench", 4096)
+		e, err := driver.OpenEnclave(cg, 4096)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -706,12 +708,13 @@ func BenchmarkEnclaveLifecycle(b *testing.B) {
 // (§V-A's per-page resource accounting).
 func BenchmarkDevicePluginAllocate(b *testing.B) {
 	plugin := deviceplugin.New(isgx.New(sgx.NewPackage(sgx.DefaultGeometry())))
+	cg := &cgroup.Cgroup{ID: "bench"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := plugin.Allocate("/kubepods/bench", 1000); err != nil {
+		if _, err := plugin.Allocate(cg, 1000); err != nil {
 			b.Fatal(err)
 		}
-		plugin.Deallocate("/kubepods/bench")
+		plugin.Deallocate(cg)
 	}
 }
 

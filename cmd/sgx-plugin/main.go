@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/deviceplugin"
 	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/resource"
@@ -62,14 +63,14 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("bad allocation %q: %w", f, err)
 		}
-		cgroup := fmt.Sprintf("/kubepods/pod-%d", i)
-		resp, err := plugin.Allocate(cgroup, pages)
+		cg := &cgroup.Cgroup{ID: strconv.Itoa(i)}
+		resp, err := plugin.Allocate(cg, pages)
 		if err != nil {
-			fmt.Fprintf(stdout, "allocate %6d pages for %s: DENIED (%v)\n", pages, cgroup, err)
+			fmt.Fprintf(stdout, "allocate %6d pages for %s: DENIED (%v)\n", pages, cg.Path(), err)
 			continue
 		}
 		fmt.Fprintf(stdout, "allocate %6d pages for %s: ok, mounts %s -> %s (free %d)\n",
-			pages, cgroup, resp.Mount.HostPath, resp.Mount.ContainerPath,
+			pages, cg.Path(), resp.Mount.HostPath, resp.Mount.ContainerPath,
 			plugin.FreeDevices())
 	}
 	return nil

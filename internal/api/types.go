@@ -266,18 +266,6 @@ type Pod struct {
 	Status PodStatus
 }
 
-// CgroupPath derives the pod's cgroup path, the identifier shared by
-// Kubelet and the SGX driver for limit enforcement (§V-D: "all containers
-// in a pod share the same cgroup path, but distinct pods use different
-// ones; the path is available before containers actually start").
-func (p *Pod) CgroupPath() string {
-	id := p.UID
-	if id == "" {
-		id = p.Name
-	}
-	return "/kubepods/pod-" + id
-}
-
 // TotalRequests sums resource requests across containers.
 func (p *Pod) TotalRequests() resource.List {
 	var total resource.List

@@ -53,23 +53,6 @@ func TestPodAggregates(t *testing.T) {
 	}
 }
 
-func TestCgroupPath(t *testing.T) {
-	p := samplePod()
-	if got := p.CgroupPath(); got != "/kubepods/pod-uid-1" {
-		t.Fatalf("CgroupPath = %q", got)
-	}
-	anon := &Pod{Name: "x"}
-	if got := anon.CgroupPath(); got != "/kubepods/pod-x" {
-		t.Fatalf("CgroupPath without UID = %q", got)
-	}
-	// Distinct pods get distinct paths (§V-D requirement ii).
-	q := samplePod()
-	q.UID = "uid-2"
-	if p.CgroupPath() == q.CgroupPath() {
-		t.Fatal("distinct pods share a cgroup path")
-	}
-}
-
 func TestPhaseAndTimes(t *testing.T) {
 	p := samplePod()
 	base := time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC)

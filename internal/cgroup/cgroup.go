@@ -1,0 +1,43 @@
+// Package cgroup is a pod's control group on its node: the one record the
+// node layers keep their per-pod figures on. "All containers in a pod
+// share the same cgroup path, but distinct pods use different ones"
+// (§V-D).
+//
+// The kubelet builds one record per admitted pod and hands it down to the
+// machine, the SGX package, the isgx driver and the device plugin. As a
+// kernel finds a task's cgroup as an object, no layer looks a pod up by
+// its path; the path is formed for output alone. Each layer owns its
+// fields and writes them under the lock it already takes for its own
+// totals, so a node total and the pod's share of it move in one critical
+// section (the cgroup-fields-owned-by-their-layer rule in arch_test.go).
+package cgroup
+
+// Cgroup is one pod's control group.
+type Cgroup struct {
+	// ID names the pod: its UID, or its name when the UID is empty.
+	ID string
+	// VMBytes is the virtual memory of the cgroup's live processes,
+	// owned by internal/machine under Machine.mu.
+	VMBytes int64
+	// CommittedPages is the EPC its live enclaves commit, paged pages
+	// included, owned by internal/sgx under Package.mu.
+	CommittedPages int64
+	// LimitPages is the EPC limit set through the driver's write-once
+	// ioctl once Limited is true, owned by internal/isgx under Driver.mu.
+	LimitPages int64
+	Limited    bool
+	// DevicePages is the EPC page items the device plugin granted, owned
+	// by internal/deviceplugin under SGXPlugin.mu.
+	DevicePages int64
+}
+
+// ForPod returns the record of the pod with the given UID and name.
+func ForPod(uid, name string) Cgroup {
+	if uid == "" {
+		return Cgroup{ID: name}
+	}
+	return Cgroup{ID: uid}
+}
+
+// Path is the cgroup's path, for output and error texts.
+func (c *Cgroup) Path() string { return "/kubepods/pod-" + c.ID }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/isgx"
 	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/resource"
@@ -24,8 +25,8 @@ var (
 	// ErrInsufficientDevices is returned when a pod requests more EPC
 	// page items than remain free on the node.
 	ErrInsufficientDevices = errors.New("deviceplugin: insufficient EPC page devices")
-	// ErrAlreadyAllocated is returned when a pod (cgroup) double
-	// allocates.
+	// ErrAlreadyAllocated is returned when a pod's cgroup already holds
+	// page items.
 	ErrAlreadyAllocated = errors.New("deviceplugin: pod already holds an allocation")
 )
 
@@ -50,9 +51,9 @@ type AllocateResponse struct {
 type SGXPlugin struct {
 	driver *isgx.Driver
 
-	mu        sync.Mutex
-	free      int64
-	allocated map[string]int64 // cgroup path -> pages held
+	// mu guards free and each cgroup's DevicePages, the items it holds.
+	mu   sync.Mutex
+	free int64
 }
 
 // Detect probes a machine for the SGX kernel module, as the plugin does on
@@ -68,11 +69,7 @@ func Detect(m *machine.Machine) (*SGXPlugin, bool) {
 
 // New builds a plugin over an isgx driver.
 func New(driver *isgx.Driver) *SGXPlugin {
-	return &SGXPlugin{
-		driver:    driver,
-		free:      driver.TotalEPCPages(),
-		allocated: make(map[string]int64),
-	}
+	return &SGXPlugin{driver: driver, free: driver.TotalEPCPages()}
 }
 
 // ResourceName returns the extended resource this plugin serves.
@@ -91,45 +88,35 @@ func (p *SGXPlugin) FreeDevices() int64 {
 	return p.free
 }
 
-// Allocate grants pages EPC page items to the pod identified by its
-// cgroup path and returns, by value, the device mount. The plugin
-// deliberately prevents over-commitment of the EPC "in order to preserve
-// predictable performance for all pods deployed in the cluster" (§V-A).
-func (p *SGXPlugin) Allocate(cgroupPath string, pages int64) (AllocateResponse, error) {
+// Allocate grants pages EPC page items to the pod's cgroup and returns, by
+// value, the device mount. The plugin deliberately prevents
+// over-commitment of the EPC "in order to preserve predictable
+// performance for all pods deployed in the cluster" (§V-A).
+func (p *SGXPlugin) Allocate(cg *cgroup.Cgroup, pages int64) (AllocateResponse, error) {
 	if pages <= 0 {
 		return AllocateResponse{}, fmt.Errorf("deviceplugin: non-positive page request %d", pages)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.allocated[cgroupPath]; ok {
-		return AllocateResponse{}, fmt.Errorf("%w: %s", ErrAlreadyAllocated, cgroupPath)
+	if cg.DevicePages > 0 {
+		return AllocateResponse{}, fmt.Errorf("%w: %s", ErrAlreadyAllocated, cg.Path())
 	}
 	if pages > p.free {
 		return AllocateResponse{}, fmt.Errorf("%w: requested %d, free %d", ErrInsufficientDevices, pages, p.free)
 	}
 	p.free -= pages
-	p.allocated[cgroupPath] = pages
+	cg.DevicePages = pages
 	return AllocateResponse{
 		Pages: pages,
 		Mount: Mount{HostPath: isgx.DevicePath, ContainerPath: isgx.DevicePath},
 	}, nil
 }
 
-// Deallocate returns a pod's page items to the free pool. Unknown cgroups
-// are a no-op (idempotent teardown).
-func (p *SGXPlugin) Deallocate(cgroupPath string) {
+// Deallocate returns a pod's page items to the free pool. A cgroup that
+// holds none is a no-op (idempotent teardown).
+func (p *SGXPlugin) Deallocate(cg *cgroup.Cgroup) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if pages, ok := p.allocated[cgroupPath]; ok {
-		p.free += pages
-		delete(p.allocated, cgroupPath)
-	}
-}
-
-// AllocationFor reports the page items held by a pod.
-func (p *SGXPlugin) AllocationFor(cgroupPath string) (int64, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pages, ok := p.allocated[cgroupPath]
-	return pages, ok
+	p.free += cg.DevicePages
+	cg.DevicePages = 0
 }

@@ -2,9 +2,13 @@ package deviceplugin
 
 import (
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/isgx"
 	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/resource"
@@ -46,7 +50,8 @@ func TestDeviceCountMatchesUsableEPC(t *testing.T) {
 
 func TestAllocateAndMounts(t *testing.T) {
 	p := newPlugin()
-	resp, err := p.Allocate("/kubepods/pod-1", 100)
+	cg := &cgroup.Cgroup{ID: "1"}
+	resp, err := p.Allocate(cg, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,41 +64,45 @@ func TestAllocateAndMounts(t *testing.T) {
 	if got := p.FreeDevices(); got != 23836 {
 		t.Fatalf("FreeDevices = %d", got)
 	}
-	pages, ok := p.AllocationFor("/kubepods/pod-1")
-	if !ok || pages != 100 {
-		t.Fatalf("AllocationFor = %d, %v", pages, ok)
+	if cg.DevicePages != 100 {
+		t.Fatalf("cgroup holds %d pages, want 100", cg.DevicePages)
 	}
 }
 
 func TestAllocateErrors(t *testing.T) {
 	p := newPlugin()
-	if _, err := p.Allocate("/kubepods/x", 0); err == nil {
+	x := &cgroup.Cgroup{ID: "x"}
+	if _, err := p.Allocate(x, 0); err == nil {
 		t.Fatal("zero-page allocation accepted")
 	}
-	if _, err := p.Allocate("/kubepods/x", -3); err == nil {
+	if _, err := p.Allocate(x, -3); err == nil {
 		t.Fatal("negative allocation accepted")
 	}
-	if _, err := p.Allocate("/kubepods/x", 23937); !errors.Is(err, ErrInsufficientDevices) {
+	if _, err := p.Allocate(x, 23937); !errors.Is(err, ErrInsufficientDevices) {
 		t.Fatalf("oversized err = %v", err)
 	}
-	if _, err := p.Allocate("/kubepods/x", 10); err != nil {
+	if _, err := p.Allocate(x, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Allocate("/kubepods/x", 10); !errors.Is(err, ErrAlreadyAllocated) {
-		t.Fatalf("double alloc err = %v", err)
+	_, err := p.Allocate(x, 10)
+	if !errors.Is(err, ErrAlreadyAllocated) || !strings.Contains(err.Error(), "/kubepods/pod-x") {
+		t.Fatalf("double alloc err = %v, want ErrAlreadyAllocated naming the path", err)
+	}
+	if x.DevicePages != 10 || p.FreeDevices() != 23926 {
+		t.Fatalf("after a refused second grant: cgroup %d pages, %d free", x.DevicePages, p.FreeDevices())
 	}
 }
 
 func TestNoOvercommitAcrossPods(t *testing.T) {
 	p := newPlugin()
-	if _, err := p.Allocate("/kubepods/a", 23000); err != nil {
+	if _, err := p.Allocate(&cgroup.Cgroup{ID: "a"}, 23000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Allocate("/kubepods/b", 1000); !errors.Is(err, ErrInsufficientDevices) {
+	if _, err := p.Allocate(&cgroup.Cgroup{ID: "b"}, 1000); !errors.Is(err, ErrInsufficientDevices) {
 		t.Fatalf("overcommit err = %v", err)
 	}
 	// Exactly filling the remainder works.
-	if _, err := p.Allocate("/kubepods/c", 936); err != nil {
+	if _, err := p.Allocate(&cgroup.Cgroup{ID: "c"}, 936); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.FreeDevices(); got != 0 {
@@ -103,19 +112,20 @@ func TestNoOvercommitAcrossPods(t *testing.T) {
 
 func TestDeallocateIdempotent(t *testing.T) {
 	p := newPlugin()
-	if _, err := p.Allocate("/kubepods/a", 500); err != nil {
+	a := &cgroup.Cgroup{ID: "a"}
+	if _, err := p.Allocate(a, 500); err != nil {
 		t.Fatal(err)
 	}
-	p.Deallocate("/kubepods/a")
+	p.Deallocate(a)
 	if got := p.FreeDevices(); got != 23936 {
 		t.Fatalf("FreeDevices after dealloc = %d", got)
 	}
-	p.Deallocate("/kubepods/a") // no-op
-	p.Deallocate("/kubepods/never-allocated")
+	p.Deallocate(a) // no-op
+	p.Deallocate(&cgroup.Cgroup{ID: "never-allocated"})
 	if got := p.FreeDevices(); got != 23936 {
 		t.Fatalf("FreeDevices after idempotent dealloc = %d", got)
 	}
-	if _, ok := p.AllocationFor("/kubepods/a"); ok {
+	if a.DevicePages != 0 {
 		t.Fatal("allocation survived dealloc")
 	}
 }
@@ -126,15 +136,14 @@ func TestDeviceAccountingProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		p := newPlugin()
 		total := p.DeviceCount()
+		var cgroups [26]cgroup.Cgroup
 		var live int64
 		for i, op := range ops {
-			cg := string(rune('a' + i%26))
+			cg := &cgroups[i%26]
 			pages := int64(op%2000) + 1
 			if i%3 == 2 {
-				if held, ok := p.AllocationFor(cg); ok {
-					p.Deallocate(cg)
-					live -= held
-				}
+				live -= cg.DevicePages
+				p.Deallocate(cg)
 				continue
 			}
 			if _, err := p.Allocate(cg, pages); err == nil {
@@ -148,5 +157,53 @@ func TestDeviceAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeviceAccountingConcurrent: kubelets' admissions and teardowns
+// allocate and release distinct cgroups from other goroutines. The free
+// pool and the pages the records hold always add up to the device count,
+// and no grant ever leaves the pool negative. Run it under -race and at
+// -cpu 1,2,4.
+func TestDeviceAccountingConcurrent(t *testing.T) {
+	const workers, rounds, pages = 8, 300, 4000 // 8 × 4000 > 23 936: grants are refused
+	p := newPlugin()
+	total := p.DeviceCount()
+	cgroups := make([]cgroup.Cgroup, workers)
+	for w := range cgroups {
+		cgroups[w] = cgroup.Cgroup{ID: fmt.Sprint("pod", w)}
+	}
+	// sum reads every record's pages and the pool under the plugin's lock,
+	// which owns them.
+	sum := func() (free, held int64) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for i := range cgroups {
+			held += cgroups[i].DevicePages
+		}
+		return p.free, held
+	}
+	var wg sync.WaitGroup
+	for w := range cgroups {
+		cg := &cgroups[w]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if _, err := p.Allocate(cg, pages); err != nil && !errors.Is(err, ErrInsufficientDevices) {
+					t.Error(err)
+					return
+				}
+				if free, held := sum(); free < 0 || free+held != total {
+					t.Errorf("free %d + held %d != %d devices", free, held, total)
+					return
+				}
+				p.Deallocate(cg)
+			}
+		}()
+	}
+	wg.Wait()
+	if free, held := sum(); free != total || held != 0 {
+		t.Fatalf("at the end: free %d, held %d; want %d, 0", free, held, total)
 	}
 }

@@ -1,6 +1,6 @@
 // Package isgx simulates the paper's modified Intel SGX Linux kernel
 // driver (§V-E): EPC usage counters exported as module parameters and the
-// cgroup-keyed EPC limit ioctl that enforces pod resource declarations at
+// EPC limit ioctl that records a pod's limit on its cgroup, enforced at
 // enclave initialization (§V-D). The patch's per-process occupancy ioctl
 // is not modelled: nothing in the stack issues it.
 //
@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"sync"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/sgx"
 )
 
@@ -52,8 +53,8 @@ type Driver struct {
 	// enforcement enabled and disabled.
 	enforce bool
 
-	mu     sync.Mutex
-	limits map[string]int64 // cgroup path -> page limit (write-once)
+	// mu guards each cgroup's LimitPages and Limited (write-once).
+	mu sync.Mutex
 }
 
 // Option configures a Driver.
@@ -69,11 +70,7 @@ func WithoutEnforcement() Option {
 // New attaches a driver to an SGX package. Limit enforcement is enabled by
 // default.
 func New(pkg *sgx.Package, opts ...Option) *Driver {
-	d := &Driver{
-		pkg:     pkg,
-		enforce: true,
-		limits:  make(map[string]int64),
-	}
+	d := &Driver{pkg: pkg, enforce: true}
 	for _, o := range opts {
 		o(d)
 	}
@@ -102,47 +99,30 @@ func (d *Driver) Sysfs() map[string]string {
 	}
 }
 
-// IoctlSetLimit records the EPC page limit for a pod identified by its
-// cgroup path — the limit ioctl of §V-E, issued by the patched
-// Kubelet at pod creation (§V-D). Limits are write-once.
-func (d *Driver) IoctlSetLimit(cgroupPath string, pages int64) error {
-	if cgroupPath == "" {
-		return fmt.Errorf("%w: empty cgroup path", ErrInvalidArgument)
+// IoctlSetLimit records the EPC page limit on a pod's cgroup — the limit
+// ioctl of §V-E, issued by the patched Kubelet at pod creation (§V-D).
+// Limits are write-once; a pod's next admission builds a fresh cgroup.
+func (d *Driver) IoctlSetLimit(cg *cgroup.Cgroup, pages int64) error {
+	if cg == nil {
+		return fmt.Errorf("%w: nil cgroup", ErrInvalidArgument)
 	}
 	if pages < 0 {
 		return fmt.Errorf("%w: negative page limit %d", ErrInvalidArgument, pages)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.limits[cgroupPath]; ok {
-		return fmt.Errorf("%w: %s", ErrLimitExists, cgroupPath)
+	if cg.Limited {
+		return fmt.Errorf("%w: %s", ErrLimitExists, cg.Path())
 	}
-	d.limits[cgroupPath] = pages
+	cg.LimitPages, cg.Limited = pages, true
 	return nil
 }
 
-// LimitFor returns the registered page limit for a cgroup path.
-func (d *Driver) LimitFor(cgroupPath string) (pages int64, ok bool) {
+// limit returns the cgroup's registered page limit.
+func (d *Driver) limit(cg *cgroup.Cgroup) (pages int64, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pages, ok = d.limits[cgroupPath]
-	return pages, ok
-}
-
-// ClearLimit removes a limit after pod teardown so the cgroup path can be
-// reused by a future pod. Only the kubelet calls this; containers cannot.
-func (d *Driver) ClearLimit(cgroupPath string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.limits, cgroupPath)
-}
-
-// PagesForCgroup aggregates EPC occupancy per pod (via its cgroup path) —
-// the quantity the SGX metrics probe pushes into the time-series database
-// (§V-C). The package keeps the total as enclaves commit and release
-// pages, so this is a lookup, not a walk of the pod's enclaves.
-func (d *Driver) PagesForCgroup(cgroupPath string) int64 {
-	return d.pkg.PagesForCgroup(cgroupPath)
+	return cg.LimitPages, cg.Limited
 }
 
 // OpenEnclave performs the complete enclave setup path of an SDK
@@ -152,14 +132,14 @@ func (d *Driver) PagesForCgroup(cgroupPath string) int64 {
 // limit advertised by its enclosing pod; exceeding it denies
 // initialization and releases the pages. Pages beyond the usable EPC are
 // paged by the package, not refused.
-func (d *Driver) OpenEnclave(cgroupPath string, pages int64) (*sgx.Enclave, error) {
+func (d *Driver) OpenEnclave(cg *cgroup.Cgroup, pages int64) (*sgx.Enclave, error) {
 	if pages < 0 {
 		return nil, fmt.Errorf("%w: negative page count %d", ErrInvalidArgument, pages)
 	}
-	e := d.pkg.CreateEnclave(cgroupPath)
+	e := d.pkg.CreateEnclave(cg)
 	err := e.AddPages(pages)
 	if err == nil {
-		err = d.checkEnclInit(cgroupPath)
+		err = d.checkEnclInit(cg)
 	}
 	if err != nil {
 		return nil, errors.Join(err, e.Destroy())
@@ -171,21 +151,19 @@ func (d *Driver) OpenEnclave(cgroupPath string, pages int64) (*sgx.Enclave, erro
 }
 
 // checkEnclInit is the enforcement hook added to __sgx_encl_init (§V-E).
-func (d *Driver) checkEnclInit(cgroupPath string) error {
+func (d *Driver) checkEnclInit(cg *cgroup.Cgroup) error {
 	if !d.enforce {
 		return nil
 	}
-	d.mu.Lock()
-	limit, ok := d.limits[cgroupPath]
-	d.mu.Unlock()
+	limit, ok := d.limit(cg)
 	if !ok {
 		// No limit registered for this cgroup (e.g. host processes
 		// outside Kubernetes): allowed, as in the paper's driver.
 		return nil
 	}
-	if used := d.pkg.PagesForCgroup(cgroupPath); used > limit {
+	if used := d.pkg.PagesOf(cg); used > limit {
 		return fmt.Errorf("%w: cgroup %s uses %d pages, limit %d",
-			ErrEnclaveDenied, cgroupPath, used, limit)
+			ErrEnclaveDenied, cg.Path(), used, limit)
 	}
 	return nil
 }

@@ -3,9 +3,11 @@ package isgx
 import (
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/sgx"
 )
 
@@ -26,7 +28,7 @@ func TestModuleParameters(t *testing.T) {
 	if got := fs[SysfsDir+"/"+ParamTotalEPCPages]; got != "23936" {
 		t.Fatalf("sysfs total = %q", got)
 	}
-	e, err := d.OpenEnclave("/kubepods/a", 1000)
+	e, err := d.OpenEnclave(&cgroup.Cgroup{ID: "a"}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,59 +45,62 @@ func TestModuleParameters(t *testing.T) {
 
 func TestIoctlSetLimitWriteOnce(t *testing.T) {
 	d := newDriver(t)
-	if err := d.IoctlSetLimit("/kubepods/pod1", 100); err != nil {
+	cg := &cgroup.Cgroup{ID: "pod1"}
+	if err := d.IoctlSetLimit(cg, 100); err != nil {
 		t.Fatal(err)
 	}
 	// "limits can only be set once for each pod" (§V-E).
-	if err := d.IoctlSetLimit("/kubepods/pod1", 9999); !errors.Is(err, ErrLimitExists) {
-		t.Fatalf("second IoctlSetLimit err = %v, want ErrLimitExists", err)
+	err := d.IoctlSetLimit(cg, 9999)
+	if !errors.Is(err, ErrLimitExists) || !strings.Contains(err.Error(), "/kubepods/pod-pod1") {
+		t.Fatalf("second IoctlSetLimit err = %v, want ErrLimitExists naming the path", err)
 	}
-	limit, ok := d.LimitFor("/kubepods/pod1")
-	if !ok || limit != 100 {
-		t.Fatalf("LimitFor = %d, %v; want 100, true", limit, ok)
+	if cg.LimitPages != 100 || !cg.Limited {
+		t.Fatalf("limit = %d, %v; want 100, true", cg.LimitPages, cg.Limited)
 	}
-	// After teardown, the path can be reused.
-	d.ClearLimit("/kubepods/pod1")
-	if err := d.IoctlSetLimit("/kubepods/pod1", 50); err != nil {
-		t.Fatalf("IoctlSetLimit after ClearLimit = %v", err)
+	// The same pod admitted again gets a fresh cgroup, whose limit is
+	// unset.
+	if err := d.IoctlSetLimit(&cgroup.Cgroup{ID: "pod1"}, 50); err != nil {
+		t.Fatalf("IoctlSetLimit on a fresh cgroup = %v", err)
 	}
 }
 
 func TestIoctlSetLimitValidation(t *testing.T) {
 	d := newDriver(t)
-	if err := d.IoctlSetLimit("", 1); !errors.Is(err, ErrInvalidArgument) {
-		t.Fatalf("empty cgroup err = %v", err)
+	if err := d.IoctlSetLimit(nil, 1); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("nil cgroup err = %v", err)
 	}
-	if err := d.IoctlSetLimit("/x", -1); !errors.Is(err, ErrInvalidArgument) {
+	if err := d.IoctlSetLimit(&cgroup.Cgroup{ID: "x"}, -1); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("negative limit err = %v", err)
 	}
 }
 
 func TestEnclaveInitDeniedOverLimit(t *testing.T) {
 	d := newDriver(t)
-	if err := d.IoctlSetLimit("/kubepods/mal", 1); err != nil {
+	mal := &cgroup.Cgroup{ID: "mal"}
+	if err := d.IoctlSetLimit(mal, 1); err != nil {
 		t.Fatal(err)
 	}
 	// A malicious container declares 1 page but allocates far more
 	// (§VI-F): the driver must deny initialization and release the pages.
-	_, err := d.OpenEnclave("/kubepods/mal", 11968)
-	if !errors.Is(err, ErrEnclaveDenied) {
-		t.Fatalf("OpenEnclave err = %v, want ErrEnclaveDenied", err)
+	_, err := d.OpenEnclave(mal, 11968)
+	if want := "cgroup /kubepods/pod-mal uses 11968 pages, limit 1"; !errors.Is(err, ErrEnclaveDenied) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenEnclave err = %v, want ErrEnclaveDenied: %s", err, want)
 	}
 	if got := d.FreePages(); got != 23936 {
 		t.Fatalf("denied enclave leaked pages: free = %d", got)
 	}
-	if got := d.pkg.EnclaveCount(); got != 0 {
-		t.Fatalf("denied enclave not destroyed: count = %d", got)
+	if got := d.pkg.EnclaveCount(); got != 0 || mal.CommittedPages != 0 {
+		t.Fatalf("denied enclave not destroyed: count = %d, cgroup pages %d", got, mal.CommittedPages)
 	}
 }
 
 func TestEnclaveWithinLimitAllowed(t *testing.T) {
 	d := newDriver(t)
-	if err := d.IoctlSetLimit("/kubepods/ok", 500); err != nil {
+	ok := &cgroup.Cgroup{ID: "ok"}
+	if err := d.IoctlSetLimit(ok, 500); err != nil {
 		t.Fatal(err)
 	}
-	e, err := d.OpenEnclave("/kubepods/ok", 500)
+	e, err := d.OpenEnclave(ok, 500)
 	if err != nil {
 		t.Fatalf("enclave exactly at limit denied: %v", err)
 	}
@@ -104,7 +109,7 @@ func TestEnclaveWithinLimitAllowed(t *testing.T) {
 	}
 	// A second enclave in the same pod pushing past the limit is denied:
 	// the check counts pages per cgroup, not per enclave.
-	if _, err := d.OpenEnclave("/kubepods/ok", 1); !errors.Is(err, ErrEnclaveDenied) {
+	if _, err := d.OpenEnclave(ok, 1); !errors.Is(err, ErrEnclaveDenied) {
 		t.Fatalf("cumulative over-limit err = %v, want ErrEnclaveDenied", err)
 	}
 	_ = e.Destroy()
@@ -112,7 +117,7 @@ func TestEnclaveWithinLimitAllowed(t *testing.T) {
 
 func TestNoLimitRegisteredAllowsEnclave(t *testing.T) {
 	d := newDriver(t)
-	e, err := d.OpenEnclave("/system/hostproc", 100)
+	e, err := d.OpenEnclave(&cgroup.Cgroup{ID: "hostproc"}, 100)
 	if err != nil {
 		t.Fatalf("enclave without registered limit should be allowed: %v", err)
 	}
@@ -124,12 +129,13 @@ func TestEnforcementDisabled(t *testing.T) {
 	if d.Enforcing() {
 		t.Fatal("Enforcing() = true with WithoutEnforcement")
 	}
-	if err := d.IoctlSetLimit("/kubepods/mal", 1); err != nil {
+	mal := &cgroup.Cgroup{ID: "mal"}
+	if err := d.IoctlSetLimit(mal, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Limits disabled: the malicious allocation sails through (§VI-F
 	// "limits disabled" runs).
-	e, err := d.OpenEnclave("/kubepods/mal", 11968)
+	e, err := d.OpenEnclave(mal, 11968)
 	if err != nil {
 		t.Fatalf("OpenEnclave with enforcement off = %v", err)
 	}
@@ -138,7 +144,7 @@ func TestEnforcementDisabled(t *testing.T) {
 
 func TestOpenEnclaveNegativePages(t *testing.T) {
 	d := newDriver(t)
-	if _, err := d.OpenEnclave("/x", -5); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := d.OpenEnclave(&cgroup.Cgroup{ID: "x"}, -5); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("err = %v, want ErrInvalidArgument", err)
 	}
 }
@@ -150,12 +156,13 @@ func TestFreePagesInvariantProperty(t *testing.T) {
 		d := New(sgx.NewPackage(sgx.DefaultGeometry()))
 		var live []*sgx.Enclave
 		var livePages int64
+		cg := &cgroup.Cgroup{ID: "cg"}
 		for _, s := range sizes {
 			n := int64(s % 4096)
 			if livePages+n > d.TotalEPCPages() {
 				continue // beyond capacity the package pages and free stays 0
 			}
-			e, err := d.OpenEnclave("cg", n)
+			e, err := d.OpenEnclave(cg, n)
 			if err != nil {
 				return false
 			}

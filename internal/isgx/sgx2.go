@@ -9,7 +9,7 @@ import (
 // SGX 2 (EDMM) mediation. The paper identifies its limit-enforcement
 // implementation as "the only part of our system ... not yet SGX 2-ready"
 // and estimates the port as modest (§VI-G); this is that port: the two
-// dynamic-memory ioctls run the same cgroup-keyed limit check as
+// dynamic-memory ioctls run the same per-cgroup limit check as
 // __sgx_encl_init before touching the EPC.
 
 // IoctlAugmentPages grows an initialized enclave by n pages (EAUG),
@@ -20,12 +20,10 @@ func (d *Driver) IoctlAugmentPages(e *sgx.Enclave, n int64) error {
 		return fmt.Errorf("%w: enclave %v, pages %d", ErrInvalidArgument, e, n)
 	}
 	if d.enforce {
-		d.mu.Lock()
-		limit, ok := d.limits[e.CgroupPath]
-		d.mu.Unlock()
-		if used := d.pkg.PagesForCgroup(e.CgroupPath); ok && used+n > limit {
+		limit, ok := d.limit(e.Cgroup)
+		if used := d.pkg.PagesOf(e.Cgroup); ok && used+n > limit {
 			return fmt.Errorf("%w: cgroup %s at %d pages, +%d exceeds limit %d",
-				ErrEnclaveDenied, e.CgroupPath, used, n, limit)
+				ErrEnclaveDenied, e.Cgroup.Path(), used, n, limit)
 		}
 	}
 	return e.AugmentPages(n)

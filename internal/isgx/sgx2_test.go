@@ -2,8 +2,10 @@ package isgx
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/sgx"
 )
 
@@ -13,34 +15,37 @@ func newSGX2Driver(opts ...Option) *Driver {
 
 func TestAugmentWithinLimit(t *testing.T) {
 	d := newSGX2Driver()
-	if err := d.IoctlSetLimit("/kubepods/pod", 1000); err != nil {
+	cg := &cgroup.Cgroup{ID: "pod"}
+	if err := d.IoctlSetLimit(cg, 1000); err != nil {
 		t.Fatal(err)
 	}
-	e, err := d.OpenEnclave("/kubepods/pod", 400)
+	e, err := d.OpenEnclave(cg, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.IoctlAugmentPages(e, 600); err != nil {
 		t.Fatalf("EAUG within limit denied: %v", err)
 	}
-	if got := d.PagesForCgroup("/kubepods/pod"); got != 1000 {
+	if got := d.pkg.PagesOf(cg); got != 1000 {
 		t.Fatalf("pages = %d", got)
 	}
 }
 
 func TestAugmentDeniedOverLimit(t *testing.T) {
 	d := newSGX2Driver()
-	if err := d.IoctlSetLimit("/kubepods/pod", 1000); err != nil {
+	cg := &cgroup.Cgroup{ID: "pod"}
+	if err := d.IoctlSetLimit(cg, 1000); err != nil {
 		t.Fatal(err)
 	}
-	e, err := d.OpenEnclave("/kubepods/pod", 400)
+	e, err := d.OpenEnclave(cg, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The §VI-G port: dynamic growth past the pod's advertised share is
 	// denied just like an over-limit EINIT.
-	if err := d.IoctlAugmentPages(e, 601); !errors.Is(err, ErrEnclaveDenied) {
-		t.Fatalf("over-limit EAUG err = %v, want ErrEnclaveDenied", err)
+	err = d.IoctlAugmentPages(e, 601)
+	if want := "cgroup /kubepods/pod-pod at 400 pages, +601 exceeds limit 1000"; !errors.Is(err, ErrEnclaveDenied) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("over-limit EAUG err = %v, want ErrEnclaveDenied: %s", err, want)
 	}
 	// The enclave keeps its prior pages.
 	if got := e.Pages(); got != 400 {
@@ -50,10 +55,11 @@ func TestAugmentDeniedOverLimit(t *testing.T) {
 
 func TestAugmentWithoutEnforcement(t *testing.T) {
 	d := newSGX2Driver(WithoutEnforcement())
-	if err := d.IoctlSetLimit("/kubepods/pod", 10); err != nil {
+	cg := &cgroup.Cgroup{ID: "pod"}
+	if err := d.IoctlSetLimit(cg, 10); err != nil {
 		t.Fatal(err)
 	}
-	e, err := d.OpenEnclave("/kubepods/pod", 5)
+	e, err := d.OpenEnclave(cg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +70,8 @@ func TestAugmentWithoutEnforcement(t *testing.T) {
 
 func TestTrimThroughDriver(t *testing.T) {
 	d := newSGX2Driver()
-	e, err := d.OpenEnclave("/kubepods/pod", 500)
+	cg := &cgroup.Cgroup{ID: "pod"}
+	e, err := d.OpenEnclave(cg, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +83,7 @@ func TestTrimThroughDriver(t *testing.T) {
 		t.Fatalf("free = %d", got)
 	}
 	// After trimming, the pod may burst again within its limit.
-	if err := d.IoctlSetLimit("/kubepods/pod", 500); err != nil {
+	if err := d.IoctlSetLimit(cg, 500); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.IoctlAugmentPages(e, 200); err != nil {
@@ -89,7 +96,7 @@ func TestSGX2IoctlValidation(t *testing.T) {
 	if err := d.IoctlAugmentPages(nil, 1); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("nil enclave err = %v", err)
 	}
-	e, err := d.OpenEnclave("/kubepods/pod", 1)
+	e, err := d.OpenEnclave(&cgroup.Cgroup{ID: "pod"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +113,7 @@ func TestSGX2IoctlValidation(t *testing.T) {
 
 func TestAugmentOnSGX1Driver(t *testing.T) {
 	d := New(sgx.NewPackage(sgx.DefaultGeometry()))
-	e, err := d.OpenEnclave("/kubepods/pod", 1)
+	e, err := d.OpenEnclave(&cgroup.Cgroup{ID: "pod"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,22 +14,26 @@ import (
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
-// admissionAllocs pins TestAdmissionLifeAllocations: what one
-// one-workload SGX pod's bind, admission, run and completion allocate,
-// eight objects, plus the node's maps growing to 64 pods (seven objects
-// over the 64 under go1.24; the bound leaves room for 16, far short of
-// one more per pod). A closure or a fresh timer per bind, a workload's
-// execution, process, step timer or handler on the heap, or a device
-// grant on the heap each shows as one more object per pod.
-const admissionAllocs = (8*64 + 16) / 64.0
+// admissionAllocs pins TestAdmissionLifeAllocations at what it measures
+// under go1.24: five objects per pod — the server's bound, running and
+// succeeded versions of the pod, the node's admission entry and the
+// enclave — plus 41 over the 64 pods, which the kubelet's entry table,
+// the machine's process table, the SGX package's enclave table and the
+// clock's timer heap allocate as they grow to 64. The pod's cgroup is a
+// record inside its entry and its process keeps the enclave in an inline
+// array, so neither allocates. A closure or a fresh timer per bind, a
+// workload's execution, process, step timer or handler on the heap, a
+// cgroup path formed per admission, or a per-cgroup table entry each
+// shows as one more object per pod.
+const admissionAllocs = (5*64 + 41) / 64.0
 
 // TestAdmissionLifeAllocations pins what one SGX pod's stay on its node
 // allocates, from its bind to its completion. The server's part is the
 // bound, running and succeeded versions of the pod. The node's is the
-// admission entry, which is the bind's timer and handler, holds the
-// workload's execution with its process and step timer, and is the
-// workload's completion callback; the pod's cgroup path; and what opening
-// the workload's enclave allocates in the SGX package and the process.
+// admission entry, which is the bind's timer and handler, holds the pod's
+// cgroup record and the workload's execution with its process and step
+// timer, and is the workload's completion callback; and the enclave the
+// workload opens.
 func TestAdmissionLifeAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -180,9 +185,9 @@ func TestKubeletTeardownDuringAdmissionConcurrent(t *testing.T) {
 		steps.Add(1)
 	}
 	f.clk.Advance(2 * DefaultAdmissionLatency) // the last re-binds' admissions
-	checkEntriesHoldNode(t, f)
+	seen := checkEntriesHoldNode(t, f)
 	f.clk.Advance(4 * time.Hour)
-	checkNodeEmpty(t, f, names)
+	checkNodeEmpty(t, f, names, seen)
 	for p, name := range names {
 		pod, _ := f.srv.GetPod(name)
 		switch pod.Status.Phase {
@@ -202,15 +207,23 @@ func TestKubeletTeardownDuringAdmissionConcurrent(t *testing.T) {
 
 // checkEntriesHoldNode: with the clock still, every live process is a
 // running workload of an entry still admitted (no execution outlived its
-// entry), and the devices held are those entries' requests, so no entry
-// was released twice or kept what it released.
-func checkEntriesHoldNode(t *testing.T, f *fixture) {
+// entry), each admitted entry's cgroup holds its pod's EPC request in
+// devices and as its driver limit (set on a fresh record, a re-bound
+// pod's too), and the devices held are those requests, so no entry was
+// released twice or kept what it released. It returns the admitted
+// entries.
+func checkEntriesHoldNode(t *testing.T, f *fixture) (admitted []*podEntry) {
 	t.Helper()
 	f.kl.mu.Lock()
 	var running, held int64
 	for _, e := range f.kl.pods {
 		running += int64(e.remaining)
-		held += e.epcPages
+		req := e.pod.TotalRequests().Get(resource.EPCPages)
+		held += req
+		if e.cg.DevicePages != req || e.cg.Limited != (req > 0) || e.cg.LimitPages != req {
+			t.Errorf("%s's cgroup holds %d devices and limit %d (set %v), want %d", e.pod.Name, e.cg.DevicePages, e.cg.LimitPages, e.cg.Limited, req)
+		}
+		admitted = append(admitted, e)
 	}
 	f.kl.mu.Unlock()
 	if n := int64(f.mach.ProcessCount()); n != running {
@@ -220,12 +233,14 @@ func checkEntriesHoldNode(t *testing.T, f *fixture) {
 	if free, total := plugin.FreeDevices(), plugin.DeviceCount(); free != total-held {
 		t.Fatalf("%d of %d EPC devices free, want %d: the admitted entries hold %d", free, total, total-held, held)
 	}
+	return admitted
 }
 
 // checkNodeEmpty: once every pod has ended, the node keeps nothing of
-// them: no entry, process, device allocation, driver limit, memory or
-// EPC page.
-func checkNodeEmpty(t *testing.T, f *fixture, names []string) {
+// them: no entry, process, device allocation, memory or EPC page, and no
+// cgroup record of the entries seen admitted holds any. No pod failed to
+// set its driver limit: a pod bound to the node again got a fresh record.
+func checkNodeEmpty(t *testing.T, f *fixture, names []string, seen []*podEntry) {
 	t.Helper()
 	f.kl.mu.Lock()
 	left := len(f.kl.pods)
@@ -246,14 +261,14 @@ func checkNodeEmpty(t *testing.T, f *fixture, names []string) {
 	if used := f.mach.RAMUsed(); used != 0 {
 		t.Fatalf("%d bytes of memory still in use", used)
 	}
-	for _, name := range names {
-		pod, _ := f.srv.GetPod(name)
-		cg := pod.CgroupPath()
-		if _, ok := plugin.AllocationFor(cg); ok {
-			t.Errorf("%s keeps a device allocation", name)
+	for _, e := range seen {
+		if cg := &e.cg; cg.DevicePages != 0 || cg.VMBytes != 0 || cg.CommittedPages != 0 {
+			t.Errorf("%s's ended entry's cgroup keeps %+v", e.pod.Name, *cg)
 		}
-		if _, ok := drv.LimitFor(cg); ok {
-			t.Errorf("%s keeps a driver limit", name)
+	}
+	for _, name := range names {
+		if pod, _ := f.srv.GetPod(name); strings.HasPrefix(pod.Status.Reason, "SetLimit") {
+			t.Errorf("%s failed admission: %s", name, pod.Status.Reason)
 		}
 	}
 }
@@ -344,9 +359,9 @@ func TestResyncEvictionDuringStepsConcurrent(t *testing.T) {
 		f.clk.Advance(DefaultAdmissionLatency / 5)
 		steps.Add(1)
 	}
-	checkEntriesHoldNode(t, f)
+	seen := checkEntriesHoldNode(t, f)
 	f.clk.Advance(time.Hour)
-	checkNodeEmpty(t, f, names)
+	checkNodeEmpty(t, f, names, seen)
 	for _, name := range names {
 		if pod, _ := f.srv.GetPod(name); pod.Status.Phase == api.PodRunning {
 			t.Errorf("%s is still Running after the clock ran out", name)

@@ -17,6 +17,7 @@ import (
 
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/deviceplugin"
 	"github.com/sgxorch/sgxorch/internal/machine"
@@ -62,19 +63,22 @@ type Kubelet struct {
 	stats    []PodStat
 }
 
-type statRef struct{ name, cgroup string }
+type statRef struct {
+	name string
+	cg   *cgroup.Cgroup
+}
 
 // podEntry is a binding's stay on this node, the one object the node side
 // allocates for a one-workload pod: the bind arms the admission delay on
-// its timer (Fire admits); admission puts it in k.pods while it holds the
-// node's devices; it is each workload's completion callback (Finished) and
-// holds the first one's execution, with its process and step timer.
+// its timer (Fire admits); admission builds the pod's cgroup record in it
+// and puts it in k.pods while the record holds the node's devices; it is
+// each workload's completion callback (Finished) and holds the first
+// one's execution, with its process and step timer.
 type podEntry struct {
 	k          *Kubelet
 	pod        *api.Pod
 	admission  clock.Event
-	cgroup     string
-	epcPages   int64
+	cg         cgroup.Cgroup
 	executions []*stress.Execution
 	started    [1]*stress.Execution // executions' first backing array
 	first      stress.Execution
@@ -280,11 +284,12 @@ func (k *Kubelet) onEvent(ev apiserver.WatchEvent) {
 		var executions []*stress.Execution
 		if ok {
 			// Remove and release atomically: an entry's device
-			// allocation exists exactly while the entry is in k.pods, so
-			// this can never free an allocation a newer admission of the
-			// same pod (same cgroup) holds. The admission's launch loop
-			// re-checks entry identity against k.pods and aborts
-			// workloads started after this removal.
+			// allocation exists exactly while the entry is in k.pods, and
+			// it is held on the entry's own cgroup record, so this can
+			// never free what a newer admission of the same pod holds.
+			// The admission's launch loop re-checks entry identity
+			// against k.pods and aborts workloads started after this
+			// removal.
 			delete(k.pods, ev.Pod.Name)
 			executions = append(executions, entry.executions...)
 			k.releaseLocked(entry)
@@ -318,13 +323,13 @@ func (k *Kubelet) admit(entry *podEntry) {
 	// broker resync can schedule an admission for a pod whose PodBound
 	// event is still in flight. Check-claim-allocate runs as one
 	// critical section: an entry in k.pods means an admission claimed
-	// this pod AND holds its device allocation, so duplicates bail, and
-	// a concurrent teardown (which removes and releases atomically, see
-	// onEvent) releases exactly what this admission allocated — never a
-	// newer admission's allocation for the same cgroup.
-	cgroup := pod.CgroupPath()
+	// this pod AND its cgroup record holds the device allocation, so
+	// duplicates bail, and a concurrent teardown (which removes and
+	// releases atomically, see onEvent) releases exactly what this
+	// admission's record holds — a newer admission of the same pod builds
+	// a record of its own.
 	epcReq := pod.TotalRequests().Get(resource.EPCPages)
-	entry.cgroup, entry.epcPages = cgroup, epcReq
+	entry.cg = cgroup.ForPod(pod.UID, pod.Name)
 	entry.executions = entry.started[:0]
 
 	k.mu.Lock()
@@ -338,22 +343,22 @@ func (k *Kubelet) admit(entry *podEntry) {
 		case k.plugin == nil:
 			failReason = fmt.Sprintf("UnexpectedAdmissionError: no SGX device plugin on %s", k.nodeName)
 		default:
-			if _, err := k.plugin.Allocate(cgroup, epcReq); err != nil {
+			if _, err := k.plugin.Allocate(&entry.cg, epcReq); err != nil {
 				// Mirrors Kubernetes' OutOfEpc admission failure when the
 				// scheduler raced device accounting.
 				failReason = "OutOfEPC: " + err.Error()
 				break
 			}
-			// The Kubelet patch of §V-D: communicate the cgroup-path /
-			// EPC page limit pair to the driver before containers start.
+			// The Kubelet patch of §V-D: communicate the cgroup / EPC
+			// page limit pair to the driver before containers start.
 			// Missing limits fall back to the request, as resource
 			// requests default limits in Kubernetes.
 			limit := pod.TotalLimits().Get(resource.EPCPages)
 			if limit == 0 {
 				limit = epcReq
 			}
-			if err := k.mach.Driver().IoctlSetLimit(cgroup, limit); err != nil {
-				k.plugin.Deallocate(cgroup)
+			if err := k.mach.Driver().IoctlSetLimit(&entry.cg, limit); err != nil {
+				k.plugin.Deallocate(&entry.cg)
 				failReason = "SetLimit: " + err.Error()
 			}
 		}
@@ -414,7 +419,7 @@ func (k *Kubelet) admit(entry *podEntry) {
 		inline = false
 		err := ex.Start(k.clk, stress.Config{
 			Machine:    k.mach,
-			CgroupPath: cgroup,
+			Cgroup:     &entry.cg,
 			Spec:       *w,
 			OnFinished: entry,
 		})
@@ -493,15 +498,14 @@ func (k *Kubelet) complete(entry *podEntry, err error) {
 	_ = k.srv.MarkSucceeded(podName)
 }
 
-// releaseLocked returns an entry's device allocation and driver limit to
-// the node. Caller must hold k.mu and must call this exactly at the
-// point the entry leaves k.pods — that pairing is what keeps cgroup
-// device accounting exact across teardown/re-admission races (the
-// plugin and driver only key on the cgroup path).
+// releaseLocked returns the device allocation the entry's cgroup record
+// holds to the node. Caller must hold k.mu and must call this exactly at
+// the point the entry leaves k.pods: the record, and its driver limit,
+// die with the entry, and that pairing keeps device accounting exact
+// across teardown/re-admission races.
 func (k *Kubelet) releaseLocked(entry *podEntry) {
-	if entry.epcPages > 0 && k.plugin != nil {
-		k.plugin.Deallocate(entry.cgroup)
-		k.mach.Driver().ClearLimit(entry.cgroup)
+	if k.plugin != nil {
+		k.plugin.Deallocate(&entry.cg)
 	}
 }
 
@@ -509,7 +513,8 @@ func (k *Kubelet) releaseLocked(entry *podEntry) {
 // endpoint Heapster and the SGX probe scrape (§V-C) — sorted by pod name
 // so the metric write order, and with it the streaming aggregator's event
 // order, is identical across identical runs. Each pod's figures are two
-// lookups of totals the machine and its SGX package keep.
+// reads of totals the machine and its SGX package keep on its cgroup
+// record.
 //
 // The returned slice belongs to the kubelet and is valid until the next
 // PodStats call, which refills it: a collector reads it before returning
@@ -521,18 +526,15 @@ func (k *Kubelet) PodStats() []PodStat {
 	refs := k.statRefs[:0]
 	k.mu.Lock()
 	for name, e := range k.pods {
-		refs = append(refs, statRef{name: name, cgroup: e.cgroup})
+		refs = append(refs, statRef{name: name, cg: &e.cg})
 	}
 	k.mu.Unlock()
 	slices.SortFunc(refs, func(a, b statRef) int { return strings.Compare(a.name, b.name) })
 
 	out := k.stats[:0]
 	for _, r := range refs {
-		out = append(out, PodStat{
-			PodName:     r.name,
-			MemoryBytes: k.mach.VMBytesByCgroup(r.cgroup),
-			EPCBytes:    resource.BytesForPages(k.mach.EPCPagesByCgroup(r.cgroup)),
-		})
+		vm, pages := k.mach.Usage(r.cg)
+		out = append(out, PodStat{PodName: r.name, MemoryBytes: vm, EPCBytes: resource.BytesForPages(pages)})
 	}
 	k.statRefs, k.stats = refs, out
 	return out

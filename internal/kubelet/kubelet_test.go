@@ -124,13 +124,13 @@ func TestPodFullLifecycle(t *testing.T) {
 		t.Fatalf("phase after admission = %s", p.Status.Phase)
 	}
 
-	// Device allocation and driver limit registered.
+	// Device allocation and driver limit registered on the pod's cgroup.
 	if got := f.kl.Plugin().FreeDevices(); got != 23936-2560 {
 		t.Fatalf("free devices = %d", got)
 	}
-	limit, ok := f.mach.Driver().LimitFor(p.CgroupPath())
-	if !ok || limit != 2560 {
-		t.Fatalf("driver limit = %d, %v", limit, ok)
+	e := f.entry("job-1")
+	if cg := &e.cg; cg.Path() != "/kubepods/pod-"+p.UID || cg.DevicePages != 2560 || !cg.Limited || cg.LimitPages != 2560 {
+		t.Fatalf("cgroup %s: %d devices, limit %d (set %v); want 2560, 2560", cg.Path(), cg.DevicePages, cg.LimitPages, cg.Limited)
 	}
 
 	// After SGX startup the enclave holds its pages.
@@ -151,8 +151,10 @@ func TestPodFullLifecycle(t *testing.T) {
 	if got := f.mach.Driver().FreePages(); got != 23936 {
 		t.Fatalf("EPC leaked: %d", got)
 	}
-	if _, ok := f.mach.Driver().LimitFor(p.CgroupPath()); ok {
-		t.Fatal("driver limit not cleared")
+	// The entry, and with it the cgroup and its limit, left the node
+	// holding nothing.
+	if f.entry("job-1") != nil || e.cg.DevicePages != 0 || e.cg.CommittedPages != 0 || e.cg.VMBytes != 0 {
+		t.Fatalf("after completion: entry kept %v, cgroup holds %+v", f.entry("job-1") != nil, e.cg)
 	}
 	w, _ := p.WaitingTime()
 	if w != DefaultAdmissionLatency {
@@ -191,6 +193,13 @@ func TestMaliciousPodKilledByLimit(t *testing.T) {
 // server's conditional bind admits against that record, so a bind it
 // accepts still meets the kubelet's own admission — the layer under test
 // when a scheduler (or the record) is wrong.
+// entry returns the pod's admitted entry, nil if none is admitted.
+func (f *fixture) entry(name string) *podEntry {
+	f.kl.mu.Lock()
+	defer f.kl.mu.Unlock()
+	return f.kl.pods[name]
+}
+
 func (f *fixture) forgeEPC(t *testing.T, pages int64) {
 	t.Helper()
 	n, err := f.srv.GetNode(f.mach.Name())

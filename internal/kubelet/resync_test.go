@@ -57,7 +57,7 @@ func TestResyncAdmitsMissedBinding(t *testing.T) {
 	if got.Status.Phase != api.PodRunning {
 		t.Fatalf("after resync, phase = %s, want Running", got.Status.Phase)
 	}
-	if _, ok := f.kl.Plugin().AllocationFor(got.CgroupPath()); !ok {
+	if e := f.entry(pod.Name); e == nil || e.cg.DevicePages != 2000 {
 		t.Fatal("resync admission did not allocate EPC devices")
 	}
 }
@@ -79,20 +79,17 @@ func TestResyncKillsMissedEviction(t *testing.T) {
 		t.Fatalf("setup: phase = %s, want Running", got.Status.Phase)
 	}
 
-	bound, err := f.srv.GetPod(pod.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := f.entry(pod.Name)
 	f.detach()
 	if err := f.srv.Evict(pod.Name, "missed"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.kl.Plugin().AllocationFor(bound.CgroupPath()); !ok {
+	if e.cg.DevicePages != 2000 {
 		t.Fatal("setup: devices should still be held (eviction event missed)")
 	}
 
 	f.kl.resync(f.srv.SnapshotNow())
-	if _, ok := f.kl.Plugin().AllocationFor(bound.CgroupPath()); ok {
+	if e.cg.DevicePages != 0 || f.kl.Plugin().FreeDevices() != 23936 {
 		t.Fatal("resync did not release the evicted pod's devices")
 	}
 	if stats := f.kl.PodStats(); len(stats) != 0 {

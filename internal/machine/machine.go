@@ -4,8 +4,8 @@
 //
 // Workloads (internal/stress) run as simulated processes that allocate
 // standard virtual memory from the machine or EPC pages through the
-// driver; the kubelet and the monitoring probes read back per-cgroup usage
-// from here.
+// driver, each in the cgroup record its pod's kubelet handed down; the
+// kubelet and the monitoring probes read back per-cgroup usage from here.
 package machine
 
 import (
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/isgx"
 	"github.com/sgxorch/sgxorch/internal/sgx"
 )
@@ -39,14 +40,13 @@ type Machine struct {
 	sgxPkg *sgx.Package
 	driver *isgx.Driver
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// usedRAM is the virtual memory of every live process. Each process's
+	// cgroup's VMBytes moves with it, under mu: the collectors read a pod's
+	// memory without visiting its processes.
 	usedRAM int64
-	// vmByCgroup is usedRAM by cgroup, moved with it: the collectors read a
-	// pod's memory without visiting its processes. A cgroup at zero has no
-	// entry.
-	vmByCgroup map[string]int64
-	procs      map[int]*Process
-	nextPID    int
+	procs   map[int]*Process
+	nextPID int
 }
 
 // Option configures a Machine.
@@ -76,12 +76,11 @@ func WithSGX2(geo sgx.Geometry, driverOpts ...isgx.Option) Option {
 // millicores.
 func New(name string, ramBytes, cpuMillis int64, opts ...Option) *Machine {
 	m := &Machine{
-		name:       name,
-		ramBytes:   ramBytes,
-		cpuMillis:  cpuMillis,
-		vmByCgroup: make(map[string]int64),
-		procs:      make(map[int]*Process),
-		nextPID:    1,
+		name:      name,
+		ramBytes:  ramBytes,
+		cpuMillis: cpuMillis,
+		procs:     make(map[int]*Process),
+		nextPID:   1,
 	}
 	for _, o := range opts {
 		o(m)
@@ -118,21 +117,24 @@ func (m *Machine) RAMUsed() int64 {
 
 // Process is a simulated OS process belonging to a pod (cgroup).
 type Process struct {
-	PID        int
-	CgroupPath string
+	PID int
 
+	cg       *cgroup.Cgroup
 	m        *Machine
 	mu       sync.Mutex
 	vmBytes  int64
 	enclaves []*sgx.Enclave
-	dead     bool
+	// first is enclaves' first backing array: a workload opens one.
+	first [1]*sgx.Enclave
+	dead  bool
 }
 
-// Start forks p, a zero Process its caller keeps, on m in the cgroup.
-func (p *Process) Start(m *Machine, cgroupPath string) {
+// Start forks p, a zero Process its caller keeps, on m in the cgroup cg.
+func (p *Process) Start(m *Machine, cg *cgroup.Cgroup) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	p.PID, p.CgroupPath, p.m = m.nextPID, cgroupPath, m
+	p.PID, p.cg, p.m = m.nextPID, cg, m
+	p.enclaves = p.first[:0]
 	m.nextPID++
 	m.procs[p.PID] = p
 }
@@ -161,7 +163,7 @@ func (p *Process) AllocVM(bytes int64) error {
 		return fmt.Errorf("%w: used %d + %d > %d", ErrOutOfMemory,
 			p.m.usedRAM, bytes, p.m.ramBytes)
 	}
-	p.m.chargeLocked(p.CgroupPath, bytes)
+	p.m.chargeLocked(p.cg, bytes)
 	p.vmBytes += bytes
 	return nil
 }
@@ -178,7 +180,7 @@ func (p *Process) OpenEnclave(pages int64) (*sgx.Enclave, error) {
 		return nil, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, p.PID)
 	}
 	p.mu.Unlock()
-	e, err := p.m.driver.OpenEnclave(p.CgroupPath, pages)
+	e, err := p.m.driver.OpenEnclave(p.cg, pages)
 	if err != nil {
 		return nil, err
 	}
@@ -217,38 +219,29 @@ func (p *Process) Kill() {
 	}
 
 	p.m.mu.Lock()
-	p.m.chargeLocked(p.CgroupPath, -vm)
+	p.m.chargeLocked(p.cg, -vm)
 	delete(p.m.procs, p.PID)
 	p.m.mu.Unlock()
 }
 
 // chargeLocked moves the machine's and the cgroup's memory by bytes.
 // Caller must hold m.mu.
-func (m *Machine) chargeLocked(cgroupPath string, bytes int64) {
+func (m *Machine) chargeLocked(cg *cgroup.Cgroup, bytes int64) {
 	m.usedRAM += bytes
-	if v := m.vmByCgroup[cgroupPath] + bytes; v > 0 {
-		m.vmByCgroup[cgroupPath] = v
-	} else {
-		delete(m.vmByCgroup, cgroupPath)
-	}
+	cg.VMBytes += bytes
 }
 
-// VMBytesByCgroup returns the virtual memory of all live processes in the
-// given cgroup — the per-pod figure the Heapster-equivalent collector
-// scrapes (§V-C). The total is kept as processes allocate, free and die,
-// so this is a lookup.
-func (m *Machine) VMBytesByCgroup(cgroupPath string) int64 {
+// Usage returns the virtual memory of the cgroup's live processes and the
+// EPC pages its enclaves commit — the per-pod figures the
+// Heapster-equivalent collector and the SGX metrics probe scrape (§V-C).
+// Both totals are kept as processes allocate, free and die, so this is
+// two reads. Non-SGX machines report zero pages.
+func (m *Machine) Usage(cg *cgroup.Cgroup) (vmBytes, epcPages int64) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.vmByCgroup[cgroupPath]
-}
-
-// EPCPagesByCgroup returns the EPC pages of the given cgroup via the driver —
-// the per-pod figure the SGX metrics probe scrapes (§V-C). Non-SGX
-// machines report zero.
-func (m *Machine) EPCPagesByCgroup(cgroupPath string) int64 {
-	if m.driver == nil {
-		return 0
+	vmBytes = cg.VMBytes
+	m.mu.Unlock()
+	if m.sgxPkg != nil {
+		epcPages = m.sgxPkg.PagesOf(cg)
 	}
-	return m.driver.PagesForCgroup(cgroupPath)
+	return vmBytes, epcPages
 }

@@ -6,15 +6,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/isgx"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/sgx"
 )
 
-// spawn starts a process of its own in cgroupPath on m.
-func spawn(m *Machine, cgroupPath string) *Process {
+// spawn starts a process of its own in cg on m.
+func spawn(m *Machine, cg *cgroup.Cgroup) *Process {
 	p := new(Process)
-	p.Start(m, cgroupPath)
+	p.Start(m, cg)
 	return p
 }
 
@@ -51,7 +52,7 @@ func TestSGXMachine(t *testing.T) {
 
 func TestVMAllocationAndOOM(t *testing.T) {
 	m := New("n", 1000, 1000)
-	p := spawn(m, "/kubepods/a")
+	p := spawn(m, &cgroup.Cgroup{ID: "a"})
 	if err := p.AllocVM(600); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func (m *Machine) Process(pid int) (*Process, error) {
 
 func TestProcessLifecycle(t *testing.T) {
 	m := New("n", 1000, 1000)
-	p := spawn(m, "/kubepods/a")
+	p := spawn(m, &cgroup.Cgroup{ID: "a"})
 	got, err := m.Process(p.PID)
 	if err != nil || got != p {
 		t.Fatalf("Process lookup = %v, %v", got, err)
@@ -111,7 +112,7 @@ func TestProcessLifecycle(t *testing.T) {
 
 func TestKillDestroysEnclaves(t *testing.T) {
 	m := New("sgx", 8*resource.GiB, 8000, WithSGX(sgx.DefaultGeometry()))
-	p := spawn(m, "/kubepods/a")
+	p := spawn(m, &cgroup.Cgroup{ID: "a"})
 	if _, err := p.OpenEnclave(5000); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestKillDestroysEnclaves(t *testing.T) {
 
 func TestOpenEnclaveOnNonSGXMachine(t *testing.T) {
 	m := New("plain", resource.GiB, 1000)
-	p := spawn(m, "/kubepods/a")
+	p := spawn(m, &cgroup.Cgroup{ID: "a"})
 	if _, err := p.OpenEnclave(10); !errors.Is(err, ErrNoSGX) {
 		t.Fatalf("err = %v, want ErrNoSGX", err)
 	}
@@ -134,9 +135,10 @@ func TestOpenEnclaveOnNonSGXMachine(t *testing.T) {
 
 func TestUsageByCgroup(t *testing.T) {
 	m := New("sgx", 8*resource.GiB, 8000, WithSGX(sgx.DefaultGeometry()))
-	a1 := spawn(m, "/kubepods/podA")
-	a2 := spawn(m, "/kubepods/podA")
-	b := spawn(m, "/kubepods/podB")
+	podA, podB := &cgroup.Cgroup{ID: "podA"}, &cgroup.Cgroup{ID: "podB"}
+	a1 := spawn(m, podA)
+	a2 := spawn(m, podA)
+	b := spawn(m, podB)
 	if err := a1.AllocVM(100); err != nil {
 		t.Fatal(err)
 	}
@@ -152,18 +154,19 @@ func TestUsageByCgroup(t *testing.T) {
 	if _, err := b.OpenEnclave(70); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.VMBytesByCgroup("/kubepods/podA"); got != 300 {
-		t.Fatalf("VMBytesByCgroup(A) = %d, want 300", got)
+	if vm, pages := m.Usage(podA); vm != 300 || pages != 50 {
+		t.Fatalf("Usage(A) = %d B, %d pages; want 300, 50", vm, pages)
 	}
-	if got := m.EPCPagesByCgroup("/kubepods/podA"); got != 50 {
-		t.Fatalf("EPCPagesByCgroup(A) = %d, want 50", got)
-	}
-	if got := m.EPCPagesByCgroup("/kubepods/podB"); got != 70 {
-		t.Fatalf("EPCPagesByCgroup(B) = %d, want 70", got)
+	if vm, pages := m.Usage(podB); vm != 400 || pages != 70 {
+		t.Fatalf("Usage(B) = %d B, %d pages; want 400, 70", vm, pages)
 	}
 	plain := New("p", resource.GiB, 1000)
-	if got := plain.EPCPagesByCgroup("/x"); got != 0 {
-		t.Fatalf("non-SGX EPCPagesByCgroup = %d", got)
+	cg := &cgroup.Cgroup{ID: "x"}
+	if err := spawn(plain, cg).AllocVM(10); err != nil {
+		t.Fatal(err)
+	}
+	if vm, pages := plain.Usage(cg); vm != 10 || pages != 0 {
+		t.Fatalf("non-SGX Usage = %d B, %d pages; want 10, 0", vm, pages)
 	}
 }
 
@@ -173,8 +176,9 @@ func TestRAMAccountingProperty(t *testing.T) {
 		m := New("n", 1<<40, 1000)
 		var procs []*Process
 		var want int64
+		cg := &cgroup.Cgroup{ID: "cg"}
 		for i, a := range allocs {
-			p := spawn(m, "cg")
+			p := spawn(m, cg)
 			n := int64(a % (1 << 20))
 			if err := p.AllocVM(n); err != nil {
 				return false
@@ -192,7 +196,7 @@ func TestRAMAccountingProperty(t *testing.T) {
 		for _, p := range procs {
 			p.Kill()
 		}
-		return m.RAMUsed() == 0 && m.ProcessCount() == 0
+		return m.RAMUsed() == 0 && cg.VMBytes == 0 && m.ProcessCount() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -210,5 +214,5 @@ func (p *Process) FreeVM(bytes int64) {
 		bytes = p.vmBytes
 	}
 	p.vmBytes -= bytes
-	p.m.chargeLocked(p.CgroupPath, -bytes)
+	p.m.chargeLocked(p.cg, -bytes)
 }

@@ -5,41 +5,42 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/isgx"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/sgx"
 )
 
-// scanVMBytes is the walk VMBytesByCgroup made before the machine kept
-// per-cgroup totals: every live process of the cgroup, summed.
-func scanVMBytes(m *Machine, cgroupPath string) int64 {
+// scanVMBytes is the walk the machine made before it kept per-cgroup
+// totals: every live process of the cgroup, summed.
+func scanVMBytes(m *Machine, cg *cgroup.Cgroup) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var total int64
 	for _, p := range m.procs {
-		if p.CgroupPath == cgroupPath {
+		if p.cg == cg {
 			total += p.vmBytes
 		}
 	}
 	return total
 }
 
-// scanPages is the walk PagesForCgroup made before the SGX package kept
-// per-cgroup totals: every live enclave of the cgroup, summed. enclaves is
-// every enclave the run opened; the package's own table held exactly those
-// not yet destroyed.
-func scanPages(enclaves []*sgx.Enclave, cgroupPath string) int64 {
+// scanPages is the walk the SGX package made before it kept per-cgroup
+// totals: every live enclave of the cgroup, summed. enclaves is every
+// enclave the run opened; the package's own table held exactly those not
+// yet destroyed.
+func scanPages(enclaves []*sgx.Enclave, cg *cgroup.Cgroup) int64 {
 	var total int64
 	for _, e := range enclaves {
-		if e.State() != sgx.EnclaveDestroyedState && e.CgroupPath == cgroupPath {
+		if e.State() != sgx.EnclaveDestroyedState && e.Cgroup == cg {
 			total += e.Pages()
 		}
 	}
 	return total
 }
 
-// TestIndexedTotalsMatchScanProperty: the per-cgroup memory total the
-// machine keeps, and the per-cgroup page totals the SGX package keeps,
+// TestIndexedTotalsMatchScanProperty: the memory total the machine keeps
+// on each cgroup record, and the page total the SGX package keeps on it,
 // equal the brute-force scans they replaced after every
 // step of a random run — processes started, allocating, freeing and
 // killed; enclaves opened, grown and trimmed (SGX 2 EDMM, §VI-G) and
@@ -49,9 +50,8 @@ func scanPages(enclaves []*sgx.Enclave, cgroupPath string) int64 {
 // enforcement, admitted without. With enforcement on no limited pod ever
 // holds more than its limit.
 func TestIndexedTotalsMatchScanProperty(t *testing.T) {
-	const tenant, tenantLimit = "/kubepods/tenant", 500
-	cgroups := []string{"/kubepods/pod0", "/kubepods/pod1", "/kubepods/pod2", tenant}
-	limits := map[string]int64{"/kubepods/pod0": 3000, "/kubepods/pod1": 1000, tenant: tenantLimit} // pod2: no limit registered
+	const tenantLimit = 500
+	limits := []int64{3000, 1000, 0, tenantLimit} // pod2: no limit registered
 	for seed := int64(0); seed < 200; seed++ {
 		for _, enforce := range []bool{true, false} {
 			var opts []isgx.Option
@@ -60,11 +60,17 @@ func TestIndexedTotalsMatchScanProperty(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(seed))
 			m := New("sgx", 512*resource.MiB, 8000, WithSGX2(sgx.DefaultGeometry(), opts...))
-			for cg, limit := range limits {
-				if err := m.Driver().IoctlSetLimit(cg, limit); err != nil {
+			cgroups := make([]*cgroup.Cgroup, len(limits))
+			for i, limit := range limits {
+				cgroups[i] = &cgroup.Cgroup{ID: fmt.Sprint("pod", i)}
+				if limit == 0 {
+					continue
+				}
+				if err := m.Driver().IoctlSetLimit(cgroups[i], limit); err != nil {
 					t.Fatal(err)
 				}
 			}
+			tenant := cgroups[3]
 			var procs []*Process
 			var enclaves []*sgx.Enclave
 			where := func(step int) string { return fmt.Sprintf("seed %d, enforcement %v, step %d", seed, enforce, step) }
@@ -100,25 +106,18 @@ func TestIndexedTotalsMatchScanProperty(t *testing.T) {
 					_ = enclaves[rng.Intn(len(enclaves))].Destroy()
 				}
 
-				positive := 0
-				for _, cg := range cgroups {
-					vm := scanVMBytes(m, cg)
-					if got := m.VMBytesByCgroup(cg); got != vm {
-						t.Fatalf("%s: VMBytesByCgroup(%s) = %d, scan %d", where(step), cg, got, vm)
+				for i, cg := range cgroups {
+					vm, pages := scanVMBytes(m, cg), scanPages(enclaves, cg)
+					if gotVM, gotPages := m.Usage(cg); gotVM != vm || gotPages != pages {
+						t.Fatalf("%s: Usage(%s) = %d B, %d pages; scan %d B, %d pages",
+							where(step), cg.Path(), gotVM, gotPages, vm, pages)
 					}
-					if vm > 0 {
-						positive++
+					if limit := limits[i]; cg.Limited != (limit > 0) || cg.LimitPages != limit {
+						t.Fatalf("%s: %s limit %d (set %v), want %d", where(step), cg.Path(), cg.LimitPages, cg.Limited, limit)
 					}
-					pages := scanPages(enclaves, cg)
-					if got := m.SGX().PagesForCgroup(cg); got != pages {
-						t.Fatalf("%s: PagesForCgroup(%s) = %d, scan %d", where(step), cg, got, pages)
+					if enforce && cg.Limited && pages > cg.LimitPages {
+						t.Fatalf("%s: %s holds %d pages past its limit %d", where(step), cg.Path(), pages, cg.LimitPages)
 					}
-					if limit, ok := limits[cg]; enforce && ok && pages > limit {
-						t.Fatalf("%s: %s holds %d pages past its limit %d", where(step), cg, pages, limit)
-					}
-				}
-				if len(m.vmByCgroup) != positive {
-					t.Fatalf("%s: %d cgroup memory totals kept, %d cgroups hold memory", where(step), len(m.vmByCgroup), positive)
 				}
 			}
 		}

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
@@ -99,8 +100,8 @@ func (s EnclaveState) String() string {
 // Enclave is one protected execution context owning a number of committed
 // EPC pages.
 type Enclave struct {
-	ID         uint64
-	CgroupPath string // pod identity, for limit enforcement (§V-D)
+	ID     uint64
+	Cgroup *cgroup.Cgroup // the owning pod, for limit enforcement (§V-D)
 
 	mu    sync.Mutex
 	pkg   *Package
@@ -179,14 +180,14 @@ type Package struct {
 	// sgx2 enables dynamic EPC memory management (EDMM, §VI-G).
 	sgx2 bool
 
-	mu        sync.Mutex
-	enclaves  map[uint64]*Enclave
-	committed int64 // total committed pages across enclaves, paged ones included
-	// The same pages by cgroup, moved with committed: the driver's limit
-	// check and the metrics probe read a pod's total without visiting its
-	// enclaves. A cgroup at zero has no entry.
-	byCgroup map[string]int64
-	nextID   uint64
+	mu       sync.Mutex
+	enclaves map[uint64]*Enclave
+	// committed is the pages committed across enclaves, paged ones
+	// included. Each enclave's cgroup's CommittedPages moves with it, under
+	// mu: the driver's limit check and the metrics probe read a pod's
+	// total without visiting its enclaves.
+	committed int64
+	nextID    uint64
 }
 
 // Option configures a Package.
@@ -197,7 +198,6 @@ func NewPackage(geo Geometry, opts ...Option) *Package {
 	p := &Package{
 		geo:      geo,
 		enclaves: make(map[uint64]*Enclave),
-		byCgroup: make(map[string]int64),
 		nextID:   1,
 	}
 	for _, o := range opts {
@@ -211,14 +211,14 @@ func (p *Package) Geometry() Geometry { return p.geo }
 
 // CreateEnclave performs ECREATE for a process of the given cgroup. The
 // returned enclave holds no pages yet.
-func (p *Package) CreateEnclave(cgroupPath string) *Enclave {
+func (p *Package) CreateEnclave(cg *cgroup.Cgroup) *Enclave {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	e := &Enclave{
-		ID:         p.nextID,
-		CgroupPath: cgroupPath,
-		pkg:        p,
-		state:      EnclaveCreated,
+		ID:     p.nextID,
+		Cgroup: cg,
+		pkg:    p,
+		state:  EnclaveCreated,
 	}
 	p.nextID++
 	p.enclaves[e.ID] = e
@@ -232,7 +232,7 @@ func (p *Package) commit(e *Enclave, n int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.committed += n
-	addTotal(p.byCgroup, e.CgroupPath, n)
+	e.Cgroup.CommittedPages += n
 }
 
 // release returns n of enclave e's pages to the EPC.
@@ -243,17 +243,7 @@ func (p *Package) release(e *Enclave, n int64) {
 	if p.committed < 0 {
 		p.committed = 0
 	}
-	addTotal(p.byCgroup, e.CgroupPath, -n)
-}
-
-// addTotal moves a cgroup's page total by n, dropping the cgroup once it
-// holds nothing.
-func addTotal(totals map[string]int64, owner string, n int64) {
-	if v := totals[owner] + n; v > 0 {
-		totals[owner] = v
-	} else {
-		delete(totals, owner)
-	}
+	e.Cgroup.CommittedPages -= n
 }
 
 func (p *Package) forget(id uint64) {
@@ -275,13 +265,11 @@ func (p *Package) FreePages() int64 {
 	return free
 }
 
-// PagesForCgroup returns the pages committed by all enclaves whose owning
-// pod has the given cgroup path (§V-D uses the cgroup path as pod
-// identity).
-func (p *Package) PagesForCgroup(cgroupPath string) int64 {
+// PagesOf returns the pages committed by the enclaves of the given cgroup.
+func (p *Package) PagesOf(cg *cgroup.Cgroup) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.byCgroup[cgroupPath]
+	return cg.CommittedPages
 }
 
 // EnclaveCount returns the number of live enclaves.

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 )
 
 func TestSGX2Capability(t *testing.T) {
@@ -21,7 +23,7 @@ func TestSGX2Capability(t *testing.T) {
 
 func TestAugmentRequiresSGX2(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave("cg")
+	e := p.CreateEnclave(&cgroup.Cgroup{ID: "cg"})
 	if err := e.AddPages(10); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestAugmentRequiresSGX2(t *testing.T) {
 
 func TestAugmentAndTrimLifecycle(t *testing.T) {
 	p := NewPackage(DefaultGeometry(), WithSGX2())
-	e := p.CreateEnclave("cg")
+	e := p.CreateEnclave(&cgroup.Cgroup{ID: "cg"})
 	// EAUG before EINIT is a lifecycle error even on SGX 2.
 	if err := e.AugmentPages(1); !errors.Is(err, ErrEnclaveState) {
 		t.Fatalf("pre-init EAUG err = %v", err)
@@ -83,7 +85,7 @@ func TestAugmentAndTrimLifecycle(t *testing.T) {
 
 func TestAugmentNegative(t *testing.T) {
 	p := NewPackage(DefaultGeometry(), WithSGX2())
-	e := p.CreateEnclave("cg")
+	e := p.CreateEnclave(&cgroup.Cgroup{ID: "cg"})
 	if err := e.AddPages(1); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestAugmentNegative(t *testing.T) {
 func TestDynamicAccountingProperty(t *testing.T) {
 	f := func(ops []int16) bool {
 		p := NewPackage(DefaultGeometry(), WithSGX2())
-		e := p.CreateEnclave("cg")
+		e := p.CreateEnclave(&cgroup.Cgroup{ID: "cg"})
 		if err := e.AddPages(100); err != nil {
 			return false
 		}
@@ -153,7 +155,8 @@ func TestDynamicAccountingProperty(t *testing.T) {
 func TestEnclavePagesConcurrentReaders(t *testing.T) {
 	const base, step, rounds = 100, 40, 2000
 	p := NewPackage(DefaultGeometry(), WithSGX2())
-	e := p.CreateEnclave("/kubepods/podA")
+	cg := &cgroup.Cgroup{ID: "podA"}
+	e := p.CreateEnclave(cg)
 	if err := e.AddPages(base); err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +183,7 @@ func TestEnclavePagesConcurrentReaders(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !done.Load() {
-			if got := p.PagesForCgroup("/kubepods/podA"); got != base && got != base+step {
+			if got := p.PagesOf(cg); got != base && got != base+step {
 				t.Errorf("a reader saw %d pages, want %d or %d", got, base, base+step)
 				return
 			}
@@ -190,7 +193,7 @@ func TestEnclavePagesConcurrentReaders(t *testing.T) {
 	if err := e.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if a := p.PagesForCgroup("/kubepods/podA"); a != 0 || len(p.byCgroup) != 0 {
-		t.Fatalf("after destroy: cgroup %d pages, %d owner totals kept; want none", a, len(p.byCgroup))
+	if a := p.PagesOf(cg); a != 0 {
+		t.Fatalf("after destroy: cgroup holds %d pages, want none", a)
 	}
 }

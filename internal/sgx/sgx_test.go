@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
@@ -42,7 +43,7 @@ func TestGeometryScalesProportionally(t *testing.T) {
 
 func TestEnclaveLifecycle(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave("/kubepods/pod-1")
+	e := p.CreateEnclave(&cgroup.Cgroup{ID: "1"})
 	if e.State() != EnclaveCreated {
 		t.Fatalf("state = %v, want created", e.State())
 	}
@@ -78,7 +79,7 @@ func TestEnclaveLifecycle(t *testing.T) {
 
 func TestAddPagesNegative(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave("c")
+	e := p.CreateEnclave(&cgroup.Cgroup{ID: "c"})
 	if err := e.AddPages(-1); !errors.Is(err, ErrEnclaveState) {
 		t.Fatalf("AddPages(-1) err = %v", err)
 	}
@@ -86,7 +87,7 @@ func TestAddPagesNegative(t *testing.T) {
 
 func TestOvercommitAndSlowdown(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave("a")
+	e := p.CreateEnclave(&cgroup.Cgroup{ID: "a"})
 	if err := e.AddPages(2 * 23936); err != nil {
 		t.Fatalf("overcommit with paging enabled failed: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestOvercommitAndSlowdown(t *testing.T) {
 
 func TestNoOvercommitSlowdownIsOne(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave("a")
+	e := p.CreateEnclave(&cgroup.Cgroup{ID: "a"})
 	if err := e.AddPages(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +116,10 @@ func TestNoOvercommitSlowdownIsOne(t *testing.T) {
 
 func TestPagesForCgroup(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e1 := p.CreateEnclave("/kubepods/podA")
-	e2 := p.CreateEnclave("/kubepods/podA")
-	e3 := p.CreateEnclave("/kubepods/podB")
+	a, b := &cgroup.Cgroup{ID: "podA"}, &cgroup.Cgroup{ID: "podB"}
+	e1 := p.CreateEnclave(a)
+	e2 := p.CreateEnclave(a)
+	e3 := p.CreateEnclave(b)
 	for _, pair := range []struct {
 		e *Enclave
 		n int64
@@ -126,11 +128,11 @@ func TestPagesForCgroup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := p.PagesForCgroup("/kubepods/podA"); got != 150 {
-		t.Fatalf("PagesForCgroup(podA) = %d, want 150", got)
+	if got := p.PagesOf(a); got != 150 {
+		t.Fatalf("PagesOf(podA) = %d, want 150", got)
 	}
-	if got := p.PagesForCgroup("/kubepods/podB"); got != 30 {
-		t.Fatalf("PagesForCgroup(podB) = %d, want 30", got)
+	if got := p.PagesOf(b); got != 30 {
+		t.Fatalf("PagesOf(podB) = %d, want 30", got)
 	}
 }
 
@@ -196,7 +198,7 @@ func TestCommitReleaseAccountingProperty(t *testing.T) {
 		var live []*Enclave
 		var want int64
 		for _, s := range sizes {
-			e := p.CreateEnclave("cg")
+			e := p.CreateEnclave(&cgroup.Cgroup{ID: "cg"})
 			n := int64(s % 1000)
 			if err := e.AddPages(n); err != nil {
 				return false

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/isgx"
 	"github.com/sgxorch/sgxorch/internal/machine"
@@ -21,14 +22,14 @@ func sgx2Machine(opts ...isgx.Option) *machine.Machine {
 func TestDynamicEPCRampProfile(t *testing.T) {
 	clk := clock.NewSim()
 	m := sgx2Machine()
-	cg := "/kubepods/dyn"
+	cg := &cgroup.Cgroup{ID: "dyn"}
 
 	peak := 24 * resource.MiB
 	base := 12 * resource.MiB
 	done := false
 	err := new(Execution).Start(clk, Config{
-		Machine:    m,
-		CgroupPath: cg,
+		Machine: m,
+		Cgroup:  cg,
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressEPCDynamic,
 			Duration:   90 * time.Second,
@@ -51,17 +52,17 @@ func TestDynamicEPCRampProfile(t *testing.T) {
 
 	// Phase 1 (after startup): baseline committed.
 	clk.Advance(2 * time.Second)
-	if got := m.EPCPagesByCgroup(cg); got != basePages {
+	if _, got := m.Usage(cg); got != basePages {
 		t.Fatalf("phase 1 pages = %d, want %d", got, basePages)
 	}
 	// Phase 2 (middle third): burst to peak.
 	clk.Advance(40 * time.Second)
-	if got := m.EPCPagesByCgroup(cg); got != peakPages {
+	if _, got := m.Usage(cg); got != peakPages {
 		t.Fatalf("phase 2 pages = %d, want %d", got, peakPages)
 	}
 	// Phase 3 (final third): trimmed back to baseline.
 	clk.Advance(30 * time.Second)
-	if got := m.EPCPagesByCgroup(cg); got != basePages {
+	if _, got := m.Usage(cg); got != basePages {
 		t.Fatalf("phase 3 pages = %d, want %d", got, basePages)
 	}
 	// Completion: everything released.
@@ -77,7 +78,7 @@ func TestDynamicEPCRampProfile(t *testing.T) {
 func TestDynamicEPCBurstDeniedByLimit(t *testing.T) {
 	clk := clock.NewSim()
 	m := sgx2Machine()
-	cg := "/kubepods/dyn"
+	cg := &cgroup.Cgroup{ID: "dyn"}
 	// Limit covers the baseline but not the burst: the §VI-G enforcement
 	// port kills the job at EAUG time.
 	if err := m.Driver().IoctlSetLimit(cg, resource.PagesForBytes(12*resource.MiB)); err != nil {
@@ -85,8 +86,8 @@ func TestDynamicEPCBurstDeniedByLimit(t *testing.T) {
 	}
 	var finishErr error
 	err := new(Execution).Start(clk, Config{
-		Machine:    m,
-		CgroupPath: cg,
+		Machine: m,
+		Cgroup:  cg,
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressEPCDynamic,
 			Duration:   90 * time.Second,
@@ -110,10 +111,10 @@ func TestDynamicEPCBurstDeniedByLimit(t *testing.T) {
 func TestDynamicEPCDefaultBaseline(t *testing.T) {
 	clk := clock.NewSim()
 	m := sgx2Machine()
-	cg := "/kubepods/dyn"
+	cg := &cgroup.Cgroup{ID: "dyn"}
 	err := new(Execution).Start(clk, Config{
-		Machine:    m,
-		CgroupPath: cg,
+		Machine: m,
+		Cgroup:  cg,
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressEPCDynamic,
 			Duration:   30 * time.Second,
@@ -125,7 +126,7 @@ func TestDynamicEPCDefaultBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.Advance(2 * time.Second)
-	if got := m.EPCPagesByCgroup(cg); got != resource.PagesForBytes(10*resource.MiB) {
+	if _, got := m.Usage(cg); got != resource.PagesForBytes(10*resource.MiB) {
 		t.Fatalf("default baseline pages = %d", got)
 	}
 }
@@ -135,6 +136,7 @@ func TestDynamicEPCRequiresSGX2(t *testing.T) {
 	m := sgxMachine() // SGX 1
 	err := new(Execution).Start(clk, Config{
 		Machine: m,
+		Cgroup:  new(cgroup.Cgroup),
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressEPCDynamic,
 			Duration:   time.Minute,
@@ -147,6 +149,7 @@ func TestDynamicEPCRequiresSGX2(t *testing.T) {
 	plain := machine.New("plain", resource.GiB, 1000)
 	if err := new(Execution).Start(clk, Config{
 		Machine: plain,
+		Cgroup:  new(cgroup.Cgroup),
 		Spec:    api.WorkloadSpec{Kind: api.WorkloadStressEPCDynamic, AllocBytes: 1},
 	}); !errors.Is(err, machine.ErrNoSGX) {
 		t.Fatalf("non-SGX err = %v", err)

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/resource"
@@ -36,9 +37,10 @@ var ErrAborted = errors.New("stress: workload aborted")
 
 // Config describes one workload execution.
 type Config struct {
-	Machine    *machine.Machine
-	CgroupPath string
-	Spec       api.WorkloadSpec
+	Machine *machine.Machine
+	// Cgroup is the pod's cgroup record, which its process charges.
+	Cgroup *cgroup.Cgroup
+	Spec   api.WorkloadSpec
 	// OnFinished's Finished fires exactly once at termination; err is
 	// nil for a normal completion and non-nil when the workload was
 	// killed (e.g. enclave denial, OOM). It is an interface rather than a
@@ -86,8 +88,8 @@ type Execution struct {
 // on the clock before memory is committed, then the working set is held
 // for the spec duration. A refused spec starts no process; e is spent.
 func (e *Execution) Start(clk clock.Clock, cfg Config) error {
-	if cfg.Machine == nil {
-		return fmt.Errorf("stress: nil machine")
+	if cfg.Machine == nil || cfg.Cgroup == nil {
+		return fmt.Errorf("stress: nil machine or cgroup")
 	}
 	spec := cfg.Spec
 	if spec.Duration < 0 {
@@ -124,7 +126,7 @@ func (e *Execution) Start(clk clock.Clock, cfg Config) error {
 		return fmt.Errorf("stress: unknown workload kind %v", spec.Kind)
 	}
 
-	e.proc.Start(cfg.Machine, cfg.CgroupPath)
+	e.proc.Start(cfg.Machine, cfg.Cgroup)
 	clk.Arm(&e.timer, e.plan[0].after, e)
 	return nil
 }

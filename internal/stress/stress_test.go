@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/cgroup"
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/isgx"
 	"github.com/sgxorch/sgxorch/internal/machine"
@@ -30,8 +31,8 @@ func TestVMWorkloadLifecycle(t *testing.T) {
 	var finishErr error
 	finished := false
 	err := new(Execution).Start(clk, Config{
-		Machine:    m,
-		CgroupPath: "/kubepods/pod-1",
+		Machine: m,
+		Cgroup:  &cgroup.Cgroup{ID: "1"},
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressVM,
 			Duration:   time.Minute,
@@ -71,8 +72,8 @@ func TestEPCWorkloadStartupLatency(t *testing.T) {
 	allocBytes := 32 * resource.MiB
 	var finishedAt time.Time
 	err := new(Execution).Start(clk, Config{
-		Machine:    m,
-		CgroupPath: "/kubepods/pod-1",
+		Machine: m,
+		Cgroup:  &cgroup.Cgroup{ID: "1"},
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressEPC,
 			Duration:   10 * time.Second,
@@ -112,7 +113,7 @@ func TestEPCWorkloadStartupLatency(t *testing.T) {
 func TestEPCWorkloadDeniedByLimit(t *testing.T) {
 	clk := clock.NewSim()
 	m := sgxMachine()
-	cg := "/kubepods/pod-malicious"
+	cg := &cgroup.Cgroup{ID: "malicious"}
 	// Pod advertised 1 page (§VI-F malicious modus operandi).
 	if err := m.Driver().IoctlSetLimit(cg, 1); err != nil {
 		t.Fatal(err)
@@ -120,8 +121,8 @@ func TestEPCWorkloadDeniedByLimit(t *testing.T) {
 
 	var finishErr error
 	err := new(Execution).Start(clk, Config{
-		Machine:    m,
-		CgroupPath: cg,
+		Machine: m,
+		Cgroup:  cg,
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressEPC,
 			Duration:   time.Hour,
@@ -149,6 +150,7 @@ func TestEPCWorkloadOnNonSGXMachineRejected(t *testing.T) {
 	m := machine.New("std-1", 64*resource.GiB, 8000)
 	err := new(Execution).Start(clk, Config{
 		Machine: m,
+		Cgroup:  new(cgroup.Cgroup),
 		Spec:    api.WorkloadSpec{Kind: api.WorkloadStressEPC, AllocBytes: 1},
 	})
 	if !errors.Is(err, machine.ErrNoSGX) {
@@ -162,6 +164,7 @@ func TestVMWorkloadOOMKilled(t *testing.T) {
 	var finishErr error
 	err := new(Execution).Start(clk, Config{
 		Machine: m,
+		Cgroup:  new(cgroup.Cgroup),
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressVM,
 			Duration:   time.Minute,
@@ -187,6 +190,7 @@ func TestSleepWorkload(t *testing.T) {
 	done := false
 	err := new(Execution).Start(clk, Config{
 		Machine:    m,
+		Cgroup:     new(cgroup.Cgroup),
 		Spec:       api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: 5 * time.Second},
 		OnFinished: finishedFunc(func(error) { done = true }),
 	})
@@ -211,6 +215,7 @@ func TestAbort(t *testing.T) {
 	ex := new(Execution)
 	err := ex.Start(clk, Config{
 		Machine:    m,
+		Cgroup:     new(cgroup.Cgroup),
 		Spec:       api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: time.Hour},
 		OnFinished: finishedFunc(func(err error) { calls++; finishErr = err }),
 	})
@@ -232,7 +237,7 @@ func TestAbort(t *testing.T) {
 func TestUnknownWorkloadKind(t *testing.T) {
 	clk := clock.NewSim()
 	m := machine.New("n", resource.GiB, 1000)
-	if err := new(Execution).Start(clk, Config{Machine: m, Spec: api.WorkloadSpec{Kind: 0}}); err == nil {
+	if err := new(Execution).Start(clk, Config{Machine: m, Cgroup: new(cgroup.Cgroup), Spec: api.WorkloadSpec{Kind: 0}}); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	if got := m.ProcessCount(); got != 0 {
@@ -241,7 +246,11 @@ func TestUnknownWorkloadKind(t *testing.T) {
 }
 
 func TestNilMachine(t *testing.T) {
-	if err := new(Execution).Start(clock.NewSim(), Config{}); err == nil {
+	if err := new(Execution).Start(clock.NewSim(), Config{Cgroup: new(cgroup.Cgroup)}); err == nil {
 		t.Fatal("nil machine accepted")
+	}
+	m := machine.New("n", resource.GiB, 1000)
+	if err := new(Execution).Start(clock.NewSim(), Config{Machine: m}); err == nil {
+		t.Fatal("nil cgroup accepted")
 	}
 }
