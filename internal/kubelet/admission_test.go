@@ -207,21 +207,24 @@ func TestKubeletTeardownDuringAdmissionConcurrent(t *testing.T) {
 
 // checkEntriesHoldNode: with the clock still, every live process is a
 // running workload of an entry still admitted (no execution outlived its
-// entry), each admitted entry's cgroup holds its pod's EPC request in
-// devices and as its driver limit (set on a fresh record, a re-bound
-// pod's too), and the devices held are those requests, so no entry was
-// released twice or kept what it released. It returns the admitted
-// entries.
+// entry); each admitted entry's cgroup holds its pod's EPC request in
+// devices and its limit as a set driver limit (on a fresh record, a
+// re-bound pod's too); and the devices held are those requests, so no
+// entry was released twice or kept what it released. It returns the
+// admitted entries.
 func checkEntriesHoldNode(t *testing.T, f *fixture) (admitted []*podEntry) {
 	t.Helper()
 	f.kl.mu.Lock()
 	var running, held int64
 	for _, e := range f.kl.pods {
 		running += int64(e.remaining)
-		req := e.pod.TotalRequests().Get(resource.EPCPages)
+		req, limit := e.pod.TotalRequests().Get(resource.EPCPages), e.pod.TotalLimits().Get(resource.EPCPages)
+		if limit == 0 {
+			limit = req
+		}
 		held += req
-		if e.cg.DevicePages != req || e.cg.Limited != (req > 0) || e.cg.LimitPages != req {
-			t.Errorf("%s's cgroup holds %d devices and limit %d (set %v), want %d", e.pod.Name, e.cg.DevicePages, e.cg.LimitPages, e.cg.Limited, req)
+		if e.cg.DevicePages != req || e.cg.Limited != (req > 0) || e.cg.LimitPages != limit {
+			t.Errorf("%s's cgroup holds %d devices and limit %d (set %v), want %d and %d", e.pod.Name, e.cg.DevicePages, e.cg.LimitPages, e.cg.Limited, req, limit)
 		}
 		admitted = append(admitted, e)
 	}

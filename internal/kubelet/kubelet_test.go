@@ -188,11 +188,6 @@ func TestMaliciousPodKilledByLimit(t *testing.T) {
 	}
 }
 
-// forgeEPC rewrites the server's record of the fixture's node to
-// advertise pages EPC page items its device plugin does not have. The
-// server's conditional bind admits against that record, so a bind it
-// accepts still meets the kubelet's own admission — the layer under test
-// when a scheduler (or the record) is wrong.
 // entry returns the pod's admitted entry, nil if none is admitted.
 func (f *fixture) entry(name string) *podEntry {
 	f.kl.mu.Lock()
@@ -200,6 +195,11 @@ func (f *fixture) entry(name string) *podEntry {
 	return f.kl.pods[name]
 }
 
+// forgeEPC rewrites the server's record of the fixture's node to
+// advertise pages EPC page items its device plugin does not have. The
+// server's conditional bind admits against that record, so a bind it
+// accepts still meets the kubelet's own admission — the layer under test
+// when a scheduler (or the record) is wrong.
 func (f *fixture) forgeEPC(t *testing.T, pages int64) {
 	t.Helper()
 	n, err := f.srv.GetNode(f.mach.Name())
