@@ -695,7 +695,7 @@ critical section. So a field is assigned, or moved by +=, -=, ++ or --,
 in the package that owns it alone: VMBytes in internal/machine,
 CommittedPages in internal/sgx, LimitPages and Limited in internal/isgx,
 DevicePages in internal/deviceplugin. A record is built by a composite
-literal, which only names its ID. The match is by field name, without
+literal, which only names its UID or its Name. The match is by field name, without
 type checking, in every file, tests and bench/ included.`,
 		check: func(c *codebase) (out []string) {
 			owners := map[string]string{

@@ -688,7 +688,7 @@ func BenchmarkInfluxQLListing1(b *testing.B) {
 // path with limit enforcement (§V-D/§V-E).
 func BenchmarkEnclaveLifecycle(b *testing.B) {
 	driver := isgx.New(sgx.NewPackage(sgx.DefaultGeometry()))
-	cg := &cgroup.Cgroup{ID: "bench"}
+	cg := &cgroup.Cgroup{Name: "bench"}
 	if err := driver.IoctlSetLimit(cg, 4096); err != nil {
 		b.Fatal(err)
 	}
@@ -708,7 +708,7 @@ func BenchmarkEnclaveLifecycle(b *testing.B) {
 // (§V-A's per-page resource accounting).
 func BenchmarkDevicePluginAllocate(b *testing.B) {
 	plugin := deviceplugin.New(isgx.New(sgx.NewPackage(sgx.DefaultGeometry())))
-	cg := &cgroup.Cgroup{ID: "bench"}
+	cg := &cgroup.Cgroup{Name: "bench"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := plugin.Allocate(cg, 1000); err != nil {

@@ -63,7 +63,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("bad allocation %q: %w", f, err)
 		}
-		cg := &cgroup.Cgroup{ID: strconv.Itoa(i)}
+		cg := &cgroup.Cgroup{Name: strconv.Itoa(i)}
 		resp, err := plugin.Allocate(cg, pages)
 		if err != nil {
 			fmt.Fprintf(stdout, "allocate %6d pages for %s: DENIED (%v)\n", pages, cg.Path(), err)

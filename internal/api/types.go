@@ -259,8 +259,11 @@ type PodStatus struct {
 
 // Pod is a schedulable unit (one or more co-located containers).
 type Pod struct {
-	Name   string
-	UID    string
+	Name string
+	// UID is the serial the API server assigned when it stored the pod,
+	// from 1 up; 0 means unassigned, and CreatePod assigns the next one.
+	// The kubelet names the pod's cgroup after it (internal/cgroup).
+	UID    int64
 	Labels map[string]string
 	Spec   PodSpec
 	Status PodStatus

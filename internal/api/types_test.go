@@ -10,7 +10,7 @@ import (
 func samplePod() *Pod {
 	return &Pod{
 		Name: "job-1",
-		UID:  "uid-1",
+		UID:  1,
 		Spec: PodSpec{
 			SchedulerName: "sgx-binpack",
 			Containers: []Container{

@@ -69,7 +69,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -583,7 +582,9 @@ func (s *Server) ListNodes() []*api.Node {
 // Pending and indexed as pending (§IV step Ë). A negative request
 // or limit is refused: it would pass bind admission and lower the node's
 // committed sum, and later binds would then over-commit the node (§V-A:
-// no EPC over-commitment).
+// no EPC over-commitment). The server stores a clone of p and keeps
+// nothing of p itself, its containers included: the caller may reuse p
+// once the call returns, as the trace replay does with one scratch pod.
 func (s *Server) CreatePod(p *api.Pod) error {
 	for i := range p.Spec.Containers {
 		c := &p.Spec.Containers[i]
@@ -599,33 +600,14 @@ func (s *Server) CreatePod(p *api.Pod) error {
 		return fmt.Errorf("%w: pod %s", ErrAlreadyExists, p.Name)
 	}
 	stored := p.Clone()
-	if stored.UID == "" {
-		stored.UID = podUID(s.nextUID.Add(1))
+	if stored.UID == 0 {
+		stored.UID = s.nextUID.Add(1)
 	}
 	stored.Status.Phase = api.PodPending
 	stored.Status.SubmittedAt = s.clk.Now()
 	t.psh.pods[stored.Name] = stored
 	s.pushPending(stored, t.publish(WatchEvent{Type: PodCreated, Pod: stored}, ""))
 	return nil
-}
-
-// podUID is fmt.Sprintf("uid-%06d", n), byte for byte, without boxing n:
-// the sign, when there is one, counts toward the six places and the zeros
-// follow it.
-func podUID(n int64) string {
-	var buf [24]byte // "uid-" and the longest int64, "-9223372036854775808"
-	b := append(buf[:0], "uid-"...)
-	var digits [20]byte
-	d := strconv.AppendInt(digits[:0], n, 10)
-	width := 6
-	if d[0] == '-' {
-		b = append(b, '-')
-		d, width = d[1:], width-1
-	}
-	for i := len(d); i < width; i++ {
-		b = append(b, '0')
-	}
-	return string(append(b, d...))
 }
 
 // GetPod returns the named pod's stored version, the pod its last event

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -133,7 +131,7 @@ func TestCreatePodQueuesFCFS(t *testing.T) {
 		if p.Status.SubmittedAt.IsZero() {
 			t.Fatal("SubmittedAt not stamped")
 		}
-		if p.UID == "" {
+		if p.UID == 0 {
 			t.Fatal("UID not assigned")
 		}
 	}
@@ -717,23 +715,6 @@ func TestConcurrentMutatorsDeliverInRevOrder(t *testing.T) {
 		if !slices.Equal(perNode[k], want[k]) {
 			t.Fatalf("node %s's watcher was sent %d revs, want its %d events of the stream in order:\ngot  %v\nwant %v",
 				node, len(perNode[k]), len(want[k]), perNode[k], want[k])
-		}
-	}
-}
-
-// TestPodUIDMatchesSprintf: CreatePod's UIDs are fmt.Sprintf's
-// "uid-%06d", byte for byte, at the edges of the padding, at the extremes
-// of int64 and at random values of either sign.
-func TestPodUIDMatchesSprintf(t *testing.T) {
-	ns := []int64{0, 1, 9, 99_999, 999_999, 1_000_000, math.MaxInt64,
-		-1, -9_999, -99_999, -100_000, math.MinInt64}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		ns = append(ns, rng.Int63()>>rng.Intn(63), -rng.Int63()>>rng.Intn(63))
-	}
-	for _, n := range ns {
-		if got, want := podUID(n), fmt.Sprintf("uid-%06d", n); got != want {
-			t.Fatalf("podUID(%d) = %q, want %q", n, got, want)
 		}
 	}
 }

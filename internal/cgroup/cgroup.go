@@ -12,10 +12,14 @@
 // section (the cgroup-fields-owned-by-their-layer rule in arch_test.go).
 package cgroup
 
+import "strconv"
+
 // Cgroup is one pod's control group.
 type Cgroup struct {
-	// ID names the pod: its UID, or its name when the UID is empty.
-	ID string
+	// UID is the pod's API server serial (api.Pod.UID), which names the
+	// cgroup; 0 when the pod has none, and Name names it instead.
+	UID  int64
+	Name string
 	// VMBytes is the virtual memory of the cgroup's live processes,
 	// owned by internal/machine under Machine.mu.
 	VMBytes int64
@@ -32,12 +36,34 @@ type Cgroup struct {
 }
 
 // ForPod returns the record of the pod with the given UID and name.
-func ForPod(uid, name string) Cgroup {
-	if uid == "" {
-		return Cgroup{ID: name}
+func ForPod(uid int64, name string) Cgroup {
+	if uid == 0 {
+		return Cgroup{Name: name}
 	}
-	return Cgroup{ID: uid}
+	return Cgroup{UID: uid}
 }
 
-// Path is the cgroup's path, for output and error texts.
-func (c *Cgroup) Path() string { return "/kubepods/pod-" + c.ID }
+// Path is the cgroup's path, for output and error texts:
+// fmt.Sprintf("/kubepods/pod-uid-%06d", c.UID), byte for byte, without
+// boxing the UID (the sign, when there is one, counts toward the six
+// places and the zeros follow it), or "/kubepods/pod-" and the name when
+// the UID is 0.
+func (c *Cgroup) Path() string {
+	const prefix = "/kubepods/pod-"
+	if c.UID == 0 {
+		return prefix + c.Name
+	}
+	var buf [len(prefix) + len("uid-") + 20]byte // 20: "-9223372036854775808"
+	b := append(buf[:0], prefix+"uid-"...)
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], c.UID, 10)
+	width := 6
+	if d[0] == '-' {
+		b = append(b, '-')
+		d, width = d[1:], width-1
+	}
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}

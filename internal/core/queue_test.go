@@ -122,7 +122,7 @@ func TestQueueOrderMatchesReferenceProperty(t *testing.T) {
 						p = p.Clone()
 						stragglers++
 						p.Name = fmt.Sprintf("%s-late-%d", p.Spec.PodGroup, stragglers)
-						p.UID, p.Status = "", api.PodStatus{}
+						p.UID, p.Status = 0, api.PodStatus{}
 						if err := srv.CreatePod(p); err != nil {
 							t.Fatal(err)
 						}

@@ -51,7 +51,7 @@ func TestDeviceCountMatchesUsableEPC(t *testing.T) {
 
 func TestAllocateAndMounts(t *testing.T) {
 	p := newPlugin()
-	cg := &cgroup.Cgroup{ID: "1"}
+	cg := &cgroup.Cgroup{Name: "1"}
 	resp, err := p.Allocate(cg, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestAllocateAndMounts(t *testing.T) {
 
 func TestAllocateErrors(t *testing.T) {
 	p := newPlugin()
-	x := &cgroup.Cgroup{ID: "x"}
+	x := &cgroup.Cgroup{Name: "x"}
 	if _, err := p.Allocate(x, 0); err == nil {
 		t.Fatal("zero-page allocation accepted")
 	}
@@ -96,14 +96,14 @@ func TestAllocateErrors(t *testing.T) {
 
 func TestNoOvercommitAcrossPods(t *testing.T) {
 	p := newPlugin()
-	if _, err := p.Allocate(&cgroup.Cgroup{ID: "a"}, 23000); err != nil {
+	if _, err := p.Allocate(&cgroup.Cgroup{Name: "a"}, 23000); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Allocate(&cgroup.Cgroup{ID: "b"}, 1000); !errors.Is(err, ErrInsufficientDevices) {
+	if _, err := p.Allocate(&cgroup.Cgroup{Name: "b"}, 1000); !errors.Is(err, ErrInsufficientDevices) {
 		t.Fatalf("overcommit err = %v", err)
 	}
 	// Exactly filling the remainder works.
-	if _, err := p.Allocate(&cgroup.Cgroup{ID: "c"}, 936); err != nil {
+	if _, err := p.Allocate(&cgroup.Cgroup{Name: "c"}, 936); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.FreeDevices(); got != 0 {
@@ -113,7 +113,7 @@ func TestNoOvercommitAcrossPods(t *testing.T) {
 
 func TestDeallocateIdempotent(t *testing.T) {
 	p := newPlugin()
-	a := &cgroup.Cgroup{ID: "a"}
+	a := &cgroup.Cgroup{Name: "a"}
 	if _, err := p.Allocate(a, 500); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDeallocateIdempotent(t *testing.T) {
 		t.Fatalf("FreeDevices after dealloc = %d", got)
 	}
 	p.Deallocate(a) // no-op
-	p.Deallocate(&cgroup.Cgroup{ID: "never-allocated"})
+	p.Deallocate(&cgroup.Cgroup{Name: "never-allocated"})
 	if got := p.FreeDevices(); got != 23936 {
 		t.Fatalf("FreeDevices after idempotent dealloc = %d", got)
 	}
@@ -173,7 +173,7 @@ func TestDeviceAccountingConcurrent(t *testing.T) {
 	total := p.DeviceCount()
 	cgroups := make([]cgroup.Cgroup, workers)
 	for w := range cgroups {
-		cgroups[w] = cgroup.Cgroup{ID: fmt.Sprint("pod", w)}
+		cgroups[w] = cgroup.Cgroup{Name: fmt.Sprint("pod", w)}
 	}
 	// check reads every record's pages and the pool under the plugin's
 	// lock, which owns them.

@@ -145,21 +145,8 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	}
 
 	start := tb.Clk.Now()
-	submitted := 0
-	// Each job's name is formed once: the pod, the final read and the
-	// outcome share it.
-	names := make([]string, len(jobs))
-	for i, job := range jobs {
-		i, job := i, job
-		names[i] = traceJobName(job.ID)
-		tb.Clk.AfterFunc(job.Submit, func() {
-			pod := tracePod(names[i], job, isSGX[i], cfg.DynamicEPC)
-			// CreatePod only fails on duplicate names, which the
-			// replay's naming scheme excludes.
-			_ = tb.Srv.CreatePod(pod)
-			submitted++
-		})
-	}
+	r := &submitter{tb: tb, jobs: jobs, isSGX: isSGX, dynamicEPC: cfg.DynamicEPC}
+	subs := r.arm()
 
 	// Pending-queue sampling for Fig. 7.
 	var series []PendingPoint
@@ -169,18 +156,18 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	defer stopSampling()
 
 	done := func() bool {
-		return submitted == len(jobs) && tb.allTraceJobsTerminal()
+		return r.submitted == len(jobs) && tb.allTraceJobsTerminal()
 	}
 	completed := tb.Clk.Run(done, start.Add(cfg.Horizon))
 
 	res := &ReplayResult{Completed: completed, PendingSeries: series}
 	for i := range jobs {
-		pod, err := tb.Srv.GetPod(names[i])
+		pod, err := tb.Srv.GetPod(subs[i].name)
 		if err != nil {
 			// Not yet submitted before the horizon: record as never
 			// started.
 			res.Outcomes = append(res.Outcomes, JobOutcome{
-				Name: names[i], SGX: isSGX[i], Submit: jobs[i].Submit,
+				Name: subs[i].name, SGX: isSGX[i], Submit: jobs[i].Submit,
 			})
 			continue
 		}
@@ -211,6 +198,62 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 	return res, nil
 }
 
+// submitter submits a replay's jobs, each at its offset, through one
+// scratch pod: CreatePod stores a clone, so a submission allocates only
+// that clone.
+type submitter struct {
+	tb         *Testbed
+	jobs       []borg.Job
+	isSGX      []bool
+	dynamicEPC bool
+	// pod and ctr are the scratch each submission fills.
+	pod       api.Pod
+	ctr       [1]api.Container
+	submitted int
+}
+
+// submission is one job's arrival: the clock event armed at its offset,
+// and the job's index and name. It is its event's clock.Handler.
+type submission struct {
+	ev   clock.Event
+	r    *submitter
+	job  int
+	name string
+}
+
+// arm arms every job's submission in job order, so that submissions due
+// at one instant fire in job order, and returns the records. The job
+// names are carved from one string: the pod, the final read and the
+// outcome share them.
+func (r *submitter) arm() []submission {
+	subs := make([]submission, len(r.jobs))
+	var buf []byte
+	ends := make([]int, len(r.jobs))
+	for i := range r.jobs {
+		buf = appendTraceJobName(buf, r.jobs[i].ID)
+		ends[i] = len(buf)
+	}
+	names := string(buf)
+	begin := 0
+	for i := range r.jobs {
+		s := &subs[i]
+		s.r, s.job, s.name = r, i, names[begin:ends[i]]
+		begin = ends[i]
+		r.tb.Clk.Arm(&s.ev, r.jobs[i].Submit, s)
+	}
+	return subs
+}
+
+// Fire submits the job.
+func (s *submission) Fire() {
+	r := s.r
+	r.pod = tracePod(&r.ctr, s.name, r.jobs[s.job], r.isSGX[s.job], r.dynamicEPC)
+	// CreatePod only fails on duplicate names, which the replay's naming
+	// scheme excludes.
+	_ = r.tb.Srv.CreatePod(&r.pod)
+	r.submitted++
+}
+
 // designateSGX deterministically marks round(ratio·n) jobs as SGX.
 func designateSGX(n int, ratio float64, seed int64) []bool {
 	out := make([]bool, n)
@@ -223,12 +266,17 @@ func designateSGX(n int, ratio float64, seed int64) []bool {
 	return out
 }
 
-// traceJobName is fmt.Sprintf("job-%06d", id), byte for byte, without
-// boxing id: the sign, when there is one, counts toward the six places
-// and the zeros follow it.
+// traceJobName is fmt.Sprintf("job-%06d", id), byte for byte.
 func traceJobName(id int64) string {
 	var buf [24]byte // "job-" and the longest int64, "-9223372036854775808"
-	b := append(buf[:0], "job-"...)
+	return string(appendTraceJobName(buf[:0], id))
+}
+
+// appendTraceJobName appends traceJobName(id) to b without boxing id: the
+// sign, when there is one, counts toward the six places and the zeros
+// follow it.
+func appendTraceJobName(b []byte, id int64) []byte {
+	b = append(b, "job-"...)
 	var digits [20]byte
 	d := strconv.AppendInt(digits[:0], id, 10)
 	width := 6
@@ -239,7 +287,7 @@ func traceJobName(id int64) string {
 	for i := len(d); i < width; i++ {
 		b = append(b, '0')
 	}
-	return string(append(b, d...))
+	return append(b, d...)
 }
 
 // tracePod converts a trace job into a pod spec with §VI-B scaling:
@@ -248,9 +296,9 @@ func traceJobName(id int64) string {
 // memory usage field"). With dynamicEPC (the §VI-G SGX 2 mode), SGX jobs
 // request half their advertisement as steady-state baseline and declare
 // the full advertisement as their burst limit. name is the job's
-// traceJobName.
-func tracePod(name string, job borg.Job, sgxJob, dynamicEPC bool) *api.Pod {
-	var ctr api.Container
+// traceJobName. The pod's one container is ctr[0], which tracePod
+// overwrites.
+func tracePod(ctr *[1]api.Container, name string, job borg.Job, sgxJob, dynamicEPC bool) api.Pod {
 	if sgxJob {
 		advBytes := borg.SGXMemBytes(job.AssignedMemFrac)
 		reqPages := resource.PagesForBytes(advBytes)
@@ -273,7 +321,7 @@ func tracePod(name string, job borg.Job, sgxJob, dynamicEPC bool) *api.Pod {
 				reqPages = 1
 			}
 		}
-		ctr = api.Container{
+		ctr[0] = api.Container{
 			Name:  "stress-sgx",
 			Image: "sebvaucher/sgx-base:stress-sgx",
 			Resources: api.Requirements{
@@ -286,7 +334,7 @@ func tracePod(name string, job borg.Job, sgxJob, dynamicEPC bool) *api.Pod {
 			Workload: workload,
 		}
 	} else {
-		ctr = api.Container{
+		ctr[0] = api.Container{
 			Name:  "stress-ng",
 			Image: "stress-ng:vm",
 			Resources: api.Requirements{
@@ -299,11 +347,11 @@ func tracePod(name string, job borg.Job, sgxJob, dynamicEPC bool) *api.Pod {
 			},
 		}
 	}
-	return &api.Pod{
+	return api.Pod{
 		Name: name,
 		Spec: api.PodSpec{
 			SchedulerName: SchedulerName,
-			Containers:    []api.Container{ctr},
+			Containers:    ctr[:],
 		},
 	}
 }

@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/api"
+	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/model"
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
@@ -210,7 +213,8 @@ func TestDesignateSGXRatioExact(t *testing.T) {
 
 func TestTracePodScaling(t *testing.T) {
 	job := borg.Job{ID: 7, Duration: time.Minute, AssignedMemFrac: 0.1, MaxMemFrac: 0.08}
-	sgxPod := tracePod(traceJobName(job.ID), job, true, false)
+	var ctr [1]api.Container
+	sgxPod := tracePod(&ctr, traceJobName(job.ID), job, true, false)
 	if !sgxPod.IsSGX() {
 		t.Fatal("SGX pod not SGX")
 	}
@@ -218,7 +222,7 @@ func TestTracePodScaling(t *testing.T) {
 	if got := sgxPod.TotalRequests().Get(resource.EPCPages); got != wantPages {
 		t.Fatalf("EPC request = %d, want %d", got, wantPages)
 	}
-	stdPod := tracePod(traceJobName(job.ID), job, false, false)
+	stdPod := tracePod(&ctr, traceJobName(job.ID), job, false, false)
 	if stdPod.IsSGX() {
 		t.Fatal("standard pod is SGX")
 	}
@@ -227,6 +231,54 @@ func TestTracePodScaling(t *testing.T) {
 	}
 	if stdPod.Spec.Containers[0].Workload.AllocBytes != borg.StandardMemBytes(0.08) {
 		t.Fatal("workload allocates advertised, want maximal usage")
+	}
+}
+
+// TestReplayStoresDistinctPods: the replay submits every job through one
+// scratch pod, so it relies on CreatePod storing a clone. On a 64-job
+// replay, the version each PodCreated event carried still holds, after
+// the whole run, the spec tracePod builds for its job, and no two of them,
+// nor the scratch, share a Containers backing array.
+func TestReplayStoresDistinctPods(t *testing.T) {
+	trace := evalTrace(1)
+	jobs := trace.Jobs[:64]
+	cfg := Paper(0)
+	var created []*api.Pod
+	cfg.onEvent = func(_ *model.Cluster, ev apiserver.WatchEvent, _ error) {
+		if ev.Type == apiserver.PodCreated {
+			created = append(created, ev.Pod)
+		}
+	}
+	tb, err := NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	r := &submitter{tb: tb, jobs: jobs, isSGX: designateSGX(len(jobs), 0.5, 1)}
+	subs := r.arm()
+	done := func() bool { return r.submitted == len(jobs) && tb.allTraceJobsTerminal() }
+	if !tb.Clk.Run(done, tb.Clk.Now().Add(12*time.Hour)) {
+		t.Fatal("replay did not complete")
+	}
+	if len(created) != len(jobs) {
+		t.Fatalf("%d pods created, want %d", len(created), len(jobs))
+	}
+	arrays := map[*api.Container]string{&r.ctr[0]: "the scratch"}
+	for i, p := range created {
+		s := &subs[i]
+		var ctr [1]api.Container
+		want := tracePod(&ctr, s.name, jobs[s.job], r.isSGX[s.job], false)
+		if p.Name != want.Name || !reflect.DeepEqual(p.Spec, want.Spec) {
+			t.Fatalf("pod %d stored as %s %+v, want %s %+v", i, p.Name, p.Spec, want.Name, want.Spec)
+		}
+		if len(p.Spec.Containers) != 1 {
+			t.Fatalf("pod %s has %d containers, want 1", p.Name, len(p.Spec.Containers))
+		}
+		a := &p.Spec.Containers[0]
+		if other, ok := arrays[a]; ok {
+			t.Fatalf("pod %s shares its containers with %s", p.Name, other)
+		}
+		arrays[a] = p.Name
 	}
 }
 

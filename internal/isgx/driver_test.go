@@ -28,7 +28,7 @@ func TestModuleParameters(t *testing.T) {
 	if got := fs[SysfsDir+"/"+ParamTotalEPCPages]; got != "23936" {
 		t.Fatalf("sysfs total = %q", got)
 	}
-	e, err := d.OpenEnclave(&cgroup.Cgroup{ID: "a"}, 1000)
+	e, err := d.OpenEnclave(&cgroup.Cgroup{Name: "a"}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestModuleParameters(t *testing.T) {
 
 func TestIoctlSetLimitWriteOnce(t *testing.T) {
 	d := newDriver(t)
-	cg := &cgroup.Cgroup{ID: "pod1"}
+	cg := &cgroup.Cgroup{Name: "pod1"}
 	if err := d.IoctlSetLimit(cg, 100); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestIoctlSetLimitWriteOnce(t *testing.T) {
 	}
 	// The same pod admitted again gets a fresh cgroup, whose limit is
 	// unset.
-	if err := d.IoctlSetLimit(&cgroup.Cgroup{ID: "pod1"}, 50); err != nil {
+	if err := d.IoctlSetLimit(&cgroup.Cgroup{Name: "pod1"}, 50); err != nil {
 		t.Fatalf("IoctlSetLimit on a fresh cgroup = %v", err)
 	}
 }
@@ -69,14 +69,14 @@ func TestIoctlSetLimitValidation(t *testing.T) {
 	if err := d.IoctlSetLimit(nil, 1); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("nil cgroup err = %v", err)
 	}
-	if err := d.IoctlSetLimit(&cgroup.Cgroup{ID: "x"}, -1); !errors.Is(err, ErrInvalidArgument) {
+	if err := d.IoctlSetLimit(&cgroup.Cgroup{Name: "x"}, -1); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("negative limit err = %v", err)
 	}
 }
 
 func TestEnclaveInitDeniedOverLimit(t *testing.T) {
 	d := newDriver(t)
-	mal := &cgroup.Cgroup{ID: "mal"}
+	mal := &cgroup.Cgroup{Name: "mal"}
 	if err := d.IoctlSetLimit(mal, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestEnclaveInitDeniedOverLimit(t *testing.T) {
 
 func TestEnclaveWithinLimitAllowed(t *testing.T) {
 	d := newDriver(t)
-	ok := &cgroup.Cgroup{ID: "ok"}
+	ok := &cgroup.Cgroup{Name: "ok"}
 	if err := d.IoctlSetLimit(ok, 500); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestEnclaveWithinLimitAllowed(t *testing.T) {
 
 func TestNoLimitRegisteredAllowsEnclave(t *testing.T) {
 	d := newDriver(t)
-	e, err := d.OpenEnclave(&cgroup.Cgroup{ID: "hostproc"}, 100)
+	e, err := d.OpenEnclave(&cgroup.Cgroup{Name: "hostproc"}, 100)
 	if err != nil {
 		t.Fatalf("enclave without registered limit should be allowed: %v", err)
 	}
@@ -129,7 +129,7 @@ func TestEnforcementDisabled(t *testing.T) {
 	if d.Enforcing() {
 		t.Fatal("Enforcing() = true with WithoutEnforcement")
 	}
-	mal := &cgroup.Cgroup{ID: "mal"}
+	mal := &cgroup.Cgroup{Name: "mal"}
 	if err := d.IoctlSetLimit(mal, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestEnforcementDisabled(t *testing.T) {
 
 func TestOpenEnclaveNegativePages(t *testing.T) {
 	d := newDriver(t)
-	if _, err := d.OpenEnclave(&cgroup.Cgroup{ID: "x"}, -5); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := d.OpenEnclave(&cgroup.Cgroup{Name: "x"}, -5); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("err = %v, want ErrInvalidArgument", err)
 	}
 }
@@ -156,7 +156,7 @@ func TestFreePagesInvariantProperty(t *testing.T) {
 		d := New(sgx.NewPackage(sgx.DefaultGeometry()))
 		var live []*sgx.Enclave
 		var livePages int64
-		cg := &cgroup.Cgroup{ID: "cg"}
+		cg := &cgroup.Cgroup{Name: "cg"}
 		for _, s := range sizes {
 			n := int64(s % 4096)
 			if livePages+n > d.TotalEPCPages() {

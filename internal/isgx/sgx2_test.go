@@ -15,7 +15,7 @@ func newSGX2Driver(opts ...Option) *Driver {
 
 func TestAugmentWithinLimit(t *testing.T) {
 	d := newSGX2Driver()
-	cg := &cgroup.Cgroup{ID: "pod"}
+	cg := &cgroup.Cgroup{Name: "pod"}
 	if err := d.IoctlSetLimit(cg, 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestAugmentWithinLimit(t *testing.T) {
 
 func TestAugmentDeniedOverLimit(t *testing.T) {
 	d := newSGX2Driver()
-	cg := &cgroup.Cgroup{ID: "pod"}
+	cg := &cgroup.Cgroup{Name: "pod"}
 	if err := d.IoctlSetLimit(cg, 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestAugmentDeniedOverLimit(t *testing.T) {
 
 func TestAugmentWithoutEnforcement(t *testing.T) {
 	d := newSGX2Driver(WithoutEnforcement())
-	cg := &cgroup.Cgroup{ID: "pod"}
+	cg := &cgroup.Cgroup{Name: "pod"}
 	if err := d.IoctlSetLimit(cg, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestAugmentWithoutEnforcement(t *testing.T) {
 
 func TestTrimThroughDriver(t *testing.T) {
 	d := newSGX2Driver()
-	cg := &cgroup.Cgroup{ID: "pod"}
+	cg := &cgroup.Cgroup{Name: "pod"}
 	e, err := d.OpenEnclave(cg, 500)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestSGX2IoctlValidation(t *testing.T) {
 	if err := d.IoctlAugmentPages(nil, 1); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("nil enclave err = %v", err)
 	}
-	e, err := d.OpenEnclave(&cgroup.Cgroup{ID: "pod"}, 1)
+	e, err := d.OpenEnclave(&cgroup.Cgroup{Name: "pod"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSGX2IoctlValidation(t *testing.T) {
 
 func TestAugmentOnSGX1Driver(t *testing.T) {
 	d := New(sgx.NewPackage(sgx.DefaultGeometry()))
-	e, err := d.OpenEnclave(&cgroup.Cgroup{ID: "pod"}, 1)
+	e, err := d.OpenEnclave(&cgroup.Cgroup{Name: "pod"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,15 +17,17 @@ import (
 // admissionAllocs pins TestAdmissionLifeAllocations at what it measures
 // under go1.24: five objects per pod — the server's bound, running and
 // succeeded versions of the pod, the node's admission entry and the
-// enclave — plus 41 over the 64 pods, which the kubelet's entry table,
-// the machine's process table, the SGX package's enclave table and the
-// clock's timer heap allocate as they grow to 64. The pod's cgroup is a
-// record inside its entry and its process keeps the enclave in an inline
-// array, so neither allocates. A closure or a fresh timer per bind, a
-// workload's execution, process, step timer or handler on the heap, a
-// cgroup path formed per admission, or a per-cgroup table entry each
-// shows as one more object per pod.
-const admissionAllocs = (5*64 + 41) / 64.0
+// enclave — plus 21 over the 64 pods, which the kubelet's entry table
+// and the clock's timer heap allocate as they grow to 64. The pod's
+// cgroup is a record inside its entry and its process keeps the enclave
+// in an inline array, so neither allocates; the machine and the SGX
+// package count their live processes and enclaves rather than keep a
+// table of them. A closure or a fresh timer per bind, a workload's
+// execution, process, step timer or handler on the heap, a cgroup path
+// formed per admission, or a per-cgroup table entry each shows as one
+// more object per pod, and a per-process or per-enclave table as 10
+// more over the 64.
+const admissionAllocs = (5*64 + 21) / 64.0
 
 // TestAdmissionLifeAllocations pins what one SGX pod's stay on its node
 // allocates, from its bind to its completion. The server's part is the

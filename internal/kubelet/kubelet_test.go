@@ -1,6 +1,7 @@
 package kubelet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -129,7 +130,7 @@ func TestPodFullLifecycle(t *testing.T) {
 		t.Fatalf("free devices = %d", got)
 	}
 	e := f.entry("job-1")
-	if cg := &e.cg; cg.Path() != "/kubepods/pod-"+p.UID || cg.DevicePages != 2560 || !cg.Limited || cg.LimitPages != 2560 {
+	if cg := &e.cg; cg.Path() != fmt.Sprintf("/kubepods/pod-uid-%06d", p.UID) || cg.DevicePages != 2560 || !cg.Limited || cg.LimitPages != 2560 {
 		t.Fatalf("cgroup %s: %d devices, limit %d (set %v); want 2560, 2560", cg.Path(), cg.DevicePages, cg.LimitPages, cg.Limited)
 	}
 

@@ -1,6 +1,6 @@
 // Package machine models the physical servers of the paper's testbed
 // (§VI-A): RAM, CPUs, an optional SGX package with its kernel driver, a
-// process table and cgroup bookkeeping.
+// count of live processes and cgroup bookkeeping.
 //
 // Workloads (internal/stress) run as simulated processes that allocate
 // standard virtual memory from the machine or EPC pages through the
@@ -45,7 +45,8 @@ type Machine struct {
 	// cgroup's VMBytes moves with it, under mu: the collectors read a pod's
 	// memory without visiting its processes.
 	usedRAM int64
-	procs   map[int]*Process
+	// live is the number of processes started and not yet killed.
+	live    int
 	nextPID int
 }
 
@@ -79,7 +80,6 @@ func New(name string, ramBytes, cpuMillis int64, opts ...Option) *Machine {
 		name:      name,
 		ramBytes:  ramBytes,
 		cpuMillis: cpuMillis,
-		procs:     make(map[int]*Process),
 		nextPID:   1,
 	}
 	for _, o := range opts {
@@ -136,14 +136,14 @@ func (p *Process) Start(m *Machine, cg *cgroup.Cgroup) {
 	p.PID, p.cg, p.m = m.nextPID, cg, m
 	p.enclaves = p.first[:0]
 	m.nextPID++
-	m.procs[p.PID] = p
+	m.live++
 }
 
 // ProcessCount returns the number of live processes.
 func (m *Machine) ProcessCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.procs)
+	return m.live
 }
 
 // AllocVM allocates standard virtual memory to the process, failing with
@@ -220,7 +220,7 @@ func (p *Process) Kill() {
 
 	p.m.mu.Lock()
 	p.m.chargeLocked(p.cg, -vm)
-	delete(p.m.procs, p.PID)
+	p.m.live--
 	p.m.mu.Unlock()
 }
 

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -52,7 +51,7 @@ func TestSGXMachine(t *testing.T) {
 
 func TestVMAllocationAndOOM(t *testing.T) {
 	m := New("n", 1000, 1000)
-	p := spawn(m, &cgroup.Cgroup{ID: "a"})
+	p := spawn(m, &cgroup.Cgroup{Name: "a"})
 	if err := p.AllocVM(600); err != nil {
 		t.Fatal(err)
 	}
@@ -76,30 +75,18 @@ func TestVMAllocationAndOOM(t *testing.T) {
 	}
 }
 
-// Process returns the live process with the given PID.
-func (m *Machine) Process(pid int) (*Process, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p, ok := m.procs[pid]
-	if !ok {
-		return nil, fmt.Errorf("%w: pid %d", ErrNoSuchProcess, pid)
-	}
-	return p, nil
-}
-
 func TestProcessLifecycle(t *testing.T) {
 	m := New("n", 1000, 1000)
-	p := spawn(m, &cgroup.Cgroup{ID: "a"})
-	got, err := m.Process(p.PID)
-	if err != nil || got != p {
-		t.Fatalf("Process lookup = %v, %v", got, err)
+	p := spawn(m, &cgroup.Cgroup{Name: "a"})
+	if n := m.ProcessCount(); n != 1 {
+		t.Fatalf("live processes = %d, want 1", n)
 	}
 	if err := p.AllocVM(500); err != nil {
 		t.Fatal(err)
 	}
 	p.Kill()
-	if _, err := m.Process(p.PID); !errors.Is(err, ErrNoSuchProcess) {
-		t.Fatalf("dead process lookup err = %v", err)
+	if n := m.ProcessCount(); n != 0 {
+		t.Fatalf("live processes after kill = %d, want 0", n)
 	}
 	if got := m.RAMUsed(); got != 0 {
 		t.Fatalf("kill leaked RAM: %d", got)
@@ -108,11 +95,14 @@ func TestProcessLifecycle(t *testing.T) {
 		t.Fatalf("alloc on dead process err = %v", err)
 	}
 	p.Kill() // idempotent
+	if n := m.ProcessCount(); n != 0 {
+		t.Fatalf("live processes after a second kill = %d, want 0", n)
+	}
 }
 
 func TestKillDestroysEnclaves(t *testing.T) {
 	m := New("sgx", 8*resource.GiB, 8000, WithSGX(sgx.DefaultGeometry()))
-	p := spawn(m, &cgroup.Cgroup{ID: "a"})
+	p := spawn(m, &cgroup.Cgroup{Name: "a"})
 	if _, err := p.OpenEnclave(5000); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +117,7 @@ func TestKillDestroysEnclaves(t *testing.T) {
 
 func TestOpenEnclaveOnNonSGXMachine(t *testing.T) {
 	m := New("plain", resource.GiB, 1000)
-	p := spawn(m, &cgroup.Cgroup{ID: "a"})
+	p := spawn(m, &cgroup.Cgroup{Name: "a"})
 	if _, err := p.OpenEnclave(10); !errors.Is(err, ErrNoSGX) {
 		t.Fatalf("err = %v, want ErrNoSGX", err)
 	}
@@ -135,7 +125,7 @@ func TestOpenEnclaveOnNonSGXMachine(t *testing.T) {
 
 func TestUsageByCgroup(t *testing.T) {
 	m := New("sgx", 8*resource.GiB, 8000, WithSGX(sgx.DefaultGeometry()))
-	podA, podB := &cgroup.Cgroup{ID: "podA"}, &cgroup.Cgroup{ID: "podB"}
+	podA, podB := &cgroup.Cgroup{Name: "podA"}, &cgroup.Cgroup{Name: "podB"}
 	a1 := spawn(m, podA)
 	a2 := spawn(m, podA)
 	b := spawn(m, podB)
@@ -161,7 +151,7 @@ func TestUsageByCgroup(t *testing.T) {
 		t.Fatalf("Usage(B) = %d B, %d pages; want 400, 70", vm, pages)
 	}
 	plain := New("p", resource.GiB, 1000)
-	cg := &cgroup.Cgroup{ID: "x"}
+	cg := &cgroup.Cgroup{Name: "x"}
 	if err := spawn(plain, cg).AllocVM(10); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +166,7 @@ func TestRAMAccountingProperty(t *testing.T) {
 		m := New("n", 1<<40, 1000)
 		var procs []*Process
 		var want int64
-		cg := &cgroup.Cgroup{ID: "cg"}
+		cg := &cgroup.Cgroup{Name: "cg"}
 		for i, a := range allocs {
 			p := spawn(m, cg)
 			n := int64(a % (1 << 20))

@@ -12,17 +12,38 @@ import (
 )
 
 // scanVMBytes is the walk the machine made before it kept per-cgroup
-// totals: every live process of the cgroup, summed.
-func scanVMBytes(m *Machine, cg *cgroup.Cgroup) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// totals: every live process of the cgroup, summed. procs is every
+// process the run started; the machine's own table held exactly those
+// not yet killed.
+func scanVMBytes(procs []*Process, cg *cgroup.Cgroup) int64 {
 	var total int64
-	for _, p := range m.procs {
-		if p.cg == cg {
+	for _, p := range procs {
+		p.mu.Lock()
+		if !p.dead && p.cg == cg {
 			total += p.vmBytes
 		}
+		p.mu.Unlock()
 	}
 	return total
+}
+
+// liveCounts counts the processes not yet killed and the enclaves not yet
+// destroyed: what the tables the machine and the SGX package kept before
+// they counted held.
+func liveCounts(procs []*Process, enclaves []*sgx.Enclave) (liveProcs, liveEnclaves int) {
+	for _, p := range procs {
+		p.mu.Lock()
+		if !p.dead {
+			liveProcs++
+		}
+		p.mu.Unlock()
+	}
+	for _, e := range enclaves {
+		if e.State() != sgx.EnclaveDestroyedState {
+			liveEnclaves++
+		}
+	}
+	return liveProcs, liveEnclaves
 }
 
 // scanPages is the walk the SGX package made before it kept per-cgroup
@@ -41,7 +62,9 @@ func scanPages(enclaves []*sgx.Enclave, cg *cgroup.Cgroup) int64 {
 
 // TestIndexedTotalsMatchScanProperty: the memory total the machine keeps
 // on each cgroup record, and the page total the SGX package keeps on it,
-// equal the brute-force scans they replaced after every
+// equal the brute-force scans they replaced, and the machine's live
+// process and the package's live enclave counts equal what the scans
+// count, after every
 // step of a random run — processes started, allocating, freeing and
 // killed; enclaves opened, grown and trimmed (SGX 2 EDMM, §VI-G) and
 // destroyed; opens and growth the driver's limit check denies. Each seed
@@ -62,7 +85,7 @@ func TestIndexedTotalsMatchScanProperty(t *testing.T) {
 			m := New("sgx", 512*resource.MiB, 8000, WithSGX2(sgx.DefaultGeometry(), opts...))
 			cgroups := make([]*cgroup.Cgroup, len(limits))
 			for i, limit := range limits {
-				cgroups[i] = &cgroup.Cgroup{ID: fmt.Sprint("pod", i)}
+				cgroups[i] = &cgroup.Cgroup{Name: fmt.Sprint("pod", i)}
 				if limit == 0 {
 					continue
 				}
@@ -106,8 +129,12 @@ func TestIndexedTotalsMatchScanProperty(t *testing.T) {
 					_ = enclaves[rng.Intn(len(enclaves))].Destroy()
 				}
 
+				if procsWant, enclavesWant := liveCounts(procs, enclaves); m.ProcessCount() != procsWant || m.SGX().EnclaveCount() != enclavesWant {
+					t.Fatalf("%s: %d live processes, %d live enclaves; scan %d, %d",
+						where(step), m.ProcessCount(), m.SGX().EnclaveCount(), procsWant, enclavesWant)
+				}
 				for i, cg := range cgroups {
-					vm, pages := scanVMBytes(m, cg), scanPages(enclaves, cg)
+					vm, pages := scanVMBytes(procs, cg), scanPages(enclaves, cg)
 					if gotVM, gotPages := m.Usage(cg); gotVM != vm || gotPages != pages {
 						t.Fatalf("%s: Usage(%s) = %d B, %d pages; scan %d B, %d pages",
 							where(step), cg.Path(), gotVM, gotPages, vm, pages)

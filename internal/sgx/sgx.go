@@ -168,7 +168,7 @@ func (e *Enclave) Destroy() error {
 		return ErrEnclaveDestroyed
 	}
 	e.pkg.release(e, e.pages)
-	e.pkg.forget(e.ID)
+	e.pkg.forget()
 	e.pages = 0
 	e.state = EnclaveDestroyedState
 	return nil
@@ -180,8 +180,9 @@ type Package struct {
 	// sgx2 enables dynamic EPC memory management (EDMM, §VI-G).
 	sgx2 bool
 
-	mu       sync.Mutex
-	enclaves map[uint64]*Enclave
+	mu sync.Mutex
+	// live is the number of enclaves created and not yet destroyed.
+	live int
 	// committed is the pages committed across enclaves, paged ones
 	// included. Each enclave's cgroup's CommittedPages moves with it, under
 	// mu: the driver's limit check and the metrics probe read a pod's
@@ -196,9 +197,8 @@ type Option func(*Package)
 // NewPackage creates an SGX package with the given geometry.
 func NewPackage(geo Geometry, opts ...Option) *Package {
 	p := &Package{
-		geo:      geo,
-		enclaves: make(map[uint64]*Enclave),
-		nextID:   1,
+		geo:    geo,
+		nextID: 1,
 	}
 	for _, o := range opts {
 		o(p)
@@ -221,7 +221,7 @@ func (p *Package) CreateEnclave(cg *cgroup.Cgroup) *Enclave {
 		state:  EnclaveCreated,
 	}
 	p.nextID++
-	p.enclaves[e.ID] = e
+	p.live++
 	return e
 }
 
@@ -246,10 +246,11 @@ func (p *Package) release(e *Enclave, n int64) {
 	e.Cgroup.CommittedPages -= n
 }
 
-func (p *Package) forget(id uint64) {
+// forget counts a destroyed enclave out of the live ones.
+func (p *Package) forget() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.enclaves, id)
+	p.live--
 }
 
 // FreePages returns the number of usable pages not committed to any
@@ -276,7 +277,7 @@ func (p *Package) PagesOf(cg *cgroup.Cgroup) int64 {
 func (p *Package) EnclaveCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.enclaves)
+	return p.live
 }
 
 // ResidentFraction returns the fraction of committed pages that are

@@ -23,7 +23,7 @@ func TestSGX2Capability(t *testing.T) {
 
 func TestAugmentRequiresSGX2(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave(&cgroup.Cgroup{ID: "cg"})
+	e := p.CreateEnclave(&cgroup.Cgroup{Name: "cg"})
 	if err := e.AddPages(10); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestAugmentRequiresSGX2(t *testing.T) {
 
 func TestAugmentAndTrimLifecycle(t *testing.T) {
 	p := NewPackage(DefaultGeometry(), WithSGX2())
-	e := p.CreateEnclave(&cgroup.Cgroup{ID: "cg"})
+	e := p.CreateEnclave(&cgroup.Cgroup{Name: "cg"})
 	// EAUG before EINIT is a lifecycle error even on SGX 2.
 	if err := e.AugmentPages(1); !errors.Is(err, ErrEnclaveState) {
 		t.Fatalf("pre-init EAUG err = %v", err)
@@ -85,7 +85,7 @@ func TestAugmentAndTrimLifecycle(t *testing.T) {
 
 func TestAugmentNegative(t *testing.T) {
 	p := NewPackage(DefaultGeometry(), WithSGX2())
-	e := p.CreateEnclave(&cgroup.Cgroup{ID: "cg"})
+	e := p.CreateEnclave(&cgroup.Cgroup{Name: "cg"})
 	if err := e.AddPages(1); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAugmentNegative(t *testing.T) {
 func TestDynamicAccountingProperty(t *testing.T) {
 	f := func(ops []int16) bool {
 		p := NewPackage(DefaultGeometry(), WithSGX2())
-		e := p.CreateEnclave(&cgroup.Cgroup{ID: "cg"})
+		e := p.CreateEnclave(&cgroup.Cgroup{Name: "cg"})
 		if err := e.AddPages(100); err != nil {
 			return false
 		}
@@ -155,7 +155,7 @@ func TestDynamicAccountingProperty(t *testing.T) {
 func TestEnclavePagesConcurrentReaders(t *testing.T) {
 	const base, step, rounds = 100, 40, 2000
 	p := NewPackage(DefaultGeometry(), WithSGX2())
-	cg := &cgroup.Cgroup{ID: "podA"}
+	cg := &cgroup.Cgroup{Name: "podA"}
 	e := p.CreateEnclave(cg)
 	if err := e.AddPages(base); err != nil {
 		t.Fatal(err)

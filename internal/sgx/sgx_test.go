@@ -43,7 +43,7 @@ func TestGeometryScalesProportionally(t *testing.T) {
 
 func TestEnclaveLifecycle(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave(&cgroup.Cgroup{ID: "1"})
+	e := p.CreateEnclave(&cgroup.Cgroup{Name: "1"})
 	if e.State() != EnclaveCreated {
 		t.Fatalf("state = %v, want created", e.State())
 	}
@@ -79,7 +79,7 @@ func TestEnclaveLifecycle(t *testing.T) {
 
 func TestAddPagesNegative(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave(&cgroup.Cgroup{ID: "c"})
+	e := p.CreateEnclave(&cgroup.Cgroup{Name: "c"})
 	if err := e.AddPages(-1); !errors.Is(err, ErrEnclaveState) {
 		t.Fatalf("AddPages(-1) err = %v", err)
 	}
@@ -87,7 +87,7 @@ func TestAddPagesNegative(t *testing.T) {
 
 func TestOvercommitAndSlowdown(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave(&cgroup.Cgroup{ID: "a"})
+	e := p.CreateEnclave(&cgroup.Cgroup{Name: "a"})
 	if err := e.AddPages(2 * 23936); err != nil {
 		t.Fatalf("overcommit with paging enabled failed: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestOvercommitAndSlowdown(t *testing.T) {
 
 func TestNoOvercommitSlowdownIsOne(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	e := p.CreateEnclave(&cgroup.Cgroup{ID: "a"})
+	e := p.CreateEnclave(&cgroup.Cgroup{Name: "a"})
 	if err := e.AddPages(1000); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestNoOvercommitSlowdownIsOne(t *testing.T) {
 
 func TestPagesForCgroup(t *testing.T) {
 	p := NewPackage(DefaultGeometry())
-	a, b := &cgroup.Cgroup{ID: "podA"}, &cgroup.Cgroup{ID: "podB"}
+	a, b := &cgroup.Cgroup{Name: "podA"}, &cgroup.Cgroup{Name: "podB"}
 	e1 := p.CreateEnclave(a)
 	e2 := p.CreateEnclave(a)
 	e3 := p.CreateEnclave(b)
@@ -198,7 +198,7 @@ func TestCommitReleaseAccountingProperty(t *testing.T) {
 		var live []*Enclave
 		var want int64
 		for _, s := range sizes {
-			e := p.CreateEnclave(&cgroup.Cgroup{ID: "cg"})
+			e := p.CreateEnclave(&cgroup.Cgroup{Name: "cg"})
 			n := int64(s % 1000)
 			if err := e.AddPages(n); err != nil {
 				return false

@@ -22,7 +22,7 @@ func sgx2Machine(opts ...isgx.Option) *machine.Machine {
 func TestDynamicEPCRampProfile(t *testing.T) {
 	clk := clock.NewSim()
 	m := sgx2Machine()
-	cg := &cgroup.Cgroup{ID: "dyn"}
+	cg := &cgroup.Cgroup{Name: "dyn"}
 
 	peak := 24 * resource.MiB
 	base := 12 * resource.MiB
@@ -78,7 +78,7 @@ func TestDynamicEPCRampProfile(t *testing.T) {
 func TestDynamicEPCBurstDeniedByLimit(t *testing.T) {
 	clk := clock.NewSim()
 	m := sgx2Machine()
-	cg := &cgroup.Cgroup{ID: "dyn"}
+	cg := &cgroup.Cgroup{Name: "dyn"}
 	// Limit covers the baseline but not the burst: the §VI-G enforcement
 	// port kills the job at EAUG time.
 	if err := m.Driver().IoctlSetLimit(cg, resource.PagesForBytes(12*resource.MiB)); err != nil {
@@ -111,7 +111,7 @@ func TestDynamicEPCBurstDeniedByLimit(t *testing.T) {
 func TestDynamicEPCDefaultBaseline(t *testing.T) {
 	clk := clock.NewSim()
 	m := sgx2Machine()
-	cg := &cgroup.Cgroup{ID: "dyn"}
+	cg := &cgroup.Cgroup{Name: "dyn"}
 	err := new(Execution).Start(clk, Config{
 		Machine: m,
 		Cgroup:  cg,

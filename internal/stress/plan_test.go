@@ -41,7 +41,7 @@ func TestWorkloadLifeAllocations(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := clock.NewSim()
-			cfg := Config{Machine: tc.m, Cgroup: &cgroup.Cgroup{ID: "pod"}, Spec: tc.spec}
+			cfg := Config{Machine: tc.m, Cgroup: &cgroup.Cgroup{Name: "pod"}, Spec: tc.spec}
 			got := testing.AllocsPerRun(100, func() {
 				if err := new(Execution).Start(clk, cfg); err != nil {
 					t.Fatal(err)
@@ -75,7 +75,7 @@ func TestAbortConcurrentWithSteps(t *testing.T) {
 	exs := make([]*Execution, n)
 	for i := range exs {
 		cfg := Config{
-			Cgroup: &cgroup.Cgroup{ID: fmt.Sprint(i)},
+			Cgroup: &cgroup.Cgroup{Name: fmt.Sprint(i)},
 			OnFinished: finishedFunc(func(err error) {
 				if err != nil && !errors.Is(err, ErrAborted) {
 					t.Errorf("workload %d: finish err = %v", i, err)

@@ -71,15 +71,18 @@ type step struct {
 type Execution struct {
 	cfg  Config
 	plan [4]step
-	next int
 	// pages is what the enclave commits when it opens; burst is what the
 	// dynamic workload augments and later trims.
 	pages, burst int64
 	proc         machine.Process
 	enclave      *sgx.Enclave
 
-	mu       sync.Mutex
-	timer    clock.Event
+	mu    sync.Mutex
+	timer clock.Event
+	// next indexes plan. It is a byte beside finished, so that the two
+	// share a word and the kubelet's admission entry, which holds an
+	// Execution inline, stays in its allocation size class.
+	next     uint8
 	finished bool
 }
 

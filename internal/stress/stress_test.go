@@ -32,7 +32,7 @@ func TestVMWorkloadLifecycle(t *testing.T) {
 	finished := false
 	err := new(Execution).Start(clk, Config{
 		Machine: m,
-		Cgroup:  &cgroup.Cgroup{ID: "1"},
+		Cgroup:  &cgroup.Cgroup{Name: "1"},
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressVM,
 			Duration:   time.Minute,
@@ -73,7 +73,7 @@ func TestEPCWorkloadStartupLatency(t *testing.T) {
 	var finishedAt time.Time
 	err := new(Execution).Start(clk, Config{
 		Machine: m,
-		Cgroup:  &cgroup.Cgroup{ID: "1"},
+		Cgroup:  &cgroup.Cgroup{Name: "1"},
 		Spec: api.WorkloadSpec{
 			Kind:       api.WorkloadStressEPC,
 			Duration:   10 * time.Second,
@@ -113,7 +113,7 @@ func TestEPCWorkloadStartupLatency(t *testing.T) {
 func TestEPCWorkloadDeniedByLimit(t *testing.T) {
 	clk := clock.NewSim()
 	m := sgxMachine()
-	cg := &cgroup.Cgroup{ID: "malicious"}
+	cg := &cgroup.Cgroup{Name: "malicious"}
 	// Pod advertised 1 page (§VI-F malicious modus operandi).
 	if err := m.Driver().IoctlSetLimit(cg, 1); err != nil {
 		t.Fatal(err)
