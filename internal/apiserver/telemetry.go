@@ -75,8 +75,10 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 // registerCollectors publishes the pull-model gauges. The collector
 // closure keeps per-priority and per-subscriber gauge handles across
 // runs so tiers that drain and subscribers that unsubscribe report zero
-// instead of their last live value; the registry serialises collector
-// runs, so the closure state needs no lock.
+// instead of their last live value, and clears and refills its own
+// scratch maps on each run, so a scrape allocates only the broker's
+// stats slice; the registry never runs a collector twice at once, so the
+// closure state needs no lock.
 func (s *Server) registerCollectors(reg *telemetry.Registry) {
 	depthByClass := reg.GaugeVec("apiserver_pending_depth", "class")
 	depthByPrio := reg.GaugeVec("apiserver_pending_depth_priority", "priority")
@@ -101,11 +103,14 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 	prioGauges := make(map[int32]*telemetry.Gauge)
 	type subGauges struct{ lag, resyncs, dropped *telemetry.Gauge }
 	subs := make(map[int64]subGauges)
+	prios := make(map[int32]int)
+	live := make(map[int64]bool)
 
 	reg.RegisterCollector(func() {
+		clear(prios)
 		s.pendingMu.Lock()
 		classes := s.pending.classCounts("")
-		prios := maps.Clone(s.pending.prios)
+		maps.Copy(prios, s.pending.prios)
 		s.pendingMu.Unlock()
 		for i, c := range api.Classes {
 			classGauges[i].Set(float64(classes[c]))
@@ -135,7 +140,7 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 		published.Set(float64(ws.Published))
 		evicted.Set(float64(ws.Evicted))
 		subscribers.Set(float64(ws.Subscribers))
-		live := make(map[int64]bool, len(subs))
+		clear(live)
 		for _, ss := range ws.PerSubscriber {
 			live[ss.ID] = true
 			g, ok := subs[ss.ID]

@@ -179,3 +179,37 @@ func TestServerTelemetryDepthAndWatchCollectors(t *testing.T) {
 		t.Fatalf("exposition missing per-subscriber watch gauges:\n%s", sb.String())
 	}
 }
+
+// TestServerTelemetryCollectAllocs pins a self-scrape of a warm server:
+// pending pods in two priority tiers and two classes, one bound pod and
+// one subscriber, every gauge already made by a first Collect. The
+// collector refills maps it owns, so the one object left is
+// Broker.Stats' per-subscriber slice.
+func TestServerTelemetryCollectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	reg := telemetry.New()
+	s := New(clock.NewSim(), WithTelemetry(reg))
+	defer s.Close()
+	defer s.Subscribe(func(WatchEvent) {})()
+	if err := s.RegisterNode(telemetryNode("n1")); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*api.Pod{
+		telemetryTestPod("batch", api.ClassBatch, 0, resource.GiB),
+		telemetryTestPod("ls", api.ClassLatencySensitive, 100, resource.GiB),
+		telemetryTestPod("bound", api.ClassBatch, 0, resource.GiB),
+	} {
+		if err := s.CreatePod(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Bind("bound", "n1"); err != nil {
+		t.Fatal(err)
+	}
+	reg.Collect()
+	if got := testing.AllocsPerRun(100, reg.Collect); got != 1 {
+		t.Fatalf("Collect allocates %v objects, want 1 (Broker.Stats' slice)", got)
+	}
+}

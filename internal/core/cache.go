@@ -58,6 +58,12 @@ type ClusterCache struct {
 	nodes map[string]*cachedNode
 	names []string // node names, sorted
 	pods  map[string]*cachedPod
+	// free lists the recycled records of departed pods (through next), and
+	// chunk holds records carved but never used; a bind carves podChunk
+	// more only when both are empty, so free never holds more records than
+	// the peak live count. A resync drops both with every index.
+	free  *cachedPod
+	chunk []cachedPod
 	// groups indexes tracked pods (bound and permit-holding alike) by pod
 	// group, cluster-wide — the preemption planner evicts a gang wholesale
 	// or not at all, so it needs every member's priority and charge, not
@@ -112,14 +118,19 @@ type cachedNode struct {
 	memUsed     int64 // fused memory bytes of live bound pods
 	epcUsed     int64 // fused EPC pages of live bound pods
 	reqEPC      int64 // requested EPC pages of live bound pods (device accounting)
-	// pods indexes the live bound pods charged to this node, so the
-	// preemption planner enumerates victims in O(node pods) instead of
-	// scanning the cluster.
-	pods map[string]*cachedPod
+	// pods heads the list, through cachedPod.prev/next, of the live bound
+	// pods charged to this node, so the preemption planner enumerates
+	// victims in O(node pods); insert and remove are O(1) and allocate
+	// nothing. The order is arbitrary: victimsBelow sorts.
+	pods *cachedPod
 }
 
 // cachedPod tracks one live bound pod and its current fused contribution
 // to its node, so a later transition can subtract exactly what was added.
+// The cache owns the record: only c.pods, its node's list and (for a gang
+// member) c.groups reach it, victimInfo and the maturity heap copying
+// what they need, so removePodLocked zeroes it onto the free list once it
+// has left all three, and the next bind reuses it.
 type cachedPod struct {
 	name      string
 	node      string
@@ -142,7 +153,11 @@ type cachedPod struct {
 	// for every scheduler watching the cluster, while each fleet may run
 	// its own inference configuration.
 	bestEffort bool
+	// prev and next link the node's list; next also links the free list.
+	prev, next *cachedPod
 }
+
+const podChunk = 64 // records carved at once
 
 // newClusterCache performs the informer handshake against the API server
 // and primes the cache from the snapshot. The aggregator (when metrics
@@ -183,6 +198,7 @@ func (c *ClusterCache) primeLocked(snap apiserver.Snapshot) {
 	c.nodes = make(map[string]*cachedNode, len(snap.Nodes))
 	c.names = c.names[:0]
 	c.pods = make(map[string]*cachedPod, len(snap.Pods))
+	c.free, c.chunk = nil, nil
 	c.groups = make(map[string]map[string]*cachedPod)
 	c.maturity = c.maturity[:0]
 	c.prioCount = make(map[int32]int)
@@ -490,7 +506,7 @@ func (c *ClusterCache) onMetric(_, pod, node string, _ float64, _ bool) {
 func (c *ClusterCache) upsertNodeLocked(n *api.Node) {
 	cn, ok := c.nodes[n.Name]
 	if !ok {
-		cn = &cachedNode{name: n.Name, pods: make(map[string]*cachedPod)}
+		cn = &cachedNode{name: n.Name}
 		c.nodes[n.Name] = cn
 		i := sort.SearchStrings(c.names, n.Name)
 		c.names = append(c.names, "")
@@ -530,7 +546,7 @@ func (c *ClusterCache) addPodLocked(p *api.Pod, now time.Time, reserved bool) {
 		return
 	}
 	req := p.TotalRequests()
-	c.trackPodLocked(&cachedPod{
+	c.trackPodLocked(cachedPod{
 		name:       p.Name,
 		node:       p.Spec.NodeName,
 		group:      p.Spec.PodGroup,
@@ -543,12 +559,24 @@ func (c *ClusterCache) addPodLocked(p *api.Pod, now time.Time, reserved bool) {
 	}, now)
 }
 
-// trackPodLocked registers a constructed cachedPod (whose node must
-// exist) and charges its node.
-func (c *ClusterCache) trackPodLocked(cp *cachedPod, now time.Time) {
+// trackPodLocked registers a pod (whose node must exist) in a record of
+// its own and charges its node.
+func (c *ClusterCache) trackPodLocked(rec cachedPod, now time.Time) {
+	if c.free == nil {
+		if len(c.chunk) == 0 {
+			c.chunk = make([]cachedPod, podChunk)
+		}
+		c.free, c.chunk = &c.chunk[0], c.chunk[1:]
+	}
+	cp := c.free
+	c.free = cp.next
+	*cp = rec
 	cn := c.nodes[cp.node]
 	c.pods[cp.name] = cp
-	cn.pods[cp.name] = cp
+	if cp.next = cn.pods; cp.next != nil {
+		cp.next.prev = cp
+	}
+	cn.pods = cp
 	if cp.group != "" {
 		g := c.groups[cp.group]
 		if g == nil {
@@ -596,13 +624,20 @@ func (c *ClusterCache) podUpdatedLocked(p *api.Pod, now time.Time) {
 }
 
 // removePodLocked stops tracking a live bound pod, subtracting exactly
-// what it was charged.
+// what it was charged, and recycles its record.
 func (c *ClusterCache) removePodLocked(cp *cachedPod) {
 	cn := c.nodes[cp.node]
 	cn.reqEPC -= cp.reqEPC
 	cn.memUsed -= cp.memBytes
 	cn.epcUsed -= cp.epcPages
-	delete(cn.pods, cp.name)
+	if cp.prev != nil {
+		cp.prev.next = cp.next
+	} else {
+		cn.pods = cp.next
+	}
+	if cp.next != nil {
+		cp.next.prev = cp.prev
+	}
 	delete(c.pods, cp.name)
 	if cp.group != "" {
 		if g := c.groups[cp.group]; g != nil {
@@ -622,6 +657,8 @@ func (c *ClusterCache) removePodLocked(cp *cachedPod) {
 	if cp.bestEffort {
 		c.beCount--
 	}
+	*cp = cachedPod{next: c.free}
+	c.free = cp
 }
 
 // fusePodLocked recomputes a pod's fused usage at the current instant —
@@ -736,7 +773,7 @@ func (c *ClusterCache) victimsBelow(node string, prio int32, includeBE bool, buf
 	eligible := func(cp *cachedPod) bool {
 		return cp.priority < prio || (includeBE && cp.bestEffort)
 	}
-	for _, cp := range cn.pods {
+	for cp := cn.pods; cp != nil; cp = cp.next {
 		if cp.group != "" {
 			groups = append(groups, cp.group)
 			continue

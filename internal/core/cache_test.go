@@ -29,7 +29,7 @@ func (c *ClusterCache) injectBoundPod(name, node string, reqMem, reqEPC int64) {
 	if _, ok := c.nodes[node]; !ok {
 		return
 	}
-	c.trackPodLocked(&cachedPod{name: name, node: node, reqMem: reqMem, reqEPC: reqEPC}, now)
+	c.trackPodLocked(cachedPod{name: name, node: node, reqMem: reqMem, reqEPC: reqEPC}, now)
 }
 
 // viewsEqual compares two ClusterViews semantically: same nodes in the
