@@ -5,6 +5,7 @@
 // With -compare REV it measures the working tree against REV on the
 // whole-stack benchmark instead (bench/run.sh, judged by BENCHMARK.json's
 // bounds over ten alternating pairs; see README.md, "Measuring a change").
+// It always runs seeds 1-10, so it refuses every figure-mode flag.
 //
 // Figure mode accepts -cpuprofile/-memprofile to capture pprof profiles
 // of the reproduction run itself — the quickest way to see where a
@@ -31,22 +32,33 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "benchreport:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
-	seed := flag.Int64("seed", 1, "experiment seed")
-	figs := flag.String("figs", "", "comma-separated figure ids (default: all)")
-	rows := flag.Int("rows", 24, "max rows rendered per series")
-	compareRev := flag.String("compare", "", "compare the working tree with `rev` on the whole-stack benchmark (skips figure mode)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the figure runs to `file`")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile after the figure runs to `file`")
-	flag.Parse()
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet("benchreport", flag.ExitOnError)
+	seed := fs.Int64("seed", 1, "experiment seed")
+	figs := fs.String("figs", "", "comma-separated figure ids (default: all)")
+	rows := fs.Int("rows", 24, "max rows rendered per series")
+	compareRev := fs.String("compare", "", "compare the working tree with `rev` on the whole-stack benchmark (skips figure mode)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the figure runs to `file`")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile after the figure runs to `file`")
+	fs.Parse(args)
 
 	if *compareRev != "" {
+		// The comparison always runs seeds 1-10 and renders no figure, so
+		// a figure-mode flag beside it would be silently ignored.
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "compare" && err == nil {
+				err = fmt.Errorf("-%s does not apply with -compare", f.Name)
+			}
+		})
+		if err != nil {
+			return err
+		}
 		return compare(*compareRev, os.Stdout)
 	}
 
