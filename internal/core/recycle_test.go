@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -107,11 +109,13 @@ func TestCacheRecordRecycleProperty(t *testing.T) {
 		groups := []string{"g0", "g1", "g2"}
 		var pods []string
 		pick := func() string { return pods[rng.Intn(len(pods))] }
-		pickPending := func() string {
-			if q := srv.PendingPods(""); len(q) > 0 {
-				return q[rng.Intn(len(q))].Name
+		pickPending := func() string { // by name: PendingPods' order is unspecified
+			q := srv.PendingPods("")
+			if len(q) == 0 {
+				return ""
 			}
-			return ""
+			slices.SortFunc(q, func(a, b *api.Pod) int { return strings.Compare(a.Name, b.Name) })
+			return q[rng.Intn(len(q))].Name
 		}
 		const steps = 240
 		peak, recycled, held := 0, false, false
