@@ -541,7 +541,8 @@ func (c *Cluster) GangStats() GangStats {
 // observability surface. Each count is exported once, by the component
 // that counts it, under that component's prefix: scheduler_*, apiserver_*
 // (bind outcomes, queue depth per class and priority), watch_*,
-// lifecycle_* and gang_*, beside model_violations, the watch events the
+// lifecycle_* (histograms whose counts LifecycleStats reads; no counter
+// restates them) and gang_*, beside model_violations, the watch events the
 // reference model refused (0 on a sound run). Reading the registry (WritePrometheus,
 // ScrapeInto, or any registry export) first runs the pull-time
 // collectors that copy the components' own counters into their gauges.
@@ -566,10 +567,11 @@ func (c *Cluster) PassTraces() []telemetry.PassTrace {
 }
 
 // LifecycleStats reports how many lifecycle samples the tracker has
-// consumed from the watch stream: Binds is the exact total count of the
-// lifecycle_queue_seconds histograms, Runs of the startup and
-// submit-to-run histograms. Zero-valued on a telemetry-disabled
-// cluster.
+// folded from the stream the audit hands it: binds is the total count of
+// the lifecycle_queue_seconds histograms, one per PodBound event, and
+// runs that of the startup (and submit-to-run) histograms, one per
+// Running event — the server publishes one per binding. Zero-valued on a
+// telemetry-disabled cluster.
 func (c *Cluster) LifecycleStats() (binds, runs int64) {
 	return c.tb.Tracker.BindsObserved(), c.tb.Tracker.RunsObserved()
 }

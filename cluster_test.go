@@ -40,17 +40,17 @@ func TestNewClusterDefaultsToPaperTestbed(t *testing.T) {
 }
 
 // TestClusterWatchSubscribers: the watch stream has one subscriber per
-// kubelet plus the reference model's audit, the scheduler's cache and the
-// lifecycle tracker. The gang director reads the server's gang counts and
-// subscribes to nothing.
+// kubelet plus the reference model's audit and the scheduler's cache. The
+// lifecycle tracker reads the audit's delivery, and the gang director
+// reads the server's gang counts; neither subscribes.
 func TestClusterWatchSubscribers(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got, want := c.tb.Srv.WatchStats().Subscribers, len(c.Nodes())+3; got != want {
-		t.Fatalf("watch subscribers = %d, want %d (a kubelet per node, the audit, the cache, the tracker)", got, want)
+	if got, want := c.tb.Srv.WatchStats().Subscribers, len(c.Nodes())+2; got != want {
+		t.Fatalf("watch subscribers = %d, want %d (a kubelet per node, the audit, the cache)", got, want)
 	}
 }
 

@@ -46,11 +46,11 @@
 // with 128 MiB of EPC under the paper's scheduler. Every testbed's
 // reference-model audit subscribes before the first node registers, so it
 // sees the whole watch stream, the shipped Cluster and ReplayBorgTrace
-// included. The order matters and is written down once, in NewTestbed's
+// included, and hands each batch on to the lifecycle tracker. The order matters and is written down once, in NewTestbed's
 // doc: under the simulated clock components registered for the same
 // instant fire in registration order, so the order in which NewTestbed
-// starts kubelets, collectors, the tracker, the self-scrape and the pass
-// timers decides how same-instant scrapes, passes and completions
+// starts kubelets, collectors, the self-scrape and the pass timers
+// decides how same-instant scrapes, passes and completions
 // interleave — and with it every golden digest. Close stops everything
 // in reverse start order, except that kubelets stop in node order (each
 // publishes its node's NotReady update, and the determinism tests digest
@@ -80,10 +80,12 @@
 // permit charges its node like a bind, the gang commit's PodBound moves
 // no capacity, and a settled gang is whole when bound plus finished
 // members reach its quorum. Apply refuses, with an error wrapping one of
-// model.ErrRev, ErrChargedTwice, ErrCommitNode, ErrNegative or
-// ErrOvercommit, an event that breaks a rule the server guarantees: a rev
-// that is not the last + 1 (the first sets the base), a charge taken
-// twice, a gang commit off its permit's node, a negative commitment, or
+// model.ErrRev, ErrChargedTwice, ErrRunTwice, ErrCommitNode, ErrNegative
+// or ErrOvercommit, an event that breaks a rule the server guarantees: a
+// rev that is not the last + 1 (the first sets the base), a charge taken
+// twice, a second Running event for a pod already Running (MarkRunning is
+// idempotent and publishes one per binding), a gang commit off its
+// permit's node, a negative commitment, or
 // one beyond what admission allows (EPC under AdmitGuarded, everything
 // under AdmitStrict); a refused event changes
 // nothing but the last rev. A node the stream has not described has no
@@ -397,9 +399,9 @@
 // histograms bind latency and counts rejections by class, and
 // publishes pending-queue depth by class and priority tier; the watch
 // broker exposes per-subscriber lag, resync and drop gauges; and the
-// lifecycle tracker (internal/lifecycle) consumes the watch event
-// stream to histogram submit→bind, bind→run and run durations per
-// class. Each instrumented scheduling pass also records a PassTrace —
+// lifecycle tracker (internal/lifecycle) folds the watch event stream,
+// as the testbed's audit hands it each batch, into per-class histograms
+// of submit→bind, bind→run and run durations. Each instrumented scheduling pass also records a PassTrace —
 // its stage spans, the per-pod stages on sampled passes only — into a
 // fixed ring readable via Cluster.PassTraces. There is one pass, not a
 // timed copy beside a plain one: timing is sampled inside it, behind a

@@ -297,6 +297,7 @@ type Server struct {
 	broker *watch.Broker[WatchEvent]
 
 	nextUID atomic.Int64
+	live    atomic.Int64 // pods not yet terminal: AllTerminal reads it
 
 	// podShards/nodeShards are the striped state maps (see stripe.go):
 	// a bind touches exactly one stripe of each.
@@ -606,6 +607,7 @@ func (s *Server) CreatePod(p *api.Pod) error {
 	stored.Status.Phase = api.PodPending
 	stored.Status.SubmittedAt = s.clk.Now()
 	t.psh.pods[stored.Name] = stored
+	s.live.Add(1)
 	s.pushPending(stored, t.publish(WatchEvent{Type: PodCreated, Pod: stored}, ""))
 	return nil
 }
@@ -861,7 +863,11 @@ func (s *Server) pushPending(p *api.Pod, rev int64) {
 	s.pendingMu.Unlock()
 }
 
-// MarkRunning transitions a bound pod to Running, stamping StartedAt.
+// MarkRunning transitions a bound pod to Running, stamping StartedAt. It
+// is idempotent: on a pod already Running it publishes nothing, keeps
+// StartedAt and returns nil, so the stream carries one Running per
+// binding, and a kubelet that admits a Running pod again (after a
+// restart) keeps its admission instead of withdrawing it.
 func (s *Server) MarkRunning(podName string) error {
 	return s.transition(podName, api.PodRunning, "")
 }
@@ -891,12 +897,16 @@ func (s *Server) transition(podName string, phase api.PodPhase, reason string) e
 	if phase == api.PodRunning && p.Spec.NodeName == "" {
 		return fmt.Errorf("%w: pod %s running without binding", ErrConflict, podName)
 	}
+	if phase == api.PodRunning && p.Status.Phase == api.PodRunning {
+		return nil
+	}
 	p = t.nextVersion(p)
 	switch phase {
 	case api.PodRunning:
 		p.Status.StartedAt = s.clk.Now()
 	case api.PodSucceeded, api.PodFailed:
 		p.Status.FinishedAt = s.clk.Now()
+		s.live.Add(-1)
 		// A gang member evicted while holding a permit is unbound but has
 		// capacity committed on its permit's node — release it there or
 		// the node leaks headroom forever.
@@ -958,12 +968,7 @@ func (s *Server) Evict(podName, reason string) error {
 }
 
 // AllTerminal reports whether every pod has reached a terminal phase —
-// the completion condition for trace replays.
-func (s *Server) AllTerminal() bool {
-	all := true
-	s.VisitPods(func(p *api.Pod) bool {
-		all = p.IsTerminal()
-		return all
-	})
-	return all
-}
+// the completion condition for trace replays, read after every simulated
+// event. It reads a count that CreatePod raises and a transition into a
+// terminal phase, the only way into one, lowers.
+func (s *Server) AllTerminal() bool { return s.live.Load() == 0 }

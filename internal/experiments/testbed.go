@@ -156,23 +156,29 @@ func Paper(epc int64) TestbedConfig {
 // audit replays a testbed's watch stream through the reference model:
 // events counts what it was sent, violations what the model refused, and
 // gauge (nil without telemetry) exports violations as model_violations.
+// Each batch then goes on to the lifecycle tracker (nil without
+// telemetry), which reads the same stream in the same order.
 type audit struct {
 	*model.Cluster
 	events, violations int
 	gauge              *telemetry.Gauge
+	tracker            *lifecycle.Tracker
 	then               func(m *model.Cluster, ev apiserver.WatchEvent, refused error)
 }
 
-func (a *audit) apply(ev apiserver.WatchEvent) {
-	a.events++
-	err := a.Apply(ev)
-	if err != nil {
-		a.violations++
-		a.gauge.Set(float64(a.violations))
+func (a *audit) apply(evs []apiserver.WatchEvent) {
+	for _, ev := range evs {
+		a.events++
+		err := a.Apply(ev)
+		if err != nil {
+			a.violations++
+			a.gauge.Set(float64(a.violations))
+		}
+		if a.then != nil {
+			a.then(a.Cluster, ev, err)
+		}
 	}
-	if a.then != nil {
-		a.then(a.Cluster, ev, err)
-	}
+	a.tracker.Consume(evs)
 }
 
 // Testbed is a started cluster: the clock, the API server, the kubelets
@@ -184,7 +190,7 @@ type Testbed struct {
 	// DB is nil when ScrapeInterval is zero.
 	DB       *tsdb.DB
 	Kubelets []*kubelet.Kubelet
-	// Tracker is nil without Scheduler.Telemetry.
+	// Tracker is nil without Scheduler.Telemetry; the audit feeds it.
 	Tracker   *lifecycle.Tracker
 	Cfg       TestbedConfig
 	Scheduler *core.Scheduler
@@ -203,7 +209,8 @@ type Testbed struct {
 //  1. the clock and the API server;
 //  2. the audit's subscription, before the first node registers, so it
 //     sees the whole stream — the kubelets' NotReady tail at Close
-//     included;
+//     included — with, under Scheduler.Telemetry, the lifecycle tracker
+//     it hands each batch to;
 //  3. the TSDB, with a scrape interval;
 //  4. the closer that stops the kubelets;
 //  5. one machine and kubelet per node, in node order;
@@ -214,10 +221,9 @@ type Testbed struct {
 //  10. with Scheduler.Telemetry, the collector exporting the gang
 //     director's counts (the audit's violations are exported as they
 //     happen);
-//  11. with Scheduler.Telemetry, the lifecycle tracker;
-//  12. with Scheduler.Telemetry and a scrape interval, the registry's
+//  11. with Scheduler.Telemetry and a scrape interval, the registry's
 //     self-scrape into the TSDB;
-//  13. the pass timers, armed last.
+//  12. the pass timers, armed last.
 //
 // A kubelet that fails to start stops everything already started.
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) { return newTestbed(clock.NewSim(), cfg) }
@@ -228,8 +234,9 @@ func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
 	reg := cfg.Scheduler.Telemetry
 	tb := &Testbed{Clk: clk, Srv: apiserver.New(clk, apiserver.WithAdmission(cfg.Admission), apiserver.WithTelemetry(reg)), Cfg: cfg}
 	onClose := func(fn func()) { tb.closers = append(tb.closers, fn) }
-	tb.audit = &audit{Cluster: model.New(cfg.Admission), gauge: reg.Gauge("model_violations"), then: cfg.onEvent}
-	onClose(tb.Srv.Subscribe(tb.audit.apply))
+	tb.Tracker = lifecycle.New(reg)
+	tb.audit = &audit{Cluster: model.New(cfg.Admission), gauge: reg.Gauge("model_violations"), tracker: tb.Tracker, then: cfg.onEvent}
+	onClose(tb.Srv.SubscribeBatch(tb.audit.apply, nil))
 	if cfg.ScrapeInterval > 0 {
 		tb.DB = tsdb.New(clk)
 		onClose(tb.DB.Close)
@@ -295,13 +302,8 @@ func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
 				timeouts.Set(float64(gs.Timeouts))
 			})
 		}
-		// The tracker consumes the same pod event stream as the kubelets
-		// and turns the server-stamped timestamps into per-class latency
-		// histograms; the self-scrape makes the orchestrator's own health
-		// queryable through the same InfluxQL path as container metrics.
-		tb.Tracker = lifecycle.New(reg)
-		tb.Tracker.Track(tb.Srv)
-		onClose(tb.Tracker.Close)
+		// The self-scrape makes the orchestrator's own health queryable
+		// through the same InfluxQL path as container metrics.
 		onClose(telemetry.StartSelfScrape(clk, reg, tb.DB, cfg.ScrapeInterval))
 	}
 	start()

@@ -52,7 +52,7 @@ func TestAuditCountsPlantedFault(t *testing.T) {
 		},
 	}
 	published := tb.Srv.WatchStats().Published
-	tb.audit.apply(apiserver.WatchEvent{Type: apiserver.PodBound, Rev: published + 1, Pod: hog})
+	tb.audit.apply([]apiserver.WatchEvent{{Type: apiserver.PodBound, Rev: published + 1, Pod: hog}})
 	if a := tb.audit; a.violations != 1 || !errors.Is(planted, model.ErrOvercommit) {
 		t.Fatalf("the audit counted %d violations in %d events, the forged bind refused with %v; want one ErrOvercommit",
 			a.violations, a.events, planted)
@@ -62,6 +62,51 @@ func TestAuditCountsPlantedFault(t *testing.T) {
 	if a.violations != 2 || int64(a.events) != published+1 || err == nil {
 		t.Fatalf("after close the audit counted %d violations in %d events (%d published + 1 forged), verdict %v; want 2",
 			a.violations, a.events, published, err)
+	}
+}
+
+// TestAuditRefusesPlantedSecondRun: the testbed's audit is handed a
+// forged second Running event for a pod the stream already left Running,
+// at the stream's next rev. The server publishes one Running per binding,
+// so the model refuses it as ErrRunTwice, the audit counts it as the
+// model_violations gauge, and the class's run tally holds.
+func TestAuditRefusesPlantedSecondRun(t *testing.T) {
+	cfg := Paper(0)
+	reg := telemetry.New()
+	cfg.Scheduler.Telemetry = reg
+	var planted error
+	cfg.onEvent = func(_ *model.Cluster, ev apiserver.WatchEvent, refused error) {
+		if ev.Pod != nil && ev.Pod.Name == "job" {
+			planted = refused
+		}
+	}
+	tb, err := NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	if err := tb.Submit(&api.Pod{Name: "job", Spec: api.PodSpec{Containers: []api.Container{{
+		Name:      "main",
+		Resources: api.Requirements{Requests: resource.List{resource.Memory: resource.GiB}},
+		Workload:  api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: time.Hour},
+	}}}}); err != nil {
+		t.Fatal(err)
+	}
+	tb.Clk.Advance(time.Minute)
+	running, err := tb.Srv.GetPod("job")
+	if err != nil || running.Status.Phase != api.PodRunning || planted != nil {
+		t.Fatalf("job = %+v, %v, audit verdict %v; want Running and accepted", running, err, planted)
+	}
+	slot := running.Spec.WorkloadClass().Slot()
+	before := tb.audit.ByClass[slot]
+	published := tb.Srv.WatchStats().Published
+	tb.audit.apply([]apiserver.WatchEvent{{Type: apiserver.PodUpdated, Rev: published + 1, Pod: running}})
+	if a := tb.audit; a.violations != 1 || !errors.Is(planted, model.ErrRunTwice) || a.ByClass[slot] != before {
+		t.Fatalf("the audit counted %d violations, refused the forged Running with %v, tally %+v → %+v; want one ErrRunTwice and no new run",
+			a.violations, planted, before, a.ByClass[slot])
+	}
+	if v := reg.Gauge("model_violations").Value(); v != 1 {
+		t.Fatalf("model_violations = %v, want 1", v)
 	}
 }
 
@@ -250,8 +295,10 @@ func TestTestbedCloseStopsKubeletsInNodeOrder(t *testing.T) {
 		t.Fatal("a testbed with telemetry has no tracker")
 	}
 	tb.Clk.Advance(10 * time.Second)
-	if n := reg.Counter("lifecycle_resyncs_total").Value(); n != 0 {
-		t.Fatalf("tracker resynced %d times on a sync stream", n)
+	// The tracker rides the audit's delivery: the stream's subscribers
+	// are the kubelets, the scheduler's cache and the audit.
+	if got, want := tb.Srv.WatchStats().Subscribers, len(tb.Kubelets)+2; got != want {
+		t.Fatalf("watch subscribers = %d, want %d (a kubelet per node, the cache, the audit)", got, want)
 	}
 	if len(tb.DB.Measurements()) == 0 {
 		t.Fatal("a scrape interval passed and the TSDB is empty")

@@ -19,6 +19,7 @@ import (
 var (
 	ErrRev          = errors.New("model: rev is not the last rev + 1")
 	ErrChargedTwice = errors.New("model: charge taken twice")
+	ErrRunTwice     = errors.New("model: Running event for a pod already Running")
 	ErrCommitNode   = errors.New("model: gang commit off its permit's node")
 	ErrNegative     = errors.New("model: negative commitment")
 	ErrOvercommit   = errors.New("model: commitment beyond what admission allows")
@@ -75,8 +76,8 @@ func (g *Gang) Partial() bool {
 	return held == 0 && bound > 0 && bound+finished < g.MinMember
 }
 
-// Transitions counts PodBound events, entries into Running (a preemption
-// starts a new cycle) and bound pods preempted back to the queue.
+// Transitions counts PodBound events, Running events (one per binding:
+// Apply refuses a second) and bound pods preempted back to the queue.
 type Transitions struct{ Binds, Runs, Preemptions int }
 
 // Cluster is the state the stream describes; its fields are read-only to
@@ -131,6 +132,8 @@ func (c *Cluster) Apply(ev apiserver.WatchEvent) error {
 		}
 	case ev.Type == apiserver.PodBound && node != p.Node:
 		return fmt.Errorf("%w: pod %s holds %s, committed onto %s", ErrCommitNode, name, p.Node, node)
+	case phase == api.PodRunning && p.Phase == api.PodRunning:
+		return fmt.Errorf("%w: pod %s on %s", ErrRunTwice, name, node)
 	}
 	requeued := p.placed() && node == "" && phase == api.PodPending
 	switch tally := &c.ByClass[p.Class.Slot()]; {
@@ -138,7 +141,7 @@ func (c *Cluster) Apply(ev apiserver.WatchEvent) error {
 		tally.Binds++
 	case ev.Type == apiserver.PodUpdated && requeued:
 		tally.Preemptions++
-	case ev.Type == apiserver.PodUpdated && phase == api.PodRunning && p.Phase != api.PodRunning:
+	case ev.Type == apiserver.PodUpdated && phase == api.PodRunning:
 		tally.Runs++
 	}
 	if requeued {

@@ -219,7 +219,9 @@ func TestSettledGangCountsFinishedMembers(t *testing.T) {
 
 // TestPendingOrderAndTransitions: the queue is priority, then entry rev —
 // a preempted pod and a rolled-back permit re-enter at the tail of their
-// tier — and every bind, run and preemption is counted for its class.
+// tier — and every bind, run and preemption is counted for its class. A
+// second Running event for a pod held Running is refused (the server
+// publishes one per binding) and changes neither the pod nor a tally.
 func TestPendingOrderAndTransitions(t *testing.T) {
 	mem := resource.List{resource.Memory: 1}
 	a, b, c := newPod("a", mem), newPod("b", mem), newPod("c", mem)
@@ -245,10 +247,17 @@ func TestPendingOrderAndTransitions(t *testing.T) {
 	}
 	feed(t, m,
 		event(apiserver.PodBound, a, "n", api.PodPending),
-		event(apiserver.PodUpdated, a, "n", api.PodRunning),
-		event(apiserver.PodUpdated, a, "n", api.PodRunning),
-		event(apiserver.PodUpdated, a, "n", api.PodSucceeded))
+		event(apiserver.PodUpdated, a, "n", api.PodRunning))
 	want := Transitions{Binds: 2, Runs: 2, Preemptions: 1}
+	pod, total := *m.Pods["a"], m.Total
+	if err := next(m, event(apiserver.PodUpdated, a, "n", api.PodRunning)); !errors.Is(err, ErrRunTwice) {
+		t.Fatalf("second Running event: err = %v, want ErrRunTwice", err)
+	}
+	if *m.Pods["a"] != pod || m.Total != total || m.ByClass[api.ClassBatch.Slot()] != want {
+		t.Fatalf("a refused Running event changed the model: pod %+v, total %+v, batch %+v",
+			*m.Pods["a"], m.Total, m.ByClass[api.ClassBatch.Slot()])
+	}
+	feed(t, m, event(apiserver.PodUpdated, a, "n", api.PodSucceeded))
 	if got := m.ByClass[api.ClassBatch.Slot()]; got != want {
 		t.Fatalf("batch transitions = %+v, want %+v", got, want)
 	}
