@@ -495,8 +495,29 @@ assembly under spans and is its own module; tests build what they test.`,
 		},
 			modulePath+"/internal/kubelet.New",
 			modulePath+"/internal/monitor.NewHeapster",
-			modulePath+"/internal/monitor.DeployProbes",
+			modulePath+"/internal/monitor.NewProbes",
 			modulePath+"/internal/lifecycle.New"),
+	},
+	{
+		name: "one-place-arms-the-periodic-timers",
+		doc: `Every periodic timer of the stack is armed in one function body,
+internal/experiments/testbed.go's newTestbed: under the simulated clock
+the timers due at one instant fire in the order they were armed, so that
+order decides how same-instant scrapes and passes interleave, and with
+it every golden digest and sim_digest. A component exposes its step
+(Scheduler.ScheduleOnce, ShardedSchedulers.RunRound, Heapster.Scrape,
+Registry.ScrapeInto) and arms nothing. internal/experiments/replay.go's
+Fig. 7 sampler only reads the run it samples; internal/tsdb's retention
+sweep is the database's own housekeeping; cmd/sgx-probe is a component
+demo; bench/ mirrors the assembly under spans and is its own module;
+tests arm what they test.`,
+		check: forbidRefs(func(f *srcFile) bool {
+			switch f.path {
+			case "internal/experiments/testbed.go", "internal/experiments/replay.go", "internal/tsdb/tsdb.go":
+				return true
+			}
+			return f.test || within(f.dir, "cmd/sgx-probe") || within(f.dir, "bench")
+		}, modulePath+"/internal/clock.Periodic"),
 	},
 	{
 		name: "one-reference-model",
@@ -1039,6 +1060,13 @@ func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), r func(Snapsh
 		{"one-assembly-of-the-stack", map[string]string{
 			"internal/experiments/sgx2.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/kubelet\"\n\nvar k = kubelet.New(nil)\n",
 		}, "internal/experiments/sgx2.go:5"},
+		{"one-place-arms-the-periodic-timers", map[string]string{
+			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/clock\"\n\nvar stop = clock.Periodic(nil, 1, nil)\n",
+			"internal/core/scheduler.go":      "package core\n\nimport \"github.com/sgxorch/sgxorch/internal/clock\"\n\nfunc (s *Scheduler) Start() { s.stop = clock.Periodic(s.clk, 1, nil) }\n",
+		}, "internal/core/scheduler.go:5"},
+		{"one-place-arms-the-periodic-timers", map[string]string{
+			"internal/telemetry/scrape.go": "package telemetry\n\nimport clk \"github.com/sgxorch/sgxorch/internal/clock\"\n\nvar arm = clk.Periodic\n",
+		}, "internal/telemetry/scrape.go:5"},
 		{"one-reference-model", map[string]string{
 			"internal/experiments/audit.go": `package experiments
 

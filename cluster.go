@@ -491,7 +491,8 @@ type ClassSchedulerStats struct {
 }
 
 // SchedulerStats returns the scheduler's counters. The registry
-// carries the same numbers: scheduler_passes_total, and
+// carries the same numbers: Passes is scheduler_pass_duration_seconds'
+// count, and
 // scheduler_{bound,unschedulable,preemptions,victims}_total{class=…},
 // whose sum over class is the field of the same name. On a
 // telemetry-disabled cluster this accessor is the only read.

@@ -57,6 +57,9 @@ func run(args []string, stdout io.Writer) error {
 	} else if err != nil {
 		return err
 	}
+	if *interval <= 0 {
+		return fmt.Errorf("-interval must be positive, got %v", *interval)
+	}
 
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
@@ -68,9 +71,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer kl.Stop()
 
-	ds := monitor.DeployProbes(clk, db, []*kubelet.Kubelet{kl}, *interval)
-	defer ds.Stop()
-	fmt.Fprintf(stdout, "deployed %d probe(s) via DaemonSet on SGX-enabled nodes\n", ds.Size())
+	probes := monitor.NewProbes(db, []*kubelet.Kubelet{kl})
+	for _, p := range probes {
+		defer clock.Periodic(clk, *interval, p.Scrape)()
+	}
+	fmt.Fprintf(stdout, "deployed %d probe(s) via DaemonSet on SGX-enabled nodes\n", len(probes))
 
 	for i := 0; i < *pods; i++ {
 		pages := int64(2560 * (i + 1))

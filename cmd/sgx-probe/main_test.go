@@ -57,3 +57,18 @@ func TestHelpIsNotAnError(t *testing.T) {
 		t.Fatalf("sgx-probe -bogus succeeded, printing %q", out.String())
 	}
 }
+
+// TestNonPositiveIntervalIsAnError: a probe period of zero or below is
+// refused before anything runs, not silently replaced.
+func TestNonPositiveIntervalIsAnError(t *testing.T) {
+	for _, arg := range []string{"-interval=0s", "-interval=-10s"} {
+		var out strings.Builder
+		err := run([]string{arg}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-interval must be positive") {
+			t.Fatalf("sgx-probe %s = %v, want the interval refused", arg, err)
+		}
+		if out.Len() > 0 {
+			t.Fatalf("sgx-probe %s printed %q before refusing", arg, out.String())
+		}
+	}
+}

@@ -34,7 +34,9 @@
 // one machine and kubelet per node (SGX / SGX 2 geometry, limit
 // enforcement, the unschedulable master), when a scrape interval is given
 // the TSDB with Heapster and the probe DaemonSet, and the schedulers on
-// top. A TestbedConfig names the nodes, limit enforcement, the scrape
+// top. It arms every periodic timer too: the schedulers and the
+// collectors expose only their step (a pass, a round, a scrape) and
+// arm nothing. A TestbedConfig names the nodes, limit enforcement, the scrape
 // interval and a core.Config, plus the shard count, concurrent rounds, a
 // shared gang director and the admission mode. NewCluster translates
 // ClusterConfig into one — a class-aware scheduler with a gang director
@@ -49,7 +51,8 @@
 // included, and hands each batch on to the lifecycle tracker. The order matters and is written down once, in NewTestbed's
 // doc: under the simulated clock components registered for the same
 // instant fire in registration order, so the order in which NewTestbed
-// starts kubelets, collectors, the self-scrape and the pass timers
+// starts kubelets and arms the collectors', the self-scrape's and the
+// pass's timers
 // decides how same-instant scrapes, passes and completions
 // interleave — and with it every golden digest. Close stops everything
 // in reverse start order, except that kubelets stop in node order (each

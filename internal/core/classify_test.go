@@ -180,18 +180,18 @@ func newClassifyHarness(t *testing.T, classes *ClassRegistry) *classifyHarness {
 	}
 	gd := NewGangDirector(clk, srv, GangConfig{})
 	sched, err := New(clk, srv, nil, Config{
-		Name:     "sgx-sched",
-		Policy:   Binpack{},
-		Interval: 5 * time.Second,
-		Gang:     gd,
-		Classes:  classes,
+		Name:    "sgx-sched",
+		Policy:  Binpack{},
+		Gang:    gd,
+		Classes: classes,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched.Start()
+	stopPass := clock.Periodic(clk, 5*time.Second, func() { sched.ScheduleOnce() })
 	h.sched = sched
 	t.Cleanup(func() {
+		stopPass()
 		sched.Close()
 		gd.Close()
 		for _, kl := range kls {
@@ -289,16 +289,15 @@ func TestBestEffortAlwaysPreemptible(t *testing.T) {
 		}
 		defer kl.Stop()
 		sched, err := New(clk, srv, nil, Config{
-			Name:     "sgx-sched",
-			Policy:   Binpack{},
-			Interval: 5 * time.Second,
-			Classes:  NewClassRegistry(nil),
+			Name:    "sgx-sched",
+			Policy:  Binpack{},
+			Classes: NewClassRegistry(nil),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer sched.Close()
-		sched.Start()
+		defer clock.Periodic(clk, 5*time.Second, func() { sched.ScheduleOnce() })()
 
 		// Fill the node with a best-effort pod at the same tier the
 		// challenger arrives in.
@@ -340,10 +339,9 @@ func TestPerClassStatsAndPendingDepth(t *testing.T) {
 	}
 	defer kl.Stop()
 	sched, err := New(clk, srv, nil, Config{
-		Name:     "sgx-sched",
-		Policy:   Binpack{},
-		Interval: 5 * time.Second,
-		Classes:  NewClassRegistry(nil),
+		Name:    "sgx-sched",
+		Policy:  Binpack{},
+		Classes: NewClassRegistry(nil),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,10 +44,9 @@ func newGangTestbed(t *testing.T, nodes int, memPerNode int64, gcfg GangConfig, 
 	}
 	tb.dir = NewGangDirector(clk, srv, gcfg)
 	fleet, err := NewSharded(clk, srv, tsdb.New(clk), Config{
-		Name:     "s",
-		Policy:   Binpack{},
-		Interval: time.Second,
-		Gang:     tb.dir,
+		Name:   "s",
+		Policy: Binpack{},
+		Gang:   tb.dir,
 	}, shards, false)
 	if err != nil {
 		t.Fatal(err)

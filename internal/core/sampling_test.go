@@ -339,7 +339,7 @@ func TestSampledSchedulingDeterministic(t *testing.T) {
 			}
 		}
 		s, err := New(clk, srv, nil, Config{
-			Name: "s", Policy: Binpack{}, Interval: time.Second, MaxBindsPerPass: 16,
+			Name: "s", Policy: Binpack{}, MaxBindsPerPass: 16,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -365,9 +365,10 @@ func TestSampledSchedulingDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.Start()
+		stopPass := clock.Periodic(clk, time.Second, func() { s.ScheduleOnce() })
 		clk.Advance(40 * time.Second)
 		st := s.Stats()
+		stopPass()
 		s.Close()
 		return seq, st
 	}

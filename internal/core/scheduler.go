@@ -30,7 +30,9 @@ type Config struct {
 	// concurrently (§V-B).
 	Name   string
 	Policy Policy
-	// Interval between scheduling passes (DefaultInterval when zero).
+	// Interval between scheduling passes (DefaultInterval when zero). The
+	// scheduler does not arm its own pass: the experiments testbed reads
+	// this and arms ScheduleOnce, or a fleet's RunRound, on the clock.
 	Interval time.Duration
 	// Window is the sliding metric window (DefaultWindow when zero). It is
 	// also how long after a pod starts the scheduler keeps charging
@@ -221,7 +223,6 @@ type Scheduler struct {
 	passSeq int64
 
 	mu    sync.Mutex
-	stop  func()
 	stats Stats
 }
 
@@ -240,9 +241,6 @@ func newScheduler(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Confi
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("core: policy required")
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = DefaultInterval
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
@@ -311,33 +309,11 @@ func (s *Scheduler) Traces() []telemetry.PassTrace {
 	return s.trace.Snapshot()
 }
 
-// Start launches the periodic scheduling loop.
-func (s *Scheduler) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stop != nil {
-		return
-	}
-	s.stop = clock.Periodic(s.clk, s.cfg.Interval, func() { s.ScheduleOnce() })
-}
-
-// Stop halts the loop.
-func (s *Scheduler) Stop() {
-	s.mu.Lock()
-	stop := s.stop
-	s.stop = nil
-	s.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-}
-
-// Close stops the loop and detaches the scheduler's cluster cache and
-// metrics aggregator from their event sources (fleet members sharing a
-// donor's cache leave that to the donor). The scheduler is unusable
-// afterwards.
+// Close detaches the scheduler's cluster cache and metrics aggregator
+// from their event sources (fleet members sharing a donor's cache leave
+// that to the donor). The scheduler is unusable afterwards; whoever armed
+// its pass timer stops that first.
 func (s *Scheduler) Close() {
-	s.Stop()
 	if !s.ownsCache {
 		return
 	}

@@ -50,14 +50,13 @@ func newTestCluster(t *testing.T, spec clusterSpec) *testCluster {
 	sched, err := New(clk, srv, db, Config{
 		Name:       "sgx-sched",
 		Policy:     policy,
-		Interval:   5 * time.Second,
 		UseMetrics: spec.useMetrics,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sched.Close)
-	sched.Start()
+	t.Cleanup(clock.Periodic(clk, 5*time.Second, func() { sched.ScheduleOnce() }))
 	return &testCluster{clk: clk, srv: srv, db: db, sched: sched, kubelets: kubelets}
 }
 
@@ -100,9 +99,10 @@ func startNodes(t *testing.T, clk *clock.Sim, srv *apiserver.Server, std, sgxNod
 	for _, kl := range kubelets {
 		heapster.AddSource(kl)
 	}
-	heapster.Start()
-	t.Cleanup(heapster.Stop)
-	t.Cleanup(monitor.DeployProbes(clk, db, kubelets, 10*time.Second).Stop)
+	t.Cleanup(clock.Periodic(clk, 10*time.Second, heapster.Scrape))
+	for _, probe := range monitor.NewProbes(db, kubelets) {
+		t.Cleanup(clock.Periodic(clk, 10*time.Second, probe.Scrape))
+	}
 	return db, kubelets
 }
 
@@ -285,12 +285,12 @@ func TestMultipleSchedulersCoexist(t *testing.T) {
 	defer kl.Stop()
 
 	mk := func(name string, policy Policy) *Scheduler {
-		s, err := New(clk, srv, db, Config{Name: name, Policy: policy, Interval: time.Second})
+		s, err := New(clk, srv, db, Config{Name: name, Policy: policy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Start()
 		t.Cleanup(s.Close)
+		t.Cleanup(clock.Periodic(clk, time.Second, func() { s.ScheduleOnce() }))
 		return s
 	}
 	a := mk("sched-a", Binpack{})
@@ -332,7 +332,7 @@ func TestSchedulerConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cfg.Interval != DefaultInterval || s.cfg.Window != DefaultWindow {
+	if s.cfg.Window != DefaultWindow {
 		t.Fatalf("defaults not applied: %+v", s.cfg)
 	}
 }

@@ -56,12 +56,8 @@ import (
 //     waits. Races are real; safety is still guaranteed by admission, but
 //     conflict counts become nondeterministic.
 type ShardedSchedulers struct {
-	clk        clock.Clock
 	members    []*Scheduler
 	concurrent bool
-
-	mu   sync.Mutex
-	stop func()
 }
 
 // ShardIndex returns the member index serving podName in an n-way shard:
@@ -87,7 +83,7 @@ func NewSharded(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Config,
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("core: scheduler name required")
 	}
-	ss := &ShardedSchedulers{clk: clk, concurrent: concurrent}
+	ss := &ShardedSchedulers{concurrent: concurrent}
 	for i := 0; i < n; i++ {
 		mcfg := cfg
 		mcfg.Name = fmt.Sprintf("%s-%d", cfg.Name, i)
@@ -159,33 +155,8 @@ func (ss *ShardedSchedulers) RunRound() int {
 	return bound
 }
 
-// Start launches the periodic round loop on the members' configured
-// interval (they share one Config, so one ticker drives the fleet —
-// member passes within a round stay back-to-back, preserving the
-// round-start staleness model).
-func (ss *ShardedSchedulers) Start() {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.stop != nil {
-		return
-	}
-	ss.stop = clock.Periodic(ss.clk, ss.members[0].cfg.Interval, func() { ss.RunRound() })
-}
-
-// Stop halts the round loop.
-func (ss *ShardedSchedulers) Stop() {
-	ss.mu.Lock()
-	stop := ss.stop
-	ss.stop = nil
-	ss.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-}
-
-// Close stops the loop and detaches every member from its event sources.
+// Close detaches every member from its event sources.
 func (ss *ShardedSchedulers) Close() {
-	ss.Stop()
 	for _, m := range ss.members {
 		m.Close()
 	}

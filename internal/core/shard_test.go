@@ -256,7 +256,7 @@ func shardedTestbed(t *testing.T, shards int, concurrent bool, admission apiserv
 	db, _ := startNodes(t, clk, srv, 2, 2, true)
 
 	ss, err := NewSharded(clk, srv, db, Config{
-		Name: "ms", Policy: Binpack{}, Interval: 5 * time.Second, UseMetrics: true,
+		Name: "ms", Policy: Binpack{}, UseMetrics: true,
 	}, shards, concurrent)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestShardedDeterminismN2(t *testing.T) {
 			seq = append(seq, entry)
 		})
 		defer unsub()
-		ss.Start()
+		defer clock.Periodic(clk, 5*time.Second, func() { ss.RunRound() })()
 
 		rng := rand.New(rand.NewSource(77))
 		for i := 0; i < 30; i++ {

@@ -66,8 +66,7 @@ var passBuckets = []float64{
 // Handles are shared across a sharded fleet: the registry returns the
 // same series for the same name, so member counters aggregate.
 type schedMetrics struct {
-	passes   *telemetry.Counter
-	passDur  *telemetry.Histogram
+	passDur  *telemetry.Histogram // its count is Stats.Passes
 	stageDur [numStages]*telemetry.Histogram
 
 	conflicts *telemetry.Counter
@@ -86,7 +85,6 @@ func newSchedMetrics(reg *telemetry.Registry) *schedMetrics {
 		return nil
 	}
 	m := &schedMetrics{
-		passes:    reg.Counter("scheduler_passes_total"),
 		passDur:   reg.Histogram("scheduler_pass_duration_seconds", passBuckets),
 		conflicts: reg.Counter("scheduler_conflicts_total"),
 		sampled:   reg.Counter("scheduler_sampled_pods_total"),
@@ -203,7 +201,6 @@ func (r *passRecorder) trace(scheduler string, wall time.Duration, pending int, 
 func (s *Scheduler) recordPass(rec *passRecorder, pending int, tally *Stats) {
 	wall := time.Since(rec.start)
 	m := s.metrics
-	m.passes.Add(int64(tally.Passes))
 	m.passDur.ObserveDuration(wall)
 	for i := 0; i < numStages; i++ {
 		if rec.stageN[i] == 0 && rec.stageNS[i] == 0 {

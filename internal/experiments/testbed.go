@@ -214,18 +214,27 @@ type Testbed struct {
 //  3. the TSDB, with a scrape interval;
 //  4. the closer that stops the kubelets;
 //  5. one machine and kubelet per node, in node order;
-//  6. Heapster over every kubelet, with a scrape interval;
-//  7. one SGX probe per SGX node (the DaemonSet), with a scrape interval;
+//  6. Heapster over every kubelet and its scrape timer, with a scrape
+//     interval;
+//  7. one SGX probe per SGX node (monitor.NewProbes, the paper's
+//     DaemonSet) and its scrape timer, in node order, with a scrape
+//     interval;
 //  8. the gang director, with Gangs;
 //  9. the scheduler or the sharded fleet, and its closer;
 //  10. with Scheduler.Telemetry, the collector exporting the gang
 //     director's counts (the audit's violations are exported as they
 //     happen);
-//  11. with Scheduler.Telemetry and a scrape interval, the registry's
-//     self-scrape into the TSDB;
-//  12. the pass timers, armed last.
+//  11. with Scheduler.Telemetry and a scrape interval, the timer of the
+//     registry's self-scrape into the TSDB;
+//  12. the pass timer, armed last: ScheduleOnce, or the fleet's
+//     RunRound, every Scheduler.Interval (core.DefaultInterval when
+//     zero).
 //
-// A kubelet that fails to start stops everything already started.
+// Every periodic timer of the stack is armed here: the scheduler, the
+// fleet and the collectors expose only their step and arm nothing, so
+// this one function body holds the order. The TSDB's retention sweep is
+// its own. A kubelet that fails to start stops everything already
+// started.
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) { return newTestbed(clock.NewSim(), cfg) }
 
 // newTestbed is NewTestbed on a given clock, which a test can still read
@@ -262,13 +271,14 @@ func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
 		tb.Kubelets = append(tb.Kubelets, kl)
 	}
 	if tb.DB != nil {
-		heapster := monitor.NewHeapster(clk, tb.DB, cfg.ScrapeInterval)
+		heapster := monitor.NewHeapster(nil, tb.DB, 0)
 		for _, kl := range tb.Kubelets {
 			heapster.AddSource(kl)
 		}
-		heapster.Start()
-		onClose(heapster.Stop)
-		onClose(monitor.DeployProbes(clk, tb.DB, tb.Kubelets, cfg.ScrapeInterval).Stop)
+		onClose(clock.Periodic(clk, cfg.ScrapeInterval, heapster.Scrape))
+		for _, probe := range monitor.NewProbes(tb.DB, tb.Kubelets) {
+			onClose(clock.Periodic(clk, cfg.ScrapeInterval, probe.Scrape))
+		}
 	}
 	if cfg.Gangs {
 		tb.Gang = core.NewGangDirector(clk, tb.Srv, core.GangConfig{})
@@ -285,13 +295,14 @@ func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
 		tb.Close()
 		return nil, fmt.Errorf("experiments: building scheduler: %w", err)
 	}
-	var start func()
-	if tb.Fleet != nil {
-		onClose(tb.Fleet.Close)
-		start = tb.Fleet.Start
+	var pass func()
+	if fleet := tb.Fleet; fleet != nil {
+		onClose(fleet.Close)
+		pass = func() { fleet.RunRound() }
 	} else {
-		onClose(tb.Scheduler.Close)
-		start = tb.Scheduler.Start
+		sched := tb.Scheduler
+		onClose(sched.Close)
+		pass = func() { sched.ScheduleOnce() }
 	}
 	if reg != nil {
 		if gang := tb.Gang; gang != nil {
@@ -304,9 +315,15 @@ func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
 		}
 		// The self-scrape makes the orchestrator's own health queryable
 		// through the same InfluxQL path as container metrics.
-		onClose(telemetry.StartSelfScrape(clk, reg, tb.DB, cfg.ScrapeInterval))
+		if db := tb.DB; db != nil {
+			onClose(clock.Periodic(clk, cfg.ScrapeInterval, func() { reg.ScrapeInto(db) }))
+		}
 	}
-	start()
+	interval := cfg.Scheduler.Interval
+	if interval <= 0 {
+		interval = core.DefaultInterval
+	}
+	onClose(clock.Periodic(clk, interval, pass))
 	return tb, nil
 }
 

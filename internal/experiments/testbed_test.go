@@ -15,9 +15,11 @@ import (
 	"github.com/sgxorch/sgxorch/internal/clock"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/model"
+	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
 	"github.com/sgxorch/sgxorch/internal/sgx"
 	"github.com/sgxorch/sgxorch/internal/telemetry"
+	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
 // TestAuditCountsPlantedFault: the testbed's audit is handed one forged
@@ -358,5 +360,83 @@ func TestTestbedWithoutScrapeIntervalBuildsNoMonitoring(t *testing.T) {
 	}
 	if n := tb.Clk.Len(); n != 1 {
 		t.Fatalf("%d events on the clock, want the pass timer alone", n)
+	}
+}
+
+// TestSameInstantOrder pins what NewTestbed's arming order decides: at an
+// instant every scrape and the pass share, Heapster's memory/usage writes
+// come first, then each SGX probe's sgx/epc writes in node order, then
+// the self-scrape's, and the pass's bind last. The pass runs at the
+// scrape interval here, so each timer fires where it was armed at every
+// shared instant; at the default 5 s the pass re-arms between scrapes and
+// would come last whatever its arm's place.
+func TestSameInstantOrder(t *testing.T) {
+	cfg := Paper(0)
+	cfg.Scheduler.Telemetry = telemetry.New()
+	cfg.Scheduler.Interval = cfg.ScrapeInterval
+	var at time.Time
+	var clk *clock.Sim
+	var order []string
+	// note appends what happened at the instant under test, once per run
+	// of equal entries.
+	note := func(what string) {
+		if at.IsZero() || !clk.Now().Equal(at) {
+			return
+		}
+		if len(order) == 0 || order[len(order)-1] != what {
+			order = append(order, what)
+		}
+	}
+	cfg.onEvent = func(_ *model.Cluster, ev apiserver.WatchEvent, _ error) {
+		if ev.Type == apiserver.PodBound {
+			note("bound " + ev.Pod.Name)
+		}
+	}
+	tb, err := NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	clk = tb.Clk
+	tb.DB.OnWrite(func(measurement string, tags tsdb.Tags, _ float64, _ time.Time) {
+		switch {
+		case strings.HasPrefix(measurement, telemetry.SelfScrapeMeasurementPrefix):
+			note("self")
+		case measurement == monitor.MeasurementEPC:
+			note(measurement + " " + tags[monitor.TagNode])
+		default:
+			note(measurement)
+		}
+	})
+	pod := func(name string, req resource.List) *api.Pod {
+		return &api.Pod{Name: name, Spec: api.PodSpec{Containers: []api.Container{{
+			Name:      "main",
+			Resources: api.Requirements{Requests: req},
+			Workload:  api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: time.Hour},
+		}}}}
+	}
+	// Two enclave pods, each over half an SGX node's EPC, take one SGX
+	// node each at the first pass; a third pod waits for the pass at the
+	// instant under test.
+	start := clk.Now()
+	for _, name := range []string{"enclave-a", "enclave-b"} {
+		if err := tb.Submit(pod(name, resource.List{resource.EPCPages: resource.PagesForBytes(60 * resource.MiB)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk.Advance(25 * time.Second)
+	a, errA := tb.Srv.GetPod("enclave-a")
+	b, errB := tb.Srv.GetPod("enclave-b")
+	if errA != nil || errB != nil || a.Spec.NodeName != "sgx-1" || b.Spec.NodeName != "sgx-2" {
+		t.Fatalf("enclave pods on %q and %q (%v, %v); want sgx-1 and sgx-2", a.Spec.NodeName, b.Spec.NodeName, errA, errB)
+	}
+	if err := tb.Submit(pod("late", resource.List{resource.Memory: resource.GiB})); err != nil {
+		t.Fatal(err)
+	}
+	at = start.Add(30 * time.Second)
+	clk.Advance(10 * time.Second)
+	want := []string{monitor.MeasurementMemory, monitor.MeasurementEPC + " sgx-1", monitor.MeasurementEPC + " sgx-2", "self", "bound late"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("at one shared instant: %q, want %q", order, want)
 	}
 }

@@ -4,7 +4,8 @@
 // deployed as a DaemonSet on SGX-enabled nodes — that pushes per-pod EPC
 // usage gathered from the modified driver into the same database, "so our
 // scheduler [can] use equivalent queries for SGX- and non SGX-related
-// metrics".
+// metrics". A collector is its step, Scrape: it arms no timer, and the
+// experiments testbed arms every collector's scrape on the clock.
 package monitor
 
 import (
@@ -46,8 +47,8 @@ type StatsSource interface {
 	PodStats() []kubelet.PodStat
 }
 
-// Heapster is the monitoring plane's one collector: every interval it
-// asks each of its sources for their pods' stats and writes one point per
+// Heapster is the monitoring plane's one collector: each Scrape asks
+// each of its sources for their pods' stats and writes one point per
 // pod into the database, tagged with the pod and the node. NewHeapster
 // builds the paper's Heapster, which collects standard-memory usage from
 // every node in the cluster (§V-C: "Kubernetes natively supports
@@ -56,31 +57,40 @@ type StatsSource interface {
 // occupancy through the modified driver's interfaces and pushes it "into
 // the same InfluxDB database used by Heapster" (§V-C).
 type Heapster struct {
-	clk      clock.Clock
-	db       *tsdb.DB
-	interval time.Duration
-	epc      bool // writes sgx/epc from PodStat.EPCBytes, not memory/usage
+	db  *tsdb.DB
+	epc bool // writes sgx/epc from PodStat.EPCBytes, not memory/usage
 
 	mu      sync.Mutex
 	sources []StatsSource // copy-on-write: a scrape walks the slice it read under mu after unlocking
-	stop    func()
 }
 
 // NewHeapster creates a memory collector writing into db, with no
-// sources yet. A non-positive interval selects the default.
-func NewHeapster(clk clock.Clock, db *tsdb.DB, interval time.Duration) *Heapster {
-	if interval <= 0 {
-		interval = DefaultScrapeInterval
-	}
-	return &Heapster{clk: clk, db: db, interval: interval}
+// sources yet. The clock and the interval are unused: whoever arms
+// Scrape chooses its period. They stay for bench/'s callers.
+func NewHeapster(_ clock.Clock, db *tsdb.DB, _ time.Duration) *Heapster {
+	return &Heapster{db: db}
 }
 
-// NewProbe creates the EPC collector of one node. A non-positive
-// interval selects the default.
-func NewProbe(clk clock.Clock, db *tsdb.DB, source StatsSource, interval time.Duration) *Heapster {
-	p := NewHeapster(clk, db, interval)
-	p.epc, p.sources = true, []StatsSource{source}
-	return p
+// NewProbe creates the EPC collector of one node. The clock and the
+// interval are unused, as in NewHeapster.
+func NewProbe(_ clock.Clock, db *tsdb.DB, source StatsSource, _ time.Duration) *Heapster {
+	return &Heapster{db: db, epc: true, sources: []StatsSource{source}}
+}
+
+// NewProbes deploys probes across the cluster the way the paper's
+// DaemonSet does (§V-C): one probe per SGX-enabled node, where "the
+// distinction between standard and SGX-enabled cluster nodes is made by
+// checking for the EPC size advertised to Kubernetes by the device
+// plugin". It returns one probe per kubelet whose plugin advertises EPC
+// pages, in kubelet order, and arms none of them.
+func NewProbes(db *tsdb.DB, kubelets []*kubelet.Kubelet) []*Heapster {
+	var probes []*Heapster
+	for _, kl := range kubelets {
+		if kl.Plugin() != nil && kl.Plugin().DeviceCount() > 0 {
+			probes = append(probes, NewProbe(nil, db, kl, 0))
+		}
+	}
+	return probes
 }
 
 // AddSource registers a node's stats endpoint.
@@ -91,32 +101,9 @@ func (h *Heapster) AddSource(s StatsSource) {
 	h.sources = append(slices.Clip(h.sources), s)
 }
 
-// Start begins periodic scraping. It returns immediately; use Stop to
-// halt.
-func (h *Heapster) Start() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.stop != nil {
-		return
-	}
-	h.stop = clock.Periodic(h.clk, h.interval, h.Scrape)
-}
-
-// Stop halts periodic scraping.
-func (h *Heapster) Stop() {
-	h.mu.Lock()
-	stop := h.stop
-	h.stop = nil
-	h.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-}
-
 // Scrape samples every source once, writing one point per pod: a memory
 // collector's memory/usage in bytes, a probe's sgx/epc in bytes (as
-// summed by Listing 1). Exposed for deterministic tests and manual
-// collection.
+// summed by Listing 1).
 func (h *Heapster) Scrape() {
 	h.mu.Lock()
 	sources := h.sources
@@ -173,37 +160,4 @@ func WindowPeak(db *tsdb.DB, measurement string, window time.Duration) map[PodNo
 		return true
 	})
 	return out
-}
-
-// DaemonSet deploys probes across the cluster the way the paper does
-// (§V-C): one probe per SGX-enabled node, where "the distinction between
-// standard and SGX-enabled cluster nodes is made by checking for the EPC
-// size advertised to Kubernetes by the device plugin".
-type DaemonSet struct {
-	probes []*Heapster
-}
-
-// DeployProbes creates and starts a probe on every kubelet whose device
-// plugin advertises EPC pages.
-func DeployProbes(clk clock.Clock, db *tsdb.DB, kubelets []*kubelet.Kubelet, interval time.Duration) *DaemonSet {
-	ds := &DaemonSet{}
-	for _, kl := range kubelets {
-		if kl.Plugin() == nil || kl.Plugin().DeviceCount() == 0 {
-			continue
-		}
-		p := NewProbe(clk, db, kl, interval)
-		p.Start()
-		ds.probes = append(ds.probes, p)
-	}
-	return ds
-}
-
-// Size returns the number of deployed probes.
-func (d *DaemonSet) Size() int { return len(d.probes) }
-
-// Stop halts every probe.
-func (d *DaemonSet) Stop() {
-	for _, p := range d.probes {
-		p.Stop()
-	}
 }

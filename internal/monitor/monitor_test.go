@@ -49,17 +49,15 @@ func TestHeapsterScrape(t *testing.T) {
 func TestHeapsterPeriodic(t *testing.T) {
 	clk := clock.NewSim()
 	db := tsdb.New(clk)
-	h := NewHeapster(clk, db, 10*time.Second)
+	h := NewHeapster(clk, db, 0)
 	h.AddSource(&fakeSource{node: "n1", stats: []kubelet.PodStat{{PodName: "a", MemoryBytes: 1}}})
-	h.Start()
-	h.Start() // idempotent
+	stop := clock.Periodic(clk, 10*time.Second, h.Scrape)
 	clk.Advance(35 * time.Second)
 	series := db.Series(MeasurementMemory)
 	if len(series) != 1 || len(series[0].Points) != 3 {
 		t.Fatalf("series = %+v", series)
 	}
-	h.Stop()
-	h.Stop() // idempotent
+	stop()
 	clk.Advance(time.Minute)
 	series = db.Series(MeasurementMemory)
 	if len(series[0].Points) != 3 {
@@ -104,27 +102,10 @@ func TestDeployProbesOnlyOnSGXNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ds := DeployProbes(clk, db, kls, time.Second)
-	defer ds.Stop()
 	// "The probe is deployed on all SGX-enabled nodes using the DaemonSet
 	// component" (§V-C) — exactly one here.
-	if got := ds.Size(); got != 1 {
+	if got := len(NewProbes(db, kls)); got != 1 {
 		t.Fatalf("probes deployed = %d, want 1", got)
-	}
-}
-
-func TestProbeStartStop(t *testing.T) {
-	clk := clock.NewSim()
-	db := tsdb.New(clk)
-	src := &fakeSource{node: "sgx-1", stats: []kubelet.PodStat{{PodName: "j", EPCBytes: 5}}}
-	p := NewProbe(clk, db, src, 10*time.Second)
-	p.Start()
-	clk.Advance(25 * time.Second)
-	p.Stop()
-	clk.Advance(time.Minute)
-	series := db.Series(MeasurementEPC)
-	if len(series) != 1 || len(series[0].Points) != 2 {
-		t.Fatalf("points = %+v", series)
 	}
 }
 

@@ -1,11 +1,6 @@
 package telemetry
 
-import (
-	"time"
-
-	"github.com/sgxorch/sgxorch/internal/clock"
-	"github.com/sgxorch/sgxorch/internal/tsdb"
-)
+import "github.com/sgxorch/sgxorch/internal/tsdb"
 
 // SelfScrapeMeasurementPrefix namespaces the registry's series in the
 // TSDB, keeping the orchestrator's own health apart from container
@@ -75,14 +70,4 @@ func (r *Registry) ScrapeInto(db *tsdb.DB) {
 		db.WriteNow(h.selfName, tags(k, TagStat, "count"), float64(h.Count()))
 		db.WriteNow(h.selfName, tags(k, TagStat, "sum"), h.Sum())
 	}
-}
-
-// StartSelfScrape runs ScrapeInto on every interval tick of the clock —
-// the same clock.Periodic cadence Heapster uses for container metrics —
-// and returns a stop function. Returns a no-op stop on a nil registry.
-func StartSelfScrape(clk clock.Clock, r *Registry, db *tsdb.DB, interval time.Duration) (stop func()) {
-	if r == nil || db == nil {
-		return func() {}
-	}
-	return clock.Periodic(clk, interval, func() { r.ScrapeInto(db) })
 }

@@ -249,8 +249,8 @@ func TestScrapeIntoTSDB(t *testing.T) {
 		t.Fatalf("wait p99 = %v ok=%v", v, ok)
 	}
 
-	// The periodic self-scrape writes on the sim clock's cadence.
-	stop := StartSelfScrape(clk, r, db, 10*time.Second)
+	// A self-scrape armed on the sim clock writes on its cadence.
+	stop := clock.Periodic(clk, 10*time.Second, func() { r.ScrapeInto(db) })
 	defer stop()
 	r.Counter("binds_total").Add(1)
 	clk.Advance(10 * time.Second)

@@ -158,7 +158,7 @@ func TestClusterSelfScrapeQueryableViaInfluxQL(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"scheduler_passes_total",
+		"scheduler_pass_duration_seconds_count",
 		"apiserver_bind_latency_seconds_count",
 		`lifecycle_queue_seconds_bucket{class="batch"`,
 		"apiserver_bind_attempts",
@@ -256,9 +256,8 @@ func checkExportsEachCountOnce(t *testing.T, c *Cluster, queued bool) {
 	}
 	// A counter restates a histogram of its own component when it reads
 	// the histogram's count: the histogram already exports that count.
-	// scheduler_passes_total, a documented series, is the one left.
 	for family, kind := range kinds {
-		if kind != "counter" || family == "scheduler_passes_total" {
+		if kind != "counter" {
 			continue
 		}
 		component, _, _ := strings.Cut(family, "_")
@@ -281,7 +280,7 @@ func checkExportsEachCountOnce(t *testing.T, c *Cluster, queued bool) {
 	}
 
 	ss := c.SchedulerStats()
-	want("scheduler_passes_total", sum("scheduler_passes_total"), int64(ss.Passes))
+	want("scheduler_pass_duration_seconds_count", sum("scheduler_pass_duration_seconds_count"), int64(ss.Passes))
 	want("scheduler_bound_total", sum("scheduler_bound_total"), int64(ss.Bound))
 	want("scheduler_unschedulable_total", sum("scheduler_unschedulable_total"), int64(ss.Unschedulable))
 	want("scheduler_preemptions_total", sum("scheduler_preemptions_total"), int64(ss.Preemptions))
