@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
@@ -740,11 +742,13 @@ type checking, in every file, tests and bench/ included.`,
 		name: "no-dead-internal-surface",
 		doc: `Every exported top-level function, and every exported method of an
 exported type, in internal/ has a non-test reference outside its own
-declaration, or an entry in deadSurfaceAllow that states why it stays. A
-method counts as referenced when its name is selected anywhere outside
-tests, or is String or Error. An interface declaring it does not count:
-a call through the interface selects the name too. The match is by
-name: a miss lets dead code through, it never flags live code.`,
+declaration, or an entry in deadSurfaceAllow that states why it stays.
+The non-test files of the module, bench/ included, are type-checked
+(go/types, the standard library from source), and a reference counts
+only when it resolves to the declaration itself: a field or another
+type's method of the same name does not keep it. A method also counts
+as referenced when it is String or Error, or when its type implements
+an interface whose method of that name non-test code calls.`,
 		check: func(c *codebase) []string { return deadSurface(c, deadSurfaceAllow) },
 	},
 	{
@@ -791,6 +795,8 @@ var deadSurfaceAllow = map[string]string{
 	"internal/sgx.Enclave.Pages":            "internal/isgx and internal/machine tests check an enclave's commitment through the driver",
 	"internal/sgx.Package.EnclaveCount":     "TestEnclaveInitDeniedOverLimit (internal/isgx) checks a denied enclave is gone",
 	"internal/golden.StreamDigest":          "the determinism tests of internal/core and internal/experiments pin their runs with it",
+	"internal/clock.Sim.Len":                "internal/experiments' testbed tests count what a testbed leaves armed on the clock",
+	"internal/model.Cluster.Pending":        "the reference pending order that internal/apiserver's and internal/core's queue tests compare against",
 	// Readers of the published Borg trace: the user's path from the real
 	// task_events / usage files to a replayable Trace. The three parsers of
 	// external bytes are covered by the fuzz targets in
@@ -801,6 +807,7 @@ var deadSurfaceAllow = map[string]string{
 	"internal/borg.ParseUsageCSV":   "parses the published task_usage table",
 	"internal/borg.JobsFromEvents":  "turns task_events and usage into Jobs",
 	"internal/borg.WriteTaskEvents": "renders a Trace for tooling built for the task_events format",
+	"internal/borg.Trace.Window":    "cuts a full-day trace to the §VI-B evaluation window, re-based to its start",
 	// Waiting for the caller they were built for.
 	"internal/sgx.Package.SlowdownFactor":     "the §V-A paging penalty; an SGX execution is to run at its rate",
 	"internal/experiments.WindowAblation":     "a §VI ablation the evaluation table is to carry as a row",
@@ -809,71 +816,143 @@ var deadSurfaceAllow = map[string]string{
 	"internal/experiments.PreemptionScenario": "the preemption scenario the evaluation table is to carry as a row",
 }
 
-// references indexes the non-test references of c by name: funcs holds
-// "dir.Name" for each package-level identifier read in dir or selected
-// from the package at dir; methods holds each name selected from a value
-// (not from an imported package).
-func references(c *codebase) (funcs, methods map[string]bool) {
-	funcs, methods = map[string]bool{}, map[string]bool{}
+// stdImporter type-checks the standard library from its source, which
+// needs neither the network nor a build cache. It keeps what it checked,
+// so the rules and their negative controls check each package once.
+var stdImporter = importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+
+// typedPackage is one directory's non-test files, type-checked.
+type typedPackage struct {
+	files []*srcFile
+	info  *types.Info
+	pkg   *types.Package
+}
+
+// typeCheck type-checks the non-test files of c, a package per directory.
+// An import of the module resolves to the package checked here, so each
+// declaration is one object across the codebase, bench/ included. Type
+// errors are ignored: what does check still resolves.
+func typeCheck(c *codebase) map[string]*typedPackage {
+	pkgs := map[string]*typedPackage{}
 	for _, f := range c.files {
-		if f.test {
-			continue
-		}
-		selected := map[*ast.Ident]bool{}
-		f.walk(func(fn *ast.FuncDecl, n ast.Node) {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				selected[n.Sel] = true
-				if pkg, name, ok := f.pkgRef(n); ok {
-					if strings.HasPrefix(pkg, modulePath+"/") {
-						funcs[strings.TrimPrefix(pkg, modulePath+"/")+"."+name] = true
-					}
-					return // a qualified identifier, not a method
-				}
-				if x, ok := n.X.(*ast.Ident); ok && fn != nil && fn.Recv != nil && n.Sel.Name == fn.Name.Name &&
-					len(fn.Recv.List[0].Names) > 0 && x.Name == fn.Recv.List[0].Names[0].Name {
-					return // a method calling itself
-				}
-				methods[n.Sel.Name] = true
-			case *ast.Ident:
-				if selected[n] || fn != nil && n.Name == fn.Name.Name && (fn.Recv == nil || n == fn.Name) {
-					return // a selector's name, the declaration's own name, or a recursive call
-				}
-				funcs[f.dir+"."+n.Name] = true
+		if !f.test {
+			if pkgs[f.dir] == nil {
+				pkgs[f.dir] = &typedPackage{}
 			}
-		})
+			pkgs[f.dir].files = append(pkgs[f.dir].files, f)
+		}
 	}
-	return funcs, methods
+	var check func(dir string) *types.Package
+	conf := types.Config{Error: func(error) {}, Importer: importerFunc(func(ip string) (*types.Package, error) {
+		dir := strings.TrimPrefix(strings.TrimPrefix(ip, modulePath), "/")
+		if ip == modulePath {
+			dir = "."
+		}
+		if strings.HasPrefix(ip, modulePath) && pkgs[dir] != nil {
+			return check(dir), nil
+		}
+		return stdImporter.ImportFrom(ip, "", 0)
+	})}
+	check = func(dir string) *types.Package {
+		p := pkgs[dir]
+		if p.info == nil {
+			p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+			syntax := make([]*ast.File, len(p.files))
+			for i, f := range p.files {
+				syntax[i] = f.syntax
+			}
+			p.pkg, _ = conf.Check(path.Join(modulePath, dir), c.fset, syntax, p.info)
+		}
+		return p.pkg
+	}
+	for dir := range pkgs {
+		check(dir)
+	}
+	return pkgs
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// references returns the objects that non-test code uses outside their own
+// declaration (a recursive call does not count), generic methods and
+// functions by their origin, and the interface methods among them.
+func references(pkgs map[string]*typedPackage) (used map[types.Object]bool, ifaceMethods []*types.Func) {
+	used = map[types.Object]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			f.walk(func(fn *ast.FuncDecl, n ast.Node) {
+				id, ok := n.(*ast.Ident)
+				if !ok || p.info.Uses[id] == nil || fn != nil && p.info.Uses[id] == p.info.Defs[fn.Name] {
+					return
+				}
+				obj := p.info.Uses[id]
+				if m, ok := obj.(*types.Func); ok {
+					obj = m.Origin()
+					if recv := m.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) && !used[obj] {
+						ifaceMethods = append(ifaceMethods, m)
+					}
+				}
+				used[obj] = true
+			})
+		}
+	}
+	return used, ifaceMethods
+}
+
+// satisfiesCalled reports whether m's receiver type, or a pointer to it,
+// implements an interface whose method of m's name non-test code calls.
+func satisfiesCalled(m *types.Func, ifaceMethods []*types.Func) bool {
+	recv := m.Signature().Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, _ := types.Unalias(recv).(*types.Named)
+	if named == nil || named.TypeParams().Len() > 0 {
+		return false // a generic type's methods need a direct reference
+	}
+	for _, im := range ifaceMethods {
+		iface := im.Signature().Recv().Type().Underlying().(*types.Interface)
+		if im.Name() == m.Name() && (types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)) {
+			return true
+		}
+	}
+	return false
 }
 
 func deadSurface(c *codebase, allow map[string]string) (out []string) {
-	funcs, methods := references(c)
+	pkgs := typeCheck(c)
+	used, ifaceMethods := references(pkgs)
 	declared := map[string]bool{}
-	for _, f := range c.files {
-		if f.test || !within(f.dir, "internal") {
+	for dir, p := range pkgs {
+		if !within(dir, "internal") {
 			continue
 		}
-		for _, d := range f.syntax.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
-				continue
-			}
-			key, name := f.dir+"."+fn.Name.Name, fn.Name.Name
-			live := funcs[key]
-			if recv := recvType(fn); recv != "" {
-				if !ast.IsExported(recv) {
-					continue // reachable only through an interface it satisfies
+		for _, f := range p.files {
+			for _, d := range f.syntax.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
+					continue
 				}
-				key = f.dir + "." + recv + "." + name
-				live = methods[name] || name == "String" || name == "Error"
-			}
-			declared[key] = true
-			switch {
-			case live && allow[key] != "":
-				out = append(out, c.at(fn.Pos())+": "+key+" is referenced; drop its allowlist entry")
-			case live, allow[key] != "":
-			default:
-				out = append(out, c.at(fn.Pos())+": "+key+" has no non-test reference")
+				obj, _ := p.info.Defs[fn.Name].(*types.Func)
+				key, name := dir+"."+fn.Name.Name, fn.Name.Name
+				live := used[obj]
+				if recv := recvType(fn); recv != "" {
+					if !ast.IsExported(recv) {
+						continue // reachable only through an interface it satisfies
+					}
+					key = dir + "." + recv + "." + name
+					live = live || name == "String" || name == "Error" || obj != nil && satisfiesCalled(obj, ifaceMethods)
+				}
+				declared[key] = true
+				switch {
+				case live && allow[key] != "":
+					out = append(out, c.at(fn.Pos())+": "+key+" is referenced; drop its allowlist entry")
+				case live, allow[key] != "":
+				default:
+					out = append(out, c.at(fn.Pos())+": "+key+" has no non-test reference")
+				}
 			}
 		}
 	}
@@ -1177,6 +1256,16 @@ func (t *txn) run(p *Pod) {
 			"internal/borg/generator.go": "package borg\n\ntype Generator struct{}\n\nfunc (g *Generator) Config() {}\n",
 			"cmd/x/main.go":              "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/core\"\n\nvar _ = core.Config{}\n",
 		}, "internal/borg/generator.go:5"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/sgx/enclave.go": "package sgx\n\ntype Enclave struct{}\n\nfunc (e *Enclave) Size() int { return 0 }\n\ntype Package struct{}\n\nfunc (p *Package) Size() int { return 0 }\n\nfunc use(e *Enclave) int { return e.Size() }\n",
+		}, "internal/sgx/enclave.go:9"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/monitor/windowmax.go": "package monitor\n\ntype WindowMax struct{}\n\nfunc (w *WindowMax) Window() int { return 0 }\n",
+			"cmd/x/main.go":                 "package main\n\ntype config struct{ Window int }\n\nfunc main() { _ = config{}.Window }\n",
+		}, "internal/monitor/windowmax.go:5"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/clock/clock.go": "package clock\n\ntype Sleeper interface{ Sleep(d int) }\n\ntype Sim struct{}\n\nfunc (s *Sim) Sleep() {}\n\nfunc use(c Sleeper) { c.Sleep(1) }\n",
+		}, "internal/clock/clock.go:7"},
 	}
 	covered := map[string]bool{}
 	for _, tc := range cases {
@@ -1199,6 +1288,18 @@ func (t *txn) run(p *Pod) {
 		if !strings.Contains(strings.Join(out, "\n"), tc.want+":") {
 			t.Errorf("%s: want a violation at %s, got %q", tc.rule, tc.want, out)
 		}
+	}
+	// A method non-test code calls only through an interface it satisfies
+	// is live.
+	c, err := parseSources(map[string]string{
+		"internal/clock/clock.go": "package clock\n\ntype Clock interface{ Sleep() }\n\ntype Sim struct{}\n\nfunc (s *Sim) Sleep() {}\n\nfunc Use(c Clock) { c.Sleep() }\n",
+		"cmd/x/main.go":           "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/clock\"\n\nfunc main() { clock.Use(&clock.Sim{}) }\n",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := deadSurface(c, nil); len(out) > 0 {
+		t.Errorf("no-dead-internal-surface flags a method called through its interface: %q", out)
 	}
 	// The knob rule takes its allowlist from the case; want is a fragment
 	// of the report, or "" when the sources must pass.

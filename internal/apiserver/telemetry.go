@@ -15,12 +15,13 @@ var bindLatencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
 }
 
-// srvMetrics holds the server's pre-resolved registry handles. Nil when
-// telemetry is off; its methods are nil-receiver no-ops, so every
-// commit-path site costs one predictable branch.
+// srvMetrics holds the server's registry handles, every one resolved at
+// construction. Nil when telemetry is off; its methods are nil-receiver
+// no-ops, so every commit-path site costs one predictable branch.
 type srvMetrics struct {
 	bindLatency *telemetry.Histogram
-	rejections  *telemetry.CounterVec
+	rejections  [api.NumClasses]*telemetry.Counter // by class slot
+	unknownPod  *telemetry.Counter
 }
 
 // rejected counts one refused bind against the pod's workload class.
@@ -28,7 +29,7 @@ func (m *srvMetrics) rejected(class api.WorkloadClass) {
 	if m == nil {
 		return
 	}
-	m.rejections.With(class.Label()).Inc()
+	m.rejections[class.Slot()].Inc()
 }
 
 // rejectedUnknownPod counts a refused bind whose pod is unknown — there
@@ -37,7 +38,7 @@ func (m *srvMetrics) rejectedUnknownPod() {
 	if m == nil {
 		return
 	}
-	m.rejections.With("unknown").Inc()
+	m.unknownPod.Inc()
 }
 
 // WithTelemetry instruments the server against the registry:
@@ -45,7 +46,9 @@ func (m *srvMetrics) rejectedUnknownPod() {
 //   - apiserver_bind_latency_seconds — histogram over the Bind commit
 //     (admission, accounting, event publish, synchronous delivery);
 //   - apiserver_bind_rejections_total{class=} — refused binds by the
-//     pod's workload class ("unknown" when the pod no longer exists);
+//     pod's workload class ("unknown" when the pod no longer exists).
+//     Every class's series and the unknown one are resolved here, so
+//     each is exported from the start, zero until a refusal;
 //   - apiserver_pending_depth{class=} and
 //     apiserver_pending_depth_priority{priority=} — queue backlog
 //     gauges, refreshed by a pull-time collector;
@@ -58,16 +61,21 @@ func (m *srvMetrics) rejectedUnknownPod() {
 //
 // Collectors run at export/scrape time only, so the commit path pays
 // one histogram observation per bind and one counter increment per
-// rejection — nothing else.
+// rejection — nothing else: no label lookup and no registry lock.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(s *Server) {
 		if reg == nil {
 			return
 		}
-		s.metrics = &srvMetrics{
+		rejections := reg.CounterVec("apiserver_bind_rejections_total", "class")
+		m := &srvMetrics{
 			bindLatency: reg.Histogram("apiserver_bind_latency_seconds", bindLatencyBuckets),
-			rejections:  reg.CounterVec("apiserver_bind_rejections_total", "class"),
+			unknownPod:  rejections.With("unknown"),
 		}
+		for i, c := range api.Classes {
+			m.rejections[i] = rejections.With(c.Label())
+		}
+		s.metrics = m
 		s.registerCollectors(reg)
 	}
 }

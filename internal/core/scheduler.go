@@ -302,13 +302,6 @@ func (s *Scheduler) Stats() Stats {
 	return s.stats
 }
 
-// Traces returns the retained pass traces, oldest first (nil with
-// telemetry disabled). Passes with no pending pods record metrics but
-// no trace, so the ring holds passes that actually planned.
-func (s *Scheduler) Traces() []telemetry.PassTrace {
-	return s.trace.Snapshot()
-}
-
 // Close detaches the scheduler's cluster cache and metrics aggregator
 // from their event sources (fleet members sharing a donor's cache leave
 // that to the donor). The scheduler is unusable afterwards; whoever armed

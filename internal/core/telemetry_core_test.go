@@ -231,7 +231,7 @@ func passRingAndSpans(t *testing.T) {
 		t.Fatalf("scheduler_bound_total{unclassified} = %d, want 8", got)
 	}
 
-	traces := sched.Traces()
+	traces := sched.trace.Snapshot()
 	if len(traces) == 0 {
 		t.Fatal("no pass traces recorded")
 	}
@@ -315,7 +315,7 @@ func assertOneTally(t *testing.T, sched *Scheduler, reg *telemetry.Registry, cal
 	eq("per-class held sum", sum.Held, st.Held)
 
 	var ring telemetry.PassTrace
-	for _, tr := range sched.Traces() {
+	for _, tr := range sched.trace.Snapshot() {
 		ring.Bound += tr.Bound
 		ring.Unschedulable += tr.Unschedulable
 		ring.Gated += tr.Gated
@@ -426,7 +426,7 @@ func passTallyEveryOutcome(t *testing.T) {
 
 	// Pass 1, idle: counted as a pass, traced nowhere.
 	pass(0)
-	if n := len(sched.Traces()); n != 0 {
+	if n := len(sched.trace.Snapshot()); n != 0 {
 		t.Fatalf("idle pass left %d traces", n)
 	}
 
@@ -521,7 +521,7 @@ func passTallyEveryOutcome(t *testing.T) {
 	if requeued != st.Victims {
 		t.Fatalf("Stats.Victims = %d, but the watch stream shows %d requeues", st.Victims, requeued)
 	}
-	if n := len(sched.Traces()); n != calls-1 {
+	if n := len(sched.trace.Snapshot()); n != calls-1 {
 		t.Fatalf("ring holds %d traces, want one per non-idle pass (%d)", n, calls-1)
 	}
 }
@@ -550,7 +550,7 @@ func TestPassCostIndependentOfQueueDepth(t *testing.T) {
 		if !raceEnabled {
 			c.allocs = testing.AllocsPerRun(8, func() { sched.ScheduleOnce() })
 		}
-		tr := sched.Traces()[0]
+		tr := sched.trace.Snapshot()[0]
 		c.examined, c.bound = tr.Pending, tr.Bound
 		if cap(sched.chunk) > 2*c.examined {
 			t.Errorf("depth %d: the pass buffer holds %d entries after a pass that examined %d", depth, cap(sched.chunk), c.examined)

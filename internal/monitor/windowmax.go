@@ -154,9 +154,6 @@ func (w *WindowMax) Close() {
 	}
 }
 
-// Window returns the sliding window length.
-func (w *WindowMax) Window() time.Duration { return w.window }
-
 // cutoff is the oldest instant the window holds at now: an entry before
 // it has expired.
 func (w *WindowMax) cutoff(now time.Time) int64 { return tsdb.UnixNanos(now.Add(-w.window)) }

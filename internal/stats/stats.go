@@ -125,9 +125,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// N returns the sample size.
-func (c *CDF) N() int { return len(c.sorted) }
-
 // At returns P(X <= x) in [0, 1].
 func (c *CDF) At(x float64) float64 {
 	if len(c.sorted) == 0 {

@@ -45,17 +45,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return "{" + pairs + "}"
 	}
 
-	for _, k := range r.counterKeys {
+	for _, k := range r.counters.keys {
 		typeLine(k.name, "counter")
-		fmt.Fprintf(w, "%s%s %d\n", k.name, label(k), r.counters[k].Value())
+		fmt.Fprintf(w, "%s%s %d\n", k.name, label(k), r.counters.byKey[k].Value())
 	}
-	for _, k := range r.gaugeKeys {
+	for _, k := range r.gauges.keys {
 		typeLine(k.name, "gauge")
-		fmt.Fprintf(w, "%s%s %s\n", k.name, label(k), formatFloat(r.gauges[k].Value()))
+		fmt.Fprintf(w, "%s%s %s\n", k.name, label(k), formatFloat(r.gauges.byKey[k].Value()))
 	}
-	for _, k := range r.histogramKeys {
+	for _, k := range r.histograms.keys {
 		typeLine(k.name, "histogram")
-		h := r.histograms[k]
+		h := r.histograms.byKey[k]
 		cum, count, sum := h.snapshotBuckets()
 		for i, bound := range h.bounds {
 			fmt.Fprintf(w, "%s_bucket%s %d\n", k.name, label(k, "le", formatFloat(bound)), cum[i])

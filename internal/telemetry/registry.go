@@ -15,9 +15,10 @@
 //     zero allocations and zero atomic traffic to the code it wraps.
 //   - Updates are single atomic operations; no metric update ever takes
 //     a lock. The registry mutex guards registration and export only.
-//   - Labeled families resolve a label value to a pooled handle once
-//     (With); callers cache the handle and the per-update cost is the
-//     same single atomic as an unlabeled metric.
+//   - A labeled family (Vec) holds no handles of its own: With asks the
+//     registry, which keeps every series once. Callers resolve a label
+//     value once, at construction, and the per-update cost is the same
+//     single atomic as an unlabeled metric.
 package telemetry
 
 import (
@@ -113,211 +114,127 @@ func (k metricKey) String() string {
 	return fmt.Sprintf("%s{%s=%q}", k.name, k.labelKey, k.labelValue)
 }
 
+// family is one metric kind's series: the handles by key, and the keys
+// in compareKeys order, kept at registration so that an export walks
+// them without sorting.
+type family[M any] struct {
+	byKey map[metricKey]*M
+	keys  []metricKey
+}
+
 // Registry holds the registered metrics. A nil *Registry is the
 // disabled form: every constructor returns a nil handle and every
 // export is empty. Construct with New.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[metricKey]*Counter
-	gauges     map[metricKey]*Gauge
-	histograms map[metricKey]*Histogram
+	counters   family[Counter]
+	gauges     family[Gauge]
+	histograms family[Histogram]
 	collectors []func()
 	collecting bool
-
-	// Each map's keys in compareKeys order, kept at registration.
-	counterKeys, gaugeKeys, histogramKeys []metricKey
-	scratch                               tsdb.Tags // ScrapeInto's one tag map
+	scratch    tsdb.Tags // ScrapeInto's one tag map
 }
 
 // New creates an enabled registry.
 func New() *Registry {
 	return &Registry{
-		counters:   make(map[metricKey]*Counter),
-		gauges:     make(map[metricKey]*Gauge),
-		histograms: make(map[metricKey]*Histogram),
+		counters:   family[Counter]{byKey: make(map[metricKey]*Counter)},
+		gauges:     family[Gauge]{byKey: make(map[metricKey]*Gauge)},
+		histograms: family[Histogram]{byKey: make(map[metricKey]*Histogram)},
 		scratch:    tsdb.Tags{},
+	}
+}
+
+// register returns f's handle for k, building it with mk — given the
+// series' self-scrape measurement — on first use. Every metric kind and
+// every labeled member registers here, so one key always yields one
+// handle.
+func register[M any](r *Registry, f *family[M], k metricKey, mk func(selfName string) *M) *M {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	m, ok := f.byKey[k]
+	if !ok {
+		m = mk(SelfScrapeMeasurementPrefix + k.name)
+		f.byKey[k] = m
+		f.keys = insertKey(f.keys, k)
+	}
+	return m
+}
+
+func newCounter(selfName string) *Counter { return &Counter{selfName: selfName} }
+
+func newGauge(selfName string) *Gauge { return &Gauge{selfName: selfName} }
+
+// histogramMaker builds histograms over bounds (nil selects DefBuckets).
+func histogramMaker(bounds []float64) func(string) *Histogram {
+	return func(selfName string) *Histogram {
+		h := newHistogram(bounds)
+		h.selfName = selfName
+		return h
 	}
 }
 
 // Counter returns the named counter, registering it on first use.
 // Returns the same handle for the same name, so instrumentation sites
 // and stats folds share one series. Nil registry → nil handle.
-func (r *Registry) Counter(name string) *Counter {
-	return r.counterKey(metricKey{name: name})
-}
-
-func (r *Registry) counterKey(k metricKey) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{selfName: SelfScrapeMeasurementPrefix + k.name}
-		r.counters[k] = c
-		r.counterKeys = insertKey(r.counterKeys, k)
-	}
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name, "").With("") }
 
 // Gauge returns the named gauge, registering it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	return r.gaugeKey(metricKey{name: name})
-}
-
-func (r *Registry) gaugeKey(k metricKey) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{selfName: SelfScrapeMeasurementPrefix + k.name}
-		r.gauges[k] = g
-		r.gaugeKeys = insertKey(r.gaugeKeys, k)
-	}
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name, "").With("") }
 
 // Histogram returns the named histogram, registering it on first use
 // with the given bucket upper bounds (ignored if already registered;
 // nil bounds select DefBuckets).
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	return r.histogramKey(metricKey{name: name}, bounds)
+	return r.HistogramVec(name, "", bounds).With("")
 }
 
-func (r *Registry) histogramKey(k metricKey, bounds []float64) *Histogram {
-	if r == nil {
+// Vec is a family of metrics sharing one name, partitioned by a single
+// label key. It holds no handles of its own: With asks the registry, so
+// a label value resolves to the same handle however many Vecs name it.
+type Vec[M any] struct {
+	reg   *Registry
+	fam   *family[M]
+	key   metricKey // name and label key; With fills in the value
+	build func(selfName string) *M
+}
+
+// With returns the member for one label value, registering it on first
+// use. Nil vec → nil handle. It takes the registry's lock, so hot paths
+// resolve their members once, at construction.
+func (v *Vec[M]) With(value string) *M {
+	if v == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[k]
-	if !ok {
-		h = newHistogram(bounds)
-		h.selfName = SelfScrapeMeasurementPrefix + k.name
-		r.histograms[k] = h
-		r.histogramKeys = insertKey(r.histogramKeys, k)
-	}
-	return h
-}
-
-// CounterVec is a family of counters sharing one name, partitioned by a
-// single label key. With resolves a label value to its pooled handle.
-type CounterVec struct {
-	reg      *Registry
-	name     string
-	labelKey string
-
-	mu    sync.RWMutex
-	byVal map[string]*Counter
+	k := v.key
+	k.labelValue = value
+	return register(v.reg, v.fam, k, v.build)
 }
 
 // CounterVec returns the named labeled counter family. Nil registry →
 // nil vec (whose With returns nil handles).
-func (r *Registry) CounterVec(name, labelKey string) *CounterVec {
+func (r *Registry) CounterVec(name, labelKey string) *Vec[Counter] {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{reg: r, name: name, labelKey: labelKey, byVal: make(map[string]*Counter)}
-}
-
-// With returns the counter for one label value, registering it on first
-// use. Callers on hot paths should resolve once and cache the handle.
-func (v *CounterVec) With(value string) *Counter {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	c, ok := v.byVal[value]
-	v.mu.RUnlock()
-	if ok {
-		return c
-	}
-	c = v.reg.counterKey(metricKey{name: v.name, labelKey: v.labelKey, labelValue: value})
-	v.mu.Lock()
-	v.byVal[value] = c
-	v.mu.Unlock()
-	return c
-}
-
-// GaugeVec is a family of gauges partitioned by a single label key.
-type GaugeVec struct {
-	reg      *Registry
-	name     string
-	labelKey string
-
-	mu    sync.RWMutex
-	byVal map[string]*Gauge
+	return &Vec[Counter]{r, &r.counters, metricKey{name: name, labelKey: labelKey}, newCounter}
 }
 
 // GaugeVec returns the named labeled gauge family.
-func (r *Registry) GaugeVec(name, labelKey string) *GaugeVec {
+func (r *Registry) GaugeVec(name, labelKey string) *Vec[Gauge] {
 	if r == nil {
 		return nil
 	}
-	return &GaugeVec{reg: r, name: name, labelKey: labelKey, byVal: make(map[string]*Gauge)}
+	return &Vec[Gauge]{r, &r.gauges, metricKey{name: name, labelKey: labelKey}, newGauge}
 }
 
-// With returns the gauge for one label value, registering it on first
-// use.
-func (v *GaugeVec) With(value string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	g, ok := v.byVal[value]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	g = v.reg.gaugeKey(metricKey{name: v.name, labelKey: v.labelKey, labelValue: value})
-	v.mu.Lock()
-	v.byVal[value] = g
-	v.mu.Unlock()
-	return g
-}
-
-// HistogramVec is a family of histograms partitioned by a single label
-// key; every member shares the family's bucket bounds.
-type HistogramVec struct {
-	reg      *Registry
-	name     string
-	labelKey string
-	bounds   []float64
-
-	mu    sync.RWMutex
-	byVal map[string]*Histogram
-}
-
-// HistogramVec returns the named labeled histogram family (nil bounds
-// select DefBuckets).
-func (r *Registry) HistogramVec(name, labelKey string, bounds []float64) *HistogramVec {
+// HistogramVec returns the named labeled histogram family; every member
+// shares its bucket bounds (nil selects DefBuckets).
+func (r *Registry) HistogramVec(name, labelKey string, bounds []float64) *Vec[Histogram] {
 	if r == nil {
 		return nil
 	}
-	return &HistogramVec{reg: r, name: name, labelKey: labelKey, bounds: bounds, byVal: make(map[string]*Histogram)}
-}
-
-// With returns the histogram for one label value, registering it on
-// first use.
-func (v *HistogramVec) With(value string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	h, ok := v.byVal[value]
-	v.mu.RUnlock()
-	if ok {
-		return h
-	}
-	h = v.reg.histogramKey(metricKey{name: v.name, labelKey: v.labelKey, labelValue: value}, v.bounds)
-	v.mu.Lock()
-	v.byVal[value] = h
-	v.mu.Unlock()
-	return h
+	return &Vec[Histogram]{r, &r.histograms, metricKey{name: name, labelKey: labelKey}, histogramMaker(bounds)}
 }
 
 // RegisterCollector adds a callback invoked before every export

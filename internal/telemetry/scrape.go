@@ -51,16 +51,16 @@ func (r *Registry) ScrapeInto(db *tsdb.DB) {
 		}
 		return r.scratch
 	}
-	for _, k := range r.counterKeys {
-		c := r.counters[k]
+	for _, k := range r.counters.keys {
+		c := r.counters.byKey[k]
 		db.WriteNow(c.selfName, tags(k, "", ""), float64(c.Value()))
 	}
-	for _, k := range r.gaugeKeys {
-		g := r.gauges[k]
+	for _, k := range r.gauges.keys {
+		g := r.gauges.byKey[k]
 		db.WriteNow(g.selfName, tags(k, "", ""), g.Value())
 	}
-	for _, k := range r.histogramKeys {
-		h := r.histograms[k]
+	for _, k := range r.histograms.keys {
+		h := r.histograms.byKey[k]
 		if h.Count() == 0 {
 			continue // no estimate to publish yet
 		}

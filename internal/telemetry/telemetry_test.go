@@ -43,7 +43,7 @@ func TestNilRegistryIsFullNoOp(t *testing.T) {
 	}
 	var ring *TraceRing
 	ring.Record(PassTrace{})
-	if ring.Snapshot() != nil || ring.Len() != 0 || ring.Total() != 0 {
+	if ring.Snapshot() != nil {
 		t.Fatal("nil ring must read empty")
 	}
 }
@@ -268,10 +268,10 @@ func TestTraceRingWrapAndOrder(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		ring.Record(PassTrace{Scheduler: "s", Seq: int64(i), Spans: spans})
 	}
-	if ring.Len() != 4 || ring.Total() != 10 {
-		t.Fatalf("len=%d total=%d", ring.Len(), ring.Total())
-	}
 	got := ring.Snapshot()
+	if len(got) != 4 {
+		t.Fatalf("retained %d traces, want 4", len(got))
+	}
 	for i, tr := range got {
 		if want := int64(7 + i); tr.Seq != want {
 			t.Fatalf("snapshot[%d].Seq = %d, want %d", i, tr.Seq, want)

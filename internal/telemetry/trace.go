@@ -81,7 +81,6 @@ type TraceRing struct {
 	buf   []PassTrace
 	next  int
 	count int
-	total int64
 }
 
 // DefaultTraceRingSize is the pass-trace retention when unconfigured.
@@ -109,7 +108,6 @@ func (r *TraceRing) Record(t PassTrace) {
 	if r.count < len(r.buf) {
 		r.count++
 	}
-	r.total++
 	r.mu.Unlock()
 }
 
@@ -129,25 +127,4 @@ func (r *TraceRing) Snapshot() []PassTrace {
 		out = append(out, r.buf[(start+i)%len(r.buf)])
 	}
 	return out
-}
-
-// Len returns the retained trace count.
-func (r *TraceRing) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.count
-}
-
-// Total returns how many traces were ever recorded (monotonic; Total -
-// Len is the evicted count).
-func (r *TraceRing) Total() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
