@@ -44,7 +44,8 @@ func (m *srvMetrics) rejectedUnknownPod() {
 // WithTelemetry instruments the server against the registry:
 //
 //   - apiserver_bind_latency_seconds — histogram over the Bind commit
-//     (admission, accounting, event publish, synchronous delivery);
+//     (admission, accounting, event publish, synchronous delivery),
+//     observed on every attempt, so its count is BindStats.Attempts;
 //   - apiserver_bind_rejections_total{class=} — refused binds by the
 //     pod's workload class ("unknown" when the pod no longer exists).
 //     Every class's series and the unknown one are resolved here, so
@@ -52,9 +53,9 @@ func (m *srvMetrics) rejectedUnknownPod() {
 //   - apiserver_pending_depth{class=} and
 //     apiserver_pending_depth_priority{priority=} — queue backlog
 //     gauges, refreshed by a pull-time collector;
-//   - apiserver_bind_{attempts,bound} and
+//   - apiserver_bind_bound and
 //     apiserver_bind_rejected_{pod_state,node_state,capacity} — the
-//     BindStats counts, same collector;
+//     other BindStats counts, same collector;
 //   - watch_{published,evicted,subscribers} — the broker's totals, and
 //     watch_subscriber_{max_lag,resyncs,dropped}{subscriber=} — its
 //     per-subscriber delivery health, same collector.
@@ -93,7 +94,6 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 	subLag := reg.GaugeVec("watch_subscriber_max_lag", "subscriber")
 	subResyncs := reg.GaugeVec("watch_subscriber_resyncs", "subscriber")
 	subDropped := reg.GaugeVec("watch_subscriber_dropped", "subscriber")
-	attempts := reg.Gauge("apiserver_bind_attempts")
 	bound := reg.Gauge("apiserver_bind_bound")
 	rejPod := reg.Gauge("apiserver_bind_rejected_pod_state")
 	rejNode := reg.Gauge("apiserver_bind_rejected_node_state")
@@ -138,7 +138,6 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 		}
 
 		bs := s.binds.snapshot()
-		attempts.Set(float64(bs.Attempts))
 		bound.Set(float64(bs.Bound))
 		rejPod.Set(float64(bs.RejectedPodState))
 		rejNode.Set(float64(bs.RejectedNodeState))

@@ -1,8 +1,7 @@
 // Package borg provides the Google Borg trace substrate of the evaluation
 // (§VI-B). The real 2011 trace (~12 500 machines, 29 days) is not
-// redistributable, so this package pairs a schema-compatible CSV
-// encoder/parser with a synthetic generator calibrated to the published
-// marginals:
+// redistributable, so this package pairs a schema-compatible CSV encoder
+// with a synthetic generator calibrated to the published marginals:
 //
 //   - Fig. 3 — per-job maximal memory usage, expressed as a fraction of
 //     the largest machine, bounded by 0.5;
@@ -65,8 +64,8 @@ const (
 // Job is one trace record, reduced to the fields the paper extracts.
 type Job struct {
 	ID int64
-	// Submit is the submission offset from the start of the trace (or of
-	// the window after slicing).
+	// Submit is the submission offset from the start of the trace (of the
+	// window, for the evaluation slice).
 	Submit time.Duration
 	// Duration is the useful runtime recorded in the trace.
 	Duration time.Duration
@@ -110,21 +109,6 @@ func (t *Trace) sortBySubmit() {
 		}
 		return t.Jobs[i].ID < t.Jobs[j].ID
 	})
-}
-
-// Window extracts jobs submitting in [from, to), re-basing submission
-// offsets to the window start — the paper's time reduction (§VI-B).
-func (t *Trace) Window(from, to time.Duration) *Trace {
-	out := &Trace{Horizon: to - from}
-	for _, j := range t.Jobs {
-		if j.Submit >= from && j.Submit < to {
-			jj := j
-			jj.Submit -= from
-			out.Jobs = append(out.Jobs, jj)
-		}
-	}
-	out.sortBySubmit()
-	return out
 }
 
 // OverAllocatorCount counts jobs whose usage exceeds their advertisement.

@@ -71,10 +71,10 @@ type Config struct {
 	// Sharded fleet members sharing one registry aggregate into the
 	// same series.
 	Telemetry *telemetry.Registry
-	// Trace is the pass-trace ring the scheduler records into. Nil with
-	// Telemetry set creates a private DefaultTraceRingSize ring; a
-	// sharded fleet can pass one shared ring so its members' traces
-	// interleave chronologically (traces carry the scheduler name).
+	// Trace is the pass-trace ring the scheduler records into when
+	// Telemetry is set. Nil records no pass traces; a sharded fleet can
+	// pass one shared ring so its members' traces interleave
+	// chronologically (traces carry the scheduler name).
 	Trace *telemetry.TraceRing
 	// TraceDetailEvery samples detailed tracing: every Nth pass
 	// additionally times the per-pod filter and score stages, the gang
@@ -213,12 +213,10 @@ type Scheduler struct {
 	// exhaustive reference the memo's property test compares against.
 	noMemo bool
 
-	// metrics/trace are the telemetry handles (nil when disabled); rec
-	// is the reusable per-pass trace accumulator and passSeq numbers
-	// this scheduler's passes. All guarded by passMu like the buffers
-	// above.
+	// metrics holds the telemetry handles (nil when disabled); rec is the
+	// reusable per-pass trace accumulator and passSeq numbers this
+	// scheduler's passes. All guarded by passMu like the buffers above.
 	metrics *schedMetrics
-	trace   *telemetry.TraceRing
 	rec     passRecorder
 	passSeq int64
 
@@ -264,10 +262,6 @@ func newScheduler(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Confi
 	}
 	if cfg.Telemetry != nil {
 		s.metrics = newSchedMetrics(cfg.Telemetry)
-		s.trace = cfg.Trace
-		if s.trace == nil {
-			s.trace = telemetry.NewTraceRing(0)
-		}
 	}
 
 	// Wire the event-driven read path: the streaming window-max

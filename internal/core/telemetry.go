@@ -195,9 +195,10 @@ func (r *passRecorder) trace(scheduler string, wall time.Duration, pending int, 
 
 // recordPass closes out one instrumented pass: observes the duration
 // histograms, adds the pass tally — the same value Scheduler.Stats
-// accumulates — to the registry counters, and pushes the trace onto the
-// ring. pending is the pods the pass examined (PassTrace.Pending), not
-// the queue's depth. Called once per pass with passMu held.
+// accumulates — to the registry counters, and pushes the trace onto
+// Config.Trace, when there is one. pending is the pods the pass examined
+// (PassTrace.Pending), not the queue's depth. Called once per pass with
+// passMu held.
 func (s *Scheduler) recordPass(rec *passRecorder, pending int, tally *Stats) {
 	wall := time.Since(rec.start)
 	m := s.metrics
@@ -219,7 +220,7 @@ func (s *Scheduler) recordPass(rec *passRecorder, pending int, tally *Stats) {
 		m.victims[i].Add(int64(c.Victims))
 		m.held[i].Add(int64(c.Held))
 	}
-	if pending > 0 {
-		s.trace.Record(rec.trace(s.cfg.Name, wall, pending, tally))
+	if pending > 0 && s.cfg.Trace != nil {
+		s.cfg.Trace.Record(rec.trace(s.cfg.Name, wall, pending, tally))
 	}
 }

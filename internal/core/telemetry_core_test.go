@@ -138,13 +138,19 @@ func TestEnabledTelemetryUndetailedPassAllocs(t *testing.T) {
 	} {
 		for _, classes := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/classes=%v", tc.name, classes), func(t *testing.T) {
-				cfg := Config{Telemetry: telemetry.New(), TraceDetailEvery: tc.detailEvery}
+				cfg := Config{Telemetry: telemetry.New(), Trace: telemetry.NewTraceRing(0), TraceDetailEvery: tc.detailEvery}
 				if allocs := steadyPassAllocs(t, cfg, classes); allocs > 1 {
 					t.Fatalf("%s instrumented pass allocated %v/op, want <= 1 (the trace-ring span copy)", tc.name, allocs)
 				}
 			})
 		}
 	}
+	// Without Config.Trace there is no ring, so no span copy either.
+	t.Run("no ring", func(t *testing.T) {
+		if allocs := steadyPassAllocs(t, Config{Telemetry: telemetry.New(), TraceDetailEvery: 1}, true); allocs != 0 {
+			t.Fatalf("instrumented pass without a trace ring allocated %v/op, want 0", allocs)
+		}
+	})
 }
 
 // TestDetailedPassMatchesPlain is the bit-identical equivalence check:
@@ -231,7 +237,7 @@ func passRingAndSpans(t *testing.T) {
 		t.Fatalf("scheduler_bound_total{unclassified} = %d, want 8", got)
 	}
 
-	traces := sched.trace.Snapshot()
+	traces := sched.cfg.Trace.Snapshot()
 	if len(traces) == 0 {
 		t.Fatal("no pass traces recorded")
 	}
@@ -315,7 +321,7 @@ func assertOneTally(t *testing.T, sched *Scheduler, reg *telemetry.Registry, cal
 	eq("per-class held sum", sum.Held, st.Held)
 
 	var ring telemetry.PassTrace
-	for _, tr := range sched.trace.Snapshot() {
+	for _, tr := range sched.cfg.Trace.Snapshot() {
 		ring.Bound += tr.Bound
 		ring.Unschedulable += tr.Unschedulable
 		ring.Gated += tr.Gated
@@ -426,7 +432,7 @@ func passTallyEveryOutcome(t *testing.T) {
 
 	// Pass 1, idle: counted as a pass, traced nowhere.
 	pass(0)
-	if n := len(sched.trace.Snapshot()); n != 0 {
+	if n := len(sched.cfg.Trace.Snapshot()); n != 0 {
 		t.Fatalf("idle pass left %d traces", n)
 	}
 
@@ -521,7 +527,7 @@ func passTallyEveryOutcome(t *testing.T) {
 	if requeued != st.Victims {
 		t.Fatalf("Stats.Victims = %d, but the watch stream shows %d requeues", st.Victims, requeued)
 	}
-	if n := len(sched.trace.Snapshot()); n != calls-1 {
+	if n := len(sched.cfg.Trace.Snapshot()); n != calls-1 {
 		t.Fatalf("ring holds %d traces, want one per non-idle pass (%d)", n, calls-1)
 	}
 }
@@ -550,7 +556,7 @@ func TestPassCostIndependentOfQueueDepth(t *testing.T) {
 		if !raceEnabled {
 			c.allocs = testing.AllocsPerRun(8, func() { sched.ScheduleOnce() })
 		}
-		tr := sched.trace.Snapshot()[0]
+		tr := sched.cfg.Trace.Snapshot()[0]
 		c.examined, c.bound = tr.Pending, tr.Bound
 		if cap(sched.chunk) > 2*c.examined {
 			t.Errorf("depth %d: the pass buffer holds %d entries after a pass that examined %d", depth, cap(sched.chunk), c.examined)

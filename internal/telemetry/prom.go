@@ -46,15 +46,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 
 	for _, k := range r.counters.keys {
-		typeLine(k.name, "counter")
+		typeLine(k.name, r.counters.kind)
 		fmt.Fprintf(w, "%s%s %d\n", k.name, label(k), r.counters.byKey[k].Value())
 	}
 	for _, k := range r.gauges.keys {
-		typeLine(k.name, "gauge")
+		typeLine(k.name, r.gauges.kind)
 		fmt.Fprintf(w, "%s%s %s\n", k.name, label(k), formatFloat(r.gauges.byKey[k].Value()))
 	}
 	for _, k := range r.histograms.keys {
-		typeLine(k.name, "histogram")
+		typeLine(k.name, r.histograms.kind)
 		h := r.histograms.byKey[k]
 		cum, count, sum := h.snapshotBuckets()
 		for i, bound := range h.bounds {

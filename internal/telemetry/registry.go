@@ -114,10 +114,11 @@ func (k metricKey) String() string {
 	return fmt.Sprintf("%s{%s=%q}", k.name, k.labelKey, k.labelValue)
 }
 
-// family is one metric kind's series: the handles by key, and the keys
-// in compareKeys order, kept at registration so that an export walks
-// them without sorting.
+// family is one metric kind's series: the kind's exposition name, the
+// handles by key, and the keys in compareKeys order, kept at
+// registration so that an export walks them without sorting.
 type family[M any] struct {
+	kind  string
 	byKey map[metricKey]*M
 	keys  []metricKey
 }
@@ -138,9 +139,9 @@ type Registry struct {
 // New creates an enabled registry.
 func New() *Registry {
 	return &Registry{
-		counters:   family[Counter]{byKey: make(map[metricKey]*Counter)},
-		gauges:     family[Gauge]{byKey: make(map[metricKey]*Gauge)},
-		histograms: family[Histogram]{byKey: make(map[metricKey]*Histogram)},
+		counters:   family[Counter]{kind: "counter", byKey: make(map[metricKey]*Counter)},
+		gauges:     family[Gauge]{kind: "gauge", byKey: make(map[metricKey]*Gauge)},
+		histograms: family[Histogram]{kind: "histogram", byKey: make(map[metricKey]*Histogram)},
 		scratch:    tsdb.Tags{},
 	}
 }
@@ -148,17 +149,38 @@ func New() *Registry {
 // register returns f's handle for k, building it with mk — given the
 // series' self-scrape measurement — on first use. Every metric kind and
 // every labeled member registers here, so one key always yields one
-// handle.
+// handle. A name already registered as another kind panics: its samples
+// would be exported under the first kind's TYPE line.
 func register[M any](r *Registry, f *family[M], k metricKey, mk func(selfName string) *M) *M {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m, ok := f.byKey[k]
 	if !ok {
+		if kind := r.kindOf(k.name); kind != "" && kind != f.kind {
+			panic(fmt.Sprintf("telemetry: %s is registered as a %s, not a %s", k.name, kind, f.kind))
+		}
 		m = mk(SelfScrapeMeasurementPrefix + k.name)
 		f.byKey[k] = m
 		f.keys = insertKey(f.keys, k)
 	}
 	return m
+}
+
+// kindOf returns the kind name is registered as, "" if none. Each
+// family's keys are sorted by name first, and metricKey{name: name}
+// sorts before every other key of that name, so one search per family
+// finds it.
+func (r *Registry) kindOf(name string) string {
+	for _, f := range [...]struct {
+		kind string
+		keys []metricKey
+	}{{r.counters.kind, r.counters.keys}, {r.gauges.kind, r.gauges.keys}, {r.histograms.kind, r.histograms.keys}} {
+		i, _ := slices.BinarySearchFunc(f.keys, metricKey{name: name}, compareKeys)
+		if i < len(f.keys) && f.keys[i].name == name {
+			return f.kind
+		}
+	}
+	return ""
 }
 
 func newCounter(selfName string) *Counter { return &Counter{selfName: selfName} }

@@ -75,6 +75,51 @@ func TestCounterGaugeSharedHandles(t *testing.T) {
 	}
 }
 
+// TestNameRegisteredAsTwoKindsPanics: a name is one kind. A second kind
+// under the same name would export its samples under the first kind's
+// TYPE line, so the registry refuses it, naming both kinds, and keeps
+// exporting the first alone.
+func TestNameRegisteredAsTwoKindsPanics(t *testing.T) {
+	cases := []struct {
+		first, second      string
+		register, conflict func(r *Registry)
+	}{
+		{"counter", "gauge",
+			func(r *Registry) { r.Counter("x").Inc() },
+			func(r *Registry) { r.Gauge("x").Set(2) }},
+		{"gauge", "histogram",
+			func(r *Registry) { r.Gauge("x").Set(2) },
+			func(r *Registry) { r.Histogram("x", nil).Observe(1) }},
+		{"histogram", "counter",
+			func(r *Registry) { r.HistogramVec("x", "stage", nil).With("a").Observe(1) },
+			func(r *Registry) { r.CounterVec("x", "class").With("b").Inc() }},
+	}
+	for _, tc := range cases {
+		r := New()
+		tc.register(r)
+		var before strings.Builder
+		if err := r.WritePrometheus(&before); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, tc.first) || !strings.Contains(msg, tc.second) {
+					t.Errorf("%s then %s: panic %q, want one naming both kinds", tc.first, tc.second, msg)
+				}
+			}()
+			tc.conflict(r)
+		}()
+		var after strings.Builder
+		if err := r.WritePrometheus(&after); err != nil {
+			t.Fatal(err)
+		}
+		if after.String() != before.String() {
+			t.Errorf("%s then %s: export changed:\n%s\nwant:\n%s", tc.first, tc.second, after.String(), before.String())
+		}
+	}
+}
+
 func TestHistogramCountsSumAndBuckets(t *testing.T) {
 	r := New()
 	h := r.Histogram("h", []float64{1, 2, 4})

@@ -129,8 +129,6 @@ type SubscriberStats struct {
 	// callback invocations (Delivered/Batches is the mean batch size).
 	Delivered int64
 	Batches   int64
-	// MaxBatch is the largest single batch delivered.
-	MaxBatch int
 	// MaxLag is the largest observed distance (in resource versions)
 	// between the newest published event and this subscriber's cursor at
 	// the moment a batch was cut — how far behind the consumer ran.
@@ -217,7 +215,6 @@ func (r *ring[T]) at(i int) *entry[T] { return &r.buf[(r.start+i)%len(r.buf)] }
 type subStats struct {
 	delivered atomic.Int64
 	batches   atomic.Int64
-	maxBatch  atomic.Int64
 	maxLag    atomic.Int64
 	resyncs   atomic.Int64
 	dropped   atomic.Int64
@@ -227,7 +224,6 @@ func (s *subStats) snapshot() SubscriberStats {
 	return SubscriberStats{
 		Delivered: s.delivered.Load(),
 		Batches:   s.batches.Load(),
-		MaxBatch:  int(s.maxBatch.Load()),
 		MaxLag:    s.maxLag.Load(),
 		Resyncs:   s.resyncs.Load(),
 		Dropped:   s.dropped.Load(),
@@ -641,12 +637,8 @@ func (b *Broker[T]) serveLocked(sub *subscription[T]) bool {
 	if _, ok := b.callLocked(sub, func() int64 { sub.fn(batch); return 0 }); !ok {
 		return false
 	}
-	n := int64(len(batch))
-	sub.stats.delivered.Add(n)
+	sub.stats.delivered.Add(int64(len(batch)))
 	sub.stats.batches.Add(1)
-	if n > sub.stats.maxBatch.Load() {
-		sub.stats.maxBatch.Store(n)
-	}
 	b.cond.Broadcast()
 	return true
 }

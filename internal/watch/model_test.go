@@ -25,10 +25,9 @@ type modelSub struct {
 	hasResync bool
 	unsub     func()
 
-	mu       sync.Mutex
-	trace    []step
-	maxBatch int // largest batch a callback saw
-	overCap  int // a batch larger than Options.MaxBatch, if any
+	mu      sync.Mutex
+	trace   []step
+	overCap int // a batch larger than Options.MaxBatch, if any
 
 	// Sync-mode prediction.
 	cursor  int64
@@ -230,7 +229,6 @@ func runBatchCutModel(t *testing.T, mode Mode, trial int, rng *rand.Rand) {
 			for _, rev := range evs {
 				s.trace = append(s.trace, step{rev: rev})
 			}
-			s.maxBatch = max(s.maxBatch, len(evs))
 			if len(evs) > maxBatch {
 				s.overCap = len(evs)
 			}
@@ -283,8 +281,8 @@ func runBatchCutModel(t *testing.T, mode Mode, trial int, rng *rand.Rand) {
 		if s.overCap != 0 {
 			t.Fatalf("sub %d: batch of %d exceeds MaxBatch %d", i, s.overCap, maxBatch)
 		}
-		if got.Delivered != delivered || got.MaxBatch != s.maxBatch {
-			t.Fatalf("sub %d: stats %+v, callbacks saw %d events, largest batch %d", i, got, delivered, s.maxBatch)
+		if got.Delivered != delivered {
+			t.Fatalf("sub %d: stats %+v, callbacks saw %d events", i, got, delivered)
 		}
 		droppedLo, droppedHi, resyncs, err := s.explain(log, evictedRev(log, capacity), keyOf)
 		if err != nil {

@@ -10,8 +10,8 @@ import (
 // the telemetry gauges built on Stats().PerSubscriber: while publishers
 // storm a tiny async ring (forcing lag, resyncs and drops) and
 // subscribers churn, every live subscriber keeps a stable ID and its
-// cumulative counters — Delivered, Batches, MaxBatch, MaxLag, Resyncs,
-// Dropped — never move backwards between consecutive samples. Gauges
+// cumulative counters — Delivered, Batches, MaxLag, Resyncs, Dropped —
+// never move backwards between consecutive samples. Gauges
 // scraped from these values would otherwise glitch downwards mid-storm.
 func TestWatchSubscriberStatsMonotonicUnderChurn(t *testing.T) {
 	b := New[int64](Options{Mode: Async, Capacity: 8, MaxBatch: 4})
@@ -70,7 +70,6 @@ func TestWatchSubscriberStatsMonotonicUnderChurn(t *testing.T) {
 			}{
 				{"Delivered", p.Delivered, ss.Delivered},
 				{"Batches", p.Batches, ss.Batches},
-				{"MaxBatch", int64(p.MaxBatch), int64(ss.MaxBatch)},
 				{"MaxLag", p.MaxLag, ss.MaxLag},
 				{"Resyncs", p.Resyncs, ss.Resyncs},
 				{"Dropped", p.Dropped, ss.Dropped},
