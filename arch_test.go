@@ -740,15 +740,17 @@ type checking, in every file, tests and bench/ included.`,
 	},
 	{
 		name: "no-dead-internal-surface",
-		doc: `Every exported top-level function, and every exported method of an
-exported type, in internal/ has a non-test reference outside its own
-declaration, or an entry in deadSurfaceAllow that states why it stays.
-The non-test files of the module, bench/ included, are type-checked
-(go/types, the standard library from source), and a reference counts
-only when it resolves to the declaration itself: a field or another
-type's method of the same name does not keep it. A method also counts
-as referenced when it is String or Error, or when its type implements
-an interface whose method of that name non-test code calls.`,
+		doc: `Every exported top-level function, variable and constant, and every
+exported method and struct field of an exported type, in internal/ has
+a non-test reference outside its own declaration, or an entry in
+deadSurfaceAllow that states why it stays. The non-test files of the
+module, bench/ included, are type-checked (go/types, the standard
+library from source), and a reference counts only when it resolves to
+the declaration itself: a field or another type's method of the same
+name does not keep it. A field is referenced by a selector or by a key
+in a composite literal. A method also counts as referenced when it is
+String or Error, or when its type implements an interface whose method
+of that name non-test code calls.`,
 		check: func(c *codebase) []string { return deadSurface(c, deadSurfaceAllow) },
 	},
 	{
@@ -780,9 +782,9 @@ var knobAllow = map[string]string{
 	"internal/experiments.FanoutScenarioConfig.Nodes":       "TestFanoutDrainCompletes shrinks the grid's cluster to 16 nodes",
 }
 
-// deadSurfaceAllow lists exported internal/ functions and methods that
-// have no non-test reference and stay, keyed "dir.Func" or
-// "dir.Type.Method", each with its reason.
+// deadSurfaceAllow lists exported internal/ declarations that have no
+// non-test reference and stay, keyed "dir.Name" or "dir.Type.Member",
+// each with its reason.
 var deadSurfaceAllow = map[string]string{
 	// Seams that tests of another package reach the stack through.
 	"internal/apiserver.WithWatchCapacity":  "TestCacheResyncAfterOverflowMatchesBuildView (internal/core) shrinks the ring to force resyncs",
@@ -877,6 +879,9 @@ func references(pkgs map[string]*typedPackage) (used map[types.Object]bool, ifac
 					return
 				}
 				obj := p.info.Uses[id]
+				if v, ok := obj.(*types.Var); ok {
+					obj = v.Origin()
+				}
 				if m, ok := obj.(*types.Func); ok {
 					obj = m.Origin()
 					if recv := m.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) && !used[obj] {
@@ -914,12 +919,46 @@ func deadSurface(c *codebase, allow map[string]string) (out []string) {
 	pkgs := typeCheck(c)
 	used, ifaceMethods := references(pkgs)
 	declared := map[string]bool{}
+	judge := func(pos token.Pos, key string, live bool) {
+		declared[key] = true
+		switch {
+		case live && allow[key] != "":
+			out = append(out, c.at(pos)+": "+key+" is referenced; drop its allowlist entry")
+		case live, allow[key] != "":
+		default:
+			out = append(out, c.at(pos)+": "+key+" has no non-test reference")
+		}
+	}
 	for dir, p := range pkgs {
 		if !within(dir, "internal") {
 			continue
 		}
 		for _, f := range p.files {
 			for _, d := range f.syntax.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok {
+					for _, spec := range gd.Specs {
+						switch spec := spec.(type) {
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								if id.IsExported() {
+									judge(id.Pos(), dir+"."+id.Name, used[p.info.Defs[id]])
+								}
+							}
+						case *ast.TypeSpec:
+							st, ok := spec.Type.(*ast.StructType)
+							if !ok || !spec.Name.IsExported() {
+								continue
+							}
+							for _, fld := range st.Fields.List {
+								for _, id := range fld.Names {
+									if id.IsExported() {
+										judge(id.Pos(), dir+"."+spec.Name.Name+"."+id.Name, used[p.info.Defs[id]])
+									}
+								}
+							}
+						}
+					}
+				}
 				fn, ok := d.(*ast.FuncDecl)
 				if !ok || !fn.Name.IsExported() {
 					continue
@@ -934,14 +973,7 @@ func deadSurface(c *codebase, allow map[string]string) (out []string) {
 					key = dir + "." + recv + "." + name
 					live = live || name == "String" || name == "Error" || obj != nil && satisfiesCalled(obj, ifaceMethods)
 				}
-				declared[key] = true
-				switch {
-				case live && allow[key] != "":
-					out = append(out, c.at(fn.Pos())+": "+key+" is referenced; drop its allowlist entry")
-				case live, allow[key] != "":
-				default:
-					out = append(out, c.at(fn.Pos())+": "+key+" has no non-test reference")
-				}
+				judge(fn.Pos(), key, live)
 			}
 		}
 	}
@@ -1255,6 +1287,14 @@ func (t *txn) run(p *Pod) {
 		{"no-dead-internal-surface", map[string]string{
 			"internal/clock/clock.go": "package clock\n\ntype Sleeper interface{ Sleep(d int) }\n\ntype Sim struct{}\n\nfunc (s *Sim) Sleep() {}\n\nfunc use(c Sleeper) { c.Sleep(1) }\n",
 		}, "internal/clock/clock.go:7"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/api/types.go": "package api\n\ntype PodStatus struct {\n\tReason  string\n\tMessage string\n}\n\nfunc use(s PodStatus) string { return s.Reason }\n",
+			"cmd/x/main.go":         "package main\n\ntype status struct{ Message string }\n\nfunc main() { _ = status{Message: \"m\"}.Message }\n",
+		}, "internal/api/types.go:5"},
+		{"no-dead-internal-surface", map[string]string{
+			"internal/watch/broker.go":      "package watch\n\nimport \"errors\"\n\nvar ErrTooOld = errors.New(\"too old\")\n\nvar ErrLive = errors.New(\"live\")\n\nfunc use() error { return ErrLive }\n",
+			"internal/watch/broker_test.go": "package watch\n\nvar _ = ErrTooOld\n",
+		}, "internal/watch/broker.go:5"},
 	}
 	covered := map[string]bool{}
 	for _, tc := range cases {

@@ -209,9 +209,8 @@
 // (apiserver.WithAsyncWatch) every subscriber gets a pump goroutine that
 // drains the ring in batches ([]WatchEvent per callback): publishers
 // never wait for consumers, slow consumers batch up naturally, and a
-// subscriber that falls off the ring — the typed watch.ErrTooOld
-// condition — resyncs from a fresh consistent snapshot
-// (ListAndWatch-style relist) instead of blocking the writer or missing
+// subscriber that falls off the ring resyncs from a fresh consistent
+// snapshot (ListAndWatch-style relist) instead of blocking the writer or missing
 // deltas silently. Back-pressure is accounted per subscriber (batches,
 // max lag, resyncs, drops; see Server.WatchStats). The scheduler's
 // ClusterCache ingests batches through ApplyAll (one lock acquisition

@@ -179,7 +179,11 @@ type PodSpec struct {
 	// specify which scheduler it requires").
 	SchedulerName string
 	// NodeName is set by a scheduler binding.
-	NodeName   string
+	NodeName string
+	// Containers holds at most one container: a pod runs one workload,
+	// as each of the paper's jobs is one stressor container (§VI-C), and
+	// the API server refuses a second. It stays a slice because the
+	// benchmark module (bench/) builds it as one.
 	Containers []Container
 	// Priority orders the pending queue (higher schedules first; FCFS
 	// within a tier) and gates preemption: a pod may only evict strictly
@@ -241,9 +245,8 @@ func (s *PodSpec) GangMinMember() int {
 
 // PodStatus is the system-maintained part of a pod.
 type PodStatus struct {
-	Phase   PodPhase
-	Reason  string
-	Message string
+	Phase  PodPhase
+	Reason string
 
 	// SubmittedAt is when the API server accepted the pod.
 	SubmittedAt time.Time
@@ -257,7 +260,8 @@ type PodStatus struct {
 	FinishedAt time.Time
 }
 
-// Pod is a schedulable unit (one or more co-located containers).
+// Pod is a schedulable unit: at most one container, which runs the pod's
+// one workload (see PodSpec.Containers).
 type Pod struct {
 	Name string
 	// UID is the serial the API server assigned when it stored the pod,

@@ -239,6 +239,26 @@ func TestCreatePodRefusesNegativeQuantities(t *testing.T) {
 	}
 }
 
+// TestCreatePodRefusesSecondContainer: a pod runs one workload, so a
+// two-container pod is invalid. The refusal publishes nothing, stores
+// nothing and queues nothing, and the pod is not counted live.
+func TestCreatePodRefusesSecondContainer(t *testing.T) {
+	s := New(clock.NewSim())
+	var evs []WatchEvent
+	defer s.SubscribeBatch(func(batch []WatchEvent) { evs = append(evs, batch...) }, nil)()
+	two := reqPod("two", resource.List{resource.Memory: resource.MiB})
+	two.Spec.Containers = append(two.Spec.Containers, api.Container{Name: "sidecar"})
+	if err := s.CreatePod(two); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("two-container pod err = %v, want ErrInvalid", err)
+	}
+	if _, err := s.GetPod("two"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("refused pod was stored: err = %v", err)
+	}
+	if len(evs) != 0 || s.PendingCount() != 0 || !s.AllTerminal() {
+		t.Fatalf("refused pod published %d events, queued %d pods; AllTerminal = %v", len(evs), s.PendingCount(), s.AllTerminal())
+	}
+}
+
 // TestBindRefusalReasonIsDeterministic: a pod over-asking both cpu and
 // memory is refused for the same resource — the first in name order —
 // on every server, in the error and in its BindStats class.

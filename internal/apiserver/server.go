@@ -586,7 +586,12 @@ func (s *Server) ListNodes() []*api.Node {
 // no EPC over-commitment). The server stores a clone of p and keeps
 // nothing of p itself, its containers included: the caller may reuse p
 // once the call returns, as the trace replay does with one scratch pod.
+// A pod runs one workload (§VI-C: one stressor per job), so a pod with
+// more than one container is refused too.
 func (s *Server) CreatePod(p *api.Pod) error {
+	if len(p.Spec.Containers) > 1 {
+		return fmt.Errorf("%w: pod %s has %d containers, want at most one", ErrInvalid, p.Name, len(p.Spec.Containers))
+	}
 	for i := range p.Spec.Containers {
 		c := &p.Spec.Containers[i]
 		for r, q := range c.Resources.Requests {

@@ -84,24 +84,13 @@ func (c *WorkloadClassifier) Classify(pod *api.Pod) api.WorkloadClass {
 	if pod.Spec.Priority < 0 {
 		return api.ClassBestEffort
 	}
-	if c.maxDuration(pod) >= DefaultBatchDuration {
+	if len(pod.Spec.Containers) > 0 && pod.Spec.Containers[0].Workload.Duration >= DefaultBatchDuration {
 		return api.ClassBatch
 	}
 	if pod.IsSGX() {
 		return api.ClassLatencySensitive
 	}
 	return api.ClassBestEffort
-}
-
-// maxDuration returns the longest declared container runtime.
-func (c *WorkloadClassifier) maxDuration(pod *api.Pod) time.Duration {
-	var max time.Duration
-	for i := range pod.Spec.Containers {
-		if d := pod.Spec.Containers[i].Workload.Duration; d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // ClassProfile configures one class's scheduling behaviour in a

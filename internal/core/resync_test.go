@@ -15,7 +15,7 @@ import (
 // TestCacheResyncAfterOverflowMatchesBuildView is the broker-overflow
 // property test: an async-watch server with a tiny ring, a cache pinned
 // mid-delivery while bursts of mutations wrap the ring repeatedly —
-// forcing the ErrTooOld path — must, after every burst, resync to a
+// forcing the fell-off-the-ring resync — must, after every burst, resync to a
 // state identical to the oracle's from-scratch BuildView. A second subscriber
 // records every delivered resource version and proves no event is ever
 // delivered twice or out of order, across resyncs included.

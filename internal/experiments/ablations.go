@@ -36,7 +36,7 @@ func WindowAblation(seed int64) (Figure, error) {
 		25 * time.Second, 60 * time.Second, 120 * time.Second} {
 		tcfg := Paper(0)
 		tcfg.Scheduler = core.Config{Name: SchedulerName, Policy: core.Binpack{}, UseMetrics: true, Window: window}
-		res, err := replayOnce(seed, tcfg, ReplayConfig{Trace: trace, SGXRatio: 0, Horizon: 24 * time.Hour})
+		res, err := replayOnce(seed, tcfg, ReplayConfig{Trace: trace, SGXRatio: 0})
 		if err != nil {
 			return Figure{}, fmt.Errorf("window ablation (%v): %w", window, err)
 		}
@@ -71,7 +71,7 @@ func IntervalAblation(seed int64) (Figure, error) {
 		15 * time.Second, 30 * time.Second} {
 		tcfg := Paper(0)
 		tcfg.Scheduler.Interval = interval
-		res, err := replayOnce(seed, tcfg, ReplayConfig{Trace: trace, SGXRatio: 0, Horizon: 24 * time.Hour})
+		res, err := replayOnce(seed, tcfg, ReplayConfig{Trace: trace, SGXRatio: 0})
 		if err != nil {
 			return Figure{}, fmt.Errorf("interval ablation (%v): %w", interval, err)
 		}

@@ -41,7 +41,7 @@ func Fig7PendingQueue(seed int64) (Figure, error) {
 		YLabel: "Requests in queue [MiB]",
 	}
 	for _, sizeMiB := range []int64{32, 64, 128, 256} {
-		res, err := replayOnce(seed, Paper(sizeMiB*resource.MiB), ReplayConfig{SGXRatio: 1, Horizon: 24 * time.Hour})
+		res, err := replayOnce(seed, Paper(sizeMiB*resource.MiB), ReplayConfig{SGXRatio: 1})
 		if err != nil {
 			return Figure{}, fmt.Errorf("fig7 (EPC %d MiB): %w", sizeMiB, err)
 		}
@@ -74,7 +74,7 @@ func Fig8WaitCDF(seed int64) (Figure, error) {
 	labels := map[int]string{0: "No SGX jobs", 25: "25% SGX jobs", 50: "50% SGX jobs",
 		75: "75% SGX jobs", 100: "Only SGX jobs"}
 	for _, pct := range []int{0, 25, 50, 75, 100} {
-		res, err := replayOnce(seed, Paper(0), ReplayConfig{SGXRatio: float64(pct) / 100, Horizon: 24 * time.Hour})
+		res, err := replayOnce(seed, Paper(0), ReplayConfig{SGXRatio: float64(pct) / 100})
 		if err != nil {
 			return Figure{}, fmt.Errorf("fig8 (%d%%): %w", pct, err)
 		}
@@ -104,7 +104,7 @@ func Fig9WaitByRequest(seed int64) (Figure, error) {
 	for _, pol := range []core.Policy{core.Spread{}, core.Binpack{}} {
 		tcfg := Paper(0)
 		tcfg.Scheduler.Policy = pol
-		res, err := replayOnce(seed, tcfg, ReplayConfig{SGXRatio: 0.5, Horizon: 24 * time.Hour})
+		res, err := replayOnce(seed, tcfg, ReplayConfig{SGXRatio: 0.5})
 		if err != nil {
 			return Figure{}, fmt.Errorf("fig9 (%s): %w", pol.Name(), err)
 		}
@@ -176,7 +176,7 @@ func Fig10Turnaround(seed int64) (Figure, error) {
 		}
 		tcfg := Paper(0)
 		tcfg.Scheduler.Policy = r.policy
-		res, err := replayOnce(seed, tcfg, ReplayConfig{Trace: trace, SGXRatio: ratio, Horizon: 24 * time.Hour})
+		res, err := replayOnce(seed, tcfg, ReplayConfig{Trace: trace, SGXRatio: ratio})
 		if err != nil {
 			return Figure{}, fmt.Errorf("fig10 (%s/%s): %w", r.policy.Name(), kind, err)
 		}
@@ -222,7 +222,7 @@ func Fig11Malicious(seed int64) (Figure, error) {
 		{"Limits disabled-50% EPC occupied", false, 0.5},
 	}
 	for _, c := range cases {
-		rcfg := ReplayConfig{Trace: trace, SGXRatio: 1, Horizon: 24 * time.Hour}
+		rcfg := ReplayConfig{Trace: trace, SGXRatio: 1}
 		if c.fraction > 0 {
 			rcfg.MaliciousPerSGXNode = 1
 			rcfg.MaliciousEPCFraction = c.fraction

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/model"
-	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
 // This file is the gang-scheduling experiment: the Borg backlog replayed
@@ -79,26 +77,6 @@ type GangExpResult struct {
 	LeakedPermits int
 }
 
-// gangPodFromJob shapes one gang member from a trace job: every member
-// of a gang requests the same memory (MPI ranks are homogeneous) and
-// sleeps for the job's trace duration.
-func gangPodFromJob(job borg.Job, name, group string, minMember int) *api.Pod {
-	return &api.Pod{
-		Name: name,
-		Spec: api.PodSpec{
-			PodGroup:  group,
-			MinMember: minMember,
-			Containers: []api.Container{{
-				Name: "main",
-				Resources: api.Requirements{
-					Requests: resource.List{resource.Memory: borg.StandardMemBytes(job.AssignedMemFrac)},
-				},
-				Workload: api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: job.Duration},
-			}},
-		},
-	}
-}
-
 // GangDrain submits a Borg-derived backlog of gang and solo jobs at t=0
 // and drains it with cfg.Shards schedulers sharing one gang director.
 func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
@@ -129,12 +107,15 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 	clk, srv, a := tb.Clk, tb.Srv, tb.audit
 
 	// Backlog: the first gangCount trace jobs each shape one gang's
-	// members, the next gangSoloJobs stay solo.
+	// members, the next gangSoloJobs stay solo. Every member of a gang
+	// requests the same memory (MPI ranks are homogeneous) and sleeps for
+	// its job's trace duration.
 	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
 	for i := 0; i < gangCount; i++ {
 		group := fmt.Sprintf("gang-%03d", i)
 		for m := 0; m < gangSize; m++ {
-			pod := gangPodFromJob(trace.Jobs[i], fmt.Sprintf("%s-m%d", group, m), group, gangSize)
+			pod := multiSchedPod(trace.Jobs[i], false)
+			pod.Name, pod.Spec.PodGroup, pod.Spec.MinMember = fmt.Sprintf("%s-m%d", group, m), group, gangSize
 			if err := tb.Submit(pod); err != nil {
 				return GangExpResult{}, fmt.Errorf("gang: submitting backlog: %w", err)
 			}

@@ -33,7 +33,7 @@ type ReplayConfig struct {
 	// they request half their peak as baseline, declare the peak as
 	// limit, and burst via EAUG mid-run. Requires an SGX2 testbed.
 	DynamicEPC bool
-	// Horizon caps the simulation (12 h when zero).
+	// Horizon caps the simulation (24 h when zero).
 	Horizon time.Duration
 }
 
@@ -129,7 +129,7 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 		return nil, fmt.Errorf("experiments: malicious EPC fraction %v outside [0,1]", cfg.MaliciousEPCFraction)
 	}
 	if cfg.Horizon <= 0 {
-		cfg.Horizon = 12 * time.Hour
+		cfg.Horizon = 24 * time.Hour
 	}
 
 	jobs := cfg.Trace.Jobs

@@ -42,7 +42,6 @@ func SGX2Ablation(seed int64) (Figure, error) {
 			Trace:      trace,
 			SGXRatio:   1,
 			DynamicEPC: m.dynamic,
-			Horizon:    24 * time.Hour,
 		})
 		if err != nil {
 			return Figure{}, fmt.Errorf("sgx2 ablation (%s): %w", m.name, err)

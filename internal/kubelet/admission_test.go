@@ -78,47 +78,47 @@ func TestAdmissionLifeAllocations(t *testing.T) {
 	}
 }
 
-// multiPod is a three-container SGX pod: an EPC stressor, a memory
-// stressor and a sleeper, running dur, dur + 1 s and dur + 2 s.
-func multiPod(name string, dur time.Duration) *api.Pod {
-	return &api.Pod{
-		Name: name,
-		Spec: api.PodSpec{
-			Containers: []api.Container{
-				{
-					Name: "enclave",
-					Resources: api.Requirements{
-						Requests: resource.List{resource.Memory: 16 * resource.MiB, resource.EPCPages: 200},
-						Limits:   resource.List{resource.EPCPages: 200},
-					},
-					Workload: api.WorkloadSpec{Kind: api.WorkloadStressEPC, Duration: dur, AllocBytes: 100 * resource.EPCPageSize},
-				},
-				{
-					Name:      "vm",
-					Resources: api.Requirements{Requests: resource.List{resource.Memory: resource.MiB}},
-					Workload:  api.WorkloadSpec{Kind: api.WorkloadStressVM, Duration: dur + time.Second, AllocBytes: resource.MiB},
-				},
-				{
-					Name:     "sleep",
-					Workload: api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: dur + 2*time.Second},
-				},
+// mixedPod is pod p of a concurrent test: an EPC stressor, a memory
+// stressor or a sleeper by p % 3, running dur. The EPC pod requests more
+// devices than its enclave commits, and each kind asks the node for
+// something different: EPC devices and a driver limit, memory, nothing.
+func mixedPod(name string, p int, dur time.Duration) *api.Pod {
+	var c api.Container
+	switch p % 3 {
+	case 0:
+		c = api.Container{
+			Name: "enclave",
+			Resources: api.Requirements{
+				Requests: resource.List{resource.Memory: 16 * resource.MiB, resource.EPCPages: 200},
+				Limits:   resource.List{resource.EPCPages: 200},
 			},
-		},
+			Workload: api.WorkloadSpec{Kind: api.WorkloadStressEPC, Duration: dur, AllocBytes: 100 * resource.EPCPageSize},
+		}
+	case 1:
+		c = api.Container{
+			Name:      "vm",
+			Resources: api.Requirements{Requests: resource.List{resource.Memory: resource.MiB}},
+			Workload:  api.WorkloadSpec{Kind: api.WorkloadStressVM, Duration: dur, AllocBytes: resource.MiB},
+		}
+	default:
+		c = api.Container{Name: "sleep", Workload: api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: dur}}
 	}
+	return &api.Pod{Name: name, Spec: api.PodSpec{Containers: []api.Container{c}}}
 }
 
 // TestKubeletTeardownDuringAdmissionConcurrent: while the clock admits
-// multi-container pods, another goroutine evicts or preempts each of them
-// — at a random step around its admission, or the moment it reads Running,
-// while the admission is launching its containers — and preempted pods
-// are bound again once. The workloads run for hours, so none has ended
+// EPC, memory and sleeper pods, another goroutine evicts or preempts each
+// of them — at a random step around its admission, or the moment it reads
+// Running, while the admission is launching its workload — and preempted
+// pods are bound again once. The workloads run for hours, so none has ended
 // when the racing stops. Then every live process is an execution of an
 // entry still admitted (no execution outlived its entry), and the devices
 // held are those entries' requests. After the clock has run the rest to
 // completion nothing is left: no entry, process, device allocation,
 // driver limit, memory or EPC. Each execution reported its end exactly
 // once: a completion never reported leaves its pod Running, and one
-// reported twice ends a pod before its longest container has run.
+// reported for an earlier binding's aborted workload ends a re-bound pod
+// before its workload has run.
 func TestKubeletTeardownDuringAdmissionConcurrent(t *testing.T) {
 	f := newFixture(t, true)
 	const pods = 48
@@ -126,8 +126,8 @@ func TestKubeletTeardownDuringAdmissionConcurrent(t *testing.T) {
 	durs := make([]time.Duration, pods)
 	for p := range names {
 		names[p] = fmt.Sprintf("pod-%02d", p)
-		durs[p] = time.Duration(1+p%3) * time.Hour
-		if err := f.srv.CreatePod(multiPod(names[p], durs[p])); err != nil {
+		durs[p] = time.Duration(1+p%4) * time.Hour
+		if err := f.srv.CreatePod(mixedPod(names[p], p, durs[p])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,10 +194,8 @@ func TestKubeletTeardownDuringAdmissionConcurrent(t *testing.T) {
 		pod, _ := f.srv.GetPod(name)
 		switch pod.Status.Phase {
 		case api.PodSucceeded:
-			// The sleeper is the longest container; a doubled completion
-			// from a shorter one would have ended the pod early.
-			if ran, longest := pod.Status.FinishedAt.Sub(pod.Status.StartedAt), durs[p]+2*time.Second; ran < longest {
-				t.Errorf("%s succeeded after %v, before its longest container's %v", name, ran, longest)
+			if ran := pod.Status.FinishedAt.Sub(pod.Status.StartedAt); ran < durs[p] {
+				t.Errorf("%s succeeded after %v, before its workload's %v", name, ran, durs[p])
 			}
 		case api.PodFailed, api.PodPending:
 			// Evicted, or preempted and not bound again.
@@ -219,7 +217,9 @@ func checkEntriesHoldNode(t *testing.T, f *fixture) (admitted []*podEntry) {
 	f.kl.mu.Lock()
 	var running, held int64
 	for _, e := range f.kl.pods {
-		running += int64(e.remaining)
+		if e.running {
+			running++
+		}
 		req, limit := e.pod.TotalRequests().Get(resource.EPCPages), e.pod.TotalLimits().Get(resource.EPCPages)
 		if limit == 0 {
 			limit = req
@@ -283,9 +283,8 @@ func checkNodeEmpty(t *testing.T, f *fixture, names []string, seen []*podEntry) 
 // in the admission entries and their executions — another goroutine
 // evicts or preempts random pods, the kubelet hearing it, or takes the
 // kubelet off the stream, evicts or preempts one or two pods it does not
-// hear of, and resyncs it against a fresh snapshot. Half the pods are
-// one-workload SGX pods, whose execution is the entry's own; the others
-// have three containers. The workloads end within seconds, so aborts land
+// hear of, and resyncs it against a fresh snapshot. The pods are EPC,
+// memory and sleeper pods in turn. The workloads end within seconds, so aborts land
 // before, during and after steps, and preempted pods are bound again
 // once. With the clock still, the entries hold exactly the node's
 // processes and devices; once the clock has run the rest out, the node
@@ -296,12 +295,7 @@ func TestResyncEvictionDuringStepsConcurrent(t *testing.T) {
 	names := make([]string, pods)
 	for p := range names {
 		names[p] = fmt.Sprintf("pod-%02d", p)
-		dur := time.Duration(1+p%4) * time.Second
-		pod := multiPod(names[p], dur)
-		if p%2 == 0 {
-			pod = sgxPod(names[p], 100, 100*resource.EPCPageSize, dur)
-		}
-		if err := f.srv.CreatePod(pod); err != nil {
+		if err := f.srv.CreatePod(mixedPod(names[p], p, time.Duration(1+p%4)*time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,8 +3,8 @@
 // advertised by the device plugin, §V-A), reacts to scheduler bindings by
 // admitting pods, wires pod EPC limits into the modified SGX driver — the
 // paper's 16-lines-of-Go / 22-lines-of-C Kubelet patch (§V-D) — launches
-// the workloads, reports their completion, and serves per-pod usage
-// statistics to the monitoring layer (§V-C).
+// each pod's one workload, reports its completion, and serves per-pod
+// usage statistics to the monitoring layer (§V-C).
 package kubelet
 
 import (
@@ -69,28 +69,27 @@ type statRef struct {
 }
 
 // podEntry is a binding's stay on this node, the one object the node side
-// allocates for a one-workload pod: the bind arms the admission delay on
-// its timer (Fire admits); admission builds the pod's cgroup record in it
-// and puts it in k.pods while the record holds the node's devices; it is
-// each workload's completion callback (Finished) and holds the first
-// one's execution, with its process and step timer.
+// allocates for a pod: the bind arms the admission delay on its timer
+// (Fire admits); admission builds the pod's cgroup record in it and puts
+// it in k.pods while the record holds the node's devices; it holds the
+// pod's one workload execution, with its process and step timer, and is
+// that workload's completion callback (Finished). running says exec was
+// started; it is set under k.mu, in the critical section that found the
+// entry still in k.pods.
 type podEntry struct {
-	k          *Kubelet
-	pod        *api.Pod
-	admission  clock.Event
-	cg         cgroup.Cgroup
-	executions []*stress.Execution
-	started    [1]*stress.Execution // executions' first backing array
-	first      stress.Execution
-	remaining  int
-	firstErr   error
+	k         *Kubelet
+	pod       *api.Pod
+	admission clock.Event
+	cg        cgroup.Cgroup
+	exec      stress.Execution
+	running   bool
 }
 
 // Fire is the admission timer's clock.Handler.
 func (e *podEntry) Fire() { e.k.admit(e) }
 
-// Finished is stress.Config.OnFinished: one workload of the entry ended.
-func (e *podEntry) Finished(err error) { e.k.containerFinished(e, err) }
+// Finished is stress.Config.OnFinished: the entry's workload ended.
+func (e *podEntry) Finished(err error) { e.k.complete(e, err) }
 
 // Option configures a Kubelet.
 type Option func(*Kubelet)
@@ -180,7 +179,9 @@ func (k *Kubelet) Stop() {
 	sort.Strings(names)
 	var running []*stress.Execution
 	for _, name := range names {
-		running = append(running, k.pods[name].executions...)
+		if e := k.pods[name]; e.running {
+			running = append(running, &e.exec)
+		}
 	}
 	k.mu.Unlock()
 	if unsub != nil {
@@ -228,10 +229,12 @@ func (k *Kubelet) resync(snap apiserver.Snapshot) {
 			continue
 		}
 		// Same atomic remove+release discipline as the eviction event
-		// path (see onEvent); in-flight launches detect the removal by
-		// entry identity.
+		// path (see onEvent); an admission not yet launched detects the
+		// removal by entry identity.
 		delete(k.pods, name)
-		staleExec = append(staleExec, entry.executions...)
+		if entry.running {
+			staleExec = append(staleExec, &entry.exec)
+		}
 		k.releaseLocked(entry)
 	}
 	launched := make(map[string]bool, len(k.pods))
@@ -281,25 +284,20 @@ func (k *Kubelet) onEvent(ev apiserver.WatchEvent) {
 		}
 		k.mu.Lock()
 		entry, ok := k.pods[ev.Pod.Name]
-		var executions []*stress.Execution
 		if ok {
 			// Remove and release atomically: an entry's device
 			// allocation exists exactly while the entry is in k.pods, and
 			// it is held on the entry's own cgroup record, so this can
 			// never free what a newer admission of the same pod holds.
-			// The admission's launch loop re-checks entry identity
-			// against k.pods and aborts workloads started after this
-			// removal.
+			// The admission launches only while its entry is in k.pods,
+			// under k.mu, so the workload is either running here or never
+			// starts.
 			delete(k.pods, ev.Pod.Name)
-			executions = append(executions, entry.executions...)
 			k.releaseLocked(entry)
 		}
 		k.mu.Unlock()
-		if !ok {
-			return
-		}
-		for _, ex := range executions {
-			ex.Abort()
+		if ok && entry.running {
+			entry.exec.Abort()
 		}
 	}
 }
@@ -330,7 +328,6 @@ func (k *Kubelet) admit(entry *podEntry) {
 	// a record of its own.
 	epcReq := pod.TotalRequests().Get(resource.EPCPages)
 	entry.cg = cgroup.ForPod(pod.UID, pod.Name)
-	entry.executions = entry.started[:0]
 
 	k.mu.Lock()
 	if _, admitted := k.pods[pod.Name]; admitted {
@@ -372,23 +369,6 @@ func (k *Kubelet) admit(entry *podEntry) {
 		return
 	}
 
-	workloads := 0
-	for i := range pod.Spec.Containers {
-		if pod.Spec.Containers[i].Workload.Kind != 0 {
-			workloads++
-		}
-	}
-
-	k.mu.Lock()
-	if k.pods[pod.Name] != entry {
-		// Torn down between claim and launch: the teardown already
-		// aborted and released on removal.
-		k.mu.Unlock()
-		return
-	}
-	entry.remaining = workloads
-	k.mu.Unlock()
-
 	// MarkRunning errors only if the pod raced to a terminal state (or
 	// was preempted off this node): withdraw the admission — unless a
 	// teardown already removed and released it.
@@ -402,96 +382,52 @@ func (k *Kubelet) admit(entry *podEntry) {
 		return
 	}
 
-	if workloads == 0 {
+	if len(pod.Spec.Containers) == 0 || pod.Spec.Containers[0].Workload.Kind == 0 {
 		k.complete(entry, nil)
 		return
 	}
-	inline := true // the first workload runs in the entry's execution
-	for i := range pod.Spec.Containers {
-		w := &pod.Spec.Containers[i].Workload
-		if w.Kind == 0 {
-			continue
-		}
-		ex := &entry.first
-		if !inline {
-			ex = new(stress.Execution)
-		}
-		inline = false
-		err := ex.Start(k.clk, stress.Config{
-			Machine:    k.mach,
-			Cgroup:     &entry.cg,
-			Spec:       *w,
-			OnFinished: entry,
-		})
-		if err != nil {
-			k.containerFinished(entry, err)
-			continue
-		}
-		k.mu.Lock()
-		if k.pods[pod.Name] != entry {
-			// The entry was finalised mid-loop — a teardown
-			// (eviction/preemption/resync) or an early sibling failure
-			// that completed the pod — and whoever removed it could not
-			// see this execution; undo the launch ourselves.
-			k.mu.Unlock()
-			ex.Abort()
-			continue
-		}
-		entry.executions = append(entry.executions, ex)
-		k.mu.Unlock()
-	}
-}
-
-// containerFinished accounts one container completion; the pod
-// terminates when all its containers have. The caller passes the entry
-// its execution belongs to: a stale completion (an Abort issued by a
-// teardown racing a re-admission of the same pod name) must not be
-// attributed to the newer entry.
-func (k *Kubelet) containerFinished(entry *podEntry, err error) {
+	// Launch only while the entry is admitted, in the critical section
+	// that checks it: a teardown either came first and nothing starts, or
+	// comes after and finds the workload running.
 	k.mu.Lock()
-	if k.pods[entry.pod.Name] != entry {
+	if k.pods[pod.Name] != entry {
 		k.mu.Unlock()
 		return
 	}
-	if err != nil && entry.firstErr == nil {
-		entry.firstErr = err
-	}
-	entry.remaining--
-	// Any container failure kills the pod at once — matching §VI-F, where
-	// limit-violating jobs "are immediately killed after launch".
-	done := entry.remaining <= 0 || entry.firstErr != nil
-	firstErr := entry.firstErr
+	err = entry.exec.Start(k.clk, stress.Config{
+		Machine:    k.mach,
+		Cgroup:     &entry.cg,
+		Spec:       pod.Spec.Containers[0].Workload,
+		OnFinished: entry,
+	})
+	entry.running = err == nil
 	k.mu.Unlock()
-	if done {
-		k.complete(entry, firstErr)
+	if err != nil {
+		k.complete(entry, err)
 	}
 }
 
 // complete finalises a pod: the entry is deregistered and its devices
-// released in one critical section (so late container callbacks —
-// triggered by aborting siblings below — become no-ops, and a teardown
-// that won the race is detected by entry identity), then the terminal
-// phase is reported.
+// released in one critical section (a teardown that won the race is
+// detected by entry identity, and an aborted workload's completion is
+// then a no-op), then the terminal phase is reported. A failed workload
+// fails the pod — matching §VI-F, where limit-violating jobs "are
+// immediately killed after launch".
 func (k *Kubelet) complete(entry *podEntry, err error) {
 	podName := entry.pod.Name
 	k.mu.Lock()
 	if k.pods[podName] != entry {
 		// An eviction/preemption/resync teardown beat us: it aborted
-		// the executions and released the devices on removal.
+		// the workload and released the devices on removal.
 		k.mu.Unlock()
 		return
 	}
 	delete(k.pods, podName)
-	executions := entry.executions
 	k.releaseLocked(entry)
 	k.mu.Unlock()
 
-	// A failing container kills the whole pod.
+	// Terminal-state races are benign during shutdown.
 	if err != nil {
-		for _, ex := range executions {
-			ex.Abort()
-		}
-		// Terminal-state races are benign during shutdown.
 		_ = k.srv.MarkFailed(podName, err.Error())
 		return
 	}

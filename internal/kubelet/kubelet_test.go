@@ -298,45 +298,6 @@ func TestPodWithNoWorkloadSucceedsImmediately(t *testing.T) {
 	}
 }
 
-func TestMultiContainerPodFailsTogether(t *testing.T) {
-	f := newFixture(t, true)
-	pod := &api.Pod{
-		Name: "multi",
-		Spec: api.PodSpec{
-			Containers: []api.Container{
-				{
-					Name:      "good",
-					Resources: api.Requirements{Requests: resource.List{resource.EPCPages: 100}},
-					Workload:  api.WorkloadSpec{Kind: api.WorkloadStressEPC, Duration: time.Hour, AllocBytes: 100 * 4096},
-				},
-				{
-					Name: "bad",
-					// Allocates more EPC than the pod's total limit.
-					Workload: api.WorkloadSpec{Kind: api.WorkloadStressEPC, Duration: time.Hour, AllocBytes: resource.MiB},
-				},
-			},
-		},
-	}
-	if err := f.srv.CreatePod(pod); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.srv.Bind("multi", "sgx-1"); err != nil {
-		t.Fatal(err)
-	}
-	f.clk.Advance(time.Minute)
-	p, _ := f.srv.GetPod("multi")
-	if p.Status.Phase != api.PodFailed {
-		t.Fatalf("phase = %s, want Failed", p.Status.Phase)
-	}
-	// Both containers' resources must be fully released.
-	if got := f.mach.Driver().FreePages(); got != 23936 {
-		t.Fatalf("EPC leaked: %d", got)
-	}
-	if got := f.mach.ProcessCount(); got != 0 {
-		t.Fatalf("processes leaked: %d", got)
-	}
-}
-
 func TestPodStats(t *testing.T) {
 	f := newFixture(t, true)
 	pod := sgxPod("job-1", 2560, 10*resource.MiB, time.Hour)
@@ -450,6 +411,38 @@ func TestSameInstantRebindAdmitsOnce(t *testing.T) {
 	}
 	if got := f.kl.Plugin().FreeDevices(); got != total {
 		t.Fatalf("devices after completion = %d, want %d", got, total)
+	}
+}
+
+// TestEvictionWhileReportingRunningLaunchesNothing: a subscriber evicts
+// the pod as soon as it reads Running, so the eviction reaches the
+// kubelet inside the admission's MarkRunning, before the launch. Nothing
+// may start: a workload started after the teardown would run unowned,
+// holding memory and EPC, with no entry left to abort it.
+func TestEvictionWhileReportingRunningLaunchesNothing(t *testing.T) {
+	f := newFixture(t, true)
+	defer f.srv.SubscribeBatch(func(evs []apiserver.WatchEvent) {
+		for _, ev := range evs {
+			if ev.Pod != nil && ev.Pod.Status.Phase == api.PodRunning {
+				_ = f.srv.Evict(ev.Pod.Name, "evicted on start")
+			}
+		}
+	}, nil)()
+	if err := f.srv.CreatePod(sgxPod("early", 100, 100*resource.EPCPageSize, time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.srv.Bind("early", "sgx-1"); err != nil {
+		t.Fatal(err)
+	}
+	f.clk.Advance(time.Minute)
+	if p, _ := f.srv.GetPod("early"); p.Status.Phase != api.PodFailed {
+		t.Fatalf("pod = %s (%s), want Failed", p.Status.Phase, p.Status.Reason)
+	}
+	if n := f.mach.ProcessCount(); n != 0 {
+		t.Fatalf("%d processes started after the eviction", n)
+	}
+	if free, total := f.kl.Plugin().FreeDevices(), f.kl.Plugin().DeviceCount(); free != total {
+		t.Fatalf("%d of %d EPC devices free, want all", free, total)
 	}
 }
 

@@ -45,8 +45,8 @@
 // the same mutex, so it is sent exactly the events appended after it.
 //
 // A subscriber that falls so far behind that its cursor drops off the
-// ring is "too old" (ErrTooOld) — a keyed subscriber only when an event
-// of its key was evicted undelivered. Instead of stalling the writer or
+// ring is too old — a keyed subscriber only when an event of its key was
+// evicted undelivered. Instead of stalling the writer or
 // silently corrupting the consumer, the broker invokes the subscriber's
 // resync handler, which re-primes the consumer from a fresh snapshot of
 // the source of truth and returns the snapshot's resource version as the
@@ -67,19 +67,12 @@
 package watch
 
 import (
-	"errors"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
-
-// ErrTooOld reports that a cursor has fallen off the ring: events
-// between the cursor and the oldest retained event were evicted, so the
-// consumer can no longer be brought current by replay alone and must
-// resync from a snapshot.
-var ErrTooOld = errors.New("watch: resource version too old")
 
 // Mode selects how the broker delivers events.
 type Mode int
@@ -133,7 +126,8 @@ type SubscriberStats struct {
 	// between the newest published event and this subscriber's cursor at
 	// the moment a batch was cut — how far behind the consumer ran.
 	MaxLag int64
-	// Resyncs counts ErrTooOld recoveries through the resync handler.
+	// Resyncs counts recoveries through the resync handler of a cursor
+	// that fell off the ring.
 	Resyncs int64
 	// Dropped counts the resource-version span skipped because the
 	// subscriber fell off the ring and had no resync handler.

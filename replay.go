@@ -77,9 +77,6 @@ func ReplayBorgTrace(opts ReplayOptions) (*ReplayResult, error) {
 	if opts.EPCSize < 0 {
 		return nil, fmt.Errorf("sgxorch: negative EPCSize %d", opts.EPCSize)
 	}
-	if opts.Horizon <= 0 {
-		opts.Horizon = 24 * time.Hour
-	}
 	cfg := experiments.Paper(opts.EPCSize)
 	cfg.Scheduler.Policy = policy
 	cfg.Scheduler.UseMetrics = !opts.DisableMetrics
