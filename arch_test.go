@@ -686,7 +686,7 @@ SubscribeNode.`,
 and publishes that pointer, and every reader — an event, GetPod, GetNode,
 the lists, a snapshot — gets a stored version with no copy. A write
 through one rewrites state the caches already hold, behind every event.
-So in internal/apiserver a pod field (Spec, Status, Labels, UID) is
+So in internal/apiserver a pod field (Spec, Status, UID) is
 written only through a variable bound from the version builder
 (txn.nextVersion), from .Clone() or from a struct copy (*p), and
 anywhere in the repository a variable bound from GetPod( or GetNode( has
@@ -694,7 +694,7 @@ no field written until it is rebound from .Clone(). The match is by
 name, over each variable's latest binding in scope: a write after a
 clone made in a branch that does not enclose it still counts.`,
 		check: func(c *codebase) (out []string) {
-			podFields := map[string]bool{"Spec": true, "Status": true, "Labels": true, "UID": true}
+			podFields := map[string]bool{"Spec": true, "Status": true, "UID": true}
 			for _, f := range c.files {
 				server := !f.test && within(f.dir, "internal/apiserver")
 				fieldWrites(f, func(w *ast.Ident, path []string, bound ast.Expr) {
@@ -755,8 +755,9 @@ of that name non-test code calls.`,
 	},
 	{
 		name: "no-unset-internal-knob",
-		doc: `Every exported field of an exported internal/ …Config, …Options or
-…Profile struct is set by non-test code somewhere (bench/ included), or
+		doc: `Every exported field of an exported …Config, …Options or …Profile
+struct in internal/ or in the root package (ClusterConfig,
+ReplayOptions) is set by non-test code somewhere (bench/ included), or
 has an entry in knobAllow that names the test or benchmark needing its
 second value. Each settable value doubles the configurations the tests
 must cover; a value every caller leaves at its default is a constant. A
@@ -769,10 +770,11 @@ that never names the type is not seen.`,
 	},
 }
 
-// knobAllow lists exported internal/ configuration fields that only tests
-// and benchmarks set, keyed "dir.Type.Field", each with what needs the
-// second value.
+// knobAllow lists exported configuration fields that only tests and
+// benchmarks set, keyed "dir.Type.Field" ("sgxorch.Type.Field" in the root
+// package), each with what needs the second value.
 var knobAllow = map[string]string{
+	"sgxorch.ClusterConfig.SchedulerInterval":               "TestTelemetryExportsEachCountOnce and the other telemetry_cluster_test.go and telemetry_catalogue_test.go tests pass 1 s; at 5 s their counts meet in coincidental equalities",
 	"internal/core.GangConfig.PermitTimeout":                "internal/core's gang tests race 5–10 s permit rollbacks against commits",
 	"internal/experiments.MultiSchedConfig.Concurrent":      "TestMultiSchedConcurrentDrainSafe drains on real goroutines under -race",
 	"internal/experiments.MultiSchedConfig.Horizon":         "TestMultiSchedConcurrentDrainSafe gives the nondeterministic drain 4 h",
@@ -992,12 +994,32 @@ func isKnobStruct(name string) bool {
 		(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Profile"))
 }
 
+// knobPkg names the package in directory dir in a knob key: the
+// directory, or the module's base name for the root package.
+func knobPkg(dir string) string {
+	if dir == "." {
+		return path.Base(modulePath)
+	}
+	return dir
+}
+
+// moduleDir reports the repository directory of the module package that
+// import path pkg names.
+func moduleDir(pkg string) (string, bool) {
+	if pkg == modulePath {
+		return ".", true
+	}
+	dir, ok := strings.CutPrefix(pkg, modulePath+"/")
+	return dir, ok
+}
+
 // knobFields returns the exported named fields of every exported
-// configuration struct in non-test internal/ code, keyed "dir.Type.Field".
+// configuration struct in non-test internal/ and root-package code, keyed
+// "dir.Type.Field" (see knobPkg).
 func knobFields(c *codebase) map[string]*ast.Ident {
 	fields := map[string]*ast.Ident{}
 	for _, f := range c.files {
-		if f.test || !within(f.dir, "internal") {
+		if f.test || !within(f.dir, "internal") && f.dir != "." {
 			continue
 		}
 		ast.Inspect(f.syntax, func(n ast.Node) bool {
@@ -1009,7 +1031,7 @@ func knobFields(c *codebase) map[string]*ast.Ident {
 				for _, fld := range st.Fields.List {
 					for _, id := range fld.Names {
 						if id.IsExported() {
-							fields[f.dir+"."+ts.Name.Name+"."+id.Name] = id
+							fields[knobPkg(f.dir)+"."+ts.Name.Name+"."+id.Name] = id
 						}
 					}
 				}
@@ -1034,15 +1056,19 @@ func knobsSet(c *codebase) map[string]bool {
 		ast.Inspect(f.syntax, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if pkg, name, ok := f.pkgRef(n); ok && strings.HasPrefix(pkg, modulePath+"/") {
-					named[strings.TrimPrefix(pkg, modulePath+"/")+"."+name] = true
+				if pkg, name, ok := f.pkgRef(n); ok {
+					if dir, ok := moduleDir(pkg); ok {
+						named[knobPkg(dir)+"."+name] = true
+					}
 				}
 			case *ast.CompositeLit:
 				typ := ""
 				if pkg, name, ok := f.pkgRef(n.Type); ok {
-					typ = strings.TrimPrefix(pkg, modulePath+"/") + "." + name
+					if dir, ok := moduleDir(pkg); ok {
+						typ = knobPkg(dir) + "." + name
+					}
 				} else if id, ok := n.Type.(*ast.Ident); ok {
-					typ = f.dir + "." + id.Name
+					typ = knobPkg(f.dir) + "." + id.Name
 				}
 				for _, e := range n.Elts {
 					if kv, ok := e.(*ast.KeyValueExpr); ok && typ != "" {
@@ -1334,6 +1360,7 @@ func (t *txn) run(p *Pod) {
 	// of the report, or "" when the sources must pass.
 	const knob = "package stress\n\ntype Config struct {\n\tOnStarted func()\n}\n"
 	const setter = "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/stress\"\n\n"
+	const rootKnob = "package sgxorch\n\ntype ClusterConfig struct {\n\tScrapeInterval int\n}\n"
 	for _, tc := range []struct {
 		name  string
 		files map[string]string
@@ -1365,6 +1392,13 @@ func (t *txn) run(p *Pod) {
 			"internal/stress/stress.go": knob,
 			"cmd/x/main.go":             setter + "var _ = stress.Config{OnStarted: func() {}}\n",
 		}, map[string]string{"internal/stress.Config.OnFinished": "a test sets it"}, "internal/stress.Config.OnFinished names no field"},
+		{"root package's unset field", map[string]string{
+			"cluster.go": rootKnob,
+		}, nil, "cluster.go:4: sgxorch.ClusterConfig.ScrapeInterval"},
+		{"root package's field set by a literal", map[string]string{
+			"cluster.go":    rootKnob,
+			"cmd/x/main.go": "package main\n\nimport \"github.com/sgxorch/sgxorch\"\n\nvar _ = sgxorch.ClusterConfig{ScrapeInterval: 1}\n",
+		}, nil, ""},
 	} {
 		covered["no-unset-internal-knob"] = true
 		c, err := parseSources(tc.files)

@@ -314,15 +314,14 @@ func BenchmarkSchedulerPass(b *testing.B) {
 	}
 }
 
-// BenchmarkClassifiedPass is BenchmarkSchedulerPass with the workload
-// class registry attached and the whole backlog declaring classes, so
-// every pod in every pass takes the per-class resolution path
-// (slot lookup, profile swap, sampling/preemption gate overrides) and
-// the per-class stats fold. Gating this next to BenchmarkSchedulerPass
-// bounds the toll class routing adds to the scheduler's hot loop.
+// BenchmarkClassifiedPass is BenchmarkSchedulerPass with the whole
+// backlog declaring classes, so every pod in every pass takes its class's
+// pipeline (slot lookup, the class's policy, sampling and preemption
+// gates) and the per-class stats fold. Gating this next to
+// BenchmarkSchedulerPass bounds the toll class routing adds to the
+// scheduler's hot loop.
 func BenchmarkClassifiedPass(b *testing.B) {
 	cfg := experiments.Paper(0)
-	cfg.Scheduler.Classes = core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{}))
 	tb, err := experiments.NewTestbed(cfg)
 	if err != nil {
 		b.Fatal(err)

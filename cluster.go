@@ -54,9 +54,8 @@ const (
 //     never preempts, and always preemption-eligible regardless of
 //     priority.
 //
-// Jobs with no class take the cluster's configured Policy pipeline,
-// exactly as before classes existed. ClusterConfig.InferClasses extends
-// classification to undeclared jobs from their scheduling signals.
+// A job's class is the one it declares; jobs with no class take the
+// cluster's configured Policy.
 const (
 	ClassLatencySensitive = string(api.ClassLatencySensitive)
 	ClassBatch            = string(api.ClassBatch)
@@ -111,14 +110,6 @@ type ClusterConfig struct {
 	// SchedulerInterval is the scheduling period (core.DefaultInterval,
 	// 5 s, when zero).
 	SchedulerInterval time.Duration
-	// ScrapeInterval is the monitoring period
-	// (monitor.DefaultScrapeInterval, 10 s, when zero).
-	ScrapeInterval time.Duration
-	// InferClasses classifies jobs that declare no workload class from
-	// their scheduling signals (priority tier, declared runtime, gang
-	// membership, EPC demand) instead of leaving them on the default
-	// pipeline. Declared classes are honoured either way.
-	InferClasses bool
 	// DisableTelemetry turns the cluster's observability plane off: no
 	// metrics registry, no pass-trace ring, no lifecycle tracker, no
 	// self-scrape into the TSDB. With telemetry disabled every
@@ -162,9 +153,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(nodes) == 0 {
 		nodes = PaperTestbedNodes()
 	}
-	if cfg.ScrapeInterval <= 0 {
-		cfg.ScrapeInterval = monitor.DefaultScrapeInterval
-	}
 	// The whole node list is checked before anything is built, so a bad
 	// entry never leaves an earlier node's kubelet started and subscribed.
 	seen := make(map[string]bool, len(nodes))
@@ -201,19 +189,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	tcfg := experiments.TestbedConfig{
 		Nodes:          tbNodes,
 		NoEnforcement:  cfg.DisableEnforcement,
-		ScrapeInterval: cfg.ScrapeInterval,
+		ScrapeInterval: monitor.DefaultScrapeInterval,
 		Scheduler: core.Config{
 			Name:       schedulerName,
 			Policy:     policy,
 			Interval:   cfg.SchedulerInterval,
 			UseMetrics: !cfg.DisableMetrics,
-			// Always class-aware: with inference off the registry only
-			// routes explicitly declared classes, and undeclared jobs
-			// schedule exactly as a class-free scheduler would — so
-			// attaching it unconditionally costs legacy callers nothing.
-			Classes: core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{
-				Infer: cfg.InferClasses,
-			})),
 		},
 		Gangs: true,
 	}
@@ -473,21 +454,6 @@ type SchedulerStats struct {
 	// jobs to make room; Victims counts the jobs evicted by them.
 	Preemptions int
 	Victims     int
-	// ByClass breaks the outcomes down per declared (or inferred)
-	// workload class, keyed by the Class* constants; jobs on the default
-	// pipeline appear under the empty key. Only classes with activity
-	// have entries.
-	ByClass map[string]ClassSchedulerStats
-}
-
-// ClassSchedulerStats is the per-workload-class slice of SchedulerStats.
-type ClassSchedulerStats struct {
-	Bound         int
-	Unschedulable int
-	// Preemptions/Victims count evictions inflicted *by* this class's
-	// jobs.
-	Preemptions int
-	Victims     int
 }
 
 // SchedulerStats returns the scheduler's counters. The registry
@@ -498,29 +464,13 @@ type ClassSchedulerStats struct {
 // telemetry-disabled cluster this accessor is the only read.
 func (c *Cluster) SchedulerStats() SchedulerStats {
 	s := c.tb.Scheduler.Stats()
-	out := SchedulerStats{
+	return SchedulerStats{
 		Passes:        s.Passes,
 		Bound:         s.Bound,
 		Unschedulable: s.Unschedulable,
 		Preemptions:   s.Preemptions,
 		Victims:       s.Victims,
 	}
-	for slot, class := range api.Classes {
-		cs := s.ByClass[slot]
-		if cs == (core.ClassStats{}) {
-			continue
-		}
-		if out.ByClass == nil {
-			out.ByClass = make(map[string]ClassSchedulerStats)
-		}
-		out.ByClass[string(class)] = ClassSchedulerStats{
-			Bound:         cs.Bound,
-			Unschedulable: cs.Unschedulable,
-			Preemptions:   cs.Preemptions,
-			Victims:       cs.Victims,
-		}
-	}
-	return out
 }
 
 // GangStats reports gang-scheduling outcomes: gangs committed at quorum
@@ -585,8 +535,9 @@ func (c *Cluster) LifecycleStats() (binds, runs int64) {
 //
 //	SELECT MAX(value) FROM "self/lifecycle_queue_seconds" WHERE quantile = '0.99' GROUP BY class
 //
-// Telemetry series lag the live registry by at most one ScrapeInterval;
-// Cluster.Telemetry reads are exact.
+// Telemetry series lag the live registry by at most one scrape interval
+// (monitor.DefaultScrapeInterval, 10 s); Cluster.Telemetry reads are
+// exact.
 func (c *Cluster) Query(query string) (influxql.Result, error) {
 	return influxql.Execute(c.tb.DB, query)
 }

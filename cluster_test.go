@@ -54,34 +54,6 @@ func TestClusterWatchSubscribers(t *testing.T) {
 	}
 }
 
-// TestInferClasses: with inference on, a job that declares no class is
-// classified from its scheduling signals, so an undeclared priority-100
-// job counts under latency-sensitive; with it off, the same job stays on
-// the default pipeline and counts under the empty key.
-func TestInferClasses(t *testing.T) {
-	for _, tc := range []struct {
-		infer bool
-		want  string
-	}{{true, ClassLatencySensitive}, {false, ""}} {
-		t.Run(fmt.Sprintf("infer=%v", tc.infer), func(t *testing.T) {
-			c, err := NewCluster(ClusterConfig{InferClasses: tc.infer})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if err := c.SubmitJob(JobSpec{Name: "serve", Duration: time.Minute, Priority: 100, MemoryRequestBytes: GiB}); err != nil {
-				t.Fatal(err)
-			}
-			if !c.WaitAll(time.Hour) {
-				t.Fatal("job did not finish")
-			}
-			if byClass := c.SchedulerStats().ByClass; len(byClass) != 1 || byClass[tc.want].Bound != 1 {
-				t.Fatalf("ByClass = %+v, want the one bind under %q", byClass, tc.want)
-			}
-		})
-	}
-}
-
 func TestClusterValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterConfig{Policy: "bogus"}); err == nil {
 		t.Fatal("bogus policy accepted")

@@ -163,8 +163,8 @@
 // request-only baseline of Kubernetes' default scheduler (§V-B); and a
 // usage-aware policy that scores measured headroom and EPC pressure.
 // Each is bit-identical to its original implementation, which the tests
-// pin. Policies are stateless values, so one policy or class registry
-// can serve a whole concurrent fleet. A pass is a loop of per-pod
+// pin. Policies are stateless values, so one policy can serve a whole
+// concurrent fleet. A pass is a loop of per-pod
 // scheduling cycles, each reporting a typed outcome (bound, held, gated,
 // unschedulable, conflict, skipped) that the pass folds into a single
 // tally — the value behind SchedulerStats, the scheduler_*_total series
@@ -334,26 +334,23 @@
 // 1/2/4 schedulers, measuring deadlock-freedom, time-to-full-gang, and
 // post-hoc permit-leak accounting.
 //
-// Workloads classify into per-class scheduling profiles
-// (internal/core/classify.go). A pod declares PodSpec.Class —
-// latency-sensitive, batch or best-effort — or, with inference enabled
-// (ClusterConfig.InferClasses), is classified from its spec: gang
-// members batch, priority ≥ 100 latency-sensitive, negative priority
-// best-effort, max container duration ≥ 5m batch, SGX jobs
-// latency-sensitive. A ClassRegistry (Config.Classes) maps each class
-// to a placement policy plus sampling and preemption gates,
-// resolved per pod inside the pass: latency-sensitive scores
+// Workloads run under per-class scheduling profiles
+// (internal/core/classify.go). A pod's class is the one it declares in
+// PodSpec.Class — latency-sensitive, batch or best-effort — as an SGX
+// job is one that declares EPC pages; nothing is inferred. Each class
+// has a fixed profile, a placement policy plus sampling and preemption
+// gates, which every scheduler resolves at construction into a table
+// its pass looks each pod's class up in: latency-sensitive scores
 // usage-aware with a sampling floor (DefaultLatencyMinFeasible) and may
 // preempt — including best-effort pods at any priority, the one
 // documented exception to strictly-lower-priority victim selection;
 // batch bin-packs and never preempts; best-effort spreads, never
 // preempts, and its bound pods are always eviction-eligible (tracked
 // from the declared class, so a sharded fleet agrees on eligibility).
-// Unclassified pods take the scheduler's own policy untouched — a
-// property test pins the event stream with a registry attached
-// bit-identical to a class-free scheduler on unclassified workloads.
-// Per-class Stats.ByClass and Server.PendingCountByClass split the
-// ledger by tier; class never affects pending-queue order. The
+// Unclassified pods take the scheduler's own policy — a determinism
+// test pins the event stream of an unclassified workload to a literal
+// digest. Per-class Stats.ByClass and Server.PendingCountByClass split
+// the ledger by tier; class never affects pending-queue order. The
 // mixed-fleet experiment (internal/experiments.ClassesMixedFleet,
 // walked through in examples/classes) saturates the testbed with
 // best-effort fillers, lands latency-sensitive and batch waves on top,
@@ -416,7 +413,7 @@
 //
 // Metrics leave the process two ways. Cluster.WritePrometheus renders
 // the registry in Prometheus text exposition format. And on every
-// ScrapeInterval the registry self-scrapes into the embedded TSDB as
+// scrape interval the registry self-scrapes into the embedded TSDB as
 // "self/"-prefixed measurements — histograms as estimated p50/p99
 // quantile series plus count and sum — so Cluster.Query answers
 // control-plane questions through the same InfluxQL path that serves

@@ -1,5 +1,5 @@
 // Workload classes: one scheduler fleet, three service tiers. Jobs
-// declare (or are inferred into) a class — latency-sensitive, batch or
+// declare a class — latency-sensitive, batch or
 // best-effort — and each class resolves to its own scheduling profile:
 // latency-sensitive scores usage-aware, never narrows its candidate
 // search below the sampling floor and may preempt (including evicting

@@ -85,17 +85,16 @@ type WorkloadSpec struct {
 }
 
 // WorkloadClass partitions pods into scheduling classes. A class selects
-// the scheduling profile a pending pod is routed through — plugins, score
-// weights, candidate-sampling bounds and preemption eligibility — without
+// the scheduling profile a pending pod is routed through — placement
+// policy, candidate-sampling bounds and preemption eligibility — without
 // changing what the pod runs. The empty class is the default: such pods
-// take the scheduler's single configured pipeline, exactly as before
-// classes existed.
+// take the scheduler's own configured policy.
 type WorkloadClass string
 
 // The workload classes.
 const (
 	// ClassUnspecified routes the pod through the scheduler's default
-	// pipeline — bit-identical to the pre-class behaviour.
+	// pipeline, its own configured policy.
 	ClassUnspecified WorkloadClass = ""
 	// ClassLatencySensitive marks serving-style jobs that must start
 	// fast: they may preempt lower tiers and their candidate search is
@@ -204,19 +203,14 @@ type PodSpec struct {
 	// under partial placement). Meaningful only when PodGroup is set;
 	// values below 1 are treated as 1.
 	MinMember int
-	// Class is the pod's explicit workload class. When set to a known
-	// class, a class-aware scheduler routes the pod through that class's
-	// profile; the empty (or unknown) value leaves classification to the
-	// scheduler's classifier — or, with inference off, to the default
-	// pipeline. The explicit class is also what marks a bound pod
-	// always-preemptible (best-effort): eviction eligibility must be
-	// deterministic cluster-wide, so it keys off this declared field,
-	// never off per-scheduler inference.
+	// Class is the pod's declared workload class, the only source of
+	// its class. A known class routes the pod through that class's
+	// profile in every scheduler; the empty (or unknown) value takes the
+	// scheduler's default pipeline. The declared class is also what
+	// marks a bound pod always-preemptible (best-effort), identically for
+	// every scheduler watching the cluster.
 	Class WorkloadClass
 }
-
-// Classified reports whether the pod declares a known workload class.
-func (s *PodSpec) Classified() bool { return s.Class.Known() }
 
 // WorkloadClass returns the declared class, folding unknown strings into
 // ClassUnspecified so downstream consumers only ever see the four defined
@@ -268,7 +262,6 @@ type Pod struct {
 	// from 1 up; 0 means unassigned, and CreatePod assigns the next one.
 	// The kubelet names the pod's cgroup after it (internal/cgroup).
 	UID    int64
-	Labels map[string]string
 	Spec   PodSpec
 	Status PodStatus
 }
@@ -321,15 +314,13 @@ func (p *Pod) TurnaroundTime() (time.Duration, bool) {
 // Clone deep-copies the pod.
 func (p *Pod) Clone() *Pod {
 	out := *p
-	out.Labels = cloneStringMap(p.Labels)
 	out.Spec.Containers = slices.Clone(p.Spec.Containers)
 	return &out
 }
 
 // Node is one cluster machine as seen by the orchestrator.
 type Node struct {
-	Name   string
-	Labels map[string]string
+	Name string
 	// Capacity is the node's total resources; Allocatable is what pods
 	// may consume. The device plugin extends Allocatable with one item
 	// per EPC page (§V-A).
@@ -346,20 +337,8 @@ func (n *Node) HasSGX() bool {
 	return n.Allocatable.Get(resource.EPCPages) > 0
 }
 
-// Clone deep-copies the node.
+// Clone copies the node.
 func (n *Node) Clone() *Node {
 	out := *n
-	out.Labels = cloneStringMap(n.Labels)
 	return &out
-}
-
-func cloneStringMap(m map[string]string) map[string]string {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

@@ -239,8 +239,8 @@ const (
 // and the same pointers GetPod, GetNode, the lists and a Snapshot hand
 // out until a later commit stores the next version. A later commit never
 // shows through one (PodPermitHeld's pod alone is the event's own copy,
-// carrying the permit's node). Versions of a pod share its Labels map and
-// Spec.Containers slice; nothing may write through any of it, and a
+// carrying the permit's node). Versions of a pod share its
+// Spec.Containers slice; nothing may write through it, and a
 // consumer that needs a pod or node it may edit clones it
 // (api.Pod.Clone, api.Node.Clone). Rev is the server's resource version
 // at the mutation: revisions increase by one per event, so a cache built

@@ -118,8 +118,8 @@ func (t *txn) end() {
 // nextVersion stores and returns the pod's next version, the one
 // allocation of a pod commit: a copy of the stored struct that the commit
 // edits and then publishes, the same pointer, as its event's pod (see
-// WatchEvent). Versions share Labels and Spec.Containers, which nothing
-// writes after CreatePod's deep clone.
+// WatchEvent). Versions share Spec.Containers, which nothing writes
+// after CreatePod's deep clone.
 func (t *txn) nextVersion(p *api.Pod) *api.Pod {
 	v := *p
 	t.s.podShardFor(p.Name).pods[p.Name] = &v

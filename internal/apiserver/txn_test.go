@@ -14,8 +14,8 @@ import (
 // TestEventPodSharesSpecKeepsStatus is the contract of the pod a watch
 // event carries: the struct is the version its commit stored — its
 // binding and status are the commit's, whatever the pod goes through
-// afterwards — while the labels and containers are shared by every
-// version, never copied per commit. The read API hands out the same
+// afterwards — while the containers are shared by every version, never
+// copied per commit. The read API hands out the same
 // versions: GetPod returns the pointer the pod's last event carried, and
 // a result handed out never shows a later commit.
 func TestEventPodSharesSpecKeepsStatus(t *testing.T) {
@@ -27,12 +27,10 @@ func TestEventPodSharesSpecKeepsStatus(t *testing.T) {
 	defer s.SubscribeBatch(func(batch []WatchEvent) { evs = append(evs, batch...) }, nil)()
 
 	submitted := testPod("p1")
-	submitted.Labels = map[string]string{"tier": "batch"}
 	if err := s.CreatePod(submitted); err != nil {
 		t.Fatal(err)
 	}
 	// The create severed the caller's pod from the stored one.
-	submitted.Labels["tier"] = "edited"
 	submitted.Spec.Containers[0].Resources.Requests[resource.Memory] = 1
 	created, err := s.GetPod("p1")
 	if err != nil {
@@ -79,9 +77,6 @@ func TestEventPodSharesSpecKeepsStatus(t *testing.T) {
 			if got := p.Spec.Containers[0].Resources.Requests.Get(resource.Memory); got != resource.GiB {
 				t.Fatalf("%s: event %d memory request = %d, want %d", when, i, got, resource.GiB)
 			}
-			if p.Labels["tier"] != "batch" {
-				t.Fatalf("%s: event %d labels = %v", when, i, p.Labels)
-			}
 		}
 	}
 	check("after the pod's whole life")
@@ -101,11 +96,10 @@ func TestEventPodSharesSpecKeepsStatus(t *testing.T) {
 	edit := got.Clone()
 	edit.Spec.Containers[0].Resources.Requests[resource.Memory] = 7
 	edit.Spec.Containers[0].Resources.Requests[resource.EPCPages] = 7
-	edit.Labels["tier"] = "edited"
 	edit.Status.Phase = api.PodFailed
 	check("after editing a clone of a GetPod result")
 	if again, _ := s.GetPod("p1"); again != got || again.Status.Phase != api.PodSucceeded ||
-		again.Labels["tier"] != "batch" || again.IsSGX() ||
+		again.IsSGX() ||
 		again.Spec.Containers[0].Resources.Requests.Get(resource.Memory) != resource.GiB {
 		t.Fatalf("editing a clone changed the stored pod: %+v", again)
 	}

@@ -148,10 +148,8 @@ type cachedPod struct {
 	reserved bool
 	// bestEffort marks a pod that *declared* the best-effort workload
 	// class in its spec, making it preemption-eligible regardless of
-	// priority tier. Deliberately keyed off the declared field and never
-	// off classifier inference: eviction eligibility must be identical
-	// for every scheduler watching the cluster, while each fleet may run
-	// its own inference configuration.
+	// priority tier. Every scheduler watching the cluster reads the same
+	// declared field, so eviction eligibility is identical across them.
 	bestEffort bool
 	// prev and next link the node's list; next also links the free list.
 	prev, next *cachedPod

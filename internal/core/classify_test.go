@@ -22,114 +22,24 @@ func classedPod(name string, class api.WorkloadClass, prio int32, memBytes int64
 	return p
 }
 
-// TestClassifierExplicitAndInference covers the classification order:
-// declared classes always win; inference (when on) reads gang, priority,
-// duration and EPC signals in that order; inference off leaves
-// undeclared pods unclassified.
-func TestClassifierExplicitAndInference(t *testing.T) {
-	mk := func(mut func(*api.Pod)) *api.Pod {
-		p := memJob("p", resource.GiB, resource.GiB, time.Minute)
-		mut(p)
-		return p
-	}
-	cases := []struct {
-		name  string
-		infer bool
-		pod   *api.Pod
-		want  api.WorkloadClass
-	}{
-		{"explicit wins over signals", true,
-			mk(func(p *api.Pod) { p.Spec.Class = api.ClassBestEffort; p.Spec.Priority = 500 }),
-			api.ClassBestEffort},
-		{"explicit honoured without inference", false,
-			mk(func(p *api.Pod) { p.Spec.Class = api.ClassLatencySensitive }),
-			api.ClassLatencySensitive},
-		{"unknown class string stays unclassified", true,
-			mk(func(p *api.Pod) { p.Spec.Class = "gold"; p.Spec.Priority = -1 }),
-			api.ClassBestEffort}, // unknown → inference applies
-		{"inference off leaves unclassified", false,
-			mk(func(p *api.Pod) { p.Spec.Priority = 500 }),
-			api.ClassUnspecified},
-		{"gang member infers batch", true,
-			mk(func(p *api.Pod) { p.Spec.PodGroup = "ring"; p.Spec.Priority = 500 }),
-			api.ClassBatch},
-		{"high priority infers latency-sensitive", true,
-			mk(func(p *api.Pod) { p.Spec.Priority = DefaultLatencyPriority }),
-			api.ClassLatencySensitive},
-		{"negative priority infers best-effort", true,
-			mk(func(p *api.Pod) { p.Spec.Priority = -1 }),
-			api.ClassBestEffort},
-		{"long runtime infers batch", true,
-			mk(func(p *api.Pod) { p.Spec.Containers[0].Workload.Duration = DefaultBatchDuration }),
-			api.ClassBatch},
-		{"EPC demand infers latency-sensitive", true,
-			func() *api.Pod { return epcJob("p", 1000, resource.MiB, time.Minute) }(),
-			api.ClassLatencySensitive},
-		{"short plain job infers best-effort", true,
-			mk(func(p *api.Pod) {}),
-			api.ClassBestEffort},
-	}
-	for _, tc := range cases {
-		c := NewWorkloadClassifier(ClassifierConfig{Infer: tc.infer})
-		if got := c.Classify(tc.pod); got != tc.want {
-			t.Errorf("%s: Classify = %q, want %q", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestClassRegistryResolve: a scheduler Config resolves the default
-// registry into one pipeline per class slot with the documented gates —
-// the default sampling floor where a class sets none — and leaves
-// unclassified pods on the Config.Policy pipeline.
-// Overrides via set replace a class; the default slot cannot be occupied.
+// TestClassRegistryResolve: the fixed class table resolves each slot to
+// its documented pipeline — the scheduler's own policy on the
+// unclassified slot, the default sampling floor where a class sets none —
+// and only latency-sensitive preempts across tiers into best-effort.
 func TestClassRegistryResolve(t *testing.T) {
-	r := NewClassRegistry(nil) // explicit-only classifier
-	for _, class := range api.Classes[1:] {
-		if got := r.classifier.Classify(classedPod("p", class, 0, resource.GiB, time.Minute)); got != class {
-			t.Fatalf("%s pod classified as %q", class, got)
+	table := resolvePipelines(LeastRequested{})
+	for _, tc := range []struct {
+		class api.WorkloadClass
+		want  pipeline
+	}{
+		{api.ClassUnspecified, pipeline{policy: LeastRequested{}, minFeasible: DefaultMinFeasibleNodesToFind, mayPreempt: true}},
+		{api.ClassLatencySensitive, pipeline{policy: UsageAware{}, minFeasible: DefaultLatencyMinFeasible, mayPreempt: true, takeBE: true}},
+		{api.ClassBatch, pipeline{policy: Binpack{}, minFeasible: DefaultMinFeasibleNodesToFind}},
+		{api.ClassBestEffort, pipeline{policy: Spread{}, minFeasible: DefaultMinFeasibleNodesToFind}},
+	} {
+		if got := table[tc.class.Slot()]; got != tc.want {
+			t.Errorf("%s pipeline = %+v, want %+v", tc.class.Label(), got, tc.want)
 		}
-	}
-	if got := r.classifier.Classify(memJob("plain", resource.GiB, resource.GiB, time.Minute)); got != api.ClassUnspecified {
-		t.Fatalf("unclassified pod classified as %q, want the default", got)
-	}
-
-	cfg := Config{Policy: LeastRequested{}, Classes: r}
-	table := resolvePipelines(&cfg)
-	if got, want := table[api.ClassUnspecified.Slot()], (pipeline{policy: LeastRequested{}, minFeasible: DefaultMinFeasibleNodesToFind, mayPreempt: true}); got != want {
-		t.Fatalf("default slot = %+v, want the Config's own pipeline and bounds %+v", got, want)
-	}
-	ls := table[api.ClassLatencySensitive.Slot()]
-	if ls.policy.Name() != "usage-aware" || !ls.mayPreempt || !ls.takeBE {
-		t.Fatalf("latency-sensitive pipeline = %+v", ls)
-	}
-	if ls.minFeasible != DefaultLatencyMinFeasible {
-		t.Fatalf("latency-sensitive floor = %d, want its own %d", ls.minFeasible, DefaultLatencyMinFeasible)
-	}
-	if pl := table[api.ClassBatch.Slot()]; pl.policy.Name() != "binpack" || pl.mayPreempt || pl.takeBE || pl.minFeasible != DefaultMinFeasibleNodesToFind {
-		t.Fatalf("batch pipeline = %+v (must not preempt, inherits the default floor)", pl)
-	}
-	if pl := table[api.ClassBestEffort.Slot()]; pl.policy.Name() != "spread" || pl.mayPreempt || pl.takeBE {
-		t.Fatalf("best-effort pipeline = %+v (must not preempt)", pl)
-	}
-
-	// Override one class; the others are untouched. A preempting
-	// best-effort class still may not take best-effort victims.
-	r.set(ClassProfile{Class: api.ClassBatch, Policy: Spread{}, MayPreempt: true})
-	r.set(ClassProfile{Class: api.ClassBestEffort, Policy: Spread{}, MayPreempt: true})
-	table = resolvePipelines(&cfg)
-	if pl := table[api.ClassBatch.Slot()]; pl.policy.Name() != "spread" || !pl.mayPreempt || !pl.takeBE {
-		t.Fatalf("batch after set = %+v, want the preempt-capable override", pl)
-	}
-	if pl := table[api.ClassBestEffort.Slot()]; !pl.mayPreempt || pl.takeBE {
-		t.Fatalf("preempting best-effort = %+v, must not take best-effort victims", pl)
-	}
-	if table[api.ClassLatencySensitive.Slot()].policy.Name() != "usage-aware" {
-		t.Fatal("overriding batch disturbed latency-sensitive")
-	}
-	// The unspecified slot rejects installation.
-	r.set(ClassProfile{Class: api.ClassUnspecified, Policy: Spread{}})
-	if got := resolvePipelines(&cfg)[api.ClassUnspecified.Slot()].policy; got != (LeastRequested{}) {
-		t.Fatalf("default slot accepted a profile: %q", got.Name())
 	}
 }
 
@@ -142,11 +52,8 @@ type classifyHarness struct {
 	events []string
 }
 
-// newClassifyHarness builds the stack with the given class registry
-// (nil = class-free scheduler). Everything else is identical across
-// calls, so two harnesses fed the same submissions must diverge only
-// through the registry.
-func newClassifyHarness(t *testing.T, classes *ClassRegistry) *classifyHarness {
+// newClassifyHarness builds the stack.
+func newClassifyHarness(t *testing.T) *classifyHarness {
 	t.Helper()
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
@@ -180,10 +87,9 @@ func newClassifyHarness(t *testing.T, classes *ClassRegistry) *classifyHarness {
 	}
 	gd := NewGangDirector(clk, srv, GangConfig{})
 	sched, err := New(clk, srv, nil, Config{
-		Name:    "sgx-sched",
-		Policy:  Binpack{},
-		Gang:    gd,
-		Classes: classes,
+		Name:   "sgx-sched",
+		Policy: Binpack{},
+		Gang:   gd,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -201,9 +107,9 @@ func newClassifyHarness(t *testing.T, classes *ClassRegistry) *classifyHarness {
 	return h
 }
 
-// drive submits a workload mix carrying every signal the classifier
-// reads — priorities high and negative, a gang, EPC demand, long
-// durations — but no explicit Class, then runs the simulation out.
+// drive submits a workload mix of priorities high and negative, a gang,
+// EPC demand and long durations, but no declared class, then runs the
+// simulation out.
 func (h *classifyHarness) drive(t *testing.T) {
 	t.Helper()
 	submit := func(p *api.Pod) {
@@ -222,10 +128,10 @@ func (h *classifyHarness) drive(t *testing.T) {
 	}
 	submit(epcJob("enclave", 2000, 4*resource.MiB, 30*time.Second))
 	p := memJob("urgent", 512*resource.MiB, 400*resource.MiB, 10*time.Second)
-	p.Spec.Priority = 200 // would infer latency-sensitive
+	p.Spec.Priority = 200
 	submit(p)
 	p = memJob("long", 256*resource.MiB, 200*resource.MiB, 10*time.Minute)
-	submit(p) // would infer batch
+	submit(p)
 	for i := 0; i < 2; i++ {
 		g := memJob(fmt.Sprintf("gang-%d", i), 256*resource.MiB, 200*resource.MiB, 20*time.Second)
 		g.Spec.PodGroup, g.Spec.MinMember = "ring", 2
@@ -234,43 +140,20 @@ func (h *classifyHarness) drive(t *testing.T) {
 	h.clk.Advance(12 * time.Minute)
 }
 
-// TestUnclassifiedPodsBitIdenticalWithRegistry is the compatibility
-// property the class subsystem is built around: a scheduler carrying a
-// class registry (inference off) schedules a workload with no declared
-// classes through the default pipeline, producing an event stream
-// *exactly* equal — same events, same order, same revisions, same
-// timestamps — to a class-free scheduler's. Any class-aware branch that
-// leaks into the unclassified path shows up here as the first diverging
-// event.
+// TestUnclassifiedPodsBitIdenticalWithRegistry: a workload that declares
+// no class schedules through the default slot, the scheduler's own
+// policy, and the literal digest of its event stream (same events, same
+// order, same revisions, same timestamps) pins it to every earlier
+// commit's default pipeline. A class-aware branch that leaks into the
+// unclassified path moves the digest.
 func TestUnclassifiedPodsBitIdenticalWithRegistry(t *testing.T) {
-	base := newClassifyHarness(t, nil)
-	classed := newClassifyHarness(t, NewClassRegistry(NewWorkloadClassifier(ClassifierConfig{})))
-	base.drive(t)
-	classed.drive(t)
-
-	if len(base.events) == 0 {
-		t.Fatal("baseline produced no events")
+	h := newClassifyHarness(t)
+	h.drive(t)
+	if !h.srv.AllTerminal() {
+		t.Fatal("the workload did not drain")
 	}
-	if !base.srv.AllTerminal() {
-		t.Fatal("baseline did not drain")
-	}
-	for i := range base.events {
-		if i >= len(classed.events) {
-			t.Fatalf("registry run stopped after %d events, baseline has %d; first missing: %s",
-				len(classed.events), len(base.events), base.events[i])
-		}
-		if base.events[i] != classed.events[i] {
-			t.Fatalf("event %d diverged:\n  base:    %s\n  classed: %s", i, base.events[i], classed.events[i])
-		}
-	}
-	if len(classed.events) != len(base.events) {
-		t.Fatalf("registry run has %d extra events, first: %s",
-			len(classed.events)-len(base.events), classed.events[len(base.events)])
-	}
-	// Both runs equal each other; the literal digest pins them to every
-	// earlier commit's default pipeline as well.
-	if got, want := golden.StreamDigest(base.events), "382b7c8563e29b4f"; got != want {
-		t.Fatalf("event stream digest = %s, want %s (%d events): the default pipeline's schedule changed", got, want, len(base.events))
+	if got, want := golden.StreamDigest(h.events), "382b7c8563e29b4f"; got != want {
+		t.Fatalf("event stream digest = %s, want %s (%d events): the default pipeline's schedule changed", got, want, len(h.events))
 	}
 }
 
@@ -289,9 +172,8 @@ func TestBestEffortAlwaysPreemptible(t *testing.T) {
 		}
 		defer kl.Stop()
 		sched, err := New(clk, srv, nil, Config{
-			Name:    "sgx-sched",
-			Policy:  Binpack{},
-			Classes: NewClassRegistry(nil),
+			Name:   "sgx-sched",
+			Policy: Binpack{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -339,9 +221,8 @@ func TestPerClassStatsAndPendingDepth(t *testing.T) {
 	}
 	defer kl.Stop()
 	sched, err := New(clk, srv, nil, Config{
-		Name:    "sgx-sched",
-		Policy:  Binpack{},
-		Classes: NewClassRegistry(nil),
+		Name:   "sgx-sched",
+		Policy: Binpack{},
 	})
 	if err != nil {
 		t.Fatal(err)

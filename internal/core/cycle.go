@@ -136,7 +136,7 @@ func (s *Stats) count(o outcome) {
 	}
 }
 
-// cycle schedules one pending pod: classify it onto its pipeline, gate a
+// cycle schedules one pending pod: route it to its class's pipeline, gate a
 // gang member through the gang director, run the §IV fit over the nodes,
 // let the pipeline's policy select among the candidates, fall back to
 // preemption when it places nowhere, and commit the decision. The per-pod
@@ -147,13 +147,10 @@ func (s *Stats) count(o outcome) {
 func (s *Scheduler) cycle(c *cycleState, e *queuedPod) outcome {
 	info, pod := &c.info, e.pod
 	fillPodInfo(info, pod, e.req)
-	// Workload-class resolution is a table lookup: the pod's class slot
-	// selects the pipeline with its sampling bounds and preemption gates;
-	// unclassified pods take slot 0 — the exact pre-class pass.
-	var o outcome
-	if s.classifier != nil {
-		o.slot = s.classifier.Classify(pod).Slot()
-	}
+	// Workload-class resolution is a table lookup: the declared class's
+	// slot selects the pipeline with its sampling bounds and preemption
+	// gates; unclassified pods take slot 0, the Config's own policy.
+	o := outcome{slot: pod.Spec.WorkloadClass().Slot()}
 	c.pl = &s.pipelines[o.slot]
 	det := c.det
 	// A gang member under a director is gated by it (which may also

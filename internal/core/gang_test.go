@@ -257,7 +257,7 @@ func TestGangProtocolInEveryClassSlot(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			cfg := Config{Name: "s", Policy: Binpack{}, Classes: NewClassRegistry(nil)}
+			cfg := Config{Name: "s", Policy: Binpack{}}
 			if withDirector {
 				cfg.Gang = NewGangDirector(clk, srv, GangConfig{})
 				defer cfg.Gang.Close()

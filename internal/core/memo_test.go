@@ -141,18 +141,10 @@ func runMemoScenario(t *testing.T, seed int64, topo memoTopology, memo bool, atP
 	dir := NewGangDirector(clk, srv, GangConfig{})
 	defer dir.Close()
 	race := &memoRace{srv: srv}
-	classes := NewClassRegistry(nil)
-	classes.set(ClassProfile{
-		Class:                  api.ClassLatencySensitive,
-		Policy:                 hooked{UsageAware{}, race.hook},
-		MinFeasibleNodesToFind: DefaultLatencyMinFeasible,
-		MayPreempt:             true,
-	})
 	cfg := Config{
 		Name:       "memo",
 		Policy:     smallOffSGX{Policy: hooked{Binpack{}, race.hook}, below: 4 * unit},
 		UseMetrics: true,
-		Classes:    classes,
 		Gang:       dir,
 	}
 	var members []*Scheduler
@@ -175,6 +167,8 @@ func runMemoScenario(t *testing.T, seed int64, topo memoTopology, memo bool, atP
 	}
 	for _, m := range members {
 		m.noMemo = !memo
+		ls := &m.pipelines[api.ClassLatencySensitive.Slot()]
+		ls.policy = hooked{ls.policy, race.hook}
 	}
 
 	if err := srv.CreatePod(&api.Pod{Name: "racer", Spec: api.PodSpec{
@@ -640,9 +634,8 @@ func TestMemoSeesEveryLoosening(t *testing.T) {
 				}
 			}}
 			s, err := New(clk, srv, nil, Config{
-				Name:    "s",
-				Policy:  hooked{Binpack{}, trigger.hook},
-				Classes: NewClassRegistry(nil),
+				Name:   "s",
+				Policy: hooked{Binpack{}, trigger.hook},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -54,14 +54,10 @@ type Config struct {
 	// binds like a solo pod. A sharded fleet must pass the same director
 	// to every member — quorum is cluster-wide.
 	Gang *GangDirector
-	// Classes attaches a workload-class registry (classify.go): each
-	// pending pod is classified and routed through its class's own
-	// policy, sampling bounds and preemption gate; unclassified pods take
-	// the Policy above with this Config's bounds, bit-identical to a
-	// scheduler with Classes nil. Each scheduler resolves the registry
-	// into its own pipeline table at construction and only reads it
-	// afterwards, and the policies it holds are stateless values, so one
-	// registry value can safely serve a whole sharded fleet.
+	// Classes is ignored: every scheduler routes a pod that declares a
+	// workload class through that class's fixed profile (classify.go), and
+	// an unclassified pod through Policy. It stays only because the
+	// benchmark module sets it; ROADMAP item 29 removes it.
 	Classes *ClassRegistry
 	// Telemetry attaches a metrics registry (internal/telemetry): the
 	// scheduler records pass/stage duration histograms, per-class
@@ -183,13 +179,11 @@ type Scheduler struct {
 	// owner detaches it on Close.
 	ownsCache bool
 
-	// pipelines is the per-class-slot scheduling behaviour resolved from
-	// the Config at construction (classify.go): slot 0 is the Policy's
-	// pipeline — the Policy selecting among the nodes the §IV fit accepts
-	// — and the only slot in use when classifier is nil (workload classes
-	// off).
-	pipelines  [api.NumClasses]pipeline
-	classifier *WorkloadClassifier
+	// pipelines is the per-class-slot scheduling behaviour resolved at
+	// construction (classify.go): slot 0 is the Policy's pipeline — the
+	// Policy selecting among the nodes the §IV fit accepts — and the
+	// class slots are their fixed profiles.
+	pipelines [api.NumClasses]pipeline
 
 	// passMu serializes scheduling passes; the chunk buffer (one pulled
 	// chunk of queue entries, cleared when the pass ends) and the cycle
@@ -256,10 +250,7 @@ func newScheduler(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Confi
 	if cfg.TraceDetailEvery == 0 {
 		cfg.TraceDetailEvery = DefaultTraceDetailEvery
 	}
-	s := &Scheduler{clk: clk, srv: srv, cfg: cfg, pipelines: resolvePipelines(&cfg)}
-	if cfg.Classes != nil {
-		s.classifier = cfg.Classes.classifier
-	}
+	s := &Scheduler{clk: clk, srv: srv, cfg: cfg, pipelines: resolvePipelines(cfg.Policy)}
 	if cfg.Telemetry != nil {
 		s.metrics = newSchedMetrics(cfg.Telemetry)
 	}

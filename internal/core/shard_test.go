@@ -361,8 +361,8 @@ func TestShardedConcurrentRoundsSafe(t *testing.T) {
 			},
 		},
 		{
-			name: "standard classed pods, one class registry",
-			cfg:  Config{Policy: Binpack{}, Classes: NewClassRegistry(nil)},
+			name: "standard classed pods, one class table per member",
+			cfg:  Config{Policy: Binpack{}},
 			res:  resource.Memory,
 			qty:  resource.GiB / 2,
 			pod: func(name string, mem int64) *api.Pod {

@@ -65,25 +65,22 @@ func telemetryPod(name, sched string, memBytes int64) *api.Pod {
 // one that fits every node but that its policy declines after a full
 // selection over every candidate (denied); with classes on, all four
 // class slots have pods pending and run the shipped policies: binpack on
-// the default slot and NewClassRegistry's own on the class slots.
+// the default slot and each class's own on the class slots.
 func steadyPassAllocs(t *testing.T, cfg Config, classes bool) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
 	}
-	cfg.Policy = denied{Binpack{}}
+	cfg.Policy = Binpack{}
 	pending := []api.WorkloadClass{api.ClassUnspecified}
 	if classes {
-		reg := NewClassRegistry(nil)
-		for i := range reg.profiles {
-			if cp := &reg.profiles[i]; cp.Policy != nil {
-				cp.Policy = denied{cp.Policy}
-			}
-		}
-		cfg.Classes = reg
 		pending = append(pending, api.ClassLatencySensitive, api.ClassBatch, api.ClassBestEffort)
 	}
 	_, srv, sched := newBareScheduler(t, 8, cfg)
+	for i := range sched.pipelines {
+		pl := &sched.pipelines[i]
+		pl.policy = denied{pl.policy}
+	}
 	for _, class := range pending {
 		for _, shape := range []struct {
 			name string
@@ -396,7 +393,6 @@ func passTallyEveryOutcome(t *testing.T) {
 		Name:             "tally",
 		Policy:           hooked{hooked{Binpack{}, hooks.hook}, scoring.hook},
 		Gang:             gd,
-		Classes:          NewClassRegistry(nil),
 		MaxBindsPerPass:  2,
 		Telemetry:        reg,
 		Trace:            telemetry.NewTraceRing(64),

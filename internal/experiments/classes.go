@@ -68,8 +68,7 @@ func (c ClassesExpConfig) withDefaults() ClassesExpConfig {
 	return c
 }
 
-// Class priority tiers for the waves: realistic operator tiering (and
-// what the classifier's priority signal would infer from).
+// Class priority tiers for the waves: realistic operator tiering.
 const (
 	classLatencyPrio = 100
 	classBatchPrio   = 10
@@ -182,9 +181,8 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 	tb, err := NewTestbed(TestbedConfig{
 		Nodes: Fleet(StdNodes, SGXNodes, DefaultEPC, false),
 		Scheduler: core.Config{
-			Name:    "classsched",
-			Policy:  core.Binpack{},
-			Classes: core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{})),
+			Name:   "classsched",
+			Policy: core.Binpack{},
 		},
 		Shards:    cfg.Shards,
 		Admission: apiserver.AdmitStrict,

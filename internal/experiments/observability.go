@@ -91,7 +91,6 @@ func Observability(cfg ObservabilityConfig) (ObservabilityResult, error) {
 		Name:             SchedulerName,
 		Policy:           core.Binpack{},
 		UseMetrics:       true,
-		Classes:          core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{})),
 		Telemetry:        reg,
 		Trace:            ring,
 		TraceDetailEvery: 1,

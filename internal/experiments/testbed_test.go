@@ -116,8 +116,7 @@ func TestAuditRefusesPlantedSecondRun(t *testing.T) {
 // the server published, from the first node's registration to the
 // kubelets' NotReady updates at Close, and refuses none of a clean run's:
 // on ReplayBorgTrace's testbed (the §VI-A preset under Replay) and on one
-// shaped as sgxorch.NewCluster builds it (class registry, gang director,
-// telemetry), where the refusals are the model_violations gauge.
+// shaped as sgxorch.NewCluster builds it (gang director, telemetry), where the refusals are the model_violations gauge.
 func TestAuditSeesWholeStream(t *testing.T) {
 	trace := &borg.Trace{Jobs: evalTrace(1).Jobs[:20], Horizon: time.Hour}
 	t.Run("replay", func(t *testing.T) {
@@ -133,7 +132,6 @@ func TestAuditSeesWholeStream(t *testing.T) {
 	t.Run("cluster", func(t *testing.T) {
 		cfg := Paper(0)
 		reg := telemetry.New()
-		cfg.Scheduler.Classes = core.NewClassRegistry(core.NewWorkloadClassifier(core.ClassifierConfig{}))
 		cfg.Scheduler.Telemetry, cfg.Scheduler.Trace = reg, telemetry.NewTraceRing(0)
 		cfg.Gangs = true
 		tb, err := NewTestbed(cfg)
