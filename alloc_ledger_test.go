@@ -48,10 +48,13 @@ type ledgerSection struct {
 // 0.02 objects per job, whichever is larger; its bytes by 1 % or 2 B per
 // job, since a map's tables split by a hash seeded anew each run, which
 // moves a small row's bytes by up to 1 B per job.
-// -update rewrites the golden; its header names the Go release it was
-// pinned under, and another release skips the comparison, since escape
-// analysis moves with the compiler. The per-function column is what to
-// read when a row moves; it is not compared.
+// -update rewrites the rows that moved out of tolerance and keeps the
+// pinned text of the rest, so a re-pin's diff is the change's; the
+// golden's header names the Go release it was pinned under, and another
+// release skips the comparison, since escape analysis moves with the
+// compiler (an -update under another release rewrites every row). The
+// per-function column is what to read when a row moves; it is not
+// compared.
 func TestAllocLedger(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -67,10 +70,12 @@ func TestAllocLedger(t *testing.T) {
 			}
 		}),
 	}
-	text := formatLedger(got)
-	t.Log("\n" + text)
+	t.Log("\n" + formatLedger(got))
 	if *update {
-		if err := os.WriteFile(ledgerGolden, []byte(text), 0o644); err != nil {
+		if release, want, err := readLedger(ledgerGolden); err == nil && goRelease(release) == goRelease(runtime.Version()) {
+			keepPinned(got, want)
+		}
+		if err := os.WriteFile(ledgerGolden, []byte(formatLedger(got)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,15 +99,12 @@ func TestAllocLedger(t *testing.T) {
 		if !inTolerance(g.mallocs, w.mallocs, 0.02) {
 			t.Errorf("%s: %.2f mallocs per job, pinned at %.2f", g.title, g.mallocs, w.mallocs)
 		}
-		pinned := map[string]ledgerRow{"all": w.all}
-		for _, r := range w.rows {
-			pinned[r.pkg] = r
-		}
+		pinned := w.byPkg()
 		seen := map[string]bool{}
 		for _, r := range append(slices.Clone(g.rows), g.all) {
 			seen[r.pkg] = true
 			p := pinned[r.pkg]
-			if !inTolerance(r.objects, p.objects, 0.02) || !inTolerance(r.bytes, p.bytes, 2) {
+			if r.moved(p) {
 				t.Errorf("%s: %s allocates %.2f objects and %.1f B per job, pinned at %.2f and %.1f (largest: %s)",
 					g.title, r.pkg, r.objects, r.bytes, p.objects, p.bytes, r.funcs)
 			}
@@ -116,6 +118,62 @@ func TestAllocLedger(t *testing.T) {
 	if t.Failed() {
 		t.Logf("after an intended change, rewrite %s with -update and commit its diff with the change", ledgerGolden)
 	}
+}
+
+// byPkg is the section's rows, "all" included, by package.
+func (s ledgerSection) byPkg() map[string]ledgerRow {
+	rows := map[string]ledgerRow{"all": s.all}
+	for _, r := range s.rows {
+		rows[r.pkg] = r
+	}
+	return rows
+}
+
+// moved reports whether r's objects or bytes are out of tolerance of p's.
+func (r ledgerRow) moved(p ledgerRow) bool {
+	return !inTolerance(r.objects, p.objects, 0.02) || !inTolerance(r.bytes, p.bytes, 2)
+}
+
+// keepPinned puts want's text back into every row of got, and every
+// mallocs line, that has not moved out of tolerance, in the golden's
+// order, and places each rewritten row by its figures, so that -update
+// rewrites only what moved.
+func keepPinned(got, want []ledgerSection) {
+	for i := range got {
+		if i >= len(want) || got[i].title != want[i].title {
+			continue
+		}
+		g, w := &got[i], want[i]
+		if inTolerance(g.mallocs, w.mallocs, 0.02) {
+			g.mallocs = w.mallocs
+		}
+		if !g.all.moved(w.all) {
+			g.all = w.all
+		}
+		rewritten := g.byPkg()
+		var rows []ledgerRow
+		for _, p := range w.rows {
+			if r, ok := rewritten[p.pkg]; ok && !r.moved(p) {
+				rows = append(rows, p)
+				delete(rewritten, p.pkg)
+			}
+		}
+		for _, r := range g.rows {
+			if _, ok := rewritten[r.pkg]; ok {
+				at := slices.IndexFunc(rows, func(k ledgerRow) bool { return ledgerOrder(r, k) < 0 })
+				if at < 0 {
+					at = len(rows)
+				}
+				rows = slices.Insert(rows, at, r)
+			}
+		}
+		g.rows = rows
+	}
+}
+
+// ledgerOrder sorts rows largest first by objects, then by package.
+func ledgerOrder(a, b ledgerRow) int {
+	return cmp.Or(cmp.Compare(b.objects, a.objects), strings.Compare(a.pkg, b.pkg))
 }
 
 // inTolerance reports whether got is want give or take 1 % or floor, whichever
@@ -214,9 +272,7 @@ func measureLedger(title string, jobs int, work func()) ledgerSection {
 		sec.all.objects += row.objects
 		sec.all.bytes += row.bytes
 	}
-	slices.SortFunc(sec.rows, func(a, b ledgerRow) int {
-		return cmp.Or(cmp.Compare(b.objects, a.objects), strings.Compare(a.pkg, b.pkg))
-	})
+	slices.SortFunc(sec.rows, ledgerOrder)
 	return sec
 }
 

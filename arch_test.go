@@ -502,24 +502,35 @@ assembly under spans and is its own module; tests build what they test.`,
 	},
 	{
 		name: "one-place-arms-the-periodic-timers",
-		doc: `Every periodic timer of the stack is armed in one function body,
-internal/experiments/testbed.go's newTestbed: under the simulated clock
-the timers due at one instant fire in the order they were armed, so that
-order decides how same-instant scrapes and passes interleave, and with
-it every golden digest and sim_digest. A component exposes its step
-(Scheduler.ScheduleOnce, ShardedSchedulers.RunRound, Heapster.Scrape,
-Registry.ScrapeInto) and arms nothing. internal/experiments/replay.go's
-Fig. 7 sampler only reads the run it samples; internal/tsdb's retention
-sweep is the database's own housekeeping; cmd/sgx-probe is a component
-demo; bench/ mirrors the assembly under spans and is its own module;
-tests arm what they test.`,
-		check: forbidRefs(func(f *srcFile) bool {
-			switch f.path {
-			case "internal/experiments/testbed.go", "internal/experiments/replay.go", "internal/tsdb/tsdb.go":
-				return true
+		doc: `The control plane is one periodic timer, the control round that
+internal/experiments/testbed.go's newTestbed arms: at each instant where
+a scrape or the pass is due it runs Heapster, the SGX probes in node
+order, the registry's self-scrape, then the pass, so the round's code
+order decides how same-instant scrapes and the pass interleave, and with
+it every golden digest and sim_digest. Under the simulated clock, timers
+due at one instant fire in the order they were last re-armed; a second
+periodic timer in testbed.go puts that accident back. A component exposes
+its step (Scheduler.ScheduleOnce, ShardedSchedulers.RunRound,
+Heapster.Scrape, Registry.ScrapeInto) and arms nothing.
+internal/experiments/replay.go's Fig. 7 sampler only reads the run it
+samples; internal/tsdb's retention sweep is the database's own
+housekeeping; cmd/sgx-probe is a component demo; bench/ mirrors the
+assembly under spans and is its own module; tests arm what they test.`,
+		check: func(c *codebase) []string {
+			const testbed, periodic = "internal/experiments/testbed.go", modulePath + "/internal/clock.Periodic"
+			out := forbidRefs(func(f *srcFile) bool {
+				switch f.path {
+				case testbed, "internal/experiments/replay.go", "internal/tsdb/tsdb.go":
+					return true
+				}
+				return f.test || within(f.dir, "cmd/sgx-probe") || within(f.dir, "bench")
+			}, periodic)(c)
+			round := forbidRefs(func(f *srcFile) bool { return f.path != testbed }, periodic)(c)
+			for _, ref := range round[min(len(round), 1):] {
+				out = append(out, ref+": the control round is the testbed's one periodic timer")
 			}
-			return f.test || within(f.dir, "cmd/sgx-probe") || within(f.dir, "bench")
-		}, modulePath+"/internal/clock.Periodic"),
+			return out
+		},
 	},
 	{
 		name: "one-reference-model",
@@ -566,11 +577,9 @@ builds and starts things is part of every golden digest and sim_digest;
 a second place that builds a stack, a scheduler, a gang director or a
 reference model is a second order to keep equal to the first, and a
 model the testbed did not build audits nothing the testbed ran.
-internal/experiments/fanout.go builds its schedulers on a bare API
-server: it times the fan-out on the wall clock over nodes that have no
-kubelet, which no stack assembles. bench/ mirrors the assembly under
-spans and is its own module; tests build what they test, except the
-experiments' own, which test the testbed and its audit.`,
+bench/ mirrors the assembly under spans and is its own module; tests
+build what they test, except the experiments' own, which test the
+testbed and its audit.`,
 		check: func(c *codebase) (out []string) {
 			const testbed = "internal/experiments/testbed.go"
 			calls := map[string]int{}
@@ -591,7 +600,7 @@ experiments' own, which test the testbed and its audit.`,
 							out = append(out, c.at(n.Pos())+": "+ref+": the testbed builds it, once")
 						}
 					case modulePath + "/internal/core.NewSharded":
-						if f.path != testbed && f.path != "internal/experiments/fanout.go" {
+						if f.path != testbed {
 							out = append(out, c.at(n.Pos())+": "+ref+": the testbed builds the schedulers")
 						}
 					}
@@ -781,7 +790,6 @@ var knobAllow = map[string]string{
 	"internal/experiments.ClassesExpConfig.Shards":          "TestClassesMixedFleetDeterministic pins the 1-, 2- and 4-shard fleets",
 	"internal/experiments.ClassesExpConfig.SGXEvery":        "TestClassesMixedFleetSGXUtilization compares the run with a fleet of no SGX jobs",
 	"internal/experiments.ObservabilityConfig.JobsPerClass": "the observability tests pin 8- and 6-job waves",
-	"internal/experiments.FanoutScenarioConfig.Nodes":       "TestFanoutDrainCompletes shrinks the grid's cluster to 16 nodes",
 }
 
 // deadSurfaceAllow lists exported internal/ declarations that have no
@@ -1187,9 +1195,12 @@ func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), r func(Snapsh
 			"internal/experiments/sgx2.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/kubelet\"\n\nvar k = kubelet.New(nil)\n",
 		}, "internal/experiments/sgx2.go:5"},
 		{"one-place-arms-the-periodic-timers", map[string]string{
-			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/clock\"\n\nvar stop = clock.Periodic(nil, 1, nil)\n",
+			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/clock\"\n\nfunc newTestbed() { clock.Periodic(nil, 1, func() {}) }\n",
 			"internal/core/scheduler.go":      "package core\n\nimport \"github.com/sgxorch/sgxorch/internal/clock\"\n\nfunc (s *Scheduler) Start() { s.stop = clock.Periodic(s.clk, 1, nil) }\n",
 		}, "internal/core/scheduler.go:5"},
+		{"one-place-arms-the-periodic-timers", map[string]string{
+			"internal/experiments/testbed.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/clock\"\n\nfunc newTestbed() {\n\tclock.Periodic(nil, 1, func() {})\n\tclock.Periodic(nil, 1, func() {})\n}\n",
+		}, "internal/experiments/testbed.go:7"},
 		{"one-place-arms-the-periodic-timers", map[string]string{
 			"internal/telemetry/scrape.go": "package telemetry\n\nimport clk \"github.com/sgxorch/sgxorch/internal/clock\"\n\nvar arm = clk.Periodic\n",
 		}, "internal/telemetry/scrape.go:5"},

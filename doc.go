@@ -34,9 +34,9 @@
 // one machine and kubelet per node (SGX / SGX 2 geometry, limit
 // enforcement, the unschedulable master), when a scrape interval is given
 // the TSDB with Heapster and the probe DaemonSet, and the schedulers on
-// top. It arms every periodic timer too: the schedulers and the
-// collectors expose only their step (a pass, a round, a scrape) and
-// arm nothing. A TestbedConfig names the nodes, limit enforcement, the scrape
+// top. It arms the control plane's one periodic timer too, the control
+// round: the schedulers and the collectors expose only their step (a
+// pass, a round, a scrape) and arm nothing. A TestbedConfig names the nodes, limit enforcement, the scrape
 // interval and a core.Config, plus the shard count, concurrent rounds, a
 // shared gang director and the admission mode. NewCluster translates
 // ClusterConfig into one — a class-aware scheduler with a gang director
@@ -51,10 +51,13 @@
 // included, and hands each batch on to the lifecycle tracker. The order matters and is written down once, in NewTestbed's
 // doc: under the simulated clock components registered for the same
 // instant fire in registration order, so the order in which NewTestbed
-// starts kubelets and arms the collectors', the self-scrape's and the
-// pass's timers
-// decides how same-instant scrapes, passes and completions
-// interleave — and with it every golden digest. Close stops everything
+// starts kubelets and arms the control round decides how same-instant
+// completions and the round interleave — and with it every golden
+// digest. Inside the round the code order is the order, as in the paper,
+// where the scheduler queries the usage Heapster and the SGX probes have
+// just written (§IV, §V-C): at each instant where a step is due, Heapster
+// scrapes, then each SGX probe in node order, then the registry's
+// self-scrape, and the pass runs last. Close stops everything
 // in reverse start order, except that kubelets stop in node order (each
 // publishes its node's NotReady update, and the determinism tests digest
 // that tail). A test pins that the two public entry points are the same
@@ -216,11 +219,11 @@
 // ClusterCache ingests batches through ApplyAll (one lock acquisition
 // and one maturity-heap settle per batch) and rebuilds from a snapshot
 // on resync; kubelets reconcile their local pod set against the
-// snapshot the same way. The fan-out experiment
-// (internal/experiments.FanoutScenario, walked through in
-// examples/fanout) drains the same backlog at 1-8 concurrent schedulers
-// × 1-32 watchers under both modes: with synchronous delivery the
-// fan-out runs inside a mutating call — one committer at a time delivers
+// snapshot the same way. BenchmarkEventFanout times the commit and
+// fan-out path at 1-32 watchers under both modes, and bench/'s
+// bind_storm workload drains a backlog with sharded concurrent
+// schedulers over the async broker in paired runs: with synchronous
+// delivery the fan-out runs inside a mutating call — one committer at a time delivers
 // everybody's events to every subscriber they are for, serially, and its bind returns
 // only when the drain does; with the async broker no commit runs
 // subscriber code, the pumps deliver in parallel and in batches, and a

@@ -15,8 +15,9 @@
 // Every testbed audits what it runs: the reference model (internal/model)
 // replays its whole watch stream under the testbed's own admission mode,
 // and an event it refuses is a violation. That holds for the shipped
-// cluster and the public ReplayBorgTrace as for every harness;
-// FanoutDrain (fanout.go) builds no stack at all.
+// cluster and the public ReplayBorgTrace as for every harness. The
+// wall-clock cost of event fan-out is not an experiment here: the root
+// package's BenchmarkEventFanout and bench/'s bind_storm workload time it.
 package experiments
 
 import (
@@ -204,8 +205,9 @@ type Testbed struct {
 //
 // Order is part of the result: under the simulated clock, what registers
 // for one instant fires in registration order, so the order below decides
-// how same-instant scrapes, passes and completions interleave — and with
-// it every golden digest and sim_digest. NewTestbed builds, in this order:
+// how same-instant completions and the control round interleave — and
+// with it every golden digest and sim_digest. NewTestbed builds, in this
+// order:
 //  1. the clock and the API server;
 //  2. the audit's subscription, before the first node registers, so it
 //     sees the whole stream — the kubelets' NotReady tail at Close
@@ -214,26 +216,25 @@ type Testbed struct {
 //  3. the TSDB, with a scrape interval;
 //  4. the closer that stops the kubelets;
 //  5. one machine and kubelet per node, in node order;
-//  6. Heapster over every kubelet and its scrape timer, with a scrape
-//     interval;
-//  7. one SGX probe per SGX node (monitor.NewProbes, the paper's
-//     DaemonSet) and its scrape timer, in node order, with a scrape
-//     interval;
-//  8. the gang director, with Gangs;
-//  9. the scheduler or the sharded fleet, and its closer;
-//  10. with Scheduler.Telemetry, the collector exporting the gang
+//  6. the gang director, with Gangs;
+//  7. the scheduler or the sharded fleet, and its closer;
+//  8. with Scheduler.Telemetry, the collector exporting the gang
 //     director's counts (the audit's violations are exported as they
 //     happen);
-//  11. with Scheduler.Telemetry and a scrape interval, the timer of the
-//     registry's self-scrape into the TSDB;
-//  12. the pass timer, armed last: ScheduleOnce, or the fleet's
+//  9. the control round, armed last: one timer that, at each instant
+//     where a step is due, runs in this code order Heapster's scrape of
+//     every kubelet, each SGX probe's (monitor.NewProbes, the paper's
+//     DaemonSet) in node order and, with Scheduler.Telemetry, the
+//     registry's self-scrape into the TSDB — every ScrapeInterval, when
+//     it is set — and then the pass: ScheduleOnce, or the fleet's
 //     RunRound, every Scheduler.Interval (core.DefaultInterval when
-//     zero).
+//     zero). So the pass at an instant it shares with the scrapes reads
+//     what they have just written.
 //
-// Every periodic timer of the stack is armed here: the scheduler, the
-// fleet and the collectors expose only their step and arm nothing, so
-// this one function body holds the order. The TSDB's retention sweep is
-// its own. A kubelet that fails to start stops everything already
+// The round is the control plane's one periodic timer: the scheduler,
+// the fleet and the collectors expose only their step and arm nothing,
+// so this one function body holds the order. The TSDB's retention sweep
+// is its own. A kubelet that fails to start stops everything already
 // started.
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) { return newTestbed(clock.NewSim(), cfg) }
 
@@ -270,14 +271,15 @@ func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
 		}
 		tb.Kubelets = append(tb.Kubelets, kl)
 	}
+	var scrapes []func()
 	if tb.DB != nil {
 		heapster := monitor.NewHeapster(nil, tb.DB, 0)
 		for _, kl := range tb.Kubelets {
 			heapster.AddSource(kl)
 		}
-		onClose(clock.Periodic(clk, cfg.ScrapeInterval, heapster.Scrape))
+		scrapes = append(scrapes, heapster.Scrape)
 		for _, probe := range monitor.NewProbes(tb.DB, tb.Kubelets) {
-			onClose(clock.Periodic(clk, cfg.ScrapeInterval, probe.Scrape))
+			scrapes = append(scrapes, probe.Scrape)
 		}
 	}
 	if cfg.Gangs {
@@ -316,14 +318,33 @@ func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
 		// The self-scrape makes the orchestrator's own health queryable
 		// through the same InfluxQL path as container metrics.
 		if db := tb.DB; db != nil {
-			onClose(clock.Periodic(clk, cfg.ScrapeInterval, func() { reg.ScrapeInto(db) }))
+			scrapes = append(scrapes, func() { reg.ScrapeInto(db) })
 		}
 	}
 	interval := cfg.Scheduler.Interval
 	if interval <= 0 {
 		interval = core.DefaultInterval
 	}
-	onClose(clock.Periodic(clk, interval, pass))
+	// The control round ticks at the gcd of the two intervals and counts
+	// its ticks to tell which steps are due.
+	tick, scrapeEvery := interval, 0
+	if len(scrapes) > 0 {
+		for b := cfg.ScrapeInterval; b != 0; tick, b = b, tick%b {
+		}
+		scrapeEvery = int(cfg.ScrapeInterval / tick)
+	}
+	passEvery, ticks := int(interval/tick), 0
+	onClose(clock.Periodic(clk, tick, func() {
+		ticks++
+		if scrapeEvery > 0 && ticks%scrapeEvery == 0 {
+			for _, scrape := range scrapes {
+				scrape()
+			}
+		}
+		if ticks%passEvery == 0 {
+			pass()
+		}
+	}))
 	return tb, nil
 }
 

@@ -342,8 +342,8 @@ func TestTestbedFailedStartStopsStartedNodes(t *testing.T) {
 }
 
 // TestTestbedWithoutScrapeIntervalBuildsNoMonitoring: without a scrape
-// interval there is no TSDB, tracker or self-scrape, and the scheduler's
-// pass timer is the one entry on the clock.
+// interval there is no TSDB, tracker or self-scrape, and the control
+// round, which then runs the pass alone, is the one entry on the clock.
 func TestTestbedWithoutScrapeIntervalBuildsNoMonitoring(t *testing.T) {
 	tb, err := NewTestbed(TestbedConfig{
 		Nodes:     Fleet(1, 1, DefaultEPC, false),
@@ -357,21 +357,30 @@ func TestTestbedWithoutScrapeIntervalBuildsNoMonitoring(t *testing.T) {
 		t.Fatalf("DB = %v, Tracker = %v; want neither", tb.DB, tb.Tracker)
 	}
 	if n := tb.Clk.Len(); n != 1 {
-		t.Fatalf("%d events on the clock, want the pass timer alone", n)
+		t.Fatalf("%d events on the clock, want the control round alone", n)
 	}
 }
 
-// TestSameInstantOrder pins what NewTestbed's arming order decides: at an
+// TestSameInstantOrder pins the control round's code order: at an
 // instant every scrape and the pass share, Heapster's memory/usage writes
 // come first, then each SGX probe's sgx/epc writes in node order, then
-// the self-scrape's, and the pass's bind last. The pass runs at the
-// scrape interval here, so each timer fires where it was armed at every
-// shared instant; at the default 5 s the pass re-arms between scrapes and
-// would come last whatever its arm's place.
+// the self-scrape's, and the pass's bind last. That is the code order of
+// the one control round, not the order in which separate timers were
+// last re-armed, so it holds at any pass interval: the rows run the pass
+// at the scrape interval and at IntervalAblation's 15 s, where a timer
+// per step ran the pass on the previous scrape.
 func TestSameInstantOrder(t *testing.T) {
+	for _, pass := range []time.Duration{Paper(0).ScrapeInterval, 15 * time.Second} {
+		t.Run(pass.String(), func(t *testing.T) { testSameInstantOrder(t, pass) })
+	}
+}
+
+// testSameInstantOrder checks the order at the 30 s instant, which the
+// scrapes share with a pass every pass interval.
+func testSameInstantOrder(t *testing.T, pass time.Duration) {
 	cfg := Paper(0)
 	cfg.Scheduler.Telemetry = telemetry.New()
-	cfg.Scheduler.Interval = cfg.ScrapeInterval
+	cfg.Scheduler.Interval = pass
 	var at time.Time
 	var clk *clock.Sim
 	var order []string
