@@ -63,7 +63,7 @@ func TestAllocLedger(t *testing.T) {
 	trace := GenerateBorgEvalSlice(1)
 	got := []ledgerSection{
 		measureLedger(fmt.Sprintf("scaling mix: %d nodes, %d jobs", len(nodes), len(jobs)), len(jobs),
-			func() { runScaling(t, nodes, jobs) }),
+			func() { runScaling(t, nodes, jobs, false) }),
 		measureLedger(fmt.Sprintf("eval-slice replay: seed 1, %d jobs", trace.Len()), trace.Len(), func() {
 			if _, err := ReplayBorgTrace(ReplayOptions{Trace: trace, Seed: 1, SGXRatio: 0.5}); err != nil {
 				t.Fatal(err)

@@ -491,11 +491,13 @@ func (c *Cluster) GangStats() GangStats {
 // Telemetry returns the cluster's metrics registry — the one-stop
 // observability surface. Each count is exported once, by the component
 // that counts it, under that component's prefix: scheduler_*, apiserver_*
-// (bind outcomes, queue depth per class and priority), watch_*,
-// lifecycle_* (histograms whose counts LifecycleStats reads; no counter
-// restates them) and gang_*, beside model_violations, the watch events the
-// reference model refused (0 on a sound run). Reading the registry (WritePrometheus,
-// ScrapeInto, or any registry export) first runs the pull-time
+// (bind outcomes, queue depth per class and priority), watch_* (broker
+// totals and delivery health, none keyed by subscriber, so the series
+// set does not grow with the fleet), lifecycle_* (histograms whose
+// counts LifecycleStats reads; no counter restates them) and gang_*,
+// beside model_violations, the watch events the reference model refused
+// (0 on a sound run). Reading the registry (WritePrometheus, ScrapeInto,
+// or any registry export) first runs the pull-time
 // collectors that copy the components' own counters into their gauges.
 // Nil when ClusterConfig.DisableTelemetry is set — and a nil registry is
 // a safe no-op for every operation.

@@ -400,7 +400,8 @@
 // bind) and counts outcomes per workload class; the API server
 // histograms bind latency and counts rejections by class, and
 // publishes pending-queue depth by class and priority tier; the watch
-// broker exposes per-subscriber lag, resync and drop gauges; and the
+// broker exposes its worst subscriber lag and its resync and drop totals
+// as three broker-wide gauges; and the
 // lifecycle tracker (internal/lifecycle) folds the watch event stream,
 // as the testbed's audit hands it each batch, into per-class histograms
 // of submit→bind, bind→run and run durations. Each instrumented scheduling pass also records a PassTrace —

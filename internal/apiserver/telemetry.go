@@ -57,8 +57,11 @@ func (m *srvMetrics) rejectedUnknownPod() {
 //     apiserver_bind_rejected_{pod_state,node_state,capacity} — the
 //     other BindStats counts, same collector;
 //   - watch_{published,evicted,subscribers} — the broker's totals, and
-//     watch_subscriber_{max_lag,resyncs,dropped}{subscriber=} — its
-//     per-subscriber delivery health, same collector.
+//     watch_max_lag, watch_resyncs and watch_dropped — its delivery
+//     health: the largest MaxLag of the live subscriptions and the sums
+//     of their Resyncs and Dropped, same collector. The per-subscriber
+//     figures are WatchStats'; no series is keyed by subscriber, so the
+//     export does not grow with the fleet.
 //
 // Collectors run at export/scrape time only, so the commit path pays
 // one histogram observation per bind and one counter increment per
@@ -82,18 +85,14 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 }
 
 // registerCollectors publishes the pull-model gauges. The collector
-// closure keeps per-priority and per-subscriber gauge handles across
-// runs so tiers that drain and subscribers that unsubscribe report zero
-// instead of their last live value, and clears and refills its own
-// scratch maps on each run, so a scrape allocates only the broker's
-// stats slice; the registry never runs a collector twice at once, so the
-// closure state needs no lock.
+// closure keeps per-priority gauge handles across runs so tiers that
+// drain report zero instead of their last live value, and clears and
+// refills its own scratch map on each run, so a scrape allocates only
+// the broker's stats slice; the registry never runs a collector twice at
+// once, so the closure state needs no lock.
 func (s *Server) registerCollectors(reg *telemetry.Registry) {
 	depthByClass := reg.GaugeVec("apiserver_pending_depth", "class")
 	depthByPrio := reg.GaugeVec("apiserver_pending_depth_priority", "priority")
-	subLag := reg.GaugeVec("watch_subscriber_max_lag", "subscriber")
-	subResyncs := reg.GaugeVec("watch_subscriber_resyncs", "subscriber")
-	subDropped := reg.GaugeVec("watch_subscriber_dropped", "subscriber")
 	bound := reg.Gauge("apiserver_bind_bound")
 	rejPod := reg.Gauge("apiserver_bind_rejected_pod_state")
 	rejNode := reg.Gauge("apiserver_bind_rejected_node_state")
@@ -101,6 +100,9 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 	published := reg.Gauge("watch_published")
 	evicted := reg.Gauge("watch_evicted")
 	subscribers := reg.Gauge("watch_subscribers")
+	maxLag := reg.Gauge("watch_max_lag")
+	resyncs := reg.Gauge("watch_resyncs")
+	dropped := reg.Gauge("watch_dropped")
 
 	// Every class is written each collection (zero included), so a
 	// drained class's gauge cannot stick at its last backlog.
@@ -109,10 +111,7 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 		classGauges[i] = depthByClass.With(c.Label())
 	}
 	prioGauges := make(map[int32]*telemetry.Gauge)
-	type subGauges struct{ lag, resyncs, dropped *telemetry.Gauge }
-	subs := make(map[int64]subGauges)
 	prios := make(map[int32]int)
-	live := make(map[int64]bool)
 
 	reg.RegisterCollector(func() {
 		clear(prios)
@@ -147,29 +146,14 @@ func (s *Server) registerCollectors(reg *telemetry.Registry) {
 		published.Set(float64(ws.Published))
 		evicted.Set(float64(ws.Evicted))
 		subscribers.Set(float64(ws.Subscribers))
-		clear(live)
+		var worstLag, totalResyncs, totalDropped int64
 		for _, ss := range ws.PerSubscriber {
-			live[ss.ID] = true
-			g, ok := subs[ss.ID]
-			if !ok {
-				id := strconv.FormatInt(ss.ID, 10)
-				g = subGauges{
-					lag:     subLag.With(id),
-					resyncs: subResyncs.With(id),
-					dropped: subDropped.With(id),
-				}
-				subs[ss.ID] = g
-			}
-			g.lag.Set(float64(ss.MaxLag))
-			g.resyncs.Set(float64(ss.Resyncs))
-			g.dropped.Set(float64(ss.Dropped))
+			worstLag = max(worstLag, ss.MaxLag)
+			totalResyncs += ss.Resyncs
+			totalDropped += ss.Dropped
 		}
-		for id, g := range subs {
-			if !live[id] {
-				g.lag.Set(0)
-				g.resyncs.Set(0)
-				g.dropped.Set(0)
-			}
-		}
+		maxLag.Set(float64(worstLag))
+		resyncs.Set(float64(totalResyncs))
+		dropped.Set(float64(totalDropped))
 	})
 }

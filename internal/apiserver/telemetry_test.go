@@ -2,7 +2,9 @@ package apiserver
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/sgxorch/sgxorch/internal/api"
@@ -98,15 +100,39 @@ func TestServerTelemetryBindLatencyAndRejections(t *testing.T) {
 	}
 }
 
+// TestServerTelemetryDepthAndWatchCollectors checks the pull-time gauges
+// against the server's own accounting. The watch half runs an async
+// broker with a four-event ring and two subscribers held in their first
+// delivery while the rest of the test's events wrap the ring: the first
+// (no resync handler) drops the evicted span and then lags four events,
+// the second resyncs from a snapshot after lagging one. So the broker-wide
+// gauges read a maximum that is not the last subscriber's lag and sums
+// that are not the last subscriber's counts.
 func TestServerTelemetryDepthAndWatchCollectors(t *testing.T) {
 	reg := telemetry.New()
-	s := New(clock.NewSim(), WithTelemetry(reg))
+	s := New(clock.NewSim(), WithTelemetry(reg), WithAsyncWatch(), WithWatchCapacity(4))
 	defer s.Close()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	held := func() func([]WatchEvent) {
+		first := true
+		return func([]WatchEvent) {
+			if first {
+				first = false
+				entered <- struct{}{}
+				<-release
+			}
+		}
+	}
+	// Close releases both subscriptions; an unsubscribe would wait out a
+	// delivery that a failed check left held.
+	s.SubscribeBatch(held(), nil)
+	s.SubscribeBatch(held(), func(Snapshot) {})
 	if err := s.RegisterNode(telemetryNode("n1")); err != nil {
 		t.Fatal(err)
 	}
-	unsub := s.SubscribeBatch(func([]WatchEvent) {}, nil)
-	defer unsub()
+	<-entered
+	<-entered
 
 	// Queue: two latency-sensitive at prio 100, one batch at prio 10,
 	// one unclassified at prio 0.
@@ -154,36 +180,101 @@ func TestServerTelemetryDepthAndWatchCollectors(t *testing.T) {
 		t.Fatalf("drained class gauge = %v, want 0", got)
 	}
 
-	// The watch totals carry WatchStats.
+	// The watch gauges carry WatchStats once both subscribers are
+	// released and caught up.
+	close(release)
+	s.QuiesceWatch()
+	reg.Collect()
 	ws := s.WatchStats()
-	if ws.Published == 0 || ws.Subscribers != 1 {
-		t.Fatalf("WatchStats = %+v, want events published to one subscriber", ws)
+	if ws.Subscribers != 2 || ws.Evicted == 0 {
+		t.Fatalf("WatchStats = %+v, want a wrapped ring and two subscribers", ws)
+	}
+	dropping, resyncing := ws.PerSubscriber[0], ws.PerSubscriber[1]
+	if dropping.Dropped == 0 || dropping.MaxLag != 4 || resyncing.Resyncs != 1 || resyncing.MaxLag != 1 {
+		t.Fatalf("PerSubscriber = %+v, want the first to drop and lag 4, the second to resync once and lag 1", ws.PerSubscriber)
+	}
+	var maxLag, resyncs, dropped int64
+	for _, ss := range ws.PerSubscriber {
+		maxLag = max(maxLag, ss.MaxLag)
+		resyncs += ss.Resyncs
+		dropped += ss.Dropped
 	}
 	for name, want := range map[string]int64{
 		"watch_published":   ws.Published,
 		"watch_evicted":     ws.Evicted,
 		"watch_subscribers": int64(ws.Subscribers),
+		"watch_max_lag":     maxLag,
+		"watch_resyncs":     resyncs,
+		"watch_dropped":     dropped,
 	} {
 		if got := reg.Gauge(name).Value(); got != float64(want) {
 			t.Errorf("%s = %v, WatchStats reads %d", name, got, want)
 		}
 	}
+}
 
-	// The watch collector publishes per-subscriber series; binding above
-	// delivered events to our subscriber.
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
+// TestWatchSeriesConcurrentSubscriberChurn holds the export's size to
+// the fleet's shape, not its subscription history: goroutines subscribe,
+// create a pod, collect and unsubscribe concurrently, and afterwards the
+// exposition carries exactly as many series as that of a server that ran
+// the same pods without a subscriber, none of them keyed by subscriber.
+func TestWatchSeriesConcurrentSubscriberChurn(t *testing.T) {
+	exported := func(churn bool) string {
+		reg := telemetry.New()
+		s := New(clock.NewSim(), WithTelemetry(reg))
+		defer s.Close()
+		if err := s.RegisterNode(telemetryNode("n1")); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 25 {
+					unsub := func() {}
+					switch {
+					case churn && i%2 == 0:
+						unsub = s.SubscribeBatch(func([]WatchEvent) {}, func(Snapshot) {})
+					case churn:
+						unsub = s.SubscribeNode("n1", func([]WatchEvent) {}, nil)
+					}
+					if err := s.CreatePod(telemetryTestPod(fmt.Sprintf("p-%d-%d", g, i), api.ClassBatch, 0, resource.MiB)); err != nil {
+						t.Error(err)
+					}
+					reg.Collect()
+					unsub()
+				}
+			}()
+		}
+		wg.Wait()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	if !strings.Contains(sb.String(), "watch_subscriber_max_lag{subscriber=") {
-		t.Fatalf("exposition missing per-subscriber watch gauges:\n%s", sb.String())
+	series := func(exposition string) (n int) {
+		for _, line := range strings.Split(strings.TrimSpace(exposition), "\n") {
+			if !strings.HasPrefix(line, "#") {
+				n++
+			}
+		}
+		return n
+	}
+	churned, quiet := exported(true), exported(false)
+	if strings.Contains(churned, "subscriber=") {
+		t.Errorf("%d exported series are keyed by subscriber", strings.Count(churned, "subscriber="))
+	}
+	if got, want := series(churned), series(quiet); got != want {
+		t.Fatalf("exposition after subscriber churn carries %d series, %d without subscribers", got, want)
 	}
 }
 
 // TestServerTelemetryCollectAllocs pins a self-scrape of a warm server:
 // pending pods in two priority tiers and two classes, one bound pod and
 // one subscriber, every gauge already made by a first Collect. The
-// collector refills maps it owns, so the one object left is
+// collector refills a map it owns, so the one object left is
 // Broker.Stats' per-subscriber slice.
 func TestServerTelemetryCollectAllocs(t *testing.T) {
 	if raceEnabled {

@@ -47,11 +47,10 @@ import (
 // ring resyncs from a fresh snapshot — state after the resync is
 // property-tested identical to a from-scratch build.
 type ClusterCache struct {
-	clk        clock.Clock
-	srv        *apiserver.Server
-	agg        *monitor.WindowMax // nil when usage-aware scheduling is off
-	lag        time.Duration
-	useMetrics bool
+	clk clock.Clock
+	srv *apiserver.Server
+	agg *monitor.WindowMax // nil when usage-aware scheduling is off
+	lag time.Duration
 
 	mu    sync.Mutex
 	rev   int64 // latest applied resource version (events at or below are dropped)
@@ -158,21 +157,17 @@ type cachedPod struct {
 const podChunk = 64 // records carved at once
 
 // newClusterCache performs the informer handshake against the API server
-// and primes the cache from the snapshot. The aggregator (when metrics
-// are on) must already be backfilled; the caller wires its change
-// callback to onMetric afterwards. Events arrive through the watch
-// broker in batches (ApplyAll), pod and node events alike in rev order.
+// and primes the cache from the snapshot. The aggregator is nil exactly
+// when usage-aware scheduling is off, and the cache then fuses from
+// requests alone; a non-nil one must already be backfilled, and the
+// caller wires its change callback to onMetric afterwards. Events arrive
+// through the watch broker in batches (ApplyAll), pod and node events
+// alike in rev order.
 // If the cache ever falls off the ring — possible only with an
 // async-watch server — it resyncs from a fresh snapshot instead of
 // missing deltas.
-func newClusterCache(clk clock.Clock, srv *apiserver.Server, agg *monitor.WindowMax, lag time.Duration, useMetrics bool) *ClusterCache {
-	c := &ClusterCache{
-		clk:        clk,
-		srv:        srv,
-		agg:        agg,
-		lag:        lag,
-		useMetrics: useMetrics,
-	}
+func newClusterCache(clk clock.Clock, srv *apiserver.Server, agg *monitor.WindowMax, lag time.Duration) *ClusterCache {
+	c := &ClusterCache{clk: clk, srv: srv, agg: agg, lag: lag}
 	// Events arriving while the snapshot is being applied block on c.mu;
 	// anything already reflected in the snapshot is dropped by the rev
 	// gate when it is delivered.
@@ -667,7 +662,7 @@ func (c *ClusterCache) fusePodLocked(cp *cachedPod, now time.Time) {
 	// Reserved pods are not running: any series under their name is stale
 	// history from an earlier placement. Fuse from requests alone, the
 	// same charge the oracle applies to reservations.
-	if c.useMetrics && c.agg != nil && !cp.reserved {
+	if c.agg != nil && !cp.reserved {
 		if v, ok := c.agg.Max(monitor.MeasurementMemory, cp.name, cp.node); ok {
 			measuredMem = v
 		}
@@ -676,7 +671,7 @@ func (c *ClusterCache) fusePodLocked(cp *cachedPod, now time.Time) {
 		}
 	}
 	memBytes, epcPages := fuseUsage(cp.reqMem, cp.reqEPC, measuredMem, measuredEPC,
-		cp.startedAt, now, c.lag, c.useMetrics)
+		cp.startedAt, now, c.lag, c.agg != nil)
 	if memBytes == cp.memBytes && epcPages == cp.epcPages {
 		return
 	}
@@ -691,7 +686,7 @@ func (c *ClusterCache) fusePodLocked(cp *cachedPod, now time.Time) {
 // young (request-floored); the next Refresh at or past it re-fuses the
 // pod even if no metric event fires in between.
 func (c *ClusterCache) pushMaturityLocked(cp *cachedPod, now time.Time) {
-	if !c.useMetrics || cp.startedAt.IsZero() {
+	if c.agg == nil || cp.startedAt.IsZero() {
 		return
 	}
 	matureAt := cp.startedAt.Add(c.lag)

@@ -418,7 +418,7 @@ func TestCachePrimesHeldPermits(t *testing.T) {
 // must then equal a fresh view.
 func TestViewJournalCompaction(t *testing.T) {
 	tb := newGangTestbed(t, 4, resource.GiB, GangConfig{}, 1)
-	c := newClusterCache(tb.clk, tb.srv, nil, 0, false)
+	c := newClusterCache(tb.clk, tb.srv, nil, 0)
 	defer c.Close()
 	every, lagging, stale := c.NewView(), c.NewView(), c.NewView()
 	for _, v := range []*ClusterView{every, lagging, stale} {

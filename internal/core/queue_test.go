@@ -397,7 +397,7 @@ func newQueueCache(t *testing.T) (*apiserver.Server, *ClusterCache) {
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
 	t.Cleanup(srv.Close)
-	c := newClusterCache(clk, srv, nil, 0, false)
+	c := newClusterCache(clk, srv, nil, 0)
 	t.Cleanup(c.Close)
 	return srv, c
 }
@@ -508,7 +508,7 @@ func TestCacheQueueOrdersServerScenarios(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, live := newQueueCache(t)
 			tc.build(t, srv)
-			primed := newClusterCache(clock.NewSim(), srv, nil, 0, false)
+			primed := newClusterCache(clock.NewSim(), srv, nil, 0)
 			defer primed.Close()
 			for _, c := range []struct {
 				how   string

@@ -205,7 +205,7 @@ func TestCacheBindAndFinishAllocateNothing(t *testing.T) {
 	if err := srv.RegisterNode(&api.Node{Name: "n01", Capacity: alloc, Allocatable: alloc, Ready: true}); err != nil {
 		t.Fatal(err)
 	}
-	c := newClusterCache(clk, srv, nil, 0, false)
+	c := newClusterCache(clk, srv, nil, 0)
 	defer c.Close()
 	bound := memPod("p", resource.GiB, 1)
 	bound.Spec.SchedulerName = "s"

@@ -269,7 +269,7 @@ func newScheduler(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Confi
 	if cfg.UseMetrics {
 		s.agg = monitor.NewWindowMax(clk, db, cfg.Window, monitor.MeasurementEPC, monitor.MeasurementMemory)
 	}
-	s.cache = newClusterCache(clk, srv, s.agg, cfg.Window, cfg.UseMetrics)
+	s.cache = newClusterCache(clk, srv, s.agg, cfg.Window)
 	if s.agg != nil {
 		s.agg.SetOnChange(s.cache.onMetric)
 	}

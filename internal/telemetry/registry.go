@@ -85,7 +85,7 @@ func (g *Gauge) Value() float64 {
 
 // metricKey identifies one registered series: a metric name plus its
 // single optional label pair (the registry's label model is one key per
-// family — class, stage, subscriber — which is all the orchestrator
+// family — class, stage, priority — which is all the orchestrator
 // needs and keeps hot-path label handling allocation-free).
 type metricKey struct {
 	name       string

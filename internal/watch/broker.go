@@ -115,8 +115,8 @@ type Options struct {
 // SubscriberStats is the per-subscriber back-pressure accounting.
 type SubscriberStats struct {
 	// ID is the broker-assigned subscriber identity, stable for the
-	// subscription's lifetime — the label telemetry keys per-subscriber
-	// lag/resync gauges by.
+	// subscription's lifetime. Telemetry keys no series by it: its
+	// gauges fold every subscriber into one maximum and two sums.
 	ID int64
 	// Delivered counts events handed to the callback; Batches the
 	// callback invocations (Delivered/Batches is the mean batch size).

@@ -71,13 +71,16 @@ type scalingRow struct {
 	subscribers   int
 	deliveries    int64 // events handed to subscriber callbacks
 	points        int64 // TSDB points written
+	series        int   // series the Prometheus exposition carries
 	unschedulable int   // scheduling cycles that found no node
 }
 
 // runScaling drains one scalingCluster through the public Cluster and
 // counts what the layers did. The cluster's audit, its first subscriber,
-// must have been sent the whole stream and refused none of it.
-func runScaling(tb testing.TB, nodes []NodeSpec, jobs []JobSpec) scalingRow {
+// must have been sent the whole stream and refused none of it. With
+// countSeries it also writes the exposition after the drain and counts
+// its series; the allocation ledger and the benchmark leave that cost out.
+func runScaling(tb testing.TB, nodes []NodeSpec, jobs []JobSpec, countSeries bool) scalingRow {
 	c, err := NewCluster(ClusterConfig{Nodes: nodes})
 	if err != nil {
 		tb.Fatal(err)
@@ -105,6 +108,13 @@ func runScaling(tb testing.TB, nodes []NodeSpec, jobs []JobSpec) scalingRow {
 		events: ws.Published, subscribers: ws.Subscribers,
 		points: points, unschedulable: c.SchedulerStats().Unschedulable,
 	}
+	if countSeries {
+		var exposition strings.Builder
+		if err := c.WritePrometheus(&exposition); err != nil {
+			tb.Fatal(err)
+		}
+		row.series = strings.Count(exportedCatalogue(tb, exposition.String()), "\n")
+	}
 	for _, ss := range ws.PerSubscriber {
 		row.deliveries += ss.Delivered
 	}
@@ -112,8 +122,8 @@ func runScaling(tb testing.TB, nodes []NodeSpec, jobs []JobSpec) scalingRow {
 }
 
 func (r scalingRow) String() string {
-	return fmt.Sprintf("nodes=%d jobs=%d events=%d subscribers=%d deliveries=%d points=%d unschedulable=%d",
-		r.nodes, r.jobs, r.events, r.subscribers, r.deliveries, r.points, r.unschedulable)
+	return fmt.Sprintf("nodes=%d jobs=%d events=%d subscribers=%d deliveries=%d points=%d series=%d unschedulable=%d",
+		r.nodes, r.jobs, r.events, r.subscribers, r.deliveries, r.points, r.series, r.unschedulable)
 }
 
 // TestStackScaling is the stack's scaling table: the saturated workload's
@@ -122,12 +132,13 @@ func (r scalingRow) String() string {
 // after an intended change, and read the diff). It logs each per-job
 // figure with its growth exponent over the node count: 0 is flat, 1
 // grows with the fleet. A kubelet watches only its own node, so the
-// deliveries per event stay flat while the subscribers grow.
+// deliveries per event stay flat while the subscribers grow; no exported
+// series is keyed by node or subscriber, so the series count is flat.
 func TestStackScaling(t *testing.T) {
 	var rows []scalingRow
 	for _, k := range []int{1, 4} {
 		nodes, jobs := scalingCluster(k)
-		rows = append(rows, runScaling(t, nodes, jobs))
+		rows = append(rows, runScaling(t, nodes, jobs, true))
 	}
 	var got strings.Builder
 	for _, r := range rows {
@@ -156,6 +167,7 @@ func TestStackScaling(t *testing.T) {
 		{"subscribers", func(r scalingRow) float64 { return float64(r.subscribers) }},
 		{"deliveries/event", func(r scalingRow) float64 { return float64(r.deliveries) / float64(r.events) }},
 		{"tsdb points/job", func(r scalingRow) float64 { return float64(r.points) / float64(r.jobs) }},
+		{"series", func(r scalingRow) float64 { return float64(r.series) }},
 		{"unschedulable/job", func(r scalingRow) float64 { return float64(r.unschedulable) / float64(r.jobs) }},
 	} {
 		a, b := fig.of(lo), fig.of(hi)
@@ -166,6 +178,10 @@ func TestStackScaling(t *testing.T) {
 	if a, b := perEvent(lo), perEvent(hi); math.Abs(b-a) > 0.02*a {
 		t.Errorf("deliveries per event %.2f at %d nodes, %.2f at %d: a kubelet hears other nodes' events",
 			a, lo.nodes, b, hi.nodes)
+	}
+	if lo.series != hi.series {
+		t.Errorf("the exposition carries %d series at %d nodes, %d at %d: a series is kept per node or subscriber",
+			lo.series, lo.nodes, hi.series, hi.nodes)
 	}
 }
 
@@ -182,7 +198,7 @@ func BenchmarkStackScaling(b *testing.B) {
 			mallocs := ms.Mallocs
 			b.ResetTimer()
 			for range b.N {
-				runScaling(b, nodes, jobs)
+				runScaling(b, nodes, jobs, false)
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&ms)

@@ -86,7 +86,7 @@ func TestTelemetryCatalogue(t *testing.T) {
 // series — "<kind> <name> [<label pair>]" — in exposition order. A
 // histogram series is read off its _count sample, which carries exactly
 // the series' own label pair.
-func exportedCatalogue(t *testing.T, exposition string) string {
+func exportedCatalogue(t testing.TB, exposition string) string {
 	t.Helper()
 	var out strings.Builder
 	family, kind := "", ""
