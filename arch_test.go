@@ -419,10 +419,10 @@ test files and bench/ included.`,
 		name: "one-watch-ring-four-entry-points",
 		doc: `The watch stream is one ring in one total order. A subscription is
 sent either the whole stream or one node's sub-sequence of it, in the same
-order, and *apiserver.Server offers exactly four entry points: Subscribe,
+order, and *apiserver.Server offers exactly three entry points:
 SubscribeBatch and ListAndWatchBatch, which differ in what the caller
 supplies, not in what it is sent (the whole stream), and SubscribeNode,
-which is sent one node's events. A per-kind ring (a topic) or a fifth
+which is sent one node's events. A per-kind ring (a topic) or a fourth
 entry point, in any file of the package, is the machinery this replaced.
 An entry point is an exported Server method named Subscribe… or
 ListAndWatch…, or one that takes a callback of WatchEvents. The broker
@@ -431,7 +431,7 @@ one order point only while every commit publishes through txn.publish,
 under the stripes it holds: no other non-test code of the package calls
 the broker's Publish.`,
 		check: func(c *codebase) (out []string) {
-			entries := []string{"Subscribe", "SubscribeBatch", "ListAndWatchBatch", "SubscribeNode"}
+			entries := []string{"SubscribeBatch", "ListAndWatchBatch", "SubscribeNode"}
 			want := map[string]bool{}
 			for _, name := range entries {
 				want[name] = false
@@ -469,7 +469,7 @@ the broker's Publish.`,
 						continue
 					}
 					if _, known := want[fn.Name.Name]; !known {
-						out = append(out, c.at(fn.Pos())+": Server."+fn.Name.Name+" is a fifth subscribe entry point")
+						out = append(out, c.at(fn.Pos())+": Server."+fn.Name.Name+" is a fourth subscribe entry point")
 						continue
 					}
 					want[fn.Name.Name] = true
@@ -783,13 +783,12 @@ that never names the type is not seen.`,
 // benchmarks set, keyed "dir.Type.Field" ("sgxorch.Type.Field" in the root
 // package), each with what needs the second value.
 var knobAllow = map[string]string{
-	"sgxorch.ClusterConfig.SchedulerInterval":               "TestTelemetryExportsEachCountOnce and the other telemetry_cluster_test.go and telemetry_catalogue_test.go tests pass 1 s; at 5 s their counts meet in coincidental equalities",
-	"internal/core.GangConfig.PermitTimeout":                "internal/core's gang tests race 5–10 s permit rollbacks against commits",
-	"internal/experiments.MultiSchedConfig.Concurrent":      "TestMultiSchedConcurrentDrainSafe drains on real goroutines under -race",
-	"internal/experiments.MultiSchedConfig.Horizon":         "TestMultiSchedConcurrentDrainSafe gives the nondeterministic drain 4 h",
-	"internal/experiments.ClassesExpConfig.Shards":          "TestClassesMixedFleetDeterministic pins the 1-, 2- and 4-shard fleets",
-	"internal/experiments.ClassesExpConfig.SGXEvery":        "TestClassesMixedFleetSGXUtilization compares the run with a fleet of no SGX jobs",
-	"internal/experiments.ObservabilityConfig.JobsPerClass": "the observability tests pin 8- and 6-job waves",
+	"sgxorch.ClusterConfig.SchedulerInterval":          "TestTelemetryExportsEachCountOnce and the other telemetry_cluster_test.go and telemetry_catalogue_test.go tests pass 1 s; at 5 s their counts meet in coincidental equalities",
+	"internal/core.GangConfig.PermitTimeout":           "internal/core's gang tests race 5–10 s permit rollbacks against commits",
+	"internal/experiments.MultiSchedConfig.Concurrent": "TestMultiSchedConcurrentDrainSafe drains on real goroutines under -race",
+	"internal/experiments.MultiSchedConfig.Horizon":    "TestMultiSchedConcurrentDrainSafe gives the nondeterministic drain 4 h",
+	"internal/experiments.ClassesExpConfig.Shards":     "TestClassesMixedFleetDeterministic pins the 1-, 2- and 4-shard fleets",
+	"internal/experiments.ClassesExpConfig.SGXEvery":   "TestClassesMixedFleetSGXUtilization compares the run with a fleet of no SGX jobs",
 }
 
 // deadSurfaceAllow lists exported internal/ declarations that have no
@@ -810,11 +809,10 @@ var deadSurfaceAllow = map[string]string{
 	"internal/clock.Sim.Len":                "internal/experiments' testbed tests count what a testbed leaves armed on the clock",
 	"internal/model.Cluster.Pending":        "the reference pending order that internal/apiserver's and internal/core's queue tests compare against",
 	// Waiting for the caller they were built for.
-	"internal/sgx.Package.SlowdownFactor":     "the §V-A paging penalty; an SGX execution is to run at its rate",
-	"internal/experiments.WindowAblation":     "a §VI ablation the evaluation table is to carry as a row",
-	"internal/experiments.IntervalAblation":   "a §VI ablation the evaluation table is to carry as a row",
-	"internal/experiments.SGX2Ablation":       "the §VI-G SGX 2 extension the evaluation table is to carry as a row",
-	"internal/experiments.PreemptionScenario": "the preemption scenario the evaluation table is to carry as a row",
+	"internal/sgx.Package.SlowdownFactor":   "the §V-A paging penalty; an SGX execution is to run at its rate",
+	"internal/experiments.WindowAblation":   "a §VI ablation the evaluation table is to carry as a row",
+	"internal/experiments.IntervalAblation": "a §VI ablation the evaluation table is to carry as a row",
+	"internal/experiments.SGX2Ablation":     "the §VI-G SGX 2 extension the evaluation table is to carry as a row",
 }
 
 // stdImporter type-checks the standard library from its source, which
@@ -1145,7 +1143,6 @@ func TestArchitectureRulesFire(t *testing.T) {
 type Server struct{}
 type WatchEvent struct{}
 type Snapshot struct{}
-func (s *Server) Subscribe(fn func(WatchEvent)) func() { return nil }
 func (s *Server) SubscribeBatch(fn func([]WatchEvent), r func(Snapshot)) func() { return nil }
 func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), r func(Snapshot)) (Snapshot, func()) { return Snapshot{}, nil }
 func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), r func(Snapshot)) func() { return nil }

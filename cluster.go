@@ -512,8 +512,8 @@ func (c *Cluster) WritePrometheus(w io.Writer) error {
 
 // PassTraces returns the scheduler's retained pass traces, oldest
 // first: per-pass wall time, outcome counts, and stage timing spans
-// (the per-pod stages on sampled passes only — see
-// core.Config.TraceDetailEvery). Empty on a telemetry-disabled
+// (the per-pod stages on sampled passes only, one pass in
+// core.DefaultTraceDetailEvery). Empty on a telemetry-disabled
 // cluster.
 func (c *Cluster) PassTraces() []telemetry.PassTrace {
 	return c.tb.Cfg.Scheduler.Trace.Snapshot()

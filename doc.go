@@ -42,8 +42,8 @@
 // ClusterConfig into one — a class-aware scheduler with a gang director
 // and, unless telemetry is disabled, a registry and a pass-trace ring —
 // and every experiment — the figure harnesses, the ablations, the
-// preemption scenario, the multi-scheduler, gang and class fleets, the
-// observability run and ReplayBorgTrace — is another. The Paper preset is
+// multi-scheduler, gang and class fleets and ReplayBorgTrace — is
+// another. The Paper preset is
 // §VI-A: one master, two 64 GiB standard nodes and two 8 GiB SGX nodes
 // with 128 MiB of EPC under the paper's scheduler. Every testbed's
 // reference-model audit subscribes before the first node registers, so it
@@ -282,8 +282,8 @@
 // against each other, to pin exactly that). Watch events ride one
 // lazily-grown bounded ring, each published under the node it concerns
 // (a preemption under the node the pod left): a subscriber through
-// Server.Subscribe, Server.SubscribeBatch or Server.ListAndWatchBatch,
-// which differ in what the caller supplies, not in what it is sent,
+// Server.SubscribeBatch or Server.ListAndWatchBatch, which differ in
+// what the caller supplies, not in what it is sent,
 // reads the whole dense rev-ordered stream of pod and node events, a
 // batch being a contiguous run of the ring after its cursor; one through
 // Server.SubscribeNode reads one node's sub-sequence of it, in the same
@@ -409,9 +409,9 @@
 // fixed ring readable via Cluster.PassTraces. There is one pass, not a
 // timed copy beside a plain one: timing is sampled inside it, behind a
 // recorder that is nil unless the pass is instrumented (and, for per-pod
-// timing, detail-sampled), and detail sampling
-// (Config.TraceDetailEvery) keeps the instrumented pass within a few
-// percent of the uninstrumented one. That toll is measured with
+// timing, detail-sampled), and detail sampling (one pass in
+// core.DefaultTraceDetailEvery, 32) keeps the instrumented pass within a
+// few percent of the uninstrumented one. That toll is measured with
 // BenchmarkInstrumentedPass against BenchmarkSchedulerPass, not gated:
 // CI runs the instrumented pass once, as a smoke.
 //

@@ -11,9 +11,9 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/output.golden from this run")
 
 // TestOutputGolden pins the walkthrough's whole output: the per-class
-// latency quantiles, drain time, pass, bind and trace counts all follow
-// from the seeded workload on the simulated clock, so any change to them
-// is a change in behaviour. Run with -update to accept a new output.
+// latency quantiles, drain time, scheduler, lifecycle and trace counts
+// all follow from the fixed wave on the simulated clock, so any change to
+// them is a change in behaviour. Run with -update to accept a new output.
 func TestOutputGolden(t *testing.T) {
 	var out strings.Builder
 	if err := run(&out); err != nil {

@@ -42,7 +42,7 @@ func TestBindRefusesCordonedNode(t *testing.T) {
 	}
 
 	var podEvents int
-	unsub := s.Subscribe(func(ev WatchEvent) {
+	unsub := subscribeEach(s, func(ev WatchEvent) {
 		if ev.Pod != nil {
 			podEvents++
 		}

@@ -80,7 +80,7 @@ func TestSyncWatchDeliveryIsInline(t *testing.T) {
 	clk := clock.NewSim()
 	srv := New(clk)
 	var seen []WatchEventType
-	unsub := srv.Subscribe(func(ev WatchEvent) { seen = append(seen, ev.Type) })
+	unsub := subscribeEach(srv, func(ev WatchEvent) { seen = append(seen, ev.Type) })
 	defer unsub()
 
 	alloc := resource.List{resource.Memory: resource.GiB, resource.CPU: 1000}

@@ -38,7 +38,7 @@ func TestReserveHoldsCapacityWithoutBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []WatchEvent
-	unsub := srv.Subscribe(func(ev WatchEvent) { events = append(events, ev) })
+	unsub := subscribeEach(srv, func(ev WatchEvent) { events = append(events, ev) })
 	defer unsub()
 
 	for _, name := range []string{"g-a", "g-b"} {
@@ -159,7 +159,7 @@ func TestReleaseGroupRollsBackWholesale(t *testing.T) {
 		}
 	}
 	var events []WatchEvent
-	unsub := srv.Subscribe(func(ev WatchEvent) { events = append(events, ev) })
+	unsub := subscribeEach(srv, func(ev WatchEvent) { events = append(events, ev) })
 	defer unsub()
 
 	released, err := srv.ReleaseGroup("g", "quorum never arrived")
@@ -287,7 +287,7 @@ func TestReserveAdmissionRejectsOverCommit(t *testing.T) {
 		}
 	}
 	var held []string
-	defer srv.Subscribe(func(ev WatchEvent) {
+	defer subscribeEach(srv, func(ev WatchEvent) {
 		if ev.Type == PodPermitHeld {
 			held = append(held, ev.Pod.Name)
 		}

@@ -24,11 +24,11 @@ import (
 func record(t *testing.T, s *apiserver.Server) func() []apiserver.WatchEvent {
 	var mu sync.Mutex
 	var events []apiserver.WatchEvent
-	t.Cleanup(s.Subscribe(func(ev apiserver.WatchEvent) {
+	t.Cleanup(s.SubscribeBatch(func(evs []apiserver.WatchEvent) {
 		mu.Lock()
-		events = append(events, ev)
+		events = append(events, evs...)
 		mu.Unlock()
-	}))
+	}, nil))
 	return func() []apiserver.WatchEvent {
 		mu.Lock()
 		defer mu.Unlock()

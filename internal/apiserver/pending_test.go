@@ -152,7 +152,7 @@ func TestPreemptRequeuesBoundPod(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []WatchEvent
-	unsub := srv.Subscribe(func(ev WatchEvent) { events = append(events, ev) })
+	unsub := subscribeEach(srv, func(ev WatchEvent) { events = append(events, ev) })
 	defer unsub()
 
 	for _, name := range []string{"victim", "peer"} {

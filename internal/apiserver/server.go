@@ -37,15 +37,15 @@
 // flight, which is exactly what makes a snapshot a consistent prefix of
 // the watch stream.
 //
-// Watchers attach in one of four ways. Subscribe (a per-event callback),
-// SubscribeBatch (a batch callback and an optional resync handler) and
-// the informer-style ListAndWatchBatch differ in what the caller
-// supplies, not in what it is sent: the whole stream, every pod and node
-// event in rev order. ListAndWatchBatch additionally couples a
-// consistent snapshot to the event stream atomically: every event
-// carries a monotonically increasing resource version, so a consumer
-// building a cache from the snapshot discards anything already reflected
-// in it and stays exactly consistent without quiescing the server.
+// Watchers attach in one of three ways. SubscribeBatch (a batch callback
+// and an optional resync handler) and the informer-style
+// ListAndWatchBatch differ in what the caller supplies, not in what it is
+// sent: the whole stream, every pod and node event in rev order.
+// ListAndWatchBatch additionally couples a consistent snapshot to the
+// event stream atomically: every event carries a monotonically
+// increasing resource version, so a consumer building a cache from the
+// snapshot discards anything already reflected in it and stays exactly
+// consistent without quiescing the server.
 // SubscribeNode, the kubelet's watch, is sent one node's sub-sequence of
 // that stream, in the same order: each event is published under the node
 // it concerns (see txn.publish).
@@ -376,38 +376,26 @@ func (s *Server) Committed(nodeName string) resource.List {
 	return sh.committed[nodeName]
 }
 
-// Subscribe registers a per-event watch callback for the whole stream
-// and returns an unsubscribe function. In synchronous mode callbacks run
-// on a goroutine performing a mutation — the one holding the broker's
-// flush, which delivers concurrent committers' events with its own —
-// after the state stripes are released, and must not synchronously
-// mutate the server (use clock.AfterFunc for follow-ups); in async mode
-// they run on a pump goroutine. Events arrive in resource-version order
-// with no duplicates. No callback starts after unsubscribe returns;
-// async mode also waits for one in flight (unless called from it),
-// synchronous mode does not — see internal/watch. A subscriber that
-// falls off the broker ring in async mode has the missed interval
-// counted in its watch stats and continues from the oldest retained
-// event — consumers that must never miss events should use
-// SubscribeBatch or ListAndWatchBatch with a resync handler.
-func (s *Server) Subscribe(fn func(WatchEvent)) (unsubscribe func()) {
-	return s.SubscribeBatch(func(evs []WatchEvent) {
-		for _, ev := range evs {
-			fn(ev)
-		}
-	}, nil)
-}
-
 // SubscribeBatch registers a batched watch callback for the whole
-// stream: the broker hands it consecutive events as one slice (reused
-// between calls — do not retain it). resync, when non-nil, is invoked if
-// the subscriber falls off the broker ring: it receives a fresh
-// consistent snapshot to rebuild from, and delivery resumes with the
-// first event after that snapshot's Rev. Registration happens at the
-// broker's head, under the broker mutex that draws every rev, so the
-// subscriber is sent exactly the events published after it — but it may
-// begin between two events of one world-form commit (a gang operation),
-// so a consumer that needs a consistent state starts from
+// stream and returns an unsubscribe function: the broker hands it
+// consecutive events as one slice (reused between calls — do not retain
+// it), in resource-version order with no duplicates. In synchronous mode
+// callbacks run on a goroutine performing a mutation — the one holding
+// the broker's flush, which delivers concurrent committers' events with
+// its own — after the state stripes are released, and must not
+// synchronously mutate the server (use clock.AfterFunc for follow-ups);
+// in async mode they run on a pump goroutine. No callback starts after
+// unsubscribe returns; async mode also waits for one in flight (unless
+// called from it), synchronous mode does not — see internal/watch.
+// resync, when non-nil, is invoked if the subscriber falls off the broker
+// ring: it receives a fresh consistent snapshot to rebuild from, and
+// delivery resumes with the first event after that snapshot's Rev. A
+// subscriber without one has the missed interval counted in its watch
+// stats and continues from the oldest retained event. Registration
+// happens at the broker's head, under the broker mutex that draws every
+// rev, so the subscriber is sent exactly the events published after it —
+// but it may begin between two events of one world-form commit (a gang
+// operation), so a consumer that needs a consistent state starts from
 // ListAndWatchBatch.
 func (s *Server) SubscribeBatch(fn func([]WatchEvent), resync func(Snapshot)) (unsubscribe func()) {
 	return s.broker.Subscribe("", fn, s.resyncFrom(resync))
@@ -443,8 +431,8 @@ func (s *Server) resyncFrom(resync func(Snapshot)) func() int64 {
 // without racing mutations that happen in between. The snapshot and the
 // subscription are coupled under the world ladder, so the first
 // delivered event is exactly the first mutation after the snapshot.
-// Delivery is batched, with an optional ring-overflow resync handler
-// (see SubscribeBatch); the callback contract is otherwise Subscribe's.
+// Delivery is batched, with an optional ring-overflow resync handler;
+// the callback contract is SubscribeBatch's.
 func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), resync func(Snapshot)) (Snapshot, func()) {
 	s.lockWorld()
 	defer s.unlockWorld()

@@ -14,6 +14,15 @@ import (
 	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
+// subscribeEach subscribes fn to the whole stream one event at a time.
+func subscribeEach(s *Server, fn func(WatchEvent)) (unsubscribe func()) {
+	return s.SubscribeBatch(func(evs []WatchEvent) {
+		for _, ev := range evs {
+			fn(ev)
+		}
+	}, nil)
+}
+
 func testNode(name string, sgx bool) *api.Node {
 	alloc := resource.List{resource.Memory: 64 * resource.GiB, resource.CPU: 8000}
 	if sgx {
@@ -56,7 +65,7 @@ func TestNodeRegistry(t *testing.T) {
 	edit := n.Clone()
 	edit.Allocatable[resource.Memory] = 1
 	var published *api.Node
-	defer s.Subscribe(func(ev WatchEvent) { published = ev.Node })()
+	defer subscribeEach(s, func(ev WatchEvent) { published = ev.Node })()
 	if err := s.UpdateNode(edit); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +238,7 @@ func TestFailBeforeBindingLeavesQueue(t *testing.T) {
 func TestWatchNotifications(t *testing.T) {
 	s := New(clock.NewSim())
 	var got []WatchEventType
-	unsub := s.Subscribe(func(ev WatchEvent) { got = append(got, ev.Type) })
+	unsub := subscribeEach(s, func(ev WatchEvent) { got = append(got, ev.Type) })
 	if err := s.RegisterNode(testNode("n1", false)); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +276,7 @@ func TestEventsLog(t *testing.T) {
 	s := New(clock.NewSim())
 	var got []string
 	var revs []int64
-	defer s.Subscribe(func(ev WatchEvent) {
+	defer subscribeEach(s, func(ev WatchEvent) {
 		var name string
 		if ev.Pod != nil {
 			name = "pod/" + ev.Pod.Name
@@ -331,7 +340,7 @@ func TestConcurrentAccess(t *testing.T) {
 	if err := s.RegisterNode(testNode("n1", true)); err != nil {
 		t.Fatal(err)
 	}
-	unsub := s.Subscribe(func(WatchEvent) {})
+	unsub := subscribeEach(s, func(WatchEvent) {})
 	defer unsub()
 
 	const workers = 8
@@ -513,7 +522,7 @@ func TestListAndWatchHandshake(t *testing.T) {
 func TestEventRevisionsMonotonic(t *testing.T) {
 	s := New(clock.NewSim())
 	var revs []int64
-	unsub := s.Subscribe(func(ev WatchEvent) { revs = append(revs, ev.Rev) })
+	unsub := subscribeEach(s, func(ev WatchEvent) { revs = append(revs, ev.Rev) })
 	defer unsub()
 	if err := s.RegisterNode(testNode("n1", false)); err != nil {
 		t.Fatal(err)
@@ -542,7 +551,7 @@ func TestNotifyDeliversInRegistrationOrder(t *testing.T) {
 	s := New(clock.NewSim())
 	var order []string
 	sub := func(tag string) func() {
-		return s.Subscribe(func(WatchEvent) { order = append(order, tag) })
+		return subscribeEach(s, func(WatchEvent) { order = append(order, tag) })
 	}
 	unsubA := sub("a")
 	unsubB := sub("b")
@@ -576,7 +585,7 @@ func TestPendingQueueIndexAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	created := map[string]int64{}
-	defer s.Subscribe(func(ev WatchEvent) {
+	defer subscribeEach(s, func(ev WatchEvent) {
 		if ev.Type == PodCreated {
 			created[ev.Pod.Name] = ev.Rev
 		}
@@ -646,7 +655,7 @@ func TestConcurrentMutatorsDeliverInRevOrder(t *testing.T) {
 	s := New(clk)
 	var mu sync.Mutex
 	var stream []WatchEvent
-	defer s.Subscribe(func(ev WatchEvent) {
+	defer subscribeEach(s, func(ev WatchEvent) {
 		mu.Lock()
 		stream = append(stream, ev)
 		mu.Unlock()

@@ -154,7 +154,7 @@ func TestBindAllocsPinned(t *testing.T) {
 	if err := s.RegisterNode(stormNode("n1", 1<<20)); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Subscribe(func(WatchEvent) {})()
+	defer subscribeEach(s, func(WatchEvent) {})()
 	const runs = 200
 	names := make([]string, runs+1) // AllocsPerRun adds one warm-up call
 	for i := range names {
@@ -251,7 +251,7 @@ func TestStoredVersionsConcurrent(t *testing.T) {
 	s := New(clock.NewSim())
 	var mu sync.Mutex
 	published := map[*api.Pod]podVersion{}
-	defer s.Subscribe(func(ev WatchEvent) {
+	defer subscribeEach(s, func(ev WatchEvent) {
 		if ev.Pod != nil {
 			mu.Lock()
 			published[ev.Pod] = versionOf(ev.Pod)

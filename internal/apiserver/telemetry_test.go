@@ -283,7 +283,7 @@ func TestServerTelemetryCollectAllocs(t *testing.T) {
 	reg := telemetry.New()
 	s := New(clock.NewSim(), WithTelemetry(reg))
 	defer s.Close()
-	defer s.Subscribe(func(WatchEvent) {})()
+	defer subscribeEach(s, func(WatchEvent) {})()
 	if err := s.RegisterNode(telemetryNode("n1")); err != nil {
 		t.Fatal(err)
 	}

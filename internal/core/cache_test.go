@@ -280,7 +280,7 @@ func TestWatchEventOrderingDeterministic(t *testing.T) {
 	run := func() []string {
 		c := newTestCluster(t, clusterSpec{stdNodes: 2, sgxNodes: 2, useMetrics: true, enforcement: true})
 		var seq []string
-		unsub := c.srv.Subscribe(func(ev apiserver.WatchEvent) {
+		unsub := subscribeEach(c.srv, func(ev apiserver.WatchEvent) {
 			entry := fmt.Sprintf("rev=%d type=%d", ev.Rev, ev.Type)
 			if ev.Pod != nil {
 				entry += fmt.Sprintf(" pod=%s node=%s phase=%s", ev.Pod.Name, ev.Pod.Spec.NodeName, ev.Pod.Status.Phase)

@@ -58,7 +58,7 @@ func newClassifyHarness(t *testing.T) *classifyHarness {
 	clk := clock.NewSim()
 	srv := apiserver.New(clk)
 	h := &classifyHarness{clk: clk, srv: srv}
-	unsub := srv.Subscribe(func(ev apiserver.WatchEvent) {
+	unsub := subscribeEach(srv, func(ev apiserver.WatchEvent) {
 		line := fmt.Sprintf("%v rev=%d", ev.Type, ev.Rev)
 		if ev.Pod != nil {
 			line += fmt.Sprintf(" pod=%s node=%s phase=%s reason=%q sched=%d start=%d",

@@ -35,7 +35,7 @@ func TestPodConsumersSkipNodeEventsInBatch(t *testing.T) {
 	// subscriber the four events as one batch.
 	alloc := resource.List{resource.Memory: resource.GiB, resource.CPU: 1000}
 	foreign := &api.Node{Name: "foreign", Capacity: alloc, Allocatable: alloc, Ready: true}
-	defer srv.Subscribe(func(ev apiserver.WatchEvent) {
+	defer subscribeEach(srv, func(ev apiserver.WatchEvent) {
 		if ev.Type != apiserver.PodCreated {
 			return
 		}

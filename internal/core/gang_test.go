@@ -30,7 +30,7 @@ func newGangTestbed(t *testing.T, nodes int, memPerNode int64, gcfg GangConfig, 
 	clk := clock.NewSim()
 	srv := apiserver.New(clk, apiserver.WithAdmission(apiserver.AdmitStrict))
 	tb := &gangTestbed{clk: clk, srv: srv}
-	t.Cleanup(srv.Subscribe(func(ev apiserver.WatchEvent) { tb.events = append(tb.events, ev) }))
+	t.Cleanup(subscribeEach(srv, func(ev apiserver.WatchEvent) { tb.events = append(tb.events, ev) }))
 	for i := 0; i < nodes; i++ {
 		n := &api.Node{
 			Name:        fmt.Sprintf("n%02d", i+1),

@@ -102,7 +102,7 @@ func runMemoScenario(t *testing.T, seed int64, topo memoTopology, memo bool, atP
 
 	var run memoRun
 	ref := model.New(apiserver.AdmitGuarded)
-	defer srv.Subscribe(func(ev apiserver.WatchEvent) {
+	defer subscribeEach(srv, func(ev apiserver.WatchEvent) {
 		line := fmt.Sprintf("rev=%d type=%d", ev.Rev, ev.Type)
 		if ev.Pod != nil {
 			line += fmt.Sprintf(" pod=%s node=%s phase=%s reason=%q",

@@ -97,7 +97,8 @@ func TestPreemptionVictimsRequeueAndReschedule(t *testing.T) {
 }
 
 // TestEqualPriorityNeverPreempts: a pod of the same tier as the running
-// pods waits instead of evicting them.
+// pods waits instead of evicting them, first come first served: it starts
+// only once an hour-long hog has finished.
 func TestEqualPriorityNeverPreempts(t *testing.T) {
 	c := newTestCluster(t, clusterSpec{sgxNodes: 1, useMetrics: true, enforcement: true})
 	fillSGXNode(t, c)
@@ -116,6 +117,12 @@ func TestEqualPriorityNeverPreempts(t *testing.T) {
 	}
 	if st := c.sched.Stats(); st.Preemptions != 0 || st.Victims != 0 {
 		t.Fatalf("stats = %+v, want no preemptions", st)
+	}
+	c.clk.Advance(2 * time.Hour)
+	peer, _ = c.srv.GetPod("peer")
+	if w, ok := peer.WaitingTime(); !ok || w < 59*time.Minute || peer.Status.Phase != api.PodSucceeded {
+		t.Fatalf("equal-priority pod = %s after waiting %v (started %v), want Succeeded after waiting behind an hour-long hog",
+			peer.Status.Phase, w, ok)
 	}
 }
 
@@ -353,7 +360,7 @@ func TestPreemptionDeterministic(t *testing.T) {
 	run := func() []string {
 		c := newTestCluster(t, clusterSpec{stdNodes: 1, sgxNodes: 2, useMetrics: true, enforcement: true})
 		var seq []string
-		unsub := c.srv.Subscribe(func(ev apiserver.WatchEvent) {
+		unsub := subscribeEach(c.srv, func(ev apiserver.WatchEvent) {
 			entry := fmt.Sprintf("rev=%d type=%d", ev.Rev, ev.Type)
 			if ev.Pod != nil {
 				entry += fmt.Sprintf(" pod=%s node=%s phase=%s reason=%q",

@@ -345,7 +345,7 @@ func TestSampledSchedulingDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var seq []string
-		unsub := srv.Subscribe(func(ev apiserver.WatchEvent) {
+		unsub := subscribeEach(srv, func(ev apiserver.WatchEvent) {
 			if ev.Type == apiserver.PodBound {
 				seq = append(seq, fmt.Sprintf("rev=%d pod=%s node=%s", ev.Rev, ev.Pod.Name, ev.Pod.Spec.NodeName))
 			}

@@ -72,14 +72,6 @@ type Config struct {
 	// pass one shared ring so its members' traces interleave
 	// chronologically (traces carry the scheduler name).
 	Trace *telemetry.TraceRing
-	// TraceDetailEvery samples detailed tracing: every Nth pass
-	// additionally times the per-pod filter and score stages, the gang
-	// director's gate (prefilter) and quorum step (permit) and preemption
-	// planning (DefaultTraceDetailEvery when 0; negative disables detail).
-	// Undetailed passes still record pass-level spans (snapshot-sync,
-	// bind) and every counter — detail sampling is what keeps the
-	// instrumented pass within a few percent of the uninstrumented one.
-	TraceDetailEvery int
 }
 
 // Stats counts scheduler activity for tests and benchmarks.
@@ -213,6 +205,15 @@ type Scheduler struct {
 	metrics *schedMetrics
 	rec     passRecorder
 	passSeq int64
+	// traceDetailEvery samples detailed tracing: every Nth pass
+	// additionally times the per-pod filter and score stages, the gang
+	// director's gate (prefilter) and quorum step (permit) and preemption
+	// planning (DefaultTraceDetailEvery; tests set it, and a non-positive
+	// value disables detail). Undetailed passes still record pass-level
+	// spans (snapshot-sync, bind) and every counter — detail sampling is
+	// what keeps the instrumented pass within a few percent of the
+	// uninstrumented one.
+	traceDetailEvery int
 
 	mu    sync.Mutex
 	stats Stats
@@ -247,10 +248,7 @@ func newScheduler(clk clock.Clock, srv *apiserver.Server, db *tsdb.DB, cfg Confi
 		// usage the paper's query could not.
 		return nil, fmt.Errorf("core: window %v exceeds metrics retention %v", cfg.Window, db.Retention())
 	}
-	if cfg.TraceDetailEvery == 0 {
-		cfg.TraceDetailEvery = DefaultTraceDetailEvery
-	}
-	s := &Scheduler{clk: clk, srv: srv, cfg: cfg, pipelines: resolvePipelines(cfg.Policy)}
+	s := &Scheduler{clk: clk, srv: srv, cfg: cfg, pipelines: resolvePipelines(cfg.Policy), traceDetailEvery: DefaultTraceDetailEvery}
 	if cfg.Telemetry != nil {
 		s.metrics = newSchedMetrics(cfg.Telemetry)
 	}
@@ -365,7 +363,7 @@ func (s *Scheduler) schedulePass(syncFirst bool) int {
 	if s.metrics != nil {
 		s.passSeq++
 		c.rec = &s.rec
-		c.rec.begin(s.passSeq, s.cfg.TraceDetailEvery)
+		c.rec.begin(s.passSeq, s.traceDetailEvery)
 	}
 	c.det = c.rec.detailOnly()
 	c.memo.reset() // a pass proves only what it sees; nothing carries over

@@ -60,6 +60,15 @@ func newTestCluster(t *testing.T, spec clusterSpec) *testCluster {
 	return &testCluster{clk: clk, srv: srv, db: db, sched: sched, kubelets: kubelets}
 }
 
+// subscribeEach subscribes fn to srv's whole stream one event at a time.
+func subscribeEach(srv *apiserver.Server, fn func(apiserver.WatchEvent)) (unsubscribe func()) {
+	return srv.SubscribeBatch(func(evs []apiserver.WatchEvent) {
+		for _, ev := range evs {
+			fn(ev)
+		}
+	}, nil)
+}
+
 // startNodes starts std standard and sgxNodes SGX machines of the §VI-A
 // models (std-1…, then sgx-1… with 128 MiB of PRM), one kubelet each, and
 // the monitoring plane over them: a TSDB, Heapster and the probe

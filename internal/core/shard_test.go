@@ -273,7 +273,7 @@ func TestShardedDeterminismN2(t *testing.T) {
 	run := func() []string {
 		clk, srv, ss := shardedTestbed(t, 2, false, apiserver.AdmitGuarded)
 		var seq []string
-		unsub := srv.Subscribe(func(ev apiserver.WatchEvent) {
+		unsub := subscribeEach(srv, func(ev apiserver.WatchEvent) {
 			entry := fmt.Sprintf("rev=%d type=%d", ev.Rev, ev.Type)
 			if ev.Pod != nil {
 				entry += fmt.Sprintf(" pod=%s node=%s phase=%s sched=%s",

@@ -21,13 +21,13 @@ import (
 //   - telemetry enabled: pass-level spans (snapshot-sync, bind commits,
 //     wall time) are timed on every pass — a handful of clock reads per
 //     pass — while per-pod stage timing (prefilter, filter, score,
-//     permit, preemption plan) runs only on every TraceDetailEvery-th
-//     pass, amortising its per-pod clock reads to a few percent: the
-//     cycle holds the recorder on those passes and nil on all others
-//     (detailOnly).
+//     permit, preemption plan) runs only on every
+//     DefaultTraceDetailEvery-th pass, amortising its per-pod clock
+//     reads to a few percent: the cycle holds the recorder on those
+//     passes and nil on all others (detailOnly).
 
 // DefaultTraceDetailEvery is how often a pass records detailed per-pod
-// stage timing (1 in N passes; see Config.TraceDetailEvery).
+// stage timing (1 in N passes; see Scheduler.traceDetailEvery).
 const DefaultTraceDetailEvery = 32
 
 // Pass stage indexes (dense array form of the telemetry.Stage* names).

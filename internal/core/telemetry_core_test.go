@@ -65,8 +65,9 @@ func telemetryPod(name, sched string, memBytes int64) *api.Pod {
 // one that fits every node but that its policy declines after a full
 // selection over every candidate (denied); with classes on, all four
 // class slots have pods pending and run the shipped policies: binpack on
-// the default slot and each class's own on the class slots.
-func steadyPassAllocs(t *testing.T, cfg Config, classes bool) float64 {
+// the default slot and each class's own on the class slots. Every
+// detailEvery-th pass is detail-sampled.
+func steadyPassAllocs(t *testing.T, cfg Config, detailEvery int, classes bool) float64 {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; alloc counts are meaningless")
@@ -77,6 +78,7 @@ func steadyPassAllocs(t *testing.T, cfg Config, classes bool) float64 {
 		pending = append(pending, api.ClassLatencySensitive, api.ClassBatch, api.ClassBestEffort)
 	}
 	_, srv, sched := newBareScheduler(t, 8, cfg)
+	sched.traceDetailEvery = detailEvery
 	for i := range sched.pipelines {
 		pl := &sched.pipelines[i]
 		pl.policy = denied{pl.policy}
@@ -111,7 +113,7 @@ func steadyPassAllocs(t *testing.T, cfg Config, classes bool) float64 {
 func TestDisabledTelemetryPassAllocFree(t *testing.T) {
 	for _, classes := range []bool{false, true} {
 		t.Run(fmt.Sprintf("classes=%v", classes), func(t *testing.T) {
-			if allocs := steadyPassAllocs(t, Config{}, classes); allocs != 0 {
+			if allocs := steadyPassAllocs(t, Config{}, DefaultTraceDetailEvery, classes); allocs != 0 {
 				t.Fatalf("disabled-telemetry pass allocated %v/op, want 0", allocs)
 			}
 		})
@@ -128,15 +130,15 @@ func TestEnabledTelemetryUndetailedPassAllocs(t *testing.T) {
 		name        string
 		detailEvery int
 	}{
-		// Beyond the run length: every measured pass is undetailed.
-		{"undetailed", 1 << 30},
+		// Detail disabled: every measured pass is undetailed.
+		{"undetailed", -1},
 		// Every measured pass times each per-pod stage.
 		{"detailed", 1},
 	} {
 		for _, classes := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/classes=%v", tc.name, classes), func(t *testing.T) {
-				cfg := Config{Telemetry: telemetry.New(), Trace: telemetry.NewTraceRing(0), TraceDetailEvery: tc.detailEvery}
-				if allocs := steadyPassAllocs(t, cfg, classes); allocs > 1 {
+				cfg := Config{Telemetry: telemetry.New(), Trace: telemetry.NewTraceRing(0)}
+				if allocs := steadyPassAllocs(t, cfg, tc.detailEvery, classes); allocs > 1 {
 					t.Fatalf("%s instrumented pass allocated %v/op, want <= 1 (the trace-ring span copy)", tc.name, allocs)
 				}
 			})
@@ -144,7 +146,7 @@ func TestEnabledTelemetryUndetailedPassAllocs(t *testing.T) {
 	}
 	// Without Config.Trace there is no ring, so no span copy either.
 	t.Run("no ring", func(t *testing.T) {
-		if allocs := steadyPassAllocs(t, Config{Telemetry: telemetry.New(), TraceDetailEvery: 1}, true); allocs != 0 {
+		if allocs := steadyPassAllocs(t, Config{Telemetry: telemetry.New()}, 1, true); allocs != 0 {
 			t.Fatalf("instrumented pass without a trace ring allocated %v/op, want 0", allocs)
 		}
 	})
@@ -157,6 +159,7 @@ func TestEnabledTelemetryUndetailedPassAllocs(t *testing.T) {
 func TestDetailedPassMatchesPlain(t *testing.T) {
 	place := func(cfg Config) map[string]string {
 		_, srv, sched := newBareScheduler(t, 6, cfg)
+		sched.traceDetailEvery = 1 // an instrumented pass times every per-pod stage
 		for i := 0; i < 40; i++ {
 			// Varied sizes so scoring order and tie-breaks matter.
 			mem := int64(i%7+1) * 4 * resource.GiB
@@ -178,10 +181,9 @@ func TestDetailedPassMatchesPlain(t *testing.T) {
 	}
 	plain := place(Config{Name: "plain"})
 	detailed := place(Config{
-		Name:             "detailed",
-		Telemetry:        telemetry.New(),
-		Trace:            telemetry.NewTraceRing(8),
-		TraceDetailEvery: 1, // every pass times every per-pod stage
+		Name:      "detailed",
+		Telemetry: telemetry.New(),
+		Trace:     telemetry.NewTraceRing(8),
 	})
 	if len(plain) != len(detailed) {
 		t.Fatalf("pod counts differ: %d vs %d", len(plain), len(detailed))
@@ -209,11 +211,8 @@ func TestPassMetricsAndTraceRing(t *testing.T) {
 func passRingAndSpans(t *testing.T) {
 	reg := telemetry.New()
 	ring := telemetry.NewTraceRing(16)
-	_, srv, sched := newBareScheduler(t, 4, Config{
-		Telemetry:        reg,
-		Trace:            ring,
-		TraceDetailEvery: 2,
-	})
+	_, srv, sched := newBareScheduler(t, 4, Config{Telemetry: reg, Trace: ring})
+	sched.traceDetailEvery = 2
 	// Feed pods before every pass so the detailed passes (even Seq) have
 	// pending work and enter the ring too.
 	const passes = 4
@@ -266,7 +265,7 @@ func passRingAndSpans(t *testing.T) {
 		sawDetailed = sawDetailed || tr.Detailed
 	}
 	if !sawDetailed {
-		t.Fatal("no detailed trace (TraceDetailEvery=2 over 4 passes must sample at least one)")
+		t.Fatal("no detailed trace (traceDetailEvery=2 over 4 passes must sample at least one)")
 	}
 
 	assertOneTally(t, sched, reg, passes)
@@ -384,23 +383,23 @@ func passTallyEveryOutcome(t *testing.T) {
 	hooks, scoring := midCycle{}, midScore{}
 	reg := telemetry.New()
 	requeued := 0
-	defer srv.Subscribe(func(ev apiserver.WatchEvent) {
+	defer subscribeEach(srv, func(ev apiserver.WatchEvent) {
 		if ev.Type == apiserver.PodUpdated && !ev.Pod.IsTerminal() && ev.Pod.Spec.NodeName == "" {
 			requeued++
 		}
 	})()
 	sched, err := New(clk, srv, nil, Config{
-		Name:             "tally",
-		Policy:           hooked{hooked{Binpack{}, hooks.hook}, scoring.hook},
-		Gang:             gd,
-		MaxBindsPerPass:  2,
-		Telemetry:        reg,
-		Trace:            telemetry.NewTraceRing(64),
-		TraceDetailEvery: 2,
+		Name:            "tally",
+		Policy:          hooked{hooked{Binpack{}, hooks.hook}, scoring.hook},
+		Gang:            gd,
+		MaxBindsPerPass: 2,
+		Telemetry:       reg,
+		Trace:           telemetry.NewTraceRing(64),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sched.traceDetailEvery = 2
 	defer sched.Close()
 
 	submit := func(p *api.Pod, class api.WorkloadClass, scheduler string) {

@@ -107,13 +107,12 @@ type ClassesExpResult struct {
 	Violations int
 }
 
-// submitWaves submits the mixed fleet's waves from trace: fillers
+// submitWaves submits the mixed fleet's waves from trace: classFillers
 // best-effort jobs, held at least classFillerHold, run alone for
-// classFillLead; then perClass latency-sensitive and perClass batch jobs
-// arrive, interleaved, every sgxEvery-th latency-sensitive one an SGX job
-// (none when sgxEvery is zero). names formats the pods of the three waves
-// in that order.
-func submitWaves(tb *Testbed, trace *borg.Trace, fillers, perClass, sgxEvery int, names [3]string) error {
+// classFillLead; then classJobsPerClass latency-sensitive and as many
+// batch jobs arrive, interleaved, every sgxEvery-th latency-sensitive one
+// an SGX job (none when sgxEvery is zero).
+func submitWaves(tb *Testbed, trace *borg.Trace, sgxEvery int) error {
 	submit := func(job borg.Job, name string, class api.WorkloadClass, prio int32, sgxJob bool) error {
 		pod := multiSchedPod(job, sgxJob)
 		pod.Name, pod.Spec.Class, pod.Spec.Priority = name, class, prio
@@ -122,21 +121,21 @@ func submitWaves(tb *Testbed, trace *borg.Trace, fillers, perClass, sgxEvery int
 		}
 		return nil
 	}
-	for i := 0; i < fillers; i++ {
+	for i := 0; i < classFillers; i++ {
 		job := trace.Jobs[i]
 		job.Duration = max(job.Duration, classFillerHold)
-		if err := submit(job, fmt.Sprintf(names[0], i), api.ClassBestEffort, classBEPrio, false); err != nil {
+		if err := submit(job, fmt.Sprintf("be-%03d", i), api.ClassBestEffort, classBEPrio, false); err != nil {
 			return err
 		}
 	}
 	tb.Clk.Advance(classFillLead)
-	for i := 0; i < perClass; i++ {
+	for i := 0; i < classJobsPerClass; i++ {
 		sgxJob := sgxEvery > 0 && i%sgxEvery == 0
-		if err := submit(trace.Jobs[fillers+i], fmt.Sprintf(names[1], i),
+		if err := submit(trace.Jobs[classFillers+i], fmt.Sprintf("ls-%03d", i),
 			api.ClassLatencySensitive, classLatencyPrio, sgxJob); err != nil {
 			return err
 		}
-		if err := submit(trace.Jobs[fillers+perClass+i], fmt.Sprintf(names[2], i),
+		if err := submit(trace.Jobs[classFillers+classJobsPerClass+i], fmt.Sprintf("batch-%03d", i),
 			api.ClassBatch, classBatchPrio, false); err != nil {
 			return err
 		}
@@ -206,9 +205,7 @@ func ClassesMixedFleet(cfg ClassesExpConfig) (ClassesExpResult, error) {
 	start := clk.Now()
 	// The best-effort wave binds and spreads while nothing else is queued;
 	// the real work arrives on the occupied cluster.
-	err = submitWaves(tb, borg.NewGenerator(cfg.Seed).EvalSlice(), classFillers, classJobsPerClass, cfg.SGXEvery,
-		[3]string{"be-%03d", "ls-%03d", "batch-%03d"})
-	if err != nil {
+	if err := submitWaves(tb, borg.NewGenerator(cfg.Seed).EvalSlice(), cfg.SGXEvery); err != nil {
 		return ClassesExpResult{}, fmt.Errorf("classes: %w", err)
 	}
 	completed := clk.Run(srv.AllTerminal, start.Add(drainHorizon))

@@ -132,8 +132,8 @@ type Registry struct {
 	gauges     family[Gauge]
 	histograms family[Histogram]
 	collectors []func()
-	collecting bool
-	scratch    tsdb.Tags // ScrapeInto's one tag map
+	collectMu  sync.Mutex // held across one Collect's collector loop
+	scratch    tsdb.Tags  // ScrapeInto's one tag map
 }
 
 // New creates an enabled registry.
@@ -273,23 +273,20 @@ func (r *Registry) RegisterCollector(fn func()) {
 }
 
 // Collect runs the registered collectors, refreshing collector-backed
-// gauges. Reentrant calls from within a collector are ignored.
+// gauges. Concurrent calls — exports racing each other — take turns, and
+// each runs every collector, so an export never reads a gauge its own
+// call did not refresh, and no collector runs beside itself. A collector
+// must not export or call Collect: it would wait on itself.
 func (r *Registry) Collect() {
 	if r == nil {
 		return
 	}
+	r.collectMu.Lock()
+	defer r.collectMu.Unlock()
 	r.mu.Lock()
-	if r.collecting {
-		r.mu.Unlock()
-		return
-	}
-	r.collecting = true
 	fns := r.collectors
 	r.mu.Unlock()
 	for _, fn := range fns {
 		fn()
 	}
-	r.mu.Lock()
-	r.collecting = false
-	r.mu.Unlock()
 }

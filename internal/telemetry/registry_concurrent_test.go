@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +25,42 @@ import (
 func TestRegistryConcurrentRegistrationProperty(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { registryRace(t, seed) })
+	}
+}
+
+// TestRegistryCollectConcurrent: exports racing each other each run
+// every collector, one collector loop at a time, so no export reads a
+// gauge its own call did not refresh. Goroutines that call Collect at
+// once must add up to one run of every collector per call; a collector
+// that yields mid-loop hands the others every chance to overlap it.
+func TestRegistryCollectConcurrent(t *testing.T) {
+	const goroutines, rounds, collectors = 8, 50, 3
+	r := New()
+	var calls [collectors]atomic.Int64
+	for i := range calls {
+		r.RegisterCollector(func() {
+			calls[i].Add(1)
+			runtime.Gosched()
+		})
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for range rounds {
+				r.Collect()
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range calls {
+		if got := calls[i].Load(); got != goroutines*rounds {
+			t.Errorf("collector %d ran %d times for %d Collect calls", i, got, goroutines*rounds)
+		}
 	}
 }
 

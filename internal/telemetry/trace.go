@@ -46,7 +46,7 @@ type Span struct {
 // PassTrace is the record of one scheduling pass: wall timing, outcome
 // counts, and the stage spans. Detailed marks passes that carried
 // per-pod stage timing — prefilter, filter, score, permit and
-// preemption-plan (sampled — see core.Config.TraceDetailEvery);
+// preemption-plan (sampled, one pass in core.DefaultTraceDetailEvery);
 // undetailed passes still record the pass-level spans (snapshot-sync,
 // bind) and every outcome counter.
 type PassTrace struct {
