@@ -416,7 +416,7 @@ test files and bench/ included.`,
 		},
 	},
 	{
-		name: "one-watch-ring-four-entry-points",
+		name: "one-watch-ring-three-entry-points",
 		doc: `The watch stream is one ring in one total order. A subscription is
 sent either the whole stream or one node's sub-sequence of it, in the same
 order, and *apiserver.Server offers exactly three entry points:
@@ -1171,19 +1171,19 @@ func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), r func(Snapsh
 		{"no-map-keyed-by-resource-name", map[string]string{
 			"internal/resource/list_test.go": "package resource\n\nfunc TestX() { _ = map[Name]int64{} }\n",
 		}, "internal/resource/list_test.go:3"},
-		{"one-watch-ring-four-entry-points", map[string]string{
+		{"one-watch-ring-three-entry-points", map[string]string{
 			"internal/apiserver/server.go": server,
 			"internal/apiserver/keyed.go":  "package apiserver\n\nfunc (s *Server) SubscribeKeyed(key string, fn func(WatchEvent)) func() { return nil }\n",
 		}, "internal/apiserver/keyed.go:3"},
-		{"one-watch-ring-four-entry-points", map[string]string{
+		{"one-watch-ring-three-entry-points", map[string]string{
 			"internal/apiserver/server.go": server,
 			"internal/apiserver/pods.go":   "package apiserver\n\nfunc (s *Server) OnPods(fn func([]WatchEvent)) {}\n",
 		}, "internal/apiserver/pods.go:3"},
-		{"one-watch-ring-four-entry-points", map[string]string{
+		{"one-watch-ring-three-entry-points", map[string]string{
 			"internal/apiserver/server.go": server,
 			"internal/watch/ring.go":       "package watch\n\ntype ring struct{ byTopic map[string]int }\n",
 		}, "internal/watch/ring.go:3"},
-		{"one-watch-ring-four-entry-points", map[string]string{
+		{"one-watch-ring-three-entry-points", map[string]string{
 			"internal/apiserver/server.go": server,
 			"internal/apiserver/txn.go":    "package apiserver\n\nfunc (t *txn) publish(ev WatchEvent) int64 { return t.s.broker.Publish(\"\", ev, nil) }\n",
 			"internal/apiserver/fast.go":   "package apiserver\n\nfunc (s *Server) fastPublish(ev WatchEvent) {\n\ts.broker.Publish(\"\", ev, nil)\n}\n",

@@ -226,130 +226,21 @@ func (c *Cluster) WaitAll(max time.Duration) bool {
 	return c.tb.Clk.Run(c.tb.Srv.AllTerminal, c.tb.Clk.Now().Add(max))
 }
 
-// JobSpec describes one job submission.
-type JobSpec struct {
-	Name string
-	// Duration is the useful runtime of the workload.
-	Duration time.Duration
-	// Priority orders the pending queue (higher first, FCFS within a
-	// tier). When no node can host the job, the scheduler may preempt
-	// strictly lower-priority jobs to make room; equal priorities never
-	// preempt each other. Preempted jobs re-queue and reschedule.
-	Priority int32
-	// MemoryRequestBytes is the advertised standard memory.
-	MemoryRequestBytes int64
-	// EPCRequestBytes is the advertised enclave memory; a non-zero value
-	// makes this an SGX job (it will only run on SGX nodes).
-	EPCRequestBytes int64
-	// MemoryUsageBytes / EPCUsageBytes are what the workload actually
-	// allocates; they default to the corresponding request. Usage above
-	// the EPC request is killed when limit enforcement is on (§V-D).
-	MemoryUsageBytes int64
-	EPCUsageBytes    int64
-	// DynamicEPC runs the SGX 2 workload (§VI-G): the job holds
-	// EPCRequestBytes as baseline and bursts to EPCUsageBytes mid-run
-	// via dynamic EPC allocation. Requires an SGX2 node and a non-zero
-	// EPCRequestBytes: SubmitJob refuses a DynamicEPC job without one.
-	DynamicEPC bool
-	// EPCLimitBytes is the pod's driver-enforced EPC cap. It defaults to
-	// EPCRequestBytes for static jobs (usage beyond the advertisement is
-	// killed, §V-D) and to EPCUsageBytes (the burst peak) for DynamicEPC
-	// jobs.
-	EPCLimitBytes int64
-	// Gang names the job's pod group: members of the same gang schedule
-	// all-or-nothing — each one binds conditionally (a permit holding its
-	// capacity) until GangMinMember co-members hold permits, then the
-	// whole group commits atomically; if the quorum never arrives the
-	// permits roll back wholesale at the permit timeout.
-	Gang string
-	// GangMinMember is the quorum (defaults to 1; members of one gang
-	// should agree on it).
-	GangMinMember int
-	// Class declares the job's workload class (ClassLatencySensitive,
-	// ClassBatch or ClassBestEffort; empty for the default pipeline).
-	// The class selects the scheduling profile the job routes through
-	// and, for ClassBestEffort, marks it always preemption-eligible.
-	Class string
-}
+// JobSpec describes one job submission; its field docs are
+// experiments.Job's. A job has a name and a runtime; it requests memory
+// and, to be an SGX job, EPC; it allocates what its usage fields say, the
+// request by default; an SGX job's EPC limit defaults to its request, or
+// under DynamicEPC (the §VI-G SGX 2 burst) to its usage; and it may carry
+// a priority, a gang and a class. A trace replay scales each Borg record
+// into the same Job (experiments.TraceJob), so SubmitJob and
+// ReplayBorgTrace turn a job into a pod by one conversion.
+type JobSpec = experiments.Job
 
-// SubmitJob queues a job with the cluster's scheduler.
-func (c *Cluster) SubmitJob(spec JobSpec) error {
-	if spec.Name == "" {
-		return errors.New("sgxorch: job name required")
-	}
-	if spec.Duration < 0 {
-		return fmt.Errorf("sgxorch: negative duration %v", spec.Duration)
-	}
-	for _, b := range []int64{spec.MemoryRequestBytes, spec.EPCRequestBytes, spec.MemoryUsageBytes, spec.EPCUsageBytes, spec.EPCLimitBytes} {
-		if b < 0 {
-			return fmt.Errorf("sgxorch: job %s: negative byte quantity %d", spec.Name, b)
-		}
-	}
-	if spec.DynamicEPC && spec.EPCRequestBytes == 0 {
-		return fmt.Errorf("sgxorch: job %s: DynamicEPC needs an EPCRequestBytes baseline", spec.Name)
-	}
-	class := api.WorkloadClass(spec.Class)
-	if spec.Class != "" && !class.Known() {
-		return fmt.Errorf("sgxorch: unknown workload class %q", spec.Class)
-	}
-	var requests, limits resource.List
-	if spec.MemoryRequestBytes > 0 {
-		requests[resource.Memory] = spec.MemoryRequestBytes
-	}
-	var workload api.WorkloadSpec
-	if spec.EPCRequestBytes > 0 {
-		usage := spec.EPCUsageBytes
-		if usage == 0 {
-			usage = spec.EPCRequestBytes
-		}
-		kind := api.WorkloadStressEPC
-		var base int64
-		limitBytes := spec.EPCLimitBytes
-		if spec.DynamicEPC {
-			kind = api.WorkloadStressEPCDynamic
-			base = spec.EPCRequestBytes
-			if limitBytes == 0 {
-				limitBytes = usage
-			}
-		}
-		if limitBytes == 0 {
-			limitBytes = spec.EPCRequestBytes
-		}
-		requests[resource.EPCPages] = resource.PagesForBytes(spec.EPCRequestBytes)
-		limits[resource.EPCPages] = resource.PagesForBytes(limitBytes)
-		workload = api.WorkloadSpec{
-			Kind:       kind,
-			Duration:   spec.Duration,
-			AllocBytes: usage,
-			BaseBytes:  base,
-		}
-	} else {
-		usage := spec.MemoryUsageBytes
-		if usage == 0 {
-			usage = spec.MemoryRequestBytes
-		}
-		workload = api.WorkloadSpec{
-			Kind:       api.WorkloadStressVM,
-			Duration:   spec.Duration,
-			AllocBytes: usage,
-		}
-	}
-	pod := &api.Pod{
-		Name: spec.Name,
-		Spec: api.PodSpec{
-			Priority:  spec.Priority,
-			PodGroup:  spec.Gang,
-			MinMember: spec.GangMinMember,
-			Class:     class,
-			Containers: []api.Container{{
-				Name:      "workload",
-				Resources: api.Requirements{Requests: requests, Limits: limits},
-				Workload:  workload,
-			}},
-		},
-	}
-	return c.tb.Submit(pod)
-}
+// SubmitJob validates spec and queues its pod with the cluster's
+// scheduler. A job without a name, with a negative duration or byte
+// quantity, with EPCUsageBytes, EPCLimitBytes or DynamicEPC but no
+// EPCRequestBytes, or with an unknown class is refused.
+func (c *Cluster) SubmitJob(spec JobSpec) error { return c.tb.SubmitJob(spec) }
 
 // JobStatus reports one job's observable state.
 type JobStatus struct {

@@ -254,6 +254,8 @@ func TestSubmitJobValidation(t *testing.T) {
 		{Name: "neg", EPCRequestBytes: MiB, EPCUsageBytes: -1},
 		{Name: "neg", EPCRequestBytes: MiB, EPCLimitBytes: -1},
 		{Name: "dyn", DynamicEPC: true, EPCUsageBytes: 60 * MiB},
+		{Name: "epc", EPCUsageBytes: MiB},
+		{Name: "epc", EPCLimitBytes: MiB},
 	} {
 		if err := c.SubmitJob(bad); err == nil {
 			t.Fatalf("job %+v accepted", bad)

@@ -8,10 +8,13 @@
 //	              [-sgx-ratio R] [-seed S] [-metrics=true]
 //
 // The cluster is the paper's §VI-A testbed (one master, two 64 GiB
-// standard nodes, two SGX nodes with 128 MiB EPC). Jobs arrive over one
-// simulated hour; the tool reports per-job placements and the §VI-E
-// waiting-time summary. -sgx-ratio R in [0, 1] makes ⌈n·R⌉ of the first n
-// jobs SGX jobs, spread evenly: R = 1/k designates job-000, job-k, ….
+// standard nodes, two SGX nodes with 128 MiB EPC). The jobs are the first
+// N of the §VI-B evaluation slice, scaled as the trace replay scales them
+// (experiments.TraceJob): an SGX job asks for its EPC beside 16 MiB of
+// ordinary memory. Jobs arrive over one simulated hour; the tool reports
+// per-job placements and the §VI-E waiting-time summary. -sgx-ratio R in
+// [0, 1] makes ⌈n·R⌉ of the first n jobs SGX jobs, spread evenly: R = 1/k
+// designates job-000, job-k, ….
 package main
 
 import (
@@ -25,7 +28,7 @@ import (
 	"time"
 
 	sgxorch "github.com/sgxorch/sgxorch"
-	"github.com/sgxorch/sgxorch/internal/borg"
+	"github.com/sgxorch/sgxorch/internal/experiments"
 )
 
 func main() {
@@ -86,19 +89,8 @@ func run(args []string, stdout io.Writer) error {
 		n, sgxJobsAmong(n, *sgxRatio), *policy)
 
 	for i := 0; i < n; i++ {
-		job := trace.Jobs[i]
-		spec := sgxorch.JobSpec{
-			Name:     fmt.Sprintf("job-%03d", i),
-			Duration: job.Duration,
-		}
-		if isSGXJob(i, *sgxRatio) {
-			spec.EPCRequestBytes = borg.SGXMemBytes(job.AssignedMemFrac)
-			spec.EPCUsageBytes = borg.SGXMemBytes(job.MaxMemFrac)
-		} else {
-			spec.MemoryRequestBytes = borg.StandardMemBytes(job.AssignedMemFrac)
-			spec.MemoryUsageBytes = borg.StandardMemBytes(job.MaxMemFrac)
-		}
-		if err := cluster.SubmitJob(spec); err != nil {
+		job := experiments.TraceJob(fmt.Sprintf("job-%03d", i), trace.Jobs[i], isSGXJob(i, *sgxRatio), false)
+		if err := cluster.SubmitJob(job); err != nil {
 			return err
 		}
 	}

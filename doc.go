@@ -63,7 +63,12 @@
 // that tail). A test pins that the two public entry points are the same
 // machine: the §VI-B slice agrees job for job — phase, waiting time,
 // turnaround — between ReplayBorgTrace and the same jobs submitted to a
-// Cluster.
+// Cluster. The two turn a job into a pod by one conversion: JobSpec is
+// experiments.Job, which SubmitJob validates and converts through the
+// Testbed, and the replay submits, for each trace record, the Job that
+// experiments.TraceJob scales it into by §VI-B's rule (requests carry the
+// assigned memory, the workload allocates the maximal usage, and an SGX
+// job's memory becomes EPC beside 16 MiB of ordinary memory).
 //
 // Resource quantities (internal/resource) are values. The paper makes EPC
 // one more countable item beside CPU and memory (§V-A), so the vocabulary

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -30,8 +31,9 @@ type ReplayConfig struct {
 	// while declaring a single page.
 	MaliciousEPCFraction float64
 	// DynamicEPC converts SGX jobs to the SGX 2 dynamic workload (§VI-G):
-	// they request half their peak as baseline, declare the peak as
-	// limit, and burst via EAUG mid-run. Requires an SGX2 testbed.
+	// they request half their advertisement as baseline, declare the
+	// advertisement as limit, and burst via EAUG mid-run to their maximal
+	// usage (TraceJob). Requires an SGX2 testbed.
 	DynamicEPC bool
 	// Horizon caps the simulation (24 h when zero).
 	Horizon time.Duration
@@ -55,7 +57,8 @@ type JobOutcome struct {
 	// Turnaround is submission → termination (§VI-E).
 	Turnaround time.Duration
 	// RequestBytes is the advertised memory after §VI-B scaling — the
-	// x-axis of Fig. 9.
+	// x-axis of Fig. 9: a standard job's memory request, an SGX job's EPC
+	// limit, which TraceJob sets to the advertisement in either mode.
 	RequestBytes int64
 }
 
@@ -171,12 +174,13 @@ func (tb *Testbed) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 			})
 			continue
 		}
+		job := TraceJob(pod.Name, jobs[i], isSGX[i], cfg.DynamicEPC)
 		o := JobOutcome{
 			Name:         pod.Name,
 			SGX:          isSGX[i],
 			Phase:        pod.Status.Phase,
 			Submit:       jobs[i].Submit,
-			RequestBytes: advertisedBytes(jobs[i], isSGX[i]),
+			RequestBytes: cmp.Or(job.EPCLimitBytes, job.MemoryRequestBytes),
 		}
 		if w, ok := pod.WaitingTime(); ok {
 			o.Waiting, o.Started = w, true
@@ -247,7 +251,9 @@ func (r *submitter) arm() []submission {
 // Fire submits the job.
 func (s *submission) Fire() {
 	r := s.r
-	r.pod = tracePod(&r.ctr, s.name, r.jobs[s.job], r.isSGX[s.job], r.dynamicEPC)
+	job := TraceJob(s.name, r.jobs[s.job], r.isSGX[s.job], r.dynamicEPC)
+	job.fill(&r.pod, &r.ctr)
+	r.pod.Spec.SchedulerName = SchedulerName
 	// CreatePod only fails on duplicate names, which the replay's naming
 	// scheme excludes.
 	_ = r.tb.Srv.CreatePod(&r.pod)
@@ -288,80 +294,6 @@ func appendTraceJobName(b []byte, id int64) []byte {
 		b = append(b, '0')
 	}
 	return append(b, d...)
-}
-
-// tracePod converts a trace job into a pod spec with §VI-B scaling:
-// requests carry the *assigned* memory, the workload allocates the
-// *maximal* usage ("the job will allocate the amount given in the maximal
-// memory usage field"). With dynamicEPC (the §VI-G SGX 2 mode), SGX jobs
-// request half their advertisement as steady-state baseline and declare
-// the full advertisement as their burst limit. name is the job's
-// traceJobName. The pod's one container is ctr[0], which tracePod
-// overwrites.
-func tracePod(ctr *[1]api.Container, name string, job borg.Job, sgxJob, dynamicEPC bool) api.Pod {
-	if sgxJob {
-		advBytes := borg.SGXMemBytes(job.AssignedMemFrac)
-		reqPages := resource.PagesForBytes(advBytes)
-		if reqPages < 1 {
-			reqPages = 1
-		}
-		workload := api.WorkloadSpec{
-			Kind:       api.WorkloadStressEPC,
-			Duration:   job.Duration,
-			AllocBytes: borg.SGXMemBytes(job.MaxMemFrac),
-		}
-		limitPages := reqPages
-		if dynamicEPC {
-			workload.Kind = api.WorkloadStressEPCDynamic
-			workload.BaseBytes = workload.AllocBytes / 2
-			// Baseline reserved as device items; peak bounded by the
-			// driver limit.
-			reqPages = resource.PagesForBytes(advBytes / 2)
-			if reqPages < 1 {
-				reqPages = 1
-			}
-		}
-		ctr[0] = api.Container{
-			Name:  "stress-sgx",
-			Image: "sebvaucher/sgx-base:stress-sgx",
-			Resources: api.Requirements{
-				Requests: resource.List{
-					resource.Memory:   16 * resource.MiB,
-					resource.EPCPages: reqPages,
-				},
-				Limits: resource.List{resource.EPCPages: limitPages},
-			},
-			Workload: workload,
-		}
-	} else {
-		ctr[0] = api.Container{
-			Name:  "stress-ng",
-			Image: "stress-ng:vm",
-			Resources: api.Requirements{
-				Requests: resource.List{resource.Memory: borg.StandardMemBytes(job.AssignedMemFrac)},
-			},
-			Workload: api.WorkloadSpec{
-				Kind:       api.WorkloadStressVM,
-				Duration:   job.Duration,
-				AllocBytes: borg.StandardMemBytes(job.MaxMemFrac),
-			},
-		}
-	}
-	return api.Pod{
-		Name: name,
-		Spec: api.PodSpec{
-			SchedulerName: SchedulerName,
-			Containers:    ctr[:],
-		},
-	}
-}
-
-// advertisedBytes is the scaled advertised memory (Fig. 9's x-axis).
-func advertisedBytes(job borg.Job, sgxJob bool) int64 {
-	if sgxJob {
-		return borg.SGXMemBytes(job.AssignedMemFrac)
-	}
-	return borg.StandardMemBytes(job.AssignedMemFrac)
 }
 
 // deployMalicious statically places malicious containers (Fig. 11): each

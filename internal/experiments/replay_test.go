@@ -14,7 +14,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
 	"github.com/sgxorch/sgxorch/internal/model"
-	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
 func evalTrace(seed int64) *borg.Trace {
@@ -211,33 +210,10 @@ func TestDesignateSGXRatioExact(t *testing.T) {
 	}
 }
 
-func TestTracePodScaling(t *testing.T) {
-	job := borg.Job{ID: 7, Duration: time.Minute, AssignedMemFrac: 0.1, MaxMemFrac: 0.08}
-	var ctr [1]api.Container
-	sgxPod := tracePod(&ctr, traceJobName(job.ID), job, true, false)
-	if !sgxPod.IsSGX() {
-		t.Fatal("SGX pod not SGX")
-	}
-	wantPages := (borg.SGXMemBytes(0.1) + 4095) / 4096
-	if got := sgxPod.TotalRequests().Get(resource.EPCPages); got != wantPages {
-		t.Fatalf("EPC request = %d, want %d", got, wantPages)
-	}
-	stdPod := tracePod(&ctr, traceJobName(job.ID), job, false, false)
-	if stdPod.IsSGX() {
-		t.Fatal("standard pod is SGX")
-	}
-	if got := stdPod.TotalRequests().Get(resource.Memory); got != borg.StandardMemBytes(0.1) {
-		t.Fatalf("memory request = %d", got)
-	}
-	if stdPod.Spec.Containers[0].Workload.AllocBytes != borg.StandardMemBytes(0.08) {
-		t.Fatal("workload allocates advertised, want maximal usage")
-	}
-}
-
 // TestReplayStoresDistinctPods: the replay submits every job through one
 // scratch pod, so it relies on CreatePod storing a clone. On a 64-job
 // replay, the version each PodCreated event carried still holds, after
-// the whole run, the spec tracePod builds for its job, and no two of them,
+// the whole run, the spec TraceJob's job fills for it, and no two of them,
 // nor the scratch, share a Containers backing array.
 func TestReplayStoresDistinctPods(t *testing.T) {
 	trace := evalTrace(1)
@@ -266,8 +242,10 @@ func TestReplayStoresDistinctPods(t *testing.T) {
 	arrays := map[*api.Container]string{&r.ctr[0]: "the scratch"}
 	for i, p := range created {
 		s := &subs[i]
-		var ctr [1]api.Container
-		want := tracePod(&ctr, s.name, jobs[s.job], r.isSGX[s.job], false)
+		var want api.Pod
+		job := TraceJob(s.name, jobs[s.job], r.isSGX[s.job], false)
+		job.fill(&want, new([1]api.Container))
+		want.Spec.SchedulerName = SchedulerName
 		if p.Name != want.Name || !reflect.DeepEqual(p.Spec, want.Spec) {
 			t.Fatalf("pod %d stored as %s %+v, want %s %+v", i, p.Name, p.Spec, want.Name, want.Spec)
 		}

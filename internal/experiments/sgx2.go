@@ -13,10 +13,11 @@ import (
 // same all-SGX trace slice is replayed twice on SGX 2 hardware —
 //
 //   - SGX 1 style: every job commits its peak for its whole runtime and
-//     must request peak pages up front;
-//   - SGX 2 style: jobs request half their peak as steady-state baseline
-//     (device items), declare the peak as their driver-enforced limit,
-//     and burst via EAUG only for the middle third of their runtime.
+//     must request its whole advertisement up front;
+//   - SGX 2 style: jobs request half their advertisement as steady-state
+//     baseline (device items), declare the advertisement as their
+//     driver-enforced limit, and burst via EAUG to their peak only for
+//     the middle third of their runtime (TraceJob).
 //
 // The usage-aware scheduler (unchanged, as §VI-G predicts: "our solution
 // will work out-of-the-box") converts the freed baseline into admission
