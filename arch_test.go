@@ -44,6 +44,7 @@ type srcFile struct {
 type codebase struct {
 	fset  *token.FileSet
 	files []*srcFile
+	typed map[string]*typedPackage // typeCheck's result, once computed
 }
 
 func (c *codebase) add(name string, src any) error {
@@ -489,11 +490,11 @@ the broker's Publish.`,
 internal/experiments/testbed.go's NewTestbed: under the simulated clock
 the order components register in decides how same-instant events fire,
 so it is part of every golden digest and sim_digest, and a second
-assembly is a second place to get it wrong. cmd/sgx-probe is a component
-demo (one node, the probe only, no scheduler); bench/ mirrors the
-assembly under spans and is its own module; tests build what they test.`,
+assembly is a second place to get it wrong. cmd/sgx-probe's one-node
+demo is a TestbedConfig too. bench/ mirrors the assembly under spans and
+is its own module; tests build what they test.`,
 		check: forbidRefs(func(f *srcFile) bool {
-			return f.test || f.path == "internal/experiments/testbed.go" || within(f.dir, "cmd/sgx-probe") || within(f.dir, "bench")
+			return f.test || f.path == "internal/experiments/testbed.go" || within(f.dir, "bench")
 		},
 			modulePath+"/internal/kubelet.New",
 			modulePath+"/internal/monitor.NewHeapster",
@@ -514,8 +515,8 @@ its step (Scheduler.ScheduleOnce, ShardedSchedulers.RunRound,
 Heapster.Scrape, Registry.ScrapeInto) and arms nothing.
 internal/experiments/replay.go's Fig. 7 sampler only reads the run it
 samples; internal/tsdb's retention sweep is the database's own
-housekeeping; cmd/sgx-probe is a component demo; bench/ mirrors the
-assembly under spans and is its own module; tests arm what they test.`,
+housekeeping; bench/ mirrors the assembly under spans and is its own
+module; tests arm what they test.`,
 		check: func(c *codebase) []string {
 			const testbed, periodic = "internal/experiments/testbed.go", modulePath + "/internal/clock.Periodic"
 			out := forbidRefs(func(f *srcFile) bool {
@@ -523,7 +524,7 @@ assembly under spans and is its own module; tests arm what they test.`,
 				case testbed, "internal/experiments/replay.go", "internal/tsdb/tsdb.go":
 					return true
 				}
-				return f.test || within(f.dir, "cmd/sgx-probe") || within(f.dir, "bench")
+				return f.test || within(f.dir, "bench")
 			}, periodic)(c)
 			round := forbidRefs(func(f *srcFile) bool { return f.path != testbed }, periodic)(c)
 			for _, ref := range round[min(len(round), 1):] {
@@ -606,6 +607,49 @@ testbed and its audit.`,
 					}
 				})
 			}
+			return out
+		},
+	},
+	{
+		name: "one-job-to-pod-conversion",
+		doc: `A job becomes a pod in one place, internal/experiments/job.go: the
+replay, Cluster.SubmitJob, sgx-scheduler and every experiment's backlog
+describe what they submit as an experiments.Job (TraceJob holds §VI-B's
+scaling of a trace record), and Job.fill is the one conversion. An
+api.Pod or api.Container literal elsewhere in the non-test files of
+internal/ or the root package is a second conversion that no test keeps
+equal to the first (the 16 MiB beside an SGX job's enclave, its
+one-page floor). The types are resolved, so an elided {…} inside a
+[]api.Container literal counts too. cmd/ demos that bind pods by hand
+and bench/ are outside the rule; tests build what they test.`,
+		check: func(c *codebase) (out []string) {
+			for dir, p := range typeCheck(c) {
+				if dir != "." && !within(dir, "internal") {
+					continue
+				}
+				for _, f := range p.files {
+					if f.path == "internal/experiments/job.go" {
+						continue
+					}
+					ast.Inspect(f.syntax, func(n ast.Node) bool {
+						lit, ok := n.(*ast.CompositeLit)
+						if !ok {
+							return true
+						}
+						t := p.info.TypeOf(lit)
+						if ptr, ok := t.(*types.Pointer); ok {
+							t = ptr.Elem() // an elided &T{…}
+						}
+						if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == modulePath+"/internal/api" {
+							if name := named.Obj().Name(); name == "Pod" || name == "Container" {
+								out = append(out, c.at(lit.Pos())+": an api."+name+" literal: fill an experiments.Job instead")
+							}
+						}
+						return true
+					})
+				}
+			}
+			sort.Strings(out)
 			return out
 		},
 	},
@@ -827,11 +871,15 @@ type typedPackage struct {
 	pkg   *types.Package
 }
 
-// typeCheck type-checks the non-test files of c, a package per directory.
-// An import of the module resolves to the package checked here, so each
-// declaration is one object across the codebase, bench/ included. Type
-// errors are ignored: what does check still resolves.
+// typeCheck type-checks the non-test files of c, a package per directory,
+// once per codebase. An import of the module resolves to the package
+// checked here, so each declaration is one object across the codebase,
+// bench/ included. Type errors are ignored: what does check still
+// resolves.
 func typeCheck(c *codebase) map[string]*typedPackage {
+	if c.typed != nil {
+		return c.typed
+	}
 	pkgs := map[string]*typedPackage{}
 	for _, f := range c.files {
 		if !f.test {
@@ -855,7 +903,7 @@ func typeCheck(c *codebase) map[string]*typedPackage {
 	check = func(dir string) *types.Package {
 		p := pkgs[dir]
 		if p.info == nil {
-			p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+			p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 			syntax := make([]*ast.File, len(p.files))
 			for i, f := range p.files {
 				syntax[i] = f.syntax
@@ -867,6 +915,7 @@ func typeCheck(c *codebase) map[string]*typedPackage {
 	for dir := range pkgs {
 		check(dir)
 	}
+	c.typed = pkgs
 	return pkgs
 }
 
@@ -1147,6 +1196,7 @@ func (s *Server) SubscribeBatch(fn func([]WatchEvent), r func(Snapshot)) func() 
 func (s *Server) ListAndWatchBatch(fn func([]WatchEvent), r func(Snapshot)) (Snapshot, func()) { return Snapshot{}, nil }
 func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), r func(Snapshot)) func() { return nil }
 `
+	const apiTypes = "package api\n\ntype Container struct{ Name string }\n\ntype Pod struct {\n\tName       string\n\tContainers []Container\n}\n"
 	cases := []struct {
 		rule  string
 		files map[string]string
@@ -1233,6 +1283,19 @@ func held(ev apiserver.WatchEvent) bool {
 		{"one-audited-testbed", map[string]string{
 			"cluster.go": "package sgxorch\n\nimport \"github.com/sgxorch/sgxorch/internal/core\"\n\nvar gangs = core.NewGangDirector(nil, nil, core.GangConfig{})\n",
 		}, "cluster.go:5"},
+		{"one-job-to-pod-conversion", map[string]string{
+			"internal/api/types.go":             apiTypes,
+			"internal/experiments/job.go":       "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/api\"\n\nvar pod = api.Pod{}\n",
+			"internal/experiments/malicious.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/api\"\n\nvar ctrs = []api.Container{\n\t{Name: \"malicious\"},\n}\n",
+		}, "internal/experiments/malicious.go:6"},
+		{"one-job-to-pod-conversion", map[string]string{
+			"internal/api/types.go": apiTypes,
+			"cluster.go":            "package sgxorch\n\nimport \"github.com/sgxorch/sgxorch/internal/api\"\n\nfunc submit() *api.Pod { return &api.Pod{Name: \"job\"} }\n",
+		}, "cluster.go:5"},
+		{"one-job-to-pod-conversion", map[string]string{
+			"internal/api/types.go":        apiTypes,
+			"internal/experiments/gang.go": "package experiments\n\nimport \"github.com/sgxorch/sgxorch/internal/api\"\n\nvar pods = []*api.Pod{\n\t{Name: \"member\"},\n}\n",
+		}, "internal/experiments/gang.go:6"},
 		{"the-pass-reads-no-server-queue", map[string]string{
 			"internal/core/pass.go": "package core\n\nfunc pass(s interface{ PendingCount() int }) { depth := s.PendingCount; _ = depth }\n",
 		}, "internal/core/pass.go:3"},

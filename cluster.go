@@ -196,7 +196,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Interval:   cfg.SchedulerInterval,
 			UseMetrics: !cfg.DisableMetrics,
 		},
-		Gangs: true,
 	}
 	if !cfg.DisableTelemetry {
 		tcfg.Scheduler.Telemetry = telemetry.New()

@@ -3,12 +3,15 @@ package sgxorch
 import (
 	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/borg"
+	"github.com/sgxorch/sgxorch/internal/experiments"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 )
 
@@ -298,18 +301,31 @@ func TestReplayBorgTraceFacade(t *testing.T) {
 }
 
 // The two public entry points are the same machine. Both stand on one
-// experiments.Testbed assembly; NewCluster adds a gang director and a class
-// registry, and claims jobs that declare neither schedule exactly as they
-// would without them. So the §VI-B slice replayed on the testbed and the
-// same jobs submitted to a Cluster at their trace offsets must agree, job
-// for job, on phase, waiting time and turnaround. The seed-1 replay is
-// also a referee of the reference model's audit: an event it refused
-// fails ReplayBorgTrace.
+// experiments.Testbed assembly and turn a job into a pod by one
+// conversion (experiments.Job), and NewCluster claims that jobs which
+// declare no class or gang schedule as the replay's do. So the §VI-B
+// slice replayed on the testbed and the same jobs, written out here as
+// JobSpecs, submitted to a Cluster at their trace offsets must agree, job
+// for job, on phase, waiting time and turnaround, and on the requests
+// and limits each side stored. The last catches a scaling the replay and
+// these JobSpecs disagree on even where it moves no placement: the
+// 16 MiB beside an SGX job's enclave never decides a fit on the 8 GiB
+// SGX nodes. The replay's pods are read from a replay on
+// ReplayBorgTrace's own testbed, which must return what ReplayBorgTrace
+// does. The seed-1 replay is also a referee of the reference model's
+// audit: an event it refused fails ReplayBorgTrace.
 func TestReplayAndClusterAgreeJobForJob(t *testing.T) {
 	trace := GenerateBorgEvalSlice(1)
 	res, err := ReplayBorgTrace(ReplayOptions{Trace: trace, Seed: 1, SGXRatio: 0.5})
 	if err != nil {
 		t.Fatal(err)
+	}
+	replay, err := experiments.NewTestbed(experiments.Paper(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := replay.Replay(experiments.ReplayConfig{Trace: trace, SGXRatio: 0.5, Seed: 1}); err != nil || !reflect.DeepEqual(again, res) {
+		t.Fatalf("the replay on ReplayBorgTrace's testbed (%v) differs from ReplayBorgTrace", err)
 	}
 	c, err := NewCluster(ClusterConfig{DisableTelemetry: true})
 	if err != nil {
@@ -339,16 +355,27 @@ func TestReplayAndClusterAgreeJobForJob(t *testing.T) {
 	if drained := c.WaitAll(24 * time.Hour); !res.Completed || !drained {
 		t.Fatalf("replay completed = %v, cluster drained = %v", res.Completed, drained)
 	}
+	sameResources := func(a, b api.Container) bool { return a.Resources == b.Resources }
 	differ := 0
 	for _, o := range res.Outcomes {
 		st, err := c.JobStatus(o.Name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Phase != string(o.Phase) || st.Started != o.Started || st.Waiting != o.Waiting || st.Turnaround != o.Turnaround {
+		submitted, err := c.tb.Srv.GetPod(o.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := replay.Srv.GetPod(o.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Phase != string(o.Phase) || st.Started != o.Started || st.Waiting != o.Waiting || st.Turnaround != o.Turnaround ||
+			!slices.EqualFunc(submitted.Spec.Containers, replayed.Spec.Containers, sameResources) {
 			if differ++; differ <= 5 {
-				t.Errorf("%s: cluster %s wait %v turnaround %v, replay %s wait %v turnaround %v",
-					o.Name, st.Phase, st.Waiting, st.Turnaround, o.Phase, o.Waiting, o.Turnaround)
+				t.Errorf("%s: cluster %s wait %v turnaround %v stored %+v, replay %s wait %v turnaround %v stored %+v",
+					o.Name, st.Phase, st.Waiting, st.Turnaround, submitted.Spec.Containers,
+					o.Phase, o.Waiting, o.Turnaround, replayed.Spec.Containers)
 			}
 		}
 	}

@@ -2,7 +2,9 @@
 // workloads run on a simulated node, the metrics probe pushes their EPC
 // usage into the time-series database, and the paper's Listing 1 query is
 // executed against it. The query's window is Listing 1's verbatim 25 s,
-// not a flag.
+// not a flag. The node and its monitoring plane are one
+// experiments.Testbed; the demo creates its pods and binds them by hand,
+// and one beyond the free EPC is refused at the bind (§V-A).
 //
 // Usage:
 //
@@ -22,14 +24,11 @@ import (
 
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
-	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/core"
+	"github.com/sgxorch/sgxorch/internal/experiments"
 	"github.com/sgxorch/sgxorch/internal/influxql"
-	"github.com/sgxorch/sgxorch/internal/kubelet"
-	"github.com/sgxorch/sgxorch/internal/machine"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
-	"github.com/sgxorch/sgxorch/internal/sgx"
-	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
 // listing1 is the verbatim query of §V-C.
@@ -61,21 +60,19 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-interval must be positive, got %v", *interval)
 	}
 
-	clk := clock.NewSim()
-	srv := apiserver.New(clk)
-	db := tsdb.New(clk)
-	m := machine.New("sgx-1", 8*resource.GiB, 8000, machine.WithSGX(sgx.DefaultGeometry()))
-	kl := kubelet.New(clk, srv, m)
-	if err := kl.Start(); err != nil {
+	// One SGX node under a request-only scheduler: the demo's pods name
+	// no scheduler and are bound by hand, so the pass never sees them.
+	tb, err := experiments.NewTestbed(experiments.TestbedConfig{
+		Nodes:          experiments.Fleet(0, 1, experiments.DefaultEPC, false),
+		ScrapeInterval: *interval,
+		Scheduler:      core.Config{Name: "sgx-probe", Policy: core.Binpack{}},
+	})
+	if err != nil {
 		return err
 	}
-	defer kl.Stop()
-
-	probes := monitor.NewProbes(db, []*kubelet.Kubelet{kl})
-	for _, p := range probes {
-		defer clock.Periodic(clk, *interval, p.Scrape)()
-	}
-	fmt.Fprintf(stdout, "deployed %d probe(s) via DaemonSet on SGX-enabled nodes\n", len(probes))
+	defer tb.Close()
+	// The testbed runs a probe on every SGX node, here every node.
+	fmt.Fprintf(stdout, "deployed %d probe(s) via DaemonSet on SGX-enabled nodes\n", len(tb.Kubelets))
 
 	for i := 0; i < *pods; i++ {
 		pages := int64(2560 * (i + 1))
@@ -94,10 +91,10 @@ func run(args []string, stdout io.Writer) error {
 				},
 			}}},
 		}
-		if err := srv.CreatePod(pod); err != nil {
+		if err := tb.Srv.CreatePod(pod); err != nil {
 			return err
 		}
-		if err := srv.Bind(pod.Name, "sgx-1"); err != nil {
+		if err := tb.Srv.Bind(pod.Name, "sgx-1"); err != nil {
 			if errors.Is(err, apiserver.ErrConflict) {
 				// Expected once the pool runs out: the conditional bind
 				// refuses EPC over-commitment at admission (§V-A).
@@ -109,17 +106,17 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	// Let workloads start and the probe collect a few samples.
-	clk.Advance(45 * time.Second)
+	tb.Clk.Advance(45 * time.Second)
 
 	fmt.Fprintln(stdout, "\ndriver counters:")
-	sysfs := m.Driver().Sysfs()
+	sysfs := tb.Kubelets[0].Machine().Driver().Sysfs()
 	for _, path := range slices.Sorted(maps.Keys(sysfs)) {
 		fmt.Fprintf(stdout, "  %s = %s\n", path, sysfs[path])
 	}
 
 	fmt.Fprintln(stdout, "\nListing 1 (verbatim InfluxQL):")
 	fmt.Fprintln(stdout, listing1)
-	res, err := influxql.Execute(db, listing1)
+	res, err := influxql.Execute(tb.DB, listing1)
 	if err != nil {
 		return err
 	}
@@ -130,7 +127,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	fmt.Fprintln(stdout, "\nper-pod window peaks (tsdb scan path):")
-	peaks := monitor.WindowPeak(db, monitor.MeasurementEPC, 25*time.Second)
+	peaks := monitor.WindowPeak(tb.DB, monitor.MeasurementEPC, 25*time.Second)
 	keys := make([]monitor.PodNode, 0, len(peaks))
 	for key := range peaks {
 		keys = append(keys, key)

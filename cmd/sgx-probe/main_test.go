@@ -1,9 +1,48 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run")
+
+// TestOutputGolden pins the whole output at the defaults and at
+// -pods 5 -interval 7s, where the last two pods find the EPC pool
+// exhausted and the bind refuses them. The driver counters, Listing 1's
+// sum and the window peaks follow from the simulated clock, so any
+// change to them is a change in behaviour. Run with -update to accept a
+// new output.
+func TestOutputGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"defaults.golden", nil},
+		{"pods5-interval7s.golden", []string{"-pods", "5", "-interval", "7s"}},
+	} {
+		var out strings.Builder
+		if err := run(tc.args, &out); err != nil {
+			t.Fatal(err)
+		}
+		golden := filepath.Join("testdata", tc.golden)
+		if *update {
+			if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != string(want) {
+			t.Fatalf("sgx-probe %v differs from %s (rerun with -update to accept):\n--- got\n%s--- want\n%s", tc.args, golden, out.String(), want)
+		}
+	}
+}
 
 // TestRunAtDefaults runs the monitoring pipeline at its defaults: three
 // pods on one SGX node, and Listing 1 answering for that node.

@@ -61,6 +61,26 @@ func TestRunSubmitsRatioShare(t *testing.T) {
 	}
 }
 
+// TestJobsArriveAtTheirTraceOffsets: each job is submitted at its trace
+// offset, so with -jobs 10 the printed waits differ from job to job. Were
+// every job submitted at t = 0, each would wait for the first pass and
+// all ten would print the same wait.
+func TestJobsArriveAtTheirTraceOffsets(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-jobs", "10"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	waits := map[string]bool{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && strings.HasPrefix(f[0], "job-") {
+			waits[f[3]] = true
+		}
+	}
+	if len(waits) < 2 {
+		t.Fatalf("the ten jobs print %d distinct waits, want them to differ:\n%s", len(waits), out.String())
+	}
+}
+
 // TestHelpIsNotAnError: -h prints the usage alone and, as with the
 // standard flag set, is not an error; an unknown flag still is.
 func TestHelpIsNotAnError(t *testing.T) {

@@ -37,13 +37,13 @@
 // top. It arms the control plane's one periodic timer too, the control
 // round: the schedulers and the collectors expose only their step (a
 // pass, a round, a scrape) and arm nothing. A TestbedConfig names the nodes, limit enforcement, the scrape
-// interval and a core.Config, plus the shard count, concurrent rounds, a
-// shared gang director and the admission mode. NewCluster translates
-// ClusterConfig into one — a class-aware scheduler with a gang director
-// and, unless telemetry is disabled, a registry and a pass-trace ring —
-// and every experiment — the figure harnesses, the ablations, the
-// multi-scheduler, gang and class fleets and ReplayBorgTrace — is
-// another. The Paper preset is
+// interval and a core.Config, plus the shard count, concurrent rounds and
+// the admission mode; every testbed builds one gang director its
+// schedulers share. NewCluster translates ClusterConfig into one — a
+// class-aware scheduler and, unless telemetry is disabled, a registry
+// and a pass-trace ring — and every experiment — the figure harnesses,
+// the ablations, the multi-scheduler, gang and class fleets and
+// ReplayBorgTrace — is another, as is cmd/sgx-probe's one-node demo. The Paper preset is
 // §VI-A: one master, two 64 GiB standard nodes and two 8 GiB SGX nodes
 // with 128 MiB of EPC under the paper's scheduler. Every testbed's
 // reference-model audit subscribes before the first node registers, so it
@@ -62,13 +62,16 @@
 // publishes its node's NotReady update, and the determinism tests digest
 // that tail). A test pins that the two public entry points are the same
 // machine: the §VI-B slice agrees job for job — phase, waiting time,
-// turnaround — between ReplayBorgTrace and the same jobs submitted to a
-// Cluster. The two turn a job into a pod by one conversion: JobSpec is
+// turnaround, stored requests and limits — between ReplayBorgTrace and
+// the same jobs submitted to a Cluster. Every pod either submits, and
+// every pod an experiment makes, comes from one conversion: JobSpec is
 // experiments.Job, which SubmitJob validates and converts through the
 // Testbed, and the replay submits, for each trace record, the Job that
 // experiments.TraceJob scales it into by §VI-B's rule (requests carry the
 // assigned memory, the workload allocates the maximal usage, and an SGX
-// job's memory becomes EPC beside 16 MiB of ordinary memory).
+// job's memory becomes EPC beside 16 MiB of ordinary memory, at least
+// one page). The experiments' backlogs and Fig. 11's malicious tenants
+// are Jobs too.
 //
 // Resource quantities (internal/resource) are values. The paper makes EPC
 // one more countable item beside CPU and memory (§V-A), so the vocabulary

@@ -113,10 +113,10 @@ type ClassesExpResult struct {
 // batch jobs arrive, interleaved, every sgxEvery-th latency-sensitive one
 // an SGX job (none when sgxEvery is zero).
 func submitWaves(tb *Testbed, trace *borg.Trace, sgxEvery int) error {
-	submit := func(job borg.Job, name string, class api.WorkloadClass, prio int32, sgxJob bool) error {
-		pod := multiSchedPod(job, sgxJob)
-		pod.Name, pod.Spec.Class, pod.Spec.Priority = name, class, prio
-		if err := tb.Submit(pod); err != nil {
+	submit := func(record borg.Job, name string, class api.WorkloadClass, prio int32, sgxJob bool) error {
+		job := TraceJob(name, record, sgxJob, false)
+		job.Class, job.Priority = string(class), prio
+		if err := tb.Submit(multiSchedPod(job)); err != nil {
 			return fmt.Errorf("submitting %s: %w", name, err)
 		}
 		return nil

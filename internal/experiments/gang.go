@@ -90,7 +90,6 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 			MaxBindsPerPass: gangBindsPerPass,
 		},
 		Shards:    cfg.Shards,
-		Gangs:     true,
 		Admission: apiserver.AdmitStrict,
 		// A partial gang counts at every accepted event of the gang that
 		// finds it so.
@@ -114,15 +113,15 @@ func GangDrain(cfg GangExpConfig) (GangExpResult, error) {
 	for i := 0; i < gangCount; i++ {
 		group := fmt.Sprintf("gang-%03d", i)
 		for m := 0; m < gangSize; m++ {
-			pod := multiSchedPod(trace.Jobs[i], false)
-			pod.Name, pod.Spec.PodGroup, pod.Spec.MinMember = fmt.Sprintf("%s-m%d", group, m), group, gangSize
-			if err := tb.Submit(pod); err != nil {
+			job := TraceJob(fmt.Sprintf("%s-m%d", group, m), trace.Jobs[i], false, false)
+			job.Gang, job.GangMinMember = group, gangSize
+			if err := tb.Submit(multiSchedPod(job)); err != nil {
 				return GangExpResult{}, fmt.Errorf("gang: submitting backlog: %w", err)
 			}
 		}
 	}
-	for i := 0; i < gangSoloJobs; i++ {
-		if err := tb.Submit(multiSchedPod(trace.Jobs[gangCount+i], false)); err != nil {
+	for _, job := range trace.Jobs[gangCount : gangCount+gangSoloJobs] {
+		if err := tb.Submit(multiSchedPod(TraceJob(traceJobName(job.ID), job, false, false))); err != nil {
 			return GangExpResult{}, fmt.Errorf("gang: submitting backlog: %w", err)
 		}
 	}

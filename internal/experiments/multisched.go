@@ -9,7 +9,6 @@ import (
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/borg"
 	"github.com/sgxorch/sgxorch/internal/core"
-	"github.com/sgxorch/sgxorch/internal/resource"
 )
 
 // This file is the multi-scheduler scaling experiment: the paper deploys
@@ -85,33 +84,15 @@ type MultiSchedComparison struct {
 	SpeedupX4 float64
 }
 
-// multiSchedPod converts one backlog job into a pod. Workloads sleep for
-// the trace duration: the experiment measures scheduling and bind
+// multiSchedPod is job's pod (fill) with the workload swapped for a
+// sleep of the job's duration: the backlogs measure scheduling and bind
 // throughput, and sleeping keeps capacity churn (jobs finishing and
 // freeing their nodes) without the memory-stress machinery.
-func multiSchedPod(job borg.Job, sgxJob bool) *api.Pod {
-	var req resource.List
-	var limits resource.List
-	if sgxJob {
-		pages := resource.PagesForBytes(borg.SGXMemBytes(job.AssignedMemFrac))
-		if pages < 1 {
-			pages = 1
-		}
-		req = resource.List{resource.Memory: 16 * resource.MiB, resource.EPCPages: pages}
-		limits = resource.List{resource.EPCPages: pages}
-	} else {
-		req = resource.List{resource.Memory: borg.StandardMemBytes(job.AssignedMemFrac)}
-	}
-	return &api.Pod{
-		Name: traceJobName(job.ID),
-		Spec: api.PodSpec{
-			Containers: []api.Container{{
-				Name:      "main",
-				Resources: api.Requirements{Requests: req, Limits: limits},
-				Workload:  api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: job.Duration},
-			}},
-		},
-	}
+func multiSchedPod(job Job) *api.Pod {
+	pod := new(api.Pod)
+	job.fill(pod, new([1]api.Container))
+	pod.Spec.Containers[0].Workload = api.WorkloadSpec{Kind: api.WorkloadSleep, Duration: job.Duration}
+	return pod
 }
 
 // MultiSchedDrain submits the whole Borg eval slice as a backlog at t=0
@@ -145,7 +126,7 @@ func MultiSchedDrain(cfg MultiSchedConfig) (MultiSchedResult, error) {
 	trace := borg.NewGenerator(cfg.Seed).EvalSlice()
 	isSGX := designateSGX(trace.Len(), multiSchedSGXRatio, cfg.Seed)
 	for i, job := range trace.Jobs {
-		if err := tb.Submit(multiSchedPod(job, isSGX[i])); err != nil {
+		if err := tb.Submit(multiSchedPod(TraceJob(traceJobName(job.ID), job, isSGX[i], false))); err != nil {
 			return MultiSchedResult{}, fmt.Errorf("multisched: submitting backlog: %w", err)
 		}
 	}

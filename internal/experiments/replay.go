@@ -253,10 +253,9 @@ func (s *submission) Fire() {
 	r := s.r
 	job := TraceJob(s.name, r.jobs[s.job], r.isSGX[s.job], r.dynamicEPC)
 	job.fill(&r.pod, &r.ctr)
-	r.pod.Spec.SchedulerName = SchedulerName
-	// CreatePod only fails on duplicate names, which the replay's naming
+	// Submit only fails on duplicate names, which the replay's naming
 	// scheme excludes.
-	_ = r.tb.Srv.CreatePod(&r.pod)
+	_ = r.tb.Submit(&r.pod)
 	r.submitted++
 }
 
@@ -298,37 +297,28 @@ func appendTraceJobName(b []byte, id int64) []byte {
 
 // deployMalicious statically places malicious containers (Fig. 11): each
 // declares 1 EPC page in requests and limits but allocates a large share
-// of the node's EPC for the whole experiment.
+// of the node's EPC for the whole experiment. Bound by hand, they carry
+// no SchedulerName and no scheduler sees them.
 func (tb *Testbed) deployMalicious(cfg ReplayConfig) error {
+	var pod api.Pod
+	var ctr [1]api.Container
 	for _, node := range tb.Cfg.Nodes {
 		if node.EPCSize == 0 {
 			continue
 		}
-		allocBytes := int64(cfg.MaliciousEPCFraction * float64(sgx.GeometryForSize(node.EPCSize).UsableBytes()))
+		stolen := int64(cfg.MaliciousEPCFraction * float64(sgx.GeometryForSize(node.EPCSize).UsableBytes()))
 		for i := 0; i < cfg.MaliciousPerSGXNode; i++ {
-			name := fmt.Sprintf("malicious-%s-%d", node.Name, i)
-			pod := &api.Pod{
-				Name: name,
-				Spec: api.PodSpec{
-					// Statically bound: no SchedulerName needed.
-					Containers: []api.Container{{
-						Name: "malicious",
-						Resources: api.Requirements{
-							Requests: resource.List{resource.EPCPages: 1},
-							Limits:   resource.List{resource.EPCPages: 1},
-						},
-						Workload: api.WorkloadSpec{
-							Kind:       api.WorkloadStressEPC,
-							Duration:   cfg.Horizon,
-							AllocBytes: allocBytes,
-						},
-					}},
-				},
+			job := Job{
+				Name:            fmt.Sprintf("malicious-%s-%d", node.Name, i),
+				Duration:        cfg.Horizon,
+				EPCRequestBytes: resource.EPCPageSize,
+				EPCUsageBytes:   stolen,
 			}
-			if err := tb.Srv.CreatePod(pod); err != nil {
+			job.fill(&pod, &ctr)
+			if err := tb.Srv.CreatePod(&pod); err != nil {
 				return fmt.Errorf("experiments: creating malicious pod: %w", err)
 			}
-			if err := tb.Srv.Bind(name, node.Name); err != nil {
+			if err := tb.Srv.Bind(job.Name, node.Name); err != nil {
 				return fmt.Errorf("experiments: binding malicious pod: %w", err)
 			}
 		}
@@ -336,10 +326,11 @@ func (tb *Testbed) deployMalicious(cfg ReplayConfig) error {
 	return nil
 }
 
-// samplePending computes the pending-queue request totals (Fig. 7).
+// samplePending computes the pending-queue request totals (Fig. 7) of
+// the testbed's scheduler.
 func (tb *Testbed) samplePending(start time.Time) PendingPoint {
 	pt := PendingPoint{Offset: tb.Clk.Now().Sub(start)}
-	tb.Srv.VisitPending(SchedulerName, func(pod *api.Pod) bool {
+	tb.Srv.VisitPending(tb.Cfg.Scheduler.Name, func(pod *api.Pod) bool {
 		req := pod.TotalRequests()
 		pt.RequestedEPCBytes += resource.BytesForPages(req.Get(resource.EPCPages))
 		pt.RequestedMemBytes += req.Get(resource.Memory)
@@ -350,11 +341,12 @@ func (tb *Testbed) samplePending(start time.Time) PendingPoint {
 }
 
 // allTraceJobsTerminal reports whether every replayed job ended; the
-// malicious pods (which run for the whole horizon) are excluded.
+// malicious pods (which run for the whole horizon, and which no
+// scheduler is named for) are excluded.
 func (tb *Testbed) allTraceJobsTerminal() bool {
 	done := true
 	tb.Srv.VisitPods(func(p *api.Pod) bool {
-		done = p.Spec.SchedulerName != SchedulerName || p.IsTerminal()
+		done = p.Spec.SchedulerName == "" || p.IsTerminal()
 		return done
 	})
 	return done

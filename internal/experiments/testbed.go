@@ -6,12 +6,15 @@
 // Every experiment runs on one assembly, the Testbed: the simulated
 // clock, the API server, one machine and kubelet per node, the monitoring
 // plane (TSDB, Heapster, the SGX probe DaemonSet) and one scheduler or a
-// sharded fleet on top, all built by NewTestbed. sgxorch.NewCluster runs
-// on it too: the shipped cluster is one more TestbedConfig, a
-// class-aware, instrumented scheduler with a gang director. A harness
-// differs only in its TestbedConfig: the §VI-A replays start from the
-// Paper preset, the multi-scheduler, gang and class fleets name their own
-// nodes, shard count and admission mode.
+// sharded fleet with its gang director on top, all built by NewTestbed.
+// sgxorch.NewCluster and cmd/sgx-probe run on it too: the shipped
+// cluster is one more TestbedConfig, a class-aware, instrumented
+// scheduler, and the probe demo one SGX node. A harness differs only in
+// its TestbedConfig: the §VI-A replays start from the Paper preset, the
+// multi-scheduler, gang and class fleets name their own nodes, shard
+// count and admission mode. Every pod an experiment submits is a Job's
+// (job.go): TraceJob scales a trace record into one, and fill is its one
+// conversion into a pod.
 // Every testbed audits what it runs: the reference model (internal/model)
 // replays its whole watch stream under the testbed's own admission mode,
 // and an event it refuses is a violation. That holds for the shipped
@@ -40,7 +43,8 @@ import (
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
-// SchedulerName is the identity replayed pods request.
+// SchedulerName is the Paper preset's scheduler, so the identity that
+// ReplayBorgTrace's pods request (Submit stamps the testbed's own).
 const SchedulerName = "sgx-aware"
 
 // Testbed hardware constants (§VI-A): three Dell R330 (Xeon E3-1270 v6,
@@ -128,8 +132,6 @@ type TestbedConfig struct {
 	// Concurrent runs the fleet's rounds on real goroutines (benchmarks
 	// and -race only; conflict counts become nondeterministic).
 	Concurrent bool
-	// Gangs attaches one gang director that every member shares.
-	Gangs bool
 	// Admission is the API server's bind admission mode, and the mode the
 	// audit's reference model admits charges in.
 	Admission apiserver.Admission
@@ -216,7 +218,8 @@ type Testbed struct {
 //  3. the TSDB, with a scrape interval;
 //  4. the closer that stops the kubelets;
 //  5. one machine and kubelet per node, in node order;
-//  6. the gang director, with Gangs;
+//  6. the gang director, which every scheduler shares: solo pods never
+//     reach it, and it arms no timer until a gang member reserves;
 //  7. the scheduler or the sharded fleet, and its closer;
 //  8. with Scheduler.Telemetry, the collector exporting the gang
 //     director's counts (the audit's violations are exported as they
@@ -282,11 +285,9 @@ func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
 			scrapes = append(scrapes, probe.Scrape)
 		}
 	}
-	if cfg.Gangs {
-		tb.Gang = core.NewGangDirector(clk, tb.Srv, core.GangConfig{})
-		onClose(tb.Gang.Close)
-		cfg.Scheduler.Gang = tb.Gang
-	}
+	tb.Gang = core.NewGangDirector(clk, tb.Srv, core.GangConfig{})
+	onClose(tb.Gang.Close)
+	cfg.Scheduler.Gang = tb.Gang
 	var err error
 	if cfg.Shards == 0 {
 		tb.Scheduler, err = core.New(clk, tb.Srv, tb.DB, cfg.Scheduler)
@@ -307,14 +308,12 @@ func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
 		pass = func() { sched.ScheduleOnce() }
 	}
 	if reg != nil {
-		if gang := tb.Gang; gang != nil {
-			commits, timeouts := reg.Gauge("gang_commits"), reg.Gauge("gang_timeouts")
-			reg.RegisterCollector(func() {
-				gs := gang.Stats()
-				commits.Set(float64(gs.Commits))
-				timeouts.Set(float64(gs.Timeouts))
-			})
-		}
+		commits, timeouts := reg.Gauge("gang_commits"), reg.Gauge("gang_timeouts")
+		reg.RegisterCollector(func() {
+			gs := tb.Gang.Stats()
+			commits.Set(float64(gs.Commits))
+			timeouts.Set(float64(gs.Timeouts))
+		})
 		// The self-scrape makes the orchestrator's own health queryable
 		// through the same InfluxQL path as container metrics.
 		if db := tb.DB; db != nil {

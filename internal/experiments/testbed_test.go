@@ -116,7 +116,7 @@ func TestAuditRefusesPlantedSecondRun(t *testing.T) {
 // the server published, from the first node's registration to the
 // kubelets' NotReady updates at Close, and refuses none of a clean run's:
 // on ReplayBorgTrace's testbed (the §VI-A preset under Replay) and on one
-// shaped as sgxorch.NewCluster builds it (gang director, telemetry), where the refusals are the model_violations gauge.
+// shaped as sgxorch.NewCluster builds it (telemetry, with one gang among its jobs), where the refusals are the model_violations gauge.
 func TestAuditSeesWholeStream(t *testing.T) {
 	trace := &borg.Trace{Jobs: evalTrace(1).Jobs[:20], Horizon: time.Hour}
 	t.Run("replay", func(t *testing.T) {
@@ -133,18 +133,17 @@ func TestAuditSeesWholeStream(t *testing.T) {
 		cfg := Paper(0)
 		reg := telemetry.New()
 		cfg.Scheduler.Telemetry, cfg.Scheduler.Trace = reg, telemetry.NewTraceRing(0)
-		cfg.Gangs = true
 		tb, err := NewTestbed(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer tb.Close()
-		for i, job := range trace.Jobs {
-			pod := multiSchedPod(job, i%4 == 3)
+		for i, record := range trace.Jobs {
+			job := TraceJob(traceJobName(record.ID), record, i%4 == 3, false)
 			if i < 4 {
-				pod.Spec.PodGroup, pod.Spec.MinMember = "g", 4
+				job.Gang, job.GangMinMember = "g", 4
 			}
-			if err := tb.Submit(pod); err != nil {
+			if err := tb.Submit(multiSchedPod(job)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -199,7 +198,7 @@ func TestAuditGaugeReadConcurrently(t *testing.T) {
 	stop := sync.OnceFunc(func() { close(done); wg.Wait() })
 	defer stop()
 	for _, job := range evalTrace(1).Jobs[:40] {
-		if err := tb.Submit(multiSchedPod(job, false)); err != nil {
+		if err := tb.Submit(multiSchedPod(TraceJob(traceJobName(job.ID), job, false, false))); err != nil {
 			t.Fatal(err)
 		}
 	}
