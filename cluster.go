@@ -1,7 +1,6 @@
 package sgxorch
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -75,21 +74,13 @@ func (p Policy) corePolicy() (core.Policy, error) {
 	}
 }
 
-// NodeSpec describes one cluster machine.
-type NodeSpec struct {
-	Name      string
-	RAMBytes  int64
-	CPUMillis int64
-	// SGX equips the machine with an SGX package and driver; EPCSize
-	// defaults to DefaultEPCSize.
-	SGX     bool
-	EPCSize int64
-	// SGX2 additionally enables dynamic EPC memory management (EDMM,
-	// §VI-G), required by DynamicEPC jobs. Implies SGX.
-	SGX2 bool
-	// Master marks the node unschedulable (control plane only).
-	Master bool
-}
+// NodeSpec describes one cluster machine; its field docs are
+// experiments.Node's. A machine has a name, positive RAM and
+// non-negative CPU; SGX equips it with an SGX package whose EPCSize
+// defaults to DefaultEPCSize, SGX2 (EDMM, §VI-G, which DynamicEPC jobs
+// require) implies SGX, and Master makes it unschedulable. The testbed
+// refuses a bad node before it builds anything.
+type NodeSpec = experiments.Node
 
 // ClusterConfig assembles a cluster.
 type ClusterConfig struct {
@@ -119,16 +110,7 @@ type ClusterConfig struct {
 }
 
 // PaperTestbedNodes returns the §VI-A cluster shape.
-func PaperTestbedNodes() []NodeSpec {
-	var nodes []NodeSpec
-	for _, n := range experiments.PaperTestbed() {
-		nodes = append(nodes, NodeSpec{
-			Name: n.Name, RAMBytes: n.RAMBytes, CPUMillis: n.CPUMillis,
-			SGX: n.EPCSize > 0, EPCSize: n.EPCSize, SGX2: n.SGX2, Master: n.Master,
-		})
-	}
-	return nodes
-}
+func PaperTestbedNodes() []NodeSpec { return experiments.PaperTestbed() }
 
 // Cluster is a running simulated cluster: API server, kubelets, device
 // plugins and monitoring plus one SGX-aware scheduler with its gang
@@ -141,9 +123,11 @@ type Cluster struct {
 // schedulerName is the identity jobs submitted through Cluster use.
 const schedulerName = "sgxorch"
 
-// NewCluster validates cfg and starts the cluster on an
-// experiments.Testbed. Time is simulated: use AdvanceTime or WaitAll to
-// make progress.
+// NewCluster starts the cluster cfg describes on an experiments.Testbed,
+// which refuses a bad node before it builds anything, and a duplicate
+// name when the node registers (the nodes started before it are stopped
+// again). An unknown policy is an error too. Time is simulated: use
+// AdvanceTime or WaitAll to make progress.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	policy, err := cfg.Policy.corePolicy()
 	if err != nil {
@@ -153,41 +137,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(nodes) == 0 {
 		nodes = PaperTestbedNodes()
 	}
-	// The whole node list is checked before anything is built, so a bad
-	// entry never leaves an earlier node's kubelet started and subscribed.
-	seen := make(map[string]bool, len(nodes))
-	for _, spec := range nodes {
-		switch {
-		case spec.Name == "":
-			return nil, errors.New("sgxorch: node name required")
-		case seen[spec.Name]:
-			return nil, fmt.Errorf("sgxorch: duplicate node %q", spec.Name)
-		case spec.RAMBytes <= 0:
-			return nil, fmt.Errorf("sgxorch: node %s: RAMBytes %d must be positive", spec.Name, spec.RAMBytes)
-		case spec.CPUMillis < 0:
-			return nil, fmt.Errorf("sgxorch: node %s: negative CPUMillis %d", spec.Name, spec.CPUMillis)
-		case spec.EPCSize < 0:
-			return nil, fmt.Errorf("sgxorch: node %s: negative EPCSize %d", spec.Name, spec.EPCSize)
-		}
-		seen[spec.Name] = true
-	}
-
-	tbNodes := make([]experiments.Node, len(nodes))
-	for i, spec := range nodes {
-		tbNodes[i] = experiments.Node{
-			Name: spec.Name, RAMBytes: spec.RAMBytes, CPUMillis: spec.CPUMillis,
-			SGX2: spec.SGX2, Master: spec.Master,
-		}
-		if spec.SGX || spec.SGX2 {
-			tbNodes[i].EPCSize = spec.EPCSize
-			if spec.EPCSize == 0 {
-				tbNodes[i].EPCSize = DefaultEPCSize
-			}
-		}
-	}
-
 	tcfg := experiments.TestbedConfig{
-		Nodes:          tbNodes,
+		Nodes:          nodes,
 		NoEnforcement:  cfg.DisableEnforcement,
 		ScrapeInterval: monitor.DefaultScrapeInterval,
 		Scheduler: core.Config{
@@ -365,18 +316,12 @@ func (c *Cluster) SchedulerStats() SchedulerStats {
 
 // GangStats reports gang-scheduling outcomes: gangs committed at quorum
 // and whole-gang permit rollbacks at the timeout.
-type GangStats struct {
-	Commits  int64
-	Timeouts int64
-}
+type GangStats = core.GangDirectorStats
 
 // GangStats returns the gang director's counters, which the registry
 // carries as the gang_commits and gang_timeouts gauges. On a
 // telemetry-disabled cluster this accessor is the only read.
-func (c *Cluster) GangStats() GangStats {
-	s := c.tb.Gang.Stats()
-	return GangStats{Commits: s.Commits, Timeouts: s.Timeouts}
-}
+func (c *Cluster) GangStats() GangStats { return c.tb.Gang.Stats() }
 
 // Telemetry returns the cluster's metrics registry — the one-stop
 // observability surface. Each count is exported once, by the component

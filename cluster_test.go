@@ -564,6 +564,45 @@ func TestDrainNodeThroughFacade(t *testing.T) {
 	}
 }
 
+// TestDrainNodeFailsJobInAdmission: a job bound just before its node is
+// drained, still inside the kubelet's admission latency, fails instead of
+// starting on the NotReady node, and the drained node keeps none of its
+// EPC page items.
+func TestDrainNodeFailsJobInAdmission(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SubmitJob(JobSpec{
+		Name:            "sgx-work",
+		Duration:        time.Hour,
+		EPCRequestBytes: 10 * MiB,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The first pass, at 5 s, binds the job; the kubelet admits it
+	// kubelet.DefaultAdmissionLatency (500 ms) later.
+	c.AdvanceTime(5200 * time.Millisecond)
+	st, _ := c.JobStatus("sgx-work")
+	if st.Node == "" || st.Started {
+		t.Fatalf("job at 5.2 s: node %q, started %v; want bound and not yet started", st.Node, st.Started)
+	}
+	drained := st.Node
+	if err := c.DrainNode(drained); err != nil {
+		t.Fatal(err)
+	}
+	c.AdvanceTime(time.Minute)
+	if st, _ = c.JobStatus("sgx-work"); st.Phase != "Failed" || !strings.Contains(st.Reason, "NodeDrained") {
+		t.Fatalf("job bound to the drained node is %s (%s), want Failed for the drain", st.Phase, st.Reason)
+	}
+	for _, n := range c.Nodes() {
+		if n.Name == drained && n.EPCPagesFree != n.EPCPages {
+			t.Fatalf("drained node %s: %d of %d EPC page items free", n.Name, n.EPCPagesFree, n.EPCPages)
+		}
+	}
+}
+
 // TestGangJobsScheduleAllOrNothing drives the gang lifecycle through
 // the public facade: four co-members commit together and finish, and
 // the director reports the commit.

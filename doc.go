@@ -39,9 +39,10 @@
 // pass, a round, a scrape) and arm nothing. A TestbedConfig names the nodes, limit enforcement, the scrape
 // interval and a core.Config, plus the shard count, concurrent rounds and
 // the admission mode; every testbed builds one gang director its
-// schedulers share. NewCluster translates ClusterConfig into one — a
-// class-aware scheduler and, unless telemetry is disabled, a registry
-// and a pass-trace ring — and every experiment — the figure harnesses,
+// schedulers share, and validates every node before it builds anything
+// (NodeSpec is experiments.Node). NewCluster translates ClusterConfig
+// into one — a class-aware scheduler and, unless telemetry is disabled,
+// a registry and a pass-trace ring — and every experiment — the figure harnesses,
 // the ablations, the multi-scheduler, gang and class fleets and
 // ReplayBorgTrace — is another, as is cmd/sgx-probe's one-node demo. The Paper preset is
 // §VI-A: one master, two 64 GiB standard nodes and two 8 GiB SGX nodes

@@ -11,8 +11,10 @@ import (
 	"github.com/sgxorch/sgxorch/internal/api"
 	"github.com/sgxorch/sgxorch/internal/apiserver"
 	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/minheap"
 	"github.com/sgxorch/sgxorch/internal/monitor"
 	"github.com/sgxorch/sgxorch/internal/resource"
+	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
 // ClusterCache is the scheduler's event-driven model of the cluster. It
@@ -68,7 +70,7 @@ type ClusterCache struct {
 	// or not at all, so it needs every member's priority and charge, not
 	// just the ones on the candidate node.
 	groups   map[string]map[string]*cachedPod
-	maturity matHeap
+	maturity minheap.Heap[string] // pod names at their maturity instants
 	unsub    func()
 	// prioCount counts live bound pods per priority tier and prios keeps
 	// the occupied tiers sorted ascending; the preemption planner
@@ -693,17 +695,17 @@ func (c *ClusterCache) pushMaturityLocked(cp *cachedPod, now time.Time) {
 	if !matureAt.After(now) {
 		return // already mature; fuseUsage saw that
 	}
-	c.maturity.push(matEntry{at: matureAt, pod: cp.name})
+	c.maturity.Push(tsdb.UnixNanos(matureAt), cp.name)
 }
 
 // refreshMaturityLocked re-fuses every pod whose maturity instant has
 // passed. Entries are lazy: pods that terminated or restarted with a new
 // StartedAt are skipped.
 func (c *ClusterCache) refreshMaturityLocked(now time.Time) {
-	for len(c.maturity) > 0 && !c.maturity[0].at.After(now) {
-		ent := c.maturity.pop()
-		cp, ok := c.pods[ent.pod]
-		if !ok || cp.startedAt.IsZero() || !cp.startedAt.Add(c.lag).Equal(ent.at) {
+	for at := tsdb.UnixNanos(now); len(c.maturity) > 0 && c.maturity[0].At <= at; {
+		ent := c.maturity.Pop()
+		cp, ok := c.pods[ent.Val]
+		if !ok || cp.startedAt.IsZero() || tsdb.UnixNanos(cp.startedAt.Add(c.lag)) != ent.At {
 			continue
 		}
 		c.fusePodLocked(cp, now)
@@ -821,53 +823,4 @@ func (c *ClusterCache) victimsBelow(node string, prio int32, includeBE bool, buf
 		return strings.Compare(a.name, b.name)
 	})
 	return buf, groups
-}
-
-// matEntry schedules one pod's young→mature re-fusion.
-type matEntry struct {
-	at  time.Time
-	pod string
-}
-
-// matHeap is a binary min-heap on at. push and pop sift exactly as
-// container/heap does, so entries due at the same instant surface in the
-// order they always have — the order matured pods re-fuse in — and
-// nothing is boxed on either side.
-type matHeap []matEntry
-
-func (h *matHeap) push(e matEntry) {
-	q := append(*h, e)
-	*h = q
-	for j := len(q) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || !q[j].at.Before(q[i].at) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func (h *matHeap) pop() matEntry {
-	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && q[r].at.Before(q[j].at) {
-			j = r
-		}
-		if !q[j].at.Before(q[i].at) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	e := q[n]
-	q[n] = matEntry{} // do not pin the pod name through the slack
-	*h = q[:n]
-	return e
 }

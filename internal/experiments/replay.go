@@ -303,7 +303,7 @@ func (tb *Testbed) deployMalicious(cfg ReplayConfig) error {
 	var pod api.Pod
 	var ctr [1]api.Container
 	for _, node := range tb.Cfg.Nodes {
-		if node.EPCSize == 0 {
+		if !node.SGX {
 			continue
 		}
 		stolen := int64(cfg.MaliciousEPCFraction * float64(sgx.GeometryForSize(node.EPCSize).UsableBytes()))

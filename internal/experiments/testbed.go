@@ -59,30 +59,60 @@ const (
 	SGXNodes   = 2
 )
 
-// Node describes one machine of the cluster.
+// Node describes one machine of the cluster; sgxorch.NodeSpec is this
+// type. NewTestbed refuses a node without a name, with RAMBytes <= 0, or
+// with a negative CPUMillis or EPCSize, before it builds anything.
 type Node struct {
 	Name      string
 	RAMBytes  int64
 	CPUMillis int64
-	// EPCSize is the machine's PRM size; zero means no SGX package.
+	// SGX equips the machine with an SGX package and driver.
+	SGX bool
+	// EPCSize is an SGX machine's PRM size, DefaultEPC when zero; a
+	// machine without SGX has none.
 	EPCSize int64
-	// SGX2 adds dynamic EPC memory management (EDMM, §VI-G) to an SGX
-	// machine.
+	// SGX2 adds dynamic EPC memory management (EDMM, §VI-G), which
+	// DynamicEPC jobs require. It implies SGX.
 	SGX2 bool
 	// Master marks the node unschedulable: it hosts the control plane and
 	// runs no jobs (§VI-A).
 	Master bool
 }
 
+// withDefaults checks n and returns it with the SGX defaults applied:
+// SGX2 implies SGX, an SGX machine's EPC size defaults to DefaultEPC and
+// a machine without SGX has none.
+func (n Node) withDefaults() (Node, error) {
+	switch {
+	case n.Name == "":
+		return n, fmt.Errorf("experiments: node name required")
+	case n.RAMBytes <= 0:
+		return n, fmt.Errorf("experiments: node %s: RAMBytes %d must be positive", n.Name, n.RAMBytes)
+	case n.CPUMillis < 0:
+		return n, fmt.Errorf("experiments: node %s: negative CPUMillis %d", n.Name, n.CPUMillis)
+	case n.EPCSize < 0:
+		return n, fmt.Errorf("experiments: node %s: negative EPCSize %d", n.Name, n.EPCSize)
+	}
+	n.SGX = n.SGX || n.SGX2
+	switch {
+	case !n.SGX:
+		n.EPCSize = 0
+	case n.EPCSize == 0:
+		n.EPCSize = DefaultEPC
+	}
+	return n, nil
+}
+
 // Fleet returns std standard and sgx SGX worker machines of the §VI-A
-// models, named std-1… and sgx-1…, the SGX ones with epc bytes of PRM.
+// models, named std-1… and sgx-1…, the SGX ones with epc bytes of PRM
+// (DefaultEPC when zero).
 func Fleet(std, sgx int, epc int64, sgx2 bool) []Node {
 	nodes := make([]Node, 0, std+sgx)
 	for i := 1; i <= std; i++ {
 		nodes = append(nodes, Node{Name: fmt.Sprintf("std-%d", i), RAMBytes: StdNodeRAM, CPUMillis: NodeCPU})
 	}
 	for i := 1; i <= sgx; i++ {
-		nodes = append(nodes, Node{Name: fmt.Sprintf("sgx-%d", i), RAMBytes: SGXNodeRAM, CPUMillis: NodeCPU, EPCSize: epc, SGX2: sgx2})
+		nodes = append(nodes, Node{Name: fmt.Sprintf("sgx-%d", i), RAMBytes: SGXNodeRAM, CPUMillis: NodeCPU, SGX: true, EPCSize: epc, SGX2: sgx2})
 	}
 	return nodes
 }
@@ -100,7 +130,7 @@ func PaperTestbed() []Node {
 }
 
 func (n Node) machine(noEnforcement bool) *machine.Machine {
-	if n.EPCSize == 0 {
+	if !n.SGX {
 		return machine.New(n.Name, n.RAMBytes, n.CPUMillis)
 	}
 	var driverOpts []isgx.Option
@@ -117,6 +147,8 @@ func (n Node) machine(noEnforcement bool) *machine.Machine {
 // TestbedConfig is one experiment's cluster: its nodes and monitoring,
 // the scheduler configuration on top, and how the schedulers run.
 type TestbedConfig struct {
+	// Nodes are the machines, in start order. The Testbed's Cfg holds
+	// them with the SGX defaults applied (Node).
 	Nodes []Node
 	// NoEnforcement turns off driver-level EPC limit enforcement (§V-D)
 	// on every SGX machine, as in Fig. 11's "limits disabled" runs.
@@ -146,9 +178,6 @@ type TestbedConfig struct {
 // monitored every monitor.DefaultScrapeInterval with EPC limits enforced,
 // under the paper's usage-aware binpack scheduler.
 func Paper(epc int64) TestbedConfig {
-	if epc == 0 {
-		epc = DefaultEPC
-	}
 	return TestbedConfig{
 		Nodes:          WithMaster(Fleet(StdNodes, SGXNodes, epc, false)),
 		ScrapeInterval: monitor.DefaultScrapeInterval,
@@ -244,6 +273,16 @@ func NewTestbed(cfg TestbedConfig) (*Testbed, error) { return newTestbed(clock.N
 // newTestbed is NewTestbed on a given clock, which a test can still read
 // when the start fails.
 func newTestbed(clk *clock.Sim, cfg TestbedConfig) (*Testbed, error) {
+	// Every node is checked before anything is built, so a bad entry
+	// never leaves an earlier node's kubelet started and subscribed.
+	nodes := make([]Node, len(cfg.Nodes))
+	for i, n := range cfg.Nodes {
+		var err error
+		if nodes[i], err = n.withDefaults(); err != nil {
+			return nil, err
+		}
+	}
+	cfg.Nodes = nodes
 	reg := cfg.Scheduler.Telemetry
 	tb := &Testbed{Clk: clk, Srv: apiserver.New(clk, apiserver.WithAdmission(cfg.Admission), apiserver.WithTelemetry(reg)), Cfg: cfg}
 	onClose := func(fn func()) { tb.closers = append(tb.closers, fn) }

@@ -340,6 +340,88 @@ func TestTestbedFailedStartStopsStartedNodes(t *testing.T) {
 	}
 }
 
+// TestTestbedRefusesBadNodeBeforeBuilding: a bad node appended to a
+// valid fleet fails NewTestbed before the first node registers, so no
+// node event reaches the stream and nothing is left on the clock.
+func TestTestbedRefusesBadNodeBeforeBuilding(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  Node
+	}{
+		{"unnamed", Node{RAMBytes: SGXNodeRAM, CPUMillis: NodeCPU}},
+		{"zero RAM", Node{Name: "bad", CPUMillis: NodeCPU}},
+		{"negative RAM", Node{Name: "bad", RAMBytes: -SGXNodeRAM, CPUMillis: NodeCPU}},
+		{"negative CPU", Node{Name: "bad", RAMBytes: SGXNodeRAM, CPUMillis: -1}},
+		{"negative EPCSize", Node{Name: "bad", RAMBytes: SGXNodeRAM, CPUMillis: NodeCPU, SGX: true, EPCSize: -resource.MiB}},
+	} {
+		bad := tc.bad
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Paper(0)
+			cfg.Nodes = append(Fleet(1, 1, 0, false), bad)
+			var events []string
+			recordNodeEvents(&cfg, &events)
+			clk := clock.NewSim()
+			tb, err := newTestbed(clk, cfg)
+			if tb != nil || err == nil {
+				t.Fatalf("NewTestbed with node %+v = %v, %v; want an error", bad, tb, err)
+			}
+			if len(events) != 0 {
+				t.Fatalf("node events %v before the refusal, want none", events)
+			}
+			if n := clk.Len(); n != 0 {
+				t.Fatalf("%d events on the clock after a refused start, want none", n)
+			}
+		})
+	}
+}
+
+// TestTestbedNodeDefaults: SGX2 implies SGX, an SGX machine without an
+// EPC size gets DefaultEPC, and a machine without SGX has no EPC even if
+// one is named. Cfg.Nodes holds the defaulted nodes, which is what
+// deployMalicious reads, so Paper(0)'s SGX machines carry DefaultEPC
+// there.
+func TestTestbedNodeDefaults(t *testing.T) {
+	cfg := Paper(0)
+	cfg.Nodes = []Node{
+		{Name: "edmm", RAMBytes: SGXNodeRAM, CPUMillis: NodeCPU, SGX2: true},
+		{Name: "plain", RAMBytes: StdNodeRAM, CPUMillis: NodeCPU, EPCSize: 64 * resource.MiB},
+	}
+	tb, err := NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tb.Close()
+	want := []Node{
+		{Name: "edmm", RAMBytes: SGXNodeRAM, CPUMillis: NodeCPU, SGX: true, EPCSize: DefaultEPC, SGX2: true},
+		{Name: "plain", RAMBytes: StdNodeRAM, CPUMillis: NodeCPU},
+	}
+	if !reflect.DeepEqual(tb.Cfg.Nodes, want) {
+		t.Fatalf("Cfg.Nodes = %+v, want %+v", tb.Cfg.Nodes, want)
+	}
+	edmm, plain := tb.Kubelets[0], tb.Kubelets[1]
+	if edmm.Plugin() == nil || !edmm.Machine().SGX().SGX2() || plain.Plugin() != nil {
+		t.Fatalf("edmm plugin %v, plain plugin %v; want an SGX 2 machine and a plain one", edmm.Plugin(), plain.Plugin())
+	}
+
+	paper, err := NewTestbed(Paper(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paper.Close()
+	sgxNodes := 0
+	for _, n := range paper.Cfg.Nodes {
+		if n.SGX {
+			sgxNodes++
+			if n.EPCSize != DefaultEPC {
+				t.Fatalf("Paper(0) node %s: EPCSize %d, want DefaultEPC", n.Name, n.EPCSize)
+			}
+		}
+	}
+	if sgxNodes != SGXNodes {
+		t.Fatalf("Paper(0) has %d SGX nodes, want %d", sgxNodes, SGXNodes)
+	}
+}
+
 // TestTestbedWithoutScrapeIntervalBuildsNoMonitoring: without a scrape
 // interval there is no TSDB, tracker or self-scrape, and the control
 // round, which then runs the pass alone, is the one entry on the clock.

@@ -55,6 +55,8 @@ type Kubelet struct {
 	pods        map[string]*podEntry
 	unsubscribe func()
 	started     bool
+	// stopped is set by Stop; an admission due after it fails its pod.
+	stopped bool
 
 	// PodStats' buffers, reused by every call: the (name, cgroup) pairs
 	// read under mu and the stats handed to the collector.
@@ -164,9 +166,11 @@ func (k *Kubelet) Start() error {
 
 // Stop drains the node: it detaches from the API server, marks the node
 // NotReady so the scheduler stops placing pods here, and aborts running
-// workloads (their pods fail, as on a node drain).
+// workloads (their pods fail, as on a node drain). A pod bound here whose
+// admission is still due fails when it comes, without being admitted.
 func (k *Kubelet) Stop() {
 	k.mu.Lock()
+	k.stopped = true
 	unsub := k.unsubscribe
 	k.unsubscribe = nil
 	wasStarted := k.started
@@ -335,7 +339,9 @@ func (k *Kubelet) admit(entry *podEntry) {
 		return
 	}
 	var failReason string
-	if epcReq > 0 {
+	if k.stopped {
+		failReason = fmt.Sprintf("NodeDrained: %s stopped before the pod was admitted", k.nodeName)
+	} else if epcReq > 0 {
 		switch {
 		case k.plugin == nil:
 			failReason = fmt.Sprintf("UnexpectedAdmissionError: no SGX device plugin on %s", k.nodeName)

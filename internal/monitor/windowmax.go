@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/sgxorch/sgxorch/internal/clock"
+	"github.com/sgxorch/sgxorch/internal/minheap"
 	"github.com/sgxorch/sgxorch/internal/tsdb"
 )
 
@@ -54,7 +55,7 @@ type WindowMax struct {
 
 	mu       sync.Mutex
 	series   map[wmKey]*wmSeries
-	expiry   expiryHeap
+	expiry   minheap.Heap[*wmSeries]
 	onChange func(measurement, pod, node string, max float64, ok bool)
 	// changes is Refresh's transition buffer, kept across calls so a warm
 	// Refresh allocates nothing. A Refresh takes it under mu and puts it
@@ -209,10 +210,10 @@ func (w *WindowMax) Refresh() {
 	w.mu.Lock()
 	changes := w.changes[:0]
 	w.changes = nil
-	for len(w.expiry) > 0 && w.expiry[0].at < cutoff {
-		ent := w.expiry.pop()
-		s := ent.s
-		if len(s.dq) == 0 || s.dq[0].t != ent.at {
+	for len(w.expiry) > 0 && w.expiry[0].At < cutoff {
+		ent := w.expiry.Pop()
+		s := ent.Val
+		if len(s.dq) == 0 || s.dq[0].t != ent.At {
 			// Stale entry: the series was dropped, or its front changed
 			// after this was pushed, and that transition already
 			// announced itself and registered a fresh expiry.
@@ -225,7 +226,7 @@ func (w *WindowMax) Refresh() {
 			*s = wmSeries{}
 			continue
 		}
-		w.expiry.push(expiryEntry{at: s.dq[0].t, s: s})
+		w.expiry.Push(s.dq[0].t, s)
 		changes = append(changes, wmChange{key: s.key, max: s.dq[0].v, ok: true})
 	}
 	fn := w.onChange
@@ -300,7 +301,7 @@ func (w *WindowMax) observeLocked(measurement, pod, node string, v float64, t, c
 	if hadFront && front == oldFront {
 		return wmChange{}, false
 	}
-	w.expiry.push(expiryEntry{at: front.t, s: s})
+	w.expiry.Push(front.t, s)
 	if hadFront && front.v == oldFront.v && oldFront.t >= cutoff {
 		return wmChange{}, false // the announced peak stands, and stood all along
 	}
@@ -342,55 +343,4 @@ func (s *wmSeries) insert(p wmPoint) {
 	copy(s.dq[j+1:], s.dq[i:])
 	s.dq = s.dq[:n-(i-j)+1]
 	s.dq[j] = p
-}
-
-// expiryEntry schedules one series' front for eviction. Entries are lazy:
-// a front change leaves the old entry in the heap to be skipped later.
-type expiryEntry struct {
-	at int64 // the front's instant in Unix nanoseconds; due once the window's cutoff passes it
-	s  *wmSeries
-}
-
-// expiryHeap is a binary min-heap on at. push and pop sift exactly as
-// container/heap does, and the integer order of the fronts' instants is
-// the order of their expiries, so entries due at the same instant surface
-// in the order they always have — the order Refresh announces changes in,
-// which the scheduler's cache and every recorded run depend on.
-type expiryHeap []expiryEntry
-
-func (h *expiryHeap) push(e expiryEntry) {
-	q := append(*h, e)
-	*h = q
-	for j := len(q) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || q[j].at >= q[i].at {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func (h *expiryHeap) pop() expiryEntry {
-	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && q[r].at < q[j].at {
-			j = r
-		}
-		if q[j].at >= q[i].at {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	e := q[n]
-	q[n] = expiryEntry{} // do not pin the series through the slack
-	*h = q[:n]
-	return e
 }
