@@ -168,12 +168,11 @@ func recvType(fn *ast.FuncDecl) string {
 	}
 }
 
-// forbidImport flags each import of forbidden by a non-test file of dir
-// or a package beneath it, except the packages named in exempt.
-func forbidImport(dir, forbidden string, exempt ...string) func(*codebase) []string {
+// forbidImport flags each import of forbidden by a non-test file of dir.
+func forbidImport(dir, forbidden string) func(*codebase) []string {
 	return func(c *codebase) (out []string) {
 		for _, f := range c.files {
-			if f.test || !within(f.dir, dir) || slices.Contains(exempt, f.dir) {
+			if f.test || f.dir != dir {
 				continue
 			}
 			for _, spec := range f.syntax.Imports {
@@ -378,14 +377,18 @@ per event.`,
 		},
 	},
 	{
-		name: "container-heap-in-clock-only",
-		doc: `container/heap boxes every pushed and popped entry into an
-interface: one allocation per sample on WindowMax's write path, two per
-started pod in the cache's maturity heap. internal/minheap is the typed
-heap that sifts exactly as it does, keyed by Unix nanoseconds, with
-nothing boxed. Only internal/clock's event queue, which needs Fix and
-Remove, imports container/heap in the non-test files of internal/.`,
-		check: forbidImport("internal", "container/heap", "internal/clock"),
+		name: "monitor-imports-no-container-heap",
+		doc: `WindowMax's expiry heap is internal/minheap's typed heap:
+container/heap boxes every pushed and popped entry into an interface, one
+allocation per sample on the write path every scrape takes.`,
+		check: forbidImport("internal/monitor", "container/heap"),
+	},
+	{
+		name: "core-imports-no-container-heap",
+		doc: `The cache's maturity heap is internal/minheap's typed heap:
+container/heap boxes every pushed and popped entry into an interface, two
+allocations per started pod.`,
+		check: forbidImport("internal/core", "container/heap"),
 	},
 	{
 		name: "no-map-keyed-by-resource-name",
@@ -1206,10 +1209,11 @@ func (s *Server) SubscribeNode(node string, fn func([]WatchEvent), r func(Snapsh
 			"internal/watch/broker.go": "package watch\n\nimport \"runtime\"\n\nfunc goid() { runtime.Stack(nil, false) }\n",
 			"internal/watch/flush.go":  "package watch\n\nimport rt \"runtime\"\n\nvar stack = rt.Stack\n",
 		}, "internal/watch/flush.go:5"},
-		{"container-heap-in-clock-only", map[string]string{
-			"internal/clock/sim.go":            "package clock\n\nimport \"container/heap\"\n\nvar _ heap.Interface\n",
-			"internal/minheap/minheap_test.go": "package minheap\n\nimport \"container/heap\"\n\nvar _ heap.Interface\n",
-			"internal/core/cache.go":           "package core\n\nimport (\n\t\"cmp\"\n\t\"container/heap\"\n)\n\nvar _ = cmp.Compare[int]\nvar _ heap.Interface\n",
+		{"monitor-imports-no-container-heap", map[string]string{
+			"internal/monitor/windowmax.go": "package monitor\n\nimport \"container/heap\"\n\nvar _ heap.Interface\n",
+		}, "internal/monitor/windowmax.go:3"},
+		{"core-imports-no-container-heap", map[string]string{
+			"internal/core/cache.go": "package core\n\nimport (\n\t\"cmp\"\n\t\"container/heap\"\n)\n\nvar _ = cmp.Compare[int]\nvar _ heap.Interface\n",
 		}, "internal/core/cache.go:5"},
 		{"no-map-keyed-by-resource-name", map[string]string{
 			"bench/layers.go": "package main\n\nimport \"github.com/sgxorch/sgxorch/internal/resource\"\n\nvar m map[resource.Name]int64\n",
